@@ -38,7 +38,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/distributor"
 	"repro/internal/meta"
-	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/staging"
 	"repro/internal/transport"
@@ -49,12 +48,12 @@ type checker struct {
 	deep     bool
 	chunk    int64
 	replicas int
-	conns    []rpc.Conn
 	dist     distributor.Distributor
 
 	// snap pins every namespace and data read to epoch (-snapshot): the
 	// checker then verifies the pinned view — version history resolution,
-	// chunk pre-images — instead of the live namespace.
+	// chunk pre-images — instead of the live namespace, whose epoch is
+	// client.LiveEpoch.
 	snap  bool
 	epoch uint64
 
@@ -131,28 +130,14 @@ func (ck *checker) checkData(path string, size int64) {
 	if size == 0 {
 		return
 	}
-	var read func(p []byte, off int64) (int, error)
-	if ck.snap {
-		read = func(p []byte, off int64) (int, error) {
-			return ck.c.ReadSnapshot(path, ck.epoch, p, off)
-		}
-	} else {
-		fd, err := ck.c.Open(path, client.O_RDONLY)
-		if err != nil {
-			ck.problem("open %s: %v", path, err)
-			return
-		}
-		defer ck.c.Close(fd)
-		read = func(p []byte, off int64) (int, error) {
-			return ck.c.ReadAt(fd, p, off)
-		}
-	}
 	probe := func(off, n int64) {
 		if n <= 0 {
 			return
 		}
+		// Descriptor-free, at the checker's epoch: the pinned snapshot, or
+		// client.LiveEpoch for the live file.
 		buf := make([]byte, n)
-		got, err := read(buf, off)
+		got, err := ck.c.ReadSnapshot(path, ck.epoch, buf, off)
 		if err != nil && err.Error() != "EOF" && got != int(n) {
 			ck.problem("read %s @%d: %d bytes, %v", path, off, got, err)
 		}
@@ -177,44 +162,6 @@ func (ck *checker) checkData(path string, size int64) {
 	}
 }
 
-// readChunkFrom reads [0, n) of one chunk of path directly from one
-// daemon — bypassing the client's placement so a specific replica can be
-// interrogated. Bytes past the daemon's last present byte read as zeros,
-// exactly as the client-side protocol guarantees, so two full-chunk
-// reads from agreeing replicas are byte-identical even when their chunk
-// files have different physical lengths. In snapshot mode the request
-// carries the pinned epoch, so the daemon serves the chunk's pre-image
-// (a chunk overwritten since the snapshot reads as it was at the epoch).
-func (ck *checker) readChunkFrom(node int, path string, id meta.ChunkID, n int64) ([]byte, error) {
-	e := rpc.NewEnc(len(path) + 46)
-	e.Str(path)
-	proto.EncodeSpans(e, []proto.ChunkSpan{{ID: id, Off: 0, Len: n}})
-	if ck.snap {
-		e.U8(proto.ReadAtEpoch)
-		e.U64(ck.epoch)
-	}
-	buf := make([]byte, n)
-	payload, err := ck.conns[node].Call(proto.OpReadChunks, e.Bytes(), buf, rpc.BulkOut)
-	if err != nil {
-		return nil, err
-	}
-	d := rpc.NewDec(payload)
-	if errno := proto.Errno(d.U16()); errno != proto.OK {
-		return nil, errno.Err()
-	}
-	if cnt := d.U32(); cnt != 1 {
-		return nil, fmt.Errorf("reply carries %d spans, want 1", cnt)
-	}
-	got := d.I64()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if got < 0 || got > n {
-		return nil, fmt.Errorf("reply claims %d present bytes of a %d-byte span", got, n)
-	}
-	return buf, nil
-}
-
 // checkReplicas byte-compares the replica copies of a file's probed
 // chunks (first, middle and last; every chunk with -deep). Replication
 // has no re-sync: a daemon that was down while chunks it hosts were
@@ -230,9 +177,14 @@ func (ck *checker) checkReplicas(path string, size int64) {
 		var ref []byte
 		refNode := -1
 		for _, node := range chain {
-			buf, err := ck.readChunkFrom(node, path, id, n)
-			if err != nil {
-				ck.problem("replica read %s chunk %d from daemon %d: %v", path, id, node, err)
+			// Straight from this replica, bypassing the client's placement.
+			// Bytes past a daemon's last present byte read as zeros, so
+			// agreeing replicas compare equal whatever their chunk files'
+			// physical lengths; in snapshot mode the daemon serves the
+			// chunk's pre-image at the pinned epoch.
+			buf := make([]byte, n)
+			if err := ck.c.ReadChunkFrom(node, path, ck.epoch, id, buf); err != nil {
+				ck.problem("replica read of chunk %d: %v", id, err)
 				continue
 			}
 			if ref == nil {
@@ -396,7 +348,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	ck := &checker{c: c, deep: *deep, chunk: *chunk, replicas: *replicas, conns: conns, dist: dist}
+	ck := &checker{c: c, deep: *deep, chunk: *chunk, replicas: *replicas, dist: dist, epoch: client.LiveEpoch}
 	if *snapTag != "" {
 		epoch, err := c.SnapshotEpoch(*snapTag)
 		if err != nil {

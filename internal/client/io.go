@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,19 +15,88 @@ import (
 )
 
 // The data path. A write or read is decomposed into chunk spans; spans
-// are grouped by owning daemon (hash of path and chunk ID) and issued as
-// one RPC per daemon, in parallel, with the span data concatenated in the
-// RPC's bulk region. This is the paper's wide striping: a large I/O
-// engages every node's SSD at once.
+// are grouped by primary daemon (hash of path and chunk ID) and every
+// group runs against its replica chain (replica.go) through one of two
+// executors, in parallel across groups, with the span data concatenated
+// in the RPC's bulk region. This is the paper's wide striping: a large
+// I/O engages every node's SSD at once. There is one executor per
+// direction — readGroup and writeGroup — for every caller: descriptor
+// I/O, the read-ahead fetcher, the write-behind pipeline, WritePath and
+// ReadSnapshot. An unreplicated mount is a chain of one and a live read
+// is a read at epoch ∞; neither has a code path of its own. What an
+// executor does depends only on how many live candidates the chain
+// offers: one is served on the calling goroutine, straight into the
+// caller's memory; several are hedged or fanned out.
 
-// targetGroup collects the spans of one I/O bound for one daemon.
+// LiveEpoch is the epoch of a read that is not pinned to a snapshot.
+// A finite epoch adds the ReadAtEpoch field to the request and narrows
+// the replica chain to its head (chunk pre-images live where the primary
+// chunk lived); everything else is shared.
+const LiveEpoch uint64 = math.MaxUint64
+
+// targetGroup collects the spans of one I/O that share a primary daemon
+// and therefore a replica chain.
 type targetGroup struct {
 	spans  []proto.ChunkSpan
 	bufOff []int64 // caller-buffer offset per span
 	bytes  int64
+
+	// Read-side plan, filled by readRange before the fan-out: the group's
+	// live candidates in preference order and, on the one group whose
+	// reply carries it, the metadata owner's size view.
+	chain, cands []int
+	view         sizeView
+
+	// Backing for the first span: a group of a small I/O holds exactly
+	// one, and then its span vector costs no allocation of its own.
+	span0 [1]proto.ChunkSpan
+	off0  [1]int64
 }
 
-// groupByTarget splits [off, off+n) into per-daemon span groups.
+// sizeView is the metadata owner's answer piggybacked on a read reply
+// (proto.ReadWantSize).
+type sizeView struct {
+	state uint8
+	size  int64
+}
+
+// window returns the caller-buffer slice span i reads into or writes from.
+func (g *targetGroup) window(p []byte, i int) []byte {
+	return p[g.bufOff[i] : g.bufOff[i]+g.spans[i].Len]
+}
+
+// gather returns the group's bulk region for a write of p (what the
+// daemon pulls; RDMA-read in the paper's deployment). A single-span
+// group lends the caller's own slice of p — the transport gathers it
+// straight into the socket (writev) or copies it once into the shared
+// segment, with no client-side staging copy. That is only sound when the
+// caller blocks on the RPC before reusing p; the write-behind pipeline
+// returns first and passes copyAlways to force a pooled copy. pooled
+// reports which happened: a pooled region is released by the caller with
+// rpc.PutBuf once the group has settled; a borrowed slice of p must never
+// enter the pool.
+func (g *targetGroup) gather(p []byte, copyAlways bool) (bulk []byte, pooled bool) {
+	if !copyAlways && len(g.spans) == 1 {
+		return g.window(p, 0), false
+	}
+	bulk = rpc.GetBuf(int(g.bytes))[:0]
+	for i := range g.spans {
+		bulk = append(bulk, g.window(p, i)...)
+	}
+	return bulk, true
+}
+
+// scatter copies a read's concatenated bulk region out to the caller's
+// slices.
+func (g *targetGroup) scatter(p, bulk []byte) {
+	var boff int64
+	for i, s := range g.spans {
+		copy(g.window(p, i), bulk[boff:boff+s.Len])
+		boff += s.Len
+	}
+}
+
+// groupByTarget splits [off, off+n) into per-primary span groups.
 func (c *Client) groupByTarget(path string, off, n int64) map[int]*targetGroup {
 	slices := meta.Slices(off, n, c.chunkSize)
 	groups := make(map[int]*targetGroup)
@@ -35,6 +105,7 @@ func (c *Client) groupByTarget(path string, off, n int64) map[int]*targetGroup {
 		g := groups[tgt]
 		if g == nil {
 			g = &targetGroup{}
+			g.spans, g.bufOff = g.span0[:0], g.off0[:0]
 			groups[tgt] = g
 		}
 		g.spans = append(g.spans, proto.ChunkSpan{ID: s.ID, Off: s.ChunkOff, Len: s.Len})
@@ -45,28 +116,393 @@ func (c *Client) groupByTarget(path string, off, n int64) map[int]*targetGroup {
 }
 
 // runGroups executes fn per target group, in parallel when more than one
-// daemon is involved. Every group's error is reported (errors.Join): a
+// is involved. Every group's error is reported (errors.Join): a
 // multi-daemon failure must not be silently narrowed to whichever single
 // cause happened to be observed first.
-func runGroups(groups map[int]*targetGroup, fn func(node int, g *targetGroup) error) error {
+func runGroups(groups map[int]*targetGroup, fn func(g *targetGroup) error) error {
 	if len(groups) == 1 {
-		for node, g := range groups {
-			return fn(node, g)
+		for _, g := range groups {
+			return fn(g)
 		}
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(groups))
 	i := 0
-	for node, g := range groups {
+	for _, g := range groups {
 		wg.Add(1)
-		go func(i, node int, g *targetGroup) {
+		go func(i int, g *targetGroup) {
 			defer wg.Done()
-			errs[i] = fn(node, g)
-		}(i, node, g)
+			errs[i] = fn(g)
+		}(i, g)
 		i++
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// encodeChunkReq builds the request payload OpReadChunks and
+// OpWriteChunks share: path, span vector, flags byte, and the pinned
+// epoch when there is one (reads set proto.ReadAtEpoch alongside).
+func encodeChunkReq(path string, spans []proto.ChunkSpan, flags uint8, epoch uint64) []byte {
+	e := rpc.NewEnc(len(path) + 26 + 24*len(spans))
+	e.Str(path)
+	proto.EncodeSpans(e, spans)
+	e.U8(flags)
+	if epoch != LiveEpoch {
+		e.U64(epoch)
+	}
+	return e.Bytes()
+}
+
+// readChunks is the one place an OpReadChunks call is built, issued and
+// its reply validated. The spans' data lands concatenated in bulk (nil
+// for a zero-span size probe); wantSize asks node to piggyback its size
+// view of path, which is what keeps reads stat-free.
+func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.ChunkSpan, bulk []byte, wantSize bool) (sizeView, error) {
+	var flags uint8
+	if wantSize {
+		flags |= proto.ReadWantSize
+	}
+	if epoch != LiveEpoch {
+		flags |= proto.ReadAtEpoch
+	}
+	dir := rpc.BulkNone
+	if len(bulk) > 0 {
+		// Dirty whatever it is (pooled buffer or caller memory): the daemon
+		// sends only up to the last present byte, and everything past it —
+		// holes, reads beyond EOF — must still read as zeros.
+		clear(bulk)
+		dir = rpc.BulkOut
+	}
+	var view sizeView
+	d, err := c.call(node, proto.OpReadChunks, encodeChunkReq(path, spans, flags, epoch), bulk, dir)
+	if err != nil {
+		return view, err
+	}
+	if cnt := d.U32(); int(cnt) != len(spans) {
+		return view, fmt.Errorf("reply carries %d span counts, want %d: %w", cnt, len(spans), proto.ErrInval)
+	}
+	for _, s := range spans {
+		// Per-span present-byte counts; holes are zeros. A count outside
+		// [0, span.Len] means a hostile or buggy daemon is claiming bytes
+		// it cannot have sent — refuse the reply rather than trusting the
+		// bulk region past what was pushed.
+		if got := d.I64(); got < 0 || got > s.Len {
+			return view, fmt.Errorf("reply claims %d present bytes for a %d-byte span: %w", got, s.Len, proto.ErrInval)
+		}
+	}
+	if wantSize {
+		view.state = d.U8()
+		view.size = d.I64()
+	}
+	return view, d.Done()
+}
+
+// readResult is one hedged read attempt's outcome; buf is the attempt's
+// pooled bulk region, owned by whoever receives the result.
+type readResult struct {
+	node int
+	buf  []byte
+	err  error
+}
+
+// readGroup serves one target group of a read from its live candidates
+// (g.cands, planned by readRange). With a single candidate there is
+// nothing to hedge to: the RPC runs on the calling goroutine, a
+// single-span group lands straight in the caller's slice, and no timer,
+// channel, private buffer or latency sample is spent. With several, the
+// first (normally the primary) is tried first; the next launches when
+// the first outlives the daemon's p95 latency estimate (a hedged read) or
+// when every outstanding attempt has failed (a failover read). The first
+// success wins; each attempt lands in its own pooled buffer — two racing
+// RPCs must never scatter into the caller's memory concurrently — and
+// losers are drained in the background. Transport failures strike their
+// daemon; deterministic answers surface (every replica would say the
+// same).
+func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, wantSize bool) error {
+	cands := g.cands
+	if len(cands) == 0 {
+		return fmt.Errorf("read %s: replica chain %v: %w", path, g.chain, ErrDegraded)
+	}
+	if cands[0] != g.chain[0] {
+		// The condemned primary was skipped: this group is served by a
+		// secondary from the first RPC on.
+		c.hedgedReads.Add(1)
+		c.tel.hedged.Inc()
+	}
+	var fails attemptErrs
+	if len(cands) == 1 {
+		var bulk []byte
+		switch len(g.spans) {
+		case 0: // pure size probe, no bulk
+		case 1:
+			bulk = g.window(p, 0)
+		default:
+			bulk = rpc.GetBuf(int(g.bytes))
+			defer rpc.PutBuf(bulk)
+		}
+		view, err := c.readChunks(cands[0], path, epoch, g.spans, bulk, wantSize)
+		c.settle(&fails, g.chain, cands[0], err)
+		if err != nil {
+			return fails.err("read", path)
+		}
+		g.view = view
+		if len(g.spans) > 1 {
+			g.scatter(p, bulk)
+		}
+		return nil
+	}
+
+	results := make(chan readResult, len(cands))
+	launched := 0
+	launch := func() {
+		node := cands[launched]
+		launched++
+		go func() {
+			//gkfs:owns-buf (released here on failure, or by the result's receiver)
+			buf := rpc.GetBuf(int(g.bytes))
+			start := time.Now()
+			if _, err := c.readChunks(node, path, epoch, g.spans, buf, false); err != nil {
+				rpc.PutBuf(buf)
+				results <- readResult{node: node, err: err}
+				return
+			}
+			c.health[node].observe(time.Since(start))
+			results <- readResult{node: node, buf: buf}
+		}()
+	}
+	launch()
+	hedge := time.NewTimer(c.health[cands[0]].p95())
+	defer hedge.Stop()
+	var winner []byte
+	pending := 1
+	for pending > 0 && winner == nil {
+		select {
+		case r := <-results:
+			pending--
+			c.settle(&fails, g.chain, r.node, r.err)
+			if r.err == nil {
+				winner = r.buf
+				break
+			}
+			if pending == 0 && launched < len(cands) {
+				// Every outstanding attempt failed: fail over to the next
+				// replica immediately instead of waiting for the timer.
+				c.hedgedReads.Add(1)
+				c.failoverReads.Add(1)
+				c.tel.hedged.Inc()
+				c.tel.failover.Inc()
+				launch()
+				pending++
+			}
+		case <-hedge.C:
+			if launched < len(cands) {
+				c.hedgedReads.Add(1)
+				c.tel.hedged.Inc()
+				launch()
+				pending++
+			}
+		}
+	}
+	if pending > 0 {
+		// Losers still in flight own pooled buffers; recycle them as they
+		// land without holding up the winner.
+		go func(pending int) {
+			for i := 0; i < pending; i++ {
+				if r := <-results; r.buf != nil {
+					rpc.PutBuf(r.buf)
+				}
+			}
+		}(pending)
+	}
+	if winner == nil {
+		return fails.err("read", path)
+	}
+	g.scatter(p, winner)
+	rpc.PutBuf(winner)
+	return nil
+}
+
+// readRange gathers the chunk spans of [off, off+len(p)) of path as of
+// epoch from their daemons and returns the metadata owner's size view of
+// the file — the caller's EOF clamp. The protocol is stat-free: no
+// leading stat RPC is paid, the size comes back with the data. It rides
+// on the group whose sole live candidate is the path's metadata owner
+// (only the owner holds the record, and only an attempt that cannot be
+// hedged away is certain to reach it); when no group qualifies, a
+// zero-span size probe joins the fan-out — still one round trip, all in
+// parallel. Regions never written inside the size read as zeros.
+func (c *Client) readRange(path string, epoch uint64, p []byte, off int64) (int64, error) {
+	groups := c.groupByTarget(path, off, int64(len(p)))
+	owner := c.dist.MetaTarget(path)
+	var sized *targetGroup
+	for _, g := range groups {
+		g.chain = c.chunkChain(path, g, epoch)
+		g.cands = c.liveChain(g.chain)
+		if len(g.cands) == 1 && g.cands[0] == owner {
+			sized = g
+		}
+	}
+	if sized == nil {
+		probe := []int{owner}
+		sized = &targetGroup{chain: probe, cands: probe}
+		groups[-1] = sized // keyed apart from every primary
+	}
+	// Each group's view is written by its own goroutine; runGroups'
+	// WaitGroup orders the write before the read below.
+	err := runGroups(groups, func(g *targetGroup) error {
+		return c.readGroup(path, epoch, g, p, g == sized)
+	})
+	if err != nil {
+		return 0, err
+	}
+	switch sized.view.state {
+	case proto.ReadSizeFile:
+		return sized.view.size, nil
+	case proto.ReadSizeNone:
+		// The metadata owner has no record: the file was removed (or did
+		// not exist at the epoch). A descriptor's own unflushed writes
+		// cannot resurrect it.
+		return 0, fmt.Errorf("read %s: daemon %d: %w", path, owner, proto.ErrNotExist)
+	default:
+		return 0, fmt.Errorf("read %s: daemon %d: reply size state %d: %w", path, owner, sized.view.state, proto.ErrInval)
+	}
+}
+
+// clampEOF turns a read of n bytes at off into the io.ReaderAt answer
+// for a file of the given size: a short count always comes with io.EOF.
+func clampEOF(n int, off, size int64) (int, error) {
+	if off >= size {
+		return 0, io.EOF
+	}
+	if rest := size - off; rest < int64(n) {
+		return int(rest), io.EOF
+	}
+	return n, nil
+}
+
+// readSpans is readRange for a descriptor's live file: the server's size
+// view is raised by the descriptor's own unflushed size candidate before
+// the clamp, exactly as a stat would be.
+func (c *Client) readSpans(of *openFile, p []byte, off int64) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	size, err := c.readRange(of.path, LiveEpoch, p, off)
+	if err != nil {
+		return 0, err
+	}
+	return clampEOF(len(p), off, of.sizeFloor(size))
+}
+
+// ReadChunkFrom reads [0, len(p)) of one chunk of path as of epoch
+// directly from daemon node — bypassing placement, health and hedging so
+// a specific replica can be interrogated (gkfs-fsck's replica-agreement
+// check). Bytes past the daemon's last present byte read as zeros, so two
+// full-chunk reads from agreeing replicas are byte-identical even when
+// their chunk files have different physical lengths; at a pinned epoch
+// the daemon serves the chunk's pre-image.
+func (c *Client) ReadChunkFrom(node int, path string, epoch uint64, id meta.ChunkID, p []byte) error {
+	span := []proto.ChunkSpan{{ID: id, Len: int64(len(p))}}
+	if _, err := c.readChunks(node, path, epoch, span, p, false); err != nil {
+		return fmt.Errorf("read %s: daemon %d: %w", path, node, err)
+	}
+	return nil
+}
+
+// writeChunks is the one place an OpWriteChunks call is built, issued
+// and its reply validated. A copy bound for any daemon but the chain's
+// primary is marked proto.WriteReplica (it feeds a daemon counter and
+// nothing else).
+func (c *Client) writeChunks(node, primary int, path string, g *targetGroup, bulk []byte) error {
+	var flags uint8
+	if node != primary {
+		flags = proto.WriteReplica
+	}
+	d, err := c.call(node, proto.OpWriteChunks, encodeChunkReq(path, g.spans, flags, LiveEpoch), bulk, rpc.BulkIn)
+	if err != nil {
+		return err
+	}
+	written := d.I64()
+	if err := d.Done(); err != nil {
+		return err
+	}
+	if written != g.bytes {
+		return io.ErrShortWrite
+	}
+	return nil
+}
+
+// writeGroup pushes one target group's spans to every live replica of
+// its chain — on the calling goroutine when there is one, in parallel
+// otherwise. bulk is borrowed: every replica RPC reads it (BulkIn) and
+// none mutates it, so one region backs the whole fan-out. The write
+// succeeds when at least one replica acknowledged and none returned a
+// deterministic error; a replica failing at the transport level is
+// struck (and eventually condemned) instead of failing the write — the
+// failover semantics that keep a killed daemon from latching every
+// descriptor. Only when the entire chain is condemned or fails does the
+// write surface ErrDegraded.
+func (c *Client) writeGroup(path string, g *targetGroup, bulk []byte) error {
+	chain := c.chunkChain(path, g, LiveEpoch)
+	live := c.liveChain(chain)
+	var errs []error
+	switch len(live) {
+	case 0:
+		return fmt.Errorf("write %s: replica chain %v: %w", path, chain, ErrDegraded)
+	case 1:
+		errs = []error{c.writeChunks(live[0], chain[0], path, g, bulk)}
+	default:
+		// A slice of its own: captured by the goroutines, it must not drag
+		// the single-replica literal above onto the heap.
+		fan := make([]error, len(live))
+		var wg sync.WaitGroup
+		for i, node := range live {
+			wg.Add(1)
+			go func(i, node int) {
+				defer wg.Done()
+				fan[i] = c.writeChunks(node, chain[0], path, g, bulk)
+			}(i, node)
+		}
+		wg.Wait()
+		errs = fan
+	}
+	var fails attemptErrs
+	acked := 0
+	for i, err := range errs {
+		c.settle(&fails, chain, live[i], err)
+		if err == nil {
+			acked++
+			if live[i] != chain[0] {
+				c.replicaWrites.Add(1)
+				c.tel.replica.Inc()
+			}
+		}
+	}
+	if fails.hard != nil || acked == 0 {
+		return fails.err("write", path)
+	}
+	return nil
+}
+
+// writeRange pushes p's chunk spans for [off, off+len(p)) synchronously,
+// one writeGroup per primary in parallel — the shared sync write core of
+// descriptor writes and WritePath. Cached chunk blocks overlapping the
+// range are invalidated after the RPCs settle (on failure too: the
+// affected ranges are undefined and a cached pre-write image must not
+// mask that).
+func (c *Client) writeRange(path string, p []byte, off int64) error {
+	groups := c.groupByTarget(path, off, int64(len(p)))
+	err := runGroups(groups, func(g *targetGroup) error {
+		bulk, pooled := g.gather(p, false)
+		err := c.writeGroup(path, g, bulk)
+		if pooled {
+			rpc.PutBuf(bulk)
+		}
+		return err
+	})
+	c.cacheInvalidate(path, off, off+int64(len(p)))
+	return err
 }
 
 // WriteAt writes p at offset off, without touching the descriptor
@@ -141,89 +577,15 @@ func (c *Client) writeSpansLocked(of *openFile, p []byte, off int64) error {
 	if of.pl != nil {
 		return c.enqueueSpansLocked(of, p, off)
 	}
-	if err := c.writeGroups(of.path, p, off); err != nil {
+	if err := c.writeRange(of.path, p, off); err != nil {
 		return err
 	}
 	return c.growSizeLocked(of, off+int64(len(p)))
 }
 
-// writeGroups pushes p's chunk spans for [off, off+len(p)) synchronously,
-// one RPC per owning daemon in parallel — the shared sync write core of
-// descriptor writes and WritePath. Cached chunk blocks overlapping the
-// range are invalidated after the RPCs settle (on failure too: the
-// affected ranges are undefined and a cached pre-write image must not
-// mask that).
-func (c *Client) writeGroups(path string, p []byte, off int64) error {
-	groups := c.groupByTarget(path, off, int64(len(p)))
-	err := runGroups(groups, func(node int, g *targetGroup) error {
-		if c.replicas > 1 {
-			// Replicated fan-out: every live replica of the group's chain
-			// gets the same bulk region (all RPCs only read it), see
-			// replica.go for the degraded-success semantics.
-			bulk, pooled := gatherBulk(g, p)
-			err := c.writeGroupReplicated(path, g, c.chunkChain(path, g), bulk)
-			if pooled {
-				rpc.PutBuf(bulk)
-			}
-			return err
-		}
-		payload, bulk, pooled := encodeWrite(path, g, p, false)
-		d, err := c.call(node, proto.OpWriteChunks, payload, bulk, rpc.BulkIn)
-		if pooled {
-			rpc.PutBuf(bulk)
-		}
-		if err != nil {
-			return err
-		}
-		return checkWritten(d, g.bytes)
-	})
-	c.cacheInvalidate(path, off, off+int64(len(p)))
-	return err
-}
-
-// encodeWrite builds one write RPC's payload and its bulk region. (The
-// bulk region is what the daemon pulls; RDMA-read in the paper's
-// deployment.)
-//
-// A single-span group exposes the caller's own slice of p as the bulk
-// region — the transport gathers it straight into the socket (writev) or
-// copies it once into the shared segment, with no client-side staging
-// copy. That is only sound when the caller blocks on the call before
-// reusing p; paths that return before the RPC settles (the write-behind
-// pipeline) pass copyAlways to force a concatenated pooled copy.
-// pooled reports which case happened: a pooled bulk is released by the
-// caller with rpc.PutBuf once Call returns; a borrowed slice of p must
-// never enter the pool.
-func encodeWrite(path string, g *targetGroup, p []byte, copyAlways bool) (payload, bulk []byte, pooled bool) {
-	e := rpc.NewEnc(len(path) + 16 + 24*len(g.spans))
-	e.Str(path)
-	proto.EncodeSpans(e, g.spans)
-	if !copyAlways && len(g.spans) == 1 {
-		s := g.spans[0]
-		return e.Bytes(), p[g.bufOff[0] : g.bufOff[0]+s.Len], false
-	}
-	bulk = rpc.GetBuf(int(g.bytes))[:0]
-	for i, s := range g.spans {
-		bulk = append(bulk, p[g.bufOff[i]:g.bufOff[i]+s.Len]...)
-	}
-	return e.Bytes(), bulk, true
-}
-
-// checkWritten validates a write RPC's reply against the bytes sent.
-func checkWritten(d *rpc.Dec, want int64) error {
-	written := d.I64()
-	if err := d.Done(); err != nil {
-		return err
-	}
-	if written != want {
-		return io.ErrShortWrite
-	}
-	return nil
-}
-
-// enqueueSpansLocked is the write-behind fast path: it stages one RPC per
-// target daemon into the descriptor's bounded in-flight window and
-// returns without waiting for any round trip. The caller's buffer is
+// enqueueSpansLocked is the write-behind fast path: it stages one
+// writeGroup per target group into the descriptor's bounded in-flight
+// window and returns without waiting for any round trip. The caller's buffer is
 // copied into pooled bulk buffers before returning (io.Writer allows the
 // caller to reuse p immediately), which is the same copy the synchronous
 // path performs. A previously latched completion failure is surfaced
@@ -243,52 +605,24 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 	r := of.pl.addRange(off, end, len(groups))
 	var remaining atomic.Int32
 	remaining.Store(int32(len(groups)))
-	for node, g := range groups {
-		if c.replicas > 1 {
-			// Replicated write-behind: the group occupies one window slot
-			// regardless of R — the window bounds logical chunk writes, and
-			// the replica fan-out inside the slot runs in parallel anyway.
-			// The pooled copy is shared by all replica RPCs (BulkIn only
-			// reads it). A replica failure condemns that daemon inside
-			// writeGroupReplicated; only a write no replica accepted (or a
-			// deterministic refusal) latches the descriptor.
-			bulk := rpc.GetBuf(int(g.bytes))[:0]
-			for i, s := range g.spans {
-				bulk = append(bulk, p[g.bufOff[i]:g.bufOff[i]+s.Len]...)
-			}
-			chain := c.chunkChain(of.path, g)
-			c.stageWait(of.pl)
-			of.pl.wg.Add(1)
-			go func(g *targetGroup, chain []int, bulk []byte) {
-				defer func() {
-					of.pl.releaseRange(r)
-					<-of.pl.slots
-					of.pl.wg.Done()
-				}()
-				err := c.writeGroupReplicated(of.path, g, chain, bulk)
-				rpc.PutBuf(bulk)
-				if remaining.Add(-1) == 0 {
-					c.cacheInvalidate(of.path, off, end)
-				}
-				of.pl.latch(err)
-			}(g, chain, bulk)
-			continue
-		}
-		// copyAlways: this path returns before the RPC settles, so the
+	for _, g := range groups {
+		// copyAlways: this path returns before the write settles, so the
 		// caller's buffer cannot back the bulk region.
-		payload, bulk, _ := encodeWrite(of.path, g, p, true)
-		// Blocking on a window slot is the pipeline's backpressure; slots
-		// are released by completions, which never need of.mu, so holding
-		// the descriptor lock here cannot deadlock.
+		bulk, _ := g.gather(p, true)
+		// A group occupies one window slot whatever its chain length — the
+		// window bounds logical chunk writes. Blocking on a slot is the
+		// pipeline's backpressure; slots are released by completions, which
+		// never need of.mu, so holding the descriptor lock here cannot
+		// deadlock.
 		c.stageWait(of.pl)
 		of.pl.wg.Add(1)
-		go func(node int, want int64, payload, bulk []byte) {
+		go func(g *targetGroup, bulk []byte) {
 			defer func() {
 				of.pl.releaseRange(r)
 				<-of.pl.slots
 				of.pl.wg.Done()
 			}()
-			d, err := c.call(node, proto.OpWriteChunks, payload, bulk, rpc.BulkIn)
+			err := c.writeGroup(of.path, g, bulk)
 			rpc.PutBuf(bulk)
 			// Invalidate once the whole write has settled on the daemons
 			// (last group to retire): a chunk-cache block — or in-flight
@@ -298,12 +632,11 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 			if remaining.Add(-1) == 0 {
 				c.cacheInvalidate(of.path, off, end)
 			}
-			if err != nil {
-				of.pl.latch(err)
-				return
-			}
-			of.pl.latch(checkWritten(d, want))
-		}(node, g.bytes, payload, bulk)
+			// A replica failing at the transport level was absorbed inside
+			// writeGroup; only a write no replica accepted (or a
+			// deterministic refusal) latches the descriptor.
+			of.pl.latch(err)
+		}(g, bulk)
 	}
 	// Record the size candidate locally; barriers flush it. The atomic
 	// raises this descriptor's own size floor immediately, so appends,
@@ -365,7 +698,7 @@ func (c *Client) WritePath(path string, p []byte, off int64) error {
 	if len(p) == 0 {
 		return nil
 	}
-	return c.writeGroups(pth, p, off)
+	return c.writeRange(pth, p, off)
 }
 
 // flushAsyncSizeLocked pushes the write-behind size candidate, if any.
@@ -488,124 +821,4 @@ func (c *Client) Read(fd int, p []byte) (int, error) {
 	n, err := c.readThrough(of, p, of.pos)
 	of.pos += int64(n)
 	return n, err
-}
-
-// readSpans gathers the chunk spans of [off, off+len(p)) from their
-// daemons and clamps the result against the file size. The protocol is
-// stat-free: every OpReadChunks request asks the daemons to piggyback
-// their size view (proto.ReadWantSize), so no leading stat RPC is paid —
-// the EOF clamp comes back with the data. Only the path's metadata owner
-// holds the record; when none of the read's chunks live there, a
-// zero-span size probe is added to the fan-out (still one round trip,
-// all in parallel). The server view is raised by the descriptor's own
-// unflushed size candidate, exactly as the stat used to be. Regions
-// never written inside the size read as zeros.
-func (c *Client) readSpans(of *openFile, p []byte, off int64) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	if c.replicas > 1 {
-		// Replicated clusters read through the hedging/failover path
-		// (replica.go); this one stays bit-for-bit the unreplicated
-		// protocol.
-		return c.readSpansReplicated(of, p, off)
-	}
-	groups := c.groupByTarget(of.path, off, int64(len(p)))
-	metaNode := c.dist.MetaTarget(of.path)
-	if _, ok := groups[metaNode]; !ok {
-		groups[metaNode] = &targetGroup{} // pure size probe, no bulk
-	}
-	// Written only by the metaNode group's closure; runGroups' WaitGroup
-	// orders them before the reads below.
-	var sizeState uint8
-	var sizeView int64
-	err := runGroups(groups, func(node int, g *targetGroup) error {
-		e := rpc.NewEnc(len(of.path) + 17 + 24*len(g.spans))
-		e.Str(of.path)
-		proto.EncodeSpans(e, g.spans)
-		e.U8(proto.ReadWantSize)
-		var bulk []byte
-		pooled := false
-		dir := rpc.BulkNone
-		if g.bytes > 0 {
-			if len(g.spans) == 1 {
-				// Single-span group: expose the caller's destination slice
-				// itself, so the transport scatters the response bulk
-				// straight into it — no staging buffer, no gather copy.
-				bulk = p[g.bufOff[0] : g.bufOff[0]+g.spans[0].Len]
-			} else {
-				bulk = rpc.GetBuf(int(g.bytes))
-				pooled = true
-				defer rpc.PutBuf(bulk)
-			}
-			// Dirty either way (pooled buffer or caller memory): the daemon
-			// sends only up to the last present byte, and everything past
-			// it — holes, reads beyond EOF — must still read as zeros.
-			clear(bulk)
-			dir = rpc.BulkOut
-		}
-		d, err := c.call(node, proto.OpReadChunks, e.Bytes(), bulk, dir)
-		if err != nil {
-			return err
-		}
-		cnt := d.U32()
-		if int(cnt) != len(g.spans) {
-			return fmt.Errorf("gekkofs: read reply carries %d span counts, want %d: %w",
-				cnt, len(g.spans), proto.ErrInval)
-		}
-		for i := uint32(0); i < cnt; i++ {
-			// Per-span present-byte counts; holes are zeros. A count
-			// outside [0, span.Len] means a hostile or buggy daemon is
-			// claiming bytes it cannot have sent — refuse the reply
-			// rather than trusting the bulk region past what was pushed.
-			got := d.I64()
-			if s := g.spans[i]; got < 0 || got > s.Len {
-				return fmt.Errorf("gekkofs: read reply claims %d present bytes for a %d-byte span: %w",
-					got, s.Len, proto.ErrInval)
-			}
-		}
-		state := d.U8()
-		size := d.I64()
-		if err := d.Done(); err != nil {
-			return err
-		}
-		if node == metaNode {
-			sizeState, sizeView = state, size
-		}
-		if pooled {
-			// Multi-span groups scatter the concatenated region out to the
-			// caller's slices; the single-span path already landed in place.
-			var boff int64
-			for i, s := range g.spans {
-				copy(p[g.bufOff[i]:g.bufOff[i]+s.Len], bulk[boff:boff+s.Len])
-				boff += s.Len
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	switch sizeState {
-	case proto.ReadSizeFile:
-	case proto.ReadSizeNone:
-		// The metadata owner has no record: the file was removed. The
-		// descriptor's own unflushed writes cannot resurrect it — mirror
-		// what the leading stat used to report.
-		return 0, proto.ErrNotExist
-	default:
-		return 0, fmt.Errorf("gekkofs: read reply size state %d: %w", sizeState, proto.ErrInval)
-	}
-	size := of.sizeFloor(sizeView)
-	if off >= size {
-		return 0, io.EOF
-	}
-	n := int64(len(p))
-	if off+n > size {
-		n = size - off
-	}
-	if n < int64(len(p)) {
-		return int(n), io.EOF
-	}
-	return int(n), nil
 }

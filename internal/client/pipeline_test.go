@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -420,67 +421,144 @@ func TestAsyncErrorSurfacesOnWrite(t *testing.T) {
 }
 
 // TestStatFreeReadRPCCount is the acceptance assertion for the stat-free
-// read protocol: a Read costs chunk RPCs only — the stat counter must
-// not move. A single-chunk read whose chunk lives on the path's metadata
-// owner is exactly one RPC (down from two); a read elsewhere adds one
-// parallel size probe instead of a serial stat.
+// read protocol and the table test of the one read executor behind it:
+// R ∈ {1, 2} × {live, at a pinned epoch} × {single span on and off the
+// metadata owner, multi-span, hole, across and past EOF}. Every case
+// checks the returned bytes against a model of the file and the exact
+// read RPCs each daemon served — a read costs chunk RPCs only (the stat
+// counter must not move), one per group, plus one zero-span size probe
+// at the metadata owner when no group's sole candidate is the owner:
+// at R=1 and at an epoch (primary-only chains) a single chunk on the
+// owner is exactly 1 RPC; live at R=2 every group can be hedged away
+// from the owner, so it is groups + 1.
 func TestStatFreeReadRPCCount(t *testing.T) {
-	c, daemons, _ := pipelineCluster(t, 4, Config{ChunkSize: 64})
-	fd, err := c.Open("/data", O_CREATE|O_RDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close(fd)
-	payload := bytes.Repeat([]byte{3}, 64*16)
-	if _, err := c.WriteAt(fd, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	metaNode := c.dist.MetaTarget("/data")
-	onOwner, offOwner := int64(-1), int64(-1)
-	for id := int64(0); id < 16; id++ {
-		if c.dist.ChunkTarget("/data", meta.ChunkID(id)) == metaNode {
-			if onOwner < 0 {
-				onOwner = id
+	const cs, nodes = 64, 4
+	for _, replicas := range []int{1, 2} {
+		c, daemons, _ := pipelineCluster(t, nodes, Config{ChunkSize: cs, Replicas: replicas})
+		const path = "/data"
+		fd, err := c.Open(path, O_CREATE|O_RDWR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The pinned image: 6 data chunks, a 4-chunk hole, a 20-byte tail.
+		snap := make([]byte, 10*cs+20)
+		copy(snap, bytes.Repeat([]byte{3}, 6*cs))
+		copy(snap[10*cs:], bytes.Repeat([]byte{4}, 20))
+		for _, off := range []int64{0, 10 * cs} {
+			end := min(off+6*cs, int64(len(snap)))
+			if _, err := c.WriteAt(fd, snap[off:end], off); err != nil {
+				t.Fatal(err)
 			}
-		} else if offOwner < 0 {
-			offOwner = id
 		}
-	}
-	if onOwner < 0 || offOwner < 0 {
-		t.Fatalf("degenerate placement: onOwner=%d offOwner=%d", onOwner, offOwner)
-	}
-	buf := make([]byte, 64)
-
-	// Chunk on the metadata owner: exactly 1 RPC per read, 0 stats.
-	before := sumStats(daemons)
-	const reads = 10
-	for i := 0; i < reads; i++ {
-		if _, err := c.ReadAt(fd, buf, onOwner*64); err != nil {
+		epoch, err := c.Snapshot("pin")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	after := sumStats(daemons)
-	if d := after.StatOps - before.StatOps; d != 0 {
-		t.Fatalf("stat RPCs during reads = %d, want 0", d)
-	}
-	if d := after.ReadOps - before.ReadOps; d != reads {
-		t.Fatalf("read RPCs = %d, want %d (1 per Read)", d, reads)
-	}
+		// The live image diverges: the head is overwritten, the file grows.
+		live := make([]byte, 12*cs)
+		copy(live, snap)
+		copy(live, bytes.Repeat([]byte{9}, 6*cs))
+		copy(live[11*cs:], bytes.Repeat([]byte{8}, cs))
+		for _, off := range []int64{0, 11 * cs} {
+			end := min(off+6*cs, int64(len(live)))
+			if _, err := c.WriteAt(fd, live[off:end], off); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-	// Chunk elsewhere: 2 parallel RPCs (chunk + size probe), still 0 stats.
-	before = after
-	for i := 0; i < reads; i++ {
-		if _, err := c.ReadAt(fd, buf, offOwner*64); err != nil {
+		owner := c.dist.MetaTarget(path)
+		onOwner, offOwner := int64(-1), int64(-1)
+		for id := int64(0); id < 6; id++ {
+			if c.dist.ChunkTarget(path, meta.ChunkID(id)) == owner {
+				onOwner = id
+			} else {
+				offOwner = id
+			}
+		}
+		if onOwner < 0 || offOwner < 0 {
+			t.Fatalf("degenerate placement: onOwner=%d offOwner=%d", onOwner, offOwner)
+		}
+		cases := []struct {
+			name   string
+			off, n int64
+		}{
+			{"single-span-on-owner", onOwner*cs + 8, 32},
+			{"single-span-off-owner", offOwner*cs + 8, 32},
+			{"multi-span", 10, 5 * cs},
+			{"hole", 6*cs + 5, 100},
+			{"across-eof", 10*cs + 4, 3 * cs},
+			{"past-eof", 20 * cs, 100},
+		}
+		for _, atEpoch := range []bool{false, true} {
+			model, mode := live, "live"
+			read := func(p []byte, off int64) (int, error) { return c.ReadAt(fd, p, off) }
+			if atEpoch {
+				model, mode = snap, "epoch"
+				read = func(p []byte, off int64) (int, error) { return c.ReadSnapshot(path, epoch, p, off) }
+			}
+			for _, tc := range cases {
+				t.Run(fmt.Sprintf("R%d/%s/%s", replicas, mode, tc.name), func(t *testing.T) {
+					// One RPC per primary; the size view rides along only
+					// where the owner is a group's sole candidate.
+					want := make([]uint64, nodes)
+					probe := true
+					for _, s := range meta.Slices(tc.off, tc.n, cs) {
+						primary := c.dist.ChunkTarget(path, s.ID)
+						want[primary] = 1
+						if primary == owner && (replicas == 1 || atEpoch) {
+							probe = false
+						}
+					}
+					if probe {
+						want[owner]++
+					}
+					before := make([]daemon.Stats, nodes)
+					for i, d := range daemons {
+						before[i] = d.Stats()
+					}
+					hedged := c.Stats().HedgedReads
+
+					got := bytes.Repeat([]byte{0xEE}, int(tc.n))
+					n, err := read(got, tc.off)
+					wantN := max(min(int64(len(model))-tc.off, tc.n), 0)
+					if int64(n) != wantN || (wantN < tc.n) != (err == io.EOF) || (err != nil && err != io.EOF) {
+						t.Fatalf("read = %d, %v; want %d (EOF iff short)", n, err, wantN)
+					}
+					if wantN > 0 && !bytes.Equal(got[:n], model[tc.off:tc.off+wantN]) {
+						t.Fatalf("wrong bytes: got %v want %v", got[:n], model[tc.off:tc.off+wantN])
+					}
+
+					var total, wantTotal uint64
+					served := make([]uint64, nodes)
+					for i, d := range daemons {
+						st := d.Stats()
+						if st.StatOps != before[i].StatOps {
+							t.Fatalf("daemon %d served %d stat RPCs during a read, want 0", i, st.StatOps-before[i].StatOps)
+						}
+						served[i] = st.ReadOps - before[i].ReadOps
+						total += served[i]
+						wantTotal += want[i]
+					}
+					// A hedge timer firing on a loaded runner adds exactly
+					// the RPCs it counts; the per-daemon pin then relaxes
+					// to the total.
+					if extra := c.Stats().HedgedReads - hedged; extra > 0 {
+						if total != wantTotal+extra {
+							t.Fatalf("read RPCs = %d, want %d + %d hedged", total, wantTotal, extra)
+						}
+						return
+					}
+					for i := range want {
+						if served[i] != want[i] {
+							t.Fatalf("read RPCs per daemon = %v, want %v (owner %d)", served, want, owner)
+						}
+					}
+				})
+			}
+		}
+		if err := c.Close(fd); err != nil {
 			t.Fatal(err)
 		}
-	}
-	after = sumStats(daemons)
-	if d := after.StatOps - before.StatOps; d != 0 {
-		t.Fatalf("stat RPCs during off-owner reads = %d, want 0", d)
-	}
-	if d := after.ReadOps - before.ReadOps; d != 2*reads {
-		t.Fatalf("off-owner read RPCs = %d, want %d (chunk + probe)", d, 2*reads)
 	}
 }
 

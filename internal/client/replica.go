@@ -1,27 +1,29 @@
 package client
 
-// Chunk replication, client failover and hedged reads. With
-// Config.Replicas = R > 1 every chunk write fans out to the R daemons of
-// the chunk's replica chain (distributor.ChunkReplicas: the primary plus
-// R−1 ring successors), and reads prefer the primary but hedge to the
-// next replica when the first RPC outlives the daemon's tracked p95
-// latency — the classic tail-at-scale move — or fails outright. A
-// per-mount condemnation list routes both demand reads and read-ahead
-// around daemons that accumulated condemnStrikes consecutive transport
-// errors; condemned daemons are re-probed in the background
-// (ProbeDaemon) and rejoin when they answer again. Metadata is NOT
-// replicated — only chunk data survives a daemon loss; a file whose
-// metadata owner dies keeps serving reads on descriptors that already
-// resolved, but stats and opens on it fail until the daemon returns.
+// Replica chains, daemon health and failover policy — what the span-group
+// executors (io.go: readGroup, writeGroup) consult. Every chunk has a
+// replica chain of Config.Replicas = R daemons (distributor.ChunkReplicas:
+// the primary plus R−1 ring successors); writes fan out to the chain's
+// live members, and reads prefer the primary but hedge to the next
+// replica when the first RPC outlives the daemon's tracked p95 latency —
+// the classic tail-at-scale move — or fails outright. A per-mount
+// condemnation list routes both demand reads and read-ahead around
+// daemons that accumulated condemnStrikes consecutive transport errors;
+// condemned daemons are re-probed in the background (ProbeDaemon) and
+// rejoin when they answer again. Metadata is NOT replicated — only chunk
+// data survives a daemon loss; a file whose metadata owner dies keeps
+// serving reads on descriptors that already resolved, but stats and opens
+// on it fail until the daemon returns.
 //
-// With Replicas ≤ 1 none of this machinery runs: placement, write
-// fan-out and the read path reproduce the unreplicated protocol
-// bit-for-bit.
+// An unreplicated mount (R ≤ 1) runs the same executors over chains of
+// one. A chain of one offers nothing to hedge to, fan out to or route
+// around, so its daemon is never struck or condemned (tracked) and the
+// executors reduce to a single in-place RPC — the unreplicated protocol's
+// frames and RPC counts, produced by the replicated code.
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -190,9 +192,6 @@ func (c *Client) observeSuccess(node int) {
 // node additionally arms a rate-limited background re-probe, so a daemon
 // that comes back rejoins the chain without any foreground stall.
 func (c *Client) alive(node int) bool {
-	if c.replicas <= 1 {
-		return true
-	}
 	h := &c.health[node]
 	if !h.condemned.Load() {
 		return true
@@ -210,17 +209,31 @@ func (c *Client) alive(node int) bool {
 	return false
 }
 
-// chunkChain returns the replica chain shared by every span of g. The
-// spans of one target group were grouped by their primary, and
-// ChunkReplicas derives the chain from the primary alone (the
-// replica-distinctness invariant, docs/INVARIANTS.md), so any span's
-// chain is the group's chain.
-func (c *Client) chunkChain(path string, g *targetGroup) []int {
-	return c.dist.ChunkReplicas(path, g.spans[0].ID, c.replicas)
+// chunkChain returns the replica chain shared by every span of g for an
+// I/O at epoch — the single place chains are derived. The spans of one
+// target group were grouped by their primary, and ChunkReplicas derives
+// the chain from the primary alone (the replica-distinctness invariant,
+// docs/INVARIANTS.md), so any span's chain is the group's chain. A
+// pinned epoch narrows it to its head: chunk pre-images live where the
+// primary chunk lived.
+func (c *Client) chunkChain(path string, g *targetGroup, epoch uint64) []int {
+	chain := c.dist.ChunkReplicas(path, g.spans[0].ID, c.replicas)
+	if epoch != LiveEpoch {
+		chain = chain[:1]
+	}
+	return chain
 }
+
+// tracked reports whether the members of chain are subject to health
+// tracking. A chain of one is never condemned: there is nowhere else to
+// go, so its daemon keeps being asked and its errors keep surfacing.
+func tracked(chain []int) bool { return len(chain) > 1 }
 
 // liveChain filters a replica chain down to non-condemned daemons.
 func (c *Client) liveChain(chain []int) []int {
+	if !tracked(chain) {
+		return chain
+	}
 	live := make([]int, 0, len(chain))
 	for _, n := range chain {
 		if c.alive(n) {
@@ -230,296 +243,37 @@ func (c *Client) liveChain(chain []int) []int {
 	return live
 }
 
-// gatherBulk materializes the concatenated bulk region of g from p. A
-// single-span group borrows the caller's slice (zero copy); multi-span
-// groups concatenate into a pooled buffer the caller must release.
-func gatherBulk(g *targetGroup, p []byte) (bulk []byte, pooled bool) {
-	if len(g.spans) == 1 {
-		s := g.spans[0]
-		return p[g.bufOff[0] : g.bufOff[0]+s.Len], false
-	}
-	bulk = rpc.GetBuf(int(g.bytes))[:0]
-	for i, s := range g.spans {
-		bulk = append(bulk, p[g.bufOff[i]:g.bufOff[i]+s.Len]...)
-	}
-	return bulk, true
+// attemptErrs accumulates the failed attempts of one span group.
+type attemptErrs struct {
+	hard error   // first deterministic answer; every replica would say the same
+	soft []error // transport failures, each naming its daemon
 }
 
-// writeGroupReplicated pushes one target group's spans to every live
-// replica of its chain, in parallel. bulk is borrowed — every replica
-// RPC reads it (BulkIn) and none mutates it, so one region backs the
-// whole fan-out. The write succeeds when at least one replica
-// acknowledged and no replica returned a deterministic error; a replica
-// failing at the transport level is struck (and eventually condemned)
-// instead of failing the write — that is the failover semantics that
-// keeps a killed daemon from latching every descriptor. Only when the
-// entire chain is condemned or fails does the write surface ErrDegraded.
-func (c *Client) writeGroupReplicated(path string, g *targetGroup, chain []int, bulk []byte) error {
-	live := c.liveChain(chain)
-	if len(live) == 0 {
-		return fmt.Errorf("gekkofs: write %s: replica chain %v: %w", path, chain, ErrDegraded)
-	}
-	errs := make([]error, len(live))
-	var wg sync.WaitGroup
-	for i, node := range live {
-		flags := uint8(0)
-		if node != chain[0] {
-			flags = proto.WriteReplica
+// settle files one attempt's outcome: in node's health record when the
+// chain is tracked, and — for a failure — in fails, naming the daemon.
+func (c *Client) settle(fails *attemptErrs, chain []int, node int, err error) {
+	switch {
+	case err == nil:
+		if tracked(chain) {
+			c.observeSuccess(node)
 		}
-		e := rpc.NewEnc(len(path) + 17 + 24*len(g.spans))
-		e.Str(path)
-		proto.EncodeSpans(e, g.spans)
-		e.U8(flags)
-		wg.Add(1)
-		go func(i, node int, payload []byte) {
-			defer wg.Done()
-			d, err := c.call(node, proto.OpWriteChunks, payload, bulk, rpc.BulkIn)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = checkWritten(d, g.bytes)
-		}(i, node, e.Bytes())
-	}
-	wg.Wait()
-	acked := 0
-	var hard error
-	var soft []error
-	for i, err := range errs {
-		switch {
-		case err == nil:
-			acked++
-			c.observeSuccess(live[i])
-			if live[i] != chain[0] {
-				c.replicaWrites.Add(1)
-				c.tel.replica.Inc()
-			}
-		case transportError(err):
-			c.strike(live[i])
-			soft = append(soft, fmt.Errorf("daemon %d: %w", live[i], err))
-		default:
-			if hard == nil {
-				hard = err
-			}
+	case transportError(err):
+		if tracked(chain) {
+			c.strike(node)
 		}
+		fails.soft = append(fails.soft, fmt.Errorf("daemon %d: %w", node, err))
+	case fails.hard == nil:
+		fails.hard = fmt.Errorf("daemon %d: %w", node, err)
 	}
-	if hard != nil {
-		return hard
-	}
-	if acked == 0 {
-		return fmt.Errorf("gekkofs: write %s: %w: %w", path, ErrDegraded, errors.Join(soft...))
-	}
-	return nil
 }
 
-// probeSize asks the path's metadata owner for its size view with a
-// zero-span OpReadChunks — the stat-free read protocol's size half,
-// split out because replicated reads may be served by a daemon that is
-// not the metadata owner (only the owner's answer is authoritative, and
-// metadata is not replicated).
-func (c *Client) probeSize(path string, metaNode int) (uint8, int64, error) {
-	e := rpc.NewEnc(len(path) + 9)
-	e.Str(path)
-	proto.EncodeSpans(e, nil)
-	e.U8(proto.ReadWantSize)
-	d, err := c.call(metaNode, proto.OpReadChunks, e.Bytes(), nil, rpc.BulkNone)
-	if err != nil {
-		return 0, 0, err
+// err folds the failures into the error of a group no attempt served
+// (or one a daemon refused): op, path and daemon are always named, a
+// deterministic answer surfaces as itself, and transport failures alone
+// mean no live replica was left — ErrDegraded.
+func (fails *attemptErrs) err(op, path string) error {
+	if fails.hard != nil {
+		return fmt.Errorf("%s %s: %w", op, path, fails.hard)
 	}
-	if cnt := d.U32(); cnt != 0 {
-		return 0, 0, fmt.Errorf("gekkofs: size probe reply carries %d span counts: %w", cnt, proto.ErrInval)
-	}
-	state := d.U8()
-	size := d.I64()
-	if err := d.Done(); err != nil {
-		return 0, 0, err
-	}
-	return state, size, nil
-}
-
-// readGroupInto issues one OpReadChunks for g against node, landing the
-// concatenated span data in bulk (len g.bytes, pre-zeroed by the
-// caller). No size view is requested — replicated reads resolve the EOF
-// clamp through a dedicated probeSize at the metadata owner.
-func (c *Client) readGroupInto(node int, path string, g *targetGroup, bulk []byte) error {
-	e := rpc.NewEnc(len(path) + 17 + 24*len(g.spans))
-	e.Str(path)
-	proto.EncodeSpans(e, g.spans)
-	d, err := c.call(node, proto.OpReadChunks, e.Bytes(), bulk, rpc.BulkOut)
-	if err != nil {
-		return err
-	}
-	cnt := d.U32()
-	if int(cnt) != len(g.spans) {
-		return fmt.Errorf("gekkofs: read reply carries %d span counts, want %d: %w",
-			cnt, len(g.spans), proto.ErrInval)
-	}
-	for i := uint32(0); i < cnt; i++ {
-		got := d.I64()
-		if s := g.spans[i]; got < 0 || got > s.Len {
-			return fmt.Errorf("gekkofs: read reply claims %d present bytes for a %d-byte span: %w",
-				got, s.Len, proto.ErrInval)
-		}
-	}
-	return d.Done()
-}
-
-// readResult is one read attempt's outcome; buf is the attempt's pooled
-// bulk region, owned by whoever receives the result.
-type readResult struct {
-	node int
-	buf  []byte
-	err  error
-}
-
-// readGroupHedged serves one target group from its replica chain. The
-// first live replica (normally the primary) is tried first; a second
-// attempt launches at the next live replica when the first outlives the
-// daemon's p95 latency estimate (a hedged read) or when every
-// outstanding attempt has failed (a failover read). The first successful
-// reply wins and is scattered into p; losers are drained in the
-// background and their buffers recycled. Each attempt lands in its own
-// pooled buffer — two racing RPCs must never scatter into the caller's
-// memory concurrently.
-func (c *Client) readGroupHedged(path string, g *targetGroup, p []byte, chain []int) error {
-	cands := c.liveChain(chain)
-	if len(cands) == 0 {
-		return fmt.Errorf("gekkofs: read %s: replica chain %v: %w", path, chain, ErrDegraded)
-	}
-	if cands[0] != chain[0] {
-		// The condemned primary was skipped: this group is served by a
-		// secondary from the first RPC on.
-		c.hedgedReads.Add(1)
-		c.tel.hedged.Inc()
-	}
-	results := make(chan readResult, len(cands))
-	launched := 0
-	launch := func() {
-		node := cands[launched]
-		launched++
-		go func() {
-			//gkfs:owns-buf (released here on failure, or by the result's receiver)
-			buf := rpc.GetBuf(int(g.bytes))
-			// The daemon pushes only up to the last present byte; holes and
-			// EOF tails must read as zeros.
-			clear(buf)
-			start := time.Now()
-			if err := c.readGroupInto(node, path, g, buf); err != nil {
-				rpc.PutBuf(buf)
-				results <- readResult{node: node, err: err}
-				return
-			}
-			c.health[node].observe(time.Since(start))
-			results <- readResult{node: node, buf: buf}
-		}()
-	}
-	launch()
-	hedge := time.NewTimer(c.health[cands[0]].p95())
-	defer hedge.Stop()
-	var winner []byte
-	var hard error
-	var soft []error
-	pending := 1
-	for pending > 0 && winner == nil {
-		select {
-		case r := <-results:
-			pending--
-			if r.err == nil {
-				winner = r.buf
-				c.observeSuccess(r.node)
-				break
-			}
-			if transportError(r.err) {
-				c.strike(r.node)
-				soft = append(soft, fmt.Errorf("daemon %d: %w", r.node, r.err))
-			} else if hard == nil {
-				hard = r.err
-			}
-			if pending == 0 && launched < len(cands) {
-				// Every outstanding attempt failed: fail over to the next
-				// replica immediately instead of waiting for the timer.
-				c.hedgedReads.Add(1)
-				c.failoverReads.Add(1)
-				c.tel.hedged.Inc()
-				c.tel.failover.Inc()
-				launch()
-				pending++
-			}
-		case <-hedge.C:
-			if launched < len(cands) {
-				c.hedgedReads.Add(1)
-				c.tel.hedged.Inc()
-				launch()
-				pending++
-			}
-		}
-	}
-	if pending > 0 {
-		// Losers still in flight own pooled buffers; recycle them as they
-		// land without holding up the winner.
-		go func(pending int) {
-			for i := 0; i < pending; i++ {
-				if r := <-results; r.buf != nil {
-					rpc.PutBuf(r.buf)
-				}
-			}
-		}(pending)
-	}
-	if winner == nil {
-		if hard != nil {
-			return hard
-		}
-		return fmt.Errorf("gekkofs: read %s: %w: %w", path, ErrDegraded, errors.Join(soft...))
-	}
-	var boff int64
-	for i, s := range g.spans {
-		copy(p[g.bufOff[i]:g.bufOff[i]+s.Len], winner[boff:boff+s.Len])
-		boff += s.Len
-	}
-	rpc.PutBuf(winner)
-	return nil
-}
-
-// readSpansReplicated is readSpans' replicated twin (Replicas > 1): each
-// target group is served by readGroupHedged over its replica chain, and
-// the size view comes from a dedicated probe at the metadata owner
-// running alongside the data fan-out — still one parallel round trip.
-func (c *Client) readSpansReplicated(of *openFile, p []byte, off int64) (int, error) {
-	groups := c.groupByTarget(of.path, off, int64(len(p)))
-	metaNode := c.dist.MetaTarget(of.path)
-	var sizeState uint8
-	var sizeView int64
-	var sizeErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sizeState, sizeView, sizeErr = c.probeSize(of.path, metaNode)
-	}()
-	gerr := runGroups(groups, func(node int, g *targetGroup) error {
-		return c.readGroupHedged(of.path, g, p, c.chunkChain(of.path, g))
-	})
-	wg.Wait()
-	if err := errors.Join(gerr, sizeErr); err != nil {
-		return 0, err
-	}
-	switch sizeState {
-	case proto.ReadSizeFile:
-	case proto.ReadSizeNone:
-		return 0, proto.ErrNotExist
-	default:
-		return 0, fmt.Errorf("gekkofs: read reply size state %d: %w", sizeState, proto.ErrInval)
-	}
-	size := of.sizeFloor(sizeView)
-	if off >= size {
-		return 0, io.EOF
-	}
-	n := int64(len(p))
-	if off+n > size {
-		n = size - off
-	}
-	if n < int64(len(p)) {
-		return int(n), io.EOF
-	}
-	return int(n), nil
+	return fmt.Errorf("%s %s: %w: %w", op, path, ErrDegraded, errors.Join(fails.soft...))
 }

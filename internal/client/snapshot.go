@@ -6,13 +6,12 @@ package client
 // tag→M everywhere. A reserve or commit that cannot reach a daemon
 // aborts the tag — a snapshot either exists identically on every daemon
 // or is not usable at all (Snapshots intersects the per-daemon views).
-// Snapshot reads are plain reads with a pinned epoch riding the v8
-// trailing extensions; they fan out exactly like live ones.
+// Snapshot reads are plain reads at a finite epoch (io.go: LiveEpoch);
+// they run through the same executor as live ones.
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/meta"
@@ -292,11 +291,11 @@ func (c *Client) ReadDirAt(path string, epoch uint64) ([]DirEntry, error) {
 
 // ReadSnapshot reads [off, off+len(p)) of path as pinned at epoch,
 // without a descriptor: snapshot content is immutable, so there is no
-// position, no write-behind and no size cache to coordinate with. Spans
-// fan out to the owning daemons exactly like live reads, each carrying
-// the epoch; the size clamp uses the metadata owner's view at that
-// epoch. Snapshot reads go to the primary replica only — pre-images
-// live where the primary chunk lived.
+// position, no write-behind and no size cache to coordinate with. It is
+// readRange at a finite epoch — the same fan-out as a live read, each
+// request carrying the epoch, the size clamp taken from the metadata
+// owner's view at that epoch, served by the primary replica only. At
+// LiveEpoch it is a descriptor-free read of the live file.
 func (c *Client) ReadSnapshot(path string, epoch uint64, p []byte, off int64) (int, error) {
 	cp, err := meta.Clean(path)
 	if err != nil {
@@ -308,84 +307,9 @@ func (c *Client) ReadSnapshot(path string, epoch uint64, p []byte, off int64) (i
 	if len(p) == 0 {
 		return 0, nil
 	}
-	groups := c.groupByTarget(cp, off, int64(len(p)))
-	metaNode := c.dist.MetaTarget(cp)
-	if _, ok := groups[metaNode]; !ok {
-		groups[metaNode] = &targetGroup{} // pure size probe, no bulk
-	}
-	var sizeState uint8
-	var sizeView int64
-	err = runGroups(groups, func(node int, g *targetGroup) error {
-		e := rpc.NewEnc(len(cp) + 26 + 24*len(g.spans))
-		e.Str(cp)
-		proto.EncodeSpans(e, g.spans)
-		e.U8(proto.ReadWantSize | proto.ReadAtEpoch).U64(epoch)
-		var bulk []byte
-		pooled := false
-		dir := rpc.BulkNone
-		if g.bytes > 0 {
-			if len(g.spans) == 1 {
-				bulk = p[g.bufOff[0] : g.bufOff[0]+g.spans[0].Len]
-			} else {
-				bulk = rpc.GetBuf(int(g.bytes))
-				pooled = true
-				defer rpc.PutBuf(bulk)
-			}
-			clear(bulk)
-			dir = rpc.BulkOut
-		}
-		d, err := c.call(node, proto.OpReadChunks, e.Bytes(), bulk, dir)
-		if err != nil {
-			return err
-		}
-		cnt := d.U32()
-		if int(cnt) != len(g.spans) {
-			return fmt.Errorf("gekkofs: read reply carries %d span counts, want %d: %w",
-				cnt, len(g.spans), proto.ErrInval)
-		}
-		for i := uint32(0); i < cnt; i++ {
-			got := d.I64()
-			if s := g.spans[i]; got < 0 || got > s.Len {
-				return fmt.Errorf("gekkofs: read reply claims %d present bytes for a %d-byte span: %w",
-					got, s.Len, proto.ErrInval)
-			}
-		}
-		state := d.U8()
-		size := d.I64()
-		if err := d.Done(); err != nil {
-			return err
-		}
-		if node == metaNode {
-			sizeState, sizeView = state, size
-		}
-		if pooled {
-			var boff int64
-			for i, s := range g.spans {
-				copy(p[g.bufOff[i]:g.bufOff[i]+s.Len], bulk[boff:boff+s.Len])
-				boff += s.Len
-			}
-		}
-		return nil
-	})
+	size, err := c.readRange(cp, epoch, p, off)
 	if err != nil {
 		return 0, err
 	}
-	switch sizeState {
-	case proto.ReadSizeFile:
-	case proto.ReadSizeNone:
-		return 0, proto.ErrNotExist // path did not exist at the epoch
-	default:
-		return 0, fmt.Errorf("gekkofs: read reply size state %d: %w", sizeState, proto.ErrInval)
-	}
-	if off >= sizeView {
-		return 0, io.EOF
-	}
-	n := int64(len(p))
-	if off+n > sizeView {
-		n = sizeView - off
-	}
-	if n < int64(len(p)) {
-		return int(n), io.EOF
-	}
-	return int(n), nil
+	return clampEOF(len(p), off, size)
 }

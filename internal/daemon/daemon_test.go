@@ -86,15 +86,12 @@ func TestPingReturnsIDAndVersion(t *testing.T) {
 	}
 }
 
-// encRead builds an OpReadChunks request; withFlags selects the
-// version-3 shape (trailing flags byte).
-func encRead(path string, spans []proto.ChunkSpan, flags uint8, withFlags bool) []byte {
+// encChunks builds an OpReadChunks or OpWriteChunks request (live epoch).
+func encChunks(path string, spans []proto.ChunkSpan, flags uint8) []byte {
 	e := rpc.NewEnc(len(path) + 17 + 24*len(spans))
 	e.Str(path)
 	proto.EncodeSpans(e, spans)
-	if withFlags {
-		e.U8(flags)
-	}
+	e.U8(flags)
 	return e.Bytes()
 }
 
@@ -109,7 +106,7 @@ func TestReadChunksSizeView(t *testing.T) {
 	}
 	// Give /f some bytes and a size.
 	span := []proto.ChunkSpan{{ID: 0, Off: 0, Len: 5}}
-	if _, err := call(t, d, proto.OpWriteChunks, encRead("/f", span, 0, false), []byte("hello")); err != nil {
+	if _, err := call(t, d, proto.OpWriteChunks, encChunks("/f", span, 0), []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	e := rpc.NewEnc(32)
@@ -118,9 +115,8 @@ func TestReadChunksSizeView(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Old-shape request (no flags byte): the reply must carry no
-	// extension — the exact frame a pre-version-3 client expects.
-	dec, err := call(t, d, proto.OpReadChunks, encRead("/f", span, 0, false), make([]byte, 5))
+	// No size view asked for: the reply ends after the counts.
+	dec, err := call(t, d, proto.OpReadChunks, encChunks("/f", span, 0), make([]byte, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +125,16 @@ func TestReadChunksSizeView(t *testing.T) {
 	}
 	_ = dec.I64()
 	if err := dec.Done(); err != nil {
-		t.Fatalf("old-shape reply carries trailing bytes: %v", err)
+		t.Fatalf("reply without ReadWantSize carries trailing bytes: %v", err)
+	}
+	// A request without the flags byte is malformed since protocol v9.
+	short := encChunks("/f", span, 0)
+	if _, err := call(t, d, proto.OpReadChunks, short[:len(short)-1], make([]byte, 5)); err == nil {
+		t.Fatal("request without a flags byte accepted")
 	}
 
-	// Versioned request: state + size follow the counts.
-	dec, err = call(t, d, proto.OpReadChunks, encRead("/f", span, proto.ReadWantSize, true), make([]byte, 5))
+	// ReadWantSize: state + size follow the counts.
+	dec, err = call(t, d, proto.OpReadChunks, encChunks("/f", span, proto.ReadWantSize), make([]byte, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestReadChunksSizeView(t *testing.T) {
 	}
 
 	// Zero-span size probe on a missing path: no bulk region at all.
-	dec, err = call(t, d, proto.OpReadChunks, encRead("/missing", nil, proto.ReadWantSize, true), nil)
+	dec, err = call(t, d, proto.OpReadChunks, encChunks("/missing", nil, proto.ReadWantSize), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestReadChunksSizeView(t *testing.T) {
 	if _, err := call(t, d, proto.OpCreate, encCreate("/dir", meta.ModeDir), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := call(t, d, proto.OpReadChunks, encRead("/dir", nil, proto.ReadWantSize, true), nil); !errors.Is(err, proto.ErrIsDir) {
+	if _, err := call(t, d, proto.OpReadChunks, encChunks("/dir", nil, proto.ReadWantSize), nil); !errors.Is(err, proto.ErrIsDir) {
 		t.Fatalf("size-view read of a directory = %v, want ErrIsDir", err)
 	}
 }
@@ -262,6 +263,7 @@ func TestWriteReadChunksThroughHandlers(t *testing.T) {
 		{ID: 0, Off: 10, Len: 5},
 		{ID: 7, Off: 0, Len: 3},
 	})
+	e.U8(0)
 	bulk := []byte("HELLOxyz")
 	dec, err := call(t, d, proto.OpWriteChunks, e.Bytes(), bulk)
 	if err != nil {
@@ -278,6 +280,7 @@ func TestWriteReadChunksThroughHandlers(t *testing.T) {
 		{ID: 7, Off: 0, Len: 3},
 		{ID: 9, Off: 0, Len: 4}, // never written: zeros
 	})
+	re.U8(0)
 	out := make([]byte, 12)
 	dec, err = call(t, d, proto.OpReadChunks, re.Bytes(), out)
 	if err != nil {
@@ -302,6 +305,7 @@ func TestWriteChunksBulkTooSmall(t *testing.T) {
 	e := rpc.NewEnc(32)
 	e.Str("/x")
 	proto.EncodeSpans(e, []proto.ChunkSpan{{ID: 0, Off: 0, Len: 100}})
+	e.U8(0)
 	_, err := call(t, d, proto.OpWriteChunks, e.Bytes(), make([]byte, 10))
 	if err == nil {
 		t.Fatal("short bulk accepted")

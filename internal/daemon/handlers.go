@@ -352,18 +352,14 @@ func forEachSpan(spans []proto.ChunkSpan, fn func(i int, s proto.ChunkSpan, off 
 	return errors.Join(errs...)
 }
 
-// handleWriteChunks stores chunk spans. The flags field is a trailing u8
-// absent from pre-version-6 requests; its WriteReplica bit marks the call
-// as a non-primary replica copy, which feeds the ReplicaWrites counter
-// and nothing else — replicas are stored exactly like primaries.
+// handleWriteChunks stores chunk spans. The WriteReplica flag bit marks
+// the call as a non-primary replica copy, which feeds the ReplicaWrites
+// counter and nothing else — replicas are stored exactly like primaries.
 func (d *Daemon) handleWriteChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	dec := rpc.NewDec(req)
 	path := dec.Str()
 	spans := proto.DecodeSpans(dec)
-	var flags uint8
-	if dec.Err() == nil && dec.Remaining() > 0 {
-		flags = dec.U8()
-	}
+	flags := dec.U8()
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
@@ -399,27 +395,23 @@ func (d *Daemon) handleWriteChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 
 // handleReadChunks serves chunk spans and, when the request carries the
 // ReadWantSize flag, piggybacks this daemon's size view of the path onto
-// the reply — the stat-free read protocol. The flags field is a trailing
-// u8 absent from pre-version-3 requests, so old clients keep getting the
-// old reply shape. A zero-span request with the flag set is a pure size
-// probe (the client sends one when none of a read's chunks live on the
-// path's metadata owner) and moves no bulk bytes.
+// the reply — the stat-free read protocol. A zero-span request with the
+// flag set is a pure size probe (the client sends one when no attempt of
+// a read is certain to reach the path's metadata owner) and moves no bulk
+// bytes.
 func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	dec := rpc.NewDec(req)
 	path := dec.Str()
 	spans := proto.DecodeSpans(dec)
-	var flags uint8
+	flags := dec.U8()
+	atEpoch := flags&proto.ReadAtEpoch != 0
 	var at uint64
-	if dec.Err() == nil && dec.Remaining() > 0 {
-		flags = dec.U8()
-		if flags&proto.ReadAtEpoch != 0 {
-			at = dec.U64()
-		}
+	if atEpoch {
+		at = dec.U64()
 	}
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
-	atEpoch := flags&proto.ReadAtEpoch != 0
 	total, err := spanTotal(path, spans)
 	if err != nil {
 		return nil, err

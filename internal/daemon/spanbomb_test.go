@@ -35,6 +35,7 @@ func TestChunkHandlersRejectSpanOverflow(t *testing.T) {
 				e := rpc.NewEnc(64)
 				e.Str("/victim")
 				proto.EncodeSpans(e, spans)
+				e.U8(0)
 				bulk := rpc.SliceBulk(make([]byte, 16))
 				if _, err := d.Server().Dispatch(op, e.Bytes(), bulk); err == nil {
 					t.Fatalf("op %d case %d: hostile spans accepted", op, i)
@@ -46,6 +47,7 @@ func TestChunkHandlersRejectSpanOverflow(t *testing.T) {
 	e := rpc.NewEnc(64)
 	e.Str("/victim")
 	proto.EncodeSpans(e, []proto.ChunkSpan{{ID: 0, Off: 0, Len: 4}})
+	e.U8(0)
 	if _, err := d.Server().Dispatch(proto.OpWriteChunks, e.Bytes(), rpc.SliceBulk([]byte("data"))); err != nil {
 		t.Fatalf("valid write after hostile spans: %v", err)
 	}

@@ -116,9 +116,11 @@ type DB struct {
 	closed   bool
 	bgErr    error
 	workDone chan struct{}
+	// iterRefs counts readers (iterators and point lookups) that may still
+	// open tables of a version compaction has since replaced.
 	iterRefs int
 	// obsoleteTables are table numbers replaced by compaction whose files
-	// are deleted once no iterator references them.
+	// are deleted once no reader references them.
 	obsoleteTables []uint64
 	stats          Stats
 
@@ -417,7 +419,13 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	}
 	vers := db.vers
 	snap := db.seq
+	// Hold the tables of vers open across the lookup, as NewIterator does:
+	// without the reference a compaction finishing after the unlock would
+	// close and unlink them under collectChain, failing a lookup the
+	// caller did nothing to deserve.
+	db.iterRefs++
 	db.mu.Unlock()
+	defer db.releaseIterRefs()
 
 	chain, err := db.collectChain(key, snap, mem, imms, vers)
 	if err != nil {

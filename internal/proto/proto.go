@@ -17,29 +17,19 @@ import (
 // report it in every OpPing reply (appended after the daemon ID) and
 // clients verify it at mount time (client.VerifyProtocol): the frame
 // formats carry no per-message version tag, so a deployment must run
-// clients and daemons of the same generation. Version 3 introduced the
-// OpReadChunks reply extension (piggybacked size view, ReadWantSize) and
-// the versioned ping itself. Version 4 extended the OpStats reply with
-// the read-span counters (ReadSpans, ReadBytesPushed) that make
-// prefetch-window efficiency and cache hit rates observable. Version 5
-// appended the shared-memory doorbell advertisement to the OpPing reply
-// and the six wire-tier counters (frames, wire bytes, vectored writes,
-// shm calls) to the OpStats reply. Version 6 introduced chunk
-// replication: the OpWriteChunks trailing flags byte (WriteReplica marks
-// non-primary copies) and the ReplicaWrites counter appended to the
-// OpStats reply. Version 7 introduced the observability tier: request
-// frames may carry a trailing trace extension (a dir-byte flag bit plus
-// a [u64 trace-ID][u8 flags] trailer — see the transports), and the
-// OpStats reply carries a StatsExt block (per-op latency histogram
-// snapshots) after the counters. Both are trailing-optional in the
-// PR 3 ReadWantSize style: frames and replies without them keep the
-// exact old shape, so old-shape requests are still served. Version 8
-// introduced namespace snapshots: the OpSnapshot/OpSnapshotList/
-// OpSnapshotDrop trio that pins a cluster-wide epoch, trailing-optional
-// epoch extensions on OpStat/OpReadDir/OpReadChunks requests (reads at
-// a pinned epoch), the OpStat versions extension (StatWantVersions),
-// and the five snapshot counters appended to the OpStats reply.
-const ProtocolVersion uint16 = 8
+// clients and daemons of the same generation — which a per-job file
+// system, shipping both ends from one build, always does. Generations
+// 3–8 each appended trailing-optional fields (3: ReadWantSize size view
+// and the versioned ping, 4: read-span counters, 5: shm doorbell
+// advertisement and wire counters, 6: WriteReplica and ReplicaWrites,
+// 7: the frame trace trailer and StatsExt, 8: snapshot ops and the epoch
+// extensions on OpStat/OpReadDir/OpReadChunks). Version 9 begins
+// retiring the optionality: OpReadChunks and OpWriteChunks requests have
+// exactly one shape — path, spans, a flags byte, and the epoch when
+// ReadAtEpoch is set — and a request without the flags byte is
+// malformed. The stat/readdir epoch flags, the trace trailer, StatsExt
+// and the stats counter tail are still trailing-optional.
+const ProtocolVersion uint16 = 9
 
 // RPC operations. Each corresponds to one registered Mercury RPC in the
 // released GekkoFS.
@@ -260,16 +250,15 @@ func SpanBytes(spans []ChunkSpan) int64 {
 	return n
 }
 
-// ReadWantSize is the OpReadChunks request flag bit (a trailing u8 flags
-// field after the span vector; absent means 0) asking the daemon to
-// piggyback its current size view of the path onto the reply: a
-// [u8 state][i64 size] pair after the per-span present-byte counts. It is
+// ReadWantSize is the OpReadChunks request flag bit (the u8 flags field
+// after the span vector) asking the daemon to piggyback its current size
+// view of the path onto the reply: a [u8 state][i64 size] pair after the
+// per-span present-byte counts. It is
 // what makes reads stat-free — the client learns the EOF clamp from the
 // chunk RPC itself instead of a leading OpStat round trip. Only the reply
 // of the path's metadata owner carries an authoritative state; other
-// daemons answer ReadSizeNone. The reply extension is emitted only when
-// the request sets this bit, so pre-version-3 clients keep receiving the
-// exact reply shape they expect.
+// daemons answer ReadSizeNone. The pair is emitted only when the request
+// sets this bit.
 const ReadWantSize uint8 = 1 << 0
 
 // ReadAtEpoch is the OpReadChunks request flag bit asking the daemon to
@@ -291,11 +280,10 @@ const (
 	ReadSizeFile uint8 = 1
 )
 
-// WriteReplica is the OpWriteChunks request flag bit (a trailing u8
-// flags field after the bulk-length prefix of the span vector; absent
-// means 0) marking the write as a non-primary replica copy. The daemon
-// stores it exactly like a primary write — the bit only feeds the
-// ReplicaWrites counter, so replication overhead is observable per
+// WriteReplica is the OpWriteChunks request flag bit (the u8 flags field
+// after the span vector) marking the write as a non-primary replica copy.
+// The daemon stores it exactly like a primary write — the bit only feeds
+// the ReplicaWrites counter, so replication overhead is observable per
 // daemon without changing the storage path.
 const WriteReplica uint8 = 1 << 0
 
