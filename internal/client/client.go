@@ -311,8 +311,8 @@ func (c *Client) createPath(path string, mode meta.Mode) error {
 
 // statPath fetches a path's metadata.
 func (c *Client) statPath(path string) (meta.Metadata, error) {
-	e := rpc.NewEnc(len(path) + 4)
-	e.Str(path)
+	e := rpc.NewEnc(len(path) + 5)
+	e.Str(path).U8(0) // flags: live state, no version history
 	d, err := c.call(c.dist.MetaTarget(path), proto.OpStat, e.Bytes(), nil, rpc.BulkNone)
 	if err != nil {
 		return meta.Metadata{}, err
@@ -547,12 +547,9 @@ func (c *Client) VerifyProtocol() error {
 				return
 			}
 			_ = d.U32() // daemon ID
-			if d.Remaining() < 2 {
-				errs[node] = fmt.Errorf("client: daemon %d predates protocol version %d (no version in ping reply)",
-					node, proto.ProtocolVersion)
-				return
-			}
-			if v := d.U16(); v != proto.ProtocolVersion {
+			if v := d.U16(); d.Err() != nil {
+				errs[node] = fmt.Errorf("client: daemon %d ping reply: %w", node, d.Err())
+			} else if v != proto.ProtocolVersion {
 				errs[node] = fmt.Errorf("client: daemon %d speaks protocol version %d, client requires %d",
 					node, v, proto.ProtocolVersion)
 			}
@@ -716,20 +713,17 @@ func (c *Client) readDirNode(node int, dir string) ([]DirEntry, error) {
 	return c.readDirNodeAt(node, dir, 0, 0)
 }
 
-// readDirNodeAt is readDirNode with the v8 trailing extension: with
-// proto.StatAtEpoch in flags, the daemon resolves every record at the
-// given snapshot epoch instead of its live state.
+// readDirNodeAt is readDirNode with explicit request flags: with
+// proto.StatAtEpoch, the daemon resolves every record at the given
+// snapshot epoch instead of its live state.
 func (c *Client) readDirNodeAt(node int, dir string, flags uint8, at uint64) ([]DirEntry, error) {
 	var ents []DirEntry
 	after := ""
 	for {
 		e := rpc.NewEnc(len(dir) + len(after) + 24)
-		e.Str(dir).Str(after).U32(c.readDirPage)
-		if flags != 0 {
-			e.U8(flags)
-			if flags&proto.StatAtEpoch != 0 {
-				e.U64(at)
-			}
+		e.Str(dir).Str(after).U32(c.readDirPage).U8(flags)
+		if flags&proto.StatAtEpoch != 0 {
+			e.U64(at)
 		}
 		d, err := c.call(node, proto.OpReadDir, e.Bytes(), nil, rpc.BulkNone)
 		if err != nil {
@@ -948,8 +942,8 @@ func (c *Client) DaemonStats() ([]proto.DaemonStats, error) {
 // DaemonStatsExt is DaemonStats plus each daemon's latency-histogram
 // extension (protocol v7): per-op handle-time and queue-wait
 // distributions, mergeable across daemons into cluster-wide percentile
-// tables. A daemon reply without the extension (or one contributed by
-// a condemned daemon) yields an empty StatsExt at its index.
+// tables. A condemned daemon contributes zero stats and an empty
+// StatsExt at its index.
 func (c *Client) DaemonStatsExt() ([]proto.DaemonStats, []proto.StatsExt, error) {
 	out := make([]proto.DaemonStats, len(c.conns))
 	exts := make([]proto.StatsExt, len(c.conns))
@@ -966,10 +960,7 @@ func (c *Client) DaemonStatsExt() ([]proto.DaemonStats, []proto.StatsExt, error)
 			return err
 		}
 		st := proto.DecodeDaemonStats(d)
-		var ext proto.StatsExt
-		if d.Err() == nil && d.Remaining() > 0 {
-			ext = proto.DecodeStatsExt(d)
-		}
+		ext := proto.DecodeStatsExt(d)
 		if err := d.Done(); err != nil {
 			return err
 		}

@@ -14,8 +14,7 @@ import (
 type DaemonInfo struct {
 	// ID is the daemon's index within the cluster's host list.
 	ID int
-	// Version is the daemon's protocol generation (0 when the daemon
-	// predates versioned pings).
+	// Version is the daemon's protocol generation.
 	Version uint16
 	// ShmSocket is the daemon's shared-memory doorbell path, empty when
 	// it serves none.
@@ -23,9 +22,8 @@ type DaemonInfo struct {
 }
 
 // ProbeDaemon pings a daemon over an established connection and decodes
-// its identity, protocol generation and shared-memory advertisement.
-// Every trailer is additive, so probing an older daemon simply yields
-// zero values for the fields it predates.
+// its identity, protocol generation and shared-memory advertisement —
+// the one ping reply shape, [errno][u32 id][u16 version][str shm].
 func ProbeDaemon(conn rpc.Conn) (DaemonInfo, error) {
 	var info DaemonInfo
 	payload, err := conn.Call(proto.OpPing, nil, nil, rpc.BulkNone)
@@ -37,16 +35,9 @@ func ProbeDaemon(conn rpc.Conn) (DaemonInfo, error) {
 		return info, errno.Err()
 	}
 	info.ID = int(d.U32())
-	if err := d.Err(); err != nil {
-		return info, err
-	}
-	if d.Remaining() >= 2 {
-		info.Version = d.U16()
-	}
-	if d.Err() == nil && d.Remaining() > 0 {
-		info.ShmSocket = d.Str()
-	}
-	return info, d.Err()
+	info.Version = d.U16()
+	info.ShmSocket = d.Str()
+	return info, d.Done()
 }
 
 // DialDaemons connects to every daemon address for a mount, selecting the

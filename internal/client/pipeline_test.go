@@ -610,8 +610,8 @@ func evilReadServer(t *testing.T, countFor func(spanLen int64) int64, state uint
 		return e
 	}
 	srv.Register(proto.OpPing, func([]byte, rpc.Bulk) ([]byte, error) {
-		e := ok(6)
-		e.U32(0).U16(proto.ProtocolVersion)
+		e := ok(7)
+		e.U32(0).U16(proto.ProtocolVersion).Str("")
 		return e.Bytes(), nil
 	})
 	srv.Register(proto.OpCreate, func([]byte, rpc.Bulk) ([]byte, error) {
@@ -671,14 +671,14 @@ func TestHostileReadCounts(t *testing.T) {
 }
 
 // TestVerifyProtocolRejectsOldDaemon verifies the mount-time version
-// guard: a daemon whose ping reply carries no (or a different) protocol
-// version is refused.
+// guard: a daemon whose ping reply is malformed or carries a different
+// protocol version is refused.
 func TestVerifyProtocolRejectsOldDaemon(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		reply func(e *rpc.Enc)
 	}{
-		{"pre-version daemon", func(e *rpc.Enc) { e.U32(0) }},
+		{"truncated reply", func(e *rpc.Enc) { e.U32(0) }},
 		{"version mismatch", func(e *rpc.Enc) { e.U32(0).U16(proto.ProtocolVersion + 1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -79,30 +79,6 @@ func TestClientTelemetryRecordsRPCs(t *testing.T) {
 	}
 }
 
-// TestDaemonStatsLegacyDecode keeps the pre-extension accessor working:
-// DaemonStats must consume the trailing StatsExt the daemon now always
-// appends and still return correct counters.
-func TestDaemonStatsLegacyDecode(t *testing.T) {
-	c := newLocalCluster(t, 2, Config{ChunkSize: 512})
-	if _, err := c.Stat("/"); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := c.DaemonStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 2 {
-		t.Fatalf("DaemonStats = %d entries, want 2", len(stats))
-	}
-	var statOps uint64
-	for _, st := range stats {
-		statOps += st.StatOps
-	}
-	if statOps == 0 {
-		t.Fatal("stat counter never moved")
-	}
-}
-
 // TestStatsScrapeUnderTraffic races a telemetry scrape loop against
 // live I/O: N writers hammer the cluster while a poller reads
 // DaemonStatsExt and the registry snapshot. Run under -race this

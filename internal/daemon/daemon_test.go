@@ -41,8 +41,8 @@ func call(t *testing.T, d *Daemon, op rpc.Op, payload, bulk []byte) (*rpc.Dec, e
 }
 
 func encPath(path string) []byte {
-	e := rpc.NewEnc(len(path) + 4)
-	e.Str(path)
+	e := rpc.NewEnc(len(path) + 5)
+	e.Str(path).U8(0) // OpStat flags
 	return e.Bytes()
 }
 
@@ -60,8 +60,29 @@ func encRemove(path string, flags uint8) []byte {
 
 func encReadDir(dir, after string, limit uint32) []byte {
 	e := rpc.NewEnc(len(dir) + len(after) + 12)
-	e.Str(dir).Str(after).U32(limit)
+	e.Str(dir).Str(after).U32(limit).U8(0) // flags
 	return e.Bytes()
+}
+
+// TestStatAndReadDirRequireFlagsByte pins the one request shape: since
+// protocol v10 a stat or readdir request that stops before its flags
+// byte is malformed, not an "old-shape" request.
+func TestStatAndReadDirRequireFlagsByte(t *testing.T) {
+	d := newTestDaemon(t)
+	if _, err := call(t, d, proto.OpCreate, encCreate("/f", meta.ModeRegular), nil); err != nil {
+		t.Fatal(err)
+	}
+	for op, req := range map[rpc.Op][]byte{
+		proto.OpStat:    encPath("/f"),
+		proto.OpReadDir: encReadDir("/", "", 0),
+	} {
+		if _, err := call(t, d, op, req, nil); err != nil {
+			t.Fatalf("op %d: well-formed request: %v", op, err)
+		}
+		if _, err := call(t, d, op, req[:len(req)-1], nil); err == nil {
+			t.Fatalf("op %d: request without a flags byte accepted", op)
+		}
+	}
 }
 
 func TestPingReturnsIDAndVersion(t *testing.T) {

@@ -49,10 +49,10 @@ func (d *Daemon) register() {
 // handlePing reports the daemon's ID, its protocol version and — when
 // the daemon serves one — the path of its shared-memory doorbell socket,
 // which co-located clients use to switch to the zero-copy segment
-// transport at mount time. The version trailer is what lets a client
-// refuse a mixed-generation deployment at mount time instead of failing
-// obscurely mid-I/O (client.VerifyProtocol); each trailer is additive,
-// so older clients simply never decode past what they know.
+// transport at mount time. The version is what lets a client refuse a
+// mixed-generation deployment at mount time instead of failing obscurely
+// mid-I/O (client.VerifyProtocol). The reply has this one shape; clients
+// decode all of it.
 func (d *Daemon) handlePing([]byte, rpc.Bulk) ([]byte, error) {
 	e := okResp(6 + 2 + len(d.cfg.ShmSocket))
 	e.U32(uint32(d.cfg.ID))
@@ -102,21 +102,18 @@ func (d *Daemon) handleCreate(req []byte, _ rpc.Bulk) ([]byte, error) {
 	return okResp(0).Bytes(), nil
 }
 
-// handleStat resolves a record's live state, or — via the trailing v8
-// flags extension [u8 flags][u64 epoch, with StatAtEpoch] — its state at
-// a pinned snapshot epoch. The reply blob is always a resolved 25-byte
+// handleStat resolves a record's live state, or — with StatAtEpoch in
+// the request's [u8 flags][u64 epoch, with StatAtEpoch] tail — its state
+// at a pinned snapshot epoch. The reply blob is always a resolved 25-byte
 // Metadata record regardless of how the record is stored; with
 // StatWantVersions the full version history follows it.
 func (d *Daemon) handleStat(req []byte, _ rpc.Bulk) ([]byte, error) {
 	dec := rpc.NewDec(req)
 	path := dec.Str()
-	var flags uint8
+	flags := dec.U8()
 	var at uint64
-	if dec.Err() == nil && dec.Remaining() > 0 {
-		flags = dec.U8()
-		if flags&proto.StatAtEpoch != 0 {
-			at = dec.U64()
-		}
+	if flags&proto.StatAtEpoch != 0 {
+		at = dec.U64()
 	}
 	if err := dec.Done(); err != nil {
 		return nil, err
@@ -567,16 +564,12 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 	dir := dec.Str()
 	after := dec.Str()
 	limit := dec.U32()
-	// Trailing v8 extension: [u8 flags][u64 epoch, with bit 0]. With an
-	// epoch the scan resolves each record at that snapshot instead of
-	// its live state.
-	var flags uint8
+	// [u8 flags][u64 epoch, with StatAtEpoch]: with an epoch the scan
+	// resolves each record at that snapshot instead of its live state.
+	flags := dec.U8()
 	var at uint64
-	if dec.Err() == nil && dec.Remaining() > 0 {
-		flags = dec.U8()
-		if flags&proto.StatAtEpoch != 0 {
-			at = dec.U64()
-		}
+	if flags&proto.StatAtEpoch != 0 {
+		at = dec.U64()
 	}
 	if err := dec.Done(); err != nil {
 		return nil, err

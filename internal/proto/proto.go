@@ -23,13 +23,18 @@ import (
 // and the versioned ping, 4: read-span counters, 5: shm doorbell
 // advertisement and wire counters, 6: WriteReplica and ReplicaWrites,
 // 7: the frame trace trailer and StatsExt, 8: snapshot ops and the epoch
-// extensions on OpStat/OpReadDir/OpReadChunks). Version 9 begins
-// retiring the optionality: OpReadChunks and OpWriteChunks requests have
-// exactly one shape — path, spans, a flags byte, and the epoch when
-// ReadAtEpoch is set — and a request without the flags byte is
-// malformed. The stat/readdir epoch flags, the trace trailer, StatsExt
-// and the stats counter tail are still trailing-optional.
-const ProtocolVersion uint16 = 9
+// extensions on OpStat/OpReadDir/OpReadChunks). Version 9 began retiring
+// the optionality: OpReadChunks and OpWriteChunks requests have exactly
+// one shape — path, spans, a flags byte, and the epoch when ReadAtEpoch
+// is set. Version 10 finishes it for every payload — OpStat and
+// OpReadDir requests always end in their flags byte, and the ping reply
+// ([u32 id][u16 version][str shm]) and the OpStats reply (counters, then
+// StatsExt) are decoded whole — and gives the two transports one frame:
+// a shm doorbell frame is the TCP frame with dirRefFlag set and a
+// [u64 segOff] where the bulk bytes would be (transport/stream.go). Only
+// the frame trace trailer is still optional, announced by its own flag
+// bit.
+const ProtocolVersion uint16 = 10
 
 // RPC operations. Each corresponds to one registered Mercury RPC in the
 // released GekkoFS.
@@ -294,8 +299,8 @@ const WriteReplica uint8 = 1 << 0
 // protocol only when the daemon says so.
 const RemoveFileOnly uint8 = 1 << 0
 
-// OpStat request flag bits (a trailing u8 after the path; absent means
-// 0 — the exact pre-version-8 request shape).
+// OpStat and OpReadDir request flag bits (the u8 every such request
+// ends in, followed by the epoch when StatAtEpoch is set).
 const (
 	// StatAtEpoch: a [u64 epoch] follows the flags byte and the daemon
 	// resolves the record as of that snapshot epoch instead of live.
@@ -574,9 +579,8 @@ func EncodeStatsExt(e *rpc.Enc, ext StatsExt) {
 	}
 }
 
-// DecodeStatsExt reads what EncodeStatsExt wrote. Callers gate on
-// Remaining() — a reply without the block (an old daemon) simply
-// yields no histograms.
+// DecodeStatsExt reads what EncodeStatsExt wrote; every OpStats reply
+// ends in the block.
 func DecodeStatsExt(d *rpc.Dec) StatsExt {
 	n := d.U32()
 	if d.Err() != nil {

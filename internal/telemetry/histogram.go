@@ -210,7 +210,7 @@ func (s *HistSnapshot) Merge(o HistSnapshot) {
 }
 
 // histSummary is the JSON shape of a histogram: the summary document
-// shared by /statz, `gkfs-shell stats -json` and the bench tripwire.
+// shared by /statz and `gkfs-shell stats -json`.
 // Values are nanoseconds.
 type histSummary struct {
 	Count uint64  `json:"count"`

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +14,9 @@ import (
 // Regression tests for length-prefix overflow in frame parsing: a payload
 // length near 0xFFFFFFFF made plen+4 wrap past the truncation check and
 // panicked the daemon (or the client's read loop) on p[:plen]. Corrupt
-// frames must close the connection and leave the server serving.
+// frames must close the connection and leave the server serving. There
+// is one parser for both bulk carriers, so every case runs against a TCP
+// listener and — after a valid handshake — a shm doorbell.
 
 // rawRequest frames a request with arbitrary header fields: the inner
 // lengths need not match the bytes actually present.
@@ -31,20 +34,72 @@ func rawRequest(dir byte, plen, blen uint32, hasBlen bool, tail int) []byte {
 	return append(out, body...)
 }
 
-// sendRaw writes frame to addr and reports whether the server closed the
-// connection afterwards.
+// rawRefRequest frames an empty-payload by-reference request: dirRefFlag
+// set and [u64 segOff] where the inline bulk would be.
+func rawRefRequest(op rpc.Op, dir rpc.BulkDir, blen uint32, off uint64) []byte {
+	body := binary.LittleEndian.AppendUint64(nil, 1) // reqID
+	body = binary.LittleEndian.AppendUint16(body, uint16(op))
+	body = append(body, byte(dir)|dirRefFlag)
+	body = binary.LittleEndian.AppendUint32(body, 0) // payloadLen
+	body = binary.LittleEndian.AppendUint32(body, blen)
+	body = binary.LittleEndian.AppendUint64(body, off)
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	return append(out, body...)
+}
+
+// wireTarget is one listener the hostile tables run against.
+type wireTarget struct {
+	name string
+	ref  bool   // by-reference carrier: requests carry dirRefFlag + segOff
+	seg  uint64 // segment size, by reference
+	raw  func(t *testing.T) net.Conn
+	dial func() (rpc.Conn, error)
+}
+
+// wireTargets serves srv over every carrier the platform has.
+func wireTargets(t *testing.T, srv *rpc.Server) []wireTarget {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go ServeTCP(l, srv)
+	addr := l.Addr().String()
+	tcp := wireTarget{
+		name: "tcp",
+		raw: func(t *testing.T) net.Conn {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
+		dial: func() (rpc.Conn, error) { return DialTCP(addr, 5*time.Second) },
+	}
+	return append([]wireTarget{tcp}, platformTargets(t, srv)...)
+}
+
+// sendRaw writes frame to the TCP listener at addr and reports whether
+// the server closed the connection afterwards.
 func sendRaw(t *testing.T, addr string, frame []byte) bool {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return closedAfter(c, frame)
+}
+
+// closedAfter writes frame to the raw stream c and reports whether the
+// server closed the connection afterwards.
+func closedAfter(c net.Conn, frame []byte) bool {
 	defer c.Close()
 	if _, err := c.Write(frame); err != nil {
 		return true
 	}
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, err = c.Read(make([]byte, 1))
+	_, err := c.Read(make([]byte, 1))
 	if err == nil {
 		return false
 	}
@@ -54,191 +109,248 @@ func sendRaw(t *testing.T, addr string, frame []byte) bool {
 	return true
 }
 
-func TestHostileFramesCloseConnection(t *testing.T) {
-	srv := newTestServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go ServeTCP(l, srv)
-	addr := l.Addr().String()
-
-	cases := []struct {
-		name  string
-		frame []byte
-	}{
-		// plen+4 wraps to 1 under u32 arithmetic; the old check passed and
-		// p[:plen] panicked the handler goroutine (taking the daemon down).
-		{"payload-len-wrap", rawRequest(byte(rpc.BulkNone), 0xFFFFFFFD, 0, false, 8)},
-		// Bulk length beyond the remaining frame on the write path.
-		{"bulk-len-overrun", rawRequest(byte(rpc.BulkIn), 0, 0xFFFFFFFF, true, 2)},
-		// A BulkOut budget above maxFrame must not be honored (the old
-		// code materialized it outright — a 4 GiB allocation per frame).
-		{"huge-bulkout-budget", rawRequest(byte(rpc.BulkOut), 0, 0xFFFFFFF0, true, 0)},
-		// Frame shorter than the fixed request header.
-		{"truncated-header", append(binary.LittleEndian.AppendUint32(nil, 5), make([]byte, 5)...)},
-		// Direction byte outside the BulkDir range.
-		{"invalid-direction", rawRequest(9, 0, 0, true, 0)},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if !sendRaw(t, addr, tc.frame) {
-				t.Fatal("server kept the connection open after a corrupt frame")
-			}
-			// The daemon survives: a fresh, legitimate connection works.
-			c, err := DialTCP(addr, 5*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			resp, err := c.Call(opEcho, []byte("alive"), nil, rpc.BulkNone)
-			if err != nil || string(resp) != "echo:alive" {
-				t.Fatalf("post-hostile call = %q, %v", resp, err)
-			}
-		})
-	}
-}
-
-// TestHostileResponseFailsClientCleanly serves a corrupt response whose
-// payload length would wrap; the client must surface a connection error,
-// not panic its read loop.
-func TestHostileResponseFailsClientCleanly(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		// Read the request frame to learn the request id.
-		hdr := make([]byte, 4)
-		if _, err := io.ReadFull(c, hdr); err != nil {
-			return
-		}
-		body := make([]byte, binary.LittleEndian.Uint32(hdr))
-		if _, err := io.ReadFull(c, body); err != nil {
-			return
-		}
-		reqID := binary.LittleEndian.Uint64(body)
-		// Respond with plen = 0xFFFFFFFE: plen+4 wraps to 2.
-		resp := make([]byte, 0, 32)
-		resp = binary.LittleEndian.AppendUint64(resp, reqID)
-		resp = append(resp, 0) // status OK
-		resp = binary.LittleEndian.AppendUint32(resp, 0xFFFFFFFE)
-		resp = append(resp, make([]byte, 8)...)
-		out := binary.LittleEndian.AppendUint32(nil, uint32(len(resp)))
-		c.Write(append(out, resp...))
-	}()
-
-	c, err := DialTCP(l.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Call(opEcho, []byte("x"), nil, rpc.BulkNone); err == nil {
-		t.Fatal("corrupt response did not surface an error")
-	}
-	// The connection is condemned, not the process.
-	if _, err := c.Call(opEcho, []byte("y"), nil, rpc.BulkNone); err == nil {
-		t.Fatal("condemned connection accepted another call")
-	}
-}
-
-// TestTruncatedMidBulkRequestLeavesServerServing targets the split
-// header/bulk reader: a client that dies after the request header but
-// mid-bulk leaves the server blocked in the bulk ReadFull. The read must
-// fail with the connection — never dispatch a short region — and the
-// server must keep serving other connections.
-func TestTruncatedMidBulkRequestLeavesServerServing(t *testing.T) {
-	srv := newTestServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go ServeTCP(l, srv)
-
-	const blen = 64 << 10
-	frame := binary.LittleEndian.AppendUint32(nil, uint32(minRequestLen+4+blen))
-	frame = binary.LittleEndian.AppendUint64(frame, 7)               // reqID
-	frame = binary.LittleEndian.AppendUint16(frame, uint16(opWrite)) // op
-	frame = append(frame, byte(rpc.BulkIn))                          // dir
-	frame = binary.LittleEndian.AppendUint32(frame, 0)               // payloadLen
-	frame = binary.LittleEndian.AppendUint32(frame, blen)            // bulkLen
-	frame = append(frame, make([]byte, blen/2)...)                   // half the bulk, then crash
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-
-	// The daemon survives the truncated stream: a fresh connection works.
-	c, err := DialTCP(l.Addr().String(), 5*time.Second)
+// assertServing checks the daemon survived: a fresh, legitimate
+// connection to tg works.
+func assertServing(t *testing.T, tg wireTarget) {
+	t.Helper()
+	c, err := tg.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	resp, err := c.Call(opEcho, []byte("alive"), nil, rpc.BulkNone)
 	if err != nil || string(resp) != "echo:alive" {
-		t.Fatalf("post-truncation call = %q, %v", resp, err)
+		t.Fatalf("post-hostile call = %q, %v", resp, err)
 	}
 }
 
-// TestTruncatedMidBulkResponseFailsClient is the mirror image: a server
-// that advertises bulk bytes in the response header but dies before
-// sending them all must fail the waiting call — whose dest buffer the
-// read loop was scattering into — instead of hanging or delivering a
-// short read as success.
-func TestTruncatedMidBulkResponseFailsClient(t *testing.T) {
+func TestHostileFramesCloseConnection(t *testing.T) {
+	srv := newTestServer()
+	for _, tg := range wireTargets(t, srv) {
+		// The shared table: on a doorbell every frame also carries the
+		// by-reference flag and a zero segment offset, so it is the named
+		// defect — not a carrier mismatch — that closes the connection.
+		flag, off := byte(0), 0
+		if tg.ref {
+			flag, off = dirRefFlag, refLen
+		}
+		type hostile struct {
+			name  string
+			frame []byte
+		}
+		cases := []hostile{
+			// plen+4 wraps to 1 under u32 arithmetic; the old check passed and
+			// p[:plen] panicked the handler goroutine (taking the daemon down).
+			{"payload-len-wrap", rawRequest(byte(rpc.BulkNone)|flag, 0xFFFFFFFD, 0, false, 8+off)},
+			// Bulk length beyond the remaining frame on the write path.
+			{"bulk-len-overrun", rawRequest(byte(rpc.BulkIn)|flag, 0, 0xFFFFFFFF, true, 2+off)},
+			// A BulkOut budget above maxFrame (and any segment) must not be
+			// honored (the old code materialized it outright — a 4 GiB
+			// allocation per frame).
+			{"huge-bulkout-budget", rawRequest(byte(rpc.BulkOut)|flag, 0, 0xFFFFFFF0, true, off)},
+			// Frame shorter than the fixed request header.
+			{"truncated-header", append(binary.LittleEndian.AppendUint32(nil, 5), make([]byte, 5)...)},
+			// Direction byte outside the BulkDir range.
+			{"invalid-direction", rawRequest(9|flag, 0, 0, true, off)},
+			// Trace bit set but no room for the trailer.
+			{"trace-flag-no-trailer", rawRequest(byte(rpc.BulkNone)|flag|dirTraceFlag, 2, 0, true, 2+off)},
+		}
+		if tg.ref {
+			cases = append(cases,
+				// A window that starts inside the segment but ends past it.
+				hostile{"window-outside-segment", rawRefRequest(opWrite, rpc.BulkIn, 16, tg.seg-8)},
+				// off+len wraps u64 to a small in-bounds number.
+				hostile{"window-off-len-wrap", rawRefRequest(opWrite, rpc.BulkIn, 16, 0xFFFFFFFFFFFFFFF8)},
+				// A well-formed inline frame: a doorbell carries no bulk bytes.
+				hostile{"ref-flag-missing", rawRequest(byte(rpc.BulkNone), 0, 0, true, 0)},
+			)
+		} else {
+			// A well-formed by-reference frame: TCP has no segment to point into.
+			cases = append(cases, hostile{"ref-flag-on-inline-listener", rawRefRequest(opEcho, rpc.BulkNone, 0, 0)})
+		}
+		for _, tc := range cases {
+			t.Run(tg.name+"/"+tc.name, func(t *testing.T) {
+				if !closedAfter(tg.raw(t), tc.frame) {
+					t.Fatal("server kept the connection open after a corrupt frame")
+				}
+				assertServing(t, tg)
+			})
+		}
+	}
+}
+
+// TestRawRefFrameServed is the positive control for the by-reference
+// cases above: a hand-built doorbell frame whose window lies inside the
+// segment is served, so the hostile ones are rejected for the defect
+// they name and not for a malformed test frame.
+func TestRawRefFrameServed(t *testing.T) {
+	srv := newTestServer()
+	for _, tg := range wireTargets(t, srv) {
+		if !tg.ref {
+			continue
+		}
+		c := tg.raw(t)
+		defer c.Close()
+		if _, err := c.Write(rawRefRequest(opWrite, rpc.BulkIn, 16, tg.seg-16)); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var pfx [4]byte
+		if _, err := io.ReadFull(c, pfx[:]); err != nil {
+			t.Fatalf("read response prefix: %v", err)
+		}
+		rest := make([]byte, binary.LittleEndian.Uint32(pfx[:]))
+		if _, err := io.ReadFull(c, rest); err != nil {
+			t.Fatalf("read response body: %v", err)
+		}
+		plen := binary.LittleEndian.Uint32(rest[9:])
+		if status, got := rest[8], string(rest[13:13+plen]); status != 0 || got != "16:0" {
+			t.Fatalf("response status %d payload %q, want OK %q", status, got, "16:0")
+		}
+	}
+}
+
+// TestTruncatedMidFrameRequestLeavesServerServing targets the split
+// header/bulk reader: a client that dies after the request header but
+// mid-bulk (inline) or mid-offset-word (by reference) leaves the server
+// blocked in a ReadFull. The read must fail with the connection — never
+// dispatch a short region — and the server must keep serving other
+// connections.
+func TestTruncatedMidFrameRequestLeavesServerServing(t *testing.T) {
+	srv := newTestServer()
+	for _, tg := range wireTargets(t, srv) {
+		t.Run(tg.name, func(t *testing.T) {
+			const blen = 64 << 10
+			var frame []byte
+			if tg.ref {
+				frame = rawRefRequest(opWrite, rpc.BulkIn, blen, 0)
+				frame = frame[:len(frame)-refLen/2] // half the offset word, then crash
+			} else {
+				frame = binary.LittleEndian.AppendUint32(nil, uint32(minRequestLen+4+blen))
+				frame = binary.LittleEndian.AppendUint64(frame, 7)               // reqID
+				frame = binary.LittleEndian.AppendUint16(frame, uint16(opWrite)) // op
+				frame = append(frame, byte(rpc.BulkIn))                          // dir
+				frame = binary.LittleEndian.AppendUint32(frame, 0)               // payloadLen
+				frame = binary.LittleEndian.AppendUint32(frame, blen)            // bulkLen
+				frame = append(frame, make([]byte, blen/2)...)                   // half the bulk, then crash
+			}
+			conn := tg.raw(t)
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+			assertServing(t, tg)
+		})
+	}
+}
+
+// readRawRequestID consumes one request frame off c and returns its id.
+func readRawRequestID(c net.Conn) (uint64, error) {
+	hdr := make([]byte, 4)
+	if _, err := io.ReadFull(c, hdr); err != nil {
+		return 0, err
+	}
+	body := make([]byte, binary.LittleEndian.Uint32(hdr))
+	if _, err := io.ReadFull(c, body); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(body), nil
+}
+
+// rawResponse frames an OK response with arbitrary length fields and
+// tail bytes following the bulk-length word.
+func rawResponse(reqID uint64, plen uint32, blen uint32, hasBlen bool, tail int) []byte {
+	resp := binary.LittleEndian.AppendUint64(nil, reqID)
+	resp = append(resp, 0) // status OK
+	resp = binary.LittleEndian.AppendUint32(resp, plen)
+	if hasBlen {
+		resp = binary.LittleEndian.AppendUint32(resp, blen)
+	}
+	resp = append(resp, make([]byte, tail)...)
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(resp)))
+	return append(out, resp...)
+}
+
+// TestHostileResponseFailsClientCleanly serves corrupt responses from a
+// fake daemon on every carrier; the client must surface a connection
+// error — not panic its read loop, hang, or deliver a short read as
+// success — and condemn the connection, not the process.
+func TestHostileResponseFailsClientCleanly(t *testing.T) {
+	const blen = 64 << 10
+	cases := []struct {
+		name    string
+		want    string // the error every carrier must report, identically
+		respond func(reqID uint64, ref bool) []byte
+	}{
+		// plen = 0xFFFFFFFE: plen+4 wraps to 2.
+		{"payload-len-wrap", "truncated", func(id uint64, _ bool) []byte { return rawResponse(id, 0xFFFFFFFE, 0, false, 8) }},
+		// An otherwise well-formed response carrying more bulk than the
+		// region the call exposed.
+		{"bulk-exceeds-region", "response bulk 131072 exceeds exposed region 65536", func(id uint64, ref bool) []byte {
+			if ref {
+				return rawResponse(id, 0, 2*blen, true, 0)
+			}
+			return rawResponse(id, 0, 2*blen, true, 2*blen)
+		}},
+		// The header advertises inline bulk bytes but the server dies
+		// before sending them all: on the inline carrier the read loop was
+		// scattering into the waiting call's dest buffer; a doorbell
+		// response may carry no bytes at all.
+		{"truncated-mid-bulk", "", func(id uint64, _ bool) []byte {
+			f := rawResponse(id, 0, blen, true, blen)
+			return f[:len(f)-blen/2]
+		}},
+	}
+	for _, tc := range cases {
+		daemons := fakeDaemons(t, func(c net.Conn, ref bool) {
+			if id, err := readRawRequestID(c); err == nil {
+				c.Write(tc.respond(id, ref))
+			}
+		})
+		for name, dial := range daemons {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				c, err := dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				_, err = c.Call(opRead, nil, make([]byte, blen), rpc.BulkOut)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("corrupt response: err = %v, want one containing %q", err, tc.want)
+				}
+				if _, err := c.Call(opEcho, []byte("y"), nil, rpc.BulkNone); err == nil {
+					t.Fatal("condemned connection accepted another call")
+				}
+			})
+		}
+	}
+}
+
+// fakeDaemons starts, per carrier, a one-connection server that runs
+// script on the accepted (and, for a doorbell, handshaken) stream and
+// then closes it — a daemon that misbehaves or dies mid-conversation.
+// It returns a dial function per carrier.
+func fakeDaemons(t *testing.T, script func(c net.Conn, ref bool)) map[string]func() (rpc.Conn, error) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	const blen = 64 << 10
+	t.Cleanup(func() { l.Close() })
 	go func() {
 		c, err := l.Accept()
 		if err != nil {
 			return
 		}
 		defer c.Close()
-		hdr := make([]byte, 4)
-		if _, err := io.ReadFull(c, hdr); err != nil {
-			return
-		}
-		body := make([]byte, binary.LittleEndian.Uint32(hdr))
-		if _, err := io.ReadFull(c, body); err != nil {
-			return
-		}
-		reqID := binary.LittleEndian.Uint64(body)
-		resp := binary.LittleEndian.AppendUint32(nil, uint32(minResponseLen+4+blen))
-		resp = binary.LittleEndian.AppendUint64(resp, reqID)
-		resp = append(resp, 0)                              // status OK
-		resp = binary.LittleEndian.AppendUint32(resp, 0)    // payloadLen
-		resp = binary.LittleEndian.AppendUint32(resp, blen) // bulkLen
-		resp = append(resp, make([]byte, blen/2)...)        // half the bulk, then crash
-		c.Write(resp)
+		script(c, false)
 	}()
-
-	c, err := DialTCP(l.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	addr := l.Addr().String()
+	m := map[string]func() (rpc.Conn, error){
+		"tcp": func() (rpc.Conn, error) { return DialTCP(addr, 5*time.Second) },
 	}
-	defer c.Close()
-	if _, err := c.Call(opRead, nil, make([]byte, blen), rpc.BulkOut); err == nil {
-		t.Fatal("truncated-mid-bulk response did not surface an error")
+	for name, dial := range platformFakeDaemons(t, script) {
+		m[name] = dial
 	}
-	if _, err := c.Call(opEcho, []byte("y"), nil, rpc.BulkNone); err == nil {
-		t.Fatal("condemned connection accepted another call")
-	}
+	return m
 }

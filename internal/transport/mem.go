@@ -1,8 +1,10 @@
 // Package transport connects rpc clients to rpc servers. The Mem
 // transport wires them up in-process with zero-copy bulk transfer — the
 // fabric of the in-process test cluster and of same-node client↔daemon
-// traffic (the paper's Margo IPC path). The TCP transport carries the same
-// protocol across real sockets for multi-process deployments.
+// traffic (the paper's Margo IPC path). One stream connection (stream.go)
+// carries the same protocol across real sockets for multi-process
+// deployments: TCP with bulk bytes inline, or a co-located shm doorbell
+// (shm.go) whose bulk travels by reference through a mapped segment.
 package transport
 
 import (

@@ -75,12 +75,17 @@ func NewPool(n int, dial func() (rpc.Conn, error)) *Pool {
 	return &Pool{dial: dial, slots: make([]poolSlot, n)}
 }
 
-// DialTCPPool connects a pool of n striped TCP connections to addr. The
-// first connection is dialed eagerly so address and reachability errors
-// surface immediately; the rest come up on first use. n <= 1 degenerates
-// to a single connection with reconnect-on-failure.
+// DialTCPPool connects a pool of n striped TCP connections to addr.
+// n <= 1 degenerates to a single connection with reconnect-on-failure.
 func DialTCPPool(addr string, timeout time.Duration, n int) (rpc.Conn, error) {
-	p := NewPool(n, func() (rpc.Conn, error) { return DialTCP(addr, timeout) })
+	return dialPool(n, func() (rpc.Conn, error) { return DialTCP(addr, timeout) })
+}
+
+// dialPool returns a pool of n connections from dial. The first is
+// dialed eagerly so address and reachability errors surface
+// immediately; the rest come up on first use.
+func dialPool(n int, dial func() (rpc.Conn, error)) (rpc.Conn, error) {
+	p := NewPool(n, dial)
 	conn, err := p.dial()
 	if err != nil {
 		return nil, err

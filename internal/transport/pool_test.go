@@ -117,7 +117,7 @@ func TestPoolLazyReconnect(t *testing.T) {
 			mu.Lock()
 			accepted = append(accepted, c)
 			mu.Unlock()
-			go serveConn(c, srv)
+			go serve(c, srv, nil)
 		}
 	}()
 

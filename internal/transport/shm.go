@@ -3,34 +3,29 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"os"
-	"sort"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/rpc"
-	"repro/internal/telemetry"
 )
 
 // Shared-memory fast path for co-located clients — the transport tier's
 // answer to the paper's node-local IPC case, which the hash distributor
 // already makes common (1/N of every client's traffic targets its own
-// node). A Unix-domain socket is the doorbell: it carries only small
-// header frames (request metadata, response status) plus the one-time
-// segment handshake. Bulk bytes never touch the socket — they live in a
-// file-backed mmap'd segment both processes map, so a chunk write is one
-// copy (caller's buffer → segment, then the daemon pwrites straight from
-// the mapping) and a chunk read is one copy (the daemon preads straight
-// into the mapping, then segment → caller's buffer). No kernel socket
-// copies, no frame joins, no per-byte syscall work.
+// node). A Unix-domain socket is the doorbell: it carries the one-time
+// segment handshake below and then the ordinary stream frames (stream.go)
+// on the by-reference carrier, so only headers ever cross it. Bulk bytes
+// live in a file-backed mmap'd segment both processes map: a chunk write
+// is one copy (caller's buffer → segment, then the daemon pwrites
+// straight from the mapping) and a chunk read is one copy (the daemon
+// preads straight into the mapping, then segment → caller's buffer). No
+// kernel socket copies, no frame joins, no per-byte syscall work.
 //
 // Handshake (once per accepted connection):
 //
@@ -40,26 +35,8 @@ import (
 // The daemon creates the segment file (preferring the tmpfs at
 // /dev/shm), maps it, and unlinks it as soon as the client acks — the
 // segment then lives exactly as long as the two mappings and nothing
-// else can attach to it.
-//
-// Doorbell frames, little-endian like the TCP format:
-//
-//	request:  [u32 rest][u64 reqID][u16 op][u8 dir]
-//	          [u64 bulkOff][u32 bulkLen][u32 payloadLen][payload]
-//	response: [u32 rest][u64 reqID][u8 status]
-//	          [u32 pushedLen][u32 payloadLen][payload]
-//
-// Protocol v7 trace extension, exactly as on TCP: a request whose dir
-// byte carries dirTraceFlag ends with a [u64 trace-ID][u8 flags]
-// trailer after the payload; unsampled requests keep the old shape.
-//
-// The client owns segment placement: a per-connection first-fit
-// allocator reserves [bulkOff, bulkOff+bulkLen) for each call, and the
-// daemon validates the window against the segment bounds before touching
-// it. The happens-before edge between a caller's segment writes and the
-// daemon's reads is the doorbell round trip itself. Crash safety comes
-// from the socket: either side dying closes it, which fails every
-// pending call cleanly.
+// else can attach to it. Crash safety comes from the socket: either side
+// dying closes it, which fails every pending call cleanly.
 
 const (
 	// DefaultShmSegBytes sizes the per-connection segment when ServeShm
@@ -67,9 +44,6 @@ const (
 	// only where bulk traffic actually lands, so the cost of a generous
 	// default is virtual address space, not memory.
 	DefaultShmSegBytes = 256 << 20
-
-	minShmRequestLen  = 8 + 2 + 1 + 8 + 4 + 4 // id+op+dir+bulkOff+bulkLen+payloadLen
-	minShmResponseLen = 8 + 1 + 4 + 4         // id+status+pushedLen+payloadLen
 
 	shmAck = 0x5A
 )
@@ -91,6 +65,13 @@ func ServeShm(l net.Listener, srv *rpc.Server, segBytes int) error {
 	}
 }
 
+// mapSegment maps n bytes of f shared and closes f.
+func mapSegment(f *os.File, n int) ([]byte, error) {
+	seg, err := syscall.Mmap(int(f.Fd()), 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	f.Close()
+	return seg, err
+}
+
 // createShmSegment creates, sizes and maps a fresh segment file,
 // preferring the tmpfs at /dev/shm so pages never hit a disk.
 func createShmSegment(n int) (seg []byte, path string, err error) {
@@ -108,15 +89,16 @@ func createShmSegment(n int) (seg []byte, path string, err error) {
 		os.Remove(path)
 		return nil, "", err
 	}
-	seg, err = syscall.Mmap(int(f.Fd()), 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	f.Close()
-	if err != nil {
+	if seg, err = mapSegment(f, n); err != nil {
 		os.Remove(path)
 		return nil, "", err
 	}
 	return seg, path, nil
 }
 
+// serveShmConn performs the daemon half of the handshake and hands the
+// doorbell to the shared serve loop. serve returns only once every
+// handler is done with its window, so the deferred unmap is safe.
 func serveShmConn(conn net.Conn, srv *rpc.Server, segBytes int) {
 	defer conn.Close()
 	seg, path, err := createShmSegment(segBytes)
@@ -125,11 +107,6 @@ func serveShmConn(conn net.Conn, srv *rpc.Server, segBytes int) {
 	}
 	defer syscall.Munmap(seg)
 	defer os.Remove(path) // no-op once the post-ack unlink below ran
-	// Handler goroutines hold slices into seg until their response is
-	// written; a client crashing with requests in flight must not unmap
-	// the segment out from under them. LIFO defers: wait runs first.
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
 	if err := writeShmHello(conn, path, segBytes); err != nil {
 		return
 	}
@@ -138,175 +115,7 @@ func serveShmConn(conn net.Conn, srv *rpc.Server, segBytes int) {
 		return
 	}
 	os.Remove(path) // the client holds its own mapping; nothing else may attach
-
-	var wmu sync.Mutex // serializes response frames
-	wire := srv.Wire()
-	br := bufio.NewReaderSize(conn, 32<<10)
-	for {
-		req, off, blen, err := readShmRequest(br, uint64(segBytes))
-		if err != nil {
-			return
-		}
-		wire.FramesIn.Add(1)
-		wire.BytesIn.Add(uint64(req.size))
-		wire.ShmCalls.Add(1)
-		handlers.Add(1)
-		go func(req request, off, blen int) {
-			defer handlers.Done()
-			var region []byte
-			if req.dir != rpc.BulkNone {
-				region = seg[off : off+blen]
-			}
-			bulk := &shmServerBulk{dir: req.dir, region: region}
-			resp, herr := srv.DispatchTrace(req.op, req.payload, bulkFor(bulk, req.dir), req.tr)
-			writeShmResponse(conn, &wmu, wire, req.id, resp, bulk.pushed, herr)
-			rpc.PutBuf(req.pbuf)
-		}(req, off, blen)
-	}
-}
-
-// readShmRequest reads one doorbell request. The bulk window is validated
-// against the segment bounds without wrappable arithmetic: a hostile
-// offset/length pair is a corrupt stream, not an out-of-bounds slice.
-//
-// Windows are NOT validated against each other: like an RDMA peer that
-// registers overlapping memory regions, a client issuing concurrent
-// requests over overlapping [off, off+len) windows gets racy reads and
-// writes of its own segment bytes. That is accepted behavior — the
-// segment is private to the one misbehaving connection, handlers only
-// ever dereference memory inside the mapping, and daemon state (chunk
-// files, metadata) stays consistent because handlers treat window
-// contents as untrusted input; only that client's own data can come out
-// scrambled. Tracking in-flight windows server-side would put a lock
-// and an interval set on every call for no protection the client cannot
-// already get by allocating correctly.
-func readShmRequest(br *bufio.Reader, segSize uint64) (request, int, int, error) {
-	// Prefix first, fixed header second — a frame too short for the
-	// header fails now instead of stalling the loop.
-	var pfx [4]byte
-	if _, err := io.ReadFull(br, pfx[:]); err != nil {
-		return request{}, 0, 0, err
-	}
-	rest := binary.LittleEndian.Uint32(pfx[:])
-	if rest > maxFrame {
-		return request{}, 0, 0, errFrameTooBig
-	}
-	if rest < minShmRequestLen {
-		return request{}, 0, 0, rpc.ErrTruncated
-	}
-	var hdr [minShmRequestLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return request{}, 0, 0, err
-	}
-	dirByte := hdr[10]
-	req := request{
-		id:   binary.LittleEndian.Uint64(hdr[0:]),
-		op:   rpc.Op(binary.LittleEndian.Uint16(hdr[8:])),
-		dir:  rpc.BulkDir(dirByte & dirMask),
-		size: 4 + int(rest),
-	}
-	if req.dir > rpc.BulkOut {
-		return request{}, 0, 0, fmt.Errorf("transport: invalid bulk direction %d", req.dir)
-	}
-	tlen := uint64(0)
-	if dirByte&dirTraceFlag != 0 {
-		tlen = traceLen
-	}
-	bulkOff := binary.LittleEndian.Uint64(hdr[11:])
-	blen := binary.LittleEndian.Uint32(hdr[19:])
-	plen := binary.LittleEndian.Uint32(hdr[23:])
-	if uint64(plen)+tlen != uint64(rest-minShmRequestLen) {
-		return request{}, 0, 0, rpc.ErrTruncated
-	}
-	if uint64(blen) > segSize || bulkOff > segSize-uint64(blen) {
-		return request{}, 0, 0, fmt.Errorf("transport: shm bulk window [%d,+%d) outside %d-byte segment",
-			bulkOff, blen, segSize)
-	}
-	req.pbuf = rpc.GetBuf(int(plen))
-	if _, err := io.ReadFull(br, req.pbuf); err != nil {
-		rpc.PutBuf(req.pbuf)
-		return request{}, 0, 0, err
-	}
-	req.payload = req.pbuf
-	if tlen != 0 {
-		var tb [traceLen]byte
-		if _, err := io.ReadFull(br, tb[:]); err != nil {
-			rpc.PutBuf(req.pbuf)
-			return request{}, 0, 0, err
-		}
-		req.tr = getTrace(tb[:])
-	}
-	return req, int(bulkOff), int(blen), nil
-}
-
-// shmServerBulk implements rpc.Bulk directly over the segment window the
-// client reserved for this call. Bytes and Writable hand the handler the
-// client-visible memory itself, so the daemon side of both directions is
-// copy-free; Pull and Push remain for handlers that want a staging copy.
-type shmServerBulk struct {
-	dir    rpc.BulkDir
-	region []byte
-	pushed int
-}
-
-// Pull implements rpc.Bulk.
-func (b *shmServerBulk) Pull(p []byte) error {
-	if b.dir != rpc.BulkIn {
-		return errors.New("transport: pull from non-BulkIn region")
-	}
-	if len(p) > len(b.region) {
-		return fmt.Errorf("transport: bulk pull of %d exceeds exposed %d", len(p), len(b.region))
-	}
-	copy(p, b.region)
-	return nil
-}
-
-// Push implements rpc.Bulk.
-func (b *shmServerBulk) Push(p []byte) error {
-	if b.dir != rpc.BulkOut {
-		return errors.New("transport: push into non-BulkOut region")
-	}
-	if len(p) > len(b.region) {
-		return fmt.Errorf("transport: bulk push of %d exceeds exposed %d", len(p), len(b.region))
-	}
-	b.pushed = copy(b.region, p)
-	return nil
-}
-
-// Len implements rpc.Bulk.
-func (b *shmServerBulk) Len() int { return len(b.region) }
-
-// Bytes implements rpc.Bulk: the BulkIn bytes are read in place from the
-// mapping.
-func (b *shmServerBulk) Bytes() ([]byte, error) {
-	if b.dir != rpc.BulkIn {
-		return nil, errors.New("transport: bytes of non-BulkIn region")
-	}
-	return b.region, nil
-}
-
-// Writable implements rpc.Bulk: the handler writes straight into the
-// client-visible mapping.
-func (b *shmServerBulk) Writable(n int) ([]byte, error) {
-	if b.dir != rpc.BulkOut {
-		return nil, errors.New("transport: writable on non-BulkOut region")
-	}
-	if n > len(b.region) {
-		return nil, fmt.Errorf("transport: writable region of %d exceeds exposed %d", n, len(b.region))
-	}
-	return b.region[:n], nil
-}
-
-// Commit implements rpc.Bulk.
-func (b *shmServerBulk) Commit(n int) error {
-	if b.dir != rpc.BulkOut {
-		return errors.New("transport: commit on non-BulkOut region")
-	}
-	if n > len(b.region) {
-		return fmt.Errorf("transport: commit of %d exceeds region %d", n, len(b.region))
-	}
-	b.pushed = n
-	return nil
+	serve(conn, srv, seg)
 }
 
 func writeShmHello(conn net.Conn, path string, segBytes int) error {
@@ -343,37 +152,6 @@ func readShmHello(conn net.Conn) (segPath string, segBytes int, err error) {
 	return string(buf[8:]), int(size), nil
 }
 
-func writeShmResponse(conn net.Conn, wmu *sync.Mutex, wire *rpc.WireCounters, id uint64, payload []byte, pushed int, herr error) {
-	status := byte(0)
-	if herr != nil {
-		status = 1
-		payload = []byte(herr.Error())
-		pushed = 0
-	}
-	rest := minShmResponseLen + len(payload)
-	if rest > maxFrame {
-		status = 1
-		payload = []byte(errFrameTooBig.Error())
-		pushed = 0
-		rest = minShmResponseLen + len(payload)
-	}
-	out := rpc.GetBuf(4 + rest)[:0]
-	out = binary.LittleEndian.AppendUint32(out, uint32(rest))
-	out = binary.LittleEndian.AppendUint64(out, id)
-	out = append(out, status)
-	out = binary.LittleEndian.AppendUint32(out, uint32(pushed))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
-
-	wmu.Lock()
-	// A write error tears down the connection via the read side.
-	_, _ = conn.Write(out)
-	wmu.Unlock()
-	wire.FramesOut.Add(1)
-	wire.BytesOut.Add(uint64(4 + rest))
-	rpc.PutBuf(out)
-}
-
 // DialShm connects to a co-located daemon's shared-memory doorbell at
 // path (a Unix-domain socket) and maps the segment it offers. timeout
 // bounds each call's wait for a response; zero means no limit.
@@ -392,8 +170,7 @@ func DialShm(path string, timeout time.Duration) (rpc.Conn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("transport: shm segment: %w", err)
 	}
-	seg, err := syscall.Mmap(int(f.Fd()), 0, segBytes, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	f.Close()
+	seg, err := mapSegment(f, segBytes)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: shm mmap: %w", err)
@@ -403,16 +180,7 @@ func DialShm(path string, timeout time.Duration) (rpc.Conn, error) {
 		conn.Close()
 		return nil, err
 	}
-	sc := &shmConn{
-		conn:    conn,
-		seg:     seg,
-		timeout: timeout,
-		alloc:   newSegAlloc(len(seg)),
-		pending: make(map[uint64]*shmPending),
-		zombies: make(map[uint64]segSpan),
-	}
-	go sc.readLoop()
-	return sc, nil
+	return newConn(conn, timeout, seg), nil
 }
 
 // DialShmPool wraps DialShm connections in a pool, giving the
@@ -420,397 +188,5 @@ func DialShm(path string, timeout time.Duration) (rpc.Conn, error) {
 // DialTCPPool. The doorbell carries only headers, so a single connection
 // already serves concurrent callers; extra slots mean extra segments.
 func DialShmPool(path string, timeout time.Duration, n int) (rpc.Conn, error) {
-	p := NewPool(n, func() (rpc.Conn, error) { return DialShm(path, timeout) })
-	conn, err := p.dial()
-	if err != nil {
-		return nil, err
-	}
-	p.slots[0].conn = conn
-	return p, nil
-}
-
-type shmConn struct {
-	conn    net.Conn
-	seg     []byte
-	timeout time.Duration
-	alloc   *segAlloc
-
-	// segWaitHist, when set, times segment-window acquisition — how
-	// long bulk calls queue for segment space. Install before traffic
-	// (SetSegWaitHist).
-	segWaitHist *telemetry.Histogram
-
-	wmu sync.Mutex // serializes request frames
-
-	mu      sync.Mutex
-	pending map[uint64]*shmPending
-	zombies map[uint64]segSpan // timed-out calls' still-reserved windows
-	nextID  uint64
-	dead    error
-}
-
-// shmPending is one in-flight doorbell call and the segment window it
-// reserved. The window stays reserved until the call's response arrives
-// (or the connection dies): a timed-out caller cannot reclaim it early,
-// because the daemon may still be writing into it.
-type shmPending struct {
-	ch     chan shmResult
-	off, n int
-}
-
-type shmResult struct {
-	payload []byte
-	pushed  int
-	err     error
-}
-
-type segSpan struct{ off, n int }
-
-// SetSegWaitHist installs the histogram timing segment-window
-// acquisition. Call before the connection serves traffic; nil leaves
-// timing disabled.
-func (c *shmConn) SetSegWaitHist(h *telemetry.Histogram) { c.segWaitHist = h }
-
-// Call implements rpc.Conn.
-func (c *shmConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	return c.CallTrace(op, payload, bulk, dir, rpc.Trace{})
-}
-
-// CallTrace implements rpc.TraceCaller: the doorbell frame carries tr
-// in the trailing trace extension when sampled.
-func (c *shmConn) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
-	if bulk == nil {
-		dir = rpc.BulkNone
-	}
-	var off, n int
-	if dir != rpc.BulkNone {
-		n = len(bulk)
-		var err error
-		var t0 time.Time
-		if c.segWaitHist != nil {
-			t0 = time.Now()
-		}
-		off, err = c.alloc.acquire(n, c.timeout)
-		if c.segWaitHist != nil {
-			c.segWaitHist.ObserveSince(t0)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if dir == rpc.BulkIn {
-			copy(c.seg[off:off+n], bulk)
-		}
-	}
-	pc := &shmPending{ch: make(chan shmResult, 1), off: off, n: n}
-	c.mu.Lock()
-	if c.dead != nil {
-		err := c.dead
-		c.mu.Unlock()
-		c.alloc.release(off, n)
-		return nil, err
-	}
-	c.nextID++
-	id := c.nextID
-	c.pending[id] = pc
-	c.mu.Unlock()
-
-	hdr := buildShmRequest(id, op, dir, payload, off, n, tr)
-	c.wmu.Lock()
-	_, err := c.conn.Write(hdr)
-	c.wmu.Unlock()
-	rpc.PutBuf(hdr)
-	if err != nil {
-		// A doorbell write error dooms the stream; the read loop will
-		// fail shortly and flush whatever this call left behind.
-		if c.abandon(id) {
-			return nil, err
-		}
-		res := <-pc.ch
-		c.settle(pc, dir, bulk, res)
-		return nil, err
-	}
-
-	var timeoutCh <-chan time.Time
-	var timer *time.Timer
-	if c.timeout > 0 {
-		timer = acquireTimer(c.timeout)
-		timeoutCh = timer.C
-	}
-	select {
-	case res := <-pc.ch:
-		if timer != nil {
-			releaseTimer(timer)
-		}
-		return c.settle(pc, dir, bulk, res)
-	case <-timeoutCh:
-		if c.abandon(id) {
-			releaseTimer(timer)
-			return nil, fmt.Errorf("%w: call %d op %d after %v", ErrTimeout, id, op, c.timeout)
-		}
-		// The read loop claimed the call first; its delivery is imminent
-		// and the segment window is still in use until it lands.
-		res := <-pc.ch
-		releaseTimer(timer)
-		return c.settle(pc, dir, bulk, res)
-	}
-}
-
-// settle completes a delivered call: BulkOut bytes are copied out of the
-// segment window into the caller's buffer, and the window is released.
-func (c *shmConn) settle(pc *shmPending, dir rpc.BulkDir, bulk []byte, res shmResult) ([]byte, error) {
-	if res.err == nil && dir == rpc.BulkOut && res.pushed > 0 {
-		copy(bulk[:res.pushed], c.seg[pc.off:pc.off+res.pushed])
-	}
-	c.alloc.release(pc.off, pc.n)
-	if res.err != nil {
-		return nil, res.err
-	}
-	return res.payload, nil
-}
-
-// abandon removes the call from the pending table, parking its segment
-// window with the zombies (the daemon may still be writing it; the late
-// response or connection death releases it). It returns false when the
-// read loop already claimed the id — the caller must then wait on the
-// call's channel.
-func (c *shmConn) abandon(id uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pc, ok := c.pending[id]
-	if !ok {
-		return false
-	}
-	delete(c.pending, id)
-	if pc.n > 0 {
-		c.zombies[id] = segSpan{pc.off, pc.n}
-	}
-	return true
-}
-
-// Close implements rpc.Conn. The segment mapping is deliberately left in
-// place: concurrent callers may still be copying out of their windows,
-// and the unlinked file's pages vanish with the process anyway.
-func (c *shmConn) Close() error { return c.conn.Close() }
-
-func (c *shmConn) readLoop() {
-	br := bufio.NewReaderSize(c.conn, 32<<10)
-	for {
-		var pfx [4]byte
-		if _, err := io.ReadFull(br, pfx[:]); err != nil {
-			c.fail(err)
-			return
-		}
-		rest := binary.LittleEndian.Uint32(pfx[:])
-		if rest > maxFrame {
-			c.fail(errFrameTooBig)
-			return
-		}
-		if rest < minShmResponseLen {
-			c.fail(rpc.ErrTruncated)
-			return
-		}
-		var hdr [minShmResponseLen]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			c.fail(err)
-			return
-		}
-		id := binary.LittleEndian.Uint64(hdr[0:])
-		status := hdr[8]
-		pushed := binary.LittleEndian.Uint32(hdr[9:])
-		plen := binary.LittleEndian.Uint32(hdr[13:])
-		if uint64(plen) != uint64(rest-minShmResponseLen) {
-			c.fail(rpc.ErrTruncated)
-			return
-		}
-		pbuf := rpc.GetBuf(int(plen))
-		if _, err := io.ReadFull(br, pbuf); err != nil {
-			rpc.PutBuf(pbuf)
-			c.fail(err)
-			return
-		}
-
-		c.mu.Lock()
-		pc, ok := c.pending[id]
-		delete(c.pending, id)
-		var z segSpan
-		var zok bool
-		if !ok {
-			z, zok = c.zombies[id]
-			delete(c.zombies, id)
-		}
-		c.mu.Unlock()
-		if !ok {
-			// A timed-out call's late response: its window is finally
-			// quiescent and returns to the allocator.
-			if zok {
-				c.alloc.release(z.off, z.n)
-			}
-			rpc.PutBuf(pbuf)
-			continue
-		}
-		if status != 0 {
-			pc.ch <- shmResult{err: &rpc.RemoteError{Msg: string(pbuf)}}
-			rpc.PutBuf(pbuf)
-			continue
-		}
-		if int64(pushed) > int64(pc.n) {
-			err := fmt.Errorf("transport: shm response pushed %d exceeds the %d-byte window", pushed, pc.n)
-			rpc.PutBuf(pbuf)
-			pc.ch <- shmResult{err: err}
-			c.fail(err)
-			return
-		}
-		pc.ch <- shmResult{payload: append([]byte(nil), pbuf...), pushed: int(pushed)}
-		rpc.PutBuf(pbuf)
-	}
-}
-
-// fail marks the connection dead, delivers the failure to every pending
-// call (each releases its own window on delivery), frees the zombie
-// windows, and poisons the allocator so blocked acquirers error out.
-func (c *shmConn) fail(err error) {
-	c.mu.Lock()
-	if c.dead == nil {
-		c.dead = fmt.Errorf("transport: connection failed: %w", err)
-	}
-	dead := c.dead
-	pend := c.pending
-	c.pending = make(map[uint64]*shmPending)
-	zom := c.zombies
-	c.zombies = make(map[uint64]segSpan)
-	c.mu.Unlock()
-	for _, pc := range pend {
-		pc.ch <- shmResult{err: dead}
-	}
-	for _, z := range zom {
-		c.alloc.release(z.off, z.n)
-	}
-	c.alloc.poison(dead)
-}
-
-// buildShmRequest assembles one doorbell request header in a pooled
-// buffer; the caller releases it with rpc.PutBuf after writing it out.
-// A sampled trace appends the traceLen trailer after the payload and
-// sets dirTraceFlag.
-func buildShmRequest(id uint64, op rpc.Op, dir rpc.BulkDir, payload []byte, off, n int, tr rpc.Trace) []byte {
-	dirByte := byte(dir)
-	tlen := 0
-	if tr.Sampled() {
-		dirByte |= dirTraceFlag
-		tlen = traceLen
-	}
-	rest := minShmRequestLen + len(payload) + tlen
-	out := rpc.GetBuf(4 + rest)[:0]
-	out = binary.LittleEndian.AppendUint32(out, uint32(rest))
-	out = binary.LittleEndian.AppendUint64(out, id)
-	out = binary.LittleEndian.AppendUint16(out, uint16(op))
-	out = append(out, dirByte)
-	out = binary.LittleEndian.AppendUint64(out, uint64(off))
-	out = binary.LittleEndian.AppendUint32(out, uint32(n))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	if tlen != 0 {
-		var tb [traceLen]byte
-		putTrace(&tb, tr)
-		out = append(out, tb[:]...)
-	}
-	return out
-}
-
-// segAlloc hands out byte windows of the mapped segment to concurrent
-// calls: first-fit over an offset-sorted, coalesced free list, blocking
-// while the segment is momentarily exhausted. Windows live for one call,
-// so fragmentation stays negligible.
-type segAlloc struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	free []segSpan // sorted by off, adjacent spans coalesced
-	size int
-	dead error
-}
-
-func newSegAlloc(size int) *segAlloc {
-	a := &segAlloc{free: []segSpan{{0, size}}, size: size}
-	a.cond = sync.NewCond(&a.mu)
-	return a
-}
-
-// acquire reserves an n-byte window, blocking until one frees up. It
-// fails fast when n can never fit or the connection died, and gives up
-// with ErrTimeout after timeout (zero means wait without limit) — a
-// stalled daemon parks windows as zombies, and without a bound here the
-// exhausted segment would hang every later bulk call inside acquire
-// instead of letting it report the timeout.
-func (a *segAlloc) acquire(n int, timeout time.Duration) (int, error) {
-	if n == 0 {
-		return 0, nil
-	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		// The broadcast takes the lock so the fire cannot slip between a
-		// waiter's deadline check and its cond.Wait and be lost.
-		t := time.AfterFunc(timeout, func() {
-			a.mu.Lock()
-			//lint:ignore SA2001 empty critical section orders the broadcast after any in-progress deadline check
-			a.mu.Unlock()
-			a.cond.Broadcast()
-		})
-		defer t.Stop()
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for {
-		if a.dead != nil {
-			return 0, a.dead
-		}
-		if n > a.size {
-			return 0, fmt.Errorf("transport: bulk of %d bytes exceeds the %d-byte shm segment", n, a.size)
-		}
-		for i := range a.free {
-			if a.free[i].n >= n {
-				off := a.free[i].off
-				a.free[i].off += n
-				a.free[i].n -= n
-				if a.free[i].n == 0 {
-					a.free = append(a.free[:i], a.free[i+1:]...)
-				}
-				return off, nil
-			}
-		}
-		if timeout > 0 && !time.Now().Before(deadline) {
-			return 0, fmt.Errorf("%w: waited %v for a %d-byte shm window", ErrTimeout, timeout, n)
-		}
-		a.cond.Wait()
-	}
-}
-
-// release returns a window and wakes blocked acquirers.
-func (a *segAlloc) release(off, n int) {
-	if n == 0 {
-		return
-	}
-	a.mu.Lock()
-	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].off >= off })
-	a.free = append(a.free, segSpan{})
-	copy(a.free[i+1:], a.free[i:])
-	a.free[i] = segSpan{off, n}
-	if i+1 < len(a.free) && a.free[i].off+a.free[i].n == a.free[i+1].off {
-		a.free[i].n += a.free[i+1].n
-		a.free = append(a.free[:i+1], a.free[i+2:]...)
-	}
-	if i > 0 && a.free[i-1].off+a.free[i-1].n == a.free[i].off {
-		a.free[i-1].n += a.free[i].n
-		a.free = append(a.free[:i], a.free[i+1:]...)
-	}
-	a.mu.Unlock()
-	a.cond.Broadcast()
-}
-
-// poison fails all current and future acquirers.
-func (a *segAlloc) poison(err error) {
-	a.mu.Lock()
-	a.dead = err
-	a.mu.Unlock()
-	a.cond.Broadcast()
+	return dialPool(n, func() (rpc.Conn, error) { return DialShm(path, timeout) })
 }

@@ -3,6 +3,7 @@
 package transport
 
 import (
+	"net"
 	"testing"
 
 	"repro/internal/rpc"
@@ -11,3 +12,11 @@ import (
 // platformConns adds nothing on platforms without the shared-memory
 // transport; the generic suite runs over mem and TCP only.
 func platformConns(*testing.T, *rpc.Server) map[string]rpc.Conn { return nil }
+
+// platformTargets and platformFakeDaemons likewise add no by-reference
+// listener to the hostile-frame tables.
+func platformTargets(*testing.T, *rpc.Server) []wireTarget { return nil }
+
+func platformFakeDaemons(*testing.T, func(net.Conn, bool)) map[string]func() (rpc.Conn, error) {
+	return nil
+}

@@ -20,10 +20,10 @@ import (
 	"repro/internal/rpc"
 )
 
-// startShmServer serves srv on a fresh Unix-domain doorbell socket and
-// returns its path. The socket lives in its own short-named temp dir —
-// t.TempDir can exceed the sockaddr_un path limit on long test names.
-func startShmServer(t testing.TB, srv *rpc.Server, segBytes int) string {
+// listenShm opens a fresh Unix-domain doorbell socket and returns it with
+// its path. The socket lives in its own short-named temp dir — t.TempDir
+// can exceed the sockaddr_un path limit on long test names.
+func listenShm(t testing.TB) (net.Listener, string) {
 	t.Helper()
 	dir, err := os.MkdirTemp("", "gkfs-shm-t-")
 	if err != nil {
@@ -35,11 +35,19 @@ func startShmServer(t testing.TB, srv *rpc.Server, segBytes int) string {
 		os.RemoveAll(dir)
 		t.Fatal(err)
 	}
-	go ServeShm(l, srv, segBytes)
 	t.Cleanup(func() {
 		l.Close()
 		os.RemoveAll(dir)
 	})
+	return l, sock
+}
+
+// startShmServer serves srv on a fresh doorbell socket and returns its
+// path.
+func startShmServer(t testing.TB, srv *rpc.Server, segBytes int) string {
+	t.Helper()
+	l, sock := listenShm(t)
+	go ServeShm(l, srv, segBytes)
 	return sock
 }
 
@@ -59,6 +67,66 @@ func platformConns(t *testing.T, srv *rpc.Server) map[string]rpc.Conn {
 	}
 	t.Cleanup(func() { poolConn.Close() })
 	return map[string]rpc.Conn{"shm": shmConn, "shm-pool": poolConn}
+}
+
+// platformTargets adds a doorbell to the hostile-frame tables: raw
+// streams complete the handshake (without bothering to map the segment)
+// so their frames reach the shared request parser.
+func platformTargets(t *testing.T, srv *rpc.Server) []wireTarget {
+	t.Helper()
+	const seg = 1 << 20
+	sock := startShmServer(t, srv, seg)
+	return []wireTarget{{
+		name: "shm",
+		ref:  true,
+		seg:  seg,
+		raw: func(t *testing.T) net.Conn {
+			c, err := net.Dial("unix", sock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := readShmHello(c); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Write([]byte{shmAck}); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
+		dial: func() (rpc.Conn, error) { return DialShm(sock, 5*time.Second) },
+	}}
+}
+
+// platformFakeDaemons adds a one-connection fake doorbell daemon: it
+// completes the handshake over a real 1 MiB segment, runs script on the
+// stream, then dies.
+func platformFakeDaemons(t *testing.T, script func(c net.Conn, ref bool)) map[string]func() (rpc.Conn, error) {
+	t.Helper()
+	l, sock := listenShm(t)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		seg, path, err := createShmSegment(1 << 20)
+		if err != nil {
+			return
+		}
+		defer syscall.Munmap(seg)
+		defer os.Remove(path)
+		if err := writeShmHello(conn, path, 1<<20); err != nil {
+			return
+		}
+		var ack [1]byte
+		if _, err := io.ReadFull(conn, ack[:]); err != nil {
+			return
+		}
+		script(conn, true)
+	}()
+	return map[string]func() (rpc.Conn, error){
+		"shm": func() (rpc.Conn, error) { return DialShm(sock, 10*time.Second) },
+	}
 }
 
 // TestShmConcurrentBulkStress hammers one doorbell connection with mixed
@@ -147,47 +215,12 @@ func TestShmBulkExceedsSegment(t *testing.T) {
 // every pending call promptly — the doorbell socket is the liveness
 // signal — and doom the connection for later callers.
 func TestShmDaemonCrashFailsPendingCalls(t *testing.T) {
-	dir, err := os.MkdirTemp("", "gkfs-shm-t-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	sock := filepath.Join(dir, "d.sock")
-	l, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	// A daemon that completes the handshake, swallows one request frame,
-	// then dies mid-conversation.
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		seg, path, err := createShmSegment(1 << 20)
-		if err != nil {
-			conn.Close()
-			return
-		}
-		defer syscall.Munmap(seg)
-		defer os.Remove(path)
-		if err := writeShmHello(conn, path, 1<<20); err != nil {
-			conn.Close()
-			return
-		}
-		var ack [1]byte
-		if _, err := io.ReadFull(conn, ack[:]); err != nil {
-			conn.Close()
-			return
-		}
-		os.Remove(path)
-		io.ReadFull(conn, make([]byte, 16)) // partial read of the first request
-		conn.Close()                        // crash
-	}()
-
-	c, err := DialShm(sock, 10*time.Second)
+	// A daemon that completes the handshake, swallows part of one request
+	// frame, then dies mid-conversation.
+	dial := platformFakeDaemons(t, func(c net.Conn, _ bool) {
+		io.ReadFull(c, make([]byte, 16))
+	})["shm"]
+	c, err := dial()
 	if err != nil {
 		t.Fatal(err)
 	}
