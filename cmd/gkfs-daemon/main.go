@@ -87,13 +87,19 @@ func main() {
 	if *metrics != "" {
 		// The operation counters live outside the registry (they predate
 		// it and ride the stats RPC); zip them with their exported names
-		// so /metrics and /statz show one unified catalog.
+		// so /metrics and /statz show one unified catalog. The metadata
+		// store's engine counters join them here.
 		extra := func() map[string]uint64 {
 			vals := d.Stats().Values()
-			m := make(map[string]uint64, len(vals))
+			m := make(map[string]uint64, len(vals)+4)
 			for i, name := range telemetry.DaemonStatNames {
 				m[name] = vals[i]
 			}
+			kv := d.KVStats()
+			m[telemetry.KVMergeFoldsTotal] = kv.MergeFolds
+			m[telemetry.KVMergeResolvesTotal] = kv.MergeResolves
+			m[telemetry.KVFlushesTotal] = kv.Flushes
+			m[telemetry.KVCompactionsTotal] = kv.Compactions
 			return m
 		}
 		statz := func() any {

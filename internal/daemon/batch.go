@@ -163,21 +163,7 @@ func (d *Daemon) handleBatchMeta(req []byte, _ rpc.Bulk) ([]byte, error) {
 					batch.MergeOwned(keyOf[i], operand.Bytes())
 					// Mirror the merger's outcome into the overlay so
 					// later sub-ops of this batch see the grown state.
-					switch {
-					case len(rec.vm.V) == 0:
-						rec.vm.V = []meta.Version{{Epoch: epoch, Meta: meta.Metadata{Mode: meta.ModeRegular}}}
-					case rec.vm.Newest().Tombstone:
-						rec.vm.Stamp(epoch, meta.Metadata{Mode: meta.ModeRegular})
-					case epoch > rec.vm.Newest().Epoch:
-						rec.vm.Stamp(epoch, rec.vm.Newest().Meta)
-					}
-					n := rec.vm.Newest()
-					if op.Size > n.Meta.Size {
-						n.Meta.Size = op.Size
-					}
-					if op.TimeNS > n.Meta.MTimeNS {
-						n.Meta.MTimeNS = op.TimeNS
-					}
+					rec.vm.Grow(epoch, op.Size, op.TimeNS)
 					overlay[op.Path] = rec
 				}
 			}

@@ -183,23 +183,18 @@ func (d *Daemon) Close() error {
 // performs for lock-free size growth. An operand landing on a
 // concurrently removed path recreates a bare regular-file record; GekkoFS
 // accepts this relaxed outcome rather than serializing writers against
-// removers (paper §III-A). The merger must stay deterministic — WAL
-// recovery replays it — so the epoch travels in the operand (stamped by
-// the handler at arrival) and version GC happens only in handlers.
+// removers (paper §III-A); a directory record is never grown (the
+// handlers refuse that up front, but their check is unlocked and an
+// operand racing a mkdir can still land here). The per-operand step is
+// meta.VersionedMeta.Grow. The merger must stay pure — the store folds
+// operands at insert and WAL recovery replays them — so the epoch travels
+// in the operand (stamped by the handler at arrival) and version GC
+// happens only in handlers.
 func sizeMerger(_ []byte, existing []byte, operands [][]byte) []byte {
 	var vm meta.VersionedMeta
 	if existing != nil {
 		if v, err := meta.DecodeVersionedMeta(existing); err == nil {
 			vm = v
-		}
-	}
-	if len(vm.V) > 0 {
-		if md, live := vm.Live(); live && md.IsDir() {
-			// Directories have no size to grow. The handlers refuse size
-			// updates on directory records up front, but that check is
-			// unlocked — an operand racing a mkdir can still land here,
-			// and must not mutate the directory.
-			return append([]byte(nil), existing...)
 		}
 	}
 	for _, op := range operands {
@@ -212,27 +207,7 @@ func sizeMerger(_ []byte, existing []byte, operands [][]byte) []byte {
 		if d.Err() != nil {
 			continue
 		}
-		switch {
-		case len(vm.V) == 0:
-			// Absent (or corrupt) record: recreate at the operand's own
-			// epoch — not epoch 0, which would fabricate history earlier
-			// snapshots could see.
-			vm.V = []meta.Version{{Epoch: epoch, Meta: meta.Metadata{Mode: meta.ModeRegular}}}
-		case vm.Newest().Tombstone:
-			vm.Stamp(epoch, meta.Metadata{Mode: meta.ModeRegular})
-		case epoch > vm.Newest().Epoch:
-			vm.Stamp(epoch, vm.Newest().Meta)
-		}
-		n := vm.Newest()
-		if size > n.Meta.Size {
-			n.Meta.Size = size
-		}
-		if mtime > n.Meta.MTimeNS {
-			n.Meta.MTimeNS = mtime
-		}
-	}
-	if len(vm.V) > meta.MaxVersions {
-		vm.V = vm.V[:meta.MaxVersions]
+		vm.Grow(epoch, size, mtime)
 	}
 	return vm.Encode()
 }

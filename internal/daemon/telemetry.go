@@ -4,6 +4,7 @@ import (
 	"log/slog"
 	"time"
 
+	"repro/internal/kvstore"
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
@@ -84,6 +85,11 @@ func traceHex(id uint64) string {
 // Telemetry returns the daemon's metrics registry (never nil), for the
 // process hosting the daemon to expose over HTTP.
 func (d *Daemon) Telemetry() *telemetry.Registry { return d.reg }
+
+// KVStats snapshots the metadata store's engine counters. They are local
+// to the process hosting the daemon (its /metrics endpoint); the stats
+// RPC does not carry them.
+func (d *Daemon) KVStats() kvstore.Stats { return d.db.Stats() }
 
 // StatsExt snapshots the daemon's latency histograms in the wire shape
 // the OpStats reply appends after the fixed counters. Only histograms

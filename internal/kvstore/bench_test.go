@@ -75,3 +75,35 @@ func BenchmarkMergeSizeUpdate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGetAfterMerges reads a key that took 10, 10³ and 10⁵ merges
+// since its put. The three lines are flat — ns/op, B/op and allocs/op do
+// not depend on the merge count — because inserts keep a key's merge run
+// bounded (fold.go).
+func BenchmarkGetAfterMerges(b *testing.B) {
+	for _, merges := range []int{10, 1000, 100000} {
+		b.Run(fmt.Sprintf("merges=%d", merges), func(b *testing.B) {
+			db, err := Open(Options{FS: vfs.NewMem(), Merger: sizeMax, DisableWAL: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			key := []byte("/shared/file")
+			if err := db.Put(key, u64(0)); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < merges; i++ {
+				if err := db.Merge(key, u64(uint64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Get(key); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

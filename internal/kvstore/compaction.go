@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"math"
 )
 
 // backgroundWork is the single maintenance goroutine: it drains the
@@ -32,12 +33,8 @@ func (db *DB) backgroundWork() {
 			db.mu.Unlock()
 			continue
 		}
-		job, ok := db.pickCompactionLocked(false)
 		db.mu.Unlock()
-		if !ok {
-			continue
-		}
-		if err := db.runCompaction(job); err != nil {
+		if _, err := db.compactOnce(false); err != nil {
 			db.mu.Lock()
 			db.bgErr = err
 			db.cond.Broadcast()
@@ -45,6 +42,22 @@ func (db *DB) backgroundWork() {
 			return
 		}
 	}
+}
+
+// compactOnce picks and runs one compaction step and reports whether
+// there was one to run. compactMu keeps CompactAll and the background
+// worker from picking the same input tables, which the loser would find
+// deleted.
+func (db *DB) compactOnce(force bool) (bool, error) {
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
+	db.mu.Lock()
+	job, ok := db.pickCompactionLocked(force)
+	db.mu.Unlock()
+	if !ok {
+		return false, nil
+	}
+	return true, db.runCompaction(job)
 }
 
 // needsCompactionLocked reports whether any level exceeds its trigger.
@@ -120,28 +133,18 @@ func (db *DB) allocFileNum() uint64 {
 	return n
 }
 
-// buildTable streams an iterator into one table file.
-func (db *DB) buildTable(num uint64, it internalIterator) (tableMeta, error) {
-	f, err := db.fs.Create(sstName(num))
-	if err != nil {
-		return tableMeta{}, err
+// flushTable writes a memtable out as one L0 table (returned as a
+// one-element slice, ready to prepend to the level). Like compaction it
+// keeps one record per key — the newest put or tombstone, or the bare
+// operands of a key the memtable only ever merged into — rather than
+// every shadowed version, so a hot key costs L0 one record however often
+// it was rewritten.
+func (db *DB) flushTable(mt *memTable) ([]tableMeta, error) {
+	out := &compactionOutput{db: db, target: math.MaxInt64}
+	if err := db.compactInto(out, mt.iter(), false); err != nil {
+		return nil, err
 	}
-	w := newSSTWriter(f, num)
-	for it.seekFirst(); it.valid(); it.next() {
-		if err := w.add(it.cur(), db.opts.BlockBytes); err != nil {
-			f.Close()
-			return tableMeta{}, err
-		}
-	}
-	t, err := w.finish(db.opts.BloomBitsPerKey)
-	if err != nil {
-		f.Close()
-		return tableMeta{}, err
-	}
-	if err := f.Close(); err != nil {
-		return tableMeta{}, err
-	}
-	return t, nil
+	return out.out, nil
 }
 
 // flushImm writes the oldest immutable memtable to a fresh L0 table,
@@ -156,14 +159,13 @@ func (db *DB) flushImm(im immTable) error {
 		}
 		return nil
 	}
-	num := db.allocFileNum()
-	t, err := db.buildTable(num, im.mt.iter())
+	tables, err := db.flushTable(im.mt)
 	if err != nil {
 		return err
 	}
 	db.mu.Lock()
 	nv := db.vers.clone()
-	nv.levels[0] = append([]tableMeta{t}, nv.levels[0]...)
+	nv.levels[0] = append(tables, nv.levels[0]...)
 	db.vers = nv
 	db.imm = db.imm[1:]
 	db.stats.Flushes++
@@ -189,13 +191,14 @@ func (db *DB) persistManifestLocked() error {
 	})
 }
 
-// compactionOutput rolls entries into output tables of roughly
-// TargetFileBytes each.
+// compactionOutput rolls entries into output tables of roughly target
+// bytes each.
 type compactionOutput struct {
-	db  *DB
-	w   *sstWriter
-	num uint64
-	out []tableMeta
+	db     *DB
+	target int64
+	w      *sstWriter
+	num    uint64
+	out    []tableMeta
 }
 
 func (o *compactionOutput) add(e *entry) error {
@@ -210,7 +213,7 @@ func (o *compactionOutput) add(e *entry) error {
 	if err := o.w.add(e, o.db.opts.BlockBytes); err != nil {
 		return err
 	}
-	if o.w.offset+int64(len(o.w.block)) >= o.db.opts.TargetFileBytes {
+	if o.w.offset+int64(len(o.w.block)) >= o.target {
 		return o.roll()
 	}
 	return nil
@@ -257,30 +260,8 @@ func (db *DB) runCompaction(job compactionJob) error {
 		}
 		srcs = append(srcs, r.iter())
 	}
-	it := newMergeIter(srcs)
-	out := &compactionOutput{db: db}
-
-	it.seekFirst()
-	var versions []entry
-	for it.valid() {
-		// Gather the full version run of the current user key.
-		versions = versions[:0]
-		key := append([]byte(nil), it.cur().key...)
-		for it.valid() && bytes.Equal(it.cur().key, key) {
-			c := it.cur()
-			versions = append(versions, entry{
-				key:  key,
-				val:  append([]byte(nil), c.val...),
-				seq:  c.seq,
-				kind: c.kind,
-			})
-			it.next()
-		}
-		if err := emitCompacted(db, out, key, versions, isBottom); err != nil {
-			return err
-		}
-	}
-	if err := out.roll(); err != nil {
+	out := &compactionOutput{db: db, target: db.opts.TargetFileBytes}
+	if err := db.compactInto(out, newMergeIter(srcs), isBottom); err != nil {
 		return err
 	}
 
@@ -305,46 +286,45 @@ func (db *DB) runCompaction(job compactionJob) error {
 	return err
 }
 
-// emitCompacted writes the surviving representation of one key's
-// newest-first version run.
-func emitCompacted(db *DB, out *compactionOutput, key []byte, versions []entry, isBottom bool) error {
-	if len(versions) == 0 {
-		return nil
+// compactInto streams it into out one key at a time, each key's version
+// run reduced to its surviving representation, and closes the last table.
+func (db *DB) compactInto(out *compactionOutput, it internalIterator, isBottom bool) error {
+	var f chainFold
+	for it.seekFirst(); it.valid(); {
+		key := it.cur().key
+		f.reset()
+		for ; it.valid() && bytes.Equal(it.cur().key, key); it.next() {
+			if f.base == nil {
+				f.add(it.cur())
+			}
+		}
+		if err := db.emitCompacted(out, key, &f, isBottom); err != nil {
+			return err
+		}
 	}
-	newest := versions[0]
-	switch newest.kind {
-	case kindPut:
-		return out.add(&newest)
-	case kindDelete:
-		if isBottom {
+	return out.roll()
+}
+
+// emitCompacted writes the surviving representation of one key's version
+// run, folded into f. Versions beneath the chain's base are dropped, and
+// at the bottom of the tree so is a tombstone; reader snapshots are not
+// consulted (iterators and point reads pin the memtables and tables they
+// started on instead).
+func (db *DB) emitCompacted(out *compactionOutput, key []byte, f *chainFold, isBottom bool) error {
+	switch {
+	case len(f.ops) == 0:
+		if f.base.kind == kindDelete && isBottom {
 			return nil // tombstone and everything below it vanish
 		}
-		return out.add(&newest)
-	}
-	// Merge chain: collect operands down to the first base.
-	var operands [][]byte // newest-first
-	for i := range versions {
-		v := &versions[i]
-		switch v.kind {
-		case kindMerge:
-			operands = append(operands, v.val)
-			continue
-		case kindPut:
-			merged := db.applyMerge(key, v.val, operands)
-			return out.add(&entry{key: key, val: merged, seq: newest.seq, kind: kindPut})
-		case kindDelete:
-			merged := db.applyMerge(key, nil, operands)
-			return out.add(&entry{key: key, val: merged, seq: newest.seq, kind: kindPut})
-		}
-	}
-	if isBottom {
-		// No base anywhere below: merge against absence.
-		merged := db.applyMerge(key, nil, operands)
-		return out.add(&entry{key: key, val: merged, seq: newest.seq, kind: kindPut})
+		return out.add(f.base)
+	case f.base != nil || isBottom:
+		// A base in reach, or none anywhere below: the chain collapses.
+		val, _ := db.foldValue(key, f, nil)
+		return out.add(&entry{key: key, val: val, seq: f.ops[0].seq, kind: kindPut})
 	}
 	// A base may exist in deeper levels; the operands must survive as-is.
-	for i := range versions {
-		if err := out.add(&versions[i]); err != nil {
+	for _, op := range f.ops {
+		if err := out.add(op); err != nil {
 			return err
 		}
 	}

@@ -1,12 +1,12 @@
 package kvstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/vfs"
 )
@@ -14,7 +14,11 @@ import (
 // MergeOperator combines a key's existing value (nil if absent) with merge
 // operands, oldest first, producing the new value. GekkoFS daemons use it
 // for lock-free file-size updates, mirroring the released system's RocksDB
-// merge operands.
+// merge operands. The store folds operands whenever it likes — at insert,
+// on WAL replay, at flush, in compaction — so the operator must be a pure
+// function of its arguments, must return a fresh buffer, and applying it
+// in steps must equal applying it once:
+// m(k, m(k, v, a), b) == m(k, v, a++b).
 type MergeOperator func(key, existing []byte, operands [][]byte) []byte
 
 // Options tunes a DB. The zero value plus an FS is usable; defaults follow
@@ -82,6 +86,10 @@ type Stats struct {
 	Puts, Gets, Deletes, Merges uint64
 	// Flushes counts memtable flushes; Compactions counts table merges.
 	Flushes, Compactions uint64
+	// MergeFolds counts merge operands stored as the folded put at insert;
+	// MergeResolves counts the folds among them that had to look the base
+	// up below the active memtable because a run reached its bound.
+	MergeFolds, MergeResolves uint64
 	// TablesPerLevel is the current table count per level.
 	TablesPerLevel [numLevels]int
 	// MemBytes is the active memtable's approximate size.
@@ -103,6 +111,8 @@ type DB struct {
 	opts Options
 	fs   vfs.FS
 
+	compactMu sync.Mutex // serialises compactions; taken before mu
+
 	mu       sync.Mutex
 	cond     *sync.Cond // signals the background worker
 	mem      *memTable
@@ -123,6 +133,9 @@ type DB struct {
 	// are deleted once no reader references them.
 	obsoleteTables []uint64
 	stats          Stats
+	// visited counts the versions chain folds examined; tests pin read
+	// cost on it.
+	visited atomic.Uint64
 
 	keyLocks [64]sync.Mutex // striped locks backing PutIfAbsent
 }
@@ -194,7 +207,7 @@ func (db *DB) recoverWALs() error {
 			return err
 		}
 		maxSeq, err := replayWAL(f, func(e entry) {
-			db.mem.add(e)
+			db.insertLocked(e)
 			recovered = true
 		})
 		f.Close()
@@ -206,13 +219,11 @@ func (db *DB) recoverWALs() error {
 		}
 	}
 	if recovered {
-		num := db.nextFile
-		db.nextFile++
-		t, err := db.buildTable(num, db.mem.iter())
+		tables, err := db.flushTable(db.mem)
 		if err != nil {
 			return err
 		}
-		db.vers.levels[0] = append([]tableMeta{t}, db.vers.levels[0]...)
+		db.vers.levels[0] = append(tables, db.vers.levels[0]...)
 		db.mem = newMemTable(int64(db.seq) + 1)
 		if err := db.persistManifestLocked(); err != nil {
 			return err
@@ -252,8 +263,12 @@ func (db *DB) Delete(key []byte) error {
 	return db.apply([]entry{{key: key, kind: kindDelete}})
 }
 
-// Merge records a merge operand for key, resolved lazily by
-// Options.Merger.
+// Merge records a merge operand for key. The log keeps the operand. The
+// memtable keeps it too while the key has only a few bare operands there;
+// once the key's newest version is a put or a delete, or the operand would
+// be its mergeRunBound-th in a row, the memtable keeps the value
+// Options.Merger folds it into instead (insertLocked) — so resolving a key
+// never costs more than a bounded walk.
 func (db *DB) Merge(key, operand []byte) error {
 	if db.opts.Merger == nil {
 		return ErrNoMerger
@@ -366,7 +381,6 @@ func (db *DB) applyEntries(ops []entry, owned bool) error {
 			e.key = append([]byte(nil), ops[i].key...)
 			e.val = append([]byte(nil), ops[i].val...)
 		}
-		db.mem.add(e)
 		switch e.kind {
 		case kindPut:
 			db.stats.Puts++
@@ -375,6 +389,7 @@ func (db *DB) applyEntries(ops []entry, owned bool) error {
 		case kindMerge:
 			db.stats.Merges++
 		}
+		db.insertLocked(e)
 	}
 
 	if db.mem.sizeBytes() >= db.opts.MemTableBytes {
@@ -412,26 +427,24 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	db.stats.Gets++
-	mem := db.mem
-	imms := make([]*memTable, len(db.imm))
-	for i := range db.imm {
-		imms[i] = db.imm[i].mt
-	}
-	vers := db.vers
-	snap := db.seq
+	// db.imm is only ever trimmed at the front and appended to at the back,
+	// so the elements this header covers are never rewritten.
+	mem, imm, vers, snap := db.mem, db.imm, db.vers, db.seq
 	// Hold the tables of vers open across the lookup, as NewIterator does:
 	// without the reference a compaction finishing after the unlock would
-	// close and unlink them under collectChain, failing a lookup the
-	// caller did nothing to deserve.
+	// close and unlink them under the fold, failing a lookup the caller
+	// did nothing to deserve.
 	db.iterRefs++
 	db.mu.Unlock()
 	defer db.releaseIterRefs()
 
-	chain, err := db.collectChain(key, snap, mem, imms, vers)
-	if err != nil {
-		return nil, err
+	var f chainFold
+	if !mem.fold(key, snap, &f) {
+		if err := db.foldBelow(key, snap, imm, vers, &f, db.reader); err != nil {
+			return nil, err
+		}
 	}
-	val, live := db.resolveChain(key, chain)
+	val, live := db.foldValue(key, &f, nil)
 	if !live {
 		return nil, ErrNotFound
 	}
@@ -448,106 +461,6 @@ func (db *DB) Has(key []byte) (bool, error) {
 		return false, nil
 	}
 	return false, err
-}
-
-// collectChain gathers the newest-first version chain of key, stopping at
-// the first non-merge entry, searching memtable, immutables, then tables.
-func (db *DB) collectChain(key []byte, snap uint64, mem *memTable, imms []*memTable, vers *version) ([]entry, error) {
-	var chain []entry
-	need := func() bool { return len(chain) == 0 || chain[len(chain)-1].kind == kindMerge }
-
-	appendVersions := func(vs []entry) {
-		for i := range vs {
-			if !need() {
-				return
-			}
-			if vs[i].seq > snap {
-				continue
-			}
-			chain = append(chain, entry{
-				key:  key,
-				val:  append([]byte(nil), vs[i].val...),
-				seq:  vs[i].seq,
-				kind: vs[i].kind,
-			})
-		}
-	}
-
-	appendVersions(mem.get(key, snap))
-	for i := len(imms) - 1; i >= 0 && need(); i-- {
-		appendVersions(imms[i].get(key, snap))
-	}
-	// L0 newest-first.
-	for _, t := range vers.levels[0] {
-		if !need() {
-			return chain, nil
-		}
-		r, err := db.reader(t)
-		if err != nil {
-			return nil, err
-		}
-		vs, err := r.get(key, snap)
-		if err != nil {
-			return nil, err
-		}
-		appendVersions(vs)
-	}
-	for l := 1; l < numLevels && need(); l++ {
-		tables := vers.levels[l]
-		i := sort.Search(len(tables), func(i int) bool { return bytes.Compare(tables[i].largest, key) >= 0 })
-		if i >= len(tables) || bytes.Compare(tables[i].smallest, key) > 0 {
-			continue
-		}
-		r, err := db.reader(tables[i])
-		if err != nil {
-			return nil, err
-		}
-		vs, err := r.get(key, snap)
-		if err != nil {
-			return nil, err
-		}
-		appendVersions(vs)
-	}
-	return chain, nil
-}
-
-// resolveChain folds a newest-first version chain into the key's live
-// value.
-func (db *DB) resolveChain(key []byte, chain []entry) ([]byte, bool) {
-	var operands [][]byte // collected newest-first
-	for i := range chain {
-		switch chain[i].kind {
-		case kindMerge:
-			operands = append(operands, chain[i].val)
-		case kindPut:
-			return db.applyMerge(key, chain[i].val, operands), true
-		case kindDelete:
-			if len(operands) == 0 {
-				return nil, false
-			}
-			return db.applyMerge(key, nil, operands), true
-		}
-	}
-	if len(operands) == 0 {
-		return nil, false
-	}
-	return db.applyMerge(key, nil, operands), true
-}
-
-// applyMerge runs the merge operator with operands reordered oldest-first.
-func (db *DB) applyMerge(key, existing []byte, newestFirst [][]byte) []byte {
-	if len(newestFirst) == 0 {
-		return existing
-	}
-	oldest := make([][]byte, len(newestFirst))
-	for i := range newestFirst {
-		oldest[len(newestFirst)-1-i] = newestFirst[i]
-	}
-	if db.opts.Merger == nil {
-		// Without a merger the newest operand wins (last-write-wins).
-		return oldest[len(oldest)-1]
-	}
-	return db.opts.Merger(key, existing, oldest)
 }
 
 // PutIfAbsent atomically stores key=value if the key has no live value,
@@ -627,6 +540,12 @@ func (db *DB) WithKeyLocks(keys [][]byte, fn func() error) error {
 func (db *DB) reader(t tableMeta) (*sstReader, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.readerLocked(t)
+}
+
+// readerLocked is reader for callers already inside the lock. Caller
+// holds db.mu.
+func (db *DB) readerLocked(t tableMeta) (*sstReader, error) {
 	if r, ok := db.readers[t.num]; ok {
 		return r, nil
 	}
@@ -726,13 +645,7 @@ func (db *DB) CompactAll() error {
 		return err
 	}
 	for {
-		db.mu.Lock()
-		job, ok := db.pickCompactionLocked(true)
-		db.mu.Unlock()
-		if !ok {
-			return nil
-		}
-		if err := db.runCompaction(job); err != nil {
+		if ok, err := db.compactOnce(true); err != nil || !ok {
 			return err
 		}
 	}

@@ -4,10 +4,19 @@
 //
 //   - point puts/gets/deletes with a write-ahead log and crash recovery,
 //   - a merge operator (GekkoFS updates file sizes with RocksDB merge
-//     operands; internal/daemon does the same here),
+//     operands; internal/daemon does the same here) whose operands are
+//     folded as they are inserted, so a key's merge run is bounded
+//     (mergeRunBound, RocksDB's max_successive_merges) and a point read
+//     costs the same however often the key was merged into,
 //   - ordered iteration for the daemons' readdir scans,
 //   - memtable flush into SSTables with bloom filters and leveled
 //     compaction, tuned like an LSM for low-latency NAND storage.
+//
+// The bounded run is an invariant of every memtable, enforced wherever one
+// is filled or emptied: inserts and WAL replay go through DB.insertLocked
+// (the log itself keeps the caller's operands), and flush, the recovery
+// flush and compaction write one record per key. One resolver, chainFold,
+// folds version chains for all of them and for reads (fold.go).
 //
 // The store is safe for concurrent use by multiple goroutines.
 package kvstore

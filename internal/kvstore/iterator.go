@@ -119,37 +119,26 @@ func (i *Iterator) skipRestOfKey(key []byte) {
 }
 
 // settle advances the underlying merged stream to the next key whose
-// resolved state is a live value, loading Key/Value.
+// resolved state is a live value, loading Key/Value. It stops consuming a
+// key's versions once its chain closes; Next skips the rest.
 func (i *Iterator) settle() {
 	i.ok = false
+	var f chainFold
 	for i.it.valid() {
-		e := i.it.cur()
-		if e.seq > i.snap {
-			// Version newer than the snapshot: ignore it and look at
-			// older versions of the same key.
-			i.it.next()
-			continue
-		}
-		key := append([]byte(nil), e.key...)
-		// Collect the visible version chain for this key.
-		var chain []entry
-		for i.it.valid() && bytes.Equal(i.it.cur().key, key) {
-			c := i.it.cur()
-			if c.seq <= i.snap && (len(chain) == 0 || chain[len(chain)-1].kind == kindMerge) {
-				chain = append(chain, entry{
-					key:  key,
-					val:  append([]byte(nil), c.val...),
-					seq:  c.seq,
-					kind: c.kind,
-				})
+		key := i.it.cur().key
+		f.reset()
+		for f.base == nil && i.it.valid() && bytes.Equal(i.it.cur().key, key) {
+			// Versions newer than the snapshot are passed over.
+			if c := i.it.cur(); c.seq <= i.snap {
+				f.add(c)
 			}
 			i.it.next()
 		}
-		val, live := i.db.resolveChain(key, chain)
-		if live {
-			i.key, i.val, i.ok = key, val, true
+		if val, live := i.db.foldValue(key, &f, nil); live {
+			i.key, i.val, i.ok = append([]byte(nil), key...), val, true
 			return
 		}
+		i.skipRestOfKey(key)
 	}
 }
 

@@ -11,8 +11,9 @@ const (
 )
 
 // memTable is a skiplist-backed sorted buffer of entries. Writers insert;
-// nothing is ever removed (newer sequence numbers shadow older versions),
-// which keeps iteration simple and lock scopes short.
+// nothing is ever removed or rewritten (newer sequence numbers shadow
+// older versions), which keeps iteration simple and lock scopes short and
+// lets readers hold entries by reference.
 type memTable struct {
 	mu     sync.RWMutex
 	head   *skipNode
@@ -81,23 +82,21 @@ func (m *memTable) seekGE(probe *entry) *skipNode {
 	return x.next[0]
 }
 
-// get returns the newest version of key at or below maxSeq, walking the
-// key's version run (sorted newest-first).
-//
-// The returned values alias memtable memory; callers must copy before
-// retaining (db.Get copies).
-func (m *memTable) get(key []byte, maxSeq uint64) (versions []entry) {
+// fold feeds f the versions of key at or below maxSeq, newest first,
+// until one closes the chain, and reports whether one did. The walk under
+// the read lock is short by construction: DB.insertLocked keeps a key's
+// merge operands fewer than mergeRunBound and beneath its first put or
+// delete.
+func (m *memTable) fold(key []byte, maxSeq uint64, f *chainFold) (closed bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	probe := entry{key: key, seq: maxSeq}
 	for n := m.seekGE(&probe); n != nil && string(n.ent.key) == string(key); n = n.next[0] {
-		versions = append(versions, n.ent)
-		// Merge chains need all versions down to the first put/delete.
-		if n.ent.kind != kindMerge {
-			break
+		if f.add(&n.ent) {
+			return true
 		}
 	}
-	return versions
+	return false
 }
 
 // sizeBytes returns the approximate memory footprint.

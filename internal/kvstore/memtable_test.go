@@ -39,14 +39,14 @@ func TestMemTableVersionsNewestFirst(t *testing.T) {
 	mt.add(entry{key: []byte("k"), val: []byte("v2"), seq: 2, kind: kindPut})
 	mt.add(entry{key: []byte("k"), val: []byte("v3"), seq: 3, kind: kindPut})
 
-	vs := mt.get([]byte("k"), 100)
-	if len(vs) != 1 || string(vs[0].val) != "v3" {
-		t.Fatalf("get = %v, want single newest v3", vs)
+	var f chainFold
+	if !mt.fold([]byte("k"), 100, &f) || f.seen != 1 || string(f.base.val) != "v3" {
+		t.Fatalf("fold = %+v, want single newest v3", f)
 	}
 	// Snapshot below the newest version sees the older one.
-	vs = mt.get([]byte("k"), 2)
-	if len(vs) != 1 || string(vs[0].val) != "v2" {
-		t.Fatalf("snapshot get = %v, want v2", vs)
+	f.reset()
+	if !mt.fold([]byte("k"), 2, &f) || f.seen != 1 || string(f.base.val) != "v2" {
+		t.Fatalf("snapshot fold = %+v, want v2", f)
 	}
 }
 
@@ -56,20 +56,21 @@ func TestMemTableMergeChainCollection(t *testing.T) {
 	mt.add(entry{key: []byte("k"), val: []byte("m1"), seq: 2, kind: kindMerge})
 	mt.add(entry{key: []byte("k"), val: []byte("m2"), seq: 3, kind: kindMerge})
 
-	vs := mt.get([]byte("k"), 100)
-	if len(vs) != 3 {
-		t.Fatalf("chain length = %d, want 3 (m2, m1, base)", len(vs))
+	var f chainFold
+	if !mt.fold([]byte("k"), 100, &f) || f.seen != 3 {
+		t.Fatalf("chain length = %d, want 3 (m2, m1, base)", f.seen)
 	}
-	if string(vs[0].val) != "m2" || string(vs[1].val) != "m1" || string(vs[2].val) != "base" {
-		t.Fatalf("chain = %v", vs)
+	if string(f.ops[0].val) != "m2" || string(f.ops[1].val) != "m1" || string(f.base.val) != "base" {
+		t.Fatalf("chain = %+v", f)
 	}
 }
 
 func TestMemTableGetAbsent(t *testing.T) {
 	mt := newMemTable(1)
 	mt.add(entry{key: []byte("a"), seq: 1, kind: kindPut})
-	if vs := mt.get([]byte("b"), 10); len(vs) != 0 {
-		t.Fatalf("absent key returned %v", vs)
+	var f chainFold
+	if mt.fold([]byte("b"), 10, &f) || f.seen != 0 {
+		t.Fatalf("absent key returned %+v", f)
 	}
 }
 

@@ -273,37 +273,33 @@ func (r *sstReader) blockFor(probe *entry) int {
 	})
 }
 
-// get collects the version chain for key starting at maxSeq, in
-// newest-first order, stopping after the first non-merge entry, matching
-// memTable.get semantics.
-func (r *sstReader) get(key []byte, maxSeq uint64) ([]entry, error) {
+// fold feeds f the versions of key at or below maxSeq, newest first,
+// until one closes the chain, matching memTable.fold.
+func (r *sstReader) fold(key []byte, maxSeq uint64, f *chainFold) (closed bool, err error) {
 	if !r.filter.mayContain(key) {
-		return nil, nil
+		return false, nil
 	}
 	if bytes.Compare(key, r.meta.smallest) < 0 || bytes.Compare(key, r.meta.largest) > 0 {
-		return nil, nil
+		return false, nil
 	}
 	probe := entry{key: key, seq: maxSeq}
-	bi := r.blockFor(&probe)
-	var versions []entry
-	for ; bi < len(r.index); bi++ {
+	for bi := r.blockFor(&probe); bi < len(r.index); bi++ {
 		ents, err := r.readBlock(bi)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		i := sort.Search(len(ents), func(i int) bool { return compareEntries(&ents[i], &probe) >= 0 })
 		for ; i < len(ents); i++ {
 			if !bytes.Equal(ents[i].key, key) {
-				return versions, nil
+				return false, nil
 			}
-			versions = append(versions, ents[i])
-			if ents[i].kind != kindMerge {
-				return versions, nil
+			if f.add(&ents[i]) {
+				return true, nil
 			}
 		}
 		// Version run continues into the next block.
 	}
-	return versions, nil
+	return false, nil
 }
 
 // iter returns an iterator over the whole table.

@@ -50,16 +50,18 @@ func TestSSTableRoundTrip(t *testing.T) {
 
 	for i := 0; i < 500; i += 37 {
 		key := []byte(fmt.Sprintf("key-%05d", i))
-		vs, err := r.get(key, ^uint64(0))
+		var f chainFold
+		closed, err := r.fold(key, ^uint64(0), &f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(vs) != 1 || string(vs[0].val) != fmt.Sprintf("val-%d", i) {
-			t.Fatalf("get(%q) = %v", key, vs)
+		if !closed || f.seen != 1 || string(f.base.val) != fmt.Sprintf("val-%d", i) {
+			t.Fatalf("fold(%q) = %+v", key, f)
 		}
 	}
-	if vs, _ := r.get([]byte("nope"), ^uint64(0)); len(vs) != 0 {
-		t.Fatalf("absent key returned %v", vs)
+	var f chainFold
+	if closed, _ := r.fold([]byte("nope"), ^uint64(0), &f); closed || f.seen != 0 {
+		t.Fatalf("absent key returned %+v", f)
 	}
 }
 
@@ -110,7 +112,7 @@ func TestSSTableIterSeek(t *testing.T) {
 
 func TestSSTableVersionRunAcrossBlocks(t *testing.T) {
 	// Many versions of one key with tiny blocks: the version run spans
-	// blocks, and get must keep collecting merge operands across block
+	// blocks, and fold must keep collecting merge operands across block
 	// boundaries.
 	var ents []entry
 	for seq := 50; seq >= 2; seq-- {
@@ -118,14 +120,15 @@ func TestSSTableVersionRunAcrossBlocks(t *testing.T) {
 	}
 	ents = append(ents, entry{key: []byte("k"), val: []byte("base"), seq: 1, kind: kindPut})
 	r := buildTestTable(t, ents, 32)
-	vs, err := r.get([]byte("k"), ^uint64(0))
+	var f chainFold
+	closed, err := r.fold([]byte("k"), ^uint64(0), &f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vs) != 50 {
-		t.Fatalf("collected %d versions, want 50 (49 merges + base)", len(vs))
+	if f.seen != 50 || len(f.ops) != 49 {
+		t.Fatalf("collected %d versions, want 50 (49 merges + base)", f.seen)
 	}
-	if vs[len(vs)-1].kind != kindPut {
+	if !closed || f.base.kind != kindPut {
 		t.Fatal("chain did not terminate at the base put")
 	}
 }
@@ -168,12 +171,14 @@ func TestSSTableSnapshotGet(t *testing.T) {
 		{key: []byte("k"), val: []byte("old"), seq: 5, kind: kindPut},
 	}
 	r := buildTestTable(t, ents, 4096)
-	vs, err := r.get([]byte("k"), 7)
-	if err != nil || len(vs) != 1 || string(vs[0].val) != "old" {
-		t.Fatalf("snapshot get = %v, %v; want old", vs, err)
+	var f chainFold
+	closed, err := r.fold([]byte("k"), 7, &f)
+	if err != nil || !closed || f.seen != 1 || string(f.base.val) != "old" {
+		t.Fatalf("snapshot fold = %+v, %v; want old", f, err)
 	}
-	vs, err = r.get([]byte("k"), 4)
-	if err != nil || len(vs) != 0 {
-		t.Fatalf("pre-creation snapshot returned %v", vs)
+	f.reset()
+	closed, err = r.fold([]byte("k"), 4, &f)
+	if err != nil || closed || f.seen != 0 {
+		t.Fatalf("pre-creation snapshot returned %+v", f)
 	}
 }

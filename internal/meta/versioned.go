@@ -197,6 +197,34 @@ func (vm *VersionedMeta) StampTombstone(epoch uint64) {
 	vm.V[0] = Version{Epoch: epoch, Tombstone: true}
 }
 
+// Grow applies one size-grow step at epoch: the newest version's size
+// and mtime become the maximum of what they were and the candidate. An
+// absent history (no versions) or a tombstoned key is recreated as a bare
+// regular file at epoch — not at epoch 0, which would fabricate history
+// earlier snapshots could see — and a newer epoch stamps a new version
+// first, so a pinned snapshot keeps the pre-grow state. A live directory
+// has no size to grow and is left untouched. It is the one definition of
+// the step, shared by the daemon's merge operator (which also folds it
+// at insert and replay) and the batch handler's overlay.
+func (vm *VersionedMeta) Grow(epoch uint64, size, mtimeNS int64) {
+	switch {
+	case len(vm.V) == 0:
+		vm.V = []Version{{Epoch: epoch, Meta: Metadata{Mode: ModeRegular}}}
+	case vm.V[0].Tombstone:
+		vm.Stamp(epoch, Metadata{Mode: ModeRegular})
+	case vm.V[0].Meta.IsDir():
+		return
+	case epoch > vm.V[0].Epoch:
+		vm.Stamp(epoch, vm.V[0].Meta)
+	}
+	if len(vm.V) > MaxVersions {
+		vm.V = vm.V[:MaxVersions]
+	}
+	m := &vm.V[0].Meta
+	m.Size = max(m.Size, size)
+	m.MTimeNS = max(m.MTimeNS, mtimeNS)
+}
+
 // Compact drops versions no retained snapshot can see: it keeps the
 // newest version plus, for each retained epoch, the version visible at
 // it, then enforces MaxVersions by dropping oldest. retained need not

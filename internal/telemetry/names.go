@@ -31,6 +31,19 @@ const (
 	DaemonOpSnapshotDropNS   = "gkfs_daemon_op_snapshot_drop_ns"
 )
 
+// Metadata-store counters (kvstore.Stats), exported by gkfs-daemon next
+// to the operation counters. Folds are merge operands stored as the
+// folded put at insert; resolves are the folds that had to look the base
+// up below the active memtable because a key's merge run reached its
+// bound — a resolve rate near the fold rate means hot keys keep losing
+// their base to memtable rotation.
+const (
+	KVMergeFoldsTotal    = "gkfs_kv_merge_folds_total"
+	KVMergeResolvesTotal = "gkfs_kv_merge_resolves_total"
+	KVFlushesTotal       = "gkfs_kv_flushes_total"
+	KVCompactionsTotal   = "gkfs_kv_compactions_total"
+)
+
 // Client-side metrics. The rpc histograms time the full call round
 // trip by family (write = OpWriteChunks, read = OpReadChunks,
 // everything else meta); the wait histograms time the client-side
@@ -85,9 +98,10 @@ var DaemonStatNames = []string{
 	"gkfs_daemon_snapshot_cow_bytes_total",
 }
 
-// Catalog returns every exported metric name, sorted: the registry
-// names above plus the DaemonStats-derived counters. This is what
-// `gkfs-daemon -print-metrics` prints and what the doc gate checks.
+// Catalog returns every exported metric name, sorted: the registry and
+// metadata-store names above plus the DaemonStats-derived counters. This
+// is what `gkfs-daemon -print-metrics` prints and what the doc gate
+// checks.
 func Catalog() []string {
 	names := []string{
 		DaemonQueueWaitNS,
@@ -97,6 +111,8 @@ func Catalog() []string {
 		DaemonOpRemoveChunksNS, DaemonOpTruncateChunksNS,
 		DaemonOpReadDirNS, DaemonOpStatsNS, DaemonOpBatchMetaNS,
 		DaemonOpSnapshotNS, DaemonOpSnapshotListNS, DaemonOpSnapshotDropNS,
+
+		KVMergeFoldsTotal, KVMergeResolvesTotal, KVFlushesTotal, KVCompactionsTotal,
 
 		ClientRPCMetaNS, ClientRPCWriteNS, ClientRPCReadNS,
 		ClientRPCInflight,
