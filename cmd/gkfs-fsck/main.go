@@ -50,11 +50,10 @@ type checker struct {
 	replicas int
 	dist     distributor.Distributor
 
-	// snap pins every namespace and data read to epoch (-snapshot): the
-	// checker then verifies the pinned view — version history resolution,
-	// chunk pre-images — instead of the live namespace, whose epoch is
-	// client.LiveEpoch.
-	snap  bool
+	// epoch is what every namespace and data read is made at: the live
+	// namespace's client.LiveEpoch, or with -snapshot the tag's pinned
+	// epoch — the checker then verifies the pinned view (version history
+	// resolution, chunk pre-images).
 	epoch uint64
 
 	dirs, files, bytes int64
@@ -67,23 +66,13 @@ func (ck *checker) problem(format string, args ...interface{}) {
 	fmt.Printf("PROBLEM: "+format+"\n", args...)
 }
 
-// statFS and readDirFS pin to the snapshot epoch when one is in play.
-func (ck *checker) statFS(p string) (client.FileInfo, error) {
-	if ck.snap {
-		return ck.c.StatAt(p, ck.epoch)
-	}
-	return ck.c.Stat(p)
-}
-
-func (ck *checker) readDirFS(p string) ([]client.DirEntry, error) {
-	if ck.snap {
-		return ck.c.ReadDirAt(p, ck.epoch)
-	}
-	return ck.c.ReadDir(p)
-}
+// pinned reports whether the checker reads a snapshot rather than the
+// live namespace: a pinned view has no concurrent writers to excuse a
+// disagreement.
+func (ck *checker) pinned() bool { return ck.epoch != client.LiveEpoch }
 
 func (ck *checker) walk(dir string) {
-	ents, err := ck.readDirFS(dir)
+	ents, err := ck.c.ReadDirAt(dir, ck.epoch)
 	if err != nil {
 		ck.problem("readdir %s: %v", dir, err)
 		return
@@ -93,7 +82,7 @@ func (ck *checker) walk(dir string) {
 		if dir == "/" {
 			path = "/" + e.Name
 		}
-		info, err := ck.statFS(path)
+		info, err := ck.c.StatAt(path, ck.epoch)
 		if err != nil {
 			ck.problem("listed entry %s does not stat: %v", path, err)
 			continue
@@ -109,7 +98,7 @@ func (ck *checker) walk(dir string) {
 		ck.files++
 		ck.bytes += info.Size()
 		if !e.IsDir && e.Size != info.Size() {
-			if ck.snap {
+			if ck.pinned() {
 				// A pinned epoch has no concurrent writers to excuse a
 				// lag: both reads resolve the same version history, so
 				// disagreement means the history itself is torn.
@@ -231,18 +220,7 @@ func (ck *checker) checkManifest(mf *staging.Manifest, root string) {
 			paths[i] = "/" + ent.Rel
 		}
 	}
-	infos := make([]client.FileInfo, len(ents))
-	errs := make([]error, len(ents))
-	if ck.snap {
-		// Snapshot mode resolves each entry against the pinned version
-		// history instead of the live record (the batched metadata plane
-		// has no epoch dimension; a manifest check is not hot-path).
-		for i := range paths {
-			infos[i], errs[i] = ck.c.StatAt(paths[i], ck.epoch)
-		}
-	} else {
-		infos, errs = ck.c.StatMany(paths)
-	}
+	infos, errs := ck.c.StatManyAt(paths, ck.epoch)
 	hashed := 0
 	for i, ent := range ents {
 		switch {
@@ -261,7 +239,7 @@ func (ck *checker) checkManifest(mf *staging.Manifest, root string) {
 		// In snapshot mode a recorded hash is re-provable: the pinned
 		// pre-image bytes must still produce it, however many times the
 		// live file was overwritten since the tag was staged out.
-		if ck.snap && !ent.Dir && ent.Hash != "" {
+		if ck.pinned() && !ent.Dir && ent.Hash != "" {
 			if sum, err := ck.hashAtEpoch(paths[i], ent.Size); err != nil {
 				ck.problem("manifest entry %s: hash pre-image: %v", paths[i], err)
 			} else if sum != ent.Hash {
@@ -355,7 +333,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gkfs-fsck: snapshot %q: %v\n", *snapTag, err)
 			os.Exit(1)
 		}
-		ck.snap, ck.epoch = true, epoch
+		ck.epoch = epoch
 		fmt.Printf("snapshot: checking tag %s, pinned at epoch %d\n", *snapTag, epoch)
 	}
 	begin := time.Now()

@@ -199,26 +199,40 @@ func (s *Store) WriteChunkEpoch(path string, id meta.ChunkID, offset int64, data
 
 // ReadChunkAt reads chunk id of path as it was at snapshot epoch at: the
 // pre-image with the smallest supersede epoch above at, or the live
-// chunk when the content was never superseded.
+// chunk when the content was never superseded. At meta.LiveEpoch nothing
+// can supersede the live chunk and the index is not consulted.
+//
+// "No pre-image, so read the live chunk" must stay true until the read is
+// done: the first overwrite after the pin copies its pre-image under
+// cowMu and the path's write lock (WriteChunkEpoch), so the path's read
+// lock is taken before cowMu is released — the same cowMu → path order —
+// and held across the read. The overwrite then either indexed its
+// pre-image before the lookup or cannot start copying until the read
+// ends.
 func (s *Store) ReadChunkAt(path string, id meta.ChunkID, offset int64, dst []byte, at uint64) (int, error) {
-	key := chunkKey(path, id)
-	s.cowMu.Lock()
-	var pick uint64
-	found := false
-	for _, e := range s.pre[key] {
-		if e > at {
-			pick, found = e, true
-			break
-		}
-	}
-	s.cowMu.Unlock()
-	if !found {
+	if at == meta.LiveEpoch {
 		return s.ReadChunk(path, id, offset, dst)
 	}
-	// Pre-images are immutable once indexed; no lock needed.
-	n, err := s.readFileAt(preImageName(key, pick), offset, dst)
+	key := chunkKey(path, id)
+	s.cowMu.Lock()
+	for _, e := range s.pre[key] {
+		if e > at {
+			s.cowMu.Unlock()
+			// Pre-images are immutable once indexed; no lock needed.
+			n, err := s.readFileAt(preImageName(key, e), offset, dst)
+			if err != nil {
+				return 0, fmt.Errorf("chunkstore: snapshot read %s#%d@%d: %w", path, id, at, err)
+			}
+			return n, nil
+		}
+	}
+	l := s.lockFor(path)
+	l.RLock()
+	s.cowMu.Unlock()
+	defer l.RUnlock()
+	n, err := s.readFileAt(chunkFile(path, id), offset, dst)
 	if err != nil {
-		return 0, fmt.Errorf("chunkstore: snapshot read %s#%d@%d: %w", path, id, at, err)
+		return 0, fmt.Errorf("chunkstore: read %s#%d: %w", path, id, err)
 	}
 	return n, nil
 }

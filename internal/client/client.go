@@ -302,26 +302,49 @@ func (c *Client) EnsureRoot() error {
 	return err
 }
 
+// metaOp sends one metadata operation under its kind's own op code — the
+// single-op framing of the plane batchMeta vectors. The request is the
+// sub-op's body and the reply its result, byte for byte.
+func (c *Client) metaOp(op *proto.MetaOp) (proto.MetaResult, error) {
+	e := rpc.NewEnc(len(op.Path) + 24)
+	proto.EncodeMetaOpBody(e, op)
+	var r proto.MetaResult
+	d, err := c.call(c.dist.MetaTarget(op.Path), rpc.Op(op.Kind), e.Bytes(), nil, rpc.BulkNone)
+	if err != nil {
+		return r, err
+	}
+	proto.DecodeMetaResultBody(d, op, &r)
+	return r, d.Done()
+}
+
 func (c *Client) createPath(path string, mode meta.Mode) error {
-	e := rpc.NewEnc(len(path) + 16)
-	e.Str(path).U8(uint8(mode)).I64(time.Now().UnixNano())
-	_, err := c.call(c.dist.MetaTarget(path), proto.OpCreate, e.Bytes(), nil, rpc.BulkNone)
+	_, err := c.metaOp(&proto.MetaOp{Kind: proto.MetaOpCreate, Path: path, Mode: mode, TimeNS: time.Now().UnixNano()})
 	return err
 }
 
-// statPath fetches a path's metadata.
-func (c *Client) statPath(path string) (meta.Metadata, error) {
-	e := rpc.NewEnc(len(path) + 5)
-	e.Str(path).U8(0) // flags: live state, no version history
-	d, err := c.call(c.dist.MetaTarget(path), proto.OpStat, e.Bytes(), nil, rpc.BulkNone)
+// pinFlag is the stat/readdir request flag for a read at epoch:
+// LiveEpoch needs none, a finite epoch is announced by StatAtEpoch.
+func pinFlag(epoch uint64) uint8 {
+	if epoch != LiveEpoch {
+		return proto.StatAtEpoch
+	}
+	return 0
+}
+
+// statOp builds the stat of path as of epoch — the one place a stat
+// request takes shape, for both framings.
+func statOp(path string, epoch uint64, flags uint8) proto.MetaOp {
+	return proto.MetaOp{Kind: proto.MetaOpStat, Path: path, Flags: flags | pinFlag(epoch), Epoch: epoch}
+}
+
+// statPath fetches a path's metadata as of epoch.
+func (c *Client) statPath(path string, epoch uint64) (meta.Metadata, error) {
+	op := statOp(path, epoch, 0)
+	r, err := c.metaOp(&op)
 	if err != nil {
 		return meta.Metadata{}, err
 	}
-	blob := d.Blob()
-	if err := d.Done(); err != nil {
-		return meta.Metadata{}, err
-	}
-	return meta.DecodeMetadata(blob)
+	return meta.DecodeMetadata(r.Blob)
 }
 
 // Mkdir creates a directory. The parent must exist (one stat RPC); the
@@ -335,7 +358,7 @@ func (c *Client) Mkdir(path string) error {
 		return proto.ErrExist
 	}
 	if parent := meta.Parent(p); parent != meta.Root {
-		md, err := c.statPath(parent)
+		md, err := c.statPath(parent, LiveEpoch)
 		if err != nil {
 			return err
 		}
@@ -400,7 +423,7 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 			if flags&O_EXCL != 0 {
 				return -1, proto.ErrExist
 			}
-			md, err := c.statPath(p)
+			md, err := c.statPath(p, LiveEpoch)
 			if err != nil {
 				return -1, err
 			}
@@ -416,7 +439,7 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 			return -1, err
 		}
 	} else {
-		md, err := c.statPath(p)
+		md, err := c.statPath(p, LiveEpoch)
 		if err != nil {
 			return -1, err
 		}
@@ -591,7 +614,7 @@ func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		base = of.pos
 	case io.SeekEnd:
-		md, err := c.statPath(of.path)
+		md, err := c.statPath(of.path, LiveEpoch)
 		if err != nil {
 			return 0, err
 		}
@@ -608,12 +631,16 @@ func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
 }
 
 // Stat returns a path's file information.
-func (c *Client) Stat(path string) (FileInfo, error) {
+func (c *Client) Stat(path string) (FileInfo, error) { return c.StatAt(path, LiveEpoch) }
+
+// StatAt is Stat against the namespace a snapshot epoch pinned; at
+// LiveEpoch it is Stat.
+func (c *Client) StatAt(path string, epoch uint64) (FileInfo, error) {
 	p, err := meta.Clean(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	md, err := c.statPath(p)
+	md, err := c.statPath(p, epoch)
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -670,13 +697,18 @@ type DirEntry struct {
 // consistent: concurrent creates and removes may or may not appear (paper
 // §III-A); entries that do appear are each reported by exactly one
 // daemon, so there are no duplicates.
-func (c *Client) ReadDir(path string) ([]DirEntry, error) {
+func (c *Client) ReadDir(path string) ([]DirEntry, error) { return c.ReadDirAt(path, LiveEpoch) }
+
+// ReadDirAt is ReadDir against the namespace a snapshot epoch pinned:
+// every daemon resolves its records at the epoch. At LiveEpoch it is
+// ReadDir.
+func (c *Client) ReadDirAt(path string, epoch uint64) ([]DirEntry, error) {
 	p, err := meta.Clean(path)
 	if err != nil {
 		return nil, err
 	}
 	if p != meta.Root {
-		md, err := c.statPath(p)
+		md, err := c.statPath(p, epoch)
 		if err != nil {
 			return nil, err
 		}
@@ -686,7 +718,7 @@ func (c *Client) ReadDir(path string) ([]DirEntry, error) {
 	}
 	perNode := make([][]DirEntry, len(c.conns))
 	err = c.fanOut(func(node int) error {
-		ents, err := c.readDirNode(node, p)
+		ents, err := c.readDirNode(node, p, epoch)
 		if err != nil {
 			return err
 		}
@@ -704,27 +736,18 @@ func (c *Client) ReadDir(path string) ([]DirEntry, error) {
 	return all, nil
 }
 
-// readDirNode drains one daemon's directory scan page by page. Entry
-// names are validated to be single path components: a hostile or buggy
-// daemon must not be able to plant "..", "", or slash-bearing names that
-// a consumer (stage-out's host-tree recreation, a recursive walk) would
-// resolve outside the directory it asked about.
-func (c *Client) readDirNode(node int, dir string) ([]DirEntry, error) {
-	return c.readDirNodeAt(node, dir, 0, 0)
-}
-
-// readDirNodeAt is readDirNode with explicit request flags: with
-// proto.StatAtEpoch, the daemon resolves every record at the given
-// snapshot epoch instead of its live state.
-func (c *Client) readDirNodeAt(node int, dir string, flags uint8, at uint64) ([]DirEntry, error) {
+// readDirNode drains one daemon's directory scan as of epoch page by
+// page. Entry names are validated to be single path components: a hostile
+// or buggy daemon must not be able to plant "..", "", or slash-bearing
+// names that a consumer (stage-out's host-tree recreation, a recursive
+// walk) would resolve outside the directory it asked about.
+func (c *Client) readDirNode(node int, dir string, epoch uint64) ([]DirEntry, error) {
 	var ents []DirEntry
 	after := ""
 	for {
 		e := rpc.NewEnc(len(dir) + len(after) + 24)
-		e.Str(dir).Str(after).U32(c.readDirPage).U8(flags)
-		if flags&proto.StatAtEpoch != 0 {
-			e.U64(at)
-		}
+		e.Str(dir).Str(after).U32(c.readDirPage)
+		proto.EncodeEpochTail(e, pinFlag(epoch), epoch)
 		d, err := c.call(node, proto.OpReadDir, e.Bytes(), nil, rpc.BulkNone)
 		if err != nil {
 			return nil, err
@@ -799,25 +822,11 @@ func (c *Client) Remove(path string) error {
 	return nil
 }
 
-// removeMeta issues one OpRemoveMeta, reporting the removed record's mode
-// and size. fileOnly asks the daemon to refuse directories with ErrIsDir.
+// removeMeta removes p's record, reporting the mode and size it had.
+// fileOnly asks the daemon to refuse directories with ErrIsDir.
 func (c *Client) removeMeta(p string, fileOnly bool) (meta.Mode, int64, error) {
-	var flags uint8
-	if fileOnly {
-		flags |= proto.RemoveFileOnly
-	}
-	e := rpc.NewEnc(len(p) + 8)
-	e.Str(p).U8(flags)
-	d, err := c.call(c.dist.MetaTarget(p), proto.OpRemoveMeta, e.Bytes(), nil, rpc.BulkNone)
-	if err != nil {
-		return 0, 0, err
-	}
-	mode := meta.Mode(d.U8())
-	size := d.I64()
-	if err := d.Done(); err != nil {
-		return 0, 0, err
-	}
-	return mode, size, nil
+	r, err := c.metaOp(&proto.MetaOp{Kind: proto.MetaOpRemove, Path: p, FileOnly: fileOnly})
+	return r.Mode, r.Size, err
 }
 
 // collectChunks removes the chunk data of paths on every daemon (chunks
@@ -863,9 +872,7 @@ func (c *Client) Truncate(path string, size int64) error {
 		of.pl.drain()
 		of.mu.Unlock()
 	}
-	e := rpc.NewEnc(len(p) + 24)
-	e.Str(p).I64(size).U8(1).I64(time.Now().UnixNano())
-	if _, err := c.call(c.dist.MetaTarget(p), proto.OpUpdateSize, e.Bytes(), nil, rpc.BulkNone); err != nil {
+	if err := c.updateSize(p, size, true); err != nil {
 		return err
 	}
 	// Unflushed size candidates beyond the new size are obsolete — the

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,7 +31,7 @@ import (
 // A finite epoch adds the ReadAtEpoch field to the request and narrows
 // the replica chain to its head (chunk pre-images live where the primary
 // chunk lived); everything else is shared.
-const LiveEpoch uint64 = math.MaxUint64
+const LiveEpoch = meta.LiveEpoch
 
 // targetGroup collects the spans of one I/O that share a primary daemon
 // and therefore a replica chain.
@@ -551,7 +550,7 @@ func (c *Client) Write(fd int, p []byte) (int, error) {
 		// the size-update cache the server's view lags, and resolving EOF
 		// from it alone made consecutive cached appends overwrite each
 		// other.
-		md, err := c.statPath(of.path)
+		md, err := c.statPath(of.path, LiveEpoch)
 		if err != nil {
 			return 0, err
 		}
@@ -753,10 +752,15 @@ func (c *Client) flushSizeLocked(of *openFile) error {
 	return nil
 }
 
+// updateSize grows path's size to at least size, or with truncate sets it
+// exactly.
+func (c *Client) updateSize(path string, size int64, truncate bool) error {
+	_, err := c.metaOp(&proto.MetaOp{Kind: proto.MetaOpUpdateSize, Path: path, Size: size, Truncate: truncate, TimeNS: time.Now().UnixNano()})
+	return err
+}
+
 func (c *Client) sendGrow(path string, candidate int64) error {
-	e := rpc.NewEnc(len(path) + 24)
-	e.Str(path).I64(candidate).U8(0).I64(time.Now().UnixNano())
-	_, err := c.call(c.dist.MetaTarget(path), proto.OpUpdateSize, e.Bytes(), nil, rpc.BulkNone)
+	err := c.updateSize(path, candidate, false)
 	// The file end may have moved: cached blocks carrying an EOF mark
 	// would otherwise keep serving the old end as a spurious EOF.
 	// Zero-length invalidation drops exactly the EOF-bearing blocks.

@@ -12,6 +12,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/meta"
@@ -29,70 +30,58 @@ func validTag(tag string) error {
 	return nil
 }
 
+// snapshotPhase runs one OpSnapshot phase for tag on every daemon and
+// returns the epochs the replies carried (none for an abort).
+func (c *Client) snapshotPhase(phase uint8, tag string, epoch uint64) ([]uint64, error) {
+	if err := validTag(tag); err != nil {
+		return nil, err
+	}
+	epochs := make([]uint64, len(c.conns))
+	err := c.fanOut(func(node int) error {
+		e := rpc.NewEnc(len(tag) + 12)
+		e.U8(phase).Str(tag)
+		if phase == proto.SnapCommit {
+			e.U64(epoch)
+		}
+		d, err := c.call(node, proto.OpSnapshot, e.Bytes(), nil, rpc.BulkNone)
+		if err != nil {
+			return err
+		}
+		if phase != proto.SnapAbort {
+			epochs[node] = d.U64()
+		}
+		return d.Done()
+	})
+	return epochs, err
+}
+
 // SnapshotReserve runs phase one against every daemon and returns the
 // cluster epoch the snapshot will pin: the maximum of the per-daemon
 // proposals. Exposed separately from Snapshot (alongside SnapshotCommit
 // and SnapshotAbort) so crash harnesses can sever a daemon between the
 // phases; applications want Snapshot.
 func (c *Client) SnapshotReserve(tag string) (uint64, error) {
-	if err := validTag(tag); err != nil {
-		return 0, err
-	}
-	proposals := make([]uint64, len(c.conns))
-	err := c.fanOut(func(node int) error {
-		e := rpc.NewEnc(len(tag) + 4)
-		e.U8(proto.SnapReserve).Str(tag)
-		d, err := c.call(node, proto.OpSnapshot, e.Bytes(), nil, rpc.BulkNone)
-		if err != nil {
-			return err
-		}
-		proposals[node] = d.U64()
-		return d.Done()
-	})
+	proposals, err := c.snapshotPhase(proto.SnapReserve, tag, 0)
 	if err != nil {
 		return 0, err
 	}
-	var epoch uint64
-	for _, p := range proposals {
-		epoch = max(epoch, p)
-	}
-	return epoch, nil
+	return slices.Max(proposals), nil
 }
 
-// SnapshotCommit pins tag at epoch on every daemon (phase two).
-// Idempotent — safe to retry against daemons that already committed or
-// that restarted since the reserve.
+// SnapshotCommit pins tag at epoch on every daemon (phase two) and
+// returns once each has drained the mutations still applying under the
+// epoch it left. Idempotent — safe to retry against daemons that already
+// committed or that restarted since the reserve.
 func (c *Client) SnapshotCommit(tag string, epoch uint64) error {
-	if err := validTag(tag); err != nil {
-		return err
-	}
-	return c.fanOut(func(node int) error {
-		e := rpc.NewEnc(len(tag) + 12)
-		e.U8(proto.SnapCommit).Str(tag).U64(epoch)
-		d, err := c.call(node, proto.OpSnapshot, e.Bytes(), nil, rpc.BulkNone)
-		if err != nil {
-			return err
-		}
-		d.U64() // pinned epoch (echoes the request, or the prior commit's)
-		return d.Done()
-	})
+	_, err := c.snapshotPhase(proto.SnapCommit, tag, epoch)
+	return err
 }
 
 // SnapshotAbort discards tag's reservation everywhere it still pends.
 // Idempotent; committed daemons are untouched.
 func (c *Client) SnapshotAbort(tag string) error {
-	if err := validTag(tag); err != nil {
-		return err
-	}
-	return c.fanOut(func(node int) error {
-		e := rpc.NewEnc(len(tag) + 4)
-		e.U8(proto.SnapAbort).Str(tag)
-		d, err := c.call(node, proto.OpSnapshot, e.Bytes(), nil, rpc.BulkNone)
-		if err != nil {
-			return err
-		}
-		return d.Done()
-	})
+	_, err := c.snapshotPhase(proto.SnapAbort, tag, 0)
+	return err
 }
 
 // Snapshot pins the namespace under tag and returns the epoch the tag
@@ -209,29 +198,6 @@ func (c *Client) SnapshotDrop(tag string) error {
 	return fmt.Errorf("snapshot %s: %w", tag, proto.ErrNotExist)
 }
 
-// StatAt is Stat against the namespace a snapshot epoch pinned.
-func (c *Client) StatAt(path string, epoch uint64) (FileInfo, error) {
-	p, err := meta.Clean(path)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	e := rpc.NewEnc(len(p) + 16)
-	e.Str(p).U8(proto.StatAtEpoch).U64(epoch)
-	d, err := c.call(c.dist.MetaTarget(p), proto.OpStat, e.Bytes(), nil, rpc.BulkNone)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	blob := d.Blob()
-	if err := d.Done(); err != nil {
-		return FileInfo{}, err
-	}
-	md, err := meta.DecodeMetadata(blob)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	return infoFromMeta(p, md), nil
-}
-
 // Versions returns a path's stored version history, newest first — the
 // vkv-style accessor. The history reflects the bounded retention
 // window, not every write ever made.
@@ -240,53 +206,9 @@ func (c *Client) Versions(path string) ([]meta.Version, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := rpc.NewEnc(len(p) + 8)
-	e.Str(p).U8(proto.StatWantVersions)
-	d, err := c.call(c.dist.MetaTarget(p), proto.OpStat, e.Bytes(), nil, rpc.BulkNone)
-	if err != nil {
-		return nil, err
-	}
-	d.Blob() // resolved live record; history follows
-	vs := proto.DecodeVersions(d)
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return vs, nil
-}
-
-// ReadDirAt is ReadDir against the namespace a snapshot epoch pinned.
-func (c *Client) ReadDirAt(path string, epoch uint64) ([]DirEntry, error) {
-	p, err := meta.Clean(path)
-	if err != nil {
-		return nil, err
-	}
-	if p != meta.Root {
-		fi, err := c.StatAt(p, epoch)
-		if err != nil {
-			return nil, err
-		}
-		if !fi.IsDir() {
-			return nil, proto.ErrNotDir
-		}
-	}
-	perNode := make([][]DirEntry, len(c.conns))
-	err = c.fanOut(func(node int) error {
-		ents, err := c.readDirNodeAt(node, p, proto.StatAtEpoch, epoch)
-		if err != nil {
-			return err
-		}
-		perNode[node] = ents
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var all []DirEntry
-	for _, ents := range perNode {
-		all = append(all, ents...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
-	return all, nil
+	op := statOp(p, LiveEpoch, proto.StatWantVersions)
+	r, err := c.metaOp(&op)
+	return r.Versions, err
 }
 
 // ReadSnapshot reads [off, off+len(p)) of path as pinned at epoch,

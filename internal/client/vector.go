@@ -75,76 +75,79 @@ func (c *Client) batchMetaCall(node int, idx []int, ops []proto.MetaOp, results 
 		return
 	}
 	for _, i := range idx {
-		results[i] = proto.DecodeMetaResult(d, ops[i].Kind)
+		results[i] = proto.DecodeMetaResult(d, &ops[i])
 	}
 	if err := d.Done(); err != nil {
 		fail(err)
 	}
 }
 
-// CreateMany creates zero-byte regular files at paths — the mdtest create
-// phase as one RPC per daemon instead of one per file. The returned slice
-// has one error per path, aligned with the input; a path that already
-// exists reports ErrExist without disturbing its batchmates.
-func (c *Client) CreateMany(paths []string) []error {
+// vector is the shared body of the *Many calls: clean every path, build
+// its op with mk, run the ops through the batch plane, and hand each
+// result to done. errs[i] is path i's outcome — what Clean, mk, the
+// shard's transport or done reported, in that order.
+func (c *Client) vector(paths []string, mk func(i int, p string) (proto.MetaOp, error), done func(i int, op *proto.MetaOp, r *proto.MetaResult) error) []error {
 	errs := make([]error, len(paths))
 	ops := make([]proto.MetaOp, 0, len(paths))
 	opIdx := make([]int, 0, len(paths)) // ops index → paths index
-	now := time.Now().UnixNano()
 	for i, path := range paths {
 		p, err := meta.Clean(path)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		ops = append(ops, proto.MetaOp{Kind: proto.MetaOpCreate, Path: p, Mode: meta.ModeRegular, TimeNS: now})
-		opIdx = append(opIdx, i)
-	}
-	results, rerrs := c.batchMeta(ops)
-	for j := range results {
-		if rerrs[j] != nil {
-			errs[opIdx[j]] = rerrs[j]
-			continue
-		}
-		errs[opIdx[j]] = results[j].Errno.Err()
-	}
-	return errs
-}
-
-// StatMany fetches file information for paths, one batch RPC per daemon.
-// infos[i] is valid exactly when errs[i] is nil.
-func (c *Client) StatMany(paths []string) ([]FileInfo, []error) {
-	infos := make([]FileInfo, len(paths))
-	errs := make([]error, len(paths))
-	ops := make([]proto.MetaOp, 0, len(paths))
-	opIdx := make([]int, 0, len(paths))
-	for i, path := range paths {
-		p, err := meta.Clean(path)
+		op, err := mk(i, p)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		ops = append(ops, proto.MetaOp{Kind: proto.MetaOpStat, Path: p})
+		ops = append(ops, op)
 		opIdx = append(opIdx, i)
 	}
 	results, rerrs := c.batchMeta(ops)
 	for j := range results {
 		i := opIdx[j]
-		if rerrs[j] != nil {
-			errs[i] = rerrs[j]
-			continue
+		if errs[i] = rerrs[j]; errs[i] == nil {
+			errs[i] = done(i, &ops[j], &results[j])
 		}
-		if err := results[j].Errno.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
-		md, err := meta.DecodeMetadata(results[j].Blob)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		infos[i] = infoFromMeta(ops[j].Path, md)
 	}
+	return errs
+}
+
+// errnoOnly is the done of ops whose result carries nothing but an errno.
+func errnoOnly(_ int, _ *proto.MetaOp, r *proto.MetaResult) error { return r.Errno.Err() }
+
+// CreateMany creates zero-byte regular files at paths — the mdtest create
+// phase as one RPC per daemon instead of one per file. The returned slice
+// has one error per path, aligned with the input; a path that already
+// exists reports ErrExist without disturbing its batchmates.
+func (c *Client) CreateMany(paths []string) []error {
+	now := time.Now().UnixNano()
+	return c.vector(paths, func(_ int, p string) (proto.MetaOp, error) {
+		return proto.MetaOp{Kind: proto.MetaOpCreate, Path: p, Mode: meta.ModeRegular, TimeNS: now}, nil
+	}, errnoOnly)
+}
+
+// StatMany fetches file information for paths, one batch RPC per daemon.
+// infos[i] is valid exactly when errs[i] is nil.
+func (c *Client) StatMany(paths []string) ([]FileInfo, []error) {
+	return c.StatManyAt(paths, LiveEpoch)
+}
+
+// StatManyAt is StatMany against the namespace a snapshot epoch pinned;
+// at LiveEpoch it is StatMany.
+func (c *Client) StatManyAt(paths []string, epoch uint64) ([]FileInfo, []error) {
+	infos := make([]FileInfo, len(paths))
+	errs := c.vector(paths, func(_ int, p string) (proto.MetaOp, error) {
+		return statOp(p, epoch, 0), nil
+	}, func(i int, op *proto.MetaOp, r *proto.MetaResult) error {
+		if err := r.Errno.Err(); err != nil {
+			return err
+		}
+		md, err := meta.DecodeMetadata(r.Blob)
+		infos[i] = infoFromMeta(op.Path, md)
+		return err
+	})
 	return infos, errs
 }
 
@@ -155,46 +158,30 @@ func (c *Client) StatMany(paths []string) ([]FileInfo, []error) {
 // pairs it with WritePath: chunk data first, then the whole batch's sizes
 // in one stroke. One error per path, aligned with the input.
 func (c *Client) GrowMany(paths []string, sizes []int64) []error {
-	errs := make([]error, len(paths))
 	if len(sizes) != len(paths) {
+		errs := make([]error, len(paths))
 		for i := range errs {
 			errs[i] = fmt.Errorf("client: GrowMany got %d paths, %d sizes: %w",
 				len(paths), len(sizes), proto.ErrInval)
 		}
 		return errs
 	}
-	ops := make([]proto.MetaOp, 0, len(paths))
-	opIdx := make([]int, 0, len(paths))
 	now := time.Now().UnixNano()
-	for i, path := range paths {
-		p, err := meta.Clean(path)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
+	return c.vector(paths, func(i int, p string) (proto.MetaOp, error) {
 		if sizes[i] < 0 {
-			errs[i] = proto.ErrInval
-			continue
+			return proto.MetaOp{}, proto.ErrInval
 		}
-		ops = append(ops, proto.MetaOp{Kind: proto.MetaOpUpdateSize, Path: p, Size: sizes[i], TimeNS: now})
-		opIdx = append(opIdx, i)
-	}
-	results, rerrs := c.batchMeta(ops)
-	for j := range results {
-		if rerrs[j] != nil {
-			errs[opIdx[j]] = rerrs[j]
-			continue
+		return proto.MetaOp{Kind: proto.MetaOpUpdateSize, Path: p, Size: sizes[i], TimeNS: now}, nil
+	}, func(_ int, op *proto.MetaOp, r *proto.MetaResult) error {
+		if r.Errno == proto.OK {
+			// The file end may have moved: drop cached EOF-bearing blocks,
+			// exactly as the single-path sendGrow does — otherwise a grown
+			// file keeps serving a spurious EOF from this client's own
+			// cache.
+			c.cacheInvalidate(op.Path, 0, 0)
 		}
-		errs[opIdx[j]] = results[j].Errno.Err()
-		if errs[opIdx[j]] == nil {
-			// The file end may have moved: drop cached EOF-bearing
-			// blocks, exactly as the single-path sendGrow does —
-			// otherwise a grown file keeps serving a spurious EOF from
-			// this client's own cache.
-			c.cacheInvalidate(ops[j].Path, 0, 0)
-		}
-	}
-	return errs
+		return r.Errno.Err()
+	})
 }
 
 // RemoveMany unlinks paths, one batch RPC per daemon plus chunk
@@ -202,44 +189,28 @@ func (c *Client) GrowMany(paths []string, sizes []int64) []error {
 // one-path protocol (empty check, then remove) — the daemon's ErrIsDir
 // answer routes them there without a leading stat.
 func (c *Client) RemoveMany(paths []string) []error {
-	errs := make([]error, len(paths))
-	ops := make([]proto.MetaOp, 0, len(paths))
-	opIdx := make([]int, 0, len(paths))
-	for i, path := range paths {
-		p, err := meta.Clean(path)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		if p == meta.Root {
-			errs[i] = proto.ErrInval
-			continue
-		}
-		ops = append(ops, proto.MetaOp{Kind: proto.MetaOpRemove, Path: p, FileOnly: true})
-		opIdx = append(opIdx, i)
-	}
-	results, rerrs := c.batchMeta(ops)
 	var chunky []string // removed files with data, needing chunk collection
 	var chunkyIdx []int
-	for j := range results {
-		i := opIdx[j]
-		switch {
-		case rerrs[j] != nil:
-			errs[i] = rerrs[j]
-		case results[j].Errno == proto.ErrnoIsDir:
-			errs[i] = c.Remove(ops[j].Path)
-		case results[j].Errno != proto.OK:
-			errs[i] = results[j].Errno.Err()
-		default:
+	errs := c.vector(paths, func(_ int, p string) (proto.MetaOp, error) {
+		if p == meta.Root {
+			return proto.MetaOp{}, proto.ErrInval
+		}
+		return proto.MetaOp{Kind: proto.MetaOpRemove, Path: p, FileOnly: true}, nil
+	}, func(i int, op *proto.MetaOp, r *proto.MetaResult) error {
+		if r.Errno == proto.ErrnoIsDir {
+			return c.Remove(op.Path)
+		}
+		if r.Errno == proto.OK {
 			// Removed: cached blocks must not outlive the record (a new
 			// file under the same name would read the old one's bytes).
-			c.cacheDropPath(ops[j].Path)
-			if results[j].Size > 0 {
-				chunky = append(chunky, ops[j].Path)
+			c.cacheDropPath(op.Path)
+			if r.Size > 0 {
+				chunky = append(chunky, op.Path)
 				chunkyIdx = append(chunkyIdx, i)
 			}
 		}
-	}
+		return r.Errno.Err()
+	})
 	if len(chunky) > 0 {
 		if err := c.collectChunks(chunky); err != nil {
 			for _, i := range chunkyIdx {

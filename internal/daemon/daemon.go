@@ -177,19 +177,19 @@ func (d *Daemon) Close() error {
 	return d.db.Close()
 }
 
-// sizeMerger folds size-update operands (encoded [i64 size][i64 mtime],
-// plus a trailing [u64 epoch] since protocol v8) into a versioned
-// metadata record, keeping the maximum size — the KV-store merge GekkoFS
-// performs for lock-free size growth. An operand landing on a
-// concurrently removed path recreates a bare regular-file record; GekkoFS
-// accepts this relaxed outcome rather than serializing writers against
-// removers (paper §III-A); a directory record is never grown (the
-// handlers refuse that up front, but their check is unlocked and an
-// operand racing a mkdir can still land here). The per-operand step is
-// meta.VersionedMeta.Grow. The merger must stay pure — the store folds
-// operands at insert and WAL recovery replays them — so the epoch travels
-// in the operand (stamped by the handler at arrival) and version GC
-// happens only in handlers.
+// sizeMerger folds size-update operands ([i64 size][i64 mtime][u64 epoch])
+// into a versioned metadata record, keeping the maximum size — the
+// KV-store merge GekkoFS performs for lock-free size growth. The
+// per-operand step is meta.VersionedMeta.Grow, the same rule the
+// metadata transaction ran when it queued the operand; it runs again here
+// because the record may have changed since (grows take no key lock). An
+// operand landing on a concurrently removed path recreates a bare
+// regular-file record; GekkoFS accepts this relaxed outcome rather than
+// serializing writers against removers (paper §III-A); a directory record
+// is never grown. The merger must stay pure — the store folds operands at
+// insert and WAL recovery replays them — so the epoch travels in the
+// operand (stamped by the transaction) and version GC happens only in the
+// transaction.
 func sizeMerger(_ []byte, existing []byte, operands [][]byte) []byte {
 	var vm meta.VersionedMeta
 	if existing != nil {
@@ -199,12 +199,8 @@ func sizeMerger(_ []byte, existing []byte, operands [][]byte) []byte {
 	}
 	for _, op := range operands {
 		d := rpc.NewDec(op)
-		size, mtime := d.I64(), d.I64()
-		var epoch uint64
-		if d.Err() == nil && d.Remaining() > 0 {
-			epoch = d.U64()
-		}
-		if d.Err() != nil {
+		size, mtime, epoch := d.I64(), d.I64(), d.U64()
+		if d.Done() != nil {
 			continue
 		}
 		vm.Grow(epoch, size, mtime)

@@ -368,28 +368,32 @@ func TestReadDirScopedToChildren(t *testing.T) {
 }
 
 func TestSizeMerger(t *testing.T) {
-	base := meta.Metadata{Mode: meta.ModeRegular, Size: 100, CTimeNS: 5, MTimeNS: 5}
+	base := meta.VersionedMeta{V: []meta.Version{{Meta: meta.Metadata{Mode: meta.ModeRegular, Size: 100, CTimeNS: 5, MTimeNS: 5}}}}
 	op := func(size, mtime int64) []byte {
-		e := rpc.NewEnc(16)
-		e.I64(size).I64(mtime)
+		e := rpc.NewEnc(24)
+		e.I64(size).I64(mtime).U64(0)
 		return e.Bytes()
 	}
-	out := sizeMerger(nil, base.Encode(), [][]byte{op(50, 6), op(300, 7), op(200, 8)})
-	md, err := meta.DecodeMetadata(out)
-	if err != nil || md.Size != 300 || md.MTimeNS != 8 || md.CTimeNS != 5 {
-		t.Fatalf("merged = %+v, %v", md, err)
+	live := func(rec []byte) meta.Metadata {
+		t.Helper()
+		vm, err := meta.DecodeVersionedMeta(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		md, _ := vm.Live()
+		return md
+	}
+	md := live(sizeMerger(nil, base.Encode(), [][]byte{op(50, 6), op(300, 7), op(200, 8)}))
+	if md.Size != 300 || md.MTimeNS != 8 || md.CTimeNS != 5 {
+		t.Fatalf("merged = %+v", md)
 	}
 	// Merge onto a missing record resurrects a bare file (documented
 	// relaxed semantics).
-	out = sizeMerger(nil, nil, [][]byte{op(42, 1)})
-	md, err = meta.DecodeMetadata(out)
-	if err != nil || md.Size != 42 || md.IsDir() {
-		t.Fatalf("orphan merge = %+v, %v", md, err)
+	if md = live(sizeMerger(nil, nil, [][]byte{op(42, 1)})); md.Size != 42 || md.IsDir() {
+		t.Fatalf("orphan merge = %+v", md)
 	}
 	// Malformed operands are skipped.
-	out = sizeMerger(nil, base.Encode(), [][]byte{{1, 2, 3}})
-	md, _ = meta.DecodeMetadata(out)
-	if md.Size != 100 {
+	if md = live(sizeMerger(nil, base.Encode(), [][]byte{{1, 2, 3}, op(7, 7)[:16]})); md.Size != 100 {
 		t.Fatalf("malformed operand changed size: %d", md.Size)
 	}
 }

@@ -30,10 +30,10 @@ func errResp(errno proto.Errno) []byte {
 
 func (d *Daemon) register() {
 	d.srv.Register(proto.OpPing, d.handlePing)
-	d.srv.Register(proto.OpCreate, d.handleCreate)
-	d.srv.Register(proto.OpStat, d.handleStat)
-	d.srv.Register(proto.OpRemoveMeta, d.handleRemoveMeta)
-	d.srv.Register(proto.OpUpdateSize, d.handleUpdateSize)
+	d.srv.Register(proto.OpCreate, d.metaOpHandler(proto.MetaOpCreate))
+	d.srv.Register(proto.OpStat, d.metaOpHandler(proto.MetaOpStat))
+	d.srv.Register(proto.OpRemoveMeta, d.metaOpHandler(proto.MetaOpRemove))
+	d.srv.Register(proto.OpUpdateSize, d.metaOpHandler(proto.MetaOpUpdateSize))
 	d.srv.Register(proto.OpWriteChunks, d.handleWriteChunks)
 	d.srv.Register(proto.OpReadChunks, d.handleReadChunks)
 	d.srv.Register(proto.OpRemoveChunks, d.handleRemoveChunks)
@@ -44,6 +44,11 @@ func (d *Daemon) register() {
 	d.srv.Register(proto.OpSnapshot, d.handleSnapshot)
 	d.srv.Register(proto.OpSnapshotList, d.handleSnapshotList)
 	d.srv.Register(proto.OpSnapshotDrop, d.handleSnapshotDrop)
+}
+
+// metaOpHandler binds handleMetaOp to one of the four single-op codes.
+func (d *Daemon) metaOpHandler(kind proto.MetaOpKind) rpc.Handler {
+	return func(req []byte, _ rpc.Bulk) ([]byte, error) { return d.handleMetaOp(kind, req) }
 }
 
 // handlePing reports the daemon's ID, its protocol version and — when
@@ -61,228 +66,26 @@ func (d *Daemon) handlePing([]byte, rpc.Bulk) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// handleCreate inserts a metadata record. The flat namespace makes this a
-// single conditional KV insert regardless of directory population — the
-// property behind Fig. 2a's flat-vs-Lustre gap.
-func (d *Daemon) handleCreate(req []byte, _ rpc.Bulk) ([]byte, error) {
-	dec := rpc.NewDec(req)
-	path := dec.Str()
-	mode := meta.Mode(dec.U8())
-	ctime := dec.I64()
-	if err := dec.Done(); err != nil {
-		return nil, err
-	}
-	d.creates.Add(1)
-	md := meta.Metadata{Mode: mode, CTimeNS: ctime, MTimeNS: ctime}
-	epoch, retained := d.snapEpoch(), d.retainedEpochs()
-	var errno proto.Errno
-	err := d.db.Update([]byte(path), func(cur []byte, ok bool) ([]byte, bool, error) {
-		var vm meta.VersionedMeta
-		if ok {
-			v, err := meta.DecodeVersionedMeta(cur)
-			if err != nil {
-				return nil, false, err
-			}
-			if _, live := v.Live(); live {
-				errno = proto.ErrnoExist
-				return nil, false, proto.ErrExist
-			}
-			vm = v
-		}
-		vm.Stamp(epoch, md)
-		vm.Compact(retained)
-		return vm.Encode(), false, nil
-	})
-	if errno != proto.OK {
-		return errResp(errno), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("create %s: %w", path, err)
-	}
-	return okResp(0).Bytes(), nil
-}
-
-// handleStat resolves a record's live state, or — with StatAtEpoch in
-// the request's [u8 flags][u64 epoch, with StatAtEpoch] tail — its state
-// at a pinned snapshot epoch. The reply blob is always a resolved 25-byte
-// Metadata record regardless of how the record is stored; with
-// StatWantVersions the full version history follows it.
-func (d *Daemon) handleStat(req []byte, _ rpc.Bulk) ([]byte, error) {
-	dec := rpc.NewDec(req)
-	path := dec.Str()
-	flags := dec.U8()
-	var at uint64
-	if flags&proto.StatAtEpoch != 0 {
-		at = dec.U64()
-	}
-	if err := dec.Done(); err != nil {
-		return nil, err
-	}
-	d.statOps.Add(1)
-	v, err := d.db.Get([]byte(path))
-	if errors.Is(err, kvstore.ErrNotFound) {
-		return errResp(proto.ErrnoNotExist), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("stat %s: %w", path, err)
-	}
-	vm, err := meta.DecodeVersionedMeta(v)
-	if err != nil {
-		return nil, fmt.Errorf("stat %s: %w", path, err)
-	}
-	var md meta.Metadata
-	var ok bool
-	if flags&proto.StatAtEpoch != 0 {
-		d.snapReads.Add(1)
-		md, ok = vm.At(at)
-	} else {
-		md, ok = vm.Live()
-	}
-	if !ok {
-		return errResp(proto.ErrnoNotExist), nil
-	}
-	e := okResp(32 + 35*len(vm.V))
-	e.Blob(md.Encode())
-	if flags&proto.StatWantVersions != 0 {
-		proto.EncodeVersions(e, vm.V)
-	}
-	return e.Bytes(), nil
-}
-
-// handleRemoveMeta deletes the record and reports the mode and size it
-// had, so the client can decide whether chunk collection RPCs are needed
-// (zero-size files need none — the common mdtest case). With
-// proto.RemoveFileOnly set, directories are refused with ErrnoIsDir
-// instead of deleted, which lets the client unlink a regular file in one
-// RPC without a leading stat.
-func (d *Daemon) handleRemoveMeta(req []byte, _ rpc.Bulk) ([]byte, error) {
-	dec := rpc.NewDec(req)
-	path := dec.Str()
-	flags := dec.U8()
-	if err := dec.Done(); err != nil {
-		return nil, err
-	}
-	d.removes.Add(1)
-	epoch, retained := d.snapEpoch(), d.retainedEpochs()
-	var removed meta.Metadata
-	var errno proto.Errno
-	err := d.db.Update([]byte(path), func(cur []byte, ok bool) ([]byte, bool, error) {
-		if !ok {
-			errno = proto.ErrnoNotExist
-			return nil, false, kvstore.ErrNotFound
-		}
-		vm, err := meta.DecodeVersionedMeta(cur)
-		if err != nil {
-			return nil, false, err
-		}
-		m, live := vm.Live()
-		if !live {
-			errno = proto.ErrnoNotExist
-			return nil, false, kvstore.ErrNotFound
-		}
-		if flags&proto.RemoveFileOnly != 0 && m.IsDir() {
-			errno = proto.ErrnoIsDir
-			return nil, false, proto.ErrIsDir
-		}
-		removed = m
-		vm.StampTombstone(epoch)
-		vm.Compact(retained)
-		if len(vm.V) == 1 {
-			// No retained snapshot sees the old state: drop the key
-			// outright instead of storing a lone tombstone.
-			return nil, true, nil
-		}
-		return vm.Encode(), false, nil
-	})
-	if errno != proto.OK {
-		return errResp(errno), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("remove %s: %w", path, err)
-	}
-	e := okResp(9)
-	e.U8(uint8(removed.Mode)).I64(removed.Size)
-	return e.Bytes(), nil
-}
-
-// handleUpdateSize grows the size through a merge operand (lock-free, the
-// released GekkoFS's RocksDB merge) or sets it exactly for truncate.
-func (d *Daemon) handleUpdateSize(req []byte, _ rpc.Bulk) ([]byte, error) {
-	dec := rpc.NewDec(req)
-	path := dec.Str()
-	size := dec.I64()
-	truncate := dec.U8() == 1
-	mtime := dec.I64()
-	if err := dec.Done(); err != nil {
-		return nil, err
-	}
-	d.sizeUpdates.Add(1)
-	epoch, retained := d.snapEpoch(), d.retainedEpochs()
-	if !truncate {
-		// A size grow against a directory record is refused rather than
-		// silently folded in. The check is an unlocked read — a racing
-		// mkdir could still slip a dir in before the merge lands — so
-		// sizeMerger independently refuses to grow directory records.
-		if m, live := d.liveMeta(path); live && m.IsDir() {
-			return errResp(proto.ErrnoIsDir), nil
-		}
-		// The epoch is stamped server-side at arrival: clients never
-		// carry epochs on mutations, and the merger (which must stay
-		// deterministic for WAL replay) reads it from the operand.
-		op := rpc.NewEnc(24)
-		op.I64(size).I64(mtime).U64(epoch)
-		if err := d.db.Merge([]byte(path), op.Bytes()); err != nil {
-			return nil, fmt.Errorf("grow %s: %w", path, err)
-		}
-		return okResp(0).Bytes(), nil
-	}
-	var errno proto.Errno
-	err := d.db.Update([]byte(path), func(cur []byte, ok bool) ([]byte, bool, error) {
-		if !ok {
-			errno = proto.ErrnoNotExist
-			return nil, false, kvstore.ErrNotFound
-		}
-		vm, err := meta.DecodeVersionedMeta(cur)
-		if err != nil {
-			return nil, false, err
-		}
-		m, live := vm.Live()
-		if !live {
-			errno = proto.ErrnoNotExist
-			return nil, false, kvstore.ErrNotFound
-		}
-		if m.IsDir() {
-			errno = proto.ErrnoIsDir
-			return nil, false, proto.ErrIsDir
-		}
-		m.Size = size
-		m.MTimeNS = mtime
-		vm.Stamp(epoch, m)
-		vm.Compact(retained)
-		return vm.Encode(), false, nil
-	})
-	if errno != proto.OK {
-		return errResp(errno), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("truncate %s: %w", path, err)
-	}
-	return okResp(0).Bytes(), nil
-}
-
-// liveMeta reads a path's current resolved metadata. ok is false when
-// the record is absent, tombstoned or unreadable — callers using this
-// for advisory checks treat all three the same.
-func (d *Daemon) liveMeta(path string) (meta.Metadata, bool) {
+// metaAt reads path's metadata record as of epoch at (meta.LiveEpoch
+// for the live state) — the chunk handlers' view of the namespace. ok is
+// false when this daemon holds no such record: the path is absent,
+// removed, not yet born at the epoch, or owned by another daemon. A
+// present-but-corrupt record is an error, never "absent" — a client told
+// the file is gone could let the application overwrite it.
+func (d *Daemon) metaAt(path string, at uint64) (md meta.Metadata, ok bool, err error) {
 	cur, err := d.db.Get([]byte(path))
+	if errors.Is(err, kvstore.ErrNotFound) {
+		return meta.Metadata{}, false, nil
+	}
 	if err != nil {
-		return meta.Metadata{}, false
+		return meta.Metadata{}, false, err
 	}
 	vm, err := meta.DecodeVersionedMeta(cur)
 	if err != nil {
-		return meta.Metadata{}, false
+		return meta.Metadata{}, false, fmt.Errorf("corrupt metadata record: %w", err)
 	}
-	return vm.Live()
+	md, ok = vm.At(at)
+	return md, ok, nil
 }
 
 // maxSpanBytes bounds one chunk RPC's total span bytes (mirrors the TCP
@@ -373,10 +176,11 @@ func (d *Daemon) handleWriteChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	epoch, retained := d.snapEpoch(), d.retainedEpochs()
+	slot, retained := d.enter()
 	err = forEachSpan(spans, func(_ int, s proto.ChunkSpan, off int64) error {
-		return d.chunks.WriteChunkEpoch(path, s.ID, s.Off, data[off:off+s.Len], epoch, retained)
+		return d.chunks.WriteChunkEpoch(path, s.ID, s.Off, data[off:off+s.Len], slot.epoch, retained)
 	})
+	slot.exit()
 	if err != nil {
 		return nil, err
 	}
@@ -401,9 +205,8 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	path := dec.Str()
 	spans := proto.DecodeSpans(dec)
 	flags := dec.U8()
-	atEpoch := flags&proto.ReadAtEpoch != 0
-	var at uint64
-	if atEpoch {
+	at := meta.LiveEpoch
+	if flags&proto.ReadAtEpoch != 0 {
 		at = dec.U64()
 	}
 	if err := dec.Done(); err != nil {
@@ -419,30 +222,15 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	sizeState := proto.ReadSizeNone
 	var sizeView int64
 	if flags&proto.ReadWantSize != 0 {
-		if cur, err := d.db.Get([]byte(path)); err == nil {
-			vm, merr := meta.DecodeVersionedMeta(cur)
-			if merr != nil {
-				// A present-but-corrupt record must surface as an error,
-				// not as ReadSizeNone — the client would mistake the file
-				// for removed and the application could overwrite it.
-				return nil, fmt.Errorf("read %s: corrupt metadata record: %w", path, merr)
-			}
-			var m meta.Metadata
-			var live bool
-			if atEpoch {
-				m, live = vm.At(at)
-			} else {
-				m, live = vm.Live()
-			}
-			if live && m.IsDir() {
-				return errResp(proto.ErrnoIsDir), nil
-			}
-			if live {
-				sizeState = proto.ReadSizeFile
-				sizeView = m.Size
-			}
-		} else if !errors.Is(err, kvstore.ErrNotFound) {
+		m, ok, err := d.metaAt(path, at)
+		if err != nil {
 			return nil, fmt.Errorf("read %s: size view: %w", path, err)
+		}
+		if ok && m.IsDir() {
+			return errResp(proto.ErrnoIsDir), nil
+		}
+		if ok {
+			sizeState, sizeView = proto.ReadSizeFile, m.Size
 		}
 	}
 	counts := make([]int64, len(spans))
@@ -455,13 +243,7 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 		}
 		err = forEachSpan(spans, func(i int, s proto.ChunkSpan, off int64) error {
 			dst := data[off : off+s.Len]
-			var n int
-			var err error
-			if atEpoch {
-				n, err = d.chunks.ReadChunkAt(path, s.ID, s.Off, dst, at)
-			} else {
-				n, err = d.chunks.ReadChunk(path, s.ID, s.Off, dst)
-			}
+			n, err := d.chunks.ReadChunkAt(path, s.ID, s.Off, dst, at)
 			if err != nil {
 				return err
 			}
@@ -494,7 +276,7 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	d.readOps.Add(1)
 	d.readBytes.Add(uint64(total))
 	d.readSpans.Add(uint64(len(spans)))
-	if atEpoch {
+	if at != meta.LiveEpoch {
 		d.snapReads.Add(1)
 	}
 	e := okResp(4 + 8*len(counts) + 9)
@@ -522,7 +304,9 @@ func (d *Daemon) handleRemoveChunks(req []byte, _ rpc.Bulk) ([]byte, error) {
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
-	if err := d.chunks.RemoveChunksEpoch(path, d.snapEpoch(), d.retainedEpochs()); err != nil {
+	slot, retained := d.enter()
+	defer slot.exit()
+	if err := d.chunks.RemoveChunksEpoch(path, slot.epoch, retained); err != nil {
 		return nil, err
 	}
 	return okResp(0).Bytes(), nil
@@ -541,10 +325,14 @@ func (d *Daemon) handleTruncateChunks(req []byte, _ rpc.Bulk) ([]byte, error) {
 	// Directories carry no chunks; truncating one is a caller error. The
 	// record lives only on the path's metadata owner, so the check bites
 	// there and is a no-op on the other daemons of the fan-out.
-	if m, live := d.liveMeta(path); live && m.IsDir() {
+	if m, ok, err := d.metaAt(path, meta.LiveEpoch); err != nil {
+		return nil, fmt.Errorf("truncate %s: %w", path, err)
+	} else if ok && m.IsDir() {
 		return errResp(proto.ErrnoIsDir), nil
 	}
-	if err := d.chunks.TruncateChunksEpoch(path, d.cfg.ChunkSize, newSize, d.snapEpoch(), d.retainedEpochs()); err != nil {
+	slot, retained := d.enter()
+	defer slot.exit()
+	if err := d.chunks.TruncateChunksEpoch(path, d.cfg.ChunkSize, newSize, slot.epoch, retained); err != nil {
 		return nil, err
 	}
 	return okResp(0).Bytes(), nil
@@ -564,17 +352,12 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 	dir := dec.Str()
 	after := dec.Str()
 	limit := dec.U32()
-	// [u8 flags][u64 epoch, with StatAtEpoch]: with an epoch the scan
-	// resolves each record at that snapshot instead of its live state.
-	flags := dec.U8()
-	var at uint64
-	if flags&proto.StatAtEpoch != 0 {
-		at = dec.U64()
-	}
+	// The scan resolves each record at this epoch: a snapshot's, or
+	// LiveEpoch for the live namespace.
+	_, at := proto.DecodeEpochTail(dec)
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
-	atEpoch := flags&proto.StatAtEpoch != 0
 	if limit == 0 {
 		limit = proto.DefaultReadDirPage
 	}
@@ -582,7 +365,7 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 		limit = proto.MaxReadDirPage
 	}
 	d.readDirs.Add(1)
-	if atEpoch {
+	if at != meta.LiveEpoch {
 		d.snapReads.Add(1)
 	}
 	prefix := dir
@@ -626,13 +409,7 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("readdir %s: corrupt record at %s: %w", dir, p, err)
 		}
-		var m meta.Metadata
-		var ok bool
-		if atEpoch {
-			m, ok = vm.At(at)
-		} else {
-			m, ok = vm.Live()
-		}
+		m, ok := vm.At(at)
 		if !ok {
 			continue // tombstoned (or unborn at the requested epoch)
 		}

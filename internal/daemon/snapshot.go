@@ -16,9 +16,11 @@ package daemon
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/kvstore"
 	"repro/internal/proto"
@@ -35,6 +37,15 @@ const (
 // snapState is a daemon's in-memory mirror of its durable snapshot
 // table. The epoch and the retained-epoch set are read on every write
 // path, so they live outside the mutex.
+//
+// The epoch is also a gate. A committed epoch M must be immutable, so no
+// mutation stamped M may still be applying when the commit is
+// acknowledged. Every mutating handler therefore brackets its work in
+// enter/exit, which count it in flight under the epoch it was stamped
+// with; commit publishes the next epoch first and then waits for the old
+// one's count to drain. Mutations never wait — only commit does, for at
+// most one handler's duration, and on a counter no handler needs a lock
+// to decrement.
 type snapState struct {
 	mu sync.Mutex
 	// committed maps tag → pinned epoch.
@@ -42,8 +53,9 @@ type snapState struct {
 	// pending maps tag → this daemon's proposed epoch (reserved, not yet
 	// committed).
 	pending map[string]uint64
-	// epoch is the current epoch: every mutation is stamped with it.
-	epoch atomic.Uint64
+	// cur is the current epoch's slot: every mutation is stamped with its
+	// epoch and counted in it while it applies.
+	cur atomic.Pointer[epochSlot]
 	// retained caches the sorted epochs some tag (committed or pending)
 	// still pins, as a []uint64. Recomputed under mu on every change.
 	retained atomic.Value
@@ -55,8 +67,41 @@ func u64le(v uint64) []byte {
 	return b[:]
 }
 
-// snapEpoch returns the epoch to stamp a mutation arriving now.
-func (d *Daemon) snapEpoch() uint64 { return d.snaps.epoch.Load() }
+// epochSlot is one epoch of the gate: the stamp and the number of
+// mutations applying under it.
+type epochSlot struct {
+	epoch    uint64
+	inflight atomic.Int64
+}
+
+// enter admits a mutation arriving now: it returns the current epoch's
+// slot, counting the mutation in flight there until exit, and the
+// retained set to compact and copy-on-write against. The slot is
+// re-read after the increment: if a commit retired it in between, the
+// commit may already have seen a zero count, so the mutation backs out
+// and takes the new epoch instead.
+func (d *Daemon) enter() (*epochSlot, []uint64) {
+	for {
+		s := d.snaps.cur.Load()
+		s.inflight.Add(1)
+		if d.snaps.cur.Load() == s {
+			return s, d.retainedEpochs()
+		}
+		s.inflight.Add(-1)
+	}
+}
+
+// exit marks the mutation applied.
+func (s *epochSlot) exit() { s.inflight.Add(-1) }
+
+// drain waits until every mutation counted in a retired slot has exited.
+// The wait is a poll: commits are rare, handlers are short, and a wake-up
+// channel would put a second atomic on every mutation's exit.
+func (s *epochSlot) drain() {
+	for s.inflight.Load() != 0 {
+		time.Sleep(20 * time.Microsecond)
+	}
+}
 
 // retainedEpochs returns the sorted epochs still pinned by a tag. The
 // slice is immutable — callers must not modify it.
@@ -73,19 +118,15 @@ func (d *Daemon) retainedEpochs() []uint64 {
 // snaps.mu.
 func (d *Daemon) storeRetainedLocked() {
 	s := &d.snaps
-	set := make(map[uint64]struct{}, len(s.committed)+len(s.pending))
+	out := make([]uint64, 0, len(s.committed)+len(s.pending))
 	for _, e := range s.committed {
-		set[e] = struct{}{}
-	}
-	for _, e := range s.pending {
-		set[e] = struct{}{}
-	}
-	out := make([]uint64, 0, len(set))
-	for e := range set {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	s.retained.Store(out)
+	for _, e := range s.pending {
+		out = append(out, e)
+	}
+	slices.Sort(out)
+	s.retained.Store(slices.Compact(out))
 }
 
 // loadSnapshots rebuilds the snapshot table from the KV store at
@@ -125,7 +166,7 @@ func (d *Daemon) loadSnapshots() error {
 	if err := it.Err(); err != nil {
 		return err
 	}
-	s.epoch.Store(epoch)
+	s.cur.Store(&epochSlot{epoch: epoch})
 	d.storeRetainedLocked()
 	return nil
 }
@@ -133,8 +174,9 @@ func (d *Daemon) loadSnapshots() error {
 // handleSnapshot runs one phase of the two-phase snapshot protocol.
 // Request: [u8 phase][str tag], plus [u64 epoch] for commit. Reserve
 // replies this daemon's proposed epoch; commit pins the tag at the
-// cluster maximum the client computed and advances the epoch past it;
-// abort discards a reservation. Commit and abort are idempotent so the
+// cluster maximum the client computed, advances the epoch past it and
+// waits out the mutations still applying under the old epoch; abort
+// discards a reservation. Commit and abort are idempotent so the
 // client can retry them blindly, including against a daemon that
 // restarted and lost the reservation.
 func (d *Daemon) handleSnapshot(req []byte, _ rpc.Bulk) ([]byte, error) {
@@ -165,7 +207,7 @@ func (d *Daemon) handleSnapshot(req []byte, _ rpc.Bulk) ([]byte, error) {
 			e.U64(p)
 			return e.Bytes(), nil
 		}
-		cur := s.epoch.Load()
+		cur := s.cur.Load().epoch
 		if err := d.db.Put([]byte(snapPendingPrefix+tag), u64le(cur)); err != nil {
 			return nil, fmt.Errorf("snapshot reserve %s: %w", tag, err)
 		}
@@ -180,7 +222,8 @@ func (d *Daemon) handleSnapshot(req []byte, _ rpc.Bulk) ([]byte, error) {
 			e.U64(c)
 			return e.Bytes(), nil
 		}
-		next := max(s.epoch.Load(), epoch+1)
+		old := s.cur.Load()
+		next := max(old.epoch, epoch+1)
 		// One batch — one WAL append: the tag record, the reservation
 		// cleanup and the epoch advance land atomically or not at all.
 		b := &kvstore.Batch{}
@@ -192,8 +235,15 @@ func (d *Daemon) handleSnapshot(req []byte, _ rpc.Bulk) ([]byte, error) {
 		}
 		delete(s.pending, tag)
 		s.committed[tag] = epoch
-		s.epoch.Store(next)
+		// Retained first: a mutation that sees the new epoch must also see
+		// the pin it has to preserve.
 		d.storeRetainedLocked()
+		if next != old.epoch {
+			s.cur.Store(&epochSlot{epoch: next})
+			// Still under mu, so a retried commit queues behind the drain
+			// instead of acknowledging early. No mutating handler takes mu.
+			old.drain()
+		}
 		d.snapPins.Add(1)
 		e := okResp(8)
 		e.U64(epoch)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -509,31 +510,35 @@ func keyStripe(key []byte) int {
 	return int(h.Sum32() % 64)
 }
 
-// WithKeyLocks runs fn while holding the stripe locks covering every key,
-// acquired in stripe order so concurrent multi-key holders cannot
-// deadlock. PutIfAbsent and Update take the same locks, so fn reads and
-// mutates the covered keys atomically with respect to them — the
-// foundation for applying a read-validate-write batch (e.g. a vector of
-// create-exclusive inserts) as one Apply. fn must not call back into
-// PutIfAbsent, Update, or WithKeyLocks.
-func (db *DB) WithKeyLocks(keys [][]byte, fn func() error) error {
-	var stripes uint64 // one bit per stripe; len(keyLocks) == 64
+// KeyLocks is a held set of key stripe locks (see LockKeys).
+type KeyLocks struct {
+	db      *DB
+	stripes uint64 // one bit per held stripe; len(keyLocks) == 64
+}
+
+// LockKeys takes the stripe locks covering every key, in stripe order so
+// concurrent multi-key holders cannot deadlock, and returns the held set
+// for the caller to Unlock. PutIfAbsent and Update take the same locks,
+// so until then the caller reads and mutates the covered keys atomically
+// with respect to them — the foundation for applying a
+// read-validate-write batch (e.g. a vector of create-exclusive inserts)
+// as one Apply. The holder must not call PutIfAbsent, Update or LockKeys.
+func (db *DB) LockKeys(keys [][]byte) KeyLocks {
+	held := KeyLocks{db: db}
 	for _, k := range keys {
-		stripes |= 1 << keyStripe(k)
+		held.stripes |= 1 << keyStripe(k)
 	}
-	for s := 0; s < len(db.keyLocks); s++ {
-		if stripes&(1<<s) != 0 {
-			db.keyLocks[s].Lock()
-		}
+	for m := held.stripes; m != 0; m &= m - 1 {
+		db.keyLocks[bits.TrailingZeros64(m)].Lock()
 	}
-	defer func() {
-		for s := len(db.keyLocks) - 1; s >= 0; s-- {
-			if stripes&(1<<s) != 0 {
-				db.keyLocks[s].Unlock()
-			}
-		}
-	}()
-	return fn()
+	return held
+}
+
+// Unlock releases the held stripes.
+func (held KeyLocks) Unlock() {
+	for m := held.stripes; m != 0; m &= m - 1 {
+		held.db.keyLocks[bits.TrailingZeros64(m)].Unlock()
+	}
 }
 
 // reader returns (opening if needed) the cached sstReader for a table.

@@ -846,9 +846,9 @@ func TestIteratorDuringCompaction(t *testing.T) {
 	}
 }
 
-func TestWithKeyLocksAtomicVsPutIfAbsent(t *testing.T) {
+func TestLockKeysAtomicVsPutIfAbsent(t *testing.T) {
 	db := openTestDB(t, Options{})
-	// A read-validate-apply sequence under WithKeyLocks must be atomic
+	// A read-validate-apply sequence under LockKeys must be atomic
 	// with respect to concurrent PutIfAbsent on the same keys: exactly
 	// one side of each race wins, never both.
 	const keys = 200
@@ -860,15 +860,16 @@ func TestWithKeyLocksAtomicVsPutIfAbsent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < keys; i++ {
 			k := keyOf(i)
-			db.WithKeyLocks([][]byte{k}, func() error {
-				if _, err := db.Get(k); errors.Is(err, ErrNotFound) {
-					b := &Batch{}
-					b.Put(k, []byte("batch"))
-					batchWins[i] = true
-					return db.Apply(b)
+			held := db.LockKeys([][]byte{k})
+			if _, err := db.Get(k); errors.Is(err, ErrNotFound) {
+				b := &Batch{}
+				b.Put(k, []byte("batch"))
+				batchWins[i] = true
+				if err := db.Apply(b); err != nil {
+					t.Error(err)
 				}
-				return nil
-			})
+			}
+			held.Unlock()
 		}
 	}()
 	go func() {

@@ -20,6 +20,9 @@ const (
 	ModeDir
 )
 
+// Valid reports whether m is one of the two object kinds.
+func (m Mode) Valid() bool { return m == ModeRegular || m == ModeDir }
+
 // String returns "file" or "dir".
 func (m Mode) String() string {
 	switch m {
@@ -58,12 +61,15 @@ var ErrBadMetadata = errors.New("meta: malformed metadata record")
 // Encode serializes m into a fixed-size little-endian record. The encoding
 // plays the role of GekkoFS's packed metadata string stored in RocksDB.
 func (m *Metadata) Encode() []byte {
-	b := make([]byte, metadataWireSize)
-	b[0] = byte(m.Mode)
-	binary.LittleEndian.PutUint64(b[1:], uint64(m.Size))
-	binary.LittleEndian.PutUint64(b[9:], uint64(m.CTimeNS))
-	binary.LittleEndian.PutUint64(b[17:], uint64(m.MTimeNS))
-	return b
+	return m.appendTo(make([]byte, 0, metadataWireSize))
+}
+
+// appendTo appends the fixed-size record to b.
+func (m *Metadata) appendTo(b []byte) []byte {
+	b = append(b, byte(m.Mode))
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.Size))
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.CTimeNS))
+	return binary.LittleEndian.AppendUint64(b, uint64(m.MTimeNS))
 }
 
 // DecodeMetadata parses a record produced by Encode.

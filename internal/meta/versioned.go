@@ -3,19 +3,17 @@ package meta
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Versioned metadata records give the flat namespace a time dimension:
-// each key can carry a bounded, newest-first history of its states, one
-// entry per snapshot epoch that observed a distinct state. The wire
-// shape is chosen so every record the pre-snapshot code ever wrote is
-// still valid: a plain 25-byte Metadata record decodes as a single live
-// version at epoch 0, and records stay in that legacy shape until the
-// first snapshot pins an epoch. Multi-version records are discriminated
-// by a magic first byte that can never appear in a legacy record (no
-// valid Mode is 0xF5).
+// each key carries a bounded, newest-first history of its states, one
+// entry per snapshot epoch that observed a distinct state. There is one
+// stored shape — a per-job file system never reads another build's data
+// directory — and the record of a deployment that never took a snapshot
+// is simply a history of one live version at epoch 0.
 //
-// Versioned wire shape:
+// Stored shape:
 //
 //	[0xF5] then, newest first, per version:
 //	  [u64 epoch] [u8 flags] [25-byte Metadata payload, absent when
@@ -24,14 +22,24 @@ import (
 // Epochs are strictly decreasing; a record holds at most MaxVersions
 // entries (the bounded retention window — history beyond the window is
 // compacted away, oldest first).
+//
+// This file also owns the namespace's transition rules: Create, Remove,
+// Truncate and Grow each take a record, the operation's arguments and
+// the (epoch, retained) stamp, and say what the store must do with the
+// result. The daemon has one transaction that runs them; nothing else
+// stamps a record.
+
+// LiveEpoch is the epoch of a read that is not pinned to a snapshot:
+// every version is at or below it, so At(LiveEpoch) is the live state.
+const LiveEpoch uint64 = math.MaxUint64
 
 // MaxVersions bounds a record's retention window. Snapshot GC keeps the
 // versions retained tags still need; the cap is the hard ceiling even
 // when more tags are live.
 const MaxVersions = 8
 
-// versionedMagic discriminates multi-version records from legacy
-// 25-byte Metadata records. 0xF5 is not a valid Mode byte.
+// versionedMagic opens every stored record. 0xF5 is not a valid Mode
+// byte, so a bare Metadata payload can never pass for a record.
 const versionedMagic = 0xF5
 
 // versionTombstone marks a version recording a removal: the key did not
@@ -60,14 +68,8 @@ type VersionedMeta struct {
 	V []Version
 }
 
-// Encode serializes the history. A single live version at epoch 0 — the
-// state of every record before any snapshot exists — encodes in the
-// legacy 25-byte shape so snapshot-free deployments never pay the
-// versioned framing.
+// Encode serializes the history into the stored shape.
 func (vm *VersionedMeta) Encode() []byte {
-	if len(vm.V) == 1 && !vm.V[0].Tombstone && vm.V[0].Epoch == 0 {
-		return vm.V[0].Meta.Encode()
-	}
 	n := 1
 	for i := range vm.V {
 		n += versionHdrSize
@@ -79,30 +81,19 @@ func (vm *VersionedMeta) Encode() []byte {
 	b[0] = versionedMagic
 	for i := range vm.V {
 		v := &vm.V[i]
-		var hdr [versionHdrSize]byte
-		binary.LittleEndian.PutUint64(hdr[:8], v.Epoch)
+		b = binary.LittleEndian.AppendUint64(b, v.Epoch)
 		if v.Tombstone {
-			hdr[8] = versionTombstone
+			b = append(b, versionTombstone)
+			continue
 		}
-		b = append(b, hdr[:]...)
-		if !v.Tombstone {
-			b = append(b, v.Meta.Encode()...)
-		}
+		b = v.Meta.appendTo(append(b, 0))
 	}
 	return b
 }
 
-// DecodeVersionedMeta parses a stored record in either shape. Errors
-// poison the whole record: a malformed history never yields a partial
-// one.
+// DecodeVersionedMeta parses a stored record. Errors poison the whole
+// record: a malformed history never yields a partial one.
 func DecodeVersionedMeta(b []byte) (VersionedMeta, error) {
-	if len(b) == metadataWireSize && b[0] != versionedMagic {
-		md, err := DecodeMetadata(b)
-		if err != nil {
-			return VersionedMeta{}, err
-		}
-		return VersionedMeta{V: []Version{{Meta: md}}}, nil
-	}
 	if len(b) < 1 || b[0] != versionedMagic {
 		return VersionedMeta{}, fmt.Errorf("%w: %d bytes, no version magic", ErrBadMetadata, len(b))
 	}
@@ -130,7 +121,7 @@ func DecodeVersionedMeta(b []byte) (VersionedMeta, error) {
 			if err != nil {
 				return VersionedMeta{}, err
 			}
-			if md.Mode != ModeRegular && md.Mode != ModeDir {
+			if !md.Mode.Valid() {
 				return VersionedMeta{}, fmt.Errorf("%w: bad mode %d in version payload", ErrBadMetadata, md.Mode)
 			}
 			v.Meta = md
@@ -147,19 +138,18 @@ func DecodeVersionedMeta(b []byte) (VersionedMeta, error) {
 	return vm, nil
 }
 
-// Newest returns the most recent version.
-func (vm *VersionedMeta) Newest() *Version { return &vm.V[0] }
-
-// Live returns the current metadata; ok is false when the newest
-// version is a tombstone (the key reads as removed).
+// Live returns the current metadata; ok is false when the key is absent
+// (no versions) or its newest version is a tombstone.
 func (vm *VersionedMeta) Live() (md Metadata, ok bool) {
-	v := vm.Newest()
-	return v.Meta, !v.Tombstone
+	if len(vm.V) == 0 {
+		return Metadata{}, false
+	}
+	return vm.V[0].Meta, !vm.V[0].Tombstone
 }
 
-// At returns the state visible at snapshot epoch s — the newest version
-// with Epoch <= s. ok is false when the key did not exist at s (no such
-// version, or it is a tombstone).
+// At returns the state visible at epoch s — the newest version with
+// Epoch <= s; at LiveEpoch that is the live state. ok is false when the
+// key did not exist at s (no such version, or it is a tombstone).
 func (vm *VersionedMeta) At(s uint64) (md Metadata, ok bool) {
 	for i := range vm.V {
 		if vm.V[i].Epoch <= s {
@@ -174,27 +164,87 @@ func (vm *VersionedMeta) At(s uint64) (md Metadata, ok bool) {
 // snapshot commit folds into the state the snapshot captures) it is
 // overwritten in place; otherwise a new newest version is pushed.
 func (vm *VersionedMeta) Stamp(epoch uint64, md Metadata) {
-	if len(vm.V) > 0 && vm.V[0].Epoch >= epoch {
-		vm.V[0].Tombstone = false
-		vm.V[0].Meta = md
-		return
-	}
-	vm.V = append(vm.V, Version{})
-	copy(vm.V[1:], vm.V)
-	vm.V[0] = Version{Epoch: epoch, Meta: md}
+	vm.stamp(Version{Epoch: epoch, Meta: md})
 }
 
 // StampTombstone records a removal at epoch, same folding rule as
 // Stamp.
 func (vm *VersionedMeta) StampTombstone(epoch uint64) {
-	if len(vm.V) > 0 && vm.V[0].Epoch >= epoch {
-		vm.V[0].Tombstone = true
-		vm.V[0].Meta = Metadata{}
+	vm.stamp(Version{Epoch: epoch, Tombstone: true})
+}
+
+func (vm *VersionedMeta) stamp(v Version) {
+	if len(vm.V) > 0 && vm.V[0].Epoch >= v.Epoch {
+		v.Epoch = vm.V[0].Epoch
+		vm.V[0] = v
 		return
 	}
 	vm.V = append(vm.V, Version{})
 	copy(vm.V[1:], vm.V)
-	vm.V[0] = Version{Epoch: epoch, Tombstone: true}
+	vm.V[0] = v
+}
+
+// Outcome is what a transition rule decided: what the store must do with
+// the record (Put, Delete) or why the record was left as it was.
+type Outcome uint8
+
+// Transition outcomes.
+const (
+	// Put: the record changed; store its encoding.
+	Put Outcome = iota
+	// Delete: no reader, live or pinned, can see the key any more; drop it.
+	Delete
+	// Exists: refused, the path is live (create).
+	Exists
+	// NotExist: refused, the path is absent or removed.
+	NotExist
+	// IsDir: refused, the path is a directory.
+	IsDir
+)
+
+// Create makes the path live as a fresh record of the given mode.
+func (vm *VersionedMeta) Create(epoch uint64, retained []uint64, mode Mode, timeNS int64) Outcome {
+	if _, live := vm.Live(); live {
+		return Exists
+	}
+	vm.Stamp(epoch, Metadata{Mode: mode, CTimeNS: timeNS, MTimeNS: timeNS})
+	vm.Compact(retained)
+	return Put
+}
+
+// Remove tombstones the path and returns the state it had, so the client
+// can tell whether chunks need collecting. With fileOnly a directory is
+// refused. When no retained snapshot sees the old state only the
+// tombstone survives compaction and the key is deleted outright.
+func (vm *VersionedMeta) Remove(epoch uint64, retained []uint64, fileOnly bool) (Metadata, Outcome) {
+	was, live := vm.Live()
+	if !live {
+		return Metadata{}, NotExist
+	}
+	if fileOnly && was.IsDir() {
+		return Metadata{}, IsDir
+	}
+	vm.StampTombstone(epoch)
+	vm.Compact(retained)
+	if len(vm.V) == 1 {
+		return was, Delete
+	}
+	return was, Put
+}
+
+// Truncate sets a live file's size exactly.
+func (vm *VersionedMeta) Truncate(epoch uint64, retained []uint64, size, mtimeNS int64) Outcome {
+	md, live := vm.Live()
+	if !live {
+		return NotExist
+	}
+	if md.IsDir() {
+		return IsDir
+	}
+	md.Size, md.MTimeNS = size, mtimeNS
+	vm.Stamp(epoch, md)
+	vm.Compact(retained)
+	return Put
 }
 
 // Grow applies one size-grow step at epoch: the newest version's size
@@ -203,17 +253,19 @@ func (vm *VersionedMeta) StampTombstone(epoch uint64) {
 // regular file at epoch — not at epoch 0, which would fabricate history
 // earlier snapshots could see — and a newer epoch stamps a new version
 // first, so a pinned snapshot keeps the pre-grow state. A live directory
-// has no size to grow and is left untouched. It is the one definition of
-// the step, shared by the daemon's merge operator (which also folds it
-// at insert and replay) and the batch handler's overlay.
-func (vm *VersionedMeta) Grow(epoch uint64, size, mtimeNS int64) {
+// has no size to grow and is refused. The store applies a grow as a merge
+// operand, so this is the step the daemon's merge operator runs (at
+// insert and at replay, which is why it takes no retained set: compaction
+// is not replayable) as well as the one the transaction runs to answer
+// the caller and to let later sub-ops see the grown state.
+func (vm *VersionedMeta) Grow(epoch uint64, size, mtimeNS int64) Outcome {
 	switch {
 	case len(vm.V) == 0:
 		vm.V = []Version{{Epoch: epoch, Meta: Metadata{Mode: ModeRegular}}}
 	case vm.V[0].Tombstone:
 		vm.Stamp(epoch, Metadata{Mode: ModeRegular})
 	case vm.V[0].Meta.IsDir():
-		return
+		return IsDir
 	case epoch > vm.V[0].Epoch:
 		vm.Stamp(epoch, vm.V[0].Meta)
 	}
@@ -223,6 +275,7 @@ func (vm *VersionedMeta) Grow(epoch uint64, size, mtimeNS int64) {
 	m := &vm.V[0].Meta
 	m.Size = max(m.Size, size)
 	m.MTimeNS = max(m.MTimeNS, mtimeNS)
+	return Put
 }
 
 // Compact drops versions no retained snapshot can see: it keeps the

@@ -2,6 +2,7 @@ package meta
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -10,12 +11,15 @@ func mdAt(size int64) Metadata {
 	return Metadata{Mode: ModeRegular, Size: size, CTimeNS: 100, MTimeNS: 200}
 }
 
-func TestVersionedLegacyRoundTrip(t *testing.T) {
+// TestVersionedSingleRoundTrip pins the common record — one live version
+// at epoch 0, all a deployment without snapshots ever stores — through the
+// one stored shape.
+func TestVersionedSingleRoundTrip(t *testing.T) {
 	md := mdAt(42)
 	vm := VersionedMeta{V: []Version{{Meta: md}}}
 	enc := vm.Encode()
-	if len(enc) != metadataWireSize {
-		t.Fatalf("single live epoch-0 version encoded to %d bytes, want legacy %d", len(enc), metadataWireSize)
+	if want := 1 + versionHdrSize + metadataWireSize; len(enc) != want || enc[0] != versionedMagic {
+		t.Fatalf("single live epoch-0 version encoded to %d bytes (first %#x), want %d behind the magic", len(enc), enc[0], want)
 	}
 	got, err := DecodeVersionedMeta(enc)
 	if err != nil {
@@ -27,6 +31,10 @@ func TestVersionedLegacyRoundTrip(t *testing.T) {
 	live, ok := got.Live()
 	if !ok || live != md {
 		t.Fatalf("Live() = %+v, %v", live, ok)
+	}
+	// The version payload alone is not a record.
+	if _, err := DecodeVersionedMeta(md.Encode()); err == nil {
+		t.Fatal("a bare 25-byte Metadata payload decoded as a stored record")
 	}
 }
 
@@ -146,11 +154,14 @@ func TestVersionedDecodeRejects(t *testing.T) {
 	live := VersionedMeta{V: []Version{{Epoch: 3, Meta: mdAt(1)}, {Epoch: 1, Meta: mdAt(2)}}}
 	valid := live.Encode()
 	cases := map[string][]byte{
-		"empty":                  {},
-		"magic only":             {versionedMagic},
-		"truncated header":       valid[:5],
-		"truncated payload":      valid[:len(valid)-3],
-		"legacy with magic mode": append([]byte{versionedMagic}, bytes.Repeat([]byte{0}, metadataWireSize-1)...),
+		"empty":                   {},
+		"magic only":              {versionedMagic},
+		"truncated header":        valid[:5],
+		"truncated payload":       valid[:len(valid)-3],
+		"bare payload":            valid[1+versionHdrSize : 1+versionHdrSize+metadataWireSize],
+		"payload with magic mode": append([]byte{versionedMagic}, bytes.Repeat([]byte{0}, metadataWireSize-1)...),
+		"bad mode in payload":     append(append([]byte{versionedMagic}, make([]byte, versionHdrSize)...), append([]byte{7}, make([]byte, metadataWireSize-1)...)...),
+		"unknown version flags":   append([]byte{versionedMagic, 0, 0, 0, 0, 0, 0, 0, 0, 2}, make([]byte, metadataWireSize)...),
 	}
 	nonDecreasing := VersionedMeta{V: []Version{{Epoch: 1, Meta: mdAt(1)}, {Epoch: 3, Meta: mdAt(2)}}}
 	// Encode doesn't validate ordering; build the hostile frame by hand.
@@ -174,8 +185,8 @@ func TestVersionedDecodeRejects(t *testing.T) {
 // can justify, errors poison the whole record, and every accepted frame
 // re-encodes to an identical decode (canonicalization).
 func FuzzDecodeVersionedMeta(f *testing.F) {
-	legacy := mdAt(42)
-	f.Add(legacy.Encode())
+	single := VersionedMeta{V: []Version{{Meta: mdAt(42)}}}
+	f.Add(single.Encode())
 	multi := VersionedMeta{V: []Version{
 		{Epoch: 7, Meta: mdAt(300)},
 		{Epoch: 4, Tombstone: true},
@@ -214,6 +225,11 @@ func FuzzDecodeVersionedMeta(f *testing.F) {
 				t.Fatalf("non-decreasing epochs survived decode: %+v", vm.V)
 			}
 		}
+		// "Live" is not a second resolution: it is the state at epoch ∞.
+		liveMD, liveOK := vm.Live()
+		if atMD, atOK := vm.At(LiveEpoch); atMD != liveMD || atOK != liveOK {
+			t.Fatalf("At(LiveEpoch) = %+v, %v but Live() = %+v, %v on %+v", atMD, atOK, liveMD, liveOK, vm.V)
+		}
 		re := vm.Encode()
 		got, err := DecodeVersionedMeta(re)
 		if err != nil {
@@ -223,4 +239,100 @@ func FuzzDecodeVersionedMeta(f *testing.F) {
 			t.Fatalf("record changed across re-encode: %+v != %+v", got, vm)
 		}
 	})
+}
+
+// TestAtLiveEpochIsLive is the property the fuzz target also checks, run
+// on every build: over random valid histories (and the absent one),
+// At(LiveEpoch) and Live() agree, so readers need only At.
+func TestAtLiveEpochIsLive(t *testing.T) {
+	rnd := rand.New(rand.NewSource(23))
+	histories := []VersionedMeta{{}}
+	for i := 0; i < 2000; i++ {
+		var vm VersionedMeta
+		epoch := uint64(rnd.Intn(4))
+		for n := 1 + rnd.Intn(MaxVersions); n > 0; n-- {
+			v := Version{Epoch: epoch, Tombstone: rnd.Intn(3) == 0}
+			if !v.Tombstone {
+				v.Meta = Metadata{Mode: Mode(rnd.Intn(2)), Size: rnd.Int63n(1 << 40), CTimeNS: rnd.Int63(), MTimeNS: rnd.Int63()}
+			}
+			vm.V = append([]Version{v}, vm.V...)
+			epoch += 1 + uint64(rnd.Intn(5))
+		}
+		if rnd.Intn(8) == 0 {
+			vm.V[0].Epoch = LiveEpoch // the largest epoch there is
+		}
+		enc := vm.Encode()
+		dec, err := DecodeVersionedMeta(enc)
+		if err != nil {
+			t.Fatalf("generated history %+v does not decode: %v", vm.V, err)
+		}
+		histories = append(histories, dec)
+	}
+	for _, vm := range histories {
+		liveMD, liveOK := vm.Live()
+		if atMD, atOK := vm.At(LiveEpoch); atMD != liveMD || atOK != liveOK {
+			t.Fatalf("At(LiveEpoch) = %+v, %v but Live() = %+v, %v on %+v", atMD, atOK, liveMD, liveOK, vm.V)
+		}
+	}
+}
+
+// TestTransitionRules pins each rule's outcome and the record it leaves,
+// per starting state. (That the daemon reaches these — and only these —
+// from both RPC framings is internal/daemon's equivalence table.)
+func TestTransitionRules(t *testing.T) {
+	file := Metadata{Mode: ModeRegular, Size: 50, CTimeNS: 1, MTimeNS: 2}
+	dir := Metadata{Mode: ModeDir, CTimeNS: 1, MTimeNS: 1}
+	states := map[string]func() VersionedMeta{
+		"absent": func() VersionedMeta { return VersionedMeta{} },
+		"file":   func() VersionedMeta { return VersionedMeta{V: []Version{{Epoch: 2, Meta: file}}} },
+		"dir":    func() VersionedMeta { return VersionedMeta{V: []Version{{Epoch: 2, Meta: dir}}} },
+		"tombstoned": func() VersionedMeta {
+			return VersionedMeta{V: []Version{{Epoch: 2, Tombstone: true}, {Epoch: 1, Meta: file}}}
+		},
+	}
+	const epoch = 5
+	for _, tc := range []struct {
+		state, rule string
+		retained    []uint64
+		apply       func(vm *VersionedMeta, retained []uint64) Outcome
+		want        Outcome
+		versions    int // after the rule; refused rules must leave the record alone
+	}{
+		{"absent", "create", nil, func(vm *VersionedMeta, r []uint64) Outcome { return vm.Create(epoch, r, ModeRegular, 9) }, Put, 1},
+		{"file", "create", nil, func(vm *VersionedMeta, r []uint64) Outcome { return vm.Create(epoch, r, ModeRegular, 9) }, Exists, 1},
+		{"tombstoned", "create", []uint64{1}, func(vm *VersionedMeta, r []uint64) Outcome { return vm.Create(epoch, r, ModeDir, 9) }, Put, 2},
+		{"absent", "remove", nil, func(vm *VersionedMeta, r []uint64) Outcome { _, o := vm.Remove(epoch, r, false); return o }, NotExist, 0},
+		{"tombstoned", "remove", nil, func(vm *VersionedMeta, r []uint64) Outcome { _, o := vm.Remove(epoch, r, false); return o }, NotExist, 2},
+		{"file", "remove", nil, func(vm *VersionedMeta, r []uint64) Outcome { _, o := vm.Remove(epoch, r, true); return o }, Delete, 1},
+		{"file", "remove pinned", []uint64{3}, func(vm *VersionedMeta, r []uint64) Outcome { _, o := vm.Remove(epoch, r, true); return o }, Put, 2},
+		{"dir", "remove file-only", nil, func(vm *VersionedMeta, r []uint64) Outcome { _, o := vm.Remove(epoch, r, true); return o }, IsDir, 1},
+		{"dir", "remove any", nil, func(vm *VersionedMeta, r []uint64) Outcome { _, o := vm.Remove(epoch, r, false); return o }, Delete, 1},
+		{"absent", "truncate", nil, func(vm *VersionedMeta, r []uint64) Outcome { return vm.Truncate(epoch, r, 7, 9) }, NotExist, 0},
+		{"dir", "truncate", nil, func(vm *VersionedMeta, r []uint64) Outcome { return vm.Truncate(epoch, r, 7, 9) }, IsDir, 1},
+		{"file", "truncate", nil, func(vm *VersionedMeta, r []uint64) Outcome { return vm.Truncate(epoch, r, 7, 9) }, Put, 1},
+		{"file", "truncate pinned", []uint64{2}, func(vm *VersionedMeta, r []uint64) Outcome { return vm.Truncate(epoch, r, 7, 9) }, Put, 2},
+		{"dir", "grow", nil, func(vm *VersionedMeta, r []uint64) Outcome { return vm.Grow(epoch, 70, 9) }, IsDir, 1},
+		{"absent", "grow", nil, func(vm *VersionedMeta, r []uint64) Outcome { return vm.Grow(epoch, 70, 9) }, Put, 1},
+	} {
+		t.Run(tc.state+"/"+tc.rule, func(t *testing.T) {
+			vm := states[tc.state]()
+			before := states[tc.state]()
+			got := tc.apply(&vm, tc.retained)
+			if got != tc.want || len(vm.V) != tc.versions {
+				t.Fatalf("outcome %d with %d versions %+v, want outcome %d with %d", got, len(vm.V), vm.V, tc.want, tc.versions)
+			}
+			if got > Delete && !reflect.DeepEqual(vm, before) {
+				t.Fatalf("refused rule changed the record: %+v -> %+v", before.V, vm.V)
+			}
+		})
+	}
+	// The truncate a pinned epoch 2 still sees through.
+	vm := states["file"]()
+	vm.Truncate(epoch, []uint64{2}, 7, 9)
+	if md, ok := vm.At(2); !ok || md.Size != 50 {
+		t.Fatalf("pinned epoch sees %+v, %v after truncate", md, ok)
+	}
+	if md, ok := vm.At(LiveEpoch); !ok || md.Size != 7 || md.MTimeNS != 9 || md.CTimeNS != 1 {
+		t.Fatalf("live state after truncate = %+v, %v", md, ok)
+	}
 }

@@ -33,8 +33,14 @@ import (
 // a shm doorbell frame is the TCP frame with dirRefFlag set and a
 // [u64 segOff] where the bulk bytes would be (transport/stream.go). Only
 // the frame trace trailer is still optional, announced by its own flag
-// bit.
-const ProtocolVersion uint16 = 10
+// bit. Version 11 gives the metadata plane one body codec per operation
+// kind: a single-op request (OpCreate, OpStat, OpRemoveMeta,
+// OpUpdateSize) is byte for byte the OpBatchMeta sub-op without its kind
+// byte, and its reply is the sub-op's result. The stat sub-op so gains
+// OpStat's [u8 flags][u64 epoch] tail; out-of-domain field values (a mode
+// that is no object kind, a negative size, unknown flag bits) answer
+// ErrnoInval per op instead of poisoning the frame.
+const ProtocolVersion uint16 = 11
 
 // RPC operations. Each corresponds to one registered Mercury RPC in the
 // released GekkoFS.
@@ -298,6 +304,10 @@ const WriteReplica uint8 = 1 << 0
 // whether the path is a directory — and fall back to the directory
 // protocol only when the daemon says so.
 const RemoveFileOnly uint8 = 1 << 0
+
+// UpdateSizeTruncate is the OpUpdateSize flag bit selecting set-exactly
+// (truncate) over grow.
+const UpdateSizeTruncate uint8 = 1 << 0
 
 // OpStat and OpReadDir request flag bits (the u8 every such request
 // ends in, followed by the epoch when StatAtEpoch is set).
@@ -601,23 +611,25 @@ func DecodeStatsExt(d *rpc.Dec) StatsExt {
 	return ext
 }
 
-// MetaOpKind discriminates OpBatchMeta sub-operations.
+// MetaOpKind discriminates OpBatchMeta sub-operations. A kind's value
+// is the op code of its single-op framing, so a sub-op on the wire reads
+// [u8 op code][the single-op request body].
 type MetaOpKind uint8
 
 // Batch sub-operation kinds.
 const (
-	// MetaOpCreate inserts a metadata record if absent (OpCreate).
-	MetaOpCreate MetaOpKind = iota + 1
-	// MetaOpStat fetches a record (OpStat).
-	MetaOpStat
-	// MetaOpRemove deletes a record, reporting its mode and size
-	// (OpRemoveMeta).
-	MetaOpRemove
-	// MetaOpUpdateSize grows or truncates a file's size (OpUpdateSize).
-	MetaOpUpdateSize
+	// MetaOpCreate inserts a metadata record if absent.
+	MetaOpCreate = MetaOpKind(OpCreate)
+	// MetaOpStat fetches a record, live or at a pinned epoch.
+	MetaOpStat = MetaOpKind(OpStat)
+	// MetaOpRemove deletes a record, reporting its mode and size.
+	MetaOpRemove = MetaOpKind(OpRemoveMeta)
+	// MetaOpUpdateSize grows or truncates a file's size.
+	MetaOpUpdateSize = MetaOpKind(OpUpdateSize)
 )
 
-// MetaOp is one sub-operation of an OpBatchMeta request.
+// MetaOp is one metadata operation: an OpBatchMeta sub-op or, alone, the
+// request of its kind's own op code.
 type MetaOp struct {
 	// Kind selects the operation.
 	Kind MetaOpKind
@@ -634,15 +646,30 @@ type MetaOp struct {
 	FileOnly bool
 	// TimeNS is the ctime (create) or mtime (update-size) in UnixNano.
 	TimeNS int64
+	// Flags are MetaOpStat's request flags (StatAtEpoch,
+	// StatWantVersions); the zero value asks for the live record.
+	Flags uint8
+	// Epoch is the epoch MetaOpStat resolves the record at. On the wire
+	// it follows the flags when StatAtEpoch is set; a decoded op without
+	// the bit carries meta.LiveEpoch, so the daemon never asks which it
+	// was.
+	Epoch uint64
+	// Inval is set by the decoder when a field is outside the op's
+	// domain; the daemon answers such an op ErrnoInval without looking
+	// at the record.
+	Inval bool
 }
 
-// MetaResult is one sub-operation's outcome in an OpBatchMeta reply.
+// MetaResult is one metadata operation's outcome.
 type MetaResult struct {
 	// Errno is the per-op outcome; OK means the op-specific fields below
 	// are populated.
 	Errno Errno
 	// Blob is the encoded metadata record (MetaOpStat only).
 	Blob []byte
+	// Versions is the record's stored history, newest first (MetaOpStat
+	// with StatWantVersions only).
+	Versions []meta.Version
 	// Mode and Size describe the removed record (MetaOpRemove only), so
 	// the client knows whether chunk collection is needed.
 	Mode meta.Mode
@@ -660,7 +687,7 @@ const minMetaOpBytes = 2
 const MaxBatchOps = 1 << 16
 
 // EncodeMetaOps appends a sub-op vector to an encoder: [u32 count] then
-// per op a kind byte, the path, and kind-specific fields.
+// per op a kind byte and the op's body.
 func EncodeMetaOps(e *rpc.Enc, ops []MetaOp) {
 	e.U32(uint32(len(ops)))
 	for i := range ops {
@@ -672,11 +699,19 @@ func EncodeMetaOps(e *rpc.Enc, ops []MetaOp) {
 // vector emit the count themselves and call this per op, avoiding a
 // gathered copy of the shard.
 func EncodeMetaOp(e *rpc.Enc, op *MetaOp) {
-	e.U8(uint8(op.Kind)).Str(op.Path)
+	e.U8(uint8(op.Kind))
+	EncodeMetaOpBody(e, op)
+}
+
+// EncodeMetaOpBody appends op's body — the path and the kind's fields —
+// which is the whole request when op travels alone under its own op code.
+func EncodeMetaOpBody(e *rpc.Enc, op *MetaOp) {
+	e.Str(op.Path)
 	switch op.Kind {
 	case MetaOpCreate:
 		e.U8(uint8(op.Mode)).I64(op.TimeNS)
 	case MetaOpStat:
+		EncodeEpochTail(e, op.Flags, op.Epoch)
 	case MetaOpRemove:
 		var flags uint8
 		if op.FileOnly {
@@ -686,16 +721,64 @@ func EncodeMetaOp(e *rpc.Enc, op *MetaOp) {
 	case MetaOpUpdateSize:
 		var flags uint8
 		if op.Truncate {
-			flags |= 1
+			flags |= UpdateSizeTruncate
 		}
 		e.I64(op.Size).U8(flags).I64(op.TimeNS)
 	}
 }
 
+// EncodeEpochTail appends the [u8 flags][u64 epoch, with StatAtEpoch]
+// tail stat and readdir requests end in.
+func EncodeEpochTail(e *rpc.Enc, flags uint8, epoch uint64) {
+	e.U8(flags)
+	if flags&StatAtEpoch != 0 {
+		e.U64(epoch)
+	}
+}
+
+// DecodeEpochTail reads what EncodeEpochTail wrote; without StatAtEpoch
+// the epoch is meta.LiveEpoch.
+func DecodeEpochTail(d *rpc.Dec) (flags uint8, epoch uint64) {
+	flags, epoch = d.U8(), meta.LiveEpoch
+	if flags&StatAtEpoch != 0 {
+		epoch = d.U64()
+	}
+	return flags, epoch
+}
+
+// DecodeMetaOpBody reads the body of an op whose Kind is already set —
+// from the sub-op's kind byte or from the op code the request arrived
+// under. It is the one place wire values are checked against the op's
+// domain (see MetaOp.Inval). An unknown kind poisons the decoder.
+func DecodeMetaOpBody(d *rpc.Dec, op *MetaOp) {
+	op.Path = d.Str()
+	switch op.Kind {
+	case MetaOpCreate:
+		op.Mode = meta.Mode(d.U8())
+		op.TimeNS = d.I64()
+		op.Inval = !op.Mode.Valid()
+	case MetaOpStat:
+		op.Flags, op.Epoch = DecodeEpochTail(d)
+		op.Inval = op.Flags&^(StatAtEpoch|StatWantVersions) != 0
+	case MetaOpRemove:
+		flags := d.U8()
+		op.FileOnly = flags&RemoveFileOnly != 0
+		op.Inval = flags&^RemoveFileOnly != 0
+	case MetaOpUpdateSize:
+		op.Size = d.I64()
+		flags := d.U8()
+		op.TimeNS = d.I64()
+		op.Truncate = flags&UpdateSizeTruncate != 0
+		op.Inval = op.Size < 0 || flags&^UpdateSizeTruncate != 0
+	default:
+		d.Corrupt()
+	}
+}
+
 // DecodeMetaOps reads what EncodeMetaOps wrote, with the same wrap-proof
 // discipline as DecodeSpans: the claimed count is validated against the
-// remaining buffer before any allocation, unknown kinds and negative
-// sizes poison the decoder.
+// remaining buffer before any allocation, and unknown kinds poison the
+// decoder.
 func DecodeMetaOps(d *rpc.Dec) []MetaOp {
 	n := d.U32()
 	if d.Err() != nil {
@@ -705,52 +788,43 @@ func DecodeMetaOps(d *rpc.Dec) []MetaOp {
 		d.Corrupt()
 		return nil
 	}
-	ops := make([]MetaOp, 0, n)
-	for i := uint32(0); i < n; i++ {
-		op := MetaOp{Kind: MetaOpKind(d.U8()), Path: d.Str()}
-		switch op.Kind {
-		case MetaOpCreate:
-			op.Mode = meta.Mode(d.U8())
-			op.TimeNS = d.I64()
-		case MetaOpStat:
-		case MetaOpRemove:
-			op.FileOnly = d.U8()&RemoveFileOnly != 0
-		case MetaOpUpdateSize:
-			op.Size = d.I64()
-			op.Truncate = d.U8()&1 != 0
-			op.TimeNS = d.I64()
-			if op.Size < 0 {
-				d.Corrupt()
-				return nil
-			}
-		default:
-			d.Corrupt()
-			return nil
-		}
+	ops := make([]MetaOp, n)
+	for i := range ops {
+		ops[i].Kind = MetaOpKind(d.U8())
+		DecodeMetaOpBody(d, &ops[i])
 		if d.Err() != nil {
 			return nil
 		}
-		ops = append(ops, op)
 	}
 	return ops
 }
 
 // EncodeMetaResults appends the per-op outcome vector. ops must be the
 // request vector the results answer — the reply shape of each result
-// depends on its op's kind.
+// depends on its op.
 func EncodeMetaResults(e *rpc.Enc, ops []MetaOp, results []MetaResult) {
 	e.U32(uint32(len(results)))
-	for i, r := range results {
-		e.U16(uint16(r.Errno))
-		if r.Errno != OK {
-			continue
+	for i := range results {
+		EncodeMetaResult(e, &ops[i], &results[i])
+	}
+}
+
+// EncodeMetaResult appends one result: [u16 errno] and, when OK, the
+// body op's kind defines — which is the whole reply when op traveled
+// alone.
+func EncodeMetaResult(e *rpc.Enc, op *MetaOp, r *MetaResult) {
+	e.U16(uint16(r.Errno))
+	if r.Errno != OK {
+		return
+	}
+	switch op.Kind {
+	case MetaOpStat:
+		e.Blob(r.Blob)
+		if op.Flags&StatWantVersions != 0 {
+			EncodeVersions(e, r.Versions)
 		}
-		switch ops[i].Kind {
-		case MetaOpStat:
-			e.Blob(r.Blob)
-		case MetaOpRemove:
-			e.U8(uint8(r.Mode)).I64(r.Size)
-		}
+	case MetaOpRemove:
+		e.U8(uint8(r.Mode)).I64(r.Size)
 	}
 }
 
@@ -768,7 +842,7 @@ func DecodeMetaResults(d *rpc.Dec, ops []MetaOp) []MetaResult {
 	}
 	results := make([]MetaResult, 0, n)
 	for i := range ops {
-		r := DecodeMetaResult(d, ops[i].Kind)
+		r := DecodeMetaResult(d, &ops[i])
 		if d.Err() != nil {
 			return nil
 		}
@@ -780,16 +854,25 @@ func DecodeMetaResults(d *rpc.Dec, ops []MetaOp) []MetaResult {
 // DecodeMetaResult reads one result. The shard-count preamble and the
 // count check are the caller's job (see DecodeMetaResults); this is the
 // per-op half for callers scattering a reply without a gathered shard.
-func DecodeMetaResult(d *rpc.Dec, kind MetaOpKind) MetaResult {
+func DecodeMetaResult(d *rpc.Dec, op *MetaOp) MetaResult {
 	r := MetaResult{Errno: Errno(d.U16())}
 	if r.Errno == OK {
-		switch kind {
-		case MetaOpStat:
-			r.Blob = d.Blob()
-		case MetaOpRemove:
-			r.Mode = meta.Mode(d.U8())
-			r.Size = d.I64()
-		}
+		DecodeMetaResultBody(d, op, &r)
 	}
 	return r
+}
+
+// DecodeMetaResultBody reads the success body of op's result — all that
+// is left of a single-op reply once its errno header has been peeled off.
+func DecodeMetaResultBody(d *rpc.Dec, op *MetaOp, r *MetaResult) {
+	switch op.Kind {
+	case MetaOpStat:
+		r.Blob = d.Blob()
+		if op.Flags&StatWantVersions != 0 {
+			r.Versions = DecodeVersions(d)
+		}
+	case MetaOpRemove:
+		r.Mode = meta.Mode(d.U8())
+		r.Size = d.I64()
+	}
 }

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -78,7 +79,8 @@ func sampleMetaOps() []MetaOp {
 	return []MetaOp{
 		{Kind: MetaOpCreate, Path: "/a", Mode: meta.ModeRegular, TimeNS: 42},
 		{Kind: MetaOpCreate, Path: "/d", Mode: meta.ModeDir, TimeNS: 43},
-		{Kind: MetaOpStat, Path: "/a"},
+		{Kind: MetaOpStat, Path: "/a", Epoch: meta.LiveEpoch},
+		{Kind: MetaOpStat, Path: "/a", Flags: StatAtEpoch | StatWantVersions, Epoch: 7},
 		{Kind: MetaOpRemove, Path: "/a", FileOnly: true},
 		{Kind: MetaOpRemove, Path: "/d"},
 		{Kind: MetaOpUpdateSize, Path: "/a", Size: 1 << 30, TimeNS: 44},
@@ -132,14 +134,32 @@ func TestMetaOpsHostileFrames(t *testing.T) {
 		t.Fatal("unknown op kind decoded cleanly")
 	}
 
-	// Negative sizes poison the decoder.
+	// Field values outside an op's domain do not poison the frame — its
+	// batchmates are innocent — but mark the op for an ErrnoInval answer:
+	// a mode that is no object kind, a negative size, unknown flag bits.
+	for name, body := range map[string]func(e *rpc.Enc){
+		"create mode 0xF5":      func(e *rpc.Enc) { e.U8(uint8(MetaOpCreate)).Str("/x").U8(0xF5).I64(1) },
+		"update-size negative":  func(e *rpc.Enc) { e.U8(uint8(MetaOpUpdateSize)).Str("/x").I64(-5).U8(1).I64(0) },
+		"update-size flag 3":    func(e *rpc.Enc) { e.U8(uint8(MetaOpUpdateSize)).Str("/x").I64(5).U8(3).I64(0) },
+		"remove flag 2":         func(e *rpc.Enc) { e.U8(uint8(MetaOpRemove)).Str("/x").U8(2) },
+		"stat unknown flag bit": func(e *rpc.Enc) { e.U8(uint8(MetaOpStat)).Str("/x").U8(0x80) },
+	} {
+		e = rpc.NewEnc(32)
+		e.U32(1)
+		body(e)
+		d = rpc.NewDec(e.Bytes())
+		ops := DecodeMetaOps(d)
+		if err := d.Done(); err != nil || len(ops) != 1 || !ops[0].Inval {
+			t.Fatalf("%s: decoded %+v, %v; want one op marked Inval", name, ops, err)
+		}
+	}
+
+	// A stat that announces an epoch must carry all eight bytes of it.
 	e = rpc.NewEnc(16)
-	e.U32(1).U8(uint8(MetaOpUpdateSize))
-	e.Str("/x")
-	e.I64(-5).U8(1).I64(0)
+	e.U32(1).U8(uint8(MetaOpStat)).Str("/x").U8(StatAtEpoch).U32(7)
 	d = rpc.NewDec(e.Bytes())
 	if DecodeMetaOps(d); d.Err() == nil {
-		t.Fatal("negative size decoded cleanly")
+		t.Fatal("stat with a truncated epoch decoded cleanly")
 	}
 
 	// Truncated mid-op frames error instead of fabricating ops.
@@ -161,6 +181,7 @@ func TestMetaResultsRoundTrip(t *testing.T) {
 		{Errno: ErrnoExist},
 		{},
 		{Blob: md.Encode()},
+		{Blob: md.Encode(), Versions: []meta.Version{{Epoch: 7, Meta: md}, {Epoch: 3, Tombstone: true}}},
 		{Mode: meta.ModeRegular, Size: 512},
 		{Errno: ErrnoIsDir},
 		{},
@@ -180,6 +201,9 @@ func TestMetaResultsRoundTrip(t *testing.T) {
 	}
 	if dec, err := meta.DecodeMetadata(got[2].Blob); err != nil || dec != md {
 		t.Errorf("stat blob = %+v, %v", dec, err)
+	}
+	if !reflect.DeepEqual(got[3].Versions, results[3].Versions) || got[2].Versions != nil {
+		t.Errorf("stat versions = %+v / %+v, want %+v / none", got[3].Versions, got[2].Versions, results[3].Versions)
 	}
 
 	// A reply whose count disagrees with the request poisons the decoder.

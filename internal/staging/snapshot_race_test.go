@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -178,6 +179,163 @@ func TestSnapshotStageOutUnderConcurrentWriters(t *testing.T) {
 			if !bytes.Equal(got, want[i]) {
 				t.Fatalf("round %d: staged %s differs from the epoch pre-image (%d vs %d bytes)",
 					round, racePath(i), len(got), len(want[i]))
+			}
+		}
+		if err := sc.SnapshotDrop(tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if err := errors.Join(werrs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPinnedEpochIsImmutable is the property behind the test above, asked
+// directly: a committed epoch never changes. Seeded writers mutate a
+// small tree in every way the namespace allows — whole and partial
+// rewrites, truncates, removes and recreates — while the test pins an
+// epoch and then reads every file's bytes and size and the directory
+// listing at that epoch several times over, starting the moment Snapshot
+// returns (so the first pass overlaps whatever the old epoch's mutations
+// were still doing) and with the writers still running. Every pass must
+// equal the first. The operation sequence replays from the seed; the
+// interleaving is the scheduler's.
+func TestPinnedEpochIsImmutable(t *testing.T) {
+	const (
+		seed   = 20260927
+		rounds = 4
+		passes = 5
+	)
+	cluster, err := core.NewCluster(core.Config{Nodes: 4, ChunkSize: raceChunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	wc, err := cluster.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := cluster.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.Mkdir(raceDir); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		stop  atomic.Bool
+		wg    sync.WaitGroup
+		werrs = make([]error, raceFiles)
+	)
+	mutate := func(i int, rnd *rand.Rand, gen int) error {
+		path := racePath(i)
+		switch rnd.Intn(8) {
+		case 0:
+			err := wc.Truncate(path, int64(rnd.Intn(raceSize(i))))
+			if errors.Is(err, proto.ErrNotExist) {
+				return nil
+			}
+			return err
+		case 1:
+			err := wc.Remove(path)
+			if errors.Is(err, proto.ErrNotExist) {
+				return nil
+			}
+			return err
+		case 2, 3:
+			// A partial rewrite somewhere inside the file's extent.
+			off := rnd.Intn(raceSize(i) - 1)
+			buf := bytes.Repeat([]byte{byte(gen%250 + 1)}, 1+rnd.Intn(raceSize(i)-off-1))
+			fd, err := wc.Open(path, client.O_WRONLY|client.O_CREATE)
+			if err != nil {
+				return err
+			}
+			if _, err := wc.WriteAt(fd, buf, int64(off)); err != nil {
+				wc.Close(fd)
+				return err
+			}
+			return wc.Close(fd)
+		default:
+			return raceWrite(wc, i, gen)
+		}
+	}
+	for i := 0; i < raceFiles; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(seed + int64(i)))
+			for gen := 1; !stop.Load(); gen++ {
+				if err := mutate(i, rnd, gen); err != nil {
+					werrs[i] = fmt.Errorf("seed %d, file %d, gen %d: %w", seed, i, gen, err)
+					return
+				}
+			}
+		}(i)
+	}
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+	}()
+
+	// view is everything readable of the tree at an epoch.
+	type view struct {
+		listing string
+		data    [raceFiles][]byte
+		exists  [raceFiles]bool
+		size    [raceFiles]int64
+	}
+	look := func(epoch uint64) view {
+		var v view
+		ents, err := sc.ReadDirAt(raceDir, epoch)
+		if err != nil {
+			t.Fatalf("readdir at %d: %v", epoch, err)
+		}
+		v.listing = fmt.Sprint(ents)
+		for i := 0; i < raceFiles; i++ {
+			v.data[i], v.exists[i], err = captureAt(sc, racePath(i), epoch)
+			if err != nil {
+				t.Fatalf("capture %s at %d: %v", racePath(i), epoch, err)
+			}
+			fi, err := sc.StatAt(racePath(i), epoch)
+			switch {
+			case errors.Is(err, proto.ErrNotExist):
+				v.size[i] = -1
+			case err != nil:
+				t.Fatalf("stat %s at %d: %v", racePath(i), epoch, err)
+			default:
+				v.size[i] = fi.Size()
+			}
+		}
+		return v
+	}
+	for round := 0; round < rounds; round++ {
+		tag := fmt.Sprintf("pin-%d", round)
+		epoch, err := sc.Snapshot(tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := look(epoch)
+		for i := 0; i < raceFiles; i++ {
+			if first.exists[i] != (first.size[i] >= 0) || first.exists[i] && int64(len(first.data[i])) != first.size[i] {
+				t.Fatalf("seed %d, round %d: %s at epoch %d reads %d bytes (exists=%v) but stats size %d",
+					seed, round, racePath(i), epoch, len(first.data[i]), first.exists[i], first.size[i])
+			}
+		}
+		for pass := 1; pass < passes; pass++ {
+			again := look(epoch)
+			if again.listing != first.listing {
+				t.Fatalf("seed %d, round %d, pass %d: listing at epoch %d changed:\n first %s\n now   %s",
+					seed, round, pass, epoch, first.listing, again.listing)
+			}
+			for i := 0; i < raceFiles; i++ {
+				if again.exists[i] != first.exists[i] || again.size[i] != first.size[i] || !bytes.Equal(again.data[i], first.data[i]) {
+					t.Fatalf("seed %d, round %d, pass %d: %s at epoch %d changed: exists %v -> %v, size %d -> %d, bytes equal %v",
+						seed, round, pass, racePath(i), epoch, first.exists[i], again.exists[i],
+						first.size[i], again.size[i], bytes.Equal(again.data[i], first.data[i]))
+				}
 			}
 		}
 		if err := sc.SnapshotDrop(tag); err != nil {

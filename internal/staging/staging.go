@@ -164,33 +164,14 @@ type engine struct {
 	c    *client.Client
 	opts Options
 
-	// snap pins every namespace and data read to snapEpoch (stage-out
-	// from a committed snapshot tag); immutable after StageOut resolves
-	// the tag.
-	snap      bool
-	snapEpoch uint64
+	// epoch is what stage-out reads the namespace and every byte at: a
+	// committed snapshot tag's pinned epoch, or client.LiveEpoch.
+	// Immutable after StageOut resolves the tag.
+	epoch uint64
 
 	mu  sync.Mutex
 	rep Report    // guarded by mu
 	mf  *Manifest // guarded by mu; nil when no manifest is in play
-}
-
-// statFS stats a cluster path, pinned to the snapshot epoch when one is
-// in play.
-func (e *engine) statFS(p string) (client.FileInfo, error) {
-	if e.snap {
-		return e.c.StatAt(p, e.snapEpoch)
-	}
-	return e.c.Stat(p)
-}
-
-// readDirFS lists a cluster directory, pinned to the snapshot epoch
-// when one is in play.
-func (e *engine) readDirFS(p string) ([]client.DirEntry, error) {
-	if e.snap {
-		return e.c.ReadDirAt(p, e.snapEpoch)
-	}
-	return e.c.ReadDir(p)
 }
 
 func (e *engine) fail(op, path string, err error) {
@@ -958,7 +939,7 @@ type outJob struct {
 // only.
 func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, error) {
 	begin := time.Now()
-	e := &engine{c: c, opts: opts.withDefaults(DefaultReadBufBytes)}
+	e := &engine{c: c, opts: opts.withDefaults(DefaultReadBufBytes), epoch: client.LiveEpoch}
 	fsRoot, err := meta.Clean(fsDir)
 	if err != nil {
 		return e.report(begin), fmt.Errorf("staging: source %q: %w", fsDir, err)
@@ -985,9 +966,9 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 		if err != nil {
 			return e.report(begin), fmt.Errorf("staging: snapshot %q: %w", e.opts.Snapshot, err)
 		}
-		e.snap, e.snapEpoch = true, epoch
+		e.epoch = epoch
 	}
-	if info, err := e.statFS(fsRoot); err != nil {
+	if info, err := c.StatAt(fsRoot, e.epoch); err != nil {
 		return e.report(begin), fmt.Errorf("staging: source %s: %w", fsRoot, err)
 	} else if !info.IsDir() {
 		return e.report(begin), fmt.Errorf("staging: source %s: %w", fsRoot, proto.ErrNotDir)
@@ -1004,7 +985,7 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 	var walk func(rel string)
 	walk = func(rel string) {
 		fsPath := fsJoin(fsRoot, rel)
-		ents, err := e.readDirFS(fsPath)
+		ents, err := c.ReadDirAt(fsPath, e.epoch)
 		if err != nil {
 			e.fail("stage-out readdir", fsPath, err)
 			return
@@ -1073,7 +1054,7 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 	var queue []stageWork
 	withManifest := e.hasManifest()
 	for _, job := range jobs {
-		if !withManifest && !e.snap && job.size > e.opts.SegmentBytes {
+		if !withManifest && e.epoch == client.LiveEpoch && job.size > e.opts.SegmentBytes {
 			hostPath := filepath.Join(hostDir, filepath.FromSlash(job.rel))
 			f, err := os.OpenFile(hostPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 			if err != nil {
@@ -1167,13 +1148,13 @@ func (e *engine) copyOut(buf []byte, fsRoot, hostDir string, job outJob) {
 		}
 	}
 	// Stage-out streams each file sequentially; read-ahead pipelines the
-	// chunk fetches so the copy loop is not round-trip bound. Snapshot
-	// mode reads descriptor-free, epoch-pinned spans instead — the
-	// pre-image view has no descriptor to read ahead through.
+	// chunk fetches so the copy loop is not round-trip bound. A pinned
+	// epoch reads descriptor-free spans instead — the pre-image view has
+	// no descriptor to read ahead through.
 	readAt := func(p []byte, off int64) (int, error) {
-		return e.c.ReadSnapshot(fsPath, e.snapEpoch, p, off)
+		return e.c.ReadSnapshot(fsPath, e.epoch, p, off)
 	}
-	if !e.snap {
+	if e.epoch == client.LiveEpoch {
 		fd, err := e.c.OpenReadAhead(fsPath, client.O_RDONLY)
 		if err != nil {
 			e.fail("stage-out open", fsPath, err)
@@ -1253,7 +1234,7 @@ func (e *engine) copyOut(buf []byte, fsRoot, hostDir string, job outJob) {
 	if e.hasManifest() {
 		if job.hasStat {
 			mtime = job.mtimeNS
-		} else if info, err := e.statFS(fsPath); err == nil {
+		} else if info, err := e.c.StatAt(fsPath, e.epoch); err == nil {
 			mtime = info.ModTime().UnixNano()
 		} else {
 			e.fail("stage-out stat", fsPath, err)
