@@ -88,10 +88,11 @@ func main() {
 		// The operation counters live outside the registry (they predate
 		// it and ride the stats RPC); zip them with their exported names
 		// so /metrics and /statz show one unified catalog. The metadata
-		// store's engine counters join them here.
+		// store's engine counters and the chunk store's open-chunk cache
+		// counters join them here.
 		extra := func() map[string]uint64 {
 			vals := d.Stats().Values()
-			m := make(map[string]uint64, len(vals)+4)
+			m := make(map[string]uint64, len(vals)+7)
 			for i, name := range telemetry.DaemonStatNames {
 				m[name] = vals[i]
 			}
@@ -100,6 +101,10 @@ func main() {
 			m[telemetry.KVMergeResolvesTotal] = kv.MergeResolves
 			m[telemetry.KVFlushesTotal] = kv.Flushes
 			m[telemetry.KVCompactionsTotal] = kv.Compactions
+			oc := d.ChunkOpenStats()
+			m[telemetry.ChunkOpenHitsTotal] = oc.Hits
+			m[telemetry.ChunkOpenMissesTotal] = oc.Misses
+			m[telemetry.ChunkOpenEvictionsTotal] = oc.Evictions
 			return m
 		}
 		statz := func() any {

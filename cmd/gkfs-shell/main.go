@@ -373,6 +373,10 @@ func runStats(c *client.Client, jsonOut bool) {
 	cs := c.Stats()
 	fmt.Printf("replication: hedged=%d failover=%d replica-writes=%d condemned=%d\n",
 		cs.HedgedReads, cs.FailoverReads, cs.ReplicaWrites, cs.CondemnedDaemons)
+	// What this mount's descriptors did not have to ask or tell the
+	// metadata owners: I/O that lay wholly below a descriptor's size floor.
+	fmt.Printf("size floor: size-updates-elided=%d size-probes-elided=%d\n",
+		cs.SizeUpdatesElided, cs.SizeProbesElided)
 	// Latency percentiles from the daemons' always-on histograms
 	// (protocol v7 stats extension), merged across the cluster.
 	merged := map[string]telemetry.HistSnapshot{}

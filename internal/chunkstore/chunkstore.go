@@ -8,6 +8,7 @@ package chunkstore
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,12 +38,15 @@ type Store struct {
 	last map[string]uint64
 
 	cowCopies, cowBytes atomic.Uint64
+
+	// open keeps recently used live chunk files open (opencache.go).
+	open *openCache
 }
 
 // New returns a store backed by fs, rooted at "chunks/" with snapshot
 // pre-images under "snap/".
 func New(fs vfs.FS) *Store {
-	s := &Store{fs: fs, pre: make(map[string][]uint64), last: make(map[string]uint64)}
+	s := &Store{fs: fs, pre: make(map[string][]uint64), last: make(map[string]uint64), open: newOpenCache(fs)}
 	// A listing failure leaves the index empty; reads then resolve to
 	// live chunks, the same behavior as a snapshot-free store.
 	_ = s.loadPreImages()
@@ -82,18 +86,30 @@ func (s *Store) lockFor(path string) *sync.RWMutex {
 	return &s.pathLocks[h%64]
 }
 
+// Close releases every chunk file the store keeps open. The store stays
+// usable — a handler still running when its daemon closes finishes its
+// I/O — but keeps nothing open from then on.
+func (s *Store) Close() error {
+	s.open.closeAll()
+	return nil
+}
+
+// OpenStats snapshots the open-chunk cache's counters.
+func (s *Store) OpenStats() OpenStats { return s.open.stats() }
+
 // WriteChunk writes data into chunk id of path at the chunk-local offset,
 // creating the chunk file as needed.
 func (s *Store) WriteChunk(path string, id meta.ChunkID, offset int64, data []byte) error {
 	l := s.lockFor(path)
 	l.RLock()
 	defer l.RUnlock()
-	f, err := s.fs.OpenOrCreate(chunkFile(path, id))
+	h, err := s.open.acquire(chunkRef{path, id}, true)
 	if err != nil {
 		return fmt.Errorf("chunkstore: write %s#%d: %w", path, id, err)
 	}
-	defer f.Close()
-	if _, err := f.WriteAt(data, offset); err != nil {
+	_, err = h.f.WriteAt(data, offset)
+	s.open.release(h)
+	if err != nil {
 		return fmt.Errorf("chunkstore: write %s#%d: %w", path, id, err)
 	}
 	return nil
@@ -109,43 +125,36 @@ func (s *Store) ReadChunk(path string, id meta.ChunkID, offset int64, dst []byte
 	l := s.lockFor(path)
 	l.RLock()
 	defer l.RUnlock()
-	n, err := s.readFileAt(chunkFile(path, id), offset, dst)
+	return s.readLive(path, id, offset, dst)
+}
+
+// readLive reads from the live chunk file through the open-chunk cache.
+// Caller holds path's read lock.
+func (s *Store) readLive(path string, id meta.ChunkID, offset int64, dst []byte) (int, error) {
+	h, err := s.open.acquire(chunkRef{path, id}, false)
+	if errors.Is(err, vfs.ErrNotExist) {
+		return 0, nil // never written: hole
+	}
+	var n int
+	if err == nil {
+		n, err = readFileAt(h.f, offset, dst)
+		s.open.release(h)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("chunkstore: read %s#%d: %w", path, id, err)
 	}
 	return n, nil
 }
 
-// readFileAt reads up to len(dst) bytes from a chunk or pre-image file,
-// clamping to the file's size; a missing file reads as a hole. The
-// caller holds whatever lock the file needs.
-func (s *Store) readFileAt(name string, offset int64, dst []byte) (int, error) {
-	f, err := s.fs.Open(name)
-	if errors.Is(err, vfs.ErrNotExist) {
-		return 0, nil // never written: hole
+// readFileAt reads up to len(dst) bytes of a chunk or pre-image file at
+// offset, clamped to the file's end: the read's own short count says
+// where that is, so the size is never asked for.
+func readFileAt(f vfs.File, offset int64, dst []byte) (int, error) {
+	n, err := f.ReadAt(dst, offset)
+	if err == io.EOF {
+		err = nil
 	}
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return 0, err
-	}
-	if offset >= size {
-		return 0, nil
-	}
-	n := int64(len(dst))
-	if offset+n > size {
-		n = size - offset
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	if _, err := f.ReadAt(dst[:n], offset); err != nil {
-		return 0, err
-	}
-	return int(n), nil
+	return n, err
 }
 
 // RemoveChunks deletes every chunk of path. Removing a path without
@@ -154,6 +163,7 @@ func (s *Store) RemoveChunks(path string) error {
 	l := s.lockFor(path)
 	l.Lock()
 	defer l.Unlock()
+	s.open.dropPath(path)
 	dir := chunkDir(path)
 	names, err := s.fs.List(dir)
 	if err != nil {
@@ -174,6 +184,7 @@ func (s *Store) TruncateChunks(path string, chunkSize, newSize int64) error {
 	l := s.lockFor(path)
 	l.Lock()
 	defer l.Unlock()
+	s.open.dropPath(path)
 	dir := chunkDir(path)
 	names, err := s.fs.List(dir)
 	if err != nil {
@@ -199,8 +210,11 @@ func (s *Store) TruncateChunks(path string, chunkSize, newSize int64) error {
 	want := newSize - int64(lastID)*chunkSize
 	name := chunkFile(path, lastID)
 	f, err := s.fs.Open(name)
-	if err != nil {
+	if errors.Is(err, vfs.ErrNotExist) {
 		return nil // final chunk never written: nothing to trim
+	}
+	if err != nil {
+		return fmt.Errorf("chunkstore: truncate %s#%d: %w", path, lastID, err)
 	}
 	size, err := f.Size()
 	if err != nil {

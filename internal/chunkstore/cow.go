@@ -218,8 +218,10 @@ func (s *Store) ReadChunkAt(path string, id meta.ChunkID, offset int64, dst []by
 	for _, e := range s.pre[key] {
 		if e > at {
 			s.cowMu.Unlock()
-			// Pre-images are immutable once indexed; no lock needed.
-			n, err := s.readFileAt(preImageName(key, e), offset, dst)
+			// Pre-images are immutable once indexed: no lock needed, and
+			// nothing to gain from keeping them open — a stage-out reads
+			// each once.
+			n, err := s.readPreImage(preImageName(key, e), offset, dst)
 			if err != nil {
 				return 0, fmt.Errorf("chunkstore: snapshot read %s#%d@%d: %w", path, id, at, err)
 			}
@@ -230,11 +232,21 @@ func (s *Store) ReadChunkAt(path string, id meta.ChunkID, offset int64, dst []by
 	l.RLock()
 	s.cowMu.Unlock()
 	defer l.RUnlock()
-	n, err := s.readFileAt(chunkFile(path, id), offset, dst)
-	if err != nil {
-		return 0, fmt.Errorf("chunkstore: read %s#%d: %w", path, id, err)
+	return s.readLive(path, id, offset, dst)
+}
+
+// readPreImage reads from a pre-image file; one GCPreImages removed under
+// the reader reads as a hole.
+func (s *Store) readPreImage(name string, offset int64, dst []byte) (int, error) {
+	f, err := s.fs.Open(name)
+	if errors.Is(err, vfs.ErrNotExist) {
+		return 0, nil
 	}
-	return n, nil
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return readFileAt(f, offset, dst)
 }
 
 // RemoveChunksEpoch is RemoveChunks under snapshot retention: chunks a
@@ -246,6 +258,9 @@ func (s *Store) RemoveChunksEpoch(path string, epoch uint64, retained []uint64) 
 	l := s.lockFor(path)
 	l.Lock()
 	defer l.Unlock()
+	// A handle kept across the rename below would follow the chunk into
+	// its pre-image and let a later write alter the pinned epoch.
+	s.open.dropPath(path)
 	dir := chunkDir(path)
 	names, err := s.fs.List(dir)
 	if err != nil {
@@ -279,6 +294,7 @@ func (s *Store) TruncateChunksEpoch(path string, chunkSize, newSize int64, epoch
 	keep := meta.ChunksForSize(newSize, chunkSize)
 	l := s.lockFor(path)
 	l.Lock()
+	s.open.dropPath(path) // as in RemoveChunksEpoch: chunks are renamed below
 	dir := chunkDir(path)
 	names, err := s.fs.List(dir)
 	if err == nil {

@@ -28,11 +28,12 @@ func (f *failOpenFS) Open(name string) (vfs.File, error) {
 func TestReadChunkPropagatesOpenErrors(t *testing.T) {
 	injected := errors.New("ssd: input/output error")
 	fs := &failOpenFS{FS: vfs.NewMem()}
-	s := New(fs)
-	if err := s.WriteChunk("/f", 0, 0, []byte("persisted")); err != nil {
+	if err := New(fs).WriteChunk("/f", 0, 0, []byte("persisted")); err != nil {
 		t.Fatal(err)
 	}
 
+	// A store that has not opened the chunk yet: the read has to.
+	s := New(fs)
 	fs.openErr = injected
 	dst := make([]byte, 9)
 	n, err := s.ReadChunk("/f", 0, 0, dst)
@@ -45,5 +46,35 @@ func TestReadChunkPropagatesOpenErrors(t *testing.T) {
 	n, err = s.ReadChunk("/f", 99, 0, dst)
 	if n != 0 || err != nil {
 		t.Fatalf("missing chunk read = %d, %v; want 0, nil", n, err)
+	}
+}
+
+// TestTruncateChunksPropagatesOpenErrors is the same masking on the
+// truncate side: the final-chunk trim treated *any* Open failure as
+// "never written" and reported success with the chunk untrimmed — the
+// discarded bytes would come back if the file grew again.
+func TestTruncateChunksPropagatesOpenErrors(t *testing.T) {
+	const cs = 16
+	injected := errors.New("ssd: input/output error")
+	fs := &failOpenFS{FS: vfs.NewMem()}
+	s := New(fs)
+	if err := s.WriteChunk("/f", 0, 0, []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	fs.openErr = injected
+	if err := s.TruncateChunks("/f", cs, 4); !errors.Is(err, injected) {
+		t.Fatalf("TruncateChunks = %v; want the injected open error", err)
+	}
+	fs.openErr = nil
+	if err := s.TruncateChunks("/f", cs, 4); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, cs)
+	if n, err := s.ReadChunk("/f", 0, 0, dst); err != nil || string(dst[:n]) != "0123" {
+		t.Fatalf("read after trim = %q, %v; want %q", dst[:n], err, "0123")
+	}
+	// A final chunk that was never written is nothing to trim.
+	if err := s.TruncateChunks("/hole", cs, 4); err != nil {
+		t.Fatalf("truncate of a never-written chunk = %v, want nil", err)
 	}
 }

@@ -130,6 +130,10 @@ type Client struct {
 	failoverReads atomic.Uint64
 	replicaWrites atomic.Uint64
 
+	// What the descriptors' size floors saved (Stats).
+	sizeUpdatesElided atomic.Uint64
+	sizeProbesElided  atomic.Uint64
+
 	// tel is the client metric set (telemetry.go); zero-valued (all nil
 	// metrics) when Config.Telemetry was nil.
 	tel clientTelemetry
@@ -152,18 +156,30 @@ type openFile struct {
 	flags int
 	pos   int64
 
-	// Size-update cache state (active when Client.sizeCacheOps > 0).
-	// pendingSize is the max unflushed size candidate (0 = none); it is
-	// atomic so lock-free readers (ReadAt's EOF clamp) can consult it.
+	// floor is the largest size the path's metadata owner has acknowledged
+	// to this descriptor: the stat at open, every acknowledged grow, every
+	// read reply's size view; this client's own Truncate and Remove lower
+	// it. An I/O whose whole byte range lies below it needs no word from
+	// the owner (io.go: writeSpansLocked, readSpans). Atomic because
+	// ReadAt runs off the descriptor lock.
+	floor atomic.Int64
+
+	// Deferred size state. pendingSize is the largest size candidate not
+	// yet sent to the owner (0 = none): writes under the size-update cache
+	// or the write-behind pipeline, and rewrites below the floor, whose
+	// update carries nothing the owner lacks but the time. It is atomic so
+	// lock-free readers (ReadAt's EOF clamp) can consult it. The other
+	// two are only touched with mu held (by the *Locked functions, which
+	// take the descriptor as a parameter): sizeDirty marks a candidate
+	// awaiting the next barrier, pendingOps counts the size-cache writes
+	// since the last flush.
 	pendingSize atomic.Int64
 	pendingOps  int
+	sizeDirty   bool
 
-	// Write-behind state (active when Client.asyncWrites). pl is the
-	// descriptor's in-flight window; sizeDirty marks an unflushed
-	// pendingSize candidate awaiting the next barrier. Both are guarded
-	// by mu.
-	pl        *pipeline
-	sizeDirty bool
+	// pl is the descriptor's write-behind window (active when
+	// Client.asyncWrites).
+	pl *pipeline
 
 	// Read-ahead state (active when the client or this open enabled it):
 	// the sequential-access detector and the prefetch window. Owns its
@@ -171,16 +187,33 @@ type openFile struct {
 	ra *readahead
 }
 
-// sizeFloor returns the best known lower bound for the file size: the
+// withPending returns the best known lower bound for the file size: the
 // server's view, raised by this descriptor's own unflushed size candidate.
 // Without it, consecutive cached appends would resolve EOF from the stale
 // server size and overwrite each other, and reads-after-cached-writes
 // would clamp short.
-func (of *openFile) sizeFloor(serverSize int64) int64 {
-	if ps := of.pendingSize.Load(); ps > serverSize {
-		return ps
+func (of *openFile) withPending(serverSize int64) int64 {
+	return max(serverSize, of.pendingSize.Load())
+}
+
+// raiseTo lifts v to at least n.
+func raiseTo(v *atomic.Int64, n int64) {
+	for {
+		cur := v.Load()
+		if cur >= n || v.CompareAndSwap(cur, n) {
+			return
+		}
 	}
-	return serverSize
+}
+
+// lowerTo drops v to at most n.
+func lowerTo(v *atomic.Int64, n int64) {
+	for {
+		cur := v.Load()
+		if cur <= n || v.CompareAndSwap(cur, n) {
+			return
+		}
+	}
 }
 
 // New builds a client.
@@ -413,6 +446,7 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 		return -1, err
 	}
 	accMode := flags & (O_RDONLY | O_WRONLY | O_RDWR)
+	var size int64 // what the metadata owner says the file holds once open returns
 	if flags&O_CREATE != 0 {
 		// The flat namespace makes file creation a single RPC: no parent
 		// lookups, no directory entry insertion (paper §III-B).
@@ -430,10 +464,11 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 			if md.IsDir() {
 				return -1, proto.ErrIsDir
 			}
-			if flags&O_TRUNC != 0 && md.Size > 0 {
+			if size = md.Size; flags&O_TRUNC != 0 && size > 0 {
 				if err := c.Truncate(p, 0); err != nil {
 					return -1, err
 				}
+				size = 0
 			}
 		default:
 			return -1, err
@@ -446,14 +481,16 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 		if md.IsDir() {
 			return -1, proto.ErrIsDir
 		}
-		if flags&O_TRUNC != 0 && accMode != O_RDONLY && md.Size > 0 {
+		if size = md.Size; flags&O_TRUNC != 0 && accMode != O_RDONLY && size > 0 {
 			if err := c.Truncate(p, 0); err != nil {
 				return -1, err
 			}
+			size = 0
 		}
 	}
 
 	of := &openFile{path: p, flags: flags}
+	of.floor.Store(size)
 	if c.asyncWrites && accMode != O_RDONLY {
 		of.pl = newPipeline(c.writeWindow)
 		// A latched write failure leaves the failed byte ranges
@@ -520,7 +557,11 @@ func (c *Client) Close(fd int) error {
 // means every prior write on this descriptor is stored and its size is
 // visible cluster-wide. In the synchronous modes data needs no flushing —
 // every write RPC is acknowledged only after the daemon stored it — so
-// only cached size updates move.
+// only deferred size updates move: the size cache's candidate, and the
+// one update that stands for every rewrite below the descriptor's floor
+// since the last barrier (it carries their largest end and the time, so
+// this is where such rewrites become visible in the file's mtime). A
+// descriptor that wrote nothing sends nothing.
 func (c *Client) Fsync(fd int) error {
 	of, err := c.lookupFD(fd)
 	if err != nil {
@@ -541,9 +582,11 @@ func (c *Client) barrierLocked(of *openFile) error {
 	if of.pl == nil {
 		return c.flushSizeLocked(of)
 	}
+	// Drained first, so the candidate only ever describes data the daemons
+	// acknowledged (or data whose failure is reported alongside).
 	of.pl.drain()
 	werr := of.pl.takeErr()
-	serr := c.flushAsyncSizeLocked(of)
+	serr := c.flushSizeLocked(of)
 	return errors.Join(werr, serr)
 }
 
@@ -618,7 +661,7 @@ func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		base = of.sizeFloor(md.Size)
+		base = of.withPending(md.Size)
 	default:
 		return 0, proto.ErrInval
 	}
@@ -813,13 +856,40 @@ func (c *Client) Remove(path string) error {
 	} else if err != nil {
 		return err
 	}
-	// The path no longer names this file: cached blocks (including EOF
-	// markers) must not survive into a future file of the same name.
-	c.cacheDropPath(p)
+	c.forgetPath(p)
 	if size > 0 {
 		return c.collectChunks([]string{p})
 	}
 	return nil
+}
+
+// forgetPath is what every successful remove of p owes this client's own
+// state: the path no longer names the file, so cached blocks (including
+// EOF markers) must not survive into a future file of the same name, and
+// no open descriptor may go on believing the old file's size.
+func (c *Client) forgetPath(p string) {
+	c.cacheDropPath(p)
+	c.lowerSizes(p, 0)
+}
+
+// lowerSizes clamps what this client's open descriptors of p believe
+// about its size to at most size, after this client discarded everything
+// past it: an unflushed size candidate beyond it describes discarded data
+// (without this the pre-truncate size would be resurrected by append,
+// SEEK_END and read clamping, or re-sent at the next barrier), and a
+// floor beyond it would let I/O past the new end skip the owner. This is
+// program order: an I/O of this client still in flight while it truncates
+// can be acknowledged afterwards and raise the floor again — the same
+// undefined window as another client's concurrent truncate.
+func (c *Client) lowerSizes(p string, size int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, of := range c.files {
+		if of.path == p {
+			lowerTo(&of.pendingSize, size)
+			lowerTo(&of.floor, size)
+		}
+	}
 }
 
 // removeMeta removes p's record, reporting the mode and size it had.
@@ -875,22 +945,7 @@ func (c *Client) Truncate(path string, size int64) error {
 	if err := c.updateSize(p, size, true); err != nil {
 		return err
 	}
-	// Unflushed size candidates beyond the new size are obsolete — the
-	// data they described is being discarded. Without this, the size
-	// floor (append/SEEK_END/read clamping) would resurrect the
-	// pre-truncate size on this client's open descriptors.
-	c.mu.Lock()
-	for _, of := range c.files {
-		if of.path == p {
-			for {
-				ps := of.pendingSize.Load()
-				if ps <= size || of.pendingSize.CompareAndSwap(ps, size) {
-					break
-				}
-			}
-		}
-	}
-	c.mu.Unlock()
+	c.lowerSizes(p, size)
 	te := rpc.NewEnc(len(p) + 12)
 	te.Str(p).I64(size)
 	err = c.fanOut(func(node int) error {

@@ -323,26 +323,31 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, 
 }
 
 // readRange gathers the chunk spans of [off, off+len(p)) of path as of
-// epoch from their daemons and returns the metadata owner's size view of
-// the file — the caller's EOF clamp. The protocol is stat-free: no
-// leading stat RPC is paid, the size comes back with the data. It rides
-// on the group whose sole live candidate is the path's metadata owner
-// (only the owner holds the record, and only an attempt that cannot be
-// hedged away is certain to reach it); when no group qualifies, a
-// zero-span size probe joins the fan-out — still one round trip, all in
-// parallel. Regions never written inside the size read as zeros.
-func (c *Client) readRange(path string, epoch uint64, p []byte, off int64) (int64, error) {
+// epoch from their daemons and returns the size to clamp EOF by. floor is
+// a size the caller already knows the metadata owner to hold (a
+// descriptor's floor; 0 when it knows nothing): a range that ends at or
+// below it is all file, so only the data RPCs go out and floor comes
+// back. Anything reaching past it needs the owner's size view, and the
+// protocol for that is stat-free: no leading stat RPC is paid, the size
+// comes back with the data. It rides on the group whose sole live
+// candidate is the path's metadata owner (only the owner holds the
+// record, and only an attempt that cannot be hedged away is certain to
+// reach it); when no group qualifies, a zero-span size probe joins the
+// fan-out — still one round trip, all in parallel. Regions never written
+// inside the size read as zeros.
+func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64) (int64, error) {
 	groups := c.groupByTarget(path, off, int64(len(p)))
+	wantSize := off+int64(len(p)) > floor
 	owner := c.dist.MetaTarget(path)
 	var sized *targetGroup
 	for _, g := range groups {
 		g.chain = c.chunkChain(path, g, epoch)
 		g.cands = c.liveChain(g.chain)
-		if len(g.cands) == 1 && g.cands[0] == owner {
+		if wantSize && len(g.cands) == 1 && g.cands[0] == owner {
 			sized = g
 		}
 	}
-	if sized == nil {
+	if wantSize && sized == nil {
 		probe := []int{owner}
 		sized = &targetGroup{chain: probe, cands: probe}
 		groups[-1] = sized // keyed apart from every primary
@@ -354,6 +359,10 @@ func (c *Client) readRange(path string, epoch uint64, p []byte, off int64) (int6
 	})
 	if err != nil {
 		return 0, err
+	}
+	if !wantSize {
+		c.sizeProbesElided.Add(1)
+		return floor, nil
 	}
 	switch sized.view.state {
 	case proto.ReadSizeFile:
@@ -380,18 +389,28 @@ func clampEOF(n int, off, size int64) (int, error) {
 	return n, nil
 }
 
-// readSpans is readRange for a descriptor's live file: the server's size
-// view is raised by the descriptor's own unflushed size candidate before
-// the clamp, exactly as a stat would be.
+// readSpans is readRange for a descriptor's live file. A range below the
+// descriptor's floor costs its data RPCs and nothing else; past it the
+// owner's size view comes back with the data, becomes the new floor —
+// this is also where another client's truncate or remove is noticed — and
+// is raised by the descriptor's own unflushed size candidate before the
+// clamp, exactly as a stat would be.
 func (c *Client) readSpans(of *openFile, p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	size, err := c.readRange(of.path, LiveEpoch, p, off)
+	floor := of.floor.Load()
+	size, err := c.readRange(of.path, LiveEpoch, p, off, floor)
+	if errors.Is(err, proto.ErrNotExist) {
+		of.floor.Store(0)
+	}
 	if err != nil {
 		return 0, err
 	}
-	return clampEOF(len(p), off, of.sizeFloor(size))
+	if off+int64(len(p)) > floor {
+		of.floor.Store(size)
+	}
+	return clampEOF(len(p), off, of.withPending(size))
 }
 
 // ReadChunkFrom reads [0, len(p)) of one chunk of path as of epoch
@@ -554,7 +573,7 @@ func (c *Client) Write(fd int, p []byte) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		off = of.sizeFloor(md.Size)
+		off = of.withPending(md.Size)
 	}
 	if err := c.writeSpansLocked(of, p, off); err != nil {
 		return 0, err
@@ -571,7 +590,11 @@ func (c *Client) writeSpans(of *openFile, p []byte, off int64) error {
 
 // writeSpansLocked sends the chunk writes and then the size update —
 // synchronously, or through the write-behind pipeline when the
-// descriptor has one. Caller holds of.mu.
+// descriptor has one. A synchronous rewrite that ends at or below the
+// descriptor's floor has no size to report, only a time: it joins the
+// deferred size state and the next barrier sends one update for all such
+// writes, so the write itself is its chunk RPCs and nothing else. Caller
+// holds of.mu.
 func (c *Client) writeSpansLocked(of *openFile, p []byte, off int64) error {
 	if of.pl != nil {
 		return c.enqueueSpansLocked(of, p, off)
@@ -579,7 +602,14 @@ func (c *Client) writeSpansLocked(of *openFile, p []byte, off int64) error {
 	if err := c.writeRange(of.path, p, off); err != nil {
 		return err
 	}
-	return c.growSizeLocked(of, off+int64(len(p)))
+	end := off + int64(len(p))
+	if end > of.floor.Load() {
+		return c.growSizeLocked(of, end)
+	}
+	raiseTo(&of.pendingSize, end)
+	of.sizeDirty = true
+	c.sizeUpdatesElided.Add(1)
+	return nil
 }
 
 // enqueueSpansLocked is the write-behind fast path: it stages one
@@ -637,12 +667,10 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 			of.pl.latch(err)
 		}(g, bulk)
 	}
-	// Record the size candidate locally; barriers flush it. The atomic
-	// raises this descriptor's own size floor immediately, so appends,
-	// SEEK_END and reads see the write's extent before any RPC lands.
-	if cand := off + int64(len(p)); cand > of.pendingSize.Load() {
-		of.pendingSize.Store(cand)
-	}
+	// Record the size candidate locally; barriers flush it. Appends,
+	// SEEK_END and reads on this descriptor consult it, so they see the
+	// write's extent before any RPC lands.
+	raiseTo(&of.pendingSize, end)
 	of.sizeDirty = true
 	return nil
 }
@@ -671,9 +699,7 @@ func (c *Client) GrowSize(fd int, size int64) error {
 		if err := of.pl.takeErr(); err != nil {
 			return err
 		}
-		if size > of.pendingSize.Load() {
-			of.pendingSize.Store(size)
-		}
+		raiseTo(&of.pendingSize, size)
 		of.sizeDirty = true
 		return nil
 	}
@@ -700,52 +726,40 @@ func (c *Client) WritePath(path string, p []byte, off int64) error {
 	return c.writeRange(pth, p, off)
 }
 
-// flushAsyncSizeLocked pushes the write-behind size candidate, if any.
-// Caller holds of.mu and has already drained the window, so the
-// candidate only ever describes data the daemons acknowledged (or data
-// whose failure is being reported alongside).
-func (c *Client) flushAsyncSizeLocked(of *openFile) error {
+// growSizeLocked records a size candidate past the descriptor's floor:
+// either synchronously on the metadata daemon (the paper's default) or
+// into the client-side size-update cache (§IV-B) which flushes every
+// sizeCacheOps writes. Caller holds of.mu.
+func (c *Client) growSizeLocked(of *openFile, candidate int64) error {
+	if c.sizeCacheOps == 0 {
+		return c.sendGrow(of, candidate)
+	}
+	raiseTo(&of.pendingSize, candidate)
+	of.sizeDirty = true
+	of.pendingOps++
+	if of.pendingOps < c.sizeCacheOps {
+		return nil
+	}
+	return c.flushSizeLocked(of)
+}
+
+// flushSizeLocked pushes the deferred size candidate, if any — whichever
+// mode deferred it. A failed flush leaves it pending for the next
+// barrier. Caller holds of.mu.
+func (c *Client) flushSizeLocked(of *openFile) error {
 	if !of.sizeDirty {
 		return nil
 	}
-	candidate := of.pendingSize.Load()
-	if err := c.sendGrow(of.path, candidate); err != nil {
-		return err
+	of.pendingOps = 0
+	// A candidate of zero is what this client's own Remove or Truncate to
+	// nothing left of it: there is no size to report, and a grow sent to a
+	// removed path would bring an empty file back.
+	if candidate := of.pendingSize.Load(); candidate > 0 {
+		if err := c.sendGrow(of, candidate); err != nil {
+			return err
+		}
 	}
 	of.sizeDirty = false
-	// Cleared only after the server has the candidate, so concurrent
-	// readers never see a window where neither side knows the size.
-	of.pendingSize.Store(0)
-	return nil
-}
-
-// growSizeLocked records the new size candidate: either synchronously on
-// the metadata daemon (the paper's default) or into the client-side
-// size-update cache (§IV-B) which flushes every sizeCacheOps writes.
-func (c *Client) growSizeLocked(of *openFile, candidate int64) error {
-	if c.sizeCacheOps > 0 {
-		if candidate > of.pendingSize.Load() {
-			of.pendingSize.Store(candidate)
-		}
-		of.pendingOps++
-		if of.pendingOps < c.sizeCacheOps {
-			return nil
-		}
-		return c.flushSizeLocked(of)
-	}
-	return c.sendGrow(of.path, candidate)
-}
-
-// flushSizeLocked pushes the cached size candidate, if any.
-func (c *Client) flushSizeLocked(of *openFile) error {
-	if of.pendingOps == 0 {
-		return nil
-	}
-	candidate := of.pendingSize.Load()
-	of.pendingOps = 0
-	if err := c.sendGrow(of.path, candidate); err != nil {
-		return err
-	}
 	// Cleared only after the server has the candidate, so concurrent
 	// readers never see a window where neither side knows the size.
 	of.pendingSize.Store(0)
@@ -759,12 +773,17 @@ func (c *Client) updateSize(path string, size int64, truncate bool) error {
 	return err
 }
 
-func (c *Client) sendGrow(path string, candidate int64) error {
-	err := c.updateSize(path, candidate, false)
+// sendGrow tells the metadata owner the file reaches at least candidate;
+// its acknowledgement raises the descriptor's floor.
+func (c *Client) sendGrow(of *openFile, candidate int64) error {
+	err := c.updateSize(of.path, candidate, false)
 	// The file end may have moved: cached blocks carrying an EOF mark
 	// would otherwise keep serving the old end as a spurious EOF.
 	// Zero-length invalidation drops exactly the EOF-bearing blocks.
-	c.cacheInvalidate(path, 0, 0)
+	c.cacheInvalidate(of.path, 0, 0)
+	if err == nil {
+		raiseTo(&of.floor, candidate)
+	}
 	return err
 }
 

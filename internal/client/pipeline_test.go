@@ -422,15 +422,20 @@ func TestAsyncErrorSurfacesOnWrite(t *testing.T) {
 
 // TestStatFreeReadRPCCount is the acceptance assertion for the stat-free
 // read protocol and the table test of the one read executor behind it:
-// R ∈ {1, 2} × {live, at a pinned epoch} × {single span on and off the
-// metadata owner, multi-span, hole, across and past EOF}. Every case
-// checks the returned bytes against a model of the file and the exact
-// read RPCs each daemon served — a read costs chunk RPCs only (the stat
-// counter must not move), one per group, plus one zero-span size probe
-// at the metadata owner when no group's sole candidate is the owner:
-// at R=1 and at an epoch (primary-only chains) a single chunk on the
-// owner is exactly 1 RPC; live at R=2 every group can be hedged away
-// from the owner, so it is groups + 1.
+// R ∈ {1, 2} × {through the writing descriptor, live without one, at a
+// pinned epoch} × {single span on and off the metadata owner, multi-span,
+// hole, across and past EOF}. Every case checks the returned bytes
+// against a model of the file and the exact read RPCs each daemon served
+// — a read costs chunk RPCs only (the stat counter must not move), one
+// per group, plus one zero-span size probe at the metadata owner when no
+// group's sole candidate is the owner: at R=1 and at an epoch
+// (primary-only chains) a single chunk on the owner is exactly 1 RPC;
+// live at R=2 every group can be hedged away from the owner, so it is
+// groups + 1. Through the descriptor that wrote the file — its floor is
+// the file's size — a read that ends inside the file asks the owner
+// nothing: one RPC per group at any R, and only the two cases reaching
+// past the end pay for a size view. (The write side of the same table is
+// TestSizeFloorRPCCount.)
 func TestStatFreeReadRPCCount(t *testing.T) {
 	const cs, nodes = 64, 4
 	for _, replicas := range []int{1, 2} {
@@ -489,19 +494,24 @@ func TestStatFreeReadRPCCount(t *testing.T) {
 			{"across-eof", 10*cs + 4, 3 * cs},
 			{"past-eof", 20 * cs, 100},
 		}
-		for _, atEpoch := range []bool{false, true} {
-			model, mode := live, "live"
+		for _, mode := range []string{"fd", "live", "epoch"} {
+			atEpoch := mode == "epoch"
+			model := live
 			read := func(p []byte, off int64) (int, error) { return c.ReadAt(fd, p, off) }
-			if atEpoch {
-				model, mode = snap, "epoch"
+			switch mode {
+			case "live":
+				read = func(p []byte, off int64) (int, error) { return c.ReadSnapshot(path, LiveEpoch, p, off) }
+			case "epoch":
+				model = snap
 				read = func(p []byte, off int64) (int, error) { return c.ReadSnapshot(path, epoch, p, off) }
 			}
 			for _, tc := range cases {
 				t.Run(fmt.Sprintf("R%d/%s/%s", replicas, mode, tc.name), func(t *testing.T) {
 					// One RPC per primary; the size view rides along only
-					// where the owner is a group's sole candidate.
+					// where the owner is a group's sole candidate — and is
+					// not asked for at all below the descriptor's floor.
 					want := make([]uint64, nodes)
-					probe := true
+					probe := mode != "fd" || tc.off+tc.n > int64(len(live))
 					for _, s := range meta.Slices(tc.off, tc.n, cs) {
 						primary := c.dist.ChunkTarget(path, s.ID)
 						want[primary] = 1

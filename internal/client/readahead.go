@@ -637,7 +637,7 @@ func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
 			// The block says the file ends at entEnd. The descriptor's
 			// own unflushed size candidate overrules it (those bytes live
 			// in the write-behind state, not in this cache) — fall back
-			// to the wire, which consults the size floor.
+			// to the wire, which consults the pending size.
 			if of.pendingSize.Load() > entEnd {
 				break
 			}
@@ -659,7 +659,7 @@ func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
 			// block failed or was invalidated mid-flight, or a cached EOF
 			// is overruled by the descriptor's own pending size. Never
 			// return short without io.EOF — pay a wire read for the rest
-			// (which consults the size floor and re-deposits nothing
+			// (which consults the pending size and re-deposits nothing
 			// stale: it runs under the current generation).
 			n, err := c.readSpans(of, p[pos-off:], pos)
 			if err == nil || err == io.EOF {

@@ -107,9 +107,9 @@ func (h *daemonHealth) p95() time.Duration {
 	return p
 }
 
-// ClientStats are the client-side replication counters (the daemon-side
-// view lives in proto.DaemonStats; these count decisions only the client
-// can see).
+// ClientStats are the client-side counters (the daemon-side view lives in
+// proto.DaemonStats; these count decisions only the client can see):
+// replication, and what the descriptors' size floors saved.
 type ClientStats struct {
 	// HedgedReads counts reads served (or attempted) away from the
 	// primary: a secondary RPC launched because the first attempt
@@ -126,14 +126,25 @@ type ClientStats struct {
 	ReplicaWrites uint64
 	// CondemnedDaemons is the number of daemons currently condemned.
 	CondemnedDaemons uint64
+	// SizeUpdatesElided counts synchronous descriptor writes that ended at
+	// or below the descriptor's size floor and therefore sent no
+	// OpUpdateSize of their own (the next Fsync/Close sends one for all).
+	SizeUpdatesElided uint64
+	// SizeProbesElided counts descriptor reads (demand and read-ahead)
+	// whose range lay below the floor and therefore asked the metadata
+	// owner for no size view — neither the ReadWantSize flag nor the
+	// zero-span probe RPC.
+	SizeProbesElided uint64
 }
 
-// Stats snapshots the client-side replication counters.
+// Stats snapshots the client-side counters.
 func (c *Client) Stats() ClientStats {
 	st := ClientStats{
-		HedgedReads:   c.hedgedReads.Load(),
-		FailoverReads: c.failoverReads.Load(),
-		ReplicaWrites: c.replicaWrites.Load(),
+		HedgedReads:       c.hedgedReads.Load(),
+		FailoverReads:     c.failoverReads.Load(),
+		ReplicaWrites:     c.replicaWrites.Load(),
+		SizeUpdatesElided: c.sizeUpdatesElided.Load(),
+		SizeProbesElided:  c.sizeProbesElided.Load(),
 	}
 	for i := range c.health {
 		if c.health[i].condemned.Load() {

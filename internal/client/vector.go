@@ -201,9 +201,7 @@ func (c *Client) RemoveMany(paths []string) []error {
 			return c.Remove(op.Path)
 		}
 		if r.Errno == proto.OK {
-			// Removed: cached blocks must not outlive the record (a new
-			// file under the same name would read the old one's bytes).
-			c.cacheDropPath(op.Path)
+			c.forgetPath(op.Path)
 			if r.Size > 0 {
 				chunky = append(chunky, op.Path)
 				chunkyIdx = append(chunkyIdx, i)

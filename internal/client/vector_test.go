@@ -198,7 +198,7 @@ func TestRemoveManyCollectsChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close(fd)
-	if err := c.sendGrow("/data", 2000); err != nil {
+	if err := c.GrowSize(fd, 2000); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 2000)

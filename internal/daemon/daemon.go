@@ -171,10 +171,11 @@ func (d *Daemon) Stats() Stats {
 	return st
 }
 
-// Close stops the RPC server and the metadata store.
+// Close stops the RPC server, closes the metadata store and releases the
+// chunk files the chunk store keeps open.
 func (d *Daemon) Close() error {
 	d.srv.Close()
-	return d.db.Close()
+	return errors.Join(d.db.Close(), d.chunks.Close())
 }
 
 // sizeMerger folds size-update operands ([i64 size][i64 mtime][u64 epoch])

@@ -35,9 +35,11 @@ func histSince(now, before telemetry.HistSnapshot) telemetry.HistSnapshot {
 	return d
 }
 
-// TestSharedFileRewritesStayFlat is the small_random_rw shape against a
-// real daemon: 20 000 synchronous 8 KiB rewrites of one file, each ending
-// in a size-grow merge on the one metadata key. The size-update handler
+// TestSharedFileRewritesStayFlat is the shared-file shape at its hardest
+// for the metadata key, against a real daemon: 20 000 synchronous 8 KiB
+// rewrites of one file, each followed by an Fsync — a rewrite below the
+// descriptor's size floor sends no size update of its own, so the barrier
+// is what puts one size-grow merge per write on the key. The size-update handler
 // must cost at the end what it cost at the start (before the merge run
 // was bounded, its median grew with the number of writes), and the
 // grow's contract must be what it was: the final size and mtime are
@@ -94,6 +96,12 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 		lastStart = time.Now()
 		if _, err := c.WriteAt(fd, buf, off); err != nil {
 			t.Fatalf("write %d: %v", i, err)
+		}
+		if off+block <= size {
+			// An extending write reported its size itself.
+			if err := c.Fsync(fd); err != nil {
+				t.Fatalf("fsync %d: %v", i, err)
+			}
 		}
 		size = max(size, off+block)
 	}

@@ -4,6 +4,7 @@ import (
 	"log/slog"
 	"time"
 
+	"repro/internal/chunkstore"
 	"repro/internal/kvstore"
 	"repro/internal/proto"
 	"repro/internal/rpc"
@@ -42,6 +43,7 @@ func (d *Daemon) initTelemetry() {
 			d.opHists[op] = d.reg.Histogram(name)
 		}
 	}
+	d.reg.GaugeFunc(telemetry.ChunkOpenHandles, func() int64 { return int64(d.chunks.OpenStats().Open) })
 	d.srv.SetObserver(d.observe)
 }
 
@@ -90,6 +92,10 @@ func (d *Daemon) Telemetry() *telemetry.Registry { return d.reg }
 // to the process hosting the daemon (its /metrics endpoint); the stats
 // RPC does not carry them.
 func (d *Daemon) KVStats() kvstore.Stats { return d.db.Stats() }
+
+// ChunkOpenStats snapshots the chunk store's open-chunk cache counters:
+// process-local like KVStats, and for the same reason not on the wire.
+func (d *Daemon) ChunkOpenStats() chunkstore.OpenStats { return d.chunks.OpenStats() }
 
 // StatsExt snapshots the daemon's latency histograms in the wire shape
 // the OpStats reply appends after the fixed counters. Only histograms

@@ -1,6 +1,10 @@
 package daemon
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +12,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
+	"repro/internal/vfs"
 )
 
 // TestStatNamesZipValues pins the DaemonStats wire order to the metric
@@ -127,5 +132,68 @@ func TestObserverSeesDispatchTrace(t *testing.T) {
 			t.Fatal("traced dispatch never reached the op histogram")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestOpenChunkHandlesBoundedAndReleased drives chunk writes through the
+// handlers of a daemon on real files: the open-handles gauge the daemon
+// exports follows the chunk store's cache, never passes its bound
+// however many chunks are touched, and after Daemon.Close the process
+// holds no descriptor under the daemon's directory — chunk files, WAL
+// and tables alike.
+func TestOpenChunkHandlesBoundedAndReleased(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := vfs.NewOS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(Config{FS: fs, ChunkSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := func() int64 { return d.Telemetry().Snapshot().Gauges[telemetry.ChunkOpenHandles] }
+	const chunks = 600 // more than the cache holds
+	var peak int64
+	for id := 0; id < chunks; id++ {
+		req := encChunks("/data", []proto.ChunkSpan{{ID: meta.ChunkID(id), Len: 4}}, 0)
+		if _, err := call(t, d, proto.OpWriteChunks, req, []byte("data")); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, gauge())
+	}
+	st := d.ChunkOpenStats()
+	if peak != int64(st.Open) || st.Misses != chunks || st.Evictions != chunks-st.Open || st.Open >= chunks {
+		t.Fatalf("after %d first touches: gauge peaked at %d, stats %+v; want the gauge at the bound and one eviction per miss past it", chunks, peak, st)
+	}
+	// A rewrite of a chunk still cached opens nothing.
+	req := encChunks("/data", []proto.ChunkSpan{{ID: chunks - 1, Len: 4}}, 0)
+	if _, err := call(t, d, proto.OpWriteChunks, req, []byte("DATA")); err != nil {
+		t.Fatal(err)
+	}
+	if after := d.ChunkOpenStats(); after.Hits != 1 || after.Misses != chunks {
+		t.Fatalf("rewrite of a cached chunk: stats %+v; want 1 hit and no new miss", after)
+	}
+
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if g := gauge(); g != 0 {
+		t.Fatalf("open-handles gauge = %d after Close", g)
+	}
+	if runtime.GOOS != "linux" {
+		return // /proc/self/fd is Linux's
+	}
+	real, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if target, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && strings.HasPrefix(target, real+"/") {
+			t.Errorf("descriptor %s -> %s left open after Daemon.Close", e.Name(), target)
+		}
 	}
 }

@@ -44,6 +44,20 @@ const (
 	KVCompactionsTotal   = "gkfs_kv_compactions_total"
 )
 
+// Chunk-store open-chunk cache counters (chunkstore.OpenStats), exported
+// the same way. A hit is a chunk I/O that found its file already open —
+// one data syscall; a miss opened it; an eviction closed the least
+// recently used handle to stay within the bound. Hits near zero with
+// evictions tracking misses is streaming (every chunk touched once);
+// the same picture on a small-I/O workload means its hot set outgrew
+// the cache. ChunkOpenHandles is the gauge the bound applies to.
+const (
+	ChunkOpenHitsTotal      = "gkfs_chunk_open_hits_total"
+	ChunkOpenMissesTotal    = "gkfs_chunk_open_misses_total"
+	ChunkOpenEvictionsTotal = "gkfs_chunk_open_evictions_total"
+	ChunkOpenHandles        = "gkfs_chunk_open_handles"
+)
+
 // Client-side metrics. The rpc histograms time the full call round
 // trip by family (write = OpWriteChunks, read = OpReadChunks,
 // everything else meta); the wait histograms time the client-side
@@ -113,6 +127,8 @@ func Catalog() []string {
 		DaemonOpSnapshotNS, DaemonOpSnapshotListNS, DaemonOpSnapshotDropNS,
 
 		KVMergeFoldsTotal, KVMergeResolvesTotal, KVFlushesTotal, KVCompactionsTotal,
+
+		ChunkOpenHitsTotal, ChunkOpenMissesTotal, ChunkOpenEvictionsTotal, ChunkOpenHandles,
 
 		ClientRPCMetaNS, ClientRPCWriteNS, ClientRPCReadNS,
 		ClientRPCInflight,

@@ -102,18 +102,20 @@ func (g *Gauge) Value() int64 {
 // disabled state: every accessor returns nil, and the nil metrics
 // swallow records for the cost of a branch.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	gaugeFuncs map[string]func() int64
+	hists      map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		gaugeFuncs: make(map[string]func() int64),
+		hists:      make(map[string]*Histogram),
 	}
 }
 
@@ -147,6 +149,19 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// GaugeFunc registers a gauge whose value is read from fn at every
+// Snapshot — for a level some component already tracks under its own
+// lock, so the hot path pays nothing to publish it. fn must not call
+// back into the registry. No-op on a nil registry.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gaugeFuncs[name] = fn
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -193,6 +208,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
+	}
+	for name, fn := range r.gaugeFuncs {
+		s.Gauges[name] = fn()
 	}
 	for name, h := range r.hists {
 		s.Hists[name] = h.Snapshot()

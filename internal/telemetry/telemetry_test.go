@@ -41,6 +41,7 @@ func TestNilRegistry(t *testing.T) {
 	g.Add(2)
 	g.Set(3)
 	h.Observe(4)
+	r.GaugeFunc("w", func() int64 { return 5 })
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil metrics must read as zero")
 	}
@@ -66,9 +67,15 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	r.Counter("a").Add(5)
 	r.Gauge("b").Set(-2)
 	r.Histogram("c").Observe(100)
+	level := int64(7)
+	r.GaugeFunc("d", func() int64 { return level })
 	s := r.Snapshot()
-	if s.Counters["a"] != 5 || s.Gauges["b"] != -2 || s.Hists["c"].Count != 1 {
+	if s.Counters["a"] != 5 || s.Gauges["b"] != -2 || s.Gauges["d"] != 7 || s.Hists["c"].Count != 1 {
 		t.Fatalf("snapshot mismatch: %+v", s)
+	}
+	level = 9 // a function gauge is read at every snapshot
+	if got := r.Snapshot().Gauges["d"]; got != 9 {
+		t.Fatalf("function gauge = %d after its source moved to 9", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -158,16 +159,17 @@ func (m *Mem) TotalBytes() int64 {
 	return n
 }
 
-// ReadAt implements File.
+// ReadAt implements File. Like os.File it answers a read reaching past
+// the end with the bytes present and a bare io.EOF.
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if off >= int64(len(f.data)) {
-		return 0, fmt.Errorf("vfs: read at %d past EOF %d of %s", off, len(f.data), f.name)
+		return 0, io.EOF
 	}
 	n := copy(p, f.data[off:])
 	if n < len(p) {
-		return n, fmt.Errorf("vfs: short read of %s", f.name)
+		return n, io.EOF
 	}
 	return n, nil
 }

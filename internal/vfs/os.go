@@ -24,31 +24,29 @@ func NewOS(dir string) (*OS, error) {
 
 func (o *OS) abs(name string) string { return filepath.Join(o.root, filepath.FromSlash(name)) }
 
-// Create implements FS.
-func (o *OS) Create(name string) (File, error) {
-	p := o.abs(name)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, err
+// openCreating opens p with O_CREATE|flag, creating p's parent directory
+// only when the open reports it missing: the common case — the directory
+// exists — pays no stat of the parent.
+func openCreating(p string, flag int) (File, error) {
+	flag |= os.O_RDWR | os.O_CREATE
+	f, err := os.OpenFile(p, flag, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			return nil, err
+		}
+		f, err = os.OpenFile(p, flag, 0o644)
 	}
-	f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	return &osFile{f: f}, nil
 }
 
+// Create implements FS.
+func (o *OS) Create(name string) (File, error) { return openCreating(o.abs(name), os.O_TRUNC) }
+
 // OpenOrCreate implements FS.
-func (o *OS) OpenOrCreate(name string) (File, error) {
-	p := o.abs(name)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &osFile{f: f}, nil
-}
+func (o *OS) OpenOrCreate(name string) (File, error) { return openCreating(o.abs(name), 0) }
 
 // Open implements FS.
 func (o *OS) Open(name string) (File, error) {

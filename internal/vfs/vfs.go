@@ -20,6 +20,9 @@ var ErrNotExist = errors.New("vfs: file does not exist")
 
 // File is a random-access file handle.
 type File interface {
+	// ReadAt follows the io.ReaderAt contract on every implementation: a
+	// read reaching past the end of the file returns the bytes present and
+	// io.EOF, so a caller can clamp to the file's end without asking Size.
 	io.ReaderAt
 	io.WriterAt
 	// Append writes p at the current end of file and returns the offset

@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -218,13 +219,66 @@ func TestMemTotalBytes(t *testing.T) {
 	}
 }
 
+// TestReadAtPastEOF pins the io.ReaderAt contract both backends owe the
+// chunk store, which clamps a read to the file's end by its short count
+// instead of asking Size: the bytes present come back with a bare io.EOF.
 func TestReadAtPastEOF(t *testing.T) {
-	m := NewMem()
-	f, _ := m.Create("a")
-	if _, err := f.Append([]byte("ab")); err != nil {
-		t.Fatal(err)
+	for name, fs := range fsFactories(t) {
+		t.Run(name, func(t *testing.T) {
+			f, err := fs.Create("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if _, err := f.WriteAt([]byte("ab"), 0); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 4)
+			if n, err := f.ReadAt(buf, 1); n != 1 || err != io.EOF || buf[0] != 'b' {
+				t.Fatalf("read across the end = %d, %v, %q; want 1, io.EOF, \"b\"", n, err, buf[:n])
+			}
+			if n, err := f.ReadAt(buf, 5); n != 0 || err != io.EOF {
+				t.Fatalf("read past the end = %d, %v; want 0, io.EOF", n, err)
+			}
+			if n, err := f.ReadAt(buf[:2], 0); n != 2 || err != nil {
+				t.Fatalf("read ending at the end = %d, %v; want 2, nil", n, err)
+			}
+		})
 	}
-	if _, err := f.ReadAt(make([]byte, 1), 5); err == nil {
-		t.Fatal("read past EOF succeeded")
+}
+
+// TestCreatingOpensMakeTheParent: Create and OpenOrCreate open first and
+// make the parent directory only when that fails, so both must still work
+// in a directory nobody made — and OpenOrCreate must keep what is there.
+func TestCreatingOpensMakeTheParent(t *testing.T) {
+	for name, fs := range fsFactories(t) {
+		t.Run(name, func(t *testing.T) {
+			f, err := fs.OpenOrCreate("new/deep/a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte("kept"), 0); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if f, err = fs.OpenOrCreate("new/deep/a"); err != nil {
+				t.Fatal(err)
+			}
+			if size, err := f.Size(); err != nil || size != 4 {
+				t.Fatalf("size after reopening = %d, %v; want 4", size, err)
+			}
+			f.Close()
+			if f, err = fs.Create("other/deep/b"); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if f, err = fs.Create("new/deep/a"); err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if size, err := f.Size(); err != nil || size != 0 {
+				t.Fatalf("size after Create over a file = %d, %v; want 0", size, err)
+			}
+		})
 	}
 }
