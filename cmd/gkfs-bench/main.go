@@ -23,144 +23,85 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/distributor"
+	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/staging"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	u := strings.ToLower(strings.TrimSpace(s))
-	switch {
-	case strings.HasSuffix(u, "gib"), strings.HasSuffix(u, "g"):
-		mult = 1 << 30
-	case strings.HasSuffix(u, "mib"), strings.HasSuffix(u, "m"):
-		mult = 1 << 20
-	case strings.HasSuffix(u, "kib"), strings.HasSuffix(u, "k"):
-		mult = 1 << 10
-	}
-	digits := strings.TrimRight(u, "gibmk")
-	v, err := strconv.ParseInt(strings.TrimSpace(digits), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return v * mult, nil
-}
-
 func main() {
+	var f cli.Flags
+	f.RegisterMount(flag.CommandLine)
+	f.RegisterTuning(flag.CommandLine)
 	mode := flag.String("mode", "mdtest", "workload: mdtest | ior | stage | read | io | checkpoint")
-	daemons := flag.String("daemons", "", "existing TCP deployment (comma-separated); empty = in-process cluster")
-	nodes := flag.Int("nodes", 4, "in-process cluster node count")
-	chunkFlag := flag.String("chunk", "512KiB", "chunk size")
+	nodes := flag.Int("nodes", 4, "in-process cluster (no -daemons): node count")
+	chunk := cli.Size(meta.DefaultChunkSize)
+	flag.Var(&chunk, "chunk", "in-process cluster: chunk size (a -daemons deployment is asked for its own)")
 	workers := flag.Int("workers", 8, "benchmark processes")
 	files := flag.Int("files", 1000, "mdtest: files per worker")
-	blockFlag := flag.String("block", "16MiB", "ior: bytes per worker")
-	transferFlag := flag.String("transfer", "1MiB", "ior: transfer size")
+	block := cli.Size(16 << 20)
+	flag.Var(&block, "block", "ior: bytes per worker")
+	transfer := cli.Size(1 << 20)
+	flag.Var(&transfer, "transfer", "ior: transfer size")
 	random := flag.Bool("random", false, "ior: random transfer order")
 	shared := flag.Bool("shared", false, "ior: one shared file (N-to-1)")
-	sizeCache := flag.Int("size-cache", 0, "client size-update cache (ops per flush; 0 = off)")
-	async := flag.Bool("async", false, "write-behind pipeline: writes return immediately, Fsync/Close are barriers")
-	window := flag.Int("window", 0, "async: in-flight chunk-RPC window per descriptor (0 = default)")
-	readahead := flag.Bool("readahead", false, "sequential read-ahead pipeline: prefetch the next chunks into a bounded window")
-	readwindow := flag.Int("readwindow", 0, "readahead: in-flight prefetch span fetches per descriptor, 4 chunks each (0 = default)")
-	cacheFlag := flag.String("cachebytes", "0", "client chunk cache size (0 = default when read-ahead is on)")
-	connsN := flag.Int("conns", 1, "striped transport connections per daemon")
-	replicas := flag.Int("replicas", 1, "chunk replication factor R: write each chunk to R daemons, read with hedging/failover (metadata is not replicated)")
-	transportMode := flag.String("transport", "auto", "with -daemons: auto | tcp | shm (auto takes a daemon's shared-memory fast path when it is reachable from this node)")
-	distName := flag.String("distributor", "simplehash", "placement pattern: simplehash | guided-first-chunk")
 	batch := flag.Int("batch", 0, "mdtest: ops per batched metadata RPC (0/1 = per-op protocol)")
 	dataDir := flag.String("datadir", "", "in-process cluster: persist daemon state under this directory (default: volatile in-memory)")
-	syncWAL := flag.Bool("syncwal", false, "in-process cluster: fsync metadata WAL before acknowledging (the paper's synchronous operating point)")
+	syncWAL := flag.Bool("sync-wal", false, "in-process cluster: fsync metadata WAL before acknowledging (the paper's synchronous operating point)")
 	verify := flag.Bool("verify", true, "ior: verify the read phase; stage: byte-compare the round-tripped tree")
 	stageSrc := flag.String("stage-src", "", "stage: existing source tree (empty = generate a mixed tree)")
-	stageLarge := flag.String("stage-large", "64MiB", "stage: generated large-file size")
-	stageSmall := flag.String("stage-small", "4KiB", "stage: generated small-file size (count = -files)")
+	stageLarge := cli.Size(64 << 20)
+	flag.Var(&stageLarge, "stage-large", "stage: generated large-file size")
+	stageSmall := cli.Size(4 << 10)
+	flag.Var(&stageSmall, "stage-small", "stage: generated small-file size (count = -files)")
 	ioPath := flag.String("io-path", "/io-bench/stream.dat", "io: file path inside the deployment")
 	ioCopy := flag.String("io-copy", "", "io: also save the exact byte stream to this local file (ground truth for an external cmp)")
 	ioDelay := flag.Duration("io-delay", 0, "io: pause between transfers, stretching the write phase so an external fault can land mid-stream")
-	traceSample := flag.Int("trace-sample", 0, "trace every Nth RPC: the call carries a trace ID and both ends log a gkfs.trace event (0 = off)")
 	ckEpochs := flag.Int("ck-epochs", 3, "checkpoint: rounds to run (each epoch's writes overlap the previous epoch's snapshot stage-out)")
-	ckBytesFlag := flag.String("ck-bytes", "1MiB", "checkpoint: bytes per checkpoint file (count = -workers x -files)")
+	ckBytes := cli.Size(1 << 20)
+	flag.Var(&ckBytes, "ck-bytes", "checkpoint: bytes per checkpoint file (count = -workers x -files)")
 	ckOut := flag.String("ck-out", "", "checkpoint: keep the staged trees and ground truth under this directory (empty = temp, removed)")
 	flag.Parse()
 
-	chunk, err := parseSize(*chunkFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cacheBytes, err := parseSize(*cacheFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *mode == "read" {
 		// The sweep owns these knobs: its baseline pass must run on a
 		// genuinely plain client (no speculation, no cache), and its
 		// read-ahead pass forces the pipeline per descriptor
 		// (-readwindow is still honored).
-		if *readahead || cacheBytes > 0 {
+		if f.Client.ReadAhead || f.Client.CacheBytes > 0 {
 			fmt.Fprintln(os.Stderr, "gkfs-bench: -mode read ignores -readahead/-cachebytes (the sweep compares plain vs read-ahead descriptors itself)")
 		}
-		*readahead = false
-		cacheBytes = 0
+		f.Client.ReadAhead, f.Client.CacheBytes = false, 0
 	}
 
+	// Every worker mounts its own client from the same parsed flags — and,
+	// under -trace-sample, into the one registry they carry, so the
+	// sampling sequence and metrics aggregate across workers.
 	var factory workload.ClientFactory
-	if *daemons == "" {
+	if f.Target.Daemons == "" {
 		cluster, err := core.NewCluster(core.Config{
-			Nodes: *nodes, ChunkSize: chunk, SizeCacheOps: *sizeCache, Conns: *connsN,
-			Replicas:    *replicas,
-			AsyncWrites: *async, WriteWindow: *window,
-			ReadAhead: *readahead, ReadWindow: *readwindow, CacheBytes: cacheBytes,
-			Distributor: *distName, DataDir: *dataDir, SyncWAL: *syncWAL,
-			Telemetry: *traceSample > 0, TraceSample: *traceSample,
+			Nodes: *nodes, ChunkSize: int64(chunk), Conns: f.Target.Conns,
+			Distributor: f.Target.Distributor, DataDir: *dataDir, SyncWAL: *syncWAL,
+			Client: f.Client,
 		})
 		if err != nil {
 			log.Fatalf("gkfs-bench: %v", err)
 		}
 		defer cluster.Close()
 		fmt.Printf("in-process cluster: %d nodes, chunk %s, deployed in %v\n",
-			*nodes, *chunkFlag, cluster.DeployTime().Round(time.Microsecond))
-		factory = func() (*client.Client, error) { return cluster.NewClient() }
+			*nodes, chunk, cluster.DeployTime().Round(time.Microsecond))
+		factory = cluster.NewClient
 	} else {
-		addrs := strings.Split(*daemons, ",")
-		dist, err := distributor.New(*distName, len(addrs))
-		if err != nil {
-			log.Fatalf("gkfs-bench: %v", err)
-		}
-		// One registry shared by every client the factory mints, so the
-		// trace sampling sequence and metrics aggregate across workers.
-		var reg *telemetry.Registry
-		if *traceSample > 0 {
-			reg = telemetry.NewRegistry()
-		}
 		factory = func() (*client.Client, error) {
-			conns, err := client.DialDaemons(addrs, *transportMode, 60*time.Second, *connsN, *replicas)
-			if err != nil {
-				return nil, err
-			}
-			c, err := client.New(client.Config{
-				Conns: conns, Dist: dist, ChunkSize: chunk, SizeCacheOps: *sizeCache,
-				Replicas:    *replicas,
-				AsyncWrites: *async, WriteWindow: *window,
-				ReadAhead: *readahead, ReadWindow: *readwindow, CacheBytes: cacheBytes,
-				Telemetry: reg, TraceSample: *traceSample,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := c.VerifyProtocol(); err != nil {
-				return nil, err
-			}
-			return c, c.EnsureRoot()
+			c, _, err := client.Mount(f.Target, f.Client)
+			return c, err
 		}
 	}
 
@@ -182,17 +123,9 @@ func main() {
 		fmt.Printf("  stat:   %10.0f ops/s\n", res.StatsPerSec)
 		fmt.Printf("  remove: %10.0f ops/s\n", res.RemovesPerSec)
 	case "ior":
-		block, err := parseSize(*blockFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		transfer, err := parseSize(*transferFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
 		res, err := workload.RunIOR(factory, workload.IORConfig{
-			Dir: "/gkfs-bench-ior", Workers: *workers, BlockBytes: block,
-			TransferSize: transfer, Random: *random, Shared: *shared,
+			Dir: "/gkfs-bench-ior", Workers: *workers, BlockBytes: int64(block),
+			TransferSize: int64(transfer), Random: *random, Shared: *shared,
 			Verify: *verify, Seed: 42,
 		})
 		if err != nil {
@@ -207,60 +140,32 @@ func main() {
 			order = "random"
 		}
 		fmt.Printf("ior: %d workers x %s, %s transfers, %s, %s\n",
-			*workers, *blockFlag, *transferFlag, order, layout)
+			*workers, block, transfer, order, layout)
 		fmt.Printf("  write: %10.1f MiB/s\n", res.WriteMiBps)
 		fmt.Printf("  read:  %10.1f MiB/s\n", res.ReadMiBps)
 	case "stage":
-		large, err := parseSize(*stageLarge)
-		if err != nil {
-			log.Fatal(err)
-		}
-		small, err := parseSize(*stageSmall)
-		if err != nil {
-			log.Fatal(err)
-		}
 		if err := runStage(factory, stageConfig{
-			Src: *stageSrc, LargeBytes: large, SmallBytes: small,
+			Src: *stageSrc, LargeBytes: int64(stageLarge), SmallBytes: int64(stageSmall),
 			SmallFiles: *files, Workers: *workers, Verify: *verify,
 		}); err != nil {
 			log.Fatalf("gkfs-bench: %v", err)
 		}
 	case "read":
-		block, err := parseSize(*blockFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		transfer, err := parseSize(*transferFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
 		if err := runReadSweep(factory, readSweepConfig{
-			Workers: *workers, BlockBytes: block, TransferBytes: transfer,
+			Workers: *workers, BlockBytes: int64(block), TransferBytes: int64(transfer),
 		}); err != nil {
 			log.Fatalf("gkfs-bench: %v", err)
 		}
 	case "io":
-		block, err := parseSize(*blockFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		transfer, err := parseSize(*transferFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
 		if err := runIO(factory, ioConfig{
-			Path: *ioPath, Bytes: block, Transfer: transfer,
+			Path: *ioPath, Bytes: int64(block), Transfer: int64(transfer),
 			Delay: *ioDelay, Copy: *ioCopy,
 		}); err != nil {
 			log.Fatalf("gkfs-bench: %v", err)
 		}
 	case "checkpoint":
-		bytes, err := parseSize(*ckBytesFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
 		if err := runCheckpoint(factory, checkpointConfig{
-			Workers: *workers, Files: *files, FileBytes: bytes,
+			Workers: *workers, Files: *files, FileBytes: int64(ckBytes),
 			Epochs: *ckEpochs, OutDir: *ckOut, Verify: *verify,
 		}); err != nil {
 			log.Fatalf("gkfs-bench: %v", err)

@@ -4,9 +4,11 @@
 //
 //	gkfs-daemon -listen :7777 -data /local/ssd/gkfs -id 0
 //
-// Clients (cmd/gkfs-shell, cmd/gkfs-bench) take the full daemon host
-// list and resolve responsibilities by hashing, so every daemon must be
-// started with a distinct -id matching its position in that list. A
+// Clients (cmd/gkfs-shell, cmd/gkfs-bench, cmd/gkfs-fsck) take the full
+// daemon host list and resolve responsibilities by hashing, so every
+// daemon must be started with a distinct -id matching its position in
+// that list, and with the same -chunk; a mount checks both against the
+// daemons' ping replies and takes the chunk size from them. A
 // client may open several striped connections per daemon (its -conns
 // flag); each accepted connection is served independently, and a
 // connection sending a corrupt or hostile frame is closed rather than
@@ -37,6 +39,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"repro/internal/cli"
 	"repro/internal/daemon"
 	"repro/internal/meta"
 	"repro/internal/telemetry"
@@ -48,7 +51,8 @@ func main() {
 	listen := flag.String("listen", ":7777", "TCP listen address")
 	data := flag.String("data", "", "node-local data directory (required)")
 	id := flag.Int("id", 0, "daemon index within the cluster host list")
-	chunk := flag.Int64("chunk", meta.DefaultChunkSize, "chunk size in bytes (cluster-wide)")
+	chunk := cli.Size(meta.DefaultChunkSize)
+	flag.Var(&chunk, "chunk", "chunk size, cluster-wide: every daemon of a deployment must be started with the same value, and clients learn it from the daemons at mount")
 	pool := flag.Int("pool", 16, "concurrent RPC handlers")
 	syncWAL := flag.Bool("sync-wal", false, "fsync metadata WAL per operation")
 	shm := flag.String("shm", "", "serve the shared-memory transport on this Unix socket (advertised to co-located clients)")
@@ -72,7 +76,7 @@ func main() {
 		log.Fatalf("gkfs-daemon: %v", err)
 	}
 	d, err := daemon.New(daemon.Config{
-		ID: *id, FS: fs, ChunkSize: *chunk, PoolSize: *pool, SyncWAL: *syncWAL,
+		ID: *id, FS: fs, ChunkSize: int64(chunk), PoolSize: *pool, SyncWAL: *syncWAL,
 		ShmSocket: *shm,
 	})
 	if err != nil {
@@ -139,8 +143,8 @@ func main() {
 		go transport.ServeShm(shmL, d.Server(), *shmSeg)
 		log.Printf("gkfs-daemon %d shm doorbell on %s (segment %d bytes)", *id, *shm, *shmSeg)
 	}
-	log.Printf("gkfs-daemon %d serving on %s (data %s, chunk %d, startup %v)",
-		*id, l.Addr(), *data, *chunk, d.StartupTime())
+	log.Printf("gkfs-daemon %d serving on %s (data %s, chunk %s, startup %v)",
+		*id, l.Addr(), *data, chunk, d.StartupTime())
 
 	go func() {
 		sig := make(chan os.Signal, 1)

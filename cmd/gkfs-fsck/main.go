@@ -32,15 +32,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/client"
-	"repro/internal/distributor"
 	"repro/internal/meta"
-	"repro/internal/rpc"
 	"repro/internal/staging"
-	"repro/internal/transport"
 )
 
 type checker struct {
@@ -48,7 +45,6 @@ type checker struct {
 	deep     bool
 	chunk    int64
 	replicas int
-	dist     distributor.Distributor
 
 	// epoch is what every namespace and data read is made at: the live
 	// namespace's client.LiveEpoch, or with -snapshot the tag's pinned
@@ -141,11 +137,11 @@ func (ck *checker) checkData(path string, size int64) {
 		}
 		return
 	}
-	head := min64(ck.chunk, size)
+	head := min(ck.chunk, size)
 	probe(0, head)
 	if size > ck.chunk {
 		mid := (size / 2) / ck.chunk * ck.chunk
-		probe(mid, min64(ck.chunk, size-mid))
+		probe(mid, min(ck.chunk, size-mid))
 		tail := (size - 1) / ck.chunk * ck.chunk
 		probe(tail, size-tail)
 	}
@@ -161,8 +157,8 @@ func (ck *checker) checkReplicas(path string, size int64) {
 		return
 	}
 	check := func(id meta.ChunkID) {
-		n := min64(ck.chunk, size-int64(id)*ck.chunk)
-		chain := ck.dist.ChunkReplicas(path, id, ck.replicas)
+		n := min(ck.chunk, size-int64(id)*ck.chunk)
+		chain := ck.c.ReplicaChain(path, id)
 		var ref []byte
 		refNode := -1
 		for _, node := range chain {
@@ -261,7 +257,7 @@ func (ck *checker) checkManifest(mf *staging.Manifest, root string) {
 // SHA-256 in the manifest's hex form.
 func (ck *checker) hashAtEpoch(path string, size int64) (string, error) {
 	h := sha256.New()
-	buf := make([]byte, min64(ck.chunk, size))
+	buf := make([]byte, min(ck.chunk, size))
 	for off := int64(0); off < size; {
 		n, err := ck.c.ReadSnapshot(path, ck.epoch, buf, off)
 		if n > 0 {
@@ -281,52 +277,26 @@ func (ck *checker) hashAtEpoch(path string, size int64) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func main() {
-	daemons := flag.String("daemons", "127.0.0.1:7777", "comma-separated daemon addresses")
-	chunk := flag.Int64("chunk", meta.DefaultChunkSize, "chunk size (must match daemons)")
+	var f cli.Flags
+	f.RegisterMount(flag.CommandLine)
 	root := flag.String("root", "/", "subtree to check")
 	deep := flag.Bool("deep", false, "read every byte instead of probing")
 	manifest := flag.String("manifest", "", "cross-check this staging manifest against live cluster metadata")
 	snapTag := flag.String("snapshot", "", "check the namespace as pinned by this committed snapshot tag instead of the live one; with -manifest, recorded hashes are re-verified against the epoch's chunk pre-images")
-	replicas := flag.Int("replicas", 1, "deployment's chunk replication factor R; R > 1 adds the replica-agreement check")
-	distName := flag.String("distributor", "simplehash", "placement pattern the deployment uses: simplehash | guided-first-chunk")
-	timeout := flag.Duration("timeout", 60*time.Second, "per-RPC timeout")
 	flag.Parse()
 
-	addrs := strings.Split(*daemons, ",")
-	dist, err := distributor.New(*distName, len(addrs))
+	// Mounted like every other client — with -replicas R up to R−1 daemons
+	// may be unreachable: the checker must run against exactly the
+	// degraded cluster whose replica divergence it exists to report.
+	c, closeConns, err := client.Mount(f.Target, f.Client)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gkfs-fsck: %v\n", err)
 		os.Exit(1)
 	}
-	conns := make([]rpc.Conn, len(addrs))
-	for i, a := range addrs {
-		conn, err := transport.DialTCP(strings.TrimSpace(a), *timeout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gkfs-fsck: dial %s: %v\n", a, err)
-			os.Exit(1)
-		}
-		defer conn.Close()
-		conns[i] = conn
-	}
-	c, err := client.New(client.Config{Conns: conns, Dist: dist, ChunkSize: *chunk})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gkfs-fsck: %v\n", err)
-		os.Exit(1)
-	}
-	if err := c.EnsureRoot(); err != nil {
-		fmt.Fprintf(os.Stderr, "gkfs-fsck: %v\n", err)
-		os.Exit(1)
-	}
+	defer closeConns()
 
-	ck := &checker{c: c, deep: *deep, chunk: *chunk, replicas: *replicas, dist: dist, epoch: client.LiveEpoch}
+	ck := &checker{c: c, deep: *deep, chunk: c.ChunkSize(), replicas: f.Client.Replicas, epoch: client.LiveEpoch}
 	if *snapTag != "" {
 		epoch, err := c.SnapshotEpoch(*snapTag)
 		if err != nil {

@@ -13,7 +13,8 @@
 //	gkfs-shell -daemons host1:7777,host2:7777 stats
 //
 // The daemon list must be identical (same order) for every client of the
-// deployment: responsibilities are resolved by hashing over it.
+// deployment: responsibilities are resolved by hashing over it — the
+// mount (client.Mount, flags from internal/cli) checks it with the daemons.
 package main
 
 import (
@@ -22,73 +23,35 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/client"
-	"repro/internal/distributor"
-	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/staging"
 	"repro/internal/telemetry"
 )
 
 func main() {
-	daemons := flag.String("daemons", "127.0.0.1:7777", "comma-separated daemon addresses (cluster-wide order)")
-	chunk := flag.Int64("chunk", meta.DefaultChunkSize, "chunk size in bytes (must match the daemons)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-RPC timeout")
-	connsN := flag.Int("conns", 1, "striped transport connections per daemon")
-	replicas := flag.Int("replicas", 1, "chunk replication factor R: write each chunk to R daemons, read with hedging/failover (must match the deployment's other clients; metadata is not replicated)")
-	transportMode := flag.String("transport", "auto", "daemon transport: auto | tcp | shm (auto takes a daemon's shared-memory fast path when it is reachable from this node)")
-	async := flag.Bool("async", false, "write-behind pipeline for put: writes return immediately, close is the barrier")
-	window := flag.Int("window", 0, "async: in-flight chunk-RPC window per descriptor (0 = default)")
-	readahead := flag.Bool("readahead", false, "sequential read-ahead for get/cat/stage-out: prefetch the next chunks into a bounded window")
-	readwindow := flag.Int("readwindow", 0, "readahead: in-flight prefetch span fetches per descriptor, 4 chunks each (0 = default)")
-	cachebytes := flag.Int64("cachebytes", 0, "client chunk cache in bytes (0 = default when read-ahead is on); re-reads of cached chunks move zero wire bytes")
-	distName := flag.String("distributor", "simplehash", "placement pattern: simplehash | guided-first-chunk (must match the deployment's other clients)")
+	var f cli.Flags
+	f.RegisterMount(flag.CommandLine)
+	f.RegisterTuning(flag.CommandLine)
 	stageWorkers := flag.Int("stage-workers", 0, "stage-in/stage-out: parallel file transfers (0 = default)")
 	manifest := flag.String("manifest", "", "stage-in/stage-out: staging manifest file on the local side")
 	incremental := flag.Bool("incremental", false, "stage-out: skip files unmodified since the manifest was recorded")
 	jsonOut := flag.Bool("json", false, "stats: emit machine-readable JSON (one document per daemon, same schema as the daemon's /statz endpoint)")
 	watch := flag.Duration("watch", 0, "stats: re-poll and re-print at this interval until interrupted (e.g. -watch 2s)")
-	traceSample := flag.Int("trace-sample", 0, "trace every Nth RPC this shell issues: the call carries a trace ID and both ends log a gkfs.trace event (0 = off)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
 	}
 
-	addrs := strings.Split(*daemons, ",")
-	dist, err := distributor.New(*distName, len(addrs))
+	c, closeConns, err := client.Mount(f.Target, f.Client)
 	if err != nil {
 		fatal("%v", err)
 	}
-	conns, err := client.DialDaemons(addrs, *transportMode, *timeout, *connsN, *replicas)
-	if err != nil {
-		fatal("%v", err)
-	}
-	for _, conn := range conns {
-		defer conn.Close()
-	}
-	ccfg := client.Config{
-		Conns: conns, Dist: dist, ChunkSize: *chunk, Replicas: *replicas,
-		AsyncWrites: *async, WriteWindow: *window,
-		ReadAhead: *readahead, ReadWindow: *readwindow, CacheBytes: *cachebytes,
-	}
-	if *traceSample > 0 {
-		ccfg.Telemetry = telemetry.NewRegistry()
-		ccfg.TraceSample = *traceSample
-	}
-	c, err := client.New(ccfg)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if err := c.VerifyProtocol(); err != nil {
-		fatal("%v", err)
-	}
-	if err := c.EnsureRoot(); err != nil {
-		fatal("ensure root: %v", err)
-	}
+	defer closeConns()
 
 	cmd, rest := args[0], args[1:]
 	switch cmd {
@@ -417,9 +380,7 @@ commands:
   snapshot drop <tag>               unpin a snapshot
   snapshot stage-out <tag> <remotedir> <localdir>  copy a tree as pinned at <tag>
   stats                print per-daemon operation counters
-staging flags:   -stage-workers n, -manifest file, -incremental
-read flags:      -readahead, -readwindow n, -cachebytes n
-transport flags: -transport auto|tcp|shm, -conns n, -replicas n`)
+flags: see -h`)
 	os.Exit(2)
 }
 

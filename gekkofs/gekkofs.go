@@ -115,7 +115,7 @@ func WithSyncWAL() Option { return func(c *core.Config) { c.SyncWAL = true } }
 // introduces for shared-file workloads (§IV-B): size updates are buffered
 // and flushed every ops writes (and on close/sync). Trade-off: another
 // client's stat may briefly observe a smaller size.
-func WithSizeUpdateCache(ops int) Option { return func(c *core.Config) { c.SizeCacheOps = ops } }
+func WithSizeUpdateCache(ops int) Option { return func(c *core.Config) { c.Client.SizeCacheOps = ops } }
 
 // WithDistributor selects the placement pattern: "simplehash" (paper
 // default) or "guided-first-chunk" (ablation A2 in DESIGN.md).
@@ -137,7 +137,7 @@ func WithConns(n int) Option { return func(c *core.Config) { c.Conns = n } }
 // and re-probed in the background. Metadata is not replicated: chunk
 // replication makes file data survive a daemon loss, not the namespace
 // entries hashed to the lost daemon. R must not exceed WithNodes' count.
-func WithReplicas(r int) Option { return func(c *core.Config) { c.Replicas = r } }
+func WithReplicas(r int) Option { return func(c *core.Config) { c.Client.Replicas = r } }
 
 // WithTransport selects the fabric wiring this deployment's clients to
 // its daemons: "mem" (default) calls handlers directly in process, "shm"
@@ -161,10 +161,7 @@ func WithTransport(name string) Option { return func(c *core.Config) { c.Transpo
 // error must refer to that write, or when another process must observe
 // data without waiting for this one's Sync.
 func WithAsyncWrites(window int) Option {
-	return func(c *core.Config) {
-		c.AsyncWrites = true
-		c.WriteWindow = window
-	}
+	return func(c *core.Config) { c.Client.AsyncWrites, c.Client.WriteWindow = true, window }
 }
 
 // WithReadAhead enables the sequential read-ahead pipeline, the read
@@ -181,10 +178,7 @@ func WithAsyncWrites(window int) Option {
 // ages out — GekkoFS already leaves concurrent conflicting I/O
 // undefined (paper §III-A).
 func WithReadAhead(window int) Option {
-	return func(c *core.Config) {
-		c.ReadAhead = true
-		c.ReadWindow = window
-	}
+	return func(c *core.Config) { c.Client.ReadAhead, c.Client.ReadWindow = true, window }
 }
 
 // WithChunkCache bounds the client-side chunk cache at `bytes` (LRU over
@@ -194,7 +188,7 @@ func WithReadAhead(window int) Option {
 // invalidated by this client's own writes, truncates and removes; see
 // WithReadAhead for the cross-client staleness caveat.
 func WithChunkCache(bytes int64) Option {
-	return func(c *core.Config) { c.CacheBytes = bytes }
+	return func(c *core.Config) { c.Client.CacheBytes = bytes }
 }
 
 // WithStageIn copies the directory tree under hostDir into the namespace
@@ -251,10 +245,7 @@ func WithStageOutFrom(tag string) Option {
 // DaemonStatsExt regardless of this option. The disabled-path cost on
 // RPCs is a single branch.
 func WithTelemetry(sampleEvery int) Option {
-	return func(c *core.Config) {
-		c.Telemetry = true
-		c.TraceSample = sampleEvery
-	}
+	return func(c *core.Config) { c.Client.Telemetry, c.Client.TraceSample = telemetry.NewRegistry(), sampleEvery }
 }
 
 // DaemonStatsExt holds one daemon's latency-histogram snapshots: queue

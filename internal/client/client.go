@@ -56,8 +56,9 @@ type Config struct {
 	// Dist resolves paths and chunks to daemons. Nil selects the paper's
 	// SimpleHash over len(Conns).
 	Dist distributor.Distributor
-	// ChunkSize must match the daemons'. Zero selects the default
-	// (512 KiB).
+	// ChunkSize is the deployment's chunk size. Zero learns it from the
+	// daemons at mount time (VerifyProtocol; the 512 KiB default until
+	// then); a set value is checked against theirs instead.
 	ChunkSize int64
 	// SizeCacheOps > 0 buffers file-size updates client-side and flushes
 	// them every SizeCacheOps writes (and on close/sync) — the paper's
@@ -110,17 +111,13 @@ type Config struct {
 
 // Client is one application's view of the file system.
 type Client struct {
-	conns        []rpc.Conn
-	dist         distributor.Distributor
-	chunkSize    int64
-	sizeCacheOps int
-	asyncWrites  bool
-	writeWindow  int
-	readAhead    bool
-	readWindow   int
-	cacheBytes   int64
-	replicas     int
-	readDirPage  uint32 // entries requested per OpReadDir page
+	// cfg is the Config New was given, normalised — the only copy of
+	// every tunable: the code reads c.cfg.X where the knob takes effect.
+	cfg Config
+	// adoptChunk: Config.ChunkSize was left zero, so VerifyProtocol
+	// replaces cfg.ChunkSize with the daemons' instead of checking theirs.
+	adoptChunk  bool
+	readDirPage uint32 // entries requested per OpReadDir page
 
 	// Replication state (replica.go): per-daemon health records and the
 	// client-side counters behind Stats(). health is sized like conns
@@ -228,8 +225,9 @@ func New(cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("client: distributor spans %d nodes, have %d conns",
 			cfg.Dist.Nodes(), len(cfg.Conns))
 	}
-	if cfg.ChunkSize == 0 {
-		cfg.ChunkSize = meta.DefaultChunkSize
+	adopt := cfg.ChunkSize == 0
+	if adopt {
+		cfg.ChunkSize = meta.DefaultChunkSize // until VerifyProtocol asks the daemons
 	}
 	if cfg.ChunkSize < 0 {
 		return nil, fmt.Errorf("client: invalid chunk size %d", cfg.ChunkSize)
@@ -237,8 +235,14 @@ func New(cfg Config) (*Client, error) {
 	if cfg.WriteWindow < 0 {
 		return nil, fmt.Errorf("client: invalid write window %d", cfg.WriteWindow)
 	}
+	if cfg.WriteWindow == 0 {
+		cfg.WriteWindow = DefaultWriteWindow
+	}
 	if cfg.ReadWindow < 0 {
 		return nil, fmt.Errorf("client: invalid read window %d", cfg.ReadWindow)
+	}
+	if cfg.ReadWindow == 0 {
+		cfg.ReadWindow = DefaultReadWindow
 	}
 	if cfg.CacheBytes < 0 {
 		return nil, fmt.Errorf("client: invalid cache size %d", cfg.CacheBytes)
@@ -254,20 +258,12 @@ func New(cfg Config) (*Client, error) {
 		cfg.Replicas = 1
 	}
 	c := &Client{
-		conns:        cfg.Conns,
-		dist:         cfg.Dist,
-		chunkSize:    cfg.ChunkSize,
-		sizeCacheOps: cfg.SizeCacheOps,
-		asyncWrites:  cfg.AsyncWrites,
-		writeWindow:  cfg.WriteWindow,
-		readAhead:    cfg.ReadAhead,
-		readWindow:   cfg.ReadWindow,
-		cacheBytes:   cfg.CacheBytes,
-		replicas:     cfg.Replicas,
-		readDirPage:  proto.DefaultReadDirPage,
-		health:       make([]daemonHealth, len(cfg.Conns)),
-		files:        make(map[int]*openFile),
-		nextFD:       3,
+		cfg:         cfg,
+		adoptChunk:  adopt,
+		readDirPage: proto.DefaultReadDirPage,
+		health:      make([]daemonHealth, len(cfg.Conns)),
+		files:       make(map[int]*openFile),
+		nextFD:      3,
 	}
 	if cfg.ReadAhead || cfg.CacheBytes > 0 {
 		c.cache.Store(newChunkCache(cfg.CacheBytes))
@@ -276,8 +272,9 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// ChunkSize returns the configured chunk size.
-func (c *Client) ChunkSize() int64 { return c.chunkSize }
+// ChunkSize returns the chunk size in effect: the configured one, or the
+// one VerifyProtocol learned from the daemons.
+func (c *Client) ChunkSize() int64 { return c.cfg.ChunkSize }
 
 // call issues one RPC and peels the errno header off the response.
 // This is the client's RPC chokepoint: round-trip timing, the
@@ -287,12 +284,12 @@ func (c *Client) call(node int, op rpc.Op, payload, bulk []byte, dir rpc.BulkDir
 	var resp []byte
 	var err error
 	if c.tel.reg == nil {
-		resp, err = c.conns[node].Call(op, payload, bulk, dir)
+		resp, err = c.cfg.Conns[node].Call(op, payload, bulk, dir)
 	} else {
 		tr := c.nextTrace()
 		c.tel.inflight.Add(1)
 		t0 := time.Now()
-		resp, err = rpc.CallTrace(c.conns[node], op, payload, bulk, dir, tr)
+		resp, err = rpc.CallTrace(c.cfg.Conns[node], op, payload, bulk, dir, tr)
 		elapsed := time.Since(t0)
 		c.tel.inflight.Add(-1)
 		c.tel.rpcHist(op).Observe(int64(elapsed))
@@ -313,8 +310,8 @@ func (c *Client) call(node int, op rpc.Op, payload, bulk []byte, dir rpc.BulkDir
 // fanOut runs fn for every daemon in parallel and returns the first error.
 func (c *Client) fanOut(fn func(node int) error) error {
 	var wg sync.WaitGroup
-	errs := make([]error, len(c.conns))
-	for n := range c.conns {
+	errs := make([]error, len(c.cfg.Conns))
+	for n := range c.cfg.Conns {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
@@ -342,7 +339,7 @@ func (c *Client) metaOp(op *proto.MetaOp) (proto.MetaResult, error) {
 	e := rpc.NewEnc(len(op.Path) + 24)
 	proto.EncodeMetaOpBody(e, op)
 	var r proto.MetaResult
-	d, err := c.call(c.dist.MetaTarget(op.Path), rpc.Op(op.Kind), e.Bytes(), nil, rpc.BulkNone)
+	d, err := c.call(c.cfg.Dist.MetaTarget(op.Path), rpc.Op(op.Kind), e.Bytes(), nil, rpc.BulkNone)
 	if err != nil {
 		return r, err
 	}
@@ -427,7 +424,7 @@ func (c *Client) MkdirAll(path string) error {
 // from the client-side file map. Directories cannot be opened; GekkoFS
 // applications list them via ReadDir.
 func (c *Client) Open(path string, flags int) (int, error) {
-	return c.open(path, flags, c.readAhead)
+	return c.open(path, flags, c.cfg.ReadAhead)
 }
 
 // OpenReadAhead opens path like Open but with the sequential read-ahead
@@ -491,8 +488,8 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 
 	of := &openFile{path: p, flags: flags}
 	of.floor.Store(size)
-	if c.asyncWrites && accMode != O_RDONLY {
-		of.pl = newPipeline(c.writeWindow)
+	if c.cfg.AsyncWrites && accMode != O_RDONLY {
+		of.pl = newPipeline(c.cfg.WriteWindow)
 		// A latched write failure leaves the failed byte ranges
 		// undefined; a cached pre-write image must not paper over that.
 		of.pl.onFail = func() { c.cacheDropPath(p) }
@@ -503,13 +500,9 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 		// reservations beyond it would force the eviction scan to shed
 		// blocks the reader has not consumed yet — prefetching ahead of
 		// what the cache can hold is pure thrash.
-		span := c.chunkSize * prefetchSpanChunks
+		span := c.cfg.ChunkSize * prefetchSpanChunks
 		maxWindow := max(1, int(cc.cap/(2*span)))
-		window := c.readWindow
-		if window <= 0 {
-			window = DefaultReadWindow
-		}
-		of.ra = newReadahead(min(window, maxWindow))
+		of.ra = newReadahead(min(c.cfg.ReadWindow, maxWindow))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -590,47 +583,57 @@ func (c *Client) barrierLocked(of *openFile) error {
 	return errors.Join(werr, serr)
 }
 
-// VerifyProtocol pings every daemon and checks it speaks this client's
-// protocol generation. Deployments carry no per-message version tags, so
-// this is the guard that turns a mixed-generation cluster into one clear
-// mount-time error instead of undecodable replies mid-I/O.
+// VerifyProtocol pings every daemon (ProbeDaemon) and checks that it is
+// the daemon this mount takes it for: this client's protocol generation,
+// an ID equal to its index in the connection list, the mount's chunk
+// size. Frames carry no version tags and chunk handlers take spans on
+// trust, so this is the guard that turns a mixed-generation cluster, a
+// permuted daemon list or a wrong chunk size into one clear mount-time
+// error (ErrDaemonMismatch) instead of undecodable replies, mis-placed
+// paths or wrong bytes mid-I/O. A client whose Config.ChunkSize was zero
+// adopts the daemons' chunk size here — call it before any I/O, as every
+// mount does.
 //
 // With replication (Config.Replicas > 1) up to R−1 unreachable daemons
-// are tolerated — they are condemned instead of failing the mount, so a
-// cluster that lost a daemon can still be mounted to read the surviving
-// replicas. A daemon that answers with the wrong protocol version is
-// always a hard error: it is alive and will keep corrupting placement.
+// are tolerated — condemned instead of failing the mount, so a cluster
+// that lost a daemon can still be mounted to read the surviving
+// replicas. A daemon that answers, but wrongly, is always a hard error:
+// it is alive and will keep corrupting placement.
 func (c *Client) VerifyProtocol() error {
-	errs := make([]error, len(c.conns))
-	var wg sync.WaitGroup
-	for n := range c.conns {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			d, err := c.call(node, proto.OpPing, nil, nil, rpc.BulkNone)
-			if err != nil {
-				errs[node] = err
-				return
-			}
-			_ = d.U32() // daemon ID
-			if v := d.U16(); d.Err() != nil {
-				errs[node] = fmt.Errorf("client: daemon %d ping reply: %w", node, d.Err())
-			} else if v != proto.ProtocolVersion {
-				errs[node] = fmt.Errorf("client: daemon %d speaks protocol version %d, client requires %d",
-					node, v, proto.ProtocolVersion)
-			}
-		}(n)
-	}
-	wg.Wait()
-	budget := c.replicas - 1
+	infos := make([]DaemonInfo, len(c.cfg.Conns))
+	errs := make([]error, len(c.cfg.Conns))
+	c.fanOut(func(node int) (err error) {
+		if infos[node], err = ProbeDaemon(c.cfg.Conns[node]); err != nil {
+			errs[node] = fmt.Errorf("mount: ping daemon %d: %w", node, err)
+		}
+		return nil
+	})
+	budget := c.cfg.Replicas - 1
+	answered := make([]int, 0, len(errs))
 	for node, err := range errs {
-		if err != nil && budget > 0 && transportError(err) {
+		switch {
+		case err == nil:
+			answered = append(answered, node)
+		case budget > 0 && transportError(err):
 			c.condemn(node)
 			errs[node] = nil
 			budget--
 		}
 	}
-	return errors.Join(errs...)
+	// The chunk size every daemon must report: the configured one, or —
+	// learning it — the first answering daemon's.
+	chunk, from := c.cfg.ChunkSize, "the mount is configured for"
+	if c.adoptChunk && len(answered) > 0 {
+		chunk, from = infos[answered[0]].ChunkSize, fmt.Sprintf("daemon %d reports", answered[0])
+	}
+	for _, node := range answered {
+		errs[node] = checkDaemon("mount", node, infos[node], chunk, from)
+	}
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	c.cfg.ChunkSize = chunk
+	return nil
 }
 
 // PathOf reports the path behind a descriptor (tooling).
@@ -759,7 +762,7 @@ func (c *Client) ReadDirAt(path string, epoch uint64) ([]DirEntry, error) {
 			return nil, proto.ErrNotDir
 		}
 	}
-	perNode := make([][]DirEntry, len(c.conns))
+	perNode := make([][]DirEntry, len(c.cfg.Conns))
 	err = c.fanOut(func(node int) error {
 		ents, err := c.readDirNode(node, p, epoch)
 		if err != nil {
@@ -1007,15 +1010,15 @@ func (c *Client) DaemonStats() ([]proto.DaemonStats, error) {
 // tables. A condemned daemon contributes zero stats and an empty
 // StatsExt at its index.
 func (c *Client) DaemonStatsExt() ([]proto.DaemonStats, []proto.StatsExt, error) {
-	out := make([]proto.DaemonStats, len(c.conns))
-	exts := make([]proto.StatsExt, len(c.conns))
+	out := make([]proto.DaemonStats, len(c.cfg.Conns))
+	exts := make([]proto.StatsExt, len(c.cfg.Conns))
 	err := c.fanOut(func(node int) error {
-		if c.replicas > 1 && !c.alive(node) {
+		if c.cfg.Replicas > 1 && !c.alive(node) {
 			return nil
 		}
 		d, err := c.call(node, proto.OpStats, nil, nil, rpc.BulkNone)
 		if err != nil {
-			if c.replicas > 1 && transportError(err) {
+			if c.cfg.Replicas > 1 && transportError(err) {
 				c.strike(node)
 				return nil
 			}

@@ -74,8 +74,8 @@ func (s *severableConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) (
 func TestDataPathErrorsNameOpPathDaemon(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
 		c, _, _ := pipelineCluster(t, 2, Config{ChunkSize: 64, Replicas: replicas})
-		for i, conn := range c.conns {
-			c.conns[i] = &severableConn{Conn: conn}
+		for i, conn := range c.cfg.Conns {
+			c.cfg.Conns[i] = &severableConn{Conn: conn}
 		}
 		const path = "/f"
 		fd, err := c.Open(path, O_CREATE|O_RDWR)
@@ -100,7 +100,7 @@ func TestDataPathErrorsNameOpPathDaemon(t *testing.T) {
 				}
 			}
 		}
-		owner := c.dist.MetaTarget("/dir")
+		owner := c.cfg.Dist.MetaTarget("/dir")
 		// A daemon's own answer surfaces as itself, attributed.
 		_, err = c.ReadSnapshot("/dir", LiveEpoch, buf, 0)
 		check("read of a directory", err, proto.ErrIsDir, "read /dir: ", daemonTag(owner))
@@ -108,13 +108,13 @@ func TestDataPathErrorsNameOpPathDaemon(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = c.ReadAt(fd, buf, 0)
-		check("read of a removed file", err, proto.ErrNotExist, "read /f: ", daemonTag(c.dist.MetaTarget(path)))
+		check("read of a removed file", err, proto.ErrNotExist, "read /f: ", daemonTag(c.cfg.Dist.MetaTarget(path)))
 
 		// Every daemon severed: no replica of chunk 0 is left.
-		for _, conn := range c.conns {
+		for _, conn := range c.cfg.Conns {
 			conn.(*severableConn).dead.Store(true)
 		}
-		primary := c.dist.ChunkTarget(path, 0)
+		primary := c.cfg.Dist.ChunkTarget(path, 0)
 		_, err = c.ReadAt(fd, buf, 0)
 		check("read, daemons severed", err, ErrDegraded, "read /f: ", daemonTag(primary))
 		check("read, daemons severed", err, errSevered)

@@ -97,10 +97,10 @@ func (g *targetGroup) scatter(p, bulk []byte) {
 
 // groupByTarget splits [off, off+n) into per-primary span groups.
 func (c *Client) groupByTarget(path string, off, n int64) map[int]*targetGroup {
-	slices := meta.Slices(off, n, c.chunkSize)
+	slices := meta.Slices(off, n, c.cfg.ChunkSize)
 	groups := make(map[int]*targetGroup)
 	for _, s := range slices {
-		tgt := c.dist.ChunkTarget(path, s.ID)
+		tgt := c.cfg.Dist.ChunkTarget(path, s.ID)
 		g := groups[tgt]
 		if g == nil {
 			g = &targetGroup{}
@@ -338,7 +338,7 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, 
 func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64) (int64, error) {
 	groups := c.groupByTarget(path, off, int64(len(p)))
 	wantSize := off+int64(len(p)) > floor
-	owner := c.dist.MetaTarget(path)
+	owner := c.cfg.Dist.MetaTarget(path)
 	var sized *targetGroup
 	for _, g := range groups {
 		g.chain = c.chunkChain(path, g, epoch)
@@ -411,6 +411,13 @@ func (c *Client) readSpans(of *openFile, p []byte, off int64) (int, error) {
 		of.floor.Store(size)
 	}
 	return clampEOF(len(p), off, of.withPending(size))
+}
+
+// ReplicaChain returns the daemons holding chunk id of path under this
+// mount's placement and replication factor, primary first — what
+// ReadChunkFrom is pointed at to interrogate each copy.
+func (c *Client) ReplicaChain(path string, id meta.ChunkID) []int {
+	return c.cfg.Dist.ChunkReplicas(path, id, c.cfg.Replicas)
 }
 
 // ReadChunkFrom reads [0, len(p)) of one chunk of path as of epoch
@@ -731,13 +738,13 @@ func (c *Client) WritePath(path string, p []byte, off int64) error {
 // into the client-side size-update cache (§IV-B) which flushes every
 // sizeCacheOps writes. Caller holds of.mu.
 func (c *Client) growSizeLocked(of *openFile, candidate int64) error {
-	if c.sizeCacheOps == 0 {
+	if c.cfg.SizeCacheOps == 0 {
 		return c.sendGrow(of, candidate)
 	}
 	raiseTo(&of.pendingSize, candidate)
 	of.sizeDirty = true
 	of.pendingOps++
-	if of.pendingOps < c.sizeCacheOps {
+	if of.pendingOps < c.cfg.SizeCacheOps {
 		return nil
 	}
 	return c.flushSizeLocked(of)

@@ -107,9 +107,6 @@ func (pl *pipeline) releaseRange(r *inflight) {
 }
 
 func newPipeline(depth int) *pipeline {
-	if depth <= 0 {
-		depth = DefaultWriteWindow
-	}
 	return &pipeline{slots: make(chan struct{}, depth)}
 }
 

@@ -95,9 +95,6 @@ type readahead struct {
 }
 
 func newReadahead(window int) *readahead {
-	if window <= 0 {
-		window = DefaultReadWindow
-	}
 	return &readahead{slots: make(chan struct{}, window), eofAt: math.MaxInt64}
 }
 
@@ -533,7 +530,7 @@ func (cc *chunkCache) entries() int {
 // the cached image is no longer trustworthy).
 func (c *Client) cacheInvalidate(path string, off, end int64) {
 	if cc := c.cache.Load(); cc != nil {
-		cc.invalidate(path, off, end, c.chunkSize)
+		cc.invalidate(path, off, end, c.cfg.ChunkSize)
 	}
 }
 
@@ -555,7 +552,7 @@ func (c *Client) ensureCache() *chunkCache {
 	if cc := c.cache.Load(); cc != nil {
 		return cc
 	}
-	cc := newChunkCache(c.cacheBytes)
+	cc := newChunkCache(c.cfg.CacheBytes)
 	c.cache.Store(cc)
 	return cc
 }
@@ -585,7 +582,7 @@ func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	bs := c.chunkSize
+	bs := c.cfg.ChunkSize
 	end := off + int64(len(p))
 
 	// Launch the wire fetch for everything past the cache's coverage
@@ -721,7 +718,7 @@ func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
 // boundary, an empty EOF marker block — so later reads at or past the
 // end resolve EOF without touching the wire.
 func (c *Client) depositBlocks(cc *chunkCache, path string, blo int64, data []byte, eof bool, gen uint64) {
-	bs := c.chunkSize
+	bs := c.cfg.ChunkSize
 	end := blo + int64(len(data))
 	boff := blo + (bs-blo%bs)%bs // first block boundary at or past blo
 	for ; boff+bs <= end; boff += bs {
@@ -752,7 +749,7 @@ func (c *Client) maybePrefetch(of *openFile, off, end int64, sawEOF bool) {
 	if ra == nil {
 		return
 	}
-	bs := c.chunkSize
+	bs := c.cfg.ChunkSize
 	span := bs * prefetchSpanChunks
 	ra.mu.Lock()
 	if off == ra.lastEnd {
@@ -841,7 +838,7 @@ func (c *Client) fetchSpan(cc *chunkCache, of *openFile, ents []*cacheEnt, start
 		<-of.ra.slots
 		of.ra.wg.Done()
 	}()
-	bs := c.chunkSize
+	bs := c.cfg.ChunkSize
 	scratch := rpc.GetBuf(int(int64(len(ents)) * bs))
 	t0 := time.Time{}
 	if c.tel.prefetch != nil {

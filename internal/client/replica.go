@@ -9,11 +9,11 @@ package client
 // the classic tail-at-scale move — or fails outright. A per-mount
 // condemnation list routes both demand reads and read-ahead around
 // daemons that accumulated condemnStrikes consecutive transport errors;
-// condemned daemons are re-probed in the background (ProbeDaemon) and
-// rejoin when they answer again. Metadata is NOT replicated — only chunk
-// data survives a daemon loss; a file whose metadata owner dies keeps
-// serving reads on descriptors that already resolved, but stats and opens
-// on it fail until the daemon returns.
+// condemned daemons are re-probed in the background (reprobe) and rejoin
+// when they answer again as the daemon they were. Metadata is NOT
+// replicated — only chunk data survives a daemon loss; a file whose
+// metadata owner dies keeps serving reads on descriptors that already
+// resolved, but stats and opens on it fail until the daemon returns.
 //
 // An unreplicated mount (R ≤ 1) runs the same executors over chains of
 // one. A chain of one offers nothing to hedge to, fan out to or route
@@ -170,6 +170,7 @@ func transportError(err error) bool {
 	for _, deterministic := range []error{
 		proto.ErrNotExist, proto.ErrExist, proto.ErrIsDir, proto.ErrNotDir,
 		proto.ErrNotEmpty, proto.ErrInval, proto.ErrNotSupported,
+		ErrDaemonMismatch,
 	} {
 		if errors.Is(err, deterministic) {
 			return false
@@ -210,14 +211,29 @@ func (c *Client) alive(node int) bool {
 	now := time.Now().UnixNano()
 	last := h.lastProbe.Load()
 	if now-last >= int64(reprobeInterval) && h.lastProbe.CompareAndSwap(last, now) {
-		go func() {
-			if info, err := ProbeDaemon(c.conns[node]); err == nil && info.Version == proto.ProtocolVersion {
-				h.strikes.Store(0)
-				h.condemned.Store(false)
-			}
-		}()
+		// A refused rejoin leaves the daemon condemned; the next
+		// interval asks again.
+		go c.reprobe(node)
 	}
 	return false
+}
+
+// reprobe re-admits a condemned daemon to placement if it is back — under
+// the mount's own conditions (VerifyProtocol): whatever answers at that
+// address now must be the same daemon, of this generation, with the
+// mount's chunk size. Anything else stays condemned (ErrDaemonMismatch).
+func (c *Client) reprobe(node int) error {
+	info, err := ProbeDaemon(c.cfg.Conns[node])
+	if err != nil {
+		return fmt.Errorf("rejoin: ping daemon %d: %w", node, err)
+	}
+	if err := checkDaemon("rejoin", node, info, c.cfg.ChunkSize, "the mount uses"); err != nil {
+		return err
+	}
+	h := &c.health[node]
+	h.strikes.Store(0)
+	h.condemned.Store(false)
+	return nil
 }
 
 // chunkChain returns the replica chain shared by every span of g for an
@@ -228,7 +244,7 @@ func (c *Client) alive(node int) bool {
 // pinned epoch narrows it to its head: chunk pre-images live where the
 // primary chunk lived.
 func (c *Client) chunkChain(path string, g *targetGroup, epoch uint64) []int {
-	chain := c.dist.ChunkReplicas(path, g.spans[0].ID, c.replicas)
+	chain := c.ReplicaChain(path, g.spans[0].ID)
 	if epoch != LiveEpoch {
 		chain = chain[:1]
 	}

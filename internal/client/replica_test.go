@@ -123,7 +123,7 @@ func TestReplicatedReadFailsOverOnCrash(t *testing.T) {
 
 	// Crash a daemon that is not the file's metadata owner (metadata is
 	// not replicated; the size probe must keep answering).
-	victim := (c.dist.MetaTarget(path) + 1) % 3
+	victim := (c.cfg.Dist.MetaTarget(path) + 1) % 3
 	rc.lns[victim].kill()
 
 	// Second read phase: several piecewise reads so the dead daemon
@@ -159,7 +159,7 @@ func TestReplicatedWriteSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := (c.dist.MetaTarget(path) + 2) % 3
+	victim := (c.cfg.Dist.MetaTarget(path) + 2) % 3
 	rc.lns[victim].kill()
 
 	data := pattern(48 * 1024)
@@ -195,7 +195,7 @@ func TestReplicatedAsyncWriteSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := (c.dist.MetaTarget(path) + 1) % 3
+	victim := (c.cfg.Dist.MetaTarget(path) + 1) % 3
 	data := pattern(96 * 1024)
 	half := len(data) / 2
 	for off := 0; off < half; off += 4 * 1024 {
@@ -246,7 +246,7 @@ func TestReplicatedReadDegradesWhenChainDies(t *testing.T) {
 	}
 	// Killing m+1 and m+2 wipes the full chain {m+1, m+2} while the
 	// metadata owner m keeps answering size probes.
-	m := c.dist.MetaTarget(path)
+	m := c.cfg.Dist.MetaTarget(path)
 	rc.lns[(m+1)%3].kill()
 	rc.lns[(m+2)%3].kill()
 

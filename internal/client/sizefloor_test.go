@@ -38,8 +38,8 @@ func (c *loggedConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]b
 // logCalls routes c's connections through a fresh log.
 func logCalls(c *Client) *rpcLog {
 	log := &rpcLog{}
-	for i, conn := range c.conns {
-		c.conns[i] = &loggedConn{Conn: conn, node: i, log: log}
+	for i, conn := range c.cfg.Conns {
+		c.cfg.Conns[i] = &loggedConn{Conn: conn, node: i, log: log}
 	}
 	return log
 }
@@ -65,10 +65,10 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	const cs, nodes, path = 64, 4, "/data"
 	c, _, _ := pipelineCluster(t, nodes, Config{ChunkSize: cs})
 	log := logCalls(c)
-	owner := c.dist.MetaTarget(path)
+	owner := c.cfg.Dist.MetaTarget(path)
 	onOwner, offOwner := int64(-1), int64(-1)
 	for id := int64(0); id < 8; id++ {
-		if c.dist.ChunkTarget(path, meta.ChunkID(id)) == owner {
+		if c.cfg.Dist.ChunkTarget(path, meta.ChunkID(id)) == owner {
 			onOwner = id
 		} else {
 			offOwner = id
@@ -77,7 +77,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	if onOwner < 0 || offOwner < 0 {
 		t.Fatalf("degenerate placement: onOwner=%d offOwner=%d", onOwner, offOwner)
 	}
-	away := c.dist.ChunkTarget(path, meta.ChunkID(offOwner))
+	away := c.cfg.Dist.ChunkTarget(path, meta.ChunkID(offOwner))
 	const size = 8 * cs
 
 	fd, err := c.Open(path, O_CREATE|O_RDWR)
@@ -108,7 +108,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 
 	// The first write of a fresh file extends it: data, then size.
 	write(size - 32)
-	expect("extending write", call(c.dist.ChunkTarget(path, 7), proto.OpWriteChunks), call(owner, proto.OpUpdateSize))
+	expect("extending write", call(c.cfg.Dist.ChunkTarget(path, 7), proto.OpWriteChunks), call(owner, proto.OpUpdateSize))
 	if err := c.Fsync(fd); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	read(onOwner*cs, 32, nil)
 	expect("read below the floor, chunk on the owner", call(owner, proto.OpReadChunks))
 	write(size - 32)
-	expect("rewrite ending exactly at the floor", call(c.dist.ChunkTarget(path, 7), proto.OpWriteChunks))
+	expect("rewrite ending exactly at the floor", call(c.cfg.Dist.ChunkTarget(path, 7), proto.OpWriteChunks))
 
 	if st := c.Stats(); st.SizeUpdatesElided != 3 || st.SizeProbesElided != 2 {
 		t.Fatalf("stats = %+v; want 3 size updates and 2 size probes elided", st)
@@ -144,7 +144,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	// Reaching past the floor takes the full protocol again: the read asks
 	// for the size with its data (a probe joins when the chunk is not the
 	// owner's), the write reports the new end.
-	tail := c.dist.ChunkTarget(path, 7)
+	tail := c.cfg.Dist.ChunkTarget(path, 7)
 	wantRead := []string{call(tail, proto.OpReadChunks)}
 	if tail != owner {
 		wantRead = append(wantRead, call(owner, proto.OpReadChunks))
@@ -159,9 +159,9 @@ func TestSizeFloorRPCCount(t *testing.T) {
 		t.Fatalf("read crossing the floor: RPCs %v, want %v", got, wantRead)
 	}
 	write(size)
-	expect("write past the floor", call(c.dist.ChunkTarget(path, 8), proto.OpWriteChunks), call(owner, proto.OpUpdateSize))
+	expect("write past the floor", call(c.cfg.Dist.ChunkTarget(path, 8), proto.OpWriteChunks), call(owner, proto.OpUpdateSize))
 	write(size)
-	expect("the same write again", call(c.dist.ChunkTarget(path, 8), proto.OpWriteChunks))
+	expect("the same write again", call(c.cfg.Dist.ChunkTarget(path, 8), proto.OpWriteChunks))
 
 	if err := c.Close(fd); err != nil {
 		t.Fatal(err)
@@ -343,7 +343,7 @@ func TestOwnTruncateRemoveLowerFloor(t *testing.T) {
 	if _, err := c.WriteAt(fd2, []byte{4}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := log.take(); len(got) != 2 || got[1] != call(c.dist.MetaTarget(path), proto.OpUpdateSize) {
+	if got := log.take(); len(got) != 2 || got[1] != call(c.cfg.Dist.MetaTarget(path), proto.OpUpdateSize) {
 		t.Fatalf("write after own remove: RPCs %v; want the chunk write and a size update", got)
 	}
 }

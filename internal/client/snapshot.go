@@ -36,7 +36,7 @@ func (c *Client) snapshotPhase(phase uint8, tag string, epoch uint64) ([]uint64,
 	if err := validTag(tag); err != nil {
 		return nil, err
 	}
-	epochs := make([]uint64, len(c.conns))
+	epochs := make([]uint64, len(c.cfg.Conns))
 	err := c.fanOut(func(node int) error {
 		e := rpc.NewEnc(len(tag) + 12)
 		e.U8(phase).Str(tag)
@@ -107,7 +107,7 @@ func (c *Client) Snapshot(tag string) (uint64, error) {
 // at the same epoch. A tag a failed commit left on only some daemons is
 // filtered out here rather than surfacing as a readable-but-torn view.
 func (c *Client) Snapshots() ([]proto.SnapshotEntry, error) {
-	perNode := make([][]proto.SnapshotEntry, len(c.conns))
+	perNode := make([][]proto.SnapshotEntry, len(c.cfg.Conns))
 	err := c.fanOut(func(node int) error {
 		d, err := c.call(node, proto.OpSnapshotList, nil, nil, rpc.BulkNone)
 		if err != nil {
@@ -173,7 +173,7 @@ func (c *Client) SnapshotDrop(tag string) error {
 	if err := validTag(tag); err != nil {
 		return err
 	}
-	missing := make([]bool, len(c.conns))
+	missing := make([]bool, len(c.cfg.Conns))
 	err := c.fanOut(func(node int) error {
 		e := rpc.NewEnc(len(tag) + 4)
 		e.Str(tag)

@@ -2,14 +2,11 @@ package client
 
 import (
 	"bytes"
-	"net"
 	"testing"
 	"time"
 
-	"repro/internal/daemon"
 	"repro/internal/rpc"
 	"repro/internal/transport"
-	"repro/internal/vfs"
 )
 
 // TestTCPClusterEndToEnd runs the full client↔daemon protocol over real
@@ -18,19 +15,9 @@ import (
 func TestTCPClusterEndToEnd(t *testing.T) {
 	const nodes = 3
 	conns := make([]rpc.Conn, nodes)
-	for i := 0; i < nodes; i++ {
-		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go transport.ServeTCP(l, d.Server())
-		conn, err := transport.DialTCP(l.Addr().String(), 10*time.Second)
+	for i := range conns {
+		addr, _ := serveDaemon(t, i, 1024, false)
+		conn, err := transport.DialTCP(addr, 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,19 +85,9 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 func TestTCPVectoredMetadata(t *testing.T) {
 	const nodes = 2
 	conns := make([]rpc.Conn, nodes)
-	for i := 0; i < nodes; i++ {
-		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go transport.ServeTCP(l, d.Server())
-		conn, err := transport.DialTCP(l.Addr().String(), 10*time.Second)
+	for i := range conns {
+		addr, _ := serveDaemon(t, i, 1024, false)
+		conn, err := transport.DialTCP(addr, 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

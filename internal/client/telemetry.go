@@ -68,7 +68,7 @@ func (c *Client) initTelemetry(reg *telemetry.Registry, sample int) {
 	}
 	acquire := reg.Histogram(telemetry.ClientPoolAcquireWaitNS)
 	segWait := reg.Histogram(telemetry.ClientShmSegWaitNS)
-	for _, conn := range c.conns {
+	for _, conn := range c.cfg.Conns {
 		if p, ok := conn.(interface {
 			SetAcquireHist(*telemetry.Histogram)
 		}); ok {

@@ -24,9 +24,9 @@ import (
 func (c *Client) batchMeta(ops []proto.MetaOp) ([]proto.MetaResult, []error) {
 	results := make([]proto.MetaResult, len(ops))
 	errs := make([]error, len(ops))
-	shards := make(map[int][]int, len(c.conns)) // node → indices into ops
+	shards := make(map[int][]int, len(c.cfg.Conns)) // node → indices into ops
 	for i := range ops {
-		node := c.dist.MetaTarget(ops[i].Path)
+		node := c.cfg.Dist.MetaTarget(ops[i].Path)
 		shards[node] = append(shards[node], i)
 	}
 	var wg sync.WaitGroup

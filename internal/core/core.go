@@ -56,35 +56,13 @@ type Config struct {
 	DataDir string
 	// SyncWAL makes metadata durable before acknowledgement.
 	SyncWAL bool
-	// SizeCacheOps configures clients' size-update caching (paper
-	// §IV-B); zero keeps strict synchronous updates.
-	SizeCacheOps int
-	// AsyncWrites enables clients' write-behind pipeline: writes stage
-	// bounded in-flight chunk RPCs and return immediately; Fsync/Close
-	// are the barriers (see internal/client/pipeline.go).
-	AsyncWrites bool
-	// WriteWindow bounds each descriptor's in-flight chunk-write RPCs
-	// under AsyncWrites; zero selects the client default.
-	WriteWindow int
-	// ReadAhead enables clients' sequential read-ahead pipeline: once a
-	// descriptor's reads are sequential, the next chunk-sized blocks are
-	// prefetched into a bounded in-flight window and served from the
-	// client chunk cache (see internal/client/readahead.go).
-	ReadAhead bool
-	// ReadWindow bounds each descriptor's in-flight prefetch block
-	// fetches under ReadAhead; zero selects the client default.
-	ReadWindow int
-	// CacheBytes bounds each client's chunk cache; any positive value
-	// enables caching (re-reads of cached data move zero wire bytes)
-	// even without ReadAhead. Zero defers to the client default when
-	// read-ahead needs a cache.
-	CacheBytes int64
-	// Replicas is the chunk replication factor R: every chunk is written
-	// to R daemons (the primary plus R−1 ring successors) and read with
-	// hedging/failover over the chain, so the data plane survives the
-	// loss of up to R−1 daemons (see internal/client/replica.go).
-	// Metadata is not replicated. 0 or 1 disables replication.
-	Replicas int
+	// Client holds the tunables of every client mounted from this cluster
+	// — declared once, on client.Config, and passed through as they are.
+	// The cluster fills in the wiring: Conns and Dist per mount, ChunkSize
+	// from the cluster-wide value above. A non-nil Client.Telemetry is the
+	// registry all of this cluster's clients share (ClientTelemetry);
+	// daemon-side metrics are always on.
+	Client client.Config
 	// Conns is the number of transport connections each client stripes
 	// its per-daemon traffic over (see transport.Pool). Zero or one keeps
 	// a single connection per daemon. In-process deployments gain little
@@ -118,15 +96,6 @@ type Config struct {
 	// namespace exactly as pinned at the tag's epoch, untorn by whatever
 	// the job wrote afterwards. Ignored without StageOutOnClose.
 	StageOutFrom string
-	// Telemetry enables client-side metrics: every client mounted from
-	// this cluster records its per-RPC latency histograms, in-flight
-	// gauge and transport wait times into a shared registry
-	// (ClientTelemetry). Daemon-side metrics are always on.
-	Telemetry bool
-	// TraceSample sets the clients' RPC trace sampling interval (every
-	// N-th call is traced end to end); zero selects the client default.
-	// Requires Telemetry.
-	TraceSample int
 }
 
 // Cluster is a running in-process deployment.
@@ -148,10 +117,6 @@ type Cluster struct {
 	stageOut     *staging.Report
 	ready        bool // NewCluster completed; Close may stage out
 
-	// telemetry is the registry shared by every client this cluster
-	// mounts (nil unless Config.Telemetry).
-	telemetry *telemetry.Registry
-
 	mu    sync.Mutex
 	conns [][]rpc.Conn // conns handed to clients, closed on Close
 }
@@ -165,11 +130,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Transport != "" && cfg.Transport != "mem" && cfg.Transport != "shm" {
 		return nil, fmt.Errorf("core: unknown transport %q (want mem or shm)", cfg.Transport)
 	}
+	if cfg.ChunkSize == 0 {
+		cfg.ChunkSize = meta.DefaultChunkSize
+	}
 	begin := time.Now()
 	c := &Cluster{cfg: cfg, net: transport.NewMemNetwork()}
-	if cfg.Telemetry {
-		c.telemetry = telemetry.NewRegistry()
-	}
 	if cfg.Transport == "shm" {
 		dir, err := os.MkdirTemp("", "gkfs-shm-")
 		if err != nil {
@@ -245,23 +210,20 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	// Health check: every daemon must answer a ping — and speak this
-	// client generation's protocol — before the cluster is usable (the
-	// registration step of a real deployment).
+	// Health check: every daemon must answer a ping — as the daemon the
+	// cluster takes it for (client.VerifyProtocol) — and the namespace
+	// root must exist before clients mount: the registration step of a
+	// real deployment.
 	boot, err := c.newClient()
+	if err == nil {
+		err = boot.VerifyProtocol()
+	}
+	if err == nil {
+		err = boot.EnsureRoot()
+	}
 	if err != nil {
 		c.Close()
-		return nil, err
-	}
-	if err := boot.VerifyProtocol(); err != nil {
-		c.Close()
 		return nil, fmt.Errorf("core: health check: %w", err)
-	}
-
-	// The namespace root must exist before clients mount.
-	if err := boot.EnsureRoot(); err != nil {
-		c.Close()
-		return nil, err
 	}
 
 	c.deploy = time.Since(begin)
@@ -313,63 +275,31 @@ func (c *Cluster) StageOutReport() *staging.Report { return c.stageOut }
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 
 // ChunkSize returns the cluster's chunk size.
-func (c *Cluster) ChunkSize() int64 {
-	if c.cfg.ChunkSize == 0 {
-		return meta.DefaultChunkSize
-	}
-	return c.cfg.ChunkSize
-}
+func (c *Cluster) ChunkSize() int64 { return c.cfg.ChunkSize }
 
-func (c *Cluster) dist() (distributor.Distributor, error) {
-	d, err := distributor.New(c.cfg.Distributor, c.cfg.Nodes)
+func (c *Cluster) newClient() (*client.Client, error) {
+	dist, err := distributor.New(c.cfg.Distributor, c.cfg.Nodes)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return d, nil
-}
-
-func (c *Cluster) newClient() (*client.Client, error) {
 	conns := make([]rpc.Conn, c.cfg.Nodes)
 	for i := range conns {
-		if c.cfg.Transport == "shm" {
-			conn, err := transport.DialShmPool(c.shmSocks[i], 0, max(c.cfg.Conns, 1))
-			if err != nil {
-				return nil, fmt.Errorf("core: shm dial %d: %w", i, err)
-			}
-			conns[i] = conn
-			continue
+		dial := func() (rpc.Conn, error) { return c.net.Dial(i) }
+		switch {
+		case c.cfg.Transport == "shm":
+			conns[i], err = transport.DialShmPool(c.shmSocks[i], 0, max(c.cfg.Conns, 1))
+		case c.cfg.Conns > 1:
+			conns[i] = transport.NewPool(c.cfg.Conns, dial)
+		default:
+			conns[i], err = dial()
 		}
-		if c.cfg.Conns > 1 {
-			node := i
-			conns[i] = transport.NewPool(c.cfg.Conns, func() (rpc.Conn, error) {
-				return c.net.Dial(node)
-			})
-			continue
-		}
-		conn, err := c.net.Dial(i)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: dial daemon %d: %w", i, err)
 		}
-		conns[i] = conn
 	}
-	dist, err := c.dist()
-	if err != nil {
-		return nil, err
-	}
-	cl, err := client.New(client.Config{
-		Conns:        conns,
-		Dist:         dist,
-		ChunkSize:    c.cfg.ChunkSize,
-		SizeCacheOps: c.cfg.SizeCacheOps,
-		AsyncWrites:  c.cfg.AsyncWrites,
-		WriteWindow:  c.cfg.WriteWindow,
-		ReadAhead:    c.cfg.ReadAhead,
-		ReadWindow:   c.cfg.ReadWindow,
-		CacheBytes:   c.cfg.CacheBytes,
-		Replicas:     c.cfg.Replicas,
-		Telemetry:    c.telemetry,
-		TraceSample:  c.cfg.TraceSample,
-	})
+	ccfg := c.cfg.Client
+	ccfg.Conns, ccfg.Dist, ccfg.ChunkSize = conns, dist, c.ChunkSize()
+	cl, err := client.New(ccfg)
 	if err != nil {
 		return nil, err
 	}
@@ -404,9 +334,10 @@ func (c *Cluster) DaemonStatsExt() []proto.StatsExt {
 }
 
 // ClientTelemetry returns the registry shared by this cluster's clients
-// (nil unless Config.Telemetry): per-RPC round-trip histograms, the
-// in-flight gauge, pool/segment waits and replication counters.
-func (c *Cluster) ClientTelemetry() *telemetry.Registry { return c.telemetry }
+// (Config.Client.Telemetry; nil when none was configured): per-RPC
+// round-trip histograms, the in-flight gauge, pool/segment waits and
+// replication counters.
+func (c *Cluster) ClientTelemetry() *telemetry.Registry { return c.cfg.Client.Telemetry }
 
 // Close tears the deployment down. In-memory state vanishes — GekkoFS is
 // a temporary file system; persistence across jobs is exactly what it

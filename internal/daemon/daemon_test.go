@@ -102,6 +102,10 @@ func TestPingReturnsIDAndVersion(t *testing.T) {
 	if sock := dec.Str(); sock != "" {
 		t.Fatalf("ping shm socket = %q, want empty", sock)
 	}
+	// The effective chunk size (protocol v12): what a mount learns.
+	if chunk := dec.I64(); chunk != 256 {
+		t.Fatalf("ping chunk size = %d, want 256", chunk)
+	}
 	if err := dec.Done(); err != nil {
 		t.Fatal(err)
 	}

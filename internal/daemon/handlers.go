@@ -51,18 +51,21 @@ func (d *Daemon) metaOpHandler(kind proto.MetaOpKind) rpc.Handler {
 	return func(req []byte, _ rpc.Bulk) ([]byte, error) { return d.handleMetaOp(kind, req) }
 }
 
-// handlePing reports the daemon's ID, its protocol version and — when
-// the daemon serves one — the path of its shared-memory doorbell socket,
-// which co-located clients use to switch to the zero-copy segment
-// transport at mount time. The version is what lets a client refuse a
-// mixed-generation deployment at mount time instead of failing obscurely
-// mid-I/O (client.VerifyProtocol). The reply has this one shape; clients
-// decode all of it.
+// handlePing reports the daemon's ID, its protocol version, the path of
+// its shared-memory doorbell socket when it serves one — co-located
+// clients use it to switch to the zero-copy segment transport at mount
+// time — and its effective chunk size, the deployment's source of truth
+// for it. Version, ID and chunk size are what let a client refuse a
+// mixed-generation deployment, a permuted daemon list or a wrong chunk
+// size at mount time instead of failing obscurely, or silently, mid-I/O
+// (client.VerifyProtocol). The reply has this one shape; clients decode
+// all of it (client.ProbeDaemon).
 func (d *Daemon) handlePing([]byte, rpc.Bulk) ([]byte, error) {
-	e := okResp(6 + 2 + len(d.cfg.ShmSocket))
+	e := okResp(6 + 2 + len(d.cfg.ShmSocket) + 8)
 	e.U32(uint32(d.cfg.ID))
 	e.U16(proto.ProtocolVersion)
 	e.Str(d.cfg.ShmSocket)
+	e.I64(d.cfg.ChunkSize)
 	return e.Bytes(), nil
 }
 

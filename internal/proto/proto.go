@@ -28,19 +28,23 @@ import (
 // one shape — path, spans, a flags byte, and the epoch when ReadAtEpoch
 // is set. Version 10 finishes it for every payload — OpStat and
 // OpReadDir requests always end in their flags byte, and the ping reply
-// ([u32 id][u16 version][str shm]) and the OpStats reply (counters, then
-// StatsExt) are decoded whole — and gives the two transports one frame:
-// a shm doorbell frame is the TCP frame with dirRefFlag set and a
-// [u64 segOff] where the bulk bytes would be (transport/stream.go). Only
-// the frame trace trailer is still optional, announced by its own flag
-// bit. Version 11 gives the metadata plane one body codec per operation
+// and the OpStats reply (counters, then StatsExt) are decoded whole — and
+// gives the two transports one frame: a shm doorbell frame is the TCP
+// frame with dirRefFlag set and a [u64 segOff] where the bulk bytes would
+// be (transport/stream.go). Only the frame trace trailer is still
+// optional, announced by its own flag bit. Version 11 gives the metadata plane one body codec per operation
 // kind: a single-op request (OpCreate, OpStat, OpRemoveMeta,
 // OpUpdateSize) is byte for byte the OpBatchMeta sub-op without its kind
 // byte, and its reply is the sub-op's result. The stat sub-op so gains
 // OpStat's [u8 flags][u64 epoch] tail; out-of-domain field values (a mode
 // that is no object kind, a negative size, unknown flag bits) answer
-// ErrnoInval per op instead of poisoning the frame.
-const ProtocolVersion uint16 = 11
+// ErrnoInval per op instead of poisoning the frame. Version 12 is
+// version 11 plus one field: the ping reply ends in the daemon's
+// effective chunk size ([u32 id][u16 version][str shm][i64 chunk]), so a
+// mount learns the chunk size from the daemons instead of being told it,
+// and refuses a daemon whose chunk size or ID is not what the daemon list
+// implies (client.VerifyProtocol).
+const ProtocolVersion uint16 = 12
 
 // RPC operations. Each corresponds to one registered Mercury RPC in the
 // released GekkoFS.

@@ -9,7 +9,7 @@ import (
 
 func clusterFactory(t *testing.T, nodes int, sizeCacheOps int) ClientFactory {
 	t.Helper()
-	c, err := core.NewCluster(core.Config{Nodes: nodes, ChunkSize: 8192, SizeCacheOps: sizeCacheOps})
+	c, err := core.NewCluster(core.Config{Nodes: nodes, ChunkSize: 8192, Client: client.Config{SizeCacheOps: sizeCacheOps}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,9 @@
 #   - backticked `-flags` on lines naming the binary (prose, usage),
 #   - bare -flags on command lines invoking the binary (code blocks,
 #     any prefix: `gkfs-bench ...`, `./gkfs-shell ...`, `go run ./cmd/...`),
-#   - backticked `-flags` in markdown-table columns whose header names
-#     the binary (the README knob table).
+#   - backticked `-flags` in a markdown-table column headed "CLI" (the
+#     README knob table): the shared registration, so every checked
+#     binary must have them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,22 +61,19 @@ done < <("$tmp/gkfs-vet" -list)
 
 docs=(README.md docs/*.md)
 
-# Emit "binary<TAB>cell" for every table cell under a gkfs-* column
-# header, across all docs.
-table_cells() {
+# Emit every table cell under a "CLI" column header, across all docs:
+# the shared flags (internal/cli), which every checked binary must have.
+cli_cells() {
   awk '
     /^\|/ {
       n = split($0, f, "|")
       if (!intable) {
         intable = 1
-        delete colbin
-        for (i = 1; i <= n; i++) {
-          if (f[i] ~ /gkfs-bench/) colbin[i] = "gkfs-bench"
-          if (f[i] ~ /gkfs-shell/) colbin[i] = "gkfs-shell"
-        }
+        cli = 0
+        for (i = 1; i <= n; i++) if (f[i] ~ /^ *CLI *$/) cli = i
         next
       }
-      for (i in colbin) if (i <= n) print colbin[i] "\t" f[i]
+      if (cli && cli <= n) print f[cli]
       next
     }
     { intable = 0 }
@@ -88,7 +86,7 @@ for bin in gkfs-bench gkfs-shell; do
     {
       grep -hE "\b$bin\b" "${docs[@]}" | grep -oE '`-[a-z][a-z-]*' | tr -d '`' || true
       grep -hE "^\s*\S*\b$bin\b" "${docs[@]}" | grep -oE ' -[a-z][a-z-]*' | tr -d ' ' || true
-      table_cells | grep "^$bin	" | grep -oE '`-[a-z][a-z-]*' | tr -d '`' || true
+      cli_cells | grep -oE '`-[a-z][a-z-]*' | tr -d '`' || true
     } | sort -u
   )
   if [ -z "$flags" ]; then
