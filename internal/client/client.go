@@ -276,20 +276,27 @@ func New(cfg Config) (*Client, error) {
 // one VerifyProtocol learned from the daemons.
 func (c *Client) ChunkSize() int64 { return c.cfg.ChunkSize }
 
-// call issues one RPC and peels the errno header off the response.
+// call issues one RPC and peels the errno header off the response. A
+// BulkOut call's region is the windows of dest, in order (rpc.CallScatter).
 // This is the client's RPC chokepoint: round-trip timing, the
 // in-flight gauge and trace sampling all live here, so every caller —
 // metadata, chunk I/O, replication retries — is covered.
-func (c *Client) call(node int, op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) (*rpc.Dec, error) {
+func (c *Client) call(node int, op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, dest ...[]byte) (*rpc.Dec, error) {
+	var tr rpc.Trace
+	var t0 time.Time
+	if c.tel.reg != nil {
+		tr = c.nextTrace()
+		c.tel.inflight.Add(1)
+		t0 = time.Now()
+	}
 	var resp []byte
 	var err error
-	if c.tel.reg == nil {
-		resp, err = c.cfg.Conns[node].Call(op, payload, bulk, dir)
+	if dir == rpc.BulkOut {
+		resp, err = rpc.CallScatter(c.cfg.Conns[node], op, payload, dest, tr)
 	} else {
-		tr := c.nextTrace()
-		c.tel.inflight.Add(1)
-		t0 := time.Now()
 		resp, err = rpc.CallTrace(c.cfg.Conns[node], op, payload, bulk, dir, tr)
+	}
+	if c.tel.reg != nil {
 		elapsed := time.Since(t0)
 		c.tel.inflight.Add(-1)
 		c.tel.rpcHist(op).Observe(int64(elapsed))

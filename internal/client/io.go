@@ -47,9 +47,36 @@ type targetGroup struct {
 	view         sizeView
 
 	// Backing for the first span: a group of a small I/O holds exactly
-	// one, and then its span vector costs no allocation of its own.
+	// one, and then its span, offset and window vectors cost no allocation
+	// of their own.
 	span0 [1]proto.ChunkSpan
 	off0  [1]int64
+	win0  [1][]byte
+}
+
+// ioBuf is the client memory of one I/O: p, contiguous, or — for a
+// chunk-aligned read bound for the chunk cache — a run of chunk-sized
+// blocks. No span crosses a block, so every span has a window either way
+// and a cache block is fetched into rather than copied to.
+type ioBuf struct {
+	p      []byte
+	blocks [][]byte
+}
+
+func (b ioBuf) len() int64 {
+	if b.blocks != nil {
+		return int64(len(b.blocks) * len(b.blocks[0]))
+	}
+	return int64(len(b.p))
+}
+
+// at returns the n bytes at offset off of the buffer.
+func (b ioBuf) at(off, n int64) []byte {
+	if b.blocks != nil {
+		bs := int64(len(b.blocks[0]))
+		return b.blocks[off/bs][off%bs:][:n]
+	}
+	return b.p[off : off+n]
 }
 
 // sizeView is the metadata owner's answer piggybacked on a read reply
@@ -57,11 +84,6 @@ type targetGroup struct {
 type sizeView struct {
 	state uint8
 	size  int64
-}
-
-// window returns the caller-buffer slice span i reads into or writes from.
-func (g *targetGroup) window(p []byte, i int) []byte {
-	return p[g.bufOff[i] : g.bufOff[i]+g.spans[i].Len]
 }
 
 // gather returns the group's bulk region for a write of p (what the
@@ -75,24 +97,25 @@ func (g *targetGroup) window(p []byte, i int) []byte {
 // rpc.PutBuf once the group has settled; a borrowed slice of p must never
 // enter the pool.
 func (g *targetGroup) gather(p []byte, copyAlways bool) (bulk []byte, pooled bool) {
-	if !copyAlways && len(g.spans) == 1 {
-		return g.window(p, 0), false
+	wins := g.windows(ioBuf{p: p})
+	if !copyAlways && len(wins) == 1 {
+		return wins[0], false
 	}
 	bulk = rpc.GetBuf(int(g.bytes))[:0]
-	for i := range g.spans {
-		bulk = append(bulk, g.window(p, i)...)
+	for _, w := range wins {
+		bulk = append(bulk, w...)
 	}
 	return bulk, true
 }
 
-// scatter copies a read's concatenated bulk region out to the caller's
-// slices.
-func (g *targetGroup) scatter(p, bulk []byte) {
-	var boff int64
+// windows returns the slices of b the group's spans read into or write
+// from, in span order — a read's scatter list.
+func (g *targetGroup) windows(b ioBuf) [][]byte {
+	wins := g.win0[:0]
 	for i, s := range g.spans {
-		copy(g.window(p, i), bulk[boff:boff+s.Len])
-		boff += s.Len
+		wins = append(wins, b.at(g.bufOff[i], s.Len))
 	}
+	return wins
 }
 
 // groupByTarget splits [off, off+n) into per-primary span groups.
@@ -154,10 +177,12 @@ func encodeChunkReq(path string, spans []proto.ChunkSpan, flags uint8, epoch uin
 }
 
 // readChunks is the one place an OpReadChunks call is built, issued and
-// its reply validated. The spans' data lands concatenated in bulk (nil
-// for a zero-span size probe); wantSize asks node to piggyback its size
+// its reply validated. The spans' data lands, in span order, across the
+// windows of dest (none for a zero-span size probe), which may be dirty:
+// the transport zeroes what the daemon did not send, so holes and reads
+// beyond EOF still read as zeros. wantSize asks node to piggyback its size
 // view of path, which is what keeps reads stat-free.
-func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.ChunkSpan, bulk []byte, wantSize bool) (sizeView, error) {
+func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.ChunkSpan, wantSize bool, dest ...[]byte) (sizeView, error) {
 	var flags uint8
 	if wantSize {
 		flags |= proto.ReadWantSize
@@ -165,16 +190,8 @@ func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.C
 	if epoch != LiveEpoch {
 		flags |= proto.ReadAtEpoch
 	}
-	dir := rpc.BulkNone
-	if len(bulk) > 0 {
-		// Dirty whatever it is (pooled buffer or caller memory): the daemon
-		// sends only up to the last present byte, and everything past it —
-		// holes, reads beyond EOF — must still read as zeros.
-		clear(bulk)
-		dir = rpc.BulkOut
-	}
 	var view sizeView
-	d, err := c.call(node, proto.OpReadChunks, encodeChunkReq(path, spans, flags, epoch), bulk, dir)
+	d, err := c.call(node, proto.OpReadChunks, encodeChunkReq(path, spans, flags, epoch), nil, rpc.BulkOut, dest...)
 	if err != nil {
 		return view, err
 	}
@@ -207,9 +224,9 @@ type readResult struct {
 
 // readGroup serves one target group of a read from its live candidates
 // (g.cands, planned by readRange). With a single candidate there is
-// nothing to hedge to: the RPC runs on the calling goroutine, a
-// single-span group lands straight in the caller's slice, and no timer,
-// channel, private buffer or latency sample is spent. With several, the
+// nothing to hedge to: the RPC runs on the calling goroutine, every span
+// lands straight in its own window of b, and no timer, channel, private
+// buffer or latency sample is spent. With several, the
 // first (normally the primary) is tried first; the next launches when
 // the first outlives the daemon's p95 latency estimate (a hedged read) or
 // when every outstanding attempt has failed (a failover read). The first
@@ -218,7 +235,7 @@ type readResult struct {
 // losers are drained in the background. Transport failures strike their
 // daemon; deterministic answers surface (every replica would say the
 // same).
-func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, wantSize bool) error {
+func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, b ioBuf, wantSize bool) error {
 	cands := g.cands
 	if len(cands) == 0 {
 		return fmt.Errorf("read %s: replica chain %v: %w", path, g.chain, ErrDegraded)
@@ -231,24 +248,12 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, 
 	}
 	var fails attemptErrs
 	if len(cands) == 1 {
-		var bulk []byte
-		switch len(g.spans) {
-		case 0: // pure size probe, no bulk
-		case 1:
-			bulk = g.window(p, 0)
-		default:
-			bulk = rpc.GetBuf(int(g.bytes))
-			defer rpc.PutBuf(bulk)
-		}
-		view, err := c.readChunks(cands[0], path, epoch, g.spans, bulk, wantSize)
+		view, err := c.readChunks(cands[0], path, epoch, g.spans, wantSize, g.windows(b)...)
 		c.settle(&fails, g.chain, cands[0], err)
 		if err != nil {
 			return fails.err("read", path)
 		}
 		g.view = view
-		if len(g.spans) > 1 {
-			g.scatter(p, bulk)
-		}
 		return nil
 	}
 
@@ -261,7 +266,7 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, 
 			//gkfs:owns-buf (released here on failure, or by the result's receiver)
 			buf := rpc.GetBuf(int(g.bytes))
 			start := time.Now()
-			if _, err := c.readChunks(node, path, epoch, g.spans, buf, false); err != nil {
+			if _, err := c.readChunks(node, path, epoch, g.spans, false, buf); err != nil {
 				rpc.PutBuf(buf)
 				results <- readResult{node: node, err: err}
 				return
@@ -317,14 +322,14 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, 
 	if winner == nil {
 		return fails.err("read", path)
 	}
-	g.scatter(p, winner)
+	rpc.Scatter(g.windows(b), winner)
 	rpc.PutBuf(winner)
 	return nil
 }
 
-// readRange gathers the chunk spans of [off, off+len(p)) of path as of
-// epoch from their daemons and returns the size to clamp EOF by. floor is
-// a size the caller already knows the metadata owner to hold (a
+// readRange gathers the chunk spans of [off, off+b.len()) of path as of
+// epoch from their daemons into b and returns the size to clamp EOF by.
+// floor is a size the caller already knows the metadata owner to hold (a
 // descriptor's floor; 0 when it knows nothing): a range that ends at or
 // below it is all file, so only the data RPCs go out and floor comes
 // back. Anything reaching past it needs the owner's size view, and the
@@ -335,9 +340,9 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, 
 // reach it); when no group qualifies, a zero-span size probe joins the
 // fan-out — still one round trip, all in parallel. Regions never written
 // inside the size read as zeros.
-func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64) (int64, error) {
-	groups := c.groupByTarget(path, off, int64(len(p)))
-	wantSize := off+int64(len(p)) > floor
+func (c *Client) readRange(path string, epoch uint64, b ioBuf, off, floor int64) (int64, error) {
+	groups := c.groupByTarget(path, off, b.len())
+	wantSize := off+b.len() > floor
 	owner := c.cfg.Dist.MetaTarget(path)
 	var sized *targetGroup
 	for _, g := range groups {
@@ -355,7 +360,7 @@ func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64
 	// Each group's view is written by its own goroutine; runGroups'
 	// WaitGroup orders the write before the read below.
 	err := runGroups(groups, func(g *targetGroup) error {
-		return c.readGroup(path, epoch, g, p, g == sized)
+		return c.readGroup(path, epoch, g, b, g == sized)
 	})
 	if err != nil {
 		return 0, err
@@ -395,22 +400,23 @@ func clampEOF(n int, off, size int64) (int, error) {
 // this is also where another client's truncate or remove is noticed — and
 // is raised by the descriptor's own unflushed size candidate before the
 // clamp, exactly as a stat would be.
-func (c *Client) readSpans(of *openFile, p []byte, off int64) (int, error) {
-	if len(p) == 0 {
+func (c *Client) readSpans(of *openFile, b ioBuf, off int64) (int, error) {
+	n := b.len()
+	if n == 0 {
 		return 0, nil
 	}
 	floor := of.floor.Load()
-	size, err := c.readRange(of.path, LiveEpoch, p, off, floor)
+	size, err := c.readRange(of.path, LiveEpoch, b, off, floor)
 	if errors.Is(err, proto.ErrNotExist) {
 		of.floor.Store(0)
 	}
 	if err != nil {
 		return 0, err
 	}
-	if off+int64(len(p)) > floor {
+	if off+n > floor {
 		of.floor.Store(size)
 	}
-	return clampEOF(len(p), off, of.withPending(size))
+	return clampEOF(int(n), off, of.withPending(size))
 }
 
 // ReplicaChain returns the daemons holding chunk id of path under this
@@ -429,7 +435,7 @@ func (c *Client) ReplicaChain(path string, id meta.ChunkID) []int {
 // the daemon serves the chunk's pre-image.
 func (c *Client) ReadChunkFrom(node int, path string, epoch uint64, id meta.ChunkID, p []byte) error {
 	span := []proto.ChunkSpan{{ID: id, Len: int64(len(p))}}
-	if _, err := c.readChunks(node, path, epoch, span, p, false); err != nil {
+	if _, err := c.readChunks(node, path, epoch, span, false, p); err != nil {
 		return fmt.Errorf("read %s: daemon %d: %w", path, node, err)
 	}
 	return nil

@@ -364,13 +364,13 @@ func (cc *chunkCache) startFetch(path string, off, size int64) (*cacheEnt, bool)
 // invalidated mid-flight the buffer is recycled and waiters see a miss.
 //
 //gkfs:owns-buf
-func (cc *chunkCache) settle(ent *cacheEnt, data []byte, n int, eof bool) {
+func (cc *chunkCache) settle(ent *cacheEnt, data []byte, eof bool) {
 	cc.mu.Lock()
 	if ent.gone {
 		ent.err = errCacheDropped
 		rpc.PutBuf(data)
 	} else {
-		ent.data, ent.n, ent.eof = data, n, eof
+		ent.data, ent.n, ent.eof = data, len(data), eof
 		if eof {
 			pb := cc.paths[ent.path]
 			pb.eofs++
@@ -384,11 +384,14 @@ func (cc *chunkCache) settle(ent *cacheEnt, data []byte, n int, eof bool) {
 	cc.mu.Unlock()
 }
 
-// settleErr completes an in-flight fetch that failed: the entry is
-// unlinked and waiters treat it as a miss. Prefetch failures are never
-// latched — the demand read that needs the bytes refetches and surfaces
-// its own error.
-func (cc *chunkCache) settleErr(ent *cacheEnt, err error) {
+// settleErr completes an in-flight fetch that failed, recycling the
+// block it was fetching into: the entry is unlinked and waiters treat it
+// as a miss. Prefetch failures are never latched — the demand read that
+// needs the bytes refetches and surfaces its own error.
+//
+//gkfs:owns-buf
+func (cc *chunkCache) settleErr(ent *cacheEnt, data []byte, err error) {
+	rpc.PutBuf(data)
 	cc.mu.Lock()
 	ent.err = err
 	ent.settled = true
@@ -557,11 +560,21 @@ func (c *Client) ensureCache() *chunkCache {
 	return cc
 }
 
-// wireRead is one block-aligned wire fetch's outcome (see readThrough).
+// wireRead is one wire fetch's outcome (see readThrough).
 type wireRead struct {
-	scratch []byte
-	n       int
-	err     error
+	n   int
+	err error
+}
+
+// cacheBlocks draws n pooled chunk-sized blocks for a chunk-aligned read
+// to land in; each ends up owned by the cache (settle, insert) or back
+// in the pool.
+func (c *Client) cacheBlocks(n int) ioBuf {
+	b := ioBuf{blocks: make([][]byte, n)}
+	for i := range b.blocks {
+		b.blocks[i] = rpc.GetBuf(int(c.cfg.ChunkSize))
+	}
+	return b
 }
 
 // readThrough is the cache-aware read path. It splits [off, off+len(p))
@@ -577,7 +590,7 @@ type wireRead struct {
 func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
 	cc := c.cache.Load()
 	if cc == nil {
-		return c.readSpans(of, p, off)
+		return c.readSpans(of, ioBuf{p: p}, off)
 	}
 	if len(p) == 0 {
 		return 0, nil
@@ -588,27 +601,27 @@ func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
 	// Launch the wire fetch for everything past the cache's coverage
 	// before serving a single cached byte. Sequential continuations and
 	// chunk-or-larger requests expand to block alignment (at most two
-	// partial chunks of overhead, buying complete depositable blocks); a
-	// non-sequential sub-chunk miss pays an exact-range read — a random
-	// 4 KiB reader must not be amplified to chunk-sized fetches.
+	// partial chunks of overhead, buying complete depositable blocks) and
+	// land in the blocks the cache will hold; a non-sequential sub-chunk
+	// miss pays an exact-range read straight into p — a random 4 KiB
+	// reader must not be amplified to chunk-sized fetches.
 	miss := cc.coverage(of.path, off, end, bs)
 	var wire chan wireRead
+	var wbuf ioBuf
 	var gen uint64
 	var blo int64
 	if miss < end {
-		expand := end-off >= bs || (of.ra != nil && of.ra.continues(off))
 		blo = miss
-		bhi := end
-		if expand {
+		wbuf = ioBuf{p: p[miss-off:]}
+		if end-off >= bs || (of.ra != nil && of.ra.continues(off)) {
 			blo = miss - miss%bs
-			bhi = end + (bs-end%bs)%bs
+			wbuf = c.cacheBlocks(int((end + bs - 1 - blo) / bs))
 		}
 		gen = cc.generation(of.path)
-		scratch := rpc.GetBuf(int(bhi - blo))
 		wire = make(chan wireRead, 1)
 		go func() {
-			n, err := c.readSpans(of, scratch, blo)
-			wire <- wireRead{scratch, n, err}
+			n, err := c.readSpans(of, wbuf, blo)
+			wire <- wireRead{n, err}
 		}()
 	}
 
@@ -646,95 +659,81 @@ func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
 		}
 	}
 
-	if wire == nil {
-		if hitEOF && pos < end {
-			c.maybePrefetch(of, off, pos, true)
-			return int(pos - off), io.EOF
-		}
-		if pos < end {
-			// Coverage said fully cached, but the serve stopped early: a
-			// block failed or was invalidated mid-flight, or a cached EOF
-			// is overruled by the descriptor's own pending size. Never
-			// return short without io.EOF — pay a wire read for the rest
-			// (which consults the pending size and re-deposits nothing
-			// stale: it runs under the current generation).
-			n, err := c.readSpans(of, p[pos-off:], pos)
-			if err == nil || err == io.EOF {
-				// Still feed the detector: one transient fallback must
-				// not cost a sequential stream its speculation.
-				c.maybePrefetch(of, off, pos+int64(n), err == io.EOF)
+	if wire != nil {
+		res := <-wire
+		if res.err != nil && res.err != io.EOF {
+			for _, blk := range wbuf.blocks {
+				rpc.PutBuf(blk)
 			}
-			return int(pos-off) + n, err
+			return int(pos - off), res.err
 		}
-		c.maybePrefetch(of, off, pos, false)
-		return int(pos - off), nil
-	}
-	res := <-wire
-	if res.err != nil && res.err != io.EOF {
-		rpc.PutBuf(res.scratch)
-		return int(pos - off), res.err
-	}
-	c.depositBlocks(cc, of.path, blo, res.scratch[:res.n], res.err == io.EOF, gen)
-	if pos == miss && !hitEOF {
-		// Clean splice: append the wire bytes to the served prefix.
-		valid := blo + int64(res.n) // [blo, valid) holds good bytes
-		if valid > pos {
-			m := min(valid, end) - pos
-			copy(p[pos-off:], res.scratch[pos-blo:pos-blo+m])
+		if pos == miss && !hitEOF {
+			// Clean splice: the wire's good bytes, [blo, blo+n), continue
+			// the served prefix — in place after an exact-range read, else
+			// copied out of the blocks before the cache takes them.
+			m := max(min(blo+int64(res.n), end)-pos, 0)
+			for dst, o := p[pos-off:][:m], pos-blo; wbuf.blocks != nil && len(dst) > 0; {
+				n := int64(copy(dst, wbuf.blocks[o/bs][o%bs:]))
+				dst, o = dst[n:], o+n
+			}
 			pos += m
+			// The aligned expansion may have observed EOF past the request's
+			// end; the caller only sees EOF when its own range came up short.
+			hitEOF = pos < end
 		}
-		rpc.PutBuf(res.scratch)
-		total := int(pos - off)
-		// The aligned expansion may have observed EOF past the request's
-		// end; the caller only sees EOF when its own range came up short.
-		if pos < end {
-			c.maybePrefetch(of, off, pos, true)
-			return total, io.EOF
-		}
-		c.maybePrefetch(of, off, end, false)
-		return total, nil
+		c.depositBlocks(cc, of.path, blo, wbuf, res.n, res.err == io.EOF, gen)
 	}
-	rpc.PutBuf(res.scratch)
-	// The prefix serve stopped short of the wire range. A cache-served
-	// EOF is the answer; an invalidated or failed block costs one
-	// serial read for the gap (rare).
-	if hitEOF {
+	if hitEOF && pos < end {
 		c.maybePrefetch(of, off, pos, true)
 		return int(pos - off), io.EOF
 	}
-	n, err := c.readSpans(of, p[pos-off:], pos)
-	if err == nil || err == io.EOF {
-		c.maybePrefetch(of, off, pos+int64(n), err == io.EOF)
+	if pos < end {
+		// The serve stopped short of what the cache (or the wire range
+		// behind it) was to cover: a block failed or was invalidated
+		// mid-flight, or a cached EOF is overruled by the descriptor's own
+		// pending size. Never return short without io.EOF — pay one serial
+		// wire read for the rest (rare; it consults the pending size and
+		// re-deposits nothing stale: it runs under the current generation).
+		n, err := c.readSpans(of, ioBuf{p: p[pos-off:]}, pos)
+		if err == nil || err == io.EOF {
+			// Still feed the detector: one transient fallback must not
+			// cost a sequential stream its speculation.
+			c.maybePrefetch(of, off, pos+int64(n), err == io.EOF)
+		}
+		return int(pos-off) + n, err
 	}
-	return int(pos-off) + n, err
+	c.maybePrefetch(of, off, pos, false)
+	return int(pos - off), nil
 }
 
-// depositBlocks contributes a wire read's data to the cache: data holds
-// the valid bytes starting at blo (an exact-range read may start
-// mid-block; the lead-in to the first boundary is not depositable and
-// is skipped). Every complete block is inserted; with eof (the read
-// observed the file end at blo+len(data)) the trailing partial block is
-// inserted as an EOF block — or, when the file ends exactly on a block
-// boundary, an empty EOF marker block — so later reads at or past the
-// end resolve EOF without touching the wire.
-func (c *Client) depositBlocks(cc *chunkCache, path string, blo int64, data []byte, eof bool, gen uint64) {
+// depositBlocks contributes a wire read's data to the cache: b holds n
+// valid bytes starting at blo, and with eof the read observed the file
+// end at blo+n. The blocks of a chunk-aligned read are adopted, not
+// copied — every complete one, plus with eof the block the file ends in
+// as an EOF block (empty when it ends exactly on a block boundary), so
+// later reads at or past the end resolve EOF without touching the wire;
+// the rest return to the pool. An exact-range read spans no complete
+// block and landed in the caller's memory: only its EOF block can be
+// deposited, by copy.
+func (c *Client) depositBlocks(cc *chunkCache, path string, blo int64, b ioBuf, n int, eof bool, gen uint64) {
 	bs := c.cfg.ChunkSize
-	end := blo + int64(len(data))
+	valid := blo + int64(n)
+	for i, blk := range b.blocks {
+		boff := blo + int64(i)*bs
+		switch m := valid - boff; {
+		case m >= bs:
+			cc.insert(path, boff, blk, false, gen)
+		case m >= 0 && eof:
+			cc.insert(path, boff, blk[:m], true, gen)
+		default:
+			rpc.PutBuf(blk)
+		}
+	}
 	boff := blo + (bs-blo%bs)%bs // first block boundary at or past blo
-	for ; boff+bs <= end; boff += bs {
-		buf := rpc.GetBuf(int(bs))
-		copy(buf, data[boff-blo:boff-blo+bs])
-		cc.insert(path, boff, buf, false, gen)
-	}
-	if !eof {
-		return
-	}
-	if boff < end {
-		buf := rpc.GetBuf(int(end - boff))
-		copy(buf, data[boff-blo:])
+	if b.blocks == nil && eof && boff <= valid {
+		buf := rpc.GetBuf(int(valid - boff))
+		copy(buf, b.p[boff-blo:n])
 		cc.insert(path, boff, buf, true, gen)
-	} else if boff == end {
-		cc.insert(path, boff, nil, true, gen)
 	}
 }
 
@@ -830,54 +829,38 @@ func (c *Client) maybePrefetch(of *openFile, off, end int64, sawEOF bool) {
 }
 
 // fetchSpan is one speculative span fetch: a single readSpans fan-out
-// covering the run's blocks, scattered into one cache entry per block.
-// EOF is recorded so the detector stops speculating past the file end;
-// failures discard the entries without latching anywhere.
+// covering the run's blocks, each landing in the pooled block its cache
+// entry will hold. EOF is recorded so the detector stops speculating
+// past the file end; failures discard the entries without latching
+// anywhere.
 func (c *Client) fetchSpan(cc *chunkCache, of *openFile, ents []*cacheEnt, start int64) {
 	defer func() {
 		<-of.ra.slots
 		of.ra.wg.Done()
 	}()
 	bs := c.cfg.ChunkSize
-	scratch := rpc.GetBuf(int(int64(len(ents)) * bs))
+	b := c.cacheBlocks(len(ents))
 	t0 := time.Time{}
 	if c.tel.prefetch != nil {
 		t0 = time.Now()
 	}
-	n, err := c.readSpans(of, scratch, start)
+	n, err := c.readSpans(of, b, start)
 	if c.tel.prefetch != nil {
 		c.tel.prefetch.ObserveSince(t0)
 	}
-	if err != nil && !errors.Is(err, io.EOF) {
-		for _, ent := range ents {
-			cc.settleErr(ent, err)
-		}
-		rpc.PutBuf(scratch)
-		return
-	}
 	valid := start + int64(n) // the file holds [start, valid) of this span
+	eof := errors.Is(err, io.EOF)
 	for i, ent := range ents {
-		boff := start + int64(i)*bs
-		switch {
-		case boff+bs <= valid:
-			buf := rpc.GetBuf(int(bs))
-			copy(buf, scratch[boff-start:boff-start+bs])
-			cc.settle(ent, buf, int(bs), false)
-		case err != nil: // io.EOF: partial or empty block at the file end
-			m := max(valid-boff, 0)
-			var buf []byte
-			if m > 0 {
-				buf = rpc.GetBuf(int(m))
-				copy(buf, scratch[boff-start:boff-start+m])
-			}
-			cc.settle(ent, buf, int(m), true)
-		default:
-			// A clean readSpans fills the whole span; defensive only.
-			cc.settleErr(ent, io.ErrUnexpectedEOF)
+		switch m := valid - (start + int64(i)*bs); {
+		case err != nil && !eof:
+			cc.settleErr(ent, b.blocks[i], err)
+		case m >= bs:
+			cc.settle(ent, b.blocks[i], false)
+		default: // io.EOF: partial or empty block at the file end
+			cc.settle(ent, b.blocks[i][:max(m, 0)], true)
 		}
 	}
-	if err != nil {
+	if eof {
 		of.ra.noteEOF(valid)
 	}
-	rpc.PutBuf(scratch)
 }

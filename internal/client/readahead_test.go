@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/daemon"
 	"repro/internal/meta"
 	"repro/internal/proto"
+	"repro/internal/rpc"
 )
 
 // raQuiesce waits until every in-flight prefetch of fd has settled, so
@@ -699,4 +701,138 @@ func sumStatsAll(daemons []*daemon.Daemon) proto.DaemonStats {
 		total.Add(d.Stats())
 	}
 	return total
+}
+
+// scatterTap sits between a client and one daemon's connection and
+// serves multi-window reads itself — staging through plain memory, never
+// the pool — after recording each call's scatter list. gate, when set,
+// holds every such call until it is closed, entered signalling arrival.
+type scatterTap struct {
+	rpc.Conn
+	mu      sync.Mutex
+	lists   [][][]byte
+	drawn   atomic.Int64 // pool bytes drawn since the read that arms the prefetch
+	gate    chan struct{}
+	entered chan struct{}
+}
+
+func (c *scatterTap) CallScatter(op rpc.Op, payload []byte, dest [][]byte, _ rpc.Trace) ([]byte, error) {
+	c.mu.Lock()
+	c.lists = append(c.lists, append([][]byte(nil), dest...))
+	c.mu.Unlock()
+	if c.gate != nil {
+		c.entered <- struct{}{}
+		<-c.gate
+	}
+	n := 0
+	for _, w := range dest {
+		n += len(w)
+	}
+	bulk := make([]byte, n)
+	resp, err := c.Conn.Call(op, payload, bulk, rpc.BulkOut)
+	rpc.Scatter(dest, bulk)
+	return resp, err
+}
+
+// armPrefetch writes a 16-chunk file on a one-daemon cluster whose
+// connection runs through tap, and issues the two half-chunk reads that
+// arm speculation: the first deposits block 0 whole, the second is a
+// pure cache hit — it draws nothing from the pool itself — and launches
+// exactly one span fetch, blocks 1-4, in one RPC. It returns after the
+// second read; the fetch may still be in flight.
+func armPrefetch(t *testing.T, cs int64, tap *scatterTap) (c *Client, fd int, want []byte) {
+	t.Helper()
+	c, _, _ = pipelineCluster(t, 1, Config{ChunkSize: cs, ReadAhead: true, ReadWindow: 1, CacheBytes: 64 * cs})
+	want = patternedBytes(int(16*cs), 3)
+	writeFileVia(t, c, "/f", want)
+	tap.Conn = c.cfg.Conns[0]
+	c.cfg.Conns[0] = tap
+	fd, err := c.Open("/f", O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := make([]byte, cs/2)
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			tap.mu.Lock()
+			tap.lists = nil
+			tap.mu.Unlock()
+			tap.drawn.Store(0)
+		}
+		if n, err := c.Read(fd, half); n != len(half) || err != nil {
+			t.Fatalf("read %d = %d, %v", i, n, err)
+		}
+	}
+	return c, fd, want
+}
+
+// TestPrefetchLandsInCacheBlocks is the cost pin of the read path's
+// landing: the slice the transport is handed for block i of a 4-block
+// prefetch is the slice the cache entry for block i ends up holding —
+// nothing stands between the wire and the cache — the run is one RPC,
+// and it draws exactly the four blocks from the pool, no scratch.
+func TestPrefetchLandsInCacheBlocks(t *testing.T) {
+	const cs = 8 << 10
+	tap := &scatterTap{}
+	defer rpc.ObserveDraws(func(n int) { tap.drawn.Add(int64(n)) })()
+	c, fd, want := armPrefetch(t, cs, tap)
+	raQuiesce(t, c, fd)
+	// Armed by a cache hit, the prefetch is all that drew since then.
+	if got := tap.drawn.Load(); got != 4*cs {
+		t.Fatalf("prefetch of 4 blocks drew %d pool bytes, want %d", got, 4*cs)
+	}
+	if len(tap.lists) != 1 || len(tap.lists[0]) != 4 {
+		t.Fatalf("prefetch issued scatter lists %d, want one of 4 windows", len(tap.lists))
+	}
+	cc := c.cache.Load()
+	for i, w := range tap.lists[0] {
+		off := int64(1+i) * cs
+		ent := cc.acquire("/f", off)
+		if ent == nil {
+			t.Fatalf("block %d not cached after the prefetch", 1+i)
+		}
+		if len(w) != cs || len(ent.data) != cs || &ent.data[0] != &w[0] {
+			t.Fatalf("block %d: the cache holds %p (%d bytes), the transport filled %p (%d bytes)", 1+i, ent.data, len(ent.data), w, len(w))
+		}
+		if !bytes.Equal(ent.data, want[off:off+cs]) {
+			t.Fatalf("block %d: wrong bytes in the adopted buffer", 1+i)
+		}
+		cc.release(ent)
+	}
+}
+
+// TestPrefetchInvalidatedMidFlightRecyclesOnce invalidates a prefetch's
+// blocks while its RPC is still out: the fetch settles on entries that
+// are already gone, so each adopted buffer must return to the pool —
+// exactly once: a buffer put twice would be handed to two owners — and
+// the reads that wanted those blocks must see the bytes written since.
+func TestPrefetchInvalidatedMidFlightRecyclesOnce(t *testing.T) {
+	const cs = 8 << 10
+	tap := &scatterTap{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	c, fd, want := armPrefetch(t, cs, tap)
+	<-tap.entered
+	fresh := patternedBytes(4*cs, 9)
+	if err := c.WritePath("/f", fresh, cs); err != nil { // lands, then invalidates blocks 1-4
+		t.Fatal(err)
+	}
+	copy(want[cs:], fresh)
+	close(tap.gate)
+	raQuiesce(t, c, fd)
+	tap.gate = nil
+
+	live := map[*byte]bool{}
+	for i := 0; i < 64; i++ {
+		b := rpc.GetBuf(cs)
+		if live[&b[0]] {
+			t.Fatal("the pool handed out one buffer twice: a dropped prefetch block was recycled more than once")
+		}
+		live[&b[0]] = true
+	}
+	got := make([]byte, 5*cs)
+	if n, err := c.ReadAt(fd, got, 0); n != len(got) || err != nil {
+		t.Fatalf("ReadAt = %d, %v", n, err)
+	}
+	if !bytes.Equal(got, want[:5*cs]) {
+		t.Fatal("read after a mid-flight invalidation returned stale or foreign bytes")
+	}
 }

@@ -229,7 +229,7 @@ func (c *Client) ReadSnapshot(path string, epoch uint64, p []byte, off int64) (i
 	if len(p) == 0 {
 		return 0, nil
 	}
-	size, err := c.readRange(cp, epoch, p, off, 0)
+	size, err := c.readRange(cp, epoch, ioBuf{p: p}, off, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -260,10 +260,11 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Commit only up to the last present byte: the client cleared its
-		// bulk region before exposing it, so the untransferred tail reads
-		// as zeros there. Reads past EOF and hole-heavy windows move
-		// (almost) nothing over the wire instead of a window of zeros.
+		// Commit only up to the last present byte: the carrier zeroes what
+		// it did not deliver (rpc.Bulk.Commit), so the untransferred tail
+		// reads as zeros on the client. Reads past EOF and hole-heavy
+		// windows move (almost) nothing over the wire instead of a window
+		// of zeros.
 		var high, spanOff int64
 		for i, s := range spans {
 			if n := counts[i]; n > 0 && spanOff+n > high {

@@ -47,9 +47,12 @@ type Bulk interface {
 	// Commit declares how much of the region is meaningful.
 	Writable(n int) ([]byte, error)
 	// Commit declares that the first n bytes of the Writable region are
-	// ready to travel back to the client. Bytes past n are never sent; on
-	// the client they read as whatever the caller left there (the data
-	// path pre-clears its regions, so trimmed tails read as zeros).
+	// ready to travel back to the client. Bytes past n are never sent.
+	// The BulkOut contract, for every carrier: when the call succeeds
+	// every byte of every window the client exposed is defined — the
+	// first n are the server's, the rest are zeros, cleared by the
+	// carrier, which alone knows how many bytes it delivered. Callers
+	// never pre-clear a region (docs/INVARIANTS.md).
 	Commit(n int) error
 }
 
@@ -138,6 +141,49 @@ func CallTrace(c Conn, op Op, payload, bulk []byte, dir BulkDir, tr Trace) ([]by
 		return tc.CallTrace(op, payload, bulk, dir, tr)
 	}
 	return c.Call(op, payload, bulk, dir)
+}
+
+// ScatterCaller is the optional Conn extension of transports that can
+// land a BulkOut transfer in a scatter list: the windows of dest, in
+// order, are the exposed region, and the server's bytes arrive in them
+// directly — no contiguous staging buffer on the client. The claim and
+// zero-tail rules of a single-window call hold window by window.
+type ScatterCaller interface {
+	CallScatter(op Op, payload []byte, dest [][]byte, tr Trace) ([]byte, error)
+}
+
+// CallScatter invokes op over c with the windows of dest as its BulkOut
+// region (none exposes no buffer). Connections that cannot scatter get
+// one pooled contiguous region, copied out to the windows afterwards.
+func CallScatter(c Conn, op Op, payload []byte, dest [][]byte, tr Trace) ([]byte, error) {
+	switch len(dest) {
+	case 0:
+		return CallTrace(c, op, payload, nil, BulkNone, tr)
+	case 1:
+		return CallTrace(c, op, payload, dest[0], BulkOut, tr)
+	}
+	if sc, ok := c.(ScatterCaller); ok {
+		return sc.CallScatter(op, payload, dest, tr)
+	}
+	n := 0
+	for _, w := range dest {
+		n += len(w)
+	}
+	bulk := GetBuf(n)
+	defer PutBuf(bulk)
+	resp, err := CallTrace(c, op, payload, bulk, BulkOut, tr)
+	if err != nil {
+		return nil, err
+	}
+	Scatter(dest, bulk)
+	return resp, nil
+}
+
+// Scatter copies src out to the windows of dest, in order.
+func Scatter(dest [][]byte, src []byte) {
+	for _, w := range dest {
+		src = src[copy(w, src):]
+	}
 }
 
 // ServerStats counts server-side activity.
@@ -348,7 +394,9 @@ func (b SliceBulk) Writable(n int) ([]byte, error) {
 }
 
 // Commit implements Bulk. In-process the bytes are already in place;
-// only the bound is validated.
+// only the bound is validated. A bare SliceBulk is a region, not a
+// carrier: the conn that lends it (transport's mem conn) clears the
+// bytes past what the handler produced.
 func (b SliceBulk) Commit(n int) error {
 	if n > len(b) {
 		return fmt.Errorf("rpc: commit of %d bytes exceeds exposed region %d", n, len(b))

@@ -114,3 +114,64 @@ func TestRemoteErrorMessage(t *testing.T) {
 		t.Fatalf("Error() = %q", e.Error())
 	}
 }
+
+// fillConn answers every BulkOut call by recording the size of the
+// exposed region and filling it with each byte's position modulo 251.
+type fillConn struct{ regions []int }
+
+func (c *fillConn) Call(_ Op, _, bulk []byte, dir BulkDir) ([]byte, error) {
+	if dir == BulkOut {
+		c.regions = append(c.regions, len(bulk))
+		for i := range bulk {
+			bulk[i] = byte(i % 251)
+		}
+	}
+	return []byte("ok"), nil
+}
+
+func (c *fillConn) Close() error { return nil }
+
+// scatterFillConn also offers the ScatterCaller extension, counting its
+// uses.
+type scatterFillConn struct {
+	fillConn
+	lists int
+}
+
+func (c *scatterFillConn) CallScatter(_ Op, _ []byte, dest [][]byte, _ Trace) ([]byte, error) {
+	c.lists++
+	return []byte("scattered"), nil
+}
+
+// TestCallScatter pins the helper's three routes: no window is a plain
+// call, one window is a plain BulkOut call on any connection, and a list
+// goes to the extension when the connection has it — otherwise through
+// one contiguous region whose bytes end up in the windows in order.
+func TestCallScatter(t *testing.T) {
+	plain := &fillConn{}
+	a, b := make([]byte, 300), make([]byte, 200)
+	if resp, err := CallScatter(plain, 1, nil, [][]byte{a, b}, Trace{}); err != nil || string(resp) != "ok" {
+		t.Fatalf("staged list = %q, %v", resp, err)
+	}
+	for i, v := range append(append([]byte(nil), a...), b...) {
+		if v != byte(i%251) {
+			t.Fatalf("staged list: byte %d of the windows = %d, want %d", i, v, i%251)
+		}
+	}
+	if _, err := CallScatter(plain, 1, nil, nil, Trace{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CallScatter(plain, 1, nil, [][]byte{a}, Trace{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(plain.regions) != 2 || plain.regions[0] != 500 || plain.regions[1] != 300 {
+		t.Fatalf("regions exposed = %v, want [500 300]", plain.regions)
+	}
+	ext := &scatterFillConn{}
+	if resp, err := CallScatter(ext, 1, nil, [][]byte{a, b}, Trace{}); err != nil || string(resp) != "scattered" || ext.lists != 1 {
+		t.Fatalf("list over the extension = %q, %v (%d uses)", resp, err, ext.lists)
+	}
+	if _, err := CallScatter(ext, 1, nil, [][]byte{a}, Trace{}); err != nil || ext.lists != 1 || len(ext.regions) != 1 {
+		t.Fatalf("one window must be a plain call: %v, %d extension uses, regions %v", err, ext.lists, ext.regions)
+	}
+}

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -53,7 +55,7 @@ type wireTarget struct {
 	ref  bool   // by-reference carrier: requests carry dirRefFlag + segOff
 	seg  uint64 // segment size, by reference
 	raw  func(t *testing.T) net.Conn
-	dial func() (rpc.Conn, error)
+	dial func(timeout time.Duration) (rpc.Conn, error)
 }
 
 // wireTargets serves srv over every carrier the platform has.
@@ -75,7 +77,7 @@ func wireTargets(t *testing.T, srv *rpc.Server) []wireTarget {
 			}
 			return c
 		},
-		dial: func() (rpc.Conn, error) { return DialTCP(addr, 5*time.Second) },
+		dial: func(timeout time.Duration) (rpc.Conn, error) { return DialTCP(addr, timeout) },
 	}
 	return append([]wireTarget{tcp}, platformTargets(t, srv)...)
 }
@@ -113,7 +115,7 @@ func closedAfter(c net.Conn, frame []byte) bool {
 // connection to tg works.
 func assertServing(t *testing.T, tg wireTarget) {
 	t.Helper()
-	c, err := tg.dial()
+	c, err := tg.dial(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,22 +273,56 @@ func rawResponse(reqID uint64, plen uint32, blen uint32, hasBlen bool, tail int)
 	return append(out, resp...)
 }
 
+// scatterRegion is a BulkOut region of two windows cut from one backing
+// array with a gap before, between and after them. Everything starts as
+// 0xEE, so a byte the transport wrote — inside a window or past one — is
+// a byte that no longer reads 0xEE.
+type scatterRegion struct {
+	backing    []byte
+	wins, gaps [][]byte
+}
+
+func newScatterRegion(win int) scatterRegion {
+	const gap = 64
+	b := bytes.Repeat([]byte{0xEE}, 3*gap+2*win)
+	w0, w1 := gap, 2*gap+win
+	return scatterRegion{
+		backing: b,
+		wins:    [][]byte{b[w0 : w0+win : w0+win], b[w1 : w1+win : w1+win]},
+		gaps:    [][]byte{b[:w0], b[w0+win : w1], b[w1+win:]},
+	}
+}
+
+// allBytes reports whether every byte of every piece is v.
+func allBytes(v byte, pieces ...[]byte) bool {
+	for _, p := range pieces {
+		if bytes.Count(p, []byte{v}) != len(p) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestHostileResponseFailsClientCleanly serves corrupt responses from a
-// fake daemon on every carrier; the client must surface a connection
-// error — not panic its read loop, hang, or deliver a short read as
-// success — and condemn the connection, not the process.
+// fake daemon on every carrier, to a contiguous BulkOut call and to a
+// scatter call of the same size; the client must surface a connection
+// error — not panic its read loop, hang, deliver a short read as success
+// or write outside the windows it exposed — and condemn the connection,
+// not the process.
 func TestHostileResponseFailsClientCleanly(t *testing.T) {
 	const blen = 64 << 10
 	cases := []struct {
-		name    string
-		want    string // the error every carrier must report, identically
-		respond func(reqID uint64, ref bool) []byte
+		name     string
+		want     string // the error every carrier must report, identically
+		pristine bool   // the region must not have been written at all
+		respond  func(reqID uint64, ref bool) []byte
 	}{
 		// plen = 0xFFFFFFFE: plen+4 wraps to 2.
-		{"payload-len-wrap", "truncated", func(id uint64, _ bool) []byte { return rawResponse(id, 0xFFFFFFFE, 0, false, 8) }},
+		{"payload-len-wrap", "truncated", true, func(id uint64, _ bool) []byte { return rawResponse(id, 0xFFFFFFFE, 0, false, 8) }},
 		// An otherwise well-formed response carrying more bulk than the
-		// region the call exposed.
-		{"bulk-exceeds-region", "response bulk 131072 exceeds exposed region 65536", func(id uint64, ref bool) []byte {
+		// region — the one window, or the sum of the windows — the call
+		// exposed: refused before a byte of it is placed.
+		{"bulk-exceeds-region", "response bulk 131072 exceeds exposed region 65536", true, func(id uint64, ref bool) []byte {
 			if ref {
 				return rawResponse(id, 0, 2*blen, true, 0)
 			}
@@ -294,35 +330,135 @@ func TestHostileResponseFailsClientCleanly(t *testing.T) {
 		}},
 		// The header advertises inline bulk bytes but the server dies
 		// before sending them all: on the inline carrier the read loop was
-		// scattering into the waiting call's dest buffer; a doorbell
-		// response may carry no bytes at all.
-		{"truncated-mid-bulk", "", func(id uint64, _ bool) []byte {
+		// scattering into the waiting call's windows (the scatter call's
+		// first is full, its second never started); a doorbell response
+		// may carry no bytes at all.
+		{"truncated-mid-bulk", "", false, func(id uint64, _ bool) []byte {
 			f := rawResponse(id, 0, blen, true, blen)
 			return f[:len(f)-blen/2]
 		}},
 	}
 	for _, tc := range cases {
-		daemons := fakeDaemons(t, func(c net.Conn, ref bool) {
-			if id, err := readRawRequestID(c); err == nil {
-				c.Write(tc.respond(id, ref))
-			}
-		})
-		for name, dial := range daemons {
-			t.Run(name+"/"+tc.name, func(t *testing.T) {
-				c, err := dial()
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				_, err = c.Call(opRead, nil, make([]byte, blen), rpc.BulkOut)
-				if err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("corrupt response: err = %v, want one containing %q", err, tc.want)
-				}
-				if _, err := c.Call(opEcho, []byte("y"), nil, rpc.BulkNone); err == nil {
-					t.Fatal("condemned connection accepted another call")
+		for _, shape := range []string{"contiguous", "scatter"} {
+			daemons := fakeDaemons(t, func(c net.Conn, ref bool) {
+				if id, err := readRawRequestID(c); err == nil {
+					c.Write(tc.respond(id, ref))
 				}
 			})
+			for name, dial := range daemons {
+				t.Run(name+"/"+shape+"/"+tc.name, func(t *testing.T) {
+					c, err := dial()
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer c.Close()
+					region := newScatterRegion(blen / 2)
+					if shape == "scatter" {
+						_, err = c.(rpc.ScatterCaller).CallScatter(opRead, nil, region.wins, rpc.Trace{})
+					} else {
+						region = scatterRegion{backing: bytes.Repeat([]byte{0xEE}, blen)}
+						_, err = c.Call(opRead, nil, region.backing, rpc.BulkOut)
+					}
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("corrupt response: err = %v, want one containing %q", err, tc.want)
+					}
+					if !allBytes(0xEE, region.gaps...) {
+						t.Fatal("the transport wrote outside the windows the call exposed")
+					}
+					if tc.pristine && !allBytes(0xEE, region.backing) {
+						t.Fatal("the transport wrote into a region whose response it refused")
+					}
+					if _, err := c.Call(opEcho, []byte("y"), nil, rpc.BulkNone); err == nil {
+						t.Fatal("condemned connection accepted another call")
+					}
+				})
+			}
 		}
+	}
+}
+
+// Ops of the scatter-contract tests below, registered on top of
+// newTestServer's.
+const (
+	opShortFill rpc.Op = 200 + iota // fills the whole region with 0x5A, commits the first u32(req) bytes
+	opLateFill                      // sleeps past the call timeout, then pushes 0xA5 over the whole region
+)
+
+func newScatterServer() *rpc.Server {
+	srv := newTestServer()
+	srv.Register(opShortFill, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
+		w, err := bulk.Writable(bulk.Len())
+		if err != nil {
+			return nil, err
+		}
+		for i := range w {
+			w[i] = 0x5A
+		}
+		return nil, bulk.Commit(int(binary.LittleEndian.Uint32(req)))
+	})
+	srv.Register(opLateFill, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
+		time.Sleep(200 * time.Millisecond)
+		return nil, bulk.Push(bytes.Repeat([]byte{0xA5}, bulk.Len()))
+	})
+	return srv
+}
+
+// TestHostileScatterShortBulkLeavesZeroTail pins the carrier's half of
+// the BulkOut contract on every connection type, those that scatter
+// natively and those rpc.CallScatter stages for: a response shorter than
+// the windows fills them in order with the server's bytes and the rest
+// of the region — here the end of the first window and all of the second
+// — reads as zeros, whatever the caller left there. A commit of zero
+// bytes and one of the whole region are the two edges.
+func TestHostileScatterShortBulkLeavesZeroTail(t *testing.T) {
+	const win = 48 << 10
+	for name, c := range connsAgainst(t, newScatterServer()) {
+		for _, n := range []int{0, win - 100, win, win + 100, 2 * win} {
+			region := newScatterRegion(win)
+			req := binary.LittleEndian.AppendUint32(nil, uint32(n))
+			if _, err := rpc.CallScatter(c, opShortFill, req, region.wins, rpc.Trace{}); err != nil {
+				t.Fatalf("%s: commit %d: %v", name, n, err)
+			}
+			got := append(append([]byte(nil), region.wins[0]...), region.wins[1]...)
+			if !allBytes(0x5A, got[:n]) || !allBytes(0, got[n:]) {
+				t.Fatalf("%s: commit %d of %d: region is not %d server bytes then zeros", name, n, 2*win, n)
+			}
+			if !allBytes(0xEE, region.gaps...) {
+				t.Fatalf("%s: commit %d: the transport wrote outside the windows", name, n)
+			}
+		}
+	}
+}
+
+// TestHostileScatterLateResponseLeavesWindowsAlone times a scatter call
+// out on every carrier: once the call has returned its windows belong to
+// the caller again, so the late response must be drained (inline) or its
+// segment window reclaimed (by reference) without a byte of it reaching
+// them — "Claimed calls are always delivered" read the other way round —
+// and the connection must stay usable.
+func TestHostileScatterLateResponseLeavesWindowsAlone(t *testing.T) {
+	srv := newScatterServer()
+	for _, tg := range wireTargets(t, srv) {
+		t.Run(tg.name, func(t *testing.T) {
+			c, err := tg.dial(30 * time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			region := newScatterRegion(16 << 10)
+			_, err = c.(rpc.ScatterCaller).CallScatter(opLateFill, nil, region.wins, rpc.Trace{})
+			if !errors.Is(err, ErrTimeout) {
+				t.Fatalf("late scatter call: err = %v, want ErrTimeout", err)
+			}
+			time.Sleep(300 * time.Millisecond) // the late response lands and is drained
+			if !allBytes(0xEE, region.backing) {
+				t.Fatal("a timed-out call's late response reached the windows it had returned")
+			}
+			got := make([]byte, 16)
+			if _, err := c.Call(opRead, nil, got, rpc.BulkOut); err != nil || !allBytes(0x5A, got) {
+				t.Fatalf("post-timeout call = %x, %v", got, err)
+			}
+		})
 	}
 }
 

@@ -51,23 +51,59 @@ type memConn struct {
 	srv *rpc.Server
 }
 
-// Call implements rpc.Conn. The direction hint is irrelevant in-process:
-// the handler touches the client's buffer directly either way.
+// outBulk is one call's BulkOut region — the caller's buffer itself —
+// remembering how many bytes the handler produced, so the conn can keep
+// the carrier's half of the BulkOut contract and clear the rest.
+type outBulk struct {
+	rpc.SliceBulk
+	n int
+}
+
+// Push implements rpc.Bulk.
+func (b *outBulk) Push(p []byte) error {
+	err := b.SliceBulk.Push(p)
+	if err == nil {
+		b.n = len(p)
+	}
+	return err
+}
+
+// Commit implements rpc.Bulk.
+func (b *outBulk) Commit(n int) error {
+	err := b.SliceBulk.Commit(n)
+	if err == nil {
+		b.n = n
+	}
+	return err
+}
+
+// Call implements rpc.Conn. The direction hint only decides who clears a
+// BulkOut tail: the handler touches the client's buffer directly either
+// way.
 func (c *memConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
 	return c.CallTrace(op, payload, bulk, dir, rpc.Trace{})
 }
 
 // CallTrace implements rpc.TraceCaller: in-process there is no frame,
 // so the trace is handed to the dispatcher directly.
-func (c *memConn) CallTrace(op rpc.Op, payload, bulk []byte, _ rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
+func (c *memConn) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
 	var b rpc.Bulk
-	if bulk != nil {
+	var out *outBulk
+	switch {
+	case bulk == nil:
+	case dir == rpc.BulkOut:
+		out = &outBulk{SliceBulk: bulk}
+		b = out
+	default:
 		b = rpc.SliceBulk(bulk)
 	}
 	resp, err := c.srv.DispatchTrace(op, payload, b, tr)
 	if err != nil {
 		// Keep error semantics identical to the remote case.
 		return nil, &rpc.RemoteError{Msg: err.Error()}
+	}
+	if out != nil {
+		clear(bulk[out.n:])
 	}
 	return resp, nil
 }

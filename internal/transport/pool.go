@@ -106,6 +106,23 @@ func (p *Pool) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, e
 // CallTrace implements rpc.TraceCaller, forwarding the trace to the
 // slot's connection when it can carry one.
 func (p *Pool) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
+	return p.forward(func(conn rpc.Conn) ([]byte, error) {
+		return rpc.CallTrace(conn, op, payload, bulk, dir, tr)
+	})
+}
+
+// CallScatter implements rpc.ScatterCaller, forwarding the window list
+// to the slot's connection (which stages it contiguously if it cannot
+// scatter).
+func (p *Pool) CallScatter(op rpc.Op, payload []byte, dest [][]byte, tr rpc.Trace) ([]byte, error) {
+	return p.forward(func(conn rpc.Conn) ([]byte, error) {
+		return rpc.CallScatter(conn, op, payload, dest, tr)
+	})
+}
+
+// forward runs one call on the slot selected by the next request id,
+// condemning the slot's connection on a transport failure.
+func (p *Pool) forward(call func(rpc.Conn) ([]byte, error)) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
@@ -121,7 +138,7 @@ func (p *Pool) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rp
 	if err != nil {
 		return nil, err
 	}
-	resp, err := rpc.CallTrace(conn, op, payload, bulk, dir, tr)
+	resp, err := call(conn)
 	if err != nil && condemns(err) {
 		p.invalidate(s, conn)
 	}

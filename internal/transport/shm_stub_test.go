@@ -20,3 +20,6 @@ func platformTargets(*testing.T, *rpc.Server) []wireTarget { return nil }
 func platformFakeDaemons(*testing.T, func(net.Conn, bool)) map[string]func() (rpc.Conn, error) {
 	return nil
 }
+
+// dialBenchShm reports that the by-reference carrier is unavailable.
+func dialBenchShm(*testing.B) rpc.Conn { return nil }

@@ -93,7 +93,7 @@ func platformTargets(t *testing.T, srv *rpc.Server) []wireTarget {
 			}
 			return c
 		},
-		dial: func() (rpc.Conn, error) { return DialShm(sock, 5*time.Second) },
+		dial: func(timeout time.Duration) (rpc.Conn, error) { return DialShm(sock, timeout) },
 	}}
 }
 

@@ -550,17 +550,21 @@ type conn struct {
 }
 
 // pendingCall is one in-flight request. dest, for BulkOut calls, is the
-// caller's buffer: on the inline carrier the read loop claims the call
-// by id as soon as the response header arrives and reads the bulk bytes
-// straight into dest — the scatter half of the zero-copy wire path. win
-// is the segment window a by-reference call reserved; it stays reserved
-// until the call's response arrives (or the connection dies), because
-// the daemon may be writing into it until then. The claim protocol (see
-// abandon) guarantees neither is touched after Call returns.
+// caller's region as a scatter list of windows (destN bytes in all; one
+// backs the list of a contiguous region): on the inline carrier the read
+// loop claims the call by id as soon as the response header arrives and
+// reads the bulk bytes straight into successive windows — the scatter
+// half of the zero-copy wire path. win is the segment window a
+// by-reference call reserved; it stays reserved until the call's response
+// arrives (or the connection dies), because the daemon may be writing
+// into it until then. The claim protocol (see abandon) guarantees neither
+// is touched after the call returns.
 type pendingCall struct {
-	ch   chan result
-	dest []byte
-	win  segSpan
+	ch    chan result
+	dest  [][]byte
+	destN int
+	one   [1][]byte
+	win   segSpan
 }
 
 type result struct {
@@ -579,17 +583,41 @@ func (c *conn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, e
 	return c.CallTrace(op, payload, bulk, dir, rpc.Trace{})
 }
 
-// CallTrace implements rpc.TraceCaller: register → write → wait or time
-// out → settle. The frame carries tr in the trailing trace extension
-// when sampled.
+// CallTrace implements rpc.TraceCaller. The frame carries tr in the
+// trailing trace extension when sampled.
 func (c *conn) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
-	if bulk == nil {
+	pc := &pendingCall{ch: make(chan result, 1)}
+	var in []byte
+	switch {
+	case bulk == nil:
+		dir = rpc.BulkNone
+	case dir == rpc.BulkIn:
+		in = bulk
+	case dir == rpc.BulkOut:
+		pc.one[0] = bulk
+		pc.dest, pc.destN = pc.one[:], len(bulk)
+	}
+	return c.call(pc, op, payload, in, len(bulk), dir, tr)
+}
+
+// CallScatter implements rpc.ScatterCaller: a BulkOut call whose region
+// is the windows of dest, filled in order.
+func (c *conn) CallScatter(op rpc.Op, payload []byte, dest [][]byte, tr rpc.Trace) ([]byte, error) {
+	pc := &pendingCall{ch: make(chan result, 1), dest: dest}
+	for _, w := range dest {
+		pc.destN += len(w)
+	}
+	dir := rpc.BulkOut
+	if len(dest) == 0 {
 		dir = rpc.BulkNone
 	}
-	pc := &pendingCall{ch: make(chan result, 1)}
-	if dir == rpc.BulkOut {
-		pc.dest = bulk
-	}
+	return c.call(pc, op, payload, nil, pc.destN, dir, tr)
+}
+
+// call runs one registered call: register → write → wait or time out →
+// settle. in is the BulkIn bytes (nil otherwise) and n the size of the
+// region the call exposes in either direction.
+func (c *conn) call(pc *pendingCall, op rpc.Op, payload, in []byte, n int, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
 	if c.seg != nil && dir != rpc.BulkNone {
 		// By reference: reserve a window and, for BulkIn, stage the bytes
 		// in it — the one copy this direction costs.
@@ -597,17 +625,15 @@ func (c *conn) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rp
 		if c.segWaitHist != nil {
 			t0 = time.Now()
 		}
-		off, err := c.alloc.acquire(len(bulk), c.timeout)
+		off, err := c.alloc.acquire(n, c.timeout)
 		if c.segWaitHist != nil {
 			c.segWaitHist.ObserveSince(t0)
 		}
 		if err != nil {
 			return nil, err
 		}
-		pc.win = segSpan{off, len(bulk)}
-		if dir == rpc.BulkIn {
-			copy(c.seg[off:], bulk)
-		}
+		pc.win = segSpan{off, n}
+		copy(c.seg[off:], in)
 	}
 	c.mu.Lock()
 	if c.dead != nil {
@@ -628,17 +654,17 @@ func (c *conn) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rp
 	// buffer as the second iovec — they are never copied into a frame —
 	// and a sampled trace, which must stay the frame's last bytes, as the
 	// third.
-	hdr := c.buildRequest(id, op, dir, payload, bulk, pc.win.off, tr)
+	hdr := c.buildRequest(id, op, dir, payload, n, pc.win.off, tr)
 	c.wmu.Lock()
 	var err error
-	if c.seg == nil && dir == rpc.BulkIn && len(bulk) > 0 {
+	if c.seg == nil && len(in) > 0 {
 		if tr.Sampled() {
 			var tb [traceLen]byte
 			putTrace(&tb, tr)
-			bufs := net.Buffers{hdr, bulk, tb[:]}
+			bufs := net.Buffers{hdr, in, tb[:]}
 			_, err = bufs.WriteTo(c.nc)
 		} else {
-			bufs := net.Buffers{hdr, bulk}
+			bufs := net.Buffers{hdr, in}
 			_, err = bufs.WriteTo(c.nc)
 		}
 	} else {
@@ -683,17 +709,39 @@ func (c *conn) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rp
 	}
 }
 
-// settle completes a delivered call. Inline bulk is already in dest; a
-// by-reference call copies its BulkOut bytes out of the segment window —
-// the one copy that direction costs — and returns the window.
+// settle completes a delivered call. A successful BulkOut call leaves
+// every byte of every window defined: inline bulk is already in place, a
+// by-reference call copies its bytes out of the segment window — the one
+// copy that direction costs — and the carrier, which alone knows how many
+// bytes it delivered, clears only what lies past them. The segment
+// window returns to the allocator.
 func (c *conn) settle(pc *pendingCall, res result) ([]byte, error) {
-	if pc.win.n > 0 {
-		if res.err == nil && res.bulkN > 0 {
-			copy(pc.dest[:res.bulkN], c.seg[pc.win.off:])
+	if res.err == nil && pc.destN > 0 {
+		var src []byte
+		if pc.win.n > 0 {
+			src = c.seg[pc.win.off:][:res.bulkN]
 		}
+		finish(pc.dest, src, res.bulkN)
+	}
+	if pc.win.n > 0 {
 		c.alloc.release(pc.win.off, pc.win.n)
 	}
 	return res.payload, res.err
+}
+
+// finish completes a scatter list whose first n bytes are the server's:
+// they are copied from src when they arrived by reference (src nil means
+// they are already in place) and every byte past them is cleared.
+func finish(dest [][]byte, src []byte, n int) {
+	for _, w := range dest {
+		m := min(len(w), n)
+		if src != nil {
+			copy(w[:m], src)
+			src = src[m:]
+		}
+		clear(w[m:])
+		n -= m
+	}
 }
 
 // abandon is the single site that gives up on a registered call (failed
@@ -786,20 +834,23 @@ func (c *conn) readResponse(br *bufio.Reader) error {
 		_, err := io.CopyN(io.Discard, br, inline)
 		return err
 	}
-	if blen > 0 {
-		if int64(blen) > int64(len(pc.dest)) {
-			// The server pushed past the region we exposed; trusting the
-			// stream further would scribble out of bounds.
-			err := fmt.Errorf("transport: response bulk %d exceeds exposed region %d", blen, len(pc.dest))
+	if int64(blen) > int64(pc.destN) {
+		// The server pushed past the region we exposed; trusting the
+		// stream further would scribble out of bounds.
+		err := fmt.Errorf("transport: response bulk %d exceeds exposed region %d", blen, pc.destN)
+		pc.ch <- result{err: err}
+		return err
+	}
+	for _, w := range pc.dest {
+		if inline == 0 {
+			break
+		}
+		w = w[:min(int64(len(w)), inline)]
+		if _, err := io.ReadFull(br, w); err != nil {
 			pc.ch <- result{err: err}
 			return err
 		}
-		if inline > 0 {
-			if _, err := io.ReadFull(br, pc.dest[:blen]); err != nil {
-				pc.ch <- result{err: err}
-				return err
-			}
-		}
+		inline -= int64(len(w))
 	}
 	// The payload escapes to the caller; copy it off the pooled buffer.
 	pc.ch <- result{payload: append([]byte(nil), pbuf[:plen]...), bulkN: int(blen)}
@@ -839,11 +890,11 @@ func (c *conn) fail(err error) {
 // extends the frame by traceLen trailing bytes, appended here unless
 // inline BulkIn bytes will separate them from the header (the caller
 // then sends the trailer as its own iovec after the bulk).
-func (c *conn) buildRequest(id uint64, op rpc.Op, dir rpc.BulkDir, payload, bulk []byte, segOff int, tr rpc.Trace) []byte {
+func (c *conn) buildRequest(id uint64, op rpc.Op, dir rpc.BulkDir, payload []byte, bulkLen, segOff int, tr rpc.Trace) []byte {
 	dirByte := byte(dir)
-	bulkLen, inline, ref, tlen := 0, 0, 0, 0
-	if dir != rpc.BulkNone {
-		bulkLen = len(bulk)
+	inline, ref, tlen := 0, 0, 0
+	if dir == rpc.BulkNone {
+		bulkLen = 0
 	}
 	if c.seg != nil {
 		dirByte |= dirRefFlag

@@ -65,18 +65,56 @@ func benchRoundTrip(b *testing.B, c rpc.Conn) {
 	}
 }
 
-func BenchmarkTCPRoundTrip(b *testing.B) {
-	srv := newBenchServer()
+// benchBulkOutScatter moves two 512 KiB spans — one prefetch group of
+// the client's read path — into two separate buffers, the way a
+// connection without the scatter extension does it (one pooled
+// contiguous region, then a copy per window: rpc.CallScatter's fallback,
+// reached by hiding the extension) and as a scatter list. The difference
+// is the client-side pass over every byte the list removes.
+func benchBulkOutScatter(b *testing.B, c rpc.Conn) {
+	const span = 512 << 10
+	dest := [][]byte{make([]byte, span), make([]byte, span)}
+	for _, tc := range []struct {
+		name string
+		conn rpc.Conn
+	}{{"contiguous+copy", struct{ rpc.Conn }{c}}, {"scatter", c}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(2 * span)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rpc.CallScatter(tc.conn, opBenchFill, nil, dest, rpc.Trace{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// dialBenchTCP serves newBenchServer on loopback TCP and dials it with
+// a pool of n connections.
+func dialBenchTCP(b *testing.B, n int) rpc.Conn {
+	b.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer l.Close()
-	go ServeTCP(l, srv)
-	c, err := DialTCPPool(l.Addr().String(), 60*time.Second, 4)
+	b.Cleanup(func() { l.Close() })
+	go ServeTCP(l, newBenchServer())
+	c, err := DialTCPPool(l.Addr().String(), 60*time.Second, n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Close()
-	benchRoundTrip(b, c)
+	b.Cleanup(func() { c.Close() })
+	return c
+}
+
+func BenchmarkBulkOutScatter(b *testing.B) {
+	b.Run("tcp", func(b *testing.B) { benchBulkOutScatter(b, dialBenchTCP(b, 1)) })
+	if c := dialBenchShm(b); c != nil {
+		b.Run("shm", func(b *testing.B) { benchBulkOutScatter(b, c) })
+	}
+}
+
+func BenchmarkTCPRoundTrip(b *testing.B) {
+	benchRoundTrip(b, dialBenchTCP(b, 4))
 }
