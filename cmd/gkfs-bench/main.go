@@ -421,21 +421,14 @@ func runIO(factory workload.ClientFactory, cfg ioConfig) error {
 	cs := c.Stats()
 	fmt.Printf("replication: hedged=%d failover=%d replica-writes=%d condemned=%d\n",
 		cs.HedgedReads, cs.FailoverReads, cs.ReplicaWrites, cs.CondemnedDaemons)
-	// Per-op latency percentiles from the daemons' always-on histograms
-	// (the protocol-v7 stats extension), merged across the deployment.
-	if _, exts, err := c.DaemonStatsExt(); err == nil {
-		merged := map[string]telemetry.HistSnapshot{}
-		for _, ext := range exts {
-			for _, oh := range ext.Ops {
-				m := merged[oh.Name]
-				m.Merge(oh.Hist)
-				merged[oh.Name] = m
-			}
+	// Per-op latency percentiles from the daemons' always-on histograms,
+	// merged across the deployment.
+	if snaps, err := c.DaemonSnapshots(); err == nil {
+		var merged telemetry.Snapshot
+		for _, s := range snaps {
+			merged.Merge(s)
 		}
-		if len(merged) > 0 {
-			fmt.Printf("io: daemon latency (all daemons merged):\n")
-			telemetry.WriteOpTable(os.Stdout, merged)
-		}
+		telemetry.WriteOpTable(os.Stdout, "io: daemon latency (all daemons merged):", merged.Hists)
 	}
 	fmt.Printf("io: verify OK (%d bytes)\n", cfg.Bytes)
 	return nil

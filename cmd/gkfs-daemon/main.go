@@ -62,7 +62,7 @@ func main() {
 	flag.Parse()
 
 	if *printMetrics {
-		for _, name := range telemetry.Catalog() {
+		for _, name := range daemon.Catalog() {
 			fmt.Println(name)
 		}
 		return
@@ -89,44 +89,12 @@ func main() {
 		log.Fatalf("gkfs-daemon: %v", err)
 	}
 	if *metrics != "" {
-		// The operation counters live outside the registry (they predate
-		// it and ride the stats RPC); zip them with their exported names
-		// so /metrics and /statz show one unified catalog. The metadata
-		// store's engine counters and the chunk store's open-chunk cache
-		// counters join them here.
-		extra := func() map[string]uint64 {
-			vals := d.Stats().Values()
-			m := make(map[string]uint64, len(vals)+7)
-			for i, name := range telemetry.DaemonStatNames {
-				m[name] = vals[i]
-			}
-			kv := d.KVStats()
-			m[telemetry.KVMergeFoldsTotal] = kv.MergeFolds
-			m[telemetry.KVMergeResolvesTotal] = kv.MergeResolves
-			m[telemetry.KVFlushesTotal] = kv.Flushes
-			m[telemetry.KVCompactionsTotal] = kv.Compactions
-			oc := d.ChunkOpenStats()
-			m[telemetry.ChunkOpenHitsTotal] = oc.Hits
-			m[telemetry.ChunkOpenMissesTotal] = oc.Misses
-			m[telemetry.ChunkOpenEvictionsTotal] = oc.Evictions
-			return m
-		}
-		statz := func() any {
-			s := d.Telemetry().Snapshot()
-			for name, v := range extra() {
-				s.Counters[name] = v
-			}
-			return struct {
-				Daemon int `json:"daemon"`
-				telemetry.Snapshot
-			}{*id, s}
-		}
 		ml, err := net.Listen("tcp", *metrics)
 		if err != nil {
 			log.Fatalf("gkfs-daemon: metrics: %v", err)
 		}
 		go func() {
-			srv := &http.Server{Handler: telemetry.Handler(d.Telemetry(), extra, statz)}
+			srv := &http.Server{Handler: telemetry.Handler(d.Telemetry())}
 			if err := srv.Serve(ml); err != nil {
 				log.Printf("gkfs-daemon: metrics server stopped: %v", err)
 			}

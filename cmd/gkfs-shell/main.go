@@ -22,11 +22,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"time"
 
+	"repro/internal/chunkstore"
 	"repro/internal/cli"
 	"repro/internal/client"
+	"repro/internal/kvstore"
 	"repro/internal/proto"
 	"repro/internal/staging"
 	"repro/internal/telemetry"
@@ -39,7 +43,7 @@ func main() {
 	stageWorkers := flag.Int("stage-workers", 0, "stage-in/stage-out: parallel file transfers (0 = default)")
 	manifest := flag.String("manifest", "", "stage-in/stage-out: staging manifest file on the local side")
 	incremental := flag.Bool("incremental", false, "stage-out: skip files unmodified since the manifest was recorded")
-	jsonOut := flag.Bool("json", false, "stats: emit machine-readable JSON (one document per daemon, same schema as the daemon's /statz endpoint)")
+	jsonOut := flag.Bool("json", false, "stats: emit machine-readable JSON (an array with each daemon's /statz document)")
 	watch := flag.Duration("watch", 0, "stats: re-poll and re-print at this interval until interrupted (e.g. -watch 2s)")
 	flag.Parse()
 	args := flag.Args()
@@ -256,68 +260,59 @@ func main() {
 	}
 }
 
-// runStats prints one stats poll: the counter table plus the merged
-// per-op latency percentiles (human form), or one JSON document per
-// daemon in the /statz schema (-json).
+// runStats prints one stats poll from the daemons' telemetry snapshots
+// (the stats RPC): every counter and gauge per daemon and in total, the
+// lines that interpret them, and the merged per-op latency percentiles —
+// or, with -json, the snapshots themselves, one /statz document per
+// daemon.
 func runStats(c *client.Client, jsonOut bool) {
-	sts, exts, err := c.DaemonStatsExt()
+	snaps, err := c.DaemonSnapshots()
 	if err != nil {
 		fatal("stats: %v", err)
 	}
 	if jsonOut {
-		type doc struct {
-			Daemon int `json:"daemon"`
-			telemetry.Snapshot
-		}
-		docs := make([]doc, len(sts))
-		for i, st := range sts {
-			s := telemetry.Snapshot{
-				Counters: make(map[string]uint64, len(telemetry.DaemonStatNames)),
-				Gauges:   map[string]int64{},
-				Hists:    make(map[string]telemetry.HistSnapshot, len(exts[i].Ops)),
-			}
-			for j, name := range telemetry.DaemonStatNames {
-				s.Counters[name] = st.Values()[j]
-			}
-			for _, oh := range exts[i].Ops {
-				s.Hists[oh.Name] = oh.Hist
-			}
-			docs[i] = doc{i, s}
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(docs); err != nil {
+		if err := enc.Encode(snaps); err != nil {
 			fatal("stats: %v", err)
 		}
 		return
 	}
-	var total proto.DaemonStats
-	fmt.Printf("%-6s %10s %10s %10s %10s %10s %10s %12s %12s %10s %12s %10s %10s %10s %10s\n",
-		"daemon", "creates", "stats", "removes", "sizeupd", "writes", "reads",
-		"bytes-in", "bytes-out", "rspans", "pushed", "readdirs", "batchrpcs", "batchops", "repwrites")
-	for i, st := range sts {
-		total.Add(st)
-		fmt.Printf("%-6d %10d %10d %10d %10d %10d %10d %12d %12d %10d %12d %10d %10d %10d %10d\n",
-			i, st.Creates, st.StatOps, st.Removes, st.SizeUpdates, st.WriteOps, st.ReadOps,
-			st.WriteBytes, st.ReadBytes, st.ReadSpans, st.ReadBytesPushed,
-			st.ReadDirs, st.BatchRPCs, st.BatchedOps, st.ReplicaWrites)
+	var total telemetry.Snapshot
+	fmt.Printf("%-40s", "metric")
+	for i, s := range snaps {
+		total.Merge(s)
+		fmt.Printf(" %12s", fmt.Sprintf("daemon-%d", i))
 	}
-	fmt.Printf("%-6s %10d %10d %10d %10d %10d %10d %12d %12d %10d %12d %10d %10d %10d %10d\n",
-		"total", total.Creates, total.StatOps, total.Removes, total.SizeUpdates,
-		total.WriteOps, total.ReadOps, total.WriteBytes, total.ReadBytes,
-		total.ReadSpans, total.ReadBytesPushed,
-		total.ReadDirs, total.BatchRPCs, total.BatchedOps, total.ReplicaWrites)
+	fmt.Printf(" %14s\n", "total")
+	// A row per name the daemons sent: a counter added to a daemon shows
+	// up here with no edit.
+	for _, name := range slices.Sorted(maps.Keys(total.Counters)) {
+		fmt.Printf("%-40s", name)
+		for _, s := range snaps {
+			fmt.Printf(" %12d", s.Counters[name])
+		}
+		fmt.Printf(" %14d\n", total.Counters[name])
+	}
+	for _, name := range slices.Sorted(maps.Keys(total.Gauges)) {
+		fmt.Printf("%-40s", name)
+		for _, s := range snaps {
+			fmt.Printf(" %12d", s.Gauges[name])
+		}
+		fmt.Printf(" %14d\n", total.Gauges[name])
+	}
+	st := proto.DaemonStatsOf(total)
 	fmt.Printf("rpcs: meta=%d chunk=%d batched-ops=%d\n",
-		total.MetaRPCs(), total.WriteOps+total.ReadOps, total.BatchedOps)
-	if total.ReadOps > 0 {
+		st.MetaRPCs(), st.WriteOps+st.ReadOps, st.BatchedOps)
+	if st.ReadOps > 0 {
 		// Wire-read efficiency: spans per read RPC rises with the
 		// prefetch window; bytes-out vs pushed exposes holes and
 		// EOF probes that moved nothing. Chunk-cache hits never
 		// reach a daemon at all — compare the client's logical read
 		// volume against bytes-out to see the hit rate.
 		fmt.Printf("read path: %.2f spans/rpc, %d of %d span bytes pushed\n",
-			float64(total.ReadSpans)/float64(total.ReadOps),
-			total.ReadBytesPushed, total.ReadBytes)
+			float64(st.ReadSpans)/float64(st.ReadOps),
+			st.ReadBytesPushed, st.ReadBytes)
 	}
 	// Transport-tier counters: frames and wire bytes move over TCP
 	// sockets (vectored = gathered writev frames), shm-calls over the
@@ -325,14 +320,14 @@ func runStats(c *client.Client, jsonOut bool) {
 	// so a co-located deployment shows ShmCalls rising while the wire
 	// byte counters stay near the metadata floor.
 	fmt.Printf("wire: frames in=%d out=%d, bytes in=%d out=%d, vectored=%d, shm-calls=%d\n",
-		total.FramesIn, total.FramesOut, total.WireBytesIn, total.WireBytesOut,
-		total.VectoredWrites, total.ShmCalls)
+		st.FramesIn, st.FramesOut, st.WireBytesIn, st.WireBytesOut,
+		st.VectoredWrites, st.ShmCalls)
 	// Replication health as seen from this mount: hedged counts every
 	// read that raced a second replica (latency-triggered or
 	// error-triggered; failover is the error subset), replica-writes
 	// the non-primary copies this client pushed, condemned the daemons
 	// currently skipped and awaiting re-probe. A condemned daemon also
-	// reports an all-zero row above — stats RPCs skip it too.
+	// reports an all-zero column above — stats RPCs skip it too.
 	cs := c.Stats()
 	fmt.Printf("replication: hedged=%d failover=%d replica-writes=%d condemned=%d\n",
 		cs.HedgedReads, cs.FailoverReads, cs.ReplicaWrites, cs.CondemnedDaemons)
@@ -340,20 +335,19 @@ func runStats(c *client.Client, jsonOut bool) {
 	// metadata owners: I/O that lay wholly below a descriptor's size floor.
 	fmt.Printf("size floor: size-updates-elided=%d size-probes-elided=%d\n",
 		cs.SizeUpdatesElided, cs.SizeProbesElided)
-	// Latency percentiles from the daemons' always-on histograms
-	// (protocol v7 stats extension), merged across the cluster.
-	merged := map[string]telemetry.HistSnapshot{}
-	for _, ext := range exts {
-		for _, oh := range ext.Ops {
-			m := merged[oh.Name]
-			m.Merge(oh.Hist)
-			merged[oh.Name] = m
-		}
-	}
-	if len(merged) > 0 {
-		fmt.Printf("latency (all daemons merged):\n")
-		telemetry.WriteOpTable(os.Stdout, merged)
-	}
+	// The metadata engine: resolves near folds means hot size keys keep
+	// losing their base to memtable rotation.
+	var kv kvstore.Stats
+	total.View(&kv)
+	fmt.Printf("metadata store: folds=%d resolves=%d flushes=%d compactions=%d\n",
+		kv.MergeFolds, kv.MergeResolves, kv.Flushes, kv.Compactions)
+	// The open-chunk cache: a low hit share on a small-I/O workload means
+	// its hot chunk set outgrew the cache and every miss pays an open.
+	var oc chunkstore.OpenStats
+	total.View(&oc)
+	fmt.Printf("open chunks: hit-share=%.2f evictions=%d handles=%d\n",
+		float64(oc.Hits)/float64(max(oc.Hits+oc.Misses, 1)), oc.Evictions, oc.Open)
+	telemetry.WriteOpTable(os.Stdout, "latency (all daemons merged):", total.Hists)
 }
 
 func need(args []string, n int) {

@@ -242,16 +242,16 @@ func WithStageOutFrom(tag string) Option {
 // ID to its daemon and both ends log a "gkfs.trace" event with span
 // timings under the same hex ID (0 selects the default of one in
 // 1024). Daemon-side histograms are always on and travel in
-// DaemonStatsExt regardless of this option. The disabled-path cost on
+// DaemonSnapshots regardless of this option. The disabled-path cost on
 // RPCs is a single branch.
 func WithTelemetry(sampleEvery int) Option {
 	return func(c *core.Config) { c.Client.Telemetry, c.Client.TraceSample = telemetry.NewRegistry(), sampleEvery }
 }
 
-// DaemonStatsExt holds one daemon's latency-histogram snapshots: queue
-// wait and per-op handle time, mergeable across daemons (see
-// Cluster.DaemonStatsExt).
-type DaemonStatsExt = proto.StatsExt
+// DaemonSnapshot is one daemon's telemetry snapshot — counters, gauges
+// and latency histograms (queue wait, per-op handle time) by metric
+// name, mergeable across daemons (see Cluster.DaemonSnapshots).
+type DaemonSnapshot = telemetry.Snapshot
 
 // TelemetryRegistry is the client-side metric registry handed out by
 // Cluster.ClientTelemetry; snapshot it or serve it over HTTP with
@@ -303,10 +303,10 @@ func (cl *Cluster) DeployTime() time.Duration { return cl.c.DeployTime() }
 // DaemonStats returns per-daemon operation counters, indexed by node.
 func (cl *Cluster) DaemonStats() []DaemonStats { return cl.c.DaemonStats() }
 
-// DaemonStatsExt returns per-daemon latency-histogram snapshots,
-// indexed by node: queue wait and per-op handle-time distributions
-// with p50/p95/p99/p999 extraction, mergeable across daemons.
-func (cl *Cluster) DaemonStatsExt() []DaemonStatsExt { return cl.c.DaemonStatsExt() }
+// DaemonSnapshots returns per-daemon telemetry snapshots, indexed by
+// node: what each daemon's /statz serves, including queue-wait and per-op
+// handle-time distributions with p50/p95/p99/p999 extraction.
+func (cl *Cluster) DaemonSnapshots() []DaemonSnapshot { return cl.c.DaemonSnapshots() }
 
 // ClientTelemetry returns the registry shared by this cluster's
 // mounted file systems (nil unless WithTelemetry).

@@ -6,16 +6,20 @@ import (
 )
 
 // MetricCheck enforces the telemetry tier's write discipline: counter
-// state only changes through its API. Live counters are atomics
-// (telemetry.Counter/Gauge/Histogram, rpc.WireCounters) and everything
-// handed to readers is a point-in-time snapshot (telemetry.Snapshot,
-// HistSnapshot, rpc.WireStats, proto.DaemonStats, the client's
-// ClientStats) — a direct field write to any of them outside the
-// defining package is either a lost update (mutating a copy that never
-// reaches the live counter) or a bypass of the atomic record path.
-// Reads, composite-literal construction, and inserts into maps reached
-// through a field remain legal; assignment, compound assignment, and
-// ++/-- on the fields themselves are flagged. Test files are skipped.
+// state only changes through its API or an atomic add. Live counters are
+// atomics (telemetry.Counter/Gauge/Histogram, rpc.WireCounters) or the
+// metric-tagged fields of a stats struct its owner bumps with
+// atomic.AddUint64 (the daemon's live proto.DaemonStats), and everything
+// handed to readers is a point-in-time copy (telemetry.Snapshot,
+// HistSnapshot, proto.DaemonStats, kvstore.Stats, chunkstore.OpenStats,
+// the client's ClientStats) — a direct field write
+// to any of them outside the defining package is either a lost update
+// (mutating a copy that never reaches the live counter, a total summed by
+// hand that misses the next field) or a bypass of the atomic record path.
+// Reads, composite-literal construction, atomic adds through a field's
+// address, and inserts into maps reached through a field remain legal;
+// assignment, compound assignment, and ++/-- on the fields themselves
+// are flagged. Test files are skipped.
 var MetricCheck = &Analyzer{
 	Name: "metriccheck",
 	Doc:  "telemetry counter and snapshot fields must only be written by their defining package (use the telemetry API)",
@@ -26,10 +30,12 @@ var MetricCheck = &Analyzer{
 // type names guarded there. A nil set guards every type in the
 // package (internal/telemetry is counters all the way down).
 var metricTypes = map[string]map[string]bool{
-	"repro/internal/telemetry": nil,
-	"repro/internal/rpc":       {"WireCounters": true, "WireStats": true},
-	"repro/internal/proto":     {"DaemonStats": true},
-	"repro/internal/client":    {"ClientStats": true},
+	"repro/internal/telemetry":  nil,
+	"repro/internal/rpc":        {"WireCounters": true},
+	"repro/internal/proto":      {"DaemonStats": true},
+	"repro/internal/kvstore":    {"Stats": true},
+	"repro/internal/chunkstore": {"OpenStats": true},
+	"repro/internal/client":     {"ClientStats": true},
 }
 
 func runMetricCheck(pass *Pass) error {

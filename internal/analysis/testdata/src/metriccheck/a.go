@@ -1,10 +1,15 @@
 // Package metriccheck is a gkfs-vet fixture exercising the metriccheck
 // analyzer: direct writes to counter and snapshot fields owned by the
 // telemetry tier are flagged, while reads, composite-literal
-// construction, API calls, and map inserts through a field stay legal.
+// construction, API calls, atomic adds on a live struct's tagged fields,
+// and map inserts through a field stay legal.
 package metriccheck
 
 import (
+	"sync/atomic"
+
+	"repro/internal/chunkstore"
+	"repro/internal/kvstore"
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
@@ -17,10 +22,39 @@ func assignSnapshotField(st proto.DaemonStats) proto.DaemonStats {
 	return st
 }
 
-// compoundAssign aggregates by hand instead of DaemonStats.Add.
+// compoundAssign aggregates by hand instead of the derived
+// DaemonStats.Add / Snapshot.Merge: the next counter added to the struct
+// is silently missing from this total.
 func compoundAssign(a, b proto.DaemonStats) uint64 {
 	a.WriteBytes += b.WriteBytes // want `field DaemonStats\.WriteBytes is telemetry counter state`
 	return a.WriteBytes
+}
+
+// storeCopies writes the store tiers' tagged structs the same way: a
+// typed view rebuilt from a snapshot is a copy, wherever it came from.
+func storeCopies(kv kvstore.Stats, oc chunkstore.OpenStats) uint64 {
+	kv.Flushes++ // want `field Stats\.Flushes is telemetry counter state`
+	oc.Open = 0  // want `field OpenStats\.Open is telemetry counter state`
+	oc.Hits += 2 // want `field OpenStats\.Hits is telemetry counter state`
+	return kv.Flushes + oc.Open + oc.Hits
+}
+
+// liveHolder owns a live stats struct the way the daemon does.
+type liveHolder struct{ live proto.DaemonStats }
+
+// bump is the record path of a tagged field: one atomic add through the
+// field's address. Not an assignment — legal wherever the struct lives.
+func (h *liveHolder) bump(n uint64) {
+	atomic.AddUint64(&h.live.Creates, 1)
+	atomic.AddUint64(&h.live.WriteBytes, n)
+}
+
+// snapshotOf builds the reader's copy from a composite literal and the
+// derived Add, never field by field.
+func (h *liveHolder) snapshotOf(framesIn uint64) proto.DaemonStats {
+	st := proto.DaemonStats{FramesIn: framesIn}
+	telemetry.AddFields(&st, &h.live)
+	return st
 }
 
 // incDec bumps a histogram snapshot's total without touching buckets.
@@ -29,10 +63,11 @@ func incDec(h telemetry.HistSnapshot) uint64 {
 	return h.Count
 }
 
-// clearWireStats zeroes a wire snapshot field.
-func clearWireStats(w rpc.WireStats) rpc.WireStats {
-	w.FramesIn = 0 // want `field WireStats\.FramesIn is telemetry counter state`
-	return w
+// swapWireCounter replaces a live wire counter wholesale instead of
+// adding to it.
+func swapWireCounter(w *rpc.WireCounters) {
+	w.FramesIn = atomic.Uint64{} // want `field WireCounters\.FramesIn is telemetry counter state`
+	w.FramesOut.Add(1)           // the API: legal
 }
 
 // replaceHists swaps out a registry snapshot's histogram map.

@@ -239,11 +239,18 @@ func (c *openCache) closeAll() {
 	c.drop(func(chunkRef) bool { return true })
 }
 
-// OpenStats are the open-chunk cache's counters: accesses that found
-// their chunk file open, accesses that had to open it, handles closed to
-// make room, and the handles open now.
+// OpenStats are the open-chunk cache's counters, exported by the hosting
+// daemon under their metric tags. A hit is a chunk I/O that found its
+// file already open — one data syscall; a miss opened it; an eviction
+// closed the least recently used handle to stay within the bound. Hits
+// near zero with evictions tracking misses is streaming (every chunk
+// touched once); the same picture on a small-I/O workload means its hot
+// set outgrew the cache. Open is the level the bound applies to.
 type OpenStats struct {
-	Hits, Misses, Evictions, Open uint64
+	Hits      uint64 `metric:"gkfs_chunk_open_hits_total"`
+	Misses    uint64 `metric:"gkfs_chunk_open_misses_total"`
+	Evictions uint64 `metric:"gkfs_chunk_open_evictions_total"`
+	Open      uint64 `metric:"gkfs_chunk_open_handles,gauge"`
 }
 
 func (c *openCache) stats() OpenStats {

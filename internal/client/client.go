@@ -999,26 +999,16 @@ func (c *Client) Chmod(path string, mode uint32) error {
 	return notSupported("chmod", path)
 }
 
-// DaemonStats fans out OpStats and returns every daemon's operation
-// counters, indexed by node — the remote equivalent of
-// core.Cluster.DaemonStats for TCP deployments (gkfs-shell's stats
-// command). Under replication, condemned (or freshly unreachable)
-// daemons contribute zero-valued entries instead of failing the whole
-// fan-out — the dead daemon is exactly the situation stats are consulted
-// in.
-func (c *Client) DaemonStats() ([]proto.DaemonStats, error) {
-	out, _, err := c.DaemonStatsExt()
-	return out, err
-}
-
-// DaemonStatsExt is DaemonStats plus each daemon's latency-histogram
-// extension (protocol v7): per-op handle-time and queue-wait
-// distributions, mergeable across daemons into cluster-wide percentile
-// tables. A condemned daemon contributes zero stats and an empty
-// StatsExt at its index.
-func (c *Client) DaemonStatsExt() ([]proto.DaemonStats, []proto.StatsExt, error) {
-	out := make([]proto.DaemonStats, len(c.cfg.Conns))
-	exts := make([]proto.StatsExt, len(c.cfg.Conns))
+// DaemonSnapshots fans out OpStats and returns every daemon's telemetry
+// snapshot, indexed by node: the counters, gauges and latency histograms
+// its /statz serves, mergeable across daemons (telemetry.Snapshot.Merge)
+// — the remote equivalent of core.Cluster.DaemonSnapshots for TCP
+// deployments (gkfs-shell's stats command). Under replication, condemned
+// (or freshly unreachable) daemons contribute a zero Snapshot instead of
+// failing the whole fan-out — the dead daemon is exactly the situation
+// stats are consulted in.
+func (c *Client) DaemonSnapshots() ([]telemetry.Snapshot, error) {
+	out := make([]telemetry.Snapshot, len(c.cfg.Conns))
 	err := c.fanOut(func(node int) error {
 		if c.cfg.Replicas > 1 && !c.alive(node) {
 			return nil
@@ -1031,17 +1021,29 @@ func (c *Client) DaemonStatsExt() ([]proto.DaemonStats, []proto.StatsExt, error)
 			}
 			return err
 		}
-		st := proto.DecodeDaemonStats(d)
-		ext := proto.DecodeStatsExt(d)
+		s := proto.DecodeSnapshot(d)
 		if err := d.Done(); err != nil {
-			return err
+			return fmt.Errorf("stats: daemon %d: %w", node, err)
 		}
-		out[node] = st
-		exts[node] = ext
+		out[node] = s
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return out, exts, nil
+	return out, nil
+}
+
+// DaemonStats is DaemonSnapshots seen through the typed view: every
+// daemon's operation counters as named fields, indexed by node.
+func (c *Client) DaemonStats() ([]proto.DaemonStats, error) {
+	snaps, err := c.DaemonSnapshots()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]proto.DaemonStats, len(snaps))
+	for i, s := range snaps {
+		out[i] = proto.DaemonStatsOf(s)
+	}
+	return out, nil
 }

@@ -2,17 +2,24 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/daemon"
+	"repro/internal/proto"
+	"repro/internal/rpc"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
+	"repro/internal/vfs"
 )
 
 // TestClientTelemetryRecordsRPCs mounts a telemetry-enabled client,
 // pushes real traffic through it, and asserts the registry's RPC
 // histograms, trace counter, and in-flight gauge all moved — and that
-// DaemonStatsExt returns matching per-daemon histogram extensions.
+// DaemonSnapshots returns each daemon's matching snapshot.
 func TestClientTelemetryRecordsRPCs(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := newLocalCluster(t, 3, Config{ChunkSize: 512, Telemetry: reg, TraceSample: 1})
@@ -59,29 +66,26 @@ func TestClientTelemetryRecordsRPCs(t *testing.T) {
 		t.Fatalf("in-flight gauge = %d after all calls returned", inflight)
 	}
 
-	stats, exts, err := c.DaemonStatsExt()
+	snaps, err := c.DaemonSnapshots()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != 3 || len(exts) != 3 {
-		t.Fatalf("DaemonStatsExt = %d stats, %d exts, want 3 each", len(stats), len(exts))
+	if len(snaps) != 3 {
+		t.Fatalf("DaemonSnapshots = %d snapshots, want 3", len(snaps))
 	}
-	sawWrite := false
-	for _, ext := range exts {
-		for _, oh := range ext.Ops {
-			if oh.Name == telemetry.DaemonOpWriteChunksNS && oh.Hist.Count > 0 {
-				sawWrite = true
-			}
-		}
+	var total telemetry.Snapshot
+	for _, snap := range snaps {
+		total.Merge(snap)
 	}
-	if !sawWrite {
-		t.Fatal("no daemon reported write_chunks histogram samples")
+	st := proto.DaemonStatsOf(total)
+	if total.Hists[telemetry.DaemonOpWriteChunksNS].Count != st.WriteOps || st.WriteOps == 0 || st.WriteBytes != uint64(len(data)) {
+		t.Fatalf("merged daemon snapshots: %d write_chunks samples, typed view %+v", total.Hists[telemetry.DaemonOpWriteChunksNS].Count, st)
 	}
 }
 
 // TestStatsScrapeUnderTraffic races a telemetry scrape loop against
 // live I/O: N writers hammer the cluster while a poller reads
-// DaemonStatsExt and the registry snapshot. Run under -race this
+// DaemonSnapshots and the registry snapshot. Run under -race this
 // guards every counter and histogram access on both sides of the wire
 // (the ISSUE's counter-hygiene audit, as a regression test).
 func TestStatsScrapeUnderTraffic(t *testing.T) {
@@ -101,7 +105,7 @@ func TestStatsScrapeUnderTraffic(t *testing.T) {
 				return
 			default:
 			}
-			if _, _, err := c.DaemonStatsExt(); err != nil {
+			if _, err := c.DaemonSnapshots(); err != nil {
 				t.Errorf("scrape: %v", err)
 				return
 			}
@@ -148,5 +152,61 @@ func TestStatsScrapeUnderTraffic(t *testing.T) {
 
 	if reg.Snapshot().Hists[telemetry.ClientRPCWriteNS].Count == 0 {
 		t.Fatal("no write RPCs recorded during the stress run")
+	}
+}
+
+// TestDaemonSnapshotsHostileReplies puts a daemon that answers OpStats
+// with bodies no honest daemon sends beside a healthy one. The fan-out
+// must fail with the decoder's typed error naming the daemon — never
+// hand back a half-decoded document, never take gigabytes on a count's
+// word.
+func TestDaemonSnapshotsHostileReplies(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(e *rpc.Enc)
+		want error
+	}{
+		{"empty after errno", func(e *rpc.Enc) {}, rpc.ErrTruncated},
+		{"cut after the counters", func(e *rpc.Enc) { e.U32(1).Str("gkfs_a_total").U64(1) }, rpc.ErrTruncated},
+		{"count larger than the body", func(e *rpc.Enc) { e.U32(^uint32(0)).Str("gkfs_a_total").U64(1) }, rpc.ErrMalformed},
+		{"names out of order", func(e *rpc.Enc) {
+			e.U32(2).Str("gkfs_b_total").U64(1).Str("gkfs_a_total").U64(1).U32(0).U32(0)
+		}, rpc.ErrMalformed},
+		{"trailing bytes", func(e *rpc.Enc) { e.U32(0).U32(0).U32(0).U8(7) }, rpc.ErrMalformed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := transport.NewMemNetwork()
+			d, err := daemon.New(daemon.Config{FS: vfs.NewMem()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			mem.Register(0, d.Server())
+			hostile := rpc.NewServer(1)
+			hostile.Register(proto.OpStats, func([]byte, rpc.Bulk) ([]byte, error) {
+				e := rpc.NewEnc(64)
+				e.U16(uint16(proto.OK))
+				tc.body(e)
+				return e.Bytes(), nil
+			})
+			mem.Register(1, hostile)
+			conns := make([]rpc.Conn, 2)
+			for i := range conns {
+				if conns[i], err = mem.Dial(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c, err := New(Config{Conns: conns})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps, err := c.DaemonSnapshots()
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "daemon 1") || snaps != nil {
+				t.Fatalf("DaemonSnapshots = %v, %v; want %v naming daemon 1", snaps, err, tc.want)
+			}
+			if _, err := c.DaemonStats(); !errors.Is(err, tc.want) {
+				t.Fatalf("DaemonStats = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/distributor"
 	"repro/internal/meta"
-	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/staging"
 	"repro/internal/telemetry"
@@ -322,13 +321,13 @@ func (c *Cluster) DaemonStats() []daemon.Stats {
 	return out
 }
 
-// DaemonStatsExt returns per-daemon latency-histogram snapshots (the
-// protocol-v7 stats extension): queue wait and per-op handle time,
-// mergeable across daemons into cluster-wide percentile tables.
-func (c *Cluster) DaemonStatsExt() []proto.StatsExt {
-	out := make([]proto.StatsExt, len(c.daemons))
+// DaemonSnapshots returns per-daemon telemetry snapshots: the counters,
+// gauges and latency histograms (queue wait, per-op handle time) each
+// daemon's /statz and OpStats reply serve, mergeable across daemons.
+func (c *Cluster) DaemonSnapshots() []telemetry.Snapshot {
+	out := make([]telemetry.Snapshot, len(c.daemons))
 	for i, d := range c.daemons {
-		out[i] = d.StatsExt()
+		out[i] = d.Telemetry().Snapshot()
 	}
 	return out
 }

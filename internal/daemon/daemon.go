@@ -10,7 +10,6 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chunkstore"
@@ -45,28 +44,23 @@ type Config struct {
 	ShmSocket string
 }
 
-// Stats are the daemon's operation counters. The type is shared with the
-// wire representation clients decode (proto.DaemonStats, served by
-// OpStats), so in-process tests and remote tooling read the same shape.
+// Stats are the daemon's operation counters. The type is the typed view
+// clients rebuild from an OpStats reply (proto.DaemonStats), so
+// in-process tests and remote tooling read the same shape.
 type Stats = proto.DaemonStats
 
 // Daemon is one GekkoFS server.
 type Daemon struct {
+	// live holds the operation counters the handlers own, each bumped in
+	// place with one atomic.AddUint64; the fields other tiers own —
+	// wire, COW — stay zero here and are copied in by Stats. First in the
+	// struct so its words are 64-bit aligned on every platform.
+	live Stats
+
 	cfg    Config
 	srv    *rpc.Server
 	db     *kvstore.DB
 	chunks *chunkstore.Store
-
-	creates, statOps, removes atomic.Uint64
-	sizeUpdates               atomic.Uint64
-	writeOps, readOps         atomic.Uint64
-	writeBytes, readBytes     atomic.Uint64
-	readSpans, readPushed     atomic.Uint64
-	readDirs                  atomic.Uint64
-	batchRPCs, batchedOps     atomic.Uint64
-	replicaWrites             atomic.Uint64
-	snapPins, snapDrops       atomic.Uint64
-	snapReads                 atomic.Uint64
 
 	// snaps is the durable snapshot table's in-memory mirror (snapshot.go).
 	snaps snapState
@@ -138,36 +132,23 @@ func (d *Daemon) Server() *rpc.Server { return d.srv }
 // StartupTime reports how long New took (KV recovery dominates).
 func (d *Daemon) StartupTime() time.Duration { return d.startup }
 
-// Stats snapshots the operation counters, folding in the wire-tier
-// counters the transports maintain on the RPC server.
+// Stats snapshots the operation counters: the wire-tier counters the
+// transports maintain on the RPC server and the chunk store's COW totals,
+// plus everything the handlers counted.
 func (d *Daemon) Stats() Stats {
-	w := d.srv.Wire().Snapshot()
+	w := d.srv.Wire()
+	copies, bytes := d.chunks.CowStats()
 	st := Stats{
-		Creates:         d.creates.Load(),
-		StatOps:         d.statOps.Load(),
-		Removes:         d.removes.Load(),
-		SizeUpdates:     d.sizeUpdates.Load(),
-		WriteOps:        d.writeOps.Load(),
-		ReadOps:         d.readOps.Load(),
-		WriteBytes:      d.writeBytes.Load(),
-		ReadBytes:       d.readBytes.Load(),
-		ReadSpans:       d.readSpans.Load(),
-		ReadBytesPushed: d.readPushed.Load(),
-		ReadDirs:        d.readDirs.Load(),
-		BatchRPCs:       d.batchRPCs.Load(),
-		BatchedOps:      d.batchedOps.Load(),
-		FramesIn:        w.FramesIn,
-		FramesOut:       w.FramesOut,
-		WireBytesIn:     w.BytesIn,
-		WireBytesOut:    w.BytesOut,
-		VectoredWrites:  w.VectoredWrites,
-		ShmCalls:        w.ShmCalls,
-		ReplicaWrites:   d.replicaWrites.Load(),
-		SnapshotPins:    d.snapPins.Load(),
-		SnapshotDrops:   d.snapDrops.Load(),
-		SnapshotReads:   d.snapReads.Load(),
+		FramesIn:       w.FramesIn.Load(),
+		FramesOut:      w.FramesOut.Load(),
+		WireBytesIn:    w.BytesIn.Load(),
+		WireBytesOut:   w.BytesOut.Load(),
+		VectoredWrites: w.VectoredWrites.Load(),
+		ShmCalls:       w.ShmCalls.Load(),
+		CowCopies:      copies,
+		CowBytes:       bytes,
 	}
-	st.CowCopies, st.CowBytes = d.chunks.CowStats()
+	telemetry.AddFields(&st, &d.live)
 	return st
 }
 

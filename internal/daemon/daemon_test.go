@@ -418,8 +418,8 @@ func TestStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := dec.U64(); c != 1 {
-		t.Fatalf("wire stats creates = %d", c)
+	if wire := proto.DaemonStatsOf(proto.DecodeSnapshot(dec)); dec.Done() != nil || wire.Creates != 1 || wire.StatOps != 1 {
+		t.Fatalf("wire stats = %+v, decode %v", wire, dec.Done())
 	}
 }
 

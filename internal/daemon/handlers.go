@@ -187,10 +187,10 @@ func (d *Daemon) handleWriteChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.writeOps.Add(1)
-	d.writeBytes.Add(uint64(total))
+	atomic.AddUint64(&d.live.WriteOps, 1)
+	atomic.AddUint64(&d.live.WriteBytes, uint64(total))
 	if flags&proto.WriteReplica != 0 {
-		d.replicaWrites.Add(1)
+		atomic.AddUint64(&d.live.ReplicaWrites, 1)
 	}
 	e := okResp(8)
 	e.I64(total)
@@ -275,13 +275,13 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 		if err := bulk.Commit(int(high)); err != nil {
 			return nil, err
 		}
-		d.readPushed.Add(uint64(high))
+		atomic.AddUint64(&d.live.ReadBytesPushed, uint64(high))
 	}
-	d.readOps.Add(1)
-	d.readBytes.Add(uint64(total))
-	d.readSpans.Add(uint64(len(spans)))
+	atomic.AddUint64(&d.live.ReadOps, 1)
+	atomic.AddUint64(&d.live.ReadBytes, uint64(total))
+	atomic.AddUint64(&d.live.ReadSpans, uint64(len(spans)))
 	if at != meta.LiveEpoch {
-		d.snapReads.Add(1)
+		atomic.AddUint64(&d.live.SnapshotReads, 1)
 	}
 	e := okResp(4 + 8*len(counts) + 9)
 	e.U32(uint32(len(counts)))
@@ -368,9 +368,9 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 	if limit > proto.MaxReadDirPage {
 		limit = proto.MaxReadDirPage
 	}
-	d.readDirs.Add(1)
+	atomic.AddUint64(&d.live.ReadDirs, 1)
 	if at != meta.LiveEpoch {
-		d.snapReads.Add(1)
+		atomic.AddUint64(&d.live.SnapshotReads, 1)
 	}
 	prefix := dir
 	if prefix != meta.Root {
@@ -437,12 +437,10 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// handleStats serves the fixed counters plus, since protocol v7, the
-// latency-histogram extension. The extension is trailing: a pre-v7
-// client stops after the counters and never sees it.
+// handleStats serves the daemon's telemetry snapshot — the document
+// /statz renders, name for name.
 func (d *Daemon) handleStats([]byte, rpc.Bulk) ([]byte, error) {
-	e := okResp(proto.DaemonStatsWireLen)
-	proto.EncodeDaemonStats(e, d.Stats())
-	proto.EncodeStatsExt(e, d.StatsExt())
+	e := okResp(4096)
+	proto.EncodeSnapshot(e, d.reg.Snapshot())
 	return e.Bytes(), nil
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/daemon"
 	"repro/internal/distributor"
+	"repro/internal/kvstore"
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
@@ -124,7 +125,9 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 	if mt := fi.ModTime(); mt.Before(lastStart) || mt.After(time.Now()) {
 		t.Errorf("mtime %v is not the last write's (started %v)", mt, lastStart)
 	}
-	if kv := d.KVStats(); kv.Merges < writes || kv.MergeFolds < kv.Merges-7 {
+	var kv kvstore.Stats
+	d.Telemetry().Snapshot().View(&kv)
+	if kv.Merges < writes || kv.MergeFolds < kv.Merges-7 {
 		t.Errorf("kvstore folded %d of %d merges at insert, want all but the first few", kv.MergeFolds, kv.Merges)
 	}
 

@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/kvstore"
 	"repro/internal/meta"
@@ -97,9 +98,9 @@ func (d *Daemon) metaTxn(ops []proto.MetaOp, results []proto.MetaResult, overlay
 		out, grow := meta.Put, false
 		switch op.Kind {
 		case proto.MetaOpStat:
-			d.statOps.Add(1)
+			atomic.AddUint64(&d.live.StatOps, 1)
 			if op.Epoch != meta.LiveEpoch {
-				d.snapReads.Add(1)
+				atomic.AddUint64(&d.live.SnapshotReads, 1)
 			}
 			md, ok := rec.At(op.Epoch)
 			if !ok {
@@ -112,15 +113,15 @@ func (d *Daemon) metaTxn(ops []proto.MetaOp, results []proto.MetaResult, overlay
 			}
 			continue
 		case proto.MetaOpCreate:
-			d.creates.Add(1)
+			atomic.AddUint64(&d.live.Creates, 1)
 			out = rec.Create(epoch, retained, op.Mode, op.TimeNS)
 		case proto.MetaOpRemove:
-			d.removes.Add(1)
+			atomic.AddUint64(&d.live.Removes, 1)
 			var was meta.Metadata
 			was, out = rec.Remove(epoch, retained, op.FileOnly)
 			res.Mode, res.Size = was.Mode, was.Size
 		case proto.MetaOpUpdateSize:
-			d.sizeUpdates.Add(1)
+			atomic.AddUint64(&d.live.SizeUpdates, 1)
 			if op.Truncate {
 				out = rec.Truncate(epoch, retained, op.Size, op.TimeNS)
 			} else {
@@ -188,8 +189,8 @@ func (d *Daemon) handleBatchMeta(req []byte, _ rpc.Bulk) ([]byte, error) {
 	if err := d.metaTxn(ops, results, make(map[string]meta.VersionedMeta, len(ops))); err != nil {
 		return nil, fmt.Errorf("batch meta: %w", err)
 	}
-	d.batchRPCs.Add(1)
-	d.batchedOps.Add(uint64(len(ops)))
+	atomic.AddUint64(&d.live.BatchRPCs, 1)
+	atomic.AddUint64(&d.live.BatchedOps, uint64(len(ops)))
 	e := okResp(4 + 4*len(results))
 	proto.EncodeMetaResults(e, ops, results)
 	return e.Bytes(), nil

@@ -244,7 +244,7 @@ func (d *Daemon) handleSnapshot(req []byte, _ rpc.Bulk) ([]byte, error) {
 			// instead of acknowledging early. No mutating handler takes mu.
 			old.drain()
 		}
-		d.snapPins.Add(1)
+		atomic.AddUint64(&d.live.SnapshotPins, 1)
 		e := okResp(8)
 		e.U64(epoch)
 		return e.Bytes(), nil
@@ -310,6 +310,6 @@ func (d *Daemon) handleSnapshotDrop(req []byte, _ rpc.Bulk) ([]byte, error) {
 	if err := d.chunks.GCPreImages(d.retainedEpochs()); err != nil {
 		return nil, fmt.Errorf("snapshot drop %s: %w", tag, err)
 	}
-	d.snapDrops.Add(1)
+	atomic.AddUint64(&d.live.SnapshotDrops, 1)
 	return okResp(0).Bytes(), nil
 }

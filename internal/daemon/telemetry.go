@@ -34,7 +34,11 @@ var opHistNames = [proto.OpSnapshotDrop + 1]string{
 // initTelemetry builds the daemon's always-on metrics registry and
 // installs the dispatch observer. Histograms are pre-resolved into an
 // op-indexed array so the per-RPC record path is two atomic adds and
-// no map lookups.
+// no map lookups. Every counter lives in the struct of the tier that
+// keeps it — the daemon's own, the wire's and COW's (Stats), the
+// metadata store's, the open-chunk cache's — and joins the registry's
+// snapshot here, by the names its fields declare: that snapshot is what
+// /metrics, /statz and the OpStats reply all serve.
 func (d *Daemon) initTelemetry() {
 	d.reg = telemetry.NewRegistry()
 	d.queueHist = d.reg.Histogram(telemetry.DaemonQueueWaitNS)
@@ -43,8 +47,18 @@ func (d *Daemon) initTelemetry() {
 			d.opHists[op] = d.reg.Histogram(name)
 		}
 	}
-	d.reg.GaugeFunc(telemetry.ChunkOpenHandles, func() int64 { return int64(d.chunks.OpenStats().Open) })
+	d.reg.Collect(func(s *telemetry.Snapshot) {
+		s.Fold(d.Stats())
+		s.Fold(d.db.Stats())
+		s.Fold(d.chunks.OpenStats())
+	})
 	d.srv.SetObserver(d.observe)
+}
+
+// Catalog returns every metric name this build exports, sorted: the
+// registry names plus the fields of the structs initTelemetry folds in.
+func Catalog() []string {
+	return telemetry.Catalog(Stats{}, kvstore.Stats{}, chunkstore.OpenStats{})
 }
 
 // observe is the rpc.Server dispatch observer: it records the queue
@@ -87,31 +101,3 @@ func traceHex(id uint64) string {
 // Telemetry returns the daemon's metrics registry (never nil), for the
 // process hosting the daemon to expose over HTTP.
 func (d *Daemon) Telemetry() *telemetry.Registry { return d.reg }
-
-// KVStats snapshots the metadata store's engine counters. They are local
-// to the process hosting the daemon (its /metrics endpoint); the stats
-// RPC does not carry them.
-func (d *Daemon) KVStats() kvstore.Stats { return d.db.Stats() }
-
-// ChunkOpenStats snapshots the chunk store's open-chunk cache counters:
-// process-local like KVStats, and for the same reason not on the wire.
-func (d *Daemon) ChunkOpenStats() chunkstore.OpenStats { return d.chunks.OpenStats() }
-
-// StatsExt snapshots the daemon's latency histograms in the wire shape
-// the OpStats reply appends after the fixed counters. Only histograms
-// with samples are included — an idle daemon's stats reply stays small.
-func (d *Daemon) StatsExt() proto.StatsExt {
-	var ext proto.StatsExt
-	add := func(name string, h *telemetry.Histogram) {
-		if s := h.Snapshot(); s.Count > 0 {
-			ext.Ops = append(ext.Ops, proto.OpHist{Name: name, Hist: s})
-		}
-	}
-	add(telemetry.DaemonQueueWaitNS, d.queueHist)
-	for op, name := range opHistNames {
-		if name != "" {
-			add(name, d.opHists[op])
-		}
-	}
-	return ext
-}

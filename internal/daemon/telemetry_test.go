@@ -1,85 +1,268 @@
 package daemon
 
 import (
+	"encoding/json"
+	"io"
+	"maps"
+	"net"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/chunkstore"
+	"repro/internal/kvstore"
 	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 	"repro/internal/vfs"
 )
 
-// TestStatNamesZipValues pins the DaemonStats wire order to the metric
-// name catalog: Values() and DaemonStatNames must stay parallel arrays,
-// and a known counter must land under its exported name.
-func TestStatNamesZipValues(t *testing.T) {
-	d := newTestDaemon(t)
-	if _, err := call(t, d, proto.OpCreate, encCreate("/f", meta.ModeRegular), nil); err != nil {
-		t.Fatal(err)
-	}
-	vals := d.Stats().Values()
-	if len(vals) != len(telemetry.DaemonStatNames) {
-		t.Fatalf("Values() has %d entries, DaemonStatNames has %d — keep them parallel",
-			len(vals), len(telemetry.DaemonStatNames))
-	}
-	byName := make(map[string]uint64, len(vals))
-	for i, name := range telemetry.DaemonStatNames {
-		byName[name] = vals[i]
-	}
-	if byName["gkfs_daemon_creates_total"] != 1 {
-		t.Fatalf("creates_total = %d after one create (zip order broken?)", byName["gkfs_daemon_creates_total"])
-	}
+// planeDoc is one daemon's statistics as read off one of its three
+// surfaces, reduced to what all three can express: every counter and
+// gauge by name, and each histogram's count and sum.
+type planeDoc struct {
+	Counters map[string]uint64
+	Gauges   map[string]int64
+	Hists    map[string]struct{ Count, Sum uint64 }
 }
 
-// TestStatsExtRidesStatsReply drives a few ops through the dispatch
-// path, then decodes the OpStats reply the way a v7 client does: the
-// fixed DaemonStats block first, then the trailing StatsExt histogram
-// extension, with nothing left over.
-func TestStatsExtRidesStatsReply(t *testing.T) {
-	d := newTestDaemon(t)
-	if _, err := call(t, d, proto.OpCreate, encCreate("/f", meta.ModeRegular), nil); err != nil {
-		t.Fatal(err)
+// parseMetrics reads a /metrics exposition back into a planeDoc.
+func parseMetrics(t *testing.T, text string) planeDoc {
+	t.Helper()
+	doc := planeDoc{map[string]uint64{}, map[string]int64{}, map[string]struct{ Count, Sum uint64 }{}}
+	kind := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			kind[f[2]] = f[3]
+			if f[3] == "summary" {
+				doc.Hists[f[2]] = struct{ Count, Sum uint64 }{}
+			}
+			continue
+		}
+		if len(f) != 2 {
+			t.Fatalf("/metrics line %q", line)
+		}
+		name, val := f[0], f[1]
+		switch {
+		case kind[name] == "counter":
+			doc.Counters[name], _ = strconv.ParseUint(val, 10, 64)
+		case kind[name] == "gauge":
+			doc.Gauges[name], _ = strconv.ParseInt(val, 10, 64)
+		case strings.HasSuffix(name, "_count") && kind[strings.TrimSuffix(name, "_count")] == "summary":
+			h := doc.Hists[strings.TrimSuffix(name, "_count")]
+			h.Count, _ = strconv.ParseUint(val, 10, 64)
+			doc.Hists[strings.TrimSuffix(name, "_count")] = h
+		case strings.HasSuffix(name, "_sum") && kind[strings.TrimSuffix(name, "_sum")] == "summary":
+			h := doc.Hists[strings.TrimSuffix(name, "_sum")]
+			h.Sum, _ = strconv.ParseUint(val, 10, 64)
+			doc.Hists[strings.TrimSuffix(name, "_sum")] = h
+		case strings.Contains(name, "{quantile="):
+		default:
+			t.Fatalf("/metrics sample %q has no TYPE line", line)
+		}
 	}
-	if _, err := call(t, d, proto.OpStat, encPath("/f"), nil); err != nil {
-		t.Fatal(err)
-	}
+	return doc
+}
 
-	dec, err := call(t, d, proto.OpStats, nil, nil)
+// TestStatsPlanesAgree serves one daemon over real TCP with the HTTP
+// handler mounted and reads its statistics off all three surfaces: the
+// OpStats reply, /statz and /metrics. The three must list the same
+// counter, gauge and histogram names, every name must be in the
+// -print-metrics catalog, and every value must agree. A scrape over the
+// RPC plane itself moves a few values (frames, wire bytes, the stats
+// op's own histograms), so the RPC document is bracketed by two HTTP
+// reads: everything is monotone, so before ≤ rpc ≤ after always, and
+// wherever the bracket is closed the three values are one.
+func TestStatsPlanesAgree(t *testing.T) {
+	d := newTestDaemon(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := proto.DecodeDaemonStats(dec)
-	if st.Creates != 1 || st.StatOps != 1 {
-		t.Fatalf("decoded stats = %+v", st)
+	defer l.Close()
+	go transport.ServeTCP(l, d.Server())
+	conn, err := transport.DialTCP(l.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dec.Err() != nil || dec.Remaining() == 0 {
-		t.Fatalf("no StatsExt after DaemonStats (err %v, %d remaining)", dec.Err(), dec.Remaining())
+	defer conn.Close()
+	web := httptest.NewServer(telemetry.Handler(d.Telemetry()))
+	defer web.Close()
+
+	rpcCall := func(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) *rpc.Dec {
+		t.Helper()
+		resp, err := conn.Call(op, payload, bulk, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := rpc.NewDec(resp)
+		if errno := proto.Errno(dec.U16()); errno != proto.OK {
+			t.Fatal(errno.Err())
+		}
+		return dec
 	}
-	ext := proto.DecodeStatsExt(dec)
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := web.Client().Get(web.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	// The server counts a reply's frame and bytes after writing it, which
+	// its reader may outrun: quiescent means every request read has been
+	// answered and counted (frames first, then bytes — hence the second
+	// look).
+	statz := func() planeDoc {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+			if st := d.Stats(); st.FramesOut == st.FramesIn && st == d.Stats() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("wire counters never settled")
+			}
+		}
+		var doc planeDoc
+		if err := json.Unmarshal(get("/statz"), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+
+	// Traffic that touches every tier a counter lives in: metadata (the
+	// daemon's own counters and the kv engine), a chunk written twice (an
+	// open-chunk miss, then a hit) and the wire.
+	rpcCall(proto.OpCreate, encCreate("/f", meta.ModeRegular), nil, rpc.BulkNone)
+	rpcCall(proto.OpStat, encPath("/f"), nil, rpc.BulkNone)
+	for i := 0; i < 2; i++ {
+		rpcCall(proto.OpWriteChunks, encChunks("/f", []proto.ChunkSpan{{ID: 0, Len: 4}}, 0), []byte("data"), rpc.BulkIn)
+	}
+
+	before := statz()
+	dec := rpcCall(proto.OpStats, nil, nil, rpc.BulkNone)
+	snap := proto.DecodeSnapshot(dec)
 	if err := dec.Done(); err != nil {
-		t.Fatalf("trailing bytes after StatsExt: %v", err)
+		t.Fatalf("OpStats reply: %v", err)
 	}
-	got := make(map[string]telemetry.HistSnapshot, len(ext.Ops))
-	for _, oh := range ext.Ops {
-		if oh.Hist.Count == 0 {
-			t.Fatalf("StatsExt carries empty histogram %q", oh.Name)
-		}
-		got[oh.Name] = oh.Hist
+	after, metrics := statz(), parseMetrics(t, string(get("/metrics")))
+
+	catalog := map[string]bool{}
+	for _, name := range Catalog() {
+		catalog[name] = true
 	}
-	for _, want := range []string{
-		telemetry.DaemonQueueWaitNS,
-		telemetry.DaemonOpCreateNS,
-		telemetry.DaemonOpStatNS,
-	} {
-		if got[want].Count == 0 {
-			t.Fatalf("StatsExt missing %q after matching ops (have %v)", want, ext.Ops)
+	names := func(doc planeDoc) (c, g, h []string) {
+		return slices.Sorted(maps.Keys(doc.Counters)), slices.Sorted(maps.Keys(doc.Gauges)), slices.Sorted(maps.Keys(doc.Hists))
+	}
+	wc, wg, wh := slices.Sorted(maps.Keys(snap.Counters)), slices.Sorted(maps.Keys(snap.Gauges)), slices.Sorted(maps.Keys(snap.Hists))
+	for plane, doc := range map[string]planeDoc{"/statz": after, "/metrics": metrics} {
+		c, g, h := names(doc)
+		if !slices.Equal(c, wc) || !slices.Equal(g, wg) || !slices.Equal(h, wh) {
+			t.Errorf("%s and the OpStats reply list different names:\n%s: %v %v %v\nrpc: %v %v %v", plane, plane, c, g, h, wc, wg, wh)
 		}
+	}
+	for _, name := range slices.Concat(wc, wg, wh) {
+		if !catalog[name] {
+			t.Errorf("%s is served but not in the -print-metrics catalog", name)
+		}
+	}
+	if len(wc) < 30 || len(wg) < 1 || len(wh) < 16 {
+		t.Fatalf("OpStats reply carries %d counters, %d gauges, %d histograms", len(wc), len(wg), len(wh))
+	}
+
+	closed := 0
+	check := func(name string, lo, rpcv, hi, prom uint64) {
+		t.Helper()
+		if lo > rpcv || rpcv > hi {
+			t.Errorf("%s: rpc %d outside its /statz bracket [%d, %d]", name, rpcv, lo, hi)
+		}
+		if hi != prom {
+			t.Errorf("%s: /statz %d, /metrics %d", name, hi, prom)
+		}
+		if lo == hi {
+			closed++
+		}
+	}
+	for _, name := range wc {
+		check(name, before.Counters[name], snap.Counters[name], after.Counters[name], metrics.Counters[name])
+	}
+	for _, name := range wg {
+		check(name, uint64(before.Gauges[name]), uint64(snap.Gauges[name]), uint64(after.Gauges[name]), uint64(metrics.Gauges[name]))
+	}
+	for _, name := range wh {
+		check(name+" count", before.Hists[name].Count, snap.Hists[name].Count, after.Hists[name].Count, metrics.Hists[name].Count)
+		check(name+" sum", before.Hists[name].Sum, snap.Hists[name].Sum, after.Hists[name].Sum, metrics.Hists[name].Sum)
+	}
+	// The scrape moves the four frame/byte counters and the stats op's
+	// two histograms; everything else must have been compared exactly.
+	if moved := len(wc) + len(wg) + 2*len(wh) - closed; moved > 8 {
+		t.Errorf("%d values moved between the two /statz reads; the scrape accounts for 8", moved)
+	}
+	// And the traffic above is visible by name on the RPC plane — the
+	// store's counters included.
+	st := proto.DaemonStatsOf(snap)
+	var kv kvstore.Stats
+	var oc chunkstore.OpenStats
+	snap.View(&kv)
+	snap.View(&oc)
+	if st.Creates != 1 || st.StatOps != 1 || st.WriteOps != 2 || st.WriteBytes != 8 || st.FramesIn < 5 ||
+		kv.Puts == 0 || oc.Misses != 1 || oc.Hits != 1 || oc.Open != 1 {
+		t.Fatalf("typed views of the OpStats reply: %+v, kv %+v, open chunks %+v", st, kv, oc)
+	}
+}
+
+// TestMetricTagsWellFormed is what makes "a counter is one tagged field"
+// enforceable: in every struct a daemon folds into its snapshot, each
+// uint64 field carries a metric tag (an untagged one would be counted
+// and never exported), only uint64 fields do, and each name is a
+// non-empty gkfs_* name no other field has.
+func TestMetricTagsWellFormed(t *testing.T) {
+	seen := map[string]string{}
+	for _, v := range []any{Stats{}, kvstore.Stats{}, chunkstore.OpenStats{}} {
+		rt := reflect.TypeOf(v)
+		for i := 0; i < rt.NumField(); i++ {
+			f := rt.Field(i)
+			where := rt.String() + "." + f.Name
+			tag, tagged := f.Tag.Lookup("metric")
+			if f.Type.Kind() != reflect.Uint64 {
+				if tagged {
+					t.Errorf("%s carries a metric tag but is not a uint64", where)
+				}
+				continue
+			}
+			name, kind, _ := strings.Cut(tag, ",")
+			switch {
+			case !tagged:
+				t.Errorf("%s is a uint64 without a metric tag", where)
+			case !strings.HasPrefix(name, "gkfs_") || len(name) > proto.MaxMetricName:
+				t.Errorf("%s: metric name %q", where, name)
+			case kind != "" && kind != "gauge":
+				t.Errorf("%s: metric kind %q", where, kind)
+			case kind == "" && !strings.HasSuffix(name, "_total"):
+				t.Errorf("%s: counter %q does not end in _total", where, name)
+			case seen[name] != "":
+				t.Errorf("%s and %s are both %q", where, seen[name], name)
+			}
+			seen[name] = where
+		}
+	}
+	if len(seen) != len(telemetry.FieldNames(Stats{}))+len(telemetry.FieldNames(kvstore.Stats{}))+len(telemetry.FieldNames(chunkstore.OpenStats{})) {
+		t.Fatalf("the field walker and this test disagree about the tagged fields: %d names here", len(seen))
 	}
 }
 
@@ -151,7 +334,11 @@ func TestOpenChunkHandlesBoundedAndReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gauge := func() int64 { return d.Telemetry().Snapshot().Gauges[telemetry.ChunkOpenHandles] }
+	openStats := func() (oc chunkstore.OpenStats) {
+		d.Telemetry().Snapshot().View(&oc)
+		return oc
+	}
+	gauge := func() int64 { return int64(openStats().Open) }
 	const chunks = 600 // more than the cache holds
 	var peak int64
 	for id := 0; id < chunks; id++ {
@@ -161,7 +348,7 @@ func TestOpenChunkHandlesBoundedAndReleased(t *testing.T) {
 		}
 		peak = max(peak, gauge())
 	}
-	st := d.ChunkOpenStats()
+	st := openStats()
 	if peak != int64(st.Open) || st.Misses != chunks || st.Evictions != chunks-st.Open || st.Open >= chunks {
 		t.Fatalf("after %d first touches: gauge peaked at %d, stats %+v; want the gauge at the bound and one eviction per miss past it", chunks, peak, st)
 	}
@@ -170,7 +357,7 @@ func TestOpenChunkHandlesBoundedAndReleased(t *testing.T) {
 	if _, err := call(t, d, proto.OpWriteChunks, req, []byte("DATA")); err != nil {
 		t.Fatal(err)
 	}
-	if after := d.ChunkOpenStats(); after.Hits != 1 || after.Misses != chunks {
+	if after := openStats(); after.Hits != 1 || after.Misses != chunks {
 		t.Fatalf("rewrite of a cached chunk: stats %+v; want 1 hit and no new miss", after)
 	}
 

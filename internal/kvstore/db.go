@@ -81,16 +81,24 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Stats exposes engine counters for benchmarks and tests.
+// Stats exposes engine counters. Each uint64 field's metric tag is the
+// name the hosting daemon exports it under (telemetry's field walker).
 type Stats struct {
 	// Puts, Gets, Deletes, Merges count user operations.
-	Puts, Gets, Deletes, Merges uint64
+	Puts    uint64 `metric:"gkfs_kv_puts_total"`
+	Gets    uint64 `metric:"gkfs_kv_gets_total"`
+	Deletes uint64 `metric:"gkfs_kv_deletes_total"`
+	Merges  uint64 `metric:"gkfs_kv_merges_total"`
 	// Flushes counts memtable flushes; Compactions counts table merges.
-	Flushes, Compactions uint64
+	Flushes     uint64 `metric:"gkfs_kv_flushes_total"`
+	Compactions uint64 `metric:"gkfs_kv_compactions_total"`
 	// MergeFolds counts merge operands stored as the folded put at insert;
 	// MergeResolves counts the folds among them that had to look the base
-	// up below the active memtable because a run reached its bound.
-	MergeFolds, MergeResolves uint64
+	// up below the active memtable because a run reached its bound — a
+	// resolve rate near the fold rate means hot keys keep losing their
+	// base to memtable rotation.
+	MergeFolds    uint64 `metric:"gkfs_kv_merge_folds_total"`
+	MergeResolves uint64 `metric:"gkfs_kv_merge_resolves_total"`
 	// TablesPerLevel is the current table count per level.
 	TablesPerLevel [numLevels]int
 	// MemBytes is the active memtable's approximate size.

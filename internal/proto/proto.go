@@ -7,6 +7,8 @@ package proto
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/meta"
 	"repro/internal/rpc"
@@ -22,13 +24,13 @@ import (
 // 3–8 each appended trailing-optional fields (3: ReadWantSize size view
 // and the versioned ping, 4: read-span counters, 5: shm doorbell
 // advertisement and wire counters, 6: WriteReplica and ReplicaWrites,
-// 7: the frame trace trailer and StatsExt, 8: snapshot ops and the epoch
+// 7: the frame trace trailer and stats histograms, 8: snapshot ops and the epoch
 // extensions on OpStat/OpReadDir/OpReadChunks). Version 9 began retiring
 // the optionality: OpReadChunks and OpWriteChunks requests have exactly
 // one shape — path, spans, a flags byte, and the epoch when ReadAtEpoch
 // is set. Version 10 finishes it for every payload — OpStat and
 // OpReadDir requests always end in their flags byte, and the ping reply
-// and the OpStats reply (counters, then StatsExt) are decoded whole — and
+// and the OpStats reply are decoded whole — and
 // gives the two transports one frame: a shm doorbell frame is the TCP
 // frame with dirRefFlag set and a [u64 segOff] where the bulk bytes would
 // be (transport/stream.go). Only the frame trace trailer is still
@@ -43,8 +45,11 @@ import (
 // effective chunk size ([u32 id][u16 version][str shm][i64 chunk]), so a
 // mount learns the chunk size from the daemons instead of being told it,
 // and refuses a daemon whose chunk size or ID is not what the daemon list
-// implies (client.VerifyProtocol).
-const ProtocolVersion uint16 = 12
+// implies (client.VerifyProtocol). Version 13 makes the OpStats reply the
+// daemon's telemetry snapshot itself — name-tagged counters, gauges and
+// histograms (EncodeSnapshot) — in place of 25 positional counters and a
+// histogram extension: what the RPC carries is what /statz serves.
+const ProtocolVersion uint16 = 13
 
 // RPC operations. Each corresponds to one registered Mercury RPC in the
 // released GekkoFS.
@@ -359,19 +364,25 @@ const (
 	MaxReadDirPage = 1 << 16
 )
 
-// DaemonStats are one daemon's operation counters as carried by the
-// OpStats reply. The struct doubles as the daemon's in-memory snapshot
-// type (daemon.Stats is an alias) and the wire shape tooling decodes
-// (gkfs-shell's stats command, tests).
+// DaemonStats are one daemon's operation counters: the struct the daemon
+// bumps (daemon.Stats is an alias; handlers add to its fields atomically)
+// and the typed view tooling reads (DaemonStatsOf). Each field's metric
+// tag is the counter's one declaration — the name it has in the daemon's
+// telemetry snapshot and therefore on /metrics, /statz and in the OpStats
+// reply; telemetry's field walker derives the rest.
 type DaemonStats struct {
 	// Creates, StatOps, Removes count metadata operations.
-	Creates, StatOps, Removes uint64
+	Creates uint64 `metric:"gkfs_daemon_creates_total"`
+	StatOps uint64 `metric:"gkfs_daemon_stat_ops_total"`
+	Removes uint64 `metric:"gkfs_daemon_removes_total"`
 	// SizeUpdates counts size merge/truncate operations.
-	SizeUpdates uint64
+	SizeUpdates uint64 `metric:"gkfs_daemon_size_updates_total"`
 	// WriteOps and ReadOps count chunk RPCs; WriteBytes and ReadBytes the
 	// logical payloads they addressed.
-	WriteOps, ReadOps     uint64
-	WriteBytes, ReadBytes uint64
+	WriteOps   uint64 `metric:"gkfs_daemon_write_ops_total"`
+	ReadOps    uint64 `metric:"gkfs_daemon_read_ops_total"`
+	WriteBytes uint64 `metric:"gkfs_daemon_write_bytes_total"`
+	ReadBytes  uint64 `metric:"gkfs_daemon_read_bytes_total"`
 	// ReadSpans counts the chunk spans read RPCs carried (a zero-span
 	// size probe adds none) and ReadBytesPushed the bulk bytes actually
 	// pushed back after trimming trailing holes/EOF. Against a client's
@@ -379,14 +390,16 @@ type DaemonStats struct {
 	// prefetch-heavy workload shows large spans per op, and a chunk-cache
 	// hit moves no wire bytes at all, so cache hit rates appear as
 	// logical reads outpacing ReadBytes (see gkfs-shell stats).
-	ReadSpans, ReadBytesPushed uint64
+	ReadSpans       uint64 `metric:"gkfs_daemon_read_spans_total"`
+	ReadBytesPushed uint64 `metric:"gkfs_daemon_read_bytes_pushed_total"`
 	// ReadDirs counts directory scan pages served.
-	ReadDirs uint64
+	ReadDirs uint64 `metric:"gkfs_daemon_read_dirs_total"`
 	// BatchRPCs counts OpBatchMeta calls; BatchedOps the sub-operations
 	// they carried. BatchedOps/BatchRPCs is the achieved batching factor —
 	// the number of metadata ops amortized over one RPC and one WAL
 	// append.
-	BatchRPCs, BatchedOps uint64
+	BatchRPCs  uint64 `metric:"gkfs_daemon_batch_rpcs_total"`
+	BatchedOps uint64 `metric:"gkfs_daemon_batched_ops_total"`
 	// FramesIn/FramesOut count transport frames the daemon decoded and
 	// wrote; WireBytesIn/WireBytesOut the socket bytes they moved (bulk
 	// bytes over the shared-memory segment are excluded — they never
@@ -394,147 +407,49 @@ type DaemonStats struct {
 	// scatter-gather header+bulk pairs, ShmCalls requests that arrived
 	// over the shared-memory doorbell. Together they expose the wire
 	// tier: logical I/O volume versus WireBytes shows the zero-copy and
-	// fast-path win directly.
-	FramesIn, FramesOut       uint64
-	WireBytesIn, WireBytesOut uint64
-	VectoredWrites, ShmCalls  uint64
+	// fast-path win directly. The transports keep them on the RPC server
+	// (rpc.WireCounters); Daemon.Stats copies them in.
+	FramesIn       uint64 `metric:"gkfs_daemon_frames_in_total"`
+	FramesOut      uint64 `metric:"gkfs_daemon_frames_out_total"`
+	WireBytesIn    uint64 `metric:"gkfs_daemon_wire_bytes_in_total"`
+	WireBytesOut   uint64 `metric:"gkfs_daemon_wire_bytes_out_total"`
+	VectoredWrites uint64 `metric:"gkfs_daemon_vectored_writes_total"`
+	ShmCalls       uint64 `metric:"gkfs_daemon_shm_calls_total"`
 	// ReplicaWrites counts OpWriteChunks calls carrying the WriteReplica
 	// flag — chunk copies stored on behalf of replication rather than
 	// primary placement. WriteOps counts primaries and replicas alike, so
 	// WriteOps−ReplicaWrites is the primary write load.
-	ReplicaWrites uint64
+	ReplicaWrites uint64 `metric:"gkfs_daemon_replica_writes_total"`
 	// SnapshotPins counts committed epoch pins (OpSnapshot commits) and
 	// SnapshotDrops dropped tags. SnapshotReads counts epoch-pinned
 	// reads served (stat/readdir/chunk reads carrying an epoch).
 	// CowCopies and CowBytes count chunk pre-images preserved by
 	// copy-on-write before a post-pin overwrite, and the bytes they
-	// hold — the physical cost of keeping snapshots readable.
-	SnapshotPins, SnapshotDrops, SnapshotReads uint64
-	CowCopies, CowBytes                        uint64
+	// hold — the physical cost of keeping snapshots readable (kept by
+	// the chunk store; Daemon.Stats copies them in).
+	SnapshotPins  uint64 `metric:"gkfs_daemon_snapshot_pins_total"`
+	SnapshotDrops uint64 `metric:"gkfs_daemon_snapshot_drops_total"`
+	SnapshotReads uint64 `metric:"gkfs_daemon_snapshot_reads_total"`
+	CowCopies     uint64 `metric:"gkfs_daemon_snapshot_cow_copies_total"`
+	CowBytes      uint64 `metric:"gkfs_daemon_snapshot_cow_bytes_total"`
 }
 
 // Add accumulates other's counters into st (per-cluster totals).
-func (st *DaemonStats) Add(other DaemonStats) {
-	st.Creates += other.Creates
-	st.StatOps += other.StatOps
-	st.Removes += other.Removes
-	st.SizeUpdates += other.SizeUpdates
-	st.WriteOps += other.WriteOps
-	st.ReadOps += other.ReadOps
-	st.WriteBytes += other.WriteBytes
-	st.ReadBytes += other.ReadBytes
-	st.ReadSpans += other.ReadSpans
-	st.ReadBytesPushed += other.ReadBytesPushed
-	st.ReadDirs += other.ReadDirs
-	st.BatchRPCs += other.BatchRPCs
-	st.BatchedOps += other.BatchedOps
-	st.FramesIn += other.FramesIn
-	st.FramesOut += other.FramesOut
-	st.WireBytesIn += other.WireBytesIn
-	st.WireBytesOut += other.WireBytesOut
-	st.VectoredWrites += other.VectoredWrites
-	st.ShmCalls += other.ShmCalls
-	st.ReplicaWrites += other.ReplicaWrites
-	st.SnapshotPins += other.SnapshotPins
-	st.SnapshotDrops += other.SnapshotDrops
-	st.SnapshotReads += other.SnapshotReads
-	st.CowCopies += other.CowCopies
-	st.CowBytes += other.CowBytes
+func (st *DaemonStats) Add(other DaemonStats) { telemetry.AddFields(st, &other) }
+
+// DaemonStatsOf rebuilds the typed view from a daemon's snapshot (an
+// OpStats reply, or a Merge of several). A counter the snapshot carries
+// that this build does not know stays in the snapshot only.
+func DaemonStatsOf(s telemetry.Snapshot) DaemonStats {
+	var st DaemonStats
+	s.View(&st)
+	return st
 }
 
 // MetaRPCs sums the metadata-plane RPC counters.
 func (st DaemonStats) MetaRPCs() uint64 {
 	return st.Creates + st.StatOps + st.Removes + st.SizeUpdates + st.ReadDirs + st.BatchRPCs
 }
-
-// DaemonStatsWireLen is the encoded size of one DaemonStats (25 u64
-// counters); daemons use it to size the OpStats reply.
-const DaemonStatsWireLen = 25 * 8
-
-// EncodeDaemonStats appends the OpStats reply body (25 u64 counters, in
-// struct order).
-func EncodeDaemonStats(e *rpc.Enc, st DaemonStats) {
-	e.U64(st.Creates).U64(st.StatOps).U64(st.Removes).U64(st.SizeUpdates)
-	e.U64(st.WriteOps).U64(st.ReadOps).U64(st.WriteBytes).U64(st.ReadBytes)
-	e.U64(st.ReadSpans).U64(st.ReadBytesPushed)
-	e.U64(st.ReadDirs).U64(st.BatchRPCs).U64(st.BatchedOps)
-	e.U64(st.FramesIn).U64(st.FramesOut)
-	e.U64(st.WireBytesIn).U64(st.WireBytesOut)
-	e.U64(st.VectoredWrites).U64(st.ShmCalls)
-	e.U64(st.ReplicaWrites)
-	e.U64(st.SnapshotPins).U64(st.SnapshotDrops).U64(st.SnapshotReads)
-	e.U64(st.CowCopies).U64(st.CowBytes)
-}
-
-// DecodeDaemonStats reads what EncodeDaemonStats wrote.
-func DecodeDaemonStats(d *rpc.Dec) DaemonStats {
-	var st DaemonStats
-	st.Creates = d.U64()
-	st.StatOps = d.U64()
-	st.Removes = d.U64()
-	st.SizeUpdates = d.U64()
-	st.WriteOps = d.U64()
-	st.ReadOps = d.U64()
-	st.WriteBytes = d.U64()
-	st.ReadBytes = d.U64()
-	st.ReadSpans = d.U64()
-	st.ReadBytesPushed = d.U64()
-	st.ReadDirs = d.U64()
-	st.BatchRPCs = d.U64()
-	st.BatchedOps = d.U64()
-	st.FramesIn = d.U64()
-	st.FramesOut = d.U64()
-	st.WireBytesIn = d.U64()
-	st.WireBytesOut = d.U64()
-	st.VectoredWrites = d.U64()
-	st.ShmCalls = d.U64()
-	st.ReplicaWrites = d.U64()
-	st.SnapshotPins = d.U64()
-	st.SnapshotDrops = d.U64()
-	st.SnapshotReads = d.U64()
-	st.CowCopies = d.U64()
-	st.CowBytes = d.U64()
-	return st
-}
-
-// Values returns the counters in wire order — the order
-// EncodeDaemonStats writes and telemetry.DaemonStatNames names. The
-// three orders must stay identical; tests zip them.
-func (st DaemonStats) Values() []uint64 {
-	return []uint64{
-		st.Creates, st.StatOps, st.Removes, st.SizeUpdates,
-		st.WriteOps, st.ReadOps, st.WriteBytes, st.ReadBytes,
-		st.ReadSpans, st.ReadBytesPushed,
-		st.ReadDirs, st.BatchRPCs, st.BatchedOps,
-		st.FramesIn, st.FramesOut,
-		st.WireBytesIn, st.WireBytesOut,
-		st.VectoredWrites, st.ShmCalls,
-		st.ReplicaWrites,
-		st.SnapshotPins, st.SnapshotDrops, st.SnapshotReads,
-		st.CowCopies, st.CowBytes,
-	}
-}
-
-// OpHist is one named latency histogram inside a StatsExt block.
-type OpHist struct {
-	// Name is the metric name (see internal/telemetry/names.go).
-	Name string
-	// Hist is the histogram snapshot, mergeable across daemons.
-	Hist telemetry.HistSnapshot
-}
-
-// StatsExt is the protocol-v7 extension of the OpStats reply: the
-// daemon's latency histogram snapshots, appended after the fixed
-// counters. It rides the existing stats RPC so percentile tables need
-// no new operation and no side channel.
-type StatsExt struct {
-	// Ops holds the daemon's histograms, one per exported metric name.
-	Ops []OpHist
-}
-
-// minOpHistWireBytes is the smallest encoded OpHist: an empty name
-// prefix (1 varint byte), the u64 sum, and a zero bucket count.
-const minOpHistWireBytes = 1 + 8 + 4
 
 // EncodeHistSnapshot appends one histogram snapshot: the sum, then the
 // occupied buckets as [u32 index][u64 count] pairs. Count is derived
@@ -584,35 +499,69 @@ func DecodeHistSnapshot(d *rpc.Dec) telemetry.HistSnapshot {
 	return telemetry.HistSnapshot{Count: count, Sum: sum, Buckets: buckets}
 }
 
-// EncodeStatsExt appends the histogram block to an OpStats reply.
-func EncodeStatsExt(e *rpc.Enc, ext StatsExt) {
-	e.U32(uint32(len(ext.Ops)))
-	for _, oh := range ext.Ops {
-		e.Str(oh.Name)
-		EncodeHistSnapshot(e, oh.Hist)
+// MaxMetricName bounds a metric name inside an OpStats reply.
+const MaxMetricName = 128
+
+// EncodeSnapshot appends the OpStats reply body: three sections —
+// counters ([u64 value]), gauges ([i64 value]), histograms
+// (EncodeHistSnapshot) — each [u32 n] then n × [str name][value], names
+// strictly ascending, so a snapshot has exactly one encoding.
+func EncodeSnapshot(e *rpc.Enc, s telemetry.Snapshot) {
+	encodeNamed(e, s.Counters, func(v uint64) { e.U64(v) })
+	encodeNamed(e, s.Gauges, func(v int64) { e.I64(v) })
+	encodeNamed(e, s.Hists, func(h telemetry.HistSnapshot) { EncodeHistSnapshot(e, h) })
+}
+
+func encodeNamed[V any](e *rpc.Enc, m map[string]V, value func(V)) {
+	e.U32(uint32(len(m)))
+	for _, name := range slices.Sorted(maps.Keys(m)) {
+		e.Str(name)
+		value(m[name])
 	}
 }
 
-// DecodeStatsExt reads what EncodeStatsExt wrote; every OpStats reply
-// ends in the block.
-func DecodeStatsExt(d *rpc.Dec) StatsExt {
+// DecodeSnapshot reads what EncodeSnapshot wrote; the caller's d.Done()
+// then refuses trailing bytes. Every count is checked against the bytes
+// that remain before anything is allocated for it, and a name that is
+// empty, over-long, out of order or repeated corrupts the frame.
+func DecodeSnapshot(d *rpc.Dec) telemetry.Snapshot {
+	s := telemetry.Snapshot{
+		Counters: decodeNamed(d, 8, (*rpc.Dec).U64),
+		Gauges:   decodeNamed(d, 8, (*rpc.Dec).I64),
+		Hists:    decodeNamed(d, 8+4, DecodeHistSnapshot),
+	}
+	if d.Err() != nil {
+		return telemetry.Snapshot{}
+	}
+	return s
+}
+
+// decodeNamed reads one section whose values take at least minValue
+// bytes each (plus two for the shortest name).
+func decodeNamed[V any](d *rpc.Dec, minValue int, value func(*rpc.Dec) V) map[string]V {
 	n := d.U32()
 	if d.Err() != nil {
-		return StatsExt{}
+		return nil
 	}
-	if int64(n)*minOpHistWireBytes > int64(d.Remaining()) {
+	if int64(n)*int64(2+minValue) > int64(d.Remaining()) {
 		d.Corrupt()
-		return StatsExt{}
+		return nil
 	}
-	ext := StatsExt{Ops: make([]OpHist, 0, n)}
+	m := make(map[string]V, n)
+	last := ""
 	for i := uint32(0); i < n; i++ {
-		oh := OpHist{Name: d.Str(), Hist: DecodeHistSnapshot(d)}
-		if d.Err() != nil {
-			return StatsExt{}
+		name := d.Blob()
+		if len(name) > MaxMetricName || string(name) <= last {
+			d.Corrupt()
 		}
-		ext.Ops = append(ext.Ops, oh)
+		v := value(d)
+		if d.Err() != nil {
+			return nil
+		}
+		last = string(name)
+		m[last] = v
 	}
-	return ext
+	return m
 }
 
 // MetaOpKind discriminates OpBatchMeta sub-operations. A kind's value

@@ -197,8 +197,9 @@ type ServerStats struct {
 // WireCounters aggregate transport-level activity below the dispatch
 // layer: frames and bytes moved, scatter-gather writes issued, and
 // shared-memory fast-path calls served. Transports increment them on the
-// server they serve (Server.Wire); the daemon folds them into its stats
-// reply so the wire tier's behaviour is observable end to end.
+// server they serve (Server.Wire); the daemon copies them into its
+// operation counters (Daemon.Stats) so the wire tier's behaviour is
+// observable end to end.
 type WireCounters struct {
 	// FramesIn/FramesOut count request frames decoded and response
 	// frames written.
@@ -214,26 +215,6 @@ type WireCounters struct {
 	// ShmCalls counts requests that arrived over the shared-memory
 	// doorbell.
 	ShmCalls atomic.Uint64
-}
-
-// WireStats is a plain snapshot of WireCounters.
-type WireStats struct {
-	FramesIn, FramesOut uint64
-	BytesIn, BytesOut   uint64
-	VectoredWrites      uint64
-	ShmCalls            uint64
-}
-
-// Snapshot reads every counter once.
-func (w *WireCounters) Snapshot() WireStats {
-	return WireStats{
-		FramesIn:       w.FramesIn.Load(),
-		FramesOut:      w.FramesOut.Load(),
-		BytesIn:        w.BytesIn.Load(),
-		BytesOut:       w.BytesOut.Load(),
-		VectoredWrites: w.VectoredWrites.Load(),
-		ShmCalls:       w.ShmCalls.Load(),
-	}
 }
 
 // Server dispatches operations to registered handlers on a bounded

@@ -13,7 +13,8 @@ import (
 var ErrTruncated = errors.New("rpc: truncated message")
 
 // ErrMalformed reports a message that decodes structurally but fails
-// semantic validation (impossible counts, negative lengths).
+// semantic validation (impossible counts, negative lengths, bytes left
+// over after the last field).
 var ErrMalformed = errors.New("rpc: malformed message")
 
 // Enc builds a wire message.
@@ -171,7 +172,7 @@ func (d *Dec) Done() error {
 		return d.err
 	}
 	if len(d.buf) != 0 {
-		return fmt.Errorf("rpc: %d trailing bytes", len(d.buf))
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(d.buf))
 	}
 	return nil
 }

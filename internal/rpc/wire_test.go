@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -70,8 +71,8 @@ func TestDecTrailingBytes(t *testing.T) {
 	e.U8(1)
 	d := NewDec(append(e.Bytes(), 0xEE))
 	d.U8()
-	if err := d.Done(); err == nil {
-		t.Fatal("trailing bytes undetected")
+	if err := d.Done(); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("trailing bytes: Done = %v, want ErrMalformed", err)
 	}
 }
 

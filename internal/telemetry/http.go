@@ -9,37 +9,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 )
 
-// Handler returns the observability mux. extra, when non-nil, supplies
-// additional cumulative counters merged into /metrics (the daemon
-// passes its DaemonStats there). statz, when non-nil, supplies the
-// /statz JSON document; otherwise /statz serves the registry snapshot.
-func Handler(reg *Registry, extra func() map[string]uint64, statz func() any) http.Handler {
+// Handler returns the observability mux over reg: /metrics and /statz
+// render the same Snapshot, as Prometheus text and as JSON.
+func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s := reg.Snapshot()
-		if extra != nil {
-			for name, v := range extra() {
-				s.Counters[name] = v
-			}
-		}
-		WriteMetrics(w, s)
+		WriteMetrics(w, reg.Snapshot())
 	})
 	mux.HandleFunc("/statz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		var doc any
-		if statz != nil {
-			doc = statz()
-		} else {
-			doc = reg.Snapshot()
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(doc)
+		enc.Encode(reg.Snapshot())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -54,13 +42,13 @@ func Handler(reg *Registry, extra func() map[string]uint64, statz func() any) ht
 // quantile labels plus _sum and _count. Output is sorted by name so
 // scrapes diff cleanly.
 func WriteMetrics(w io.Writer, s Snapshot) {
-	for _, name := range sortedKeys(s.Counters) {
+	for _, name := range slices.Sorted(maps.Keys(s.Counters)) {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, s.Counters[name])
 	}
-	for _, name := range sortedKeys(s.Gauges) {
+	for _, name := range slices.Sorted(maps.Keys(s.Gauges)) {
 		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, s.Gauges[name])
 	}
-	for _, name := range sortedKeys(s.Hists) {
+	for _, name := range slices.Sorted(maps.Keys(s.Hists)) {
 		h := s.Hists[name]
 		fmt.Fprintf(w, "# TYPE %s summary\n", name)
 		for _, q := range [...]struct {

@@ -1,8 +1,9 @@
-// The metric name catalog: every name this repo can export through a
-// Registry or the daemon's /metrics endpoint is declared here, and
-// Catalog returns the complete list. scripts/check-docs.sh runs
-// `gkfs-daemon -print-metrics` (which prints Catalog) and requires each
-// name to appear in docs/OBSERVABILITY.md, so a metric cannot ship
+// The metric name catalog: the names recorded into a Registry — the
+// histograms and the client's metrics — are declared here; a counter a
+// component keeps in a struct of its own is declared on its field
+// (fields.go). Catalog joins the two. scripts/check-docs.sh runs
+// `gkfs-daemon -print-metrics` (which prints it) and requires each name
+// to appear in docs/OBSERVABILITY.md, so a metric cannot ship
 // undocumented.
 package telemetry
 
@@ -31,33 +32,6 @@ const (
 	DaemonOpSnapshotDropNS   = "gkfs_daemon_op_snapshot_drop_ns"
 )
 
-// Metadata-store counters (kvstore.Stats), exported by gkfs-daemon next
-// to the operation counters. Folds are merge operands stored as the
-// folded put at insert; resolves are the folds that had to look the base
-// up below the active memtable because a key's merge run reached its
-// bound — a resolve rate near the fold rate means hot keys keep losing
-// their base to memtable rotation.
-const (
-	KVMergeFoldsTotal    = "gkfs_kv_merge_folds_total"
-	KVMergeResolvesTotal = "gkfs_kv_merge_resolves_total"
-	KVFlushesTotal       = "gkfs_kv_flushes_total"
-	KVCompactionsTotal   = "gkfs_kv_compactions_total"
-)
-
-// Chunk-store open-chunk cache counters (chunkstore.OpenStats), exported
-// the same way. A hit is a chunk I/O that found its file already open —
-// one data syscall; a miss opened it; an eviction closed the least
-// recently used handle to stay within the bound. Hits near zero with
-// evictions tracking misses is streaming (every chunk touched once);
-// the same picture on a small-I/O workload means its hot set outgrew
-// the cache. ChunkOpenHandles is the gauge the bound applies to.
-const (
-	ChunkOpenHitsTotal      = "gkfs_chunk_open_hits_total"
-	ChunkOpenMissesTotal    = "gkfs_chunk_open_misses_total"
-	ChunkOpenEvictionsTotal = "gkfs_chunk_open_evictions_total"
-	ChunkOpenHandles        = "gkfs_chunk_open_handles"
-)
-
 // Client-side metrics. The rpc histograms time the full call round
 // trip by family (write = OpWriteChunks, read = OpReadChunks,
 // everything else meta); the wait histograms time the client-side
@@ -81,42 +55,11 @@ const (
 	ClientTracesTotal        = "gkfs_client_traces_total"
 )
 
-// DaemonStatNames are the /metrics names of the daemon's cumulative
-// operation counters, in proto.DaemonStats wire order — the zip key
-// for proto.(DaemonStats).Values. Keep the two orders identical.
-var DaemonStatNames = []string{
-	"gkfs_daemon_creates_total",
-	"gkfs_daemon_stat_ops_total",
-	"gkfs_daemon_removes_total",
-	"gkfs_daemon_size_updates_total",
-	"gkfs_daemon_write_ops_total",
-	"gkfs_daemon_read_ops_total",
-	"gkfs_daemon_write_bytes_total",
-	"gkfs_daemon_read_bytes_total",
-	"gkfs_daemon_read_spans_total",
-	"gkfs_daemon_read_bytes_pushed_total",
-	"gkfs_daemon_read_dirs_total",
-	"gkfs_daemon_batch_rpcs_total",
-	"gkfs_daemon_batched_ops_total",
-	"gkfs_daemon_frames_in_total",
-	"gkfs_daemon_frames_out_total",
-	"gkfs_daemon_wire_bytes_in_total",
-	"gkfs_daemon_wire_bytes_out_total",
-	"gkfs_daemon_vectored_writes_total",
-	"gkfs_daemon_shm_calls_total",
-	"gkfs_daemon_replica_writes_total",
-	"gkfs_daemon_snapshot_pins_total",
-	"gkfs_daemon_snapshot_drops_total",
-	"gkfs_daemon_snapshot_reads_total",
-	"gkfs_daemon_snapshot_cow_copies_total",
-	"gkfs_daemon_snapshot_cow_bytes_total",
-}
-
-// Catalog returns every exported metric name, sorted: the registry and
-// metadata-store names above plus the DaemonStats-derived counters. This
-// is what `gkfs-daemon -print-metrics` prints and what the doc gate
-// checks.
-func Catalog() []string {
+// Catalog returns every exported metric name, sorted: the registry names
+// declared above plus the names the given stats structs declare on their
+// fields (FieldNames). `gkfs-daemon -print-metrics` prints it for the
+// daemon's structs and the doc gate checks each line.
+func Catalog(tagged ...any) []string {
 	names := []string{
 		DaemonQueueWaitNS,
 		DaemonOpPingNS, DaemonOpCreateNS, DaemonOpStatNS,
@@ -126,10 +69,6 @@ func Catalog() []string {
 		DaemonOpReadDirNS, DaemonOpStatsNS, DaemonOpBatchMetaNS,
 		DaemonOpSnapshotNS, DaemonOpSnapshotListNS, DaemonOpSnapshotDropNS,
 
-		KVMergeFoldsTotal, KVMergeResolvesTotal, KVFlushesTotal, KVCompactionsTotal,
-
-		ChunkOpenHitsTotal, ChunkOpenMissesTotal, ChunkOpenEvictionsTotal, ChunkOpenHandles,
-
 		ClientRPCMetaNS, ClientRPCWriteNS, ClientRPCReadNS,
 		ClientRPCInflight,
 		ClientPoolAcquireWaitNS, ClientShmSegWaitNS,
@@ -137,7 +76,9 @@ func Catalog() []string {
 		ClientHedgedReadsTotal, ClientFailoverReadsTotal,
 		ClientReplicaWritesTotal, ClientTracesTotal,
 	}
-	names = append(names, DaemonStatNames...)
+	for _, v := range tagged {
+		names = append(names, FieldNames(v)...)
+	}
 	sort.Strings(names)
 	return names
 }

@@ -3,15 +3,18 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 )
 
 // WriteOpTable renders nanosecond latency histograms as an aligned
-// per-op percentile table (values shown in microseconds). Histograms
-// without samples are skipped; metric-name prefixes/suffixes are
-// stripped for display. gkfs-shell stats and gkfs-bench share it.
-func WriteOpTable(w io.Writer, hists map[string]HistSnapshot) {
-	names := sortedKeys(hists)
+// per-op percentile table (values shown in microseconds) under a title
+// line. Histograms without samples are skipped — with none left nothing
+// is written; metric-name prefixes/suffixes are stripped for display.
+// gkfs-shell stats and gkfs-bench share it.
+func WriteOpTable(w io.Writer, title string, hists map[string]HistSnapshot) {
+	names := slices.Sorted(maps.Keys(hists))
 	header := false
 	for _, name := range names {
 		h := hists[name]
@@ -19,8 +22,8 @@ func WriteOpTable(w io.Writer, hists map[string]HistSnapshot) {
 			continue
 		}
 		if !header {
-			fmt.Fprintf(w, "%-18s %10s %12s %12s %12s %12s\n",
-				"op", "count", "p50(us)", "p95(us)", "p99(us)", "p999(us)")
+			fmt.Fprintf(w, "%s\n%-18s %10s %12s %12s %12s %12s\n",
+				title, "op", "count", "p50(us)", "p95(us)", "p99(us)", "p999(us)")
 			header = true
 		}
 		fmt.Fprintf(w, "%-18s %10d %12.1f %12.1f %12.1f %12.1f\n",

@@ -12,7 +12,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -105,17 +104,16 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	gaugeFuncs map[string]func() int64
 	hists      map[string]*Histogram
+	collectors []func(*Snapshot)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		gaugeFuncs: make(map[string]func() int64),
-		hists:      make(map[string]*Histogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -151,17 +149,18 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a gauge whose value is read from fn at every
-// Snapshot — for a level some component already tracks under its own
-// lock, so the hot path pays nothing to publish it. fn must not call
-// back into the registry. No-op on a nil registry.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
+// Collect registers fn to run at every Snapshot, folding into it values
+// some component already tracks under its own synchronisation — counters
+// a struct owns (Snapshot.Fold), a level read under the owner's lock —
+// so the hot path pays nothing to publish them. fn runs outside the
+// registry's lock. No-op on a nil registry.
+func (r *Registry) Collect(fn func(*Snapshot)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.gaugeFuncs[name] = fn
+	r.collectors = append(r.collectors, fn)
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -202,29 +201,39 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
 	}
-	for name, fn := range r.gaugeFuncs {
-		s.Gauges[name] = fn()
-	}
 	for name, h := range r.hists {
 		s.Hists[name] = h.Snapshot()
+	}
+	collectors := r.collectors
+	r.mu.Unlock()
+	for _, fn := range collectors {
+		fn(&s)
 	}
 	return s
 }
 
-// sortedKeys returns m's keys in lexical order, for deterministic
-// rendering.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Merge folds o into s: counters and gauges add, histograms merge —
+// per-daemon snapshots fold into a cluster-wide one in any order. A zero
+// Snapshot is a valid accumulator.
+func (s *Snapshot) Merge(o Snapshot) {
+	if s.Counters == nil {
+		s.Counters, s.Gauges, s.Hists = map[string]uint64{}, map[string]int64{}, map[string]HistSnapshot{}
 	}
-	sort.Strings(keys)
-	return keys
+	for name, v := range o.Counters {
+		s.Counters[name] += v
+	}
+	for name, v := range o.Gauges {
+		s.Gauges[name] += v
+	}
+	for name, h := range o.Hists {
+		m := s.Hists[name]
+		m.Merge(h)
+		s.Hists[name] = m
+	}
 }

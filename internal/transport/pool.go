@@ -121,28 +121,39 @@ func (p *Pool) CallScatter(op rpc.Op, payload []byte, dest [][]byte, tr rpc.Trac
 }
 
 // forward runs one call on the slot selected by the next request id,
-// condemning the slot's connection on a transport failure.
+// condemning the slot's connection on a transport failure. A connection
+// that was already dead when the call reached it — its peer went away
+// while it sat idle in the slot — refused the call before sending any of
+// it (unsentError), so the call runs once more on a fresh dial instead of
+// failing a caller whose request was never on the wire. A call that may
+// have been sent is never repeated.
 func (p *Pool) forward(call func(rpc.Conn) ([]byte, error)) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
 	s := &p.slots[(p.next.Add(1)-1)%uint64(len(p.slots))]
-	var t0 time.Time
-	if p.acquireHist != nil {
-		t0 = time.Now()
-	}
-	conn, err := p.acquire(s)
-	if p.acquireHist != nil {
-		p.acquireHist.ObserveSince(t0)
-	}
-	if err != nil {
-		return nil, err
-	}
-	resp, err := call(conn)
-	if err != nil && condemns(err) {
+	for retried := false; ; retried = true {
+		var t0 time.Time
+		if p.acquireHist != nil {
+			t0 = time.Now()
+		}
+		conn, err := p.acquire(s)
+		if p.acquireHist != nil {
+			p.acquireHist.ObserveSince(t0)
+		}
+		if err != nil {
+			return nil, err
+		}
+		resp, err := call(conn)
+		if err == nil || !condemns(err) {
+			return resp, err
+		}
 		p.invalidate(s, conn)
+		var unsent *unsentError
+		if retried || !errors.As(err, &unsent) {
+			return nil, err
+		}
 	}
-	return resp, err
 }
 
 // acquire returns the slot's connection, dialing one if the slot is empty

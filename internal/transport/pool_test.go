@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,5 +181,106 @@ func TestPoolClosed(t *testing.T) {
 	}
 	if _, err := pool.Call(opEcho, nil, nil, rpc.BulkNone); err == nil {
 		t.Fatal("call into closed pool succeeded")
+	}
+}
+
+// TestPoolRedialsConnectionFoundDead pins the stale-slot case: a server
+// dies and comes back while its connection sits idle in the pool. Once
+// the connection's read loop has marked it dead, the next call is refused
+// before a byte of it is sent — so the pool re-dials and runs it on the
+// fresh connection, exactly once, instead of failing a caller whose
+// request was never on the wire. A server that is not back up still
+// fails the call, with the dial error.
+func TestPoolRedialsConnectionFoundDead(t *testing.T) {
+	srv := newTestServer()
+	// start serves srv on a fresh port; the returned sever closes the
+	// listener and every accepted socket, as a dying daemon does.
+	start := func() (addr string, sever func()) {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var accepted []net.Conn
+		go func() {
+			for {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				accepted = append(accepted, c)
+				mu.Unlock()
+				go serve(c, srv, nil)
+			}
+		}()
+		return l.Addr().String(), func() {
+			l.Close()
+			mu.Lock()
+			defer mu.Unlock()
+			for _, c := range accepted {
+				c.Close()
+			}
+		}
+	}
+	var addr atomic.Value
+	var dials atomic.Int32
+	pool := NewPool(1, func() (rpc.Conn, error) {
+		dials.Add(1)
+		return DialTCP(addr.Load().(string), 2*time.Second)
+	})
+	defer pool.Close()
+	echo := func(msg string) error {
+		t.Helper()
+		resp, err := pool.Call(opEcho, []byte(msg), nil, rpc.BulkNone)
+		if err == nil && string(resp) != "echo:"+msg {
+			t.Fatalf("echo %q = %q", msg, resp)
+		}
+		return err
+	}
+	// severAndWait kills the server and returns once the pooled
+	// connection's read loop has noticed.
+	severAndWait := func(sever func()) {
+		t.Helper()
+		sever()
+		stale := pool.slots[0].conn.(*conn)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			stale.mu.Lock()
+			dead := stale.dead != nil
+			stale.mu.Unlock()
+			if dead {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("read loop never marked the severed connection dead")
+			}
+		}
+	}
+
+	a, sever := start()
+	addr.Store(a)
+	if err := echo("first"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Died and came back: the stale connection costs one re-dial, not an
+	// error.
+	severAndWait(sever)
+	a, sever = start()
+	addr.Store(a)
+	if err := echo("after restart"); err != nil {
+		t.Fatalf("call on a slot holding a dead connection: %v; want it re-dialed and served", err)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("%d dials, want 2: first use and exactly one re-dial", n)
+	}
+
+	// Died and stayed down: the one re-dial fails and the call reports it.
+	severAndWait(sever)
+	if err := echo("down"); err == nil || !strings.Contains(err.Error(), "pool dial") {
+		t.Fatalf("call with the server down = %v, want the dial error", err)
+	}
+	if n := dials.Load(); n != 3 {
+		t.Fatalf("%d dials, want 3: one more attempt, not a loop", n)
 	}
 }

@@ -59,6 +59,16 @@ const maxFrame = 128 << 20
 
 var errFrameTooBig = errors.New("transport: frame exceeds limit")
 
+// unsentError is the failure of a call that found its connection already
+// dead: it was refused before it was registered, so not a byte of it
+// reached the wire and running it again cannot run it twice. Only a
+// failure that provably precedes the send gets this type — a call that
+// fails mid-flight may have been executed.
+type unsentError struct{ cause error }
+
+func (e *unsentError) Error() string { return e.cause.Error() }
+func (e *unsentError) Unwrap() error { return e.cause }
+
 // ErrTimeout reports a call that outlived the dial-configured wait. The
 // connection itself remains usable (the late response is drained and
 // discarded).
@@ -642,7 +652,7 @@ func (c *conn) call(pc *pendingCall, op rpc.Op, payload, in []byte, n int, dir r
 		if pc.win.n > 0 {
 			c.alloc.release(pc.win.off, pc.win.n)
 		}
-		return nil, err
+		return nil, &unsentError{err}
 	}
 	c.nextID++
 	id := c.nextID
@@ -879,7 +889,8 @@ func (c *conn) fail(err error) {
 		delete(c.zombies, id)
 	}
 	if c.alloc != nil {
-		c.alloc.poison(c.dead)
+		// An acquirer waits for its window before its call is registered.
+		c.alloc.poison(&unsentError{c.dead})
 	}
 }
 
