@@ -40,6 +40,7 @@ import (
 	"syscall"
 
 	"repro/internal/cli"
+	"repro/internal/client"
 	"repro/internal/daemon"
 	"repro/internal/meta"
 	"repro/internal/telemetry"
@@ -62,7 +63,7 @@ func main() {
 	flag.Parse()
 
 	if *printMetrics {
-		for _, name := range daemon.Catalog() {
+		for _, name := range daemon.Catalog(client.ClientStats{}) {
 			fmt.Println(name)
 		}
 		return

@@ -332,7 +332,7 @@ func runStats(c *client.Client, jsonOut bool) {
 	fmt.Printf("replication: hedged=%d failover=%d replica-writes=%d condemned=%d\n",
 		cs.HedgedReads, cs.FailoverReads, cs.ReplicaWrites, cs.CondemnedDaemons)
 	// What this mount's descriptors did not have to ask or tell the
-	// metadata owners: I/O that lay wholly below a descriptor's size floor.
+	// metadata owners: I/O that lay wholly below a path's acknowledged size.
 	fmt.Printf("size floor: size-updates-elided=%d size-probes-elided=%d\n",
 		cs.SizeUpdatesElided, cs.SizeProbesElided)
 	// The metadata engine: resolves near folds means hot size keys keep

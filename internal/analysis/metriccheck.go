@@ -9,7 +9,8 @@ import (
 // state only changes through its API or an atomic add. Live counters are
 // atomics (telemetry.Counter/Gauge/Histogram, rpc.WireCounters) or the
 // metric-tagged fields of a stats struct its owner bumps with
-// atomic.AddUint64 (the daemon's live proto.DaemonStats), and everything
+// atomic.AddUint64 (the daemon's live proto.DaemonStats, the client's
+// live ClientStats), and everything
 // handed to readers is a point-in-time copy (telemetry.Snapshot,
 // HistSnapshot, proto.DaemonStats, kvstore.Stats, chunkstore.OpenStats,
 // the client's ClientStats) — a direct field write

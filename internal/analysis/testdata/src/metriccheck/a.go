@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/chunkstore"
+	"repro/internal/client"
 	"repro/internal/kvstore"
 	"repro/internal/proto"
 	"repro/internal/rpc"
@@ -37,6 +38,13 @@ func storeCopies(kv kvstore.Stats, oc chunkstore.OpenStats) uint64 {
 	oc.Open = 0  // want `field OpenStats\.Open is telemetry counter state`
 	oc.Hits += 2 // want `field OpenStats\.Hits is telemetry counter state`
 	return kv.Flushes + oc.Open + oc.Hits
+}
+
+// clientCopy writes the copy Client.Stats hands out: the client's live
+// counters never see it.
+func clientCopy(cs client.ClientStats) uint64 {
+	cs.HedgedReads++ // want `field ClientStats\.HedgedReads is telemetry counter state`
+	return cs.HedgedReads
 }
 
 // liveHolder owns a live stats struct the way the daemon does.

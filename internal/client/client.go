@@ -99,8 +99,8 @@ type Config struct {
 	Replicas int
 	// Telemetry, when non-nil, receives the client's metrics: per-RPC
 	// round-trip histograms, the in-flight gauge, pool/segment wait
-	// histograms and the replication counters (see
-	// internal/telemetry/names.go). Nil disables all recording — the
+	// histograms (internal/telemetry/names.go) and the ClientStats
+	// counters by their tags. Nil disables all recording — the
 	// instrumented paths reduce to single branches.
 	Telemetry *telemetry.Registry
 	// TraceSample sets the RPC trace sampling interval: every N-th call
@@ -119,17 +119,14 @@ type Client struct {
 	adoptChunk  bool
 	readDirPage uint32 // entries requested per OpReadDir page
 
-	// Replication state (replica.go): per-daemon health records and the
-	// client-side counters behind Stats(). health is sized like conns
-	// and never reallocated, so entries are addressed lock-free.
-	health        []daemonHealth
-	hedgedReads   atomic.Uint64
-	failoverReads atomic.Uint64
-	replicaWrites atomic.Uint64
+	// Replication state (replica.go): per-daemon health records. health is
+	// sized like conns and never reallocated, so entries are addressed
+	// lock-free.
+	health []daemonHealth
 
-	// What the descriptors' size floors saved (Stats).
-	sizeUpdatesElided atomic.Uint64
-	sizeProbesElided  atomic.Uint64
+	// live holds the client's counters, bumped in place with one atomic
+	// add each; Stats copies them and the telemetry registry folds them in.
+	live ClientStats
 
 	// tel is the client metric set (telemetry.go); zero-valued (all nil
 	// metrics) when Config.Telemetry was nil.
@@ -141,9 +138,15 @@ type Client struct {
 	cache     atomic.Pointer[chunkCache]
 	cacheInit sync.Mutex
 
-	mu     sync.Mutex
-	files  map[int]*openFile // guarded by mu
-	nextFD int               // guarded by mu
+	mu sync.Mutex
+	// sizeGen counts this client's own Truncate and Remove calls: the
+	// generation every size view checks an answer against (sizeview.go).
+	// Beside mu, whose cache line its writers hold anyway, not beside the
+	// fields every RPC reads.
+	sizeGen atomic.Uint64
+	files   map[int]*openFile    // guarded by mu
+	views   map[string]*sizeView // guarded by mu; the open paths' size views
+	nextFD  int                  // guarded by mu
 }
 
 // openFile is a file-map slot.
@@ -153,26 +156,14 @@ type openFile struct {
 	flags int
 	pos   int64
 
-	// floor is the largest size the path's metadata owner has acknowledged
-	// to this descriptor: the stat at open, every acknowledged grow, every
-	// read reply's size view; this client's own Truncate and Remove lower
-	// it. An I/O whose whole byte range lies below it needs no word from
-	// the owner (io.go: writeSpansLocked, readSpans). Atomic because
-	// ReadAt runs off the descriptor lock.
-	floor atomic.Int64
-
-	// Deferred size state. pendingSize is the largest size candidate not
-	// yet sent to the owner (0 = none): writes under the size-update cache
-	// or the write-behind pipeline, and rewrites below the floor, whose
-	// update carries nothing the owner lacks but the time. It is atomic so
-	// lock-free readers (ReadAt's EOF clamp) can consult it. The other
-	// two are only touched with mu held (by the *Locked functions, which
-	// take the descriptor as a parameter): sizeDirty marks a candidate
-	// awaiting the next barrier, pendingOps counts the size-cache writes
-	// since the last flush.
-	pendingSize atomic.Int64
-	pendingOps  int
-	sizeDirty   bool
+	// view is what this client knows about the path's size, shared with
+	// its other descriptors of the path; cand is this descriptor's unsent
+	// candidate (sizeview.go). home backs view when this descriptor was
+	// its path's first open, so a view costs no allocation of its own.
+	view     *sizeView
+	cand     sizeCand
+	home     sizeView
+	sameNext *openFile // guarded by Client.mu; the next descriptor of view.files
 
 	// pl is the descriptor's write-behind window (active when
 	// Client.asyncWrites).
@@ -182,35 +173,6 @@ type openFile struct {
 	// the sequential-access detector and the prefetch window. Owns its
 	// own lock — ReadAt runs off the descriptor lock.
 	ra *readahead
-}
-
-// withPending returns the best known lower bound for the file size: the
-// server's view, raised by this descriptor's own unflushed size candidate.
-// Without it, consecutive cached appends would resolve EOF from the stale
-// server size and overwrite each other, and reads-after-cached-writes
-// would clamp short.
-func (of *openFile) withPending(serverSize int64) int64 {
-	return max(serverSize, of.pendingSize.Load())
-}
-
-// raiseTo lifts v to at least n.
-func raiseTo(v *atomic.Int64, n int64) {
-	for {
-		cur := v.Load()
-		if cur >= n || v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// lowerTo drops v to at most n.
-func lowerTo(v *atomic.Int64, n int64) {
-	for {
-		cur := v.Load()
-		if cur <= n || v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
 }
 
 // New builds a client.
@@ -263,6 +225,7 @@ func New(cfg Config) (*Client, error) {
 		readDirPage: proto.DefaultReadDirPage,
 		health:      make([]daemonHealth, len(cfg.Conns)),
 		files:       make(map[int]*openFile),
+		views:       make(map[string]*sizeView),
 		nextFD:      3,
 	}
 	if cfg.ReadAhead || cfg.CacheBytes > 0 {
@@ -450,34 +413,22 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 		return -1, err
 	}
 	accMode := flags & (O_RDONLY | O_WRONLY | O_RDWR)
+	gen := c.sizeGen.Load()
 	var size int64 // what the metadata owner says the file holds once open returns
+	exists := true
 	if flags&O_CREATE != 0 {
 		// The flat namespace makes file creation a single RPC: no parent
 		// lookups, no directory entry insertion (paper §III-B).
-		err := c.createPath(p, meta.ModeRegular)
-		switch {
+		switch err := c.createPath(p, meta.ModeRegular); {
 		case err == nil:
-		case errors.Is(err, proto.ErrExist):
-			if flags&O_EXCL != 0 {
-				return -1, proto.ErrExist
-			}
-			md, err := c.statPath(p, LiveEpoch)
-			if err != nil {
-				return -1, err
-			}
-			if md.IsDir() {
-				return -1, proto.ErrIsDir
-			}
-			if size = md.Size; flags&O_TRUNC != 0 && size > 0 {
-				if err := c.Truncate(p, 0); err != nil {
-					return -1, err
-				}
-				size = 0
-			}
-		default:
+			exists = false
+		case !errors.Is(err, proto.ErrExist):
 			return -1, err
+		case flags&O_EXCL != 0:
+			return -1, proto.ErrExist
 		}
-	} else {
+	}
+	if exists {
 		md, err := c.statPath(p, LiveEpoch)
 		if err != nil {
 			return -1, err
@@ -485,7 +436,8 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 		if md.IsDir() {
 			return -1, proto.ErrIsDir
 		}
-		if size = md.Size; flags&O_TRUNC != 0 && accMode != O_RDONLY && size > 0 {
+		// O_TRUNC empties an existing file opened for writing, or with O_CREATE.
+		if size = md.Size; flags&O_TRUNC != 0 && size > 0 && (flags&O_CREATE != 0 || accMode != O_RDONLY) {
 			if err := c.Truncate(p, 0); err != nil {
 				return -1, err
 			}
@@ -494,7 +446,6 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 	}
 
 	of := &openFile{path: p, flags: flags}
-	of.floor.Store(size)
 	if c.cfg.AsyncWrites && accMode != O_RDONLY {
 		of.pl = newPipeline(c.cfg.WriteWindow)
 		// A latched write failure leaves the failed byte ranges
@@ -516,6 +467,7 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 	fd := c.nextFD
 	c.nextFD++
 	c.files[fd] = of
+	c.attachLocked(of, gen, size)
 	return fd, nil
 }
 
@@ -534,6 +486,22 @@ func (c *Client) lookupFD(fd int) (*openFile, error) {
 	return of, nil
 }
 
+// lookupIO is lookupFD for a write (or, write false, a read): a
+// descriptor opened without that access is ErrInval.
+func (c *Client) lookupIO(fd int, write bool) (*openFile, error) {
+	of, err := c.lookupFD(fd)
+	if err != nil {
+		return nil, err
+	}
+	if write && of.flags&(O_WRONLY|O_RDWR) == 0 {
+		return nil, proto.ErrInval // opened read-only
+	}
+	if !write && of.flags&O_WRONLY != 0 && of.flags&O_RDWR == 0 {
+		return nil, proto.ErrInval // opened write-only
+	}
+	return of, nil
+}
+
 // Close releases a descriptor. It is a barrier: under AsyncWrites it
 // drains the descriptor's in-flight window and surfaces any latched
 // write error; in every mode it flushes cached size updates. The
@@ -541,7 +509,10 @@ func (c *Client) lookupFD(fd int) (*openFile, error) {
 func (c *Client) Close(fd int) error {
 	c.mu.Lock()
 	of, ok := c.files[fd]
-	delete(c.files, fd)
+	if ok {
+		delete(c.files, fd)
+		c.detachLocked(of)
+	}
 	c.mu.Unlock()
 	if !ok {
 		return ErrBadFD
@@ -579,15 +550,10 @@ func (c *Client) Fsync(fd int) error {
 // affected byte ranges are undefined — temporary-FS semantics leave
 // recovery (rewrite or discard) to the application.
 func (c *Client) barrierLocked(of *openFile) error {
-	if of.pl == nil {
-		return c.flushSizeLocked(of)
-	}
 	// Drained first, so the candidate only ever describes data the daemons
 	// acknowledged (or data whose failure is reported alongside).
-	of.pl.drain()
-	werr := of.pl.takeErr()
-	serr := c.flushSizeLocked(of)
-	return errors.Join(werr, serr)
+	werr := of.pl.drainErr()
+	return errors.Join(werr, c.flushSizeLocked(of))
 }
 
 // VerifyProtocol pings every daemon (ProbeDaemon) and checks that it is
@@ -671,7 +637,7 @@ func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		base = of.withPending(md.Size)
+		base = of.cand.eof(md.Size)
 	default:
 		return 0, proto.ErrInval
 	}
@@ -879,27 +845,7 @@ func (c *Client) Remove(path string) error {
 // no open descriptor may go on believing the old file's size.
 func (c *Client) forgetPath(p string) {
 	c.cacheDropPath(p)
-	c.lowerSizes(p, 0)
-}
-
-// lowerSizes clamps what this client's open descriptors of p believe
-// about its size to at most size, after this client discarded everything
-// past it: an unflushed size candidate beyond it describes discarded data
-// (without this the pre-truncate size would be resurrected by append,
-// SEEK_END and read clamping, or re-sent at the next barrier), and a
-// floor beyond it would let I/O past the new end skip the owner. This is
-// program order: an I/O of this client still in flight while it truncates
-// can be acknowledged afterwards and raise the floor again — the same
-// undefined window as another client's concurrent truncate.
-func (c *Client) lowerSizes(p string, size int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, of := range c.files {
-		if of.path == p {
-			lowerTo(&of.pendingSize, size)
-			lowerTo(&of.floor, size)
-		}
-	}
+	c.lowerSize(p, 0)
 }
 
 // removeMeta removes p's record, reporting the mode and size it had.
@@ -941,9 +887,11 @@ func (c *Client) Truncate(path string, size int64) error {
 	// is preserved.)
 	c.mu.Lock()
 	var pending []*openFile
-	for _, of := range c.files {
-		if of.path == p && of.pl != nil {
-			pending = append(pending, of)
+	if v := c.views[p]; v != nil {
+		for of := v.files; of != nil; of = of.sameNext {
+			if of.pl != nil {
+				pending = append(pending, of)
+			}
 		}
 	}
 	c.mu.Unlock()
@@ -955,7 +903,7 @@ func (c *Client) Truncate(path string, size int64) error {
 	if err := c.updateSize(p, size, true); err != nil {
 		return err
 	}
-	c.lowerSizes(p, size)
+	c.lowerSize(p, size)
 	te := rpc.NewEnc(len(p) + 12)
 	te.Str(p).I64(size)
 	err = c.fanOut(func(node int) error {

@@ -44,7 +44,7 @@ type targetGroup struct {
 	// live candidates in preference order and, on the one group whose
 	// reply carries it, the metadata owner's size view.
 	chain, cands []int
-	view         sizeView
+	reply        sizeReply
 
 	// Backing for the first span: a group of a small I/O holds exactly
 	// one, and then its span, offset and window vectors cost no allocation
@@ -79,9 +79,9 @@ func (b ioBuf) at(off, n int64) []byte {
 	return b.p[off : off+n]
 }
 
-// sizeView is the metadata owner's answer piggybacked on a read reply
+// sizeReply is the metadata owner's answer piggybacked on a read reply
 // (proto.ReadWantSize).
-type sizeView struct {
+type sizeReply struct {
 	state uint8
 	size  int64
 }
@@ -182,7 +182,7 @@ func encodeChunkReq(path string, spans []proto.ChunkSpan, flags uint8, epoch uin
 // the transport zeroes what the daemon did not send, so holes and reads
 // beyond EOF still read as zeros. wantSize asks node to piggyback its size
 // view of path, which is what keeps reads stat-free.
-func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.ChunkSpan, wantSize bool, dest ...[]byte) (sizeView, error) {
+func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.ChunkSpan, wantSize bool, dest ...[]byte) (sizeReply, error) {
 	var flags uint8
 	if wantSize {
 		flags |= proto.ReadWantSize
@@ -190,13 +190,13 @@ func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.C
 	if epoch != LiveEpoch {
 		flags |= proto.ReadAtEpoch
 	}
-	var view sizeView
+	var reply sizeReply
 	d, err := c.call(node, proto.OpReadChunks, encodeChunkReq(path, spans, flags, epoch), nil, rpc.BulkOut, dest...)
 	if err != nil {
-		return view, err
+		return reply, err
 	}
 	if cnt := d.U32(); int(cnt) != len(spans) {
-		return view, fmt.Errorf("reply carries %d span counts, want %d: %w", cnt, len(spans), proto.ErrInval)
+		return reply, fmt.Errorf("reply carries %d span counts, want %d: %w", cnt, len(spans), proto.ErrInval)
 	}
 	for _, s := range spans {
 		// Per-span present-byte counts; holes are zeros. A count outside
@@ -204,14 +204,14 @@ func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.C
 		// it cannot have sent — refuse the reply rather than trusting the
 		// bulk region past what was pushed.
 		if got := d.I64(); got < 0 || got > s.Len {
-			return view, fmt.Errorf("reply claims %d present bytes for a %d-byte span: %w", got, s.Len, proto.ErrInval)
+			return reply, fmt.Errorf("reply claims %d present bytes for a %d-byte span: %w", got, s.Len, proto.ErrInval)
 		}
 	}
 	if wantSize {
-		view.state = d.U8()
-		view.size = d.I64()
+		reply.state = d.U8()
+		reply.size = d.I64()
 	}
-	return view, d.Done()
+	return reply, d.Done()
 }
 
 // readResult is one hedged read attempt's outcome; buf is the attempt's
@@ -243,17 +243,16 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, b ioBuf, w
 	if cands[0] != g.chain[0] {
 		// The condemned primary was skipped: this group is served by a
 		// secondary from the first RPC on.
-		c.hedgedReads.Add(1)
-		c.tel.hedged.Inc()
+		atomic.AddUint64(&c.live.HedgedReads, 1)
 	}
 	var fails attemptErrs
 	if len(cands) == 1 {
-		view, err := c.readChunks(cands[0], path, epoch, g.spans, wantSize, g.windows(b)...)
+		reply, err := c.readChunks(cands[0], path, epoch, g.spans, wantSize, g.windows(b)...)
 		c.settle(&fails, g.chain, cands[0], err)
 		if err != nil {
 			return fails.err("read", path)
 		}
-		g.view = view
+		g.reply = reply
 		return nil
 	}
 
@@ -292,17 +291,14 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, b ioBuf, w
 			if pending == 0 && launched < len(cands) {
 				// Every outstanding attempt failed: fail over to the next
 				// replica immediately instead of waiting for the timer.
-				c.hedgedReads.Add(1)
-				c.failoverReads.Add(1)
-				c.tel.hedged.Inc()
-				c.tel.failover.Inc()
+				atomic.AddUint64(&c.live.HedgedReads, 1)
+				atomic.AddUint64(&c.live.FailoverReads, 1)
 				launch()
 				pending++
 			}
 		case <-hedge.C:
 			if launched < len(cands) {
-				c.hedgedReads.Add(1)
-				c.tel.hedged.Inc()
+				atomic.AddUint64(&c.live.HedgedReads, 1)
 				launch()
 				pending++
 			}
@@ -357,7 +353,7 @@ func (c *Client) readRange(path string, epoch uint64, b ioBuf, off, floor int64)
 		sized = &targetGroup{chain: probe, cands: probe}
 		groups[-1] = sized // keyed apart from every primary
 	}
-	// Each group's view is written by its own goroutine; runGroups'
+	// Each group's reply is written by its own goroutine; runGroups'
 	// WaitGroup orders the write before the read below.
 	err := runGroups(groups, func(g *targetGroup) error {
 		return c.readGroup(path, epoch, g, b, g == sized)
@@ -366,19 +362,19 @@ func (c *Client) readRange(path string, epoch uint64, b ioBuf, off, floor int64)
 		return 0, err
 	}
 	if !wantSize {
-		c.sizeProbesElided.Add(1)
+		atomic.AddUint64(&c.live.SizeProbesElided, 1)
 		return floor, nil
 	}
-	switch sized.view.state {
+	switch sized.reply.state {
 	case proto.ReadSizeFile:
-		return sized.view.size, nil
+		return sized.reply.size, nil
 	case proto.ReadSizeNone:
 		// The metadata owner has no record: the file was removed (or did
 		// not exist at the epoch). A descriptor's own unflushed writes
 		// cannot resurrect it.
 		return 0, fmt.Errorf("read %s: daemon %d: %w", path, owner, proto.ErrNotExist)
 	default:
-		return 0, fmt.Errorf("read %s: daemon %d: reply size state %d: %w", path, owner, sized.view.state, proto.ErrInval)
+		return 0, fmt.Errorf("read %s: daemon %d: reply size state %d: %w", path, owner, sized.reply.state, proto.ErrInval)
 	}
 }
 
@@ -395,28 +391,33 @@ func clampEOF(n int, off, size int64) (int, error) {
 }
 
 // readSpans is readRange for a descriptor's live file. A range below the
-// descriptor's floor costs its data RPCs and nothing else; past it the
-// owner's size view comes back with the data, becomes the new floor —
-// this is also where another client's truncate or remove is noticed — and
-// is raised by the descriptor's own unflushed size candidate before the
-// clamp, exactly as a stat would be.
+// path's acknowledged size costs its data RPCs and nothing else; past it
+// the owner's answer comes back with the data into the size view (where
+// another client's truncate or remove is noticed) and, raised by the
+// descriptor's candidate, clamps the read.
 func (c *Client) readSpans(of *openFile, b ioBuf, off int64) (int, error) {
 	n := b.len()
 	if n == 0 {
 		return 0, nil
 	}
-	floor := of.floor.Load()
+	v := of.view
+	floor := v.acked.Load()
+	if off+n <= floor {
+		if _, err := c.readRange(of.path, LiveEpoch, b, off, floor); err != nil {
+			return 0, err
+		}
+		return int(n), nil
+	}
+	gen := v.gen.Load()
 	size, err := c.readRange(of.path, LiveEpoch, b, off, floor)
 	if errors.Is(err, proto.ErrNotExist) {
-		of.floor.Store(0)
+		v.owner(gen, 0)
 	}
 	if err != nil {
 		return 0, err
 	}
-	if off+n > floor {
-		of.floor.Store(size)
-	}
-	return clampEOF(int(n), off, of.withPending(size))
+	v.owner(gen, size)
+	return clampEOF(int(n), off, of.cand.eof(size))
 }
 
 // ReplicaChain returns the daemons holding chunk id of path under this
@@ -505,8 +506,7 @@ func (c *Client) writeGroup(path string, g *targetGroup, bulk []byte) error {
 		if err == nil {
 			acked++
 			if live[i] != chain[0] {
-				c.replicaWrites.Add(1)
-				c.tel.replica.Inc()
+				atomic.AddUint64(&c.live.ReplicaWrites, 1)
 			}
 		}
 	}
@@ -539,12 +539,9 @@ func (c *Client) writeRange(path string, p []byte, off int64) error {
 // WriteAt writes p at offset off, without touching the descriptor
 // position.
 func (c *Client) WriteAt(fd int, p []byte, off int64) (int, error) {
-	of, err := c.lookupFD(fd)
+	of, err := c.lookupIO(fd, true)
 	if err != nil {
 		return 0, err
-	}
-	if of.flags&(O_WRONLY|O_RDWR) == 0 {
-		return 0, proto.ErrInval
 	}
 	if off < 0 {
 		return 0, proto.ErrInval
@@ -552,7 +549,9 @@ func (c *Client) WriteAt(fd int, p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if err := c.writeSpans(of, p, off); err != nil {
+	of.mu.Lock()
+	defer of.mu.Unlock()
+	if err := c.writeSpansLocked(of, p, off); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -561,12 +560,9 @@ func (c *Client) WriteAt(fd int, p []byte, off int64) (int, error) {
 // Write writes p at the descriptor position (or at EOF with O_APPEND) and
 // advances it.
 func (c *Client) Write(fd int, p []byte) (int, error) {
-	of, err := c.lookupFD(fd)
+	of, err := c.lookupIO(fd, true)
 	if err != nil {
 		return 0, err
-	}
-	if of.flags&(O_WRONLY|O_RDWR) == 0 {
-		return 0, proto.ErrInval
 	}
 	if len(p) == 0 {
 		return 0, nil
@@ -578,15 +574,13 @@ func (c *Client) Write(fd int, p []byte) (int, error) {
 		// Append resolves EOF with a stat; concurrent appenders may
 		// interleave (GekkoFS offers no atomic append — applications are
 		// responsible for avoiding conflicts, paper §III-A). The stat is
-		// raised by this descriptor's own unflushed size candidate: under
-		// the size-update cache the server's view lags, and resolving EOF
-		// from it alone made consecutive cached appends overwrite each
-		// other.
+		// raised by the descriptor's candidate, or deferred appends would
+		// overwrite each other.
 		md, err := c.statPath(of.path, LiveEpoch)
 		if err != nil {
 			return 0, err
 		}
-		off = of.withPending(md.Size)
+		off = of.cand.eof(md.Size)
 	}
 	if err := c.writeSpansLocked(of, p, off); err != nil {
 		return 0, err
@@ -595,34 +589,30 @@ func (c *Client) Write(fd int, p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (c *Client) writeSpans(of *openFile, p []byte, off int64) error {
-	of.mu.Lock()
-	defer of.mu.Unlock()
-	return c.writeSpansLocked(of, p, off)
-}
-
 // writeSpansLocked sends the chunk writes and then the size update —
 // synchronously, or through the write-behind pipeline when the
-// descriptor has one. A synchronous rewrite that ends at or below the
-// descriptor's floor has no size to report, only a time: it joins the
-// deferred size state and the next barrier sends one update for all such
-// writes, so the write itself is its chunk RPCs and nothing else. Caller
-// holds of.mu.
+// descriptor has one. A rewrite ending at or below the path's
+// acknowledged size has only a time to report: it joins the descriptor's
+// candidate (announced before the data goes out, as the size-update
+// cache's writes are) and the next barrier sends one update for all.
+// Caller holds of.mu.
 func (c *Client) writeSpansLocked(of *openFile, p []byte, off int64) error {
 	if of.pl != nil {
 		return c.enqueueSpansLocked(of, p, off)
 	}
+	end := off + int64(len(p))
+	below := end <= of.view.acked.Load()
+	if below || c.cfg.SizeCacheOps > 0 {
+		of.cand.announce(end)
+	}
 	if err := c.writeRange(of.path, p, off); err != nil {
 		return err
 	}
-	end := off + int64(len(p))
-	if end > of.floor.Load() {
-		return c.growSizeLocked(of, end)
+	if below {
+		atomic.AddUint64(&c.live.SizeUpdatesElided, 1)
+		return nil
 	}
-	raiseTo(&of.pendingSize, end)
-	of.sizeDirty = true
-	c.sizeUpdatesElided.Add(1)
-	return nil
+	return c.growSizeLocked(of, end)
 }
 
 // enqueueSpansLocked is the write-behind fast path: it stages one
@@ -643,6 +633,8 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 		// patterns never pay this; only overlapping rewrites serialize.
 		of.pl.drain()
 	}
+	// Announced before any data goes out; the barrier publishes it.
+	of.cand.announce(end)
 	groups := c.groupByTarget(of.path, off, int64(len(p)))
 	r := of.pl.addRange(off, end, len(groups))
 	var remaining atomic.Int32
@@ -680,11 +672,6 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 			of.pl.latch(err)
 		}(g, bulk)
 	}
-	// Record the size candidate locally; barriers flush it. Appends,
-	// SEEK_END and reads on this descriptor consult it, so they see the
-	// write's extent before any RPC lands.
-	raiseTo(&of.pendingSize, end)
-	of.sizeDirty = true
 	return nil
 }
 
@@ -692,16 +679,13 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 // data: the byte range between the old EOF and size reads as zeros (a
 // hole), and no chunk is materialized for it. Staging uses it to give a
 // sparse file its full extent after skipping trailing zero runs. Under
-// AsyncWrites the candidate joins the descriptor's deferred size state
-// and lands at the next barrier; otherwise it follows the synchronous (or
+// AsyncWrites it becomes the descriptor's candidate and lands at the
+// next barrier; otherwise it follows the synchronous (or
 // size-cached) update protocol, exactly like a write ending at size.
 func (c *Client) GrowSize(fd int, size int64) error {
-	of, err := c.lookupFD(fd)
+	of, err := c.lookupIO(fd, true)
 	if err != nil {
 		return err
-	}
-	if of.flags&(O_WRONLY|O_RDWR) == 0 {
-		return proto.ErrInval
 	}
 	if size < 0 {
 		return proto.ErrInval
@@ -712,8 +696,7 @@ func (c *Client) GrowSize(fd int, size int64) error {
 		if err := of.pl.takeErr(); err != nil {
 			return err
 		}
-		raiseTo(&of.pendingSize, size)
-		of.sizeDirty = true
+		of.cand.announce(size)
 		return nil
 	}
 	return c.growSizeLocked(of, size)
@@ -739,43 +722,36 @@ func (c *Client) WritePath(path string, p []byte, off int64) error {
 	return c.writeRange(pth, p, off)
 }
 
-// growSizeLocked records a size candidate past the descriptor's floor:
-// either synchronously on the metadata daemon (the paper's default) or
-// into the client-side size-update cache (§IV-B) which flushes every
-// sizeCacheOps writes. Caller holds of.mu.
-func (c *Client) growSizeLocked(of *openFile, candidate int64) error {
+// growSizeLocked reports a size past the acknowledged one: to the owner
+// at once (the paper's default), or under the size-update cache (§IV-B)
+// as the candidate, flushed every SizeCacheOps writes. Caller holds of.mu.
+func (c *Client) growSizeLocked(of *openFile, size int64) error {
 	if c.cfg.SizeCacheOps == 0 {
-		return c.sendGrow(of, candidate)
+		return c.sendGrow(of, size)
 	}
-	raiseTo(&of.pendingSize, candidate)
-	of.sizeDirty = true
-	of.pendingOps++
-	if of.pendingOps < c.cfg.SizeCacheOps {
+	of.cand.announce(size)
+	if of.cand.ops++; of.cand.ops < c.cfg.SizeCacheOps {
 		return nil
 	}
 	return c.flushSizeLocked(of)
 }
 
-// flushSizeLocked pushes the deferred size candidate, if any — whichever
-// mode deferred it. A failed flush leaves it pending for the next
-// barrier. Caller holds of.mu.
+// flushSizeLocked publishes the descriptor's candidate, whichever mode
+// deferred it. Zero is nothing to report — or all an own Remove left,
+// and a grow would bring the removed file back. A failed flush keeps the
+// candidate for the next barrier. Caller holds of.mu.
 func (c *Client) flushSizeLocked(of *openFile) error {
-	if !of.sizeDirty {
+	of.cand.ops = 0
+	n := of.cand.n.Load()
+	if n == 0 {
 		return nil
 	}
-	of.pendingOps = 0
-	// A candidate of zero is what this client's own Remove or Truncate to
-	// nothing left of it: there is no size to report, and a grow sent to a
-	// removed path would bring an empty file back.
-	if candidate := of.pendingSize.Load(); candidate > 0 {
-		if err := c.sendGrow(of, candidate); err != nil {
-			return err
-		}
+	if err := c.sendGrow(of, n); err != nil {
+		return err
 	}
-	of.sizeDirty = false
-	// Cleared only after the server has the candidate, so concurrent
-	// readers never see a window where neither side knows the size.
-	of.pendingSize.Store(0)
+	// Cleared only once the owner has it (readers never find neither side
+	// knowing), and not if an own Truncate lowered it meanwhile.
+	of.cand.n.CompareAndSwap(n, 0)
 	return nil
 }
 
@@ -786,18 +762,15 @@ func (c *Client) updateSize(path string, size int64, truncate bool) error {
 	return err
 }
 
-// sendGrow tells the metadata owner the file reaches at least candidate;
-// its acknowledgement raises the descriptor's floor.
-func (c *Client) sendGrow(of *openFile, candidate int64) error {
-	err := c.updateSize(of.path, candidate, false)
-	// The file end may have moved: cached blocks carrying an EOF mark
-	// would otherwise keep serving the old end as a spurious EOF.
-	// Zero-length invalidation drops exactly the EOF-bearing blocks.
-	c.cacheInvalidate(of.path, 0, 0)
-	if err == nil {
-		raiseTo(&of.floor, candidate)
+// sendGrow tells the metadata owner the file reaches at least n; its
+// acknowledgement raises the path's size view.
+func (c *Client) sendGrow(of *openFile, n int64) error {
+	gen := of.view.gen.Load()
+	if err := c.updateSize(of.path, n, false); err != nil {
+		return err
 	}
-	return err
+	c.grew(of.path, of.view, gen, n)
+	return nil
 }
 
 // ReadAt reads into p from offset off without touching the descriptor
@@ -810,12 +783,9 @@ func (c *Client) sendGrow(of *openFile, candidate int64) error {
 // corruption. Concurrent ReadAts then proceed in parallel, off the
 // descriptor lock.
 func (c *Client) ReadAt(fd int, p []byte, off int64) (int, error) {
-	of, err := c.lookupFD(fd)
+	of, err := c.lookupIO(fd, false)
 	if err != nil {
 		return 0, err
-	}
-	if of.flags&(O_WRONLY) != 0 && of.flags&O_RDWR == 0 {
-		return 0, proto.ErrInval
 	}
 	if off < 0 {
 		return 0, proto.ErrInval
@@ -825,8 +795,7 @@ func (c *Client) ReadAt(fd int, p []byte, off int64) (int, error) {
 		// read RPCs themselves run outside it, so concurrent ReadAts still
 		// overlap on the wire.
 		of.mu.Lock()
-		of.pl.drain()
-		werr := of.pl.takeErr()
+		werr := of.pl.drainErr()
 		of.mu.Unlock()
 		if werr != nil {
 			return 0, werr
@@ -839,20 +808,14 @@ func (c *Client) ReadAt(fd int, p []byte, off int64) (int, error) {
 // it drains the write-behind window and surfaces a latched write error
 // before touching the wire or the cache.
 func (c *Client) Read(fd int, p []byte) (int, error) {
-	of, err := c.lookupFD(fd)
+	of, err := c.lookupIO(fd, false)
 	if err != nil {
 		return 0, err
 	}
-	if of.flags&(O_WRONLY) != 0 && of.flags&O_RDWR == 0 {
-		return 0, proto.ErrInval
-	}
 	of.mu.Lock()
 	defer of.mu.Unlock()
-	if of.pl != nil {
-		of.pl.drain()
-		if werr := of.pl.takeErr(); werr != nil {
-			return 0, werr
-		}
+	if werr := of.pl.drainErr(); werr != nil {
+		return 0, werr
 	}
 	n, err := c.readThrough(of, p, of.pos)
 	of.pos += int64(n)

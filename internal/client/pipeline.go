@@ -142,8 +142,18 @@ func (pl *pipeline) takeErr() error {
 
 // drain blocks until every in-flight RPC has retired. The caller must
 // hold of.mu (excluding new enqueues). Draining does not consume the
-// latched error; the callers that surface it (reads included) follow
-// the drain with takeErr.
+// latched error; drainErr does.
 func (pl *pipeline) drain() {
 	pl.wg.Wait()
+}
+
+// drainErr drains the window and surfaces the latched error, exactly
+// once — what reads and barriers do first. A nil pipeline (a descriptor
+// without write-behind) has nothing to drain.
+func (pl *pipeline) drainErr() error {
+	if pl == nil {
+		return nil
+	}
+	pl.drain()
+	return pl.takeErr()
 }

@@ -3,7 +3,6 @@ package client
 import (
 	"errors"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -39,7 +38,8 @@ import (
 //   - the cache never serves this client's own stale bytes: every write
 //     path invalidates the blocks it overlaps after the data lands
 //     (synchronous writes, write-behind completions, WritePath), size
-//     growth drops EOF-bearing blocks, Truncate/Remove drop the path,
+//     growth drops EOF-bearing blocks, and so does a read meeting one
+//     the size view outgrew, Truncate/Remove drop the path,
 //     and a latched write-behind error drops the path too (the failed
 //     ranges are undefined — serving a cached pre-write image would hide
 //     that),
@@ -91,20 +91,10 @@ type readahead struct {
 	lastEnd int64 // guarded by mu; end offset of the previous read on this descriptor
 	seq     int   // guarded by mu; consecutive sequential reads observed
 	nextOff int64 // guarded by mu; next block offset speculation would issue
-	eofAt   int64 // guarded by mu; lowest believed EOF; prefetch never crosses it
 }
 
 func newReadahead(window int) *readahead {
-	return &readahead{slots: make(chan struct{}, window), eofAt: math.MaxInt64}
-}
-
-// noteEOF lowers the believed EOF (a fetch observed the file end there).
-func (ra *readahead) noteEOF(at int64) {
-	ra.mu.Lock()
-	if at < ra.eofAt {
-		ra.eofAt = at
-	}
-	ra.mu.Unlock()
+	return &readahead{slots: make(chan struct{}, window)}
 }
 
 // continues reports whether a read at off continues the current
@@ -142,23 +132,19 @@ type cacheEnt struct {
 func (ent *cacheEnt) end() int64 { return ent.off + int64(ent.n) }
 
 // pathBlocks indexes one path's cached blocks. eofs counts settled
-// entries carrying an EOF mark, so size growth can drop exactly those
-// without scanning paths that have none; eofHint remembers the lowest
-// file end those entries observed, so fresh descriptors never speculate
-// past a known EOF (it resets whenever an EOF entry is dropped — the
-// end may have moved). gen counts this path's invalidations: a demand
-// read snapshots it before going to the wire and its deposit is
+// entries carrying an EOF mark, so a grow can drop exactly those without
+// scanning paths that have none. gen counts this path's invalidations: a
+// demand read snapshots it before going to the wire and its deposit is
 // accepted only if no write to this path landed in between — per path,
 // so an unrelated path's writes never discard the deposit.
 type pathBlocks struct {
-	blocks  map[int64]*cacheEnt // guarded by chunkCache.mu
-	eofs    int                 // guarded by chunkCache.mu
-	eofHint int64               // guarded by chunkCache.mu
-	gen     uint64              // guarded by chunkCache.mu
+	blocks map[int64]*cacheEnt // guarded by chunkCache.mu
+	eofs   int                 // guarded by chunkCache.mu
+	gen    uint64              // guarded by chunkCache.mu
 }
 
 func newPathBlocks() *pathBlocks {
-	return &pathBlocks{blocks: make(map[int64]*cacheEnt), eofHint: math.MaxInt64}
+	return &pathBlocks{blocks: make(map[int64]*cacheEnt)}
 }
 
 // chunkCache is the client-wide block cache: chunk-aligned spans of file
@@ -226,7 +212,6 @@ func (cc *chunkCache) unlink(ent *cacheEnt) {
 		delete(pb.blocks, ent.off)
 		if ent.settled && ent.eof {
 			pb.eofs--
-			pb.eofHint = math.MaxInt64 // the file end may have moved
 		}
 		// An emptied pathBlocks is garbage-collected only when its
 		// generation never moved: a gen>0 stub must survive so a deposit
@@ -256,12 +241,17 @@ func (cc *chunkCache) evict() {
 }
 
 // contains reports whether a block (settled or in flight) exists at
-// (path, off) without touching the LRU order or reference counts.
-func (cc *chunkCache) contains(path string, off int64) bool {
+// (path, off), and whether it is a settled EOF block, without touching
+// the LRU order or reference counts.
+func (cc *chunkCache) contains(path string, off int64) (ok, eof bool) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	pb := cc.paths[path]
-	return pb != nil && pb.blocks[off] != nil
+	if pb := cc.paths[path]; pb != nil {
+		if ent := pb.blocks[off]; ent != nil {
+			return true, ent.settled && ent.eof
+		}
+	}
+	return false, false
 }
 
 // coverage reports how far into [off, end) the cache can serve: the
@@ -372,11 +362,7 @@ func (cc *chunkCache) settle(ent *cacheEnt, data []byte, eof bool) {
 	} else {
 		ent.data, ent.n, ent.eof = data, len(data), eof
 		if eof {
-			pb := cc.paths[ent.path]
-			pb.eofs++
-			if end := ent.end(); end < pb.eofHint {
-				pb.eofHint = end
-			}
+			cc.paths[ent.path].eofs++
 		}
 	}
 	ent.settled = true
@@ -435,9 +421,6 @@ func (cc *chunkCache) insert(path string, off int64, data []byte, eof bool, gen 
 	pb.blocks[off] = ent
 	if eof {
 		pb.eofs++
-		if end := ent.end(); end < pb.eofHint {
-			pb.eofHint = end
-		}
 	}
 	cc.used += size
 	cc.lruFront(ent)
@@ -456,18 +439,6 @@ func (cc *chunkCache) generation(path string) uint64 {
 		cc.paths[path] = pb
 	}
 	return pb.gen
-}
-
-// eofHint reports the lowest file end the path's cached EOF entries
-// observed (MaxInt64 when none): fresh descriptors cap their
-// speculation there instead of re-probing past a known EOF.
-func (cc *chunkCache) eofHint(path string) int64 {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if pb := cc.paths[path]; pb != nil {
-		return pb.eofHint
-	}
-	return math.MaxInt64
 }
 
 // invalidate drops every block of path overlapping [off, end), plus any
@@ -597,6 +568,7 @@ func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
 	}
 	bs := c.cfg.ChunkSize
 	end := off + int64(len(p))
+	sizeGen := of.view.gen.Load()
 
 	// Launch the wire fetch for everything past the cache's coverage
 	// before serving a single cached byte. Sequential continuations and
@@ -644,11 +616,11 @@ func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
 		isEOF, entEnd := ent.eof, ent.end()
 		cc.release(ent)
 		if isEOF && pos < end {
-			// The block says the file ends at entEnd. The descriptor's
-			// own unflushed size candidate overrules it (those bytes live
-			// in the write-behind state, not in this cache) — fall back
-			// to the wire, which consults the pending size.
-			if of.pendingSize.Load() > entEnd {
+			// The block says the file ends at entEnd. If the size view
+			// knows better (a grow acknowledged since, or the candidate),
+			// drop the block and fall back to the wire.
+			if of.cand.eof(of.view.acked.Load()) > entEnd {
+				cc.invalidate(of.path, boff, boff+1, bs)
 				break
 			}
 			hitEOF = true
@@ -684,25 +656,24 @@ func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
 		c.depositBlocks(cc, of.path, blo, wbuf, res.n, res.err == io.EOF, gen)
 	}
 	if hitEOF && pos < end {
-		c.maybePrefetch(of, off, pos, true)
+		c.maybePrefetch(of, sizeGen, off, pos, true)
 		return int(pos - off), io.EOF
 	}
 	if pos < end {
 		// The serve stopped short of what the cache (or the wire range
 		// behind it) was to cover: a block failed or was invalidated
-		// mid-flight, or a cached EOF is overruled by the descriptor's own
-		// pending size. Never return short without io.EOF — pay one serial
-		// wire read for the rest (rare; it consults the pending size and
-		// re-deposits nothing stale: it runs under the current generation).
+		// mid-flight, or a cached EOF is outgrown by the size view. Never
+		// return short without io.EOF — pay one serial wire read for the
+		// rest (rare; it consults the size view and deposits nothing).
 		n, err := c.readSpans(of, ioBuf{p: p[pos-off:]}, pos)
 		if err == nil || err == io.EOF {
 			// Still feed the detector: one transient fallback must not
 			// cost a sequential stream its speculation.
-			c.maybePrefetch(of, off, pos+int64(n), err == io.EOF)
+			c.maybePrefetch(of, sizeGen, off, pos+int64(n), err == io.EOF)
 		}
 		return int(pos-off) + n, err
 	}
-	c.maybePrefetch(of, off, pos, false)
+	c.maybePrefetch(of, sizeGen, off, pos, false)
 	return int(pos - off), nil
 }
 
@@ -737,17 +708,19 @@ func (c *Client) depositBlocks(cc *chunkCache, path string, blo int64, b ioBuf, 
 	}
 }
 
-// maybePrefetch feeds the sequential detector with a finished read
-// [off, end) and, when the pattern is sequential, tops the descriptor's
-// speculation window up: span fetches of up to prefetchSpanChunks
-// chunk-sized blocks from the read end forward, bounded by the
-// in-flight window and the believed EOF. It never blocks — a full
-// window simply means speculation is already as deep as allowed.
-func (c *Client) maybePrefetch(of *openFile, off, end int64, sawEOF bool) {
+// maybePrefetch feeds the sequential detector and the size view (at
+// generation gen) with a finished read [off, end) and, when the pattern
+// is sequential, tops the descriptor's speculation window up: span
+// fetches of up to prefetchSpanChunks chunk-sized blocks from the read
+// end forward, bounded by the in-flight window, the end of file a read
+// observed and the first cached EOF block. It never blocks — a full
+// window means speculation is already as deep as allowed.
+func (c *Client) maybePrefetch(of *openFile, gen uint64, off, end int64, sawEOF bool) {
 	ra := of.ra
 	if ra == nil {
 		return
 	}
+	of.view.observe(gen, end, sawEOF)
 	bs := c.cfg.ChunkSize
 	span := bs * prefetchSpanChunks
 	ra.mu.Lock()
@@ -758,14 +731,6 @@ func (c *Client) maybePrefetch(of *openFile, off, end int64, sawEOF bool) {
 		ra.nextOff = 0
 	}
 	ra.lastEnd = end
-	if sawEOF {
-		if end < ra.eofAt {
-			ra.eofAt = end
-		}
-	} else if end > ra.eofAt {
-		// The file grew past a previously observed EOF; believe it again.
-		ra.eofAt = math.MaxInt64
-	}
 	if ra.seq < seqThreshold || sawEOF {
 		ra.mu.Unlock()
 		return
@@ -775,19 +740,18 @@ func (c *Client) maybePrefetch(of *openFile, off, end int64, sawEOF bool) {
 		start = ra.nextOff
 	}
 	horizon := end + int64(cap(ra.slots))*span
-	eofAt := ra.eofAt
 	ra.mu.Unlock()
 
 	cc := c.cache.Load()
 	if cc == nil {
 		return
 	}
-	if hint := cc.eofHint(of.path); hint < eofAt {
-		eofAt = hint
-	}
+	fileEnd := of.cand.eof(of.view.end.Load())
 	boff := start
-	for boff < horizon && boff < eofAt {
-		if cc.contains(of.path, boff) {
+	for boff < horizon && boff < fileEnd {
+		if ok, eof := cc.contains(of.path, boff); eof {
+			return // a cached EOF block: the file ends there
+		} else if ok {
 			boff += bs
 			continue
 		}
@@ -803,7 +767,7 @@ func (c *Client) maybePrefetch(of *openFile, off, end int64, sawEOF bool) {
 		// into single-block fetches as the horizon creeps along.
 		var ents []*cacheEnt
 		runStart := boff
-		for boff < eofAt && len(ents) < prefetchSpanChunks {
+		for boff < fileEnd && len(ents) < prefetchSpanChunks {
 			ent, fresh := cc.startFetch(of.path, boff, bs)
 			if !fresh {
 				break
@@ -830,9 +794,9 @@ func (c *Client) maybePrefetch(of *openFile, off, end int64, sawEOF bool) {
 
 // fetchSpan is one speculative span fetch: a single readSpans fan-out
 // covering the run's blocks, each landing in the pooled block its cache
-// entry will hold. EOF is recorded so the detector stops speculating
-// past the file end; failures discard the entries without latching
-// anywhere.
+// entry will hold. EOF is recorded in the path's size view so
+// speculation stops at the file end; failures discard the entries
+// without latching anywhere.
 func (c *Client) fetchSpan(cc *chunkCache, of *openFile, ents []*cacheEnt, start int64) {
 	defer func() {
 		<-of.ra.slots
@@ -840,6 +804,7 @@ func (c *Client) fetchSpan(cc *chunkCache, of *openFile, ents []*cacheEnt, start
 	}()
 	bs := c.cfg.ChunkSize
 	b := c.cacheBlocks(len(ents))
+	gen := of.view.gen.Load()
 	t0 := time.Time{}
 	if c.tel.prefetch != nil {
 		t0 = time.Now()
@@ -861,6 +826,6 @@ func (c *Client) fetchSpan(cc *chunkCache, of *openFile, ents []*cacheEnt, start
 		}
 	}
 	if eof {
-		of.ra.noteEOF(valid)
+		of.view.observe(gen, valid, true)
 	}
 }

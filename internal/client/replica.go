@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/proto"
 	"repro/internal/rpc"
+	"repro/internal/telemetry"
 )
 
 // ErrDegraded reports an I/O that found no live replica for a needed
@@ -109,7 +110,10 @@ func (h *daemonHealth) p95() time.Duration {
 
 // ClientStats are the client-side counters (the daemon-side view lives in
 // proto.DaemonStats; these count decisions only the client can see):
-// replication, and what the descriptors' size floors saved.
+// replication, and what the size view's acknowledged size saved. Each is
+// declared once, by its metric tag: the client bumps its live copy with
+// one atomic add, Stats copies it, and a telemetry registry exports it
+// under that name (internal/telemetry/fields.go).
 type ClientStats struct {
 	// HedgedReads counts reads served (or attempted) away from the
 	// primary: a secondary RPC launched because the first attempt
@@ -117,35 +121,30 @@ type ClientStats struct {
 	// failure subset), or a group whose condemned primary was skipped
 	// outright — so degraded service stays visible after condemnation
 	// settles.
-	HedgedReads uint64
+	HedgedReads uint64 `metric:"gkfs_client_hedged_reads_total"`
 	// FailoverReads is the subset of HedgedReads launched because every
 	// outstanding attempt had already failed, rather than merely slowed.
-	FailoverReads uint64
+	FailoverReads uint64 `metric:"gkfs_client_failover_reads_total"`
 	// ReplicaWrites counts acknowledged non-primary chunk-write copies
 	// this client issued.
-	ReplicaWrites uint64
+	ReplicaWrites uint64 `metric:"gkfs_client_replica_writes_total"`
 	// CondemnedDaemons is the number of daemons currently condemned.
-	CondemnedDaemons uint64
+	CondemnedDaemons uint64 `metric:"gkfs_client_condemned_daemons,gauge"`
 	// SizeUpdatesElided counts synchronous descriptor writes that ended at
-	// or below the descriptor's size floor and therefore sent no
+	// or below the path's acknowledged size and therefore sent no
 	// OpUpdateSize of their own (the next Fsync/Close sends one for all).
-	SizeUpdatesElided uint64
+	SizeUpdatesElided uint64 `metric:"gkfs_client_size_updates_elided_total"`
 	// SizeProbesElided counts descriptor reads (demand and read-ahead)
-	// whose range lay below the floor and therefore asked the metadata
-	// owner for no size view — neither the ReadWantSize flag nor the
-	// zero-span probe RPC.
-	SizeProbesElided uint64
+	// whose range lay below the acknowledged size and therefore asked the
+	// metadata owner for no size view — neither the ReadWantSize flag nor
+	// the zero-span probe RPC.
+	SizeProbesElided uint64 `metric:"gkfs_client_size_probes_elided_total"`
 }
 
 // Stats snapshots the client-side counters.
 func (c *Client) Stats() ClientStats {
-	st := ClientStats{
-		HedgedReads:       c.hedgedReads.Load(),
-		FailoverReads:     c.failoverReads.Load(),
-		ReplicaWrites:     c.replicaWrites.Load(),
-		SizeUpdatesElided: c.sizeUpdatesElided.Load(),
-		SizeProbesElided:  c.sizeProbesElided.Load(),
-	}
+	var st ClientStats
+	telemetry.AddFields(&st, &c.live)
 	for i := range c.health {
 		if c.health[i].condemned.Load() {
 			st.CondemnedDaemons++

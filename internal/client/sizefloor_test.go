@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,6 +55,218 @@ func (l *rpcLog) take() []string {
 }
 
 func call(node int, op rpc.Op) string { return fmt.Sprintf("%d:%s", node, proto.OpName(op)) }
+
+// holdConn forwards every call, and holds the reply of the first call of
+// op until free is called — the daemon has already applied it, so the
+// reply lands late, not the request. held closes when it is caught.
+type holdConn struct {
+	rpc.Conn
+	op      rpc.Op
+	caught  atomic.Bool
+	held    chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (c *holdConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
+	resp, err := c.Conn.Call(op, payload, bulk, dir)
+	if op == c.op && c.caught.CompareAndSwap(false, true) {
+		close(c.held)
+		<-c.release
+	}
+	return resp, err
+}
+
+// free lets the held reply land. Deferred too, so a failing test does
+// not leave the held call blocking its descriptor's Close.
+func (c *holdConn) free() { c.once.Do(func() { close(c.release) }) }
+
+// caughtBefore waits until the reply is held; an op that finished first
+// (done) never sent the call and fails the test.
+func (c *holdConn) caughtBefore(t *testing.T, done <-chan error) {
+	t.Helper()
+	select {
+	case <-c.held:
+	case err := <-done:
+		t.Fatalf("finished (%v) without a %s reply from the owner", err, proto.OpName(c.op))
+	}
+}
+
+// TestOwnTruncateRace pins the window TestOwnTruncateRemoveLowerFloor
+// leaves open: a reply that carries the file's old size — a read's size
+// view, a grow's acknowledgement — is held at the metadata owner's
+// connection while this client's own Truncate or Remove of the path
+// completes, then released. Landing late must change nothing: the next
+// read below the old size asks the owner again and sees the truncate
+// (0, EOF) or the remove (ErrNotExist), instead of trusting the old size
+// and returning zeros. Every arm runs without and with the chunk cache.
+func TestOwnTruncateRace(t *testing.T) {
+	const cs, path, size = 64, "/race", 200
+	for _, cfg := range []Config{{ChunkSize: cs}, {ChunkSize: cs, ReadAhead: true, CacheBytes: 1 << 20}} {
+		for _, discard := range []string{"truncate", "remove"} {
+			for _, arm := range []string{"read-reply", "grow-ack"} {
+				name := discard + "/" + arm
+				if cfg.ReadAhead {
+					name = "cached/" + name
+				}
+				t.Run(name, func(t *testing.T) { ownTruncateRace(t, cfg, path, discard, arm, size) })
+			}
+		}
+	}
+}
+
+func ownTruncateRace(t *testing.T, cfg Config, path, discard, arm string, size int) {
+	c, _, mount := pipelineCluster(t, 2, cfg)
+	owner := c.cfg.Dist.MetaTarget(path)
+	hold := &holdConn{Conn: c.cfg.Conns[owner], held: make(chan struct{}), release: make(chan struct{})}
+	fd, err := c.Open(path, O_CREATE|O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(fd)
+	defer hold.free()
+	data := bytes.Repeat([]byte{9}, size)
+	var op func() error
+	if arm == "read-reply" {
+		// Another client fills the file this descriptor opened empty: a
+		// read asks the owner and is told size.
+		writeFileVia(t, mount(), path, data)
+		hold.op = proto.OpReadChunks
+		op = func() error {
+			_, err := c.ReadAt(fd, make([]byte, 16), 0)
+			return err
+		}
+	} else {
+		hold.op = proto.OpUpdateSize
+		op = func() error {
+			_, err := c.WriteAt(fd, data, 0)
+			return err
+		}
+	}
+	c.cfg.Conns[owner] = hold
+	done := make(chan error, 1)
+	go func() { done <- op() }()
+	hold.caughtBefore(t, done)
+	var want error = io.EOF
+	if discard == "truncate" {
+		err = c.Truncate(path, 0)
+	} else {
+		err, want = c.Remove(path), proto.ErrNotExist
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold.free()
+	if err := <-done; err != nil && err != io.EOF {
+		t.Fatalf("%s racing the %s: %v", arm, discard, err)
+	}
+	n, err := c.ReadAt(fd, make([]byte, 100), 0)
+	if n != 0 || !errors.Is(err, want) {
+		t.Fatalf("read after the own %s, with the %s landing late = %d, %v; want 0, %v", discard, arm, n, err, want)
+	}
+}
+
+// TestOwnGrowOutlivesLateAnswers is the other side of TestOwnTruncateRace,
+// with the chunk cache holding an EOF block [0, 10) of a 10-byte file: an
+// own write at 64 is acknowledged to reach 74, and a late answer must not
+// take that back. Two arms hold a reply at the metadata owner's
+// connection: the write's own grow acknowledgement across a Remove of
+// another path (it still raises the size: the next read below 74 asks the
+// owner nothing), and a read reply that says 10 across the whole write.
+// Either way the next read of [0, 74) returns the write.
+func TestOwnGrowOutlivesLateAnswers(t *testing.T) {
+	const cs, path, size = 64, "/grown", 10
+	for _, arm := range []string{"grow-ack/remove-other", "read-reply/own-grow"} {
+		t.Run(arm, func(t *testing.T) {
+			c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: cs, CacheBytes: 1 << 20})
+			writeFileVia(t, c, path, bytes.Repeat([]byte{1}, size))
+			writeFileVia(t, c, "/other", []byte{2})
+			fd, err := c.Open(path, O_RDWR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close(fd)
+			if n, err := c.ReadAt(fd, make([]byte, cs), 0); n != size || err != io.EOF {
+				t.Fatalf("read caching the EOF block = %d, %v; want %d, EOF", n, err, size)
+			}
+			owner := c.cfg.Dist.MetaTarget(path)
+			hold := &holdConn{Conn: c.cfg.Conns[owner], held: make(chan struct{}), release: make(chan struct{})}
+			defer hold.free()
+			c.cfg.Conns[owner] = hold
+			tail := bytes.Repeat([]byte{3}, 10)
+			write := func() error {
+				_, err := c.WriteAt(fd, tail, cs)
+				return err
+			}
+			done := make(chan error, 1)
+			if arm == "grow-ack/remove-other" {
+				hold.op = proto.OpUpdateSize
+				go func() { done <- write() }()
+				hold.caughtBefore(t, done)
+				if err := c.Remove("/other"); err != nil {
+					t.Fatal(err)
+				}
+				hold.free()
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+				probes := c.Stats().SizeProbesElided
+				if n, err := c.ReadAt(fd, make([]byte, 32), 40); n != 32 || err != nil {
+					t.Fatalf("read inside the grown size = %d, %v; want 32, nil", n, err)
+				}
+				if d := c.Stats().SizeProbesElided - probes; d != 1 {
+					t.Fatalf("read inside the acknowledged grow asked the owner for the size (%d probes elided, want 1)", d)
+				}
+			} else {
+				hold.op = proto.OpReadChunks
+				go func() {
+					_, err := c.ReadAt(fd, make([]byte, 16), 2*cs)
+					done <- err
+				}()
+				hold.caughtBefore(t, done)
+				if err := write(); err != nil {
+					t.Fatal(err)
+				}
+				hold.free()
+				if err := <-done; err != io.EOF {
+					t.Fatalf("read past the end racing the write = %v, want EOF", err)
+				}
+			}
+			got := make([]byte, cs+len(tail))
+			if n, err := c.ReadAt(fd, got, 0); n != len(got) || (err != nil && err != io.EOF) {
+				t.Fatalf("read of the write = %d, %v; want %d", n, err, len(got))
+			}
+			want := append(append(bytes.Repeat([]byte{1}, size), make([]byte, cs-size)...), tail...)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("read of the write = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestCachedReadSeesAnotherClientsGrowth pins what the chunk cache does
+// not relax: with nothing cached at an offset, a read there goes to the
+// daemons, so another client's growth after this client's open — past
+// the size the open saw — is read, not answered EOF from the open's size.
+func TestCachedReadSeesAnotherClientsGrowth(t *testing.T) {
+	const cs, path = 64, "/growing"
+	c, _, mount := pipelineCluster(t, 3, Config{ChunkSize: cs, ReadAhead: true, CacheBytes: 1 << 20})
+	fd, err := c.Open(path, O_CREATE|O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(fd)
+	data := patternedBytes(5*cs, 11)
+	writeFileVia(t, mount(), path, data[:cs])
+	got := make([]byte, cs)
+	if n, err := c.ReadAt(fd, got, 0); n != cs || (err != nil && err != io.EOF) || !bytes.Equal(got, data[:cs]) {
+		t.Fatalf("read of a file another client filled after the open = %d, %v", n, err)
+	}
+	writeFileVia(t, mount(), path, data)
+	if n, err := c.ReadAt(fd, got, 3*cs); n != cs || (err != nil && err != io.EOF) || !bytes.Equal(got, data[3*cs:4*cs]) {
+		t.Fatalf("read past the size this client last saw, after another client grew the file = %d, %v", n, err)
+	}
+}
 
 // TestSizeFloorRPCCount is the write side of TestStatFreeReadRPCCount,
 // counted on the connection: what one synchronous descriptor operation

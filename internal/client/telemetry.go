@@ -29,9 +29,6 @@ type clientTelemetry struct {
 	prefetch  *telemetry.Histogram // read-ahead span fetch duration
 	inflight  *telemetry.Gauge
 	traces    *telemetry.Counter
-	hedged    *telemetry.Counter
-	failover  *telemetry.Counter
-	replica   *telemetry.Counter
 
 	// Trace sampling: every sample-th RPC (counted by seq) is traced.
 	// IDs are a splitmix64 walk from a per-client random seed, so
@@ -41,8 +38,9 @@ type clientTelemetry struct {
 	seq    atomic.Uint64
 }
 
-// initTelemetry resolves the client metric set against reg and wires
-// the transport-level histograms into the connection pools. sample <= 0
+// initTelemetry resolves the client metric set against reg, folds the
+// ClientStats counters into its snapshots by their tags, and wires the
+// transport-level histograms into the connection pools. sample <= 0
 // selects DefaultTraceSample; reg == nil leaves everything disabled.
 func (c *Client) initTelemetry(reg *telemetry.Registry, sample int) {
 	if reg == nil {
@@ -60,12 +58,10 @@ func (c *Client) initTelemetry(reg *telemetry.Registry, sample int) {
 		prefetch:  reg.Histogram(telemetry.ClientPrefetchFetchNS),
 		inflight:  reg.Gauge(telemetry.ClientRPCInflight),
 		traces:    reg.Counter(telemetry.ClientTracesTotal),
-		hedged:    reg.Counter(telemetry.ClientHedgedReadsTotal),
-		failover:  reg.Counter(telemetry.ClientFailoverReadsTotal),
-		replica:   reg.Counter(telemetry.ClientReplicaWritesTotal),
 		sample:    uint64(sample),
 		seed:      uint64(time.Now().UnixNano()),
 	}
+	reg.Collect(func(s *telemetry.Snapshot) { s.Fold(c.Stats()) })
 	acquire := reg.Histogram(telemetry.ClientPoolAcquireWaitNS)
 	segWait := reg.Histogram(telemetry.ClientShmSegWaitNS)
 	for _, conn := range c.cfg.Conns {

@@ -167,6 +167,7 @@ func (c *Client) GrowMany(paths []string, sizes []int64) []error {
 		return errs
 	}
 	now := time.Now().UnixNano()
+	gen := c.sizeGen.Load()
 	return c.vector(paths, func(i int, p string) (proto.MetaOp, error) {
 		if sizes[i] < 0 {
 			return proto.MetaOp{}, proto.ErrInval
@@ -174,11 +175,7 @@ func (c *Client) GrowMany(paths []string, sizes []int64) []error {
 		return proto.MetaOp{Kind: proto.MetaOpUpdateSize, Path: p, Size: sizes[i], TimeNS: now}, nil
 	}, func(_ int, op *proto.MetaOp, r *proto.MetaResult) error {
 		if r.Errno == proto.OK {
-			// The file end may have moved: drop cached EOF-bearing blocks,
-			// exactly as the single-path sendGrow does — otherwise a grown
-			// file keeps serving a spurious EOF from this client's own
-			// cache.
-			c.cacheInvalidate(op.Path, 0, 0)
+			c.grew(op.Path, nil, gen, op.Size) // as sendGrow's acknowledgement
 		}
 		return r.Errno.Err()
 	})

@@ -56,9 +56,11 @@ func (d *Daemon) initTelemetry() {
 }
 
 // Catalog returns every metric name this build exports, sorted: the
-// registry names plus the fields of the structs initTelemetry folds in.
-func Catalog() []string {
-	return telemetry.Catalog(Stats{}, kvstore.Stats{}, chunkstore.OpenStats{})
+// registry names plus the fields of the structs initTelemetry folds in
+// and of extra (gkfs-daemon passes the client's, so one catalog covers
+// the repo).
+func Catalog(extra ...any) []string {
+	return telemetry.Catalog(append([]any{Stats{}, kvstore.Stats{}, chunkstore.OpenStats{}}, extra...)...)
 }
 
 // observe is the rpc.Server dispatch observer: it records the queue

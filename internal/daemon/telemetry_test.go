@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/chunkstore"
+	"repro/internal/client"
 	"repro/internal/kvstore"
 	"repro/internal/meta"
 	"repro/internal/proto"
@@ -227,13 +228,14 @@ func TestStatsPlanesAgree(t *testing.T) {
 }
 
 // TestMetricTagsWellFormed is what makes "a counter is one tagged field"
-// enforceable: in every struct a daemon folds into its snapshot, each
-// uint64 field carries a metric tag (an untagged one would be counted
-// and never exported), only uint64 fields do, and each name is a
-// non-empty gkfs_* name no other field has.
+// enforceable: in every struct a daemon or a client folds into its
+// snapshot, each uint64 field carries a metric tag (an untagged one would
+// be counted and never exported), only uint64 fields do, and each name is
+// a non-empty gkfs_* name no other field has.
 func TestMetricTagsWellFormed(t *testing.T) {
 	seen := map[string]string{}
-	for _, v := range []any{Stats{}, kvstore.Stats{}, chunkstore.OpenStats{}} {
+	tagged := []any{Stats{}, kvstore.Stats{}, chunkstore.OpenStats{}, client.ClientStats{}}
+	for _, v := range tagged {
 		rt := reflect.TypeOf(v)
 		for i := 0; i < rt.NumField(); i++ {
 			f := rt.Field(i)
@@ -261,8 +263,8 @@ func TestMetricTagsWellFormed(t *testing.T) {
 			seen[name] = where
 		}
 	}
-	if len(seen) != len(telemetry.FieldNames(Stats{}))+len(telemetry.FieldNames(kvstore.Stats{}))+len(telemetry.FieldNames(chunkstore.OpenStats{})) {
-		t.Fatalf("the field walker and this test disagree about the tagged fields: %d names here", len(seen))
+	if want := len(Catalog(client.ClientStats{})) - len(telemetry.Catalog()); len(seen) != want {
+		t.Fatalf("the field walker and this test disagree about the tagged fields: %d names here, %d in the catalog", len(seen), want)
 	}
 }
 

@@ -269,6 +269,50 @@ func (m foldModel) checkAgainst(db *DB, it *Iterator, keys []string) error {
 	return nil
 }
 
+// TestMergeRunIteratorSkipsHotKey is the listing side of the cost pin: a
+// file grown 10^5 times leaves 10^5 shadowed versions of its key in the
+// memtable, and Next past it — a readdir over its directory — takes a
+// constant number of steps, not one per version, while Next past a key
+// with one version costs the one step it always did.
+func TestMergeRunIteratorSkipsHotKey(t *testing.T) {
+	db := openTestDB(t, Options{Merger: sizeMax, MemTableBytes: 1 << 30, DisableWAL: true})
+	for _, k := range []string{"/d/a", "/d/c"} {
+		if err := db.Put([]byte(k), u64(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const many = 100_000
+	for i := 1; i <= many; i++ {
+		if err := db.Merge([]byte("/d/b"), u64(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	it, err := db.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var keys []string
+	var steps []int
+	for it.SeekFirst(); it.Valid(); {
+		keys = append(keys, string(it.Key()))
+		if string(it.Key()) == "/d/b" && !bytes.Equal(it.Value(), u64(many)) {
+			t.Fatalf("/d/b = %v, want %d", it.Value(), many)
+		}
+		before := it.it.steps
+		it.Next()
+		steps = append(steps, it.it.steps-before)
+	}
+	if fmt.Sprint(keys) != "[/d/a /d/b /d/c]" {
+		t.Fatalf("scan = %v", keys)
+	}
+	// Past /d/a: settle takes /d/b's newest version. Past /d/b: one step
+	// and one seek leave its shadowed versions, settle takes /d/c.
+	if steps[0] != 1 || steps[1] > 3 {
+		t.Fatalf("Next past a one-version key took %d steps, past a key with %d versions %d; want 1 and at most 3", steps[0], many, steps[1])
+	}
+}
+
 // TestModelEquivalence drives seeded random put/delete/merge/batch
 // sequences, interleaved with rotations, flushes, compactions and reopens,
 // against the reference left fold — with the non-commutative append

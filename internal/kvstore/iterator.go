@@ -16,8 +16,9 @@ type internalIterator interface {
 // The source count is small (memtable + immutables + tables), so a linear
 // minimum scan beats heap bookkeeping.
 type mergeIter struct {
-	srcs []internalIterator
-	min  int // index of current minimum, -1 when exhausted
+	srcs  []internalIterator
+	min   int // index of current minimum, -1 when exhausted
+	steps int // source steps and skipKey's seeks; tests pin iteration cost on it
 }
 
 func newMergeIter(srcs []internalIterator) *mergeIter {
@@ -54,6 +55,28 @@ func (m *mergeIter) valid() bool { return m.min >= 0 }
 
 func (m *mergeIter) next() {
 	m.srcs[m.min].next()
+	m.steps++
+	m.findMin()
+}
+
+// skipKey moves every source past key's versions: a source on key steps
+// once, as a merged walk would, and only one still on it seeks past the
+// oldest version key can have (sequence numbers start at 1, so {key, 0}
+// sorts after them all). A hot size key folded into the memtable n times
+// costs one seek, not n steps; a key with one version costs what it did.
+func (m *mergeIter) skipKey(key []byte) {
+	past := entry{key: key}
+	for _, s := range m.srcs {
+		if !s.valid() || !bytes.Equal(s.cur().key, key) {
+			continue
+		}
+		s.next()
+		m.steps++
+		if s.valid() && bytes.Equal(s.cur().key, key) {
+			s.seek(&past)
+			m.steps++
+		}
+	}
 	m.findMin()
 }
 
@@ -113,8 +136,8 @@ func (i *Iterator) Next() {
 
 // skipRestOfKey consumes all remaining versions of key.
 func (i *Iterator) skipRestOfKey(key []byte) {
-	for i.it.valid() && bytes.Equal(i.it.cur().key, key) {
-		i.it.next()
+	if i.it.valid() && bytes.Equal(i.it.cur().key, key) {
+		i.it.skipKey(key)
 	}
 }
 

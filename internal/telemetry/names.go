@@ -32,11 +32,12 @@ const (
 	DaemonOpSnapshotDropNS   = "gkfs_daemon_op_snapshot_drop_ns"
 )
 
-// Client-side metrics. The rpc histograms time the full call round
-// trip by family (write = OpWriteChunks, read = OpReadChunks,
+// Client-side registry metrics. The rpc histograms time the full call
+// round trip by family (write = OpWriteChunks, read = OpReadChunks,
 // everything else meta); the wait histograms time the client-side
 // queues in front of the wire (striped-connection acquire, shm segment
-// allocation, async-write window admission, prefetch span fetches).
+// allocation, async-write window admission, prefetch span fetches). The
+// client's counters are the tagged fields of client.ClientStats.
 const (
 	ClientRPCMetaNS  = "gkfs_client_rpc_meta_ns"
 	ClientRPCWriteNS = "gkfs_client_rpc_write_ns"
@@ -49,16 +50,13 @@ const (
 	ClientWriteStageWaitNS  = "gkfs_client_write_stage_wait_ns"
 	ClientPrefetchFetchNS   = "gkfs_client_prefetch_fetch_ns"
 
-	ClientHedgedReadsTotal   = "gkfs_client_hedged_reads_total"
-	ClientFailoverReadsTotal = "gkfs_client_failover_reads_total"
-	ClientReplicaWritesTotal = "gkfs_client_replica_writes_total"
-	ClientTracesTotal        = "gkfs_client_traces_total"
+	ClientTracesTotal = "gkfs_client_traces_total"
 )
 
 // Catalog returns every exported metric name, sorted: the registry names
 // declared above plus the names the given stats structs declare on their
 // fields (FieldNames). `gkfs-daemon -print-metrics` prints it for the
-// daemon's structs and the doc gate checks each line.
+// daemon's structs and the client's and the doc gate checks each line.
 func Catalog(tagged ...any) []string {
 	names := []string{
 		DaemonQueueWaitNS,
@@ -73,8 +71,7 @@ func Catalog(tagged ...any) []string {
 		ClientRPCInflight,
 		ClientPoolAcquireWaitNS, ClientShmSegWaitNS,
 		ClientWriteStageWaitNS, ClientPrefetchFetchNS,
-		ClientHedgedReadsTotal, ClientFailoverReadsTotal,
-		ClientReplicaWritesTotal, ClientTracesTotal,
+		ClientTracesTotal,
 	}
 	for _, v := range tagged {
 		names = append(names, FieldNames(v)...)

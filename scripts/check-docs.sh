@@ -12,6 +12,10 @@
 #  4. Every exported metric name (`gkfs-daemon -print-metrics`) must
 #     appear in docs/OBSERVABILITY.md, so the metric catalog cannot
 #     drift behind the telemetry tier.
+#  5. Every backticked repo-relative path the docs name (`internal/…`,
+#     `cmd/…`, `scripts/…`, `docs/…`, `bench/…`, `gekkofs/…`,
+#     `examples/…`) must exist: a `:line` suffix is stripped and a `<N>`
+#     placeholder matches as a glob.
 #
 # Flag extraction covers three shapes:
 #   - backticked `-flags` on lines naming the binary (prose, usage),
@@ -61,6 +65,18 @@ done < <("$tmp/gkfs-vet" -list)
 
 docs=(README.md docs/*.md)
 
+# Every repo path a doc names in backticks must exist.
+while read -r path; do
+  if ! compgen -G "${path//<N>/*}" > /dev/null; then
+    echo "docs name $path, which does not exist"
+    fail=1
+  fi
+done < <(
+  grep -ohE '`[^`]+`' "${docs[@]}" | tr -d '`' | awk '{print $1}' |
+    grep -E '^(internal|cmd|scripts|docs|bench|gekkofs|examples)/' |
+    sed -E 's/:[0-9][-0-9,–]*$//' | sort -u
+)
+
 # Emit every table cell under a "CLI" column header, across all docs:
 # the shared flags (internal/cli), which every checked binary must have.
 cli_cells() {
@@ -106,4 +122,4 @@ if [ "$fail" -ne 0 ]; then
   echo "docs check failed"
   exit 1
 fi
-echo "docs check OK: package comments present, documented flags exist"
+echo "docs check OK: package comments present, documented flags and paths exist"
