@@ -29,6 +29,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/staging"
@@ -87,8 +88,9 @@ func main() {
 	var factory workload.ClientFactory
 	if f.Target.Daemons == "" {
 		cluster, err := core.NewCluster(core.Config{
-			Nodes: *nodes, ChunkSize: int64(chunk), Conns: f.Target.Conns,
-			Distributor: f.Target.Distributor, DataDir: *dataDir, SyncWAL: *syncWAL,
+			Nodes: *nodes, Conns: f.Target.Conns,
+			Distributor: f.Target.Distributor, DataDir: *dataDir,
+			Daemon: daemon.Config{ChunkSize: int64(chunk), SyncWAL: *syncWAL},
 			Client: f.Client,
 		})
 		if err != nil {

@@ -1,19 +1,17 @@
 // Command gkfs-vet runs the repo's invariant analyzers (see
 // internal/analysis and docs/INVARIANTS.md): bufpool, lockguard,
-// framebound, and errnoexhaustive.
+// framebound and metriccheck.
 //
-// It speaks two protocols. Invoked as `go vet -vettool=$(pwd)/gkfs-vet
-// ./...` it follows the cmd/go vet.cfg handshake, type-checking each
-// unit from the build cache's export data. Invoked directly —
-// `gkfs-vet [-json] [packages]` — it loads the module from source with
-// no toolchain support at all, which is also how the analysistest
-// harness drives it.
+//	gkfs-vet [-list] [packages]
+//
+// The packages are go list patterns, "./..." when none are given; the go
+// tool finds and compiles them, and gkfs-vet type-checks each against its
+// dependencies' export data. -list prints the analyzers and exits.
 //
 // Exit status: 0 clean, 2 findings, 1 operational failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,29 +23,8 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-// vetReport is the -json output shape, an artifact in the spirit of
-// docs/bench/BENCH_*.json: stable keys, machine-consumable.
-type vetReport struct {
-	Tool      string             `json:"tool"`
-	Analyzers []string           `json:"analyzers"`
-	Findings  []analysis.Finding `json:"findings"`
-}
-
 func run(args []string) int {
-	// cmd/go handshake flags come before vet.cfg dispatch.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			analysis.PrintVersion(os.Stdout, "gkfs-vet")
-			return 0
-		case "-flags", "--flags":
-			analysis.PrintFlags(os.Stdout)
-			return 0
-		}
-	}
-
 	fs := flag.NewFlagSet("gkfs-vet", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout")
 	list := fs.Bool("list", false, "list analyzer names and exit")
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -59,50 +36,18 @@ func run(args []string) int {
 		return 0
 	}
 
-	if analysis.IsVetCfg(fs.Args()) {
-		return analysis.RunVetTool(fs.Args()[0], os.Stderr)
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	loader, err := analysis.NewLoader(".")
+	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gkfs-vet: %v\n", err)
 		return 1
 	}
-	pkgs, err := loader.ExpandPatterns(patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gkfs-vet: %v\n", err)
-		return 1
-	}
-	for _, pkg := range pkgs {
-		if pkg.TypeError != nil {
-			fmt.Fprintf(os.Stderr, "gkfs-vet: typecheck %s: %v\n", pkg.Path, pkg.TypeError)
-			return 1
-		}
-	}
-
 	findings := analysis.RunAnalyzers(pkgs, analysis.All())
-	if *jsonOut {
-		names := make([]string, 0, len(analysis.All()))
-		for _, a := range analysis.All() {
-			names = append(names, a.Name)
-		}
-		if findings == nil {
-			findings = []analysis.Finding{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(vetReport{Tool: "gkfs-vet", Analyzers: names, Findings: findings}); err != nil {
-			fmt.Fprintf(os.Stderr, "gkfs-vet: %v\n", err)
-			return 1
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(os.Stderr, "%s: %s: %s\n", f.Pos, f.Analyzer, f.Message)
-		}
+	for _, f := range findings {
+		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", f.Pos, f.Analyzer, f.Message)
 	}
 	if len(findings) > 0 {
 		return 2

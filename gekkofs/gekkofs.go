@@ -97,11 +97,11 @@ type Option func(*core.Config)
 func WithNodes(n int) Option { return func(c *core.Config) { c.Nodes = n } }
 
 // WithChunkSize overrides the 512 KiB default chunk size.
-func WithChunkSize(bytes int64) Option { return func(c *core.Config) { c.ChunkSize = bytes } }
+func WithChunkSize(bytes int64) Option { return func(c *core.Config) { c.Daemon.ChunkSize = bytes } }
 
 // WithHandlerPool bounds each daemon's concurrently executing RPC
 // handlers (default 16).
-func WithHandlerPool(n int) Option { return func(c *core.Config) { c.PoolSize = n } }
+func WithHandlerPool(n int) Option { return func(c *core.Config) { c.Daemon.PoolSize = n } }
 
 // WithDataDir persists daemon state under dir on the host file system
 // (one subdirectory per daemon) instead of in memory.
@@ -109,7 +109,7 @@ func WithDataDir(dir string) Option { return func(c *core.Config) { c.DataDir = 
 
 // WithSyncWAL makes metadata operations durable before they are
 // acknowledged.
-func WithSyncWAL() Option { return func(c *core.Config) { c.SyncWAL = true } }
+func WithSyncWAL() Option { return func(c *core.Config) { c.Daemon.SyncWAL = true } }
 
 // WithSizeUpdateCache enables the client-side size-update cache the paper
 // introduces for shared-file workloads (§IV-B): size updates are buffered

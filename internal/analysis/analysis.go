@@ -4,12 +4,14 @@
 // rpc.PutBuf or an annotated ownership transfer on every path),
 // mutex-guarded field access ("guarded by mu" comments become machine
 // law), wire-decoder bounds discipline (counts from the wire never size
-// an allocation unchecked), and RPC-op exhaustiveness (an op constant
-// cannot be half-plumbed). The framework mirrors the shape of
-// golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic — but is
-// self-contained on the standard library's go/ast, go/types and
-// go/importer, so the module keeps its zero-dependency property. See
-// docs/INVARIANTS.md for the enforced rules and annotation grammar.
+// an allocation unchecked), and telemetry write discipline (counter
+// state changes only through the telemetry API or an atomic add). The
+// framework mirrors the shape of golang.org/x/tools/go/analysis —
+// Analyzer, Pass, Diagnostic — on the standard library's go/ast,
+// go/types and go/importer alone, so the module keeps its
+// zero-dependency property; the go tool finds and compiles the packages
+// (Load). See docs/INVARIANTS.md for the enforced rules and annotation
+// grammar.
 package analysis
 
 import (
@@ -17,7 +19,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Analyzer is one named check over a type-checked package, the analogue
@@ -28,7 +29,7 @@ type Analyzer struct {
 	// Doc is a one-line description of the enforced invariant.
 	Doc string
 	// Run inspects the package and reports findings via pass.Report.
-	Run func(pass *Pass) error
+	Run func(pass *Pass)
 }
 
 // Pass carries one analyzer's view of one package.
@@ -58,21 +59,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// isTestFile reports whether pos lies in a _test.go file. The invariants
-// bind production code; tests deliberately build hostile shapes (leaked
-// buffers, forged frames) to prove the defenses, so analyzers skip them.
-func (p *Pass) isTestFile(pos token.Pos) bool {
-	f := p.Fset.File(pos)
-	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
-}
-
 // All returns the gkfs-vet analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		BufPool,
 		LockGuard,
 		FrameBound,
-		ErrnoExhaustive,
 		MetricCheck,
 	}
 }

@@ -1,14 +1,17 @@
 package analysis
 
 import (
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // The fixture harness mirrors golang.org/x/tools' analysistest on top of
-// the package's own source loader: each testdata/src/<name> directory is
+// the package's loader: each testdata/src/<name> directory is
 // a real, type-checking package seeded with violations, and every
 // expected diagnostic is declared in the source as a trailing
 //
@@ -34,25 +37,17 @@ type expectation struct {
 // diffs the findings against the fixture's want comments.
 func runFixture(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
-	loader, err := NewLoader(".")
+	pkgs, err := Load(".", "./testdata/src/"+name)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("fixture %s must load and type-check: %v", name, err)
 	}
-	dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
-	if err != nil {
-		t.Fatal(err)
+	if len(pkgs) != 1 {
+		t.Fatalf("fixture %s loaded as %d packages", name, len(pkgs))
 	}
-	importPath := loader.ModulePath() + "/internal/analysis/testdata/src/" + name
-	pkg, err := loader.LoadDir(dir, importPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pkg.TypeError != nil {
-		t.Fatalf("fixture %s must type-check: %v", name, pkg.TypeError)
-	}
+	pkg := pkgs[0]
 
 	wants := collectWants(t, pkg)
-	findings := RunAnalyzers([]*Package{pkg}, []*Analyzer{a})
+	findings := RunAnalyzers(pkgs, []*Analyzer{a})
 
 	for _, f := range findings {
 		if !matchWant(wants, f) {
@@ -103,9 +98,9 @@ func collectWants(t *testing.T, pkg *Package) []*expectation {
 // matchWant consumes the first unmet expectation on the finding's line
 // whose pattern matches its message.
 func matchWant(wants []*expectation, f Finding) bool {
-	file := filepath.Base(f.position.Filename)
+	file := filepath.Base(f.Pos.Filename)
 	for _, w := range wants {
-		if !w.met && w.file == file && w.line == f.position.Line && w.re.MatchString(f.Message) {
+		if !w.met && w.file == file && w.line == f.Pos.Line && w.re.MatchString(f.Message) {
 			w.met = true
 			return true
 		}
@@ -113,31 +108,60 @@ func matchWant(wants []*expectation, f Finding) bool {
 	return false
 }
 
-func TestBufPoolFixtures(t *testing.T)         { runFixture(t, BufPool, "bufpool") }
-func TestLockGuardFixtures(t *testing.T)       { runFixture(t, LockGuard, "lockguard") }
-func TestFrameBoundFixtures(t *testing.T)      { runFixture(t, FrameBound, "framebound") }
-func TestErrnoExhaustiveFixtures(t *testing.T) { runFixture(t, ErrnoExhaustive, "errnoexhaustive") }
-func TestMetricCheckFixtures(t *testing.T)     { runFixture(t, MetricCheck, "metriccheck") }
+func TestBufPoolFixtures(t *testing.T)     { runFixture(t, BufPool, "bufpool") }
+func TestLockGuardFixtures(t *testing.T)   { runFixture(t, LockGuard, "lockguard") }
+func TestFrameBoundFixtures(t *testing.T)  { runFixture(t, FrameBound, "framebound") }
+func TestMetricCheckFixtures(t *testing.T) { runFixture(t, MetricCheck, "metriccheck") }
 
-// TestSuiteIsCleanOnRepo runs every analyzer over the whole module: the
-// invariants gkfs-vet enforces must hold on the tree that ships it.
+// TestSuiteIsCleanOnRepo runs every analyzer over the root module and the
+// benchmark module: the invariants gkfs-vet enforces must hold on the
+// tree that ships it. It is the suite's CI gate, so it also proves it
+// cannot pass vacuously: the analyzed set is checked against the go
+// tool's own listing and file selection, and a go list error is a
+// failure, not an empty clean result.
 func TestSuiteIsCleanOnRepo(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads the full module from source")
+		t.Skip("type-checks every package of both modules")
 	}
-	loader, err := NewLoader(".")
+	pkgs, err := Load("../..", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.ExpandPatterns([]string{"./..."})
+	bench, err := Load("../../bench", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pkgs = append(pkgs, bench...)
+	t.Logf("analyzing %d packages", len(pkgs))
+
+	list := exec.Command("go", "list", "./...")
+	list.Dir = "../.."
+	out, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list ./...: %v", err)
+	}
+	analyzed := make(map[string]*Package)
 	for _, pkg := range pkgs {
-		if pkg.TypeError != nil {
-			t.Fatalf("%s: %v", pkg.Path, pkg.TypeError)
+		analyzed[pkg.Path] = pkg
+	}
+	for _, path := range append(strings.Fields(string(out)), "repro/bench") {
+		if analyzed[path] == nil {
+			t.Errorf("%s was not analyzed", path)
 		}
 	}
+	if tr := analyzed["repro/internal/transport"]; tr != nil && (runtime.GOOS == "linux" || runtime.GOOS == "darwin") {
+		var files []string
+		for _, f := range tr.Files {
+			files = append(files, filepath.Base(tr.Fset.Position(f.Pos()).Filename))
+		}
+		if !slices.Contains(files, "shm.go") || slices.Contains(files, "shm_stub.go") {
+			t.Errorf("repro/internal/transport checked with %v, want shm.go and not shm_stub.go on %s", files, runtime.GOOS)
+		}
+	}
+	if _, err := Load("../..", "repro/internal/nosuchpackage"); err == nil {
+		t.Error("loading a missing package reported no error")
+	}
+
 	for _, f := range RunAnalyzers(pkgs, All()) {
 		t.Errorf("%s: [%s] %s", f.Pos, f.Analyzer, f.Message)
 	}

@@ -45,12 +45,9 @@ func mergeBuf(a, b bufState) bufState {
 	return bufSatisfied
 }
 
-func runBufPool(pass *Pass) error {
+func runBufPool(pass *Pass) {
 	c := &bufChecker{pass: pass, owns: ownsBufFuncs(pass)}
 	for _, file := range pass.Files {
-		if pass.isTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
@@ -63,7 +60,6 @@ func runBufPool(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // ownsBufFuncs collects this package's //gkfs:owns-buf functions.

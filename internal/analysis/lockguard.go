@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // LockGuard enforces the "guarded by <mu>" field-comment convention:
@@ -59,16 +60,13 @@ func intersect(a, b heldSet) heldSet {
 	return out
 }
 
-func runLockGuard(pass *Pass) error {
+func runLockGuard(pass *Pass) {
 	guards := collectGuards(pass)
 	if len(guards) == 0 {
-		return nil
+		return
 	}
 	lw := &lockWalk{pass: pass, guards: guards}
 	for _, file := range pass.Files {
-		if pass.isTestFile(file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -88,7 +86,6 @@ func runLockGuard(pass *Pass) error {
 			lw.block(fd.Body.List, held)
 		}
 	}
-	return nil
 }
 
 // collectGuards maps each "guarded by" field object to its guard spec.
@@ -106,8 +103,8 @@ func collectGuards(pass *Pass) map[types.Object]guardSpec {
 					continue
 				}
 				spec := guardSpec{sibling: g}
-				if dot := indexByte(g, '.'); dot >= 0 {
-					spec = guardSpec{typeName: g[:dot], muName: g[dot+1:]}
+				if typeName, muName, ok := strings.Cut(g, "."); ok {
+					spec = guardSpec{typeName: typeName, muName: muName}
 				}
 				for _, name := range field.Names {
 					if obj := pass.Info.Defs[name]; obj != nil {
@@ -119,15 +116,6 @@ func collectGuards(pass *Pass) map[types.Object]guardSpec {
 		})
 	}
 	return guards
-}
-
-func indexByte(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // namedTypeName unwraps pointers and reports the named type's name.
@@ -390,19 +378,7 @@ func (lw *lockWalk) lockOp(call *ast.CallExpr) (key string, lock heldLock, isLoc
 }
 
 func lastComponent(s string) string {
-	if i := lastIndexByte(s, '.'); i >= 0 {
-		return s[i+1:]
-	}
-	return s
-}
-
-func lastIndexByte(s string, c byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
+	return s[strings.LastIndexByte(s, '.')+1:]
 }
 
 // scan inspects an expression tree for guarded-field accesses. writes

@@ -39,11 +39,8 @@ var metricTypes = map[string]map[string]bool{
 	"repro/internal/client":     {"ClientStats": true},
 }
 
-func runMetricCheck(pass *Pass) error {
+func runMetricCheck(pass *Pass) {
 	for _, file := range pass.Files {
-		if pass.isTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
@@ -56,7 +53,6 @@ func runMetricCheck(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // checkMetricWrite flags lhs when it is a direct selector onto a

@@ -45,22 +45,21 @@ type StageSpec struct {
 type Config struct {
 	// Nodes is the daemon count (one per simulated compute node).
 	Nodes int
-	// ChunkSize is the cluster-wide chunk size; zero selects 512 KiB.
-	ChunkSize int64
-	// PoolSize bounds each daemon's concurrent RPC handlers.
-	PoolSize int
 	// DataDir, when non-empty, stores daemon state under
 	// DataDir/node<N>/ on the real file system; otherwise everything is
 	// in memory.
 	DataDir string
-	// SyncWAL makes metadata durable before acknowledgement.
-	SyncWAL bool
+	// Daemon holds the tunables of every daemon of this cluster —
+	// declared once, on daemon.Config. The cluster fills in the wiring per
+	// daemon: ID, FS (from DataDir) and ShmSocket (from Transport). A zero
+	// ChunkSize selects meta.DefaultChunkSize, the cluster-wide value.
+	Daemon daemon.Config
 	// Client holds the tunables of every client mounted from this cluster
 	// — declared once, on client.Config, and passed through as they are.
 	// The cluster fills in the wiring: Conns and Dist per mount, ChunkSize
-	// from the cluster-wide value above. A non-nil Client.Telemetry is the
-	// registry all of this cluster's clients share (ClientTelemetry);
-	// daemon-side metrics are always on.
+	// from Daemon.ChunkSize. A non-nil Client.Telemetry is the registry
+	// all of this cluster's clients share (ClientTelemetry); daemon-side
+	// metrics are always on.
 	Client client.Config
 	// Conns is the number of transport connections each client stripes
 	// its per-daemon traffic over (see transport.Pool). Zero or one keeps
@@ -129,8 +128,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Transport != "" && cfg.Transport != "mem" && cfg.Transport != "shm" {
 		return nil, fmt.Errorf("core: unknown transport %q (want mem or shm)", cfg.Transport)
 	}
-	if cfg.ChunkSize == 0 {
-		cfg.ChunkSize = meta.DefaultChunkSize
+	if cfg.Daemon.ChunkSize == 0 {
+		cfg.Daemon.ChunkSize = meta.DefaultChunkSize
 	}
 	begin := time.Now()
 	c := &Cluster{cfg: cfg, net: transport.NewMemNetwork()}
@@ -166,13 +165,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 					return
 				}
 			}
-			dcfg := daemon.Config{
-				ID:        i,
-				FS:        fs,
-				ChunkSize: cfg.ChunkSize,
-				PoolSize:  cfg.PoolSize,
-				SyncWAL:   cfg.SyncWAL,
-			}
+			dcfg := cfg.Daemon
+			dcfg.ID, dcfg.FS, dcfg.ShmSocket = i, fs, ""
 			if c.shmSocks != nil {
 				dcfg.ShmSocket = c.shmSocks[i]
 			}
@@ -274,7 +268,7 @@ func (c *Cluster) StageOutReport() *staging.Report { return c.stageOut }
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 
 // ChunkSize returns the cluster's chunk size.
-func (c *Cluster) ChunkSize() int64 { return c.cfg.ChunkSize }
+func (c *Cluster) ChunkSize() int64 { return c.cfg.Daemon.ChunkSize }
 
 func (c *Cluster) newClient() (*client.Client, error) {
 	dist, err := distributor.New(c.cfg.Distributor, c.cfg.Nodes)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/daemon"
 )
 
 func TestClusterValidation(t *testing.T) {
@@ -26,7 +28,7 @@ func TestUnknownDistributorRejectedAtMount(t *testing.T) {
 }
 
 func TestClusterLifecycle(t *testing.T) {
-	c, err := NewCluster(Config{Nodes: 3, ChunkSize: 2048})
+	c, err := NewCluster(Config{Nodes: 3, Daemon: daemon.Config{ChunkSize: 2048}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ type Daemon struct {
 
 	reg       *telemetry.Registry
 	queueHist *telemetry.Histogram
-	opHists   [proto.OpSnapshotDrop + 1]*telemetry.Histogram
+	opHists   [proto.OpEnd]*telemetry.Histogram
 
 	startup time.Duration
 }

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,22 +11,28 @@ import (
 	"repro/internal/rpc"
 )
 
+// TestEveryOpRegistered pins the op table closed: every op below
+// proto.OpEnd reaches a handler. An op added to proto but not to
+// register() would answer rpc.ErrUnknownOp, and a client calling it would
+// learn that only at run time.
+func TestEveryOpRegistered(t *testing.T) {
+	d := newTestDaemon(t)
+	for op := rpc.Op(1); op < proto.OpEnd; op++ {
+		if _, err := d.Server().Dispatch(op, nil, nil); errors.Is(err, rpc.ErrUnknownOp) {
+			t.Errorf("op %d (%s) is not registered: %v", op, proto.OpName(op), err)
+		}
+	}
+}
+
 // TestHandlersSurviveGarbageRequests feeds random bytes to every
-// registered operation: handlers must return errors, never panic and
-// never corrupt the daemon (a follow-up valid request still works).
-// Daemons face whatever arrives on the wire; decode failures must be
-// contained.
+// operation: handlers must return errors, never panic and never corrupt
+// the daemon (a follow-up valid request still works). Daemons face
+// whatever arrives on the wire; decode failures must be contained.
 func TestHandlersSurviveGarbageRequests(t *testing.T) {
 	d := newTestDaemon(t)
-	ops := []rpc.Op{
-		proto.OpPing, proto.OpCreate, proto.OpStat, proto.OpRemoveMeta,
-		proto.OpUpdateSize, proto.OpWriteChunks, proto.OpReadChunks,
-		proto.OpRemoveChunks, proto.OpTruncateChunks, proto.OpReadDir, proto.OpStats,
-		proto.OpBatchMeta,
-	}
 	rnd := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 3000; trial++ {
-		op := ops[rnd.Intn(len(ops))]
+		op := rpc.Op(1 + rnd.Intn(int(proto.OpEnd)-1))
 		payload := make([]byte, rnd.Intn(64))
 		rnd.Read(payload)
 		var bulk rpc.Bulk

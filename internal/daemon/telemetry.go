@@ -13,7 +13,7 @@ import (
 
 // opHistNames maps an RPC op to its latency-histogram metric name.
 // Indexed by proto op value (1-based); index 0 is unused.
-var opHistNames = [proto.OpSnapshotDrop + 1]string{
+var opHistNames = [proto.OpEnd]string{
 	proto.OpPing:           telemetry.DaemonOpPingNS,
 	proto.OpCreate:         telemetry.DaemonOpCreateNS,
 	proto.OpStat:           telemetry.DaemonOpStatNS,

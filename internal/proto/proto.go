@@ -15,40 +15,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ProtocolVersion is the client↔daemon wire protocol generation. Daemons
-// report it in every OpPing reply (appended after the daemon ID) and
-// clients verify it at mount time (client.VerifyProtocol): the frame
-// formats carry no per-message version tag, so a deployment must run
-// clients and daemons of the same generation — which a per-job file
-// system, shipping both ends from one build, always does. Generations
-// 3–8 each appended trailing-optional fields (3: ReadWantSize size view
-// and the versioned ping, 4: read-span counters, 5: shm doorbell
-// advertisement and wire counters, 6: WriteReplica and ReplicaWrites,
-// 7: the frame trace trailer and stats histograms, 8: snapshot ops and the epoch
-// extensions on OpStat/OpReadDir/OpReadChunks). Version 9 began retiring
-// the optionality: OpReadChunks and OpWriteChunks requests have exactly
-// one shape — path, spans, a flags byte, and the epoch when ReadAtEpoch
-// is set. Version 10 finishes it for every payload — OpStat and
-// OpReadDir requests always end in their flags byte, and the ping reply
-// and the OpStats reply are decoded whole — and
-// gives the two transports one frame: a shm doorbell frame is the TCP
-// frame with dirRefFlag set and a [u64 segOff] where the bulk bytes would
-// be (transport/stream.go). Only the frame trace trailer is still
-// optional, announced by its own flag bit. Version 11 gives the metadata plane one body codec per operation
-// kind: a single-op request (OpCreate, OpStat, OpRemoveMeta,
-// OpUpdateSize) is byte for byte the OpBatchMeta sub-op without its kind
-// byte, and its reply is the sub-op's result. The stat sub-op so gains
-// OpStat's [u8 flags][u64 epoch] tail; out-of-domain field values (a mode
-// that is no object kind, a negative size, unknown flag bits) answer
-// ErrnoInval per op instead of poisoning the frame. Version 12 is
-// version 11 plus one field: the ping reply ends in the daemon's
-// effective chunk size ([u32 id][u16 version][str shm][i64 chunk]), so a
-// mount learns the chunk size from the daemons instead of being told it,
-// and refuses a daemon whose chunk size or ID is not what the daemon list
-// implies (client.VerifyProtocol). Version 13 makes the OpStats reply the
-// daemon's telemetry snapshot itself — name-tagged counters, gauges and
-// histograms (EncodeSnapshot) — in place of 25 positional counters and a
-// histogram extension: what the RPC carries is what /statz serves.
+// ProtocolVersion is the client↔daemon wire protocol generation. Frames
+// and payloads carry no version tag of their own, so a deployment runs
+// one generation on every client and daemon — which a per-job file
+// system, shipping both ends from one build, always does. Daemons report
+// it in every OpPing reply, and client.ProbeDaemon checks it at mount and
+// at rejoin, refusing any other generation. Any change to a frame or
+// payload shape bumps it. CHANGES.md records what each generation changed.
 const ProtocolVersion uint16 = 13
 
 // RPC operations. Each corresponds to one registered Mercury RPC in the
@@ -99,11 +72,15 @@ const (
 	// OpSnapshotDrop deletes a committed or pending tag and garbage
 	// collects the versions and chunk pre-images only that tag retained.
 	OpSnapshotDrop
+
+	// OpEnd is one past the last op: the tables indexed by op are sized
+	// by it, and TestEveryOpRegistered dispatches every op below it.
+	OpEnd
 )
 
 // opNames gives ops human names for trace events, metric tables and
 // tooling output. Indexed by op value.
-var opNames = [OpSnapshotDrop + 1]string{
+var opNames = [OpEnd]string{
 	OpPing:           "ping",
 	OpCreate:         "create",
 	OpStat:           "stat",
@@ -144,6 +121,9 @@ const (
 	ErrnoNotDir
 	ErrnoNotEmpty
 	ErrnoInval
+
+	// errnoEnd is one past the last wire code; errnoErrs is sized by it.
+	errnoEnd
 )
 
 // File system errors shared by daemon, client and the public facade.
@@ -166,7 +146,9 @@ var (
 	ErrNotSupported = errors.New("gekkofs: operation not supported")
 )
 
-var errnoToErr = map[Errno]error{
+// errnoErrs is the errno codec, both directions: the Go error of every
+// wire code but OK. TestErrnoTableClosed pins that no entry is missing.
+var errnoErrs = [errnoEnd]error{
 	ErrnoNotExist: ErrNotExist,
 	ErrnoExist:    ErrExist,
 	ErrnoIsDir:    ErrIsDir,
@@ -180,8 +162,8 @@ func (e Errno) Err() error {
 	if e == OK {
 		return nil
 	}
-	if err, ok := errnoToErr[e]; ok {
-		return err
+	if e < errnoEnd {
+		return errnoErrs[e]
 	}
 	return fmt.Errorf("gekkofs: errno %d", uint16(e))
 }
@@ -190,22 +172,15 @@ func (e Errno) Err() error {
 // errors map to ErrnoInval (daemons convert unexpected errors to
 // rpc.RemoteError before this is consulted).
 func ErrnoOf(err error) Errno {
-	switch {
-	case err == nil:
+	if err == nil {
 		return OK
-	case errors.Is(err, ErrNotExist):
-		return ErrnoNotExist
-	case errors.Is(err, ErrExist):
-		return ErrnoExist
-	case errors.Is(err, ErrIsDir):
-		return ErrnoIsDir
-	case errors.Is(err, ErrNotDir):
-		return ErrnoNotDir
-	case errors.Is(err, ErrNotEmpty):
-		return ErrnoNotEmpty
-	default:
-		return ErrnoInval
 	}
+	for e := OK + 1; e < errnoEnd; e++ {
+		if errors.Is(err, errnoErrs[e]) {
+			return e
+		}
+	}
+	return ErrnoInval
 }
 
 // ChunkSpan names one contiguous byte range of one chunk inside a

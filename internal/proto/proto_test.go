@@ -2,6 +2,7 @@ package proto
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -10,12 +11,26 @@ import (
 	"repro/internal/rpc"
 )
 
-func TestErrnoRoundTrip(t *testing.T) {
-	for _, err := range []error{ErrNotExist, ErrExist, ErrIsDir, ErrNotDir, ErrNotEmpty} {
-		if got := ErrnoOf(err).Err(); !errors.Is(got, err) {
-			t.Errorf("round trip of %v = %v", err, got)
+// TestErrnoTableClosed pins the errno codec closed: every wire code below
+// the sentinel decodes to an error, and that error — bare or wrapped, as
+// handlers return it — encodes back to the same code.
+func TestErrnoTableClosed(t *testing.T) {
+	for e := OK + 1; e < errnoEnd; e++ {
+		err := e.Err()
+		if err == nil {
+			t.Errorf("errno %d has no entry in errnoErrs", e)
+			continue
+		}
+		if got := ErrnoOf(err); got != e {
+			t.Errorf("errno %d decodes to %v, which encodes as %d", e, err, got)
+		}
+		if got := ErrnoOf(fmt.Errorf("op: %w", err)); got != e {
+			t.Errorf("errno %d: wrapped %v encodes as %d", e, err, got)
 		}
 	}
+}
+
+func TestErrnoRoundTrip(t *testing.T) {
 	if ErrnoOf(nil) != OK {
 		t.Error("ErrnoOf(nil) != OK")
 	}

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/proto"
 	"repro/internal/staging"
 )
@@ -84,7 +85,7 @@ func captureAt(c *client.Client, path string, epoch uint64) ([]byte, bool, error
 }
 
 func TestSnapshotStageOutUnderConcurrentWriters(t *testing.T) {
-	cluster, err := core.NewCluster(core.Config{Nodes: 4, ChunkSize: raceChunk})
+	cluster, err := core.NewCluster(core.Config{Nodes: 4, Daemon: daemon.Config{ChunkSize: raceChunk}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestPinnedEpochIsImmutable(t *testing.T) {
 		rounds = 4
 		passes = 5
 	)
-	cluster, err := core.NewCluster(core.Config{Nodes: 4, ChunkSize: raceChunk})
+	cluster, err := core.NewCluster(core.Config{Nodes: 4, Daemon: daemon.Config{ChunkSize: raceChunk}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,12 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/daemon"
 )
 
 func clusterFactory(t *testing.T, nodes int, sizeCacheOps int) ClientFactory {
 	t.Helper()
-	c, err := core.NewCluster(core.Config{Nodes: nodes, ChunkSize: 8192, Client: client.Config{SizeCacheOps: sizeCacheOps}})
+	c, err := core.NewCluster(core.Config{Nodes: nodes, Daemon: daemon.Config{ChunkSize: 8192}, Client: client.Config{SizeCacheOps: sizeCacheOps}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,8 @@
 #     the binary's -h output — README/docs drift fails the build.
 #  3. Every analyzer gkfs-vet ships must be documented in
 #     docs/INVARIANTS.md, so the invariant catalog cannot drift behind
-#     the suite.
+#     the suite, and its section must record "The defect it catches in
+#     the live tree" — an analyzer is kept on evidence.
 #  4. Every exported metric name (`gkfs-daemon -print-metrics`) must
 #     appear in docs/OBSERVABILITY.md, so the metric catalog cannot
 #     drift behind the telemetry tier.
@@ -55,10 +56,17 @@ while read -r metric; do
   fi
 done < <("$tmp/gkfs-daemon" -print-metrics)
 
-# Every shipped analyzer must appear in the invariant catalog.
+# Every shipped analyzer must appear in the invariant catalog, and its
+# section must record the defect it catches in the live tree.
 while IFS=$'\t' read -r name _; do
   if ! grep -qE "^## $name\b" docs/INVARIANTS.md; then
     echo "analyzer $name has no '## $name' section in docs/INVARIANTS.md"
+    fail=1
+  elif ! awk -v name="$name" '
+      /^## / { in_section = ($0 ~ "^## " name "([^A-Za-z0-9_]|$)") }
+      in_section && /The defect it catches in the live tree/ { found = 1 }
+      END { exit !found }' docs/INVARIANTS.md; then
+    echo "analyzer $name: its section in docs/INVARIANTS.md has no 'The defect it catches in the live tree' record"
     fail=1
   fi
 done < <("$tmp/gkfs-vet" -list)
