@@ -643,28 +643,6 @@ func BenchmarkAsyncReadStream(b *testing.B) {
 	}
 }
 
-// stageSourceLarge writes one largeBytes random file under a fresh dir.
-func stageSourceLarge(b *testing.B, largeBytes int64) string {
-	b.Helper()
-	dir := b.TempDir()
-	rng := rand.New(rand.NewSource(1))
-	buf := make([]byte, 1<<20)
-	f, err := os.Create(filepath.Join(dir, "large.dat"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for off := int64(0); off < largeBytes; off += int64(len(buf)) {
-		rng.Read(buf)
-		if _, err := f.Write(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return dir
-}
-
 // stageSourceSmall writes n small patterned files under a fresh dir.
 func stageSourceSmall(b *testing.B, n, size int) string {
 	b.Helper()
@@ -681,13 +659,57 @@ func stageSourceSmall(b *testing.B, n, size int) string {
 	return dir
 }
 
+// stageOneRange are the staging shapes whose every file moves as one
+// range — files no larger than a range, or any file staged with a
+// manifest — so a transfer overlaps its round trips only inside one
+// worker's copy loop. Each runs over real TCP sockets into a 4-daemon
+// cluster (64 KiB chunks) with four workers.
+var stageOneRange = []struct {
+	name     string
+	sizes    []int64 // one file per entry
+	manifest bool
+}{
+	{"midfiles", stageMidSizes, false},
+	{"manifest/midfiles", stageMidSizes, true},
+	{"manifest/large", []int64{32 << 20}, true},
+}
+
+// stageMidSizes is twelve files of 1 to 4 MiB.
+var stageMidSizes = []int64{1 << 20, 2 << 20, 3 << 20, 4 << 20, 1 << 20, 2 << 20, 3 << 20, 4 << 20, 1 << 20, 2 << 20, 3 << 20, 4 << 20}
+
+// stageSourceFiles writes one random file per entry of sizes under a
+// fresh dir and returns it with the sizes' sum.
+func stageSourceFiles(b *testing.B, sizes []int64) (string, int64) {
+	b.Helper()
+	dir := b.TempDir()
+	rng := rand.New(rand.NewSource(1))
+	var total int64
+	for i, n := range sizes {
+		data := make([]byte, n)
+		rng.Read(data)
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("f%03d.dat", i)), data, 0o666); err != nil {
+			b.Fatal(err)
+		}
+		total += n
+	}
+	return dir, total
+}
+
+// oneRangeOptions are a stageOneRange shape's transfer options.
+func oneRangeOptions(b *testing.B, manifest bool) staging.Options {
+	opts := staging.Options{Workers: 4}
+	if manifest {
+		opts.Manifest = filepath.Join(b.TempDir(), "manifest")
+	}
+	return opts
+}
+
 // BenchmarkStageIn measures the staging engine's two regimes against
-// their data-path baselines:
+// their data-path baselines, plus the stageOneRange shapes:
 //
-//   - large: one 16 MiB file over real TCP sockets into a 4-daemon
-//     cluster with the write-behind pipeline (window 4, 64 KiB chunks) —
-//     the same operating point as BenchmarkAsyncWriteStream/window-4,
-//     which is the upper bound a tree copy can approach.
+//   - large: one 16 MiB file — four of the engine's 4 MiB ranges, one
+//     per worker — over real TCP sockets into a 4-daemon cluster (64 KiB
+//     chunks), the operating point of BenchmarkAsyncWriteStream/window-4.
 //   - smallfiles: 1000 × 1 KiB files into a durable on-disk cluster
 //     (SyncWAL) — the operating point of BenchmarkMetadataCreates. Data
 //     -carrying files additionally pay one chunk-file creation on the
@@ -696,18 +718,16 @@ func stageSourceSmall(b *testing.B, n, size int) string {
 //     comparison against BenchmarkMetadataCreates/batched.
 func BenchmarkStageIn(b *testing.B) {
 	b.Run("large", func(b *testing.B) {
-		const largeBytes = 16 << 20
-		src := stageSourceLarge(b, largeBytes)
+		src, largeBytes := stageSourceFiles(b, []int64{16 << 20})
 		c := tcpCluster(b, 4, 4, client.Config{
 			ChunkSize: 64 << 10, AsyncWrites: true, WriteWindow: 4,
 		})
 		b.SetBytes(largeBytes)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			// Restaging the same tree overwrites in place (O_TRUNC),
-			// bounding daemon memory across iterations. 4 MiB segments
-			// put all four workers on the one file.
-			rep, err := staging.StageIn(c, src, "/in", staging.Options{Workers: 4, SegmentBytes: 4 << 20})
+			// Restaging the same tree truncates and overwrites in place,
+			// bounding daemon memory across iterations.
+			rep, err := staging.StageIn(c, src, "/in", staging.Options{Workers: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -752,26 +772,49 @@ func BenchmarkStageIn(b *testing.B) {
 	}
 	b.Run("smallfiles", func(b *testing.B) { smallIngest(b, 1<<10) })
 	b.Run("empty", func(b *testing.B) { smallIngest(b, 0) })
+	for _, sh := range stageOneRange {
+		b.Run(sh.name, func(b *testing.B) {
+			src, total := stageSourceFiles(b, sh.sizes)
+			c := tcpCluster(b, 4, 4, client.Config{
+				ChunkSize: 64 << 10, AsyncWrites: true, WriteWindow: 4,
+			})
+			opts := oneRangeOptions(b, sh.manifest)
+			b.SetBytes(total)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rep, err := staging.StageIn(c, src, "/in", opts); err != nil || rep.Err() != nil {
+					b.Fatal(err, rep.Err())
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkStageOut is the reverse direction: the cluster tree drains to
 // the host, reading through the stat-free read path and recreating
 // sparseness.
+//
+//   - large: the 16 MiB file of BenchmarkStageIn/large, staged in again
+//     (untimed) before every timed stage-out, so each iteration reads
+//     freshly written bytes off the wire as a job's teardown does — never
+//     a client-side cache's copy of the previous iteration's read.
+//   - the stageOneRange shapes, each staged in again the same way.
 func BenchmarkStageOut(b *testing.B) {
 	b.Run("large", func(b *testing.B) {
-		const largeBytes = 16 << 20
-		src := stageSourceLarge(b, largeBytes)
+		src, largeBytes := stageSourceFiles(b, []int64{16 << 20})
 		out := b.TempDir()
 		c := tcpCluster(b, 4, 4, client.Config{
 			ChunkSize: 64 << 10, AsyncWrites: true, WriteWindow: 4,
 		})
-		if rep, err := staging.StageIn(c, src, "/data", staging.Options{Workers: 4}); err != nil || rep.Err() != nil {
-			b.Fatal(err, rep.Err())
-		}
 		b.SetBytes(largeBytes)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rep, err := staging.StageOut(c, "/data", out, staging.Options{Workers: 4, SegmentBytes: 4 << 20})
+			b.StopTimer()
+			if rep, err := staging.StageIn(c, src, "/data", staging.Options{Workers: 4}); err != nil || rep.Err() != nil {
+				b.Fatal(err, rep.Err())
+			}
+			b.StartTimer()
+			rep, err := staging.StageOut(c, "/data", out, staging.Options{Workers: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -804,6 +847,28 @@ func BenchmarkStageOut(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.N*files)/b.Elapsed().Seconds(), "files/sec")
 	})
+	for _, sh := range stageOneRange {
+		b.Run(sh.name, func(b *testing.B) {
+			src, total := stageSourceFiles(b, sh.sizes)
+			out := b.TempDir()
+			c := tcpCluster(b, 4, 4, client.Config{
+				ChunkSize: 64 << 10, AsyncWrites: true, WriteWindow: 4,
+			})
+			opts := oneRangeOptions(b, sh.manifest)
+			b.SetBytes(total)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if rep, err := staging.StageIn(c, src, "/data", staging.Options{Workers: 4}); err != nil || rep.Err() != nil {
+					b.Fatal(err, rep.Err())
+				}
+				b.StartTimer()
+				if rep, err := staging.StageOut(c, "/data", out, opts); err != nil || rep.Err() != nil {
+					b.Fatal(err, rep.Err())
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkRealSharedFileWrite measures the shared-file write path with

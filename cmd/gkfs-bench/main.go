@@ -7,7 +7,6 @@
 //	gkfs-bench -mode ior -nodes 4 -workers 8 -block 64MiB -transfer 1MiB
 //	gkfs-bench -mode ior -daemons host1:7777,host2:7777 -workers 16 ...
 //	gkfs-bench -mode stage -nodes 4 -stage-large 256MiB -files 2000
-//	gkfs-bench -mode read -daemons ... -workers 1 -block 64MiB -transfer 256KiB
 //	gkfs-bench -mode io -daemons ... -replicas 2 -block 64MiB -io-copy /tmp/truth.dat
 //	gkfs-bench -mode checkpoint -daemons ... -workers 4 -files 8 -ck-bytes 1MiB -ck-out /tmp/ck
 package main
@@ -23,7 +22,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/cli"
@@ -41,7 +39,7 @@ func main() {
 	var f cli.Flags
 	f.RegisterMount(flag.CommandLine)
 	f.RegisterTuning(flag.CommandLine)
-	mode := flag.String("mode", "mdtest", "workload: mdtest | ior | stage | read | io | checkpoint")
+	mode := flag.String("mode", "mdtest", "workload: mdtest | ior | stage | io | checkpoint")
 	nodes := flag.Int("nodes", 4, "in-process cluster (no -daemons): node count")
 	chunk := cli.Size(meta.DefaultChunkSize)
 	flag.Var(&chunk, "chunk", "in-process cluster: chunk size (a -daemons deployment is asked for its own)")
@@ -70,17 +68,6 @@ func main() {
 	flag.Var(&ckBytes, "ck-bytes", "checkpoint: bytes per checkpoint file (count = -workers x -files)")
 	ckOut := flag.String("ck-out", "", "checkpoint: keep the staged trees and ground truth under this directory (empty = temp, removed)")
 	flag.Parse()
-
-	if *mode == "read" {
-		// The sweep owns these knobs: its baseline pass must run on a
-		// genuinely plain client (no speculation, no cache), and its
-		// read-ahead pass forces the pipeline per descriptor
-		// (-readwindow is still honored).
-		if f.Client.ReadAhead || f.Client.CacheBytes > 0 {
-			fmt.Fprintln(os.Stderr, "gkfs-bench: -mode read ignores -readahead/-cachebytes (the sweep compares plain vs read-ahead descriptors itself)")
-		}
-		f.Client.ReadAhead, f.Client.CacheBytes = false, 0
-	}
 
 	// Every worker mounts its own client from the same parsed flags — and,
 	// under -trace-sample, into the one registry they carry, so the
@@ -149,12 +136,6 @@ func main() {
 		if err := runStage(factory, stageConfig{
 			Src: *stageSrc, LargeBytes: int64(stageLarge), SmallBytes: int64(stageSmall),
 			SmallFiles: *files, Workers: *workers, Verify: *verify,
-		}); err != nil {
-			log.Fatalf("gkfs-bench: %v", err)
-		}
-	case "read":
-		if err := runReadSweep(factory, readSweepConfig{
-			Workers: *workers, BlockBytes: int64(block), TransferBytes: int64(transfer),
 		}); err != nil {
 			log.Fatalf("gkfs-bench: %v", err)
 		}
@@ -433,107 +414,6 @@ func runIO(factory workload.ClientFactory, cfg ioConfig) error {
 		telemetry.WriteOpTable(os.Stdout, "io: daemon latency (all daemons merged):", merged.Hists)
 	}
 	fmt.Printf("io: verify OK (%d bytes)\n", cfg.Bytes)
-	return nil
-}
-
-// readSweepConfig shapes the sequential-read sweep: each worker streams
-// its own BlockBytes file in TransferBytes reads, once through plain
-// descriptors (the synchronous fan-out baseline) and once through
-// read-ahead descriptors (the prefetch pipeline).
-type readSweepConfig struct {
-	Workers       int
-	BlockBytes    int64
-	TransferBytes int64
-}
-
-// runReadSweep writes one file per worker and pass, then measures
-// aggregate sequential read throughput for the baseline and read-ahead
-// passes. The client is always built without ReadAhead/CacheBytes (main
-// clears the flags for this mode), so the baseline pass is the true
-// synchronous protocol; the read-ahead pass forces the pipeline per
-// descriptor via OpenReadAhead. Separate files per pass keep the
-// comparison honest: the read-ahead pass never profits from blocks the
-// baseline deposited in the chunk cache.
-func runReadSweep(factory workload.ClientFactory, cfg readSweepConfig) error {
-	c, err := factory()
-	if err != nil {
-		return err
-	}
-	passes := []struct {
-		name string
-		open func(path string) (int, error)
-	}{
-		{"sync     ", func(p string) (int, error) { return c.Open(p, client.O_RDONLY) }},
-		{"readahead", func(p string) (int, error) { return c.OpenReadAhead(p, client.O_RDONLY) }},
-	}
-
-	// Populate: one file per worker per pass, written sequentially.
-	src := make([]byte, 1<<20)
-	rand.New(rand.NewSource(42)).Read(src)
-	for pi := range passes {
-		for w := 0; w < cfg.Workers; w++ {
-			fd, err := c.Open(fmt.Sprintf("/read-bench/p%d.w%d", pi, w), client.O_WRONLY|client.O_CREATE|client.O_TRUNC)
-			if err != nil {
-				return err
-			}
-			for off := int64(0); off < cfg.BlockBytes; off += int64(len(src)) {
-				n := min(int64(len(src)), cfg.BlockBytes-off)
-				if _, err := c.WriteAt(fd, src[:n], off); err != nil {
-					return err
-				}
-			}
-			if err := c.Close(fd); err != nil {
-				return err
-			}
-		}
-	}
-
-	fmt.Printf("read: %d workers x %d bytes, %d-byte sequential reads\n",
-		cfg.Workers, cfg.BlockBytes, cfg.TransferBytes)
-	rates := make([]float64, len(passes))
-	for pi, pass := range passes {
-		var wg sync.WaitGroup
-		errs := make([]error, cfg.Workers)
-		begin := time.Now()
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				fd, err := pass.open(fmt.Sprintf("/read-bench/p%d.w%d", pi, w))
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				defer c.Close(fd)
-				buf := make([]byte, cfg.TransferBytes)
-				var total int64
-				for {
-					n, rerr := c.Read(fd, buf)
-					total += int64(n)
-					if rerr == io.EOF {
-						break
-					}
-					if rerr != nil {
-						errs[w] = rerr
-						return
-					}
-				}
-				if total != cfg.BlockBytes {
-					errs[w] = fmt.Errorf("worker %d read %d bytes, want %d", w, total, cfg.BlockBytes)
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		el := time.Since(begin)
-		rates[pi] = float64(cfg.BlockBytes) * float64(cfg.Workers) / (1 << 20) / el.Seconds()
-		fmt.Printf("  %s %10.1f MiB/s\n", pass.name, rates[pi])
-	}
-	fmt.Printf("  speedup   %10.2fx\n", rates[1]/rates[0])
 	return nil
 }
 

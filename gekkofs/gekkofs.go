@@ -172,11 +172,13 @@ func WithAsyncWrites(window int) Option {
 // subsequent reads from the chunk cache — a single reader overlaps
 // transfers from every daemon instead of blocking a full RPC fan-out
 // per call. Random access never speculates. Implies a chunk cache
-// (WithChunkCache sizes it; 32 MiB otherwise). Caveat shared with every
-// client cache: another client's concurrent write to a cached block may
-// not be observed until this client writes the file itself or the block
-// ages out — GekkoFS already leaves concurrent conflicting I/O
-// undefined (paper §III-A).
+// (WithChunkCache sizes it; 32 MiB otherwise), with its contract: a
+// cached block is not revalidated against the daemons, so after another
+// mount writes the file — concurrently or long before this read — this
+// client can keep serving the block it cached earlier until it writes,
+// truncates or removes the path itself, or the block is evicted. Use it
+// for data only this mount changes, or read-only input. Staging never
+// caches: FS.StageOut reads every byte from the daemons.
 func WithReadAhead(window int) Option {
 	return func(c *core.Config) { c.Client.ReadAhead, c.Client.ReadWindow = true, window }
 }
@@ -185,8 +187,9 @@ func WithReadAhead(window int) Option {
 // pooled buffers). Any positive value enables caching even without
 // WithReadAhead: demand reads deposit the chunk-aligned blocks they
 // cover, so re-reading cached data moves zero wire bytes. The cache is
-// invalidated by this client's own writes, truncates and removes; see
-// WithReadAhead for the cross-client staleness caveat.
+// invalidated only by this client's own writes, truncates and removes
+// (and eviction): another mount's later write to a cached block stays
+// unseen until then — see WithReadAhead.
 func WithChunkCache(bytes int64) Option {
 	return func(c *core.Config) { c.Client.CacheBytes = bytes }
 }
@@ -211,7 +214,11 @@ func WithStageIn(hostDir, fsDir string, opts *StageOptions) Option {
 // hostDir during Close, before teardown — results reach the permanent
 // file system exactly when the temporary one dissolves. Failures surface
 // in Close's error and in Cluster.StageOutReport. opts may be nil for
-// defaults.
+// defaults. With opts.Snapshot set to a committed tag, Close stages out
+// the namespace exactly as pinned when FS.Snapshot(tag) committed,
+// untorn by whatever the job wrote afterwards — the checkpoint/restart
+// shape where epoch N+1 computes while epoch N drains to the permanent
+// file system; an unknown tag fails the stage-out structurally.
 func WithStageOutOnClose(fsDir, hostDir string, opts *StageOptions) Option {
 	return func(c *core.Config) {
 		spec := &core.StageSpec{HostDir: hostDir, FSDir: fsDir}
@@ -220,18 +227,6 @@ func WithStageOutOnClose(fsDir, hostDir string, opts *StageOptions) Option {
 		}
 		c.StageOutOnClose = spec
 	}
-}
-
-// WithStageOutFrom pins WithStageOutOnClose's transfer to the named
-// snapshot tag: Close stages out the namespace exactly as pinned when
-// FS.Snapshot(tag) committed, untorn by whatever the job wrote
-// afterwards — the checkpoint/restart shape where epoch N+1 computes
-// while epoch N drains to the permanent file system. The tag must be
-// committed before Close runs; an unknown tag fails the stage-out
-// structurally. Ignored without WithStageOutOnClose; order relative to
-// it does not matter.
-func WithStageOutFrom(tag string) Option {
-	return func(c *core.Config) { c.StageOutFrom = tag }
 }
 
 // WithTelemetry enables client-side metrics: every FS mounted from the

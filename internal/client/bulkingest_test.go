@@ -12,8 +12,8 @@ import (
 )
 
 // The bulk-ingest primitives staging is built on: descriptor-free chunk
-// writes (WritePath), batched size updates (GrowMany), data-free size
-// extension (GrowSize), and the stats fan-out.
+// writes (WritePath), batched size updates (GrowMany), and the stats
+// fan-out.
 
 func TestWritePathAndGrowMany(t *testing.T) {
 	c := newLocalCluster(t, 4, Config{ChunkSize: 512})
@@ -88,68 +88,6 @@ func TestGrowManyErrorAlignment(t *testing.T) {
 		if err == nil {
 			t.Fatal("mismatched paths/sizes accepted")
 		}
-	}
-}
-
-func TestGrowSizeSparseTail(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		cfg := Config{ChunkSize: 512, AsyncWrites: async}
-		c := newLocalCluster(t, 2, cfg)
-		fd, err := c.Create("/tail")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.WriteAt(fd, []byte("head"), 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.GrowSize(fd, 10_000); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Close(fd); err != nil {
-			t.Fatal(err)
-		}
-		info, err := c.Stat("/tail")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Size() != 10_000 {
-			t.Fatalf("async=%v: size = %d, want 10000", async, info.Size())
-		}
-		// The extension reads as zeros.
-		fd, err = c.Open("/tail", O_RDONLY)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 16)
-		if _, err := c.ReadAt(fd, buf, 5000); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range buf {
-			if b != 0 {
-				t.Fatalf("async=%v: tail hole reads non-zero", async)
-			}
-		}
-		c.Close(fd)
-	}
-}
-
-func TestGrowSizeValidation(t *testing.T) {
-	c := newLocalCluster(t, 1, Config{ChunkSize: 512})
-	fd, err := c.Open("/ro", O_CREATE|O_RDONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close(fd)
-	if err := c.GrowSize(fd, 10); !errors.Is(err, proto.ErrInval) {
-		t.Fatalf("grow on read-only descriptor = %v", err)
-	}
-	wfd, err := c.Create("/w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close(wfd)
-	if err := c.GrowSize(wfd, -1); !errors.Is(err, proto.ErrInval) {
-		t.Fatalf("negative grow = %v", err)
 	}
 }
 

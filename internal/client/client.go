@@ -78,7 +78,7 @@ type Config struct {
 	// read-capable descriptor: once a descriptor's reads are sequential,
 	// the next chunk-sized blocks are speculatively fetched into a
 	// bounded in-flight window and served from the chunk cache (see
-	// readahead.go). OpenReadAhead enables it per descriptor regardless.
+	// readahead.go).
 	ReadAhead bool
 	// ReadWindow bounds in-flight prefetch span fetches per descriptor
 	// when read-ahead is on (each fetch covers up to prefetchSpanChunks
@@ -87,8 +87,8 @@ type Config struct {
 	// CacheBytes bounds the client-side chunk cache (LRU over pooled
 	// buffers). Any positive value enables the cache even without
 	// ReadAhead — demand reads deposit the blocks they cover, so
-	// re-reads of cached data move zero wire bytes. Zero sizes the cache
-	// at DefaultCacheBytes if and when read-ahead needs it.
+	// re-reads of cached data move zero wire bytes. Zero with ReadAhead
+	// sizes the cache at DefaultCacheBytes.
 	CacheBytes int64
 	// Replicas is the chunk replication factor R. R > 1 writes every
 	// chunk to the R daemons of its replica chain, reads with hedging
@@ -132,11 +132,10 @@ type Client struct {
 	// metrics) when Config.Telemetry was nil.
 	tel clientTelemetry
 
-	// cache is the chunk cache (readahead.go), created eagerly when the
-	// configuration asks for one and lazily by the first OpenReadAhead
-	// otherwise; nil means no caching anywhere on the read path.
-	cache     atomic.Pointer[chunkCache]
-	cacheInit sync.Mutex
+	// cache is the chunk cache (readahead.go), set by New when the
+	// configuration asks for one; nil means no caching anywhere on the
+	// read path.
+	cache *chunkCache
 
 	mu sync.Mutex
 	// sizeGen counts this client's own Truncate and Remove calls: the
@@ -229,7 +228,7 @@ func New(cfg Config) (*Client, error) {
 		nextFD:      3,
 	}
 	if cfg.ReadAhead || cfg.CacheBytes > 0 {
-		c.cache.Store(newChunkCache(cfg.CacheBytes))
+		c.cache = newChunkCache(cfg.CacheBytes)
 	}
 	c.initTelemetry(cfg.Telemetry, cfg.TraceSample)
 	return c, nil
@@ -394,20 +393,6 @@ func (c *Client) MkdirAll(path string) error {
 // from the client-side file map. Directories cannot be opened; GekkoFS
 // applications list them via ReadDir.
 func (c *Client) Open(path string, flags int) (int, error) {
-	return c.open(path, flags, c.cfg.ReadAhead)
-}
-
-// OpenReadAhead opens path like Open but with the sequential read-ahead
-// pipeline enabled on the returned descriptor even when the client was
-// configured without Config.ReadAhead, creating the chunk cache on first
-// use. Staging's stage-out workers use it: their reads are sequential by
-// construction, so the prefetch window converts the read fan-out's
-// round-trip latency into pipelined throughput.
-func (c *Client) OpenReadAhead(path string, flags int) (int, error) {
-	return c.open(path, flags, true)
-}
-
-func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 	p, err := meta.Clean(path)
 	if err != nil {
 		return -1, err
@@ -452,14 +437,13 @@ func (c *Client) open(path string, flags int, readAhead bool) (int, error) {
 		// undefined; a cached pre-write image must not paper over that.
 		of.pl.onFail = func() { c.cacheDropPath(p) }
 	}
-	if readAhead && accMode != O_WRONLY {
-		cc := c.ensureCache()
+	if c.cfg.ReadAhead && accMode != O_WRONLY {
 		// The in-flight window must fit comfortably inside the cache:
 		// reservations beyond it would force the eviction scan to shed
 		// blocks the reader has not consumed yet — prefetching ahead of
 		// what the cache can hold is pure thrash.
 		span := c.cfg.ChunkSize * prefetchSpanChunks
-		maxWindow := max(1, int(cc.cap/(2*span)))
+		maxWindow := max(1, int(c.cache.cap/(2*span)))
 		of.ra = newReadahead(min(c.cfg.ReadWindow, maxWindow))
 	}
 	c.mu.Lock()

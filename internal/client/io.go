@@ -675,39 +675,12 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 	return nil
 }
 
-// GrowSize raises the file's size to at least size without writing any
-// data: the byte range between the old EOF and size reads as zeros (a
-// hole), and no chunk is materialized for it. Staging uses it to give a
-// sparse file its full extent after skipping trailing zero runs. Under
-// AsyncWrites it becomes the descriptor's candidate and lands at the
-// next barrier; otherwise it follows the synchronous (or
-// size-cached) update protocol, exactly like a write ending at size.
-func (c *Client) GrowSize(fd int, size int64) error {
-	of, err := c.lookupIO(fd, true)
-	if err != nil {
-		return err
-	}
-	if size < 0 {
-		return proto.ErrInval
-	}
-	of.mu.Lock()
-	defer of.mu.Unlock()
-	if of.pl != nil {
-		if err := of.pl.takeErr(); err != nil {
-			return err
-		}
-		of.cand.announce(size)
-		return nil
-	}
-	return c.growSizeLocked(of, size)
-}
-
 // WritePath stores p at offset off of path without a descriptor: one
 // synchronous chunk RPC per owning daemon and nothing else — no file-map
 // slot, no stat, and deliberately no size update (callers own that, e.g.
-// through GrowMany's batched update-size plane). It is the bulk-ingest
-// write half of staging's small-file path; general applications should
-// use descriptors, whose size handling is automatic.
+// through GrowMany's batched update-size plane). It is staging's write
+// path; general applications should use descriptors, whose size handling
+// is automatic.
 func (c *Client) WritePath(path string, p []byte, off int64) error {
 	pth, err := meta.Clean(path)
 	if err != nil {

@@ -503,32 +503,16 @@ func (cc *chunkCache) entries() int {
 // [off, end) of path, once the data has landed (or failed — either way
 // the cached image is no longer trustworthy).
 func (c *Client) cacheInvalidate(path string, off, end int64) {
-	if cc := c.cache.Load(); cc != nil {
-		cc.invalidate(path, off, end, c.cfg.ChunkSize)
+	if c.cache != nil {
+		c.cache.invalidate(path, off, end, c.cfg.ChunkSize)
 	}
 }
 
 // cacheDropPath drops every cached block of path.
 func (c *Client) cacheDropPath(path string) {
-	if cc := c.cache.Load(); cc != nil {
-		cc.dropPath(path)
+	if c.cache != nil {
+		c.cache.dropPath(path)
 	}
-}
-
-// ensureCache returns the client's chunk cache, creating it on first use
-// (OpenReadAhead on a client configured without one).
-func (c *Client) ensureCache() *chunkCache {
-	if cc := c.cache.Load(); cc != nil {
-		return cc
-	}
-	c.cacheInit.Lock()
-	defer c.cacheInit.Unlock()
-	if cc := c.cache.Load(); cc != nil {
-		return cc
-	}
-	cc := newChunkCache(c.cfg.CacheBytes)
-	c.cache.Store(cc)
-	return cc
 }
 
 // wireRead is one wire fetch's outcome (see readThrough).
@@ -559,7 +543,7 @@ func (c *Client) cacheBlocks(n int) ioBuf {
 // readSpans's contract: a short count is always accompanied by io.EOF
 // (or a real error).
 func (c *Client) readThrough(of *openFile, p []byte, off int64) (int, error) {
-	cc := c.cache.Load()
+	cc := c.cache
 	if cc == nil {
 		return c.readSpans(of, ioBuf{p: p}, off)
 	}
@@ -742,10 +726,7 @@ func (c *Client) maybePrefetch(of *openFile, gen uint64, off, end int64, sawEOF 
 	horizon := end + int64(cap(ra.slots))*span
 	ra.mu.Unlock()
 
-	cc := c.cache.Load()
-	if cc == nil {
-		return
-	}
+	cc := c.cache // set whenever read-ahead is: New creates it for ReadAhead
 	fileEnd := of.cand.eof(of.view.end.Load())
 	boff := start
 	for boff < horizon && boff < fileEnd {

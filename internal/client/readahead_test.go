@@ -227,7 +227,7 @@ func TestReadAheadTruncateDropsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	raQuiesce(t, c, fd)
-	if n := c.cache.Load().entries(); n == 0 {
+	if n := c.cache.entries(); n == 0 {
 		t.Fatal("precondition: nothing cached before the truncate")
 	}
 
@@ -274,7 +274,7 @@ func TestReadAheadRandomAccessNoSpeculation(t *testing.T) {
 		}
 	}
 	raQuiesce(t, c, fd)
-	if n := c.cache.Load().entries(); n != len(offs) {
+	if n := c.cache.entries(); n != len(offs) {
 		t.Fatalf("cache holds %d blocks after %d random reads, want exactly the demanded blocks (speculation ran)", n, len(offs))
 	}
 }
@@ -494,54 +494,6 @@ func TestReadAheadConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestOpenReadAheadForcesPipeline verifies the per-descriptor override
-// staging relies on: OpenReadAhead speculates (and caches) on a client
-// configured without ReadAhead or CacheBytes, while plain descriptors
-// of the same client stay cache-less.
-func TestOpenReadAheadForcesPipeline(t *testing.T) {
-	c, daemons, _ := pipelineCluster(t, 3, Config{ChunkSize: 64})
-	if c.cache.Load() != nil {
-		t.Fatal("default client grew a chunk cache")
-	}
-	want := patternedBytes(64*16, 11)
-	writeFileVia(t, c, "/force", want)
-
-	fd, err := c.OpenReadAhead("/force", O_RDONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close(fd)
-	got := make([]byte, 128)
-	var all []byte
-	for {
-		n, err := c.Read(fd, got)
-		all = append(all, got[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(all, want) {
-		t.Fatal("OpenReadAhead stream mismatch")
-	}
-	raQuiesce(t, c, fd)
-	if c.cache.Load() == nil || c.cache.Load().entries() == 0 {
-		t.Fatal("OpenReadAhead descriptor never cached a block")
-	}
-	// And the re-read is wire-free.
-	before := sumStats(daemons)
-	buf := make([]byte, len(want))
-	if n, err := c.ReadAt(fd, buf, 0); (err != nil && err != io.EOF) || n != len(want) {
-		t.Fatalf("re-read = %d, %v", n, err)
-	}
-	raQuiesce(t, c, fd)
-	if d := sumStats(daemons).ReadOps - before.ReadOps; d != 0 {
-		t.Fatalf("re-read issued %d RPCs, want 0", d)
-	}
-}
-
 // TestReadAheadRemoveDropsCache verifies cached blocks die with the
 // file: a new file under the same name must never read the old one's
 // cached bytes.
@@ -587,16 +539,9 @@ func TestReadAheadRemoveDropsCache(t *testing.T) {
 // pushed, and hole-heavy reads push (almost) nothing.
 func TestReadAheadStatsCounters(t *testing.T) {
 	c, daemons, _ := pipelineCluster(t, 2, Config{ChunkSize: 64})
-	// 4 chunks of data, then a hole to 16 chunks via truncate-up.
+	// 4 chunks of data, then a hole to 16 chunks via a data-free grow.
 	writeFileVia(t, c, "/holes", patternedBytes(64*4, 19))
-	gfd, err := c.Open("/holes", O_WRONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.GrowSize(gfd, 64*16); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(gfd); err != nil {
+	if err := c.GrowMany([]string{"/holes"}, []int64{64 * 16})[0]; err != nil {
 		t.Fatal(err)
 	}
 
@@ -625,38 +570,42 @@ func TestReadAheadStatsCounters(t *testing.T) {
 }
 
 // TestReadAheadGrowPastCachedEOF pins two regressions around cached EOF
-// blocks and size growth: (1) a deferred GrowSize under write-behind
-// overrules a cached EOF via the descriptor's pending size — the read
-// must fall back to the wire and return the hole's zeros, never a
-// short (0, nil) that would livelock a read loop; (2) GrowMany drops
-// EOF-bearing blocks exactly like the single-path size update, so a
-// grown file never serves a spurious EOF from this client's own cache.
+// blocks and size growth: (1) a size view raised past a cached EOF — an
+// acknowledged grow whose invalidation has not run yet — overrules the
+// block: the read must fall back to the wire and return the hole's
+// zeros, never a short (0, nil) that would livelock a read loop; (2)
+// GrowMany drops EOF-bearing blocks exactly like the single-path size
+// update, so a grown file never serves a spurious EOF from this client's
+// own cache.
 func TestReadAheadGrowPastCachedEOF(t *testing.T) {
 	const size = 100
-	t.Run("deferred-growsize", func(t *testing.T) {
+	t.Run("acked-grow", func(t *testing.T) {
 		c, _, _ := pipelineCluster(t, 3, Config{
-			ChunkSize: 64, AsyncWrites: true, ReadAhead: true, CacheBytes: 1 << 20,
+			ChunkSize: 64, ReadAhead: true, CacheBytes: 1 << 20,
 		})
-		fd, err := c.Open("/grow", O_CREATE|O_RDWR)
+		writeFileVia(t, c, "/grow", patternedBytes(size, 21))
+		fd, err := c.Open("/grow", O_RDONLY)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close(fd)
-		if _, err := c.WriteAt(fd, patternedBytes(size, 21), 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Fsync(fd); err != nil {
-			t.Fatal(err)
-		}
 		buf := make([]byte, 64)
 		// Read to EOF so the cache holds an EOF-marked block.
 		if n, err := c.ReadAt(fd, buf, size-10); err != io.EOF || n != 10 {
 			t.Fatalf("pre-grow read = %d, %v; want 10, io.EOF", n, err)
 		}
-		// Deferred grow: the candidate stays local until the barrier.
-		if err := c.GrowSize(fd, size+50); err != nil {
+		// A grow lands on the owner and its acknowledgement raises the
+		// view — the moment before grew's invalidation drops the EOF
+		// block, held open here by raising the view alone.
+		gen := c.sizeGen.Load()
+		if err := c.updateSize("/grow", size+50, false); err != nil {
 			t.Fatal(err)
 		}
+		of, err := c.lookupFD(fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		of.view.raise(gen, size+50)
 		n, err := c.ReadAt(fd, buf, size)
 		if err != io.EOF || n != 50 {
 			t.Fatalf("post-grow read = %d, %v; want 50, io.EOF (stale cached EOF served)", n, err)
@@ -784,7 +733,7 @@ func TestPrefetchLandsInCacheBlocks(t *testing.T) {
 	if len(tap.lists) != 1 || len(tap.lists[0]) != 4 {
 		t.Fatalf("prefetch issued scatter lists %d, want one of 4 windows", len(tap.lists))
 	}
-	cc := c.cache.Load()
+	cc := c.cache
 	for i, w := range tap.lists[0] {
 		off := int64(1+i) * cs
 		ent := cc.acquire("/f", off)

@@ -154,9 +154,9 @@ func (c *Client) StatManyAt(paths []string, epoch uint64) ([]FileInfo, []error) 
 // GrowMany raises file sizes through the vector plane: sizes[i] becomes a
 // grow (merge) candidate for paths[i], sharded by metadata owner into one
 // OpBatchMeta per daemon — one RPC and one WAL append per batch instead
-// of one OpUpdateSize round trip per file. Staging's small-file path
-// pairs it with WritePath: chunk data first, then the whole batch's sizes
-// in one stroke. One error per path, aligned with the input.
+// of one OpUpdateSize round trip per file. Stage-in pairs it with
+// WritePath: chunk data first, then the whole batch's sizes in one
+// stroke. One error per path, aligned with the input.
 func (c *Client) GrowMany(paths []string, sizes []int64) []error {
 	if len(sizes) != len(paths) {
 		errs := make([]error, len(paths))

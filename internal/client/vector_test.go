@@ -198,7 +198,7 @@ func TestRemoveManyCollectsChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close(fd)
-	if err := c.GrowSize(fd, 2000); err != nil {
+	if err := c.GrowMany([]string{"/data"}, []int64{2000})[0]; err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 2000)
@@ -304,10 +304,10 @@ func TestNamespaceReadsAtAnyEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.GrowSize(fd, size); err != nil {
+		if err := c.Close(fd); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Close(fd); err != nil {
+		if err := c.GrowMany([]string{p}, []int64{size})[0]; err != nil {
 			t.Fatal(err)
 		}
 	}

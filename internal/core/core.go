@@ -89,11 +89,6 @@ type Config struct {
 	// permanent file system exactly when the temporary one dissolves.
 	// Failures surface in Close's error and in StageOutReport.
 	StageOutOnClose *StageSpec
-	// StageOutFrom pins StageOutOnClose's reads to the named committed
-	// snapshot tag (see staging.Options.Snapshot): the staged tree is the
-	// namespace exactly as pinned at the tag's epoch, untorn by whatever
-	// the job wrote afterwards. Ignored without StageOutOnClose.
-	StageOutFrom string
 }
 
 // Cluster is a running in-process deployment.
@@ -349,12 +344,8 @@ func (c *Cluster) Close() error {
 		if err != nil {
 			stageErrs = append(stageErrs, fmt.Errorf("core: stage-out: %w", err))
 		} else {
-			sopts := c.cfg.StageOutOnClose.Options
-			if c.cfg.StageOutFrom != "" {
-				sopts.Snapshot = c.cfg.StageOutFrom
-			}
-			rep, err := staging.StageOut(stager, c.cfg.StageOutOnClose.FSDir,
-				c.cfg.StageOutOnClose.HostDir, sopts)
+			spec := c.cfg.StageOutOnClose
+			rep, err := staging.StageOut(stager, spec.FSDir, spec.HostDir, spec.Options)
 			c.stageOut = rep
 			if err != nil {
 				stageErrs = append(stageErrs, fmt.Errorf("core: stage-out: %w", err))

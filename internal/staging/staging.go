@@ -3,20 +3,23 @@
 // temporary file system living for one job (paper §I, §III): inputs must
 // be staged in from the PFS at startup and results flushed back out at
 // teardown. This package implements that lifecycle as a parallel
-// transfer engine over the client library:
+// transfer engine over the client library.
+//
+// A transfer is a list of byte ranges moved by one worker pool over the
+// client's descriptor-free data path:
 //
 //   - Stage-in walks a host directory tree, creates the namespace
 //     through the vectored metadata plane (CreateMany batches, one RPC
-//     per daemon), and pumps file data through a bounded worker pool —
-//     small files take a descriptor-free fast path (WritePath + batched
-//     GrowMany size updates), large files stream through descriptors and
-//     benefit from the write-behind pipeline when the client has one.
+//     per daemon), writes every range with WritePath, and publishes each
+//     file's size once its last range has landed, through batched
+//     GrowMany updates — data always lands before the size.
 //   - Stage-out drains the cluster tree via paginated ReadDir, recreates
-//     it on the host file system, and can run incrementally against a
-//     staging manifest: files provably unmodified since stage-in move
-//     zero bytes. File data streams through read-ahead descriptors
-//     (client.OpenReadAhead), so the sequential copy loops ride the
-//     prefetch window instead of a synchronous fan-out per buffer.
+//     it on the host file system, and reads every range with
+//     ReadSnapshot at the transfer's epoch: a committed snapshot's, or
+//     the live one. It can run incrementally against a staging manifest:
+//     files provably unmodified since stage-in move zero bytes.
+//   - Neither direction opens a descriptor or touches the client's chunk
+//     cache, so a transfer never answers from bytes an earlier one read.
 //   - Both directions are sparse-aware: runs of zeros are never
 //     transferred — they become holes on whichever side receives them.
 //
@@ -33,6 +36,7 @@ import (
 	"hash"
 	"io"
 	iofs "io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -48,45 +52,42 @@ import (
 const (
 	// DefaultWorkers is the transfer pool size when Options.Workers is 0.
 	DefaultWorkers = 8
-	// DefaultBufBytes is the stage-in per-worker streaming buffer when
-	// Options.BufBytes is 0. One-MiB blocks feed the write-behind window
-	// as single RPCs (smooth pipelining) and stay cache-resident through
-	// the scan-and-scatter; bigger blocks measurably lose throughput.
-	DefaultBufBytes = 1 << 20
-	// DefaultReadBufBytes is the stage-out equivalent. Reads have no
-	// write-behind window — each buffer is one synchronous parallel
-	// fan-out — so larger blocks mean fewer round trips.
-	DefaultReadBufBytes = 4 << 20
-	// DefaultSegmentBytes is the large-file striping granularity when
-	// Options.SegmentBytes is 0.
-	DefaultSegmentBytes = 8 << 20
+	// bufBytes is a copy window, in both directions: one WritePath or
+	// ReadSnapshot fan-out. Median MiB/s staging in / out through 4
+	// gkfs-daemon processes on loopback TCP (512 KiB chunks, 8 workers,
+	// 2 vCPU), 1 / 2 / 4 MiB windows: one 64 MiB file 1250 / 1430,
+	// 1150 / 1570, 980 / 1670; 8 × 3 MiB files 830 / 1570, 840 / 1540,
+	// 720 / 1580. Bigger windows cost stage-in more than they give
+	// stage-out; 2 MiB is within the spread of 1 MiB at twice the memory.
+	bufBytes = 1 << 20
+	// pipeDepth is how many windows of one range pump keeps in flight:
+	// one being read, one being hashed, one being written. One 32 MiB
+	// file staged with a manifest through 4 in-process daemons on
+	// loopback TCP (64 KiB chunks, 2 vCPU), MB/s in / out: serial copy
+	// 490–550 / 375–410, depth 2 700–860 / 350–450, depth 3 740–880 /
+	// 575–700, depth 4 750–920 / 580–680.
+	pipeDepth = 3
+	// rangeBytes is the striping granularity: a file larger than this is
+	// transferred as that many concurrent ranges, so one giant checkpoint
+	// engages as many workers as a directory of files would.
+	rangeBytes = 4 << 20
 	// zeroProbe is the zero-run detection granularity: aligned runs of
 	// zeros at least this long are transferred as holes.
 	zeroProbe = 4 << 10
-	// growBatchSize bounds how many small-file size updates one worker
-	// accumulates before flushing them through GrowMany.
+	// growBatchSize bounds how many finished stage-in files one worker
+	// accumulates before publishing their sizes through GrowMany.
 	growBatchSize = 256
 )
 
 // Options tune a transfer. The zero value is a sensible default.
 type Options struct {
-	// Workers bounds concurrent file transfers (default DefaultWorkers).
+	// Workers bounds concurrent range transfers (default DefaultWorkers).
 	Workers int
-	// BufBytes is the per-worker streaming buffer size (defaults:
-	// DefaultBufBytes staging in, DefaultReadBufBytes staging out).
-	// Files up to this size take stage-in's descriptor-free small-file
-	// path.
-	BufBytes int
-	// SegmentBytes is the striping granularity for huge files (default
-	// DefaultSegmentBytes): a file larger than this is transferred as
-	// concurrent segments, each pumped by its own worker over its own
-	// descriptor, so one giant checkpoint saturates the cluster the way
-	// many files do. Content hashing needs a sequential stream, so
-	// manifest-recording transfers keep one worker per file.
-	SegmentBytes int64
 	// Manifest, when non-empty, names a host-side manifest file: stage-in
 	// records every transferred file (size, SHA-256, cluster mtime) and
-	// stage-out rewrites it to match what landed on the host.
+	// stage-out rewrites it to match what landed on the host. Content
+	// hashing needs a sequential stream, so with a manifest every file
+	// moves as a single range.
 	Manifest string
 	// Incremental makes stage-out skip files that are provably unmodified
 	// since the manifest was written: cluster size and mtime still match
@@ -99,19 +100,6 @@ type Options struct {
 	// Incremental (a snapshot's frozen mtimes defeat the skip check) and
 	// ignored by stage-in.
 	Snapshot string
-}
-
-func (o Options) withDefaults(defaultBuf int) Options {
-	if o.Workers <= 0 {
-		o.Workers = DefaultWorkers
-	}
-	if o.BufBytes <= 0 {
-		o.BufBytes = defaultBuf
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
-	return o
 }
 
 // Report is the structured outcome of one transfer. Partial failure is
@@ -158,20 +146,32 @@ func (r *Report) Summary() string {
 // has no symlinks or special files — paper §III-A).
 var errUnsupportedType = errors.New("staging: unsupported file type (not a regular file or directory)")
 
-// engine carries one transfer's shared state; rep and mf are guarded by
-// mu (workers report concurrently).
+// engine carries one transfer's shared state.
 type engine struct {
 	c    *client.Client
 	opts Options
+	// op names the direction ("stage-in", "stage-out") in range failures.
+	op string
 
 	// epoch is what stage-out reads the namespace and every byte at: a
 	// committed snapshot tag's pinned epoch, or client.LiveEpoch.
 	// Immutable after StageOut resolves the tag.
 	epoch uint64
 
+	// mf is the manifest in play, nil when there is none. The pointer is
+	// fixed before any worker starts; the manifest's contents are only
+	// touched under mu.
+	mf *Manifest
+
 	mu  sync.Mutex
-	rep Report    // guarded by mu
-	mf  *Manifest // guarded by mu; nil when no manifest is in play
+	rep Report // guarded by mu
+}
+
+func newEngine(c *client.Client, opts Options, op string) *engine {
+	if opts.Workers <= 0 {
+		opts.Workers = DefaultWorkers
+	}
+	return &engine{c: c, opts: opts, op: op, epoch: client.LiveEpoch}
 }
 
 func (e *engine) fail(op, path string, err error) {
@@ -223,94 +223,45 @@ func (e *engine) report(begin time.Time) *Report {
 	return &e.rep
 }
 
-// dirDone counts one created directory.
-func (e *engine) dirDone() {
+// dirDone counts one created directory and records it in the manifest
+// when one is in play.
+func (e *engine) dirDone(rel string) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.rep.Dirs++
-	e.mu.Unlock()
-}
-
-// setManifest installs the manifest during single-threaded setup.
-func (e *engine) setManifest(mf *Manifest) {
-	e.mu.Lock()
-	e.mf = mf
-	e.mu.Unlock()
-}
-
-// hasManifest reports whether a manifest is in play.
-func (e *engine) hasManifest() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.mf != nil
-}
-
-// putEntry records a manifest entry; a no-op without a manifest.
-func (e *engine) putEntry(ent Entry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.mf != nil {
-		e.mf.Put(ent)
+		e.mf.Put(Entry{Rel: rel, Dir: true, MTimeNS: time.Now().UnixNano()})
 	}
 }
 
 // writeManifest persists the manifest when one is in play.
 func (e *engine) writeManifest() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.mf == nil {
 		return nil
 	}
-	return e.mf.WriteFile(e.opts.Manifest)
-}
-
-// dropEntry forgets a manifest entry whose file failed to transfer, so a
-// later incremental pass cannot wrongly skip it.
-func (e *engine) dropEntry(rel string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.mf != nil {
-		e.mf.Delete(rel)
-	}
+	return e.mf.WriteFile(e.opts.Manifest)
 }
 
 // lookupEntry reads a manifest entry under the engine lock (workers
 // update the manifest concurrently).
 func (e *engine) lookupEntry(rel string) (Entry, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.mf == nil {
 		return Entry{}, false
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.mf.Get(rel)
 }
 
 // newHash returns a SHA-256 only when a manifest wants one — hashing is
 // pure overhead otherwise.
 func (e *engine) newHash() hash.Hash {
-	if !e.hasManifest() {
+	if e.mf == nil {
 		return nil
 	}
 	return sha256.New()
-}
-
-// recordDone reports a transferred file, stat'ing it first when a
-// manifest entry must be recorded: the entry carries the cluster's own
-// mtime, not this client's wall clock — a wall-clock stamp is strictly
-// later than the write stamps and would let a clock-lagging writer's
-// later modification hide under it (unsound incremental skips). The
-// small-file batch path records from a batched StatMany instead of
-// calling this.
-func (e *engine) recordDone(rel, fsPath string, size int64, h hash.Hash) {
-	if !e.hasManifest() {
-		e.done(rel, size, nil, 0)
-		return
-	}
-	info, err := e.c.Stat(fsPath)
-	if err != nil {
-		e.fail("stage-in stat", fsPath, err)
-		return
-	}
-	e.done(rel, size, h, info.ModTime().UnixNano())
 }
 
 // manifestable reports whether rel can be recorded in the line-oriented
@@ -318,7 +269,7 @@ func (e *engine) recordDone(rel, fsPath string, size int64, h hash.Hash) {
 // breaks, unclean forms) fail their file up front — transferring it and
 // then corrupting or forging manifest lines would be worse.
 func (e *engine) manifestable(rel string) error {
-	if !e.hasManifest() {
+	if e.mf == nil {
 		return nil
 	}
 	return checkRel(rel)
@@ -379,70 +330,254 @@ func fsJoin(root, rel string) string {
 	return root + "/" + rel
 }
 
-// --- segmented large-file transfer ---
+// --- ranges ---
 
-// segFile coordinates the segments of one striped large-file transfer:
-// the file counts as moved only when every segment landed, and the first
-// failing segment reports for all of them.
-type segFile struct {
+// xfile is one file of a transfer, shared by its ranges: the file counts
+// as moved only when every range landed, and the first failing range
+// reports for all of them.
+type xfile struct {
 	rel, fsPath, hostPath string
-	size                  int64
-	remaining             atomic.Int32
-	failed                atomic.Bool
-	maxEnd                atomic.Int64 // stage-out: highest byte read back
+	// size is what the walk saw: the host file's size staging in, the
+	// listed (or, incrementally, stat'ed) cluster size staging out. It
+	// shapes the ranges and clamps their reads; the last range still
+	// reads to EOF.
+	size int64
+	// mtimeNS is the stat'ed cluster mtime (hasStat: incremental
+	// stage-out, whose skip check needs both).
+	mtimeNS int64
+	hasStat bool
+	// existed marks a stage-in file whose cluster record pre-existed
+	// (restaging over an older version).
+	existed bool
+
+	// prep empties the receiving side once, before any range's data
+	// lands: zero runs are never written, so an older version's bytes
+	// would show through them. prepErr is its outcome, read by every
+	// range after prep.Do returns.
+	prep    sync.Once
+	prepErr error
+
+	remaining atomic.Int32
+	failed    atomic.Bool
+	maxEnd    atomic.Int64 // highest offset a range observed bytes up to
 }
 
-// segFail records a segment failure exactly once per file.
-func (e *engine) segFail(sf *segFile, op string, err error) {
-	if sf.failed.CompareAndSwap(false, true) {
-		e.fail(op, sf.fsPath, err)
+// stageWork is one worker-pool item: the byte range [off, end) of file.
+// A file's last range is open-ended (end = math.MaxInt64): it reads to
+// EOF, so a file that grew since the walk moves whole.
+type stageWork struct {
+	file     *xfile
+	off, end int64
+}
+
+// split appends f's ranges to queue: one per rangeBytes of its walk-time
+// size. With a manifest every file stays one range — its hash needs one
+// sequential stream.
+func (e *engine) split(queue []stageWork, f *xfile) []stageWork {
+	n := int64(1)
+	if e.mf == nil {
+		n = max(1, (f.size+rangeBytes-1)/rangeBytes)
+	}
+	f.remaining.Store(int32(n))
+	for i := range n - 1 {
+		queue = append(queue, stageWork{file: f, off: i * rangeBytes, end: (i + 1) * rangeBytes})
+	}
+	return append(queue, stageWork{file: f, off: (n - 1) * rangeBytes, end: math.MaxInt64})
+}
+
+// run pumps queue through the worker pool: each of the Workers
+// goroutines runs worker over its share of the queue.
+func (e *engine) run(queue []stageWork, worker func(work <-chan stageWork)) {
+	work := make(chan stageWork)
+	var wg sync.WaitGroup
+	for range e.opts.Workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker(work)
+		}()
+	}
+	for _, w := range queue {
+		work <- w
+	}
+	close(work)
+	wg.Wait()
+}
+
+// move runs one range's copy — unless a sibling range already failed,
+// which would make it a waste of the wire — and retires the range. The
+// copy returns the offset it reached. move reports the file's extent and
+// true to the caller retiring the last range of a file whose ranges all
+// succeeded: that caller finishes the file.
+func (e *engine) move(w stageWork, body func() (int64, error)) (int64, bool) {
+	f := w.file
+	if !f.failed.Load() {
+		reached, err := body()
+		if err != nil {
+			e.failFile(f, err)
+		} else if reached > w.off {
+			// Only a range that observed bytes (data or in-size holes)
+			// extends the file: one past the EOF of a file that shrank
+			// since the walk must not pad it out to its own start.
+			for cur := f.maxEnd.Load(); reached > cur && !f.maxEnd.CompareAndSwap(cur, reached); {
+				cur = f.maxEnd.Load()
+			}
+		}
+	}
+	if f.remaining.Add(-1) != 0 || f.failed.Load() {
+		return 0, false
+	}
+	return f.maxEnd.Load(), true
+}
+
+// failFile records f's failure once and forgets its manifest entry, so a
+// later incremental pass cannot wrongly skip it.
+func (e *engine) failFile(f *xfile, err error) {
+	if !f.failed.CompareAndSwap(false, true) {
+		return
+	}
+	e.fail(e.op, f.fsPath, err)
+	if e.mf != nil {
+		e.mu.Lock()
+		e.mf.Delete(f.rel)
+		e.mu.Unlock()
 	}
 }
 
-// raiseMax lifts sf.maxEnd to at least end.
-func (sf *segFile) raiseMax(end int64) {
-	for {
-		cur := sf.maxEnd.Load()
-		if end <= cur || sf.maxEnd.CompareAndSwap(cur, end) {
-			return
+// buffers are one worker's copy windows, taken from windowPool on
+// first use — a worker that only moves single-window files holds one —
+// and handed back by release, so back-to-back transfers reuse them
+// instead of allocating and zeroing them again.
+type buffers [pipeDepth]*[bufBytes]byte
+
+var windowPool = sync.Pool{New: func() any { return new([bufBytes]byte) }}
+
+func (b *buffers) release() {
+	for i, p := range b {
+		if p != nil {
+			windowPool.Put(p)
+			b[i] = nil
 		}
 	}
 }
 
-// segments appends one work item per SegmentBytes-sized slice of sf.
-func appendSegments(queue []stageWork, sf *segFile, segBytes int64) []stageWork {
-	nseg := (sf.size + segBytes - 1) / segBytes
-	sf.remaining.Store(int32(nseg))
-	for s := int64(0); s < nseg; s++ {
-		queue = append(queue, stageWork{
-			sf:  sf,
-			off: s * segBytes,
-			end: min((s+1)*segBytes, sf.size),
-		})
-	}
-	return queue
+// window is one buffer's trip through pump: read at off into p, hashed
+// in stream order, then written.
+type window struct {
+	off     int64
+	p       []byte
+	n       int
+	rerr    error
+	read    chan struct{} // closed once n and rerr are set
+	werr    error
+	written chan struct{} // closed once werr is set and p is free again
 }
 
-// stageWork is one worker-pool item: a whole file, or one segment of a
-// striped large file (sf != nil).
-type stageWork struct {
-	file     inFile // stage-in whole-file
-	out      outJob // stage-out whole-file
-	sf       *segFile
-	off, end int64
+// pump copies the range w from read to write, skipping zero runs and
+// feeding h when non-nil, and returns the offset it reached: w's end, or
+// where read reported EOF. Up to pipeDepth windows are in flight: reads
+// run ahead of the in-order hash and writes trail behind it, so the
+// cluster side of a transfer — either direction's — never waits on the
+// host side or on the hash, even for a file that is one range.
+//
+// Each read window is clamped to the walk-time size plus one byte: a
+// file at that size answers one right-sized read whose EOF arrives with
+// the data, instead of a buffer-wide fan-out (ruinous for small files),
+// while the extra byte keeps a file that grew since the walk reading.
+// Past that byte, reads go one window at a time, so a file that did not
+// grow costs no read beyond its EOF.
+func pump(bufs *buffers, w stageWork, h hash.Hash,
+	read func(p []byte, off int64) (int, error), write func(p []byte, off int64) error) (int64, error) {
+	var (
+		wins               [pipeDepth]*window // window i uses slot i % pipeDepth
+		launched, consumed int
+		next               = w.off // where the next window's read starts
+		reached            = w.off // end of the consumed bytes
+		ended              bool    // a read reported EOF
+		err                error   // first read or write failure
+		size               = w.file.size
+	)
+	// free reports whether win's buffer is free again, waiting for it
+	// when wait is set, and keeps win's write error.
+	free := func(win *window, wait bool) bool {
+		if !wait {
+			select {
+			case <-win.written:
+			default:
+				return false
+			}
+		}
+		<-win.written
+		if err == nil {
+			err = win.werr
+		}
+		return true
+	}
+	for {
+		// Read ahead into every free buffer. A buffer still being written
+		// stops the read-ahead while some window waits to be hashed —
+		// the hash never waits on a write — and is waited for otherwise.
+		for err == nil && !ended && next < w.end && (next <= size || launched == consumed) {
+			slot := launched % pipeDepth
+			if prev := wins[slot]; prev != nil && !free(prev, launched == consumed) || err != nil {
+				break
+			}
+			if bufs[slot] == nil {
+				bufs[slot] = windowPool.Get().(*[bufBytes]byte)
+			}
+			want := min(int64(bufBytes), w.end-next)
+			if size >= next {
+				want = min(want, size-next+1)
+			}
+			win := &window{off: next, p: bufs[slot][:want], read: make(chan struct{}), written: make(chan struct{})}
+			go func() {
+				win.n, win.rerr = read(win.p, win.off)
+				close(win.read)
+			}()
+			wins[slot] = win
+			launched++
+			next += want
+		}
+		if consumed == launched {
+			break
+		}
+		win := wins[consumed%pipeDepth]
+		consumed++
+		<-win.read
+		if err != nil || ended {
+			close(win.written) // read ahead of a failure or of EOF: dropped
+			continue
+		}
+		data := win.p[:win.n]
+		if h != nil {
+			h.Write(data)
+		}
+		reached = win.off + int64(win.n)
+		go func() {
+			win.werr = forNonzero(data, func(lo, hi int64) error {
+				return write(data[lo:hi], win.off+lo)
+			})
+			close(win.written)
+		}()
+		switch {
+		case errors.Is(win.rerr, io.EOF) || win.rerr == nil && win.n < len(win.p):
+			// Both readers end a short read with io.EOF; a bare short
+			// read still ends the stream rather than leave a gap under
+			// the windows read ahead of it.
+			ended = true
+		case win.rerr != nil:
+			err = win.rerr
+		}
+	}
+	for _, win := range wins {
+		if win != nil {
+			free(win, true)
+		}
+	}
+	return reached, err
 }
 
 // --- stage-in ---
-
-// inFile is one regular file found by the host-tree walk.
-type inFile struct {
-	rel  string
-	size int64
-	// trunc marks a file whose cluster record pre-existed: it must go
-	// through a descriptor with O_TRUNC instead of the small-file path,
-	// which assumes a fresh zero-size record.
-	trunc bool
-}
 
 // StageIn copies the directory tree under hostDir into the cluster at
 // fsDir (created if missing). The returned Report is never nil; the
@@ -450,9 +585,9 @@ type inFile struct {
 // source root, manifest write) — per-file failures land in the Report.
 func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, error) {
 	begin := time.Now()
-	e := &engine{c: c, opts: opts.withDefaults(DefaultBufBytes)}
+	e := newEngine(c, opts, "stage-in")
 	if e.opts.Manifest != "" {
-		e.setManifest(NewManifest())
+		e.mf = NewManifest()
 	}
 	fsRoot, err := meta.Clean(fsDir)
 	if err != nil {
@@ -468,7 +603,7 @@ func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, er
 	// problem (recorded in the report), so WalkDir itself cannot fail
 	// past the root.
 	var dirs []string
-	var files []inFile
+	var files []*xfile
 	_ = filepath.WalkDir(hostDir, func(p string, d iofs.DirEntry, werr error) error {
 		if werr != nil {
 			e.fail("walk", p, werr)
@@ -503,7 +638,7 @@ func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, er
 				e.fail("walk", p, err)
 				return nil
 			}
-			files = append(files, inFile{rel: rel, size: fi.Size()})
+			files = append(files, &xfile{rel: rel, fsPath: fsJoin(fsRoot, rel), hostPath: p, size: fi.Size()})
 		default:
 			e.unsupported(p)
 		}
@@ -522,415 +657,134 @@ func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, er
 			e.fail("mkdir", p, err)
 			continue
 		}
-		e.dirDone()
-		e.putEntry(Entry{Rel: rel, Dir: true, MTimeNS: time.Now().UnixNano()})
+		e.dirDone(rel)
 	}
 	paths := make([]string, len(files))
-	for i := range files {
-		paths[i] = fsJoin(fsRoot, files[i].rel)
+	for i, f := range files {
+		paths[i] = f.fsPath
 	}
-	cerrs := c.CreateMany(paths)
-	pump := files[:0]
-	for i := range files {
-		switch {
-		case cerrs[i] == nil:
-			pump = append(pump, files[i])
-		case errors.Is(cerrs[i], proto.ErrExist):
-			// The record pre-existed (restaging over a previous job's
-			// tree, or a directory squatting on the name — the open will
-			// say which). Old data must not shine through.
-			files[i].trunc = true
-			pump = append(pump, files[i])
-		default:
-			e.fail("create", paths[i], cerrs[i])
-		}
-	}
-
-	// Queue the pump work: small and medium files as whole-file items,
-	// huge files as striped segments (unless a manifest needs their
-	// sequential hash) so one giant checkpoint engages as many workers
-	// as a directory of files would.
 	var queue []stageWork
-	withManifest := e.hasManifest()
-	for _, f := range pump {
-		fsPath := fsJoin(fsRoot, f.rel)
-		if !withManifest && f.size > e.opts.SegmentBytes {
-			if f.trunc {
-				// One truncate up front; segments must not O_TRUNC each
-				// other's freshly written data.
-				if err := c.Truncate(fsPath, 0); err != nil {
-					e.fail("stage-in truncate", fsPath, err)
-					continue
-				}
-			}
-			sf := &segFile{
-				rel: f.rel, fsPath: fsPath,
-				hostPath: filepath.Join(hostDir, filepath.FromSlash(f.rel)),
-				size:     f.size,
-			}
-			queue = appendSegments(queue, sf, e.opts.SegmentBytes)
+	for i, err := range c.CreateMany(paths) {
+		switch {
+		case err == nil:
+		case errors.Is(err, proto.ErrExist):
+			// The record pre-existed (restaging over a previous job's
+			// tree, or a directory squatting on the name — the truncate
+			// will say which).
+			files[i].existed = true
+		default:
+			e.fail("create", paths[i], err)
 			continue
 		}
-		queue = append(queue, stageWork{file: f})
+		queue = e.split(queue, files[i])
 	}
 
-	// Pump file data through the worker pool. Each worker owns one
-	// streaming buffer and one small-file size batch.
-	jobs := make(chan stageWork)
-	var wg sync.WaitGroup
-	for w := 0; w < e.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, e.opts.BufBytes)
-			gb := &growBatch{}
-			for work := range jobs {
-				if work.sf != nil {
-					e.copyInSegment(buf, work)
-					continue
-				}
-				job := work.file
-				hostPath := filepath.Join(hostDir, filepath.FromSlash(job.rel))
-				fsPath := fsJoin(fsRoot, job.rel)
-				switch {
-				case !job.trunc && job.size == 0:
-					// Empty file: the CreateMany record is the whole
-					// transfer — don't even open the host file. (Marker
-					// and lock files by the thousand are common.)
-					e.recordDone(job.rel, fsPath, 0, e.newHash())
-				case !job.trunc && job.size <= int64(e.opts.BufBytes):
-					e.copyInSmall(buf, gb, hostPath, fsPath, job.rel)
-				default:
-					e.copyInFD(buf, hostPath, fsPath, job.rel, job.trunc)
-				}
-			}
-			e.flushGrow(gb)
-		}()
-	}
-	for _, work := range queue {
-		jobs <- work
-	}
-	close(jobs)
-	wg.Wait()
-
+	e.run(queue, func(work <-chan stageWork) {
+		var bufs buffers
+		defer bufs.release()
+		var gb growBatch
+		for w := range work {
+			e.copyIn(&bufs, &gb, w)
+		}
+		e.flushGrow(&gb)
+	})
 	if err := e.writeManifest(); err != nil {
 		return e.report(begin), fmt.Errorf("staging: manifest: %w", err)
 	}
 	return e.report(begin), nil
 }
 
-// growBatch accumulates small-file size updates for one worker, flushed
-// through the vector plane in one batched RPC per daemon.
-type growBatch struct {
-	fsPaths []string
-	rels    []string
-	sizes   []int64
-	hashes  []hash.Hash
+// copyIn moves one range of a host file into the cluster as bare chunk
+// writes (WritePath: no descriptor, no stat, no size update). Ranges of
+// one file write disjoint bytes, so they need no coordination beyond the
+// one truncate of a pre-existing record. The range finishing the file
+// hands its size to the worker's GrowMany batch: the size is published
+// only after every byte landed, and never for a file that failed.
+func (e *engine) copyIn(bufs *buffers, gb *growBatch, w stageWork) {
+	f := w.file
+	h := e.newHash()
+	size, last := e.move(w, func() (int64, error) {
+		f.prep.Do(func() {
+			if f.existed {
+				f.prepErr = e.c.Truncate(f.fsPath, 0)
+			}
+		})
+		if f.prepErr != nil || f.size == 0 {
+			// A file the walk saw empty is moved by its record alone:
+			// marker and lock files come by the thousand, and opening
+			// each would cost more than the rest of its transfer.
+			return w.off, f.prepErr
+		}
+		src, err := os.Open(f.hostPath)
+		if err != nil {
+			return w.off, err
+		}
+		defer src.Close()
+		return pump(bufs, w, h, src.ReadAt, func(p []byte, off int64) error {
+			return e.c.WritePath(f.fsPath, p, off)
+		})
+	})
+	switch {
+	case !last:
+	case size == 0 && e.mf == nil:
+		e.done(f.rel, 0, nil, 0) // created (or truncated) empty: nothing to publish
+	default:
+		gb.files = append(gb.files, f)
+		gb.sizes = append(gb.sizes, size)
+		gb.hashes = append(gb.hashes, h)
+		if len(gb.files) >= growBatchSize {
+			e.flushGrow(gb)
+		}
+	}
 }
 
-func (e *engine) addGrow(gb *growBatch, fsPath, rel string, size int64, h hash.Hash) {
-	gb.fsPaths = append(gb.fsPaths, fsPath)
-	gb.rels = append(gb.rels, rel)
-	gb.sizes = append(gb.sizes, size)
-	gb.hashes = append(gb.hashes, h)
-	if len(gb.fsPaths) >= growBatchSize {
-		e.flushGrow(gb)
-	}
+// growBatch holds one worker's finished stage-in files whose sizes are
+// not yet published, flushed through the vector plane in one batched RPC
+// per daemon.
+type growBatch struct {
+	files  []*xfile
+	sizes  []int64
+	hashes []hash.Hash
 }
 
 func (e *engine) flushGrow(gb *growBatch) {
-	if len(gb.fsPaths) == 0 {
+	if len(gb.files) == 0 {
 		return
 	}
-	errs := e.c.GrowMany(gb.fsPaths, gb.sizes)
-	// Manifest entries need each file's cluster mtime (see recordDone);
-	// one batched StatMany per flush reads them all back.
+	paths := make([]string, len(gb.files))
+	for i, f := range gb.files {
+		paths[i] = f.fsPath
+	}
+	errs := e.c.GrowMany(paths, gb.sizes)
+	// Manifest entries carry each file's cluster mtime, not this client's
+	// wall clock — a wall-clock stamp is strictly later than the write
+	// stamps and would let a clock-lagging writer's later modification
+	// hide under it (unsound incremental skips). One batched StatMany per
+	// flush reads them all back.
 	var infos []client.FileInfo
 	var serrs []error
-	withManifest := e.hasManifest()
-	if withManifest {
-		infos, serrs = e.c.StatMany(gb.fsPaths)
+	if e.mf != nil {
+		infos, serrs = e.c.StatMany(paths)
 	}
-	for i := range gb.fsPaths {
+	for i, f := range gb.files {
 		if errs[i] != nil {
-			e.fail("stage-in size", gb.fsPaths[i], errs[i])
+			e.fail("stage-in size", paths[i], errs[i])
 			continue
 		}
 		mtime := int64(0)
-		if withManifest {
+		if e.mf != nil {
 			if serrs[i] != nil {
-				e.fail("stage-in stat", gb.fsPaths[i], serrs[i])
+				e.fail("stage-in stat", paths[i], serrs[i])
 				continue
 			}
 			mtime = infos[i].ModTime().UnixNano()
 		}
-		e.done(gb.rels[i], gb.sizes[i], gb.hashes[i], mtime)
+		e.done(f.rel, gb.sizes[i], gb.hashes[i], mtime)
 	}
-	gb.fsPaths, gb.rels, gb.sizes, gb.hashes = gb.fsPaths[:0], gb.rels[:0], gb.sizes[:0], gb.hashes[:0]
-}
-
-// copyInSmall is the small-file fast path: the record was just created
-// by CreateMany, the whole file fits the worker buffer, so the data
-// moves as bare chunk writes (WritePath, no descriptor, no stat) and the
-// size joins the worker's batched GrowMany flush. RPCs per small file:
-// one chunk write (zero for hole-only or empty files) plus amortized
-// shares of one create batch and one size batch.
-func (e *engine) copyInSmall(buf []byte, gb *growBatch, hostPath, fsPath, rel string) {
-	src, err := os.Open(hostPath)
-	if err != nil {
-		e.fail("stage-in open", hostPath, err)
-		return
-	}
-	defer src.Close()
-	// Read to EOF rather than trusting the walk-time size: the file is
-	// what it is now. A file grown past the buffer since the walk is
-	// truncated to the buffer — staging a tree while it mutates is
-	// undefined, but stays bounded.
-	n, err := io.ReadFull(src, buf)
-	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		e.fail("stage-in read", hostPath, err)
-		return
-	}
-	data := buf[:n]
-	h := e.newHash()
-	if h != nil {
-		h.Write(data)
-	}
-	werr := forNonzero(data, func(lo, hi int64) error {
-		return e.c.WritePath(fsPath, data[lo:hi], lo)
-	})
-	if werr != nil {
-		e.fail("stage-in write", fsPath, werr)
-		return
-	}
-	if n == 0 {
-		// Empty file: the CreateMany record is already complete.
-		e.recordDone(rel, fsPath, 0, h)
-		return
-	}
-	e.addGrow(gb, fsPath, rel, int64(n), h)
-}
-
-// copyInFD streams one file through a descriptor: large files (the
-// write-behind pipeline overlaps their chunk RPCs when the client has
-// one) and re-staged files needing O_TRUNC. Trailing zero runs are
-// never written; GrowSize gives the file its full extent instead.
-func (e *engine) copyInFD(buf []byte, hostPath, fsPath, rel string, trunc bool) {
-	src, err := os.Open(hostPath)
-	if err != nil {
-		e.fail("stage-in open", hostPath, err)
-		return
-	}
-	defer src.Close()
-	flags := client.O_WRONLY
-	if trunc {
-		flags |= client.O_TRUNC
-	}
-	fd, err := e.c.Open(fsPath, flags)
-	if err != nil {
-		e.fail("stage-in open", fsPath, err)
-		return
-	}
-	h := e.newHash()
-	var off, lastData int64
-	for {
-		n, rerr := io.ReadFull(src, buf)
-		if n > 0 {
-			data := buf[:n]
-			if h != nil {
-				h.Write(data)
-			}
-			werr := forNonzero(data, func(lo, hi int64) error {
-				if _, err := e.c.WriteAt(fd, data[lo:hi], off+lo); err != nil {
-					return err
-				}
-				lastData = off + hi
-				return nil
-			})
-			if werr != nil {
-				e.fail("stage-in write", fsPath, werr)
-				e.c.Close(fd)
-				return
-			}
-			off += int64(n)
-		}
-		if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
-			break
-		}
-		if rerr != nil {
-			e.fail("stage-in read", hostPath, rerr)
-			e.c.Close(fd)
-			return
-		}
-	}
-	if lastData < off {
-		if err := e.c.GrowSize(fd, off); err != nil {
-			e.fail("stage-in size", fsPath, err)
-			e.c.Close(fd)
-			return
-		}
-	}
-	// Close is the barrier: under async writes it drains the in-flight
-	// window and flushes the size, so a clean return means the file is
-	// stored and visible cluster-wide.
-	if err := e.c.Close(fd); err != nil {
-		e.fail("stage-in close", fsPath, err)
-		return
-	}
-	e.recordDone(rel, fsPath, off, h)
-}
-
-// copyInSegment moves one byte range of a striped large file into the
-// cluster. Every segment has its own descriptor — its own write-behind
-// window when the client pipelines — so the segments of one file overlap
-// exactly like independent files do. Non-overlapping ranges make the
-// concurrent writes conflict-free.
-func (e *engine) copyInSegment(buf []byte, w stageWork) {
-	sf := w.sf
-	finish := func(err error) {
-		if err != nil {
-			e.segFail(sf, "stage-in", err)
-		}
-		if sf.remaining.Add(-1) == 0 && !sf.failed.Load() {
-			e.done(sf.rel, sf.size, nil, 0) // segments never record manifests
-		}
-	}
-	if sf.failed.Load() {
-		finish(nil) // a sibling already failed; don't waste the wire
-		return
-	}
-	src, err := os.Open(sf.hostPath)
-	if err != nil {
-		finish(err)
-		return
-	}
-	defer src.Close()
-	fd, err := e.c.Open(sf.fsPath, client.O_WRONLY)
-	if err != nil {
-		finish(err)
-		return
-	}
-	off, lastData := w.off, w.off
-	for off < w.end {
-		n, rerr := src.ReadAt(buf[:min(int64(len(buf)), w.end-off)], off)
-		if n > 0 {
-			data := buf[:n]
-			werr := forNonzero(data, func(lo, hi int64) error {
-				if _, err := e.c.WriteAt(fd, data[lo:hi], off+lo); err != nil {
-					return err
-				}
-				lastData = off + hi
-				return nil
-			})
-			if werr != nil {
-				e.c.Close(fd)
-				finish(werr)
-				return
-			}
-			off += int64(n)
-		}
-		if errors.Is(rerr, io.EOF) {
-			break // source shrank since the walk; take what exists
-		}
-		if rerr != nil {
-			e.c.Close(fd)
-			finish(rerr)
-			return
-		}
-	}
-	if lastData < off {
-		if err := e.c.GrowSize(fd, off); err != nil {
-			e.c.Close(fd)
-			finish(err)
-			return
-		}
-	}
-	finish(e.c.Close(fd))
-}
-
-// copyOutSegment drains one byte range of a striped large file to the
-// host. The host file was created (and emptied) by the coordinator; the
-// last segment to finish settles its final length.
-func (e *engine) copyOutSegment(buf []byte, w stageWork) {
-	sf := w.sf
-	finish := func(err error) {
-		if err != nil {
-			e.segFail(sf, "stage-out", err)
-		}
-		if sf.remaining.Add(-1) != 0 || sf.failed.Load() {
-			return
-		}
-		end := sf.maxEnd.Load()
-		if err := os.Truncate(sf.hostPath, end); err != nil {
-			e.fail("stage-out truncate", sf.hostPath, err)
-			return
-		}
-		e.done(sf.rel, end, nil, 0) // segments never record manifests
-	}
-	if sf.failed.Load() {
-		finish(nil)
-		return
-	}
-	// Segments are sequential streams: read-ahead keeps a window of
-	// chunk fetches in flight ahead of the copy loop instead of paying a
-	// full synchronous fan-out per buffer.
-	fd, err := e.c.OpenReadAhead(sf.fsPath, client.O_RDONLY)
-	if err != nil {
-		finish(err)
-		return
-	}
-	defer e.c.Close(fd)
-	dst, err := os.OpenFile(sf.hostPath, os.O_WRONLY, 0)
-	if err != nil {
-		finish(err)
-		return
-	}
-	off := w.off
-	for off < w.end {
-		n, rerr := e.c.ReadAt(fd, buf[:min(int64(len(buf)), w.end-off)], off)
-		if n > 0 {
-			data := buf[:n]
-			werr := forNonzero(data, func(lo, hi int64) error {
-				_, err := dst.WriteAt(data[lo:hi], off+lo)
-				return err
-			})
-			if werr != nil {
-				dst.Close()
-				finish(werr)
-				return
-			}
-			off += int64(n)
-		}
-		if errors.Is(rerr, io.EOF) {
-			break // the file ends inside this segment
-		}
-		if rerr != nil {
-			dst.Close()
-			finish(rerr)
-			return
-		}
-	}
-	// Only a segment that actually observed bytes (data or in-size
-	// holes) extends the final length: a segment past the EOF of a
-	// concurrently shrunk file must not zero-pad the host copy out to
-	// its own start offset.
-	if off > w.off {
-		sf.raiseMax(off)
-	}
-	finish(dst.Close())
+	gb.files, gb.sizes, gb.hashes = gb.files[:0], gb.sizes[:0], gb.hashes[:0]
 }
 
 // --- stage-out ---
-
-// outJob is one cluster file queued for stage-out. size/mtime are
-// authoritative (StatMany) only in incremental mode, where the skip
-// check needs them; the copy itself trusts neither and reads to EOF.
-type outJob struct {
-	rel     string
-	size    int64
-	mtimeNS int64
-	hasStat bool
-}
 
 // StageOut copies the cluster tree under fsDir into hostDir (created if
 // missing). With Options.Incremental (requires Manifest) files provably
@@ -939,7 +793,7 @@ type outJob struct {
 // only.
 func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, error) {
 	begin := time.Now()
-	e := &engine{c: c, opts: opts.withDefaults(DefaultReadBufBytes), epoch: client.LiveEpoch}
+	e := newEngine(c, opts, "stage-out")
 	fsRoot, err := meta.Clean(fsDir)
 	if err != nil {
 		return e.report(begin), fmt.Errorf("staging: source %q: %w", fsDir, err)
@@ -954,9 +808,9 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 		if err != nil {
 			return e.report(begin), fmt.Errorf("staging: manifest: %w", err)
 		}
-		e.setManifest(mf)
+		e.mf = mf
 	case e.opts.Manifest != "":
-		e.setManifest(NewManifest())
+		e.mf = NewManifest()
 	}
 	if e.opts.Snapshot != "" {
 		// Resolve the tag to its pinned epoch once, up front: a tag that
@@ -978,10 +832,11 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 	}
 
 	// Walk the cluster tree (paginated ReadDir under the hood), creating
-	// host directories as encountered and queueing files. In incremental
-	// mode each directory's files are stat'ed in one batched RPC per
-	// daemon — the skip check needs authoritative sizes and mtimes.
-	var jobs []outJob
+	// host directories as encountered and queueing every file's ranges.
+	// In incremental mode each directory's files are stat'ed in one
+	// batched RPC per daemon — the skip check needs authoritative sizes
+	// and mtimes.
+	var queue []stageWork
 	var walk func(rel string)
 	walk = func(rel string) {
 		fsPath := fsJoin(fsRoot, rel)
@@ -990,8 +845,7 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 			e.fail("stage-out readdir", fsPath, err)
 			return
 		}
-		var filePaths []string
-		var fileJobs []outJob
+		var files []*xfile
 		for _, en := range ents {
 			childRel := en.Name
 			if rel != "" {
@@ -1001,27 +855,26 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 				e.fail("stage-out", fsJoin(fsRoot, childRel), err)
 				continue
 			}
+			hostPath := filepath.Join(hostDir, filepath.FromSlash(childRel))
 			if en.IsDir {
-				hostPath := filepath.Join(hostDir, filepath.FromSlash(childRel))
 				if err := os.MkdirAll(hostPath, 0o777); err != nil {
 					e.fail("stage-out mkdir", hostPath, err)
 					continue
 				}
-				e.mu.Lock()
-				e.rep.Dirs++
-				if e.mf != nil && !e.opts.Incremental {
-					e.mf.Put(Entry{Rel: childRel, Dir: true, MTimeNS: time.Now().UnixNano()})
-				}
-				e.mu.Unlock()
+				e.dirDone(childRel)
 				walk(childRel)
 				continue
 			}
-			filePaths = append(filePaths, fsJoin(fsRoot, childRel))
-			fileJobs = append(fileJobs, outJob{rel: childRel, size: en.Size})
+			files = append(files, &xfile{rel: childRel, fsPath: fsJoin(fsRoot, childRel), hostPath: hostPath, size: en.Size})
 		}
-		if e.opts.Incremental && len(filePaths) > 0 {
-			infos, errs := c.StatMany(filePaths)
-			for i := range fileJobs {
+		if e.opts.Incremental && len(files) > 0 {
+			paths := make([]string, len(files))
+			for i, f := range files {
+				paths[i] = f.fsPath
+			}
+			infos, errs := c.StatMany(paths)
+			kept := files[:0]
+			for i, f := range files {
 				if errors.Is(errs[i], proto.ErrNotExist) {
 					// Listed but gone by stat time: removed concurrently.
 					// Eventual consistency makes this expected; skip it.
@@ -1032,215 +885,112 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 					// its whole shard) must be loud: silently skipping
 					// here would report a clean transfer while result
 					// data quietly misses the stage-out.
-					e.fail("stage-out stat", filePaths[i], errs[i])
+					e.fail("stage-out stat", paths[i], errs[i])
 					continue
 				}
-				fileJobs[i].size = infos[i].Size()
-				fileJobs[i].mtimeNS = infos[i].ModTime().UnixNano()
-				fileJobs[i].hasStat = true
-				jobs = append(jobs, fileJobs[i])
+				f.size, f.mtimeNS, f.hasStat = infos[i].Size(), infos[i].ModTime().UnixNano(), true
+				kept = append(kept, f)
 			}
-			return
+			files = kept
 		}
-		jobs = append(jobs, fileJobs...)
+		for _, f := range files {
+			queue = e.split(queue, f)
+		}
 	}
 	walk("")
 
-	// Huge files stripe into segments (no manifest in play — hashing
-	// would need one sequential stream); the host file is created empty
-	// here so segments only ever write their own ranges. Snapshot
-	// stage-out keeps one worker per file: its reads are descriptor-free
-	// epoch-pinned spans, not the read-ahead descriptors segments pump.
-	var queue []stageWork
-	withManifest := e.hasManifest()
-	for _, job := range jobs {
-		if !withManifest && e.epoch == client.LiveEpoch && job.size > e.opts.SegmentBytes {
-			hostPath := filepath.Join(hostDir, filepath.FromSlash(job.rel))
-			f, err := os.OpenFile(hostPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-			if err != nil {
-				e.fail("stage-out create", hostPath, err)
-				continue
-			}
-			if err := f.Close(); err != nil {
-				e.fail("stage-out create", hostPath, err)
-				continue
-			}
-			sf := &segFile{
-				rel: job.rel, fsPath: fsJoin(fsRoot, job.rel),
-				hostPath: hostPath, size: job.size,
-			}
-			queue = appendSegments(queue, sf, e.opts.SegmentBytes)
-			continue
+	e.run(queue, func(work <-chan stageWork) {
+		var bufs buffers
+		defer bufs.release()
+		for w := range work {
+			e.copyOut(&bufs, w)
 		}
-		queue = append(queue, stageWork{out: job})
-	}
-
-	work := make(chan stageWork)
-	var wg sync.WaitGroup
-	for w := 0; w < e.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, e.opts.BufBytes)
-			for item := range work {
-				if item.sf != nil {
-					e.copyOutSegment(buf, item)
-				} else {
-					e.copyOut(buf, fsRoot, hostDir, item.out)
-				}
-			}
-		}()
-	}
-	for _, item := range queue {
-		work <- item
-	}
-	close(work)
-	wg.Wait()
-
+	})
 	if err := e.writeManifest(); err != nil {
 		return e.report(begin), fmt.Errorf("staging: manifest: %w", err)
 	}
 	return e.report(begin), nil
 }
 
-// unmodifiedSince reports whether the cluster file described by job is
-// provably the same content the manifest entry recorded: identical size
-// and cluster mtime (the entry stores the cluster's own stamp, so any
-// later write — whose stamp the size-merger only ever raises — breaks
-// equality), and a host copy that verifies against the recorded hash.
-// Any doubt returns false and the file transfers. Caveat shared with
-// every mtime-based synchronizer: detection trusts writers' clocks.
-func unmodifiedSince(job outJob, ent Entry, hostPath string) bool {
-	if ent.Dir || !job.hasStat || ent.Hash == "" {
+// unmodifiedSince reports whether the cluster file f is provably the
+// same content the manifest entry recorded: identical size and cluster
+// mtime (the entry stores the cluster's own stamp, so any later write —
+// whose stamp the size-merger only ever raises — breaks equality), and a
+// host copy that verifies against the recorded hash. Any doubt returns
+// false and the file transfers. Caveat shared with every mtime-based
+// synchronizer: detection trusts writers' clocks.
+func unmodifiedSince(f *xfile, ent Entry) bool {
+	if ent.Dir || !f.hasStat || ent.Hash == "" {
 		return false
 	}
-	if job.size != ent.Size || job.mtimeNS != ent.MTimeNS {
+	if f.size != ent.Size || f.mtimeNS != ent.MTimeNS {
 		return false
 	}
-	fi, err := os.Stat(hostPath)
+	fi, err := os.Stat(f.hostPath)
 	if err != nil || !fi.Mode().IsRegular() || fi.Size() != ent.Size {
 		return false
 	}
-	f, err := os.Open(hostPath)
+	hf, err := os.Open(f.hostPath)
 	if err != nil {
 		return false
 	}
-	defer f.Close()
+	defer hf.Close()
 	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
+	if _, err := io.Copy(h, hf); err != nil {
 		return false
 	}
 	return hex.EncodeToString(h.Sum(nil)) == ent.Hash
 }
 
-// copyOut moves one cluster file onto the host, preserving sparseness:
-// zero runs are skipped and the final Truncate extends the file past a
-// trailing hole. The read loop is size-oblivious — it trusts the EOF
-// the stat-free read path reports, not the listing.
-func (e *engine) copyOut(buf []byte, fsRoot, hostDir string, job outJob) {
-	fsPath := fsJoin(fsRoot, job.rel)
-	hostPath := filepath.Join(hostDir, filepath.FromSlash(job.rel))
-	if e.opts.Incremental {
-		ent, ok := e.lookupEntry(job.rel)
-		if ok && unmodifiedSince(job, ent, hostPath) {
+// copyOut moves one range of a cluster file onto the host. Every read is
+// a descriptor-free ReadSnapshot at the transfer's epoch — at LiveEpoch a
+// live read of the file as it is now, never a cached block. The range
+// finishing the file settles the host copy's length at the extent the
+// ranges observed: past a trailing hole, or short of a file that shrank.
+func (e *engine) copyOut(bufs *buffers, w stageWork) {
+	f := w.file
+	if e.opts.Incremental { // a manifest: f is this one range
+		if ent, ok := e.lookupEntry(f.rel); ok && unmodifiedSince(f, ent) {
 			e.skip(ent.Size)
 			return
 		}
 	}
-	// Stage-out streams each file sequentially; read-ahead pipelines the
-	// chunk fetches so the copy loop is not round-trip bound. A pinned
-	// epoch reads descriptor-free spans instead — the pre-image view has
-	// no descriptor to read ahead through.
-	readAt := func(p []byte, off int64) (int, error) {
-		return e.c.ReadSnapshot(fsPath, e.epoch, p, off)
-	}
-	if e.epoch == client.LiveEpoch {
-		fd, err := e.c.OpenReadAhead(fsPath, client.O_RDONLY)
-		if err != nil {
-			e.fail("stage-out open", fsPath, err)
-			e.dropEntry(job.rel)
-			return
-		}
-		defer e.c.Close(fd)
-		readAt = func(p []byte, off int64) (int, error) {
-			return e.c.ReadAt(fd, p, off)
-		}
-	}
-	dst, err := os.OpenFile(hostPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		e.fail("stage-out create", hostPath, err)
-		e.dropEntry(job.rel)
-		return
-	}
 	h := e.newHash()
-	var off int64
-	for {
-		// Clamp the read window to the listed size plus one byte: a file
-		// at its listed size then answers one right-sized RPC whose EOF
-		// arrives with the data, instead of a full buffer-wide span
-		// fan-out (ruinous for small files). The +1 keeps the loop honest
-		// when the file grew past the listing — no EOF, keep reading.
-		want := int64(len(buf))
-		if job.size >= off {
-			if rem := job.size - off + 1; rem < want {
-				want = rem
-			}
+	size, last := e.move(w, func() (int64, error) {
+		dst, err := os.OpenFile(f.hostPath, os.O_WRONLY|os.O_CREATE, 0o666)
+		if err != nil {
+			return w.off, err
 		}
-		n, rerr := readAt(buf[:want], off)
-		if n > 0 {
-			data := buf[:n]
-			if h != nil {
-				h.Write(data)
-			}
-			werr := forNonzero(data, func(lo, hi int64) error {
-				_, err := dst.WriteAt(data[lo:hi], off+lo)
+		f.prep.Do(func() { f.prepErr = dst.Truncate(0) })
+		reached, err := w.off, f.prepErr
+		if err == nil {
+			reached, err = pump(bufs, w, h, func(p []byte, off int64) (int, error) {
+				return e.c.ReadSnapshot(f.fsPath, e.epoch, p, off)
+			}, func(p []byte, off int64) error {
+				_, err := dst.WriteAt(p, off)
 				return err
 			})
-			if werr != nil {
-				e.fail("stage-out write", hostPath, werr)
-				dst.Close()
-				e.dropEntry(job.rel)
-				return
-			}
-			off += int64(n)
 		}
-		if errors.Is(rerr, io.EOF) {
-			break
-		}
-		if rerr != nil {
-			e.fail("stage-out read", fsPath, rerr)
-			dst.Close()
-			e.dropEntry(job.rel)
-			return
-		}
-	}
-	// Extend past a trailing hole (WriteAt never reached EOF) and settle
-	// the exact length in one stroke.
-	if err := dst.Truncate(off); err != nil {
-		e.fail("stage-out truncate", hostPath, err)
-		dst.Close()
-		e.dropEntry(job.rel)
+		return reached, errors.Join(err, dst.Close())
+	})
+	if !last {
 		return
 	}
-	if err := dst.Close(); err != nil {
-		e.fail("stage-out close", hostPath, err)
-		e.dropEntry(job.rel)
+	if err := os.Truncate(f.hostPath, size); err != nil {
+		e.failFile(f, err)
 		return
 	}
-	// Manifest entries carry the cluster's own mtime (see recordDone's
+	// Manifest entries carry the cluster's own mtime (see flushGrow's
 	// rationale): the incremental walk already stat'ed it; a fresh
 	// manifest pays one stat here.
-	mtime := int64(0)
-	if e.hasManifest() {
-		if job.hasStat {
-			mtime = job.mtimeNS
-		} else if info, err := e.c.StatAt(fsPath, e.epoch); err == nil {
-			mtime = info.ModTime().UnixNano()
-		} else {
-			e.fail("stage-out stat", fsPath, err)
-			e.dropEntry(job.rel)
+	mtime := f.mtimeNS
+	if e.mf != nil && !f.hasStat {
+		info, err := e.c.StatAt(f.fsPath, e.epoch)
+		if err != nil {
+			e.failFile(f, err)
 			return
 		}
+		mtime = info.ModTime().UnixNano()
 	}
-	e.done(job.rel, off, h, mtime)
+	e.done(f.rel, size, h, mtime)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/rpc"
 	"repro/internal/staging"
@@ -230,52 +231,62 @@ func TestStageRoundTripFidelity(t *testing.T) {
 	}
 }
 
-// TestStageSegmentedLargeFile forces the striped large-file path (tiny
-// SegmentBytes) and requires byte fidelity for a file whose data and
-// holes straddle segment boundaries, in both directions.
+// writeSparse writes a fresh host file of size bytes holding 32 KiB
+// patterned blocks at offs and holes everywhere else.
+func writeSparse(t *testing.T, path string, size, seed int64, offs ...int64) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range offs {
+		if _, err := f.WriteAt(patterned(32<<10, seed+off), off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Truncate(size); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStageSegmentedLargeFile stripes a sparse file over more than two
+// ranges and requires byte fidelity for data and holes straddling the
+// range boundaries, in both directions and again after a restage.
 func TestStageSegmentedLargeFile(t *testing.T) {
+	const r = staging.RangeBytes
+	const size = 2*r + r/2
 	for _, async := range []bool{false, true} {
 		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
 			c, _ := newStageCluster(t, 4, client.Config{ChunkSize: 16 << 10, AsyncWrites: async})
 			src, out := t.TempDir(), t.TempDir()
-			// 1 MiB file, 128 KiB segments → 8 segments. Data blocks at
-			// irregular offsets; the rest is holes, including the first
-			// and last segments entirely.
-			f, err := os.Create(filepath.Join(src, "big.bin"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, off := range []int64{140 << 10, 300 << 10, 511 << 10, 700 << 10} {
-				if _, err := f.WriteAt(patterned(24<<10, off), off); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := f.Truncate(1 << 20); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
+			// Data blocks at irregular offsets, two of them across range
+			// boundaries; the rest is holes, including the last range's
+			// tail.
+			writeSparse(t, filepath.Join(src, "big.bin"), size, 1,
+				140<<10, r-12<<10, r+300<<10, 2*r-5<<10, 2*r+r/4)
 
-			opts := staging.Options{Workers: 4, SegmentBytes: 128 << 10, BufBytes: 64 << 10}
+			opts := staging.Options{Workers: 4}
 			rep := mustStageIn(t, c, src, "/job", opts)
-			if rep.Files != 1 || rep.Bytes != 1<<20 {
+			if rep.Files != 1 || rep.Bytes != size {
 				t.Fatalf("stage-in report: %s", rep.Summary())
 			}
 			info, err := c.Stat("/job/big.bin")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Size() != 1<<20 {
-				t.Fatalf("staged size = %d, want %d", info.Size(), 1<<20)
+			if info.Size() != size {
+				t.Fatalf("staged size = %d, want %d", info.Size(), size)
 			}
 			rep = mustStageOut(t, c, "/job", out, opts)
-			if rep.Files != 1 || rep.Bytes != 1<<20 {
+			if rep.Files != 1 || rep.Bytes != size {
 				t.Fatalf("stage-out report: %s", rep.Summary())
 			}
 			compareTrees(t, src, out)
 
-			// Restage over the existing tree (the O_TRUNC-once path) and
+			// Restage over the existing tree (the truncate-once path) and
 			// verify again.
 			rep = mustStageIn(t, c, src, "/job", opts)
 			if rep.Files != 1 {
@@ -285,6 +296,106 @@ func TestStageSegmentedLargeFile(t *testing.T) {
 			mustStageOut(t, c, "/job", out2, opts)
 			compareTrees(t, src, out2)
 		})
+	}
+}
+
+// TestStageRestageOverOlderVersion restages a tree over an older version
+// of itself — one file shrank, one became empty, one became hole-only,
+// one grew past two range boundaries — in both directions: into the
+// cluster over the old records, and out over the old host copies. None
+// of the old version may show through the new one's holes or past its
+// end: every file that already existed is emptied once, before any of its
+// ranges lands.
+func TestStageRestageOverOlderVersion(t *testing.T) {
+	const r = staging.RangeBytes
+	c, _ := newStageCluster(t, 4, client.Config{ChunkSize: 64 << 10})
+	src, out := t.TempDir(), t.TempDir()
+	path := func(name string) string { return filepath.Join(src, name) }
+
+	writeSparse(t, path("shrink.bin"), r+r/2, 1, 0, r-16<<10, r+r/2-32<<10)
+	writeHostFile(t, path("empty.bin"), patterned(100<<10, 2))
+	writeHostFile(t, path("holes.bin"), patterned(256<<10, 3))
+	writeHostFile(t, path("grow.bin"), patterned(48<<10, 4))
+	mustStageIn(t, c, src, "/job", staging.Options{})
+	mustStageOut(t, c, "/job", out, staging.Options{})
+	compareTrees(t, src, out)
+
+	writeSparse(t, path("shrink.bin"), 300<<10, 5, 100<<10)
+	writeHostFile(t, path("empty.bin"), nil)
+	writeSparse(t, path("holes.bin"), 512<<10, 6)
+	writeSparse(t, path("grow.bin"), 2*r+10<<10, 7, 16<<10, r-8<<10, 2*r-16<<10)
+	rep := mustStageIn(t, c, src, "/job", staging.Options{})
+	if rep.Files != 4 {
+		t.Fatalf("restage report: %s", rep.Summary())
+	}
+	for name, want := range map[string]int64{
+		"shrink.bin": 300 << 10, "empty.bin": 0, "holes.bin": 512 << 10, "grow.bin": 2*r + 10<<10,
+	} {
+		info, err := c.Stat("/job/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() != want {
+			t.Fatalf("restaged %s is %d bytes, want %d", name, info.Size(), want)
+		}
+	}
+	mustStageOut(t, c, "/job", out, staging.Options{})
+	compareTrees(t, src, out)
+	fresh := t.TempDir()
+	mustStageOut(t, c, "/job", fresh, staging.Options{})
+	compareTrees(t, src, fresh)
+}
+
+// TestStageOutSeesAnotherMountsRewrite stages a checkpoint out through
+// one mount, rewrites it at the same size through another, and stages it
+// out again: the second copy must be the new content. Nothing here is
+// concurrent I/O, so any byte of the previous checkpoint in the second
+// copy is a stale cache answering for the wire.
+func TestStageOutSeesAnotherMountsRewrite(t *testing.T) {
+	cluster, err := core.NewCluster(core.Config{Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	writer, err := cluster.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stager, err := cluster.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Mkdir("/ck"); err != nil {
+		t.Fatal(err)
+	}
+	for round, seed := range []int64{1, 2} {
+		want := patterned(2<<20, seed)
+		fd, err := writer.Open("/ck/state.bin", client.O_WRONLY|client.O_CREATE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := writer.WriteAt(fd, want, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+		out := t.TempDir()
+		mustStageOut(t, stager, "/ck", out, staging.Options{})
+		got, err := os.ReadFile(filepath.Join(out, "state.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			stale := 0
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					stale++
+				}
+			}
+			t.Fatalf("stage-out %d: %d of %d bytes differ from the current content (%d bytes staged)",
+				round+1, stale, len(want), len(got))
+		}
 	}
 }
 
