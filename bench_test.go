@@ -537,28 +537,24 @@ func BenchmarkShmSmallIO(b *testing.B) {
 // BenchmarkAsyncWriteStream measures a single writer streaming over real
 // TCP sockets to a 4-daemon cluster: the synchronous protocol (each
 // Write blocks on its chunk round trips plus a size-update RPC) against
-// the write-behind pipeline at growing window depths. This is the
-// latency-to-throughput conversion the pipeline exists for — one stream
-// saturating multiple daemons instead of ping-ponging one RPC at a time.
-// Fsync inside the timed region keeps the async numbers honest: the
-// barrier's drain is part of the cost.
+// the write-behind pipeline. This is the latency-to-throughput
+// conversion the pipeline exists for — one stream saturating multiple
+// daemons instead of ping-ponging one RPC at a time. Fsync inside the
+// timed region keeps the pipelined numbers honest: the barrier's drain
+// is part of the cost.
 func BenchmarkAsyncWriteStream(b *testing.B) {
 	const (
 		nodes   = 4
 		ioSize  = 256 << 10
 		chunkSz = 64 << 10
 	)
-	for _, window := range []int{0, 4, 16} {
+	for _, async := range []bool{false, true} {
 		name := "sync"
-		if window > 0 {
-			name = fmt.Sprintf("window-%d", window)
+		if async {
+			name = "pipelined"
 		}
 		b.Run(name, func(b *testing.B) {
-			c := tcpCluster(b, nodes, 4, client.Config{
-				ChunkSize:   chunkSz,
-				AsyncWrites: window > 0,
-				WriteWindow: window,
-			})
+			c := tcpCluster(b, nodes, 4, client.Config{ChunkSize: chunkSz, AsyncWrites: async})
 			fd, err := c.Create("/stream")
 			if err != nil {
 				b.Fatal(err)
@@ -582,16 +578,14 @@ func BenchmarkAsyncWriteStream(b *testing.B) {
 // BenchmarkAsyncReadStream is the read mirror of
 // BenchmarkAsyncWriteStream: a single reader streaming sequentially over
 // real TCP sockets from a 4-daemon cluster, synchronous protocol versus
-// the read-ahead pipeline at growing window depths. Reads are 16 KiB
-// against 64 KiB chunks — the buffered-consumer shape (cp, grep, a
-// parser) where the synchronous protocol pays one full RPC round trip
-// per small read and is round-trip-bound, exactly the regime the
-// pipeline exists for: speculation aggregates the stream into chunk-span
-// fetches (one RPC wave per 4 chunks instead of one per 16 KiB) and
-// keeps ReadWindow of them in flight while the consumer drains the
-// cache. The cache is sized below the 16 MiB working set, so every lap
-// refetches over the wire — the numbers measure the pipeline, not
-// resident-cache hits (those run several times faster again).
+// the read-ahead pipeline. Reads are 16 KiB against 64 KiB chunks — the
+// buffered-consumer shape (cp, grep, a parser) where the synchronous
+// protocol pays one full RPC round trip per small read and is
+// round-trip-bound, exactly the regime the pipeline exists for:
+// speculation aggregates the stream into chunk-span fetches (one RPC
+// wave per 4 chunks instead of one per 16 KiB) and keeps a window of
+// them moving while the consumer copies out of it. Every lap of the
+// 16 MiB extent refetches over the wire: nothing outlives the window.
 func BenchmarkAsyncReadStream(b *testing.B) {
 	const (
 		nodes   = 4
@@ -600,19 +594,13 @@ func BenchmarkAsyncReadStream(b *testing.B) {
 		laps    = 1024                 // ops per lap of the extent
 		extent  = int64(laps) * ioSize // 16 MiB
 	)
-	for _, window := range []int{0, 4, 16} {
+	for _, readAhead := range []bool{false, true} {
 		name := "sync"
-		if window > 0 {
-			name = fmt.Sprintf("window-%d", window)
+		if readAhead {
+			name = "pipelined"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := client.Config{ChunkSize: chunkSz}
-			if window > 0 {
-				cfg.ReadAhead = true
-				cfg.ReadWindow = window
-				cfg.CacheBytes = 8 << 20
-			}
-			c := tcpCluster(b, nodes, 4, cfg)
+			c := tcpCluster(b, nodes, 4, client.Config{ChunkSize: chunkSz, ReadAhead: readAhead})
 			fd, err := c.Create("/stream")
 			if err != nil {
 				b.Fatal(err)
@@ -709,7 +697,7 @@ func oneRangeOptions(b *testing.B, manifest bool) staging.Options {
 //
 //   - large: one 16 MiB file — four of the engine's 4 MiB ranges, one
 //     per worker — over real TCP sockets into a 4-daemon cluster (64 KiB
-//     chunks), the operating point of BenchmarkAsyncWriteStream/window-4.
+//     chunks), the operating point of BenchmarkAsyncWriteStream/pipelined.
 //   - smallfiles: 1000 × 1 KiB files into a durable on-disk cluster
 //     (SyncWAL) — the operating point of BenchmarkMetadataCreates. Data
 //     -carrying files additionally pay one chunk-file creation on the
@@ -720,7 +708,7 @@ func BenchmarkStageIn(b *testing.B) {
 	b.Run("large", func(b *testing.B) {
 		src, largeBytes := stageSourceFiles(b, []int64{16 << 20})
 		c := tcpCluster(b, 4, 4, client.Config{
-			ChunkSize: 64 << 10, AsyncWrites: true, WriteWindow: 4,
+			ChunkSize: 64 << 10, AsyncWrites: true,
 		})
 		b.SetBytes(largeBytes)
 		b.ResetTimer()
@@ -776,7 +764,7 @@ func BenchmarkStageIn(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			src, total := stageSourceFiles(b, sh.sizes)
 			c := tcpCluster(b, 4, 4, client.Config{
-				ChunkSize: 64 << 10, AsyncWrites: true, WriteWindow: 4,
+				ChunkSize: 64 << 10, AsyncWrites: true,
 			})
 			opts := oneRangeOptions(b, sh.manifest)
 			b.SetBytes(total)
@@ -804,7 +792,7 @@ func BenchmarkStageOut(b *testing.B) {
 		src, largeBytes := stageSourceFiles(b, []int64{16 << 20})
 		out := b.TempDir()
 		c := tcpCluster(b, 4, 4, client.Config{
-			ChunkSize: 64 << 10, AsyncWrites: true, WriteWindow: 4,
+			ChunkSize: 64 << 10, AsyncWrites: true,
 		})
 		b.SetBytes(largeBytes)
 		b.ResetTimer()
@@ -852,7 +840,7 @@ func BenchmarkStageOut(b *testing.B) {
 			src, total := stageSourceFiles(b, sh.sizes)
 			out := b.TempDir()
 			c := tcpCluster(b, 4, 4, client.Config{
-				ChunkSize: 64 << 10, AsyncWrites: true, WriteWindow: 4,
+				ChunkSize: 64 << 10, AsyncWrites: true,
 			})
 			opts := oneRangeOptions(b, sh.manifest)
 			b.SetBytes(total)

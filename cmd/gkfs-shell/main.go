@@ -307,9 +307,7 @@ func runStats(c *client.Client, jsonOut bool) {
 	if st.ReadOps > 0 {
 		// Wire-read efficiency: spans per read RPC rises with the
 		// prefetch window; bytes-out vs pushed exposes holes and
-		// EOF probes that moved nothing. Chunk-cache hits never
-		// reach a daemon at all — compare the client's logical read
-		// volume against bytes-out to see the hit rate.
+		// EOF probes that moved nothing.
 		fmt.Printf("read path: %.2f spans/rpc, %d of %d span bytes pushed\n",
 			float64(st.ReadSpans)/float64(st.ReadOps),
 			st.ReadBytesPushed, st.ReadBytes)

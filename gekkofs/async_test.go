@@ -14,7 +14,7 @@ import (
 // pipeline on: a writer streams through File.Write, Sync is the barrier,
 // and a second mount observes exactly the synced bytes.
 func TestAsyncWritesEndToEnd(t *testing.T) {
-	cl, fs := newCluster(t, gekkofs.WithAsyncWrites(4))
+	cl, fs := newCluster(t, gekkofs.WithAsyncWrites())
 	f, err := fs.Create("/out.dat")
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestAsyncWritesEndToEnd(t *testing.T) {
 // file-per-process shape: many Files on one mount, each with its own
 // window, closed concurrently.
 func TestAsyncConcurrentWriters(t *testing.T) {
-	cl, fs := newCluster(t, gekkofs.WithAsyncWrites(8))
+	cl, fs := newCluster(t, gekkofs.WithAsyncWrites())
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

@@ -150,49 +150,29 @@ func WithTransport(name string) Option { return func(c *core.Config) { c.Transpo
 // WithAsyncWrites enables the write-behind data pipeline, the
 // relaxed-semantics fast path for streaming writers: File.Write/WriteAt
 // stage their chunk RPCs into a bounded per-descriptor in-flight window
-// (depth `window`; 0 selects the default of 8) and return immediately,
-// so a single writer overlaps transfers to every daemon instead of
-// blocking a round trip per call. The contract moves to the barriers:
-// File.Sync and File.Close drain the window and flush the file-size
-// candidate, and a write failure latches on the descriptor and surfaces
-// exactly once — on the next Write, Sync or Close. Reads through the
-// same File drain its window first, so a process always reads its own
-// completed writes. Stay synchronous (the default) when every Write's
+// and return immediately, so a single writer overlaps transfers to every
+// daemon instead of blocking a round trip per call. The contract moves to
+// the barriers: File.Sync and File.Close drain the window and flush the
+// file-size candidate, and a write failure latches on the descriptor and
+// surfaces exactly once — on the next Write, Sync or Close. Reads through
+// the same File drain its window first, so a process always reads its
+// own completed writes. Stay synchronous (the default) when every Write's
 // error must refer to that write, or when another process must observe
 // data without waiting for this one's Sync.
-func WithAsyncWrites(window int) Option {
-	return func(c *core.Config) { c.Client.AsyncWrites, c.Client.WriteWindow = true, window }
-}
+func WithAsyncWrites() Option { return func(c *core.Config) { c.Client.AsyncWrites = true } }
 
 // WithReadAhead enables the sequential read-ahead pipeline, the read
 // mirror of WithAsyncWrites: once a File's reads are sequential (each
-// starting where the previous ended), the client speculatively fetches
-// the next chunk-sized blocks into a bounded per-descriptor in-flight
-// window (depth `window` span fetches; 0 selects the default of 4) and serves
-// subsequent reads from the chunk cache — a single reader overlaps
-// transfers from every daemon instead of blocking a full RPC fan-out
-// per call. Random access never speculates. Implies a chunk cache
-// (WithChunkCache sizes it; 32 MiB otherwise), with its contract: a
-// cached block is not revalidated against the daemons, so after another
-// mount writes the file — concurrently or long before this read — this
-// client can keep serving the block it cached earlier until it writes,
-// truncates or removes the path itself, or the block is evicted. Use it
-// for data only this mount changes, or read-only input. Staging never
-// caches: FS.StageOut reads every byte from the daemons.
-func WithReadAhead(window int) Option {
-	return func(c *core.Config) { c.Client.ReadAhead, c.Client.ReadWindow = true, window }
-}
-
-// WithChunkCache bounds the client-side chunk cache at `bytes` (LRU over
-// pooled buffers). Any positive value enables caching even without
-// WithReadAhead: demand reads deposit the chunk-aligned blocks they
-// cover, so re-reading cached data moves zero wire bytes. The cache is
-// invalidated only by this client's own writes, truncates and removes
-// (and eviction): another mount's later write to a cached block stays
-// unseen until then — see WithReadAhead.
-func WithChunkCache(bytes int64) Option {
-	return func(c *core.Config) { c.Client.CacheBytes = bytes }
-}
+// starting where the previous ended), the client fetches the spans just
+// past them into a bounded per-File window, so a single reader overlaps
+// transfers from every daemon instead of blocking a full RPC fan-out per
+// call. Random access never speculates, and nothing is kept once a read
+// moves past it or the File closes. The relaxation is bounded to that
+// window: another mount's write to bytes this File already fetched ahead
+// of its position may stay unseen by the read that consumes them; every
+// other read asks the daemons. This client's own writes, truncates and
+// removes always drop the fetches they outdate.
+func WithReadAhead() Option { return func(c *core.Config) { c.Client.ReadAhead = true } }
 
 // WithStageIn copies the directory tree under hostDir into the namespace
 // at fsDir as part of New — the job's input data arrives with the

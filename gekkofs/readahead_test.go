@@ -8,18 +8,16 @@ import (
 	"repro/gekkofs"
 )
 
-// TestReadAheadFacade exercises WithReadAhead/WithChunkCache end to end:
-// a sequential stream written through the write-behind pipeline reads
-// back byte-identical through the read-ahead pipeline, re-reads are
-// served after the file left the wire path, and a same-File overwrite
-// is never masked by the cache.
+// TestReadAheadFacade exercises WithReadAhead end to end: a sequential
+// stream written through the write-behind pipeline reads back
+// byte-identical through the read-ahead pipeline, twice, and a same-File
+// overwrite is never masked by a prefetched span.
 func TestReadAheadFacade(t *testing.T) {
 	cluster, err := gekkofs.New(
 		gekkofs.WithNodes(4),
 		gekkofs.WithChunkSize(1<<10),
-		gekkofs.WithAsyncWrites(4),
-		gekkofs.WithReadAhead(4),
-		gekkofs.WithChunkCache(1<<20),
+		gekkofs.WithAsyncWrites(),
+		gekkofs.WithReadAhead(),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +61,7 @@ func TestReadAheadFacade(t *testing.T) {
 		}
 	}
 
-	// Overwrite through a fresh File; the cached image must not survive.
+	// Overwrite through a fresh File; no prefetched image may survive.
 	f, err := fs.OpenFile("/data", gekkofs.O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +79,59 @@ func TestReadAheadFacade(t *testing.T) {
 	}
 	copy(want[512:], patch)
 	if !bytes.Equal(got, want) {
-		t.Fatal("cache served pre-overwrite bytes")
+		t.Fatal("read served pre-overwrite bytes")
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadAheadSeesAnotherMountsRewrite pins that read-ahead keeps
+// nothing past a descriptor: mount A reads a 2 MiB file sequentially and
+// closes it, mount B rewrites it at the same size, and A's re-read
+// through a fresh File must return the rewrite, not the bytes A
+// prefetched the first time.
+func TestReadAheadSeesAnotherMountsRewrite(t *testing.T) {
+	const size = 2 << 20
+	cl, a := newCluster(t, gekkofs.WithReadAhead())
+	b, err := cl.Mount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, rewrite := make([]byte, size), make([]byte, size)
+	for i := range old {
+		old[i], rewrite[i] = byte(i*7+1), byte(i*11+2)
+	}
+	if err := a.WriteFile("/ckpt", old); err != nil {
+		t.Fatal(err)
+	}
+	read := func() []byte {
+		t.Helper()
+		f, err := a.Open("/ckpt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		got, err := io.ReadAll(f) // sequential reads: the window is armed
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := read(); !bytes.Equal(got, old) {
+		t.Fatal("first read differs from the file")
+	}
+	if err := b.WriteFile("/ckpt", rewrite); err != nil {
+		t.Fatal(err)
+	}
+	got := read()
+	if !bytes.Equal(got, rewrite) {
+		stale := 0
+		for i := range min(len(got), size) {
+			if got[i] == old[i] && got[i] != rewrite[i] {
+				stale++
+			}
+		}
+		t.Fatalf("re-read after another mount's rewrite: %d bytes, %d of them from the old version", len(got), stale)
 	}
 }

@@ -17,7 +17,7 @@ import (
 //                          accessed while <mu> is held. <mu> is either a
 //                          sibling mutex field ("guarded by mu") or a
 //                          qualified <Type>.<field> naming another
-//                          struct's mutex ("guarded by chunkCache.mu").
+//                          struct's mutex ("guarded by readahead.mu").
 //   // Caller holds <mu>.  on a func declaration: the function runs with
 //                          the receiver's <mu> already held.
 //   //gkfs:bounded         on a statement line: the wire-derived value

@@ -10,8 +10,8 @@ import (
 // a field so documented may only be read while its mutex is held (RLock
 // suffices) and only written under the write lock. The guard is a
 // sibling field ("guarded by mu" — the access base must hold base.mu) or
-// a qualified type's mutex ("guarded by chunkCache.mu" — some
-// chunkCache's mu must be held). Function docs saying "Caller holds mu."
+// a qualified type's mutex ("guarded by readahead.mu" — some
+// readahead's mu must be held). Function docs saying "Caller holds mu."
 // seed the held set for that method. The walk is branch-sensitive: a
 // lock released inside a terminating branch stays held on the
 // fall-through path, and a lock taken inside one branch does not count

@@ -47,10 +47,7 @@ func (f *Flags) RegisterMount(fs *flag.FlagSet) {
 // here or from a gekkofs.With* option (TestEveryTunableIsReachable).
 func (f *Flags) RegisterTuning(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Client.AsyncWrites, "async", false, "write-behind pipeline: writes return immediately, Fsync/Close are the barriers")
-	fs.IntVar(&f.Client.WriteWindow, "window", 0, "async: in-flight chunk-RPC window per descriptor (0 = default)")
-	fs.BoolVar(&f.Client.ReadAhead, "readahead", false, "sequential read-ahead: prefetch the next chunks into a bounded window")
-	fs.IntVar(&f.Client.ReadWindow, "readwindow", 0, "readahead: in-flight prefetch span fetches per descriptor, 4 chunks each (0 = default)")
-	fs.Var((*Size)(&f.Client.CacheBytes), "cachebytes", "client chunk cache size, e.g. 32MiB (0 = default when read-ahead is on); re-reads of cached chunks move zero wire bytes")
+	fs.BoolVar(&f.Client.ReadAhead, "readahead", false, "sequential read-ahead: prefetch the next chunks into a bounded per-descriptor window")
 	fs.IntVar(&f.Client.SizeCacheOps, "size-cache", 0, "client size-update cache, the paper's shared-file fix: flush size updates every n writes (0 = off)")
 	fs.Func("trace-sample", "trace every Nth RPC: the call carries a trace ID and both ends log a gkfs.trace event (0 = off)", func(s string) error {
 		n, err := strconv.Atoi(s)

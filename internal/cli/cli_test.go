@@ -78,8 +78,8 @@ func TestEveryTunableIsReachable(t *testing.T) {
 	// Every facade option that takes effect on clients.
 	var cc core.Config
 	for _, opt := range []gekkofs.Option{
-		gekkofs.WithSizeUpdateCache(7), gekkofs.WithAsyncWrites(7), gekkofs.WithReadAhead(7),
-		gekkofs.WithChunkCache(7), gekkofs.WithReplicas(7), gekkofs.WithTelemetry(7),
+		gekkofs.WithSizeUpdateCache(7), gekkofs.WithAsyncWrites(), gekkofs.WithReadAhead(),
+		gekkofs.WithReplicas(7), gekkofs.WithTelemetry(7),
 	} {
 		opt(&cc)
 	}

@@ -11,7 +11,7 @@
 //   - operations are synchronous and cache-less by default; the opt-in
 //     exceptions are the paper's size-update cache for the shared-file
 //     bottleneck (§IV-B), the write-behind pipeline (pipeline.go) and
-//     the read-ahead pipeline with its chunk cache (readahead.go),
+//     the read-ahead window (readahead.go),
 //   - rename, links and permissions are unsupported (§III-A).
 package client
 
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -71,25 +72,11 @@ type Config struct {
 	// (see pipeline.go). Size updates are always deferred to barriers in
 	// this mode — SizeCacheOps is subsumed and ignored.
 	AsyncWrites bool
-	// WriteWindow bounds in-flight chunk-write RPCs per descriptor when
-	// AsyncWrites is on. Zero selects DefaultWriteWindow.
-	WriteWindow int
 	// ReadAhead enables the sequential read-ahead pipeline on every
 	// read-capable descriptor: once a descriptor's reads are sequential,
-	// the next chunk-sized blocks are speculatively fetched into a
-	// bounded in-flight window and served from the chunk cache (see
-	// readahead.go).
+	// the spans just past them are fetched into a bounded per-descriptor
+	// window the next reads copy from (see readahead.go).
 	ReadAhead bool
-	// ReadWindow bounds in-flight prefetch span fetches per descriptor
-	// when read-ahead is on (each fetch covers up to prefetchSpanChunks
-	// chunks in one RPC wave). Zero selects DefaultReadWindow.
-	ReadWindow int
-	// CacheBytes bounds the client-side chunk cache (LRU over pooled
-	// buffers). Any positive value enables the cache even without
-	// ReadAhead — demand reads deposit the blocks they cover, so
-	// re-reads of cached data move zero wire bytes. Zero with ReadAhead
-	// sizes the cache at DefaultCacheBytes.
-	CacheBytes int64
 	// Replicas is the chunk replication factor R. R > 1 writes every
 	// chunk to the R daemons of its replica chain, reads with hedging
 	// and failover over the chain, and routes around condemned daemons
@@ -132,11 +119,6 @@ type Client struct {
 	// metrics) when Config.Telemetry was nil.
 	tel clientTelemetry
 
-	// cache is the chunk cache (readahead.go), set by New when the
-	// configuration asks for one; nil means no caching anywhere on the
-	// read path.
-	cache *chunkCache
-
 	mu sync.Mutex
 	// sizeGen counts this client's own Truncate and Remove calls: the
 	// generation every size view checks an answer against (sizeview.go).
@@ -168,9 +150,8 @@ type openFile struct {
 	// Client.asyncWrites).
 	pl *pipeline
 
-	// Read-ahead state (active when the client or this open enabled it):
-	// the sequential-access detector and the prefetch window. Owns its
-	// own lock — ReadAt runs off the descriptor lock.
+	// ra is the descriptor's read-ahead window (active when
+	// Config.ReadAhead is on and the descriptor can read).
 	ra *readahead
 }
 
@@ -193,21 +174,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.ChunkSize < 0 {
 		return nil, fmt.Errorf("client: invalid chunk size %d", cfg.ChunkSize)
 	}
-	if cfg.WriteWindow < 0 {
-		return nil, fmt.Errorf("client: invalid write window %d", cfg.WriteWindow)
-	}
-	if cfg.WriteWindow == 0 {
-		cfg.WriteWindow = DefaultWriteWindow
-	}
-	if cfg.ReadWindow < 0 {
-		return nil, fmt.Errorf("client: invalid read window %d", cfg.ReadWindow)
-	}
-	if cfg.ReadWindow == 0 {
-		cfg.ReadWindow = DefaultReadWindow
-	}
-	if cfg.CacheBytes < 0 {
-		return nil, fmt.Errorf("client: invalid cache size %d", cfg.CacheBytes)
-	}
 	if cfg.Replicas < 0 {
 		return nil, fmt.Errorf("client: invalid replication factor %d", cfg.Replicas)
 	}
@@ -226,9 +192,6 @@ func New(cfg Config) (*Client, error) {
 		files:       make(map[int]*openFile),
 		views:       make(map[string]*sizeView),
 		nextFD:      3,
-	}
-	if cfg.ReadAhead || cfg.CacheBytes > 0 {
-		c.cache = newChunkCache(cfg.CacheBytes)
 	}
 	c.initTelemetry(cfg.Telemetry, cfg.TraceSample)
 	return c, nil
@@ -432,19 +395,13 @@ func (c *Client) Open(path string, flags int) (int, error) {
 
 	of := &openFile{path: p, flags: flags}
 	if c.cfg.AsyncWrites && accMode != O_RDONLY {
-		of.pl = newPipeline(c.cfg.WriteWindow)
+		of.pl = newPipeline()
 		// A latched write failure leaves the failed byte ranges
-		// undefined; a cached pre-write image must not paper over that.
-		of.pl.onFail = func() { c.cacheDropPath(p) }
+		// undefined; a prefetched pre-write image must not paper over that.
+		of.pl.onFail = func() { c.dropFetches(p, 0, math.MaxInt64) }
 	}
 	if c.cfg.ReadAhead && accMode != O_WRONLY {
-		// The in-flight window must fit comfortably inside the cache:
-		// reservations beyond it would force the eviction scan to shed
-		// blocks the reader has not consumed yet — prefetching ahead of
-		// what the cache can hold is pure thrash.
-		span := c.cfg.ChunkSize * prefetchSpanChunks
-		maxWindow := max(1, int(c.cache.cap/(2*span)))
-		of.ra = newReadahead(min(c.cfg.ReadWindow, maxWindow))
+		of.ra = newReadahead(c.cfg.ChunkSize * prefetchSpanChunks)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -489,7 +446,8 @@ func (c *Client) lookupIO(fd int, write bool) (*openFile, error) {
 // Close releases a descriptor. It is a barrier: under AsyncWrites it
 // drains the descriptor's in-flight window and surfaces any latched
 // write error; in every mode it flushes cached size updates. The
-// descriptor is released even when the barrier reports an error.
+// descriptor is released even when the barrier reports an error, and its
+// read-ahead window with it.
 func (c *Client) Close(fd int) error {
 	c.mu.Lock()
 	of, ok := c.files[fd]
@@ -500,6 +458,9 @@ func (c *Client) Close(fd int) error {
 	c.mu.Unlock()
 	if !ok {
 		return ErrBadFD
+	}
+	if of.ra != nil {
+		of.ra.close()
 	}
 	of.mu.Lock()
 	defer of.mu.Unlock()
@@ -824,11 +785,11 @@ func (c *Client) Remove(path string) error {
 }
 
 // forgetPath is what every successful remove of p owes this client's own
-// state: the path no longer names the file, so cached blocks (including
-// EOF markers) must not survive into a future file of the same name, and
-// no open descriptor may go on believing the old file's size.
+// state: the path no longer names the file, so no prefetched span may
+// survive into a future file of the same name, and no open descriptor may
+// go on believing the old file's size.
 func (c *Client) forgetPath(p string) {
-	c.cacheDropPath(p)
+	c.dropFetches(p, 0, math.MaxInt64)
 	c.lowerSize(p, 0)
 }
 
@@ -894,10 +855,10 @@ func (c *Client) Truncate(path string, size int64) error {
 		_, err := c.call(node, proto.OpTruncateChunks, te.Bytes(), nil, rpc.BulkNone)
 		return err
 	})
-	// Prefetched and cached spans describe the pre-truncate file; drop
-	// them all (cheap, and truncate is rare on hot read paths). In-flight
-	// prefetches are poisoned too — their data may predate the discard.
-	c.cacheDropPath(p)
+	// Prefetched spans describe the pre-truncate file; drop them all
+	// (cheap, and truncate is rare on hot read paths). In-flight fetches
+	// are poisoned too — their data may predate the discard.
+	c.dropFetches(p, 0, math.MaxInt64)
 	return err
 }
 

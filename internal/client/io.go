@@ -54,31 +54,6 @@ type targetGroup struct {
 	win0  [1][]byte
 }
 
-// ioBuf is the client memory of one I/O: p, contiguous, or — for a
-// chunk-aligned read bound for the chunk cache — a run of chunk-sized
-// blocks. No span crosses a block, so every span has a window either way
-// and a cache block is fetched into rather than copied to.
-type ioBuf struct {
-	p      []byte
-	blocks [][]byte
-}
-
-func (b ioBuf) len() int64 {
-	if b.blocks != nil {
-		return int64(len(b.blocks) * len(b.blocks[0]))
-	}
-	return int64(len(b.p))
-}
-
-// at returns the n bytes at offset off of the buffer.
-func (b ioBuf) at(off, n int64) []byte {
-	if b.blocks != nil {
-		bs := int64(len(b.blocks[0]))
-		return b.blocks[off/bs][off%bs:][:n]
-	}
-	return b.p[off : off+n]
-}
-
 // sizeReply is the metadata owner's answer piggybacked on a read reply
 // (proto.ReadWantSize).
 type sizeReply struct {
@@ -97,7 +72,7 @@ type sizeReply struct {
 // rpc.PutBuf once the group has settled; a borrowed slice of p must never
 // enter the pool.
 func (g *targetGroup) gather(p []byte, copyAlways bool) (bulk []byte, pooled bool) {
-	wins := g.windows(ioBuf{p: p})
+	wins := g.windows(p)
 	if !copyAlways && len(wins) == 1 {
 		return wins[0], false
 	}
@@ -108,12 +83,12 @@ func (g *targetGroup) gather(p []byte, copyAlways bool) (bulk []byte, pooled boo
 	return bulk, true
 }
 
-// windows returns the slices of b the group's spans read into or write
+// windows returns the slices of p the group's spans read into or write
 // from, in span order — a read's scatter list.
-func (g *targetGroup) windows(b ioBuf) [][]byte {
+func (g *targetGroup) windows(p []byte) [][]byte {
 	wins := g.win0[:0]
 	for i, s := range g.spans {
-		wins = append(wins, b.at(g.bufOff[i], s.Len))
+		wins = append(wins, p[g.bufOff[i]:g.bufOff[i]+s.Len])
 	}
 	return wins
 }
@@ -225,7 +200,7 @@ type readResult struct {
 // readGroup serves one target group of a read from its live candidates
 // (g.cands, planned by readRange). With a single candidate there is
 // nothing to hedge to: the RPC runs on the calling goroutine, every span
-// lands straight in its own window of b, and no timer, channel, private
+// lands straight in its own window of p, and no timer, channel, private
 // buffer or latency sample is spent. With several, the
 // first (normally the primary) is tried first; the next launches when
 // the first outlives the daemon's p95 latency estimate (a hedged read) or
@@ -235,7 +210,7 @@ type readResult struct {
 // losers are drained in the background. Transport failures strike their
 // daemon; deterministic answers surface (every replica would say the
 // same).
-func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, b ioBuf, wantSize bool) error {
+func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, wantSize bool) error {
 	cands := g.cands
 	if len(cands) == 0 {
 		return fmt.Errorf("read %s: replica chain %v: %w", path, g.chain, ErrDegraded)
@@ -247,7 +222,7 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, b ioBuf, w
 	}
 	var fails attemptErrs
 	if len(cands) == 1 {
-		reply, err := c.readChunks(cands[0], path, epoch, g.spans, wantSize, g.windows(b)...)
+		reply, err := c.readChunks(cands[0], path, epoch, g.spans, wantSize, g.windows(p)...)
 		c.settle(&fails, g.chain, cands[0], err)
 		if err != nil {
 			return fails.err("read", path)
@@ -318,13 +293,13 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, b ioBuf, w
 	if winner == nil {
 		return fails.err("read", path)
 	}
-	rpc.Scatter(g.windows(b), winner)
+	rpc.Scatter(g.windows(p), winner)
 	rpc.PutBuf(winner)
 	return nil
 }
 
-// readRange gathers the chunk spans of [off, off+b.len()) of path as of
-// epoch from their daemons into b and returns the size to clamp EOF by.
+// readRange gathers the chunk spans of [off, off+len(p)) of path as of
+// epoch from their daemons into p and returns the size to clamp EOF by.
 // floor is a size the caller already knows the metadata owner to hold (a
 // descriptor's floor; 0 when it knows nothing): a range that ends at or
 // below it is all file, so only the data RPCs go out and floor comes
@@ -336,9 +311,10 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, b ioBuf, w
 // reach it); when no group qualifies, a zero-span size probe joins the
 // fan-out — still one round trip, all in parallel. Regions never written
 // inside the size read as zeros.
-func (c *Client) readRange(path string, epoch uint64, b ioBuf, off, floor int64) (int64, error) {
-	groups := c.groupByTarget(path, off, b.len())
-	wantSize := off+b.len() > floor
+func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64) (int64, error) {
+	n := int64(len(p))
+	groups := c.groupByTarget(path, off, n)
+	wantSize := off+n > floor
 	owner := c.cfg.Dist.MetaTarget(path)
 	var sized *targetGroup
 	for _, g := range groups {
@@ -356,7 +332,7 @@ func (c *Client) readRange(path string, epoch uint64, b ioBuf, off, floor int64)
 	// Each group's reply is written by its own goroutine; runGroups'
 	// WaitGroup orders the write before the read below.
 	err := runGroups(groups, func(g *targetGroup) error {
-		return c.readGroup(path, epoch, g, b, g == sized)
+		return c.readGroup(path, epoch, g, p, g == sized)
 	})
 	if err != nil {
 		return 0, err
@@ -395,21 +371,21 @@ func clampEOF(n int, off, size int64) (int, error) {
 // the owner's answer comes back with the data into the size view (where
 // another client's truncate or remove is noticed) and, raised by the
 // descriptor's candidate, clamps the read.
-func (c *Client) readSpans(of *openFile, b ioBuf, off int64) (int, error) {
-	n := b.len()
+func (c *Client) readSpans(of *openFile, p []byte, off int64) (int, error) {
+	n := int64(len(p))
 	if n == 0 {
 		return 0, nil
 	}
 	v := of.view
 	floor := v.acked.Load()
 	if off+n <= floor {
-		if _, err := c.readRange(of.path, LiveEpoch, b, off, floor); err != nil {
+		if _, err := c.readRange(of.path, LiveEpoch, p, off, floor); err != nil {
 			return 0, err
 		}
 		return int(n), nil
 	}
 	gen := v.gen.Load()
-	size, err := c.readRange(of.path, LiveEpoch, b, off, floor)
+	size, err := c.readRange(of.path, LiveEpoch, p, off, floor)
 	if errors.Is(err, proto.ErrNotExist) {
 		v.owner(gen, 0)
 	}
@@ -518,10 +494,9 @@ func (c *Client) writeGroup(path string, g *targetGroup, bulk []byte) error {
 
 // writeRange pushes p's chunk spans for [off, off+len(p)) synchronously,
 // one writeGroup per primary in parallel — the shared sync write core of
-// descriptor writes and WritePath. Cached chunk blocks overlapping the
-// range are invalidated after the RPCs settle (on failure too: the
-// affected ranges are undefined and a cached pre-write image must not
-// mask that).
+// descriptor writes and WritePath. Prefetched spans overlapping the range
+// are dropped after the RPCs settle (on failure too: the affected ranges
+// are undefined and a prefetched pre-write image must not mask that).
 func (c *Client) writeRange(path string, p []byte, off int64) error {
 	groups := c.groupByTarget(path, off, int64(len(p)))
 	err := runGroups(groups, func(g *targetGroup) error {
@@ -532,7 +507,7 @@ func (c *Client) writeRange(path string, p []byte, off int64) error {
 		}
 		return err
 	})
-	c.cacheInvalidate(path, off, off+int64(len(p)))
+	c.dropFetches(path, off, off+int64(len(p)))
 	return err
 }
 
@@ -658,13 +633,12 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 			}()
 			err := c.writeGroup(of.path, g, bulk)
 			rpc.PutBuf(bulk)
-			// Invalidate once the whole write has settled on the daemons
-			// (last group to retire): a chunk-cache block — or in-flight
-			// prefetch — fetched before this point may predate the write
-			// and must not serve. One invalidation per write, not per
-			// group.
+			// Drop once the whole write has settled on the daemons (last
+			// group to retire): a span fetched — or still in flight —
+			// before this point may predate the write and must not serve.
+			// One drop per write, not per group.
 			if remaining.Add(-1) == 0 {
-				c.cacheInvalidate(of.path, off, end)
+				c.dropFetches(of.path, off, end)
 			}
 			// A replica failing at the transport level was absorbed inside
 			// writeGroup; only a write no replica accepted (or a
@@ -774,12 +748,12 @@ func (c *Client) ReadAt(fd int, p []byte, off int64) (int, error) {
 			return 0, werr
 		}
 	}
-	return c.readThrough(of, p, off)
+	return c.readAhead(of, p, off)
 }
 
 // Read reads from the descriptor position and advances it. Like ReadAt
 // it drains the write-behind window and surfaces a latched write error
-// before touching the wire or the cache.
+// before touching the wire or the read-ahead window.
 func (c *Client) Read(fd int, p []byte) (int, error) {
 	of, err := c.lookupIO(fd, false)
 	if err != nil {
@@ -790,7 +764,7 @@ func (c *Client) Read(fd int, p []byte) (int, error) {
 	if werr := of.pl.drainErr(); werr != nil {
 		return 0, werr
 	}
-	n, err := c.readThrough(of, p, of.pos)
+	n, err := c.readAhead(of, p, of.pos)
 	of.pos += int64(n)
 	return n, err
 }

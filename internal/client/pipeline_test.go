@@ -56,6 +56,18 @@ func pipelineCluster(t testing.TB, nodes int, cfg Config) (*Client, []*daemon.Da
 	return c, daemons, mount
 }
 
+// narrowWindow shrinks fd's write-behind window to n slots — the
+// white-box seam for tests that need a shallower window than writeWindow.
+// Call it before the descriptor's first write.
+func narrowWindow(t *testing.T, c *Client, fd, n int) {
+	t.Helper()
+	of, err := c.lookupFD(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	of.pl.slots = make(chan struct{}, n)
+}
+
 func sumStats(daemons []*daemon.Daemon) daemon.Stats {
 	var total daemon.Stats
 	for _, d := range daemons {
@@ -74,11 +86,12 @@ func sumStats(daemons []*daemon.Daemon) daemon.Stats {
 // update RPC leaves the client before the barrier, exactly one does at
 // it).
 func TestAsyncFsyncBarrier(t *testing.T) {
-	c, daemons, mount := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true, WriteWindow: 4})
+	c, daemons, mount := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true})
 	fd, err := c.Open("/a", O_CREATE|O_WRONLY)
 	if err != nil {
 		t.Fatal(err)
 	}
+	narrowWindow(t, c, fd, 4)
 	payload := bytes.Repeat([]byte{0x5A}, 1000) // spans many chunks, all daemons
 	if _, err := c.WriteAt(fd, payload, 0); err != nil {
 		t.Fatal(err)
@@ -148,11 +161,12 @@ func TestAsyncCloseBarrier(t *testing.T) {
 // one descriptor: a read issued right after an asynchronous write must
 // observe it (the descriptor's window is drained before the read).
 func TestAsyncReadDrainsWindow(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true, WriteWindow: 2})
+	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true})
 	fd, err := c.Open("/rw", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
 	}
+	narrowWindow(t, c, fd, 2)
 	defer c.Close(fd)
 	for round := 0; round < 8; round++ {
 		payload := bytes.Repeat([]byte{byte(round + 1)}, 333)
@@ -186,7 +200,7 @@ func TestAsyncReadDrainsWindow(t *testing.T) {
 // flight must not lose to the earlier write racing it. The pipeline
 // drains before enqueueing a conflicting extent.
 func TestAsyncOverlappingWritesOrdered(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true, WriteWindow: 8})
+	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true})
 	fd, err := c.Open("/ow", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +233,7 @@ func TestAsyncOverlappingWritesOrdered(t *testing.T) {
 // writes before discarding: an in-flight chunk RPC landing after the
 // truncate would resurrect discarded bytes.
 func TestAsyncTruncateDrains(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true, WriteWindow: 8})
+	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true})
 	fd, err := c.Open("/tr", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +344,7 @@ func tcpPipelineCluster(t *testing.T, nodes int, cfg Config) (*Client, []*daemon
 // surface at the next barrier — exactly once — and later barriers must
 // run clean.
 func TestAsyncCrashMidWindowLatchesOnce(t *testing.T) {
-	c, daemons := tcpPipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true, WriteWindow: 8})
+	c, daemons := tcpPipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true})
 
 	// A path whose metadata lives on a daemon that stays alive (node 0),
 	// so only chunk traffic hits the crashed node and the barrier's size
@@ -383,7 +397,7 @@ func TestAsyncCrashMidWindowLatchesOnce(t *testing.T) {
 // the application keeps writing, the latched failure comes back from a
 // Write call instead, and once surfaced the descriptor quiesces.
 func TestAsyncErrorSurfacesOnWrite(t *testing.T) {
-	c, daemons := tcpPipelineCluster(t, 2, Config{ChunkSize: 64, AsyncWrites: true, WriteWindow: 2})
+	c, daemons := tcpPipelineCluster(t, 2, Config{ChunkSize: 64, AsyncWrites: true})
 	path := ""
 	for _, cand := range []string{"/g0", "/g1", "/g2", "/g3"} {
 		if c.cfg.Dist.MetaTarget(cand) == 0 {
@@ -398,6 +412,7 @@ func TestAsyncErrorSurfacesOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	narrowWindow(t, c, fd, 2)
 	daemons[1].Close()
 	payload := make([]byte, 64*16)
 	surfaced := 0

@@ -27,6 +27,35 @@ func raQuiesce(t *testing.T, c *Client, fd int) {
 	}
 }
 
+// narrowReadWindow caps fd's read-ahead window at n fetches — the
+// white-box seam for tests whose file the window's default depth would
+// cover whole. Call it before the descriptor's first read.
+func narrowReadWindow(t *testing.T, c *Client, fd, n int) {
+	t.Helper()
+	of, err := c.lookupFD(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	of.ra.depth = n
+}
+
+// windowFetches returns where the fetches fd's read-ahead window holds
+// start, in window order.
+func windowFetches(t *testing.T, c *Client, fd int) []int64 {
+	t.Helper()
+	of, err := c.lookupFD(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	of.ra.mu.Lock()
+	defer of.ra.mu.Unlock()
+	var offs []int64
+	for _, f := range of.ra.window {
+		offs = append(offs, f.off)
+	}
+	return offs
+}
+
 // writeFileVia creates path and stores data through its own descriptor.
 func writeFileVia(t *testing.T, c *Client, path string, data []byte) {
 	t.Helper()
@@ -53,14 +82,11 @@ func patternedBytes(n int, seed byte) []byte {
 	return p
 }
 
-// TestReadAheadSequentialStream verifies the tentpole end to end on one
-// descriptor: a sequential stream reads back byte-identical under
-// read-ahead, and a second sequential pass over the (cache-resident)
-// file moves zero read RPCs.
+// TestReadAheadSequentialStream verifies the tentpole end to end: a
+// sequential stream reads back byte-identical under read-ahead, and so
+// does a second sequential pass through a fresh descriptor.
 func TestReadAheadSequentialStream(t *testing.T) {
-	c, daemons, _ := pipelineCluster(t, 4, Config{
-		ChunkSize: 64, ReadAhead: true, ReadWindow: 4, CacheBytes: 1 << 20,
-	})
+	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, ReadAhead: true})
 	want := patternedBytes(64*32, 1)
 	writeFileVia(t, c, "/stream", want)
 
@@ -91,9 +117,6 @@ func TestReadAheadSequentialStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second pass: every block is cached (prefetched or deposited by the
-	// demand reads), so no read RPC may leave the client.
-	before := sumStats(daemons)
 	fd, err = c.Open("/stream", O_RDONLY)
 	if err != nil {
 		t.Fatal(err)
@@ -102,20 +125,14 @@ func TestReadAheadSequentialStream(t *testing.T) {
 	if got := read(fd); !bytes.Equal(got, want) {
 		t.Fatal("second pass returned different bytes")
 	}
-	raQuiesce(t, c, fd)
-	if d := sumStats(daemons).ReadOps - before.ReadOps; d != 0 {
-		t.Fatalf("cached re-read still issued %d read RPCs, want 0", d)
-	}
 }
 
 // TestReadAheadPrefetchAcrossEOF verifies speculation near and past the
-// file end: the EOF arrives at the right byte, prefetches past it are
-// harmless, and speculation stops at the observed end instead of
-// hammering the daemons with EOF probes.
+// file end: the EOF arrives at the right byte, a fetch reaching past it
+// is harmless, and speculation stops at the end instead of hammering the
+// daemons with fetches past it.
 func TestReadAheadPrefetchAcrossEOF(t *testing.T) {
-	c, daemons, _ := pipelineCluster(t, 3, Config{
-		ChunkSize: 64, ReadAhead: true, ReadWindow: 8, CacheBytes: 1 << 20,
-	})
+	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
 	const size = 64*5 + 17 // EOF mid-block
 	want := patternedBytes(size, 3)
 	writeFileVia(t, c, "/eof", want)
@@ -145,27 +162,29 @@ func TestReadAheadPrefetchAcrossEOF(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read %d bytes across EOF, want %d identical", len(got), len(want))
 	}
-	// Reads at and past EOF keep answering EOF (served by the cached EOF
-	// block — no new RPC per probe).
+	// Armed at 128, one 4-chunk fetch covered the rest of the file, and
+	// none was read past: the window holds every fetch the stream issued.
 	raQuiesce(t, c, fd)
-	before := sumStats(daemons)
+	if offs := windowFetches(t, c, fd); fmt.Sprint(offs) != "[128]" {
+		t.Fatalf("the stream issued fetches at %v, want [128]: speculation ran past the end", offs)
+	}
+	// Reads at and past EOF keep answering EOF and arm nothing.
 	for i := 0; i < 5; i++ {
 		if n, err := c.ReadAt(fd, buf, size+int64(i)*64); err != io.EOF || n != 0 {
 			t.Fatalf("read past EOF = %d, %v; want 0, io.EOF", n, err)
 		}
-	}
-	if d := sumStats(daemons).ReadOps - before.ReadOps; d > 5 {
-		t.Fatalf("EOF probes issued %d RPCs", d)
+		if offs := windowFetches(t, c, fd); len(offs) > 0 && offs[len(offs)-1] >= size {
+			t.Fatalf("a read past EOF armed fetches at %v", offs)
+		}
 	}
 }
 
 // TestReadAheadWriteInvalidatesCache verifies a same-descriptor write
-// drops the cached blocks it overlaps: the following read must return
-// the new bytes (and provably used the cache before the write).
+// drops the prefetched spans it overlaps: the sequential read that goes
+// on into them must return the new bytes (and provably had them
+// prefetched before the write).
 func TestReadAheadWriteInvalidatesCache(t *testing.T) {
-	c, daemons, _ := pipelineCluster(t, 3, Config{
-		ChunkSize: 64, ReadAhead: true, ReadWindow: 4, CacheBytes: 1 << 20,
-	})
+	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
 	v1 := patternedBytes(64*8, 5)
 	writeFileVia(t, c, "/inv", v1)
 
@@ -175,45 +194,38 @@ func TestReadAheadWriteInvalidatesCache(t *testing.T) {
 	}
 	defer c.Close(fd)
 	got := make([]byte, len(v1))
-	// Two sequential passes warm the cache; the second must be served
-	// from it (the precondition that makes the invalidation assertion
-	// meaningful).
-	for i := 0; i < 2; i++ {
-		if _, err := c.ReadAt(fd, got, 0); err != nil && err != io.EOF {
+	// Two sequential reads arm the window over the rest of the file (the
+	// precondition that makes the drop assertion meaningful).
+	for off := int64(0); off < 128; off += 64 {
+		if _, err := c.ReadAt(fd, got[off:off+64], off); err != nil {
 			t.Fatal(err)
 		}
 	}
 	raQuiesce(t, c, fd)
-	before := sumStats(daemons)
-	if _, err := c.ReadAt(fd, got, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if d := sumStats(daemons).ReadOps - before.ReadOps; d != 0 {
-		t.Fatalf("warm read still issued %d RPCs, want 0 (cache not serving)", d)
+	if len(windowFetches(t, c, fd)) == 0 {
+		t.Fatal("precondition: nothing prefetched before the write")
 	}
 
-	// Overwrite the middle, then read it back: no stale bytes.
+	// Overwrite the middle, then read on into it: no stale bytes.
 	v2 := patternedBytes(64*3, 9)
 	if _, err := c.WriteAt(fd, v2, 64*2); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := c.ReadAt(fd, got, 0); (err != nil && err != io.EOF) || n != len(v1) {
+	if n, err := c.ReadAt(fd, got[128:], 128); (err != nil && err != io.EOF) || n != len(v1)-128 {
 		t.Fatalf("post-write read = %d, %v", n, err)
 	}
 	want := append([]byte(nil), v1...)
 	copy(want[64*2:], v2)
 	if !bytes.Equal(got, want) {
-		t.Fatal("read served stale cached bytes after same-descriptor write")
+		t.Fatal("read served stale prefetched bytes after same-descriptor write")
 	}
 }
 
 // TestReadAheadTruncateDropsCache verifies Truncate discards prefetched
-// and cached spans: reads after the truncate see the new EOF, never the
-// cached pre-truncate tail.
+// spans: reads after the truncate see the new EOF, never the prefetched
+// pre-truncate tail.
 func TestReadAheadTruncateDropsCache(t *testing.T) {
-	c, daemons, _ := pipelineCluster(t, 3, Config{
-		ChunkSize: 64, ReadAhead: true, ReadWindow: 8, CacheBytes: 1 << 20,
-	})
+	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
 	data := patternedBytes(64*16, 2)
 	writeFileVia(t, c, "/trunc", data)
 
@@ -223,17 +235,24 @@ func TestReadAheadTruncateDropsCache(t *testing.T) {
 	}
 	defer c.Close(fd)
 	got := make([]byte, len(data))
-	if _, err := c.ReadAt(fd, got, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
+	for off := int64(0); off < 128; off += 64 {
+		if _, err := c.ReadAt(fd, got[off:off+64], off); err != nil {
+			t.Fatal(err)
+		}
 	}
 	raQuiesce(t, c, fd)
-	if n := c.cache.entries(); n == 0 {
-		t.Fatal("precondition: nothing cached before the truncate")
+	if len(windowFetches(t, c, fd)) == 0 {
+		t.Fatal("precondition: nothing prefetched before the truncate")
 	}
 
 	const newSize = 64 * 3
 	if err := c.Truncate("/trunc", newSize); err != nil {
 		t.Fatal(err)
+	}
+	// The sequential read on would be served by the window if it had
+	// survived.
+	if n, err := c.ReadAt(fd, got[128:], 128); err != io.EOF || n != newSize-128 {
+		t.Fatalf("post-truncate sequential read = %d, %v; want %d, io.EOF (prefetched tail resurrected)", n, err, newSize-128)
 	}
 	n, err := c.ReadAt(fd, got, 0)
 	if err != io.EOF || n != newSize {
@@ -245,16 +264,12 @@ func TestReadAheadTruncateDropsCache(t *testing.T) {
 	if n, err := c.ReadAt(fd, got, newSize+5); err != io.EOF || n != 0 {
 		t.Fatalf("read past new EOF = %d, %v; want 0, io.EOF", n, err)
 	}
-	_ = daemons
 }
 
 // TestReadAheadRandomAccessNoSpeculation verifies the detector: a
-// random access pattern must never issue speculative fetches — only the
-// demanded blocks may enter the cache.
+// random access pattern must never issue speculative fetches.
 func TestReadAheadRandomAccessNoSpeculation(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{
-		ChunkSize: 64, ReadAhead: true, ReadWindow: 8, CacheBytes: 1 << 20,
-	})
+	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
 	const chunks = 64
 	writeFileVia(t, c, "/rand", patternedBytes(64*chunks, 4))
 
@@ -264,29 +279,25 @@ func TestReadAheadRandomAccessNoSpeculation(t *testing.T) {
 	}
 	defer c.Close(fd)
 	// Chunk-aligned single-block reads at strided, never-adjacent
-	// offsets: each is a cache miss and a full-block deposit, and none
-	// may arm speculation.
+	// offsets: none may arm speculation.
 	offs := []int64{40, 3, 57, 21, 9, 33, 48, 12}
 	buf := make([]byte, 64)
 	for _, o := range offs {
 		if _, err := c.ReadAt(fd, buf, o*64); err != nil && err != io.EOF {
 			t.Fatal(err)
 		}
-	}
-	raQuiesce(t, c, fd)
-	if n := c.cache.entries(); n != len(offs) {
-		t.Fatalf("cache holds %d blocks after %d random reads, want exactly the demanded blocks (speculation ran)", n, len(offs))
+		if offs := windowFetches(t, c, fd); len(offs) != 0 {
+			t.Fatalf("a random read at chunk %d left fetches at %v (speculation ran)", o, offs)
+		}
 	}
 }
 
 // TestReadAheadRandomSmallReadsExactRange pins the no-amplification
-// contract: a non-sequential miss smaller than a chunk pays an
-// exact-range wire read — a random 100-byte reader on a cache-enabled
+// contract: a non-sequential read smaller than a chunk pays an
+// exact-range wire read — a random 100-byte reader on a read-ahead
 // client must not be turned into a chunk-sized fetcher.
 func TestReadAheadRandomSmallReadsExactRange(t *testing.T) {
-	c, daemons, _ := pipelineCluster(t, 3, Config{
-		ChunkSize: 4096, ReadAhead: true, CacheBytes: 1 << 20,
-	})
+	c, daemons, _ := pipelineCluster(t, 3, Config{ChunkSize: 4096, ReadAhead: true})
 	writeFileVia(t, c, "/tiny", patternedBytes(4096*16, 29))
 	fd, err := c.Open("/tiny", O_RDONLY)
 	if err != nil {
@@ -313,9 +324,7 @@ func TestReadAheadRandomSmallReadsExactRange(t *testing.T) {
 // surface a transport error (each read exactly one), reads served
 // entirely by surviving daemons keep working, and Close stays clean.
 func TestReadAheadCrashMidPrefetchSurfacesOnce(t *testing.T) {
-	c, daemons := tcpPipelineCluster(t, 3, Config{
-		ChunkSize: 64, ReadAhead: true, ReadWindow: 4, CacheBytes: 1 << 20,
-	})
+	c, daemons := tcpPipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
 	const chunks = 48
 	data := patternedBytes(64*chunks, 6)
 	writeFileVia(t, c, "/crash", data)
@@ -324,6 +333,7 @@ func TestReadAheadCrashMidPrefetchSurfacesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	narrowReadWindow(t, c, fd, 4)
 	// Warm the detector so prefetches are in flight, then crash node 2.
 	buf := make([]byte, 64)
 	for i := 0; i < 4; i++ {
@@ -365,15 +375,13 @@ func TestReadAheadCrashMidPrefetchSurfacesOnce(t *testing.T) {
 // on) must always read back the latest round's bytes, regardless of how
 // prefetches, invalidations and window drains interleave underneath.
 func TestReadAheadNeverServesStaleBytes(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 4, Config{
-		ChunkSize: 64, AsyncWrites: true, WriteWindow: 4,
-		ReadAhead: true, ReadWindow: 4, CacheBytes: 1 << 20,
-	})
+	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true, ReadAhead: true})
 	fd, err := c.Open("/stale", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close(fd)
+	narrowWindow(t, c, fd, 4)
 	const span = 64 * 6
 	got := make([]byte, span)
 	for round := 0; round < 24; round++ {
@@ -391,7 +399,7 @@ func TestReadAheadNeverServesStaleBytes(t *testing.T) {
 				}
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("round %d pass %d: stale bytes served from cache", round, pass)
+				t.Fatalf("round %d pass %d: stale prefetched bytes served", round, pass)
 			}
 		}
 	}
@@ -402,7 +410,7 @@ func TestReadAheadNeverServesStaleBytes(t *testing.T) {
 // failure (exactly once) instead of silently handing over bytes whose
 // producing writes already failed.
 func TestReadSurfacesLatchedError(t *testing.T) {
-	c, daemons := tcpPipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true, WriteWindow: 8})
+	c, daemons := tcpPipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true})
 	path := ""
 	for _, cand := range []string{"/r0", "/r1", "/r2", "/r3", "/r4"} {
 		if c.cfg.Dist.MetaTarget(cand) == 0 {
@@ -445,15 +453,12 @@ func TestReadSurfacesLatchedError(t *testing.T) {
 	}
 }
 
-// TestReadAheadConcurrentReaders hammers one read-ahead descriptor and
-// several plain ones from concurrent goroutines (run under -race): the
-// shared chunk cache must stay coherent while entries are inserted,
-// served, evicted and invalidated concurrently.
+// TestReadAheadConcurrentReaders hammers six read-ahead descriptors of
+// one file from concurrent goroutines (run under -race): every window
+// must stay coherent while its fetches land, are served, recycled and
+// dropped by wrap-around reads.
 func TestReadAheadConcurrentReaders(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 4, Config{
-		ChunkSize: 64, ReadAhead: true, ReadWindow: 4,
-		CacheBytes: 4096, // tiny: constant eviction churn
-	})
+	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, ReadAhead: true})
 	const span = 64 * 64
 	want := patternedBytes(span, 8)
 	writeFileVia(t, c, "/conc", want)
@@ -494,13 +499,77 @@ func TestReadAheadConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestReadAheadRemoveDropsCache verifies cached blocks die with the
-// file: a new file under the same name must never read the old one's
-// cached bytes.
+// TestReadAheadWritesRaceReads drops fetches from a writer's goroutine
+// while three readers stream through their windows (run under -race):
+// the writer rewrites the file with its own bytes, so every read stays
+// checkable while drops race fetches landing and reads copying out.
+func TestReadAheadWritesRaceReads(t *testing.T) {
+	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, ReadAhead: true})
+	const span = 64 * 64
+	want := patternedBytes(span, 12)
+	writeFileVia(t, c, "/race", want)
+
+	stop := make(chan struct{})
+	written := make(chan error, 1)
+	go func() {
+		for off := 0; ; off = (off + 5*64) % span {
+			select {
+			case <-stop:
+				written <- nil
+				return
+			default:
+			}
+			if err := c.WritePath("/race", want[off:off+64], int64(off)); err != nil {
+				written <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			fd, err := c.Open("/race", O_RDONLY)
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			defer c.Close(fd)
+			buf := make([]byte, 200)
+			for pass := 0; pass < 4; pass++ {
+				for off := int64(0); off < span; off += int64(len(buf)) {
+					n, err := c.ReadAt(fd, buf, off)
+					if err != nil && err != io.EOF {
+						errs[g] = err
+						return
+					}
+					if !bytes.Equal(buf[:n], want[off:off+int64(n)]) {
+						errs[g] = fmt.Errorf("reader %d: wrong bytes at %d", g, off)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReadAheadRemoveDropsCache verifies nothing read-ahead fetched
+// survives the file: a new file under the same name must never read the
+// old one's bytes.
 func TestReadAheadRemoveDropsCache(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{
-		ChunkSize: 64, ReadAhead: true, ReadWindow: 4, CacheBytes: 1 << 20,
-	})
+	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
 	old := patternedBytes(64*4, 13)
 	writeFileVia(t, c, "/reborn", old)
 	fd, err := c.Open("/reborn", O_RDONLY)
@@ -530,7 +599,7 @@ func TestReadAheadRemoveDropsCache(t *testing.T) {
 		t.Fatalf("reborn read = %d, %v; want %d, io.EOF", n, err, len(fresh))
 	}
 	if !bytes.Equal(buf[:n], fresh) {
-		t.Fatal("reborn file served the removed file's cached bytes")
+		t.Fatal("reborn file served the removed file's bytes")
 	}
 }
 
@@ -569,77 +638,63 @@ func TestReadAheadStatsCounters(t *testing.T) {
 	}
 }
 
-// TestReadAheadGrowPastCachedEOF pins two regressions around cached EOF
-// blocks and size growth: (1) a size view raised past a cached EOF — an
-// acknowledged grow whose invalidation has not run yet — overrules the
-// block: the read must fall back to the wire and return the hole's
-// zeros, never a short (0, nil) that would livelock a read loop; (2)
-// GrowMany drops EOF-bearing blocks exactly like the single-path size
-// update, so a grown file never serves a spurious EOF from this client's
-// own cache.
+// TestReadAheadGrowPastCachedEOF pins a fetched span that came up short
+// at the file's end and a grow that overrules it: once the file reaches
+// further — an acknowledged grow raising the size view (acked-grow), or
+// GrowMany's batched update (growmany) — the sequential read through the
+// span must go on past the span's end into the hole's zeros, never stop
+// at it as if it were still the end.
 func TestReadAheadGrowPastCachedEOF(t *testing.T) {
-	const size = 100
-	t.Run("acked-grow", func(t *testing.T) {
-		c, _, _ := pipelineCluster(t, 3, Config{
-			ChunkSize: 64, ReadAhead: true, CacheBytes: 1 << 20,
-		})
-		writeFileVia(t, c, "/grow", patternedBytes(size, 21))
-		fd, err := c.Open("/grow", O_RDONLY)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close(fd)
-		buf := make([]byte, 64)
-		// Read to EOF so the cache holds an EOF-marked block.
-		if n, err := c.ReadAt(fd, buf, size-10); err != io.EOF || n != 10 {
-			t.Fatalf("pre-grow read = %d, %v; want 10, io.EOF", n, err)
-		}
-		// A grow lands on the owner and its acknowledgement raises the
-		// view — the moment before grew's invalidation drops the EOF
-		// block, held open here by raising the view alone.
-		gen := c.sizeGen.Load()
-		if err := c.updateSize("/grow", size+50, false); err != nil {
-			t.Fatal(err)
-		}
-		of, err := c.lookupFD(fd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		of.view.raise(gen, size+50)
-		n, err := c.ReadAt(fd, buf, size)
-		if err != io.EOF || n != 50 {
-			t.Fatalf("post-grow read = %d, %v; want 50, io.EOF (stale cached EOF served)", n, err)
-		}
-		for i := 0; i < n; i++ {
-			if buf[i] != 0 {
-				t.Fatalf("hole byte %d = %d, want 0", i, buf[i])
-			}
-		}
-	})
-	t.Run("growmany", func(t *testing.T) {
-		c, _, _ := pipelineCluster(t, 3, Config{
-			ChunkSize: 64, ReadAhead: true, CacheBytes: 1 << 20,
-		})
-		writeFileVia(t, c, "/gm", patternedBytes(size, 23))
-		fd, err := c.Open("/gm", O_RDONLY)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close(fd)
-		buf := make([]byte, 256)
-		if n, err := c.ReadAt(fd, buf, 0); err != io.EOF || n != size {
-			t.Fatalf("pre-grow read = %d, %v; want %d, io.EOF", n, err, size)
-		}
-		for _, err := range c.GrowMany([]string{"/gm"}, []int64{size + 60}) {
+	const size, grown = 100, 150
+	for _, arm := range []string{"acked-grow", "growmany"} {
+		t.Run(arm, func(t *testing.T) {
+			c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
+			data := patternedBytes(size, 21)
+			writeFileVia(t, c, "/grow", data)
+			fd, err := c.Open("/grow", O_RDONLY)
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		n, err := c.ReadAt(fd, buf, size)
-		if err != io.EOF || n != 60 {
-			t.Fatalf("post-GrowMany read = %d, %v; want 60, io.EOF (stale cached EOF served)", n, err)
-		}
-	})
+			defer c.Close(fd)
+			buf := make([]byte, 200)
+			// Two sequential reads arm one fetch, [20, 256), which finds the
+			// file's end at 100.
+			for off := int64(0); off < 20; off += 10 {
+				if n, err := c.ReadAt(fd, buf[:10], off); n != 10 || err != nil {
+					t.Fatalf("read at %d = %d, %v", off, n, err)
+				}
+			}
+			raQuiesce(t, c, fd)
+			if offs := windowFetches(t, c, fd); fmt.Sprint(offs) != "[20]" {
+				t.Fatalf("precondition: the window holds fetches at %v, want [20]", offs)
+			}
+			if arm == "acked-grow" {
+				gen := c.sizeGen.Load()
+				if err := c.updateSize("/grow", grown, false); err != nil {
+					t.Fatal(err)
+				}
+				of, err := c.lookupFD(fd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				of.view.raise(gen, grown)
+			} else {
+				for _, err := range c.GrowMany([]string{"/grow"}, []int64{grown}) {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			n, err := c.ReadAt(fd, buf, 20)
+			if err != io.EOF || n != grown-20 {
+				t.Fatalf("post-grow read = %d, %v; want %d, io.EOF (the fetch's end served as EOF)", n, err, grown-20)
+			}
+			want := append(append([]byte(nil), data[20:]...), make([]byte, grown-size)...)
+			if !bytes.Equal(buf[:n], want) {
+				t.Fatal("post-grow read: wrong bytes, or a hole byte not zero")
+			}
+		})
+	}
 }
 
 // sumStatsAll aggregates every counter (sumStats in pipeline_test only
@@ -683,16 +738,16 @@ func (c *scatterTap) CallScatter(op rpc.Op, payload []byte, dest [][]byte, _ rpc
 	return resp, err
 }
 
-// armPrefetch writes a 16-chunk file on a one-daemon cluster whose
+// armPrefetch writes a 5-chunk file on a one-daemon cluster whose
 // connection runs through tap, and issues the two half-chunk reads that
-// arm speculation: the first deposits block 0 whole, the second is a
-// pure cache hit — it draws nothing from the pool itself — and launches
-// exactly one span fetch, blocks 1-4, in one RPC. It returns after the
-// second read; the fetch may still be in flight.
+// arm speculation: both read their one window straight into the caller's
+// buffer — they draw nothing from the pool — and the second launches
+// exactly one span fetch, chunks 1-4 (the rest of the file), in one RPC.
+// It returns after the second read; the fetch may still be in flight.
 func armPrefetch(t *testing.T, cs int64, tap *scatterTap) (c *Client, fd int, want []byte) {
 	t.Helper()
-	c, _, _ = pipelineCluster(t, 1, Config{ChunkSize: cs, ReadAhead: true, ReadWindow: 1, CacheBytes: 64 * cs})
-	want = patternedBytes(int(16*cs), 3)
+	c, _, _ = pipelineCluster(t, 1, Config{ChunkSize: cs, ReadAhead: true})
+	want = patternedBytes(int(5*cs), 3)
 	writeFileVia(t, c, "/f", want)
 	tap.Conn = c.cfg.Conns[0]
 	c.cfg.Conns[0] = tap
@@ -715,53 +770,56 @@ func armPrefetch(t *testing.T, cs int64, tap *scatterTap) (c *Client, fd int, wa
 	return c, fd, want
 }
 
-// TestPrefetchLandsInCacheBlocks is the cost pin of the read path's
-// landing: the slice the transport is handed for block i of a 4-block
-// prefetch is the slice the cache entry for block i ends up holding —
-// nothing stands between the wire and the cache — the run is one RPC,
-// and it draws exactly the four blocks from the pool, no scratch.
-func TestPrefetchLandsInCacheBlocks(t *testing.T) {
+// TestPrefetchLandsInWindowRegion is the cost pin of the read path's
+// landing: the slice the transport is handed for chunk i of a 4-chunk
+// fetch is window i of the region the fetch holds — nothing stands
+// between the wire and the window — the fetch is one RPC, and it draws
+// exactly one 4-chunk region from the pool, no scratch.
+func TestPrefetchLandsInWindowRegion(t *testing.T) {
 	const cs = 8 << 10
 	tap := &scatterTap{}
 	defer rpc.ObserveDraws(func(n int) { tap.drawn.Add(int64(n)) })()
 	c, fd, want := armPrefetch(t, cs, tap)
 	raQuiesce(t, c, fd)
-	// Armed by a cache hit, the prefetch is all that drew since then.
+	// Armed by a read that drew nothing, the fetch is all that drew since.
 	if got := tap.drawn.Load(); got != 4*cs {
-		t.Fatalf("prefetch of 4 blocks drew %d pool bytes, want %d", got, 4*cs)
+		t.Fatalf("fetch of 4 chunks drew %d pool bytes, want %d", got, 4*cs)
 	}
 	if len(tap.lists) != 1 || len(tap.lists[0]) != 4 {
 		t.Fatalf("prefetch issued scatter lists %d, want one of 4 windows", len(tap.lists))
 	}
-	cc := c.cache
+	of, err := c.lookupFD(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	of.ra.mu.Lock()
+	defer of.ra.mu.Unlock()
+	if len(of.ra.window) != 1 {
+		t.Fatalf("the window holds %d fetches, want 1", len(of.ra.window))
+	}
+	f := of.ra.window[0]
+	if f.off != cs || len(f.buf) != 4*cs || !bytes.Equal(f.buf, want[cs:]) {
+		t.Fatalf("the fetch holds [%d, %d), want [%d, %d) with the file's bytes", f.off, f.end(), cs, 5*cs)
+	}
 	for i, w := range tap.lists[0] {
-		off := int64(1+i) * cs
-		ent := cc.acquire("/f", off)
-		if ent == nil {
-			t.Fatalf("block %d not cached after the prefetch", 1+i)
+		if len(w) != cs || &f.buf[i*cs] != &w[0] {
+			t.Fatalf("chunk %d: the region holds %p, the transport filled %p (%d bytes)", 1+i, &f.buf[i*cs], w, len(w))
 		}
-		if len(w) != cs || len(ent.data) != cs || &ent.data[0] != &w[0] {
-			t.Fatalf("block %d: the cache holds %p (%d bytes), the transport filled %p (%d bytes)", 1+i, ent.data, len(ent.data), w, len(w))
-		}
-		if !bytes.Equal(ent.data, want[off:off+cs]) {
-			t.Fatalf("block %d: wrong bytes in the adopted buffer", 1+i)
-		}
-		cc.release(ent)
 	}
 }
 
-// TestPrefetchInvalidatedMidFlightRecyclesOnce invalidates a prefetch's
-// blocks while its RPC is still out: the fetch settles on entries that
-// are already gone, so each adopted buffer must return to the pool —
-// exactly once: a buffer put twice would be handed to two owners — and
-// the reads that wanted those blocks must see the bytes written since.
+// TestPrefetchInvalidatedMidFlightRecyclesOnce drops a fetch from its
+// window while its RPC is still out: the fetch lands already dropped, so
+// its region must return to the pool — exactly once: a buffer put twice
+// would be handed to two owners — and the read that wanted those bytes
+// must see the bytes written since.
 func TestPrefetchInvalidatedMidFlightRecyclesOnce(t *testing.T) {
 	const cs = 8 << 10
 	tap := &scatterTap{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
 	c, fd, want := armPrefetch(t, cs, tap)
 	<-tap.entered
 	fresh := patternedBytes(4*cs, 9)
-	if err := c.WritePath("/f", fresh, cs); err != nil { // lands, then invalidates blocks 1-4
+	if err := c.WritePath("/f", fresh, cs); err != nil { // lands, then drops the fetch of chunks 1-4
 		t.Fatal(err)
 	}
 	copy(want[cs:], fresh)
@@ -771,9 +829,9 @@ func TestPrefetchInvalidatedMidFlightRecyclesOnce(t *testing.T) {
 
 	live := map[*byte]bool{}
 	for i := 0; i < 64; i++ {
-		b := rpc.GetBuf(cs)
+		b := rpc.GetBuf(4 * cs) // the fetch's region class
 		if live[&b[0]] {
-			t.Fatal("the pool handed out one buffer twice: a dropped prefetch block was recycled more than once")
+			t.Fatal("the pool handed out one buffer twice: a dropped fetch's region was recycled more than once")
 		}
 		live[&b[0]] = true
 	}

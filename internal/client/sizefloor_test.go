@@ -99,10 +99,11 @@ func (c *holdConn) caughtBefore(t *testing.T, done <-chan error) {
 // completes, then released. Landing late must change nothing: the next
 // read below the old size asks the owner again and sees the truncate
 // (0, EOF) or the remove (ErrNotExist), instead of trusting the old size
-// and returning zeros. Every arm runs without and with the chunk cache.
+// and returning zeros. Every arm runs without and with read-ahead (the
+// "cached" arms).
 func TestOwnTruncateRace(t *testing.T) {
 	const cs, path, size = 64, "/race", 200
-	for _, cfg := range []Config{{ChunkSize: cs}, {ChunkSize: cs, ReadAhead: true, CacheBytes: 1 << 20}} {
+	for _, cfg := range []Config{{ChunkSize: cs}, {ChunkSize: cs, ReadAhead: true}} {
 		for _, discard := range []string{"truncate", "remove"} {
 			for _, arm := range []string{"read-reply", "grow-ack"} {
 				name := discard + "/" + arm
@@ -167,9 +168,9 @@ func ownTruncateRace(t *testing.T, cfg Config, path, discard, arm string, size i
 }
 
 // TestOwnGrowOutlivesLateAnswers is the other side of TestOwnTruncateRace,
-// with the chunk cache holding an EOF block [0, 10) of a 10-byte file: an
-// own write at 64 is acknowledged to reach 74, and a late answer must not
-// take that back. Two arms hold a reply at the metadata owner's
+// on a read-ahead mount that has read a 10-byte file to its end: an own
+// write at 64 is acknowledged to reach 74, and a late answer must not take
+// that back. Two arms hold a reply at the metadata owner's
 // connection: the write's own grow acknowledgement across a Remove of
 // another path (it still raises the size: the next read below 74 asks the
 // owner nothing), and a read reply that says 10 across the whole write.
@@ -178,7 +179,7 @@ func TestOwnGrowOutlivesLateAnswers(t *testing.T) {
 	const cs, path, size = 64, "/grown", 10
 	for _, arm := range []string{"grow-ack/remove-other", "read-reply/own-grow"} {
 		t.Run(arm, func(t *testing.T) {
-			c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: cs, CacheBytes: 1 << 20})
+			c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: cs, ReadAhead: true})
 			writeFileVia(t, c, path, bytes.Repeat([]byte{1}, size))
 			writeFileVia(t, c, "/other", []byte{2})
 			fd, err := c.Open(path, O_RDWR)
@@ -187,7 +188,7 @@ func TestOwnGrowOutlivesLateAnswers(t *testing.T) {
 			}
 			defer c.Close(fd)
 			if n, err := c.ReadAt(fd, make([]byte, cs), 0); n != size || err != io.EOF {
-				t.Fatalf("read caching the EOF block = %d, %v; want %d, EOF", n, err, size)
+				t.Fatalf("read to the end = %d, %v; want %d, EOF", n, err, size)
 			}
 			owner := c.cfg.Dist.MetaTarget(path)
 			hold := &holdConn{Conn: c.cfg.Conns[owner], held: make(chan struct{}), release: make(chan struct{})}
@@ -244,13 +245,13 @@ func TestOwnGrowOutlivesLateAnswers(t *testing.T) {
 	}
 }
 
-// TestCachedReadSeesAnotherClientsGrowth pins what the chunk cache does
-// not relax: with nothing cached at an offset, a read there goes to the
+// TestCachedReadSeesAnotherClientsGrowth pins what read-ahead does not
+// relax: with nothing fetched at an offset, a read there goes to the
 // daemons, so another client's growth after this client's open — past
 // the size the open saw — is read, not answered EOF from the open's size.
 func TestCachedReadSeesAnotherClientsGrowth(t *testing.T) {
 	const cs, path = 64, "/growing"
-	c, _, mount := pipelineCluster(t, 3, Config{ChunkSize: cs, ReadAhead: true, CacheBytes: 1 << 20})
+	c, _, mount := pipelineCluster(t, 3, Config{ChunkSize: cs, ReadAhead: true})
 	fd, err := c.Open(path, O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)

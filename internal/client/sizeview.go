@@ -1,7 +1,6 @@
 package client
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -15,14 +14,10 @@ import (
 // changes nothing when it lands; another path's Truncate or Remove does
 // not move the cut. Lock order: Client.mu, then sizeView.mu, a leaf.
 
-// unknownEnd is sizeView.end when no end of file is known.
-const unknownEnd = math.MaxInt64
-
 // sizeView is what this client knows about one open path's size.
 type sizeView struct {
 	gen   *atomic.Uint64 // Client.sizeGen
 	acked atomic.Int64   // the owner has confirmed at least this size
-	end   atomic.Int64   // the last end of file seen, or unknownEnd; bounds speculation only
 
 	mu    sync.Mutex // orders the rules below against lowerSize
 	cut   uint64     // guarded by mu; the generation at the view's creation or the path's last own lowering
@@ -35,16 +30,11 @@ type sizeCand struct {
 	ops int          // size-cache writes since the last flush; under the descriptor's mu
 }
 
-// owner records the metadata owner's exact answer, asked at gen. Only a
-// read lowers the observed end: speculation runs until a fetch finds the
-// end, and the blocks it fetched past it stay cached as EOF blocks.
+// owner records the metadata owner's exact answer, asked at gen.
 func (v *sizeView) owner(gen uint64, size int64) {
 	v.mu.Lock()
 	if gen >= v.cut {
 		v.acked.Store(size)
-		if size > v.end.Load() {
-			v.end.Store(unknownEnd)
-		}
 	}
 	v.mu.Unlock()
 }
@@ -56,28 +46,6 @@ func (v *sizeView) raise(gen uint64, n int64) {
 	if gen >= v.cut {
 		if n > v.acked.Load() {
 			v.acked.Store(n)
-		}
-		if n > v.end.Load() {
-			v.end.Store(unknownEnd)
-		}
-	}
-	v.mu.Unlock()
-}
-
-// observe records a read, issued at gen, that stopped at at: with eof the
-// file ends at or before it, without it the file reaches that far. Only
-// news takes the lock.
-func (v *sizeView) observe(gen uint64, at int64, eof bool) {
-	if cur := v.end.Load(); eof && at >= cur || !eof && at <= cur {
-		return
-	}
-	v.mu.Lock()
-	if gen >= v.cut {
-		switch cur := v.end.Load(); {
-		case eof && at < cur:
-			v.end.Store(at)
-		case !eof && at > cur:
-			v.end.Store(unknownEnd)
 		}
 	}
 	v.mu.Unlock()
@@ -113,7 +81,6 @@ func (c *Client) attachLocked(of *openFile, gen uint64, size int64) {
 		v.mu.Lock()
 		v.cut = c.sizeGen.Load()
 		v.mu.Unlock()
-		v.end.Store(unknownEnd)
 		c.views[of.path] = v
 	}
 	v.owner(gen, size)
@@ -134,7 +101,7 @@ func (c *Client) detachLocked(of *openFile) {
 
 // grew is what the owner's acknowledgement that p reaches at least n,
 // asked at gen, owes: p's view rises (v, or the open path's own when v is
-// nil), and p's cached EOF blocks go, since they may end before n.
+// nil). Read-ahead owes nothing: its windows never answer EOF.
 func (c *Client) grew(p string, v *sizeView, gen uint64, n int64) {
 	if v == nil {
 		c.mu.Lock()
@@ -144,7 +111,6 @@ func (c *Client) grew(p string, v *sizeView, gen uint64, n int64) {
 	if v != nil {
 		v.raise(gen, n)
 	}
-	c.cacheInvalidate(p, 0, 0)
 }
 
 // lowerSize is what this client's own Truncate of p to size, or Remove
@@ -163,7 +129,6 @@ func (c *Client) lowerSize(p string, size int64) {
 	v.mu.Lock()
 	v.cut = gen
 	v.acked.Store(min(v.acked.Load(), size))
-	v.end.Store(size)
 	v.mu.Unlock()
 	for of := v.files; of != nil; of = of.sameNext {
 		of.cand.lower(size)

@@ -362,9 +362,8 @@ type DaemonStats struct {
 	// size probe adds none) and ReadBytesPushed the bulk bytes actually
 	// pushed back after trimming trailing holes/EOF. Against a client's
 	// logical read volume these expose the read path's efficiency: a
-	// prefetch-heavy workload shows large spans per op, and a chunk-cache
-	// hit moves no wire bytes at all, so cache hit rates appear as
-	// logical reads outpacing ReadBytes (see gkfs-shell stats).
+	// prefetch-heavy workload shows large spans per op (see gkfs-shell
+	// stats).
 	ReadSpans       uint64 `metric:"gkfs_daemon_read_spans_total"`
 	ReadBytesPushed uint64 `metric:"gkfs_daemon_read_bytes_pushed_total"`
 	// ReadDirs counts directory scan pages served.
