@@ -28,12 +28,21 @@ func errResp(errno proto.Errno) []byte {
 	return e.Bytes()
 }
 
+// register installs every handler. The point ops — ping and the four
+// single-op metadata framings — are each one bounded key-value
+// read-modify-write that carries no bulk and never waits on the epoch
+// gate (entering it never blocks; only snapshot commit waits), so the
+// stream transport runs them inline on the connection's reader
+// (rpc.Server.RegisterPoint). Everything else may scale with its input —
+// a chunk file per chunk, up to proto.MaxBatchOps sub-ops, a directory
+// page, the stats document — or wait on other requests, as snapshot
+// commit's drain does, and gets a goroutine of its own.
 func (d *Daemon) register() {
-	d.srv.Register(proto.OpPing, d.handlePing)
-	d.srv.Register(proto.OpCreate, d.metaOpHandler(proto.MetaOpCreate))
-	d.srv.Register(proto.OpStat, d.metaOpHandler(proto.MetaOpStat))
-	d.srv.Register(proto.OpRemoveMeta, d.metaOpHandler(proto.MetaOpRemove))
-	d.srv.Register(proto.OpUpdateSize, d.metaOpHandler(proto.MetaOpUpdateSize))
+	d.srv.RegisterPoint(proto.OpPing, d.handlePing)
+	d.srv.RegisterPoint(proto.OpCreate, d.metaOpHandler(proto.MetaOpCreate))
+	d.srv.RegisterPoint(proto.OpStat, d.metaOpHandler(proto.MetaOpStat))
+	d.srv.RegisterPoint(proto.OpRemoveMeta, d.metaOpHandler(proto.MetaOpRemove))
+	d.srv.RegisterPoint(proto.OpUpdateSize, d.metaOpHandler(proto.MetaOpUpdateSize))
 	d.srv.Register(proto.OpWriteChunks, d.handleWriteChunks)
 	d.srv.Register(proto.OpReadChunks, d.handleReadChunks)
 	d.srv.Register(proto.OpRemoveChunks, d.handleRemoveChunks)

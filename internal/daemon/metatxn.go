@@ -46,9 +46,11 @@ var outcomeErrno = [...]proto.Errno{
 // overlay holds the pending state of paths this transaction has already
 // changed, so later ops see earlier ones; the caller brings it, and a
 // transaction of one brings nil. That, the straight-line body and the
-// stack-backed key vectors keep a transaction of one as cheap — and its
-// stack as shallow, which a handler on a fresh goroutine pays for in
-// stack growth — as a bare read-modify-write.
+// stack-backed key vectors keep a transaction of one as cheap as a bare
+// read-modify-write. The stack stays shallow too: a batch runs on a
+// goroutine of its own and pays for every frame of depth in stack
+// growth, while the single-op framings run on the connection reader's
+// warm stack (register).
 func (d *Daemon) metaTxn(ops []proto.MetaOp, results []proto.MetaResult, overlay map[string]meta.VersionedMeta) error {
 	var key0, lock0 [1][]byte
 	keys, locks := key0[:0], lock0[:0]

@@ -24,6 +24,20 @@ func TestEveryOpRegistered(t *testing.T) {
 	}
 }
 
+// TestPointOps pins which ops the stream transport may run on a
+// connection's reader: ping and the four single-op metadata framings,
+// nothing else. An op whose work grows with its input, or that waits on
+// other requests, would stall every frame queued behind it.
+func TestPointOps(t *testing.T) {
+	d := newTestDaemon(t)
+	point := map[rpc.Op]bool{proto.OpPing: true, proto.OpCreate: true, proto.OpStat: true, proto.OpRemoveMeta: true, proto.OpUpdateSize: true}
+	for op := rpc.Op(1); op < proto.OpEnd; op++ {
+		if got := d.Server().Point(op); got != point[op] {
+			t.Errorf("op %s: point op = %v, want %v", proto.OpName(op), got, point[op])
+		}
+	}
+}
+
 // TestHandlersSurviveGarbageRequests feeds random bytes to every
 // operation: handlers must return errors, never panic and never corrupt
 // the daemon (a follow-up valid request still works). Daemons face

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Data-path buffer pooling. Bulk transfers allocate multi-megabyte
@@ -14,6 +15,10 @@ import (
 // Buffers are grouped in power-of-two classes from 4 KiB to 128 MiB (one
 // class above maxFrame, so a full transfer frame always fits a class).
 // GetBuf returns dirty memory: callers that need zeros must clear.
+//
+// A pool holds the first byte of each class-sized array (*byte), not a
+// slice: a pointer fits an interface without boxing, where a *[]byte
+// cost a 24-byte header allocation on every PutBuf — four per RPC.
 
 const (
 	minBufClass = 12 // 4 KiB
@@ -56,8 +61,8 @@ func GetBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	c := bufClass(n)
-	if v := bufPools[c-minBufClass].Get(); v != nil {
-		return (*(v.(*[]byte)))[:n]
+	if p := bufPools[c-minBufClass].Get(); p != nil {
+		return unsafe.Slice(p.(*byte), 1<<c)[:n]
 	}
 	return make([]byte, n, 1<<c)
 }
@@ -70,6 +75,5 @@ func PutBuf(b []byte) {
 	if c < 1<<minBufClass || c > 1<<maxBufClass || c&(c-1) != 0 {
 		return
 	}
-	b = b[:c]
-	bufPools[bits.Len(uint(c-1))-minBufClass].Put(&b)
+	bufPools[bits.Len(uint(c-1))-minBufClass].Put(unsafe.SliceData(b))
 }

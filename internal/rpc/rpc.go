@@ -5,6 +5,12 @@
 // write data from — or pushes read data into — a buffer the client
 // exposed, the role RDMA plays on the paper's Omni-Path fabric.
 //
+// A handler registered as a point op (RegisterPoint) is one the server
+// declares short and bounded: no bulk, no wait on anything but the
+// pool. A stream transport runs such a request on the goroutine that
+// read it off the connection, where it waits for its pool slot like
+// any other — and the frames behind it on that connection wait too.
+//
 // Transports live in internal/transport: an in-process one whose bulk
 // transfers are zero-copy (the "RDMA" of the in-process cluster) and a TCP
 // one that inlines bulk bytes into the frame.
@@ -135,9 +141,11 @@ type TraceCaller interface {
 }
 
 // CallTrace invokes op over c, carrying tr when the connection
-// supports it and silently dropping it otherwise.
+// supports it and silently dropping it otherwise. A TraceCaller gets
+// unsampled calls through CallTrace too, with the zero Trace: its Call
+// would only forward there.
 func CallTrace(c Conn, op Op, payload, bulk []byte, dir BulkDir, tr Trace) ([]byte, error) {
-	if tc, ok := c.(TraceCaller); ok && tr.Sampled() {
+	if tc, ok := c.(TraceCaller); ok {
 		return tc.CallTrace(op, payload, bulk, dir, tr)
 	}
 	return c.Call(op, payload, bulk, dir)
@@ -221,7 +229,7 @@ type WireCounters struct {
 // handler pool.
 type Server struct {
 	mu       sync.RWMutex
-	handlers map[Op]Handler
+	handlers map[Op]entry
 	closed   bool
 
 	pool chan struct{}
@@ -253,25 +261,51 @@ func (s *Server) SetObserver(obs Observer) {
 	s.observer.Store(&obs)
 }
 
+// entry is one registered operation.
+type entry struct {
+	h     Handler
+	point bool
+}
+
 // NewServer returns a server whose handler pool admits poolSize concurrent
 // calls (Margo handler execution streams). poolSize <= 0 selects 16, a
-// typical daemon configuration on a two-socket node.
+// typical daemon configuration on a two-socket node. Every dispatch
+// waits for a slot, a point op run inline by a stream transport
+// included: while it waits, so does the connection it arrived on.
 func NewServer(poolSize int) *Server {
 	if poolSize <= 0 {
 		poolSize = 16
 	}
 	return &Server{
-		handlers: make(map[Op]Handler),
+		handlers: make(map[Op]entry),
 		pool:     make(chan struct{}, poolSize),
 	}
 }
 
 // Register installs the handler for op, replacing any previous one.
 // Registration after serving starts is allowed but unusual.
-func (s *Server) Register(op Op, h Handler) {
+func (s *Server) Register(op Op, h Handler) { s.register(op, entry{h: h}) }
+
+// RegisterPoint installs h for op as a point op: a handler that never
+// touches a bulk region, does bounded work and blocks on nothing but
+// the handler pool. Stream transports run a bulk-less request for a
+// point op inline on the connection's reader instead of on a goroutine
+// of its own, so it starts on a warm stack and answers in arrival
+// order; a handler whose work grows with its input, or that may wait
+// on another request, must use Register.
+func (s *Server) RegisterPoint(op Op, h Handler) { s.register(op, entry{h: h, point: true}) }
+
+func (s *Server) register(op Op, e entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.handlers[op] = h
+	s.handlers[op] = e
+}
+
+// Point reports whether op was registered with RegisterPoint.
+func (s *Server) Point(op Op) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.handlers[op].point
 }
 
 // Dispatch runs the handler for op, blocking while the pool is full.
@@ -286,7 +320,7 @@ func (s *Server) Dispatch(op Op, payload []byte, bulk Bulk) ([]byte, error) {
 // Dispatch.
 func (s *Server) DispatchTrace(op Op, payload []byte, bulk Bulk, tr Trace) ([]byte, error) {
 	s.mu.RLock()
-	h, ok := s.handlers[op]
+	e, ok := s.handlers[op]
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
@@ -307,7 +341,7 @@ func (s *Server) DispatchTrace(op Op, payload []byte, bulk Bulk, tr Trace) ([]by
 		t1 = time.Now()
 	}
 	s.requests.Add(1)
-	resp, err := h(payload, bulk)
+	resp, err := e.h(payload, bulk)
 	if err != nil {
 		s.errors.Add(1)
 	}

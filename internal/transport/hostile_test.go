@@ -246,8 +246,9 @@ func TestTruncatedMidFrameRequestLeavesServerServing(t *testing.T) {
 	}
 }
 
-// readRawRequestID consumes one request frame off c and returns its id.
-func readRawRequestID(c net.Conn) (uint64, error) {
+// readRawFrameID consumes one frame off c and returns its id: requests
+// and responses both lead with it.
+func readRawFrameID(c net.Conn) (uint64, error) {
 	hdr := make([]byte, 4)
 	if _, err := io.ReadFull(c, hdr); err != nil {
 		return 0, err
@@ -341,7 +342,7 @@ func TestHostileResponseFailsClientCleanly(t *testing.T) {
 	for _, tc := range cases {
 		for _, shape := range []string{"contiguous", "scatter"} {
 			daemons := fakeDaemons(t, func(c net.Conn, ref bool) {
-				if id, err := readRawRequestID(c); err == nil {
+				if id, err := readRawFrameID(c); err == nil {
 					c.Write(tc.respond(id, ref))
 				}
 			})

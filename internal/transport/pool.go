@@ -106,28 +106,26 @@ func (p *Pool) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, e
 // CallTrace implements rpc.TraceCaller, forwarding the trace to the
 // slot's connection when it can carry one.
 func (p *Pool) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
-	return p.forward(func(conn rpc.Conn) ([]byte, error) {
-		return rpc.CallTrace(conn, op, payload, bulk, dir, tr)
-	})
+	return p.forward(op, payload, bulk, dir, nil, tr)
 }
 
 // CallScatter implements rpc.ScatterCaller, forwarding the window list
 // to the slot's connection (which stages it contiguously if it cannot
 // scatter).
 func (p *Pool) CallScatter(op rpc.Op, payload []byte, dest [][]byte, tr rpc.Trace) ([]byte, error) {
-	return p.forward(func(conn rpc.Conn) ([]byte, error) {
-		return rpc.CallScatter(conn, op, payload, dest, tr)
-	})
+	return p.forward(op, payload, nil, rpc.BulkNone, dest, tr)
 }
 
-// forward runs one call on the slot selected by the next request id,
-// condemning the slot's connection on a transport failure. A connection
-// that was already dead when the call reached it — its peer went away
-// while it sat idle in the slot — refused the call before sending any of
-// it (unsentError), so the call runs once more on a fresh dial instead of
-// failing a caller whose request was never on the wire. A call that may
-// have been sent is never repeated.
-func (p *Pool) forward(call func(rpc.Conn) ([]byte, error)) ([]byte, error) {
+// forward runs one call on the slot selected by the next request id —
+// a scatter call when dest is non-nil, else a plain one (a nil list
+// exposes no region either way) — condemning the slot's connection on a
+// transport failure. A connection that was already dead when the call
+// reached it — its peer went away while it sat idle in the slot —
+// refused the call before sending any of it (unsentError), so the call
+// runs once more on a fresh dial instead of failing a caller whose
+// request was never on the wire. A call that may have been sent is
+// never repeated.
+func (p *Pool) forward(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, dest [][]byte, tr rpc.Trace) ([]byte, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
@@ -144,7 +142,12 @@ func (p *Pool) forward(call func(rpc.Conn) ([]byte, error)) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp, err := call(conn)
+		var resp []byte
+		if dest != nil {
+			resp, err = rpc.CallScatter(conn, op, payload, dest, tr)
+		} else {
+			resp, err = rpc.CallTrace(conn, op, payload, bulk, dir, tr)
+		}
 		if err == nil || !condemns(err) {
 			return resp, err
 		}

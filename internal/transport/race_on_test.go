@@ -1,0 +1,7 @@
+//go:build race
+
+package transport
+
+// raceEnabled skips allocation pins: under the race detector sync.Pool
+// drops a random share of what it is given.
+const raceEnabled = true

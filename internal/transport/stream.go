@@ -138,13 +138,26 @@ func releaseTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
+// readSmall is io.ReadFull for the few bytes of a frame header or
+// trailer. It copies out of the reader's buffer, so p does not escape:
+// passed to io.ReadFull — an io.Reader call — every fixed-size header
+// array of the read paths would be a heap allocation per frame.
+func readSmall(br *bufio.Reader, p []byte) error {
+	b, err := br.Peek(len(p))
+	br.Discard(copy(p, b))
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 // readHead reads a frame's length prefix and then its fixed header into
 // hdr. The prefix is validated before the second read blocks: a frame
 // too short to hold the fixed header must fail now, not stall waiting
 // for header bytes that will never come.
 func readHead(br *bufio.Reader, hdr []byte) (rest uint32, err error) {
 	var pfx [4]byte
-	if _, err := io.ReadFull(br, pfx[:]); err != nil {
+	if err := readSmall(br, pfx[:]); err != nil {
 		return 0, err
 	}
 	rest = binary.LittleEndian.Uint32(pfx[:])
@@ -154,8 +167,7 @@ func readHead(br *bufio.Reader, hdr []byte) (rest uint32, err error) {
 	if int(rest) < len(hdr) {
 		return 0, rpc.ErrTruncated
 	}
-	_, err = io.ReadFull(br, hdr)
-	return rest, err
+	return rest, readSmall(br, hdr)
 }
 
 // --- server side ---
@@ -172,14 +184,26 @@ func ServeTCP(l net.Listener, srv *rpc.Server) error {
 	}
 }
 
-// serve is the one serve loop: it reads request frames off nc and runs
-// each on its own goroutine. seg selects the carrier — nil serves inline
-// bulk, a mapped segment serves by-reference windows into it. When the
-// stream fails serve closes nc at once, but returns only after every
-// handler finished, so a by-reference caller may unmap seg as soon as it
-// returns: handlers hold slices into the mapping until their response is
-// written, and a client crashing with requests in flight must not pull
-// it out from under them.
+// serve is the one serve loop: it reads request frames off nc and
+// dispatches them. seg selects the carrier — nil serves inline bulk, a
+// mapped segment serves by-reference windows into it.
+//
+// A bulk-less frame for a point op (rpc.Server.RegisterPoint: ping and
+// the single-op metadata handlers) runs right here, on the reader: its
+// handler starts on this goroutine's warm stack instead of growing a
+// fresh one, no goroutine or closure is made for it, its request struct
+// and payload buffer serve the next frame, and point ops on one
+// connection are answered in arrival order. Every other frame — any
+// bulk, and bulk-less ops whose work grows with their input or that may
+// wait on another request (chunk removal and truncation, batches,
+// directory pages, snapshot commit, stats) — runs on a goroutine of its
+// own, so it never stalls the frames queued behind it.
+//
+// When the stream fails serve closes nc at once, but returns only after
+// every handler finished, so a by-reference caller may unmap seg as
+// soon as it returns: handlers hold slices into the mapping until their
+// response is written, and a client crashing with requests in flight
+// must not pull it out from under them.
 func serve(nc net.Conn, srv *rpc.Server, seg []byte) {
 	var wmu sync.Mutex // serializes response frames
 	var handlers sync.WaitGroup
@@ -187,9 +211,10 @@ func serve(nc net.Conn, srv *rpc.Server, seg []byte) {
 	defer nc.Close() // LIFO: runs before the wait
 	wire := srv.Wire()
 	br := bufio.NewReaderSize(nc, readBufSize)
+	req := new(request) // the frame being read; kept while point ops reuse it
+	defer func() { req.release() }()
 	for {
-		req, err := readRequest(br, seg)
-		if err != nil {
+		if err := readRequest(br, seg, req); err != nil {
 			// Clean EOF, a dead peer, or a corrupt/hostile frame: in every
 			// case the stream is unrecoverable — tear the connection down
 			// instead of guessing at the next frame boundary.
@@ -200,19 +225,29 @@ func serve(nc net.Conn, srv *rpc.Server, seg []byte) {
 		if seg != nil {
 			wire.ShmCalls.Add(1)
 		}
+		if req.bulk.dir == rpc.BulkNone && srv.Point(req.op) {
+			req.serve(nc, &wmu, srv)
+			if cap(req.pbuf) > readBufSize {
+				// Do not park a large payload buffer on an idle connection.
+				rpc.PutBuf(req.pbuf)
+				req.pbuf = nil
+			}
+			continue
+		}
 		handlers.Add(1)
-		go func() {
+		go func(req *request) {
 			defer handlers.Done()
-			resp, herr := srv.DispatchTrace(req.op, req.payload, req.bulk.forHandler(), req.tr)
-			writeResponse(nc, &wmu, wire, req.id, resp, &req.bulk, herr)
+			req.serve(nc, &wmu, srv)
 			req.release()
-		}()
+		}(req)
+		req = new(request)
 	}
 }
 
 // request is one decoded request. pbuf and, on the inline carrier, the
 // bulk regions are pooled and owned by whoever the reader hands the
-// request to (release).
+// request to (release); a request the reader serves itself keeps pbuf
+// for the next frame.
 type request struct {
 	id      uint64
 	op      rpc.Op
@@ -221,6 +256,12 @@ type request struct {
 	payload []byte
 	bulk    serverBulk
 	size    int // wire bytes consumed, length prefix included
+}
+
+// serve dispatches the request and writes its response.
+func (r *request) serve(nc net.Conn, wmu *sync.Mutex, srv *rpc.Server) {
+	resp, herr := srv.DispatchTrace(r.op, r.payload, r.bulk.forHandler(), r.tr)
+	writeResponse(nc, wmu, srv.Wire(), r.id, resp, &r.bulk, herr)
 }
 
 func (r *request) release() {
@@ -238,12 +279,14 @@ func (r *request) release() {
 	}
 }
 
-// readRequest reads one request off br: fixed header, then payload and
-// bulk-length word, then where the bulk lives — the bytes themselves
-// into an exactly-sized pooled region (inline BulkIn), or the segment
-// offset of the window holding them (by reference, seg != nil). The
-// inner lengths must account for the outer length exactly; any
-// disagreement is a corrupt stream.
+// readRequest reads one request off br into req: fixed header, then
+// payload and bulk-length word (into req's payload buffer when it is
+// large enough), then where the bulk lives — the bytes themselves into
+// an exactly-sized pooled region (inline BulkIn), or the segment offset
+// of the window holding them (by reference, seg != nil). The inner
+// lengths must account for the outer length exactly; any disagreement
+// is a corrupt stream. On error, whatever was drawn from the pool stays
+// in req for release.
 //
 // By-reference windows are validated against the segment bounds but NOT
 // against each other: like an RDMA peer that registers overlapping
@@ -256,18 +299,12 @@ func (r *request) release() {
 // own data can come out scrambled. Tracking in-flight windows
 // server-side would put a lock and an interval set on every call for no
 // protection the client cannot already get by allocating correctly.
-func readRequest(br *bufio.Reader, seg []byte) (req *request, err error) {
-	req = &request{}
-	defer func() {
-		if err != nil {
-			req.release()
-			req = nil
-		}
-	}()
-	var hdr [minRequestLen]byte // id + op + dir + payloadLen
+func readRequest(br *bufio.Reader, seg []byte, req *request) error {
+	*req = request{pbuf: req.pbuf} // a frame served inline leaves its payload buffer
+	var hdr [minRequestLen]byte    // id + op + dir + payloadLen
 	rest, err := readHead(br, hdr[:])
 	if err != nil {
-		return req, err
+		return err
 	}
 	dirByte := hdr[10]
 	req.id = binary.LittleEndian.Uint64(hdr[0:])
@@ -277,10 +314,10 @@ func readRequest(br *bufio.Reader, seg []byte) (req *request, err error) {
 	bulk.dir = rpc.BulkDir(dirByte & dirMask)
 	bulk.ref = dirByte&dirRefFlag != 0
 	if bulk.dir > rpc.BulkOut {
-		return req, fmt.Errorf("transport: invalid bulk direction %d", bulk.dir)
+		return fmt.Errorf("transport: invalid bulk direction %d", bulk.dir)
 	}
 	if bulk.ref != (seg != nil) {
-		return req, errors.New("transport: by-reference flag does not match the listener's bulk carrier")
+		return errors.New("transport: by-reference flag does not match the listener's bulk carrier")
 	}
 	// Payload, bulk-length word and — by reference — the segment offset
 	// are read in one piece; they, any inline bulk and the trace trailer
@@ -296,11 +333,16 @@ func readRequest(br *bufio.Reader, seg []byte) (req *request, err error) {
 	plen := binary.LittleEndian.Uint32(hdr[11:])
 	rem := uint64(rest - minRequestLen)
 	if uint64(plen)+words+tlen > rem {
-		return req, rpc.ErrTruncated
+		return rpc.ErrTruncated
 	}
-	req.pbuf = rpc.GetBuf(int(uint64(plen) + words))
+	if n := int(uint64(plen) + words); cap(req.pbuf) >= n {
+		req.pbuf = req.pbuf[:n]
+	} else {
+		rpc.PutBuf(req.pbuf)
+		req.pbuf = rpc.GetBuf(n)
+	}
 	if _, err := io.ReadFull(br, req.pbuf); err != nil {
-		return req, err
+		return err
 	}
 	req.payload = req.pbuf[:plen]
 	blen := binary.LittleEndian.Uint32(req.pbuf[plen:])
@@ -308,11 +350,11 @@ func readRequest(br *bufio.Reader, seg []byte) (req *request, err error) {
 	switch {
 	case bulk.ref:
 		if after != tlen {
-			return req, rpc.ErrTruncated
+			return rpc.ErrTruncated
 		}
 		off := binary.LittleEndian.Uint64(req.pbuf[plen+4:])
 		if uint64(blen) > uint64(len(seg)) || off > uint64(len(seg))-uint64(blen) {
-			return req, fmt.Errorf("transport: bulk window [%d,+%d) outside %d-byte segment", off, blen, len(seg))
+			return fmt.Errorf("transport: bulk window [%d,+%d) outside %d-byte segment", off, blen, len(seg))
 		}
 		switch window := seg[off : off+uint64(blen)]; bulk.dir {
 		case rpc.BulkIn:
@@ -322,15 +364,15 @@ func readRequest(br *bufio.Reader, seg []byte) (req *request, err error) {
 		}
 	case bulk.dir == rpc.BulkIn:
 		if uint64(blen)+tlen != after {
-			return req, rpc.ErrTruncated
+			return rpc.ErrTruncated
 		}
 		bulk.in = rpc.GetBuf(int(blen))
 		if _, err := io.ReadFull(br, bulk.in); err != nil {
-			return req, err
+			return err
 		}
 	default:
 		if after != tlen {
-			return req, rpc.ErrTruncated
+			return rpc.ErrTruncated
 		}
 		if bulk.dir == rpc.BulkOut {
 			// The advertised region is size-only — never materialized, so
@@ -338,19 +380,19 @@ func readRequest(br *bufio.Reader, seg []byte) (req *request, err error) {
 			// still bounded by maxFrame because the response must carry
 			// it back.
 			if blen > maxFrame {
-				return req, errFrameTooBig
+				return errFrameTooBig
 			}
 			bulk.outLen = int(blen)
 		}
 	}
 	if tlen != 0 {
 		var tb [traceLen]byte
-		if _, err := io.ReadFull(br, tb[:]); err != nil {
-			return req, err
+		if err := readSmall(br, tb[:]); err != nil {
+			return err
 		}
 		req.tr = getTrace(tb[:])
 	}
-	return req, nil
+	return nil
 }
 
 // serverBulk implements rpc.Bulk over the bulk regions of one request.
@@ -577,6 +619,19 @@ type pendingCall struct {
 	win   segSpan
 }
 
+// callPool recycles pending calls, each with the channel it was made
+// with. A call goes back only once nobody can send on its channel again:
+// after its one delivery was received, or after abandon took it out of
+// the pending table — either way the channel is empty.
+var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan result, 1)} }}
+
+// recycle returns pc to callPool, dropping its references to the
+// caller's memory.
+func recycle(pc *pendingCall) {
+	pc.dest, pc.destN, pc.one[0], pc.win = nil, 0, nil, segSpan{}
+	callPool.Put(pc)
+}
+
 type result struct {
 	payload []byte
 	bulkN   int // bulk bytes the server produced
@@ -596,7 +651,7 @@ func (c *conn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, e
 // CallTrace implements rpc.TraceCaller. The frame carries tr in the
 // trailing trace extension when sampled.
 func (c *conn) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
-	pc := &pendingCall{ch: make(chan result, 1)}
+	pc := callPool.Get().(*pendingCall)
 	var in []byte
 	switch {
 	case bulk == nil:
@@ -613,7 +668,8 @@ func (c *conn) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rp
 // CallScatter implements rpc.ScatterCaller: a BulkOut call whose region
 // is the windows of dest, filled in order.
 func (c *conn) CallScatter(op rpc.Op, payload []byte, dest [][]byte, tr rpc.Trace) ([]byte, error) {
-	pc := &pendingCall{ch: make(chan result, 1), dest: dest}
+	pc := callPool.Get().(*pendingCall)
+	pc.dest = dest
 	for _, w := range dest {
 		pc.destN += len(w)
 	}
@@ -626,8 +682,10 @@ func (c *conn) CallScatter(op rpc.Op, payload []byte, dest [][]byte, tr rpc.Trac
 
 // call runs one registered call: register → write → wait or time out →
 // settle. in is the BulkIn bytes (nil otherwise) and n the size of the
-// region the call exposes in either direction.
+// region the call exposes in either direction. Every return follows the
+// call's delivery or its abandon, so pc is recycled on the way out.
 func (c *conn) call(pc *pendingCall, op rpc.Op, payload, in []byte, n int, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
+	defer recycle(pc)
 	if c.seg != nil && dir != rpc.BulkNone {
 		// By reference: reserve a window and, for BulkIn, stage the bytes
 		// in it — the one copy this direction costs.

@@ -90,31 +90,31 @@ func benchBulkOutScatter(b *testing.B, c rpc.Conn) {
 	}
 }
 
-// dialBenchTCP serves newBenchServer on loopback TCP and dials it with
-// a pool of n connections.
-func dialBenchTCP(b *testing.B, n int) rpc.Conn {
-	b.Helper()
+// dialServedTCP serves srv on loopback TCP and dials it with a pool of
+// n connections.
+func dialServedTCP(tb testing.TB, srv *rpc.Server, n int) rpc.Conn {
+	tb.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { l.Close() })
-	go ServeTCP(l, newBenchServer())
+	tb.Cleanup(func() { l.Close() })
+	go ServeTCP(l, srv)
 	c, err := DialTCPPool(l.Addr().String(), 60*time.Second, n)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { c.Close() })
+	tb.Cleanup(func() { c.Close() })
 	return c
 }
 
 func BenchmarkBulkOutScatter(b *testing.B) {
-	b.Run("tcp", func(b *testing.B) { benchBulkOutScatter(b, dialBenchTCP(b, 1)) })
+	b.Run("tcp", func(b *testing.B) { benchBulkOutScatter(b, dialServedTCP(b, newBenchServer(), 1)) })
 	if c := dialBenchShm(b); c != nil {
 		b.Run("shm", func(b *testing.B) { benchBulkOutScatter(b, c) })
 	}
 }
 
 func BenchmarkTCPRoundTrip(b *testing.B) {
-	benchRoundTrip(b, dialBenchTCP(b, 4))
+	benchRoundTrip(b, dialServedTCP(b, newBenchServer(), 4))
 }
