@@ -10,8 +10,8 @@
 //     RPCs to the owning daemons, with data in bulk regions,
 //   - operations are synchronous and cache-less by default; the opt-in
 //     exceptions are the paper's size-update cache for the shared-file
-//     bottleneck (§IV-B), the write-behind pipeline (pipeline.go) and
-//     the read-ahead window (readahead.go),
+//     bottleneck (§IV-B), write-behind and read-ahead — two policies
+//     over one in-flight window (window.go),
 //   - rename, links and permissions are unsupported (§III-A).
 package client
 
@@ -65,14 +65,14 @@ type Config struct {
 	// them every SizeCacheOps writes (and on close/sync) — the paper's
 	// shared-file fix. Zero keeps the strict synchronous protocol.
 	SizeCacheOps int
-	// AsyncWrites enables the write-behind pipeline: Write/WriteAt stage
-	// chunk RPCs into a bounded per-descriptor window and return
-	// immediately; Fsync/Close drain the window and flush the size
-	// candidate; errors latch and surface on the next write or barrier
-	// (see pipeline.go). Size updates are always deferred to barriers in
+	// AsyncWrites enables write-behind: Write/WriteAt stage chunk RPCs
+	// into a bounded per-descriptor window and return immediately;
+	// Fsync/Close drain the window and flush the size candidate; errors
+	// latch and surface on the next write, read or barrier (see
+	// enqueueSpansLocked). Size updates are always deferred to barriers in
 	// this mode — SizeCacheOps is subsumed and ignored.
 	AsyncWrites bool
-	// ReadAhead enables the sequential read-ahead pipeline on every
+	// ReadAhead enables sequential read-ahead on every
 	// read-capable descriptor: once a descriptor's reads are sequential,
 	// the spans just past them are fetched into a bounded per-descriptor
 	// window the next reads copy from (see readahead.go).
@@ -146,9 +146,9 @@ type openFile struct {
 	home     sizeView
 	sameNext *openFile // guarded by Client.mu; the next descriptor of view.files
 
-	// pl is the descriptor's write-behind window (active when
-	// Client.asyncWrites).
-	pl *pipeline
+	// wb is the descriptor's write-behind window (Config.AsyncWrites on
+	// and the descriptor can write).
+	wb *Window
 
 	// ra is the descriptor's read-ahead window (active when
 	// Config.ReadAhead is on and the descriptor can read).
@@ -395,10 +395,11 @@ func (c *Client) Open(path string, flags int) (int, error) {
 
 	of := &openFile{path: p, flags: flags}
 	if c.cfg.AsyncWrites && accMode != O_RDONLY {
-		of.pl = newPipeline()
+		of.wb = NewWindow(writeWindow)
+		of.wb.admit = c.tel.stageWait
 		// A latched write failure leaves the failed byte ranges
 		// undefined; a prefetched pre-write image must not paper over that.
-		of.pl.onFail = func() { c.dropFetches(p, 0, math.MaxInt64) }
+		of.wb.onFail = func() { c.dropFetches(p, 0, math.MaxInt64) }
 	}
 	if c.cfg.ReadAhead && accMode != O_WRONLY {
 		of.ra = newReadahead(c.cfg.ChunkSize * prefetchSpanChunks)
@@ -497,7 +498,7 @@ func (c *Client) Fsync(fd int) error {
 func (c *Client) barrierLocked(of *openFile) error {
 	// Drained first, so the candidate only ever describes data the daemons
 	// acknowledged (or data whose failure is reported alongside).
-	werr := of.pl.drainErr()
+	werr := of.wb.drainErr()
 	return errors.Join(werr, c.flushSizeLocked(of))
 }
 
@@ -748,7 +749,8 @@ func (c *Client) readDirNode(node int, dir string, epoch uint64) ([]DirEntry, er
 // Remove unlinks a file or removes an empty directory. A regular file
 // costs one metadata RPC — the daemon refuses directories via the
 // RemoveFileOnly flag, so no leading stat is needed to tell them apart —
-// plus chunk collection only when the file had data.
+// plus chunk collection only when the file had data: a size at its
+// metadata owner, or writes of this client's the owner has not heard of.
 func (c *Client) Remove(path string) error {
 	p, err := meta.Clean(path)
 	if err != nil {
@@ -757,6 +759,7 @@ func (c *Client) Remove(path string) error {
 	if p == meta.Root {
 		return proto.ErrInval
 	}
+	unpublished := c.settlePath(p)
 	_, size, err := c.removeMeta(p, true)
 	if errors.Is(err, proto.ErrIsDir) {
 		// Directory: verify it is empty, then remove without the flag.
@@ -778,10 +781,38 @@ func (c *Client) Remove(path string) error {
 		return err
 	}
 	c.forgetPath(p)
-	if size > 0 {
+	if size > 0 || unpublished {
 		return c.collectChunks([]string{p})
 	}
 	return nil
+}
+
+// settlePath waits until every write this client staged on p has landed
+// — a chunk write landing after a truncate or a remove would bring back
+// bytes they discarded — and reports whether a descriptor of p holds a
+// size the owner has not been told: write-behind and the size-update
+// cache defer it to the barrier, so the owner's size alone can miss data
+// this client wrote. (Another client's staged writes are its own: a
+// remove or truncate racing them leaves what they write undefined, as the
+// paper has it.)
+func (c *Client) settlePath(p string) (unpublished bool) {
+	c.mu.Lock()
+	var staged []*openFile
+	if v := c.views[p]; v != nil {
+		for of := v.files; of != nil; of = of.sameNext {
+			if of.wb != nil {
+				staged = append(staged, of)
+			}
+			unpublished = unpublished || of.cand.n.Load() > 0
+		}
+	}
+	c.mu.Unlock()
+	for _, of := range staged {
+		of.mu.Lock()
+		of.wb.Drain()
+		of.mu.Unlock()
+	}
+	return unpublished
 }
 
 // forgetPath is what every successful remove of p owes this client's own
@@ -825,26 +856,7 @@ func (c *Client) Truncate(path string, size int64) error {
 	if size < 0 {
 		return proto.ErrInval
 	}
-	// Drain this client's write-behind windows for the path first: a
-	// staged chunk write landing after OpTruncateChunks would resurrect
-	// discarded bytes. (Cross-client truncate-while-writing remains
-	// undefined, as the paper has it; program order within this client
-	// is preserved.)
-	c.mu.Lock()
-	var pending []*openFile
-	if v := c.views[p]; v != nil {
-		for of := v.files; of != nil; of = of.sameNext {
-			if of.pl != nil {
-				pending = append(pending, of)
-			}
-		}
-	}
-	c.mu.Unlock()
-	for _, of := range pending {
-		of.mu.Lock()
-		of.pl.drain()
-		of.mu.Unlock()
-	}
+	c.settlePath(p)
 	if err := c.updateSize(p, size, true); err != nil {
 		return err
 	}

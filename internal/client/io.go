@@ -20,7 +20,7 @@ import (
 // in the RPC's bulk region. This is the paper's wide striping: a large
 // I/O engages every node's SSD at once. There is one executor per
 // direction — readGroup and writeGroup — for every caller: descriptor
-// I/O, the read-ahead fetcher, the write-behind pipeline, WritePath and
+// I/O, the read-ahead fetcher, write-behind, WritePath and
 // ReadSnapshot. An unreplicated mount is a chain of one and a live read
 // is a read at epoch ∞; neither has a code path of its own. What an
 // executor does depends only on how many live candidates the chain
@@ -66,11 +66,11 @@ type sizeReply struct {
 // group lends the caller's own slice of p — the transport gathers it
 // straight into the socket (writev) or copies it once into the shared
 // segment, with no client-side staging copy. That is only sound when the
-// caller blocks on the RPC before reusing p; the write-behind pipeline
-// returns first and passes copyAlways to force a pooled copy. pooled
-// reports which happened: a pooled region is released by the caller with
-// rpc.PutBuf once the group has settled; a borrowed slice of p must never
-// enter the pool.
+// caller blocks on the RPC before reusing p; write-behind returns first
+// and passes copyAlways to force a pooled copy. pooled reports which
+// happened: a pooled region is released by the caller with rpc.PutBuf
+// (or handed to a window) once the group has settled; a borrowed slice
+// of p must never enter the pool.
 func (g *targetGroup) gather(p []byte, copyAlways bool) (bulk []byte, pooled bool) {
 	wins := g.windows(p)
 	if !copyAlways && len(wins) == 1 {
@@ -565,14 +565,13 @@ func (c *Client) Write(fd int, p []byte) (int, error) {
 }
 
 // writeSpansLocked sends the chunk writes and then the size update —
-// synchronously, or through the write-behind pipeline when the
-// descriptor has one. A rewrite ending at or below the path's
-// acknowledged size has only a time to report: it joins the descriptor's
-// candidate (announced before the data goes out, as the size-update
-// cache's writes are) and the next barrier sends one update for all.
-// Caller holds of.mu.
+// synchronously, or through the write-behind window when the descriptor
+// has one. A rewrite ending at or below the path's acknowledged size has
+// only a time to report: it joins the descriptor's candidate (announced
+// before the data goes out, as the size-update cache's writes are) and
+// the next barrier sends one update for all. Caller holds of.mu.
 func (c *Client) writeSpansLocked(of *openFile, p []byte, off int64) error {
-	if of.pl != nil {
+	if of.wb != nil {
 		return c.enqueueSpansLocked(of, p, off)
 	}
 	end := off + int64(len(p))
@@ -590,61 +589,55 @@ func (c *Client) writeSpansLocked(of *openFile, p []byte, off int64) error {
 	return c.growSizeLocked(of, end)
 }
 
-// enqueueSpansLocked is the write-behind fast path: it stages one
-// writeGroup per target group into the descriptor's bounded in-flight
-// window and returns without waiting for any round trip. The caller's buffer is
-// copied into pooled bulk buffers before returning (io.Writer allows the
-// caller to reuse p immediately), which is the same copy the synchronous
-// path performs. A previously latched completion failure is surfaced
-// here — before accepting new writes — and cleared. Caller holds of.mu.
+// writeWindow is the in-flight chunk-RPC window depth of every
+// write-behind descriptor. It was a knob until no setting beat its
+// default: three runs of BenchmarkAsyncWriteStream (64 KiB chunks,
+// 2 CPUs) gave 1 668–2 082 MB/s at 4 and 1 764–2 227 MB/s at 16.
+const writeWindow = 8
+
+// enqueueSpansLocked is write-behind — "fill, then send" over the
+// descriptor's window (window.go) — and returns without waiting for any
+// round trip. Each target group's spans are copied into a pooled region
+// (io.Writer lets the caller reuse p at once) that is one slot of the
+// window whatever the group's chain length, so the window bounds logical
+// chunk writes. Nothing reads a write's region back: it leaves the
+// window's view at once and returns to the pool when the write lands. A
+// rewrite of a region still in flight drains the window first, so one
+// descriptor's writes land in program order (the paper leaves only
+// *concurrent* overlapping I/O undefined). The first failure latches and
+// surfaces exactly once, on the next write, read or barrier; the size
+// waits for the barrier in the descriptor's candidate. Completions never
+// need of.mu, so waiting for room under it cannot deadlock. Caller holds
+// of.mu.
 func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
-	if err := of.pl.takeErr(); err != nil {
+	wb := of.wb
+	if err := wb.TakeErr(); err != nil {
 		return err
 	}
 	end := off + int64(len(p))
-	if of.pl.conflicts(off, end) {
-		// Rewriting a region that is still in flight: drain first, so
-		// the writes land in program order. Streaming and strided
-		// patterns never pay this; only overlapping rewrites serialize.
-		of.pl.drain()
+	if wb.overlaps(off, end) {
+		wb.Drain()
 	}
-	// Announced before any data goes out; the barrier publishes it.
 	of.cand.announce(end)
 	groups := c.groupByTarget(of.path, off, int64(len(p)))
-	r := of.pl.addRange(off, end, len(groups))
 	var remaining atomic.Int32
 	remaining.Store(int32(len(groups)))
 	for _, g := range groups {
-		// copyAlways: this path returns before the write settles, so the
-		// caller's buffer cannot back the bulk region.
 		bulk, _ := g.gather(p, true)
-		// A group occupies one window slot whatever its chain length — the
-		// window bounds logical chunk writes. Blocking on a slot is the
-		// pipeline's backpressure; slots are released by completions, which
-		// never need of.mu, so holding the descriptor lock here cannot
-		// deadlock.
-		c.stageWait(of.pl)
-		of.pl.wg.Add(1)
-		go func(g *targetGroup, bulk []byte) {
-			defer func() {
-				of.pl.releaseRange(r)
-				<-of.pl.slots
-				of.pl.wg.Done()
-			}()
+		wb.Start(off, end, bulk, func() (int, error) {
 			err := c.writeGroup(of.path, g, bulk)
-			rpc.PutBuf(bulk)
 			// Drop once the whole write has settled on the daemons (last
-			// group to retire): a span fetched — or still in flight —
-			// before this point may predate the write and must not serve.
-			// One drop per write, not per group.
+			// group to land): a span fetched — or still in flight — before
+			// this point may predate the write and must not serve. A
+			// replica failing at the transport level was absorbed inside
+			// writeGroup; only a write no replica accepted (or a
+			// deterministic refusal) latches.
 			if remaining.Add(-1) == 0 {
 				c.dropFetches(of.path, off, end)
 			}
-			// A replica failing at the transport level was absorbed inside
-			// writeGroup; only a write no replica accepted (or a
-			// deterministic refusal) latches the descriptor.
-			of.pl.latch(err)
-		}(g, bulk)
+			return 0, err
+		})
+		wb.Drop(off, end)
 	}
 	return nil
 }
@@ -737,12 +730,12 @@ func (c *Client) ReadAt(fd int, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, proto.ErrInval
 	}
-	if of.pl != nil {
+	if of.wb != nil {
 		// The lock serializes the drain against in-progress enqueues; the
 		// read RPCs themselves run outside it, so concurrent ReadAts still
 		// overlap on the wire.
 		of.mu.Lock()
-		werr := of.pl.drainErr()
+		werr := of.wb.drainErr()
 		of.mu.Unlock()
 		if werr != nil {
 			return 0, werr
@@ -761,7 +754,7 @@ func (c *Client) Read(fd int, p []byte) (int, error) {
 	}
 	of.mu.Lock()
 	defer of.mu.Unlock()
-	if werr := of.pl.drainErr(); werr != nil {
+	if werr := of.wb.drainErr(); werr != nil {
 		return 0, werr
 	}
 	n, err := c.readAhead(of, p, of.pos)

@@ -56,16 +56,23 @@ func pipelineCluster(t testing.TB, nodes int, cfg Config) (*Client, []*daemon.Da
 	return c, daemons, mount
 }
 
-// narrowWindow shrinks fd's write-behind window to n slots — the
-// white-box seam for tests that need a shallower window than writeWindow.
-// Call it before the descriptor's first write.
+// narrowWindow caps fd's in-flight windows — write-behind's and
+// read-ahead's, whichever it has — at n regions: the white-box seam for
+// tests that need a shallower window than the default. A read-ahead
+// window of n regions reaches n-1 fetches past the reader. Call it before
+// the descriptor's first I/O.
 func narrowWindow(t *testing.T, c *Client, fd, n int) {
 	t.Helper()
 	of, err := c.lookupFD(fd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	of.pl.slots = make(chan struct{}, n)
+	if of.wb != nil {
+		of.wb.k = n
+	}
+	if of.ra != nil {
+		of.ra.w.k = n
+	}
 }
 
 func sumStats(daemons []*daemon.Daemon) daemon.Stats {

@@ -3,18 +3,17 @@ package client
 import (
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/rpc"
 )
 
-// The read-ahead pipeline, the read mirror of pipeline.go's write-behind.
+// Read-ahead: "send, then serve" over an in-flight window (window.go).
 // The paper's data path keeps every node's SSD busy with overlapping
 // chunk transfers (§III-A, §IV); a client that blocks each Read on a full
 // RPC fan-out is bounded by round-trip latency instead, exactly as writes
-// were before the write-behind window. With ReadAhead on, every
-// read-capable descriptor owns one prefetch window:
+// were before write-behind. With ReadAhead on, every read-capable
+// descriptor owns one window of span fetches:
 //
 //   - a detector watches the descriptor's reads; once they are sequential
 //     (each starting where the previous ended), every read tops the window
@@ -25,7 +24,7 @@ import (
 //     places the bytes directly,
 //   - a sequential read copies what the window covers and reads the rest
 //     of its range straight into its buffer; the fetches it read past are
-//     recycled,
+//     dropped,
 //   - a non-sequential read drops the window and reads exactly its range
 //     into its buffer: random access never speculates and is never
 //     amplified,
@@ -34,16 +33,16 @@ import (
 //   - this client's own writes drop the fetches they overlap once the data
 //     has landed (synchronous writes, write-behind completions,
 //     WritePath); Truncate, Remove and a latched write-behind error drop
-//     the path's windows whole. A fetch still in flight is poisoned and
-//     recycles its own region when it lands,
-//   - a failed fetch is never latched: the read that needs its bytes reads
-//     them itself and surfaces the error, if it persists, exactly once.
+//     the path's windows whole,
+//   - a failed fetch is never latched: it settles having found no bytes,
+//     and the read that needs them reads them itself and surfaces the
+//     error, if it persists, exactly once.
 //
 // Nothing outlives the descriptor: Close drops the window and waits for
 // its fetches. Every read the window does not serve asks the daemons, so
 // another mount's write stays unseen only in bytes a live descriptor
 // fetched ahead of its position — at most one window (docs/ARCHITECTURE.md,
-// "Read-ahead").
+// "In-flight windows").
 
 const (
 	// prefetchSpanChunks is how many chunks one fetch covers. Fetching
@@ -64,113 +63,60 @@ const (
 	seqThreshold = 2
 )
 
-// fetch is one span fetch of a window: [off, off+len(buf)) of the file
-// into buf, a pooled region. Once settled, the file's bytes from off are
-// buf[:n]: fewer for a fetch reaching past the end, none for one that
-// failed.
-type fetch struct {
-	off     int64
-	buf     []byte
-	n       int  // guarded by readahead.mu
-	settled bool // guarded by readahead.mu
-	dropped bool // guarded by readahead.mu; out of the window: the later of drop and settle recycles buf
-}
-
-// end is the first byte past f's range.
-func (f *fetch) end() int64 { return f.off + int64(len(f.buf)) }
-
-// readahead is one descriptor's prefetch window and the detector that
-// arms it. It owns its lock — ReadAt runs off the descriptor lock — and
-// sits below Client.mu in the lock order. depth is how many spans ahead
-// of the reader it fetches; wg counts fetches in flight.
+// readahead is one descriptor's window of fetches and the detector that
+// arms it. The detector lives under the window's lock — ReadAt runs off
+// the descriptor lock — which sits below Client.mu in the lock order.
 type readahead struct {
-	depth int
-	wg    sync.WaitGroup
-
-	mu      sync.Mutex
-	landed  sync.Cond // on mu; broadcast whenever a fetch settles
-	lastEnd int64     // guarded by mu; end of the previous read
-	seq     int       // guarded by mu; consecutive sequential reads
-	window  []*fetch  // guarded by mu; offset-ordered, ahead of the reader
+	w       *Window
+	lastEnd int64 // guarded by Window.mu; end of the previous read
+	seq     int   // guarded by Window.mu; consecutive sequential reads
 }
 
+// newReadahead sizes the window for fetches of span bytes: the
+// prefetchBytes ahead of the reader, plus the fetch it is reading from.
 func newReadahead(span int64) *readahead {
-	ra := &readahead{depth: int(max(1, prefetchBytes/span))}
-	ra.landed.L = &ra.mu
-	return ra
+	return &readahead{w: NewWindow(int(max(1, prefetchBytes/span)) + 1)}
 }
 
-// dropLocked takes the fetches gone reports out of the window, keeping
-// the rest in order. A dropped fetch's region goes back to the pool now
-// if it has landed, else when it does. Caller holds mu.
-func (ra *readahead) dropLocked(gone func(f *fetch) bool) {
-	kept := ra.window[:0]
-	for _, f := range ra.window {
-		if !gone(f) {
-			kept = append(kept, f)
-			continue
-		}
-		f.dropped = true
-		if f.settled {
-			rpc.PutBuf(f.buf)
-		}
+// serve copies into p what the window holds of the file from off on when
+// the read is sequential, waiting for fetches still in flight, and
+// returns how much it copied: it stops at the first byte no landed fetch
+// has.
+func (ra *readahead) serve(p []byte, off int64) (n int, seq bool) {
+	w := ra.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if off != ra.lastEnd {
+		return 0, false
 	}
-	clear(ra.window[len(kept):])
-	ra.window = kept
-}
-
-// drop takes the fetches overlapping [off, end) out of the window.
-func (ra *readahead) drop(off, end int64) {
-	ra.mu.Lock()
-	defer ra.mu.Unlock()
-	ra.dropLocked(func(f *fetch) bool { return f.off < end && off < f.end() })
-}
-
-// close drops the window and waits until its fetches have landed, so
-// every region is back in the pool when the descriptor is gone.
-func (ra *readahead) close() {
-	ra.drop(0, math.MaxInt64)
-	ra.wg.Wait()
-}
-
-// settle records what f found and wakes the reads waiting for it; a
-// fetch dropped in flight recycles its own region.
-func (ra *readahead) settle(f *fetch, n int) {
-	ra.mu.Lock()
-	f.n, f.settled = n, true
-	if f.dropped {
-		rpc.PutBuf(f.buf)
-	}
-	ra.mu.Unlock()
-	ra.landed.Broadcast()
-}
-
-// serve copies into p what the window holds of the file from off on,
-// waiting for fetches still in flight, and returns how much it copied:
-// it stops at the first byte no landed fetch has. Caller holds mu.
-func (ra *readahead) serve(p []byte, off int64) int {
-	n := 0
 	for n < len(p) {
 		pos := off + int64(n)
-		var f *fetch
-		for _, w := range ra.window {
-			if w.off <= pos && pos < w.end() {
-				f = w
+		var f *Slot
+		for _, s := range w.slots {
+			if !s.dropped && s.Off <= pos && pos < s.End {
+				f = s
 				break
 			}
 		}
 		switch {
 		case f == nil:
-			return n
+			return n, true
 		case !f.settled:
-			ra.landed.Wait() // then look pos up again: f may be gone
-		case pos >= f.off+int64(f.n):
-			return n
+			w.waitLocked(f) // then look pos up again: f may be gone
+		case pos >= f.Off+int64(f.n):
+			return n, true
 		default:
-			n += copy(p[n:], f.buf[pos-f.off:f.n])
+			n += copy(p[n:], f.buf[pos-f.Off:f.n])
 		}
 	}
-	return n
+	return n, true
+}
+
+// close drops the window and waits until its fetches have landed, so
+// every region is back in the pool when the descriptor is gone.
+func (ra *readahead) close() {
+	ra.w.Drop(0, math.MaxInt64)
+	ra.w.Drain()
 }
 
 // readAhead reads [off, off+len(p)) for a descriptor: through its window
@@ -182,13 +128,7 @@ func (c *Client) readAhead(of *openFile, p []byte, off int64) (int, error) {
 	if ra == nil {
 		return c.readSpans(of, p, off)
 	}
-	ra.mu.Lock()
-	seq := off == ra.lastEnd
-	n := 0
-	if seq {
-		n = ra.serve(p, off)
-	}
-	ra.mu.Unlock()
+	n, seq := ra.serve(p, off)
 	var err error
 	if n < len(p) {
 		var m int
@@ -207,57 +147,61 @@ func (c *Client) readAhead(of *openFile, p []byte, off int64) (int, error) {
 // non-sequential read drops it; a sequential one drops the fetches it
 // read past and, once the stream is confirmed and has not met EOF, tops
 // the window up: fetches from the window's end (the read's, when it is
-// empty) while they start less than depth spans past the read's end and
-// below the size the descriptor knows. It never blocks on the wire.
+// empty) while they start less than k-1 spans past the read's end, below
+// the size the descriptor knows, and the window has room. It never blocks
+// on the wire.
 func (c *Client) advance(of *openFile, seq bool, end int64, eof bool) {
-	ra := of.ra
+	ra, w := of.ra, of.ra.w
 	bs := c.cfg.ChunkSize
+	span := bs * prefetchSpanChunks
 	known := of.cand.eof(of.view.acked.Load())
-	ra.mu.Lock()
-	defer ra.mu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	ra.lastEnd = end
 	if seq {
 		ra.seq++
-		ra.dropLocked(func(f *fetch) bool { return f.end() <= end })
+		w.dropLocked(func(s *Slot) bool { return s.End <= end })
 	} else {
 		ra.seq = 1
-		ra.dropLocked(func(*fetch) bool { return true })
+		w.dropLocked(func(*Slot) bool { return true })
 	}
 	if ra.seq < seqThreshold || eof {
 		return
 	}
 	next := end
-	if k := len(ra.window); k > 0 {
-		next = ra.window[k-1].end()
+	for i := len(w.slots) - 1; i >= 0; i-- {
+		if !w.slots[i].dropped {
+			next = w.slots[i].End
+			break
+		}
 	}
-	horizon := end + int64(ra.depth)*bs*prefetchSpanChunks
-	for next < horizon && next < known {
+	horizon := end + int64(w.k-1)*span
+	for next < horizon && next < known && len(w.slots) < w.k {
 		// Fetches end on chunk boundaries: only the first after an empty
 		// window, starting where the read ended, may be shorter.
-		f := &fetch{off: next, buf: rpc.GetBuf(int(next - next%bs + bs*prefetchSpanChunks - next))}
-		next = f.end()
-		ra.window = append(ra.window, f)
-		ra.wg.Add(1)
-		go c.fetchSpan(of, f)
+		off := next
+		buf := rpc.GetBuf(int(off - off%bs + span - off))
+		next = off + int64(len(buf))
+		w.startLocked(off, next, buf, func() (int, error) { return c.fetchSpan(of, buf, off), nil })
 	}
 }
 
 // fetchSpan is one speculative fetch, run off every lock: a single
-// readSpans fan-out into f's region. Its size answer reaches the path's
-// size view like any read's. Its error is dropped: a failed fetch found
-// no bytes, so the read that needs them reads them itself and surfaces
-// the error if it persists.
-func (c *Client) fetchSpan(of *openFile, f *fetch) {
-	defer of.ra.wg.Done()
+// readSpans fan-out into buf, reporting how many of the file's bytes from
+// off it found. Its size answer reaches the path's size view like any
+// read's. Its error is dropped: a failed fetch found no bytes, so the
+// read that needs them reads them itself and surfaces the error if it
+// persists.
+func (c *Client) fetchSpan(of *openFile, buf []byte, off int64) int {
 	var t0 time.Time
 	if c.tel.prefetch != nil {
 		t0 = time.Now()
 	}
-	n, _ := c.readSpans(of, f.buf, f.off)
+	n, _ := c.readSpans(of, buf, off)
 	if c.tel.prefetch != nil {
 		c.tel.prefetch.ObserveSince(t0)
 	}
-	of.ra.settle(f, n)
+	return n
 }
 
 // dropFetches drops the fetches overlapping [off, end) of path from every
@@ -271,7 +215,7 @@ func (c *Client) dropFetches(path string, off, end int64) {
 	if v := c.views[path]; v != nil {
 		for of := v.files; of != nil; of = of.sameNext {
 			if of.ra != nil {
-				of.ra.drop(off, end)
+				of.ra.w.Drop(off, end)
 			}
 		}
 	}

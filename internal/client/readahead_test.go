@@ -23,37 +23,38 @@ func raQuiesce(t *testing.T, c *Client, fd int) {
 		t.Fatal(err)
 	}
 	if of.ra != nil {
-		of.ra.wg.Wait()
+		of.ra.w.Drain()
 	}
 }
 
-// narrowReadWindow caps fd's read-ahead window at n fetches — the
-// white-box seam for tests whose file the window's default depth would
-// cover whole. Call it before the descriptor's first read.
-func narrowReadWindow(t *testing.T, c *Client, fd, n int) {
-	t.Helper()
-	of, err := c.lookupFD(fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	of.ra.depth = n
-}
-
-// windowFetches returns where the fetches fd's read-ahead window holds
-// start, in window order.
+// windowFetches returns where the fetches in view in fd's read-ahead
+// window start, in window order.
 func windowFetches(t *testing.T, c *Client, fd int) []int64 {
 	t.Helper()
+	var offs []int64
+	for _, f := range liveFetches(t, c, fd) {
+		offs = append(offs, f.Off)
+	}
+	return offs
+}
+
+// liveFetches returns the slots in view in fd's read-ahead window.
+func liveFetches(t *testing.T, c *Client, fd int) []*Slot {
+	t.Helper()
 	of, err := c.lookupFD(fd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	of.ra.mu.Lock()
-	defer of.ra.mu.Unlock()
-	var offs []int64
-	for _, f := range of.ra.window {
-		offs = append(offs, f.off)
+	w := of.ra.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var live []*Slot
+	for _, s := range w.slots {
+		if !s.dropped {
+			live = append(live, s)
+		}
 	}
-	return offs
+	return live
 }
 
 // writeFileVia creates path and stores data through its own descriptor.
@@ -333,7 +334,7 @@ func TestReadAheadCrashMidPrefetchSurfacesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrowReadWindow(t, c, fd, 4)
+	narrowWindow(t, c, fd, 5) // four fetches past the reader
 	// Warm the detector so prefetches are in flight, then crash node 2.
 	buf := make([]byte, 64)
 	for i := 0; i < 4; i++ {
@@ -788,18 +789,13 @@ func TestPrefetchLandsInWindowRegion(t *testing.T) {
 	if len(tap.lists) != 1 || len(tap.lists[0]) != 4 {
 		t.Fatalf("prefetch issued scatter lists %d, want one of 4 windows", len(tap.lists))
 	}
-	of, err := c.lookupFD(fd)
-	if err != nil {
-		t.Fatal(err)
+	live := liveFetches(t, c, fd)
+	if len(live) != 1 {
+		t.Fatalf("the window holds %d fetches, want 1", len(live))
 	}
-	of.ra.mu.Lock()
-	defer of.ra.mu.Unlock()
-	if len(of.ra.window) != 1 {
-		t.Fatalf("the window holds %d fetches, want 1", len(of.ra.window))
-	}
-	f := of.ra.window[0]
-	if f.off != cs || len(f.buf) != 4*cs || !bytes.Equal(f.buf, want[cs:]) {
-		t.Fatalf("the fetch holds [%d, %d), want [%d, %d) with the file's bytes", f.off, f.end(), cs, 5*cs)
+	f := live[0]
+	if f.Off != cs || len(f.buf) != 4*cs || !bytes.Equal(f.buf, want[cs:]) {
+		t.Fatalf("the fetch holds [%d, %d), want [%d, %d) with the file's bytes", f.Off, f.End, cs, 5*cs)
 	}
 	for i, w := range tap.lists[0] {
 		if len(w) != cs || &f.buf[i*cs] != &w[0] {

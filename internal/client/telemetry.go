@@ -25,7 +25,7 @@ type clientTelemetry struct {
 	metaHist  *telemetry.Histogram // round-trip, metadata ops
 	writeHist *telemetry.Histogram // round-trip, OpWriteChunks
 	readHist  *telemetry.Histogram // round-trip, OpReadChunks
-	stageWait *telemetry.Histogram // write-behind window admission wait
+	stageWait *telemetry.Histogram // write-behind window admission wait (Window.admit)
 	prefetch  *telemetry.Histogram // read-ahead span fetch duration
 	inflight  *telemetry.Gauge
 	traces    *telemetry.Counter
@@ -116,18 +116,6 @@ func (c *Client) nextTrace() rpc.Trace {
 		id = 1 // 0 means unsampled on the wire
 	}
 	return rpc.Trace{ID: id, Flags: rpc.TraceSampled}
-}
-
-// stageWait blocks on a write-behind window slot, timing the wait (the
-// pipeline's backpressure signal) when telemetry is on.
-func (c *Client) stageWait(pl *pipeline) {
-	if c.tel.stageWait == nil {
-		pl.slots <- struct{}{}
-		return
-	}
-	t0 := time.Now()
-	pl.slots <- struct{}{}
-	c.tel.stageWait.ObserveSince(t0)
 }
 
 // emitTrace logs the client half of a sampled span. The daemon logs

@@ -182,16 +182,18 @@ func (c *Client) GrowMany(paths []string, sizes []int64) []error {
 }
 
 // RemoveMany unlinks paths, one batch RPC per daemon plus chunk
-// collection only for the files that had data. Directories take the
-// one-path protocol (empty check, then remove) — the daemon's ErrIsDir
-// answer routes them there without a leading stat.
+// collection only for the files that had data (as Remove decides it).
+// Directories take the one-path protocol (empty check, then remove) — the
+// daemon's ErrIsDir answer routes them there without a leading stat.
 func (c *Client) RemoveMany(paths []string) []error {
 	var chunky []string // removed files with data, needing chunk collection
 	var chunkyIdx []int
-	errs := c.vector(paths, func(_ int, p string) (proto.MetaOp, error) {
+	unpublished := make([]bool, len(paths))
+	errs := c.vector(paths, func(i int, p string) (proto.MetaOp, error) {
 		if p == meta.Root {
 			return proto.MetaOp{}, proto.ErrInval
 		}
+		unpublished[i] = c.settlePath(p)
 		return proto.MetaOp{Kind: proto.MetaOpRemove, Path: p, FileOnly: true}, nil
 	}, func(i int, op *proto.MetaOp, r *proto.MetaResult) error {
 		if r.Errno == proto.ErrnoIsDir {
@@ -199,7 +201,7 @@ func (c *Client) RemoveMany(paths []string) []error {
 		}
 		if r.Errno == proto.OK {
 			c.forgetPath(op.Path)
-			if r.Size > 0 {
+			if r.Size > 0 || unpublished[i] {
 				chunky = append(chunky, op.Path)
 				chunkyIdx = append(chunkyIdx, i)
 			}

@@ -102,10 +102,9 @@ func TestPumpKeepsStreamOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			src := tc.src
 			ends := newFakeEnds(src)
-			var bufs buffers
 			h := sha256.New()
 			w := stageWork{file: &xfile{size: tc.walk}, off: 0, end: math.MaxInt64}
-			reached, err := pump(&bufs, w, h, ends.read, ends.write)
+			reached, err := pump(w, h, ends.read, ends.write)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,9 +133,8 @@ func TestPumpKeepsStreamOrder(t *testing.T) {
 func TestPumpBoundedRange(t *testing.T) {
 	src := pumpSource()
 	ends := newFakeEnds(src)
-	var bufs buffers
 	w := stageWork{file: &xfile{size: int64(len(src))}, off: bufBytes / 2, end: 3*bufBytes + 7}
-	reached, err := pump(&bufs, w, nil, ends.read, ends.write)
+	reached, err := pump(w, nil, ends.read, ends.write)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +164,8 @@ func TestPumpFailureDrains(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ends := newFakeEnds(src)
 			tc.setup(ends)
-			var bufs buffers
 			w := stageWork{file: &xfile{size: int64(len(src))}, off: 0, end: math.MaxInt64}
-			_, err := pump(&bufs, w, nil, ends.read, ends.write)
+			_, err := pump(w, nil, ends.read, ends.write)
 			if !errors.Is(err, errInjected) {
 				t.Fatalf("pump returned %v, want the injected failure", err)
 			}

@@ -46,13 +46,14 @@ import (
 	"repro/internal/client"
 	"repro/internal/meta"
 	"repro/internal/proto"
+	"repro/internal/rpc"
 )
 
 // Defaults and tuning constants.
 const (
 	// DefaultWorkers is the transfer pool size when Options.Workers is 0.
 	DefaultWorkers = 8
-	// bufBytes is a copy window, in both directions: one WritePath or
+	// bufBytes is a copy region, in both directions: one WritePath or
 	// ReadSnapshot fan-out. Median MiB/s staging in / out through 4
 	// gkfs-daemon processes on loopback TCP (512 KiB chunks, 8 workers,
 	// 2 vCPU), 1 / 2 / 4 MiB windows: one 64 MiB file 1250 / 1430,
@@ -444,135 +445,86 @@ func (e *engine) failFile(f *xfile, err error) {
 	}
 }
 
-// buffers are one worker's copy windows, taken from windowPool on
-// first use — a worker that only moves single-window files holds one —
-// and handed back by release, so back-to-back transfers reuse them
-// instead of allocating and zeroing them again.
-type buffers [pipeDepth]*[bufBytes]byte
-
-var windowPool = sync.Pool{New: func() any { return new([bufBytes]byte) }}
-
-func (b *buffers) release() {
-	for i, p := range b {
-		if p != nil {
-			windowPool.Put(p)
-			b[i] = nil
-		}
-	}
-}
-
-// window is one buffer's trip through pump: read at off into p, hashed
-// in stream order, then written.
-type window struct {
-	off     int64
-	p       []byte
-	n       int
-	rerr    error
-	read    chan struct{} // closed once n and rerr are set
-	werr    error
-	written chan struct{} // closed once werr is set and p is free again
-}
-
 // pump copies the range w from read to write, skipping zero runs and
 // feeding h when non-nil, and returns the offset it reached: w's end, or
-// where read reported EOF. Up to pipeDepth windows are in flight: reads
-// run ahead of the in-order hash and writes trail behind it, so the
-// cluster side of a transfer — either direction's — never waits on the
-// host side or on the hash, even for a file that is one range.
+// where read reported EOF. It is a read window feeding a write window
+// (client.Window) through the in-order hash: up to pipeDepth regions are
+// held, each read ahead, hashed in stream order, then written, and a
+// region returns to the pool when its write lands. Reads run ahead of the
+// hash and writes trail behind it, so the cluster side of a transfer —
+// either direction's — never waits on the host side or on the hash, even
+// for a file that is one range. Every read and write pump starts has
+// finished when it returns.
 //
-// Each read window is clamped to the walk-time size plus one byte: a
-// file at that size answers one right-sized read whose EOF arrives with
-// the data, instead of a buffer-wide fan-out (ruinous for small files),
-// while the extra byte keeps a file that grew since the walk reading.
-// Past that byte, reads go one window at a time, so a file that did not
-// grow costs no read beyond its EOF.
-func pump(bufs *buffers, w stageWork, h hash.Hash,
+// Each read is clamped to the walk-time size plus one byte: a file at
+// that size answers one right-sized read whose EOF arrives with the data,
+// instead of a region-wide fan-out (ruinous for small files), while the
+// extra byte keeps a file that grew since the walk reading. Past that
+// byte, reads go one region at a time, so a file that did not grow costs
+// no read beyond its EOF.
+func pump(w stageWork, h hash.Hash,
 	read func(p []byte, off int64) (int, error), write func(p []byte, off int64) error) (int64, error) {
+	rd, wr := client.NewWindow(pipeDepth), client.NewWindow(pipeDepth)
 	var (
-		wins               [pipeDepth]*window // window i uses slot i % pipeDepth
-		launched, consumed int
-		next               = w.off // where the next window's read starts
-		reached            = w.off // end of the consumed bytes
-		ended              bool    // a read reported EOF
-		err                error   // first read or write failure
-		size               = w.file.size
+		queue   []*client.Slot // reads started and not yet hashed, in stream order
+		next    = w.off        // where the next read starts
+		reached = w.off        // end of the hashed bytes
+		ended   bool           // a read reported EOF
+		err     error          // first read or write failure
+		size    = w.file.size
 	)
-	// free reports whether win's buffer is free again, waiting for it
-	// when wait is set, and keeps win's write error.
-	free := func(win *window, wait bool) bool {
-		if !wait {
-			select {
-			case <-win.written:
-			default:
-				return false
-			}
-		}
-		<-win.written
-		if err == nil {
-			err = win.werr
-		}
-		return true
-	}
 	for {
-		// Read ahead into every free buffer. A buffer still being written
-		// stops the read-ahead while some window waits to be hashed —
-		// the hash never waits on a write — and is waited for otherwise.
-		for err == nil && !ended && next < w.end && (next <= size || launched == consumed) {
-			slot := launched % pipeDepth
-			if prev := wins[slot]; prev != nil && !free(prev, launched == consumed) || err != nil {
-				break
-			}
-			if bufs[slot] == nil {
-				bufs[slot] = windowPool.Get().(*[bufBytes]byte)
-			}
+		if err == nil {
+			err = wr.TakeErr()
+		}
+		// Read ahead while a region is free. A full window stops the
+		// read-ahead while a read waits to be hashed — the hash never
+		// waits on a write — and is waited for otherwise.
+		for err == nil && !ended && next < w.end && (next <= size || len(queue) == 0) && (len(queue) == 0 || !rd.Full()) {
 			want := min(int64(bufBytes), w.end-next)
 			if size >= next {
 				want = min(want, size-next+1)
 			}
-			win := &window{off: next, p: bufs[slot][:want], read: make(chan struct{}), written: make(chan struct{})}
-			go func() {
-				win.n, win.rerr = read(win.p, win.off)
-				close(win.read)
-			}()
-			wins[slot] = win
-			launched++
+			off := next
+			buf := rpc.GetBuf(int(want))
+			queue = append(queue, rd.Start(off, off+want, buf, func() (int, error) { return read(buf, off) }))
 			next += want
 		}
-		if consumed == launched {
+		if len(queue) == 0 {
 			break
 		}
-		win := wins[consumed%pipeDepth]
-		consumed++
-		<-win.read
+		s := queue[0]
+		queue = queue[1:]
+		data, rerr := rd.Wait(s)
 		if err != nil || ended {
-			close(win.written) // read ahead of a failure or of EOF: dropped
+			rd.Drop(s.Off, s.End) // read ahead of a failure or of EOF
 			continue
 		}
-		data := win.p[:win.n]
 		if h != nil {
 			h.Write(data)
 		}
-		reached = win.off + int64(win.n)
-		go func() {
-			win.werr = forNonzero(data, func(lo, hi int64) error {
-				return write(data[lo:hi], win.off+lo)
+		reached = s.Off + int64(len(data))
+		wr.Start(s.Off, s.End, nil, func() (int, error) {
+			werr := forNonzero(data, func(lo, hi int64) error {
+				return write(data[lo:hi], s.Off+lo)
 			})
-			close(win.written)
-		}()
+			rd.Drop(s.Off, s.End) // written: the region is free again
+			return 0, werr
+		})
+		wr.Drop(s.Off, s.End)
 		switch {
-		case errors.Is(win.rerr, io.EOF) || win.rerr == nil && win.n < len(win.p):
+		case errors.Is(rerr, io.EOF) || rerr == nil && s.Off+int64(len(data)) < s.End:
 			// Both readers end a short read with io.EOF; a bare short
 			// read still ends the stream rather than leave a gap under
-			// the windows read ahead of it.
+			// the reads ahead of it.
 			ended = true
-		case win.rerr != nil:
-			err = win.rerr
+		case rerr != nil:
+			err = rerr
 		}
 	}
-	for _, win := range wins {
-		if win != nil {
-			free(win, true)
-		}
+	wr.Drain()
+	if err == nil {
+		err = wr.TakeErr()
 	}
 	return reached, err
 }
@@ -680,11 +632,9 @@ func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, er
 	}
 
 	e.run(queue, func(work <-chan stageWork) {
-		var bufs buffers
-		defer bufs.release()
 		var gb growBatch
 		for w := range work {
-			e.copyIn(&bufs, &gb, w)
+			e.copyIn(&gb, w)
 		}
 		e.flushGrow(&gb)
 	})
@@ -700,7 +650,7 @@ func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, er
 // one truncate of a pre-existing record. The range finishing the file
 // hands its size to the worker's GrowMany batch: the size is published
 // only after every byte landed, and never for a file that failed.
-func (e *engine) copyIn(bufs *buffers, gb *growBatch, w stageWork) {
+func (e *engine) copyIn(gb *growBatch, w stageWork) {
 	f := w.file
 	h := e.newHash()
 	size, last := e.move(w, func() (int64, error) {
@@ -720,7 +670,7 @@ func (e *engine) copyIn(bufs *buffers, gb *growBatch, w stageWork) {
 			return w.off, err
 		}
 		defer src.Close()
-		return pump(bufs, w, h, src.ReadAt, func(p []byte, off int64) error {
+		return pump(w, h, src.ReadAt, func(p []byte, off int64) error {
 			return e.c.WritePath(f.fsPath, p, off)
 		})
 	})
@@ -900,10 +850,8 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 	walk("")
 
 	e.run(queue, func(work <-chan stageWork) {
-		var bufs buffers
-		defer bufs.release()
 		for w := range work {
-			e.copyOut(&bufs, w)
+			e.copyOut(w)
 		}
 	})
 	if err := e.writeManifest(); err != nil {
@@ -947,7 +895,7 @@ func unmodifiedSince(f *xfile, ent Entry) bool {
 // live read of the file as it is now, never a cached block. The range
 // finishing the file settles the host copy's length at the extent the
 // ranges observed: past a trailing hole, or short of a file that shrank.
-func (e *engine) copyOut(bufs *buffers, w stageWork) {
+func (e *engine) copyOut(w stageWork) {
 	f := w.file
 	if e.opts.Incremental { // a manifest: f is this one range
 		if ent, ok := e.lookupEntry(f.rel); ok && unmodifiedSince(f, ent) {
@@ -964,7 +912,7 @@ func (e *engine) copyOut(bufs *buffers, w stageWork) {
 		f.prep.Do(func() { f.prepErr = dst.Truncate(0) })
 		reached, err := w.off, f.prepErr
 		if err == nil {
-			reached, err = pump(bufs, w, h, func(p []byte, off int64) (int, error) {
+			reached, err = pump(w, h, func(p []byte, off int64) (int, error) {
 				return e.c.ReadSnapshot(f.fsPath, e.epoch, p, off)
 			}, func(p []byte, off int64) error {
 				_, err := dst.WriteAt(p, off)
