@@ -28,23 +28,28 @@ func errResp(errno proto.Errno) []byte {
 	return e.Bytes()
 }
 
-// register installs every handler. The point ops — ping and the four
-// single-op metadata framings — are each one bounded key-value
-// read-modify-write that carries no bulk and never waits on the epoch
-// gate (entering it never blocks; only snapshot commit waits), so the
-// stream transport runs them inline on the connection's reader
-// (rpc.Server.RegisterPoint). Everything else may scale with its input —
-// a chunk file per chunk, up to proto.MaxBatchOps sub-ops, a directory
-// page, the stats document — or wait on other requests, as snapshot
-// commit's drain does, and gets a goroutine of its own.
+// register installs every handler. The point ops, which the stream
+// transport runs inline on the connection's reader
+// (rpc.Server.RegisterPoint), are the ones whose work is bounded by
+// their frame and that never wait on another request: ping, the four
+// single-op metadata framings (one bounded key-value read-modify-write
+// each), and the chunk reads and writes (one pread or pwrite per span
+// the frame carries or asks for, each span inside one chunk — spanTotal).
+// Entering the epoch gate never blocks (only snapshot commit waits), and
+// a path lock a chunk I/O meets is held by a running handler for its own
+// bounded work. Everything else may scale beyond its frame — an unlink
+// per chunk file under the path's write lock, up to proto.MaxBatchOps
+// sub-ops, a directory page, the stats document — or wait on other
+// requests, as snapshot commit's drain does, and gets a goroutine of its
+// own.
 func (d *Daemon) register() {
 	d.srv.RegisterPoint(proto.OpPing, d.handlePing)
 	d.srv.RegisterPoint(proto.OpCreate, d.metaOpHandler(proto.MetaOpCreate))
 	d.srv.RegisterPoint(proto.OpStat, d.metaOpHandler(proto.MetaOpStat))
 	d.srv.RegisterPoint(proto.OpRemoveMeta, d.metaOpHandler(proto.MetaOpRemove))
 	d.srv.RegisterPoint(proto.OpUpdateSize, d.metaOpHandler(proto.MetaOpUpdateSize))
-	d.srv.Register(proto.OpWriteChunks, d.handleWriteChunks)
-	d.srv.Register(proto.OpReadChunks, d.handleReadChunks)
+	d.srv.RegisterPoint(proto.OpWriteChunks, d.handleWriteChunks)
+	d.srv.RegisterPoint(proto.OpReadChunks, d.handleReadChunks)
 	d.srv.Register(proto.OpRemoveChunks, d.handleRemoveChunks)
 	d.srv.Register(proto.OpTruncateChunks, d.handleTruncateChunks)
 	d.srv.Register(proto.OpReadDir, d.handleReadDir)
@@ -107,12 +112,19 @@ func (d *Daemon) metaAt(path string, at uint64) (md meta.Metadata, ok bool, err 
 const maxSpanBytes = 128 << 20
 
 // spanTotal sums span lengths, rejecting any request whose total could
-// not have arrived through a sane transport.
-func spanTotal(path string, spans []proto.ChunkSpan) (int64, error) {
+// not have arrived through a sane transport and any span that leaves its
+// chunk — Off past chunkSize or Len past chunkSize-Off, compared without
+// arithmetic that can wrap. It runs before any I/O: a span at offset
+// 1<<40 would otherwise leave a terabyte-sized sparse chunk file behind
+// (or, on an in-memory vfs, exhaust the process's memory).
+func spanTotal(path string, spans []proto.ChunkSpan, chunkSize int64) (int64, error) {
 	var total int64
 	for _, s := range spans {
 		if s.Len < 0 || s.Len > maxSpanBytes {
 			return 0, fmt.Errorf("chunks %s: span length %d out of range", path, s.Len)
+		}
+		if s.Off < 0 || s.Off > chunkSize || s.Len > chunkSize-s.Off {
+			return 0, fmt.Errorf("chunks %s: span [%d, +%d) of chunk %d leaves the %d-byte chunk", path, s.Off, s.Len, s.ID, chunkSize)
 		}
 		total += s.Len
 		if total > maxSpanBytes {
@@ -175,7 +187,7 @@ func (d *Daemon) handleWriteChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
-	total, err := spanTotal(path, spans)
+	total, err := spanTotal(path, spans, d.cfg.ChunkSize)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +236,7 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
-	total, err := spanTotal(path, spans)
+	total, err := spanTotal(path, spans, d.cfg.ChunkSize)
 	if err != nil {
 		return nil, err
 	}

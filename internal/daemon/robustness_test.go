@@ -3,6 +3,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -25,12 +26,16 @@ func TestEveryOpRegistered(t *testing.T) {
 }
 
 // TestPointOps pins which ops the stream transport may run on a
-// connection's reader: ping and the four single-op metadata framings,
-// nothing else. An op whose work grows with its input, or that waits on
-// other requests, would stall every frame queued behind it.
+// connection's reader: ping, the four single-op metadata framings and
+// the chunk reads and writes, nothing else. An op whose work grows
+// beyond its frame, or that waits on other requests, would stall every
+// frame queued behind it.
 func TestPointOps(t *testing.T) {
 	d := newTestDaemon(t)
-	point := map[rpc.Op]bool{proto.OpPing: true, proto.OpCreate: true, proto.OpStat: true, proto.OpRemoveMeta: true, proto.OpUpdateSize: true}
+	point := map[rpc.Op]bool{
+		proto.OpPing: true, proto.OpCreate: true, proto.OpStat: true, proto.OpRemoveMeta: true, proto.OpUpdateSize: true,
+		proto.OpWriteChunks: true, proto.OpReadChunks: true,
+	}
 	for op := rpc.Op(1); op < proto.OpEnd; op++ {
 		if got := d.Server().Point(op); got != point[op] {
 			t.Errorf("op %s: point op = %v, want %v", proto.OpName(op), got, point[op])
@@ -70,6 +75,27 @@ func TestHandlersSurviveGarbageRequests(t *testing.T) {
 	}
 	// Well-framed requests whose field values are garbage.
 	t.Run("out-of-domain fields", probeOutOfDomainFields)
+	t.Run("span offsets", probeSpanOffsets)
+}
+
+// probeSpanOffsets sends chunk spans whose offset lies past the chunk to
+// both chunk handlers on the in-memory vfs, where a write at 1<<36 once
+// made the daemon die of an unrecoverable out-of-memory error: each must
+// be refused, and the daemon must go on serving.
+func probeSpanOffsets(t *testing.T) {
+	d := newTestDaemon(t) // 256-byte chunks
+	for _, off := range []int64{257, 1 << 36, math.MaxInt64 - 4} {
+		span := []proto.ChunkSpan{{ID: 0, Off: off, Len: 4}}
+		for _, op := range []rpc.Op{proto.OpWriteChunks, proto.OpReadChunks} {
+			if _, err := d.Server().Dispatch(op, encChunks("/v", span, 0), rpc.SliceBulk(make([]byte, 4))); err == nil {
+				t.Errorf("%s at offset %d accepted", proto.OpName(op), off)
+			}
+		}
+	}
+	span := []proto.ChunkSpan{{ID: 0, Off: 252, Len: 4}}
+	if _, err := call(t, d, proto.OpWriteChunks, encChunks("/v", span, 0), []byte("data")); err != nil {
+		t.Fatalf("valid write after hostile offsets: %v", err)
+	}
 }
 
 // probeOutOfDomainFields pins the three defects the twin handlers had

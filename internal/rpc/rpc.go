@@ -6,10 +6,13 @@
 // exposed, the role RDMA plays on the paper's Omni-Path fabric.
 //
 // A handler registered as a point op (RegisterPoint) is one the server
-// declares short and bounded: no bulk, no wait on anything but the
-// pool. A stream transport runs such a request on the goroutine that
-// read it off the connection, where it waits for its pool slot like
-// any other — and the frames behind it on that connection wait too.
+// declares bounded by its own frame: its work is at most one data
+// syscall per span of bytes the frame carries or asks for (or one
+// bounded key-value operation), and it never waits on another request.
+// A stream transport runs such a request — bulk or not — on the
+// goroutine that read it off the connection, where it waits for its
+// pool slot like any other, and the frames behind it on that connection
+// wait for it.
 //
 // Transports live in internal/transport: an in-process one whose bulk
 // transfers are zero-copy (the "RDMA" of the in-process cluster) and a TCP
@@ -286,13 +289,18 @@ func NewServer(poolSize int) *Server {
 // Registration after serving starts is allowed but unusual.
 func (s *Server) Register(op Op, h Handler) { s.register(op, entry{h: h}) }
 
-// RegisterPoint installs h for op as a point op: a handler that never
-// touches a bulk region, does bounded work and blocks on nothing but
-// the handler pool. Stream transports run a bulk-less request for a
-// point op inline on the connection's reader instead of on a goroutine
-// of its own, so it starts on a warm stack and answers in arrival
-// order; a handler whose work grows with its input, or that may wait
-// on another request, must use Register.
+// RegisterPoint installs h for op as a point op: a handler whose work is
+// bounded by the frame itself — one read or write per span of bytes the
+// frame carries (BulkIn) or asks for (BulkOut), or one bounded
+// key-value operation — and that never waits on another request: it may
+// meet a lock a running handler holds for its own bounded work, but
+// never waits for a request to arrive, finish or drain. Stream
+// transports run every request for a point op, bulk or not, inline on
+// the connection's reader instead of on a goroutine of its own, so it
+// starts on a warm stack and answers in arrival order; a handler whose
+// work grows beyond its frame (a directory of chunk files, a batch, a
+// scan) or that waits on other requests (an epoch drain) must use
+// Register.
 func (s *Server) RegisterPoint(op Op, h Handler) { s.register(op, entry{h: h, point: true}) }
 
 func (s *Server) register(op Op, e entry) {

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -10,10 +11,10 @@ import (
 	"repro/internal/rpc"
 )
 
-// The dispatch rule of the serve loop: a bulk-less frame for a point op
-// runs on the connection's reader, every other frame on a goroutine of
-// its own. These tests pin both halves, and the cost pins below measure
-// what the inline half saves on an empty round trip.
+// The dispatch rule of the serve loop: a frame for a point op — bulk or
+// not — runs on the connection's reader, every other frame on a
+// goroutine of its own. These tests pin both halves, and the cost pins
+// below measure what the inline half saves on a round trip.
 
 // Ops of the dispatch tests, registered by newDispatchServer.
 const (
@@ -23,7 +24,16 @@ const (
 	opSpawnEmpty                     // the same handler, registered as an ordinary op
 	opHoldBulk                       // BulkIn, ordinary: blocks until the test releases it
 	opHoldPlain                      // bulk-less, ordinary (shaped like chunk removal): blocks until released
+	opPointSink                      // BulkIn point op (shaped like a chunk write): naps, then takes the region in place
+	opPointFill                      // BulkOut point op (shaped like a chunk read): naps, then fills and commits the region
 )
+
+// nap sleeps req[0] milliseconds when the request carries a payload.
+func nap(req []byte) {
+	if len(req) > 0 {
+		time.Sleep(time.Duration(req[0]) * time.Millisecond)
+	}
+}
 
 // dispatchServer is an rpc.Server whose hold handlers report entering
 // on entered and return once release is closed.
@@ -60,6 +70,22 @@ func newDispatchServer() *dispatchServer {
 	}
 	s.Register(opHoldBulk, hold)
 	s.Register(opHoldPlain, hold)
+	s.RegisterPoint(opPointSink, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
+		nap(req)
+		_, err := bulk.Bytes()
+		return nil, err
+	})
+	s.RegisterPoint(opPointFill, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
+		nap(req)
+		b, err := bulk.Writable(bulk.Len())
+		if err != nil {
+			return nil, err
+		}
+		for i := range b {
+			b[i] = byte(i)
+		}
+		return nil, bulk.Commit(len(b))
+	})
 	return s
 }
 
@@ -80,45 +106,44 @@ func txnDepth(n int) int {
 	return txnDepth(n-1) + int(frame[n])
 }
 
-// TestDispatchPointOpPassesBlockedHandler blocks an ordinary handler —
-// one with a bulk region, and a bulk-less one like chunk removal — and
-// then sends a point op on the same connection: only point ops run on
-// the reader, so the blocked handler must not stall it.
-func TestDispatchPointOpPassesBlockedHandler(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		op   rpc.Op
-		bulk []byte
-		dir  rpc.BulkDir
-	}{
-		{"bulk", opHoldBulk, make([]byte, 4096), rpc.BulkIn},
-		{"bulk-less", opHoldPlain, nil, rpc.BulkNone},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+// blockers are the ordinary handlers a point op must get past: one with
+// a bulk region, and a bulk-less one like chunk removal.
+var blockers = []struct {
+	name string
+	op   rpc.Op
+	bulk []byte
+	dir  rpc.BulkDir
+}{
+	{"bulk", opHoldBulk, make([]byte, 4096), rpc.BulkIn},
+	{"bulk-less", opHoldPlain, nil, rpc.BulkNone},
+}
+
+// passesBlocked blocks each ordinary handler of blockers on a fresh
+// connection, in a subtest named after it, and then runs point on the
+// same connection: only point ops run on the reader, so the blocked
+// handler must not stall it.
+func passesBlocked(t *testing.T, point func(c rpc.Conn) error) {
+	for _, b := range blockers {
+		t.Run(b.name, func(t *testing.T) {
 			srv := newDispatchServer()
 			c := dialServedTCP(t, srv.Server, 1)
 			held := make(chan error, 1)
 			go func() {
-				_, err := c.Call(tc.op, nil, tc.bulk, tc.dir)
+				_, err := c.Call(b.op, nil, b.bulk, b.dir)
 				held <- err
 			}()
 			<-srv.entered
-			done := make(chan struct{})
-			var resp []byte
-			var err error
-			go func() {
-				defer close(done)
-				resp, err = c.Call(opPointEcho, []byte("point"), nil, rpc.BulkNone)
-			}()
+			done := make(chan error, 1)
+			go func() { done <- point(c) }()
 			select {
-			case <-done:
+			case err := <-done:
+				close(srv.release)
+				if err != nil {
+					t.Fatal(err)
+				}
 			case <-time.After(5 * time.Second):
-				t.Error("a point op waited behind a blocked ordinary handler")
-			}
-			close(srv.release)
-			<-done
-			if err != nil || string(resp) != "point" {
-				t.Fatalf("point op = %q, %v", resp, err)
+				close(srv.release)
+				t.Fatalf("a point op waited behind a blocked ordinary handler (then: %v)", <-done)
 			}
 			if err := <-held; err != nil {
 				t.Fatalf("held call: %v", err)
@@ -127,22 +152,48 @@ func TestDispatchPointOpPassesBlockedHandler(t *testing.T) {
 	}
 }
 
-// rawFrame frames a bulk-less, untraced request.
-func rawFrame(id uint64, op rpc.Op, payload []byte) []byte {
-	f := binary.LittleEndian.AppendUint32(nil, uint32(minRequestLen+len(payload)+4))
-	f = binary.LittleEndian.AppendUint64(f, id)
-	f = binary.LittleEndian.AppendUint16(f, uint16(op))
-	f = append(f, byte(rpc.BulkNone))
-	f = binary.LittleEndian.AppendUint32(f, uint32(len(payload)))
-	f = append(f, payload...)
-	return binary.LittleEndian.AppendUint32(f, 0) // bulkLen
+// TestDispatchPointOpPassesBlockedHandler runs passesBlocked with a
+// bulk-less point op.
+func TestDispatchPointOpPassesBlockedHandler(t *testing.T) {
+	passesBlocked(t, func(c rpc.Conn) error {
+		resp, err := c.Call(opPointEcho, []byte("point"), nil, rpc.BulkNone)
+		if err == nil && string(resp) != "point" {
+			err = fmt.Errorf("point op answered %q", resp)
+		}
+		return err
+	})
 }
 
-// TestDispatchPointOpsInArrivalOrder sends point ops in one write, the
-// first sleeping longest: run on the reader they are answered in the
-// order they arrived, where handlers on goroutines of their own would
-// answer the last one first.
-func TestDispatchPointOpsInArrivalOrder(t *testing.T) {
+// rawFrame frames a bulk-less, untraced request.
+func rawFrame(id uint64, op rpc.Op, payload []byte) []byte {
+	return rawBulkFrame(id, op, rpc.BulkNone, payload, 0)
+}
+
+// rawBulkFrame frames an untraced request exposing a bulkLen-byte
+// region: a BulkIn frame carries that many zero bytes, a BulkOut frame
+// only advertises the size.
+func rawBulkFrame(id uint64, op rpc.Op, dir rpc.BulkDir, payload []byte, bulkLen int) []byte {
+	inline := 0
+	switch dir {
+	case rpc.BulkNone:
+		bulkLen = 0
+	case rpc.BulkIn:
+		inline = bulkLen
+	}
+	f := binary.LittleEndian.AppendUint32(nil, uint32(minRequestLen+len(payload)+4+inline))
+	f = binary.LittleEndian.AppendUint64(f, id)
+	f = binary.LittleEndian.AppendUint16(f, uint16(op))
+	f = append(f, byte(dir))
+	f = binary.LittleEndian.AppendUint32(f, uint32(len(payload)))
+	f = append(f, payload...)
+	f = binary.LittleEndian.AppendUint32(f, uint32(bulkLen))
+	return append(f, make([]byte, inline)...)
+}
+
+// answeredInArrivalOrder sends n frames, frame(id) for ids 1..n, in one
+// write to a served connection and checks the responses come back in
+// request order.
+func answeredInArrivalOrder(t *testing.T, n uint64, frame func(id uint64) []byte) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -154,10 +205,9 @@ func TestDispatchPointOpsInArrivalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const n = 5
 	var frames []byte
 	for id := uint64(1); id <= n; id++ {
-		frames = append(frames, rawFrame(id, opPointSleep, []byte{byte(2 * (n - id))})...)
+		frames = append(frames, frame(id)...)
 	}
 	if _, err := c.Write(frames); err != nil {
 		t.Fatal(err)
@@ -172,6 +222,51 @@ func TestDispatchPointOpsInArrivalOrder(t *testing.T) {
 			t.Fatalf("response %d answers request %d: point ops were not answered in arrival order", want, id)
 		}
 	}
+}
+
+// TestDispatchPointOpsInArrivalOrder sends point ops in one write, the
+// first sleeping longest: run on the reader they are answered in the
+// order they arrived, where handlers on goroutines of their own would
+// answer the last one first.
+func TestDispatchPointOpsInArrivalOrder(t *testing.T) {
+	const n = 5
+	answeredInArrivalOrder(t, n, func(id uint64) []byte {
+		return rawFrame(id, opPointSleep, []byte{byte(2 * (n - id))})
+	})
+}
+
+// TestDispatchBulkPointOps pins the same rule for point ops with a bulk
+// region, the shape of the daemon's chunk writes (BulkIn) and reads
+// (BulkOut): sent in one write, alternating, the first napping longest,
+// they are answered in arrival order; and an ordinary handler blocked on
+// the same connection, with or without a bulk region, does not stall
+// them.
+func TestDispatchBulkPointOps(t *testing.T) {
+	t.Run("arrival order", func(t *testing.T) {
+		const n = 6
+		answeredInArrivalOrder(t, n, func(id uint64) []byte {
+			op, dir := opPointSink, rpc.BulkIn
+			if id%2 == 0 {
+				op, dir = opPointFill, rpc.BulkOut
+			}
+			return rawBulkFrame(id, op, dir, []byte{byte(2 * (n - id))}, 8<<10)
+		})
+	})
+	passesBlocked(t, func(c rpc.Conn) error {
+		if _, err := c.Call(opPointSink, nil, make([]byte, 8<<10), rpc.BulkIn); err != nil {
+			return err
+		}
+		out := make([]byte, 8<<10)
+		if _, err := c.Call(opPointFill, nil, out, rpc.BulkOut); err != nil {
+			return err
+		}
+		for i, b := range out {
+			if b != byte(i) {
+				return fmt.Errorf("BulkOut point op: byte %d = %d, want %d", i, b, byte(i))
+			}
+		}
+		return nil
+	})
 }
 
 // TestDispatchServeWaitsForSpawnedHandlers pins what lets the doorbell
@@ -236,19 +331,53 @@ func TestEmptyRPCAllocs(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop a share of its Puts")
 	}
 	c := dialServedTCP(t, newDispatchServer().Server, 1)
+	allocs := rpcAllocs(t, c, opPointEmpty, nil, rpc.BulkNone)
+	if allocs > emptyRPCAllocPin {
+		t.Fatalf("an empty RPC makes %v allocations, pin %d", allocs, emptyRPCAllocPin)
+	}
+	t.Logf("%v allocations per empty RPC", allocs)
+}
+
+// rpcAllocs measures the allocations of one call of op over c, both ends
+// counted, once the pools are warm.
+func rpcAllocs(t *testing.T, c rpc.Conn, op rpc.Op, bulk []byte, dir rpc.BulkDir) float64 {
 	call := func() {
-		if _, err := rpc.CallTrace(c, opPointEmpty, nil, nil, rpc.BulkNone, rpc.Trace{}); err != nil {
+		if _, err := rpc.CallTrace(c, op, nil, bulk, dir, rpc.Trace{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i++ {
 		call() // fill the pools
 	}
-	allocs := testing.AllocsPerRun(2000, call)
-	if allocs > emptyRPCAllocPin {
-		t.Fatalf("an empty RPC makes %v allocations, pin %d", allocs, emptyRPCAllocPin)
+	return testing.AllocsPerRun(2000, call)
+}
+
+// bulkRPCAllocPin bounds the allocations of one 8 KiB round trip in
+// either bulk direction over the same path as emptyRPCAllocPin, with
+// the handler a point op — the shape of the daemon's chunk writes and
+// reads — both ends counted. It was 5 while chunk ops were served on a
+// goroutine of their own (request struct, goroutine, closure) and each
+// end built a net.Buffers per vectored write.
+const bulkRPCAllocPin = 0
+
+// TestBulkRPCAllocs pins bulkRPCAllocPin.
+func TestBulkRPCAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a share of its Puts")
 	}
-	t.Logf("%v allocations per empty RPC", allocs)
+	c := dialServedTCP(t, newDispatchServer().Server, 1)
+	buf := make([]byte, 8<<10)
+	for _, tc := range []struct {
+		name string
+		op   rpc.Op
+		dir  rpc.BulkDir
+	}{{"BulkIn", opPointSink, rpc.BulkIn}, {"BulkOut", opPointFill, rpc.BulkOut}} {
+		allocs := rpcAllocs(t, c, tc.op, buf, tc.dir)
+		if allocs > bulkRPCAllocPin {
+			t.Errorf("an 8 KiB %s RPC makes %v allocations, pin %d", tc.name, allocs, bulkRPCAllocPin)
+		}
+		t.Logf("%v allocations per 8 KiB %s RPC", allocs, tc.name)
+	}
 }
 
 // BenchmarkEmptyRPC is the per-call cost of the transport: an empty

@@ -188,16 +188,18 @@ func ServeTCP(l net.Listener, srv *rpc.Server) error {
 // dispatches them. seg selects the carrier — nil serves inline bulk, a
 // mapped segment serves by-reference windows into it.
 //
-// A bulk-less frame for a point op (rpc.Server.RegisterPoint: ping and
-// the single-op metadata handlers) runs right here, on the reader: its
-// handler starts on this goroutine's warm stack instead of growing a
-// fresh one, no goroutine or closure is made for it, its request struct
-// and payload buffer serve the next frame, and point ops on one
-// connection are answered in arrival order. Every other frame — any
-// bulk, and bulk-less ops whose work grows with their input or that may
-// wait on another request (chunk removal and truncation, batches,
-// directory pages, snapshot commit, stats) — runs on a goroutine of its
-// own, so it never stalls the frames queued behind it.
+// A frame for a point op (rpc.Server.RegisterPoint: ping, the single-op
+// metadata handlers and the chunk reads and writes) runs right here, on
+// the reader: its handler starts on this goroutine's warm stack instead
+// of growing a fresh one, no goroutine or closure is made for it, its
+// request struct and payload buffer serve the next frame, its bulk
+// regions go back to the pool once its reply is written, and point ops
+// on one connection are answered in arrival order — one at a time, so a
+// frame may wait behind one point op's I/O. Every other frame — ops
+// whose work grows beyond their frame or that may wait on another
+// request (chunk removal and truncation, batches, directory pages,
+// snapshot commit, stats) — runs on a goroutine of its own, so it never
+// stalls the frames queued behind it.
 //
 // When the stream fails serve closes nc at once, but returns only after
 // every handler finished, so a by-reference caller may unmap seg as
@@ -205,7 +207,7 @@ func ServeTCP(l net.Listener, srv *rpc.Server) error {
 // response is written, and a client crashing with requests in flight
 // must not pull it out from under them.
 func serve(nc net.Conn, srv *rpc.Server, seg []byte) {
-	var wmu sync.Mutex // serializes response frames
+	out := new(replyWriter)
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	defer nc.Close() // LIFO: runs before the wait
@@ -225,8 +227,9 @@ func serve(nc net.Conn, srv *rpc.Server, seg []byte) {
 		if seg != nil {
 			wire.ShmCalls.Add(1)
 		}
-		if req.bulk.dir == rpc.BulkNone && srv.Point(req.op) {
-			req.serve(nc, &wmu, srv)
+		if srv.Point(req.op) {
+			req.serve(nc, out, srv)
+			req.releaseBulk()
 			if cap(req.pbuf) > readBufSize {
 				// Do not park a large payload buffer on an idle connection.
 				rpc.PutBuf(req.pbuf)
@@ -237,11 +240,38 @@ func serve(nc net.Conn, srv *rpc.Server, seg []byte) {
 		handlers.Add(1)
 		go func(req *request) {
 			defer handlers.Done()
-			req.serve(nc, &wmu, srv)
+			req.serve(nc, out, srv)
 			req.release()
 		}(req)
 		req = new(request)
 	}
+}
+
+// replyWriter serializes one serve loop's response frames and keeps the
+// vector they are written through.
+type replyWriter struct {
+	mu  sync.Mutex
+	iov iovec // guarded by mu
+}
+
+// iovec is a reusable writev vector: a frame's header, the inline bulk
+// that follows it and, on a traced request, the trace trailer. A
+// net.Buffers built per write escapes to the heap — an allocation per
+// bulk frame on each end — so every writer keeps one, used under the
+// mutex that serializes its frames.
+type iovec struct {
+	vec  [3][]byte
+	bufs net.Buffers
+}
+
+// writev sends parts to nc as one vectored write, then drops every
+// reference the vector held, so it never keeps a caller's buffer or a
+// pooled region alive past the write.
+func (v *iovec) writev(nc net.Conn, parts ...[]byte) error {
+	v.bufs = v.vec[:copy(v.vec[:], parts)]
+	_, err := v.bufs.WriteTo(nc)
+	v.vec, v.bufs = [3][]byte{}, nil
+	return err
 }
 
 // request is one decoded request. pbuf and, on the inline carrier, the
@@ -259,24 +289,31 @@ type request struct {
 }
 
 // serve dispatches the request and writes its response.
-func (r *request) serve(nc net.Conn, wmu *sync.Mutex, srv *rpc.Server) {
+func (r *request) serve(nc net.Conn, out *replyWriter, srv *rpc.Server) {
 	resp, herr := srv.DispatchTrace(r.op, r.payload, r.bulk.forHandler(), r.tr)
-	writeResponse(nc, wmu, srv.Wire(), r.id, resp, &r.bulk, herr)
+	writeResponse(nc, out, srv.Wire(), r.id, resp, &r.bulk, herr)
 }
 
+// release returns everything the request drew from the pool.
 func (r *request) release() {
 	if r.pbuf != nil {
 		rpc.PutBuf(r.pbuf)
 	}
-	if r.bulk.ref {
-		return // windows of the segment, not pooled
+	r.releaseBulk()
+}
+
+// releaseBulk returns the request's inline bulk regions to the pool; a
+// by-reference request's are windows of the segment, not pooled.
+func (r *request) releaseBulk() {
+	if !r.bulk.ref {
+		if r.bulk.in != nil {
+			rpc.PutBuf(r.bulk.in)
+		}
+		if r.bulk.out != nil {
+			rpc.PutBuf(r.bulk.out)
+		}
 	}
-	if r.bulk.in != nil {
-		rpc.PutBuf(r.bulk.in)
-	}
-	if r.bulk.out != nil {
-		rpc.PutBuf(r.bulk.out)
-	}
+	r.bulk.in, r.bulk.out = nil, nil
 }
 
 // readRequest reads one request off br into req: fixed header, then
@@ -505,7 +542,7 @@ func (b *serverBulk) Commit(n int) error {
 // client's. By-reference bulk is already in the client's window; only
 // its length travels. bulk is borrowed; the caller still owns its
 // release.
-func writeResponse(nc net.Conn, wmu *sync.Mutex, wire *rpc.WireCounters, id uint64, payload []byte, bulk *serverBulk, herr error) {
+func writeResponse(nc net.Conn, out *replyWriter, wire *rpc.WireCounters, id uint64, payload []byte, bulk *serverBulk, herr error) {
 	status := byte(0)
 	pushed := bulk.outN
 	if herr != nil {
@@ -534,16 +571,15 @@ func writeResponse(nc net.Conn, wmu *sync.Mutex, wire *rpc.WireCounters, id uint
 	hdr = append(hdr, payload...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(pushed))
 
-	wmu.Lock()
+	out.mu.Lock()
 	// A write error tears down the connection via the read side.
 	if len(inline) > 0 {
-		bufs := net.Buffers{hdr, inline}
-		_, _ = bufs.WriteTo(nc)
+		_ = out.iov.writev(nc, hdr, inline)
 		wire.VectoredWrites.Add(1)
 	} else {
 		_, _ = nc.Write(hdr)
 	}
-	wmu.Unlock()
+	out.mu.Unlock()
 	wire.FramesOut.Add(1)
 	wire.BytesOut.Add(uint64(4 + rest))
 	rpc.PutBuf(hdr)
@@ -592,7 +628,9 @@ type conn struct {
 	// (SetSegWaitHist).
 	segWaitHist *telemetry.Histogram
 
-	wmu sync.Mutex // serializes request frames
+	wmu sync.Mutex     // serializes request frames
+	iov iovec          // guarded by wmu
+	tb  [traceLen]byte // guarded by wmu; the trailer of a traced BulkIn frame
 
 	mu      sync.Mutex
 	pending map[uint64]*pendingCall
@@ -721,22 +759,18 @@ func (c *conn) call(pc *pendingCall, op rpc.Op, payload, in []byte, n int, dir r
 	// buffer; inline BulkIn bytes follow straight from the caller's
 	// buffer as the second iovec — they are never copied into a frame —
 	// and a sampled trace, which must stay the frame's last bytes, as the
-	// third.
+	// third. The vector and the trailer's bytes are the connection's.
 	hdr := c.buildRequest(id, op, dir, payload, n, pc.win.off, tr)
 	c.wmu.Lock()
 	var err error
-	if c.seg == nil && len(in) > 0 {
-		if tr.Sampled() {
-			var tb [traceLen]byte
-			putTrace(&tb, tr)
-			bufs := net.Buffers{hdr, in, tb[:]}
-			_, err = bufs.WriteTo(c.nc)
-		} else {
-			bufs := net.Buffers{hdr, in}
-			_, err = bufs.WriteTo(c.nc)
-		}
-	} else {
+	switch {
+	case c.seg != nil || len(in) == 0:
 		_, err = c.nc.Write(hdr)
+	case tr.Sampled():
+		putTrace(&c.tb, tr)
+		err = c.iov.writev(c.nc, hdr, in, c.tb[:])
+	default:
+		err = c.iov.writev(c.nc, hdr, in)
 	}
 	c.wmu.Unlock()
 	rpc.PutBuf(hdr)
