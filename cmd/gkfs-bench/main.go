@@ -1,12 +1,10 @@
 // Command gkfs-bench runs the mdtest- and IOR-style workloads against a
-// *real* GekkoFS deployment — either an in-process cluster it spins up
-// itself (default; the functional plane measured at laptop scale) or an
-// existing TCP deployment.
+// running GekkoFS deployment: start one gkfs-daemon per node, then point
+// -daemons at them, as gkfs-shell and gkfs-fsck are.
 //
-//	gkfs-bench -mode mdtest -nodes 4 -workers 16 -files 2000
-//	gkfs-bench -mode ior -nodes 4 -workers 8 -block 64MiB -transfer 1MiB
-//	gkfs-bench -mode ior -daemons host1:7777,host2:7777 -workers 16 ...
-//	gkfs-bench -mode stage -nodes 4 -stage-large 256MiB -files 2000
+//	gkfs-bench -mode mdtest -daemons host1:7777,host2:7777 -workers 16 -files 2000
+//	gkfs-bench -mode ior -daemons ... -workers 8 -block 64MiB -transfer 1MiB
+//	gkfs-bench -mode stage -daemons ... -stage-large 256MiB -files 2000
 //	gkfs-bench -mode io -daemons ... -replicas 2 -block 64MiB -io-copy /tmp/truth.dat
 //	gkfs-bench -mode checkpoint -daemons ... -workers 4 -files 8 -ck-bytes 1MiB -ck-out /tmp/ck
 package main
@@ -26,9 +24,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/client"
-	"repro/internal/core"
-	"repro/internal/daemon"
-	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/staging"
 	"repro/internal/telemetry"
@@ -40,9 +35,6 @@ func main() {
 	f.RegisterMount(flag.CommandLine)
 	f.RegisterTuning(flag.CommandLine)
 	mode := flag.String("mode", "mdtest", "workload: mdtest | ior | stage | io | checkpoint")
-	nodes := flag.Int("nodes", 4, "in-process cluster (no -daemons): node count")
-	chunk := cli.Size(meta.DefaultChunkSize)
-	flag.Var(&chunk, "chunk", "in-process cluster: chunk size (a -daemons deployment is asked for its own)")
 	workers := flag.Int("workers", 8, "benchmark processes")
 	files := flag.Int("files", 1000, "mdtest: files per worker")
 	block := cli.Size(16 << 20)
@@ -52,8 +44,6 @@ func main() {
 	random := flag.Bool("random", false, "ior: random transfer order")
 	shared := flag.Bool("shared", false, "ior: one shared file (N-to-1)")
 	batch := flag.Int("batch", 0, "mdtest: ops per batched metadata RPC (0/1 = per-op protocol)")
-	dataDir := flag.String("datadir", "", "in-process cluster: persist daemon state under this directory (default: volatile in-memory)")
-	syncWAL := flag.Bool("sync-wal", false, "in-process cluster: fsync metadata WAL before acknowledging (the paper's synchronous operating point)")
 	verify := flag.Bool("verify", true, "ior: verify the read phase; stage: byte-compare the round-tripped tree")
 	stageSrc := flag.String("stage-src", "", "stage: existing source tree (empty = generate a mixed tree)")
 	stageLarge := cli.Size(64 << 20)
@@ -72,26 +62,9 @@ func main() {
 	// Every worker mounts its own client from the same parsed flags — and,
 	// under -trace-sample, into the one registry they carry, so the
 	// sampling sequence and metrics aggregate across workers.
-	var factory workload.ClientFactory
-	if f.Target.Daemons == "" {
-		cluster, err := core.NewCluster(core.Config{
-			Nodes: *nodes, Conns: f.Target.Conns,
-			Distributor: f.Target.Distributor, DataDir: *dataDir,
-			Daemon: daemon.Config{ChunkSize: int64(chunk), SyncWAL: *syncWAL},
-			Client: f.Client,
-		})
-		if err != nil {
-			log.Fatalf("gkfs-bench: %v", err)
-		}
-		defer cluster.Close()
-		fmt.Printf("in-process cluster: %d nodes, chunk %s, deployed in %v\n",
-			*nodes, chunk, cluster.DeployTime().Round(time.Microsecond))
-		factory = cluster.NewClient
-	} else {
-		factory = func() (*client.Client, error) {
-			c, _, err := client.Mount(f.Target, f.Client)
-			return c, err
-		}
+	factory := func() (*client.Client, error) {
+		c, _, err := client.Mount(f.Target, f.Client)
+		return c, err
 	}
 
 	switch *mode {

@@ -54,7 +54,6 @@ func main() {
 	id := flag.Int("id", 0, "daemon index within the cluster host list")
 	chunk := cli.Size(meta.DefaultChunkSize)
 	flag.Var(&chunk, "chunk", "chunk size, cluster-wide: every daemon of a deployment must be started with the same value, and clients learn it from the daemons at mount")
-	pool := flag.Int("pool", 16, "concurrent RPC handlers")
 	syncWAL := flag.Bool("sync-wal", false, "fsync metadata WAL per operation")
 	shm := flag.String("shm", "", "serve the shared-memory transport on this Unix socket (advertised to co-located clients)")
 	shmSeg := flag.Int("shm-seg", transport.DefaultShmSegBytes, "shared-memory segment bytes per connection")
@@ -77,7 +76,7 @@ func main() {
 		log.Fatalf("gkfs-daemon: %v", err)
 	}
 	d, err := daemon.New(daemon.Config{
-		ID: *id, FS: fs, ChunkSize: int64(chunk), PoolSize: *pool, SyncWAL: *syncWAL,
+		ID: *id, FS: fs, ChunkSize: int64(chunk), SyncWAL: *syncWAL,
 		ShmSocket: *shm,
 	})
 	if err != nil {

@@ -12,7 +12,10 @@
 // for the TCP equivalent). Mount returns an FS, the analogue of
 // preloading the interposition library: a client holding its own file
 // map, hashing every path to its owning daemon, and issuing synchronous
-// RPCs.
+// RPCs. The paper stresses that any user can deploy the file system for
+// the lifetime of a job in under 20 seconds on 512 nodes; a Cluster
+// records its own bring-up time (DeployTime) for the equivalent
+// measurement.
 //
 //	cluster, err := gekkofs.New(gekkofs.WithNodes(4))
 //	...
@@ -23,14 +26,24 @@
 package gekkofs
 
 import (
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/daemon"
+	"repro/internal/distributor"
+	"repro/internal/meta"
 	"repro/internal/proto"
+	"repro/internal/rpc"
 	"repro/internal/staging"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
+	"repro/internal/vfs"
 )
 
 // Errors mirroring the relaxed-POSIX surface. Compare with errors.Is.
@@ -90,42 +103,65 @@ type StageOptions = staging.Options
 // (partial failure never aborts a transfer).
 type StageReport = staging.Report
 
+// config is what the options write. Every knob is documented once, on
+// the With* option that sets it; New fills in the per-daemon and
+// per-mount wiring (daemon ID, FS and ShmSocket; client Conns, Dist and
+// ChunkSize).
+type config struct {
+	nodes       int
+	dataDir     string
+	distributor string
+	transport   string
+	daemon      daemon.Config
+	client      client.Config
+	stageIn     *stageSpec
+	stageOut    *stageSpec
+}
+
+// stageSpec names one directory-tree transfer between the host file
+// system (the job's permanent PFS) and the deployment's namespace.
+type stageSpec struct {
+	hostDir, fsDir string
+	opts           StageOptions
+}
+
+func newStageSpec(hostDir, fsDir string, opts *StageOptions) *stageSpec {
+	spec := &stageSpec{hostDir: hostDir, fsDir: fsDir}
+	if opts != nil {
+		spec.opts = *opts
+	}
+	return spec
+}
+
 // Option configures a Cluster.
-type Option func(*core.Config)
+type Option func(*config)
 
 // WithNodes sets the daemon count (default 1).
-func WithNodes(n int) Option { return func(c *core.Config) { c.Nodes = n } }
+func WithNodes(n int) Option { return func(c *config) { c.nodes = n } }
 
 // WithChunkSize overrides the 512 KiB default chunk size.
-func WithChunkSize(bytes int64) Option { return func(c *core.Config) { c.Daemon.ChunkSize = bytes } }
-
-// WithHandlerPool bounds each daemon's concurrently executing RPC
-// handlers (default 16).
-func WithHandlerPool(n int) Option { return func(c *core.Config) { c.Daemon.PoolSize = n } }
+func WithChunkSize(bytes int64) Option { return func(c *config) { c.daemon.ChunkSize = bytes } }
 
 // WithDataDir persists daemon state under dir on the host file system
-// (one subdirectory per daemon) instead of in memory.
-func WithDataDir(dir string) Option { return func(c *core.Config) { c.DataDir = dir } }
+// (one subdirectory per daemon, dir/node<N>) instead of in memory.
+// Reopening the same dir with the same node count recovers the
+// namespace and its data.
+func WithDataDir(dir string) Option { return func(c *config) { c.dataDir = dir } }
 
 // WithSyncWAL makes metadata operations durable before they are
 // acknowledged.
-func WithSyncWAL() Option { return func(c *core.Config) { c.Daemon.SyncWAL = true } }
+func WithSyncWAL() Option { return func(c *config) { c.daemon.SyncWAL = true } }
 
 // WithSizeUpdateCache enables the client-side size-update cache the paper
 // introduces for shared-file workloads (§IV-B): size updates are buffered
 // and flushed every ops writes (and on close/sync). Trade-off: another
 // client's stat may briefly observe a smaller size.
-func WithSizeUpdateCache(ops int) Option { return func(c *core.Config) { c.Client.SizeCacheOps = ops } }
+func WithSizeUpdateCache(ops int) Option { return func(c *config) { c.client.SizeCacheOps = ops } }
 
 // WithDistributor selects the placement pattern: "simplehash" (paper
-// default) or "guided-first-chunk" (ablation A2 in DESIGN.md).
-func WithDistributor(name string) Option { return func(c *core.Config) { c.Distributor = name } }
-
-// WithConns stripes each client's per-daemon traffic over n transport
-// connections (default 1). On TCP deployments this is the knob that lets
-// concurrent bulk transfers to one daemon move in parallel instead of
-// serializing on a single socket.
-func WithConns(n int) Option { return func(c *core.Config) { c.Conns = n } }
+// default) or "guided-first-chunk" (ablation A2 in DESIGN.md). An
+// unknown name fails New.
+func WithDistributor(name string) Option { return func(c *config) { c.distributor = name } }
 
 // WithReplicas sets the chunk replication factor R (default 1, i.e.
 // off). Every chunk is written to R daemons — its hash-placed primary
@@ -137,7 +173,7 @@ func WithConns(n int) Option { return func(c *core.Config) { c.Conns = n } }
 // and re-probed in the background. Metadata is not replicated: chunk
 // replication makes file data survive a daemon loss, not the namespace
 // entries hashed to the lost daemon. R must not exceed WithNodes' count.
-func WithReplicas(r int) Option { return func(c *core.Config) { c.Client.Replicas = r } }
+func WithReplicas(r int) Option { return func(c *config) { c.client.Replicas = r } }
 
 // WithTransport selects the fabric wiring this deployment's clients to
 // its daemons: "mem" (default) calls handlers directly in process, "shm"
@@ -145,7 +181,7 @@ func WithReplicas(r int) Option { return func(c *core.Config) { c.Client.Replica
 // zero-copy segment path co-located clients use against standalone
 // daemons, exposed here so library users and benchmarks can exercise it
 // without separate processes. "shm" requires a unix platform.
-func WithTransport(name string) Option { return func(c *core.Config) { c.Transport = name } }
+func WithTransport(name string) Option { return func(c *config) { c.transport = name } }
 
 // WithAsyncWrites enables the write-behind data pipeline, the
 // relaxed-semantics fast path for streaming writers: File.Write/WriteAt
@@ -159,7 +195,7 @@ func WithTransport(name string) Option { return func(c *core.Config) { c.Transpo
 // own completed writes. Stay synchronous (the default) when every Write's
 // error must refer to that write, or when another process must observe
 // data without waiting for this one's Sync.
-func WithAsyncWrites() Option { return func(c *core.Config) { c.Client.AsyncWrites = true } }
+func WithAsyncWrites() Option { return func(c *config) { c.client.AsyncWrites = true } }
 
 // WithReadAhead enables the sequential read-ahead pipeline, the read
 // mirror of WithAsyncWrites: once a File's reads are sequential (each
@@ -172,22 +208,16 @@ func WithAsyncWrites() Option { return func(c *core.Config) { c.Client.AsyncWrit
 // of its position may stay unseen by the read that consumes them; every
 // other read asks the daemons. This client's own writes, truncates and
 // removes always drop the fetches they outdate.
-func WithReadAhead() Option { return func(c *core.Config) { c.Client.ReadAhead = true } }
+func WithReadAhead() Option { return func(c *config) { c.client.ReadAhead = true } }
 
 // WithStageIn copies the directory tree under hostDir into the namespace
-// at fsDir as part of New — the job's input data arrives with the
-// deployment (the stage-in half of the temporary-FS lifecycle). Stage
-// time is reported by Cluster.StageInTime, separately from DeployTime;
-// per-file failures land in Cluster.StageInReport without failing
-// deployment. opts may be nil for defaults.
+// at fsDir as part of New, after the health check — the job's input data
+// arrives with the deployment (the stage-in half of the temporary-FS
+// lifecycle). Stage time is reported by Cluster.StageInTime, separately
+// from DeployTime; per-file failures land in Cluster.StageInReport
+// without failing deployment. opts may be nil for defaults.
 func WithStageIn(hostDir, fsDir string, opts *StageOptions) Option {
-	return func(c *core.Config) {
-		spec := &core.StageSpec{HostDir: hostDir, FSDir: fsDir}
-		if opts != nil {
-			spec.Options = *opts
-		}
-		c.StageIn = spec
-	}
+	return func(c *config) { c.stageIn = newStageSpec(hostDir, fsDir, opts) }
 }
 
 // WithStageOutOnClose copies the namespace tree under fsDir back to
@@ -200,13 +230,7 @@ func WithStageIn(hostDir, fsDir string, opts *StageOptions) Option {
 // shape where epoch N+1 computes while epoch N drains to the permanent
 // file system; an unknown tag fails the stage-out structurally.
 func WithStageOutOnClose(fsDir, hostDir string, opts *StageOptions) Option {
-	return func(c *core.Config) {
-		spec := &core.StageSpec{HostDir: hostDir, FSDir: fsDir}
-		if opts != nil {
-			spec.Options = *opts
-		}
-		c.StageOutOnClose = spec
-	}
+	return func(c *config) { c.stageOut = newStageSpec(hostDir, fsDir, opts) }
 }
 
 // WithTelemetry enables client-side metrics: every FS mounted from the
@@ -220,7 +244,7 @@ func WithStageOutOnClose(fsDir, hostDir string, opts *StageOptions) Option {
 // DaemonSnapshots regardless of this option. The disabled-path cost on
 // RPCs is a single branch.
 func WithTelemetry(sampleEvery int) Option {
-	return func(c *core.Config) { c.Client.Telemetry, c.Client.TraceSample = telemetry.NewRegistry(), sampleEvery }
+	return func(c *config) { c.client.Telemetry, c.client.TraceSample = telemetry.NewRegistry(), sampleEvery }
 }
 
 // DaemonSnapshot is one daemon's telemetry snapshot — counters, gauges
@@ -235,26 +259,185 @@ type TelemetryRegistry = telemetry.Registry
 
 // Cluster is a running GekkoFS deployment.
 type Cluster struct {
-	c *core.Cluster
+	cfg     config
+	daemons []*daemon.Daemon
+	mem     *transport.MemNetwork
+	deploy  time.Duration
+
+	// Shared-memory transport state (WithTransport("shm")): one doorbell
+	// socket per daemon under a private directory.
+	shmDir   string
+	shmSocks []string
+	shmLs    []net.Listener
+
+	stageInTime  time.Duration
+	stageOutTime time.Duration
+	stageIn      *staging.Report
+	stageOut     *staging.Report
+	ready        bool // New completed; Close may stage out
+
+	mu    sync.Mutex
+	conns [][]rpc.Conn // handed to mounts, closed on Close; guarded by mu
 }
 
-// New deploys a cluster and waits until every daemon is serving.
+// New deploys a cluster and waits until every daemon answers a ping.
 func New(opts ...Option) (*Cluster, error) {
-	var cfg core.Config
-	cfg.Nodes = 1
+	cfg := config{nodes: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c, err := core.NewCluster(cfg)
+	if cfg.nodes <= 0 {
+		return nil, errors.New("gekkofs: cluster needs at least one node")
+	}
+	if cfg.transport != "" && cfg.transport != "mem" && cfg.transport != "shm" {
+		return nil, fmt.Errorf("gekkofs: unknown transport %q (want mem or shm)", cfg.transport)
+	}
+	if cfg.daemon.ChunkSize == 0 {
+		cfg.daemon.ChunkSize = meta.DefaultChunkSize
+	}
+	begin := time.Now()
+	cl := &Cluster{cfg: cfg, mem: transport.NewMemNetwork()}
+	if cfg.transport == "shm" {
+		dir, err := os.MkdirTemp("", "gkfs-shm-")
+		if err != nil {
+			return nil, fmt.Errorf("gekkofs: shm socket dir: %w", err)
+		}
+		cl.shmDir = dir
+		cl.shmSocks = make([]string, cfg.nodes)
+		for i := range cl.shmSocks {
+			cl.shmSocks[i] = filepath.Join(dir, fmt.Sprintf("d%d.sock", i))
+		}
+	}
+
+	// Daemons start concurrently, as a parallel job launcher would start
+	// them.
+	daemons := make([]*daemon.Daemon, cfg.nodes)
+	errs := make([]error, cfg.nodes)
+	var wg sync.WaitGroup
+	for i := range daemons {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			daemons[i], errs[i] = cl.startDaemon(i)
+		}(i)
+	}
+	wg.Wait()
+	cl.daemons = daemons
+	if err := errors.Join(errs...); err != nil {
+		cl.Close()
+		return nil, err
+	}
+	for i, d := range daemons {
+		cl.mem.Register(i, d.Server())
+	}
+	for i, sock := range cl.shmSocks {
+		l, err := net.Listen("unix", sock)
+		if err != nil {
+			cl.Close()
+			return nil, fmt.Errorf("gekkofs: shm doorbell %d: %w", i, err)
+		}
+		cl.shmLs = append(cl.shmLs, l)
+		go transport.ServeShm(l, daemons[i].Server(), 0)
+	}
+
+	// Health check: every daemon must answer a ping — as the daemon the
+	// cluster takes it for (client.VerifyProtocol) — and the namespace
+	// root must exist before clients mount: the registration step of a
+	// real deployment.
+	boot, err := cl.newClient()
+	if err == nil {
+		err = boot.VerifyProtocol()
+	}
+	if err == nil {
+		err = boot.EnsureRoot()
+	}
+	if err != nil {
+		cl.Close()
+		return nil, fmt.Errorf("gekkofs: health check: %w", err)
+	}
+	cl.deploy = time.Since(begin)
+
+	// Stage-in runs after bring-up and is timed separately: the paper's
+	// deployability claim (< 20 s at 512 nodes) is about the file system
+	// itself; how long the job's input data takes to arrive depends on
+	// its volume, not on GekkoFS bring-up.
+	if spec := cfg.stageIn; spec != nil {
+		sb := time.Now()
+		stager, err := cl.newClient()
+		if err == nil {
+			cl.stageIn, err = staging.StageIn(stager, spec.hostDir, spec.fsDir, spec.opts)
+		}
+		cl.stageInTime = time.Since(sb)
+		if err != nil {
+			cl.Close()
+			return nil, fmt.Errorf("gekkofs: stage-in: %w", err)
+		}
+	}
+	cl.ready = true
+	return cl, nil
+}
+
+// startDaemon starts daemon i on its own storage: a fresh in-memory FS,
+// or dataDir/node<i> under WithDataDir.
+func (cl *Cluster) startDaemon(i int) (*daemon.Daemon, error) {
+	var fs vfs.FS = vfs.NewMem()
+	if cl.cfg.dataDir != "" {
+		var err error
+		if fs, err = vfs.NewOS(filepath.Join(cl.cfg.dataDir, fmt.Sprintf("node%d", i))); err != nil {
+			return nil, err
+		}
+	}
+	dcfg := cl.cfg.daemon
+	dcfg.ID, dcfg.FS, dcfg.ShmSocket = i, fs, ""
+	if cl.shmSocks != nil {
+		dcfg.ShmSocket = cl.shmSocks[i]
+	}
+	return daemon.New(dcfg)
+}
+
+// newClient dials every daemon and wires a client to them. The conns are
+// the cluster's to close — on Close, or here when the mount fails part
+// way.
+func (cl *Cluster) newClient() (_ *client.Client, err error) {
+	dist, err := distributor.New(cl.cfg.distributor, cl.cfg.nodes)
+	if err != nil {
+		return nil, fmt.Errorf("gekkofs: %w", err)
+	}
+	conns := make([]rpc.Conn, 0, cl.cfg.nodes)
+	defer func() {
+		if err != nil {
+			for _, conn := range conns {
+				conn.Close()
+			}
+		}
+	}()
+	for i := 0; i < cl.cfg.nodes; i++ {
+		var conn rpc.Conn
+		if cl.shmSocks != nil {
+			conn, err = transport.DialShmPool(cl.shmSocks[i], 0, 1)
+		} else {
+			conn, err = cl.mem.Dial(i)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("gekkofs: dial daemon %d: %w", i, err)
+		}
+		conns = append(conns, conn)
+	}
+	ccfg := cl.cfg.client
+	ccfg.Conns, ccfg.Dist, ccfg.ChunkSize = conns, dist, cl.ChunkSize()
+	c, err := client.New(ccfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{c: c}, nil
+	cl.mu.Lock()
+	cl.conns = append(cl.conns, conns)
+	cl.mu.Unlock()
+	return c, nil
 }
 
 // Mount returns a file system handle wired to every daemon.
 func (cl *Cluster) Mount() (*FS, error) {
-	c, err := cl.c.NewClient()
+	c, err := cl.newClient()
 	if err != nil {
 		return nil, err
 	}
@@ -263,41 +446,99 @@ func (cl *Cluster) Mount() (*FS, error) {
 
 // Close tears down the deployment. As a temporary file system, in-memory
 // state is discarded (data under WithDataDir survives for reopening).
-func (cl *Cluster) Close() error { return cl.c.Close() }
+// A configured stage-out runs first, while the deployment still serves;
+// a second Close does nothing.
+func (cl *Cluster) Close() error {
+	// Both structural and per-file stage-out failures surface in the
+	// returned error — losing result data on teardown must be loud.
+	var errs []error
+	if spec := cl.cfg.stageOut; spec != nil && cl.ready {
+		cl.ready = false // a second Close must not stage out again
+		sb := time.Now()
+		stager, err := cl.newClient()
+		if err == nil {
+			cl.stageOut, err = staging.StageOut(stager, spec.fsDir, spec.hostDir, spec.opts)
+			err = errors.Join(err, cl.stageOut.Err())
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("gekkofs: stage-out: %w", err))
+		}
+		cl.stageOutTime = time.Since(sb)
+	}
+	cl.mu.Lock()
+	for _, conns := range cl.conns {
+		for _, conn := range conns {
+			conn.Close()
+		}
+	}
+	cl.conns = nil
+	cl.mu.Unlock()
+	for _, l := range cl.shmLs {
+		l.Close()
+	}
+	cl.shmLs = nil
+	for _, d := range cl.daemons {
+		if d != nil {
+			if err := d.Close(); err != nil {
+				errs = append(errs, err)
+			}
+		}
+	}
+	cl.daemons = nil
+	if cl.shmDir != "" {
+		os.RemoveAll(cl.shmDir)
+		cl.shmDir = ""
+	}
+	return errors.Join(errs...)
+}
 
 // Nodes returns the daemon count.
-func (cl *Cluster) Nodes() int { return cl.c.Nodes() }
+func (cl *Cluster) Nodes() int { return cl.cfg.nodes }
 
 // ChunkSize returns the cluster chunk size in bytes.
-func (cl *Cluster) ChunkSize() int64 { return cl.c.ChunkSize() }
+func (cl *Cluster) ChunkSize() int64 { return cl.cfg.daemon.ChunkSize }
 
-// DeployTime reports how long bring-up took — the paper's headline
-// deployability metric (< 20 s for 512 daemons).
-func (cl *Cluster) DeployTime() time.Duration { return cl.c.DeployTime() }
+// DeployTime reports how long bring-up took (daemon start, health check
+// and namespace bootstrap, excluding any stage-in) — the paper's
+// headline deployability metric (< 20 s for 512 daemons).
+func (cl *Cluster) DeployTime() time.Duration { return cl.deploy }
 
 // DaemonStats returns per-daemon operation counters, indexed by node.
-func (cl *Cluster) DaemonStats() []DaemonStats { return cl.c.DaemonStats() }
+func (cl *Cluster) DaemonStats() []DaemonStats {
+	out := make([]DaemonStats, len(cl.daemons))
+	for i, d := range cl.daemons {
+		out[i] = d.Stats()
+	}
+	return out
+}
 
 // DaemonSnapshots returns per-daemon telemetry snapshots, indexed by
 // node: what each daemon's /statz serves, including queue-wait and per-op
 // handle-time distributions with p50/p95/p99/p999 extraction.
-func (cl *Cluster) DaemonSnapshots() []DaemonSnapshot { return cl.c.DaemonSnapshots() }
+func (cl *Cluster) DaemonSnapshots() []DaemonSnapshot {
+	out := make([]DaemonSnapshot, len(cl.daemons))
+	for i, d := range cl.daemons {
+		out[i] = d.Telemetry().Snapshot()
+	}
+	return out
+}
 
 // ClientTelemetry returns the registry shared by this cluster's
 // mounted file systems (nil unless WithTelemetry).
-func (cl *Cluster) ClientTelemetry() *TelemetryRegistry { return cl.c.ClientTelemetry() }
+func (cl *Cluster) ClientTelemetry() *TelemetryRegistry { return cl.cfg.client.Telemetry }
 
 // StageInTime reports how long WithStageIn's transfer took (zero when
 // none was configured).
-func (cl *Cluster) StageInTime() time.Duration { return cl.c.StageInTime() }
+func (cl *Cluster) StageInTime() time.Duration { return cl.stageInTime }
 
 // StageOutTime reports how long WithStageOutOnClose's transfer took.
-func (cl *Cluster) StageOutTime() time.Duration { return cl.c.StageOutTime() }
+func (cl *Cluster) StageOutTime() time.Duration { return cl.stageOutTime }
 
 // StageInReport returns the deploy-time stage-in's report (nil when no
-// stage-in was configured).
-func (cl *Cluster) StageInReport() *StageReport { return cl.c.StageInReport() }
+// stage-in was configured). Per-file failures land here, not in New's
+// error — partial input is still a running deployment.
+func (cl *Cluster) StageInReport() *StageReport { return cl.stageIn }
 
 // StageOutReport returns the Close-time stage-out's report (nil until
 // Close runs with WithStageOutOnClose configured).
-func (cl *Cluster) StageOutReport() *StageReport { return cl.c.StageOutReport() }
+func (cl *Cluster) StageOutReport() *StageReport { return cl.stageOut }

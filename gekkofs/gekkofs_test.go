@@ -687,6 +687,66 @@ func TestDeployTimeRecorded(t *testing.T) {
 	}
 }
 
+// TestDefaultChunkSize checks the shape without options: one daemon, the
+// paper's 512 KiB chunks.
+func TestDefaultChunkSize(t *testing.T) {
+	def, err := gekkofs.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer def.Close()
+	if def.Nodes() != 1 || def.ChunkSize() != 512*1024 {
+		t.Fatalf("default shape = %d nodes, %d chunk", def.Nodes(), def.ChunkSize())
+	}
+}
+
+func TestClusterValidation(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if _, err := gekkofs.New(gekkofs.WithNodes(n)); err == nil {
+			t.Fatalf("%d nodes accepted", n)
+		}
+	}
+}
+
+// TestClusterLifecycle deploys, mounts, creates a file, reads the
+// daemons' counters and tears down — twice, since Close is idempotent.
+func TestClusterLifecycle(t *testing.T) {
+	cl, err := gekkofs.New(gekkofs.WithNodes(3), gekkofs.WithChunkSize(2048))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := cl.Mount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/x", nil); err != nil {
+		t.Fatal(err)
+	}
+	stats := cl.DaemonStats()
+	if len(stats) != 3 {
+		t.Fatalf("stats for %d daemons", len(stats))
+	}
+	var creates uint64
+	for _, st := range stats {
+		creates += st.Creates
+	}
+	if creates < 2 { // root + /x
+		t.Fatalf("creates = %d", creates)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
+func TestUnknownDistributorRejectedAtMount(t *testing.T) {
+	if _, err := gekkofs.New(gekkofs.WithDistributor("nonsense")); err == nil {
+		t.Fatal("unknown distributor accepted")
+	}
+}
+
 func TestGuidedDistributor(t *testing.T) {
 	cl, err := gekkofs.New(gekkofs.WithNodes(4), gekkofs.WithChunkSize(4096),
 		gekkofs.WithDistributor("guided-first-chunk"))

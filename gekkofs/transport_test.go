@@ -7,19 +7,47 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/gekkofs"
 )
 
-// shmCluster deploys with the shared-memory transport, skipping on
-// platforms that lack it.
-func shmCluster(t *testing.T, opts ...gekkofs.Option) (*gekkofs.Cluster, *gekkofs.FS) {
+// skipWithoutShm skips on platforms that lack the shared-memory transport.
+func skipWithoutShm(t *testing.T) {
 	t.Helper()
 	switch runtime.GOOS {
 	case "windows", "plan9", "js", "wasip1":
 		t.Skipf("shm transport unavailable on %s", runtime.GOOS)
 	}
+}
+
+// shmCluster deploys with the shared-memory transport, skipping on
+// platforms that lack it.
+func shmCluster(t *testing.T, opts ...gekkofs.Option) (*gekkofs.Cluster, *gekkofs.FS) {
+	t.Helper()
+	skipWithoutShm(t)
 	return newCluster(t, append([]gekkofs.Option{gekkofs.WithTransport("shm")}, opts...)...)
+}
+
+// TestFailedDeployLeaksNoConnections fails a deployment after its health
+// check dialed every daemon: the client refuses more replicas than
+// daemons. Each shm connection it dialed holds a reader goroutine at both
+// ends and a mapped segment, so a conn left open shows as goroutines
+// that never exit.
+func TestFailedDeployLeaksNoConnections(t *testing.T) {
+	skipWithoutShm(t)
+	base := runtime.NumGoroutine()
+	if cl, err := gekkofs.New(gekkofs.WithTransport("shm"), gekkofs.WithNodes(2), gekkofs.WithReplicas(3)); err == nil {
+		cl.Close()
+		t.Fatal("3 replicas over 2 daemons accepted")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the failed deploy, %d after", base, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestShmTransportRoundTrip drives the full stack — client, doorbell

@@ -907,7 +907,7 @@ func (c *Client) Chmod(path string, mode uint32) error {
 // DaemonSnapshots fans out OpStats and returns every daemon's telemetry
 // snapshot, indexed by node: the counters, gauges and latency histograms
 // its /statz serves, mergeable across daemons (telemetry.Snapshot.Merge)
-// — the remote equivalent of core.Cluster.DaemonSnapshots for TCP
+// — the remote equivalent of gekkofs.Cluster.DaemonSnapshots for TCP
 // deployments (gkfs-shell's stats command). Under replication, condemned
 // (or freshly unreachable) daemons contribute a zero Snapshot instead of
 // failing the whole fan-out — the dead daemon is exactly the situation

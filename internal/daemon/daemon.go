@@ -31,9 +31,6 @@ type Config struct {
 	// ChunkSize is the file system chunk size; must match the clients'.
 	// Zero selects meta.DefaultChunkSize (512 KiB, the paper's value).
 	ChunkSize int64
-	// PoolSize bounds concurrently executing RPC handlers (Margo
-	// execution streams). Zero selects the rpc default.
-	PoolSize int
 	// SyncWAL makes metadata operations durable before acknowledgement.
 	SyncWAL bool
 	// ShmSocket, when non-empty, is the path of the Unix-domain doorbell
@@ -112,7 +109,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		cfg:    cfg,
-		srv:    rpc.NewServer(cfg.PoolSize),
+		srv:    rpc.NewServer(0), // rpc's default pool: 16 concurrent handlers
 		db:     db,
 		chunks: chunkstore.New(cfg.FS),
 	}

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/gekkofs"
 	"repro/internal/lustre"
 	"repro/internal/sim"
 	"repro/internal/simcluster"
@@ -273,7 +273,7 @@ func TextStartup(nodes []int, measureReal bool) Table {
 		modeled := SimStartup(n, 9)
 		real := "-"
 		if measureReal && n <= 64 {
-			c, err := core.NewCluster(core.Config{Nodes: n})
+			c, err := gekkofs.New(gekkofs.WithNodes(n))
 			if err == nil {
 				real = c.DeployTime().Round(time.Millisecond).String()
 				c.Close()

@@ -20,8 +20,6 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/core"
-	"repro/internal/daemon"
 	"repro/internal/proto"
 	"repro/internal/staging"
 )
@@ -85,19 +83,8 @@ func captureAt(c *client.Client, path string, epoch uint64) ([]byte, bool, error
 }
 
 func TestSnapshotStageOutUnderConcurrentWriters(t *testing.T) {
-	cluster, err := core.NewCluster(core.Config{Nodes: 4, Daemon: daemon.Config{ChunkSize: raceChunk}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	wc, err := cluster.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := cluster.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wc, daemons := newStageCluster(t, 4, client.Config{ChunkSize: raceChunk})
+	sc := mountStage(t, daemons, client.Config{ChunkSize: raceChunk})
 	if err := wc.Mkdir(raceDir); err != nil {
 		t.Fatal(err)
 	}
@@ -209,19 +196,8 @@ func TestPinnedEpochIsImmutable(t *testing.T) {
 		rounds = 4
 		passes = 5
 	)
-	cluster, err := core.NewCluster(core.Config{Nodes: 4, Daemon: daemon.Config{ChunkSize: raceChunk}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	wc, err := cluster.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := cluster.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wc, daemons := newStageCluster(t, 4, client.Config{ChunkSize: raceChunk})
+	sc := mountStage(t, daemons, client.Config{ChunkSize: raceChunk})
 	if err := wc.Mkdir(raceDir); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/rpc"
 	"repro/internal/staging"
@@ -20,35 +19,45 @@ import (
 )
 
 // newStageCluster builds an in-process deployment and one client wired
-// to it, returning the daemons so tests can inspect operation counters.
+// to it, returning the daemons so tests can inspect operation counters
+// and mount them again (mountStage).
 func newStageCluster(t testing.TB, nodes int, cfg client.Config) (*client.Client, []*daemon.Daemon) {
 	t.Helper()
-	net := transport.NewMemNetwork()
 	daemons := make([]*daemon.Daemon, nodes)
-	conns := make([]rpc.Conn, nodes)
-	for i := 0; i < nodes; i++ {
+	for i := range daemons {
 		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: cfg.ChunkSize})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
 		daemons[i] = d
+	}
+	c := mountStage(t, daemons, cfg)
+	if err := c.EnsureRoot(); err != nil {
+		t.Fatal(err)
+	}
+	return c, daemons
+}
+
+// mountStage wires a client to daemons: another mount of the deployment
+// newStageCluster built.
+func mountStage(t testing.TB, daemons []*daemon.Daemon, cfg client.Config) *client.Client {
+	t.Helper()
+	net := transport.NewMemNetwork()
+	cfg.Conns = make([]rpc.Conn, len(daemons))
+	for i, d := range daemons {
 		net.Register(i, d.Server())
 		conn, err := net.Dial(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		conns[i] = conn
+		cfg.Conns[i] = conn
 	}
-	cfg.Conns = conns
 	c, err := client.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.EnsureRoot(); err != nil {
-		t.Fatal(err)
-	}
-	return c, daemons
+	return c
 }
 
 func sumStats(daemons []*daemon.Daemon) daemon.Stats {
@@ -352,19 +361,8 @@ func TestStageRestageOverOlderVersion(t *testing.T) {
 // concurrent I/O, so any byte of the previous checkpoint in the second
 // copy is a stale cache answering for the wire.
 func TestStageOutSeesAnotherMountsRewrite(t *testing.T) {
-	cluster, err := core.NewCluster(core.Config{Nodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	writer, err := cluster.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stager, err := cluster.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	writer, daemons := newStageCluster(t, 4, client.Config{})
+	stager := mountStage(t, daemons, client.Config{})
 	if err := writer.Mkdir("/ck"); err != nil {
 		t.Fatal(err)
 	}

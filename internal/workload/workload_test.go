@@ -4,18 +4,44 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/core"
 	"repro/internal/daemon"
+	"repro/internal/rpc"
+	"repro/internal/transport"
+	"repro/internal/vfs"
 )
 
+// clusterFactory starts nodes in-process daemons with 8 KiB chunks and
+// returns a factory that mounts a client on them.
 func clusterFactory(t *testing.T, nodes int, sizeCacheOps int) ClientFactory {
 	t.Helper()
-	c, err := core.NewCluster(core.Config{Nodes: nodes, Daemon: daemon.Config{ChunkSize: 8192}, Client: client.Config{SizeCacheOps: sizeCacheOps}})
+	const chunk = 8192
+	net := transport.NewMemNetwork()
+	for i := 0; i < nodes; i++ {
+		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: chunk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close() })
+		net.Register(i, d.Server())
+	}
+	mount := func() (*client.Client, error) {
+		conns := make([]rpc.Conn, nodes)
+		for i := range conns {
+			var err error
+			if conns[i], err = net.Dial(i); err != nil {
+				return nil, err
+			}
+		}
+		return client.New(client.Config{Conns: conns, ChunkSize: chunk, SizeCacheOps: sizeCacheOps})
+	}
+	boot, err := mount()
+	if err == nil {
+		err = boot.EnsureRoot()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	return func() (*client.Client, error) { return c.NewClient() }
+	return mount
 }
 
 func TestMDTestRuns(t *testing.T) {
