@@ -106,3 +106,44 @@ func TestAsyncConcurrentWriters(t *testing.T) {
 		f.Close()
 	}
 }
+
+// TestAsyncWriteCallerReusesBufferShm pins io.Writer's contract under
+// write-behind on the shared-memory carrier, where a split chunk write
+// returns once its bytes are copied into the segment: a caller that
+// scribbles over p the moment Write returns must still read back what p
+// held during the call.
+func TestAsyncWriteCallerReusesBufferShm(t *testing.T) {
+	_, fs := shmCluster(t, gekkofs.WithAsyncWrites())
+	f, err := fs.Create("/reuse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writes, size = 12, 30_000 // ~7 chunks of 4 KiB per write, all daemons
+	want := make([]byte, 0, writes*size)
+	p := make([]byte, size)
+	for i := 0; i < writes; i++ {
+		for j := range p {
+			p[j] = byte(i*31 + j*7)
+		}
+		want = append(want, p...)
+		if _, err := f.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		for j := range p {
+			p[j] = 0xFF
+		}
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.ReadFile("/reuse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the file holds bytes the caller wrote into p after Write returned")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

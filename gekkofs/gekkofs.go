@@ -185,9 +185,11 @@ func WithTransport(name string) Option { return func(c *config) { c.transport = 
 
 // WithAsyncWrites enables the write-behind data pipeline, the
 // relaxed-semantics fast path for streaming writers: File.Write/WriteAt
-// stage their chunk RPCs into a bounded per-descriptor in-flight window
-// and return immediately, so a single writer overlaps transfers to every
-// daemon instead of blocking a round trip per call. The contract moves to
+// send their chunk RPCs into a bounded per-descriptor in-flight window
+// and return without waiting for the replies — once the bytes have left
+// the caller's buffer, so it may be reused at once — and a single writer
+// overlaps transfers to every daemon instead of blocking a round trip
+// per call. The contract moves to
 // the barriers: File.Sync and File.Close drain the window and flush the
 // file-size candidate, and a write failure latches on the descriptor and
 // surfaces exactly once — on the next Write, Sync or Close. Reads through

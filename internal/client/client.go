@@ -65,12 +65,12 @@ type Config struct {
 	// them every SizeCacheOps writes (and on close/sync) — the paper's
 	// shared-file fix. Zero keeps the strict synchronous protocol.
 	SizeCacheOps int
-	// AsyncWrites enables write-behind: Write/WriteAt stage chunk RPCs
-	// into a bounded per-descriptor window and return immediately;
-	// Fsync/Close drain the window and flush the size candidate; errors
-	// latch and surface on the next write, read or barrier (see
-	// enqueueSpansLocked). Size updates are always deferred to barriers in
-	// this mode — SizeCacheOps is subsumed and ignored.
+	// AsyncWrites enables write-behind: Write/WriteAt send chunk RPCs
+	// through a bounded per-descriptor window and return without waiting
+	// for their replies; Fsync/Close drain the window and flush the size
+	// candidate; errors latch and surface on the next write, read or
+	// barrier (see enqueueSpansLocked). Size updates are always deferred
+	// to barriers in this mode — SizeCacheOps is subsumed and ignored.
 	AsyncWrites bool
 	// ReadAhead enables sequential read-ahead on every
 	// read-capable descriptor: once a descriptor's reads are sequential,
@@ -203,30 +203,53 @@ func (c *Client) ChunkSize() int64 { return c.cfg.ChunkSize }
 
 // call issues one RPC and peels the errno header off the response. A
 // BulkOut call's region is the windows of dest, in order (rpc.CallScatter).
-// This is the client's RPC chokepoint: round-trip timing, the
-// in-flight gauge and trace sampling all live here, so every caller —
-// metadata, chunk I/O, replication retries — is covered.
+// This is the client's RPC chokepoint, together with its split form (send,
+// then wait): round-trip timing, the in-flight gauge and trace sampling
+// all live in begin and end, so every caller — metadata, chunk I/O,
+// replication retries, write-behind — is covered.
 func (c *Client) call(node int, op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, dest ...[]byte) (*rpc.Dec, error) {
-	var tr rpc.Trace
-	var t0 time.Time
-	if c.tel.reg != nil {
-		tr = c.nextTrace()
-		c.tel.inflight.Add(1)
-		t0 = time.Now()
-	}
+	rc := c.begin(node, op)
 	var resp []byte
 	var err error
 	if dir == rpc.BulkOut {
-		resp, err = rpc.CallScatter(c.cfg.Conns[node], op, payload, dest, tr)
+		resp, err = rpc.CallScatter(c.cfg.Conns[node], op, payload, dest, rc.tr)
 	} else {
-		resp, err = rpc.CallTrace(c.cfg.Conns[node], op, payload, bulk, dir, tr)
+		resp, err = rpc.CallTrace(c.cfg.Conns[node], op, payload, bulk, dir, rc.tr)
 	}
+	return c.end(&rc, resp, err)
+}
+
+// clientCall is one RPC from begin to end. A call split at the send
+// carries its outstanding reply, or the send's failure, in between.
+type clientCall struct {
+	node  int
+	op    rpc.Op
+	tr    rpc.Trace
+	t0    time.Time
+	reply rpc.Reply
+	err   error
+}
+
+// begin opens the telemetry of one RPC: its trace, the in-flight gauge
+// and the start of its round-trip time.
+func (c *Client) begin(node int, op rpc.Op) clientCall {
+	rc := clientCall{node: node, op: op}
 	if c.tel.reg != nil {
-		elapsed := time.Since(t0)
+		rc.tr = c.nextTrace()
+		c.tel.inflight.Add(1)
+		rc.t0 = time.Now()
+	}
+	return rc
+}
+
+// end closes what begin opened and peels the errno header off resp.
+func (c *Client) end(rc *clientCall, resp []byte, err error) (*rpc.Dec, error) {
+	if c.tel.reg != nil {
+		elapsed := time.Since(rc.t0)
 		c.tel.inflight.Add(-1)
-		c.tel.rpcHist(op).Observe(int64(elapsed))
-		if tr.Sampled() {
-			c.emitTrace(node, op, tr, elapsed, err)
+		c.tel.rpcHist(rc.op).Observe(int64(elapsed))
+		if rc.tr.Sampled() {
+			c.emitTrace(rc.node, rc.op, rc.tr, elapsed, err)
 		}
 	}
 	if err != nil {
@@ -237,6 +260,25 @@ func (c *Client) call(node int, op rpc.Op, payload, bulk []byte, dir rpc.BulkDir
 		return nil, errno.Err()
 	}
 	return d, nil
+}
+
+// send is call split at the send (rpc.Send), for a BulkIn region given
+// as the windows of src: when it returns, the request has left or failed
+// and nothing references src. wait takes the reply.
+func (c *Client) send(node int, op rpc.Op, payload []byte, src [][]byte) clientCall {
+	rc := c.begin(node, op)
+	rc.reply, rc.err = rpc.Send(c.cfg.Conns[node], op, payload, src, rc.tr)
+	return rc
+}
+
+// wait takes the reply of a call send started — once.
+func (c *Client) wait(rc *clientCall) (*rpc.Dec, error) {
+	var resp []byte
+	err := rc.err
+	if err == nil {
+		resp, err = rc.reply.Wait()
+	}
+	return c.end(rc, resp, err)
 }
 
 // fanOut runs fn for every daemon in parallel and returns the first error.

@@ -49,6 +49,49 @@ func TestSyncIOAllocPin(t *testing.T) {
 	}
 }
 
+// TestDataPathSyncWriteLendsAdjacentSpans pins the synchronous write's
+// lend rule: a group whose windows are adjacent in p — here six
+// consecutive chunks on the one daemon — is one slice of p, lent to the
+// blocking call, so neither a descriptor write nor WritePath draws a
+// staging region of the group's size from the pool.
+func TestDataPathSyncWriteLendsAdjacentSpans(t *testing.T) {
+	c, _, _ := pipelineCluster(t, 1, Config{ChunkSize: 4096})
+	const n = 5*4096 + 123
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i * 7)
+	}
+	fd, err := c.Open("/lend", O_CREATE|O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(fd)
+	var staged atomic.Int64
+	stop := rpc.ObserveDraws(func(m int) {
+		if m == n {
+			staged.Add(1)
+		}
+	})
+	perr := c.WritePath("/lend", p, 100) // sends no size: the descriptor write past it does
+	_, werr := c.WriteAt(fd, p, 100+n)
+	stop()
+	if werr != nil || perr != nil {
+		t.Fatal(werr, perr)
+	}
+	if k := staged.Load(); k != 0 {
+		t.Fatalf("%d staging regions drawn for groups of adjacent spans, want none", k)
+	}
+	got := make([]byte, n)
+	for _, off := range []int64{100, 100 + n} {
+		if _, err := c.ReadAt(fd, got, off); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, p) {
+			t.Fatalf("bytes at %d differ from what was written", off)
+		}
+	}
+}
+
 // severableConn is a mem-transport connection a test can sever: once
 // dead, every call fails at the transport level, as a killed daemon's
 // socket would.

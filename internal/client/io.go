@@ -61,23 +61,23 @@ type sizeReply struct {
 	size  int64
 }
 
-// gather returns the group's bulk region for a write of p (what the
-// daemon pulls; RDMA-read in the paper's deployment). A single-span
-// group lends the caller's own slice of p — the transport gathers it
-// straight into the socket (writev) or copies it once into the shared
-// segment, with no client-side staging copy. That is only sound when the
-// caller blocks on the RPC before reusing p; write-behind returns first
-// and passes copyAlways to force a pooled copy. pooled reports which
-// happened: a pooled region is released by the caller with rpc.PutBuf
-// (or handed to a window) once the group has settled; a borrowed slice
-// of p must never enter the pool.
-func (g *targetGroup) gather(p []byte, copyAlways bool) (bulk []byte, pooled bool) {
-	wins := g.windows(p)
-	if !copyAlways && len(wins) == 1 {
-		return wins[0], false
+// gather returns the group's bulk region for a synchronous write of p
+// (what the daemon pulls; RDMA-read in the paper's deployment). A group
+// whose windows are adjacent in p — one span, or consecutive chunks with
+// no other daemon's chunk between them — lends the caller's own slice of
+// p: the transport gathers it straight into the socket (writev) or copies
+// it once into the shared segment, with no client-side staging copy. That
+// is sound because the caller blocks on the RPC before reusing p. Other
+// groups are copied into a pooled region. pooled reports which happened:
+// a pooled region is released by the caller with rpc.PutBuf once the
+// group has settled; a borrowed slice of p must never enter the pool.
+func (g *targetGroup) gather(p []byte) (bulk []byte, pooled bool) {
+	first, last := g.bufOff[0], len(g.spans)-1
+	if g.bufOff[last]+g.spans[last].Len-first == g.bytes {
+		return p[first : first+g.bytes], false
 	}
 	bulk = rpc.GetBuf(int(g.bytes))[:0]
-	for _, w := range wins {
+	for _, w := range g.windows(p) {
 		bulk = append(bulk, w...)
 	}
 	return bulk, true
@@ -418,16 +418,20 @@ func (c *Client) ReadChunkFrom(node int, path string, epoch uint64, id meta.Chun
 	return nil
 }
 
-// writeChunks is the one place an OpWriteChunks call is built, issued
-// and its reply validated. A copy bound for any daemon but the chain's
-// primary is marked proto.WriteReplica (it feeds a daemon counter and
-// nothing else).
-func (c *Client) writeChunks(node, primary int, path string, g *targetGroup, bulk []byte) error {
+// writeReq builds node's OpWriteChunks request for the group. A copy
+// bound for any daemon but the chain's primary is marked
+// proto.WriteReplica (it feeds a daemon counter and nothing else).
+func writeReq(node int, chain []int, path string, g *targetGroup) []byte {
 	var flags uint8
-	if node != primary {
+	if node != chain[0] {
 		flags = proto.WriteReplica
 	}
-	d, err := c.call(node, proto.OpWriteChunks, encodeChunkReq(path, g.spans, flags, LiveEpoch), bulk, rpc.BulkIn)
+	return encodeChunkReq(path, g.spans, flags, LiveEpoch)
+}
+
+// wrote validates one replica's OpWriteChunks reply: the daemon must have
+// written every byte of the group.
+func (g *targetGroup) wrote(d *rpc.Dec, err error) error {
 	if err != nil {
 		return err
 	}
@@ -441,40 +445,56 @@ func (c *Client) writeChunks(node, primary int, path string, g *targetGroup, bul
 	return nil
 }
 
-// writeGroup pushes one target group's spans to every live replica of
-// its chain — on the calling goroutine when there is one, in parallel
-// otherwise. bulk is borrowed: every replica RPC reads it (BulkIn) and
-// none mutates it, so one region backs the whole fan-out. The write
-// succeeds when at least one replica acknowledged and none returned a
-// deterministic error; a replica failing at the transport level is
-// struck (and eventually condemned) instead of failing the write — the
-// failover semantics that keep a killed daemon from latching every
-// descriptor. Only when the entire chain is condemned or fails does the
-// write surface ErrDegraded.
-func (c *Client) writeGroup(path string, g *targetGroup, bulk []byte) error {
+// writeGroup writes one target group of p synchronously. A chain of one
+// is one blocking call lending p (gather) — the unreplicated hot path. A
+// replicated chain is sendGroup's fan-out from p, waited for at once.
+func (c *Client) writeGroup(path string, g *targetGroup, p []byte) error {
+	chain := c.chunkChain(path, g, LiveEpoch)
+	if tracked(chain) {
+		return c.sendGroup(path, g, g.windows(p))()
+	}
+	bulk, pooled := g.gather(p)
+	err := g.wrote(c.call(chain[0], proto.OpWriteChunks, writeReq(chain[0], chain, path, g), bulk, rpc.BulkIn))
+	if pooled {
+		rpc.PutBuf(bulk)
+	}
+	return c.settleWrite(path, chain, chain, []error{err})
+}
+
+// sendGroup is the write fan-out: it sends the group's spans from wins,
+// its windows of the caller's buffer, to every live replica of its chain
+// in turn, on the calling goroutine, and returns the wait that takes the
+// replies and settles them. Nothing references wins once it returns, so
+// write-behind's caller may reuse p at once.
+func (c *Client) sendGroup(path string, g *targetGroup, wins [][]byte) (wait func() error) {
 	chain := c.chunkChain(path, g, LiveEpoch)
 	live := c.liveChain(chain)
-	var errs []error
-	switch len(live) {
-	case 0:
-		return fmt.Errorf("write %s: replica chain %v: %w", path, chain, ErrDegraded)
-	case 1:
-		errs = []error{c.writeChunks(live[0], chain[0], path, g, bulk)}
-	default:
-		// A slice of its own: captured by the goroutines, it must not drag
-		// the single-replica literal above onto the heap.
-		fan := make([]error, len(live))
-		var wg sync.WaitGroup
-		for i, node := range live {
-			wg.Add(1)
-			go func(i, node int) {
-				defer wg.Done()
-				fan[i] = c.writeChunks(node, chain[0], path, g, bulk)
-			}(i, node)
-		}
-		wg.Wait()
-		errs = fan
+	if len(live) == 0 {
+		err := fmt.Errorf("write %s: replica chain %v: %w", path, chain, ErrDegraded)
+		return func() error { return err }
 	}
+	sent := make([]clientCall, len(live))
+	for i, node := range live {
+		sent[i] = c.send(node, proto.OpWriteChunks, writeReq(node, chain, path, g), wins)
+	}
+	clear(wins)
+	return func() error {
+		errs := make([]error, len(sent))
+		for i := range sent {
+			errs[i] = g.wrote(c.wait(&sent[i]))
+		}
+		return c.settleWrite(path, chain, live, errs)
+	}
+}
+
+// settleWrite settles one group's replica outcomes, errs[i] being
+// live[i]'s. The write succeeds when at least one replica acknowledged and
+// none returned a deterministic error; a replica failing at the transport
+// level is struck (and eventually condemned) instead of failing the write
+// — the failover semantics that keep a killed daemon from latching every
+// descriptor. Only when the entire chain is condemned or fails does the
+// write surface ErrDegraded.
+func (c *Client) settleWrite(path string, chain, live []int, errs []error) error {
 	var fails attemptErrs
 	acked := 0
 	for i, err := range errs {
@@ -499,14 +519,7 @@ func (c *Client) writeGroup(path string, g *targetGroup, bulk []byte) error {
 // are undefined and a prefetched pre-write image must not mask that).
 func (c *Client) writeRange(path string, p []byte, off int64) error {
 	groups := c.groupByTarget(path, off, int64(len(p)))
-	err := runGroups(groups, func(g *targetGroup) error {
-		bulk, pooled := g.gather(p, false)
-		err := c.writeGroup(path, g, bulk)
-		if pooled {
-			rpc.PutBuf(bulk)
-		}
-		return err
-	})
+	err := runGroups(groups, func(g *targetGroup) error { return c.writeGroup(path, g, p) })
 	c.dropFetches(path, off, off+int64(len(p)))
 	return err
 }
@@ -595,20 +608,24 @@ func (c *Client) writeSpansLocked(of *openFile, p []byte, off int64) error {
 // 2 CPUs) gave 1 668–2 082 MB/s at 4 and 1 764–2 227 MB/s at 16.
 const writeWindow = 8
 
-// enqueueSpansLocked is write-behind — "fill, then send" over the
+// enqueueSpansLocked is write-behind — "send, then wait" over the
 // descriptor's window (window.go) — and returns without waiting for any
-// round trip. Each target group's spans are copied into a pooled region
-// (io.Writer lets the caller reuse p at once) that is one slot of the
-// window whatever the group's chain length, so the window bounds logical
-// chunk writes. Nothing reads a write's region back: it leaves the
-// window's view at once and returns to the pool when the write lands. A
-// rewrite of a region still in flight drains the window first, so one
-// descriptor's writes land in program order (the paper leaves only
-// *concurrent* overlapping I/O undefined). The first failure latches and
-// surfaces exactly once, on the next write, read or barrier; the size
-// waits for the barrier in the descriptor's candidate. Completions never
-// need of.mu, so waiting for room under it cannot deadlock. Caller holds
-// of.mu.
+// reply. Each target group is one slot of the window, whatever its chain
+// length, so the window bounds logical chunk writes: Start admits it,
+// and its operation sends the group's spans to every live replica
+// straight from p (sendGroup), then waits for the replies. The groups
+// send in parallel, so a daemon slow to read does not hold up the
+// others, and this returns once every send has: no byte of p is copied
+// in user space, and none is referenced any more (io.Writer lets the
+// caller reuse p at once) — a send returns after the socket write, or
+// after the copy into the shared segment. Nothing reads a write back:
+// its slots leave the window's view at once. A rewrite of a region still
+// in flight drains the window first, so one descriptor's writes land in
+// program order (the paper leaves only *concurrent* overlapping I/O
+// undefined). The first failure latches and surfaces exactly once, on
+// the next write, read or barrier; the size waits for the barrier in the
+// descriptor's candidate. Operations never need of.mu, so waiting for
+// room or for the sends under it cannot deadlock. Caller holds of.mu.
 func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 	wb := of.wb
 	if err := wb.TakeErr(); err != nil {
@@ -622,15 +639,18 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 	groups := c.groupByTarget(of.path, off, int64(len(p)))
 	var remaining atomic.Int32
 	remaining.Store(int32(len(groups)))
+	var sent sync.WaitGroup
 	for _, g := range groups {
-		bulk, _ := g.gather(p, true)
-		wb.Start(off, end, bulk, func() (int, error) {
-			err := c.writeGroup(of.path, g, bulk)
+		sent.Add(1)
+		wb.Start(off, end, nil, func() (int, error) {
+			wait := c.sendGroup(of.path, g, g.windows(p))
+			sent.Done()
+			err := wait()
 			// Drop once the whole write has settled on the daemons (last
 			// group to land): a span fetched — or still in flight — before
 			// this point may predate the write and must not serve. A
-			// replica failing at the transport level was absorbed inside
-			// writeGroup; only a write no replica accepted (or a
+			// replica failing at the transport level was absorbed by
+			// settleWrite; only a write no replica accepted (or a
 			// deterministic refusal) latches.
 			if remaining.Add(-1) == 0 {
 				c.dropFetches(of.path, off, end)
@@ -639,6 +659,7 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 		})
 		wb.Drop(off, end)
 	}
+	sent.Wait()
 	return nil
 }
 

@@ -742,3 +742,62 @@ func TestVerifyProtocolRejectsOldDaemon(t *testing.T) {
 		t.Fatalf("current daemon refused: %v", err)
 	}
 }
+
+// TestAsyncWriteCallerReusesBuffer pins io.Writer's contract under
+// write-behind, whose chunk writes go out from the caller's own buffer:
+// a caller that scribbles over p the moment Write returns must still
+// read back what p held during the call. Writes are 300 KiB over 64 KiB
+// chunks on two daemons, so groups have several spans, adjacent or not.
+// The mem carrier stages each group in a pooled region (rpc.Send's
+// fallback); TCP sends it straight from p.
+func TestAsyncWriteCallerReusesBuffer(t *testing.T) {
+	for _, carrier := range []string{"mem", "tcp"} {
+		t.Run(carrier, func(t *testing.T) {
+			cfg := Config{ChunkSize: 64 << 10, AsyncWrites: true}
+			var c *Client
+			if carrier == "mem" {
+				c, _, _ = pipelineCluster(t, 2, cfg)
+			} else {
+				c, _ = tcpPipelineCluster(t, 2, cfg)
+			}
+			writeScribbleReadBack(t, c)
+		})
+	}
+}
+
+// writeScribbleReadBack streams writes through one write-behind
+// descriptor, overwriting the buffer as soon as each Write returns, then
+// checks after Fsync that the file holds the bytes as they were written.
+func writeScribbleReadBack(t *testing.T, c *Client) {
+	t.Helper()
+	fd, err := c.Open("/reuse", O_CREATE|O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(fd)
+	const writes, size = 12, 300 << 10
+	want := make([]byte, 0, writes*size)
+	p := make([]byte, size)
+	for i := 0; i < writes; i++ {
+		for j := range p {
+			p[j] = byte(i*31 + j*7)
+		}
+		want = append(want, p...)
+		if _, err := c.Write(fd, p); err != nil {
+			t.Fatal(err)
+		}
+		for j := range p {
+			p[j] = 0xFF
+		}
+	}
+	if err := c.Fsync(fd); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	if n, err := c.ReadAt(fd, got, 0); err != nil || n != len(want) {
+		t.Fatalf("read back %d bytes, %v", n, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the file holds bytes the caller wrote into p after Write returned")
+	}
+}

@@ -9,16 +9,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The in-flight window: up to k pooled regions, each the byte range
-// [off, end) of a file with one asynchronous operation on it, held in
-// start order — the one place the client overlaps chunk transfers, which
-// is where the paper's data-path numbers come from (§III-A, §IV).
-// Write-behind fills a region, then sends it (io.go); read-ahead sends,
-// then serves (readahead.go); staging's copy loop is a read window
-// feeding a write window through its in-order hash. What tells them
-// apart lives with each caller, never here. The rules:
+// The in-flight window: up to k slots, each the byte range [off, end) of
+// a file with one asynchronous operation on it and, optionally, a pooled
+// region the operation fills, held in start order — the one place the
+// client overlaps chunk transfers, which is where the paper's data-path
+// numbers come from (§III-A, §IV). Write-behind's operations send from
+// the caller's buffer, then wait for the replies (io.go; its slots hold
+// no region); read-ahead sends, then serves (readahead.go); staging's
+// copy loop is a read window feeding a write window through its
+// in-order hash. What tells them apart lives with each caller, never
+// here. The rules:
 //
-//   - Start waits while k regions are held (backpressure);
+//   - Start waits while k slots are held (backpressure);
 //   - a region returns to the pool exactly once, by whichever of drop and
 //     its operation's settle comes second;
 //   - the first failing operation latches; TakeErr surfaces it once, and
@@ -45,8 +47,8 @@ type Window struct {
 	err     error     // guarded by mu; the first failure, latched until taken
 }
 
-// Slot is one held region of a window: [Off, End) of a file, and the
-// operation on it.
+// Slot is one held slot of a window: [Off, End) of a file, the operation
+// on it and the region it holds, if any.
 type Slot struct {
 	Off, End int64
 	buf      []byte
@@ -56,7 +58,7 @@ type Slot struct {
 	dropped  bool  // guarded by Window.mu; out of view: the later of drop and settle recycles buf
 }
 
-// NewWindow returns a window of k regions.
+// NewWindow returns a window of k slots.
 func NewWindow(k int) *Window {
 	w := &Window{k: k, put: rpc.PutBuf}
 	w.changed.L = &w.mu
@@ -66,7 +68,7 @@ func NewWindow(k int) *Window {
 // Start runs op on a goroutine of its own as the operation of a new slot
 // over [off, end) holding buf — a region from rpc.GetBuf the window now
 // owns, or nil for an operation on a region held elsewhere. It waits
-// while k regions are held. op's count and error settle the slot; an
+// while k slots are held. op's count and error settle the slot; an
 // error latches.
 //
 //gkfs:owns-buf
@@ -177,7 +179,7 @@ func (w *Window) overlaps(off, end int64) bool {
 	return false
 }
 
-// Full reports whether k regions are held: a Start now would wait.
+// Full reports whether k slots are held: a Start now would wait.
 func (w *Window) Full() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()

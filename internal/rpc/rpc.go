@@ -190,6 +190,61 @@ func CallScatter(c Conn, op Op, payload []byte, dest [][]byte, tr Trace) ([]byte
 	return resp, nil
 }
 
+// SendCaller is the optional Conn extension of transports that can split
+// a BulkIn call at the send: the windows of src, in order, are the
+// exposed region, and Send returns once the transport holds no reference
+// to them — inline, every byte has gone through the socket write; by
+// reference, every byte has been copied into the call's segment window.
+// The caller may reuse src at once; the reply comes later, from the
+// returned Reply. A Send that fails leaves no reply to wait for.
+type SendCaller interface {
+	Send(op Op, payload []byte, src [][]byte, tr Trace) (Reply, error)
+}
+
+// Reply is the outstanding half of a call split at the send. Wait blocks
+// until the reply arrives, the call fails or it times out, and returns
+// what the unsplit call would have. It is called exactly once; the Reply
+// is dead after it returns.
+type Reply interface {
+	Wait() ([]byte, error)
+}
+
+// Send starts op over c with the windows of src as its BulkIn region and
+// returns its reply, with src free for reuse. payload must stay unchanged
+// until Wait returns. Connections that cannot split a call get the
+// windows copied into one pooled region, and the whole call runs in Wait.
+func Send(c Conn, op Op, payload []byte, src [][]byte, tr Trace) (Reply, error) {
+	if sc, ok := c.(SendCaller); ok {
+		return sc.Send(op, payload, src, tr)
+	}
+	n := 0
+	for _, w := range src {
+		n += len(w)
+	}
+	bulk := GetBuf(n)[:0]
+	for _, w := range src {
+		bulk = append(bulk, w...)
+	}
+	return &stagedCall{c: c, op: op, payload: payload, bulk: bulk, tr: tr}, nil
+}
+
+// stagedCall is Send's reply on a connection without the extension: the
+// call itself, over the pooled copy of its windows.
+type stagedCall struct {
+	c       Conn
+	op      Op
+	payload []byte
+	bulk    []byte
+	tr      Trace
+}
+
+// Wait implements Reply: it runs the call and returns the region to the
+// pool.
+func (s *stagedCall) Wait() ([]byte, error) {
+	defer PutBuf(s.bulk)
+	return CallTrace(s.c, s.op, s.payload, s.bulk, BulkIn, s.tr)
+}
+
 // Scatter copies src out to the windows of dest, in order.
 func Scatter(dest [][]byte, src []byte) {
 	for _, w := range dest {

@@ -355,9 +355,12 @@ func rpcAllocs(t *testing.T, c rpc.Conn, op rpc.Op, bulk []byte, dir rpc.BulkDir
 // bulkRPCAllocPin bounds the allocations of one 8 KiB round trip in
 // either bulk direction over the same path as emptyRPCAllocPin, with
 // the handler a point op — the shape of the daemon's chunk writes and
-// reads — both ends counted. It was 5 while chunk ops were served on a
-// goroutine of their own (request struct, goroutine, closure) and each
-// end built a net.Buffers per vectored write.
+// reads — both ends counted, and of the same BulkIn call split at the
+// send (rpc.Send, then Wait), write-behind's shape: the pool's reply and
+// the connection's pending call are both recycled, so the split costs
+// nothing either. It was 5 while chunk ops were served on a goroutine
+// of their own (request struct, goroutine, closure) and each end built a
+// net.Buffers per vectored write.
 const bulkRPCAllocPin = 0
 
 // TestBulkRPCAllocs pins bulkRPCAllocPin.
@@ -378,6 +381,24 @@ func TestBulkRPCAllocs(t *testing.T) {
 		}
 		t.Logf("%v allocations per 8 KiB %s RPC", allocs, tc.name)
 	}
+	src := [][]byte{buf}
+	split := func() {
+		r, err := rpc.Send(c, opPointSink, nil, src, rpc.Trace{})
+		if err == nil {
+			_, err = r.Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		split() // fill the pools
+	}
+	allocs := testing.AllocsPerRun(2000, split)
+	if allocs > bulkRPCAllocPin {
+		t.Errorf("an 8 KiB BulkIn RPC split at the send makes %v allocations, pin %d", allocs, bulkRPCAllocPin)
+	}
+	t.Logf("%v allocations per 8 KiB BulkIn RPC split at the send", allocs)
 }
 
 // BenchmarkEmptyRPC is the per-call cost of the transport: an empty

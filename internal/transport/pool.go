@@ -106,28 +106,79 @@ func (p *Pool) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, e
 // CallTrace implements rpc.TraceCaller, forwarding the trace to the
 // slot's connection when it can carry one.
 func (p *Pool) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
-	return p.forward(op, payload, bulk, dir, nil, tr)
+	var resp []byte
+	err := p.forward(func(_ *poolSlot, conn rpc.Conn) (err error) {
+		resp, err = rpc.CallTrace(conn, op, payload, bulk, dir, tr)
+		return err
+	})
+	return resp, err
 }
 
 // CallScatter implements rpc.ScatterCaller, forwarding the window list
 // to the slot's connection (which stages it contiguously if it cannot
 // scatter).
 func (p *Pool) CallScatter(op rpc.Op, payload []byte, dest [][]byte, tr rpc.Trace) ([]byte, error) {
-	return p.forward(op, payload, nil, rpc.BulkNone, dest, tr)
+	var resp []byte
+	err := p.forward(func(_ *poolSlot, conn rpc.Conn) (err error) {
+		resp, err = rpc.CallScatter(conn, op, payload, dest, tr)
+		return err
+	})
+	return resp, err
 }
 
-// forward runs one call on the slot selected by the next request id —
-// a scatter call when dest is non-nil, else a plain one (a nil list
-// exposes no region either way) — condemning the slot's connection on a
-// transport failure. A connection that was already dead when the call
-// reached it — its peer went away while it sat idle in the slot —
-// refused the call before sending any of it (unsentError), so the call
-// runs once more on a fresh dial instead of failing a caller whose
-// request was never on the wire. A call that may have been sent is
-// never repeated.
-func (p *Pool) forward(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, dest [][]byte, tr rpc.Trace) ([]byte, error) {
+// Send implements rpc.SendCaller, forwarding the gather list to the
+// slot's connection (which stages it in a pooled region if it cannot
+// split a call). The send is forwarded like any call; the reply condemns
+// the slot's connection when its wait sees a transport failure.
+func (p *Pool) Send(op rpc.Op, payload []byte, src [][]byte, tr rpc.Trace) (rpc.Reply, error) {
+	var r *poolReply
+	err := p.forward(func(s *poolSlot, conn rpc.Conn) error {
+		inner, err := rpc.Send(conn, op, payload, src, tr)
+		if err == nil {
+			r = poolReplies.Get().(*poolReply)
+			r.p, r.s, r.conn, r.inner = p, s, conn, inner
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// poolReply is the reply of a call the pool sent: the connection's own,
+// and the slot to condemn if its wait fails at the transport level.
+// Recycled through poolReplies once waited on.
+type poolReply struct {
+	p     *Pool
+	s     *poolSlot
+	conn  rpc.Conn
+	inner rpc.Reply
+}
+
+var poolReplies = sync.Pool{New: func() any { return new(poolReply) }}
+
+// Wait implements rpc.Reply.
+func (r *poolReply) Wait() ([]byte, error) {
+	resp, err := r.inner.Wait()
+	if err != nil && condemns(err) {
+		r.p.invalidate(r.s, r.conn)
+	}
+	*r = poolReply{}
+	poolReplies.Put(r)
+	return resp, err
+}
+
+// forward runs one call, try, on the slot selected by the next request
+// id, condemning the slot's connection on a transport failure. A
+// connection that was already dead when the call reached it — its peer
+// went away while it sat idle in the slot — refused the call before
+// sending any of it (unsentError), so the call runs once more on a fresh
+// dial instead of failing a caller whose request was never on the wire.
+// A call that may have been sent is never repeated.
+func (p *Pool) forward(try func(s *poolSlot, conn rpc.Conn) error) error {
 	if p.closed.Load() {
-		return nil, ErrPoolClosed
+		return ErrPoolClosed
 	}
 	s := &p.slots[(p.next.Add(1)-1)%uint64(len(p.slots))]
 	for retried := false; ; retried = true {
@@ -140,21 +191,16 @@ func (p *Pool) forward(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, dest []
 			p.acquireHist.ObserveSince(t0)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var resp []byte
-		if dest != nil {
-			resp, err = rpc.CallScatter(conn, op, payload, dest, tr)
-		} else {
-			resp, err = rpc.CallTrace(conn, op, payload, bulk, dir, tr)
-		}
+		err = try(s, conn)
 		if err == nil || !condemns(err) {
-			return resp, err
+			return err
 		}
 		p.invalidate(s, conn)
 		var unsent *unsentError
 		if retried || !errors.As(err, &unsent) {
-			return nil, err
+			return err
 		}
 	}
 }

@@ -189,10 +189,17 @@ func TestPoolClosed(t *testing.T) {
 // the connection's read loop has marked it dead, the next call is refused
 // before a byte of it is sent — so the pool re-dials and runs it on the
 // fresh connection, exactly once, instead of failing a caller whose
-// request was never on the wire. A server that is not back up still
-// fails the call, with the dial error.
+// request was never on the wire. A split call's send (rpc.Send) follows
+// the same rule: one re-dial, and the daemon runs it once. A server that
+// is not back up still fails the call, with the dial error.
 func TestPoolRedialsConnectionFoundDead(t *testing.T) {
 	srv := newTestServer()
+	const opCount rpc.Op = 301 // counts the split calls the daemon runs
+	var sends atomic.Int32
+	srv.Register(opCount, func([]byte, rpc.Bulk) ([]byte, error) {
+		sends.Add(1)
+		return nil, nil
+	})
 	// start serves srv on a fresh port; the returned sever closes the
 	// listener and every accepted socket, as a dying daemon does.
 	start := func() (addr string, sever func()) {
@@ -275,12 +282,31 @@ func TestPoolRedialsConnectionFoundDead(t *testing.T) {
 		t.Fatalf("%d dials, want 2: first use and exactly one re-dial", n)
 	}
 
+	// The same for a split call: its send lands on the dead connection,
+	// is refused unsent, and goes out once on one re-dial.
+	severAndWait(sever)
+	a, sever = start()
+	addr.Store(a)
+	r, err := pool.Send(opCount, nil, [][]byte{make([]byte, 8<<10)}, rpc.Trace{})
+	if err == nil {
+		_, err = r.Wait()
+	}
+	if err != nil {
+		t.Fatalf("split call on a slot holding a dead connection: %v; want it re-dialed and served", err)
+	}
+	if n := dials.Load(); n != 3 {
+		t.Fatalf("%d dials, want 3: exactly one re-dial for the send", n)
+	}
+	if n := sends.Load(); n != 1 {
+		t.Fatalf("the daemon ran the split call %d times, want once", n)
+	}
+
 	// Died and stayed down: the one re-dial fails and the call reports it.
 	severAndWait(sever)
 	if err := echo("down"); err == nil || !strings.Contains(err.Error(), "pool dial") {
 		t.Fatalf("call with the server down = %v, want the dial error", err)
 	}
-	if n := dials.Load(); n != 3 {
-		t.Fatalf("%d dials, want 3: one more attempt, not a loop", n)
+	if n := dials.Load(); n != 4 {
+		t.Fatalf("%d dials, want 4: one more attempt, not a loop", n)
 	}
 }

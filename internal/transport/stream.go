@@ -255,22 +255,29 @@ type replyWriter struct {
 }
 
 // iovec is a reusable writev vector: a frame's header, the inline bulk
-// that follows it and, on a traced request, the trace trailer. A
-// net.Buffers built per write escapes to the heap — an allocation per
-// bulk frame on each end — so every writer keeps one, used under the
-// mutex that serializes its frames.
+// that follows it — one region, or a request's gather list of windows —
+// and, on a traced request, the trace trailer. A net.Buffers built per
+// write escapes to the heap — an allocation per bulk frame on each end —
+// so every writer keeps one, used under the mutex that serializes its
+// frames.
 type iovec struct {
-	vec  [3][]byte
+	vec  [][]byte
 	bufs net.Buffers
 }
 
-// writev sends parts to nc as one vectored write, then drops every
-// reference the vector held, so it never keeps a caller's buffer or a
-// pooled region alive past the write.
-func (v *iovec) writev(nc net.Conn, parts ...[]byte) error {
-	v.bufs = v.vec[:copy(v.vec[:], parts)]
+// writev sends hdr, the windows of bulk and tail (when not empty) to nc
+// as one vectored write, then drops every reference the vector held, so
+// it never keeps a caller's buffer or a pooled region alive past the
+// write.
+func (v *iovec) writev(nc net.Conn, hdr []byte, bulk [][]byte, tail []byte) error {
+	v.vec = append(append(v.vec[:0], hdr), bulk...)
+	if len(tail) > 0 {
+		v.vec = append(v.vec, tail)
+	}
+	v.bufs = v.vec
 	_, err := v.bufs.WriteTo(nc)
-	v.vec, v.bufs = [3][]byte{}, nil
+	clear(v.vec)
+	v.vec, v.bufs = v.vec[:0], nil
 	return err
 }
 
@@ -574,7 +581,7 @@ func writeResponse(nc net.Conn, out *replyWriter, wire *rpc.WireCounters, id uin
 	out.mu.Lock()
 	// A write error tears down the connection via the read side.
 	if len(inline) > 0 {
-		_ = out.iov.writev(nc, hdr, inline)
+		_ = out.iov.writev(nc, hdr, nil, inline)
 		wire.VectoredWrites.Add(1)
 	} else {
 		_, _ = nc.Write(hdr)
@@ -649,12 +656,19 @@ type conn struct {
 // arrives (or the connection dies), because the daemon may be writing
 // into it until then. The claim protocol (see abandon) guarantees neither
 // is touched after the call returns.
+//
+// A started call is also its own rpc.Reply: c, id and op are what await
+// needs to take its reply.
 type pendingCall struct {
 	ch    chan result
 	dest  [][]byte
 	destN int
 	one   [1][]byte
 	win   segSpan
+
+	c  *conn
+	id uint64
+	op rpc.Op
 }
 
 // callPool recycles pending calls, each with the channel it was made
@@ -667,6 +681,7 @@ var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan res
 // caller's memory.
 func recycle(pc *pendingCall) {
 	pc.dest, pc.destN, pc.one[0], pc.win = nil, 0, nil, segSpan{}
+	pc.c, pc.id, pc.op = nil, 0, 0
 	callPool.Put(pc)
 }
 
@@ -690,17 +705,21 @@ func (c *conn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, e
 // trailing trace extension when sampled.
 func (c *conn) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
 	pc := callPool.Get().(*pendingCall)
-	var in []byte
+	var in [][]byte
 	switch {
 	case bulk == nil:
 		dir = rpc.BulkNone
 	case dir == rpc.BulkIn:
-		in = bulk
+		pc.one[0] = bulk
+		in = pc.one[:]
 	case dir == rpc.BulkOut:
 		pc.one[0] = bulk
 		pc.dest, pc.destN = pc.one[:], len(bulk)
 	}
-	return c.call(pc, op, payload, in, len(bulk), dir, tr)
+	if err := c.start(pc, op, payload, in, len(bulk), dir, tr); err != nil {
+		return nil, err
+	}
+	return c.await(pc)
 }
 
 // CallScatter implements rpc.ScatterCaller: a BulkOut call whose region
@@ -715,15 +734,41 @@ func (c *conn) CallScatter(op rpc.Op, payload []byte, dest [][]byte, tr rpc.Trac
 	if len(dest) == 0 {
 		dir = rpc.BulkNone
 	}
-	return c.call(pc, op, payload, nil, pc.destN, dir, tr)
+	if err := c.start(pc, op, payload, nil, pc.destN, dir, tr); err != nil {
+		return nil, err
+	}
+	return c.await(pc)
 }
 
-// call runs one registered call: register → write → wait or time out →
-// settle. in is the BulkIn bytes (nil otherwise) and n the size of the
-// region the call exposes in either direction. Every return follows the
-// call's delivery or its abandon, so pc is recycled on the way out.
-func (c *conn) call(pc *pendingCall, op rpc.Op, payload, in []byte, n int, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
-	defer recycle(pc)
+// Send implements rpc.SendCaller: a BulkIn call whose region is the
+// windows of src, in order, split at the send. It returns once start has
+// written the frame — inline, every byte of src went through the one
+// writev; by reference, every byte was copied into the call's segment
+// window — so nothing of the transport references src any more. The
+// returned call is the reply handle; its Wait is await.
+func (c *conn) Send(op rpc.Op, payload []byte, src [][]byte, tr rpc.Trace) (rpc.Reply, error) {
+	pc := callPool.Get().(*pendingCall)
+	n := 0
+	for _, w := range src {
+		n += len(w)
+	}
+	if err := c.start(pc, op, payload, src, n, rpc.BulkIn, tr); err != nil {
+		return nil, err
+	}
+	return pc, nil
+}
+
+// Wait implements rpc.Reply for a call Send started.
+func (pc *pendingCall) Wait() ([]byte, error) { return pc.c.await(pc) }
+
+// start is the first half of every call: reserve a segment window and,
+// for BulkIn, copy the bytes into it (by reference) → register → write
+// the frame. in is the BulkIn windows (nil otherwise) and n the size of
+// the region the call exposes in either direction. A nil return means
+// the call is registered and on the wire, and await owes it its reply;
+// on error the call is over — delivered to or abandoned — and pc is
+// recycled. Either way nothing of the transport references in any more.
+func (c *conn) start(pc *pendingCall, op rpc.Op, payload []byte, in [][]byte, n int, dir rpc.BulkDir, tr rpc.Trace) error {
 	if c.seg != nil && dir != rpc.BulkNone {
 		// By reference: reserve a window and, for BulkIn, stage the bytes
 		// in it — the one copy this direction costs.
@@ -736,10 +781,14 @@ func (c *conn) call(pc *pendingCall, op rpc.Op, payload, in []byte, n int, dir r
 			c.segWaitHist.ObserveSince(t0)
 		}
 		if err != nil {
-			return nil, err
+			recycle(pc)
+			return err
 		}
 		pc.win = segSpan{off, n}
-		copy(c.seg[off:], in)
+		win := c.seg[off : off+n]
+		for _, w := range in {
+			win = win[copy(win, w):]
+		}
 	}
 	c.mu.Lock()
 	if c.dead != nil {
@@ -748,29 +797,31 @@ func (c *conn) call(pc *pendingCall, op rpc.Op, payload, in []byte, n int, dir r
 		if pc.win.n > 0 {
 			c.alloc.release(pc.win.off, pc.win.n)
 		}
-		return nil, &unsentError{err}
+		recycle(pc)
+		return &unsentError{err}
 	}
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = pc
+	pc.c, pc.id, pc.op = c, id, op
 	c.mu.Unlock()
 
 	// Gather on TX: everything but inline bulk goes out as one pooled
 	// buffer; inline BulkIn bytes follow straight from the caller's
-	// buffer as the second iovec — they are never copied into a frame —
-	// and a sampled trace, which must stay the frame's last bytes, as the
-	// third. The vector and the trailer's bytes are the connection's.
+	// windows — they are never copied into a frame — and a sampled trace,
+	// which must stay the frame's last bytes, after them. The vector and
+	// the trailer's bytes are the connection's.
 	hdr := c.buildRequest(id, op, dir, payload, n, pc.win.off, tr)
 	c.wmu.Lock()
 	var err error
 	switch {
-	case c.seg != nil || len(in) == 0:
+	case c.seg != nil || dir != rpc.BulkIn || n == 0:
 		_, err = c.nc.Write(hdr)
 	case tr.Sampled():
 		putTrace(&c.tb, tr)
 		err = c.iov.writev(c.nc, hdr, in, c.tb[:])
 	default:
-		err = c.iov.writev(c.nc, hdr, in)
+		err = c.iov.writev(c.nc, hdr, in, nil)
 	}
 	c.wmu.Unlock()
 	rpc.PutBuf(hdr)
@@ -781,9 +832,17 @@ func (c *conn) call(pc *pendingCall, op rpc.Op, payload, in []byte, n int, dir r
 			// is guaranteed, so wait it out before touching dest again.
 			c.settle(pc, <-pc.ch)
 		}
-		return nil, err
+		recycle(pc)
+		return err
 	}
+	return nil
+}
 
+// await is the second half of every call: wait for the delivery or time
+// out → settle. Every return follows the call's delivery or its abandon,
+// so pc is recycled on the way out.
+func (c *conn) await(pc *pendingCall) ([]byte, error) {
+	defer recycle(pc)
 	var timeoutCh <-chan time.Time
 	var timer *time.Timer
 	if c.timeout > 0 {
@@ -797,9 +856,9 @@ func (c *conn) call(pc *pendingCall, op rpc.Op, payload, in []byte, n int, dir r
 		}
 		return c.settle(pc, res)
 	case <-timeoutCh:
-		if c.abandon(id) {
+		if c.abandon(pc.id) {
 			releaseTimer(timer)
-			return nil, fmt.Errorf("%w: call %d op %d after %v", ErrTimeout, id, op, c.timeout)
+			return nil, fmt.Errorf("%w: call %d op %d after %v", ErrTimeout, pc.id, pc.op, c.timeout)
 		}
 		// Too late to time out: the read loop already claimed this call
 		// and may be scattering bulk bytes into our dest buffer right
