@@ -201,26 +201,20 @@ func New(cfg Config) (*Client, error) {
 // one VerifyProtocol learned from the daemons.
 func (c *Client) ChunkSize() int64 { return c.cfg.ChunkSize }
 
-// call issues one RPC and peels the errno header off the response. A
-// BulkOut call's region is the windows of dest, in order (rpc.CallScatter).
-// This is the client's RPC chokepoint, together with its split form (send,
-// then wait): round-trip timing, the in-flight gauge and trace sampling
-// all live in begin and end, so every caller — metadata, chunk I/O,
-// replication retries, write-behind — is covered.
-func (c *Client) call(node int, op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, dest ...[]byte) (*rpc.Dec, error) {
+// call issues one RPC and peels the errno header off the response. Its
+// bulk region is the windows, in order, in direction dir (none for no
+// windows). This is the client's RPC chokepoint, together with its split
+// form (start, then wait): round-trip timing, the in-flight gauge and
+// trace sampling all live in begin and end, so every caller — metadata,
+// chunk I/O, replication retries, write-behind — is covered.
+func (c *Client) call(node int, op rpc.Op, payload []byte, dir rpc.BulkDir, windows ...[]byte) (*rpc.Dec, error) {
 	rc := c.begin(node, op)
-	var resp []byte
-	var err error
-	if dir == rpc.BulkOut {
-		resp, err = rpc.CallScatter(c.cfg.Conns[node], op, payload, dest, rc.tr)
-	} else {
-		resp, err = rpc.CallTrace(c.cfg.Conns[node], op, payload, bulk, dir, rc.tr)
-	}
+	resp, err := rpc.Call(c.cfg.Conns[node], op, payload, windows, dir, rc.tr)
 	return c.end(&rc, resp, err)
 }
 
-// clientCall is one RPC from begin to end. A call split at the send
-// carries its outstanding reply, or the send's failure, in between.
+// clientCall is one RPC from begin to end. A started call carries its
+// outstanding reply, or the start's failure, in between.
 type clientCall struct {
 	node  int
 	op    rpc.Op
@@ -262,16 +256,16 @@ func (c *Client) end(rc *clientCall, resp []byte, err error) (*rpc.Dec, error) {
 	return d, nil
 }
 
-// send is call split at the send (rpc.Send), for a BulkIn region given
-// as the windows of src: when it returns, the request has left or failed
-// and nothing references src. wait takes the reply.
-func (c *Client) send(node int, op rpc.Op, payload []byte, src [][]byte) clientCall {
+// start is call split at the send (rpc.Start): when it returns, the
+// request has left or failed and nothing references a BulkIn window.
+// wait takes the reply.
+func (c *Client) start(node int, op rpc.Op, payload []byte, dir rpc.BulkDir, windows ...[]byte) clientCall {
 	rc := c.begin(node, op)
-	rc.reply, rc.err = rpc.Send(c.cfg.Conns[node], op, payload, src, rc.tr)
+	rc.reply, rc.err = rpc.Start(c.cfg.Conns[node], op, payload, windows, dir, rc.tr)
 	return rc
 }
 
-// wait takes the reply of a call send started — once.
+// wait takes the reply of a call start started — once.
 func (c *Client) wait(rc *clientCall) (*rpc.Dec, error) {
 	var resp []byte
 	err := rc.err
@@ -313,7 +307,7 @@ func (c *Client) metaOp(op *proto.MetaOp) (proto.MetaResult, error) {
 	e := rpc.NewEnc(len(op.Path) + 24)
 	proto.EncodeMetaOpBody(e, op)
 	var r proto.MetaResult
-	d, err := c.call(c.cfg.Dist.MetaTarget(op.Path), rpc.Op(op.Kind), e.Bytes(), nil, rpc.BulkNone)
+	d, err := c.call(c.cfg.Dist.MetaTarget(op.Path), rpc.Op(op.Kind), e.Bytes(), rpc.BulkNone)
 	if err != nil {
 		return r, err
 	}
@@ -755,7 +749,7 @@ func (c *Client) readDirNode(node int, dir string, epoch uint64) ([]DirEntry, er
 		e := rpc.NewEnc(len(dir) + len(after) + 24)
 		e.Str(dir).Str(after).U32(c.readDirPage)
 		proto.EncodeEpochTail(e, pinFlag(epoch), epoch)
-		d, err := c.call(node, proto.OpReadDir, e.Bytes(), nil, rpc.BulkNone)
+		d, err := c.call(node, proto.OpReadDir, e.Bytes(), rpc.BulkNone)
 		if err != nil {
 			return nil, err
 		}
@@ -881,7 +875,7 @@ func (c *Client) collectChunks(paths []string) error {
 		for _, p := range paths {
 			e := rpc.NewEnc(len(p) + 4)
 			e.Str(p)
-			if _, err := c.call(node, proto.OpRemoveChunks, e.Bytes(), nil, rpc.BulkNone); err != nil {
+			if _, err := c.call(node, proto.OpRemoveChunks, e.Bytes(), rpc.BulkNone); err != nil {
 				return err
 			}
 		}
@@ -906,7 +900,7 @@ func (c *Client) Truncate(path string, size int64) error {
 	te := rpc.NewEnc(len(p) + 12)
 	te.Str(p).I64(size)
 	err = c.fanOut(func(node int) error {
-		_, err := c.call(node, proto.OpTruncateChunks, te.Bytes(), nil, rpc.BulkNone)
+		_, err := c.call(node, proto.OpTruncateChunks, te.Bytes(), rpc.BulkNone)
 		return err
 	})
 	// Prefetched spans describe the pre-truncate file; drop them all
@@ -960,7 +954,7 @@ func (c *Client) DaemonSnapshots() ([]telemetry.Snapshot, error) {
 		if c.cfg.Replicas > 1 && !c.alive(node) {
 			return nil
 		}
-		d, err := c.call(node, proto.OpStats, nil, nil, rpc.BulkNone)
+		d, err := c.call(node, proto.OpStats, nil, rpc.BulkNone)
 		if err != nil {
 			if c.cfg.Replicas > 1 && transportError(err) {
 				c.strike(node)

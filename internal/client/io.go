@@ -14,18 +14,19 @@ import (
 )
 
 // The data path. A write or read is decomposed into chunk spans; spans
-// are grouped by primary daemon (hash of path and chunk ID) and every
-// group runs against its replica chain (replica.go) through one of two
-// executors, in parallel across groups, with the span data concatenated
-// in the RPC's bulk region. This is the paper's wide striping: a large
-// I/O engages every node's SSD at once. There is one executor per
+// are grouped by primary daemon (hash of path and chunk ID), at most one
+// RPC's transfer (rpc.MaxBulk) to a group, and every group runs against
+// its replica chain (replica.go) through one of two executors, in
+// parallel across groups, with the group's windows of the caller's
+// buffer as the RPC's bulk region. This is the paper's wide striping: a
+// large I/O engages every node's SSD at once. There is one executor per
 // direction — readGroup and writeGroup — for every caller: descriptor
 // I/O, the read-ahead fetcher, write-behind, WritePath and
 // ReadSnapshot. An unreplicated mount is a chain of one and a live read
-// is a read at epoch ∞; neither has a code path of its own. What an
-// executor does depends only on how many live candidates the chain
-// offers: one is served on the calling goroutine, straight into the
-// caller's memory; several are hedged or fanned out.
+// is a read at epoch ∞; neither has a code path of its own. A write
+// sends to every live replica from the caller's memory, then waits; a
+// read with one live candidate is served on the calling goroutine,
+// straight into the caller's memory, and with several is hedged.
 
 // LiveEpoch is the epoch of a read that is not pinned to a snapshot.
 // A finite epoch adds the ReadAtEpoch field to the request and narrows
@@ -36,6 +37,7 @@ const LiveEpoch = meta.LiveEpoch
 // targetGroup collects the spans of one I/O that share a primary daemon
 // and therefore a replica chain.
 type targetGroup struct {
+	target int // the primary daemon
 	spans  []proto.ChunkSpan
 	bufOff []int64 // caller-buffer offset per span
 	bytes  int64
@@ -61,49 +63,40 @@ type sizeReply struct {
 	size  int64
 }
 
-// gather returns the group's bulk region for a synchronous write of p
-// (what the daemon pulls; RDMA-read in the paper's deployment). A group
-// whose windows are adjacent in p — one span, or consecutive chunks with
-// no other daemon's chunk between them — lends the caller's own slice of
-// p: the transport gathers it straight into the socket (writev) or copies
-// it once into the shared segment, with no client-side staging copy. That
-// is sound because the caller blocks on the RPC before reusing p. Other
-// groups are copied into a pooled region. pooled reports which happened:
-// a pooled region is released by the caller with rpc.PutBuf once the
-// group has settled; a borrowed slice of p must never enter the pool.
-func (g *targetGroup) gather(p []byte) (bulk []byte, pooled bool) {
-	first, last := g.bufOff[0], len(g.spans)-1
-	if g.bufOff[last]+g.spans[last].Len-first == g.bytes {
-		return p[first : first+g.bytes], false
-	}
-	bulk = rpc.GetBuf(int(g.bytes))[:0]
-	for _, w := range g.windows(p) {
-		bulk = append(bulk, w...)
-	}
-	return bulk, true
-}
-
 // windows returns the slices of p the group's spans read into or write
-// from, in span order — a read's scatter list.
+// from, in span order, spans adjacent in p merged: a group of one span,
+// or of consecutive chunks with no other daemon's chunk between them, is
+// one window on every carrier. It is the call's bulk region — a read's
+// scatter list, a write's gather list — and the same slices of p either
+// way: TCP and shm send and land every window where it lies.
 func (g *targetGroup) windows(p []byte) [][]byte {
 	wins := g.win0[:0]
+	var lo, hi int64 // the last window
 	for i, s := range g.spans {
-		wins = append(wins, p[g.bufOff[i]:g.bufOff[i]+s.Len])
+		if off := g.bufOff[i]; len(wins) == 0 || off != hi {
+			lo, hi = off, off+s.Len
+			wins = append(wins, p[lo:hi])
+		} else {
+			hi += s.Len
+			wins[len(wins)-1] = p[lo:hi]
+		}
 	}
 	return wins
 }
 
-// groupByTarget splits [off, off+n) into per-primary span groups.
-func (c *Client) groupByTarget(path string, off, n int64) map[int]*targetGroup {
-	slices := meta.Slices(off, n, c.cfg.ChunkSize)
-	groups := make(map[int]*targetGroup)
-	for _, s := range slices {
+// groupByTarget splits [off, off+n) into span groups, each bound for one
+// primary daemon and no larger than one RPC may carry (rpc.MaxBulk, which
+// a chunk never exceeds): a daemon's chunks form one group until the next
+// would take it past that, then the next group.
+func (c *Client) groupByTarget(path string, off, n int64) []*targetGroup {
+	var groups []*targetGroup
+	for _, s := range meta.Slices(off, n, c.cfg.ChunkSize) {
 		tgt := c.cfg.Dist.ChunkTarget(path, s.ID)
-		g := groups[tgt]
-		if g == nil {
-			g = &targetGroup{}
+		g := lastGroup(groups, tgt)
+		if g == nil || g.bytes+s.Len > rpc.MaxBulk {
+			g = &targetGroup{target: tgt}
 			g.spans, g.bufOff = g.span0[:0], g.off0[:0]
-			groups[tgt] = g
+			groups = append(groups, g)
 		}
 		g.spans = append(g.spans, proto.ChunkSpan{ID: s.ID, Off: s.ChunkOff, Len: s.Len})
 		g.bufOff = append(g.bufOff, s.BufOff)
@@ -112,26 +105,32 @@ func (c *Client) groupByTarget(path string, off, n int64) map[int]*targetGroup {
 	return groups
 }
 
+// lastGroup returns the latest of groups bound for tgt, or nil.
+func lastGroup(groups []*targetGroup, tgt int) *targetGroup {
+	for i := len(groups) - 1; i >= 0; i-- {
+		if groups[i].target == tgt {
+			return groups[i]
+		}
+	}
+	return nil
+}
+
 // runGroups executes fn per target group, in parallel when more than one
 // is involved. Every group's error is reported (errors.Join): a
 // multi-daemon failure must not be silently narrowed to whichever single
 // cause happened to be observed first.
-func runGroups(groups map[int]*targetGroup, fn func(g *targetGroup) error) error {
+func runGroups(groups []*targetGroup, fn func(g *targetGroup) error) error {
 	if len(groups) == 1 {
-		for _, g := range groups {
-			return fn(g)
-		}
+		return fn(groups[0])
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(groups))
-	i := 0
-	for _, g := range groups {
+	for i, g := range groups {
 		wg.Add(1)
-		go func(i int, g *targetGroup) {
+		go func() {
 			defer wg.Done()
 			errs[i] = fn(g)
-		}(i, g)
-		i++
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -166,7 +165,7 @@ func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.C
 		flags |= proto.ReadAtEpoch
 	}
 	var reply sizeReply
-	d, err := c.call(node, proto.OpReadChunks, encodeChunkReq(path, spans, flags, epoch), nil, rpc.BulkOut, dest...)
+	d, err := c.call(node, proto.OpReadChunks, encodeChunkReq(path, spans, flags, epoch), rpc.BulkOut, dest...)
 	if err != nil {
 		return reply, err
 	}
@@ -326,8 +325,8 @@ func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64
 	}
 	if wantSize && sized == nil {
 		probe := []int{owner}
-		sized = &targetGroup{chain: probe, cands: probe}
-		groups[-1] = sized // keyed apart from every primary
+		sized = &targetGroup{target: owner, chain: probe, cands: probe}
+		groups = append(groups, sized)
 	}
 	// Each group's reply is written by its own goroutine; runGroups'
 	// WaitGroup orders the write before the read below.
@@ -445,46 +444,35 @@ func (g *targetGroup) wrote(d *rpc.Dec, err error) error {
 	return nil
 }
 
-// writeGroup writes one target group of p synchronously. A chain of one
-// is one blocking call lending p (gather) — the unreplicated hot path. A
-// replicated chain is sendGroup's fan-out from p, waited for at once.
-func (c *Client) writeGroup(path string, g *targetGroup, p []byte) error {
-	chain := c.chunkChain(path, g, LiveEpoch)
-	if tracked(chain) {
-		return c.sendGroup(path, g, g.windows(p))()
-	}
-	bulk, pooled := g.gather(p)
-	err := g.wrote(c.call(chain[0], proto.OpWriteChunks, writeReq(chain[0], chain, path, g), bulk, rpc.BulkIn))
-	if pooled {
-		rpc.PutBuf(bulk)
-	}
-	return c.settleWrite(path, chain, chain, []error{err})
-}
-
-// sendGroup is the write fan-out: it sends the group's spans from wins,
-// its windows of the caller's buffer, to every live replica of its chain
-// in turn, on the calling goroutine, and returns the wait that takes the
-// replies and settles them. Nothing references wins once it returns, so
-// write-behind's caller may reuse p at once.
-func (c *Client) sendGroup(path string, g *targetGroup, wins [][]byte) (wait func() error) {
+// writeGroup is the one write fan-out, for a synchronous write and for
+// write-behind's slot alike: it sends the group's spans from its windows
+// of p to every live replica of its chain in turn, on the calling
+// goroutine, runs sent (when set) once every send has returned — nothing
+// references p from then on, so write-behind's caller may reuse it — and
+// then takes the replies and settles them. A chain of one is just a
+// chain; its calls and their outcomes are held on the stack.
+func (c *Client) writeGroup(path string, g *targetGroup, p []byte, sent func()) error {
 	chain := c.chunkChain(path, g, LiveEpoch)
 	live := c.liveChain(chain)
-	if len(live) == 0 {
-		err := fmt.Errorf("write %s: replica chain %v: %w", path, chain, ErrDegraded)
-		return func() error { return err }
-	}
-	sent := make([]clientCall, len(live))
-	for i, node := range live {
-		sent[i] = c.send(node, proto.OpWriteChunks, writeReq(node, chain, path, g), wins)
+	wins := g.windows(p)
+	var callBuf [4]clientCall
+	calls := callBuf[:0]
+	for _, node := range live {
+		calls = append(calls, c.start(node, proto.OpWriteChunks, writeReq(node, chain, path, g), rpc.BulkIn, wins...))
 	}
 	clear(wins)
-	return func() error {
-		errs := make([]error, len(sent))
-		for i := range sent {
-			errs[i] = g.wrote(c.wait(&sent[i]))
-		}
-		return c.settleWrite(path, chain, live, errs)
+	if sent != nil {
+		sent()
 	}
+	if len(calls) == 0 {
+		return fmt.Errorf("write %s: replica chain %v: %w", path, chain, ErrDegraded)
+	}
+	var errBuf [4]error
+	errs := errBuf[:0]
+	for i := range calls {
+		errs = append(errs, g.wrote(c.wait(&calls[i])))
+	}
+	return c.settleWrite(path, chain, live, errs)
 }
 
 // settleWrite settles one group's replica outcomes, errs[i] being
@@ -519,7 +507,7 @@ func (c *Client) settleWrite(path string, chain, live []int, errs []error) error
 // are undefined and a prefetched pre-write image must not mask that).
 func (c *Client) writeRange(path string, p []byte, off int64) error {
 	groups := c.groupByTarget(path, off, int64(len(p)))
-	err := runGroups(groups, func(g *targetGroup) error { return c.writeGroup(path, g, p) })
+	err := runGroups(groups, func(g *targetGroup) error { return c.writeGroup(path, g, p, nil) })
 	c.dropFetches(path, off, off+int64(len(p)))
 	return err
 }
@@ -612,13 +600,14 @@ const writeWindow = 8
 // descriptor's window (window.go) — and returns without waiting for any
 // reply. Each target group is one slot of the window, whatever its chain
 // length, so the window bounds logical chunk writes: Start admits it,
-// and its operation sends the group's spans to every live replica
-// straight from p (sendGroup), then waits for the replies. The groups
-// send in parallel, so a daemon slow to read does not hold up the
-// others, and this returns once every send has: no byte of p is copied
-// in user space, and none is referenced any more (io.Writer lets the
-// caller reuse p at once) — a send returns after the socket write, or
-// after the copy into the shared segment. Nothing reads a write back:
+// and its operation is the synchronous write's own fan-out (writeGroup):
+// it sends the group's spans to every live replica straight from p, then
+// waits for the replies. The groups send in parallel, so a daemon slow
+// to read does not hold up the others, and this returns once every send
+// has: no byte of p is copied in user space, and none is referenced any
+// more (io.Writer lets the caller reuse p at once) — a send returns after
+// the socket write, after the copy into the shared segment, or in
+// process once the handler has run. Nothing reads a write back:
 // its slots leave the window's view at once. A rewrite of a region still
 // in flight drains the window first, so one descriptor's writes land in
 // program order (the paper leaves only *concurrent* overlapping I/O
@@ -643,9 +632,7 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 	for _, g := range groups {
 		sent.Add(1)
 		wb.Start(off, end, nil, func() (int, error) {
-			wait := c.sendGroup(of.path, g, g.windows(p))
-			sent.Done()
-			err := wait()
+			err := c.writeGroup(of.path, g, p, sent.Done)
 			// Drop once the whole write has settled on the daemons (last
 			// group to land): a span fetched — or still in flight — before
 			// this point may predate the write and must not serve. A

@@ -748,8 +748,9 @@ func TestVerifyProtocolRejectsOldDaemon(t *testing.T) {
 // a caller that scribbles over p the moment Write returns must still
 // read back what p held during the call. Writes are 300 KiB over 64 KiB
 // chunks on two daemons, so groups have several spans, adjacent or not.
-// The mem carrier stages each group in a pooled region (rpc.Send's
-// fallback); TCP sends it straight from p.
+// The mem carrier runs each call in Start, staging a group whose spans
+// are not adjacent in one pooled region; TCP sends every group straight
+// from p.
 func TestAsyncWriteCallerReusesBuffer(t *testing.T) {
 	for _, carrier := range []string{"mem", "tcp"} {
 		t.Run(carrier, func(t *testing.T) {

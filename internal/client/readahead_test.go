@@ -709,11 +709,13 @@ func sumStatsAll(daemons []*daemon.Daemon) proto.DaemonStats {
 }
 
 // scatterTap sits between a client and one daemon's connection and
-// serves multi-window reads itself — staging through plain memory, never
-// the pool — after recording each call's scatter list. gate, when set,
-// holds every such call until it is closed, entered signalling arrival.
+// serves every read of more than over bytes itself — staging through
+// plain memory, never the pool — after recording the call's window list;
+// every other call passes through. gate, when set, holds every such read
+// until it is closed, entered signalling arrival.
 type scatterTap struct {
 	rpc.Conn
+	over    int
 	mu      sync.Mutex
 	lists   [][][]byte
 	drawn   atomic.Int64 // pool bytes drawn since the read that arms the prefetch
@@ -721,23 +723,34 @@ type scatterTap struct {
 	entered chan struct{}
 }
 
-func (c *scatterTap) CallScatter(op rpc.Op, payload []byte, dest [][]byte, _ rpc.Trace) ([]byte, error) {
+func (c *scatterTap) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) (rpc.Reply, error) {
+	n := 0
+	for _, w := range bulk {
+		n += len(w)
+	}
+	if dir != rpc.BulkOut || n <= c.over {
+		return rpc.Start(c.Conn, op, payload, bulk, dir, tr)
+	}
 	c.mu.Lock()
-	c.lists = append(c.lists, append([][]byte(nil), dest...))
+	c.lists = append(c.lists, append([][]byte(nil), bulk...))
 	c.mu.Unlock()
 	if c.gate != nil {
 		c.entered <- struct{}{}
 		<-c.gate
 	}
-	n := 0
-	for _, w := range dest {
-		n += len(w)
-	}
-	bulk := make([]byte, n)
-	resp, err := c.Conn.Call(op, payload, bulk, rpc.BulkOut)
-	rpc.Scatter(dest, bulk)
-	return resp, err
+	region := make([]byte, n)
+	resp, err := c.Conn.Call(op, payload, region, rpc.BulkOut)
+	rpc.Scatter(bulk, region)
+	return tapReply{resp, err}, nil
 }
+
+// tapReply is the finished reply of a read scatterTap served.
+type tapReply struct {
+	resp []byte
+	err  error
+}
+
+func (r tapReply) Wait() ([]byte, error) { return r.resp, r.err }
 
 // armPrefetch writes a 5-chunk file on a one-daemon cluster whose
 // connection runs through tap, and issues the two half-chunk reads that
@@ -750,7 +763,7 @@ func armPrefetch(t *testing.T, cs int64, tap *scatterTap) (c *Client, fd int, wa
 	c, _, _ = pipelineCluster(t, 1, Config{ChunkSize: cs, ReadAhead: true})
 	want = patternedBytes(int(5*cs), 3)
 	writeFileVia(t, c, "/f", want)
-	tap.Conn = c.cfg.Conns[0]
+	tap.Conn, tap.over = c.cfg.Conns[0], int(cs)
 	c.cfg.Conns[0] = tap
 	fd, err := c.Open("/f", O_RDONLY)
 	if err != nil {
@@ -772,10 +785,11 @@ func armPrefetch(t *testing.T, cs int64, tap *scatterTap) (c *Client, fd int, wa
 }
 
 // TestPrefetchLandsInWindowRegion is the cost pin of the read path's
-// landing: the slice the transport is handed for chunk i of a 4-chunk
-// fetch is window i of the region the fetch holds — nothing stands
-// between the wire and the window — the fetch is one RPC, and it draws
-// exactly one 4-chunk region from the pool, no scratch.
+// landing: the one window the transport is handed for a 4-chunk fetch
+// is the region the fetch holds — its chunks are adjacent, so they are
+// one window, and nothing stands between the wire and the region — the
+// fetch is one RPC, and it draws exactly one 4-chunk region from the
+// pool, no scratch.
 func TestPrefetchLandsInWindowRegion(t *testing.T) {
 	const cs = 8 << 10
 	tap := &scatterTap{}
@@ -786,8 +800,8 @@ func TestPrefetchLandsInWindowRegion(t *testing.T) {
 	if got := tap.drawn.Load(); got != 4*cs {
 		t.Fatalf("fetch of 4 chunks drew %d pool bytes, want %d", got, 4*cs)
 	}
-	if len(tap.lists) != 1 || len(tap.lists[0]) != 4 {
-		t.Fatalf("prefetch issued scatter lists %d, want one of 4 windows", len(tap.lists))
+	if len(tap.lists) != 1 || len(tap.lists[0]) != 1 {
+		t.Fatalf("prefetch issued %d window lists, want one of one window", len(tap.lists))
 	}
 	live := liveFetches(t, c, fd)
 	if len(live) != 1 {
@@ -797,10 +811,8 @@ func TestPrefetchLandsInWindowRegion(t *testing.T) {
 	if f.Off != cs || len(f.buf) != 4*cs || !bytes.Equal(f.buf, want[cs:]) {
 		t.Fatalf("the fetch holds [%d, %d), want [%d, %d) with the file's bytes", f.Off, f.End, cs, 5*cs)
 	}
-	for i, w := range tap.lists[0] {
-		if len(w) != cs || &f.buf[i*cs] != &w[0] {
-			t.Fatalf("chunk %d: the region holds %p, the transport filled %p (%d bytes)", 1+i, &f.buf[i*cs], w, len(w))
-		}
+	if w := tap.lists[0][0]; len(w) != 4*cs || &f.buf[0] != &w[0] {
+		t.Fatalf("the region starts at %p, the transport filled %p (%d bytes)", &f.buf[0], w, len(w))
 	}
 }
 

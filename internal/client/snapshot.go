@@ -43,7 +43,7 @@ func (c *Client) snapshotPhase(phase uint8, tag string, epoch uint64) ([]uint64,
 		if phase == proto.SnapCommit {
 			e.U64(epoch)
 		}
-		d, err := c.call(node, proto.OpSnapshot, e.Bytes(), nil, rpc.BulkNone)
+		d, err := c.call(node, proto.OpSnapshot, e.Bytes(), rpc.BulkNone)
 		if err != nil {
 			return err
 		}
@@ -109,7 +109,7 @@ func (c *Client) Snapshot(tag string) (uint64, error) {
 func (c *Client) Snapshots() ([]proto.SnapshotEntry, error) {
 	perNode := make([][]proto.SnapshotEntry, len(c.cfg.Conns))
 	err := c.fanOut(func(node int) error {
-		d, err := c.call(node, proto.OpSnapshotList, nil, nil, rpc.BulkNone)
+		d, err := c.call(node, proto.OpSnapshotList, nil, rpc.BulkNone)
 		if err != nil {
 			return err
 		}
@@ -177,7 +177,7 @@ func (c *Client) SnapshotDrop(tag string) error {
 	err := c.fanOut(func(node int) error {
 		e := rpc.NewEnc(len(tag) + 4)
 		e.Str(tag)
-		d, err := c.call(node, proto.OpSnapshotDrop, e.Bytes(), nil, rpc.BulkNone)
+		d, err := c.call(node, proto.OpSnapshotDrop, e.Bytes(), rpc.BulkNone)
 		if errors.Is(err, proto.ErrNotExist) {
 			missing[node] = true
 			return nil

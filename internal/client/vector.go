@@ -65,7 +65,7 @@ func (c *Client) batchMetaCall(node int, idx []int, ops []proto.MetaOp, results 
 	for _, i := range idx {
 		proto.EncodeMetaOp(e, &ops[i])
 	}
-	d, err := c.call(node, proto.OpBatchMeta, e.Bytes(), nil, rpc.BulkNone)
+	d, err := c.call(node, proto.OpBatchMeta, e.Bytes(), rpc.BulkNone)
 	if err != nil {
 		fail(err)
 		return

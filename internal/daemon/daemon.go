@@ -96,8 +96,9 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.ChunkSize == 0 {
 		cfg.ChunkSize = meta.DefaultChunkSize
 	}
-	if cfg.ChunkSize < 0 {
-		return nil, fmt.Errorf("daemon: invalid chunk size %d", cfg.ChunkSize)
+	if cfg.ChunkSize < 0 || cfg.ChunkSize > rpc.MaxBulk {
+		// A chunk travels in one RPC, whose transfer is capped.
+		return nil, fmt.Errorf("daemon: invalid chunk size %d (at most %d)", cfg.ChunkSize, rpc.MaxBulk)
 	}
 	db, err := kvstore.Open(kvstore.Options{
 		FS:      sub{fs: cfg.FS, prefix: "meta/"},

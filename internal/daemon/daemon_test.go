@@ -430,6 +430,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{FS: vfs.NewMem(), ChunkSize: -1}); err == nil {
 		t.Fatal("negative chunk size accepted")
 	}
+	if _, err := New(Config{FS: vfs.NewMem(), ChunkSize: rpc.MaxBulk + 1}); err == nil {
+		t.Fatal("a chunk larger than one RPC's transfer accepted")
+	}
 }
 
 func TestStartupTimeRecorded(t *testing.T) {

@@ -105,11 +105,12 @@ func (d *Daemon) metaAt(path string, at uint64) (md meta.Metadata, ok bool, err 
 	return md, ok, nil
 }
 
-// maxSpanBytes bounds one chunk RPC's total span bytes (mirrors the TCP
-// transport's frame limit). Summing attacker-supplied span lengths with
-// plain int64 arithmetic can wrap negative and slip past the bulk-length
-// guard, so totals are validated span by span.
-const maxSpanBytes = 128 << 20
+// maxSpanBytes bounds one chunk RPC's total span bytes: the one
+// transfer a call may carry, which the client splits its I/O to. Summing
+// attacker-supplied span lengths with plain int64 arithmetic can wrap
+// negative and slip past the bulk-length guard, so totals are validated
+// span by span.
+const maxSpanBytes = rpc.MaxBulk
 
 // spanTotal sums span lengths, rejecting any request whose total could
 // not have arrived through a sane transport and any span that leaves its

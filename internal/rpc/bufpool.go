@@ -12,8 +12,9 @@ import (
 // client's concatenated span buffer); recycling them through size-classed
 // pools keeps the hot read/write paths allocation-free in steady state.
 //
-// Buffers are grouped in power-of-two classes from 4 KiB to 128 MiB (one
-// class above maxFrame, so a full transfer frame always fits a class).
+// Buffers are grouped in power-of-two classes from 4 KiB to 128 MiB (the
+// stream transport's largest frame, twice MaxBulk, so a full transfer
+// frame always fits a class).
 // GetBuf returns dirty memory: callers that need zeros must clear.
 //
 // A pool holds the first byte of each class-sized array (*byte), not a

@@ -135,114 +135,129 @@ const TraceSampled uint8 = 1 << 0
 // Sampled reports whether the trace should be carried and logged.
 func (t Trace) Sampled() bool { return t.ID != 0 }
 
-// TraceCaller is the optional Conn extension of transports that can
-// carry a Trace to the server. Transports lacking it serve the call
-// untraced — the trace is an observability hint, never a correctness
-// dependency.
-type TraceCaller interface {
-	CallTrace(op Op, payload, bulk []byte, dir BulkDir, tr Trace) ([]byte, error)
+// MaxBulk is the most bytes one call's bulk region may hold, in either
+// direction — the one transfer a stream frame is sized for (transport's
+// maxFrame is twice it: the transfer plus room for its payload), and well
+// inside a shared-memory segment. A caller with more to move splits it
+// across calls: the client cuts chunk I/O to one daemon into groups of at
+// most MaxBulk bytes.
+const MaxBulk = 64 << 20
+
+// Starter is the optional Conn extension of transports that run a call
+// in two halves, the one call shape of this package: Start sends op with
+// the windows of bulk, in order, as its region and returns the Reply to
+// wait on. No windows exposes no buffer, whatever dir says. A BulkIn
+// Start returns once the transport holds no reference to the windows —
+// inline, every byte has gone through the socket write; by reference,
+// every byte has been copied into the call's segment window; in process,
+// the handler has run — so the caller may reuse them at once. BulkOut
+// windows belong to the call until its Wait returns, and the server's
+// bytes land in them directly, under the claim and zero-tail rules of
+// the BulkOut contract, window by window. A sampled tr travels with the
+// call. A Start that fails leaves no reply to wait for.
+type Starter interface {
+	Start(op Op, payload []byte, bulk [][]byte, dir BulkDir, tr Trace) (Reply, error)
 }
 
-// CallTrace invokes op over c, carrying tr when the connection
-// supports it and silently dropping it otherwise. A TraceCaller gets
-// unsampled calls through CallTrace too, with the zero Trace: its Call
-// would only forward there.
-func CallTrace(c Conn, op Op, payload, bulk []byte, dir BulkDir, tr Trace) ([]byte, error) {
-	if tc, ok := c.(TraceCaller); ok {
-		return tc.CallTrace(op, payload, bulk, dir, tr)
-	}
-	return c.Call(op, payload, bulk, dir)
-}
-
-// ScatterCaller is the optional Conn extension of transports that can
-// land a BulkOut transfer in a scatter list: the windows of dest, in
-// order, are the exposed region, and the server's bytes arrive in them
-// directly — no contiguous staging buffer on the client. The claim and
-// zero-tail rules of a single-window call hold window by window.
-type ScatterCaller interface {
-	CallScatter(op Op, payload []byte, dest [][]byte, tr Trace) ([]byte, error)
-}
-
-// CallScatter invokes op over c with the windows of dest as its BulkOut
-// region (none exposes no buffer). Connections that cannot scatter get
-// one pooled contiguous region, copied out to the windows afterwards.
-func CallScatter(c Conn, op Op, payload []byte, dest [][]byte, tr Trace) ([]byte, error) {
-	switch len(dest) {
-	case 0:
-		return CallTrace(c, op, payload, nil, BulkNone, tr)
-	case 1:
-		return CallTrace(c, op, payload, dest[0], BulkOut, tr)
-	}
-	if sc, ok := c.(ScatterCaller); ok {
-		return sc.CallScatter(op, payload, dest, tr)
-	}
-	n := 0
-	for _, w := range dest {
-		n += len(w)
-	}
-	bulk := GetBuf(n)
-	defer PutBuf(bulk)
-	resp, err := CallTrace(c, op, payload, bulk, BulkOut, tr)
-	if err != nil {
-		return nil, err
-	}
-	Scatter(dest, bulk)
-	return resp, nil
-}
-
-// SendCaller is the optional Conn extension of transports that can split
-// a BulkIn call at the send: the windows of src, in order, are the
-// exposed region, and Send returns once the transport holds no reference
-// to them — inline, every byte has gone through the socket write; by
-// reference, every byte has been copied into the call's segment window.
-// The caller may reuse src at once; the reply comes later, from the
-// returned Reply. A Send that fails leaves no reply to wait for.
-type SendCaller interface {
-	Send(op Op, payload []byte, src [][]byte, tr Trace) (Reply, error)
-}
-
-// Reply is the outstanding half of a call split at the send. Wait blocks
-// until the reply arrives, the call fails or it times out, and returns
-// what the unsplit call would have. It is called exactly once; the Reply
-// is dead after it returns.
+// Reply is the outstanding half of a started call. Wait blocks until the
+// reply arrives, the call fails or it times out, and returns what the
+// call produced. It is called exactly once; the Reply is dead after it
+// returns.
 type Reply interface {
 	Wait() ([]byte, error)
 }
 
-// Send starts op over c with the windows of src as its BulkIn region and
-// returns its reply, with src free for reuse. payload must stay unchanged
-// until Wait returns. Connections that cannot split a call get the
-// windows copied into one pooled region, and the whole call runs in Wait.
-func Send(c Conn, op Op, payload []byte, src [][]byte, tr Trace) (Reply, error) {
-	if sc, ok := c.(SendCaller); ok {
-		return sc.Send(op, payload, src, tr)
+// Start starts op over c with the windows of bulk as its region and
+// returns its reply; payload must stay unchanged until Wait returns. A
+// Conn without the Starter extension gets the staging fallback, run in
+// Wait: BulkIn windows are copied into one pooled region first, so they
+// are free for reuse once Start returns, and the trace is dropped — an
+// observability hint, never a correctness dependency.
+func Start(c Conn, op Op, payload []byte, bulk [][]byte, dir BulkDir, tr Trace) (Reply, error) {
+	if s, ok := c.(Starter); ok {
+		return s.Start(op, payload, bulk, dir, tr)
 	}
-	n := 0
-	for _, w := range src {
-		n += len(w)
+	sc := &stagedCall{c: c, op: op, payload: payload, bulk: bulk, dir: dir}
+	if dir == BulkIn && len(bulk) > 0 {
+		sc.region, sc.bulk = stage(bulk, BulkIn), nil
 	}
-	bulk := GetBuf(n)[:0]
-	for _, w := range src {
-		bulk = append(bulk, w...)
-	}
-	return &stagedCall{c: c, op: op, payload: payload, bulk: bulk, tr: tr}, nil
+	return sc, nil
 }
 
-// stagedCall is Send's reply on a connection without the extension: the
-// call itself, over the pooled copy of its windows.
+// Call is Start followed by Wait: one synchronous call. A Conn without
+// the Starter extension runs the staging fallback inline, lending a
+// single window as it is and allocating nothing.
+func Call(c Conn, op Op, payload []byte, bulk [][]byte, dir BulkDir, tr Trace) ([]byte, error) {
+	if s, ok := c.(Starter); ok {
+		r, err := s.Start(op, payload, bulk, dir, tr)
+		if err != nil {
+			return nil, err
+		}
+		return r.Wait()
+	}
+	sc := stagedCall{c: c, op: op, payload: payload, bulk: bulk, dir: dir}
+	return sc.Wait()
+}
+
+// Region is the window list of one contiguous region: none for nil.
+func Region(b []byte) [][]byte {
+	if b == nil {
+		return nil
+	}
+	return [][]byte{b}
+}
+
+// stagedCall is the one staging fallback: a call over a Conn that can
+// expose only one contiguous region. region, when set, is the pooled
+// copy Start made of a BulkIn list.
 type stagedCall struct {
 	c       Conn
 	op      Op
 	payload []byte
-	bulk    []byte
-	tr      Trace
+	bulk    [][]byte
+	dir     BulkDir
+	region  []byte
 }
 
-// Wait implements Reply: it runs the call and returns the region to the
-// pool.
+// Wait implements Reply: it runs the call. No window is a plain call and
+// one window is lent as it is; a list travels through one pooled region,
+// copied out to the windows, in order, after a BulkOut call — the
+// carrier cleared the region past what the server sent, so a short reply
+// clears each window's tail.
 func (s *stagedCall) Wait() ([]byte, error) {
-	defer PutBuf(s.bulk)
-	return CallTrace(s.c, s.op, s.payload, s.bulk, BulkIn, s.tr)
+	region := s.region
+	switch {
+	case region != nil:
+	case len(s.bulk) == 0 || s.dir == BulkNone:
+		return s.c.Call(s.op, s.payload, nil, BulkNone)
+	case len(s.bulk) == 1:
+		return s.c.Call(s.op, s.payload, s.bulk[0], s.dir)
+	default:
+		region = stage(s.bulk, s.dir)
+	}
+	resp, err := s.c.Call(s.op, s.payload, region, s.dir)
+	if err == nil && s.dir == BulkOut {
+		Scatter(s.bulk, region)
+	}
+	PutBuf(region)
+	return resp, err
+}
+
+// stage returns one pooled region the size of the windows of bulk,
+// holding their bytes, in order, for BulkIn.
+func stage(bulk [][]byte, dir BulkDir) []byte {
+	n := 0
+	for _, w := range bulk {
+		n += len(w)
+	}
+	region := GetBuf(n)
+	if dir == BulkIn {
+		region = region[:0]
+		for _, w := range bulk {
+			region = append(region, w...)
+		}
+	}
+	return region
 }
 
 // Scatter copies src out to the windows of dest, in order.

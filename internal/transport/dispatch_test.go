@@ -338,11 +338,12 @@ func TestEmptyRPCAllocs(t *testing.T) {
 	t.Logf("%v allocations per empty RPC", allocs)
 }
 
-// rpcAllocs measures the allocations of one call of op over c, both ends
-// counted, once the pools are warm.
-func rpcAllocs(t *testing.T, c rpc.Conn, op rpc.Op, bulk []byte, dir rpc.BulkDir) float64 {
+// rpcAllocs measures the allocations of one call of op over c with the
+// windows of bulk as its region, both ends counted, once the pools are
+// warm.
+func rpcAllocs(t *testing.T, c rpc.Conn, op rpc.Op, bulk [][]byte, dir rpc.BulkDir) float64 {
 	call := func() {
-		if _, err := rpc.CallTrace(c, op, nil, bulk, dir, rpc.Trace{}); err != nil {
+		if _, err := rpc.Call(c, op, nil, bulk, dir, rpc.Trace{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,7 +357,7 @@ func rpcAllocs(t *testing.T, c rpc.Conn, op rpc.Op, bulk []byte, dir rpc.BulkDir
 // either bulk direction over the same path as emptyRPCAllocPin, with
 // the handler a point op — the shape of the daemon's chunk writes and
 // reads — both ends counted, and of the same BulkIn call split at the
-// send (rpc.Send, then Wait), write-behind's shape: the pool's reply and
+// send (rpc.Start, then Wait), write-behind's shape: the pool's reply and
 // the connection's pending call are both recycled, so the split costs
 // nothing either. It was 5 while chunk ops were served on a goroutine
 // of their own (request struct, goroutine, closure) and each end built a
@@ -370,20 +371,20 @@ func TestBulkRPCAllocs(t *testing.T) {
 	}
 	c := dialServedTCP(t, newDispatchServer().Server, 1)
 	buf := make([]byte, 8<<10)
+	src := [][]byte{buf}
 	for _, tc := range []struct {
 		name string
 		op   rpc.Op
 		dir  rpc.BulkDir
 	}{{"BulkIn", opPointSink, rpc.BulkIn}, {"BulkOut", opPointFill, rpc.BulkOut}} {
-		allocs := rpcAllocs(t, c, tc.op, buf, tc.dir)
+		allocs := rpcAllocs(t, c, tc.op, src, tc.dir)
 		if allocs > bulkRPCAllocPin {
 			t.Errorf("an 8 KiB %s RPC makes %v allocations, pin %d", tc.name, allocs, bulkRPCAllocPin)
 		}
 		t.Logf("%v allocations per 8 KiB %s RPC", allocs, tc.name)
 	}
-	src := [][]byte{buf}
 	split := func() {
-		r, err := rpc.Send(c, opPointSink, nil, src, rpc.Trace{})
+		r, err := rpc.Start(c, opPointSink, nil, src, rpc.BulkIn, rpc.Trace{})
 		if err == nil {
 			_, err = r.Wait()
 		}
@@ -418,7 +419,7 @@ func BenchmarkEmptyRPC(b *testing.B) {
 		b.Run(d.name+"/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := rpc.CallTrace(c, d.op, nil, nil, rpc.BulkNone, rpc.Trace{}); err != nil {
+				if _, err := rpc.Call(c, d.op, nil, nil, rpc.BulkNone, rpc.Trace{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -427,7 +428,7 @@ func BenchmarkEmptyRPC(b *testing.B) {
 			b.ReportAllocs()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if _, err := rpc.CallTrace(c, d.op, nil, nil, rpc.BulkNone, rpc.Trace{}); err != nil {
+					if _, err := rpc.Call(c, d.op, nil, nil, rpc.BulkNone, rpc.Trace{}); err != nil {
 						b.Error(err)
 						return
 					}

@@ -355,7 +355,7 @@ func TestHostileResponseFailsClientCleanly(t *testing.T) {
 					defer c.Close()
 					region := newScatterRegion(blen / 2)
 					if shape == "scatter" {
-						_, err = c.(rpc.ScatterCaller).CallScatter(opRead, nil, region.wins, rpc.Trace{})
+						_, err = rpc.Call(c, opRead, nil, region.wins, rpc.BulkOut, rpc.Trace{})
 					} else {
 						region = scatterRegion{backing: bytes.Repeat([]byte{0xEE}, blen)}
 						_, err = c.Call(opRead, nil, region.backing, rpc.BulkOut)
@@ -405,11 +405,11 @@ func newScatterServer() *rpc.Server {
 }
 
 // TestHostileScatterShortBulkLeavesZeroTail pins the carrier's half of
-// the BulkOut contract on every connection type, those that scatter
-// natively and those rpc.CallScatter stages for: a response shorter than
-// the windows fills them in order with the server's bytes and the rest
-// of the region — here the end of the first window and all of the second
-// — reads as zeros, whatever the caller left there. A commit of zero
+// the BulkOut contract on every connection type — those that scatter
+// natively and the mem conn, which stages a list: a response shorter
+// than the windows fills them in order with the server's bytes and the
+// rest of the region — here the end of the first window and all of the
+// second — reads as zeros, whatever the caller left there. A commit of zero
 // bytes and one of the whole region are the two edges.
 func TestHostileScatterShortBulkLeavesZeroTail(t *testing.T) {
 	const win = 48 << 10
@@ -417,7 +417,7 @@ func TestHostileScatterShortBulkLeavesZeroTail(t *testing.T) {
 		for _, n := range []int{0, win - 100, win, win + 100, 2 * win} {
 			region := newScatterRegion(win)
 			req := binary.LittleEndian.AppendUint32(nil, uint32(n))
-			if _, err := rpc.CallScatter(c, opShortFill, req, region.wins, rpc.Trace{}); err != nil {
+			if _, err := rpc.Call(c, opShortFill, req, region.wins, rpc.BulkOut, rpc.Trace{}); err != nil {
 				t.Fatalf("%s: commit %d: %v", name, n, err)
 			}
 			got := append(append([]byte(nil), region.wins[0]...), region.wins[1]...)
@@ -447,7 +447,7 @@ func TestHostileScatterLateResponseLeavesWindowsAlone(t *testing.T) {
 			}
 			defer c.Close()
 			region := newScatterRegion(16 << 10)
-			_, err = c.(rpc.ScatterCaller).CallScatter(opLateFill, nil, region.wins, rpc.Trace{})
+			_, err = rpc.Call(c, opLateFill, nil, region.wins, rpc.BulkOut, rpc.Trace{})
 			if !errors.Is(err, ErrTimeout) {
 				t.Fatalf("late scatter call: err = %v, want ErrTimeout", err)
 			}

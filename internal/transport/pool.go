@@ -97,43 +97,19 @@ func dialPool(n int, dial func() (rpc.Conn, error)) (rpc.Conn, error) {
 // Size returns the number of connection slots.
 func (p *Pool) Size() int { return len(p.slots) }
 
-// Call implements rpc.Conn, forwarding to the slot selected by the next
-// request id.
+// Call implements rpc.Conn: Start, then Wait.
 func (p *Pool) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	return p.CallTrace(op, payload, bulk, dir, rpc.Trace{})
+	return rpc.Call(p, op, payload, rpc.Region(bulk), dir, rpc.Trace{})
 }
 
-// CallTrace implements rpc.TraceCaller, forwarding the trace to the
-// slot's connection when it can carry one.
-func (p *Pool) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
-	var resp []byte
-	err := p.forward(func(_ *poolSlot, conn rpc.Conn) (err error) {
-		resp, err = rpc.CallTrace(conn, op, payload, bulk, dir, tr)
-		return err
-	})
-	return resp, err
-}
-
-// CallScatter implements rpc.ScatterCaller, forwarding the window list
-// to the slot's connection (which stages it contiguously if it cannot
-// scatter).
-func (p *Pool) CallScatter(op rpc.Op, payload []byte, dest [][]byte, tr rpc.Trace) ([]byte, error) {
-	var resp []byte
-	err := p.forward(func(_ *poolSlot, conn rpc.Conn) (err error) {
-		resp, err = rpc.CallScatter(conn, op, payload, dest, tr)
-		return err
-	})
-	return resp, err
-}
-
-// Send implements rpc.SendCaller, forwarding the gather list to the
-// slot's connection (which stages it in a pooled region if it cannot
-// split a call). The send is forwarded like any call; the reply condemns
-// the slot's connection when its wait sees a transport failure.
-func (p *Pool) Send(op rpc.Op, payload []byte, src [][]byte, tr rpc.Trace) (rpc.Reply, error) {
+// Start implements rpc.Starter, forwarding the call to the slot selected
+// by the next request id (a slot's connection without the extension
+// stages the windows). The start is forwarded like any call; the reply
+// condemns the slot's connection when its wait sees a transport failure.
+func (p *Pool) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) (rpc.Reply, error) {
 	var r *poolReply
 	err := p.forward(func(s *poolSlot, conn rpc.Conn) error {
-		inner, err := rpc.Send(conn, op, payload, src, tr)
+		inner, err := rpc.Start(conn, op, payload, bulk, dir, tr)
 		if err == nil {
 			r = poolReplies.Get().(*poolReply)
 			r.p, r.s, r.conn, r.inner = p, s, conn, inner
@@ -146,7 +122,7 @@ func (p *Pool) Send(op rpc.Op, payload []byte, src [][]byte, tr rpc.Trace) (rpc.
 	return r, nil
 }
 
-// poolReply is the reply of a call the pool sent: the connection's own,
+// poolReply is the reply of a call the pool started: the connection's own,
 // and the slot to condemn if its wait fails at the transport level.
 // Recycled through poolReplies once waited on.
 type poolReply struct {

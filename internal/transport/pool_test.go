@@ -189,7 +189,7 @@ func TestPoolClosed(t *testing.T) {
 // the connection's read loop has marked it dead, the next call is refused
 // before a byte of it is sent — so the pool re-dials and runs it on the
 // fresh connection, exactly once, instead of failing a caller whose
-// request was never on the wire. A split call's send (rpc.Send) follows
+// request was never on the wire. A split call's send (rpc.Start) follows
 // the same rule: one re-dial, and the daemon runs it once. A server that
 // is not back up still fails the call, with the dial error.
 func TestPoolRedialsConnectionFoundDead(t *testing.T) {
@@ -287,7 +287,7 @@ func TestPoolRedialsConnectionFoundDead(t *testing.T) {
 	severAndWait(sever)
 	a, sever = start()
 	addr.Store(a)
-	r, err := pool.Send(opCount, nil, [][]byte{make([]byte, 8<<10)}, rpc.Trace{})
+	r, err := pool.Start(opCount, nil, [][]byte{make([]byte, 8<<10)}, rpc.BulkIn, rpc.Trace{})
 	if err == nil {
 		_, err = r.Wait()
 	}

@@ -60,20 +60,20 @@ func scribble(wins [][]byte) {
 	}
 }
 
-// TestSendReturnsWithGatherListFree pins rpc.SendCaller's contract on
-// every carrier: once Send returns, the caller may overwrite its windows
-// at once and the handler still sees the original bytes. The list is
-// larger than a socket buffer, so a send that returned before its writev
-// finished would hand the daemon scribbled bytes. The mem conn has no
-// split call; rpc.Send's staging copy keeps the same contract there.
+// TestSendReturnsWithGatherListFree pins rpc.Starter's BulkIn contract
+// on every carrier: once Start returns, the caller may overwrite its
+// windows at once and the handler still sees the original bytes. The
+// list is larger than a socket buffer, so a send that returned before its
+// writev finished would hand the daemon scribbled bytes. The mem conn
+// runs the whole call in Start, through the staging fallback's region.
 func TestSendReturnsWithGatherListFree(t *testing.T) {
 	for name, c := range connsAgainst(t, newSendServer()) {
 		t.Run(name, func(t *testing.T) {
-			if _, ok := c.(rpc.SendCaller); !ok && name != "mem" {
+			if _, ok := c.(rpc.Starter); !ok {
 				t.Fatalf("%s cannot split a call at the send", name)
 			}
 			wins, want := gatherList(1<<20+7, 513<<10, 2<<20)
-			r, err := rpc.Send(c, opBulkEcho, nil, wins, rpc.Trace{})
+			r, err := rpc.Start(c, opBulkEcho, nil, wins, rpc.BulkIn, rpc.Trace{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestSendWaitTimesOutAndDrainsLateReply(t *testing.T) {
 				size = int(tg.seg)
 			}
 			wins, _ := gatherList(size/2, size-size/2)
-			r, err := rpc.Send(c, opSlow, nil, wins, rpc.Trace{})
+			r, err := rpc.Start(c, opSlow, nil, wins, rpc.BulkIn, rpc.Trace{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestSendWaitTimesOutAndDrainsLateReply(t *testing.T) {
 			}
 			wins, want := gatherList(size/2, size-size/2)
 			for deadline := time.Now().Add(10 * time.Second); ; {
-				r, err := rpc.Send(c, opBulkEcho, nil, wins, rpc.Trace{})
+				r, err := rpc.Start(c, opBulkEcho, nil, wins, rpc.BulkIn, rpc.Trace{})
 				var got []byte
 				if err == nil {
 					got, err = r.Wait()
@@ -163,7 +163,7 @@ func TestSendConnectionDiesBetweenSendAndWait(t *testing.T) {
 			var replies []rpc.Reply
 			for i := 0; i < calls; i++ {
 				wins, _ := gatherList(4<<10, 100)
-				r, err := rpc.Send(c, opWrite, nil, wins, rpc.Trace{})
+				r, err := rpc.Start(c, opWrite, nil, wins, rpc.BulkIn, rpc.Trace{})
 				if err != nil {
 					t.Fatalf("send %d: %v", i, err)
 				}
@@ -191,7 +191,7 @@ func TestSendConnectionDiesBetweenSendAndWait(t *testing.T) {
 			}
 			wins, _ := gatherList(100)
 			var unsent *unsentError
-			if _, err := rpc.Send(c, opWrite, nil, wins, rpc.Trace{}); !errors.As(err, &unsent) {
+			if _, err := rpc.Start(c, opWrite, nil, wins, rpc.BulkIn, rpc.Trace{}); !errors.As(err, &unsent) {
 				t.Fatalf("send on the dead connection: %v, want it refused unsent", err)
 			}
 		})
@@ -237,7 +237,7 @@ func TestHostileResponseFailsSplitCall(t *testing.T) {
 				}
 				defer c.Close()
 				wins, _ := gatherList(8<<10, 8<<10)
-				r, err := rpc.Send(c, opWrite, nil, wins, rpc.Trace{})
+				r, err := rpc.Start(c, opWrite, nil, wins, rpc.BulkIn, rpc.Trace{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -54,8 +54,9 @@ import (
 // carrier closes the connection — the stream position is unknowable
 // after a corrupt prefix, so resynchronizing is impossible and dangerous.
 
-// maxFrame guards against corrupt length prefixes (64 MiB transfer + slack).
-const maxFrame = 128 << 20
+// maxFrame guards against corrupt length prefixes: one call's largest
+// transfer (rpc.MaxBulk) plus as much again for its payload and header.
+const maxFrame = 2 * rpc.MaxBulk
 
 var errFrameTooBig = errors.New("transport: frame exceeds limit")
 
@@ -647,15 +648,14 @@ type conn struct {
 }
 
 // pendingCall is one in-flight request. dest, for BulkOut calls, is the
-// caller's region as a scatter list of windows (destN bytes in all; one
-// backs the list of a contiguous region): on the inline carrier the read
-// loop claims the call by id as soon as the response header arrives and
-// reads the bulk bytes straight into successive windows — the scatter
-// half of the zero-copy wire path. win is the segment window a
-// by-reference call reserved; it stays reserved until the call's response
-// arrives (or the connection dies), because the daemon may be writing
-// into it until then. The claim protocol (see abandon) guarantees neither
-// is touched after the call returns.
+// caller's region as a scatter list of windows (destN bytes in all): on
+// the inline carrier the read loop claims the call by id as soon as the
+// response header arrives and reads the bulk bytes straight into
+// successive windows — the scatter half of the zero-copy wire path. win
+// is the segment window a by-reference call reserved; it stays reserved
+// until the call's response arrives (or the connection dies), because
+// the daemon may be writing into it until then. The claim protocol (see
+// abandon) guarantees neither is touched after the call returns.
 //
 // A started call is also its own rpc.Reply: c, id and op are what await
 // needs to take its reply.
@@ -663,7 +663,6 @@ type pendingCall struct {
 	ch    chan result
 	dest  [][]byte
 	destN int
-	one   [1][]byte
 	win   segSpan
 
 	c  *conn
@@ -680,7 +679,7 @@ var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan res
 // recycle returns pc to callPool, dropping its references to the
 // caller's memory.
 func recycle(pc *pendingCall) {
-	pc.dest, pc.destN, pc.one[0], pc.win = nil, 0, nil, segSpan{}
+	pc.dest, pc.destN, pc.win = nil, 0, segSpan{}
 	pc.c, pc.id, pc.op = nil, 0, 0
 	callPool.Put(pc)
 }
@@ -696,69 +695,40 @@ type result struct {
 // timing disabled. It never fires on the inline carrier.
 func (c *conn) SetSegWaitHist(h *telemetry.Histogram) { c.segWaitHist = h }
 
-// Call implements rpc.Conn.
+// Call implements rpc.Conn: Start, then Wait.
 func (c *conn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	return c.CallTrace(op, payload, bulk, dir, rpc.Trace{})
+	return rpc.Call(c, op, payload, rpc.Region(bulk), dir, rpc.Trace{})
 }
 
-// CallTrace implements rpc.TraceCaller. The frame carries tr in the
-// trailing trace extension when sampled.
-func (c *conn) CallTrace(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
-	pc := callPool.Get().(*pendingCall)
-	var in [][]byte
-	switch {
-	case bulk == nil:
-		dir = rpc.BulkNone
-	case dir == rpc.BulkIn:
-		pc.one[0] = bulk
-		in = pc.one[:]
-	case dir == rpc.BulkOut:
-		pc.one[0] = bulk
-		pc.dest, pc.destN = pc.one[:], len(bulk)
-	}
-	if err := c.start(pc, op, payload, in, len(bulk), dir, tr); err != nil {
-		return nil, err
-	}
-	return c.await(pc)
-}
-
-// CallScatter implements rpc.ScatterCaller: a BulkOut call whose region
-// is the windows of dest, filled in order.
-func (c *conn) CallScatter(op rpc.Op, payload []byte, dest [][]byte, tr rpc.Trace) ([]byte, error) {
-	pc := callPool.Get().(*pendingCall)
-	pc.dest = dest
-	for _, w := range dest {
-		pc.destN += len(w)
-	}
-	dir := rpc.BulkOut
-	if len(dest) == 0 {
-		dir = rpc.BulkNone
-	}
-	if err := c.start(pc, op, payload, nil, pc.destN, dir, tr); err != nil {
-		return nil, err
-	}
-	return c.await(pc)
-}
-
-// Send implements rpc.SendCaller: a BulkIn call whose region is the
-// windows of src, in order, split at the send. It returns once start has
-// written the frame — inline, every byte of src went through the one
-// writev; by reference, every byte was copied into the call's segment
-// window — so nothing of the transport references src any more. The
-// returned call is the reply handle; its Wait is await.
-func (c *conn) Send(op rpc.Op, payload []byte, src [][]byte, tr rpc.Trace) (rpc.Reply, error) {
+// Start implements rpc.Starter; it is the connection's one entry point.
+// It sets the call's region up once — BulkIn windows for start to send
+// inline from where they lie or copy into a segment window, BulkOut
+// windows for the read loop (inline) or settle (by reference) to fill in
+// order — and runs start. It returns once start has written the frame,
+// so nothing of the transport references a BulkIn window any more. The
+// started call is its own reply; its Wait is await.
+func (c *conn) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) (rpc.Reply, error) {
 	pc := callPool.Get().(*pendingCall)
 	n := 0
-	for _, w := range src {
+	for _, w := range bulk {
 		n += len(w)
 	}
-	if err := c.start(pc, op, payload, src, n, rpc.BulkIn, tr); err != nil {
+	var in [][]byte
+	switch {
+	case len(bulk) == 0:
+		dir = rpc.BulkNone
+	case dir == rpc.BulkIn:
+		in = bulk
+	case dir == rpc.BulkOut:
+		pc.dest, pc.destN = bulk, n
+	}
+	if err := c.start(pc, op, payload, in, n, dir, tr); err != nil {
 		return nil, err
 	}
 	return pc, nil
 }
 
-// Wait implements rpc.Reply for a call Send started.
+// Wait implements rpc.Reply for a call Start started.
 func (pc *pendingCall) Wait() ([]byte, error) { return pc.c.await(pc) }
 
 // start is the first half of every call: reserve a segment window and,

@@ -46,32 +46,31 @@ func TestTraceRoundTripAllTransports(t *testing.T) {
 	srv := newTestServer()
 	rec := newTraceRecorder(srv)
 	for name, c := range connsAgainst(t, srv) {
-		tc, ok := c.(rpc.TraceCaller)
-		if !ok {
-			t.Errorf("%s: connection does not implement rpc.TraceCaller", name)
+		if _, ok := c.(rpc.Starter); !ok {
+			t.Errorf("%s: connection does not implement rpc.Starter", name)
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
 			tr := rpc.Trace{ID: 0xDEADBEEFCAFE0001, Flags: rpc.TraceSampled}
 
-			resp, err := tc.CallTrace(opEcho, []byte("hi"), nil, rpc.BulkNone, tr)
+			resp, err := rpc.Call(c, opEcho, []byte("hi"), nil, rpc.BulkNone, tr)
 			if err != nil || string(resp) != "echo:hi" {
-				t.Fatalf("BulkNone CallTrace = %q, %v", resp, err)
+				t.Fatalf("BulkNone call = %q, %v", resp, err)
 			}
 			if got := rec.take(opEcho); len(got) != 1 || got[0] != tr {
 				t.Fatalf("observer saw %v for BulkNone, want [%v]", got, tr)
 			}
 
-			if _, err := tc.CallTrace(opWrite, nil, make([]byte, 4096), rpc.BulkIn, tr); err != nil {
-				t.Fatalf("BulkIn CallTrace: %v", err)
+			if _, err := rpc.Call(c, opWrite, nil, rpc.Region(make([]byte, 4096)), rpc.BulkIn, tr); err != nil {
+				t.Fatalf("BulkIn call: %v", err)
 			}
 			if got := rec.take(opWrite); len(got) != 1 || got[0] != tr {
 				t.Fatalf("observer saw %v for BulkIn, want [%v]", got, tr)
 			}
 
 			buf := make([]byte, 4096)
-			if _, err := tc.CallTrace(opRead, nil, buf, rpc.BulkOut, tr); err != nil {
-				t.Fatalf("BulkOut CallTrace: %v", err)
+			if _, err := rpc.Call(c, opRead, nil, rpc.Region(buf), rpc.BulkOut, tr); err != nil {
+				t.Fatalf("BulkOut call: %v", err)
 			}
 			if buf[0] != 0x5A || buf[len(buf)-1] != 0x5A {
 				t.Fatalf("BulkOut data not delivered")
@@ -83,7 +82,7 @@ func TestTraceRoundTripAllTransports(t *testing.T) {
 	}
 }
 
-// TestUntracedCallObservedAsZeroTrace asserts plain Call (and CallTrace
+// TestUntracedCallObservedAsZeroTrace asserts plain Call (and rpc.Call
 // with an unsampled trace) reaches the observer with a zero Trace: the
 // wire must not grow a trailer when nothing was sampled.
 func TestUntracedCallObservedAsZeroTrace(t *testing.T) {
@@ -97,11 +96,11 @@ func TestUntracedCallObservedAsZeroTrace(t *testing.T) {
 			if got := rec.take(opEcho); len(got) != 1 || got[0] != (rpc.Trace{}) {
 				t.Fatalf("observer saw %v, want one zero trace", got)
 			}
-			if _, err := rpc.CallTrace(c, opEcho, []byte("y"), nil, rpc.BulkNone, rpc.Trace{}); err != nil {
-				t.Fatalf("unsampled CallTrace: %v", err)
+			if _, err := rpc.Call(c, opEcho, []byte("y"), nil, rpc.BulkNone, rpc.Trace{}); err != nil {
+				t.Fatalf("unsampled call: %v", err)
 			}
 			if got := rec.take(opEcho); len(got) != 1 || got[0] != (rpc.Trace{}) {
-				t.Fatalf("observer saw %v after unsampled CallTrace, want one zero trace", got)
+				t.Fatalf("observer saw %v after an unsampled call, want one zero trace", got)
 			}
 		})
 	}

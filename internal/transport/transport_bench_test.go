@@ -67,9 +67,9 @@ func benchRoundTrip(b *testing.B, c rpc.Conn) {
 
 // benchBulkOutScatter moves two 512 KiB spans — one prefetch group of
 // the client's read path — into two separate buffers, the way a
-// connection without the scatter extension does it (one pooled
-// contiguous region, then a copy per window: rpc.CallScatter's fallback,
-// reached by hiding the extension) and as a scatter list. The difference
+// connection without the Starter extension does it (one pooled
+// contiguous region, then a copy per window: rpc.Call's staging
+// fallback, reached by hiding the extension) and as a scatter list. The difference
 // is the client-side pass over every byte the list removes.
 func benchBulkOutScatter(b *testing.B, c rpc.Conn) {
 	const span = 512 << 10
@@ -82,7 +82,7 @@ func benchBulkOutScatter(b *testing.B, c rpc.Conn) {
 			b.SetBytes(2 * span)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := rpc.CallScatter(tc.conn, opBenchFill, nil, dest, rpc.Trace{}); err != nil {
+				if _, err := rpc.Call(tc.conn, opBenchFill, nil, dest, rpc.BulkOut, rpc.Trace{}); err != nil {
 					b.Fatal(err)
 				}
 			}

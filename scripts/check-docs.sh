@@ -17,6 +17,10 @@
 #     `cmd/…`, `scripts/…`, `docs/…`, `bench/…`, `gekkofs/…`,
 #     `examples/…`) must exist: a `:line` suffix is stripped and a `<N>`
 #     placeholder matches as a glob.
+#  6. The protocol generation docs/ARCHITECTURE.md declares current —
+#     its one "The current protocol generation is vN" sentence; the
+#     historical "(protocol vN)" asides are not statements of it — must
+#     equal proto.ProtocolVersion.
 #
 # Flag extraction covers three shapes:
 #   - backticked `-flags` on lines naming the binary (prose, usage),
@@ -70,6 +74,20 @@ while IFS=$'\t' read -r name _; do
     fail=1
   fi
 done < <("$tmp/gkfs-vet" -list)
+
+# The protocol generation the docs declare current is the code's.
+code_proto=$(sed -nE 's/^const ProtocolVersion uint16 = ([0-9]+)$/\1/p' internal/proto/proto.go)
+doc_proto=$(grep -oE 'The current protocol generation is v[0-9]+' docs/ARCHITECTURE.md | grep -oE '[0-9]+$' || true)
+if [ -z "$code_proto" ]; then
+  echo "no 'const ProtocolVersion uint16 = N' in internal/proto/proto.go — extraction is broken"
+  fail=1
+elif [ "$(printf '%s\n' "$doc_proto" | grep -c .)" -ne 1 ]; then
+  echo "docs/ARCHITECTURE.md must say 'The current protocol generation is vN' exactly once"
+  fail=1
+elif [ "$doc_proto" != "$code_proto" ]; then
+  echo "docs/ARCHITECTURE.md declares protocol v$doc_proto current; proto.ProtocolVersion is $code_proto"
+  fail=1
+fi
 
 docs=(README.md docs/*.md)
 
@@ -130,4 +148,4 @@ if [ "$fail" -ne 0 ]; then
   echo "docs check failed"
   exit 1
 fi
-echo "docs check OK: package comments present, documented flags and paths exist"
+echo "docs check OK: package comments present, documented flags and paths exist, protocol generation current"
