@@ -15,7 +15,7 @@ import (
 // client.Mount).
 var (
 	daemonWiring = map[string]bool{"ID": true, "FS": true, "ShmSocket": true}
-	clientWiring = map[string]bool{"Conns": true, "Dist": true, "ChunkSize": true}
+	clientWiring = map[string]bool{"Conns": true, "ChunkSize": true}
 )
 
 // nonZeroFields names the fields of the struct v that differ from their
@@ -58,7 +58,7 @@ func TestEveryTunableIsReachable(t *testing.T) {
 	var cfg config
 	for _, opt := range []Option{
 		WithNodes(7), WithChunkSize(7), WithDataDir("d"), WithSyncWAL(),
-		WithSizeUpdateCache(7), WithDistributor("d"), WithReplicas(7),
+		WithSizeUpdateCache(7), WithReplicas(7),
 		WithTransport("shm"), WithAsyncWrites(), WithReadAhead(),
 		WithStageIn("h", "f", nil), WithStageOutOnClose("f", "h", nil),
 		WithTelemetry(7),

@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/daemon"
-	"repro/internal/distributor"
 	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/rpc"
@@ -105,17 +104,16 @@ type StageReport = staging.Report
 
 // config is what the options write. Every knob is documented once, on
 // the With* option that sets it; New fills in the per-daemon and
-// per-mount wiring (daemon ID, FS and ShmSocket; client Conns, Dist and
+// per-mount wiring (daemon ID, FS and ShmSocket; client Conns and
 // ChunkSize).
 type config struct {
-	nodes       int
-	dataDir     string
-	distributor string
-	transport   string
-	daemon      daemon.Config
-	client      client.Config
-	stageIn     *stageSpec
-	stageOut    *stageSpec
+	nodes     int
+	dataDir   string
+	transport string
+	daemon    daemon.Config
+	client    client.Config
+	stageIn   *stageSpec
+	stageOut  *stageSpec
 }
 
 // stageSpec names one directory-tree transfer between the host file
@@ -157,11 +155,6 @@ func WithSyncWAL() Option { return func(c *config) { c.daemon.SyncWAL = true } }
 // and flushed every ops writes (and on close/sync). Trade-off: another
 // client's stat may briefly observe a smaller size.
 func WithSizeUpdateCache(ops int) Option { return func(c *config) { c.client.SizeCacheOps = ops } }
-
-// WithDistributor selects the placement pattern: "simplehash" (paper
-// default) or "guided-first-chunk" (ablation A2 in DESIGN.md). An
-// unknown name fails New.
-func WithDistributor(name string) Option { return func(c *config) { c.distributor = name } }
 
 // WithReplicas sets the chunk replication factor R (default 1, i.e.
 // off). Every chunk is written to R daemons — its hash-placed primary
@@ -401,10 +394,6 @@ func (cl *Cluster) startDaemon(i int) (*daemon.Daemon, error) {
 // the cluster's to close — on Close, or here when the mount fails part
 // way.
 func (cl *Cluster) newClient() (_ *client.Client, err error) {
-	dist, err := distributor.New(cl.cfg.distributor, cl.cfg.nodes)
-	if err != nil {
-		return nil, fmt.Errorf("gekkofs: %w", err)
-	}
 	conns := make([]rpc.Conn, 0, cl.cfg.nodes)
 	defer func() {
 		if err != nil {
@@ -426,7 +415,7 @@ func (cl *Cluster) newClient() (_ *client.Client, err error) {
 		conns = append(conns, conn)
 	}
 	ccfg := cl.cfg.client
-	ccfg.Conns, ccfg.Dist, ccfg.ChunkSize = conns, dist, cl.ChunkSize()
+	ccfg.Conns, ccfg.ChunkSize = conns, cl.ChunkSize()
 	c, err := client.New(ccfg)
 	if err != nil {
 		return nil, err

@@ -741,33 +741,6 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 }
 
-func TestUnknownDistributorRejectedAtMount(t *testing.T) {
-	if _, err := gekkofs.New(gekkofs.WithDistributor("nonsense")); err == nil {
-		t.Fatal("unknown distributor accepted")
-	}
-}
-
-func TestGuidedDistributor(t *testing.T) {
-	cl, err := gekkofs.New(gekkofs.WithNodes(4), gekkofs.WithChunkSize(4096),
-		gekkofs.WithDistributor("guided-first-chunk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	fs, err := cl.Mount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte{7}, 100000)
-	if err := fs.WriteFile("/g", data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadFile("/g")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("guided distributor round trip failed: %d bytes, %v", len(got), err)
-	}
-}
-
 func TestEmptyFileAndZeroLengthIO(t *testing.T) {
 	_, fs := newCluster(t)
 	if err := fs.WriteFile("/empty", nil); err != nil {

@@ -51,12 +51,10 @@ var ErrBadFD = errors.New("gekkofs: bad file descriptor")
 
 // Config wires a client to a cluster.
 type Config struct {
-	// Conns are connections to every daemon, indexed like the
-	// distributor's node space.
+	// Conns are connections to every daemon, indexed by daemon id:
+	// paths and chunks resolve to daemons by the paper's hashing over
+	// len(Conns) (distributor.SimpleHash).
 	Conns []rpc.Conn
-	// Dist resolves paths and chunks to daemons. Nil selects the paper's
-	// SimpleHash over len(Conns).
-	Dist distributor.Distributor
 	// ChunkSize is the deployment's chunk size. Zero learns it from the
 	// daemons at mount time (VerifyProtocol; the 512 KiB default until
 	// then); a set value is checked against theirs instead.
@@ -101,6 +99,8 @@ type Client struct {
 	// cfg is the Config New was given, normalised — the only copy of
 	// every tunable: the code reads c.cfg.X where the knob takes effect.
 	cfg Config
+	// dist resolves paths and chunks to indexes into cfg.Conns.
+	dist *distributor.SimpleHash
 	// adoptChunk: Config.ChunkSize was left zero, so VerifyProtocol
 	// replaces cfg.ChunkSize with the daemons' instead of checking theirs.
 	adoptChunk  bool
@@ -160,13 +160,6 @@ func New(cfg Config) (*Client, error) {
 	if len(cfg.Conns) == 0 {
 		return nil, errors.New("client: no daemon connections")
 	}
-	if cfg.Dist == nil {
-		cfg.Dist = distributor.NewSimpleHash(len(cfg.Conns))
-	}
-	if cfg.Dist.Nodes() != len(cfg.Conns) {
-		return nil, fmt.Errorf("client: distributor spans %d nodes, have %d conns",
-			cfg.Dist.Nodes(), len(cfg.Conns))
-	}
 	adopt := cfg.ChunkSize == 0
 	if adopt {
 		cfg.ChunkSize = meta.DefaultChunkSize // until VerifyProtocol asks the daemons
@@ -186,6 +179,7 @@ func New(cfg Config) (*Client, error) {
 	}
 	c := &Client{
 		cfg:         cfg,
+		dist:        distributor.NewSimpleHash(len(cfg.Conns)),
 		adoptChunk:  adopt,
 		readDirPage: proto.DefaultReadDirPage,
 		health:      make([]daemonHealth, len(cfg.Conns)),
@@ -307,7 +301,7 @@ func (c *Client) metaOp(op *proto.MetaOp) (proto.MetaResult, error) {
 	e := rpc.NewEnc(len(op.Path) + 24)
 	proto.EncodeMetaOpBody(e, op)
 	var r proto.MetaResult
-	d, err := c.call(c.cfg.Dist.MetaTarget(op.Path), rpc.Op(op.Kind), e.Bytes(), rpc.BulkNone)
+	d, err := c.call(c.dist.MetaTarget(op.Path), rpc.Op(op.Kind), e.Bytes(), rpc.BulkNone)
 	if err != nil {
 		return r, err
 	}

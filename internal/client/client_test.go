@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/daemon"
-	"repro/internal/distributor"
 	"repro/internal/rpc"
 	"repro/internal/transport"
 	"repro/internal/vfs"
@@ -51,9 +50,6 @@ func TestConfigValidation(t *testing.T) {
 	defer d.Close()
 	net.Register(0, d.Server())
 	conn, _ := net.Dial(0)
-	if _, err := New(Config{Conns: []rpc.Conn{conn}, Dist: distributor.NewSimpleHash(5)}); err == nil {
-		t.Fatal("distributor/conn mismatch accepted")
-	}
 	if _, err := New(Config{Conns: []rpc.Conn{conn}, ChunkSize: -4}); err == nil {
 		t.Fatal("negative chunk size accepted")
 	}

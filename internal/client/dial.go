@@ -7,7 +7,6 @@ import (
 	"time"
 	"unicode"
 
-	"repro/internal/distributor"
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/transport"
@@ -94,27 +93,21 @@ type Target struct {
 	Transport string
 	// Conns is the number of striped transport connections per daemon.
 	Conns int
-	// Distributor names the placement pattern (distributor.New).
-	Distributor string
 	// Timeout bounds one RPC.
 	Timeout time.Duration
 }
 
 // Mount is the one way a tool becomes a client of a running deployment:
-// split the address list, build the distributor over it, dial every
-// daemon (DialDaemons), build the client, verify every daemon is the one
-// the list says it is and learn the chunk size from them
-// (VerifyProtocol), and make sure the namespace root exists. cfg carries
-// the tunables; its Conns and Dist are filled in here, its ChunkSize is
-// normally left zero. The returned function closes the connections.
+// split the address list, dial every daemon (DialDaemons), build the
+// client, verify every daemon is the one the list says it is and learn
+// the chunk size from them (VerifyProtocol), and make sure the namespace
+// root exists. cfg carries the tunables; its Conns are filled in here,
+// its ChunkSize is normally left zero. The returned function closes the
+// connections.
 func Mount(t Target, cfg Config) (*Client, func(), error) {
 	addrs := strings.FieldsFunc(t.Daemons, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 	if len(addrs) == 0 {
 		return nil, nil, errors.New("mount: no daemon addresses given")
-	}
-	dist, err := distributor.New(t.Distributor, len(addrs))
-	if err != nil {
-		return nil, nil, fmt.Errorf("mount: %w", err)
 	}
 	conns, err := DialDaemons(addrs, t.Transport, t.Timeout, t.Conns, cfg.Replicas)
 	if err != nil {
@@ -125,7 +118,7 @@ func Mount(t Target, cfg Config) (*Client, func(), error) {
 			conn.Close()
 		}
 	}
-	cfg.Conns, cfg.Dist = conns, dist
+	cfg.Conns = conns
 	c, err := New(cfg)
 	if err == nil {
 		err = c.VerifyProtocol()

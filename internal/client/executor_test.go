@@ -143,7 +143,7 @@ func TestDataPathErrorsNameOpPathDaemon(t *testing.T) {
 				}
 			}
 		}
-		owner := c.cfg.Dist.MetaTarget("/dir")
+		owner := c.dist.MetaTarget("/dir")
 		// A daemon's own answer surfaces as itself, attributed.
 		_, err = c.ReadSnapshot("/dir", LiveEpoch, buf, 0)
 		check("read of a directory", err, proto.ErrIsDir, "read /dir: ", daemonTag(owner))
@@ -151,13 +151,13 @@ func TestDataPathErrorsNameOpPathDaemon(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = c.ReadAt(fd, buf, 0)
-		check("read of a removed file", err, proto.ErrNotExist, "read /f: ", daemonTag(c.cfg.Dist.MetaTarget(path)))
+		check("read of a removed file", err, proto.ErrNotExist, "read /f: ", daemonTag(c.dist.MetaTarget(path)))
 
 		// Every daemon severed: no replica of chunk 0 is left.
 		for _, conn := range c.cfg.Conns {
 			conn.(*severableConn).dead.Store(true)
 		}
-		primary := c.cfg.Dist.ChunkTarget(path, 0)
+		primary := c.dist.ChunkTarget(path, 0)
 		_, err = c.ReadAt(fd, buf, 0)
 		check("read, daemons severed", err, ErrDegraded, "read /f: ", daemonTag(primary))
 		check("read, daemons severed", err, errSevered)

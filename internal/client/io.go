@@ -91,7 +91,7 @@ func (g *targetGroup) windows(p []byte) [][]byte {
 func (c *Client) groupByTarget(path string, off, n int64) []*targetGroup {
 	var groups []*targetGroup
 	for _, s := range meta.Slices(off, n, c.cfg.ChunkSize) {
-		tgt := c.cfg.Dist.ChunkTarget(path, s.ID)
+		tgt := c.dist.ChunkTarget(path, s.ID)
 		g := lastGroup(groups, tgt)
 		if g == nil || g.bytes+s.Len > rpc.MaxBulk {
 			g = &targetGroup{target: tgt}
@@ -314,7 +314,7 @@ func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64
 	n := int64(len(p))
 	groups := c.groupByTarget(path, off, n)
 	wantSize := off+n > floor
-	owner := c.cfg.Dist.MetaTarget(path)
+	owner := c.dist.MetaTarget(path)
 	var sized *targetGroup
 	for _, g := range groups {
 		g.chain = c.chunkChain(path, g, epoch)
@@ -399,7 +399,7 @@ func (c *Client) readSpans(of *openFile, p []byte, off int64) (int, error) {
 // mount's placement and replication factor, primary first — what
 // ReadChunkFrom is pointed at to interrogate each copy.
 func (c *Client) ReplicaChain(path string, id meta.ChunkID) []int {
-	return c.cfg.Dist.ChunkReplicas(path, id, c.cfg.Replicas)
+	return c.dist.ChunkReplicas(path, id, c.cfg.Replicas)
 }
 
 // ReadChunkFrom reads [0, len(p)) of one chunk of path as of epoch

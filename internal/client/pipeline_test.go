@@ -358,7 +358,7 @@ func TestAsyncCrashMidWindowLatchesOnce(t *testing.T) {
 	// flush itself succeeds.
 	path := ""
 	for _, cand := range []string{"/f0", "/f1", "/f2", "/f3", "/f4", "/f5"} {
-		if c.cfg.Dist.MetaTarget(cand) == 0 {
+		if c.dist.MetaTarget(cand) == 0 {
 			path = cand
 			break
 		}
@@ -374,7 +374,7 @@ func TestAsyncCrashMidWindowLatchesOnce(t *testing.T) {
 	payload := make([]byte, 64*32) // chunks 0..31, hash-spread over 3 nodes
 	hits := 0
 	for id := int64(0); id < 32; id++ {
-		if c.cfg.Dist.ChunkTarget(path, meta.ChunkID(id)) == 2 {
+		if c.dist.ChunkTarget(path, meta.ChunkID(id)) == 2 {
 			hits++
 		}
 	}
@@ -407,7 +407,7 @@ func TestAsyncErrorSurfacesOnWrite(t *testing.T) {
 	c, daemons := tcpPipelineCluster(t, 2, Config{ChunkSize: 64, AsyncWrites: true})
 	path := ""
 	for _, cand := range []string{"/g0", "/g1", "/g2", "/g3"} {
-		if c.cfg.Dist.MetaTarget(cand) == 0 {
+		if c.dist.MetaTarget(cand) == 0 {
 			path = cand
 			break
 		}
@@ -493,10 +493,10 @@ func TestStatFreeReadRPCCount(t *testing.T) {
 			}
 		}
 
-		owner := c.cfg.Dist.MetaTarget(path)
+		owner := c.dist.MetaTarget(path)
 		onOwner, offOwner := int64(-1), int64(-1)
 		for id := int64(0); id < 6; id++ {
-			if c.cfg.Dist.ChunkTarget(path, meta.ChunkID(id)) == owner {
+			if c.dist.ChunkTarget(path, meta.ChunkID(id)) == owner {
 				onOwner = id
 			} else {
 				offOwner = id
@@ -535,7 +535,7 @@ func TestStatFreeReadRPCCount(t *testing.T) {
 					want := make([]uint64, nodes)
 					probe := mode != "fd" || tc.off+tc.n > int64(len(live))
 					for _, s := range meta.Slices(tc.off, tc.n, cs) {
-						primary := c.cfg.Dist.ChunkTarget(path, s.ID)
+						primary := c.dist.ChunkTarget(path, s.ID)
 						want[primary] = 1
 						if primary == owner && (replicas == 1 || atEpoch) {
 							probe = false

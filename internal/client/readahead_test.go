@@ -414,7 +414,7 @@ func TestReadSurfacesLatchedError(t *testing.T) {
 	c, daemons := tcpPipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true})
 	path := ""
 	for _, cand := range []string{"/r0", "/r1", "/r2", "/r3", "/r4"} {
-		if c.cfg.Dist.MetaTarget(cand) == 0 {
+		if c.dist.MetaTarget(cand) == 0 {
 			path = cand
 			break
 		}
@@ -429,7 +429,7 @@ func TestReadSurfacesLatchedError(t *testing.T) {
 	payload := make([]byte, 64*32) // spans all daemons
 	hits := 0
 	for id := int64(0); id < 32; id++ {
-		if c.cfg.Dist.ChunkTarget(path, meta.ChunkID(id)) == 2 {
+		if c.dist.ChunkTarget(path, meta.ChunkID(id)) == 2 {
 			hits++
 		}
 	}

@@ -118,7 +118,7 @@ func TestOwnTruncateRace(t *testing.T) {
 
 func ownTruncateRace(t *testing.T, cfg Config, path, discard, arm string, size int) {
 	c, _, mount := pipelineCluster(t, 2, cfg)
-	owner := c.cfg.Dist.MetaTarget(path)
+	owner := c.dist.MetaTarget(path)
 	hold := &holdConn{Conn: c.cfg.Conns[owner], held: make(chan struct{}), release: make(chan struct{})}
 	fd, err := c.Open(path, O_CREATE|O_RDWR)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestOwnGrowOutlivesLateAnswers(t *testing.T) {
 			if n, err := c.ReadAt(fd, make([]byte, cs), 0); n != size || err != io.EOF {
 				t.Fatalf("read to the end = %d, %v; want %d, EOF", n, err, size)
 			}
-			owner := c.cfg.Dist.MetaTarget(path)
+			owner := c.dist.MetaTarget(path)
 			hold := &holdConn{Conn: c.cfg.Conns[owner], held: make(chan struct{}), release: make(chan struct{})}
 			defer hold.free()
 			c.cfg.Conns[owner] = hold
@@ -279,10 +279,10 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	const cs, nodes, path = 64, 4, "/data"
 	c, _, _ := pipelineCluster(t, nodes, Config{ChunkSize: cs})
 	log := logCalls(c)
-	owner := c.cfg.Dist.MetaTarget(path)
+	owner := c.dist.MetaTarget(path)
 	onOwner, offOwner := int64(-1), int64(-1)
 	for id := int64(0); id < 8; id++ {
-		if c.cfg.Dist.ChunkTarget(path, meta.ChunkID(id)) == owner {
+		if c.dist.ChunkTarget(path, meta.ChunkID(id)) == owner {
 			onOwner = id
 		} else {
 			offOwner = id
@@ -291,7 +291,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	if onOwner < 0 || offOwner < 0 {
 		t.Fatalf("degenerate placement: onOwner=%d offOwner=%d", onOwner, offOwner)
 	}
-	away := c.cfg.Dist.ChunkTarget(path, meta.ChunkID(offOwner))
+	away := c.dist.ChunkTarget(path, meta.ChunkID(offOwner))
 	const size = 8 * cs
 
 	fd, err := c.Open(path, O_CREATE|O_RDWR)
@@ -322,7 +322,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 
 	// The first write of a fresh file extends it: data, then size.
 	write(size - 32)
-	expect("extending write", call(c.cfg.Dist.ChunkTarget(path, 7), proto.OpWriteChunks), call(owner, proto.OpUpdateSize))
+	expect("extending write", call(c.dist.ChunkTarget(path, 7), proto.OpWriteChunks), call(owner, proto.OpUpdateSize))
 	if err := c.Fsync(fd); err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	read(onOwner*cs, 32, nil)
 	expect("read below the floor, chunk on the owner", call(owner, proto.OpReadChunks))
 	write(size - 32)
-	expect("rewrite ending exactly at the floor", call(c.cfg.Dist.ChunkTarget(path, 7), proto.OpWriteChunks))
+	expect("rewrite ending exactly at the floor", call(c.dist.ChunkTarget(path, 7), proto.OpWriteChunks))
 
 	if st := c.Stats(); st.SizeUpdatesElided != 3 || st.SizeProbesElided != 2 {
 		t.Fatalf("stats = %+v; want 3 size updates and 2 size probes elided", st)
@@ -358,7 +358,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	// Reaching past the floor takes the full protocol again: the read asks
 	// for the size with its data (a probe joins when the chunk is not the
 	// owner's), the write reports the new end.
-	tail := c.cfg.Dist.ChunkTarget(path, 7)
+	tail := c.dist.ChunkTarget(path, 7)
 	wantRead := []string{call(tail, proto.OpReadChunks)}
 	if tail != owner {
 		wantRead = append(wantRead, call(owner, proto.OpReadChunks))
@@ -373,9 +373,9 @@ func TestSizeFloorRPCCount(t *testing.T) {
 		t.Fatalf("read crossing the floor: RPCs %v, want %v", got, wantRead)
 	}
 	write(size)
-	expect("write past the floor", call(c.cfg.Dist.ChunkTarget(path, 8), proto.OpWriteChunks), call(owner, proto.OpUpdateSize))
+	expect("write past the floor", call(c.dist.ChunkTarget(path, 8), proto.OpWriteChunks), call(owner, proto.OpUpdateSize))
 	write(size)
-	expect("the same write again", call(c.cfg.Dist.ChunkTarget(path, 8), proto.OpWriteChunks))
+	expect("the same write again", call(c.dist.ChunkTarget(path, 8), proto.OpWriteChunks))
 
 	if err := c.Close(fd); err != nil {
 		t.Fatal(err)
@@ -557,7 +557,7 @@ func TestOwnTruncateRemoveLowerFloor(t *testing.T) {
 	if _, err := c.WriteAt(fd2, []byte{4}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := log.take(); len(got) != 2 || got[1] != call(c.cfg.Dist.MetaTarget(path), proto.OpUpdateSize) {
+	if got := log.take(); len(got) != 2 || got[1] != call(c.dist.MetaTarget(path), proto.OpUpdateSize) {
 		t.Fatalf("write after own remove: RPCs %v; want the chunk write and a size update", got)
 	}
 }

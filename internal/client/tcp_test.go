@@ -153,7 +153,7 @@ func TestDataPathSyncWriteSendsSplitGroupUnstaged(t *testing.T) {
 	c, _ := tcpPipelineCluster(t, 2, Config{ChunkSize: cs})
 	path := ""
 	for i := 0; path == "" && i < 1000; i++ {
-		cand, d := fmt.Sprintf("/split%d", i), c.cfg.Dist
+		cand, d := fmt.Sprintf("/split%d", i), c.dist
 		if t0 := d.ChunkTarget(cand, 0); t0 == d.ChunkTarget(cand, 2) && t0 != d.ChunkTarget(cand, 1) {
 			path = cand
 		}

@@ -26,7 +26,7 @@ func (c *Client) batchMeta(ops []proto.MetaOp) ([]proto.MetaResult, []error) {
 	errs := make([]error, len(ops))
 	shards := make(map[int][]int, len(c.cfg.Conns)) // node → indices into ops
 	for i := range ops {
-		node := c.cfg.Dist.MetaTarget(ops[i].Path)
+		node := c.dist.MetaTarget(ops[i].Path)
 		shards[node] = append(shards[node], i)
 	}
 	var wg sync.WaitGroup

@@ -469,7 +469,7 @@ func TestRemoveCollectsUnpublishedWrites(t *testing.T) {
 			if err := c.Remove("/idle"); err != nil {
 				t.Fatal(err)
 			}
-			want := []string{call(c.cfg.Dist.MetaTarget("/idle"), proto.OpRemoveMeta)}
+			want := []string{call(c.dist.MetaTarget("/idle"), proto.OpRemoveMeta)}
 			if got := log.take(); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("removing a never-written file sent %v, want %v", got, want)
 			}

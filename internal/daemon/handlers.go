@@ -261,7 +261,7 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	counts := make([]int64, len(spans))
 	if total > 0 {
 		// The transport's outgoing bulk region is the pread destination
-		// itself — no staging copy, no Push.
+		// itself — no staging copy.
 		data, werr := bulk.Writable(int(total))
 		if werr != nil {
 			return nil, werr

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/daemon"
-	"repro/internal/distributor"
 	"repro/internal/kvstore"
 	"repro/internal/proto"
 	"repro/internal/rpc"
@@ -58,11 +57,7 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := distributor.New("simplehash", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := client.New(client.Config{Conns: []rpc.Conn{conn}, Dist: dist})
+	c, err := client.New(client.Config{Conns: []rpc.Conn{conn}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/daemon"
-	"repro/internal/distributor"
 	"repro/internal/rpc"
 	"repro/internal/staging"
 	"repro/internal/transport"
@@ -142,11 +141,7 @@ func startCrashCluster(t *testing.T, nodes int) *crashCluster {
 		})
 		t.Cleanup(func(conn rpc.Conn) func() { return func() { conn.Close() } }(conns[i]))
 	}
-	dist, err := distributor.New("simplehash", nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := client.New(client.Config{Conns: conns, Dist: dist, ChunkSize: 1024})
+	c, err := client.New(client.Config{Conns: conns, ChunkSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

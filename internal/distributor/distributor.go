@@ -3,41 +3,19 @@
 // daemon responsible for a path or a chunk locally, by hashing, so the file
 // system needs no central placement tables.
 //
-// The paper's released system hashes the path for metadata and the pair
-// (path, chunkID) for data. The paper's conclusion lists "explore different
-// data distribution patterns" as future work; this package therefore also
-// provides two alternative placements (GuidedFirstChunk and LocalFirst)
-// which the ablation experiment A2 compares.
+// SimpleHash is the paper's released placement: the path hashed for
+// metadata, the pair (path, chunkID) for data. It is the only placement —
+// a client resolving differently from its peers would look for bytes in
+// the wrong daemon — and the write-local alternative the paper contrasts
+// it with (BurstFS, §II) lives in the model only (simcluster's
+// LocalWrites, ablation A2).
 package distributor
 
 import (
-	"fmt"
 	"hash/fnv"
 
 	"repro/internal/meta"
 )
-
-// Distributor decides which daemon owns a path's metadata and a chunk's
-// data. Implementations must be deterministic pure functions of their
-// inputs so that every client resolves identically.
-type Distributor interface {
-	// Nodes returns the total number of daemons the distributor spreads
-	// over.
-	Nodes() int
-	// MetaTarget returns the daemon index owning the metadata of path.
-	MetaTarget(path string) int
-	// ChunkTarget returns the daemon index owning chunk id of path.
-	ChunkTarget(path string, id meta.ChunkID) int
-	// ChunkReplicas returns the r daemon indexes holding chunk id of
-	// path: the primary (identical to ChunkTarget) first, then r−1
-	// distinct successors. r is clamped to Nodes(); r ≤ 1 returns
-	// exactly [ChunkTarget(path, id)], reproducing the unreplicated
-	// placement bit-for-bit. The returned indexes are always pairwise
-	// distinct.
-	ChunkReplicas(path string, id meta.ChunkID, r int) []int
-	// Name identifies the distribution pattern in reports.
-	Name() string
-}
 
 // successors returns [primary, primary+1, ..., primary+r-1] mod n with r
 // clamped to [1, n]. Placing replicas on the ring successors of the
@@ -56,22 +34,6 @@ func successors(primary, n, r int) []int {
 		out[k] = (primary + k) % n
 	}
 	return out
-}
-
-// New returns the named distribution pattern over n daemons: "" or
-// "simplehash" for the paper's hashing, "guided-first-chunk" for the
-// co-located first-chunk variant. It is the single name→pattern mapping
-// shared by the cluster orchestrator and the CLIs, so a new pattern
-// becomes reachable everywhere at once.
-func New(name string, n int) (Distributor, error) {
-	switch name {
-	case "", "simplehash":
-		return NewSimpleHash(n), nil
-	case "guided-first-chunk":
-		return NewGuidedFirstChunk(n), nil
-	default:
-		return nil, fmt.Errorf("distributor: unknown pattern %q", name)
-	}
 }
 
 // hashPath hashes a path with FNV-1a, the same family of cheap
@@ -110,105 +72,21 @@ func NewSimpleHash(n int) *SimpleHash {
 	return &SimpleHash{n: n}
 }
 
-// Nodes implements Distributor.
-func (d *SimpleHash) Nodes() int { return d.n }
-
-// Name implements Distributor.
-func (d *SimpleHash) Name() string { return "simplehash" }
-
-// MetaTarget implements Distributor.
+// MetaTarget returns the daemon index owning the metadata of path.
 func (d *SimpleHash) MetaTarget(path string) int {
 	return int(hashPath(path) % uint64(d.n))
 }
 
-// ChunkTarget implements Distributor.
+// ChunkTarget returns the daemon index owning chunk id of path.
 func (d *SimpleHash) ChunkTarget(path string, id meta.ChunkID) int {
 	return int(hashPathChunk(path, id) % uint64(d.n))
 }
 
-// ChunkReplicas implements Distributor.
+// ChunkReplicas returns the r daemon indexes holding chunk id of path:
+// the primary (identical to ChunkTarget) first, then r−1 distinct
+// successors. r is clamped to the daemon count; r ≤ 1 returns exactly
+// [ChunkTarget(path, id)], reproducing the unreplicated placement
+// bit-for-bit. The returned indexes are always pairwise distinct.
 func (d *SimpleHash) ChunkReplicas(path string, id meta.ChunkID, r int) []int {
-	return successors(d.ChunkTarget(path, id), d.n, r)
-}
-
-// GuidedFirstChunk places chunk 0 of every file on the file's metadata
-// node and spreads the remaining chunks by hash. Small files (≤ 1 chunk)
-// then need a single daemon for create+write+stat, halving RPC fan-out for
-// the metadata-heavy small-file workloads of the paper's introduction, at
-// the cost of slightly less uniform data placement.
-type GuidedFirstChunk struct {
-	n int
-}
-
-// NewGuidedFirstChunk returns a GuidedFirstChunk over n daemons.
-func NewGuidedFirstChunk(n int) *GuidedFirstChunk {
-	if n <= 0 {
-		panic("distributor: node count must be positive")
-	}
-	return &GuidedFirstChunk{n: n}
-}
-
-// Nodes implements Distributor.
-func (d *GuidedFirstChunk) Nodes() int { return d.n }
-
-// Name implements Distributor.
-func (d *GuidedFirstChunk) Name() string { return "guided-first-chunk" }
-
-// MetaTarget implements Distributor.
-func (d *GuidedFirstChunk) MetaTarget(path string) int {
-	return int(hashPath(path) % uint64(d.n))
-}
-
-// ChunkTarget implements Distributor.
-func (d *GuidedFirstChunk) ChunkTarget(path string, id meta.ChunkID) int {
-	if id == 0 {
-		return d.MetaTarget(path)
-	}
-	return int(hashPathChunk(path, id) % uint64(d.n))
-}
-
-// ChunkReplicas implements Distributor.
-func (d *GuidedFirstChunk) ChunkReplicas(path string, id meta.ChunkID, r int) []int {
-	return successors(d.ChunkTarget(path, id), d.n, r)
-}
-
-// LocalFirst writes every chunk to the issuing client's own node,
-// emulating BurstFS's "write local" placement (the paper contrasts GekkoFS
-// against it in §II). Reads from other nodes then pay the remote cost.
-// LocalFirst is parameterized per client; construct one per client node.
-type LocalFirst struct {
-	n     int
-	local int
-}
-
-// NewLocalFirst returns a LocalFirst distributor for a client running on
-// daemon index local out of n daemons.
-func NewLocalFirst(n, local int) *LocalFirst {
-	if n <= 0 {
-		panic("distributor: node count must be positive")
-	}
-	if local < 0 || local >= n {
-		panic(fmt.Sprintf("distributor: local index %d out of range [0,%d)", local, n))
-	}
-	return &LocalFirst{n: n, local: local}
-}
-
-// Nodes implements Distributor.
-func (d *LocalFirst) Nodes() int { return d.n }
-
-// Name implements Distributor.
-func (d *LocalFirst) Name() string { return "local-first" }
-
-// MetaTarget implements Distributor: metadata stays hash-distributed so
-// stats from any node still resolve without a broadcast.
-func (d *LocalFirst) MetaTarget(path string) int {
-	return int(hashPath(path) % uint64(d.n))
-}
-
-// ChunkTarget implements Distributor.
-func (d *LocalFirst) ChunkTarget(string, meta.ChunkID) int { return d.local }
-
-// ChunkReplicas implements Distributor.
-func (d *LocalFirst) ChunkReplicas(path string, id meta.ChunkID, r int) []int {
 	return successors(d.ChunkTarget(path, id), d.n, r)
 }

@@ -71,37 +71,6 @@ func TestChunkSpread(t *testing.T) {
 	}
 }
 
-func TestGuidedFirstChunk(t *testing.T) {
-	const n = 16
-	d := NewGuidedFirstChunk(n)
-	for i := 0; i < 200; i++ {
-		p := fmt.Sprintf("/out/f%d", i)
-		if d.ChunkTarget(p, 0) != d.MetaTarget(p) {
-			t.Fatalf("chunk 0 of %q not co-located with metadata", p)
-		}
-	}
-	// Later chunks must still spread.
-	seen := make(map[int]bool)
-	for c := meta.ChunkID(1); c < 512; c++ {
-		seen[d.ChunkTarget("/out/large", c)] = true
-	}
-	if len(seen) < n/2 {
-		t.Fatalf("tail chunks hit only %d/%d daemons", len(seen), n)
-	}
-}
-
-func TestLocalFirst(t *testing.T) {
-	d := NewLocalFirst(8, 3)
-	for c := meta.ChunkID(0); c < 100; c++ {
-		if got := d.ChunkTarget("/x", c); got != 3 {
-			t.Fatalf("ChunkTarget = %d, want 3", got)
-		}
-	}
-	if tgt := d.MetaTarget("/x"); tgt < 0 || tgt >= 8 {
-		t.Fatalf("MetaTarget out of range: %d", tgt)
-	}
-}
-
 func TestConstructorsPanicOnBadArgs(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -112,41 +81,27 @@ func TestConstructorsPanicOnBadArgs(t *testing.T) {
 		f()
 	}
 	mustPanic("NewSimpleHash(0)", func() { NewSimpleHash(0) })
-	mustPanic("NewGuidedFirstChunk(-1)", func() { NewGuidedFirstChunk(-1) })
-	mustPanic("NewLocalFirst(4,9)", func() { NewLocalFirst(4, 9) })
-	mustPanic("NewLocalFirst(0,0)", func() { NewLocalFirst(0, 0) })
-}
-
-func TestNames(t *testing.T) {
-	if NewSimpleHash(1).Name() == "" || NewGuidedFirstChunk(1).Name() == "" || NewLocalFirst(1, 0).Name() == "" {
-		t.Fatal("empty distributor name")
-	}
+	mustPanic("NewSimpleHash(-1)", func() { NewSimpleHash(-1) })
 }
 
 func TestChunkReplicasDistinct(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 16} {
-		for _, mk := range []func() Distributor{
-			func() Distributor { return NewSimpleHash(n) },
-			func() Distributor { return NewGuidedFirstChunk(n) },
-			func() Distributor { return NewLocalFirst(n, 0) },
-		} {
-			d := mk()
-			for r := 1; r <= n; r++ {
-				for c := meta.ChunkID(0); c < 64; c++ {
-					reps := d.ChunkReplicas("/data/f", c, r)
-					if len(reps) != r {
-						t.Fatalf("%s n=%d r=%d: got %d replicas", d.Name(), n, r, len(reps))
+		d := NewSimpleHash(n)
+		for r := 1; r <= n; r++ {
+			for c := meta.ChunkID(0); c < 64; c++ {
+				reps := d.ChunkReplicas("/data/f", c, r)
+				if len(reps) != r {
+					t.Fatalf("n=%d r=%d: got %d replicas", n, r, len(reps))
+				}
+				seen := make(map[int]bool, r)
+				for _, node := range reps {
+					if node < 0 || node >= n {
+						t.Fatalf("n=%d r=%d: replica %d out of range", n, r, node)
 					}
-					seen := make(map[int]bool, r)
-					for _, node := range reps {
-						if node < 0 || node >= n {
-							t.Fatalf("%s n=%d r=%d: replica %d out of range", d.Name(), n, r, node)
-						}
-						if seen[node] {
-							t.Fatalf("%s n=%d r=%d: duplicate replica %d in %v", d.Name(), n, r, node, reps)
-						}
-						seen[node] = true
+					if seen[node] {
+						t.Fatalf("n=%d r=%d: duplicate replica %d in %v", n, r, node, reps)
 					}
+					seen[node] = true
 				}
 			}
 		}
@@ -163,12 +118,6 @@ func TestChunkReplicasR1Identity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-	g := NewGuidedFirstChunk(9)
-	for c := meta.ChunkID(0); c < 100; c++ {
-		if reps := g.ChunkReplicas("/a/b", c, 1); len(reps) != 1 || reps[0] != g.ChunkTarget("/a/b", c) {
-			t.Fatalf("guided r=1 replicas %v != ChunkTarget %d", reps, g.ChunkTarget("/a/b", c))
-		}
 	}
 }
 

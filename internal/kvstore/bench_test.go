@@ -83,7 +83,7 @@ func BenchmarkMergeSizeUpdate(b *testing.B) {
 func BenchmarkGetAfterMerges(b *testing.B) {
 	for _, merges := range []int{10, 1000, 100000} {
 		b.Run(fmt.Sprintf("merges=%d", merges), func(b *testing.B) {
-			db, err := Open(Options{FS: vfs.NewMem(), Merger: sizeMax, DisableWAL: true})
+			db, err := Open(Options{FS: vfs.NewMem(), Merger: sizeMax})
 			if err != nil {
 				b.Fatal(err)
 			}

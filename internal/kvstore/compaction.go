@@ -80,7 +80,7 @@ func (db *DB) pickCompactionLocked(force bool) (compactionJob, bool) {
 	v := db.vers
 	// L0 → L1 when the file count trigger fires.
 	l0 := len(v.levels[0])
-	if l0 >= db.opts.L0CompactTrigger || (force && l0 > 0) {
+	if l0 >= db.tune.l0CompactTrigger || (force && l0 > 0) {
 		inputs := append([]tableMeta(nil), v.levels[0]...)
 		smallest, largest := keyRange(inputs)
 		return compactionJob{
@@ -91,7 +91,7 @@ func (db *DB) pickCompactionLocked(force bool) (compactionJob, bool) {
 		}, true
 	}
 	// Size-triggered merges for L1..Ln-1.
-	budget := db.opts.LevelBytesBase
+	budget := db.tune.levelBytesBase
 	for l := 1; l < numLevels-1; l++ {
 		if v.levelBytes(l) > budget && len(v.levels[l]) > 0 {
 			t := v.levels[l][0]
@@ -102,7 +102,7 @@ func (db *DB) pickCompactionLocked(force bool) (compactionJob, bool) {
 				nextInputs: v.overlaps(l+1, t.smallest, t.largest),
 			}, true
 		}
-		budget *= db.opts.LevelMultiplier
+		budget *= levelMultiplier
 	}
 	return compactionJob{}, false
 }
@@ -124,7 +124,7 @@ func keyRange(tables []tableMeta) (smallest, largest []byte) {
 	return smallest, largest
 }
 
-// allocFileNumLocked hands out the next table file number.
+// allocFileNum hands out the next table file number.
 func (db *DB) allocFileNum() uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -154,9 +154,7 @@ func (db *DB) flushImm(im immTable) error {
 		db.mu.Lock()
 		db.imm = db.imm[1:]
 		db.mu.Unlock()
-		if !db.opts.DisableWAL {
-			_ = db.fs.Remove(walName(im.walNum))
-		}
+		_ = db.fs.Remove(walName(im.walNum))
 		return nil
 	}
 	tables, err := db.flushTable(im.mt)
@@ -174,9 +172,7 @@ func (db *DB) flushImm(im immTable) error {
 	if err != nil {
 		return err
 	}
-	if !db.opts.DisableWAL {
-		_ = db.fs.Remove(walName(im.walNum))
-	}
+	_ = db.fs.Remove(walName(im.walNum))
 	return nil
 }
 
@@ -210,7 +206,7 @@ func (o *compactionOutput) add(e *entry) error {
 		}
 		o.w = newSSTWriter(f, o.num)
 	}
-	if err := o.w.add(e, o.db.opts.BlockBytes); err != nil {
+	if err := o.w.add(e, blockBytes); err != nil {
 		return err
 	}
 	if o.w.offset+int64(len(o.w.block)) >= o.target {
@@ -223,7 +219,7 @@ func (o *compactionOutput) roll() error {
 	if o.w == nil {
 		return nil
 	}
-	t, err := o.w.finish(o.db.opts.BloomBitsPerKey)
+	t, err := o.w.finish(bloomBitsPerKey)
 	if err != nil {
 		return err
 	}
@@ -260,7 +256,7 @@ func (db *DB) runCompaction(job compactionJob) error {
 		}
 		srcs = append(srcs, r.iter())
 	}
-	out := &compactionOutput{db: db, target: db.opts.TargetFileBytes}
+	out := &compactionOutput{db: db, target: db.tune.targetFileBytes}
 	if err := db.compactInto(out, newMergeIter(srcs), isBottom); err != nil {
 		return err
 	}

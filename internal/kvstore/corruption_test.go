@@ -89,7 +89,7 @@ func TestManyReopenCycles(t *testing.T) {
 	const cycles = 8
 	const perCycle = 150
 	for c := 0; c < cycles; c++ {
-		db, err := Open(Options{FS: mem, MemTableBytes: 2048})
+		db, err := Open(Options{FS: mem, tune: flushAt(2048)})
 		if err != nil {
 			t.Fatalf("cycle %d open: %v", c, err)
 		}
@@ -121,7 +121,7 @@ func TestManyReopenCycles(t *testing.T) {
 func TestCrashDuringHeavyWrites(t *testing.T) {
 	for _, crashAt := range []int{10, 100, 500, 999} {
 		mem := vfs.NewMem()
-		db, err := Open(Options{FS: mem, SyncWAL: true, MemTableBytes: 4096})
+		db, err := Open(Options{FS: mem, SyncWAL: true, tune: flushAt(4096)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestCrashDuringHeavyWrites(t *testing.T) {
 // TestIteratorSeekPropertyAgainstModel cross-checks Seek against a sorted
 // model over a store that spans memtable, L0 and deeper levels.
 func TestIteratorSeekPropertyAgainstModel(t *testing.T) {
-	db := openTestDB(t, Options{MemTableBytes: 1024, TargetFileBytes: 2048})
+	db := openTestDB(t, Options{tune: &tuning{memTableBytes: 1024, targetFileBytes: 2048, levelBytesBase: 8 << 20, l0CompactTrigger: 4}})
 	model := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("k%04d", (i*7919)%1000)

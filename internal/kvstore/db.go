@@ -22,8 +22,7 @@ import (
 // m(k, m(k, v, a), b) == m(k, v, a++b).
 type MergeOperator func(key, existing []byte, operands [][]byte) []byte
 
-// Options tunes a DB. The zero value plus an FS is usable; defaults follow
-// the paper's setting of an LSM store on low-latency NAND storage.
+// Options configures a DB. The zero value plus an FS is usable.
 type Options struct {
 	// FS is the backing file system; required. Use vfs.NewMem() for a
 	// purely in-memory store.
@@ -34,51 +33,34 @@ type Options struct {
 	// operations synchronously; tests enable this together with crash
 	// injection.
 	SyncWAL bool
-	// DisableWAL turns the log off entirely (volatile store). Used by the
-	// in-process benchmarks where durability is irrelevant.
-	DisableWAL bool
-	// MemTableBytes is the flush threshold (default 4 MiB).
-	MemTableBytes int64
-	// BlockBytes is the SSTable block target (default 4 KiB).
-	BlockBytes int
-	// L0CompactTrigger is the number of L0 tables that triggers a
-	// compaction into L1 (default 4).
-	L0CompactTrigger int
-	// LevelBytesBase is the size budget of L1 (default 8 MiB); each level
-	// below is LevelMultiplier times larger.
-	LevelBytesBase int64
-	// LevelMultiplier is the growth factor between levels (default 10).
-	LevelMultiplier int64
-	// TargetFileBytes is the compaction output file size (default 2 MiB).
-	TargetFileBytes int64
-	// BloomBitsPerKey sizes the per-table bloom filters (default 10).
-	BloomBitsPerKey int
+
+	// tune overrides the LSM shape's thresholds; nil selects
+	// defaultTuning. Only this package's tests set it, to force flushes
+	// and compactions with a handful of keys.
+	tune *tuning
 }
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.MemTableBytes == 0 {
-		out.MemTableBytes = 4 << 20
-	}
-	if out.BlockBytes == 0 {
-		out.BlockBytes = 4 << 10
-	}
-	if out.L0CompactTrigger == 0 {
-		out.L0CompactTrigger = 4
-	}
-	if out.LevelBytesBase == 0 {
-		out.LevelBytesBase = 8 << 20
-	}
-	if out.LevelMultiplier == 0 {
-		out.LevelMultiplier = 10
-	}
-	if out.TargetFileBytes == 0 {
-		out.TargetFileBytes = 2 << 20
-	}
-	if out.BloomBitsPerKey == 0 {
-		out.BloomBitsPerKey = 10
-	}
-	return out
+// The LSM shape: the paper's setting of an LSM store on low-latency NAND
+// storage. No deployment tunes it.
+const (
+	blockBytes      = 4 << 10 // SSTable block target
+	levelMultiplier = 10      // size growth factor between levels
+	bloomBitsPerKey = 10      // per-table bloom filter size
+)
+
+// tuning is the part of the LSM shape tests shrink.
+type tuning struct {
+	memTableBytes    int64 // flush threshold
+	targetFileBytes  int64 // compaction output file size
+	levelBytesBase   int64 // size budget of L1; each level below is levelMultiplier times larger
+	l0CompactTrigger int   // L0 table count that triggers a compaction into L1
+}
+
+var defaultTuning = tuning{
+	memTableBytes:    4 << 20,
+	targetFileBytes:  2 << 20,
+	levelBytesBase:   8 << 20,
+	l0CompactTrigger: 4,
 }
 
 // Stats exposes engine counters. Each uint64 field's metric tag is the
@@ -118,6 +100,7 @@ var (
 // DB is the store. It is safe for concurrent use.
 type DB struct {
 	opts Options
+	tune tuning
 	fs   vfs.FS
 
 	compactMu sync.Mutex // serialises compactions; taken before mu
@@ -159,14 +142,17 @@ func Open(opts Options) (*DB, error) {
 	if opts.FS == nil {
 		return nil, errors.New("kvstore: Options.FS is required")
 	}
-	o := opts.withDefaults()
 	db := &DB{
-		opts:     o,
-		fs:       o.FS,
+		opts:     opts,
+		tune:     defaultTuning,
+		fs:       opts.FS,
 		vers:     &version{},
 		readers:  make(map[uint64]*sstReader),
 		nextFile: 1,
 		workDone: make(chan struct{}),
+	}
+	if opts.tune != nil {
+		db.tune = *opts.tune
 	}
 	db.cond = sync.NewCond(&db.mu)
 
@@ -250,9 +236,6 @@ func walName(num uint64) string { return fmt.Sprintf("wal-%06d.log", num) }
 
 // rotateWAL opens a fresh log for the active memtable.
 func (db *DB) rotateWAL() error {
-	if db.opts.DisableWAL {
-		return nil
-	}
 	db.walNum++
 	f, err := db.fs.Create(walName(db.walNum))
 	if err != nil {
@@ -378,10 +361,8 @@ func (db *DB) applyEntries(ops []entry, owned bool) error {
 	}
 	db.seq += uint64(len(ops))
 
-	if !db.opts.DisableWAL {
-		if err := db.wal.append(first, ops, db.opts.SyncWAL); err != nil {
-			return err
-		}
+	if err := db.wal.append(first, ops, db.opts.SyncWAL); err != nil {
+		return err
 	}
 	for i := range ops {
 		e := ops[i]
@@ -401,7 +382,7 @@ func (db *DB) applyEntries(ops []entry, owned bool) error {
 		db.insertLocked(e)
 	}
 
-	if db.mem.sizeBytes() >= db.opts.MemTableBytes {
+	if db.mem.sizeBytes() >= db.tune.memTableBytes {
 		if err := db.rotateMemLocked(); err != nil {
 			return err
 		}
@@ -629,8 +610,7 @@ func (db *DB) deleteObsoleteLocked() {
 }
 
 // Flush forces the active memtable to disk and waits for the flush queue
-// to drain. Mainly for tests and for DisableWAL users that want a
-// consistent on-disk state.
+// to drain. Mainly for tests that want a consistent on-disk state.
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	if db.closed {
@@ -677,7 +657,7 @@ func (db *DB) Stats() Stats {
 }
 
 // Close stops background work and releases files. Buffered but unflushed
-// data stays recoverable through the WAL (unless DisableWAL).
+// data stays recoverable through the WAL.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {

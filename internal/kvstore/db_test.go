@@ -25,6 +25,14 @@ func openTestDB(t *testing.T, opts Options) *DB {
 	return db
 }
 
+// flushAt returns the default LSM shape with the flush threshold lowered
+// to n bytes, so a handful of keys force flushes.
+func flushAt(n int64) *tuning {
+	t := defaultTuning
+	t.memTableBytes = n
+	return &t
+}
+
 func TestPutGetDelete(t *testing.T) {
 	db := openTestDB(t, Options{})
 	if err := db.Put([]byte("k"), []byte("v")); err != nil {
@@ -72,7 +80,7 @@ func TestGetMissing(t *testing.T) {
 
 func TestReadThroughSSTables(t *testing.T) {
 	// Tiny memtable forces flushes; everything must remain readable.
-	db := openTestDB(t, Options{MemTableBytes: 2048})
+	db := openTestDB(t, Options{tune: flushAt(2048)})
 	const n = 2000
 	for i := 0; i < n; i++ {
 		if err := db.Put(key(i), val(i)); err != nil {
@@ -98,11 +106,7 @@ func key(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value-%d-%d", i, i*7)) }
 
 func TestCompactionPreservesData(t *testing.T) {
-	db := openTestDB(t, Options{
-		MemTableBytes:   2048,
-		TargetFileBytes: 4096,
-		LevelBytesBase:  8192,
-	})
+	db := openTestDB(t, Options{tune: &tuning{memTableBytes: 2048, targetFileBytes: 4096, levelBytesBase: 8192, l0CompactTrigger: 4}})
 	const n = 3000
 	for i := 0; i < n; i++ {
 		if err := db.Put(key(i), val(i)); err != nil {
@@ -151,7 +155,7 @@ func TestCompactionPreservesData(t *testing.T) {
 
 func TestCompactionReclaimsSpace(t *testing.T) {
 	mem := vfs.NewMem()
-	db := openTestDB(t, Options{FS: mem, MemTableBytes: 4096, TargetFileBytes: 8192})
+	db := openTestDB(t, Options{FS: mem, tune: &tuning{memTableBytes: 4096, targetFileBytes: 8192, levelBytesBase: 8 << 20, l0CompactTrigger: 4}})
 	// Write the same small key set many times over: garbage dominates.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 100; i++ {
@@ -239,7 +243,7 @@ func TestMergeAfterDelete(t *testing.T) {
 }
 
 func TestMergeSurvivesCompaction(t *testing.T) {
-	db := openTestDB(t, Options{Merger: sizeMax, MemTableBytes: 1024, TargetFileBytes: 2048})
+	db := openTestDB(t, Options{Merger: sizeMax, tune: &tuning{memTableBytes: 1024, targetFileBytes: 2048, levelBytesBase: 8 << 20, l0CompactTrigger: 4}})
 	if err := db.Put([]byte("size"), u64(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +301,7 @@ func TestBatchAtomicVisibility(t *testing.T) {
 }
 
 func TestIteratorOrderedScan(t *testing.T) {
-	db := openTestDB(t, Options{MemTableBytes: 1024})
+	db := openTestDB(t, Options{tune: flushAt(1024)})
 	const n = 500
 	for i := n - 1; i >= 0; i-- {
 		if err := db.Put(key(i), val(i)); err != nil {
@@ -347,7 +351,7 @@ func TestIteratorSeekAndPrefix(t *testing.T) {
 }
 
 func TestIteratorSkipsTombstones(t *testing.T) {
-	db := openTestDB(t, Options{MemTableBytes: 512})
+	db := openTestDB(t, Options{tune: flushAt(512)})
 	for i := 0; i < 100; i++ {
 		if err := db.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
@@ -476,7 +480,7 @@ func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 
 func TestReopenPersistence(t *testing.T) {
 	mem := vfs.NewMem()
-	db, err := Open(Options{FS: mem, MemTableBytes: 1024})
+	db, err := Open(Options{FS: mem, tune: flushAt(1024)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,11 +495,15 @@ func TestReopenPersistence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The reopen must read flushed tables, not only replay the log.
+	if db.Stats().Flushes == 0 {
+		t.Fatal("no memtable was flushed before close")
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(Options{FS: mem, MemTableBytes: 1024})
+	db2, err := Open(Options{FS: mem, tune: flushAt(1024)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +534,7 @@ func TestOSBackendEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(Options{FS: osfs, MemTableBytes: 2048})
+	db, err := Open(Options{FS: osfs, tune: flushAt(2048)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +648,7 @@ func TestUpdateAtomicCounter(t *testing.T) {
 }
 
 func TestConcurrentReadersWriters(t *testing.T) {
-	db := openTestDB(t, Options{MemTableBytes: 4096})
+	db := openTestDB(t, Options{tune: flushAt(4096)})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -681,38 +689,14 @@ func TestClosedErrors(t *testing.T) {
 	}
 }
 
-func TestDisableWALFlushPersists(t *testing.T) {
-	mem := vfs.NewMem()
-	db, err := Open(Options{FS: mem, DisableWAL: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-	db2, err := Open(Options{FS: mem, DisableWAL: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	v, err := db2.Get([]byte("k"))
-	if err != nil || string(v) != "v" {
-		t.Fatalf("flushed data lost: %q, %v", v, err)
-	}
-}
-
 // TestModelCheck drives the store and a plain map with the same random
 // operation stream across several configurations, then compares full
 // scans. This is the store's main correctness net.
 func TestModelCheck(t *testing.T) {
 	configs := []Options{
 		{},                   // everything in the memtable
-		{MemTableBytes: 512}, // constant flushing
-		{MemTableBytes: 512, TargetFileBytes: 1024, LevelBytesBase: 2048}, // constant compaction
+		{tune: flushAt(512)}, // constant flushing
+		{tune: &tuning{memTableBytes: 512, targetFileBytes: 1024, levelBytesBase: 2048, l0CompactTrigger: 4}}, // constant compaction
 	}
 	for ci, opts := range configs {
 		t.Run(fmt.Sprintf("config%d", ci), func(t *testing.T) {
@@ -791,7 +775,7 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestLargeValues(t *testing.T) {
-	db := openTestDB(t, Options{MemTableBytes: 64 << 10})
+	db := openTestDB(t, Options{tune: flushAt(64 << 10)})
 	big := bytes.Repeat([]byte{0xAB}, 1<<20)
 	if err := db.Put([]byte("big"), big); err != nil {
 		t.Fatal(err)
@@ -806,7 +790,7 @@ func TestLargeValues(t *testing.T) {
 }
 
 func TestIteratorDuringCompaction(t *testing.T) {
-	db := openTestDB(t, Options{MemTableBytes: 1024, TargetFileBytes: 2048})
+	db := openTestDB(t, Options{tune: &tuning{memTableBytes: 1024, targetFileBytes: 2048, levelBytesBase: 8 << 20, l0CompactTrigger: 4}})
 	for i := 0; i < 500; i++ {
 		if err := db.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)

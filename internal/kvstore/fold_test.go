@@ -130,7 +130,7 @@ func TestMergeRunCostPin(t *testing.T) {
 	key := []byte("/shared/file")
 	load := func(t *testing.T, fs vfs.FS, n int) *DB {
 		// One memtable holds everything, so close leaves it all in the log.
-		db := openTestDB(t, Options{FS: fs, Merger: sizeMax, MemTableBytes: 1 << 30})
+		db := openTestDB(t, Options{FS: fs, Merger: sizeMax, tune: flushAt(1 << 30)})
 		for i := 1; i <= n; i++ {
 			if err := db.Merge(key, u64(uint64(i))); err != nil {
 				t.Fatal(err)
@@ -275,7 +275,7 @@ func (m foldModel) checkAgainst(db *DB, it *Iterator, keys []string) error {
 // constant number of steps, not one per version, while Next past a key
 // with one version costs the one step it always did.
 func TestMergeRunIteratorSkipsHotKey(t *testing.T) {
-	db := openTestDB(t, Options{Merger: sizeMax, MemTableBytes: 1 << 30, DisableWAL: true})
+	db := openTestDB(t, Options{Merger: sizeMax, tune: flushAt(1 << 30)})
 	for _, k := range []string{"/d/a", "/d/c"} {
 		if err := db.Put([]byte(k), u64(1)); err != nil {
 			t.Fatal(err)
@@ -326,7 +326,7 @@ func TestModelEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rnd := rand.New(rand.NewSource(seed))
 			fs := vfs.NewMem()
-			opts := Options{FS: fs, Merger: appendMerger, MemTableBytes: 2 << 10, TargetFileBytes: 1 << 10, L0CompactTrigger: 2}
+			opts := Options{FS: fs, Merger: appendMerger, tune: &tuning{memTableBytes: 2 << 10, targetFileBytes: 1 << 10, levelBytesBase: 8 << 20, l0CompactTrigger: 2}}
 			db, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -435,7 +435,7 @@ func TestModelEquivalence(t *testing.T) {
 // the iterator's view never changes.
 func TestFoldConcurrency(t *testing.T) {
 	const writers, perWriter = 4, 300
-	db := openTestDB(t, Options{Merger: appendMerger, MemTableBytes: 8 << 10, L0CompactTrigger: 2})
+	db := openTestDB(t, Options{Merger: appendMerger, tune: &tuning{memTableBytes: 8 << 10, targetFileBytes: 2 << 20, levelBytesBase: 8 << 20, l0CompactTrigger: 2}})
 	hot := []byte("hot")
 	var sibling []byte // another key on hot's stripe
 	for i := 0; sibling == nil; i++ {

@@ -70,7 +70,7 @@ func TestPointReadSurvivesCompaction(t *testing.T) {
 	for name, read := range reads {
 		t.Run(name, func(t *testing.T) {
 			fs := &hookFS{FS: vfs.NewMem()}
-			db := openTestDB(t, Options{FS: fs, Merger: sizeMax, MemTableBytes: 1 << 10})
+			db := openTestDB(t, Options{FS: fs, Merger: sizeMax, tune: flushAt(1 << 10)})
 			if err := db.Put(key, u64(100)); err != nil {
 				t.Fatal(err)
 			}

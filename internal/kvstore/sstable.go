@@ -16,7 +16,7 @@ import (
 //
 // Data blocks hold entries in internal order, each encoded as
 // [kind u8][seq uvarint][klen uvarint][key][vlen uvarint][val]; a block
-// closes once it exceeds Options.BlockBytes. The index holds, per block,
+// closes once it exceeds blockBytes. The index holds, per block,
 // the last internal key plus the block's offset and length; the filter
 // block is a Bloom filter over user keys. The fixed footer points at both.
 const sstMagic = 0x67656b6b6f667331 // "gekkofs1"

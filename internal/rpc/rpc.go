@@ -33,19 +33,13 @@ type Op uint16
 // Bulk is the server-side view of the client's exposed buffer region for
 // one call.
 //
-// Pull and Push are the copying accessors (an RDMA get/put). Bytes,
-// Writable and Commit are their zero-copy counterparts: they hand the
-// handler a direct view of the transport's bulk region — the wire-read
-// region for BulkIn, the outgoing region for BulkOut — so the data path
-// touches each byte at most once per direction. Views are valid only
-// until the handler returns; retaining one is a use-after-release.
+// Bytes, Writable and Commit hand the handler a direct view of the
+// transport's bulk region — the wire-read region for BulkIn, the
+// outgoing region for BulkOut — the roles of an RDMA get and put, with
+// no copy of their own, so the data path touches each byte at most once
+// per direction. Views are valid only until the handler returns;
+// retaining one is a use-after-release.
 type Bulk interface {
-	// Pull copies the client's buffer into p (an RDMA get). It fails if p
-	// is longer than the exposed region.
-	Pull(p []byte) error
-	// Push copies p into the client's buffer (an RDMA put). It fails if p
-	// is longer than the exposed region.
-	Push(p []byte) error
 	// Len returns the size of the exposed region.
 	Len() int
 	// Bytes returns the BulkIn region itself, without copying. The view
@@ -95,10 +89,10 @@ type BulkDir uint8
 const (
 	// BulkNone exposes no buffer.
 	BulkNone BulkDir = iota
-	// BulkIn lets the server Pull from the buffer (client → server, the
+	// BulkIn lets the server read the buffer (client → server, the
 	// write path).
 	BulkIn
-	// BulkOut lets the server Push into the buffer (server → client, the
+	// BulkOut lets the server fill the buffer (server → client, the
 	// read path).
 	BulkOut
 )
@@ -107,7 +101,7 @@ const (
 // for concurrent use; calls block until the response arrives.
 type Conn interface {
 	// Call invokes op with payload. bulk, when non-nil, is the local
-	// buffer region exposed to the server for Pull (dir=BulkIn) or Push
+	// buffer region exposed to the server to read (dir=BulkIn) or fill
 	// (dir=BulkOut) during the call.
 	Call(op Op, payload, bulk []byte, dir BulkDir) ([]byte, error)
 	// Close releases the connection.
@@ -447,27 +441,8 @@ func (s *Server) Wire() *WireCounters { return &s.wire }
 
 // SliceBulk adapts a local byte slice to the Bulk interface. The
 // in-process transport hands the client's buffer to the handler directly,
-// making Pull and Push zero-copy in spirit: the copy is the single memcpy
-// RDMA itself would perform.
+// so the handler's views are the client's bytes themselves.
 type SliceBulk []byte
-
-// Pull implements Bulk.
-func (b SliceBulk) Pull(p []byte) error {
-	if len(p) > len(b) {
-		return fmt.Errorf("rpc: bulk pull of %d bytes exceeds exposed region %d", len(p), len(b))
-	}
-	copy(p, b)
-	return nil
-}
-
-// Push implements Bulk.
-func (b SliceBulk) Push(p []byte) error {
-	if len(p) > len(b) {
-		return fmt.Errorf("rpc: bulk push of %d bytes exceeds exposed region %d", len(p), len(b))
-	}
-	copy(b, p)
-	return nil
-}
 
 // Len implements Bulk.
 func (b SliceBulk) Len() int { return len(b) }

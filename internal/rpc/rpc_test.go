@@ -90,21 +90,25 @@ func TestSliceBulk(t *testing.T) {
 	if b.Len() != 10 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	dst := make([]byte, 4)
-	if err := b.Pull(dst); err != nil || string(dst) != "0123" {
-		t.Fatalf("Pull = %q, %v", dst, err)
+	if got, err := b.Bytes(); err != nil || string(got) != "0123456789" {
+		t.Fatalf("Bytes = %q, %v", got, err)
 	}
-	if err := b.Push([]byte("AB")); err != nil {
+	w, err := b.Writable(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(w, "AB")
+	if err := b.Commit(2); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf[:2]) != "AB" {
-		t.Fatalf("Push did not reach the client buffer: %q", buf)
+		t.Fatalf("Writable did not reach the client buffer: %q", buf)
 	}
-	if err := b.Pull(make([]byte, 11)); err == nil {
-		t.Fatal("oversized pull allowed")
+	if _, err := b.Writable(11); err == nil {
+		t.Fatal("oversized writable allowed")
 	}
-	if err := b.Push(make([]byte, 11)); err == nil {
-		t.Fatal("oversized push allowed")
+	if err := b.Commit(11); err == nil {
+		t.Fatal("oversized commit allowed")
 	}
 }
 

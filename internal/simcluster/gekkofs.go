@@ -186,9 +186,10 @@ type IOConfig struct {
 	// transfers (0 disables — the paper's default protocol).
 	SizeCacheOps int
 	// LocalWrites places every chunk on the writer's own node (the
-	// BurstFS-style "write local" placement of distributor.LocalFirst,
-	// ablation A2); reads then fetch from the writers' nodes, modeled as
-	// uniformly remote. False selects the paper's hashing.
+	// BurstFS-style "write local" placement the paper contrasts with its
+	// hashing in §II, ablation A2); reads then fetch from the writers'
+	// nodes, modeled as uniformly remote. False selects the paper's
+	// hashing, the only placement the file system itself implements.
 	LocalWrites bool
 	// ProducerFrac limits the fraction of nodes whose processes
 	// participate in the phase (1.0 or 0 = all). A skewed producer set

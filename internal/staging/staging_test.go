@@ -32,7 +32,7 @@ func newStageCluster(t testing.TB, nodes int, cfg client.Config) (*client.Client
 		t.Cleanup(func() { d.Close() })
 		daemons[i] = d
 	}
-	c := mountStage(t, daemons, cfg)
+	c := mountStage(t, daemons, cfg, nil)
 	if err := c.EnsureRoot(); err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,9 @@ func newStageCluster(t testing.TB, nodes int, cfg client.Config) (*client.Client
 }
 
 // mountStage wires a client to daemons: another mount of the deployment
-// newStageCluster built.
-func mountStage(t testing.TB, daemons []*daemon.Daemon, cfg client.Config) *client.Client {
+// newStageCluster built. wrap, when non-nil, decorates each daemon's
+// connection.
+func mountStage(t testing.TB, daemons []*daemon.Daemon, cfg client.Config, wrap func(rpc.Conn) rpc.Conn) *client.Client {
 	t.Helper()
 	net := transport.NewMemNetwork()
 	cfg.Conns = make([]rpc.Conn, len(daemons))
@@ -50,6 +51,9 @@ func mountStage(t testing.TB, daemons []*daemon.Daemon, cfg client.Config) *clie
 		conn, err := net.Dial(i)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if wrap != nil {
+			conn = wrap(conn)
 		}
 		cfg.Conns[i] = conn
 	}
@@ -362,7 +366,7 @@ func TestStageRestageOverOlderVersion(t *testing.T) {
 // copy is a stale cache answering for the wire.
 func TestStageOutSeesAnotherMountsRewrite(t *testing.T) {
 	writer, daemons := newStageCluster(t, 4, client.Config{})
-	stager := mountStage(t, daemons, client.Config{})
+	stager := mountStage(t, daemons, client.Config{}, nil)
 	if err := writer.Mkdir("/ck"); err != nil {
 		t.Fatal(err)
 	}

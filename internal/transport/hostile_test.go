@@ -382,7 +382,7 @@ func TestHostileResponseFailsClientCleanly(t *testing.T) {
 // newTestServer's.
 const (
 	opShortFill rpc.Op = 200 + iota // fills the whole region with 0x5A, commits the first u32(req) bytes
-	opLateFill                      // sleeps past the call timeout, then pushes 0xA5 over the whole region
+	opLateFill                      // sleeps past the call timeout, then fills the whole region with 0xA5
 )
 
 func newScatterServer() *rpc.Server {
@@ -399,7 +399,14 @@ func newScatterServer() *rpc.Server {
 	})
 	srv.Register(opLateFill, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
 		time.Sleep(200 * time.Millisecond)
-		return nil, bulk.Push(bytes.Repeat([]byte{0xA5}, bulk.Len()))
+		out, err := bulk.Writable(bulk.Len())
+		if err != nil {
+			return nil, err
+		}
+		for i := range out {
+			out[i] = 0xA5
+		}
+		return nil, bulk.Commit(len(out))
 	})
 	return srv
 }

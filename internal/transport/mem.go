@@ -45,8 +45,8 @@ func (n *MemNetwork) Dial(id int) (rpc.Conn, error) {
 }
 
 // memConn calls straight into the server's dispatcher. The client's bulk
-// buffer is handed to the handler as-is, so a Pull or Push is one memcpy —
-// the in-process analogue of RDMA.
+// buffer is handed to the handler as-is, so the handler reads or fills
+// the client's bytes in place — the in-process analogue of RDMA.
 type memConn struct {
 	srv *rpc.Server
 }
@@ -57,15 +57,6 @@ type memConn struct {
 type outBulk struct {
 	rpc.SliceBulk
 	n int
-}
-
-// Push implements rpc.Bulk.
-func (b *outBulk) Push(p []byte) error {
-	err := b.SliceBulk.Push(p)
-	if err == nil {
-		b.n = len(p)
-	}
-	return err
 }
 
 // Commit implements rpc.Bulk.

@@ -22,8 +22,8 @@ func TestPoolSizesUnderConcurrentBulkTraffic(t *testing.T) {
 		t.Run(fmt.Sprintf("conns-%d", size), func(t *testing.T) {
 			srv := rpc.NewServer(16)
 			srv.Register(1, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
-				buf := make([]byte, bulk.Len())
-				if err := bulk.Pull(buf); err != nil {
+				buf, err := bulk.Bytes()
+				if err != nil {
 					return nil, err
 				}
 				var sum uint64
@@ -34,11 +34,14 @@ func TestPoolSizesUnderConcurrentBulkTraffic(t *testing.T) {
 			})
 			srv.Register(2, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
 				seed := req[0]
-				out := make([]byte, bulk.Len())
+				out, err := bulk.Writable(bulk.Len())
+				if err != nil {
+					return nil, err
+				}
 				for i := range out {
 					out[i] = seed + byte(i)
 				}
-				return []byte("ok"), bulk.Push(out)
+				return []byte("ok"), bulk.Commit(len(out))
 			})
 
 			l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -318,18 +318,21 @@ func TestSegAllocAcquireTimeout(t *testing.T) {
 // TestShmClientCrashMidDispatchKeepsDaemonAlive covers the unmap race:
 // the client dies with a request in flight while the daemon handler
 // still holds a slice into the mapped segment. serveShmConn must drain
-// handlers before munmapping — otherwise the handler's late Push below
+// handlers before munmapping — otherwise the handler's late fill below
 // writes unmapped memory, a SIGSEGV that would kill this whole process.
 func TestShmClientCrashMidDispatchKeepsDaemonAlive(t *testing.T) {
 	const opSlowRead rpc.Op = 99
 	srv := newTestServer()
 	srv.Register(opSlowRead, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
 		time.Sleep(150 * time.Millisecond) // the client crashes in here
-		out := bytes.Repeat([]byte{0xA5}, bulk.Len())
-		if err := bulk.Push(out); err != nil {
+		out, err := bulk.Writable(bulk.Len())
+		if err != nil {
 			return nil, err
 		}
-		return []byte("ok"), nil
+		for i := range out {
+			out[i] = 0xA5
+		}
+		return []byte("ok"), bulk.Commit(len(out))
 	})
 	sock := startShmServer(t, srv, 1<<20)
 	c, err := DialShm(sock, 5*time.Second)
@@ -344,7 +347,7 @@ func TestShmClientCrashMidDispatchKeepsDaemonAlive(t *testing.T) {
 	time.Sleep(30 * time.Millisecond) // request reaches the daemon; handler is asleep
 	c.Close()                         // crash with the dispatch in flight
 	<-done
-	time.Sleep(300 * time.Millisecond) // handler wakes and pushes into the segment
+	time.Sleep(300 * time.Millisecond) // handler wakes and fills the segment
 	// The daemon survived and still serves fresh clients.
 	c2, err := DialShm(sock, 5*time.Second)
 	if err != nil {

@@ -442,8 +442,8 @@ func readRequest(br *bufio.Reader, seg []byte, req *request) error {
 
 // serverBulk implements rpc.Bulk over the bulk regions of one request.
 // Inline: `in` is the pooled region the BulkIn bytes were read into and
-// `out` the pooled region a BulkOut handler fills (Writable) or copies
-// into (Push) — writeResponse sends it as the second element of the
+// `out` the pooled region a BulkOut handler fills (Writable) —
+// writeResponse sends it as the second element of the
 // response iovec, so the bytes are never re-joined into a frame. By
 // reference (ref): both are the client-visible segment window itself, so
 // the daemon side of either direction is copy-free and nothing travels
@@ -466,42 +466,6 @@ func (b *serverBulk) forHandler() rpc.Bulk {
 	return b
 }
 
-// region returns the outgoing region. The inline staging buffer is
-// reserved at the full advertised budget once: repeated pushes
-// previously appended past the first push's capacity, growing the slice
-// outside its pool class so a later PutBuf recycled a buffer no GetBuf
-// class owns.
-func (b *serverBulk) region() []byte {
-	if b.out == nil {
-		b.out = rpc.GetBuf(b.outLen)
-	}
-	return b.out
-}
-
-// Pull implements rpc.Bulk.
-func (b *serverBulk) Pull(p []byte) error {
-	if b.dir != rpc.BulkIn {
-		return errors.New("transport: pull from non-BulkIn region")
-	}
-	if len(p) > len(b.in) {
-		return fmt.Errorf("transport: bulk pull of %d exceeds exposed %d", len(p), len(b.in))
-	}
-	copy(p, b.in)
-	return nil
-}
-
-// Push implements rpc.Bulk.
-func (b *serverBulk) Push(p []byte) error {
-	if b.dir != rpc.BulkOut {
-		return errors.New("transport: push into non-BulkOut region")
-	}
-	if len(p) > b.outLen {
-		return fmt.Errorf("transport: bulk push of %d exceeds exposed %d", len(p), b.outLen)
-	}
-	b.outN = copy(b.region(), p)
-	return nil
-}
-
 // Len implements rpc.Bulk.
 func (b *serverBulk) Len() int {
 	if b.dir == rpc.BulkIn {
@@ -521,7 +485,10 @@ func (b *serverBulk) Bytes() ([]byte, error) {
 
 // Writable implements rpc.Bulk: the handler fills the outgoing region in
 // place — the response writev sends it as-is, or it already is the
-// client-visible mapping.
+// client-visible mapping. The inline staging buffer is reserved at the
+// full advertised budget on first use, so a later Writable of a larger n
+// reuses it instead of growing it outside the pool class GetBuf handed
+// out.
 func (b *serverBulk) Writable(n int) ([]byte, error) {
 	if b.dir != rpc.BulkOut {
 		return nil, errors.New("transport: writable on non-BulkOut region")
@@ -529,7 +496,10 @@ func (b *serverBulk) Writable(n int) ([]byte, error) {
 	if n > b.outLen {
 		return nil, fmt.Errorf("transport: writable region of %d exceeds exposed %d", n, b.outLen)
 	}
-	return b.region()[:n], nil
+	if b.out == nil {
+		b.out = rpc.GetBuf(b.outLen)
+	}
+	return b.out[:n], nil
 }
 
 // Commit implements rpc.Bulk.

@@ -16,11 +16,11 @@ import (
 // every payload survives the multiplexing.
 func TestTCPBulkStress(t *testing.T) {
 	srv := rpc.NewServer(16)
-	// Echo bulk: pull the region, respond with its checksum; for reads,
-	// push a deterministic pattern derived from the payload.
+	// Echo bulk: read the region, respond with its checksum; for reads,
+	// fill it with a deterministic pattern derived from the payload.
 	srv.Register(1, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
-		buf := make([]byte, bulk.Len())
-		if err := bulk.Pull(buf); err != nil {
+		buf, err := bulk.Bytes()
+		if err != nil {
 			return nil, err
 		}
 		var sum uint64
@@ -31,11 +31,14 @@ func TestTCPBulkStress(t *testing.T) {
 	})
 	srv.Register(2, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
 		seed := req[0]
-		out := make([]byte, bulk.Len())
+		out, err := bulk.Writable(bulk.Len())
+		if err != nil {
+			return nil, err
+		}
 		for i := range out {
 			out[i] = seed + byte(i)
 		}
-		return []byte("ok"), bulk.Push(out)
+		return []byte("ok"), bulk.Commit(len(out))
 	})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")

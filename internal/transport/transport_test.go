@@ -16,8 +16,8 @@ import (
 const (
 	opEcho rpc.Op = iota + 1
 	opFail
-	opWrite // pulls bulk, returns its checksum byte count
-	opRead  // pushes a pattern into the client's buffer
+	opWrite // reads bulk, returns its checksum byte count
+	opRead  // fills the client's buffer with a pattern
 	opSlow
 )
 
@@ -30,8 +30,8 @@ func newTestServer() *rpc.Server {
 		return nil, errors.New("handler exploded")
 	})
 	s.Register(opWrite, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
-		buf := make([]byte, bulk.Len())
-		if err := bulk.Pull(buf); err != nil {
+		buf, err := bulk.Bytes()
+		if err != nil {
 			return nil, err
 		}
 		var sum uint64
@@ -41,11 +41,14 @@ func newTestServer() *rpc.Server {
 		return []byte(fmt.Sprintf("%d:%d", len(buf), sum)), nil
 	})
 	s.Register(opRead, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
-		out := bytes.Repeat([]byte{0x5A}, bulk.Len())
-		if err := bulk.Push(out); err != nil {
+		out, err := bulk.Writable(bulk.Len())
+		if err != nil {
 			return nil, err
 		}
-		return []byte("ok"), nil
+		for i := range out {
+			out[i] = 0x5A
+		}
+		return []byte("ok"), bulk.Commit(len(out))
 	})
 	s.Register(opSlow, func([]byte, rpc.Bulk) ([]byte, error) {
 		time.Sleep(200 * time.Millisecond)

@@ -21,6 +21,10 @@
 #     its one "The current protocol generation is vN" sentence; the
 #     historical "(protocol vN)" asides are not statements of it — must
 #     equal proto.ProtocolVersion.
+#  7. Every backticked library option the docs name (`WithX(…)`, `WithX`,
+#     `gekkofs.WithX`) must be an exported `func WithX` in gekkofs — the
+#     library half of gate 2, so a deleted option cannot linger in the
+#     knob table.
 #
 # Flag extraction covers three shapes:
 #   - backticked `-flags` on lines naming the binary (prose, usage),
@@ -103,6 +107,23 @@ done < <(
     sed -E 's/:[0-9][-0-9,–]*$//' | sort -u
 )
 
+# Every library option a doc names must exist in gekkofs.
+options=$(grep -rhoE '^func With[A-Z][A-Za-z0-9]*\(' --include='*.go' --exclude='*_test.go' gekkofs |
+  sed -E 's/^func (With[A-Za-z0-9]*)\($/\1/' | sort -u)
+if [ -z "$options" ]; then
+  echo "no 'func WithX(' in gekkofs — extraction is broken"
+  fail=1
+fi
+while read -r opt; do
+  if ! grep -qxF "$opt" <<< "$options"; then
+    echo "docs name library option $opt, which gekkofs does not export"
+    fail=1
+  fi
+done < <(
+  grep -ohE '`(gekkofs\.)?With[A-Z][A-Za-z0-9]*[`(]' "${docs[@]}" |
+    sed -E 's/^`(gekkofs\.)?//; s/[`(]$//' | sort -u
+)
+
 # Emit every table cell under a "CLI" column header, across all docs:
 # the shared flags (internal/cli), which every checked binary must have.
 cli_cells() {
@@ -148,4 +169,4 @@ if [ "$fail" -ne 0 ]; then
   echo "docs check failed"
   exit 1
 fi
-echo "docs check OK: package comments present, documented flags and paths exist, protocol generation current"
+echo "docs check OK: package comments present, documented flags, options and paths exist, protocol generation current"
