@@ -340,11 +340,15 @@ func runStats(c *client.Client, jsonOut bool) {
 	fmt.Printf("metadata store: folds=%d resolves=%d flushes=%d compactions=%d\n",
 		kv.MergeFolds, kv.MergeResolves, kv.Flushes, kv.Compactions)
 	// The open-chunk cache: a low hit share on a small-I/O workload means
-	// its hot chunk set outgrew the cache and every miss pays an open.
+	// its hot chunk set outgrew the cache and every miss pays an open. The
+	// mapped share is the read-reply bytes sent from a chunk file's mapping
+	// rather than copied by a read; well below 1 on live reads means the
+	// copying fallback served them (pinned epochs, unmappable files).
 	var oc chunkstore.OpenStats
 	total.View(&oc)
-	fmt.Printf("open chunks: hit-share=%.2f evictions=%d handles=%d\n",
-		float64(oc.Hits)/float64(max(oc.Hits+oc.Misses, 1)), oc.Evictions, oc.Open)
+	fmt.Printf("open chunks: hit-share=%.2f evictions=%d handles=%d mapped-share=%.2f\n",
+		float64(oc.Hits)/float64(max(oc.Hits+oc.Misses, 1)), oc.Evictions, oc.Open,
+		float64(oc.MappedBytes)/float64(max(oc.MappedBytes+oc.CopiedBytes, 1)))
 	telemetry.WriteOpTable(os.Stdout, "latency (all daemons merged):", total.Hists)
 }
 

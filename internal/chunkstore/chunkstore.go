@@ -41,12 +41,15 @@ type Store struct {
 
 	// open keeps recently used live chunk files open (opencache.go).
 	open *openCache
+	// maps is whether fs's files map (vfs.CanMap); ViewChunk of a store
+	// whose files do not answers at once, before any lock or handle.
+	maps bool
 }
 
 // New returns a store backed by fs, rooted at "chunks/" with snapshot
 // pre-images under "snap/".
 func New(fs vfs.FS) *Store {
-	s := &Store{fs: fs, pre: make(map[string][]uint64), last: make(map[string]uint64), open: newOpenCache(fs)}
+	s := &Store{fs: fs, pre: make(map[string][]uint64), last: make(map[string]uint64), open: newOpenCache(fs), maps: vfs.CanMap(fs)}
 	// A listing failure leaves the index empty; reads then resolve to
 	// live chunks, the same behavior as a snapshot-free store.
 	_ = s.loadPreImages()
@@ -107,7 +110,8 @@ func (s *Store) WriteChunk(path string, id meta.ChunkID, offset int64, data []by
 	if err != nil {
 		return fmt.Errorf("chunkstore: write %s#%d: %w", path, id, err)
 	}
-	_, err = h.f.WriteAt(data, offset)
+	n, err := h.f.WriteAt(data, offset)
+	h.grow(offset + int64(n))
 	s.open.release(h)
 	if err != nil {
 		return fmt.Errorf("chunkstore: write %s#%d: %w", path, id, err)
@@ -143,6 +147,7 @@ func (s *Store) readLive(path string, id meta.ChunkID, offset int64, dst []byte)
 	if err != nil {
 		return 0, fmt.Errorf("chunkstore: read %s#%d: %w", path, id, err)
 	}
+	s.open.copiedBytes.Add(uint64(n))
 	return n, nil
 }
 
@@ -155,6 +160,70 @@ func readFileAt(f vfs.File, offset int64, dst []byte) (int, error) {
 		err = nil
 	}
 	return n, err
+}
+
+// View is a read reply's hold on bytes of one live chunk: B is a window
+// of the chunk file's read-only mapping — the page cache itself, which a
+// carrier sends from with no copy of the store's own. It holds the
+// chunk's open handle, never the path lock: a truncate, remove or
+// copy-on-write of the path goes ahead while a view is out, and the view
+// keeps showing the inode it was taken from. An overwrite of that inode
+// shows through, as it would to a read racing it. Release it exactly
+// once, when nothing reads B any more.
+type View struct {
+	B []byte
+	h *openChunk
+	c *openCache
+}
+
+// Release ends the view; the zero View releases nothing.
+func (v View) Release() {
+	if v.h != nil {
+		v.c.release(v.h)
+	}
+}
+
+// ViewChunk is ReadChunk without the copy: it returns a view of up to n
+// bytes of chunk id of path at the chunk-local offset, clamped to the
+// chunk's end as the handle knows it (never by asking the kernel). A
+// missing chunk, or an offset at or past its end, views as zero bytes.
+// ok is false when the chunk file cannot be mapped, and the caller reads
+// it with ReadChunk instead: a store on a file system whose files never
+// map (an in-memory or a wrapping one, a platform without mmap) says so
+// before it takes any lock or handle, so its reads cost one acquire as
+// before; a failed mmap says so after. The mapping covers the first
+// chunkSize bytes of the file; it is made at the handle's first view and
+// kept while it is open.
+//
+// Only live content has views: a pinned-epoch read copies under the path
+// lock (ReadChunkAt), because the first overwrite after a pin changes the
+// live inode in place once it has copied the pre-image.
+func (s *Store) ViewChunk(path string, id meta.ChunkID, offset, n, chunkSize int64) (v View, ok bool, err error) {
+	if !s.maps {
+		return View{}, false, nil
+	}
+	l := s.lockFor(path)
+	l.RLock()
+	defer l.RUnlock()
+	h, err := s.open.acquire(chunkRef{path, id}, false)
+	if errors.Is(err, vfs.ErrNotExist) {
+		return View{}, true, nil // never written: hole
+	}
+	if err != nil {
+		return View{}, false, fmt.Errorf("chunkstore: read %s#%d: %w", path, id, err)
+	}
+	m := h.mapped(chunkSize)
+	if m == nil {
+		s.open.release(h)
+		return View{}, false, nil
+	}
+	end := min(offset+n, h.size.Load(), int64(len(m)))
+	if end <= offset {
+		s.open.release(h)
+		return View{}, true, nil
+	}
+	s.open.mappedBytes.Add(uint64(end - offset))
+	return View{B: m[offset:end:end], h: h, c: s.open}, true, nil
 }
 
 // RemoveChunks deletes every chunk of path. Removing a path without
@@ -205,7 +274,10 @@ func (s *Store) TruncateChunks(path string, chunkSize, newSize int64) error {
 	if keep == 0 || newSize%chunkSize == 0 {
 		return nil
 	}
-	// Trim the final chunk to its surviving prefix.
+	// Trim the final chunk to its surviving prefix: written to a sibling
+	// file and renamed over the chunk, so a failure at any step leaves the
+	// chunk whole, and the inode a read reply's view may still map never
+	// shrinks under it.
 	lastID := meta.ChunkID(keep - 1)
 	want := newSize - int64(lastID)*chunkSize
 	name := chunkFile(path, lastID)
@@ -226,20 +298,38 @@ func (s *Store) TruncateChunks(path string, chunkSize, newSize int64) error {
 		return nil
 	}
 	buf := make([]byte, want)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		f.Close()
-		return err
-	}
+	_, err = f.ReadAt(buf, 0)
 	f.Close()
-	nf, err := s.fs.Create(name)
 	if err != nil {
 		return err
 	}
-	defer nf.Close()
-	if _, err := nf.WriteAt(buf, 0); err != nil {
-		return err
+	if err := s.replaceFile(name, buf); err != nil {
+		return fmt.Errorf("chunkstore: truncate %s#%d: %w", path, lastID, err)
 	}
 	return nil
+}
+
+// replaceFile atomically replaces name with a file holding data: it is
+// written to the sibling name+".trim" (a foreign name to chunk listings,
+// which skip it) and renamed over name. On failure name is untouched and
+// the sibling removed.
+func (s *Store) replaceFile(name string, data []byte) error {
+	tmp := name + ".trim"
+	f, err := s.fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteAt(data, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.fs.Rename(tmp, name)
+	}
+	if err != nil {
+		s.fs.Remove(tmp)
+	}
+	return err
 }
 
 // ChunkIDs lists the chunk IDs stored for path, sorted ascending.

@@ -225,6 +225,7 @@ func (s *Store) ReadChunkAt(path string, id meta.ChunkID, offset int64, dst []by
 			if err != nil {
 				return 0, fmt.Errorf("chunkstore: snapshot read %s#%d@%d: %w", path, id, at, err)
 			}
+			s.open.copiedBytes.Add(uint64(n))
 			return n, nil
 		}
 	}

@@ -78,3 +78,62 @@ func TestTruncateChunksPropagatesOpenErrors(t *testing.T) {
 		t.Fatalf("truncate of a never-written chunk = %v, want nil", err)
 	}
 }
+
+// failWriteFS fails every write through a file it created while
+// failWrites is set, standing in for a full or failing node-local SSD.
+type failWriteFS struct {
+	vfs.FS
+	failWrites bool
+}
+
+type failWriteFile struct {
+	vfs.File
+	err error
+}
+
+func (f *failWriteFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.err != nil {
+		return 0, f.err
+	}
+	return f.File.WriteAt(p, off)
+}
+
+func (f *failWriteFS) Create(name string) (vfs.File, error) {
+	nf, err := f.FS.Create(name)
+	if err != nil || !f.failWrites {
+		return nf, err
+	}
+	return &failWriteFile{File: nf, err: errors.New("ssd: no space left on device")}, nil
+}
+
+// TestTruncateKeepsChunkWholeWhenTrimFails is the regression test for a
+// trim that truncated the final chunk in place (O_TRUNC) before writing
+// its kept prefix back: a failed write left the chunk empty. The prefix
+// now goes to a sibling file renamed over the chunk, so a failure leaves
+// the chunk as it was — and no sibling behind.
+func TestTruncateKeepsChunkWholeWhenTrimFails(t *testing.T) {
+	const cs = 16
+	fs := &failWriteFS{FS: vfs.NewMem()}
+	s := New(fs)
+	if err := s.WriteChunk("/f", 0, 0, []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	fs.failWrites = true
+	if err := s.TruncateChunks("/f", cs, 4); err == nil {
+		t.Fatal("TruncateChunks succeeded with every write failing")
+	}
+	fs.failWrites = false
+	dst := make([]byte, cs)
+	if n, err := s.ReadChunk("/f", 0, 0, dst); err != nil || string(dst[:n]) != "0123456789" {
+		t.Fatalf("chunk after a failed trim = %q, %v; want it whole", dst[:n], err)
+	}
+	if names, err := fs.List(chunkDir("/f")); err != nil || len(names) != 1 {
+		t.Fatalf("chunk directory after a failed trim = %v, %v; want the chunk alone", names, err)
+	}
+	if err := s.TruncateChunks("/f", cs, 4); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.ReadChunk("/f", 0, 0, dst); err != nil || string(dst[:n]) != "0123" {
+		t.Fatalf("chunk after the trim = %q, %v; want %q", dst[:n], err, "0123")
+	}
+}

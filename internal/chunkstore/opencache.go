@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"repro/internal/meta"
@@ -19,10 +20,20 @@ import (
 // holds its path's read lock from acquire to release, and every operation
 // that unlinks, renames or replaces a chunk file (RemoveChunks*,
 // TruncateChunks*) holds the write lock and drops the path's handles
-// before it lets go. A handle therefore never outlives the name it was
-// opened under — in particular it can never follow a chunk renamed into a
+// before it lets go. No write therefore reaches a handle past the name it
+// was opened under — in particular none can follow a chunk renamed into a
 // pre-image (cow.go) and write into a pinned epoch. Lock order is
 // cowMu → path lock → openCache.mu; the cache calls nothing that locks.
+//
+// A read reply's view (View) is the one hold that outlives its lock: it
+// keeps its handle's refcount, never the path lock, so a client slow to
+// take its reply stalls no truncate, remove or copy-on-write of the
+// path's lock stripe. A dropped handle a view still holds reads the inode
+// it was opened on — unlinked, renamed into a pre-image or replaced —
+// until the view's release closes it. That is safe because no live chunk
+// inode ever shrinks in place: a truncate writes the kept prefix to a
+// sibling file and renames it over the chunk, so every byte below a
+// handle's size stays mapped while the handle is open.
 
 // maxOpenChunks bounds the chunk files one store keeps open. Measured on
 // small_random_rw (8 KiB random I/O over a 256 MiB shared file: a hot set
@@ -48,11 +59,24 @@ type chunkRef struct {
 
 // openChunk is one open chunk file; ref and f are immutable.
 type openChunk struct {
-	ref  chunkRef
-	f    vfs.File
-	refs int           // guarded by openCache.mu; I/Os between acquire and release
-	dead bool          // guarded by openCache.mu; no longer indexed: the last release closes it
-	elem *list.Element // guarded by openCache.mu; position in the LRU list while indexed
+	ref chunkRef
+	f   vfs.File
+	// size is the file's length as the store knows it: fstat'd once,
+	// under openCache.mu as the handle is published (so before any writer
+	// has it, and after every write through an earlier handle), then
+	// raised by every write through the handle after its bytes landed.
+	// It never overstates the file, and the file never shrinks below it,
+	// so a view clamped to it never reads past the end of the mapping's
+	// backing file. A read never asks the kernel for the size.
+	size atomic.Int64
+	// mapping is the file's first chunk-size bytes, mapped read-only at
+	// the handle's first view (mapOnce); nil when the file cannot be
+	// mapped. It is unmapped when the handle closes.
+	mapOnce sync.Once
+	mapping []byte
+	refs    int           // guarded by openCache.mu; I/Os and views between acquire and release
+	dead    bool          // guarded by openCache.mu; no longer indexed: the last release closes it
+	elem    *list.Element // guarded by openCache.mu; position in the LRU list while indexed
 }
 
 // openCache is a bounded LRU of open chunk files. The bound is strict:
@@ -71,12 +95,47 @@ type openCache struct {
 	shut  bool                    // guarded by mu; after Close nothing is kept
 
 	hits, misses, evictions uint64 // guarded by mu
+
+	// Reply bytes by how they left the store: as views of a mapping
+	// (ViewChunk) or copied by a read into a caller's region (ReadChunk*).
+	mappedBytes, copiedBytes atomic.Uint64
 }
 
 func newOpenCache(fs vfs.FS) *openCache {
 	c := &openCache{fs: fs, bound: maxOpenChunks, index: make(map[chunkRef]*openChunk)}
 	c.freed.L = &c.mu
 	return c
+}
+
+// grow raises h's known size to end, once the bytes below end landed.
+func (h *openChunk) grow(end int64) {
+	for {
+		cur := h.size.Load()
+		if end <= cur || h.size.CompareAndSwap(cur, end) {
+			return
+		}
+	}
+}
+
+// mapped returns h's read-only mapping of n bytes, mapping the file at
+// the first call; nil when the file cannot be mapped. The caller holds
+// a reference on h.
+func (h *openChunk) mapped(n int64) []byte {
+	h.mapOnce.Do(func() {
+		if m, err := vfs.Map(h.f, int(n)); err == nil {
+			h.mapping = m
+		}
+	})
+	return h.mapping
+}
+
+// close unmaps and closes h. Nothing holds it any more: its last
+// reference was released, or it was never published.
+func (h *openChunk) close() {
+	if h.mapping != nil {
+		vfs.Unmap(h.mapping)
+	}
+	h.f.Close()
 }
 
 // unindex takes h out of the index and the LRU list. The caller closes it
@@ -143,7 +202,7 @@ func (c *openCache) acquire(ref chunkRef, create bool) (*openChunk, error) {
 	c.open++ // reserved across the open below
 	c.mu.Unlock()
 	if victim != nil {
-		victim.f.Close()
+		victim.close()
 	}
 
 	f, err := c.openFile(ref, create)
@@ -154,7 +213,7 @@ func (c *openCache) acquire(ref chunkRef, create bool) (*openChunk, error) {
 		victim = c.evictIdle()
 		c.mu.Unlock()
 		if victim != nil {
-			victim.f.Close()
+			victim.close()
 			f, err = c.openFile(ref, create)
 		}
 	}
@@ -176,7 +235,20 @@ func (c *openCache) acquire(ref chunkRef, create bool) (*openChunk, error) {
 		f.Close()
 		return h, nil
 	}
+	// The size is read here, under mu with no handle of ref indexed, and
+	// not at the open: a handle of ref published and evicted since then
+	// may have carried writes that grew the file, but an evicted handle
+	// had no holder left, so each of those writes has landed by now, and
+	// no writer holds a handle of ref until this one is published.
+	size, err := f.Size()
+	if err != nil {
+		c.open--
+		c.freed.Broadcast()
+		f.Close()
+		return nil, err
+	}
 	h := &openChunk{ref: ref, f: f, refs: 1, dead: c.shut}
+	h.size.Store(size)
 	if !h.dead {
 		h.elem = c.lru.PushFront(h)
 		c.index[ref] = h
@@ -184,7 +256,7 @@ func (c *openCache) acquire(ref chunkRef, create bool) (*openChunk, error) {
 	return h, nil
 }
 
-// release ends an I/O's hold on h.
+// release ends an I/O's or a view's hold on h.
 func (c *openCache) release(h *openChunk) {
 	c.mu.Lock()
 	h.refs--
@@ -195,13 +267,14 @@ func (c *openCache) release(h *openChunk) {
 	c.freed.Broadcast()
 	c.mu.Unlock()
 	if closing {
-		h.f.Close()
+		h.close()
 	}
 }
 
 // drop closes the handles match selects. Callers hold the write lock of
-// every path whose handles they select, so none of those is in use; a
-// handle that is (Close racing a handler) is closed by its last release.
+// every path whose handles they select, so no I/O holds one of those; a
+// handle a read reply's view still holds (or a handler racing Close) is
+// closed by its last release.
 func (c *openCache) drop(match func(chunkRef) bool) {
 	var idle []*openChunk
 	c.mu.Lock()
@@ -220,7 +293,7 @@ func (c *openCache) drop(match func(chunkRef) bool) {
 	}
 	c.mu.Unlock()
 	for _, h := range idle {
-		h.f.Close()
+		h.close()
 	}
 }
 
@@ -246,15 +319,24 @@ func (c *openCache) closeAll() {
 // near zero with evictions tracking misses is streaming (every chunk
 // touched once); the same picture on a small-I/O workload means its hot
 // set outgrew the cache. Open is the level the bound applies to.
+// MappedBytes are read-reply bytes handed out as views of a chunk file's
+// mapping, CopiedBytes those a read copied into a caller's region — the
+// fallback of a pinned-epoch read, an unmappable file or a platform
+// without mmap.
 type OpenStats struct {
-	Hits      uint64 `metric:"gkfs_chunk_open_hits_total"`
-	Misses    uint64 `metric:"gkfs_chunk_open_misses_total"`
-	Evictions uint64 `metric:"gkfs_chunk_open_evictions_total"`
-	Open      uint64 `metric:"gkfs_chunk_open_handles,gauge"`
+	Hits        uint64 `metric:"gkfs_chunk_open_hits_total"`
+	Misses      uint64 `metric:"gkfs_chunk_open_misses_total"`
+	Evictions   uint64 `metric:"gkfs_chunk_open_evictions_total"`
+	Open        uint64 `metric:"gkfs_chunk_open_handles,gauge"`
+	MappedBytes uint64 `metric:"gkfs_chunk_reply_mapped_bytes_total"`
+	CopiedBytes uint64 `metric:"gkfs_chunk_reply_copied_bytes_total"`
 }
 
 func (c *openCache) stats() OpenStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return OpenStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Open: uint64(c.open)}
+	return OpenStats{
+		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Open: uint64(c.open),
+		MappedBytes: c.mappedBytes.Load(), CopiedBytes: c.copiedBytes.Load(),
+	}
 }

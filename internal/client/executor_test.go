@@ -16,11 +16,15 @@ import (
 // an 8 KiB synchronous ReadAt and WriteAt against the metadata owner over
 // the mem transport, daemon side included (the size-update cache keeps
 // the metadata record's merge chain, and with it the daemon's share,
-// constant). The bounds are the values measured at the commit before the
-// span-group executor replaced the unreplicated code path: a chain of
-// one must cost no more than the code it replaced.
+// constant). The pins are the measured counts, 13 and 14, which chunk
+// reads replying through rpc.Gather left unchanged. Under the race detector sync.Pool drops a random share of its Puts, so
+// there the bound stays the one the span-group executor had to meet
+// (31/18, the code path it replaced).
 func TestSyncIOAllocPin(t *testing.T) {
-	const readPin, writePin = 31, 18
+	readPin, writePin := 13.0, 14.0
+	if raceEnabled {
+		readPin, writePin = 31, 18
+	}
 	c, _, _ := pipelineCluster(t, 1, Config{SizeCacheOps: 1 << 30})
 	fd, err := c.Open("/pin", O_CREATE|O_RDWR)
 	if err != nil {
@@ -45,7 +49,7 @@ func TestSyncIOAllocPin(t *testing.T) {
 		}
 	})
 	if reads > readPin || writes > writePin {
-		t.Fatalf("allocs per 8 KiB op: ReadAt %v (pin %d), WriteAt %v (pin %d)", reads, readPin, writes, writePin)
+		t.Fatalf("allocs per 8 KiB op: ReadAt %v (pin %v), WriteAt %v (pin %v)", reads, readPin, writes, writePin)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/chunkstore"
 	"repro/internal/kvstore"
 	"repro/internal/meta"
 	"repro/internal/proto"
@@ -260,29 +261,25 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	}
 	counts := make([]int64, len(spans))
 	if total > 0 {
-		// The transport's outgoing bulk region is the pread destination
-		// itself — no staging copy.
-		data, werr := bulk.Writable(int(total))
-		if werr != nil {
-			return nil, werr
-		}
+		r := getReadReply()
+		r.views = append(r.views[:0], make([]chunkstore.View, len(spans))...)
+		// Views only for a carrier that sends them where they lie (TCP's
+		// writev, whose copy is the kernel's: a fault in a view is an
+		// EFAULT there, never a signal). Any other carrier would copy them
+		// into its region in user space; it gets the read straight into
+		// that region instead, as before views.
+		_, gathers := bulk.(rpc.Gatherer)
+		r.lend = gathers && at == meta.LiveEpoch
 		err = forEachSpan(spans, func(i int, s proto.ChunkSpan, off int64) error {
-			dst := data[off : off+s.Len]
-			n, err := d.chunks.ReadChunkAt(path, s.ID, s.Off, dst, at)
-			if err != nil {
-				return err
-			}
-			// The region is dirty (a pooled wire buffer or a reused segment
-			// window); bytes past what the chunk file holds are holes and
-			// must read as zeros.
-			clear(dst[n:])
-			counts[i] = int64(n)
-			return nil
+			v, err := d.readSpan(r, bulk, total, path, s, off, at)
+			r.views[i], counts[i] = v, int64(len(v.B))
+			return err
 		})
 		if err != nil {
+			r.done()
 			return nil, err
 		}
-		// Commit only up to the last present byte: the carrier zeroes what
+		// Reply only up to the last present byte: the carrier zeroes what
 		// it did not deliver (rpc.Bulk.Commit), so the untransferred tail
 		// reads as zeros on the client. Reads past EOF and hole-heavy
 		// windows move (almost) nothing over the wire instead of a window
@@ -294,7 +291,7 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 			}
 			spanOff += s.Len
 		}
-		if err := bulk.Commit(int(high)); err != nil {
+		if err := rpc.Gather(bulk, r.windows(spans, high), r.release); err != nil {
 			return nil, err
 		}
 		atomic.AddUint64(&d.live.ReadBytesPushed, uint64(high))
@@ -315,6 +312,111 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 		e.I64(sizeView)
 	}
 	return e.Bytes(), nil
+}
+
+// readSpan reads one span of a chunk read: a live chunk lent to a
+// gathering carrier as a view of its mapping, which holds the chunk's
+// handle but not its path lock until the reply is written; any other
+// read — a pinned epoch, a carrier that cannot gather, a chunk the store
+// cannot map — by a copy under the path lock into the carrier's own
+// region at the span's place in the reply (drawn at the first such span).
+func (d *Daemon) readSpan(r *readReply, bulk rpc.Bulk, total int64, path string, s proto.ChunkSpan, off int64, at uint64) (chunkstore.View, error) {
+	if r.lend {
+		v, ok, err := d.chunks.ViewChunk(path, s.ID, s.Off, s.Len, d.cfg.ChunkSize)
+		if ok || err != nil {
+			return v, err
+		}
+	}
+	region, err := r.region(bulk, total)
+	if err != nil {
+		return chunkstore.View{}, err
+	}
+	dst := region[off : off+s.Len]
+	n, err := d.chunks.ReadChunkAt(path, s.ID, s.Off, dst, at)
+	return chunkstore.View{B: dst[:n]}, err
+}
+
+// zeroPad is the one shared run of zeros a read reply pads short spans
+// and holes from. 64 KiB rather than a page keeps a hole-heavy reply to
+// one window per 64 KiB of padding.
+var zeroPad [64 << 10]byte
+
+// readReply is one chunk read's reply while the carrier sends it: each
+// span's present bytes (views, one per span, in span order) and the
+// window list gathered from them. Pooled; release, bound once, gives the
+// views back and the reply to the pool.
+type readReply struct {
+	views   []chunkstore.View
+	list    [][]byte
+	release func()
+	lend    bool // live spans are read as views (readSpan)
+
+	mu  sync.Mutex
+	dst []byte // guarded by mu; the carrier's Writable region, once a span needed it
+}
+
+var readReplies sync.Pool
+
+func getReadReply() *readReply {
+	if r, ok := readReplies.Get().(*readReply); ok {
+		return r
+	}
+	r := new(readReply)
+	r.release = r.done
+	return r
+}
+
+// region returns the carrier's Writable region of total bytes for the
+// spans read by copy, drawing it at the first call.
+func (r *readReply) region(bulk rpc.Bulk, total int64) ([]byte, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.dst == nil {
+		b, err := bulk.Writable(int(total))
+		if err != nil {
+			return nil, err
+		}
+		r.dst = b
+	}
+	return r.dst, nil
+}
+
+// windows lays the reply out up to high: each span's present bytes, then
+// zeros from zeroPad to the span's end.
+func (r *readReply) windows(spans []proto.ChunkSpan, high int64) [][]byte {
+	list := r.list[:0]
+	var off int64
+	for i, s := range spans {
+		if off >= high {
+			break
+		}
+		b := r.views[i].B
+		if len(b) > 0 {
+			list = append(list, b)
+		}
+		for pad := min(s.Len, high-off) - int64(len(b)); pad > 0; {
+			z := zeroPad[:min(pad, int64(len(zeroPad)))]
+			list = append(list, z)
+			pad -= int64(len(z))
+		}
+		off += s.Len
+	}
+	r.list = list
+	return list
+}
+
+// done releases every view and returns r to the pool.
+func (r *readReply) done() {
+	for _, v := range r.views {
+		v.Release()
+	}
+	clear(r.views)
+	clear(r.list)
+	r.views, r.list = r.views[:0], r.list[:0]
+	r.mu.Lock()
+	r.dst = nil
+	r.mu.Unlock()
+	readReplies.Put(r)
 }
 
 func bulkLen(b rpc.Bulk) int {

@@ -38,7 +38,8 @@ type Op uint16
 // outgoing region for BulkOut — the roles of an RDMA get and put, with
 // no copy of their own, so the data path touches each byte at most once
 // per direction. Views are valid only until the handler returns;
-// retaining one is a use-after-release.
+// retaining one is a use-after-release. A BulkOut handler whose reply
+// already lies in memory of its own lends it instead (Gather).
 type Bulk interface {
 	// Len returns the size of the exposed region.
 	Len() int
@@ -57,6 +58,56 @@ type Bulk interface {
 	// carrier, which alone knows how many bytes it delivered. Callers
 	// never pre-clear a region (docs/INVARIANTS.md).
 	Commit(n int) error
+}
+
+// Gatherer is the Bulk extension of a carrier that can send a BulkOut
+// reply straight from memory it does not own — the inline stream's
+// writev. Gather hands it the reply as windows, sent in order as the
+// committed bytes (their total must not exceed Len), and the function
+// that gives them back. On success the carrier owns release and runs it
+// exactly once, after the reply was written or the call failed, whatever
+// else the handler does; on error it never runs it. Handlers call the
+// Gather function, never the method.
+type Gatherer interface {
+	Gather(windows [][]byte, release func()) error
+}
+
+// Gather replies to a BulkOut call with the bytes of windows, in order,
+// and runs release exactly once, when nothing reads the windows any
+// more. A carrier that can gather (Gatherer) sends them where they lie;
+// any other gets them copied into its Writable region — the one pass a
+// read into that region would have made — and committed, and release
+// runs before Gather returns. A window that already lies where the copy
+// would put it (a handler that read part of the reply into the Writable
+// region itself) is not copied again. Bytes of the region past the
+// windows' total are the carrier's to clear, as after Commit. The
+// fallback's copy runs in user space, where a fault kills the process:
+// lend a non-gathering carrier only memory that cannot fault — never a
+// file mapping, whose page past a shrunk file's end raises SIGBUS.
+func Gather(b Bulk, windows [][]byte, release func()) error {
+	if g, ok := b.(Gatherer); ok {
+		err := g.Gather(windows, release)
+		if err != nil {
+			release()
+		}
+		return err
+	}
+	defer release()
+	n := 0
+	for _, w := range windows {
+		n += len(w)
+	}
+	dst, err := b.Writable(n)
+	if err != nil {
+		return err
+	}
+	for _, w := range windows {
+		if len(w) > 0 && &w[0] != &dst[0] {
+			copy(dst, w)
+		}
+		dst = dst[len(w):]
+	}
+	return b.Commit(n)
 }
 
 // Handler serves one operation. req is the request payload; the returned

@@ -26,6 +26,15 @@ const (
 	opHoldPlain                      // bulk-less, ordinary (shaped like chunk removal): blocks until released
 	opPointSink                      // BulkIn point op (shaped like a chunk write): naps, then takes the region in place
 	opPointFill                      // BulkOut point op (shaped like a chunk read): naps, then fills and commits the region
+	opPointLend                      // BulkOut point op (shaped like a mapped chunk read): lends pointLent as its reply
+)
+
+// pointLent is opPointLend's reply, two 4 KiB windows lent from memory
+// the handler keeps, and pointReleased the release it hands over with
+// them: nothing of the lend is made per call.
+var (
+	pointLent     = [][]byte{make([]byte, 4<<10), make([]byte, 4<<10)}
+	pointReleased = func() {}
 )
 
 // nap sleeps req[0] milliseconds when the request carries a payload.
@@ -85,6 +94,9 @@ func newDispatchServer() *dispatchServer {
 			b[i] = byte(i)
 		}
 		return nil, bulk.Commit(len(b))
+	})
+	s.RegisterPoint(opPointLend, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
+		return nil, rpc.Gather(bulk, pointLent, pointReleased)
 	})
 	return s
 }
@@ -361,7 +373,9 @@ func rpcAllocs(t *testing.T, c rpc.Conn, op rpc.Op, bulk [][]byte, dir rpc.BulkD
 // the connection's pending call are both recycled, so the split costs
 // nothing either. It was 5 while chunk ops were served on a goroutine
 // of their own (request struct, goroutine, closure) and each end built a
-// net.Buffers per vectored write.
+// net.Buffers per vectored write. A BulkOut reply the handler lends as
+// windows (rpc.Gather, the shape of a chunk read from the page cache)
+// costs nothing either: the windows and the release ride the request.
 const bulkRPCAllocPin = 0
 
 // TestBulkRPCAllocs pins bulkRPCAllocPin.
@@ -376,7 +390,7 @@ func TestBulkRPCAllocs(t *testing.T) {
 		name string
 		op   rpc.Op
 		dir  rpc.BulkDir
-	}{{"BulkIn", opPointSink, rpc.BulkIn}, {"BulkOut", opPointFill, rpc.BulkOut}} {
+	}{{"BulkIn", opPointSink, rpc.BulkIn}, {"BulkOut", opPointFill, rpc.BulkOut}, {"gathered BulkOut", opPointLend, rpc.BulkOut}} {
 		allocs := rpcAllocs(t, c, tc.op, src, tc.dir)
 		if allocs > bulkRPCAllocPin {
 			t.Errorf("an 8 KiB %s RPC makes %v allocations, pin %d", tc.name, allocs, bulkRPCAllocPin)

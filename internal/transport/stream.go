@@ -310,18 +310,25 @@ func (r *request) release() {
 	r.releaseBulk()
 }
 
-// releaseBulk returns the request's inline bulk regions to the pool; a
-// by-reference request's are windows of the segment, not pooled.
+// releaseBulk returns the request's inline bulk regions to the pool — a
+// by-reference request's are windows of the segment, not pooled — and
+// gives a gathered reply's windows back to its handler. It runs once the
+// response was written, or could not be.
 func (r *request) releaseBulk() {
-	if !r.bulk.ref {
-		if r.bulk.in != nil {
-			rpc.PutBuf(r.bulk.in)
+	b := &r.bulk
+	if !b.ref {
+		if b.in != nil {
+			rpc.PutBuf(b.in)
 		}
-		if r.bulk.out != nil {
-			rpc.PutBuf(r.bulk.out)
+		if b.out != nil {
+			rpc.PutBuf(b.out)
 		}
 	}
-	r.bulk.in, r.bulk.out = nil, nil
+	if b.release != nil {
+		b.release()
+	}
+	b.in, b.out, b.gathered, b.release = nil, nil, nil, nil
+	clear(b.one[:])
 }
 
 // readRequest reads one request off br into req: fixed header, then
@@ -444,26 +451,70 @@ func readRequest(br *bufio.Reader, seg []byte, req *request) error {
 // Inline: `in` is the pooled region the BulkIn bytes were read into and
 // `out` the pooled region a BulkOut handler fills (Writable) —
 // writeResponse sends it as the second element of the
-// response iovec, so the bytes are never re-joined into a frame. By
-// reference (ref): both are the client-visible segment window itself, so
-// the daemon side of either direction is copy-free and nothing travels
-// back but the committed length.
+// response iovec, so the bytes are never re-joined into a frame — or,
+// when the handler lent its reply instead (rpc.Gather), `gathered` are
+// the windows writeResponse sends from where they lie, and `release`
+// gives them back after the write (releaseBulk). By reference (ref):
+// both regions are the client-visible segment window itself, so the
+// daemon side of either direction is copy-free and nothing travels back
+// but the committed length; a lent reply is copied into the window by
+// rpc.Gather's fallback.
 type serverBulk struct {
-	dir    rpc.BulkDir
-	ref    bool
-	in     []byte
-	out    []byte // inline: allocated at the full outLen budget on first use
-	outN   int    // committed bytes; what travels back
-	outLen int
+	dir      rpc.BulkDir
+	ref      bool
+	in       []byte
+	out      []byte // inline: allocated at the full outLen budget on first use
+	outN     int    // committed bytes; what travels back
+	outLen   int
+	gathered [][]byte  // inline: the lent reply, outN bytes in all
+	release  func()    // inline: gives gathered back; run by releaseBulk
+	one      [1][]byte // the vector of a committed out region
 }
+
+// inlineBulk is the inline carrier's view of a request's bulk: a
+// serverBulk that can also send a BulkOut reply from windows the handler
+// lends (rpc.Gatherer). One pointer wide, so handing it out as an
+// rpc.Bulk allocates nothing.
+type inlineBulk struct{ *serverBulk }
 
 // forHandler hides the bulk object entirely when no buffer was exposed,
 // so handlers can test for nil.
 func (b *serverBulk) forHandler() rpc.Bulk {
-	if b.dir == rpc.BulkNone {
+	switch {
+	case b.dir == rpc.BulkNone:
 		return nil
+	case b.ref:
+		return b
 	}
-	return b
+	return inlineBulk{b}
+}
+
+// Gather implements rpc.Gatherer: writeResponse sends the windows after
+// the response header in one writev, and releaseBulk runs release after
+// it.
+func (b inlineBulk) Gather(windows [][]byte, release func()) error {
+	if b.dir != rpc.BulkOut || b.release != nil {
+		return errors.New("transport: gather without a fresh BulkOut region")
+	}
+	n := 0
+	for _, w := range windows {
+		n += len(w)
+	}
+	if n > b.outLen {
+		return fmt.Errorf("transport: gathered reply of %d exceeds exposed %d", n, b.outLen)
+	}
+	b.gathered, b.release, b.outN = windows, release, n
+	return nil
+}
+
+// reply is the committed BulkOut bytes as the vector that sends them.
+// Caller checked outN > 0 on the inline carrier.
+func (b *serverBulk) reply() [][]byte {
+	if b.release != nil {
+		return b.gathered
+	}
+	b.one[0] = b.out[:b.outN]
+	return b.one[:]
 }
 
 // Len implements rpc.Bulk.
@@ -504,7 +555,7 @@ func (b *serverBulk) Writable(n int) ([]byte, error) {
 
 // Commit implements rpc.Bulk.
 func (b *serverBulk) Commit(n int) error {
-	if b.dir != rpc.BulkOut || b.out == nil {
+	if b.dir != rpc.BulkOut || b.out == nil || b.release != nil {
 		return errors.New("transport: commit without a writable region")
 	}
 	if n > len(b.out) {
@@ -515,11 +566,11 @@ func (b *serverBulk) Commit(n int) error {
 }
 
 // writeResponse sends one response: header (with payload and committed
-// bulk length) plus, on the inline carrier, the committed bulk region as
-// the second element of a writev — the server-side gather mirroring the
-// client's. By-reference bulk is already in the client's window; only
-// its length travels. bulk is borrowed; the caller still owns its
-// release.
+// bulk length) plus, on the inline carrier, the committed bulk — the
+// Writable region, or the windows a handler lent — after it in one
+// writev: the server-side gather mirroring the client's. By-reference
+// bulk is already in the client's window; only its length travels. bulk
+// is borrowed; the caller still owns its release.
 func writeResponse(nc net.Conn, out *replyWriter, wire *rpc.WireCounters, id uint64, payload []byte, bulk *serverBulk, herr error) {
 	status := byte(0)
 	pushed := bulk.outN
@@ -528,20 +579,20 @@ func writeResponse(nc net.Conn, out *replyWriter, wire *rpc.WireCounters, id uin
 		payload = []byte(herr.Error())
 		pushed = 0
 	}
-	var inline []byte // bulk bytes that ride the stream
-	if !bulk.ref && pushed > 0 {
-		inline = bulk.out[:pushed]
+	inline := 0 // bulk bytes that ride the stream
+	if !bulk.ref {
+		inline = pushed
 	}
-	rest := minResponseLen + len(payload) + 4 + len(inline)
+	rest := minResponseLen + len(payload) + 4 + inline
 	if rest > maxFrame {
 		// The client's read loop would reject this frame and condemn the
 		// whole connection; degrade to a per-call error instead.
 		status = 1
 		payload = []byte(errFrameTooBig.Error())
-		pushed, inline = 0, nil
+		pushed, inline = 0, 0
 		rest = minResponseLen + len(payload) + 4
 	}
-	hdr := rpc.GetBuf(4 + rest - len(inline))[:0]
+	hdr := rpc.GetBuf(4 + rest - inline)[:0]
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(rest))
 	hdr = binary.LittleEndian.AppendUint64(hdr, id)
 	hdr = append(hdr, status)
@@ -550,12 +601,19 @@ func writeResponse(nc net.Conn, out *replyWriter, wire *rpc.WireCounters, id uin
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(pushed))
 
 	out.mu.Lock()
-	// A write error tears down the connection via the read side.
-	if len(inline) > 0 {
-		_ = out.iov.writev(nc, hdr, nil, inline)
+	var werr error
+	if inline > 0 {
+		werr = out.iov.writev(nc, hdr, bulk.reply(), nil)
 		wire.VectoredWrites.Add(1)
 	} else {
-		_, _ = nc.Write(hdr)
+		_, werr = nc.Write(hdr)
+	}
+	if werr != nil {
+		// The frame may be cut short — a dead peer, or a lent window the
+		// kernel could not read (EFAULT) — and whatever followed it on
+		// the stream would be read as its rest. Close the connection: the
+		// serve loop's read fails, and the client fails its calls.
+		nc.Close()
 	}
 	out.mu.Unlock()
 	wire.FramesOut.Add(1)

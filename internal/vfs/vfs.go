@@ -18,6 +18,10 @@ import (
 // ErrNotExist reports an access to a file that does not exist.
 var ErrNotExist = errors.New("vfs: file does not exist")
 
+// ErrNoMap reports a file that cannot be mapped into memory (Map): an
+// in-memory file, or any file on a platform without mmap.
+var ErrNoMap = errors.New("vfs: file cannot be mapped")
+
 // File is a random-access file handle.
 type File interface {
 	// ReadAt follows the io.ReaderAt contract on every implementation: a
