@@ -343,12 +343,16 @@ func runStats(c *client.Client, jsonOut bool) {
 	// its hot chunk set outgrew the cache and every miss pays an open. The
 	// mapped share is the read-reply bytes sent from a chunk file's mapping
 	// rather than copied by a read; well below 1 on live reads means the
-	// copying fallback served them (pinned epochs, unmappable files).
+	// copying fallback served them (pinned epochs, unmappable files). The
+	// write mapped share is the written bytes copied into a mapping rather
+	// than pwritten: small in-place rewrites; map faults are copies that
+	// faulted and were redone by pwrite.
 	var oc chunkstore.OpenStats
 	total.View(&oc)
-	fmt.Printf("open chunks: hit-share=%.2f evictions=%d handles=%d mapped-share=%.2f\n",
+	fmt.Printf("open chunks: hit-share=%.2f evictions=%d handles=%d mapped-share=%.2f write-mapped-share=%.2f map-faults=%d\n",
 		float64(oc.Hits)/float64(max(oc.Hits+oc.Misses, 1)), oc.Evictions, oc.Open,
-		float64(oc.MappedBytes)/float64(max(oc.MappedBytes+oc.CopiedBytes, 1)))
+		float64(oc.MappedBytes)/float64(max(oc.MappedBytes+oc.CopiedBytes, 1)),
+		float64(oc.WriteMappedBytes)/float64(max(oc.WriteMappedBytes+oc.WritePwriteBytes, 1)), oc.MapFaults)
 	telemetry.WriteOpTable(os.Stdout, "latency (all daemons merged):", total.Hists)
 }
 

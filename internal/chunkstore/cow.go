@@ -132,46 +132,31 @@ func (s *Store) bumpLast(key string, epoch uint64) {
 
 // copyPreImage pins the live content of (path, id) as the pre-image
 // superseded at epoch. A missing live chunk pins as a zero-byte file —
-// the hole marker. Caller holds cowMu and the path's write lock.
+// the hole marker. The copy is written to a sibling file and renamed
+// into place (replaceFile), so a failed or interrupted copy leaves no
+// pre-image a restarted store would index (loadPreImages skips the
+// sibling's name). Caller holds cowMu and the path's write lock.
 func (s *Store) copyPreImage(path string, id meta.ChunkID, key string, epoch uint64) error {
-	name := preImageName(key, epoch)
+	var buf []byte
 	f, err := s.fs.Open(chunkFile(path, id))
-	if errors.Is(err, vfs.ErrNotExist) {
-		nf, err := s.fs.Create(name)
-		if err != nil {
-			return fmt.Errorf("chunkstore: pin %s#%d: %w", path, id, err)
+	if err == nil {
+		var size int64
+		if size, err = f.Size(); err == nil && size > 0 {
+			buf = make([]byte, size)
+			_, err = f.ReadAt(buf, 0)
 		}
-		s.cowCopies.Add(1)
-		return nf.Close()
-	}
-	if err != nil {
-		return fmt.Errorf("chunkstore: pin %s#%d: %w", path, id, err)
-	}
-	size, err := f.Size()
-	if err != nil {
 		f.Close()
-		return err
+	} else if errors.Is(err, vfs.ErrNotExist) {
+		err = nil
 	}
-	buf := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			f.Close()
-			return fmt.Errorf("chunkstore: pin %s#%d: %w", path, id, err)
-		}
+	if err == nil {
+		err = s.replaceFile(preImageName(key, epoch), buf)
 	}
-	f.Close()
-	nf, err := s.fs.Create(name)
 	if err != nil {
 		return fmt.Errorf("chunkstore: pin %s#%d: %w", path, id, err)
-	}
-	defer nf.Close()
-	if size > 0 {
-		if _, err := nf.WriteAt(buf, 0); err != nil {
-			return fmt.Errorf("chunkstore: pin %s#%d: %w", path, id, err)
-		}
 	}
 	s.cowCopies.Add(1)
-	s.cowBytes.Add(uint64(size))
+	s.cowBytes.Add(uint64(len(buf)))
 	return nil
 }
 

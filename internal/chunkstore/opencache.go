@@ -22,7 +22,8 @@ import (
 // TruncateChunks*) holds the write lock and drops the path's handles
 // before it lets go. No write therefore reaches a handle past the name it
 // was opened under — in particular none can follow a chunk renamed into a
-// pre-image (cow.go) and write into a pinned epoch. Lock order is
+// pre-image (cow.go) and write into a pinned epoch; that holds for a write
+// copied into the handle's mapping as for a pwrite. Lock order is
 // cowMu → path lock → openCache.mu; the cache calls nothing that locks.
 //
 // A read reply's view (View) is the one hold that outlives its lock: it
@@ -69,9 +70,9 @@ type openChunk struct {
 	// so a view clamped to it never reads past the end of the mapping's
 	// backing file. A read never asks the kernel for the size.
 	size atomic.Int64
-	// mapping is the file's first chunk-size bytes, mapped read-only at
-	// the handle's first view (mapOnce); nil when the file cannot be
-	// mapped. It is unmapped when the handle closes.
+	// mapping is the file's first chunk-size bytes, mapped read-write at
+	// the handle's first view or mapped write (mapOnce); nil when the
+	// file cannot be mapped. It is unmapped when the handle closes.
 	mapOnce sync.Once
 	mapping []byte
 	refs    int           // guarded by openCache.mu; I/Os and views between acquire and release
@@ -84,7 +85,8 @@ type openChunk struct {
 // opening one more (an I/O holds one handle and waits for nothing else
 // while it does, so the wait always ends).
 type openCache struct {
-	fs vfs.FS
+	fs     vfs.FS
+	mapLen int64 // bytes of each chunk file mapped: the chunk size
 
 	mu    sync.Mutex
 	freed sync.Cond               // broadcast when a handle is released or a reservation returned
@@ -99,10 +101,14 @@ type openCache struct {
 	// Reply bytes by how they left the store: as views of a mapping
 	// (ViewChunk) or copied by a read into a caller's region (ReadChunk*).
 	mappedBytes, copiedBytes atomic.Uint64
+	// Written bytes by how they entered a chunk file: copied into its
+	// mapping or pwritten; and mapped copies that faulted and were redone
+	// by pwrite (Store.writeAt).
+	writeMappedBytes, writePwriteBytes, mapFaults atomic.Uint64
 }
 
-func newOpenCache(fs vfs.FS) *openCache {
-	c := &openCache{fs: fs, bound: maxOpenChunks, index: make(map[chunkRef]*openChunk)}
+func newOpenCache(fs vfs.FS, mapLen int64) *openCache {
+	c := &openCache{fs: fs, mapLen: mapLen, bound: maxOpenChunks, index: make(map[chunkRef]*openChunk)}
 	c.freed.L = &c.mu
 	return c
 }
@@ -117,12 +123,12 @@ func (h *openChunk) grow(end int64) {
 	}
 }
 
-// mapped returns h's read-only mapping of n bytes, mapping the file at
-// the first call; nil when the file cannot be mapped. The caller holds
-// a reference on h.
-func (h *openChunk) mapped(n int64) []byte {
+// mapped returns h's mapping of the cache's mapLen bytes, mapping the
+// file at the first call; nil when the file cannot be mapped. The caller
+// holds a reference on h.
+func (c *openCache) mapped(h *openChunk) []byte {
 	h.mapOnce.Do(func() {
-		if m, err := vfs.Map(h.f, int(n)); err == nil {
+		if m, err := vfs.Map(h.f, int(c.mapLen)); err == nil {
 			h.mapping = m
 		}
 	})
@@ -322,14 +328,22 @@ func (c *openCache) closeAll() {
 // MappedBytes are read-reply bytes handed out as views of a chunk file's
 // mapping, CopiedBytes those a read copied into a caller's region — the
 // fallback of a pinned-epoch read, an unmappable file or a platform
-// without mmap.
+// without mmap. WriteMappedBytes are written bytes copied into a chunk
+// file's mapping (small in-place rewrites), WritePwriteBytes those
+// pwritten (extending or large writes, unmappable files, and the redo of
+// a faulted copy); MapFaults counts mapped copies that faulted and were
+// redone by pwrite — a chunk file shrunk behind the store, or a failing
+// disk.
 type OpenStats struct {
-	Hits        uint64 `metric:"gkfs_chunk_open_hits_total"`
-	Misses      uint64 `metric:"gkfs_chunk_open_misses_total"`
-	Evictions   uint64 `metric:"gkfs_chunk_open_evictions_total"`
-	Open        uint64 `metric:"gkfs_chunk_open_handles,gauge"`
-	MappedBytes uint64 `metric:"gkfs_chunk_reply_mapped_bytes_total"`
-	CopiedBytes uint64 `metric:"gkfs_chunk_reply_copied_bytes_total"`
+	Hits             uint64 `metric:"gkfs_chunk_open_hits_total"`
+	Misses           uint64 `metric:"gkfs_chunk_open_misses_total"`
+	Evictions        uint64 `metric:"gkfs_chunk_open_evictions_total"`
+	Open             uint64 `metric:"gkfs_chunk_open_handles,gauge"`
+	MappedBytes      uint64 `metric:"gkfs_chunk_reply_mapped_bytes_total"`
+	CopiedBytes      uint64 `metric:"gkfs_chunk_reply_copied_bytes_total"`
+	WriteMappedBytes uint64 `metric:"gkfs_chunk_write_mapped_bytes_total"`
+	WritePwriteBytes uint64 `metric:"gkfs_chunk_write_pwrite_bytes_total"`
+	MapFaults        uint64 `metric:"gkfs_chunk_map_faults_total"`
 }
 
 func (c *openCache) stats() OpenStats {
@@ -338,5 +352,7 @@ func (c *openCache) stats() OpenStats {
 	return OpenStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Open: uint64(c.open),
 		MappedBytes: c.mappedBytes.Load(), CopiedBytes: c.copiedBytes.Load(),
+		WriteMappedBytes: c.writeMappedBytes.Load(), WritePwriteBytes: c.writePwriteBytes.Load(),
+		MapFaults: c.mapFaults.Load(),
 	}
 }

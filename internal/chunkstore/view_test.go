@@ -12,12 +12,7 @@ import (
 // osStore is a store on a fresh vfs.OS directory, whose chunk files map.
 func osStore(t *testing.T) *Store {
 	t.Helper()
-	fs, err := vfs.NewOS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(fs)
-	t.Cleanup(func() { s.Close() })
+	s, _ := osStoreAt(t, t.TempDir())
 	return s
 }
 
@@ -40,7 +35,7 @@ func TestViewChunkMapsLiveBytes(t *testing.T) {
 	if err := s.WriteChunk("/f", 0, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := s.ViewChunk("/f", 0, 100, cs, cs)
+	v, ok, err := s.ViewChunk("/f", 0, 100, cs)
 	if err != nil || !ok || !bytes.Equal(v.B, data[100:]) {
 		t.Fatalf("view = %d bytes, %v, %v; want the chunk's 2900 from offset 100", len(v.B), ok, err)
 	}
@@ -50,7 +45,7 @@ func TestViewChunkMapsLiveBytes(t *testing.T) {
 	if err := s.WriteChunk("/f", 0, 3000, more); err != nil {
 		t.Fatal(err)
 	}
-	w, ok, err := s.ViewChunk("/f", 0, 2900, cs, cs)
+	w, ok, err := s.ViewChunk("/f", 0, 2900, cs)
 	if err != nil || !ok || !bytes.Equal(w.B, append(data[2900:], more...)) {
 		t.Fatalf("view after a growing write = %d bytes, %v, %v; want 5100", len(w.B), ok, err)
 	}
@@ -64,7 +59,7 @@ func TestViewChunkMapsLiveBytes(t *testing.T) {
 		id   meta.ChunkID
 		off  int64
 	}{{"missing chunk", 7, 0}, {"past the end", 0, 8000}} {
-		v, ok, err := s.ViewChunk("/f", tc.id, tc.off, 100, cs)
+		v, ok, err := s.ViewChunk("/f", tc.id, tc.off, 100)
 		if err != nil || !ok || len(v.B) != 0 {
 			t.Fatalf("%s: view = %d bytes, %v, %v; want an empty view", tc.name, len(v.B), ok, err)
 		}
@@ -75,7 +70,7 @@ func TestViewChunkMapsLiveBytes(t *testing.T) {
 	if err := mem.WriteChunk("/f", 0, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, err := mem.ViewChunk("/f", 0, 0, cs, cs); err != nil || ok || v.B != nil {
+	if v, ok, err := mem.ViewChunk("/f", 0, 0, cs); err != nil || ok || v.B != nil {
 		t.Fatalf("view of an in-memory chunk = %d bytes, %v, %v; want ok=false", len(v.B), ok, err)
 	}
 }
@@ -94,11 +89,11 @@ func TestViewOutlivesTruncateAndRemove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	trimmed, ok, err := s.ViewChunk("/f", 1, 0, cs, cs)
+	trimmed, ok, err := s.ViewChunk("/f", 1, 0, cs)
 	if err != nil || !ok {
 		t.Fatal(ok, err)
 	}
-	removed, ok, err := s.ViewChunk("/f", 0, 0, cs, cs)
+	removed, ok, err := s.ViewChunk("/f", 0, 0, cs)
 	if err != nil || !ok {
 		t.Fatal(ok, err)
 	}

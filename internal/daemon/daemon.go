@@ -112,7 +112,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:    cfg,
 		srv:    rpc.NewServer(0), // rpc's default pool: 16 concurrent handlers
 		db:     db,
-		chunks: chunkstore.New(cfg.FS),
+		chunks: chunkstore.NewWithChunkSize(cfg.FS, cfg.ChunkSize),
 	}
 	if err := d.loadSnapshots(); err != nil {
 		db.Close()

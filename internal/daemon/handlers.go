@@ -322,7 +322,7 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 // region at the span's place in the reply (drawn at the first such span).
 func (d *Daemon) readSpan(r *readReply, bulk rpc.Bulk, total int64, path string, s proto.ChunkSpan, off int64, at uint64) (chunkstore.View, error) {
 	if r.lend {
-		v, ok, err := d.chunks.ViewChunk(path, s.ID, s.Off, s.Len, d.cfg.ChunkSize)
+		v, ok, err := d.chunks.ViewChunk(path, s.ID, s.Off, s.Len)
 		if ok || err != nil {
 			return v, err
 		}

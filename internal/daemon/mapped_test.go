@@ -232,51 +232,66 @@ func TestReadReplyInFlightOutlivesChunkMutation(t *testing.T) {
 
 // TestPinnedReadRacesFirstOverwrite reads a file at a just-pinned epoch
 // while the first overwrite after the pin — the one that copies the
-// pre-image and then rewrites the live chunk in place — runs beside it.
-// A pinned read copies under the path lock instead of viewing the live
-// mapping, so it returns the pre-pin bytes whichever side wins.
+// pre-image and then rewrites the live chunk in place — runs beside it:
+// a whole-file overwrite, pwritten, and an 8 KiB one, which the daemon
+// copies into the chunk file's mapping. A pinned read copies under the
+// path lock instead of viewing the live mapping, and the overwrite's
+// copy into the mapping runs after its pre-image is indexed, so the read
+// returns the pre-pin bytes whichever side wins.
 func TestPinnedReadRacesFirstOverwrite(t *testing.T) {
 	const chunkSize = 64 << 10
 	const size = 4 * chunkSize
-	_, _, c := mappedDaemon(t, chunkSize)
-	old, fresh := blockFill(size, 0), blockFill(size, 1)
-	for i := 0; i < 20; i++ {
-		path := fmt.Sprintf("/ckpt%d", i)
-		fd, err := c.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.WriteAt(fd, old, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Close(fd); err != nil {
-			t.Fatal(err)
-		}
-		epoch, err := c.Snapshot(fmt.Sprintf("pin%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		var werr atomic.Value
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.WritePath(path, fresh, 0); err != nil {
-				werr.Store(err)
+	for _, w := range []struct {
+		name     string
+		off, len int
+	}{{"whole", 0, size}, {"8KiB", chunkSize + 4096, 8 << 10}} {
+		t.Run(w.name, func(t *testing.T) {
+			d, _, c := mappedDaemon(t, chunkSize)
+			old, fresh := blockFill(size, 0), blockFill(size, 1)
+			for i := 0; i < 20; i++ {
+				path := fmt.Sprintf("/ckpt%d", i)
+				fd, err := c.Create(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.WriteAt(fd, old, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Close(fd); err != nil {
+					t.Fatal(err)
+				}
+				epoch, err := c.Snapshot(fmt.Sprintf("pin%d", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				var werr atomic.Value
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := c.WritePath(path, fresh[w.off:w.off+w.len], int64(w.off)); err != nil {
+						werr.Store(err)
+					}
+				}()
+				got := make([]byte, size)
+				n, err := c.ReadSnapshot(path, epoch, got, 0)
+				wg.Wait()
+				if err != nil || n != size {
+					t.Fatalf("pinned read %d: %d bytes, %v", i, n, err)
+				}
+				if e := werr.Load(); e != nil {
+					t.Fatal(e)
+				}
+				if !bytes.Equal(got, old) {
+					t.Fatalf("pinned read %d returned bytes written after the pin", i)
+				}
 			}
-		}()
-		got := make([]byte, size)
-		n, err := c.ReadSnapshot(path, epoch, got, 0)
-		wg.Wait()
-		if err != nil || n != size {
-			t.Fatalf("pinned read %d: %d bytes, %v", i, n, err)
-		}
-		if e := werr.Load(); e != nil {
-			t.Fatal(e)
-		}
-		if !bytes.Equal(got, old) {
-			t.Fatalf("pinned read %d returned bytes written after the pin", i)
-		}
+			var oc chunkstore.OpenStats
+			d.Telemetry().Snapshot().View(&oc)
+			if mapped := oc.WriteMappedBytes > 0; mapped != (w.len <= 8<<10) {
+				t.Fatalf("%d bytes copied into mappings; want the 8 KiB overwrites mapped and no others", oc.WriteMappedBytes)
+			}
+		})
 	}
 }
 
@@ -589,5 +604,98 @@ func TestShrunkChunkFileFailsOnlyItsRead(t *testing.T) {
 	nc.Write(rawChunkRead(4, "/f", 2, chunkSize))
 	if st, b, err := readRawReply(nc); err != nil || st != 0 || !bytes.Equal(b, data) {
 		t.Fatalf("daemon after the cut reply: status %d, %d bytes, %v; want the file", st, len(b), err)
+	}
+}
+
+// TestShrunkChunkFileTakesItsWrite shrinks a chunk file behind the store
+// while its open handle still knows the old size, then rewrites 8 KiB in
+// it over every carrier. The daemon copies a small in-place rewrite into
+// the file's mapping, where the lost pages fault; the copy is guarded,
+// so the fault is counted and the write redone by pwrite, which
+// re-extends the file. Each write succeeds, its bytes read back over the
+// same carrier, and the daemon serves on.
+func TestShrunkChunkFileTakesItsWrite(t *testing.T) {
+	const chunkSize = 64 << 10
+	dir := t.TempDir()
+	fs, err := vfs.NewOS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := daemon.New(daemon.Config{FS: fs, ChunkSize: chunkSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	conns := carrierConns(t, d)
+	w, err := client.New(client.Config{Conns: []rpc.Conn{conns["mem"]}, ChunkSize: chunkSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.EnsureRoot(); err != nil {
+		t.Fatal(err)
+	}
+	data := blockFill(2*chunkSize, 0)
+	for _, p := range []string{"/f", "/g"} {
+		fd, err := w.Create(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.WriteAt(fd, data, 0); err != nil {
+			t.Fatal(err)
+		}
+		w.Close(fd)
+	}
+	chunk0, err := filepath.Glob(filepath.Join(dir, "chunks", "*f", "0"))
+	if err != nil || len(chunk0) != 1 {
+		t.Fatalf("chunk 0 of /f: %v, %v", chunk0, err)
+	}
+	faults := func() uint64 {
+		var oc chunkstore.OpenStats
+		d.Telemetry().Snapshot().View(&oc)
+		return oc.MapFaults
+	}
+	fresh := blockFill(8<<10, 1)
+	const off = 8 << 10
+	for _, name := range []string{"mem", "shm", "tcp"} {
+		conn, ok := conns[name]
+		if !ok {
+			continue
+		}
+		c, err := client.New(client.Config{Conns: []rpc.Conn{conn}, ChunkSize: chunkSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WritePath("/f", data[:chunkSize], 0); err != nil { // restore
+			t.Fatal(err)
+		}
+		if err := os.Truncate(chunk0[0], 0); err != nil {
+			t.Fatal(err)
+		}
+		before := faults()
+		if err := c.WritePath("/f", fresh, off); err != nil {
+			t.Fatalf("%s: 8 KiB rewrite into the shrunk chunk: %v", name, err)
+		}
+		if n := faults() - before; n < 1 {
+			t.Errorf("%s: map faults rose by %d; want the copy into the lost pages counted", name, n)
+		}
+		fd, err := c.Open("/f", client.O_RDONLY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(fresh))
+		n, err := c.ReadAt(fd, got, off)
+		c.Close(fd)
+		if err != nil || n != len(fresh) || !bytes.Equal(got, fresh) {
+			t.Errorf("%s: read back of the rewrite: %d bytes, %v, equal %v", name, n, err, bytes.Equal(got, fresh))
+		}
+	}
+	got := make([]byte, len(data))
+	fd, err := w.Open("/g", client.O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close(fd)
+	if n, err := w.ReadAt(fd, got, 0); err != nil || n != len(data) || !bytes.Equal(got, data) {
+		t.Fatalf("daemon after the faulted writes: %d bytes, %v; want /g whole", n, err)
 	}
 }
