@@ -6,20 +6,20 @@
 //     report the simulated aggregate rates as custom metrics
 //     (sim-ops/sec, sim-MiB/sec). Run cmd/gkfs-sim for the full 1–512
 //     node series.
-//   - BenchmarkReal* exercise the actual file system (daemons, RPC,
-//     LSM KV store, chunk store) on an in-process cluster and report
-//     real per-operation costs.
+//   - The rest exercise the actual file system (daemons, RPC, LSM KV
+//     store, chunk store) on in-process daemons and report real costs:
+//     large I/O over TCP and shm, write-behind and read-ahead streams,
+//     shared-file writes, stage-in and stage-out. Per-op metadata and
+//     1 MiB I/O are the benchmark's (bench/) workloads.
 package repro
 
 import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +31,7 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/simcluster"
 	"repro/internal/staging"
-	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
 
@@ -212,184 +212,21 @@ func realCluster(b *testing.B, opts ...gekkofs.Option) (*gekkofs.Cluster, *gekko
 	return cl, fs
 }
 
-// BenchmarkRealCreate measures one file create (metadata insert) on the
-// real system — the functional-plane counterpart of Fig. 2a.
-func BenchmarkRealCreate(b *testing.B) {
-	_, fs := realCluster(b)
-	if err := fs.Mkdir("/bench"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := fs.Create(fmt.Sprintf("/bench/f.%d", i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.Close()
-	}
-}
-
-// BenchmarkMetadataCreates compares the per-op create protocol (one RPC
-// and one durable WAL append per file) with the vectored metadata plane
-// (CreateMany: one RPC per daemon and one WAL append per 128-file batch)
-// on a 4-node in-process cluster under a parallel client, the shape of
-// the paper's mdtest create phase. The daemons run at the paper's
-// operating point — node-local on-disk storage, synchronous
-// acknowledgement — where batching amortizes the RPC round trips, the
-// per-record WAL appends and fsyncs, and the store's write-lock
-// acquisitions over the whole vector. (On a purely volatile in-memory
-// store the spread shrinks to the RPC overhead alone.)
-func BenchmarkMetadataCreates(b *testing.B) {
-	const batch = 128
-	run := func(b *testing.B, batched bool) {
-		_, fs := realCluster(b, gekkofs.WithDataDir(b.TempDir()), gekkofs.WithSyncWAL())
-		if err := fs.Mkdir("/md"); err != nil {
-			b.Fatal(err)
-		}
-		var worker atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			w := worker.Add(1)
-			i := 0
-			if batched {
-				paths := make([]string, 0, batch)
-				flush := func() {
-					for _, err := range fs.CreateMany(paths) {
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					paths = paths[:0]
-				}
-				for pb.Next() {
-					paths = append(paths, fmt.Sprintf("/md/w%d.f%d", w, i))
-					i++
-					if len(paths) == batch {
-						flush()
-					}
-				}
-				flush()
-			} else {
-				for pb.Next() {
-					f, err := fs.Create(fmt.Sprintf("/md/w%d.f%d", w, i))
-					if err != nil {
-						b.Fatal(err)
-					}
-					f.Close()
-					i++
-				}
-			}
-		})
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "creates/sec")
-	}
-	b.Run("per-op", func(b *testing.B) { run(b, false) })
-	b.Run(fmt.Sprintf("batched-%d", batch), func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkRealStat is the functional counterpart of Fig. 2b.
-func BenchmarkRealStat(b *testing.B) {
-	_, fs := realCluster(b)
-	if err := fs.WriteFile("/target", []byte("x")); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fs.Stat("/target"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRealRemove is the functional counterpart of Fig. 2c.
-func BenchmarkRealRemove(b *testing.B) {
-	_, fs := realCluster(b)
-	if err := fs.Mkdir("/rm"); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		f, err := fs.Create(fmt.Sprintf("/rm/f.%d", i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.Close()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fs.Remove(fmt.Sprintf("/rm/f.%d", i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRealWrite1M measures chunked, striped 1 MiB writes on the
-// real data path (Fig. 3a's functional counterpart).
-func BenchmarkRealWrite1M(b *testing.B) {
-	_, fs := realCluster(b)
-	f, err := fs.Create("/big")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	buf := make([]byte, 1<<20)
-	b.SetBytes(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.WriteAt(buf, int64(i%64)<<20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRealRead1M is the read counterpart (Fig. 3b).
-func BenchmarkRealRead1M(b *testing.B) {
-	_, fs := realCluster(b)
-	f, err := fs.Create("/big")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	buf := make([]byte, 1<<20)
-	for i := 0; i < 64; i++ {
-		if _, err := f.WriteAt(buf, int64(i)<<20); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.ReadAt(buf, int64(i%64)<<20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// tcpCluster stands up daemons on loopback listeners and returns a
-// client built from cfg whose per-daemon traffic is striped over conns
-// TCP connections.
-func tcpCluster(b *testing.B, nodes, conns int, cfg client.Config) *client.Client {
+// benchCluster stands up nodes in-memory daemons, serves each over
+// carrier — wiretest.TCPPool striped over width connections, or
+// wiretest.Shm, the co-located deployment, skipped where the platform has
+// none — and returns a client built from cfg.
+func benchCluster(b *testing.B, carrier string, nodes, width int, cfg client.Config) *client.Client {
 	b.Helper()
-	clientConns := make([]rpc.Conn, nodes)
-	for i := 0; i < nodes; i++ {
+	cfg.Conns = make([]rpc.Conn, nodes)
+	for i := range cfg.Conns {
 		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: cfg.ChunkSize})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { d.Close() })
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { l.Close() })
-		go transport.ServeTCP(l, d.Server())
-		conn, err := transport.DialTCPPool(l.Addr().String(), 60*time.Second, conns)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { conn.Close() })
-		clientConns[i] = conn
+		cfg.Conns[i] = wiretest.Dial(b, d.Server(), carrier, width)
 	}
-	cfg.Conns = clientConns
 	c, err := client.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -456,63 +293,9 @@ func ioWorkload(b *testing.B, c *client.Client, ioSize int) {
 func BenchmarkRealTCPLargeIO(b *testing.B) {
 	for _, conns := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("conns-%d", conns), func(b *testing.B) {
-			ioWorkload(b, tcpCluster(b, 2, conns, client.Config{}), 4<<20)
+			ioWorkload(b, benchCluster(b, wiretest.TCPPool, 2, conns, client.Config{}), 4<<20)
 		})
 	}
-}
-
-// BenchmarkRealTCPSmallIO is the same workload at sub-chunk 64 KiB ops —
-// the operating point where per-RPC socket overhead, not memcpy
-// bandwidth, dominates. This is the TCP half of the co-located
-// comparison BenchmarkShmSmallIO completes.
-func BenchmarkRealTCPSmallIO(b *testing.B) {
-	for _, conns := range []int{1, 8} {
-		b.Run(fmt.Sprintf("conns-%d", conns), func(b *testing.B) {
-			ioWorkload(b, tcpCluster(b, 2, conns, client.Config{}), 64<<10)
-		})
-	}
-}
-
-// shmCluster stands up daemons behind shared-memory doorbell sockets —
-// the co-located deployment — and returns a client built from cfg. On
-// platforms without the shm transport the benchmark is skipped.
-func shmCluster(b *testing.B, nodes int, cfg client.Config) *client.Client {
-	b.Helper()
-	dir, err := os.MkdirTemp("", "gkfs-shm-b-")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.RemoveAll(dir) })
-	clientConns := make([]rpc.Conn, nodes)
-	for i := 0; i < nodes; i++ {
-		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: cfg.ChunkSize})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { d.Close() })
-		sock := filepath.Join(dir, fmt.Sprintf("d%d.sock", i))
-		l, err := net.Listen("unix", sock)
-		if err != nil {
-			b.Skipf("unix sockets unavailable: %v", err)
-		}
-		b.Cleanup(func() { l.Close() })
-		go transport.ServeShm(l, d.Server(), 0)
-		conn, err := transport.DialShmPool(sock, 60*time.Second, 1)
-		if err != nil {
-			b.Skipf("shm transport unavailable: %v", err)
-		}
-		b.Cleanup(func() { conn.Close() })
-		clientConns[i] = conn
-	}
-	cfg.Conns = clientConns
-	c, err := client.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := c.EnsureRoot(); err != nil {
-		b.Fatal(err)
-	}
-	return c
 }
 
 // BenchmarkShmLargeIO runs exactly BenchmarkRealTCPLargeIO's workload —
@@ -523,15 +306,7 @@ func shmCluster(b *testing.B, nodes int, cfg client.Config) *client.Client {
 // daemon. The doorbell needs no striping (it carries only headers), so
 // there is no conns axis.
 func BenchmarkShmLargeIO(b *testing.B) {
-	ioWorkload(b, shmCluster(b, 2, client.Config{}), 4<<20)
-}
-
-// BenchmarkShmSmallIO is the 64 KiB sub-chunk point of the co-located
-// comparison: each op is one doorbell round trip whose bulk bytes never
-// touch a socket, against BenchmarkRealTCPSmallIO's per-op TCP stack
-// traversal.
-func BenchmarkShmSmallIO(b *testing.B) {
-	ioWorkload(b, shmCluster(b, 2, client.Config{}), 64<<10)
+	ioWorkload(b, benchCluster(b, wiretest.Shm, 2, 1, client.Config{}), 4<<20)
 }
 
 // BenchmarkAsyncWriteStream measures a single writer streaming over real
@@ -554,7 +329,7 @@ func BenchmarkAsyncWriteStream(b *testing.B) {
 			name = "pipelined"
 		}
 		b.Run(name, func(b *testing.B) {
-			c := tcpCluster(b, nodes, 4, client.Config{ChunkSize: chunkSz, AsyncWrites: async})
+			c := benchCluster(b, wiretest.TCPPool, nodes, 4, client.Config{ChunkSize: chunkSz, AsyncWrites: async})
 			fd, err := c.Create("/stream")
 			if err != nil {
 				b.Fatal(err)
@@ -600,7 +375,7 @@ func BenchmarkAsyncReadStream(b *testing.B) {
 			name = "pipelined"
 		}
 		b.Run(name, func(b *testing.B) {
-			c := tcpCluster(b, nodes, 4, client.Config{ChunkSize: chunkSz, ReadAhead: readAhead})
+			c := benchCluster(b, wiretest.TCPPool, nodes, 4, client.Config{ChunkSize: chunkSz, ReadAhead: readAhead})
 			fd, err := c.Create("/stream")
 			if err != nil {
 				b.Fatal(err)
@@ -699,15 +474,15 @@ func oneRangeOptions(b *testing.B, manifest bool) staging.Options {
 //     per worker — over real TCP sockets into a 4-daemon cluster (64 KiB
 //     chunks), the operating point of BenchmarkAsyncWriteStream/pipelined.
 //   - smallfiles: 1000 × 1 KiB files into a durable on-disk cluster
-//     (SyncWAL) — the operating point of BenchmarkMetadataCreates. Data
-//     -carrying files additionally pay one chunk-file creation on the
-//     node-local FS each, which pure metadata creates never do; the
-//     empty variant isolates the engine's namespace ingest for a direct
-//     comparison against BenchmarkMetadataCreates/batched.
+//     (SyncWAL) — the operating point of gkfs-bench's batched mdtest
+//     create phase. Data-carrying files additionally pay one chunk-file
+//     creation on the node-local FS each, which pure metadata creates
+//     never do; the empty variant isolates the engine's namespace
+//     ingest.
 func BenchmarkStageIn(b *testing.B) {
 	b.Run("large", func(b *testing.B) {
 		src, largeBytes := stageSourceFiles(b, []int64{16 << 20})
-		c := tcpCluster(b, 4, 4, client.Config{
+		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
 			ChunkSize: 64 << 10, AsyncWrites: true,
 		})
 		b.SetBytes(largeBytes)
@@ -763,7 +538,7 @@ func BenchmarkStageIn(b *testing.B) {
 	for _, sh := range stageOneRange {
 		b.Run(sh.name, func(b *testing.B) {
 			src, total := stageSourceFiles(b, sh.sizes)
-			c := tcpCluster(b, 4, 4, client.Config{
+			c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
 				ChunkSize: 64 << 10, AsyncWrites: true,
 			})
 			opts := oneRangeOptions(b, sh.manifest)
@@ -791,7 +566,7 @@ func BenchmarkStageOut(b *testing.B) {
 	b.Run("large", func(b *testing.B) {
 		src, largeBytes := stageSourceFiles(b, []int64{16 << 20})
 		out := b.TempDir()
-		c := tcpCluster(b, 4, 4, client.Config{
+		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
 			ChunkSize: 64 << 10, AsyncWrites: true,
 		})
 		b.SetBytes(largeBytes)
@@ -839,7 +614,7 @@ func BenchmarkStageOut(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			src, total := stageSourceFiles(b, sh.sizes)
 			out := b.TempDir()
-			c := tcpCluster(b, 4, 4, client.Config{
+			c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
 				ChunkSize: 64 << 10, AsyncWrites: true,
 			})
 			opts := oneRangeOptions(b, sh.manifest)

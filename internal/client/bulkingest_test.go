@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/proto"
 	"repro/internal/rpc"
-	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 )
 
 // The bulk-ingest primitives staging is built on: descriptor-free chunk
@@ -16,7 +16,7 @@ import (
 // fan-out.
 
 func TestWritePathAndGrowMany(t *testing.T) {
-	c := newLocalCluster(t, 4, Config{ChunkSize: 512})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 512})
 	// Three files, written without descriptors, sized in one batch.
 	paths := []string{"/a", "/b", "/c"}
 	data := [][]byte{
@@ -68,7 +68,7 @@ func TestWritePathAndGrowMany(t *testing.T) {
 }
 
 func TestGrowManyErrorAlignment(t *testing.T) {
-	c := newLocalCluster(t, 2, Config{ChunkSize: 512})
+	c, _, _ := newCluster(t, "mem", 2, Config{ChunkSize: 512})
 	if err := errors.Join(c.CreateMany([]string{"/ok"})...); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestGrowManyErrorAlignment(t *testing.T) {
 }
 
 func TestDaemonStatsFanOut(t *testing.T) {
-	c := newLocalCluster(t, 3, Config{ChunkSize: 512})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 512})
 	fd, err := c.Create("/f")
 	if err != nil {
 		t.Fatal(err)
@@ -137,12 +137,7 @@ func TestReadDirRejectsHostileNames(t *testing.T) {
 			e.Str("") // scan exhausted
 			return e.Bytes(), nil
 		})
-		net := transport.NewMemNetwork()
-		net.Register(0, srv)
-		conn, err := net.Dial(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		conn := wiretest.Dial(t, srv, wiretest.Mem, 1)
 		c, err := New(Config{Conns: []rpc.Conn{conn}})
 		if err != nil {
 			t.Fatal(err)
@@ -163,12 +158,7 @@ func TestReadDirRejectsForgedEntryCount(t *testing.T) {
 		t.Helper()
 		srv := rpc.NewServer(0)
 		srv.Register(proto.OpReadDir, h)
-		net := transport.NewMemNetwork()
-		net.Register(0, srv)
-		conn, err := net.Dial(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		conn := wiretest.Dial(t, srv, wiretest.Mem, 1)
 		c, err := New(Config{Conns: []rpc.Conn{conn}})
 		if err != nil {
 			t.Fatal(err)
@@ -201,7 +191,7 @@ func TestReadDirRejectsForgedEntryCount(t *testing.T) {
 }
 
 func TestUnsupportedOpsNamePathAndOp(t *testing.T) {
-	c := newLocalCluster(t, 1, Config{ChunkSize: 512})
+	c, _, _ := newCluster(t, "mem", 1, Config{ChunkSize: 512})
 	cases := []struct {
 		err      error
 		op, path string

@@ -6,57 +6,64 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/rpc"
-	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
 
-func newLocalCluster(t testing.TB, nodes int, cfg Config) *Client {
+// newCluster deploys nodes daemons over vfs.Mem, serves each over
+// carrier ("mem" or "tcp", see wiretest) and mounts a client on them; it
+// returns the client, the daemons, so tests can read their counters and
+// crash them, and mount, which mounts another client of the deployment.
+func newCluster(t testing.TB, carrier string, nodes int, cfg Config) (*Client, []*daemon.Daemon, func() *Client) {
 	t.Helper()
-	net := transport.NewMemNetwork()
-	conns := make([]rpc.Conn, nodes)
-	for i := 0; i < nodes; i++ {
+	daemons := make([]*daemon.Daemon, nodes)
+	for i := range daemons {
 		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: cfg.ChunkSize})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
-		net.Register(i, d.Server())
-		conn, err := net.Dial(i)
+		daemons[i] = d
+	}
+	mount := func() *Client {
+		mcfg := cfg
+		mcfg.Conns = make([]rpc.Conn, nodes)
+		for i, d := range daemons {
+			mcfg.Conns[i] = wiretest.Dial(t, d.Server(), carrier, 1)
+		}
+		c, err := New(mcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		conns[i] = conn
+		return c
 	}
-	cfg.Conns = conns
-	c, err := New(cfg)
-	if err != nil {
+	c := mount()
+	if err := c.VerifyProtocol(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.EnsureRoot(); err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, daemons, mount
 }
 
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	net := transport.NewMemNetwork()
 	d, err := daemon.New(daemon.Config{FS: vfs.NewMem()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	net.Register(0, d.Server())
-	conn, _ := net.Dial(0)
+	conn := wiretest.Dial(t, d.Server(), wiretest.Mem, 1)
 	if _, err := New(Config{Conns: []rpc.Conn{conn}, ChunkSize: -4}); err == nil {
 		t.Fatal("negative chunk size accepted")
 	}
 }
 
 func TestGroupByTargetPartition(t *testing.T) {
-	c := newLocalCluster(t, 4, Config{ChunkSize: 512})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 512})
 	// Property: the per-target groups partition the byte range exactly.
 	f := func(off uint16, length uint16) bool {
 		o, n := int64(off), int64(length)+1
@@ -94,7 +101,7 @@ func TestGroupByTargetPartition(t *testing.T) {
 }
 
 func TestRelativePathRejected(t *testing.T) {
-	c := newLocalCluster(t, 2, Config{ChunkSize: 512})
+	c, _, _ := newCluster(t, "mem", 2, Config{ChunkSize: 512})
 	if _, err := c.Open("relative/path", O_RDONLY); err == nil {
 		t.Fatal("relative path accepted")
 	}
@@ -107,7 +114,7 @@ func TestRelativePathRejected(t *testing.T) {
 }
 
 func TestFDLifecycle(t *testing.T) {
-	c := newLocalCluster(t, 2, Config{ChunkSize: 512})
+	c, _, _ := newCluster(t, "mem", 2, Config{ChunkSize: 512})
 	fd, err := c.Create("/f")
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +144,7 @@ func TestFDLifecycle(t *testing.T) {
 }
 
 func TestEnsureRootIdempotent(t *testing.T) {
-	c := newLocalCluster(t, 3, Config{ChunkSize: 512})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 512})
 	for i := 0; i < 3; i++ {
 		if err := c.EnsureRoot(); err != nil {
 			t.Fatal(err)
@@ -150,7 +157,7 @@ func TestEnsureRootIdempotent(t *testing.T) {
 }
 
 func TestChunkSizeAccessor(t *testing.T) {
-	c := newLocalCluster(t, 1, Config{ChunkSize: 2048})
+	c, _, _ := newCluster(t, "mem", 1, Config{ChunkSize: 2048})
 	if c.ChunkSize() != 2048 {
 		t.Fatalf("ChunkSize = %d", c.ChunkSize())
 	}

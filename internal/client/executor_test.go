@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/proto"
 	"repro/internal/rpc"
+	"repro/internal/transport/wiretest"
 )
 
 // TestSyncIOAllocPin pins the heap cost of the unreplicated hot path —
@@ -25,7 +26,7 @@ func TestSyncIOAllocPin(t *testing.T) {
 	if raceEnabled {
 		readPin, writePin = 31, 18
 	}
-	c, _, _ := pipelineCluster(t, 1, Config{SizeCacheOps: 1 << 30})
+	c, _, _ := newCluster(t, "mem", 1, Config{SizeCacheOps: 1 << 30})
 	fd, err := c.Open("/pin", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestSyncIOAllocPin(t *testing.T) {
 // blocking call, so neither a descriptor write nor WritePath draws a
 // staging region of the group's size from the pool.
 func TestDataPathSyncWriteLendsAdjacentSpans(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 1, Config{ChunkSize: 4096})
+	c, _, _ := newCluster(t, "mem", 1, Config{ChunkSize: 4096})
 	const n = 5*4096 + 123
 	p := make([]byte, n)
 	for i := range p {
@@ -96,23 +97,6 @@ func TestDataPathSyncWriteLendsAdjacentSpans(t *testing.T) {
 	}
 }
 
-// severableConn is a mem-transport connection a test can sever: once
-// dead, every call fails at the transport level, as a killed daemon's
-// socket would.
-type severableConn struct {
-	rpc.Conn
-	dead atomic.Bool
-}
-
-var errSevered = errors.New("transport: connection severed")
-
-func (s *severableConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	if s.dead.Load() {
-		return nil, errSevered
-	}
-	return s.Conn.Call(op, payload, bulk, dir)
-}
-
 // TestDataPathErrorsNameOpPathDaemon asserts the two properties of every
 // error the span-group executors return, at R=1 exactly as at R=2: the
 // text names the operation, the path and the daemon that failed, and
@@ -120,10 +104,9 @@ func (s *severableConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) (
 // cause) when no replica was left, the errno when a daemon answered.
 func TestDataPathErrorsNameOpPathDaemon(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
-		c, _, _ := pipelineCluster(t, 2, Config{ChunkSize: 64, Replicas: replicas})
-		for i, conn := range c.cfg.Conns {
-			c.cfg.Conns[i] = &severableConn{Conn: conn}
-		}
+		c, _, _ := newCluster(t, "mem", 2, Config{ChunkSize: 64, Replicas: replicas})
+		wire := new(wiretest.Script)
+		wire.Wrap(c.cfg.Conns)
 		const path = "/f"
 		fd, err := c.Open(path, O_CREATE|O_RDWR)
 		if err != nil {
@@ -158,16 +141,14 @@ func TestDataPathErrorsNameOpPathDaemon(t *testing.T) {
 		check("read of a removed file", err, proto.ErrNotExist, "read /f: ", daemonTag(c.dist.MetaTarget(path)))
 
 		// Every daemon severed: no replica of chunk 0 is left.
-		for _, conn := range c.cfg.Conns {
-			conn.(*severableConn).dead.Store(true)
-		}
+		wire.Sever()
 		primary := c.dist.ChunkTarget(path, 0)
 		_, err = c.ReadAt(fd, buf, 0)
 		check("read, daemons severed", err, ErrDegraded, "read /f: ", daemonTag(primary))
-		check("read, daemons severed", err, errSevered)
+		check("read, daemons severed", err, wiretest.ErrSevered)
 		_, err = c.WriteAt(fd, buf, 0)
 		check("write, daemons severed", err, ErrDegraded, "write /f: ", daemonTag(primary))
-		check("write, daemons severed", err, errSevered)
+		check("write, daemons severed", err, wiretest.ErrSevered)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
 
@@ -275,13 +276,8 @@ func TestProbeDaemonHostileReplies(t *testing.T) {
 				tc.reply(e)
 				return e.Bytes(), nil
 			})
-			mem := transport.NewMemNetwork()
-			mem.Register(0, srv)
-			conn, err := mem.Dial(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = ProbeDaemon(conn)
+			conn := wiretest.Dial(t, srv, wiretest.Mem, 1)
+			_, err := ProbeDaemon(conn)
 			wantMismatch(t, err, tc.want)
 			if transportError(err) {
 				t.Fatal("a daemon that answered wrongly counts as unreachable: a replicated mount would tolerate it")
@@ -295,9 +291,7 @@ func TestProbeDaemonHostileReplies(t *testing.T) {
 		e.U16(uint16(proto.ErrnoInval))
 		return e.Bytes(), nil
 	})
-	mem := transport.NewMemNetwork()
-	mem.Register(0, srv)
-	conn, _ := mem.Dial(0)
+	conn := wiretest.Dial(t, srv, wiretest.Mem, 1)
 	if _, err := ProbeDaemon(conn); !errors.Is(err, proto.ErrInval) {
 		t.Fatalf("errno reply = %v, want ErrInval", err)
 	}

@@ -5,56 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"testing"
-	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/rpc"
-	"repro/internal/transport"
-	"repro/internal/vfs"
+	"repro/internal/transport/wiretest"
 )
-
-// pipelineCluster is newLocalCluster with daemon handles exposed, so
-// tests can assert on daemon-side operation counters and crash daemons.
-func pipelineCluster(t testing.TB, nodes int, cfg Config) (*Client, []*daemon.Daemon, func() *Client) {
-	t.Helper()
-	fabric := transport.NewMemNetwork()
-	daemons := make([]*daemon.Daemon, nodes)
-	for i := 0; i < nodes; i++ {
-		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: cfg.ChunkSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		fabric.Register(i, d.Server())
-		daemons[i] = d
-	}
-	mount := func() *Client {
-		conns := make([]rpc.Conn, nodes)
-		for i := range conns {
-			conn, err := fabric.Dial(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conns[i] = conn
-		}
-		mcfg := cfg
-		mcfg.Conns = conns
-		c, err := New(mcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	c := mount()
-	if err := c.EnsureRoot(); err != nil {
-		t.Fatal(err)
-	}
-	return c, daemons, mount
-}
 
 // narrowWindow caps fd's in-flight windows — write-behind's and
 // read-ahead's, whichever it has — at n regions: the white-box seam for
@@ -93,7 +51,7 @@ func sumStats(daemons []*daemon.Daemon) daemon.Stats {
 // update RPC leaves the client before the barrier, exactly one does at
 // it).
 func TestAsyncFsyncBarrier(t *testing.T) {
-	c, daemons, mount := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true})
+	c, daemons, mount := newCluster(t, "mem", 4, Config{ChunkSize: 64, AsyncWrites: true})
 	fd, err := c.Open("/a", O_CREATE|O_WRONLY)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +96,7 @@ func TestAsyncFsyncBarrier(t *testing.T) {
 // TestAsyncCloseBarrier verifies Close alone (no Fsync) drains the
 // window and flushes the size.
 func TestAsyncCloseBarrier(t *testing.T) {
-	c, _, mount := pipelineCluster(t, 3, Config{ChunkSize: 32, AsyncWrites: true})
+	c, _, mount := newCluster(t, "mem", 3, Config{ChunkSize: 32, AsyncWrites: true})
 	fd, err := c.Open("/b", O_CREATE|O_WRONLY)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +126,7 @@ func TestAsyncCloseBarrier(t *testing.T) {
 // one descriptor: a read issued right after an asynchronous write must
 // observe it (the descriptor's window is drained before the read).
 func TestAsyncReadDrainsWindow(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64, AsyncWrites: true})
 	fd, err := c.Open("/rw", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +165,7 @@ func TestAsyncReadDrainsWindow(t *testing.T) {
 // flight must not lose to the earlier write racing it. The pipeline
 // drains before enqueueing a conflicting extent.
 func TestAsyncOverlappingWritesOrdered(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64, AsyncWrites: true})
 	fd, err := c.Open("/ow", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +198,7 @@ func TestAsyncOverlappingWritesOrdered(t *testing.T) {
 // writes before discarding: an in-flight chunk RPC landing after the
 // truncate would resurrect discarded bytes.
 func TestAsyncTruncateDrains(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, AsyncWrites: true})
 	fd, err := c.Open("/tr", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +232,7 @@ func TestAsyncTruncateDrains(t *testing.T) {
 // don't overwrite each other: EOF resolves against the descriptor's own
 // unflushed size candidate, which is raised at enqueue time.
 func TestAsyncAppend(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, AsyncWrites: true})
 	fd, err := c.Open("/log", O_CREATE|O_WRONLY|O_APPEND)
 	if err != nil {
 		t.Fatal(err)
@@ -305,53 +263,13 @@ func TestAsyncAppend(t *testing.T) {
 	}
 }
 
-// tcpPipelineCluster stands daemons up on real sockets; the returned
-// slice lets the fault tests crash one mid-window.
-func tcpPipelineCluster(t *testing.T, nodes int, cfg Config) (*Client, []*daemon.Daemon) {
-	t.Helper()
-	conns := make([]rpc.Conn, nodes)
-	daemons := make([]*daemon.Daemon, nodes)
-	for i := 0; i < nodes; i++ {
-		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: cfg.ChunkSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		daemons[i] = d
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go transport.ServeTCP(l, d.Server())
-		conn, err := transport.DialTCP(l.Addr().String(), 10*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		conns[i] = conn
-	}
-	cfg.Conns = conns
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.VerifyProtocol(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnsureRoot(); err != nil {
-		t.Fatal(err)
-	}
-	return c, daemons
-}
-
 // TestAsyncCrashMidWindowLatchesOnce crashes a daemon under a
 // write-behind window over real TCP. The write that hits the dead daemon
 // still returns nil (it is acknowledged locally); the failure must
 // surface at the next barrier — exactly once — and later barriers must
 // run clean.
 func TestAsyncCrashMidWindowLatchesOnce(t *testing.T) {
-	c, daemons := tcpPipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true})
+	c, daemons, _ := newCluster(t, "tcp", 3, Config{ChunkSize: 64, AsyncWrites: true})
 
 	// A path whose metadata lives on a daemon that stays alive (node 0),
 	// so only chunk traffic hits the crashed node and the barrier's size
@@ -404,7 +322,7 @@ func TestAsyncCrashMidWindowLatchesOnce(t *testing.T) {
 // the application keeps writing, the latched failure comes back from a
 // Write call instead, and once surfaced the descriptor quiesces.
 func TestAsyncErrorSurfacesOnWrite(t *testing.T) {
-	c, daemons := tcpPipelineCluster(t, 2, Config{ChunkSize: 64, AsyncWrites: true})
+	c, daemons, _ := newCluster(t, "tcp", 2, Config{ChunkSize: 64, AsyncWrites: true})
 	path := ""
 	for _, cand := range []string{"/g0", "/g1", "/g2", "/g3"} {
 		if c.dist.MetaTarget(cand) == 0 {
@@ -461,7 +379,7 @@ func TestAsyncErrorSurfacesOnWrite(t *testing.T) {
 func TestStatFreeReadRPCCount(t *testing.T) {
 	const cs, nodes = 64, 4
 	for _, replicas := range []int{1, 2} {
-		c, daemons, _ := pipelineCluster(t, nodes, Config{ChunkSize: cs, Replicas: replicas})
+		c, daemons, _ := newCluster(t, "mem", nodes, Config{ChunkSize: cs, Replicas: replicas})
 		const path = "/data"
 		fd, err := c.Open(path, O_CREATE|O_RDWR)
 		if err != nil {
@@ -598,7 +516,7 @@ func TestStatFreeReadRPCCount(t *testing.T) {
 // used to provide: EOF clamping, reads past EOF, holes as zeros, and
 // ErrNotExist for a removed file.
 func TestStatFreeReadSemantics(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64})
 	fd, err := c.Open("/s", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -662,12 +580,7 @@ func evilReadServer(t *testing.T, countFor func(spanLen int64) int64, state uint
 		e.I64(1 << 30) // claimed size: huge
 		return e.Bytes(), nil
 	})
-	mem := transport.NewMemNetwork()
-	mem.Register(0, srv)
-	conn, err := mem.Dial(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := wiretest.Dial(t, srv, wiretest.Mem, 1)
 	c, err := New(Config{Conns: []rpc.Conn{conn}, ChunkSize: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -721,12 +634,7 @@ func TestVerifyProtocolRejectsOldDaemon(t *testing.T) {
 				tc.reply(e)
 				return e.Bytes(), nil
 			})
-			mem := transport.NewMemNetwork()
-			mem.Register(0, srv)
-			conn, err := mem.Dial(0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			conn := wiretest.Dial(t, srv, wiretest.Mem, 1)
 			c, err := New(Config{Conns: []rpc.Conn{conn}})
 			if err != nil {
 				t.Fatal(err)
@@ -737,7 +645,7 @@ func TestVerifyProtocolRejectsOldDaemon(t *testing.T) {
 		})
 	}
 	// And the real daemon passes.
-	c, _, _ := pipelineCluster(t, 2, Config{})
+	c, _, _ := newCluster(t, "mem", 2, Config{})
 	if err := c.VerifyProtocol(); err != nil {
 		t.Fatalf("current daemon refused: %v", err)
 	}
@@ -754,13 +662,7 @@ func TestVerifyProtocolRejectsOldDaemon(t *testing.T) {
 func TestAsyncWriteCallerReusesBuffer(t *testing.T) {
 	for _, carrier := range []string{"mem", "tcp"} {
 		t.Run(carrier, func(t *testing.T) {
-			cfg := Config{ChunkSize: 64 << 10, AsyncWrites: true}
-			var c *Client
-			if carrier == "mem" {
-				c, _, _ = pipelineCluster(t, 2, cfg)
-			} else {
-				c, _ = tcpPipelineCluster(t, 2, cfg)
-			}
+			c, _, _ := newCluster(t, carrier, 2, Config{ChunkSize: 64 << 10, AsyncWrites: true})
 			writeScribbleReadBack(t, c)
 		})
 	}

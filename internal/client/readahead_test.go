@@ -12,6 +12,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/rpc"
+	"repro/internal/transport/wiretest"
 )
 
 // raQuiesce waits until every in-flight prefetch of fd has settled, so
@@ -87,7 +88,7 @@ func patternedBytes(n int, seed byte) []byte {
 // sequential stream reads back byte-identical under read-ahead, and so
 // does a second sequential pass through a fresh descriptor.
 func TestReadAheadSequentialStream(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, ReadAhead: true})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64, ReadAhead: true})
 	want := patternedBytes(64*32, 1)
 	writeFileVia(t, c, "/stream", want)
 
@@ -133,7 +134,7 @@ func TestReadAheadSequentialStream(t *testing.T) {
 // is harmless, and speculation stops at the end instead of hammering the
 // daemons with fetches past it.
 func TestReadAheadPrefetchAcrossEOF(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, ReadAhead: true})
 	const size = 64*5 + 17 // EOF mid-block
 	want := patternedBytes(size, 3)
 	writeFileVia(t, c, "/eof", want)
@@ -185,7 +186,7 @@ func TestReadAheadPrefetchAcrossEOF(t *testing.T) {
 // on into them must return the new bytes (and provably had them
 // prefetched before the write).
 func TestReadAheadWriteInvalidatesCache(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, ReadAhead: true})
 	v1 := patternedBytes(64*8, 5)
 	writeFileVia(t, c, "/inv", v1)
 
@@ -226,7 +227,7 @@ func TestReadAheadWriteInvalidatesCache(t *testing.T) {
 // spans: reads after the truncate see the new EOF, never the prefetched
 // pre-truncate tail.
 func TestReadAheadTruncateDropsCache(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, ReadAhead: true})
 	data := patternedBytes(64*16, 2)
 	writeFileVia(t, c, "/trunc", data)
 
@@ -270,7 +271,7 @@ func TestReadAheadTruncateDropsCache(t *testing.T) {
 // TestReadAheadRandomAccessNoSpeculation verifies the detector: a
 // random access pattern must never issue speculative fetches.
 func TestReadAheadRandomAccessNoSpeculation(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, ReadAhead: true})
 	const chunks = 64
 	writeFileVia(t, c, "/rand", patternedBytes(64*chunks, 4))
 
@@ -298,7 +299,7 @@ func TestReadAheadRandomAccessNoSpeculation(t *testing.T) {
 // exact-range wire read — a random 100-byte reader on a read-ahead
 // client must not be turned into a chunk-sized fetcher.
 func TestReadAheadRandomSmallReadsExactRange(t *testing.T) {
-	c, daemons, _ := pipelineCluster(t, 3, Config{ChunkSize: 4096, ReadAhead: true})
+	c, daemons, _ := newCluster(t, "mem", 3, Config{ChunkSize: 4096, ReadAhead: true})
 	writeFileVia(t, c, "/tiny", patternedBytes(4096*16, 29))
 	fd, err := c.Open("/tiny", O_RDONLY)
 	if err != nil {
@@ -325,7 +326,7 @@ func TestReadAheadRandomSmallReadsExactRange(t *testing.T) {
 // surface a transport error (each read exactly one), reads served
 // entirely by surviving daemons keep working, and Close stays clean.
 func TestReadAheadCrashMidPrefetchSurfacesOnce(t *testing.T) {
-	c, daemons := tcpPipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
+	c, daemons, _ := newCluster(t, "tcp", 3, Config{ChunkSize: 64, ReadAhead: true})
 	const chunks = 48
 	data := patternedBytes(64*chunks, 6)
 	writeFileVia(t, c, "/crash", data)
@@ -376,7 +377,7 @@ func TestReadAheadCrashMidPrefetchSurfacesOnce(t *testing.T) {
 // on) must always read back the latest round's bytes, regardless of how
 // prefetches, invalidations and window drains interleave underneath.
 func TestReadAheadNeverServesStaleBytes(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, AsyncWrites: true, ReadAhead: true})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64, AsyncWrites: true, ReadAhead: true})
 	fd, err := c.Open("/stale", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -411,7 +412,7 @@ func TestReadAheadNeverServesStaleBytes(t *testing.T) {
 // failure (exactly once) instead of silently handing over bytes whose
 // producing writes already failed.
 func TestReadSurfacesLatchedError(t *testing.T) {
-	c, daemons := tcpPipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true})
+	c, daemons, _ := newCluster(t, "tcp", 3, Config{ChunkSize: 64, AsyncWrites: true})
 	path := ""
 	for _, cand := range []string{"/r0", "/r1", "/r2", "/r3", "/r4"} {
 		if c.dist.MetaTarget(cand) == 0 {
@@ -459,7 +460,7 @@ func TestReadSurfacesLatchedError(t *testing.T) {
 // must stay coherent while its fetches land, are served, recycled and
 // dropped by wrap-around reads.
 func TestReadAheadConcurrentReaders(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, ReadAhead: true})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64, ReadAhead: true})
 	const span = 64 * 64
 	want := patternedBytes(span, 8)
 	writeFileVia(t, c, "/conc", want)
@@ -505,7 +506,7 @@ func TestReadAheadConcurrentReaders(t *testing.T) {
 // the writer rewrites the file with its own bytes, so every read stays
 // checkable while drops race fetches landing and reads copying out.
 func TestReadAheadWritesRaceReads(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 4, Config{ChunkSize: 64, ReadAhead: true})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64, ReadAhead: true})
 	const span = 64 * 64
 	want := patternedBytes(span, 12)
 	writeFileVia(t, c, "/race", want)
@@ -570,7 +571,7 @@ func TestReadAheadWritesRaceReads(t *testing.T) {
 // survives the file: a new file under the same name must never read the
 // old one's bytes.
 func TestReadAheadRemoveDropsCache(t *testing.T) {
-	c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, ReadAhead: true})
 	old := patternedBytes(64*4, 13)
 	writeFileVia(t, c, "/reborn", old)
 	fd, err := c.Open("/reborn", O_RDONLY)
@@ -608,7 +609,7 @@ func TestReadAheadRemoveDropsCache(t *testing.T) {
 // RPCs report the spans they carried and the bulk bytes they actually
 // pushed, and hole-heavy reads push (almost) nothing.
 func TestReadAheadStatsCounters(t *testing.T) {
-	c, daemons, _ := pipelineCluster(t, 2, Config{ChunkSize: 64})
+	c, daemons, _ := newCluster(t, "mem", 2, Config{ChunkSize: 64})
 	// 4 chunks of data, then a hole to 16 chunks via a data-free grow.
 	writeFileVia(t, c, "/holes", patternedBytes(64*4, 19))
 	if err := c.GrowMany([]string{"/holes"}, []int64{64 * 16})[0]; err != nil {
@@ -649,7 +650,7 @@ func TestReadAheadGrowPastCachedEOF(t *testing.T) {
 	const size, grown = 100, 150
 	for _, arm := range []string{"acked-grow", "growmany"} {
 		t.Run(arm, func(t *testing.T) {
-			c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, ReadAhead: true})
+			c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, ReadAhead: true})
 			data := patternedBytes(size, 21)
 			writeFileVia(t, c, "/grow", data)
 			fd, err := c.Open("/grow", O_RDONLY)
@@ -708,63 +709,25 @@ func sumStatsAll(daemons []*daemon.Daemon) proto.DaemonStats {
 	return total
 }
 
-// scatterTap sits between a client and one daemon's connection and
-// serves every read of more than over bytes itself — staging through
-// plain memory, never the pool — after recording the call's window list;
-// every other call passes through. gate, when set, holds every such read
-// until it is closed, entered signalling arrival.
-type scatterTap struct {
-	rpc.Conn
-	over    int
-	mu      sync.Mutex
-	lists   [][][]byte
-	drawn   atomic.Int64 // pool bytes drawn since the read that arms the prefetch
-	gate    chan struct{}
-	entered chan struct{}
+// fetchOver matches the reads of more than over bytes: a prefetch's span
+// fetch, on a file whose other reads are half a chunk.
+func fetchOver(over int64) func(wiretest.Call) bool {
+	return func(c wiretest.Call) bool { return c.Dir == rpc.BulkOut && int64(c.Len()) > over }
 }
-
-func (c *scatterTap) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) (rpc.Reply, error) {
-	n := 0
-	for _, w := range bulk {
-		n += len(w)
-	}
-	if dir != rpc.BulkOut || n <= c.over {
-		return rpc.Start(c.Conn, op, payload, bulk, dir, tr)
-	}
-	c.mu.Lock()
-	c.lists = append(c.lists, append([][]byte(nil), bulk...))
-	c.mu.Unlock()
-	if c.gate != nil {
-		c.entered <- struct{}{}
-		<-c.gate
-	}
-	region := make([]byte, n)
-	resp, err := c.Conn.Call(op, payload, region, rpc.BulkOut)
-	rpc.Scatter(bulk, region)
-	return tapReply{resp, err}, nil
-}
-
-// tapReply is the finished reply of a read scatterTap served.
-type tapReply struct {
-	resp []byte
-	err  error
-}
-
-func (r tapReply) Wait() ([]byte, error) { return r.resp, r.err }
 
 // armPrefetch writes a 5-chunk file on a one-daemon cluster whose
-// connection runs through tap, and issues the two half-chunk reads that
+// connection runs through wire, and issues the two half-chunk reads that
 // arm speculation: both read their one window straight into the caller's
 // buffer — they draw nothing from the pool — and the second launches
 // exactly one span fetch, chunks 1-4 (the rest of the file), in one RPC.
-// It returns after the second read; the fetch may still be in flight.
-func armPrefetch(t *testing.T, cs int64, tap *scatterTap) (c *Client, fd int, want []byte) {
+// It returns after the second read, with wire's log and drawn (when not
+// nil) counting from that read on; the fetch may still be in flight.
+func armPrefetch(t *testing.T, cs int64, wire *wiretest.Script, drawn *atomic.Int64) (c *Client, fd int, want []byte) {
 	t.Helper()
-	c, _, _ = pipelineCluster(t, 1, Config{ChunkSize: cs, ReadAhead: true})
+	c, _, _ = newCluster(t, "mem", 1, Config{ChunkSize: cs, ReadAhead: true})
 	want = patternedBytes(int(5*cs), 3)
 	writeFileVia(t, c, "/f", want)
-	tap.Conn, tap.over = c.cfg.Conns[0], int(cs)
-	c.cfg.Conns[0] = tap
+	wire.Wrap(c.cfg.Conns)
 	fd, err := c.Open("/f", O_RDONLY)
 	if err != nil {
 		t.Fatal(err)
@@ -772,10 +735,10 @@ func armPrefetch(t *testing.T, cs int64, tap *scatterTap) (c *Client, fd int, wa
 	half := make([]byte, cs/2)
 	for i := 0; i < 2; i++ {
 		if i == 1 {
-			tap.mu.Lock()
-			tap.lists = nil
-			tap.mu.Unlock()
-			tap.drawn.Store(0)
+			wire.Take()
+			if drawn != nil {
+				drawn.Store(0)
+			}
 		}
 		if n, err := c.Read(fd, half); n != len(half) || err != nil {
 			t.Fatalf("read %d = %d, %v", i, n, err)
@@ -792,16 +755,23 @@ func armPrefetch(t *testing.T, cs int64, tap *scatterTap) (c *Client, fd int, wa
 // pool, no scratch.
 func TestPrefetchLandsInWindowRegion(t *testing.T) {
 	const cs = 8 << 10
-	tap := &scatterTap{}
-	defer rpc.ObserveDraws(func(n int) { tap.drawn.Add(int64(n)) })()
-	c, fd, want := armPrefetch(t, cs, tap)
+	wire := new(wiretest.Script)
+	var drawn atomic.Int64
+	defer rpc.ObserveDraws(func(n int) { drawn.Add(int64(n)) })()
+	c, fd, want := armPrefetch(t, cs, wire, &drawn)
 	raQuiesce(t, c, fd)
 	// Armed by a read that drew nothing, the fetch is all that drew since.
-	if got := tap.drawn.Load(); got != 4*cs {
+	if got := drawn.Load(); got != 4*cs {
 		t.Fatalf("fetch of 4 chunks drew %d pool bytes, want %d", got, 4*cs)
 	}
-	if len(tap.lists) != 1 || len(tap.lists[0]) != 1 {
-		t.Fatalf("prefetch issued %d window lists, want one of one window", len(tap.lists))
+	var lists [][][]byte
+	for _, call := range wire.Take() {
+		if fetchOver(cs)(call) {
+			lists = append(lists, call.Windows)
+		}
+	}
+	if len(lists) != 1 || len(lists[0]) != 1 {
+		t.Fatalf("prefetch issued %d window lists, want one of one window", len(lists))
 	}
 	live := liveFetches(t, c, fd)
 	if len(live) != 1 {
@@ -811,7 +781,7 @@ func TestPrefetchLandsInWindowRegion(t *testing.T) {
 	if f.Off != cs || len(f.buf) != 4*cs || !bytes.Equal(f.buf, want[cs:]) {
 		t.Fatalf("the fetch holds [%d, %d), want [%d, %d) with the file's bytes", f.Off, f.End, cs, 5*cs)
 	}
-	if w := tap.lists[0][0]; len(w) != 4*cs || &f.buf[0] != &w[0] {
+	if w := lists[0][0]; len(w) != 4*cs || &f.buf[0] != &w[0] {
 		t.Fatalf("the region starts at %p, the transport filled %p (%d bytes)", &f.buf[0], w, len(w))
 	}
 }
@@ -823,17 +793,18 @@ func TestPrefetchLandsInWindowRegion(t *testing.T) {
 // must see the bytes written since.
 func TestPrefetchInvalidatedMidFlightRecyclesOnce(t *testing.T) {
 	const cs = 8 << 10
-	tap := &scatterTap{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-	c, fd, want := armPrefetch(t, cs, tap)
-	<-tap.entered
+	wire := new(wiretest.Script)
+	gate := wire.Gate(1, fetchOver(cs))
+	defer gate.Release()
+	c, fd, want := armPrefetch(t, cs, wire, nil)
+	<-gate.Caught()
 	fresh := patternedBytes(4*cs, 9)
 	if err := c.WritePath("/f", fresh, cs); err != nil { // lands, then drops the fetch of chunks 1-4
 		t.Fatal(err)
 	}
 	copy(want[cs:], fresh)
-	close(tap.gate)
+	gate.Release()
 	raQuiesce(t, c, fd)
-	tap.gate = nil
 
 	live := map[*byte]bool{}
 	for i := 0; i < 64; i++ {

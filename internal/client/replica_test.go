@@ -3,55 +3,26 @@ package client
 import (
 	"bytes"
 	"errors"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/rpc"
 	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
-
-// recordingListener remembers every accepted connection so a test can
-// sever them — the client-visible signature of kill -9 is the socket
-// dying mid-conversation, not a polite daemon shutdown.
-type recordingListener struct {
-	net.Listener
-	mu    sync.Mutex
-	conns []net.Conn
-}
-
-func (r *recordingListener) Accept() (net.Conn, error) {
-	c, err := r.Listener.Accept()
-	if err == nil {
-		r.mu.Lock()
-		r.conns = append(r.conns, c)
-		r.mu.Unlock()
-	}
-	return c, err
-}
-
-func (r *recordingListener) kill() {
-	r.Listener.Close()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.conns {
-		c.Close()
-	}
-}
 
 // replicaCluster is a loopback TCP deployment whose daemons a test can
 // crash one at a time.
 type replicaCluster struct {
 	c   *Client
-	lns []*recordingListener
+	lns []*wiretest.Listener
 }
 
 func startReplicaCluster(t *testing.T, nodes int, cfg Config) *replicaCluster {
 	t.Helper()
-	rc := &replicaCluster{lns: make([]*recordingListener, nodes)}
+	rc := &replicaCluster{lns: make([]*wiretest.Listener, nodes)}
 	conns := make([]rpc.Conn, nodes)
 	for i := 0; i < nodes; i++ {
 		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: 1024})
@@ -59,15 +30,8 @@ func startReplicaCluster(t *testing.T, nodes int, cfg Config) *replicaCluster {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { d.Close() })
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rl := &recordingListener{Listener: l}
-		rc.lns[i] = rl
-		t.Cleanup(rl.kill)
-		go transport.ServeTCP(rl, d.Server())
-		conn, err := transport.DialTCP(l.Addr().String(), 10*time.Second)
+		rc.lns[i] = wiretest.ServeTCP(t, d.Server())
+		conn, err := transport.DialTCP(rc.lns[i].Addr().String(), 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +88,7 @@ func TestReplicatedReadFailsOverOnCrash(t *testing.T) {
 	// Crash a daemon that is not the file's metadata owner (metadata is
 	// not replicated; the size probe must keep answering).
 	victim := (c.dist.MetaTarget(path) + 1) % 3
-	rc.lns[victim].kill()
+	rc.lns[victim].Kill()
 
 	// Second read phase: several piecewise reads so the dead daemon
 	// accumulates strikes and is condemned along the way.
@@ -160,7 +124,7 @@ func TestReplicatedWriteSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := (c.dist.MetaTarget(path) + 2) % 3
-	rc.lns[victim].kill()
+	rc.lns[victim].Kill()
 
 	data := pattern(48 * 1024)
 	for off := 0; off < len(data); off += 4 * 1024 {
@@ -203,7 +167,7 @@ func TestReplicatedAsyncWriteSurvivesCrash(t *testing.T) {
 			t.Fatalf("write at %d: %v", off, err)
 		}
 	}
-	rc.lns[victim].kill()
+	rc.lns[victim].Kill()
 	for off := half; off < len(data); off += 4 * 1024 {
 		if _, err := c.WriteAt(fd, data[off:off+4*1024], int64(off)); err != nil {
 			t.Fatalf("write at %d after crash: %v", off, err)
@@ -247,8 +211,8 @@ func TestReplicatedReadDegradesWhenChainDies(t *testing.T) {
 	// Killing m+1 and m+2 wipes the full chain {m+1, m+2} while the
 	// metadata owner m keeps answering size probes.
 	m := c.dist.MetaTarget(path)
-	rc.lns[(m+1)%3].kill()
-	rc.lns[(m+2)%3].kill()
+	rc.lns[(m+1)%3].Kill()
+	rc.lns[(m+2)%3].Kill()
 
 	got := make([]byte, len(data))
 	_, err = c.ReadAt(fd, got, 0)

@@ -11,7 +11,7 @@ import (
 // descriptor's writes, and resolving append EOF from the stat alone made
 // the second cached append land on top of the first.
 func TestAppendUnderSizeCache(t *testing.T) {
-	c := newLocalCluster(t, 3, Config{ChunkSize: 64, SizeCacheOps: 8})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, SizeCacheOps: 8})
 	fd, err := c.Open("/log", O_CREATE|O_WRONLY|O_APPEND)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestAppendUnderSizeCache(t *testing.T) {
 // TestReadOwnCachedWrites verifies a descriptor can read and seek past
 // the server's stale size while its size update is still cached.
 func TestReadOwnCachedWrites(t *testing.T) {
-	c := newLocalCluster(t, 2, Config{ChunkSize: 128, SizeCacheOps: 100})
+	c, _, _ := newCluster(t, "mem", 2, Config{ChunkSize: 128, SizeCacheOps: 100})
 	fd, err := c.Open("/data", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestReadOwnCachedWrites(t *testing.T) {
 // resurrect the pre-truncate size (ghost zero reads, appends past EOF,
 // SEEK_END beyond the file).
 func TestTruncateDropsPendingSize(t *testing.T) {
-	c := newLocalCluster(t, 2, Config{ChunkSize: 64, SizeCacheOps: 100})
+	c, _, _ := newCluster(t, "mem", 2, Config{ChunkSize: 64, SizeCacheOps: 100})
 	fd, err := c.Open("/t", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestTruncateDropsPendingSize(t *testing.T) {
 // BenchmarkReadSmall guards the read path's per-call overhead (stat +
 // zero-fill + span gather) on a cache-hot 4 KiB read.
 func BenchmarkReadSmall(b *testing.B) {
-	c := newLocalCluster(b, 2, Config{ChunkSize: 512 << 10})
+	c, _, _ := newCluster(b, "mem", 2, Config{ChunkSize: 512 << 10})
 	fd, err := c.Open("/bench", O_CREATE|O_RDWR)
 	if err != nil {
 		b.Fatal(err)
@@ -128,7 +128,7 @@ func BenchmarkReadSmall(b *testing.B) {
 // BenchmarkWriteLarge guards the striped write path's allocation
 // behavior (pooled bulk buffers) on 1 MiB writes.
 func BenchmarkWriteLarge(b *testing.B) {
-	c := newLocalCluster(b, 4, Config{ChunkSize: 512 << 10})
+	c, _, _ := newCluster(b, "mem", 4, Config{ChunkSize: 512 << 10})
 	fd, err := c.Open("/bench", O_CREATE|O_RDWR)
 	if err != nil {
 		b.Fatal(err)

@@ -6,89 +6,50 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/rpc"
+	"repro/internal/transport/wiretest"
 )
 
-// rpcLog records every call a client makes, by daemon and op: the count
-// "on the conn", below anything the client could forget to count.
-type rpcLog struct {
-	mu    sync.Mutex
-	calls []string // "<node>:<op name>"
+// logCalls routes c's connections through a fresh script, which logs
+// every call by daemon and op: the count "on the conn", below anything
+// the client could forget to count.
+func logCalls(c *Client) *wiretest.Script {
+	s := new(wiretest.Script)
+	s.Wrap(c.cfg.Conns)
+	return s
 }
 
-type loggedConn struct {
-	rpc.Conn
-	node int
-	log  *rpcLog
-}
-
-func (c *loggedConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	c.log.mu.Lock()
-	c.log.calls = append(c.log.calls, fmt.Sprintf("%d:%s", c.node, proto.OpName(op)))
-	c.log.mu.Unlock()
-	return c.Conn.Call(op, payload, bulk, dir)
-}
-
-// logCalls routes c's connections through a fresh log.
-func logCalls(c *Client) *rpcLog {
-	log := &rpcLog{}
-	for i, conn := range c.cfg.Conns {
-		c.cfg.Conns[i] = &loggedConn{Conn: conn, node: i, log: log}
+// take returns the calls s logged since the last take.
+func take(s *wiretest.Script) []string {
+	var calls []string
+	for _, c := range s.Take() {
+		calls = append(calls, call(c.Node, c.Op))
 	}
-	return log
-}
-
-// take returns the calls made since the last take.
-func (l *rpcLog) take() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	calls := l.calls
-	l.calls = nil
 	return calls
 }
 
 func call(node int, op rpc.Op) string { return fmt.Sprintf("%d:%s", node, proto.OpName(op)) }
 
-// holdConn forwards every call, and holds the reply of the first call of
-// op until free is called — the daemon has already applied it, so the
-// reply lands late, not the request. held closes when it is caught.
-type holdConn struct {
-	rpc.Conn
-	op      rpc.Op
-	caught  atomic.Bool
-	held    chan struct{}
-	release chan struct{}
-	once    sync.Once
+// holdReply holds the reply of c's next call of op to node until
+// Release — the daemon has already applied it, so the reply lands late,
+// not the request.
+func holdReply(c *Client, node int, op rpc.Op) *wiretest.Hold {
+	return logCalls(c).Hold(1, wiretest.On(node, op))
 }
 
-func (c *holdConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	resp, err := c.Conn.Call(op, payload, bulk, dir)
-	if op == c.op && c.caught.CompareAndSwap(false, true) {
-		close(c.held)
-		<-c.release
-	}
-	return resp, err
-}
-
-// free lets the held reply land. Deferred too, so a failing test does
-// not leave the held call blocking its descriptor's Close.
-func (c *holdConn) free() { c.once.Do(func() { close(c.release) }) }
-
-// caughtBefore waits until the reply is held; an op that finished first
+// caughtBefore waits until h holds its reply; an op that finished first
 // (done) never sent the call and fails the test.
-func (c *holdConn) caughtBefore(t *testing.T, done <-chan error) {
+func caughtBefore(t *testing.T, h *wiretest.Hold, op rpc.Op, done <-chan error) {
 	t.Helper()
 	select {
-	case <-c.held:
+	case <-h.Caught():
 	case err := <-done:
-		t.Fatalf("finished (%v) without a %s reply from the owner", err, proto.OpName(c.op))
+		t.Fatalf("finished (%v) without a %s reply from the owner", err, proto.OpName(op))
 	}
 }
 
@@ -117,37 +78,36 @@ func TestOwnTruncateRace(t *testing.T) {
 }
 
 func ownTruncateRace(t *testing.T, cfg Config, path, discard, arm string, size int) {
-	c, _, mount := pipelineCluster(t, 2, cfg)
+	c, _, mount := newCluster(t, "mem", 2, cfg)
 	owner := c.dist.MetaTarget(path)
-	hold := &holdConn{Conn: c.cfg.Conns[owner], held: make(chan struct{}), release: make(chan struct{})}
 	fd, err := c.Open(path, O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close(fd)
-	defer hold.free()
 	data := bytes.Repeat([]byte{9}, size)
 	var op func() error
+	held := proto.OpUpdateSize
 	if arm == "read-reply" {
 		// Another client fills the file this descriptor opened empty: a
 		// read asks the owner and is told size.
 		writeFileVia(t, mount(), path, data)
-		hold.op = proto.OpReadChunks
+		held = proto.OpReadChunks
 		op = func() error {
 			_, err := c.ReadAt(fd, make([]byte, 16), 0)
 			return err
 		}
 	} else {
-		hold.op = proto.OpUpdateSize
 		op = func() error {
 			_, err := c.WriteAt(fd, data, 0)
 			return err
 		}
 	}
-	c.cfg.Conns[owner] = hold
+	hold := holdReply(c, owner, held)
+	defer hold.Release()
 	done := make(chan error, 1)
 	go func() { done <- op() }()
-	hold.caughtBefore(t, done)
+	caughtBefore(t, hold, held, done)
 	var want error = io.EOF
 	if discard == "truncate" {
 		err = c.Truncate(path, 0)
@@ -157,7 +117,7 @@ func ownTruncateRace(t *testing.T, cfg Config, path, discard, arm string, size i
 	if err != nil {
 		t.Fatal(err)
 	}
-	hold.free()
+	hold.Release()
 	if err := <-done; err != nil && err != io.EOF {
 		t.Fatalf("%s racing the %s: %v", arm, discard, err)
 	}
@@ -179,7 +139,7 @@ func TestOwnGrowOutlivesLateAnswers(t *testing.T) {
 	const cs, path, size = 64, "/grown", 10
 	for _, arm := range []string{"grow-ack/remove-other", "read-reply/own-grow"} {
 		t.Run(arm, func(t *testing.T) {
-			c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: cs, ReadAhead: true})
+			c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: cs, ReadAhead: true})
 			writeFileVia(t, c, path, bytes.Repeat([]byte{1}, size))
 			writeFileVia(t, c, "/other", []byte{2})
 			fd, err := c.Open(path, O_RDWR)
@@ -191,9 +151,12 @@ func TestOwnGrowOutlivesLateAnswers(t *testing.T) {
 				t.Fatalf("read to the end = %d, %v; want %d, EOF", n, err, size)
 			}
 			owner := c.dist.MetaTarget(path)
-			hold := &holdConn{Conn: c.cfg.Conns[owner], held: make(chan struct{}), release: make(chan struct{})}
-			defer hold.free()
-			c.cfg.Conns[owner] = hold
+			held := proto.OpUpdateSize
+			if arm == "read-reply/own-grow" {
+				held = proto.OpReadChunks
+			}
+			hold := holdReply(c, owner, held)
+			defer hold.Release()
 			tail := bytes.Repeat([]byte{3}, 10)
 			write := func() error {
 				_, err := c.WriteAt(fd, tail, cs)
@@ -201,13 +164,12 @@ func TestOwnGrowOutlivesLateAnswers(t *testing.T) {
 			}
 			done := make(chan error, 1)
 			if arm == "grow-ack/remove-other" {
-				hold.op = proto.OpUpdateSize
 				go func() { done <- write() }()
-				hold.caughtBefore(t, done)
+				caughtBefore(t, hold, held, done)
 				if err := c.Remove("/other"); err != nil {
 					t.Fatal(err)
 				}
-				hold.free()
+				hold.Release()
 				if err := <-done; err != nil {
 					t.Fatal(err)
 				}
@@ -219,16 +181,15 @@ func TestOwnGrowOutlivesLateAnswers(t *testing.T) {
 					t.Fatalf("read inside the acknowledged grow asked the owner for the size (%d probes elided, want 1)", d)
 				}
 			} else {
-				hold.op = proto.OpReadChunks
 				go func() {
 					_, err := c.ReadAt(fd, make([]byte, 16), 2*cs)
 					done <- err
 				}()
-				hold.caughtBefore(t, done)
+				caughtBefore(t, hold, held, done)
 				if err := write(); err != nil {
 					t.Fatal(err)
 				}
-				hold.free()
+				hold.Release()
 				if err := <-done; err != io.EOF {
 					t.Fatalf("read past the end racing the write = %v, want EOF", err)
 				}
@@ -251,7 +212,7 @@ func TestOwnGrowOutlivesLateAnswers(t *testing.T) {
 // the size the open saw — is read, not answered EOF from the open's size.
 func TestCachedReadSeesAnotherClientsGrowth(t *testing.T) {
 	const cs, path = 64, "/growing"
-	c, _, mount := pipelineCluster(t, 3, Config{ChunkSize: cs, ReadAhead: true})
+	c, _, mount := newCluster(t, "mem", 3, Config{ChunkSize: cs, ReadAhead: true})
 	fd, err := c.Open(path, O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +238,7 @@ func TestCachedReadSeesAnotherClientsGrowth(t *testing.T) {
 // hears about rewrites once, at the barrier.
 func TestSizeFloorRPCCount(t *testing.T) {
 	const cs, nodes, path = 64, 4, "/data"
-	c, _, _ := pipelineCluster(t, nodes, Config{ChunkSize: cs})
+	c, _, _ := newCluster(t, "mem", nodes, Config{ChunkSize: cs})
 	log := logCalls(c)
 	owner := c.dist.MetaTarget(path)
 	onOwner, offOwner := int64(-1), int64(-1)
@@ -298,11 +259,11 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.take()
+	take(log)
 	block := bytes.Repeat([]byte{7}, 32)
 	expect := func(what string, want ...string) {
 		t.Helper()
-		got := log.take()
+		got := take(log)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: RPCs %v, want %v", what, got, want)
 		}
@@ -366,7 +327,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	if n, err := c.ReadAt(fd, make([]byte, 32), size-16); n != 16 || err != io.EOF {
 		t.Fatalf("read across the end = %d, %v; want 16, EOF", n, err)
 	}
-	got := log.take() // the data RPC and the probe run in parallel
+	got := take(log) // the data RPC and the probe run in parallel
 	sort.Strings(got)
 	sort.Strings(wantRead)
 	if fmt.Sprint(got) != fmt.Sprint(wantRead) {
@@ -401,7 +362,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.take()
+	take(log)
 	if err := c.Close(rfd); err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +378,7 @@ func TestSizeFloorRPCCount(t *testing.T) {
 // truncate until it reaches past its floor.
 func TestSizeFloorSecondClientView(t *testing.T) {
 	const cs, path = 64, "/shared"
-	a, _, mount := pipelineCluster(t, 3, Config{ChunkSize: cs})
+	a, _, mount := newCluster(t, "mem", 3, Config{ChunkSize: cs})
 	b := mount()
 	stat := func() FileInfo {
 		t.Helper()
@@ -486,7 +447,7 @@ func TestSizeFloorSecondClientView(t *testing.T) {
 // talks to the owner again instead of trusting the old size.
 func TestOwnTruncateRemoveLowerFloor(t *testing.T) {
 	const cs, path = 64, "/t"
-	c, _, _ := pipelineCluster(t, 2, Config{ChunkSize: cs})
+	c, _, _ := newCluster(t, "mem", 2, Config{ChunkSize: cs})
 	fd1, err := c.Open(path, O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -547,17 +508,17 @@ func TestOwnTruncateRemoveLowerFloor(t *testing.T) {
 	if err := c.Fsync(fd1); err != nil {
 		t.Fatal(err)
 	}
-	if got := log.take(); len(got) != 0 {
+	if got := take(log); len(got) != 0 {
 		t.Fatalf("Fsync of a descriptor whose file this client removed: RPCs %v, want none", got)
 	}
 	if _, err := c.Stat(path); !errors.Is(err, proto.ErrNotExist) {
 		t.Fatalf("stat after remove and the writer's Fsync = %v, want ErrNotExist", err)
 	}
-	log.take()
+	take(log)
 	if _, err := c.WriteAt(fd2, []byte{4}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := log.take(); len(got) != 2 || got[1] != call(c.dist.MetaTarget(path), proto.OpUpdateSize) {
+	if got := take(log); len(got) != 2 || got[1] != call(c.dist.MetaTarget(path), proto.OpUpdateSize) {
 		t.Fatalf("write after own remove: RPCs %v; want the chunk write and a size update", got)
 	}
 }

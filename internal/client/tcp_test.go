@@ -4,17 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"net"
-	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/meta"
 	"repro/internal/rpc"
-	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
 
@@ -22,25 +18,7 @@ import (
 // sockets: three daemons on loopback listeners, one client dialing all of
 // them — the multi-process deployment shape of cmd/gkfs-daemon.
 func TestTCPClusterEndToEnd(t *testing.T) {
-	const nodes = 3
-	conns := make([]rpc.Conn, nodes)
-	for i := range conns {
-		addr, _ := serveDaemon(t, i, 1024, false)
-		conn, err := transport.DialTCP(addr, 10*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		conns[i] = conn
-	}
-
-	c, err := New(Config{Conns: conns, ChunkSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnsureRoot(); err != nil {
-		t.Fatal(err)
-	}
+	c, _, _ := newCluster(t, "tcp", 3, Config{ChunkSize: 1024})
 
 	// Metadata burst.
 	if err := c.Mkdir("/job"); err != nil {
@@ -92,24 +70,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 // directory drains must survive the framed wire, not just the in-process
 // shortcut.
 func TestTCPVectoredMetadata(t *testing.T) {
-	const nodes = 2
-	conns := make([]rpc.Conn, nodes)
-	for i := range conns {
-		addr, _ := serveDaemon(t, i, 1024, false)
-		conn, err := transport.DialTCP(addr, 10*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		conns[i] = conn
-	}
-	c, err := New(Config{Conns: conns, ChunkSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnsureRoot(); err != nil {
-		t.Fatal(err)
-	}
+	c, _, _ := newCluster(t, "tcp", 2, Config{ChunkSize: 1024})
 	c.readDirPage = 5 // force several pages per daemon
 
 	paths := make([]string, 37)
@@ -150,7 +111,7 @@ func TestTCPVectoredMetadata(t *testing.T) {
 // once gathered into a pooled staging copy first, a second draw.
 func TestDataPathSyncWriteSendsSplitGroupUnstaged(t *testing.T) {
 	const cs = 4096
-	c, _ := tcpPipelineCluster(t, 2, Config{ChunkSize: cs})
+	c, _, _ := newCluster(t, "tcp", 2, Config{ChunkSize: cs})
 	path := ""
 	for i := 0; path == "" && i < 1000; i++ {
 		cand, d := fmt.Sprintf("/split%d", i), c.dist
@@ -243,33 +204,7 @@ func oneDaemonOver(t *testing.T, carrier string) *Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	var conn rpc.Conn
-	if carrier == "tcp" {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go transport.ServeTCP(l, d.Server())
-		conn, err = transport.DialTCP(l.Addr().String(), time.Minute)
-	} else {
-		switch runtime.GOOS {
-		case "windows", "plan9", "js", "wasip1":
-			t.Skipf("shm transport unavailable on %s", runtime.GOOS)
-		}
-		sock := filepath.Join(t.TempDir(), "d.sock")
-		l, err := net.Listen("unix", sock)
-		if err != nil {
-			t.Skipf("no unix sockets here: %v", err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go transport.ServeShm(l, d.Server(), 0)
-		conn, err = transport.DialShm(sock, time.Minute)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
+	conn := wiretest.Dial(t, d.Server(), carrier, 1)
 	c, err := New(Config{Conns: []rpc.Conn{conn}, ChunkSize: meta.DefaultChunkSize})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
 
@@ -22,7 +22,7 @@ import (
 // DaemonSnapshots returns each daemon's matching snapshot.
 func TestClientTelemetryRecordsRPCs(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := newLocalCluster(t, 3, Config{ChunkSize: 512, Telemetry: reg, TraceSample: 1})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 512, Telemetry: reg, TraceSample: 1})
 
 	fd, err := c.Create("/t.dat")
 	if err != nil {
@@ -90,7 +90,7 @@ func TestClientTelemetryRecordsRPCs(t *testing.T) {
 // (the ISSUE's counter-hygiene audit, as a regression test).
 func TestStatsScrapeUnderTraffic(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := newLocalCluster(t, 3, Config{ChunkSize: 512, Telemetry: reg, TraceSample: 4})
+	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 512, Telemetry: reg, TraceSample: 4})
 
 	const writers, rounds = 4, 25
 	var writerWG sync.WaitGroup
@@ -175,13 +175,11 @@ func TestDaemonSnapshotsHostileReplies(t *testing.T) {
 		{"trailing bytes", func(e *rpc.Enc) { e.U32(0).U32(0).U32(0).U8(7) }, rpc.ErrMalformed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mem := transport.NewMemNetwork()
 			d, err := daemon.New(daemon.Config{FS: vfs.NewMem()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			mem.Register(0, d.Server())
 			hostile := rpc.NewServer(1)
 			hostile.Register(proto.OpStats, func([]byte, rpc.Bulk) ([]byte, error) {
 				e := rpc.NewEnc(64)
@@ -189,13 +187,7 @@ func TestDaemonSnapshotsHostileReplies(t *testing.T) {
 				tc.body(e)
 				return e.Bytes(), nil
 			})
-			mem.Register(1, hostile)
-			conns := make([]rpc.Conn, 2)
-			for i := range conns {
-				if conns[i], err = mem.Dial(i); err != nil {
-					t.Fatal(err)
-				}
-			}
+			conns := []rpc.Conn{wiretest.Dial(t, d.Server(), wiretest.Mem, 1), wiretest.Dial(t, hostile, wiretest.Mem, 1)}
 			c, err := New(Config{Conns: conns})
 			if err != nil {
 				t.Fatal(err)

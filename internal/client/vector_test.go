@@ -7,47 +7,11 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/daemon"
 	"repro/internal/proto"
-	"repro/internal/rpc"
-	"repro/internal/transport"
-	"repro/internal/vfs"
 )
 
-// newLocalClusterWithDaemons is newLocalCluster but keeps the daemon
-// handles, so tests can assert on server-side counters.
-func newLocalClusterWithDaemons(t testing.TB, nodes int, cfg Config) (*Client, []*daemon.Daemon) {
-	t.Helper()
-	net := transport.NewMemNetwork()
-	conns := make([]rpc.Conn, nodes)
-	daemons := make([]*daemon.Daemon, nodes)
-	for i := 0; i < nodes; i++ {
-		d, err := daemon.New(daemon.Config{ID: i, FS: vfs.NewMem(), ChunkSize: cfg.ChunkSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
-		daemons[i] = d
-		net.Register(i, d.Server())
-		conn, err := net.Dial(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = conn
-	}
-	cfg.Conns = conns
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnsureRoot(); err != nil {
-		t.Fatal(err)
-	}
-	return c, daemons
-}
-
 func TestVectoredCreateStatRemoveRoundTrip(t *testing.T) {
-	c, daemons := newLocalClusterWithDaemons(t, 4, Config{})
+	c, daemons, _ := newCluster(t, "mem", 4, Config{})
 	const n = 40
 	paths := make([]string, n)
 	for i := range paths {
@@ -100,7 +64,7 @@ func TestVectoredCreateStatRemoveRoundTrip(t *testing.T) {
 }
 
 func TestVectoredPartialFailureStitching(t *testing.T) {
-	c := newLocalCluster(t, 4, Config{})
+	c, _, _ := newCluster(t, "mem", 4, Config{})
 	// Pre-create every third path; CreateMany over the full set must
 	// report ErrExist at exactly those indices and nil elsewhere.
 	const n = 30
@@ -175,7 +139,7 @@ func TestVectoredPartialFailureStitching(t *testing.T) {
 }
 
 func TestRemoveManyCollectsChunks(t *testing.T) {
-	c := newLocalCluster(t, 4, Config{ChunkSize: 256})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 256})
 	fd, err := c.Create("/data")
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +178,7 @@ func TestRemoveManyCollectsChunks(t *testing.T) {
 }
 
 func TestRemoveFileSkipsStatRPC(t *testing.T) {
-	c, daemons := newLocalClusterWithDaemons(t, 4, Config{})
+	c, daemons, _ := newCluster(t, "mem", 4, Config{})
 	fd, err := c.Create("/single")
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +208,7 @@ func TestRemoveFileSkipsStatRPC(t *testing.T) {
 }
 
 func TestReadDirDrainsMultiplePages(t *testing.T) {
-	c, daemons := newLocalClusterWithDaemons(t, 4, Config{})
+	c, daemons, _ := newCluster(t, "mem", 4, Config{})
 	c.readDirPage = 7 // force multi-page scans
 	const n = 100
 	paths := make([]string, n)
@@ -289,7 +253,7 @@ func TestReadDirDrainsMultiplePages(t *testing.T) {
 // lists exactly the paths that stat at the epoch, and the live-named
 // calls (Stat, StatMany, ReadDir) are the LiveEpoch ones.
 func TestNamespaceReadsAtAnyEpoch(t *testing.T) {
-	c, _ := newLocalClusterWithDaemons(t, 4, Config{ChunkSize: 64})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64})
 	if err := c.Mkdir("/d"); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +385,7 @@ func TestRemoveCollectsUnpublishedWrites(t *testing.T) {
 	} {
 		for _, rm := range []string{"Remove", "RemoveMany"} {
 			t.Run(mode.name+"/"+rm, func(t *testing.T) {
-				c, _, _ := pipelineCluster(t, 3, mode.cfg)
+				c, _, _ := newCluster(t, "mem", 3, mode.cfg)
 				fd, err := c.Open("/gone", O_CREATE|O_RDWR)
 				if err != nil {
 					t.Fatal(err)
@@ -455,7 +419,7 @@ func TestRemoveCollectsUnpublishedWrites(t *testing.T) {
 	}
 	for _, open := range []bool{false, true} {
 		t.Run(fmt.Sprintf("never-written/open=%v", open), func(t *testing.T) {
-			c, _, _ := pipelineCluster(t, 3, Config{ChunkSize: 64, AsyncWrites: true})
+			c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, AsyncWrites: true})
 			fd, err := c.Create("/idle")
 			if err != nil {
 				t.Fatal(err)
@@ -470,7 +434,7 @@ func TestRemoveCollectsUnpublishedWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := []string{call(c.dist.MetaTarget("/idle"), proto.OpRemoveMeta)}
-			if got := log.take(); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got := take(log); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("removing a never-written file sent %v, want %v", got, want)
 			}
 		})

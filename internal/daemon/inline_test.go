@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +9,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/rpc"
-	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 )
 
 // TestInlineChunkOpsLiveness runs, at the same time and over two real TCP
@@ -24,21 +23,7 @@ import (
 // everything must finish well within the deadline.
 func TestInlineChunkOpsLiveness(t *testing.T) {
 	d := newTestDaemon(t) // 256-byte chunks
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go transport.ServeTCP(l, d.Server())
-	dial := func() rpc.Conn {
-		c, err := transport.DialTCP(l.Addr().String(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	a, b := dial(), dial()
+	a, b := wiretest.Dial(t, d.Server(), wiretest.TCP, 1), wiretest.Dial(t, d.Server(), wiretest.TCP, 1)
 	const path = "/shared"
 	call := func(c rpc.Conn, op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) (*rpc.Dec, error) {
 		resp, err := c.Call(op, payload, bulk, dir)

@@ -8,7 +8,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
 
@@ -390,7 +390,7 @@ func TestChunkReadsAgreeOnEveryCarrier(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			conns := carrierConns(t, d)
+			conns := wiretest.Conns(t, d.Server())
 			w, err := client.New(client.Config{Conns: []rpc.Conn{conns["mem"]}, ChunkSize: chunkSize})
 			if err != nil {
 				t.Fatal(err)
@@ -445,49 +445,6 @@ func TestChunkReadsAgreeOnEveryCarrier(t *testing.T) {
 	}
 }
 
-// carrierConns serves d on every carrier the platform has and dials one
-// connection on each.
-func carrierConns(t *testing.T, d *daemon.Daemon) map[string]rpc.Conn {
-	t.Helper()
-	mem := transport.NewMemNetwork()
-	mem.Register(0, d.Server())
-	memConn, err := mem.Dial(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go transport.ServeTCP(l, d.Server())
-	tcp, err := transport.DialTCP(l.Addr().String(), 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := transport.DialTCPPool(l.Addr().String(), 10*time.Second, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns := map[string]rpc.Conn{"mem": memConn, "tcp": tcp, "tcp-pool": pool}
-	sock := filepath.Join(t.TempDir(), "shm.sock")
-	if ul, err := net.Listen("unix", sock); err == nil {
-		t.Cleanup(func() { ul.Close() })
-		go transport.ServeShm(ul, d.Server(), 0)
-		if shm, err := transport.DialShmPool(sock, 10*time.Second, 1); err == nil {
-			conns["shm"] = shm
-		} else if runtime.GOOS == "linux" {
-			t.Fatal(err) // the shared-memory carrier exists on every unix; CI runs linux
-		}
-	}
-	t.Cleanup(func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	})
-	return conns
-}
-
 // TestShrunkChunkFileFailsOnlyItsRead shrinks a chunk file behind the
 // store's back — an operator, a quota on the data directory — while its
 // open handle still knows the old size. Over TCP the reply's view of the
@@ -509,7 +466,7 @@ func TestShrunkChunkFileFailsOnlyItsRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	conns := carrierConns(t, d)
+	conns := wiretest.Conns(t, d.Server())
 	w, err := client.New(client.Config{Conns: []rpc.Conn{conns["mem"]}, ChunkSize: chunkSize})
 	if err != nil {
 		t.Fatal(err)
@@ -569,12 +526,7 @@ func TestShrunkChunkFileFailsOnlyItsRead(t *testing.T) {
 		}
 	}
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go transport.ServeTCP(l, d.Server())
+	l := wiretest.ServeTCP(t, d.Server())
 	raw := func() net.Conn {
 		t.Helper()
 		nc, err := net.Dial("tcp", l.Addr().String())
@@ -626,7 +578,7 @@ func TestShrunkChunkFileTakesItsWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	conns := carrierConns(t, d)
+	conns := wiretest.Conns(t, d.Server())
 	w, err := client.New(client.Config{Conns: []rpc.Conn{conns["mem"]}, ChunkSize: chunkSize})
 	if err != nil {
 		t.Fatal(err)

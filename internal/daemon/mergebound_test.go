@@ -13,7 +13,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
 
@@ -51,12 +51,7 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	net := transport.NewMemNetwork()
-	net.Register(0, d.Server())
-	conn, err := net.Dial(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := wiretest.Dial(t, d.Server(), wiretest.Mem, 1)
 	c, err := client.New(client.Config{Conns: []rpc.Conn{conn}})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,36 +26,9 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/staging"
 	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
-
-// severListener remembers every accepted connection so the test can
-// sever them: the client-visible signature of kill -9 is the socket
-// dying mid-conversation, not a polite shutdown.
-type severListener struct {
-	net.Listener
-	mu    sync.Mutex
-	conns []net.Conn
-}
-
-func (r *severListener) Accept() (net.Conn, error) {
-	c, err := r.Listener.Accept()
-	if err == nil {
-		r.mu.Lock()
-		r.conns = append(r.conns, c)
-		r.mu.Unlock()
-	}
-	return c, err
-}
-
-func (r *severListener) kill() {
-	r.Listener.Close()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.conns {
-		c.Close()
-	}
-}
 
 // crashCluster runs nodes TCP daemons over per-node on-disk state. kill
 // severs one daemon's socket and closes it; restart reopens the same
@@ -66,7 +38,7 @@ type crashCluster struct {
 	t     *testing.T
 	dirs  []string
 	ds    []*daemon.Daemon
-	lns   []*severListener
+	lns   []*wiretest.Listener
 	addrs []string
 	mu    sync.Mutex
 	c     *client.Client
@@ -88,15 +60,9 @@ func (cc *crashCluster) serve(i int) {
 	if err != nil {
 		cc.t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		d.Close()
-		cc.t.Fatal(err)
-	}
-	rl := &severListener{Listener: l}
-	go transport.ServeTCP(rl, d.Server())
+	l := wiretest.ServeTCP(cc.t, d.Server())
 	cc.mu.Lock()
-	cc.ds[i], cc.lns[i], cc.addrs[i] = d, rl, l.Addr().String()
+	cc.ds[i], cc.lns[i], cc.addrs[i] = d, l, l.Addr().String()
 	cc.mu.Unlock()
 }
 
@@ -105,7 +71,7 @@ func (cc *crashCluster) serve(i int) {
 // acknowledged before the sever were made durable by SyncWAL; in-flight
 // ones die with the socket, exactly as a crash loses them.
 func (cc *crashCluster) kill(i int) {
-	cc.lns[i].kill()
+	cc.lns[i].Kill()
 	cc.ds[i].Close()
 }
 
@@ -119,7 +85,7 @@ func startCrashCluster(t *testing.T, nodes int) *crashCluster {
 		t:     t,
 		dirs:  make([]string, nodes),
 		ds:    make([]*daemon.Daemon, nodes),
-		lns:   make([]*severListener, nodes),
+		lns:   make([]*wiretest.Listener, nodes),
 		addrs: make([]string, nodes),
 	}
 	root := t.TempDir()
@@ -129,7 +95,7 @@ func startCrashCluster(t *testing.T, nodes int) *crashCluster {
 	}
 	t.Cleanup(func() {
 		for i := range cc.ds {
-			cc.lns[i].kill()
+			cc.lns[i].Kill()
 			cc.ds[i].Close()
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"maps"
-	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -23,7 +22,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
 
@@ -86,17 +85,7 @@ func parseMetrics(t *testing.T, text string) planeDoc {
 // wherever the bracket is closed the three values are one.
 func TestStatsPlanesAgree(t *testing.T) {
 	d := newTestDaemon(t)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go transport.ServeTCP(l, d.Server())
-	conn, err := transport.DialTCP(l.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := wiretest.Dial(t, d.Server(), wiretest.TCP, 1)
 	web := httptest.NewServer(telemetry.Handler(d.Telemetry()))
 	defer web.Close()
 

@@ -5,7 +5,7 @@ package staging_test
 // pinned pre-image through the epoch read path, stages the tag out
 // concurrently with the writers, and byte-compares the staged tree
 // against the capture. The writers' iteration counters prove the drain
-// never blocked them; a drainGate makes the drain wait for them, so the
+// never blocked them; a held reply makes the drain wait for them, so the
 // overlap is there by construction, not by the scheduler's luck.
 
 import (
@@ -23,8 +23,8 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/proto"
-	"repro/internal/rpc"
 	"repro/internal/staging"
+	"repro/internal/transport/wiretest"
 )
 
 const (
@@ -85,49 +85,15 @@ func captureAt(c *client.Client, path string, epoch uint64) ([]byte, bool, error
 	}
 }
 
-// drainGate holds the first reply the stage-out client receives after
-// arm until the writers' iteration counter has moved past its value at
-// arm, so every drain overlaps writer progress. A writer that failed
-// never moves the counter; the hold then gives up after holdLimit and
-// leaves the assertion to report it.
-type drainGate struct {
-	iters  *atomic.Uint64
-	before uint64 // published by armed
-	armed  atomic.Bool
-}
-
+// holdLimit bounds how long a drain waits for writer progress: a writer
+// that failed never moves the counter, and the assertion reports it.
 const holdLimit = 10 * time.Second
-
-func (g *drainGate) arm(before uint64) {
-	g.before = before
-	g.armed.Store(true)
-}
-
-// gatedConn forwards every call and, while its gate is armed, holds the
-// reply of the first one — the daemon has served it, so the drain is
-// under way and only its reply lands late.
-type gatedConn struct {
-	rpc.Conn
-	gate *drainGate
-}
-
-func (c *gatedConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	resp, err := c.Conn.Call(op, payload, bulk, dir)
-	if g := c.gate; g.armed.CompareAndSwap(true, false) {
-		for deadline := time.Now().Add(holdLimit); g.iters.Load() == g.before && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	return resp, err
-}
 
 func TestSnapshotStageOutUnderConcurrentWriters(t *testing.T) {
 	var iters atomic.Uint64
-	gate := &drainGate{iters: &iters}
+	wire := new(wiretest.Script)
 	wc, daemons := newStageCluster(t, 4, client.Config{ChunkSize: raceChunk})
-	sc := mountStage(t, daemons, client.Config{ChunkSize: raceChunk}, func(conn rpc.Conn) rpc.Conn {
-		return &gatedConn{Conn: conn, gate: gate}
-	})
+	sc := mountStage(t, daemons, client.Config{ChunkSize: raceChunk}, wire)
 	if err := wc.Mkdir(raceDir); err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +148,20 @@ func TestSnapshotStageOutUnderConcurrentWriters(t *testing.T) {
 			}
 		}
 		// Stage the tag out while the writers keep hammering the files.
+		// The drain's first reply is held until the writers have moved
+		// past their count at this point, so every drain overlaps writer
+		// progress.
 		before := iters.Load()
-		gate.arm(before)
+		hold := wire.Hold(1, nil)
+		go func() {
+			for deadline := time.Now().Add(holdLimit); iters.Load() == before && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			hold.Release()
+		}()
 		dst := t.TempDir()
 		rep, err := staging.StageOut(sc, raceDir, dst, staging.Options{Snapshot: tag, Workers: 3})
+		hold.Release()
 		if err != nil {
 			t.Fatal(err)
 		}

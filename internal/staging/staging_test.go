@@ -14,7 +14,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/rpc"
 	"repro/internal/staging"
-	"repro/internal/transport"
+	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
 
@@ -40,22 +40,16 @@ func newStageCluster(t testing.TB, nodes int, cfg client.Config) (*client.Client
 }
 
 // mountStage wires a client to daemons: another mount of the deployment
-// newStageCluster built. wrap, when non-nil, decorates each daemon's
+// newStageCluster built. wire, when non-nil, drives each daemon's
 // connection.
-func mountStage(t testing.TB, daemons []*daemon.Daemon, cfg client.Config, wrap func(rpc.Conn) rpc.Conn) *client.Client {
+func mountStage(t testing.TB, daemons []*daemon.Daemon, cfg client.Config, wire *wiretest.Script) *client.Client {
 	t.Helper()
-	net := transport.NewMemNetwork()
 	cfg.Conns = make([]rpc.Conn, len(daemons))
 	for i, d := range daemons {
-		net.Register(i, d.Server())
-		conn, err := net.Dial(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wrap != nil {
-			conn = wrap(conn)
-		}
-		cfg.Conns[i] = conn
+		cfg.Conns[i] = wiretest.Dial(t, d.Server(), wiretest.Mem, 1)
+	}
+	if wire != nil {
+		wire.Wrap(cfg.Conns)
 	}
 	c, err := client.New(cfg)
 	if err != nil {

@@ -16,19 +16,6 @@ import (
 // goroutine of its own. These tests pin both halves, and the cost pins
 // below measure what the inline half saves on a round trip.
 
-// Ops of the dispatch tests, registered by newDispatchServer.
-const (
-	opPointEcho  rpc.Op = 300 + iota // point op: echoes its payload
-	opPointSleep                     // point op: sleeps payload[0] ms, then echoes
-	opPointEmpty                     // point op: as stack-deep as a metadata transaction, empty reply
-	opSpawnEmpty                     // the same handler, registered as an ordinary op
-	opHoldBulk                       // BulkIn, ordinary: blocks until the test releases it
-	opHoldPlain                      // bulk-less, ordinary (shaped like chunk removal): blocks until released
-	opPointSink                      // BulkIn point op (shaped like a chunk write): naps, then takes the region in place
-	opPointFill                      // BulkOut point op (shaped like a chunk read): naps, then fills and commits the region
-	opPointLend                      // BulkOut point op (shaped like a mapped chunk read): lends pointLent as its reply
-)
-
 // pointLent is opPointLend's reply, two 4 KiB windows lent from memory
 // the handler keeps, and pointReleased the release it hands over with
 // them: nothing of the lend is made per call.
@@ -44,20 +31,8 @@ func nap(req []byte) {
 	}
 }
 
-// dispatchServer is an rpc.Server whose hold handlers report entering
-// on entered and return once release is closed.
-type dispatchServer struct {
-	*rpc.Server
-	entered chan struct{}
-	release chan struct{}
-}
-
-func newDispatchServer() *dispatchServer {
-	s := &dispatchServer{
-		Server:  rpc.NewServer(8),
-		entered: make(chan struct{}, 8),
-		release: make(chan struct{}),
-	}
+// registerDispatchOps registers the ops of the dispatch tests.
+func (s *testServer) registerDispatchOps() {
 	echo := func(req []byte, _ rpc.Bulk) ([]byte, error) { return append([]byte(nil), req...), nil }
 	s.RegisterPoint(opPointEcho, echo)
 	s.RegisterPoint(opPointSleep, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
@@ -98,7 +73,6 @@ func newDispatchServer() *dispatchServer {
 	s.RegisterPoint(opPointLend, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
 		return nil, rpc.Gather(bulk, pointLent, pointReleased)
 	})
-	return s
 }
 
 // txnFrames × 1 KiB is about the stack a metadata transaction touches
@@ -137,8 +111,8 @@ var blockers = []struct {
 func passesBlocked(t *testing.T, point func(c rpc.Conn) error) {
 	for _, b := range blockers {
 		t.Run(b.name, func(t *testing.T) {
-			srv := newDispatchServer()
-			c := dialServedTCP(t, srv.Server, 1)
+			srv := newTestServer()
+			c := newMatrix(t, srv.Server, 0).mustDial(t, "tcp-pool", 1)
 			held := make(chan error, 1)
 			go func() {
 				_, err := c.Call(b.op, nil, b.bulk, b.dir)
@@ -206,13 +180,7 @@ func rawBulkFrame(id uint64, op rpc.Op, dir rpc.BulkDir, payload []byte, bulkLen
 // write to a served connection and checks the responses come back in
 // request order.
 func answeredInArrivalOrder(t *testing.T, n uint64, frame func(id uint64) []byte) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go ServeTCP(l, newDispatchServer().Server)
-	c, err := net.Dial("tcp", l.Addr().String())
+	c, err := net.Dial("tcp", newMatrix(t, newTestServer().Server, 0).tcp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +259,7 @@ func TestDispatchServeWaitsForSpawnedHandlers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	srv := newDispatchServer()
+	srv := newTestServer()
 	returned := make(chan struct{})
 	go func() {
 		nc, err := l.Accept()
@@ -342,7 +310,7 @@ func TestEmptyRPCAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of its Puts")
 	}
-	c := dialServedTCP(t, newDispatchServer().Server, 1)
+	c := newMatrix(t, newTestServer().Server, 0).mustDial(t, "tcp-pool", 1)
 	allocs := rpcAllocs(t, c, opPointEmpty, nil, rpc.BulkNone)
 	if allocs > emptyRPCAllocPin {
 		t.Fatalf("an empty RPC makes %v allocations, pin %d", allocs, emptyRPCAllocPin)
@@ -383,7 +351,7 @@ func TestBulkRPCAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of its Puts")
 	}
-	c := dialServedTCP(t, newDispatchServer().Server, 1)
+	c := newMatrix(t, newTestServer().Server, 0).mustDial(t, "tcp-pool", 1)
 	buf := make([]byte, 8<<10)
 	src := [][]byte{buf}
 	for _, tc := range []struct {
@@ -424,12 +392,12 @@ func TestBulkRPCAllocs(t *testing.T) {
 // same handler as an ordinary op, so the difference is what a fresh
 // goroutine per request costs.
 func BenchmarkEmptyRPC(b *testing.B) {
-	srv := newDispatchServer().Server
+	s := newMatrix(b, newTestServer().Server, 0)
 	for _, d := range []struct {
 		name string
 		op   rpc.Op
 	}{{"inline", opPointEmpty}, {"spawned", opSpawnEmpty}} {
-		c := dialServedTCP(b, srv, 1)
+		c := s.mustDial(b, "tcp-pool", 1)
 		b.Run(d.name+"/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,15 +18,6 @@ import (
 // they lie, every other carrier gets them copied into its region. These
 // tests pin that both give the caller the same bytes and that the
 // handler's release runs exactly once on every path out of a call.
-
-// Ops of the gathered-reply tests.
-const (
-	opGather     rpc.Op = 400 + iota // lends gatherReply(u32(req)) and counts its release
-	opGatherPart                     // reads half its reply into the Writable region, lends the rest
-	opGatherFail                     // lends a reply, then fails
-	opGatherBig                      // lends a reply as large as the region, whatever the frame allows
-	opGatherHold                     // ordinary op: waits for the test, then lends a reply
-)
 
 // gatherSrc is the memory gathered replies are lent from.
 var gatherSrc = func() []byte {
@@ -51,16 +41,8 @@ func gatherWant(n int) []byte {
 	return bytes.Join(gatherReply(n), nil)
 }
 
-// gatherServer counts the releases of its handlers' lent replies;
-// opGatherHold waits on hold before it lends.
-type gatherServer struct {
-	*rpc.Server
-	released atomic.Int64
-	hold     chan struct{}
-}
-
-func newGatherServer() *gatherServer {
-	s := &gatherServer{Server: newScatterServer(), hold: make(chan struct{})}
+// registerGatherOps registers the ops of the gathered-reply tests.
+func (s *testServer) registerGatherOps() {
 	release := func() { s.released.Add(1) }
 	s.Register(opGather, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
 		return []byte("ok"), rpc.Gather(bulk, gatherReply(int(binary.LittleEndian.Uint32(req))), release)
@@ -88,15 +70,14 @@ func newGatherServer() *gatherServer {
 		return []byte("too big to send"), rpc.Gather(bulk, windows, release)
 	})
 	s.Register(opGatherHold, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
-		<-s.hold
+		<-s.gatherHold
 		return nil, rpc.Gather(bulk, gatherReply(bulk.Len()), release)
 	})
-	return s
 }
 
 // waitReleased waits until the server has run want releases, and fails
 // if it runs more.
-func (s *gatherServer) waitReleased(t *testing.T, want int64) {
+func (s *testServer) waitReleased(t *testing.T, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for s.released.Load() < want && time.Now().Before(deadline) {
@@ -116,9 +97,9 @@ func (s *gatherServer) waitReleased(t *testing.T, want int64) {
 // zeros, over dirty windows, and every reply is released once.
 func TestGatherRepliesIdenticallyOnEveryCarrier(t *testing.T) {
 	const win = 48 << 10
-	srv := newGatherServer()
+	srv := newTestServer()
 	var calls int64 // replies lent so far, over every carrier
-	for name, c := range connsAgainst(t, srv.Server) {
+	for name, c := range conns(t, srv.Server) {
 		t.Run(name, func(t *testing.T) {
 			for _, op := range []rpc.Op{opGather, opGatherPart} {
 				for _, n := range []int{0, 1, win - 100, win, 2*win - 1, 2 * win} {
@@ -156,19 +137,9 @@ func TestGatherRepliesIdenticallyOnEveryCarrier(t *testing.T) {
 // each the release runs exactly once, and only a dead connection ends
 // the stream.
 func TestGatherReleasesOnceOnEveryPath(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	srv := newGatherServer()
-	go ServeTCP(l, srv.Server)
-	addr := l.Addr().String()
-	c, err := DialTCP(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	srv := newTestServer()
+	m := newMatrix(t, srv.Server, 0)
+	addr, c := m.tcp, m.mustDial(t, "tcp", 1)
 
 	t.Run("written", func(t *testing.T) {
 		srv.released.Store(0)
@@ -227,7 +198,7 @@ func TestGatherReleasesOnceOnEveryPath(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		raw.Close()
 		time.Sleep(20 * time.Millisecond)
-		close(srv.hold)
+		close(srv.gatherHold)
 		srv.waitReleased(t, 1)
 	})
 }

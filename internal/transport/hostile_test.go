@@ -49,37 +49,46 @@ func rawRefRequest(op rpc.Op, dir rpc.BulkDir, blen uint32, off uint64) []byte {
 	return append(out, body...)
 }
 
-// wireTarget is one listener the hostile tables run against.
+// wireTarget is one listener of a matrix the hostile tables run
+// against: the TCP listener or the doorbell.
 type wireTarget struct {
+	m    matrix
 	name string
-	ref  bool   // by-reference carrier: requests carry dirRefFlag + segOff
-	seg  uint64 // segment size, by reference
-	raw  func(t *testing.T) net.Conn
-	dial func(timeout time.Duration) (rpc.Conn, error)
+	ref  bool // by-reference carrier: requests carry dirRefFlag + segOff
 }
 
-// wireTargets serves srv over every carrier the platform has.
+// targetSeg sizes the wire targets' doorbell segments: small, so a call
+// spanning a whole segment stays cheap.
+const targetSeg = 1 << 20
+
+// wireTargets serves srv over every carrier the platform has and returns
+// its listeners.
 func wireTargets(t *testing.T, srv *rpc.Server) []wireTarget {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	m := newMatrix(t, srv, targetSeg)
+	tgs := []wireTarget{{m: m, name: "tcp"}}
+	if m.shm != "" {
+		tgs = append(tgs, wireTarget{m: m, name: "shm", ref: true})
+	}
+	return tgs
+}
+
+// raw opens a raw stream to the listener: the doorbell's has completed
+// the handshake.
+func (tg wireTarget) raw(t *testing.T) net.Conn {
+	if tg.ref {
+		return rawShm(t, tg.m.shm)
+	}
+	c, err := net.Dial("tcp", tg.m.tcp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
-	go ServeTCP(l, srv)
-	addr := l.Addr().String()
-	tcp := wireTarget{
-		name: "tcp",
-		raw: func(t *testing.T) net.Conn {
-			c, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		},
-		dial: func(timeout time.Duration) (rpc.Conn, error) { return DialTCP(addr, timeout) },
-	}
-	return append([]wireTarget{tcp}, platformTargets(t, srv)...)
+	return c
+}
+
+// dial connects to the listener with a call timeout.
+func (tg wireTarget) dial(timeout time.Duration) (rpc.Conn, error) {
+	return tg.m.dial(tg.name, 1, timeout)
 }
 
 // sendRaw writes frame to the TCP listener at addr and reports whether
@@ -127,7 +136,7 @@ func assertServing(t *testing.T, tg wireTarget) {
 }
 
 func TestHostileFramesCloseConnection(t *testing.T) {
-	srv := newTestServer()
+	srv := newTestServer().Server
 	for _, tg := range wireTargets(t, srv) {
 		// The shared table: on a doorbell every frame also carries the
 		// by-reference flag and a zero segment offset, so it is the named
@@ -160,7 +169,7 @@ func TestHostileFramesCloseConnection(t *testing.T) {
 		if tg.ref {
 			cases = append(cases,
 				// A window that starts inside the segment but ends past it.
-				hostile{"window-outside-segment", rawRefRequest(opWrite, rpc.BulkIn, 16, tg.seg-8)},
+				hostile{"window-outside-segment", rawRefRequest(opWrite, rpc.BulkIn, 16, targetSeg-8)},
 				// off+len wraps u64 to a small in-bounds number.
 				hostile{"window-off-len-wrap", rawRefRequest(opWrite, rpc.BulkIn, 16, 0xFFFFFFFFFFFFFFF8)},
 				// A well-formed inline frame: a doorbell carries no bulk bytes.
@@ -186,14 +195,14 @@ func TestHostileFramesCloseConnection(t *testing.T) {
 // segment is served, so the hostile ones are rejected for the defect
 // they name and not for a malformed test frame.
 func TestRawRefFrameServed(t *testing.T) {
-	srv := newTestServer()
+	srv := newTestServer().Server
 	for _, tg := range wireTargets(t, srv) {
 		if !tg.ref {
 			continue
 		}
 		c := tg.raw(t)
 		defer c.Close()
-		if _, err := c.Write(rawRefRequest(opWrite, rpc.BulkIn, 16, tg.seg-16)); err != nil {
+		if _, err := c.Write(rawRefRequest(opWrite, rpc.BulkIn, 16, targetSeg-16)); err != nil {
 			t.Fatal(err)
 		}
 		c.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -219,7 +228,7 @@ func TestRawRefFrameServed(t *testing.T) {
 // dispatch a short region — and the server must keep serving other
 // connections.
 func TestTruncatedMidFrameRequestLeavesServerServing(t *testing.T) {
-	srv := newTestServer()
+	srv := newTestServer().Server
 	for _, tg := range wireTargets(t, srv) {
 		t.Run(tg.name, func(t *testing.T) {
 			const blen = 64 << 10
@@ -378,39 +387,6 @@ func TestHostileResponseFailsClientCleanly(t *testing.T) {
 	}
 }
 
-// Ops of the scatter-contract tests below, registered on top of
-// newTestServer's.
-const (
-	opShortFill rpc.Op = 200 + iota // fills the whole region with 0x5A, commits the first u32(req) bytes
-	opLateFill                      // sleeps past the call timeout, then fills the whole region with 0xA5
-)
-
-func newScatterServer() *rpc.Server {
-	srv := newTestServer()
-	srv.Register(opShortFill, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
-		w, err := bulk.Writable(bulk.Len())
-		if err != nil {
-			return nil, err
-		}
-		for i := range w {
-			w[i] = 0x5A
-		}
-		return nil, bulk.Commit(int(binary.LittleEndian.Uint32(req)))
-	})
-	srv.Register(opLateFill, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
-		time.Sleep(200 * time.Millisecond)
-		out, err := bulk.Writable(bulk.Len())
-		if err != nil {
-			return nil, err
-		}
-		for i := range out {
-			out[i] = 0xA5
-		}
-		return nil, bulk.Commit(len(out))
-	})
-	return srv
-}
-
 // TestHostileScatterShortBulkLeavesZeroTail pins the carrier's half of
 // the BulkOut contract on every connection type — those that scatter
 // natively and the mem conn, which stages a list: a response shorter
@@ -420,7 +396,7 @@ func newScatterServer() *rpc.Server {
 // bytes and one of the whole region are the two edges.
 func TestHostileScatterShortBulkLeavesZeroTail(t *testing.T) {
 	const win = 48 << 10
-	for name, c := range connsAgainst(t, newScatterServer()) {
+	for name, c := range conns(t, newTestServer().Server) {
 		for _, n := range []int{0, win - 100, win, win + 100, 2 * win} {
 			region := newScatterRegion(win)
 			req := binary.LittleEndian.AppendUint32(nil, uint32(n))
@@ -445,7 +421,7 @@ func TestHostileScatterShortBulkLeavesZeroTail(t *testing.T) {
 // them — "Claimed calls are always delivered" read the other way round —
 // and the connection must stay usable.
 func TestHostileScatterLateResponseLeavesWindowsAlone(t *testing.T) {
-	srv := newScatterServer()
+	srv := newTestServer().Server
 	for _, tg := range wireTargets(t, srv) {
 		t.Run(tg.name, func(t *testing.T) {
 			c, err := tg.dial(30 * time.Millisecond)

@@ -20,41 +20,8 @@ import (
 func TestPoolSizesUnderConcurrentBulkTraffic(t *testing.T) {
 	for _, size := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("conns-%d", size), func(t *testing.T) {
-			srv := rpc.NewServer(16)
-			srv.Register(1, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
-				buf, err := bulk.Bytes()
-				if err != nil {
-					return nil, err
-				}
-				var sum uint64
-				for _, b := range buf {
-					sum += uint64(b)
-				}
-				return []byte(fmt.Sprintf("%d", sum)), nil
-			})
-			srv.Register(2, func(req []byte, bulk rpc.Bulk) ([]byte, error) {
-				seed := req[0]
-				out, err := bulk.Writable(bulk.Len())
-				if err != nil {
-					return nil, err
-				}
-				for i := range out {
-					out[i] = seed + byte(i)
-				}
-				return []byte("ok"), bulk.Commit(len(out))
-			})
-
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			go ServeTCP(l, srv)
-			conn, err := DialTCPPool(l.Addr().String(), 30*time.Second, size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
+			srv := newTestServer().Server
+			conn := newMatrix(t, srv, 0).mustDial(t, "tcp-pool", size)
 			if p, ok := conn.(*Pool); !ok || p.Size() != size {
 				t.Fatalf("DialTCPPool returned %T with size %d", conn, size)
 			}
@@ -68,19 +35,19 @@ func TestPoolSizesUnderConcurrentBulkTraffic(t *testing.T) {
 					for round := 0; round < 6; round++ {
 						n := sizes[(g+round)%len(sizes)]
 						payload := bytes.Repeat([]byte{byte(g + 1)}, n)
-						resp, err := conn.Call(1, nil, payload, rpc.BulkIn)
+						resp, err := conn.Call(opWrite, nil, payload, rpc.BulkIn)
 						if err != nil {
 							t.Errorf("g%d r%d write: %v", g, round, err)
 							return
 						}
-						want := fmt.Sprintf("%d", uint64(n)*uint64(g+1))
+						want := fmt.Sprintf("%d:%d", n, uint64(n)*uint64(g+1))
 						if string(resp) != want {
 							t.Errorf("g%d r%d checksum %s, want %s", g, round, resp, want)
 							return
 						}
 						buf := make([]byte, n)
 						seed := byte(g * 5)
-						if _, err := conn.Call(2, []byte{seed}, buf, rpc.BulkOut); err != nil {
+						if _, err := conn.Call(opSeedFill, []byte{seed}, buf, rpc.BulkOut); err != nil {
 							t.Errorf("g%d r%d read: %v", g, round, err)
 							return
 						}
@@ -104,7 +71,7 @@ func TestPoolSizesUnderConcurrentBulkTraffic(t *testing.T) {
 // TestPoolLazyReconnect kills every server-side socket under a pool and
 // verifies that subsequent calls re-dial the dead slots and succeed.
 func TestPoolLazyReconnect(t *testing.T) {
-	srv := newTestServer()
+	srv := newTestServer().Server
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -168,14 +135,7 @@ func TestPoolLazyReconnect(t *testing.T) {
 
 // TestPoolClosed verifies calls into a closed pool fail cleanly.
 func TestPoolClosed(t *testing.T) {
-	srv := newTestServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go ServeTCP(l, srv)
-	pool, err := DialTCPPool(l.Addr().String(), time.Second, 2)
+	pool, err := newMatrix(t, newTestServer().Server, 0).dial("tcp-pool", 2, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +156,8 @@ func TestPoolClosed(t *testing.T) {
 // the same rule: one re-dial, and the daemon runs it once. A server that
 // is not back up still fails the call, with the dial error.
 func TestPoolRedialsConnectionFoundDead(t *testing.T) {
-	srv := newTestServer()
-	const opCount rpc.Op = 301 // counts the split calls the daemon runs
-	var sends atomic.Int32
-	srv.Register(opCount, func([]byte, rpc.Bulk) ([]byte, error) {
-		sends.Add(1)
-		return nil, nil
-	})
+	ts := newTestServer()
+	srv, sends := ts.Server, &ts.counted // sends counts the split calls the daemon runs
 	// start serves srv on a fresh port; the returned sever closes the
 	// listener and every accepted socket, as a dying daemon does.
 	start := func() (addr string, sever func()) {

@@ -11,22 +11,6 @@ import (
 	"repro/internal/rpc"
 )
 
-// opBulkEcho replies with the BulkIn region its handler was handed, byte
-// for byte: what the daemon saw of a write.
-const opBulkEcho rpc.Op = 300
-
-func newSendServer() *rpc.Server {
-	srv := newTestServer()
-	srv.Register(opBulkEcho, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
-		b, err := bulk.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		return append([]byte(nil), b...), nil
-	})
-	return srv
-}
-
 // gatherList cuts windows of the given sizes out of one backing array,
 // a gap before each, and fills them with a pattern. want is what a
 // handler must see: the windows' bytes, concatenated.
@@ -67,7 +51,7 @@ func scribble(wins [][]byte) {
 // writev finished would hand the daemon scribbled bytes. The mem conn
 // runs the whole call in Start, through the staging fallback's region.
 func TestSendReturnsWithGatherListFree(t *testing.T) {
-	for name, c := range connsAgainst(t, newSendServer()) {
+	for name, c := range conns(t, newTestServer().Server) {
 		t.Run(name, func(t *testing.T) {
 			if _, ok := c.(rpc.Starter); !ok {
 				t.Fatalf("%s cannot split a call at the send", name)
@@ -96,7 +80,7 @@ func TestSendReturnsWithGatherListFree(t *testing.T) {
 // whole segment, so the next one can only be placed once the late reply
 // proved its window quiescent.
 func TestSendWaitTimesOutAndDrainsLateReply(t *testing.T) {
-	for _, tg := range wireTargets(t, newSendServer()) {
+	for _, tg := range wireTargets(t, newTestServer().Server) {
 		t.Run(tg.name, func(t *testing.T) {
 			c, err := tg.dial(30 * time.Millisecond)
 			if err != nil {
@@ -105,7 +89,7 @@ func TestSendWaitTimesOutAndDrainsLateReply(t *testing.T) {
 			defer c.Close()
 			size := 64 << 10
 			if tg.ref {
-				size = int(tg.seg)
+				size = targetSeg
 			}
 			wins, _ := gatherList(size/2, size-size/2)
 			r, err := rpc.Start(c, opSlow, nil, wins, rpc.BulkIn, rpc.Trace{})

@@ -9,17 +9,17 @@ import (
 	"repro/internal/rpc"
 )
 
-// platformConns adds nothing on platforms without the shared-memory
-// transport; the generic suite runs over mem and TCP only.
-func platformConns(*testing.T, *rpc.Server) map[string]rpc.Conn { return nil }
+// startShmServer serves nothing on platforms without the shared-memory
+// transport: the matrix runs over mem and TCP only.
+func startShmServer(testing.TB, *rpc.Server, int) string { return "" }
 
-// platformTargets and platformFakeDaemons likewise add no by-reference
-// listener to the hostile-frame tables.
-func platformTargets(*testing.T, *rpc.Server) []wireTarget { return nil }
-
-func platformFakeDaemons(*testing.T, func(net.Conn, bool)) map[string]func() (rpc.Conn, error) {
+// rawShm is never reached without a doorbell.
+func rawShm(t *testing.T, _ string) net.Conn {
+	t.Fatal("no shared-memory doorbell on this platform")
 	return nil
 }
 
-// dialBenchShm reports that the by-reference carrier is unavailable.
-func dialBenchShm(*testing.B) rpc.Conn { return nil }
+// platformFakeDaemons likewise adds no by-reference fake daemon.
+func platformFakeDaemons(*testing.T, func(net.Conn, bool)) map[string]func() (rpc.Conn, error) {
+	return nil
+}

@@ -51,50 +51,21 @@ func startShmServer(t testing.TB, srv *rpc.Server, segBytes int) string {
 	return sock
 }
 
-// platformConns adds the shared-memory transport to the generic
-// cross-transport suite on platforms that have it.
-func platformConns(t *testing.T, srv *rpc.Server) map[string]rpc.Conn {
-	t.Helper()
-	sock := startShmServer(t, srv, 0)
-	shmConn, err := DialShm(sock, 5*time.Second)
+// rawShm opens a raw stream to the doorbell at sock that completes the
+// handshake (without bothering to map the segment), so its frames reach
+// the shared request parser.
+func rawShm(t *testing.T, sock string) net.Conn {
+	c, err := net.Dial("unix", sock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { shmConn.Close() })
-	poolConn, err := DialShmPool(sock, 5*time.Second, 2)
-	if err != nil {
+	if _, _, err := readShmHello(c); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { poolConn.Close() })
-	return map[string]rpc.Conn{"shm": shmConn, "shm-pool": poolConn}
-}
-
-// platformTargets adds a doorbell to the hostile-frame tables: raw
-// streams complete the handshake (without bothering to map the segment)
-// so their frames reach the shared request parser.
-func platformTargets(t *testing.T, srv *rpc.Server) []wireTarget {
-	t.Helper()
-	const seg = 1 << 20
-	sock := startShmServer(t, srv, seg)
-	return []wireTarget{{
-		name: "shm",
-		ref:  true,
-		seg:  seg,
-		raw: func(t *testing.T) net.Conn {
-			c, err := net.Dial("unix", sock)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := readShmHello(c); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Write([]byte{shmAck}); err != nil {
-				t.Fatal(err)
-			}
-			return c
-		},
-		dial: func(timeout time.Duration) (rpc.Conn, error) { return DialShm(sock, timeout) },
-	}}
+	if _, err := c.Write([]byte{shmAck}); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // platformFakeDaemons adds a one-connection fake doorbell daemon: it
@@ -135,7 +106,7 @@ func platformFakeDaemons(t *testing.T, script func(c net.Conn, ref bool)) map[st
 // exercises every handoff: caller→segment, daemon in-place handler,
 // segment→caller, and the allocator's block/wake path.
 func TestShmConcurrentBulkStress(t *testing.T) {
-	srv := newTestServer()
+	srv := newTestServer().Server
 	sock := startShmServer(t, srv, 1<<20) // 1 MiB: a few large calls fill it
 	c, err := DialShm(sock, 10*time.Second)
 	if err != nil {
@@ -192,7 +163,7 @@ func TestShmConcurrentBulkStress(t *testing.T) {
 // TestShmBulkExceedsSegment verifies that a transfer that can never fit
 // the segment fails fast instead of deadlocking in the allocator.
 func TestShmBulkExceedsSegment(t *testing.T) {
-	srv := newTestServer()
+	srv := newTestServer().Server
 	sock := startShmServer(t, srv, 64<<10)
 	c, err := DialShm(sock, 5*time.Second)
 	if err != nil {
@@ -255,7 +226,7 @@ func TestShmDaemonCrashFailsPendingCalls(t *testing.T) {
 // may still be writing it) until the late response arrives, after which
 // the full segment is allocatable again.
 func TestShmTimeoutReclaimsWindowOnLateResponse(t *testing.T) {
-	srv := newTestServer()
+	srv := newTestServer().Server
 	const seg = 64 << 10
 	sock := startShmServer(t, srv, seg)
 	c, err := DialShm(sock, 30*time.Millisecond)
@@ -321,19 +292,7 @@ func TestSegAllocAcquireTimeout(t *testing.T) {
 // handlers before munmapping — otherwise the handler's late fill below
 // writes unmapped memory, a SIGSEGV that would kill this whole process.
 func TestShmClientCrashMidDispatchKeepsDaemonAlive(t *testing.T) {
-	const opSlowRead rpc.Op = 99
-	srv := newTestServer()
-	srv.Register(opSlowRead, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
-		time.Sleep(150 * time.Millisecond) // the client crashes in here
-		out, err := bulk.Writable(bulk.Len())
-		if err != nil {
-			return nil, err
-		}
-		for i := range out {
-			out[i] = 0xA5
-		}
-		return []byte("ok"), bulk.Commit(len(out))
-	})
+	srv := newTestServer().Server
 	sock := startShmServer(t, srv, 1<<20)
 	c, err := DialShm(sock, 5*time.Second)
 	if err != nil {
@@ -342,7 +301,7 @@ func TestShmClientCrashMidDispatchKeepsDaemonAlive(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c.Call(opSlowRead, nil, make([]byte, 64<<10), rpc.BulkOut)
+		c.Call(opLateFill, nil, make([]byte, 64<<10), rpc.BulkOut) // the client crashes in its sleep
 	}()
 	time.Sleep(30 * time.Millisecond) // request reaches the daemon; handler is asleep
 	c.Close()                         // crash with the dispatch in flight
@@ -358,4 +317,17 @@ func TestShmClientCrashMidDispatchKeepsDaemonAlive(t *testing.T) {
 	if err != nil || string(resp) != "echo:alive" {
 		t.Fatalf("daemon after client crash: %q, %v", resp, err)
 	}
+}
+
+// BenchmarkShmRoundTrip is the co-located half of the transport-level
+// comparison (see transport_bench_test.go): identical ops and sizes as
+// BenchmarkTCPRoundTrip, but the bulk bytes move through the mapped
+// segment and only headers cross the doorbell socket.
+func BenchmarkShmRoundTrip(b *testing.B) {
+	c, err := DialShmPool(startShmServer(b, newTestServer().Server, 0), time.Minute, 1)
+	if err != nil {
+		b.Skipf("shm transport unavailable: %v", err)
+	}
+	b.Cleanup(func() { c.Close() })
+	benchRoundTrip(b, c)
 }

@@ -43,9 +43,9 @@ func (r *traceRecorder) take(op rpc.Op) []rpc.Trace {
 // transport and bulk direction and asserts the server observer receives
 // the exact ID and flags alongside a correct response.
 func TestTraceRoundTripAllTransports(t *testing.T) {
-	srv := newTestServer()
+	srv := newTestServer().Server
 	rec := newTraceRecorder(srv)
-	for name, c := range connsAgainst(t, srv) {
+	for name, c := range conns(t, srv) {
 		if _, ok := c.(rpc.Starter); !ok {
 			t.Errorf("%s: connection does not implement rpc.Starter", name)
 			continue
@@ -86,9 +86,9 @@ func TestTraceRoundTripAllTransports(t *testing.T) {
 // with an unsampled trace) reaches the observer with a zero Trace: the
 // wire must not grow a trailer when nothing was sampled.
 func TestUntracedCallObservedAsZeroTrace(t *testing.T) {
-	srv := newTestServer()
+	srv := newTestServer().Server
 	rec := newTraceRecorder(srv)
-	for name, c := range connsAgainst(t, srv) {
+	for name, c := range conns(t, srv) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := c.Call(opEcho, []byte("x"), nil, rpc.BulkNone); err != nil {
 				t.Fatalf("Call: %v", err)
@@ -111,15 +111,7 @@ func TestUntracedCallObservedAsZeroTrace(t *testing.T) {
 // shape — direction byte without the trace bit, no trailer — must still
 // be parsed and served by a current daemon exactly as before.
 func TestOldShapeRawFrameStillServed(t *testing.T) {
-	srv := newTestServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go ServeTCP(l, srv)
-	defer l.Close()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
+	conn, err := net.Dial("tcp", newMatrix(t, newTestServer().Server, 0).tcp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,14 +159,7 @@ func TestOldShapeRawFrameStillServed(t *testing.T) {
 // trace bit but whose outer length leaves no room for the trailer is
 // treated as hostile: the connection closes, the server keeps serving.
 func TestTraceFlagWithMissingTrailerRejected(t *testing.T) {
-	srv := newTestServer()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go ServeTCP(l, srv)
-	defer l.Close()
-	addr := l.Addr().String()
+	addr := newMatrix(t, newTestServer().Server, 0).tcp
 
 	// Identical to the old-shape frame but with the trace bit set and no
 	// trailer bytes: the length check must reject it before dispatch.

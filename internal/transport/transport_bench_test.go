@@ -2,9 +2,7 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"testing"
-	"time"
 
 	"repro/internal/rpc"
 )
@@ -15,28 +13,6 @@ import (
 // transport tier alone: no client span logic, no chunk store, handlers
 // that cost the same everywhere. BenchmarkShmRoundTrip (unix only) is
 // the co-located half of the comparison.
-
-const (
-	opBenchSink rpc.Op = 100 + iota // BulkIn: handler takes the wire region in place
-	opBenchFill                     // BulkOut: handler commits the whole window
-)
-
-func newBenchServer() *rpc.Server {
-	s := rpc.NewServer(8)
-	s.Register(opBenchSink, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
-		if _, err := bulk.Bytes(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	})
-	s.Register(opBenchFill, func(_ []byte, bulk rpc.Bulk) ([]byte, error) {
-		if _, err := bulk.Writable(bulk.Len()); err != nil {
-			return nil, err
-		}
-		return nil, bulk.Commit(bulk.Len())
-	})
-	return s
-}
 
 // benchRoundTrip drives both bulk directions at a sub-chunk and a
 // multi-megabyte size with GOMAXPROCS concurrent callers per case.
@@ -90,31 +66,14 @@ func benchBulkOutScatter(b *testing.B, c rpc.Conn) {
 	}
 }
 
-// dialServedTCP serves srv on loopback TCP and dials it with a pool of
-// n connections.
-func dialServedTCP(tb testing.TB, srv *rpc.Server, n int) rpc.Conn {
-	tb.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { l.Close() })
-	go ServeTCP(l, srv)
-	c, err := DialTCPPool(l.Addr().String(), 60*time.Second, n)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { c.Close() })
-	return c
-}
-
 func BenchmarkBulkOutScatter(b *testing.B) {
-	b.Run("tcp", func(b *testing.B) { benchBulkOutScatter(b, dialServedTCP(b, newBenchServer(), 1)) })
-	if c := dialBenchShm(b); c != nil {
-		b.Run("shm", func(b *testing.B) { benchBulkOutScatter(b, c) })
+	m := newMatrix(b, newTestServer().Server, 0)
+	b.Run("tcp", func(b *testing.B) { benchBulkOutScatter(b, m.mustDial(b, "tcp-pool", 1)) })
+	if m.shm != "" {
+		b.Run("shm", func(b *testing.B) { benchBulkOutScatter(b, m.mustDial(b, "shm-pool", 1)) })
 	}
 }
 
 func BenchmarkTCPRoundTrip(b *testing.B) {
-	benchRoundTrip(b, dialServedTCP(b, newBenchServer(), 4))
+	benchRoundTrip(b, newMatrix(b, newTestServer().Server, 0).mustDial(b, "tcp-pool", 4))
 }
