@@ -334,11 +334,11 @@ func runStats(c *client.Client, jsonOut bool) {
 	fmt.Printf("size floor: size-updates-elided=%d size-probes-elided=%d\n",
 		cs.SizeUpdatesElided, cs.SizeProbesElided)
 	// The metadata engine: resolves near folds means hot size keys keep
-	// losing their base to memtable rotation.
+	// losing their base to checkpoints.
 	var kv kvstore.Stats
 	total.View(&kv)
-	fmt.Printf("metadata store: folds=%d resolves=%d flushes=%d compactions=%d\n",
-		kv.MergeFolds, kv.MergeResolves, kv.Flushes, kv.Compactions)
+	fmt.Printf("metadata store: folds=%d resolves=%d checkpoints=%d\n",
+		kv.MergeFolds, kv.MergeResolves, kv.Checkpoints)
 	// The open-chunk cache: a low hit share on a small-I/O workload means
 	// its hot chunk set outgrew the cache and every miss pays an open. The
 	// mapped share is the read-reply bytes sent from a chunk file's mapping

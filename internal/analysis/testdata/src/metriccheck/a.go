@@ -34,10 +34,10 @@ func compoundAssign(a, b proto.DaemonStats) uint64 {
 // storeCopies writes the store tiers' tagged structs the same way: a
 // typed view rebuilt from a snapshot is a copy, wherever it came from.
 func storeCopies(kv kvstore.Stats, oc chunkstore.OpenStats) uint64 {
-	kv.Flushes++ // want `field Stats\.Flushes is telemetry counter state`
-	oc.Open = 0  // want `field OpenStats\.Open is telemetry counter state`
-	oc.Hits += 2 // want `field OpenStats\.Hits is telemetry counter state`
-	return kv.Flushes + oc.Open + oc.Hits
+	kv.Checkpoints++ // want `field Stats\.Checkpoints is telemetry counter state`
+	oc.Open = 0      // want `field OpenStats\.Open is telemetry counter state`
+	oc.Hits += 2     // want `field OpenStats\.Hits is telemetry counter state`
+	return kv.Checkpoints + oc.Open + oc.Hits
 }
 
 // clientCopy writes the copy Client.Stats hands out: the client's live

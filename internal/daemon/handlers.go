@@ -543,9 +543,6 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 		}
 		ents = append(ents, ent{name: meta.Base(p), isDir: m.IsDir(), size: m.Size})
 	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
 	e := okResp(16*len(ents) + len(next) + 8)
 	e.U32(uint32(len(ents)))
 	for _, en := range ents {

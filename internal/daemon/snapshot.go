@@ -163,9 +163,6 @@ func (d *Daemon) loadSnapshots() error {
 			epoch = max(epoch, v)
 		}
 	}
-	if err := it.Err(); err != nil {
-		return err
-	}
 	s.cur.Store(&epochSlot{epoch: epoch})
 	d.storeRetainedLocked()
 	return nil

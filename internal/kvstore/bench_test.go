@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/vfs"
@@ -106,4 +107,54 @@ func BenchmarkGetAfterMerges(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkRecover opens a store of 1 Mi daemon-shaped entries (a 32-byte
+// path key, a 35-byte record) held in its checkpoint, on the OS file
+// system, and reports what recovery costs per entry: ns, and the heap
+// bytes the opened store holds after GC.
+func BenchmarkRecover(b *testing.B) {
+	fs, err := vfs.NewOS(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 1 << 20
+	db, err := Open(Options{FS: fs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < n; i += n / 8 {
+		fillDaemonShaped(b, db, i, i+n/8)
+		if err := db.checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var ms runtime.MemStats
+	var heap uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		b.StartTimer()
+		db, err := Open(Options{FS: fs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		heap += ms.HeapAlloc - before
+		if len(db.base.offs) != n {
+			b.Fatalf("recovered %d entries, want %d", len(db.base.offs), n)
+		}
+		db.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/entry")
+	b.ReportMetric(float64(heap)/float64(b.N)/n, "heap-B/entry")
 }

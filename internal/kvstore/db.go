@@ -16,7 +16,7 @@ import (
 // operands, oldest first, producing the new value. GekkoFS daemons use it
 // for lock-free file-size updates, mirroring the released system's RocksDB
 // merge operands. The store folds operands whenever it likes — at insert,
-// on WAL replay, at flush, in compaction — so the operator must be a pure
+// on WAL replay, at a checkpoint — so the operator must be a pure
 // function of its arguments, must return a fresh buffer, and applying it
 // in steps must equal applying it once:
 // m(k, m(k, v, a), b) == m(k, v, a++b).
@@ -34,33 +34,10 @@ type Options struct {
 	// injection.
 	SyncWAL bool
 
-	// tune overrides the LSM shape's thresholds; nil selects
-	// defaultTuning. Only this package's tests set it, to force flushes
-	// and compactions with a handful of keys.
-	tune *tuning
-}
-
-// The LSM shape: the paper's setting of an LSM store on low-latency NAND
-// storage. No deployment tunes it.
-const (
-	blockBytes      = 4 << 10 // SSTable block target
-	levelMultiplier = 10      // size growth factor between levels
-	bloomBitsPerKey = 10      // per-table bloom filter size
-)
-
-// tuning is the part of the LSM shape tests shrink.
-type tuning struct {
-	memTableBytes    int64 // flush threshold
-	targetFileBytes  int64 // compaction output file size
-	levelBytesBase   int64 // size budget of L1; each level below is levelMultiplier times larger
-	l0CompactTrigger int   // L0 table count that triggers a compaction into L1
-}
-
-var defaultTuning = tuning{
-	memTableBytes:    4 << 20,
-	targetFileBytes:  2 << 20,
-	levelBytesBase:   8 << 20,
-	l0CompactTrigger: 4,
+	// logBytes overrides the checkpoint trigger's floor
+	// (checkpointLogBytes) when positive. Only this package's tests set
+	// it, to checkpoint a handful of keys or none at all.
+	logBytes int64
 }
 
 // Stats exposes engine counters. Each uint64 field's metric tag is the
@@ -71,18 +48,15 @@ type Stats struct {
 	Gets    uint64 `metric:"gkfs_kv_gets_total"`
 	Deletes uint64 `metric:"gkfs_kv_deletes_total"`
 	Merges  uint64 `metric:"gkfs_kv_merges_total"`
-	// Flushes counts memtable flushes; Compactions counts table merges.
-	Flushes     uint64 `metric:"gkfs_kv_flushes_total"`
-	Compactions uint64 `metric:"gkfs_kv_compactions_total"`
+	// Checkpoints counts frozen memtables folded into the checkpoint.
+	Checkpoints uint64 `metric:"gkfs_kv_checkpoints_total"`
 	// MergeFolds counts merge operands stored as the folded put at insert;
 	// MergeResolves counts the folds among them that had to look the base
 	// up below the active memtable because a run reached its bound — a
 	// resolve rate near the fold rate means hot keys keep losing their
-	// base to memtable rotation.
+	// base to checkpoints.
 	MergeFolds    uint64 `metric:"gkfs_kv_merge_folds_total"`
 	MergeResolves uint64 `metric:"gkfs_kv_merge_resolves_total"`
-	// TablesPerLevel is the current table count per level.
-	TablesPerLevel [numLevels]int
 	// MemBytes is the active memtable's approximate size.
 	MemBytes int64
 }
@@ -99,42 +73,27 @@ var (
 
 // DB is the store. It is safe for concurrent use.
 type DB struct {
-	opts Options
-	tune tuning
-	fs   vfs.FS
-
-	compactMu sync.Mutex // serialises compactions; taken before mu
+	opts     Options
+	fs       vfs.FS
+	logBytes int64 // the checkpoint trigger's floor
 
 	mu       sync.Mutex
-	cond     *sync.Cond // signals the background worker
+	cond     *sync.Cond // signals the background goroutine and the writers waiting on it
 	mem      *memTable
-	imm      []immTable // flush queue, oldest first
+	imm      *frozen // the memtable a checkpoint is folding; nil when none
+	base     *base
 	wal      *walWriter
 	walNum   uint64
 	seq      uint64
-	vers     *version
-	readers  map[uint64]*sstReader
-	nextFile uint64
 	closed   bool
 	bgErr    error
 	workDone chan struct{}
-	// iterRefs counts readers (iterators and point lookups) that may still
-	// open tables of a version compaction has since replaced.
-	iterRefs int
-	// obsoleteTables are table numbers replaced by compaction whose files
-	// are deleted once no reader references them.
-	obsoleteTables []uint64
-	stats          Stats
+	stats    Stats
 	// visited counts the versions chain folds examined; tests pin read
 	// cost on it.
 	visited atomic.Uint64
 
 	keyLocks [64]sync.Mutex // striped locks backing PutIfAbsent
-}
-
-type immTable struct {
-	mt     *memTable
-	walNum uint64
 }
 
 // Open creates or recovers a store in opts.FS.
@@ -144,29 +103,20 @@ func Open(opts Options) (*DB, error) {
 	}
 	db := &DB{
 		opts:     opts,
-		tune:     defaultTuning,
 		fs:       opts.FS,
-		vers:     &version{},
-		readers:  make(map[uint64]*sstReader),
-		nextFile: 1,
+		logBytes: checkpointLogBytes,
 		workDone: make(chan struct{}),
 	}
-	if opts.tune != nil {
-		db.tune = *opts.tune
+	if opts.logBytes > 0 {
+		db.logBytes = opts.logBytes
 	}
 	db.cond = sync.NewCond(&db.mu)
 
-	st, ok, err := readManifest(db.fs)
-	if err != nil {
+	var err error
+	if db.base, db.walNum, err = loadCheckpoint(db.fs); err != nil {
 		return nil, err
 	}
-	if ok {
-		db.vers = st.vers
-		db.seq = st.lastSeq
-		db.nextFile = st.nextFile
-		db.walNum = st.walNum
-	}
-
+	db.seq = db.base.seq
 	db.mem = newMemTable(int64(db.seq) + 1)
 	if err := db.recoverWALs(); err != nil {
 		return nil, err
@@ -179,9 +129,11 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// recoverWALs replays every intact log batch into the fresh memtable and,
-// if anything was recovered, flushes it straight to L0 so the old logs can
-// be deleted. Recovery therefore leaves the store with an empty log.
+// recoverWALs replays every intact batch of the logs the checkpoint does
+// not cover into the fresh memtable and, if anything was recovered,
+// checkpoints it at once. Recovery therefore leaves CHECKPOINT and no log
+// behind: a log the checkpoint covers (a crash came between the rename
+// and its removal) is skipped, never replayed twice.
 func (db *DB) recoverWALs() error {
 	names, err := db.fs.List("")
 	if err != nil {
@@ -195,52 +147,49 @@ func (db *DB) recoverWALs() error {
 		}
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	recovered := false
 	for _, num := range nums {
+		if num <= db.walNum {
+			continue
+		}
 		f, err := db.fs.Open(walName(num))
 		if err != nil {
 			return err
 		}
-		maxSeq, err := replayWAL(f, func(e entry) {
-			db.insertLocked(e)
-			recovered = true
-		})
+		maxSeq, err := replayWAL(f, db.insertLocked)
 		f.Close()
 		if err != nil {
 			return err
 		}
-		if maxSeq > db.seq {
-			db.seq = maxSeq
-		}
+		db.seq, db.walNum = max(db.seq, maxSeq), num
 	}
-	if recovered {
-		tables, err := db.flushTable(db.mem)
-		if err != nil {
-			return err
-		}
-		db.vers.levels[0] = append(tables, db.vers.levels[0]...)
+	if db.mem.entries() > 0 {
+		db.imm = &frozen{mt: db.mem, walNum: db.walNum, seq: db.seq}
 		db.mem = newMemTable(int64(db.seq) + 1)
-		if err := db.persistManifestLocked(); err != nil {
+		db.mu.Lock()
+		err := db.runCheckpoint()
+		db.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}
 	for _, num := range nums {
-		if err := db.fs.Remove(walName(num)); err != nil {
-			return err
-		}
+		_ = db.fs.Remove(walName(num)) // the checkpoint's own may be gone already
+	}
+	if db.fs.Exists(checkpointTmp) {
+		return db.fs.Remove(checkpointTmp)
 	}
 	return nil
 }
 
 func walName(num uint64) string { return fmt.Sprintf("wal-%06d.log", num) }
 
-// rotateWAL opens a fresh log for the active memtable.
+// rotateWAL opens the next log for the active memtable.
 func (db *DB) rotateWAL() error {
-	db.walNum++
-	f, err := db.fs.Create(walName(db.walNum))
+	f, err := db.fs.Create(walName(db.walNum + 1))
 	if err != nil {
 		return err
 	}
+	db.walNum++
 	db.wal = newWALWriter(f)
 	return nil
 }
@@ -338,21 +287,22 @@ func (db *DB) apply(ops []entry) error {
 func (db *DB) applyEntries(ops []entry, owned bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	err := db.bgErr
 	if db.closed {
-		return ErrClosed
+		err = ErrClosed
 	}
-	if db.bgErr != nil {
-		return db.bgErr
+	// A full log freezes its memtable. At most one is frozen at a time,
+	// so a writer that finds the log full while a checkpoint is in flight
+	// waits for it first.
+	for err == nil && db.wal.size >= max(db.logBytes, int64(len(db.base.buf))) {
+		if db.imm != nil {
+			err = db.waitFrozenLocked()
+		} else {
+			err = db.freezeLocked()
+		}
 	}
-	// Backpressure: cap the flush queue.
-	for len(db.imm) >= 2 {
-		db.cond.Wait()
-		if db.closed {
-			return ErrClosed
-		}
-		if db.bgErr != nil {
-			return db.bgErr
-		}
+	if err != nil {
+		return err
 	}
 
 	first := db.seq + 1
@@ -381,31 +331,32 @@ func (db *DB) applyEntries(ops []entry, owned bool) error {
 		}
 		db.insertLocked(e)
 	}
-
-	if db.mem.sizeBytes() >= db.tune.memTableBytes {
-		if err := db.rotateMemLocked(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// rotateMemLocked moves the active memtable to the flush queue and starts
-// a fresh one with a fresh WAL. Caller holds db.mu.
-func (db *DB) rotateMemLocked() error {
-	db.imm = append(db.imm, immTable{mt: db.mem, walNum: db.walNum})
-	if db.wal != nil {
-		if err := db.wal.close(); err != nil {
-			return err
-		}
-		db.wal = nil
-	}
+// freezeLocked hands the active memtable and its log to the background
+// goroutine as the next checkpoint's input and starts a fresh pair.
+// Caller holds db.mu and has waited out the previous checkpoint.
+func (db *DB) freezeLocked() error {
+	im, old := &frozen{mt: db.mem, walNum: db.walNum, seq: db.seq}, db.wal
 	if err := db.rotateWAL(); err != nil {
 		return err
 	}
-	db.mem = newMemTable(int64(db.seq) + 1)
+	db.imm, db.mem = im, newMemTable(int64(db.seq)+1)
 	db.cond.Broadcast()
-	return nil
+	return old.close()
+}
+
+// waitFrozenLocked waits until no frozen memtable is pending. Caller
+// holds db.mu.
+func (db *DB) waitFrozenLocked() error {
+	for db.imm != nil && !db.closed && db.bgErr == nil {
+		db.cond.Wait()
+	}
+	if db.closed {
+		return ErrClosed
+	}
+	return db.bgErr
 }
 
 // Get returns the value of key. The returned slice is the caller's to
@@ -417,22 +368,14 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	db.stats.Gets++
-	// db.imm is only ever trimmed at the front and appended to at the back,
-	// so the elements this header covers are never rewritten.
-	mem, imm, vers, snap := db.mem, db.imm, db.vers, db.seq
-	// Hold the tables of vers open across the lookup, as NewIterator does:
-	// without the reference a compaction finishing after the unlock would
-	// close and unlink them under the fold, failing a lookup the caller
-	// did nothing to deserve.
-	db.iterRefs++
+	// Memtables are append-only and the base immutable: the lookup needs
+	// nothing but the pointers, since nothing is closed under it.
+	mem, imm, b, snap := db.mem, db.imm, db.base, db.seq
 	db.mu.Unlock()
-	defer db.releaseIterRefs()
 
 	var f chainFold
 	if !mem.fold(key, snap, &f) {
-		if err := db.foldBelow(key, snap, imm, vers, &f, db.reader); err != nil {
-			return nil, err
-		}
+		foldBelow(key, snap, imm, b, &f)
 	}
 	val, live := db.foldValue(key, &f, nil)
 	if !live {
@@ -530,118 +473,20 @@ func (held KeyLocks) Unlock() {
 	}
 }
 
-// reader returns (opening if needed) the cached sstReader for a table.
-func (db *DB) reader(t tableMeta) (*sstReader, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.readerLocked(t)
-}
-
-// readerLocked is reader for callers already inside the lock. Caller
-// holds db.mu.
-func (db *DB) readerLocked(t tableMeta) (*sstReader, error) {
-	if r, ok := db.readers[t.num]; ok {
-		return r, nil
-	}
-	f, err := db.fs.Open(sstName(t.num))
-	if err != nil {
-		return nil, err
-	}
-	r, err := openSSTReader(f, t)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	db.readers[t.num] = r
-	return r, nil
-}
-
 // NewIterator returns an ordered cursor over the store at the current
 // sequence snapshot. Callers must Close it.
 func (db *DB) NewIterator() (*Iterator, error) {
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
 		return nil, ErrClosed
 	}
-	snap := db.seq
 	srcs := []internalIterator{db.mem.iter()}
-	for i := len(db.imm) - 1; i >= 0; i-- {
-		srcs = append(srcs, db.imm[i].mt.iter())
+	if db.imm != nil {
+		srcs = append(srcs, db.imm.mt.iter())
 	}
-	vers := db.vers
-	db.iterRefs++
-	db.mu.Unlock()
-
-	for l := 0; l < numLevels; l++ {
-		for _, t := range vers.levels[l] {
-			r, err := db.reader(t)
-			if err != nil {
-				db.releaseIterRefs()
-				return nil, err
-			}
-			srcs = append(srcs, r.iter())
-		}
-	}
-	return &Iterator{db: db, it: newMergeIter(srcs), snap: snap}, nil
-}
-
-// releaseIterRefs drops one iterator reference and deletes any files whose
-// removal was deferred while iterators were open.
-func (db *DB) releaseIterRefs() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.iterRefs--
-	if db.iterRefs == 0 {
-		db.deleteObsoleteLocked()
-	}
-}
-
-func (db *DB) deleteObsoleteLocked() {
-	for _, num := range db.obsoleteTables {
-		if r, ok := db.readers[num]; ok {
-			r.close()
-			delete(db.readers, num)
-		}
-		// Best effort; a leaked file is harmless.
-		_ = db.fs.Remove(sstName(num))
-	}
-	db.obsoleteTables = nil
-}
-
-// Flush forces the active memtable to disk and waits for the flush queue
-// to drain. Mainly for tests that want a consistent on-disk state.
-func (db *DB) Flush() error {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
-	}
-	if db.mem.entries() > 0 {
-		if err := db.rotateMemLocked(); err != nil {
-			db.mu.Unlock()
-			return err
-		}
-	}
-	for len(db.imm) > 0 && db.bgErr == nil && !db.closed {
-		db.cond.Wait()
-	}
-	err := db.bgErr
-	db.mu.Unlock()
-	return err
-}
-
-// CompactAll flushes and then compacts until every level respects its
-// budget and L0 is empty. Tests use it to exercise full merges.
-func (db *DB) CompactAll() error {
-	if err := db.Flush(); err != nil {
-		return err
-	}
-	for {
-		if ok, err := db.compactOnce(true); err != nil || !ok {
-			return err
-		}
-	}
+	srcs = append(srcs, db.base.iter())
+	return &Iterator{db: db, it: newMergeIter(srcs), snap: db.seq}, nil
 }
 
 // Stats returns a snapshot of engine counters.
@@ -650,14 +495,11 @@ func (db *DB) Stats() Stats {
 	defer db.mu.Unlock()
 	st := db.stats
 	st.MemBytes = db.mem.sizeBytes()
-	for l := 0; l < numLevels; l++ {
-		st.TablesPerLevel[l] = len(db.vers.levels[l])
-	}
 	return st
 }
 
-// Close stops background work and releases files. Buffered but unflushed
-// data stays recoverable through the WAL.
+// Close stops background work and closes the log. Whatever no checkpoint
+// holds yet stays recoverable through the logs.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
@@ -671,13 +513,6 @@ func (db *DB) Close() error {
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.wal != nil {
-		db.wal.close()
-		db.wal = nil
-	}
-	for _, r := range db.readers {
-		r.close()
-	}
-	db.readers = nil
+	db.wal.close()
 	return db.bgErr
 }

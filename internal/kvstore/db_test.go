@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,14 +24,6 @@ func openTestDB(t *testing.T, opts Options) *DB {
 	}
 	t.Cleanup(func() { db.Close() })
 	return db
-}
-
-// flushAt returns the default LSM shape with the flush threshold lowered
-// to n bytes, so a handful of keys force flushes.
-func flushAt(n int64) *tuning {
-	t := defaultTuning
-	t.memTableBytes = n
-	return &t
 }
 
 func TestPutGetDelete(t *testing.T) {
@@ -78,21 +71,28 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
+func key(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
+func val(i int) []byte { return []byte(fmt.Sprintf("value-%d-%d", i, i*7)) }
+
+// TestReadThroughSSTables checks that keys folded out of the memtable stay
+// readable: a tiny log forces checkpoints, so after a final one every key
+// is served from the checkpointed base, not from a memtable.
 func TestReadThroughSSTables(t *testing.T) {
-	// Tiny memtable forces flushes; everything must remain readable.
-	db := openTestDB(t, Options{tune: flushAt(2048)})
+	db := openTestDB(t, Options{logBytes: 2048})
 	const n = 2000
 	for i := 0; i < n; i++ {
 		if err := db.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats()
-	if st.Flushes == 0 {
-		t.Fatal("no flush happened despite tiny memtable")
+	if db.Stats().Checkpoints < 2 {
+		t.Fatal("no checkpoint happened despite a tiny log")
+	}
+	if len(db.base.offs) != n {
+		t.Fatalf("base holds %d records, want %d", len(db.base.offs), n)
 	}
 	for i := 0; i < n; i++ {
 		v, err := db.Get(key(i))
@@ -102,11 +102,12 @@ func TestReadThroughSSTables(t *testing.T) {
 	}
 }
 
-func key(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
-func val(i int) []byte { return []byte(fmt.Sprintf("value-%d-%d", i, i*7)) }
-
+// TestCompactionPreservesData checks the checkpoint's compaction: a tiny
+// log forces checkpoints, every overwrite and delete is folded into the
+// base, which keeps one record per live key and no tombstone, and every
+// key reads back through it.
 func TestCompactionPreservesData(t *testing.T) {
-	db := openTestDB(t, Options{tune: &tuning{memTableBytes: 2048, targetFileBytes: 4096, levelBytesBase: 8192, l0CompactTrigger: 4}})
+	db := openTestDB(t, Options{logBytes: 2048})
 	const n = 3000
 	for i := 0; i < n; i++ {
 		if err := db.Put(key(i), val(i)); err != nil {
@@ -124,15 +125,17 @@ func TestCompactionPreservesData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.CompactAll(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats()
-	if st.Compactions == 0 {
-		t.Fatal("CompactAll ran no compactions")
+	if db.Stats().Checkpoints < 2 {
+		t.Fatal("no checkpoint happened despite a tiny log")
 	}
-	if st.TablesPerLevel[0] != 0 {
-		t.Fatalf("L0 not drained: %v", st.TablesPerLevel)
+	if db.base.seq != db.seq {
+		t.Fatalf("base records at sequence %d, want the checkpoint's %d", db.base.seq, db.seq)
+	}
+	if live := n - (n+1)/3; len(db.base.offs) != live {
+		t.Fatalf("base holds %d records, want one per live key (%d)", len(db.base.offs), live)
 	}
 	for i := 0; i < n; i++ {
 		v, err := db.Get(key(i))
@@ -153,23 +156,78 @@ func TestCompactionPreservesData(t *testing.T) {
 	}
 }
 
+// TestCompactionReclaimsSpace pins the store's steady state on disk:
+// CHECKPOINT, at most two logs and CHECKPOINT.tmp only while a checkpoint
+// is being written, holding at most twice the live bytes plus two log
+// triggers — after 10⁵ overwrites of a fixed key set and after a reopen.
 func TestCompactionReclaimsSpace(t *testing.T) {
 	mem := vfs.NewMem()
-	db := openTestDB(t, Options{FS: mem, tune: &tuning{memTableBytes: 4096, targetFileBytes: 8192, levelBytesBase: 8 << 20, l0CompactTrigger: 4}})
-	// Write the same small key set many times over: garbage dominates.
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 100; i++ {
-			if err := db.Put(key(i), bytes.Repeat([]byte{byte(round)}, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := db.CompactAll(); err != nil {
+	opts := Options{FS: mem, logBytes: 4096}
+	db, err := Open(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// 100 keys * ~80 bytes each ≈ 8 KiB live; allow metadata overhead.
-	if total := mem.TotalBytes(); total > 256*1024 {
-		t.Fatalf("space not reclaimed: %d bytes on disk for ~8KiB live", total)
+	const keys, overwrites = 100, 100_000
+	value := func(round int) []byte { return bytes.Repeat([]byte{byte(round)}, 64) }
+	live := int64(keys * (2 + len(key(0)) + len(value(0))))
+	checkDir := func(phase string, quiet bool) {
+		t.Helper()
+		names, err := mem.List("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs := 0
+		for _, n := range names {
+			switch {
+			case strings.HasPrefix(n, "wal-"):
+				logs++
+			case n == checkpointName, n == checkpointTmp && !quiet:
+			default:
+				t.Fatalf("%s: unexpected file %s in %v", phase, n, names)
+			}
+		}
+		if logs > 2 {
+			t.Fatalf("%s: %d logs on disk: %v", phase, logs, names)
+		}
+		if !quiet {
+			return
+		}
+		trigger := max(opts.logBytes, int64(len(db.base.buf)))
+		if total := mem.TotalBytes(); total > 2*live+2*trigger {
+			t.Fatalf("%s: %d bytes on disk for %d live, trigger %d", phase, total, live, trigger)
+		}
+	}
+	for i := 0; i < overwrites; i++ {
+		if err := db.Put(key(i%keys), value(i/keys)); err != nil {
+			t.Fatal(err)
+		}
+		if i%1000 == 0 {
+			checkDir(fmt.Sprintf("put %d", i), false)
+		}
+	}
+	db.mu.Lock()
+	err = db.waitFrozenLocked()
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDir("after the overwrites", true)
+	if n := db.Stats().Checkpoints; n < 100 {
+		t.Fatalf("%d checkpoints over %d overwrites", n, overwrites)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	checkDir("after reopen", true)
+	last := value((overwrites - 1) / keys)
+	for i := 0; i < keys; i++ {
+		if v, err := db.Get(key(i)); err != nil || !bytes.Equal(v, last) {
+			t.Fatalf("Get(%d) after reopen = %q, %v", i, v, err)
+		}
 	}
 }
 
@@ -243,7 +301,7 @@ func TestMergeAfterDelete(t *testing.T) {
 }
 
 func TestMergeSurvivesCompaction(t *testing.T) {
-	db := openTestDB(t, Options{Merger: sizeMax, tune: &tuning{memTableBytes: 1024, targetFileBytes: 2048, levelBytesBase: 8 << 20, l0CompactTrigger: 4}})
+	db := openTestDB(t, Options{Merger: sizeMax, logBytes: 1024})
 	if err := db.Put([]byte("size"), u64(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -255,17 +313,17 @@ func TestMergeSurvivesCompaction(t *testing.T) {
 		if i > want {
 			want = i
 		}
-		// Interleave unrelated churn to force flushes around the merges.
+		// Interleave unrelated churn to force checkpoints around the merges.
 		if err := db.Put(key(int(i)), val(int(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.CompactAll(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := db.Get([]byte("size"))
 	if err != nil || binary.LittleEndian.Uint64(got) != want {
-		t.Fatalf("after compaction = %v, %v; want %d", got, err, want)
+		t.Fatalf("after checkpoint = %v, %v; want %d", got, err, want)
 	}
 }
 
@@ -301,7 +359,7 @@ func TestBatchAtomicVisibility(t *testing.T) {
 }
 
 func TestIteratorOrderedScan(t *testing.T) {
-	db := openTestDB(t, Options{tune: flushAt(1024)})
+	db := openTestDB(t, Options{logBytes: 1024})
 	const n = 500
 	for i := n - 1; i >= 0; i-- {
 		if err := db.Put(key(i), val(i)); err != nil {
@@ -319,9 +377,6 @@ func TestIteratorOrderedScan(t *testing.T) {
 			t.Fatalf("position %d: %q=%q", i, it.Key(), it.Value())
 		}
 		i++
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
 	}
 	if i != n {
 		t.Fatalf("scanned %d, want %d", i, n)
@@ -351,7 +406,7 @@ func TestIteratorSeekAndPrefix(t *testing.T) {
 }
 
 func TestIteratorSkipsTombstones(t *testing.T) {
-	db := openTestDB(t, Options{tune: flushAt(512)})
+	db := openTestDB(t, Options{logBytes: 512})
 	for i := 0; i < 100; i++ {
 		if err := db.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
@@ -480,7 +535,7 @@ func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 
 func TestReopenPersistence(t *testing.T) {
 	mem := vfs.NewMem()
-	db, err := Open(Options{FS: mem, tune: flushAt(1024)})
+	db, err := Open(Options{FS: mem, logBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,15 +550,15 @@ func TestReopenPersistence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The reopen must read flushed tables, not only replay the log.
-	if db.Stats().Flushes == 0 {
-		t.Fatal("no memtable was flushed before close")
+	// The reopen must load a checkpoint, not only replay the log.
+	if db.Stats().Checkpoints == 0 {
+		t.Fatal("no checkpoint was written before close")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(Options{FS: mem, tune: flushAt(1024)})
+	db2, err := Open(Options{FS: mem, logBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +574,7 @@ func TestReopenPersistence(t *testing.T) {
 		}
 	}
 	// Sequence numbers must continue, not restart (otherwise new writes
-	// would be shadowed by old SSTable entries).
+	// would be shadowed by the checkpoint's records).
 	if err := db2.Put(key(1), []byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +589,7 @@ func TestOSBackendEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(Options{FS: osfs, tune: flushAt(2048)})
+	db, err := Open(Options{FS: osfs, logBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +703,7 @@ func TestUpdateAtomicCounter(t *testing.T) {
 }
 
 func TestConcurrentReadersWriters(t *testing.T) {
-	db := openTestDB(t, Options{tune: flushAt(4096)})
+	db := openTestDB(t, Options{logBytes: 4096})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -694,9 +749,9 @@ func TestClosedErrors(t *testing.T) {
 // scans. This is the store's main correctness net.
 func TestModelCheck(t *testing.T) {
 	configs := []Options{
-		{},                   // everything in the memtable
-		{tune: flushAt(512)}, // constant flushing
-		{tune: &tuning{memTableBytes: 512, targetFileBytes: 1024, levelBytesBase: 2048, l0CompactTrigger: 4}}, // constant compaction
+		{},                             // everything in the memtable
+		{logBytes: 512},                // constant checkpoints
+		{logBytes: 512, SyncWAL: true}, // constant checkpoints, synced log
 	}
 	for ci, opts := range configs {
 		t.Run(fmt.Sprintf("config%d", ci), func(t *testing.T) {
@@ -775,12 +830,12 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestLargeValues(t *testing.T) {
-	db := openTestDB(t, Options{tune: flushAt(64 << 10)})
+	db := openTestDB(t, Options{logBytes: 64 << 10})
 	big := bytes.Repeat([]byte{0xAB}, 1<<20)
 	if err := db.Put([]byte("big"), big); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	v, err := db.Get([]byte("big"))
@@ -790,7 +845,7 @@ func TestLargeValues(t *testing.T) {
 }
 
 func TestIteratorDuringCompaction(t *testing.T) {
-	db := openTestDB(t, Options{tune: &tuning{memTableBytes: 1024, targetFileBytes: 2048, levelBytesBase: 8 << 20, l0CompactTrigger: 4}})
+	db := openTestDB(t, Options{logBytes: 1024})
 	for i := 0; i < 500; i++ {
 		if err := db.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
@@ -806,7 +861,7 @@ func TestIteratorDuringCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.CompactAll(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
@@ -816,9 +871,6 @@ func TestIteratorDuringCompaction(t *testing.T) {
 		}
 		count++
 	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
 	it.Close()
 	if count != 500 {
 		t.Fatalf("scanned %d, want 500", count)
@@ -826,7 +878,7 @@ func TestIteratorDuringCompaction(t *testing.T) {
 	// New reads see the new values.
 	v, err := db.Get(key(7))
 	if err != nil || string(v) != "new" {
-		t.Fatalf("post-compaction read = %q, %v", v, err)
+		t.Fatalf("post-checkpoint read = %q, %v", v, err)
 	}
 }
 

@@ -1,10 +1,5 @@
 package kvstore
 
-import (
-	"bytes"
-	"sort"
-)
-
 // mergeRunBound caps a key's run of merge operands in one memtable: the
 // insert that would make the run this long stores the folded value as a
 // put instead (RocksDB's max_successive_merges). With it the cost of
@@ -13,16 +8,17 @@ import (
 const mergeRunBound = 8
 
 // chainFold resolves one key's version chain. Its sources — memtables,
-// tables, a merged iterator — feed it the key's visible versions newest
-// first; it holds merge operands by reference (memtable nodes and decoded
-// blocks are never mutated) until a put or delete closes the chain, so a
-// fold copies nothing but the value foldValue returns. It is the one
-// chain resolver: point reads, the iterator, insert-time folding, flush,
-// the recovery flush and compaction all go through it.
+// the base, a merged iterator — feed it the key's visible versions newest
+// first; it holds merge operands by reference (only memtables hold
+// operands, and their nodes are never mutated) until a put or delete
+// closes the chain, so a fold copies nothing but the value foldValue
+// returns. It is the one chain resolver: point reads, the iterator,
+// insert-time folding and the checkpoint all go through it.
 type chainFold struct {
-	ops  []*entry // pending merge operands, newest first
-	base *entry   // the put or delete that closed the chain; nil while open
-	seen int      // versions fed, for the read-cost pin (DB.visited)
+	ops    []*entry // pending merge operands, newest first
+	base   entry    // the put or delete that closed the chain
+	closed bool
+	seen   int // versions fed, for the read-cost pin (DB.visited)
 }
 
 // add feeds the next-older version and reports whether it closed the
@@ -33,7 +29,7 @@ func (f *chainFold) add(e *entry) (closed bool) {
 		f.ops = append(f.ops, e)
 		return false
 	}
-	f.base = e
+	f.base, f.closed = *e, true
 	return true
 }
 
@@ -46,7 +42,7 @@ func (f *chainFold) reset() { *f = chainFold{ops: f.ops[:0]} }
 func (db *DB) foldValue(key []byte, f *chainFold, newest *entry) (val []byte, live bool) {
 	db.visited.Add(uint64(f.seen))
 	var existing []byte
-	if f.base != nil && f.base.kind == kindPut {
+	if f.closed && f.base.kind == kindPut {
 		existing, live = f.base.val, true
 	}
 	if len(f.ops) == 0 && newest == nil {
@@ -70,42 +66,19 @@ func (db *DB) foldValue(key []byte, f *chainFold, newest *entry) (val []byte, li
 }
 
 // foldBelow continues a fold the active memtable left open: through the
-// flush queue, newest first, then the tables of vers. open is db.reader,
-// or db.readerLocked when the caller holds db.mu.
-func (db *DB) foldBelow(key []byte, snap uint64, imm []immTable, vers *version, f *chainFold, open func(tableMeta) (*sstReader, error)) error {
-	for i := len(imm) - 1; i >= 0; i-- {
-		if imm[i].mt.fold(key, snap, f) {
-			return nil
-		}
+// frozen memtable, if any, then the base, where every chain ends.
+func foldBelow(key []byte, snap uint64, imm *frozen, b *base, f *chainFold) {
+	if imm != nil && imm.mt.fold(key, snap, f) {
+		return
 	}
-	for l := 0; l < numLevels; l++ {
-		tables := vers.levels[l] // L0: every table, newest first
-		if l > 0 {
-			// Sorted and disjoint: at most one table can hold the key.
-			i := sort.Search(len(tables), func(i int) bool { return bytes.Compare(tables[i].largest, key) >= 0 })
-			if i >= len(tables) || bytes.Compare(tables[i].smallest, key) > 0 {
-				continue
-			}
-			tables = tables[i : i+1]
-		}
-		for _, t := range tables {
-			r, err := open(t)
-			if err != nil {
-				return err
-			}
-			if closed, err := r.fold(key, snap, f); err != nil || closed {
-				return err
-			}
-		}
-	}
-	return nil
+	b.fold(key, f)
 }
 
 // insertLocked adds e to the active memtable and keeps the bounded-run
 // invariant while doing so. A merge operand landing on a put or delete is
 // stored as the folded put — O(1), the steady state of a hot key; one
 // that would stretch a run of bare operands to mergeRunBound resolves the
-// base once through the flush queue and the tables and is stored folded
+// base once through the frozen memtable and the base and is stored folded
 // too. So within a memtable a key's operands sit beneath its first put or
 // delete and number fewer than mergeRunBound. The folded put carries the
 // operand's sequence number and is exactly what a reader at or above it
@@ -118,10 +91,8 @@ func (db *DB) insertLocked(e entry) {
 		var f chainFold
 		fold := db.mem.fold(e.key, e.seq, &f)
 		if !fold && len(f.ops)+1 >= mergeRunBound {
-			// A failed base look-up leaves the operand unfolded: the
-			// value stays correct, reads report the table error, and the
-			// next merge tries again.
-			fold = db.foldBelow(e.key, e.seq, db.imm, db.vers, &f, db.readerLocked) == nil
+			foldBelow(e.key, e.seq, db.imm, db.base, &f)
+			fold = true
 			db.stats.MergeResolves++
 		}
 		if fold {

@@ -38,18 +38,17 @@ func visitedBy(db *DB, fn func()) uint64 {
 	return db.visited.Load() - before
 }
 
-// TestFoldAllocs pins what a point read allocates: a hit in the active
-// memtable costs the returned value and nothing else, whether the key was
-// put or merged onto a put; a hit in an L0 table adds only the block read
-// and decode.
+// TestFoldAllocs pins what a point read allocates: the returned value and
+// nothing else, whether the key was put or merged onto a put in the active
+// memtable or lives in the base.
 func TestFoldAllocs(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax})
 	for i := 0; i < 100; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("l0-%03d", i)), u64(uint64(i))); err != nil {
+		if err := db.Put([]byte(fmt.Sprintf("base-%03d", i)), u64(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Put([]byte("put"), u64(1)); err != nil {
@@ -63,9 +62,6 @@ func TestFoldAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.Get([]byte("l0-050")); err != nil { // open the table reader
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		key  []byte
@@ -73,9 +69,7 @@ func TestFoldAllocs(t *testing.T) {
 	}{
 		{"memtable-put", []byte("put"), 1},
 		{"memtable-merge-on-put", []byte("merged"), 1},
-		// The block buffer, the decoded entries (a slice grown by append)
-		// and the value.
-		{"L0-put", []byte("l0-050"), 12},
+		{"base-put", []byte("base-050"), 1},
 	} {
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := db.Get(tc.key); err != nil {
@@ -124,13 +118,13 @@ var pointOps = []struct {
 // TestMergeRunCostPin is the cost pin for the bounded merge run: after
 // 10⁵ merges into one key every point operation examines at most
 // mergeRunBound+1 versions and allocates what it does after 10 merges —
-// in the memtable, after a flush, after a full compaction and after a
-// reopen that replays the whole un-flushed log. Counts, not wall time.
+// in the memtable, after a reopen that replays the whole log, and after a
+// checkpoint. Counts, not wall time.
 func TestMergeRunCostPin(t *testing.T) {
 	key := []byte("/shared/file")
 	load := func(t *testing.T, fs vfs.FS, n int) *DB {
 		// One memtable holds everything, so close leaves it all in the log.
-		db := openTestDB(t, Options{FS: fs, Merger: sizeMax, tune: flushAt(1 << 30)})
+		db := openTestDB(t, Options{FS: fs, Merger: sizeMax, logBytes: 1 << 30})
 		for i := 1; i <= n; i++ {
 			if err := db.Merge(key, u64(uint64(i))); err != nil {
 				t.Fatal(err)
@@ -173,8 +167,8 @@ func TestMergeRunCostPin(t *testing.T) {
 	}
 
 	// Reopen first, while the log still holds every operand: replay goes
-	// through the same insert path, and the recovery flush writes the hot
-	// key as one record.
+	// through the same insert path, and the recovery checkpoint writes the
+	// hot key as one record.
 	for _, db := range []*DB{small, big} {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
@@ -182,11 +176,11 @@ func TestMergeRunCostPin(t *testing.T) {
 	}
 	small = openTestDB(t, Options{FS: smallFS, Merger: sizeMax})
 	big = openTestDB(t, Options{FS: bigFS, Merger: sizeMax})
-	if st := big.Stats(); st.TablesPerLevel[0] != 1 {
-		t.Fatalf("tables after recovery = %v, want one L0 table", st.TablesPerLevel)
+	if st := big.Stats(); st.Checkpoints != 1 {
+		t.Fatalf("%d checkpoints at recovery, want 1", st.Checkpoints)
 	}
-	if n := big.vers.levels[0][0].entries; n != 1 {
-		t.Errorf("recovery flush wrote %d records for one key, want 1", n)
+	if n := len(big.base.offs); n != 1 {
+		t.Errorf("recovery checkpoint wrote %d records for one key, want 1", n)
 	}
 	check("reopen")
 
@@ -194,18 +188,11 @@ func TestMergeRunCostPin(t *testing.T) {
 		if err := db.Merge(key, u64(5)); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.Flush(); err != nil {
+		if err := db.checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check("flush")
-
-	for _, db := range []*DB{small, big} {
-		if err := db.CompactAll(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("compact")
+	check("checkpoint")
 }
 
 // foldModel is the reference the store is compared against: a map holding
@@ -275,7 +262,7 @@ func (m foldModel) checkAgainst(db *DB, it *Iterator, keys []string) error {
 // constant number of steps, not one per version, while Next past a key
 // with one version costs the one step it always did.
 func TestMergeRunIteratorSkipsHotKey(t *testing.T) {
-	db := openTestDB(t, Options{Merger: sizeMax, tune: flushAt(1 << 30)})
+	db := openTestDB(t, Options{Merger: sizeMax, logBytes: 1 << 30})
 	for _, k := range []string{"/d/a", "/d/c"} {
 		if err := db.Put([]byte(k), u64(1)); err != nil {
 			t.Fatal(err)
@@ -314,7 +301,8 @@ func TestMergeRunIteratorSkipsHotKey(t *testing.T) {
 }
 
 // TestModelEquivalence drives seeded random put/delete/merge/batch
-// sequences, interleaved with rotations, flushes, compactions and reopens,
+// sequences, interleaved with checkpoints (forced, and triggered by a tiny
+// log) and reopens,
 // against the reference left fold — with the non-commutative append
 // merger, so a fold that reorders, repeats or drops an operand shows.
 // Iterators opened along the way must keep scanning the state they were
@@ -326,7 +314,7 @@ func TestModelEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rnd := rand.New(rand.NewSource(seed))
 			fs := vfs.NewMem()
-			opts := Options{FS: fs, Merger: appendMerger, tune: &tuning{memTableBytes: 2 << 10, targetFileBytes: 1 << 10, levelBytesBase: 8 << 20, l0CompactTrigger: 2}}
+			opts := Options{FS: fs, Merger: appendMerger, logBytes: 2 << 10}
 			db, err := Open(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -388,14 +376,8 @@ func TestModelEquivalence(t *testing.T) {
 						model.apply(e.kind, string(e.key), e.val)
 					}
 					err = db.Apply(b)
-				case r < 89:
-					db.mu.Lock()
-					err = db.rotateMemLocked()
-					db.mu.Unlock()
-				case r < 92:
-					err = db.Flush()
 				case r < 94:
-					err = db.CompactAll()
+					err = db.checkpoint()
 				case r < 96:
 					closePins()
 					if err = db.Close(); err == nil {
@@ -430,12 +412,12 @@ func TestModelEquivalence(t *testing.T) {
 
 // TestFoldConcurrency merges into one key from several writers while
 // point readers, a PutIfAbsent/Update caller on the key's lock stripe and
-// a long-lived iterator run, across rotations, flushes and compactions.
+// a long-lived iterator run, across checkpoints.
 // No operand may be lost, repeated or reordered within its writer, and
 // the iterator's view never changes.
 func TestFoldConcurrency(t *testing.T) {
 	const writers, perWriter = 4, 300
-	db := openTestDB(t, Options{Merger: appendMerger, tune: &tuning{memTableBytes: 8 << 10, targetFileBytes: 2 << 20, levelBytesBase: 8 << 20, l0CompactTrigger: 2}})
+	db := openTestDB(t, Options{Merger: appendMerger, logBytes: 8 << 10})
 	hot := []byte("hot")
 	var sibling []byte // another key on hot's stripe
 	for i := 0; sibling == nil; i++ {

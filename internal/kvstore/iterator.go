@@ -3,7 +3,7 @@ package kvstore
 import "bytes"
 
 // internalIterator walks entries in internal order (key asc, seq desc).
-// memIter and sstIter implement it; mergeIter combines them.
+// memIter and baseIter implement it; mergeIter combines them.
 type internalIterator interface {
 	seekFirst()
 	seek(probe *entry)
@@ -13,8 +13,8 @@ type internalIterator interface {
 }
 
 // mergeIter interleaves several internalIterators into one ordered stream.
-// The source count is small (memtable + immutables + tables), so a linear
-// minimum scan beats heap bookkeeping.
+// The source count is small (memtable, frozen memtable, base), so a
+// linear minimum scan beats heap bookkeeping.
 type mergeIter struct {
 	srcs  []internalIterator
 	min   int // index of current minimum, -1 when exhausted
@@ -96,7 +96,6 @@ type Iterator struct {
 	key []byte
 	val []byte
 	ok  bool
-	err error
 }
 
 // SeekFirst positions the iterator at the smallest live key.
@@ -114,9 +113,6 @@ func (i *Iterator) Seek(target []byte) {
 
 // Valid reports whether the iterator is positioned at a live key.
 func (i *Iterator) Valid() bool { return i.ok }
-
-// Err returns the first error the iterator encountered, if any.
-func (i *Iterator) Err() error { return i.err }
 
 // Key returns the current key. The slice is owned by the iterator and
 // valid until the next positioning call.
@@ -150,7 +146,7 @@ func (i *Iterator) settle() {
 	for i.it.valid() {
 		key := i.it.cur().key
 		f.reset()
-		for f.base == nil && i.it.valid() && bytes.Equal(i.it.cur().key, key) {
+		for !f.closed && i.it.valid() && bytes.Equal(i.it.cur().key, key) {
 			// Versions newer than the snapshot are passed over.
 			if c := i.it.cur(); c.seq <= i.snap {
 				f.add(c)
@@ -166,7 +162,4 @@ func (i *Iterator) settle() {
 }
 
 // Close releases the iterator's references to the snapshot state.
-func (i *Iterator) Close() {
-	i.db.releaseIterRefs()
-	i.it = nil
-}
+func (i *Iterator) Close() { i.it = nil }

@@ -23,8 +23,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // walWriter appends batches to a log file.
 type walWriter struct {
-	f   vfs.File
-	buf []byte
+	f    vfs.File
+	buf  []byte
+	size int64 // bytes appended: the checkpoint trigger
 }
 
 func newWALWriter(f vfs.File) *walWriter { return &walWriter{f: f} }
@@ -41,6 +42,7 @@ func (w *walWriter) append(seq uint64, ops []entry, sync bool) error {
 	if _, err := w.f.Append(w.buf); err != nil {
 		return fmt.Errorf("kvstore: wal append: %w", err)
 	}
+	w.size += int64(len(w.buf))
 	if sync {
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("kvstore: wal sync: %w", err)
