@@ -1,16 +1,9 @@
-// Benchmarks regenerating the paper's evaluation, one per figure panel
-// and in-text result (see DESIGN.md's experiment index). Two families:
-//
-//   - BenchmarkFig*/BenchmarkText*/BenchmarkAblation* run the calibrated
-//     512-node-class simulation at a reduced scale per iteration and
-//     report the simulated aggregate rates as custom metrics
-//     (sim-ops/sec, sim-MiB/sec). Run cmd/gkfs-sim for the full 1–512
-//     node series.
-//   - The rest exercise the actual file system (daemons, RPC, LSM KV
-//     store, chunk store) on in-process daemons and report real costs:
-//     large I/O over TCP and shm, write-behind and read-ahead streams,
-//     shared-file writes, stage-in and stage-out. Per-op metadata and
-//     1 MiB I/O are the benchmark's (bench/) workloads.
+// Functional benchmarks of the real file system (daemons, RPC, metadata
+// store, chunk store) on in-process daemons: large I/O over TCP and shm,
+// write-behind and read-ahead streams, shared-file writes, stage-in and
+// stage-out. Per-op metadata and 1 MiB I/O are the benchmark's (bench/)
+// workloads. The paper's 1–512-node figures are not regenerated: no
+// probe on one host reaches their fabric, SSDs or process counts.
 package repro
 
 import (
@@ -21,182 +14,16 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/gekkofs"
 	"repro/internal/client"
 	"repro/internal/daemon"
-	"repro/internal/experiments"
-	"repro/internal/lustre"
 	"repro/internal/rpc"
-	"repro/internal/simcluster"
 	"repro/internal/staging"
+	"repro/internal/telemetry"
 	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
-
-const benchNodes = 32 // simulated node count per benchmark iteration
-
-func benchMetadata(b *testing.B, op simcluster.MDOp) {
-	p := simcluster.DefaultParams()
-	var last simcluster.Result
-	for i := 0; i < b.N; i++ {
-		last = simcluster.RunMetadata(p, benchNodes, op, 3*time.Millisecond, 9*time.Millisecond, uint64(i+1))
-	}
-	b.ReportMetric(last.OpsPerSec, "sim-ops/sec")
-	lr := lustre.RunMetadata(lustre.DefaultParams(), benchNodes, lustre.MDOp(op), true,
-		20*time.Millisecond, 60*time.Millisecond, 1)
-	b.ReportMetric(last.OpsPerSec/lr.OpsPerSec, "x-vs-lustre")
-}
-
-// BenchmarkFig2aCreate regenerates Fig. 2a (create throughput; paper:
-// ~46M ops/s and ~1405x Lustre at 512 nodes, near-linear scaling).
-func BenchmarkFig2aCreate(b *testing.B) { benchMetadata(b, simcluster.MDOpCreate) }
-
-// BenchmarkFig2bStat regenerates Fig. 2b (stat; paper: ~44M ops/s,
-// ~359x).
-func BenchmarkFig2bStat(b *testing.B) { benchMetadata(b, simcluster.MDOpStat) }
-
-// BenchmarkFig2cRemove regenerates Fig. 2c (remove; paper: ~22M ops/s,
-// ~453x).
-func BenchmarkFig2cRemove(b *testing.B) { benchMetadata(b, simcluster.MDOpRemove) }
-
-func benchIO(b *testing.B, write bool, transfer int64) {
-	p := simcluster.DefaultParams()
-	var last simcluster.Result
-	for i := 0; i < b.N; i++ {
-		last = simcluster.RunIO(p, simcluster.IOConfig{
-			Nodes: benchNodes, Write: write, TransferSize: transfer,
-			Warmup: 20 * time.Millisecond, Window: 40 * time.Millisecond, Seed: uint64(i + 1),
-		})
-	}
-	b.ReportMetric(last.MiBPerSec, "sim-MiB/sec")
-	b.ReportMetric(100*last.MiBPerSec/simcluster.AggregateSSDPeak(p, benchNodes, write), "%-of-ssd-peak")
-}
-
-// BenchmarkFig3aWrite regenerates Fig. 3a at 64 MiB transfers (paper:
-// ~80% of the aggregated SSD write peak).
-func BenchmarkFig3aWrite(b *testing.B) { benchIO(b, true, 64<<20) }
-
-// BenchmarkFig3bRead regenerates Fig. 3b at 64 MiB transfers (paper:
-// ~70% of the aggregated SSD read peak).
-func BenchmarkFig3bRead(b *testing.B) { benchIO(b, false, 64<<20) }
-
-// BenchmarkFig3aWrite8K and BenchmarkFig3bRead8K cover the small-transfer
-// series of Fig. 3 (the 8 KiB lines).
-func BenchmarkFig3aWrite8K(b *testing.B) { benchIO(b, true, 8<<10) }
-
-// BenchmarkFig3bRead8K is the read counterpart.
-func BenchmarkFig3bRead8K(b *testing.B) { benchIO(b, false, 8<<10) }
-
-// BenchmarkTextRandomVsSeq regenerates T1: the random-versus-sequential
-// deltas at 8 KiB (paper: −~33% write, −~60% read).
-func BenchmarkTextRandomVsSeq(b *testing.B) {
-	p := simcluster.DefaultParams()
-	var dropW, dropR float64
-	for i := 0; i < b.N; i++ {
-		run := func(write, random bool) float64 {
-			return simcluster.RunIO(p, simcluster.IOConfig{
-				Nodes: benchNodes, Write: write, TransferSize: 8 << 10, Random: random,
-				Warmup: 20 * time.Millisecond, Window: 40 * time.Millisecond, Seed: uint64(i + 1),
-			}).MiBPerSec
-		}
-		dropW = 100 * (1 - run(true, true)/run(true, false))
-		dropR = 100 * (1 - run(false, true)/run(false, false))
-	}
-	b.ReportMetric(dropW, "write-drop-%")
-	b.ReportMetric(dropR, "read-drop-%")
-}
-
-// BenchmarkTextSharedFile regenerates T2: the shared-file size-update
-// ceiling (paper: ~150K ops/s) and the size-cache fix. 64 nodes: below
-// that the per-file ceiling is not the binding constraint.
-func BenchmarkTextSharedFile(b *testing.B) {
-	p := simcluster.DefaultParams()
-	var ceiling, cached float64
-	for i := 0; i < b.N; i++ {
-		run := func(cacheOps int) float64 {
-			return simcluster.RunIO(p, simcluster.IOConfig{
-				Nodes: 64, Write: true, TransferSize: 64 << 10, Shared: true,
-				SizeCacheOps: cacheOps,
-				Warmup:       20 * time.Millisecond, Window: 40 * time.Millisecond, Seed: uint64(i + 1),
-			}).OpsPerSec
-		}
-		ceiling = run(0)
-		cached = run(32)
-	}
-	b.ReportMetric(ceiling, "uncached-ops/sec")
-	b.ReportMetric(cached, "cached-ops/sec")
-}
-
-// BenchmarkTextLatency regenerates T3: mean 8 KiB latency (paper: ≤700µs
-// at 512 nodes).
-func BenchmarkTextLatency(b *testing.B) {
-	p := simcluster.DefaultParams()
-	var lat time.Duration
-	for i := 0; i < b.N; i++ {
-		lat = simcluster.RunIO(p, simcluster.IOConfig{
-			Nodes: benchNodes, Write: true, TransferSize: 8 << 10,
-			Warmup: 20 * time.Millisecond, Window: 40 * time.Millisecond, Seed: uint64(i + 1),
-		}).MeanLatency
-	}
-	b.ReportMetric(float64(lat.Microseconds()), "sim-latency-µs")
-}
-
-// BenchmarkTextStartup regenerates T4: modeled 512-node deployment time
-// (paper: <20s).
-func BenchmarkTextStartup(b *testing.B) {
-	var d time.Duration
-	for i := 0; i < b.N; i++ {
-		d = experiments.SimStartup(512, uint64(i+1))
-	}
-	b.ReportMetric(d.Seconds(), "sim-startup-sec")
-}
-
-// BenchmarkAblationChunkSize regenerates A1 for two chunk sizes.
-func BenchmarkAblationChunkSize(b *testing.B) {
-	for _, chunk := range []int64{128 << 10, 512 << 10, 2 << 20} {
-		b.Run(fmt.Sprintf("chunk-%dKiB", chunk>>10), func(b *testing.B) {
-			p := simcluster.DefaultParams()
-			p.ChunkSize = chunk
-			p.SSD.RandomFadeBytes = chunk
-			var last simcluster.Result
-			for i := 0; i < b.N; i++ {
-				last = simcluster.RunIO(p, simcluster.IOConfig{
-					Nodes: 16, Write: true, TransferSize: 64 << 20,
-					Warmup: 20 * time.Millisecond, Window: 40 * time.Millisecond, Seed: uint64(i + 1),
-				})
-			}
-			b.ReportMetric(last.MiBPerSec, "sim-MiB/sec")
-		})
-	}
-}
-
-// BenchmarkAblationDistributor regenerates A2: hashing vs write-local
-// under a skewed producer set (half the nodes write), where placement
-// policies actually diverge.
-func BenchmarkAblationDistributor(b *testing.B) {
-	for _, local := range []bool{false, true} {
-		name := "hash"
-		if local {
-			name = "write-local"
-		}
-		b.Run(name, func(b *testing.B) {
-			p := simcluster.DefaultParams()
-			var last simcluster.Result
-			for i := 0; i < b.N; i++ {
-				last = simcluster.RunIO(p, simcluster.IOConfig{
-					Nodes: 16, Write: true, TransferSize: 1 << 20, LocalWrites: local,
-					ProducerFrac: 0.5,
-					Warmup:       20 * time.Millisecond, Window: 40 * time.Millisecond, Seed: uint64(i + 1),
-				})
-			}
-			b.ReportMetric(last.MiBPerSec, "sim-MiB/sec")
-		})
-	}
-}
-
-// --- Functional benchmarks: the real file system. ---
 
 func realCluster(b *testing.B, opts ...gekkofs.Option) (*gekkofs.Cluster, *gekkofs.FS) {
 	b.Helper()
@@ -634,31 +461,64 @@ func BenchmarkStageOut(b *testing.B) {
 	}
 }
 
-// BenchmarkRealSharedFileWrite measures the shared-file write path with
-// and without the size-update cache (T2's functional counterpart).
+// BenchmarkRealSharedFileWrite measures the size-update cache on the
+// shared-file write path: 16 KiB writes that each extend the file, so
+// cache-0 sends one size update per write and cache-32 one per 32. The
+// file is re-created every appendRun writes with the timer stopped,
+// which keeps the per-op cost independent of b.N. size-updates/op is
+// the daemons' OpUpdateSize count per write: ≈ 1 for cache-0 and ≈ 1/32
+// for cache-32.
 func BenchmarkRealSharedFileWrite(b *testing.B) {
+	const (
+		ioSize    = 16 << 10
+		appendRun = 2048 // writes per file: 32 MiB
+	)
 	for _, cacheOps := range []int{0, 32} {
 		b.Run(fmt.Sprintf("cache-%d", cacheOps), func(b *testing.B) {
 			var opts []gekkofs.Option
 			if cacheOps > 0 {
 				opts = append(opts, gekkofs.WithSizeUpdateCache(cacheOps))
 			}
-			_, fs := realCluster(b, opts...)
-			f, err := fs.Create("/shared")
-			if err != nil {
-				b.Fatal(err)
+			cl, fs := realCluster(b, opts...)
+			updates := func() (n uint64) {
+				for _, s := range cl.DaemonSnapshots() {
+					n += s.Hists[telemetry.DaemonOpUpdateSizeNS].Count
+				}
+				return n
 			}
-			defer f.Close()
-			buf := make([]byte, 16<<10)
-			b.SetBytes(16 << 10)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Bounded 32 MiB window: keeps per-op cost independent
-				// of b.N so the two variants compare fairly.
-				if _, err := f.WriteAt(buf, int64(i%2048)<<14); err != nil {
+			var f *gekkofs.File
+			closeFile := func() {
+				if f == nil {
+					return
+				}
+				if err := f.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if err := fs.Remove("/shared"); err != nil {
 					b.Fatal(err)
 				}
 			}
+			buf := make([]byte, ioSize)
+			b.SetBytes(ioSize)
+			before := updates()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%appendRun == 0 {
+					b.StopTimer()
+					closeFile()
+					var err error
+					if f, err = fs.Create("/shared"); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := f.WriteAt(buf, int64(i%appendRun)*ioSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			closeFile()
+			b.ReportMetric(float64(updates()-before)/float64(b.N), "size-updates/op")
 		})
 	}
 }

@@ -1,8 +1,7 @@
 // Package repro is the root of a Go reproduction of GekkoFS — A
 // Temporary Distributed File System for HPC Applications (Vef et al.,
 // IEEE CLUSTER 2018). The package itself holds only the repository-wide
-// benchmarks (bench_test.go): the paper-figure regenerations over the
-// calibrated simulation and the functional benchmarks of the real file
-// system. The public API lives in package gekkofs; docs/ARCHITECTURE.md
-// maps the internal layers.
+// functional benchmarks of the real file system (bench_test.go). The
+// public API lives in package gekkofs; docs/ARCHITECTURE.md maps the
+// internal layers.
 package repro

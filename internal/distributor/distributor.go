@@ -6,9 +6,8 @@
 // SimpleHash is the paper's released placement: the path hashed for
 // metadata, the pair (path, chunkID) for data. It is the only placement —
 // a client resolving differently from its peers would look for bytes in
-// the wrong daemon — and the write-local alternative the paper contrasts
-// it with (BurstFS, §II) lives in the model only (simcluster's
-// LocalWrites, ablation A2).
+// the wrong daemon. The write-local alternative the paper contrasts it
+// with (BurstFS, §II) is not built.
 package distributor
 
 import (

@@ -8,10 +8,8 @@ import (
 	"repro/internal/vfs"
 )
 
-// These microbenchmarks measure the metadata-operation building blocks the
-// simulation plane's service-time constants are calibrated from
-// (internal/simcluster/params.go): a GekkoFS create is one small put, a
-// stat is one point get.
+// These microbenchmarks measure the metadata-operation building blocks:
+// a GekkoFS create is one small put, a stat is one point get.
 
 func BenchmarkPutSmall(b *testing.B) {
 	db, err := Open(Options{FS: vfs.NewMem()})

@@ -20,8 +20,9 @@
 // daemon's shape (32-byte key, 35-byte record; TestBaseFootprint), about
 // 13.9 M files per GiB of daemon RAM at rest, and recovery loads it at
 // ~52 ns per entry (BenchmarkRecover: 1 Mi entries in 55 ms). Entries not
-// yet checkpointed cost the skiplist's ~240 bytes each, so a create-only
-// fill peaks near 320 heap bytes per entry (~3.3 M files per GiB).
+// yet checkpointed cost ~185 bytes each in the skiplist (a node averages
+// 105 B, TestMemTableNodeFootprint), so a create-only fill peaks near 250
+// heap bytes per entry (~4.3 M files per GiB).
 //
 // The bounded run is an invariant of every memtable: inserts and WAL
 // replay go through DB.insertLocked (the log itself keeps the caller's

@@ -23,14 +23,46 @@ type memTable struct {
 	count  int
 }
 
+// skipNode is an entry and its tower: next[lvl] is the successor at level
+// lvl, and len(next) is the node's height.
 type skipNode struct {
 	ent  entry
-	next [skiplistMaxHeight]*skipNode
+	next []*skipNode
+}
+
+// newSkipNode allocates a node of height h and its tower as one object,
+// the tower sized by height class: three in four nodes have height 1 and
+// take 96 B with the entry, three in sixteen have height 2 and take 112 B,
+// and only the rest carry all skiplistMaxHeight pointers (192 B).
+func newSkipNode(e entry, h int) *skipNode {
+	switch h {
+	case 1:
+		n := &struct {
+			skipNode
+			tower [1]*skipNode
+		}{skipNode: skipNode{ent: e}}
+		n.next = n.tower[:]
+		return &n.skipNode
+	case 2:
+		n := &struct {
+			skipNode
+			tower [2]*skipNode
+		}{skipNode: skipNode{ent: e}}
+		n.next = n.tower[:]
+		return &n.skipNode
+	default:
+		n := &struct {
+			skipNode
+			tower [skiplistMaxHeight]*skipNode
+		}{skipNode: skipNode{ent: e}}
+		n.next = n.tower[:h]
+		return &n.skipNode
+	}
 }
 
 func newMemTable(seed int64) *memTable {
 	return &memTable{
-		head:   &skipNode{},
+		head:   newSkipNode(entry{}, skiplistMaxHeight),
 		height: 1,
 		rnd:    rand.New(rand.NewSource(seed)),
 	}
@@ -62,7 +94,7 @@ func (m *memTable) add(e entry) {
 		m.height = h
 	}
 
-	n := &skipNode{ent: e}
+	n := newSkipNode(e, h)
 	for lvl := 0; lvl < h; lvl++ {
 		n.next[lvl] = prev[lvl].next[lvl]
 		prev[lvl].next[lvl] = n

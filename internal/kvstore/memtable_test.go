@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -113,5 +114,37 @@ func TestMemTableSeek(t *testing.T) {
 	it.seek(&entry{key: []byte("z"), seq: ^uint64(0)})
 	if it.valid() {
 		t.Fatal("seek past end still valid")
+	}
+}
+
+// TestMemTableNodeFootprint pins a node's tower to its height: one
+// allocation per add, and nodes averaging at most 112 bytes over 1e5
+// inserts (a fixed tower of skiplistMaxHeight pointers made every node
+// 160).
+func TestMemTableNodeFootprint(t *testing.T) {
+	const n = 100000
+	ents := make([]entry, n)
+	for i, k := range rand.New(rand.NewSource(1)).Perm(n) {
+		ents[i] = entry{key: []byte(fmt.Sprintf("/dir/file.%08d", k)), seq: uint64(i + 1), kind: kindPut}
+	}
+	mt := newMemTable(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range ents {
+		mt.add(ents[i])
+	}
+	runtime.ReadMemStats(&after)
+	avg := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if avg > 112 {
+		t.Errorf("memtable nodes average %.1f bytes, want <= 112", avg)
+	}
+	t.Logf("memtable nodes average %.1f bytes", avg)
+	seq := uint64(n)
+	allocs := testing.AllocsPerRun(1000, func() {
+		seq++
+		mt.add(entry{key: ents[seq%n].key, seq: seq, kind: kindPut})
+	})
+	if allocs != 1 {
+		t.Errorf("memTable.add makes %v allocations, want 1", allocs)
 	}
 }

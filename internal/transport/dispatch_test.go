@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -390,8 +391,11 @@ func TestBulkRPCAllocs(t *testing.T) {
 // handler is as stack-deep as a metadata transaction; "inline" runs it
 // as a point op on the connection's reader, "spawned" registers the
 // same handler as an ordinary op, so the difference is what a fresh
-// goroutine per request costs.
+// goroutine per request costs. "floor" is the kernel's part of the same
+// exchange (tcpFloor), so a run also reports the transport's overhead
+// over it.
 func BenchmarkEmptyRPC(b *testing.B) {
+	b.Run("floor", tcpFloor)
 	s := newMatrix(b, newTestServer().Server, 0)
 	for _, d := range []struct {
 		name string
@@ -418,4 +422,57 @@ func BenchmarkEmptyRPC(b *testing.B) {
 			})
 		})
 	}
+}
+
+// tcpFloor is a raw loopback TCP ping-pong of an empty call's frames: the
+// caller writes a request the size of an empty request frame and reads
+// its own reply, the size of an empty reply frame; the server goroutine
+// reads each request and writes the reply. No transport code runs on
+// either side.
+func tcpFloor(b *testing.B) {
+	const (
+		requestLen = 4 + minRequestLen + 4 // length prefix, header, bulkLen
+		replyLen   = 4 + minResponseLen + 4
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		req, reply := make([]byte, requestLen), make([]byte, replyLen)
+		for {
+			if _, err := io.ReadFull(c, req); err != nil {
+				return
+			}
+			if _, err := c.Write(reply); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	req, reply := make([]byte, requestLen), make([]byte, replyLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	c.Close()
+	<-served
 }

@@ -3,6 +3,7 @@ package vfs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -178,11 +179,15 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(f.data)) {
-		grown := make([]byte, end)
-		copy(grown, f.data)
-		f.data = grown
+	// An extending write at least doubles the buffer: growing it to
+	// exactly end copied the whole file per write, so a chunk written in
+	// n pieces cost O(n²).
+	if end, size := int(off)+len(p), len(f.data); end > size {
+		if end > cap(f.data) {
+			f.data = slices.Grow(f.data, max(end, 2*cap(f.data))-size)
+		}
+		f.data = f.data[:end]
+		clear(f.data[size:])
 	}
 	copy(f.data[off:], p)
 	return len(p), nil

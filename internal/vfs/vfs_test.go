@@ -282,3 +282,30 @@ func TestCreatingOpensMakeTheParent(t *testing.T) {
 		})
 	}
 }
+
+// TestMemWriteAtGrowsGeometrically pins the cost of writing a file front
+// to back in pieces: the buffer grows geometrically, so 256 extending
+// writes reallocate a few dozen times at most, not once per write.
+func TestMemWriteAtGrowsGeometrically(t *testing.T) {
+	f, err := NewMem().Create("chunk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bytes.Repeat([]byte{7}, 2<<10)
+	var off int64
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 256; i++ {
+			if _, err := f.WriteAt(p, off); err != nil {
+				t.Fatal(err)
+			}
+			off += int64(len(p))
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("256 extending writes made %v allocations, want <= 32", allocs)
+	}
+	got := make([]byte, off)
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{7}, int(off))) {
+		t.Fatalf("read back %d bytes, err %v: content differs", len(got), err)
+	}
+}

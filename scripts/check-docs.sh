@@ -25,6 +25,11 @@
 #     `gekkofs.WithX`) must be an exported `func WithX` in gekkofs — the
 #     library half of gate 2, so a deleted option cannot linger in the
 #     knob table.
+#  8. Every backticked benchmark the docs name (`BenchmarkX`, also as
+#     `BenchmarkX/sub`) must be a benchmark function in some _test.go,
+#     and every `BenchmarkX*` wildcard must match at least one, so a
+#     deleted benchmark cannot stay cited. docs/bench/ is not scanned:
+#     its ledgers are history, as are ROADMAP.md and CHANGES.md.
 #
 # Flag extraction covers three shapes:
 #   - backticked `-flags` on lines naming the binary (prose, usage),
@@ -124,6 +129,27 @@ done < <(
     sed -E 's/^`(gekkofs\.)?//; s/[`(]$//' | sort -u
 )
 
+# Every benchmark a doc names must exist.
+benches=$(grep -rhoE --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+  '^func Benchmark[A-Za-z0-9_]*\([a-z_]+ \*testing\.B\)' . | sed -E 's/^func ([A-Za-z0-9_]*)\(.*$/\1/' | sort -u)
+if [ -z "$benches" ]; then
+  echo "no 'func BenchmarkX(b *testing.B)' in any _test.go — extraction is broken"
+  fail=1
+fi
+while read -r bench; do
+  if [[ $bench == *\* ]]; then
+    if ! grep -q "^${bench%\*}" <<< "$benches"; then
+      echo "docs name $bench, which matches no benchmark"
+      fail=1
+    fi
+  elif ! grep -qxF "$bench" <<< "$benches"; then
+    echo "docs name benchmark $bench, which no _test.go defines"
+    fail=1
+  fi
+done < <(
+  grep -ohE '`[^`]+`' "${docs[@]}" | grep -oE 'Benchmark[A-Z][A-Za-z0-9_]*\*?' | sort -u
+)
+
 # Emit every table cell under a "CLI" column header, across all docs:
 # the shared flags (internal/cli), which every checked binary must have.
 cli_cells() {
@@ -169,4 +195,4 @@ if [ "$fail" -ne 0 ]; then
   echo "docs check failed"
   exit 1
 fi
-echo "docs check OK: package comments present, documented flags, options and paths exist, protocol generation current"
+echo "docs check OK: package comments present, documented flags, options, paths and benchmarks exist, protocol generation current"
