@@ -5,7 +5,7 @@
 //	gkfs-bench -mode mdtest -daemons host1:7777,host2:7777 -workers 16 -files 2000
 //	gkfs-bench -mode ior -daemons ... -workers 8 -block 64MiB -transfer 1MiB
 //	gkfs-bench -mode stage -daemons ... -stage-large 256MiB -files 2000
-//	gkfs-bench -mode io -daemons ... -replicas 2 -block 64MiB -io-copy /tmp/truth.dat
+//	gkfs-bench -mode io -daemons ... -block 64MiB -io-delay 25ms
 //	gkfs-bench -mode checkpoint -daemons ... -workers 4 -files 8 -ck-bytes 1MiB -ck-out /tmp/ck
 package main
 
@@ -51,7 +51,6 @@ func main() {
 	stageSmall := cli.Size(4 << 10)
 	flag.Var(&stageSmall, "stage-small", "stage: generated small-file size (count = -files)")
 	ioPath := flag.String("io-path", "/io-bench/stream.dat", "io: file path inside the deployment")
-	ioCopy := flag.String("io-copy", "", "io: also save the exact byte stream to this local file (ground truth for an external cmp)")
 	ioDelay := flag.Duration("io-delay", 0, "io: pause between transfers, stretching the write phase so an external fault can land mid-stream")
 	ckEpochs := flag.Int("ck-epochs", 3, "checkpoint: rounds to run (each epoch's writes overlap the previous epoch's snapshot stage-out)")
 	ckBytes := cli.Size(1 << 20)
@@ -115,7 +114,7 @@ func main() {
 	case "io":
 		if err := runIO(factory, ioConfig{
 			Path: *ioPath, Bytes: int64(block), Transfer: int64(transfer),
-			Delay: *ioDelay, Copy: *ioCopy,
+			Delay: *ioDelay,
 		}); err != nil {
 			log.Fatalf("gkfs-bench: %v", err)
 		}
@@ -272,30 +271,20 @@ type ioConfig struct {
 	Bytes    int64         // stream length
 	Transfer int64         // bytes per Write/Read call
 	Delay    time.Duration // pause between transfers (stretches the write phase)
-	Copy     string        // local ground-truth copy; empty = none
 }
 
 // runIO streams cfg.Bytes of seeded pseudo-random data into cfg.Path,
 // closes the descriptor (the write barrier), then reads every byte back
 // and compares it against the regenerated stream. It exists for CI's
-// kill-a-daemon-mid-stream smoke: run it in the background with
-// -replicas 2, kill -9 one daemon during the write phase, and it must
-// still finish with "io: verify OK" plus nonzero hedged/condemned
-// counters on the replication line — while the same kill under
-// -replicas 1 must fail it. -io-copy mirrors the exact byte stream to a
-// local file so an external `gkfs-shell get` can be cmp'd against
-// ground truth, and -io-delay stretches the write phase so an external
-// fault injector has a window to land in.
+// kill-a-daemon-mid-stream smoke: run it in the background, kill -9 one
+// daemon during the write phase, and it must fail, its error naming the
+// lost daemon, op and path — every chunk has one copy. -io-delay
+// stretches the write phase so an external fault injector has a window
+// to land in.
 func runIO(factory workload.ClientFactory, cfg ioConfig) error {
 	c, err := factory()
 	if err != nil {
 		return err
-	}
-	var truth *os.File
-	if cfg.Copy != "" {
-		if truth, err = os.Create(cfg.Copy); err != nil {
-			return err
-		}
 	}
 	// Create the ancestor directories so namespace walkers (gkfs-fsck,
 	// ls) can reach the file — the flat namespace itself would happily
@@ -321,11 +310,6 @@ func runIO(factory workload.ClientFactory, cfg ioConfig) error {
 		if _, err := c.WriteAt(fd, buf[:n], off); err != nil {
 			return fmt.Errorf("write at %d: %w", off, err)
 		}
-		if truth != nil {
-			if _, err := truth.Write(buf[:n]); err != nil {
-				return err
-			}
-		}
 		off += n
 		if cfg.Delay > 0 {
 			time.Sleep(cfg.Delay)
@@ -333,11 +317,6 @@ func runIO(factory workload.ClientFactory, cfg ioConfig) error {
 	}
 	if err := c.Close(fd); err != nil {
 		return fmt.Errorf("close: %w", err)
-	}
-	if truth != nil {
-		if err := truth.Close(); err != nil {
-			return err
-		}
 	}
 	el := time.Since(begin)
 	fmt.Printf("io: wrote %d bytes to %s (%.1f MiB/s)\n",
@@ -374,9 +353,6 @@ func runIO(factory workload.ClientFactory, cfg ioConfig) error {
 		}
 		off += n
 	}
-	cs := c.Stats()
-	fmt.Printf("replication: hedged=%d failover=%d replica-writes=%d condemned=%d\n",
-		cs.HedgedReads, cs.FailoverReads, cs.ReplicaWrites, cs.CondemnedDaemons)
 	// Per-op latency percentiles from the daemons' always-on histograms,
 	// merged across the deployment.
 	if snaps, err := c.DaemonSnapshots(); err == nil {

@@ -11,11 +11,7 @@
 //   - with -manifest, a staging manifest cross-checks against live
 //     cluster metadata: every recorded entry must exist with the
 //     recorded kind and size (missing or mismatched entries are
-//     problems — staged input that silently vanished or shrank),
-//   - with -replicas R > 1, replica agreement: each probed chunk is
-//     read directly from every daemon of its replica chain and the
-//     copies byte-compared (a daemon that missed writes while it was
-//     down shows up here as replica disagreement).
+//     problems — staged input that silently vanished or shrank).
 //
 // Inconsistencies are reported, not repaired — GekkoFS has no fsck in
 // the repair sense; a temporary file system is redeployed instead.
@@ -24,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -36,15 +31,13 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/client"
-	"repro/internal/meta"
 	"repro/internal/staging"
 )
 
 type checker struct {
-	c        *client.Client
-	deep     bool
-	chunk    int64
-	replicas int
+	c     *client.Client
+	deep  bool
+	chunk int64
 
 	// epoch is what every namespace and data read is made at: the live
 	// namespace's client.LiveEpoch, or with -snapshot the tag's pinned
@@ -53,7 +46,6 @@ type checker struct {
 	epoch uint64
 
 	dirs, files, bytes int64
-	replicaChunks      int64
 	problems           int
 }
 
@@ -107,7 +99,6 @@ func (ck *checker) walk(dir string) {
 			}
 		}
 		ck.checkData(path, info.Size())
-		ck.checkReplicas(path, info.Size())
 	}
 }
 
@@ -144,58 +135,6 @@ func (ck *checker) checkData(path string, size int64) {
 		probe(mid, min(ck.chunk, size-mid))
 		tail := (size - 1) / ck.chunk * ck.chunk
 		probe(tail, size-tail)
-	}
-}
-
-// checkReplicas byte-compares the replica copies of a file's probed
-// chunks (first, middle and last; every chunk with -deep). Replication
-// has no re-sync: a daemon that was down while chunks it hosts were
-// written serves stale or missing bytes after it rejoins, and this check
-// is how that shows up before a read does.
-func (ck *checker) checkReplicas(path string, size int64) {
-	if ck.replicas <= 1 || size == 0 {
-		return
-	}
-	check := func(id meta.ChunkID) {
-		n := min(ck.chunk, size-int64(id)*ck.chunk)
-		chain := ck.c.ReplicaChain(path, id)
-		var ref []byte
-		refNode := -1
-		for _, node := range chain {
-			// Straight from this replica, bypassing the client's placement.
-			// Bytes past a daemon's last present byte read as zeros, so
-			// agreeing replicas compare equal whatever their chunk files'
-			// physical lengths; in snapshot mode the daemon serves the
-			// chunk's pre-image at the pinned epoch.
-			buf := make([]byte, n)
-			if err := ck.c.ReadChunkFrom(node, path, ck.epoch, id, buf); err != nil {
-				ck.problem("replica read of chunk %d: %v", id, err)
-				continue
-			}
-			if ref == nil {
-				ref, refNode = buf, node
-				continue
-			}
-			if !bytes.Equal(ref, buf) {
-				ck.problem("replica disagreement: %s chunk %d differs between daemons %d and %d",
-					path, id, refNode, node)
-			}
-		}
-		ck.replicaChunks++
-	}
-	last := meta.ChunkID((size - 1) / ck.chunk)
-	if ck.deep {
-		for id := meta.ChunkID(0); id <= last; id++ {
-			check(id)
-		}
-		return
-	}
-	check(0)
-	if last > 0 {
-		if mid := meta.ChunkID((size / 2) / ck.chunk); mid != 0 && mid != last {
-			check(mid)
-		}
-		check(last)
 	}
 }
 
@@ -286,9 +225,8 @@ func main() {
 	snapTag := flag.String("snapshot", "", "check the namespace as pinned by this committed snapshot tag instead of the live one; with -manifest, recorded hashes are re-verified against the epoch's chunk pre-images")
 	flag.Parse()
 
-	// Mounted like every other client — with -replicas R up to R−1 daemons
-	// may be unreachable: the checker must run against exactly the
-	// degraded cluster whose replica divergence it exists to report.
+	// Mounted like every other client: a daemon that does not answer
+	// fails the mount, named.
 	c, closeConns, err := client.Mount(f.Target, f.Client)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gkfs-fsck: %v\n", err)
@@ -296,7 +234,7 @@ func main() {
 	}
 	defer closeConns()
 
-	ck := &checker{c: c, deep: *deep, chunk: c.ChunkSize(), replicas: f.Client.Replicas, epoch: client.LiveEpoch}
+	ck := &checker{c: c, deep: *deep, chunk: c.ChunkSize(), epoch: client.LiveEpoch}
 	if *snapTag != "" {
 		epoch, err := c.SnapshotEpoch(*snapTag)
 		if err != nil {
@@ -315,9 +253,6 @@ func main() {
 			os.Exit(1)
 		}
 		ck.checkManifest(mf, *root)
-	}
-	if ck.replicas > 1 {
-		fmt.Printf("replicas: byte-compared %d chunks across %d-way chains\n", ck.replicaChunks, ck.replicas)
 	}
 	fmt.Printf("checked %d dirs, %d files, %d bytes in %v: %d problems\n",
 		ck.dirs, ck.files, ck.bytes, time.Since(begin).Round(time.Millisecond), ck.problems)

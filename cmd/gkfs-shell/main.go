@@ -320,17 +320,9 @@ func runStats(c *client.Client, jsonOut bool) {
 	fmt.Printf("wire: frames in=%d out=%d, bytes in=%d out=%d, vectored=%d, shm-calls=%d\n",
 		st.FramesIn, st.FramesOut, st.WireBytesIn, st.WireBytesOut,
 		st.VectoredWrites, st.ShmCalls)
-	// Replication health as seen from this mount: hedged counts every
-	// read that raced a second replica (latency-triggered or
-	// error-triggered; failover is the error subset), replica-writes
-	// the non-primary copies this client pushed, condemned the daemons
-	// currently skipped and awaiting re-probe. A condemned daemon also
-	// reports an all-zero column above — stats RPCs skip it too.
-	cs := c.Stats()
-	fmt.Printf("replication: hedged=%d failover=%d replica-writes=%d condemned=%d\n",
-		cs.HedgedReads, cs.FailoverReads, cs.ReplicaWrites, cs.CondemnedDaemons)
 	// What this mount's descriptors did not have to ask or tell the
 	// metadata owners: I/O that lay wholly below a path's acknowledged size.
+	cs := c.Stats()
 	fmt.Printf("size floor: size-updates-elided=%d size-probes-elided=%d\n",
 		cs.SizeUpdatesElided, cs.SizeProbesElided)
 	// The metadata engine: resolves near folds means hot size keys keep

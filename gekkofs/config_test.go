@@ -58,7 +58,7 @@ func TestEveryTunableIsReachable(t *testing.T) {
 	var cfg config
 	for _, opt := range []Option{
 		WithNodes(7), WithChunkSize(7), WithDataDir("d"), WithSyncWAL(),
-		WithSizeUpdateCache(7), WithReplicas(7),
+		WithSizeUpdateCache(7),
 		WithTransport("shm"), WithAsyncWrites(), WithReadAhead(),
 		WithStageIn("h", "f", nil), WithStageOutOnClose("f", "h", nil),
 		WithTelemetry(7),

@@ -64,10 +64,12 @@ var (
 	ErrNotSupported = proto.ErrNotSupported
 	// ErrBadFD reports a closed or unknown descriptor.
 	ErrBadFD = client.ErrBadFD
-	// ErrDegraded reports that no live replica of a needed chunk
-	// survives: every daemon in the chunk's replica chain is condemned
-	// or failing. Only reachable with WithReplicas(r > 1); with a single
-	// copy a dead daemon surfaces as a plain transport error instead.
+	// ErrDegraded reports that a daemon an operation needs did not
+	// answer: the one holding a chunk it reads or writes, or the
+	// metadata owner of a path it resolves. Every chunk and every record
+	// has one copy, so the operation fails; the error names the
+	// operation, the path and the daemon. A job that loses a node
+	// re-runs from its staged-out checkpoint.
 	ErrDegraded = client.ErrDegraded
 )
 
@@ -156,18 +158,6 @@ func WithSyncWAL() Option { return func(c *config) { c.daemon.SyncWAL = true } }
 // client's stat may briefly observe a smaller size.
 func WithSizeUpdateCache(ops int) Option { return func(c *config) { c.client.SizeCacheOps = ops } }
 
-// WithReplicas sets the chunk replication factor R (default 1, i.e.
-// off). Every chunk is written to R daemons — its hash-placed primary
-// plus R−1 ring successors — and a chunk write succeeds while at least
-// one replica acknowledges it. Reads prefer the primary but hedge to the
-// next replica when the first RPC outlives the client's tracked p95
-// latency for that daemon, and fail over on transport errors; a daemon
-// that fails repeatedly is condemned (skipped by reads and read-ahead)
-// and re-probed in the background. Metadata is not replicated: chunk
-// replication makes file data survive a daemon loss, not the namespace
-// entries hashed to the lost daemon. R must not exceed WithNodes' count.
-func WithReplicas(r int) Option { return func(c *config) { c.client.Replicas = r } }
-
 // WithTransport selects the fabric wiring this deployment's clients to
 // its daemons: "mem" (default) calls handlers directly in process, "shm"
 // runs every daemon behind a shared-memory doorbell socket — the
@@ -230,7 +220,7 @@ func WithStageOutOnClose(fsDir, hostDir string, opts *StageOptions) Option {
 
 // WithTelemetry enables client-side metrics: every FS mounted from the
 // cluster records per-RPC round-trip latency histograms, an in-flight
-// gauge, transport wait histograms and replication counters into a
+// gauge, transport wait histograms and the size-view counters into a
 // shared registry (Cluster.ClientTelemetry). sampleEvery > 0 also
 // traces every sampleEvery-th RPC end to end: the call carries a trace
 // ID to its daemon and both ends log a "gkfs.trace" event with span

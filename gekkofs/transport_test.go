@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -30,16 +31,17 @@ func shmCluster(t *testing.T, opts ...gekkofs.Option) (*gekkofs.Cluster, *gekkof
 }
 
 // TestFailedDeployLeaksNoConnections fails a deployment after its health
-// check dialed every daemon: the client refuses more replicas than
-// daemons. Each shm connection it dialed holds a reader goroutine at both
-// ends and a mapped segment, so a conn left open shows as goroutines
-// that never exit.
+// check dialed every daemon: the stage-in source does not exist. Each shm
+// connection the deployment dialed holds a reader goroutine at both ends
+// and a mapped segment, so a conn left open shows as goroutines that
+// never exit.
 func TestFailedDeployLeaksNoConnections(t *testing.T) {
 	skipWithoutShm(t)
+	missing := filepath.Join(t.TempDir(), "missing")
 	base := runtime.NumGoroutine()
-	if cl, err := gekkofs.New(gekkofs.WithTransport("shm"), gekkofs.WithNodes(2), gekkofs.WithReplicas(3)); err == nil {
+	if cl, err := gekkofs.New(gekkofs.WithTransport("shm"), gekkofs.WithNodes(2), gekkofs.WithStageIn(missing, "/in", nil)); err == nil {
 		cl.Close()
-		t.Fatal("3 replicas over 2 daemons accepted")
+		t.Fatal("a stage-in from a missing directory deployed")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base {

@@ -43,8 +43,8 @@ func storeCopies(kv kvstore.Stats, oc chunkstore.OpenStats) uint64 {
 // clientCopy writes the copy Client.Stats hands out: the client's live
 // counters never see it.
 func clientCopy(cs client.ClientStats) uint64 {
-	cs.HedgedReads++ // want `field ClientStats\.HedgedReads is telemetry counter state`
-	return cs.HedgedReads
+	cs.SizeUpdatesElided++ // want `field ClientStats\.SizeUpdatesElided is telemetry counter state`
+	return cs.SizeUpdatesElided
 }
 
 // liveHolder owns a live stats struct the way the daemon does.

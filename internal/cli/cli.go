@@ -22,9 +22,8 @@ import (
 type Flags struct {
 	// Target is filled by the mount group.
 	Target client.Target
-	// Client is filled by the tuning group (and -replicas, which dialing
-	// needs too). Its wiring — Conns, ChunkSize — is no flag:
-	// client.Mount fills it from the deployment.
+	// Client is filled by the tuning group. Its wiring — Conns,
+	// ChunkSize — is no flag: client.Mount fills it from the deployment.
 	Client client.Config
 }
 
@@ -34,7 +33,6 @@ func (f *Flags) RegisterMount(fs *flag.FlagSet) {
 	fs.StringVar(&f.Target.Daemons, "daemons", "", "comma-separated daemon addresses, in -id order — the same list in the same order for every client of the deployment (placement hashes over it; a permuted list is refused at mount)")
 	fs.StringVar(&f.Target.Transport, "transport", "auto", "daemon transport: auto | tcp | shm (auto takes a daemon's shared-memory fast path when it is reachable from this node; shm fails loudly when it is not)")
 	fs.IntVar(&f.Target.Conns, "conns", 1, "striped transport connections per daemon")
-	fs.IntVar(&f.Client.Replicas, "replicas", 1, "chunk replication factor R: write each chunk to R daemons, read with hedging/failover, and mount with up to R-1 daemons unreachable (must match the deployment's other clients; metadata is not replicated)")
 	// 60 s is what gkfs-fsck, gkfs-bench and bench/ already ran with;
 	// gkfs-shell's 30 s would make their longest RPCs (a -deep probe, a
 	// staged segment against a busy daemon) time out where they did not.

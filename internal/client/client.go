@@ -49,6 +49,55 @@ const (
 // ErrBadFD reports an operation on an unknown or closed file descriptor.
 var ErrBadFD = errors.New("gekkofs: bad file descriptor")
 
+// ErrDegraded reports that a daemon an operation needs did not answer:
+// the holder of a chunk it reads or writes, the metadata owner of a path
+// it resolves, or a daemon of a listing. Every chunk and every record has
+// one home, so the operation fails; the error text names op, path and
+// daemon (opErr).
+var ErrDegraded = errors.New("gekkofs: degraded: a daemon did not answer")
+
+// transportError reports whether err is a transport-level failure (dead
+// or unreachable daemon, closed pool, timeout) as opposed to an answer
+// the daemon itself produced: a decoded errno or a remote handler error.
+func transportError(err error) bool {
+	if err == nil {
+		return false
+	}
+	var re *rpc.RemoteError
+	if errors.As(err, &re) {
+		return false
+	}
+	for _, answer := range []error{
+		proto.ErrNotExist, proto.ErrExist, proto.ErrIsDir, proto.ErrNotDir,
+		proto.ErrNotEmpty, proto.ErrInval, proto.ErrNotSupported,
+	} {
+		if errors.Is(err, answer) {
+			return false
+		}
+	}
+	return true
+}
+
+// opErr attributes a failed RPC to the operation, the path and the daemon
+// node it was for: "<op> <path>: daemon <node>: <cause>". A daemon that did
+// not answer also matches ErrDegraded; its answer surfaces as itself.
+func opErr(op, path string, node int, err error) error {
+	if transportError(err) {
+		return fmt.Errorf("%s %s: daemon %d: %w: %w", op, path, node, ErrDegraded, err)
+	}
+	return fmt.Errorf("%s %s: daemon %d: %w", op, path, node, err)
+}
+
+// lostErr is opErr for a daemon that did not answer; an answer it gave —
+// an errno, a refused request — is returned as it is, so callers
+// comparing sentinels see exactly what the daemon said.
+func lostErr(op, path string, node int, err error) error {
+	if !transportError(err) {
+		return err
+	}
+	return opErr(op, path, node, err)
+}
+
 // Config wires a client to a cluster.
 type Config struct {
 	// Conns are connections to every daemon, indexed by daemon id:
@@ -75,13 +124,6 @@ type Config struct {
 	// the spans just past them are fetched into a bounded per-descriptor
 	// window the next reads copy from (see readahead.go).
 	ReadAhead bool
-	// Replicas is the chunk replication factor R. R > 1 writes every
-	// chunk to the R daemons of its replica chain, reads with hedging
-	// and failover over the chain, and routes around condemned daemons
-	// (see replica.go). 0 or 1 keeps the unreplicated protocol
-	// bit-for-bit. Must not exceed the daemon count — a silent clamp
-	// would fake a durability level the cluster cannot provide.
-	Replicas int
 	// Telemetry, when non-nil, receives the client's metrics: per-RPC
 	// round-trip histograms, the in-flight gauge, pool/segment wait
 	// histograms (internal/telemetry/names.go) and the ClientStats
@@ -105,11 +147,6 @@ type Client struct {
 	// replaces cfg.ChunkSize with the daemons' instead of checking theirs.
 	adoptChunk  bool
 	readDirPage uint32 // entries requested per OpReadDir page
-
-	// Replication state (replica.go): per-daemon health records. health is
-	// sized like conns and never reallocated, so entries are addressed
-	// lock-free.
-	health []daemonHealth
 
 	// live holds the client's counters, bumped in place with one atomic
 	// add each; Stats copies them and the telemetry registry folds them in.
@@ -167,22 +204,11 @@ func New(cfg Config) (*Client, error) {
 	if cfg.ChunkSize < 0 {
 		return nil, fmt.Errorf("client: invalid chunk size %d", cfg.ChunkSize)
 	}
-	if cfg.Replicas < 0 {
-		return nil, fmt.Errorf("client: invalid replication factor %d", cfg.Replicas)
-	}
-	if cfg.Replicas > len(cfg.Conns) {
-		return nil, fmt.Errorf("client: replication factor %d exceeds %d daemons — %d distinct replicas cannot exist",
-			cfg.Replicas, len(cfg.Conns), cfg.Replicas)
-	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = 1
-	}
 	c := &Client{
 		cfg:         cfg,
 		dist:        distributor.NewSimpleHash(len(cfg.Conns)),
 		adoptChunk:  adopt,
 		readDirPage: proto.DefaultReadDirPage,
-		health:      make([]daemonHealth, len(cfg.Conns)),
 		files:       make(map[int]*openFile),
 		views:       make(map[string]*sizeView),
 		nextFD:      3,
@@ -200,7 +226,7 @@ func (c *Client) ChunkSize() int64 { return c.cfg.ChunkSize }
 // windows). This is the client's RPC chokepoint, together with its split
 // form (start, then wait): round-trip timing, the in-flight gauge and
 // trace sampling all live in begin and end, so every caller — metadata,
-// chunk I/O, replication retries, write-behind — is covered.
+// chunk I/O, write-behind — is covered.
 func (c *Client) call(node int, op rpc.Op, payload []byte, dir rpc.BulkDir, windows ...[]byte) (*rpc.Dec, error) {
 	rc := c.begin(node, op)
 	resp, err := rpc.Call(c.cfg.Conns[node], op, payload, windows, dir, rc.tr)
@@ -296,14 +322,16 @@ func (c *Client) EnsureRoot() error {
 
 // metaOp sends one metadata operation under its kind's own op code — the
 // single-op framing of the plane batchMeta vectors. The request is the
-// sub-op's body and the reply its result, byte for byte.
+// sub-op's body and the reply its result, byte for byte. A metadata owner
+// that does not answer fails the op with ErrDegraded (lostErr).
 func (c *Client) metaOp(op *proto.MetaOp) (proto.MetaResult, error) {
 	e := rpc.NewEnc(len(op.Path) + 24)
 	proto.EncodeMetaOpBody(e, op)
 	var r proto.MetaResult
-	d, err := c.call(c.dist.MetaTarget(op.Path), rpc.Op(op.Kind), e.Bytes(), rpc.BulkNone)
+	node := c.dist.MetaTarget(op.Path)
+	d, err := c.call(node, rpc.Op(op.Kind), e.Bytes(), rpc.BulkNone)
 	if err != nil {
-		return r, err
+		return r, lostErr(proto.OpName(rpc.Op(op.Kind)), op.Path, node, err)
 	}
 	proto.DecodeMetaResultBody(d, op, &r)
 	return r, d.Done()
@@ -541,13 +569,7 @@ func (c *Client) barrierLocked(of *openFile) error {
 // error (ErrDaemonMismatch) instead of undecodable replies, mis-placed
 // paths or wrong bytes mid-I/O. A client whose Config.ChunkSize was zero
 // adopts the daemons' chunk size here — call it before any I/O, as every
-// mount does.
-//
-// With replication (Config.Replicas > 1) up to R−1 unreachable daemons
-// are tolerated — condemned instead of failing the mount, so a cluster
-// that lost a daemon can still be mounted to read the surviving
-// replicas. A daemon that answers, but wrongly, is always a hard error:
-// it is alive and will keep corrupting placement.
+// mount does. A daemon that does not answer fails the mount, named.
 func (c *Client) VerifyProtocol() error {
 	infos := make([]DaemonInfo, len(c.cfg.Conns))
 	errs := make([]error, len(c.cfg.Conns))
@@ -557,16 +579,10 @@ func (c *Client) VerifyProtocol() error {
 		}
 		return nil
 	})
-	budget := c.cfg.Replicas - 1
 	answered := make([]int, 0, len(errs))
 	for node, err := range errs {
-		switch {
-		case err == nil:
+		if err == nil {
 			answered = append(answered, node)
-		case budget > 0 && transportError(err):
-			c.condemn(node)
-			errs[node] = nil
-			budget--
 		}
 	}
 	// The chunk size every daemon must report: the configured one, or —
@@ -576,7 +592,7 @@ func (c *Client) VerifyProtocol() error {
 		chunk, from = infos[answered[0]].ChunkSize, fmt.Sprintf("daemon %d reports", answered[0])
 	}
 	for _, node := range answered {
-		errs[node] = checkDaemon("mount", node, infos[node], chunk, from)
+		errs[node] = checkDaemon(node, infos[node], chunk, from)
 	}
 	if err := errors.Join(errs...); err != nil {
 		return err
@@ -745,7 +761,7 @@ func (c *Client) readDirNode(node int, dir string, epoch uint64) ([]DirEntry, er
 		proto.EncodeEpochTail(e, pinFlag(epoch), epoch)
 		d, err := c.call(node, proto.OpReadDir, e.Bytes(), rpc.BulkNone)
 		if err != nil {
-			return nil, err
+			return nil, lostErr("readdir", dir, node, err)
 		}
 		n := d.U32()
 		// Each entry is at least 10 wire bytes (1-byte uvarint name length +
@@ -938,22 +954,12 @@ func (c *Client) Chmod(path string, mode uint32) error {
 // snapshot, indexed by node: the counters, gauges and latency histograms
 // its /statz serves, mergeable across daemons (telemetry.Snapshot.Merge)
 // — the remote equivalent of gekkofs.Cluster.DaemonSnapshots for TCP
-// deployments (gkfs-shell's stats command). Under replication, condemned
-// (or freshly unreachable) daemons contribute a zero Snapshot instead of
-// failing the whole fan-out — the dead daemon is exactly the situation
-// stats are consulted in.
+// deployments (gkfs-shell's stats command).
 func (c *Client) DaemonSnapshots() ([]telemetry.Snapshot, error) {
 	out := make([]telemetry.Snapshot, len(c.cfg.Conns))
 	err := c.fanOut(func(node int) error {
-		if c.cfg.Replicas > 1 && !c.alive(node) {
-			return nil
-		}
 		d, err := c.call(node, proto.OpStats, nil, rpc.BulkNone)
 		if err != nil {
-			if c.cfg.Replicas > 1 && transportError(err) {
-				c.strike(node)
-				return nil
-			}
 			return err
 		}
 		s := proto.DecodeSnapshot(d)

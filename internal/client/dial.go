@@ -12,8 +12,8 @@ import (
 	"repro/internal/transport"
 )
 
-// ErrDaemonMismatch reports a daemon that answered a mount's (or a
-// rejoin re-probe's) ping, but not as the daemon the mount takes it for:
+// ErrDaemonMismatch reports a daemon that answered a mount's ping, but
+// not as the daemon the mount takes it for:
 // another protocol generation, an ID that is not its index in the daemon
 // list (every path would be mis-placed), a chunk size that is not the
 // mount's (spans would land on the wrong bytes), or an undecodable reply.
@@ -65,18 +65,17 @@ func ProbeDaemon(conn rpc.Conn) (DaemonInfo, error) {
 	return info, nil
 }
 
-// checkDaemon is what a mount and a rejoin re-probe (op) both require of
-// the daemon at index node beyond a decodable, same-generation reply: it
-// is that daemon, and its chunk size is chunk — from, for the error text,
-// says whose that is.
-func checkDaemon(op string, node int, info DaemonInfo, chunk int64, from string) error {
+// checkDaemon is what a mount requires of the daemon at index node
+// beyond a decodable, same-generation reply: it is that daemon, and its
+// chunk size is chunk — from, for the error text, says whose that is.
+func checkDaemon(node int, info DaemonInfo, chunk int64, from string) error {
 	switch {
 	case info.ID != node:
-		return fmt.Errorf("%s: ping daemon %d: %w: it answers as daemon %d (every client must list the daemons in -id order)",
-			op, node, ErrDaemonMismatch, info.ID)
+		return fmt.Errorf("mount: ping daemon %d: %w: it answers as daemon %d (every client must list the daemons in -id order)",
+			node, ErrDaemonMismatch, info.ID)
 	case info.ChunkSize != chunk:
-		return fmt.Errorf("%s: ping daemon %d: %w: its chunk size is %d, %s %d",
-			op, node, ErrDaemonMismatch, info.ChunkSize, from, chunk)
+		return fmt.Errorf("mount: ping daemon %d: %w: its chunk size is %d, %s %d",
+			node, ErrDaemonMismatch, info.ChunkSize, from, chunk)
 	}
 	return nil
 }
@@ -109,7 +108,7 @@ func Mount(t Target, cfg Config) (*Client, func(), error) {
 	if len(addrs) == 0 {
 		return nil, nil, errors.New("mount: no daemon addresses given")
 	}
-	conns, err := DialDaemons(addrs, t.Transport, t.Timeout, t.Conns, cfg.Replicas)
+	conns, err := DialDaemons(addrs, t.Transport, t.Timeout, t.Conns)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -145,15 +144,9 @@ func Mount(t Target, cfg Config) (*Client, func(), error) {
 //	         otherwise. This is the node-local detection the paper's
 //	         co-located deployments rely on.
 //
-// replicas is the mount's chunk replication factor: with replicas > 1 up
-// to replicas−1 daemons that cannot be dialed or do not answer the probe
-// do not fail the dial — each dead address gets a lazily re-dialing TCP
-// pool instead (the next call, or a background re-probe once the client
-// condemns it, redials), so a cluster that lost a daemon can still be
-// mounted to reach the surviving replicas. VerifyProtocol on the
-// resulting client performs the actual tolerate-or-fail accounting; 0 or
-// 1 keeps the fail-fast behavior.
-func DialDaemons(addrs []string, mode string, timeout time.Duration, conns, replicas int) (out []rpc.Conn, err error) {
+// An address that cannot be dialed, or does not answer the probe, fails
+// the dial, named.
+func DialDaemons(addrs []string, mode string, timeout time.Duration, conns int) (out []rpc.Conn, err error) {
 	if mode == "" {
 		mode = "auto"
 	}
@@ -168,17 +161,8 @@ func DialDaemons(addrs []string, mode string, timeout time.Duration, conns, repl
 			out = nil
 		}
 	}()
-	deadBudget := replicas - 1
 	for _, a := range addrs {
-		conn, reached, err := dialDaemon(a, mode, timeout, conns)
-		if err != nil && !reached && deadBudget > 0 {
-			// The slot a dead daemon occupies until it comes back: a pool
-			// that dials on first use.
-			deadBudget--
-			conn, err = transport.NewPool(conns, func() (rpc.Conn, error) {
-				return transport.DialTCP(a, timeout)
-			}), nil
-		}
+		conn, err := dialDaemon(a, mode, timeout, conns)
 		if err != nil {
 			return out, err
 		}
@@ -187,33 +171,31 @@ func DialDaemons(addrs []string, mode string, timeout time.Duration, conns, repl
 	return out, nil
 }
 
-// dialDaemon connects to one daemon under mode. reached reports that the
-// daemon answered: a failure past that point is what the daemon said,
-// never a dead daemon to mount around.
-func dialDaemon(addr, mode string, timeout time.Duration, conns int) (conn rpc.Conn, reached bool, err error) {
+// dialDaemon connects to one daemon under mode.
+func dialDaemon(addr, mode string, timeout time.Duration, conns int) (rpc.Conn, error) {
 	tcp, err := transport.DialTCPPool(addr, timeout, conns)
 	if err != nil {
-		return nil, false, fmt.Errorf("client: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	if mode == "tcp" {
-		return tcp, true, nil
+		return tcp, nil
 	}
 	info, err := ProbeDaemon(tcp)
 	if err != nil {
 		tcp.Close()
-		return nil, !transportError(err), fmt.Errorf("client: probe %s: %w", addr, err)
+		return nil, fmt.Errorf("client: probe %s: %w", addr, err)
 	}
 	shm, err := dialDoorbell(info, timeout)
 	switch {
 	case err == nil:
 		tcp.Close()
-		return shm, true, nil
+		return shm, nil
 	case mode == "shm":
 		tcp.Close()
-		return nil, true, fmt.Errorf("client: daemon %s: %w", addr, err)
+		return nil, fmt.Errorf("client: daemon %s: %w", addr, err)
 	}
 	// Not co-located (or the doorbell is stale): TCP serves fine.
-	return tcp, true, nil
+	return tcp, nil
 }
 
 // dialDoorbell takes the shared-memory path a probed daemon advertises.

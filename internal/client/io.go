@@ -14,39 +14,32 @@ import (
 )
 
 // The data path. A write or read is decomposed into chunk spans; spans
-// are grouped by primary daemon (hash of path and chunk ID), at most one
-// RPC's transfer (rpc.MaxBulk) to a group, and every group runs against
-// its replica chain (replica.go) through one of two executors, in
-// parallel across groups, with the group's windows of the caller's
-// buffer as the RPC's bulk region. This is the paper's wide striping: a
-// large I/O engages every node's SSD at once. There is one executor per
-// direction — readGroup and writeGroup — for every caller: descriptor
-// I/O, the read-ahead fetcher, write-behind, WritePath and
-// ReadSnapshot. An unreplicated mount is a chain of one and a live read
-// is a read at epoch ∞; neither has a code path of its own. A write
-// sends to every live replica from the caller's memory, then waits; a
-// read with one live candidate is served on the calling goroutine,
-// straight into the caller's memory, and with several is hedged.
+// are grouped by the daemon that holds them (hash of path and chunk ID),
+// at most one RPC's transfer (rpc.MaxBulk) to a group, and every group is
+// one RPC to that daemon, in parallel across groups, with the group's
+// windows of the caller's buffer as the RPC's bulk region. This is the
+// paper's wide striping: a large I/O engages every node's SSD at once.
+// There is one executor per direction — readGroup and writeGroup — for
+// every caller: descriptor I/O, the read-ahead fetcher, write-behind,
+// WritePath and ReadSnapshot. A live read is a read at epoch ∞, with no
+// code path of its own. Every chunk has one copy: a group whose daemon
+// does not answer fails its I/O (ErrDegraded), naming op, path and daemon.
 
 // LiveEpoch is the epoch of a read that is not pinned to a snapshot.
-// A finite epoch adds the ReadAtEpoch field to the request and narrows
-// the replica chain to its head (chunk pre-images live where the primary
-// chunk lived); everything else is shared.
+// A finite epoch adds the ReadAtEpoch field to the request; everything
+// else is shared.
 const LiveEpoch = meta.LiveEpoch
 
-// targetGroup collects the spans of one I/O that share a primary daemon
-// and therefore a replica chain.
+// targetGroup collects the spans of one I/O that one daemon holds.
 type targetGroup struct {
-	target int // the primary daemon
+	target int // the daemon holding the spans
 	spans  []proto.ChunkSpan
 	bufOff []int64 // caller-buffer offset per span
 	bytes  int64
 
-	// Read-side plan, filled by readRange before the fan-out: the group's
-	// live candidates in preference order and, on the one group whose
-	// reply carries it, the metadata owner's size view.
-	chain, cands []int
-	reply        sizeReply
+	// reply is the metadata owner's size view, on the one group of a read
+	// whose reply carries it.
+	reply sizeReply
 
 	// Backing for the first span: a group of a small I/O holds exactly
 	// one, and then its span, offset and window vectors cost no allocation
@@ -85,7 +78,7 @@ func (g *targetGroup) windows(p []byte) [][]byte {
 }
 
 // groupByTarget splits [off, off+n) into span groups, each bound for one
-// primary daemon and no larger than one RPC may carry (rpc.MaxBulk, which
+// daemon and no larger than one RPC may carry (rpc.MaxBulk, which
 // a chunk never exceeds): a daemon's chunks form one group until the next
 // would take it past that, then the next group.
 func (c *Client) groupByTarget(path string, off, n int64) []*targetGroup {
@@ -136,18 +129,15 @@ func runGroups(groups []*targetGroup, fn func(g *targetGroup) error) error {
 	return errors.Join(errs...)
 }
 
-// encodeChunkReq builds the request payload OpReadChunks and
-// OpWriteChunks share: path, span vector, flags byte, and the pinned
-// epoch when there is one (reads set proto.ReadAtEpoch alongside).
-func encodeChunkReq(path string, spans []proto.ChunkSpan, flags uint8, epoch uint64) []byte {
+// chunkReq encodes the head OpReadChunks and OpWriteChunks share: path
+// and span vector. A write request is just that; a read appends its flags
+// byte and, when pinned, the epoch. The encoder is returned by value, so
+// only its buffer reaches the heap.
+func chunkReq(path string, spans []proto.ChunkSpan) rpc.Enc {
 	e := rpc.NewEnc(len(path) + 26 + 24*len(spans))
 	e.Str(path)
 	proto.EncodeSpans(e, spans)
-	e.U8(flags)
-	if epoch != LiveEpoch {
-		e.U64(epoch)
-	}
-	return e.Bytes()
+	return *e
 }
 
 // readChunks is the one place an OpReadChunks call is built, issued and
@@ -164,8 +154,13 @@ func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.C
 	if epoch != LiveEpoch {
 		flags |= proto.ReadAtEpoch
 	}
+	e := chunkReq(path, spans)
+	e.U8(flags)
+	if epoch != LiveEpoch {
+		e.U64(epoch)
+	}
 	var reply sizeReply
-	d, err := c.call(node, proto.OpReadChunks, encodeChunkReq(path, spans, flags, epoch), rpc.BulkOut, dest...)
+	d, err := c.call(node, proto.OpReadChunks, e.Bytes(), rpc.BulkOut, dest...)
 	if err != nil {
 		return reply, err
 	}
@@ -188,112 +183,15 @@ func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.C
 	return reply, d.Done()
 }
 
-// readResult is one hedged read attempt's outcome; buf is the attempt's
-// pooled bulk region, owned by whoever receives the result.
-type readResult struct {
-	node int
-	buf  []byte
-	err  error
-}
-
-// readGroup serves one target group of a read from its live candidates
-// (g.cands, planned by readRange). With a single candidate there is
-// nothing to hedge to: the RPC runs on the calling goroutine, every span
-// lands straight in its own window of p, and no timer, channel, private
-// buffer or latency sample is spent. With several, the
-// first (normally the primary) is tried first; the next launches when
-// the first outlives the daemon's p95 latency estimate (a hedged read) or
-// when every outstanding attempt has failed (a failover read). The first
-// success wins; each attempt lands in its own pooled buffer — two racing
-// RPCs must never scatter into the caller's memory concurrently — and
-// losers are drained in the background. Transport failures strike their
-// daemon; deterministic answers surface (every replica would say the
-// same).
+// readGroup reads one target group into its windows of p with one RPC on
+// the calling goroutine; wantSize asks the group's daemon, the path's
+// metadata owner, for its size view as well.
 func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, wantSize bool) error {
-	cands := g.cands
-	if len(cands) == 0 {
-		return fmt.Errorf("read %s: replica chain %v: %w", path, g.chain, ErrDegraded)
+	reply, err := c.readChunks(g.target, path, epoch, g.spans, wantSize, g.windows(p)...)
+	if err != nil {
+		return opErr("read", path, g.target, err)
 	}
-	if cands[0] != g.chain[0] {
-		// The condemned primary was skipped: this group is served by a
-		// secondary from the first RPC on.
-		atomic.AddUint64(&c.live.HedgedReads, 1)
-	}
-	var fails attemptErrs
-	if len(cands) == 1 {
-		reply, err := c.readChunks(cands[0], path, epoch, g.spans, wantSize, g.windows(p)...)
-		c.settle(&fails, g.chain, cands[0], err)
-		if err != nil {
-			return fails.err("read", path)
-		}
-		g.reply = reply
-		return nil
-	}
-
-	results := make(chan readResult, len(cands))
-	launched := 0
-	launch := func() {
-		node := cands[launched]
-		launched++
-		go func() {
-			//gkfs:owns-buf (released here on failure, or by the result's receiver)
-			buf := rpc.GetBuf(int(g.bytes))
-			start := time.Now()
-			if _, err := c.readChunks(node, path, epoch, g.spans, false, buf); err != nil {
-				rpc.PutBuf(buf)
-				results <- readResult{node: node, err: err}
-				return
-			}
-			c.health[node].observe(time.Since(start))
-			results <- readResult{node: node, buf: buf}
-		}()
-	}
-	launch()
-	hedge := time.NewTimer(c.health[cands[0]].p95())
-	defer hedge.Stop()
-	var winner []byte
-	pending := 1
-	for pending > 0 && winner == nil {
-		select {
-		case r := <-results:
-			pending--
-			c.settle(&fails, g.chain, r.node, r.err)
-			if r.err == nil {
-				winner = r.buf
-				break
-			}
-			if pending == 0 && launched < len(cands) {
-				// Every outstanding attempt failed: fail over to the next
-				// replica immediately instead of waiting for the timer.
-				atomic.AddUint64(&c.live.HedgedReads, 1)
-				atomic.AddUint64(&c.live.FailoverReads, 1)
-				launch()
-				pending++
-			}
-		case <-hedge.C:
-			if launched < len(cands) {
-				atomic.AddUint64(&c.live.HedgedReads, 1)
-				launch()
-				pending++
-			}
-		}
-	}
-	if pending > 0 {
-		// Losers still in flight own pooled buffers; recycle them as they
-		// land without holding up the winner.
-		go func(pending int) {
-			for i := 0; i < pending; i++ {
-				if r := <-results; r.buf != nil {
-					rpc.PutBuf(r.buf)
-				}
-			}
-		}(pending)
-	}
-	if winner == nil {
-		return fails.err("read", path)
-	}
-	rpc.Scatter(g.windows(p), winner)
-	rpc.PutBuf(winner)
+	g.reply = reply
 	return nil
 }
 
@@ -304,29 +202,26 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, 
 // below it is all file, so only the data RPCs go out and floor comes
 // back. Anything reaching past it needs the owner's size view, and the
 // protocol for that is stat-free: no leading stat RPC is paid, the size
-// comes back with the data. It rides on the group whose sole live
-// candidate is the path's metadata owner (only the owner holds the
-// record, and only an attempt that cannot be hedged away is certain to
-// reach it); when no group qualifies, a zero-span size probe joins the
-// fan-out — still one round trip, all in parallel. Regions never written
-// inside the size read as zeros.
+// comes back with the data. It rides on a group bound for the path's
+// metadata owner (only the owner holds the record); when there is none, a
+// zero-span size probe joins the fan-out — still one round trip, all in
+// parallel. Regions never written inside the size read as zeros.
 func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64) (int64, error) {
 	n := int64(len(p))
 	groups := c.groupByTarget(path, off, n)
 	wantSize := off+n > floor
 	owner := c.dist.MetaTarget(path)
 	var sized *targetGroup
-	for _, g := range groups {
-		g.chain = c.chunkChain(path, g, epoch)
-		g.cands = c.liveChain(g.chain)
-		if wantSize && len(g.cands) == 1 && g.cands[0] == owner {
-			sized = g
+	if wantSize {
+		for _, g := range groups {
+			if g.target == owner {
+				sized = g
+			}
 		}
-	}
-	if wantSize && sized == nil {
-		probe := []int{owner}
-		sized = &targetGroup{target: owner, chain: probe, cands: probe}
-		groups = append(groups, sized)
+		if sized == nil {
+			sized = &targetGroup{target: owner}
+			groups = append(groups, sized)
+		}
 	}
 	// Each group's reply is written by its own goroutine; runGroups'
 	// WaitGroup orders the write before the read below.
@@ -395,41 +290,8 @@ func (c *Client) readSpans(of *openFile, p []byte, off int64) (int, error) {
 	return clampEOF(int(n), off, of.cand.eof(size))
 }
 
-// ReplicaChain returns the daemons holding chunk id of path under this
-// mount's placement and replication factor, primary first — what
-// ReadChunkFrom is pointed at to interrogate each copy.
-func (c *Client) ReplicaChain(path string, id meta.ChunkID) []int {
-	return c.dist.ChunkReplicas(path, id, c.cfg.Replicas)
-}
-
-// ReadChunkFrom reads [0, len(p)) of one chunk of path as of epoch
-// directly from daemon node — bypassing placement, health and hedging so
-// a specific replica can be interrogated (gkfs-fsck's replica-agreement
-// check). Bytes past the daemon's last present byte read as zeros, so two
-// full-chunk reads from agreeing replicas are byte-identical even when
-// their chunk files have different physical lengths; at a pinned epoch
-// the daemon serves the chunk's pre-image.
-func (c *Client) ReadChunkFrom(node int, path string, epoch uint64, id meta.ChunkID, p []byte) error {
-	span := []proto.ChunkSpan{{ID: id, Len: int64(len(p))}}
-	if _, err := c.readChunks(node, path, epoch, span, false, p); err != nil {
-		return fmt.Errorf("read %s: daemon %d: %w", path, node, err)
-	}
-	return nil
-}
-
-// writeReq builds node's OpWriteChunks request for the group. A copy
-// bound for any daemon but the chain's primary is marked
-// proto.WriteReplica (it feeds a daemon counter and nothing else).
-func writeReq(node int, chain []int, path string, g *targetGroup) []byte {
-	var flags uint8
-	if node != chain[0] {
-		flags = proto.WriteReplica
-	}
-	return encodeChunkReq(path, g.spans, flags, LiveEpoch)
-}
-
-// wrote validates one replica's OpWriteChunks reply: the daemon must have
-// written every byte of the group.
+// wrote validates one OpWriteChunks reply: the daemon must have written
+// every byte of the group.
 func (g *targetGroup) wrote(d *rpc.Dec, err error) error {
 	if err != nil {
 		return err
@@ -444,67 +306,31 @@ func (g *targetGroup) wrote(d *rpc.Dec, err error) error {
 	return nil
 }
 
-// writeGroup is the one write fan-out, for a synchronous write and for
+// writeGroup is the one chunk write, for a synchronous write and for
 // write-behind's slot alike: it sends the group's spans from its windows
-// of p to every live replica of its chain in turn, on the calling
-// goroutine, runs sent (when set) once every send has returned — nothing
-// references p from then on, so write-behind's caller may reuse it — and
-// then takes the replies and settles them. A chain of one is just a
-// chain; its calls and their outcomes are held on the stack.
+// of p to the group's daemon on the calling goroutine, runs sent (when
+// set) once the send has returned — nothing references p from then on,
+// so write-behind's caller may reuse it — and then takes the reply.
 func (c *Client) writeGroup(path string, g *targetGroup, p []byte, sent func()) error {
-	chain := c.chunkChain(path, g, LiveEpoch)
-	live := c.liveChain(chain)
 	wins := g.windows(p)
-	var callBuf [4]clientCall
-	calls := callBuf[:0]
-	for _, node := range live {
-		calls = append(calls, c.start(node, proto.OpWriteChunks, writeReq(node, chain, path, g), rpc.BulkIn, wins...))
-	}
+	req := chunkReq(path, g.spans)
+	call := c.start(g.target, proto.OpWriteChunks, req.Bytes(), rpc.BulkIn, wins...)
 	clear(wins)
 	if sent != nil {
 		sent()
 	}
-	if len(calls) == 0 {
-		return fmt.Errorf("write %s: replica chain %v: %w", path, chain, ErrDegraded)
-	}
-	var errBuf [4]error
-	errs := errBuf[:0]
-	for i := range calls {
-		errs = append(errs, g.wrote(c.wait(&calls[i])))
-	}
-	return c.settleWrite(path, chain, live, errs)
-}
-
-// settleWrite settles one group's replica outcomes, errs[i] being
-// live[i]'s. The write succeeds when at least one replica acknowledged and
-// none returned a deterministic error; a replica failing at the transport
-// level is struck (and eventually condemned) instead of failing the write
-// — the failover semantics that keep a killed daemon from latching every
-// descriptor. Only when the entire chain is condemned or fails does the
-// write surface ErrDegraded.
-func (c *Client) settleWrite(path string, chain, live []int, errs []error) error {
-	var fails attemptErrs
-	acked := 0
-	for i, err := range errs {
-		c.settle(&fails, chain, live[i], err)
-		if err == nil {
-			acked++
-			if live[i] != chain[0] {
-				atomic.AddUint64(&c.live.ReplicaWrites, 1)
-			}
-		}
-	}
-	if fails.hard != nil || acked == 0 {
-		return fails.err("write", path)
+	if err := g.wrote(c.wait(&call)); err != nil {
+		return opErr("write", path, g.target, err)
 	}
 	return nil
 }
 
 // writeRange pushes p's chunk spans for [off, off+len(p)) synchronously,
-// one writeGroup per primary in parallel — the shared sync write core of
-// descriptor writes and WritePath. Prefetched spans overlapping the range
-// are dropped after the RPCs settle (on failure too: the affected ranges
-// are undefined and a prefetched pre-write image must not mask that).
+// one writeGroup per target group in parallel — the shared sync write
+// core of descriptor writes and WritePath. Prefetched spans overlapping
+// the range are dropped after the RPCs settle (on failure too: the
+// affected ranges are undefined and a prefetched pre-write image must not
+// mask that).
 func (c *Client) writeRange(path string, p []byte, off int64) error {
 	groups := c.groupByTarget(path, off, int64(len(p)))
 	err := runGroups(groups, func(g *targetGroup) error { return c.writeGroup(path, g, p, nil) })
@@ -598,11 +424,10 @@ const writeWindow = 8
 
 // enqueueSpansLocked is write-behind — "send, then wait" over the
 // descriptor's window (window.go) — and returns without waiting for any
-// reply. Each target group is one slot of the window, whatever its chain
-// length, so the window bounds logical chunk writes: Start admits it,
-// and its operation is the synchronous write's own fan-out (writeGroup):
-// it sends the group's spans to every live replica straight from p, then
-// waits for the replies. The groups send in parallel, so a daemon slow
+// reply. Each target group is one slot of the window, so the window
+// bounds chunk writes: Start admits it, and its operation is the
+// synchronous write's own (writeGroup): it sends the group's spans
+// straight from p, then waits for the reply. The groups send in parallel, so a daemon slow
 // to read does not hold up the others, and this returns once every send
 // has: no byte of p is copied in user space, and none is referenced any
 // more (io.Writer lets the caller reuse p at once) — a send returns after
@@ -635,10 +460,7 @@ func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
 			err := c.writeGroup(of.path, g, p, sent.Done)
 			// Drop once the whole write has settled on the daemons (last
 			// group to land): a span fetched — or still in flight — before
-			// this point may predate the write and must not serve. A
-			// replica failing at the transport level was absorbed by
-			// settleWrite; only a write no replica accepted (or a
-			// deterministic refusal) latches.
+			// this point may predate the write and must not serve.
 			if remaining.Add(-1) == 0 {
 				c.dropFetches(of.path, off, end)
 			}

@@ -362,153 +362,135 @@ func TestAsyncErrorSurfacesOnWrite(t *testing.T) {
 
 // TestStatFreeReadRPCCount is the acceptance assertion for the stat-free
 // read protocol and the table test of the one read executor behind it:
-// R ∈ {1, 2} × {through the writing descriptor, live without one, at a
-// pinned epoch} × {single span on and off the metadata owner, multi-span,
-// hole, across and past EOF}. Every case checks the returned bytes
-// against a model of the file and the exact read RPCs each daemon served
-// — a read costs chunk RPCs only (the stat counter must not move), one
-// per group, plus one zero-span size probe at the metadata owner when no
-// group's sole candidate is the owner: at R=1 and at an epoch
-// (primary-only chains) a single chunk on the owner is exactly 1 RPC;
-// live at R=2 every group can be hedged away from the owner, so it is
-// groups + 1. Through the descriptor that wrote the file — its floor is
-// the file's size — a read that ends inside the file asks the owner
-// nothing: one RPC per group at any R, and only the two cases reaching
-// past the end pay for a size view. (The write side of the same table is
-// TestSizeFloorRPCCount.)
+// {through the writing descriptor, live without one, at a pinned epoch} ×
+// {single span on and off the metadata owner, multi-span, hole, across
+// and past EOF}; every chunk has one copy (R1 in the subtest names). Every
+// case checks the returned bytes against a model of the file and the
+// exact read RPCs each daemon served — a read costs chunk RPCs only (the
+// stat counter must not move), one per group, plus one zero-span size
+// probe at the metadata owner when no group is bound for it: a single
+// chunk on the owner is exactly 1 RPC. Through the descriptor that wrote
+// the file — its floor is the file's size — a read that ends inside the
+// file asks the owner nothing: one RPC per group, and only the two cases
+// reaching past the end pay for a size view. (The write side of the same
+// table is TestSizeFloorRPCCount.)
 func TestStatFreeReadRPCCount(t *testing.T) {
 	const cs, nodes = 64, 4
-	for _, replicas := range []int{1, 2} {
-		c, daemons, _ := newCluster(t, "mem", nodes, Config{ChunkSize: cs, Replicas: replicas})
-		const path = "/data"
-		fd, err := c.Open(path, O_CREATE|O_RDWR)
-		if err != nil {
+	c, daemons, _ := newCluster(t, "mem", nodes, Config{ChunkSize: cs})
+	const path = "/data"
+	fd, err := c.Open(path, O_CREATE|O_RDWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pinned image: 6 data chunks, a 4-chunk hole, a 20-byte tail.
+	snap := make([]byte, 10*cs+20)
+	copy(snap, bytes.Repeat([]byte{3}, 6*cs))
+	copy(snap[10*cs:], bytes.Repeat([]byte{4}, 20))
+	for _, off := range []int64{0, 10 * cs} {
+		end := min(off+6*cs, int64(len(snap)))
+		if _, err := c.WriteAt(fd, snap[off:end], off); err != nil {
 			t.Fatal(err)
 		}
-		// The pinned image: 6 data chunks, a 4-chunk hole, a 20-byte tail.
-		snap := make([]byte, 10*cs+20)
-		copy(snap, bytes.Repeat([]byte{3}, 6*cs))
-		copy(snap[10*cs:], bytes.Repeat([]byte{4}, 20))
-		for _, off := range []int64{0, 10 * cs} {
-			end := min(off+6*cs, int64(len(snap)))
-			if _, err := c.WriteAt(fd, snap[off:end], off); err != nil {
-				t.Fatal(err)
-			}
-		}
-		epoch, err := c.Snapshot("pin")
-		if err != nil {
+	}
+	epoch, err := c.Snapshot("pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The live image diverges: the head is overwritten, the file grows.
+	live := make([]byte, 12*cs)
+	copy(live, snap)
+	copy(live, bytes.Repeat([]byte{9}, 6*cs))
+	copy(live[11*cs:], bytes.Repeat([]byte{8}, cs))
+	for _, off := range []int64{0, 11 * cs} {
+		end := min(off+6*cs, int64(len(live)))
+		if _, err := c.WriteAt(fd, live[off:end], off); err != nil {
 			t.Fatal(err)
 		}
-		// The live image diverges: the head is overwritten, the file grows.
-		live := make([]byte, 12*cs)
-		copy(live, snap)
-		copy(live, bytes.Repeat([]byte{9}, 6*cs))
-		copy(live[11*cs:], bytes.Repeat([]byte{8}, cs))
-		for _, off := range []int64{0, 11 * cs} {
-			end := min(off+6*cs, int64(len(live)))
-			if _, err := c.WriteAt(fd, live[off:end], off); err != nil {
-				t.Fatal(err)
-			}
-		}
+	}
 
-		owner := c.dist.MetaTarget(path)
-		onOwner, offOwner := int64(-1), int64(-1)
-		for id := int64(0); id < 6; id++ {
-			if c.dist.ChunkTarget(path, meta.ChunkID(id)) == owner {
-				onOwner = id
-			} else {
-				offOwner = id
-			}
+	owner := c.dist.MetaTarget(path)
+	onOwner, offOwner := int64(-1), int64(-1)
+	for id := int64(0); id < 6; id++ {
+		if c.dist.ChunkTarget(path, meta.ChunkID(id)) == owner {
+			onOwner = id
+		} else {
+			offOwner = id
 		}
-		if onOwner < 0 || offOwner < 0 {
-			t.Fatalf("degenerate placement: onOwner=%d offOwner=%d", onOwner, offOwner)
+	}
+	if onOwner < 0 || offOwner < 0 {
+		t.Fatalf("degenerate placement: onOwner=%d offOwner=%d", onOwner, offOwner)
+	}
+	cases := []struct {
+		name   string
+		off, n int64
+	}{
+		{"single-span-on-owner", onOwner*cs + 8, 32},
+		{"single-span-off-owner", offOwner*cs + 8, 32},
+		{"multi-span", 10, 5 * cs},
+		{"hole", 6*cs + 5, 100},
+		{"across-eof", 10*cs + 4, 3 * cs},
+		{"past-eof", 20 * cs, 100},
+	}
+	for _, mode := range []string{"fd", "live", "epoch"} {
+		model := live
+		read := func(p []byte, off int64) (int, error) { return c.ReadAt(fd, p, off) }
+		switch mode {
+		case "live":
+			read = func(p []byte, off int64) (int, error) { return c.ReadSnapshot(path, LiveEpoch, p, off) }
+		case "epoch":
+			model = snap
+			read = func(p []byte, off int64) (int, error) { return c.ReadSnapshot(path, epoch, p, off) }
 		}
-		cases := []struct {
-			name   string
-			off, n int64
-		}{
-			{"single-span-on-owner", onOwner*cs + 8, 32},
-			{"single-span-off-owner", offOwner*cs + 8, 32},
-			{"multi-span", 10, 5 * cs},
-			{"hole", 6*cs + 5, 100},
-			{"across-eof", 10*cs + 4, 3 * cs},
-			{"past-eof", 20 * cs, 100},
-		}
-		for _, mode := range []string{"fd", "live", "epoch"} {
-			atEpoch := mode == "epoch"
-			model := live
-			read := func(p []byte, off int64) (int, error) { return c.ReadAt(fd, p, off) }
-			switch mode {
-			case "live":
-				read = func(p []byte, off int64) (int, error) { return c.ReadSnapshot(path, LiveEpoch, p, off) }
-			case "epoch":
-				model = snap
-				read = func(p []byte, off int64) (int, error) { return c.ReadSnapshot(path, epoch, p, off) }
-			}
-			for _, tc := range cases {
-				t.Run(fmt.Sprintf("R%d/%s/%s", replicas, mode, tc.name), func(t *testing.T) {
-					// One RPC per primary; the size view rides along only
-					// where the owner is a group's sole candidate — and is
-					// not asked for at all below the descriptor's floor.
-					want := make([]uint64, nodes)
-					probe := mode != "fd" || tc.off+tc.n > int64(len(live))
-					for _, s := range meta.Slices(tc.off, tc.n, cs) {
-						primary := c.dist.ChunkTarget(path, s.ID)
-						want[primary] = 1
-						if primary == owner && (replicas == 1 || atEpoch) {
-							probe = false
-						}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("R1/%s/%s", mode, tc.name), func(t *testing.T) {
+				// One RPC per daemon holding a span; the size view rides
+				// along where the owner holds one — and is not asked for
+				// at all below the descriptor's floor.
+				want := make([]uint64, nodes)
+				probe := mode != "fd" || tc.off+tc.n > int64(len(live))
+				for _, s := range meta.Slices(tc.off, tc.n, cs) {
+					target := c.dist.ChunkTarget(path, s.ID)
+					want[target] = 1
+					if target == owner {
+						probe = false
 					}
-					if probe {
-						want[owner]++
-					}
-					before := make([]daemon.Stats, nodes)
-					for i, d := range daemons {
-						before[i] = d.Stats()
-					}
-					hedged := c.Stats().HedgedReads
+				}
+				if probe {
+					want[owner]++
+				}
+				before := make([]daemon.Stats, nodes)
+				for i, d := range daemons {
+					before[i] = d.Stats()
+				}
 
-					got := bytes.Repeat([]byte{0xEE}, int(tc.n))
-					n, err := read(got, tc.off)
-					wantN := max(min(int64(len(model))-tc.off, tc.n), 0)
-					if int64(n) != wantN || (wantN < tc.n) != (err == io.EOF) || (err != nil && err != io.EOF) {
-						t.Fatalf("read = %d, %v; want %d (EOF iff short)", n, err, wantN)
-					}
-					if wantN > 0 && !bytes.Equal(got[:n], model[tc.off:tc.off+wantN]) {
-						t.Fatalf("wrong bytes: got %v want %v", got[:n], model[tc.off:tc.off+wantN])
-					}
+				got := bytes.Repeat([]byte{0xEE}, int(tc.n))
+				n, err := read(got, tc.off)
+				wantN := max(min(int64(len(model))-tc.off, tc.n), 0)
+				if int64(n) != wantN || (wantN < tc.n) != (err == io.EOF) || (err != nil && err != io.EOF) {
+					t.Fatalf("read = %d, %v; want %d (EOF iff short)", n, err, wantN)
+				}
+				if wantN > 0 && !bytes.Equal(got[:n], model[tc.off:tc.off+wantN]) {
+					t.Fatalf("wrong bytes: got %v want %v", got[:n], model[tc.off:tc.off+wantN])
+				}
 
-					var total, wantTotal uint64
-					served := make([]uint64, nodes)
-					for i, d := range daemons {
-						st := d.Stats()
-						if st.StatOps != before[i].StatOps {
-							t.Fatalf("daemon %d served %d stat RPCs during a read, want 0", i, st.StatOps-before[i].StatOps)
-						}
-						served[i] = st.ReadOps - before[i].ReadOps
-						total += served[i]
-						wantTotal += want[i]
+				served := make([]uint64, nodes)
+				for i, d := range daemons {
+					st := d.Stats()
+					if st.StatOps != before[i].StatOps {
+						t.Fatalf("daemon %d served %d stat RPCs during a read, want 0", i, st.StatOps-before[i].StatOps)
 					}
-					// A hedge timer firing on a loaded runner adds exactly
-					// the RPCs it counts; the per-daemon pin then relaxes
-					// to the total.
-					if extra := c.Stats().HedgedReads - hedged; extra > 0 {
-						if total != wantTotal+extra {
-							t.Fatalf("read RPCs = %d, want %d + %d hedged", total, wantTotal, extra)
-						}
-						return
+					served[i] = st.ReadOps - before[i].ReadOps
+				}
+				for i := range want {
+					if served[i] != want[i] {
+						t.Fatalf("read RPCs per daemon = %v, want %v (owner %d)", served, want, owner)
 					}
-					for i := range want {
-						if served[i] != want[i] {
-							t.Fatalf("read RPCs per daemon = %v, want %v (owner %d)", served, want, owner)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
-		if err := c.Close(fd); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := c.Close(fd); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,8 @@ package client
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/telemetry"
 )
 
 // What this client knows about a file's size lives here: one sizeView per
@@ -13,6 +15,31 @@ import (
 // path's cut before they lower the view, so an answer issued before them
 // changes nothing when it lands; another path's Truncate or Remove does
 // not move the cut. Lock order: Client.mu, then sizeView.mu, a leaf.
+
+// ClientStats are the client-side counters (the daemon-side view lives in
+// proto.DaemonStats; these count decisions only the client can see): what
+// the size view's acknowledged size saved. Each is declared once, by its
+// metric tag: the client bumps its live copy with one atomic add, Stats
+// copies it, and a telemetry registry exports it under that name
+// (internal/telemetry/fields.go).
+type ClientStats struct {
+	// SizeUpdatesElided counts synchronous descriptor writes that ended at
+	// or below the path's acknowledged size and therefore sent no
+	// OpUpdateSize of their own (the next Fsync/Close sends one for all).
+	SizeUpdatesElided uint64 `metric:"gkfs_client_size_updates_elided_total"`
+	// SizeProbesElided counts descriptor reads (demand and read-ahead)
+	// whose range lay below the acknowledged size and therefore asked the
+	// metadata owner for no size view — neither the ReadWantSize flag nor
+	// the zero-span probe RPC.
+	SizeProbesElided uint64 `metric:"gkfs_client_size_probes_elided_total"`
+}
+
+// Stats snapshots the client-side counters.
+func (c *Client) Stats() ClientStats {
+	var st ClientStats
+	telemetry.AddFields(&st, &c.live)
+	return st
+}
 
 // sizeView is what this client knows about one open path's size.
 type sizeView struct {

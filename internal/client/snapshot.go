@@ -216,8 +216,8 @@ func (c *Client) Versions(path string) ([]meta.Version, error) {
 // position, no write-behind and no size cache to coordinate with. It is
 // readRange at a finite epoch — the same fan-out as a live read, each
 // request carrying the epoch, the size clamp taken from the metadata
-// owner's view at that epoch, served by the primary replica only. At
-// LiveEpoch it is a descriptor-free read of the live file.
+// owner's view at that epoch. At LiveEpoch it is a descriptor-free read
+// of the live file.
 func (c *Client) ReadSnapshot(path string, epoch uint64, p []byte, off int64) (int, error) {
 	cp, err := meta.Clean(path)
 	if err != nil {

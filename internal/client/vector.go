@@ -20,7 +20,8 @@ import (
 // batchMeta runs an operation vector through the batch plane. Paths in
 // ops must already be canonical. results[i] is op i's outcome; errs[i]
 // carries a transport or RPC failure of the shard op i traveled in (the
-// whole shard fails together, but other shards are unaffected).
+// whole shard fails together, but other shards are unaffected); a
+// transport failure names op i's own op and path (lostErr).
 func (c *Client) batchMeta(ops []proto.MetaOp) ([]proto.MetaResult, []error) {
 	results := make([]proto.MetaResult, len(ops))
 	errs := make([]error, len(ops))
@@ -57,7 +58,7 @@ func (c *Client) batchMetaCall(node int, idx []int, ops []proto.MetaOp, results 
 	}
 	fail := func(err error) {
 		for _, i := range idx {
-			errs[i] = err
+			errs[i] = lostErr(proto.OpName(rpc.Op(ops[i].Kind)), ops[i].Path, node, err)
 		}
 	}
 	e := rpc.NewEnc(wire)

@@ -111,13 +111,26 @@ func TestPingReturnsIDAndVersion(t *testing.T) {
 	}
 }
 
-// encChunks builds an OpReadChunks or OpWriteChunks request (live epoch).
+// encChunks builds an OpReadChunks request (live epoch).
 func encChunks(path string, spans []proto.ChunkSpan, flags uint8) []byte {
+	return append(encWrite(path, spans), flags)
+}
+
+// encWrite builds an OpWriteChunks request: the path and the span vector.
+func encWrite(path string, spans []proto.ChunkSpan) []byte {
 	e := rpc.NewEnc(len(path) + 17 + 24*len(spans))
 	e.Str(path)
 	proto.EncodeSpans(e, spans)
-	e.U8(flags)
 	return e.Bytes()
+}
+
+// encFor builds op's request for spans of path, op being OpReadChunks or
+// OpWriteChunks.
+func encFor(op rpc.Op, path string, spans []proto.ChunkSpan) []byte {
+	if op == proto.OpWriteChunks {
+		return encWrite(path, spans)
+	}
+	return encChunks(path, spans, 0)
 }
 
 // TestReadChunksSizeView covers the stat-free read reply extension: the
@@ -131,7 +144,7 @@ func TestReadChunksSizeView(t *testing.T) {
 	}
 	// Give /f some bytes and a size.
 	span := []proto.ChunkSpan{{ID: 0, Off: 0, Len: 5}}
-	if _, err := call(t, d, proto.OpWriteChunks, encChunks("/f", span, 0), []byte("hello")); err != nil {
+	if _, err := call(t, d, proto.OpWriteChunks, encWrite("/f", span), []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	e := rpc.NewEnc(32)
@@ -288,7 +301,6 @@ func TestWriteReadChunksThroughHandlers(t *testing.T) {
 		{ID: 0, Off: 10, Len: 5},
 		{ID: 7, Off: 0, Len: 3},
 	})
-	e.U8(0)
 	bulk := []byte("HELLOxyz")
 	dec, err := call(t, d, proto.OpWriteChunks, e.Bytes(), bulk)
 	if err != nil {
@@ -330,7 +342,6 @@ func TestWriteChunksBulkTooSmall(t *testing.T) {
 	e := rpc.NewEnc(32)
 	e.Str("/x")
 	proto.EncodeSpans(e, []proto.ChunkSpan{{ID: 0, Off: 0, Len: 100}})
-	e.U8(0)
 	_, err := call(t, d, proto.OpWriteChunks, e.Bytes(), make([]byte, 10))
 	if err == nil {
 		t.Fatal("short bulk accepted")

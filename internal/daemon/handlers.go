@@ -178,14 +178,11 @@ func forEachSpan(spans []proto.ChunkSpan, fn func(i int, s proto.ChunkSpan, off 
 	return errors.Join(errs...)
 }
 
-// handleWriteChunks stores chunk spans. The WriteReplica flag bit marks
-// the call as a non-primary replica copy, which feeds the ReplicaWrites
-// counter and nothing else — replicas are stored exactly like primaries.
+// handleWriteChunks stores chunk spans.
 func (d *Daemon) handleWriteChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	dec := rpc.NewDec(req)
 	path := dec.Str()
 	spans := proto.DecodeSpans(dec)
-	flags := dec.U8()
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
@@ -212,9 +209,6 @@ func (d *Daemon) handleWriteChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	}
 	atomic.AddUint64(&d.live.WriteOps, 1)
 	atomic.AddUint64(&d.live.WriteBytes, uint64(total))
-	if flags&proto.WriteReplica != 0 {
-		atomic.AddUint64(&d.live.ReplicaWrites, 1)
-	}
 	e := okResp(8)
 	e.I64(total)
 	return e.Bytes(), nil
@@ -224,8 +218,8 @@ func (d *Daemon) handleWriteChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 // ReadWantSize flag, piggybacks this daemon's size view of the path onto
 // the reply — the stat-free read protocol. A zero-span request with the
 // flag set is a pure size probe (the client sends one when no attempt of
-// a read is certain to reach the path's metadata owner) and moves no bulk
-// bytes.
+// a read's groups is bound for the path's metadata owner) and moves no
+// bulk bytes.
 func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	dec := rpc.NewDec(req)
 	path := dec.Str()

@@ -56,7 +56,7 @@ func TestInlineChunkOpsLiveness(t *testing.T) {
 			data := make([]byte, 256)
 			for i := 0; i < ioRounds; i++ {
 				span := []proto.ChunkSpan{{ID: meta.ChunkID((g + i) % chunks), Len: 256}}
-				if _, err := call(a, proto.OpWriteChunks, encChunks(path, span, 0), data, rpc.BulkIn); err != nil {
+				if _, err := call(a, proto.OpWriteChunks, encWrite(path, span), data, rpc.BulkIn); err != nil {
 					errs <- err
 					return
 				}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,39 +13,27 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/proto"
 	"repro/internal/rpc"
-	"repro/internal/telemetry"
 	"repro/internal/transport/wiretest"
 	"repro/internal/vfs"
 )
 
 var rewriteSeed = flag.Int64("rewrite.seed", 1, "seed of TestSharedFileRewritesStayFlat's offsets")
 
-// histSince returns the samples now holds that before did not.
-func histSince(now, before telemetry.HistSnapshot) telemetry.HistSnapshot {
-	old := make(map[uint32]uint64, len(before.Buckets))
-	for _, b := range before.Buckets {
-		old[b.Index] = b.Count
-	}
-	var d telemetry.HistSnapshot
-	for _, b := range now.Buckets {
-		if n := b.Count - old[b.Index]; n > 0 {
-			d.Buckets = append(d.Buckets, telemetry.HistBucket{Index: b.Index, Count: n})
-			d.Count += n
-		}
-	}
-	return d
-}
-
 // TestSharedFileRewritesStayFlat is the shared-file shape at its hardest
 // for the metadata key, against a real daemon: 20 000 synchronous 8 KiB
 // rewrites of one file, each followed by an Fsync — a rewrite below the
 // descriptor's size floor sends no size update of its own, so the barrier
-// is what puts one size-grow merge per write on the key. The size-update handler
-// must cost at the end what it cost at the start (before the merge run
-// was bounded, its median grew with the number of writes), and the
-// grow's contract must be what it was: the final size and mtime are
-// right, a grow under a pinned snapshot stamps a new version, a grow
-// against a directory is refused.
+// is what puts one size-grow merge per write on the key. The path is long
+// enough that the store's log passes its checkpoint trigger every few
+// thousand rewrites, and each checkpoint hands the key to a fresh
+// memtable where its run of bare merge operands starts over. A size
+// update costs the run it walks, so the cost stays flat only if every run
+// stays short: counted, not timed, in every window of 2 000 rewrites the
+// operands the store left unfolded must fit in runs of fewer than
+// runBound — one run per resolve that closed one, per checkpoint that
+// began one, plus one still open. The grow's contract must be what it
+// was: the final size and mtime are right, a grow under a pinned snapshot
+// stamps a new version, a grow against a directory is refused.
 func TestSharedFileRewritesStayFlat(t *testing.T) {
 	d, err := daemon.New(daemon.Config{FS: vfs.NewMem()})
 	if err != nil {
@@ -59,7 +48,8 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 	if err := c.EnsureRoot(); err != nil {
 		t.Fatal(err)
 	}
-	fd, err := c.Create("/shared")
+	shared := "/shared-" + strings.Repeat("x", 2000)
+	fd, err := c.Create(shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,19 +59,29 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 		window = 2000
 		block  = 8 << 10
 		blocks = 512 // a 4 MiB file
+		// runBound is the store's cap on a key's run of bare merge
+		// operands (kvstore's mergeRunBound).
+		runBound = 8
 	)
 	rnd := rand.New(rand.NewSource(*rewriteSeed))
 	buf := make([]byte, block)
-	hist := d.Telemetry().Histogram(telemetry.DaemonOpUpdateSizeNS)
-	var first, beforeLast telemetry.HistSnapshot
+	kvStats := func() (kv kvstore.Stats) {
+		d.Telemetry().Snapshot().View(&kv)
+		return kv
+	}
 	var size int64
 	var lastStart time.Time
+	prev := kvStats()
 	for i := 0; i < writes; i++ {
-		if i == window {
-			first = hist.Snapshot()
-		}
-		if i == writes-window {
-			beforeLast = hist.Snapshot()
+		if i > 0 && i%window == 0 {
+			kv := kvStats()
+			unfolded := (kv.Merges - prev.Merges) - (kv.MergeFolds - prev.MergeFolds)
+			runs := (kv.MergeResolves - prev.MergeResolves) + (kv.Checkpoints - prev.Checkpoints) + 1
+			if unfolded > (runBound-1)*runs {
+				t.Errorf("rewrites %d-%d left %d merge operands unfolded in at most %d runs: a run outgrew %d",
+					i-window, i, unfolded, runs, runBound-1)
+			}
+			prev = kv
 		}
 		off := int64(rnd.Intn(blocks)) * block
 		lastStart = time.Now()
@@ -96,16 +96,11 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 		}
 		size = max(size, off+block)
 	}
-	last := histSince(hist.Snapshot(), beforeLast)
-	if first.Count != window || last.Count != window {
-		t.Fatalf("size-update samples: %d in the first window, %d in the last, want %d each", first.Count, last.Count, window)
-	}
-	if p0, p1 := first.Quantile(0.5), last.Quantile(0.5); p1 > 2*p0 {
-		t.Errorf("%s p50 over the last %d of %d rewrites is %d ns, over the first %d it was %d ns: cost grows with the run",
-			telemetry.DaemonOpUpdateSizeNS, window, writes, p1, window, p0)
+	if kv := kvStats(); kv.Merges < writes || kv.Checkpoints < 2 {
+		t.Fatalf("%d merges across %d checkpoints, want %d across at least 2", kv.Merges, kv.Checkpoints, writes)
 	}
 
-	fi, err := c.Stat("/shared")
+	fi, err := c.Stat(shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +109,6 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 	}
 	if mt := fi.ModTime(); mt.Before(lastStart) || mt.After(time.Now()) {
 		t.Errorf("mtime %v is not the last write's (started %v)", mt, lastStart)
-	}
-	var kv kvstore.Stats
-	d.Telemetry().Snapshot().View(&kv)
-	if kv.Merges < writes || kv.MergeFolds < kv.Merges-7 {
-		t.Errorf("kvstore folded %d of %d merges at insert, want all but the first few", kv.MergeFolds, kv.Merges)
 	}
 
 	// A grow under a pinned snapshot stamps a new version: the snapshot
@@ -130,10 +120,10 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 	if _, err := c.WriteAt(fd, buf, size); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := c.Stat("/shared"); err != nil || fi.Size() != size+block {
+	if fi, err := c.Stat(shared); err != nil || fi.Size() != size+block {
 		t.Errorf("live size after a grow under a pin = %v, %v; want %d", fi.Size(), err, size+block)
 	}
-	if fi, err := c.StatAt("/shared", epoch); err != nil || fi.Size() != size {
+	if fi, err := c.StatAt(shared, epoch); err != nil || fi.Size() != size {
 		t.Errorf("pinned size after a grow = %v, %v; want %d", fi.Size(), err, size)
 	}
 

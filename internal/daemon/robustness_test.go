@@ -87,13 +87,13 @@ func probeSpanOffsets(t *testing.T) {
 	for _, off := range []int64{257, 1 << 36, math.MaxInt64 - 4} {
 		span := []proto.ChunkSpan{{ID: 0, Off: off, Len: 4}}
 		for _, op := range []rpc.Op{proto.OpWriteChunks, proto.OpReadChunks} {
-			if _, err := d.Server().Dispatch(op, encChunks("/v", span, 0), rpc.SliceBulk(make([]byte, 4))); err == nil {
+			if _, err := d.Server().Dispatch(op, encFor(op, "/v", span), rpc.SliceBulk(make([]byte, 4))); err == nil {
 				t.Errorf("%s at offset %d accepted", proto.OpName(op), off)
 			}
 		}
 	}
 	span := []proto.ChunkSpan{{ID: 0, Off: 252, Len: 4}}
-	if _, err := call(t, d, proto.OpWriteChunks, encChunks("/v", span, 0), []byte("data")); err != nil {
+	if _, err := call(t, d, proto.OpWriteChunks, encWrite("/v", span), []byte("data")); err != nil {
 		t.Fatalf("valid write after hostile offsets: %v", err)
 	}
 }

@@ -37,23 +37,16 @@ func TestChunkHandlersRejectSpanOverflow(t *testing.T) {
 						t.Fatalf("op %d case %d panicked: %v", op, i, r)
 					}
 				}()
-				e := rpc.NewEnc(64)
-				e.Str("/victim")
-				proto.EncodeSpans(e, spans)
-				e.U8(0)
 				bulk := rpc.SliceBulk(make([]byte, 16))
-				if _, err := d.Server().Dispatch(op, e.Bytes(), bulk); err == nil {
+				if _, err := d.Server().Dispatch(op, encFor(op, "/victim", spans), bulk); err == nil {
 					t.Fatalf("op %d case %d: hostile spans accepted", op, i)
 				}
 			}()
 		}
 	}
 	// The daemon still serves valid traffic.
-	e := rpc.NewEnc(64)
-	e.Str("/victim")
-	proto.EncodeSpans(e, []proto.ChunkSpan{{ID: 0, Off: 0, Len: 4}})
-	e.U8(0)
-	if _, err := d.Server().Dispatch(proto.OpWriteChunks, e.Bytes(), rpc.SliceBulk([]byte("data"))); err != nil {
+	valid := encWrite("/victim", []proto.ChunkSpan{{ID: 0, Off: 0, Len: 4}})
+	if _, err := d.Server().Dispatch(proto.OpWriteChunks, valid, rpc.SliceBulk([]byte("data"))); err != nil {
 		t.Fatalf("valid write after hostile spans: %v", err)
 	}
 }
@@ -82,7 +75,7 @@ func TestChunkSpanPastChunkRejected(t *testing.T) {
 		{ID: 2, Off: 1 << 40, Len: 8},
 	} {
 		for _, op := range []rpc.Op{proto.OpWriteChunks, proto.OpReadChunks} {
-			_, err := d.Server().Dispatch(op, encChunks("/victim", []proto.ChunkSpan{s}, 0), rpc.SliceBulk(make([]byte, s.Len)))
+			_, err := d.Server().Dispatch(op, encFor(op, "/victim", []proto.ChunkSpan{s}), rpc.SliceBulk(make([]byte, s.Len)))
 			if err == nil || !strings.Contains(err.Error(), "/victim") {
 				t.Errorf("%s of span %+v: err = %v, want a refusal naming the path", proto.OpName(op), s, err)
 			}
@@ -106,7 +99,7 @@ func TestChunkSpanPastChunkRejected(t *testing.T) {
 	}
 	// A span ending exactly at the chunk's end is in bounds.
 	span := []proto.ChunkSpan{{ID: 0, Off: chunk - 4, Len: 4}}
-	if _, err := d.Server().Dispatch(proto.OpWriteChunks, encChunks("/victim", span, 0), rpc.SliceBulk([]byte("tail"))); err != nil {
+	if _, err := d.Server().Dispatch(proto.OpWriteChunks, encWrite("/victim", span), rpc.SliceBulk([]byte("tail"))); err != nil {
 		t.Fatalf("write of the chunk's last 4 bytes: %v", err)
 	}
 }

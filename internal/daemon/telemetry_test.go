@@ -141,7 +141,7 @@ func TestStatsPlanesAgree(t *testing.T) {
 	rpcCall(proto.OpCreate, encCreate("/f", meta.ModeRegular), nil, rpc.BulkNone)
 	rpcCall(proto.OpStat, encPath("/f"), nil, rpc.BulkNone)
 	for i := 0; i < 2; i++ {
-		rpcCall(proto.OpWriteChunks, encChunks("/f", []proto.ChunkSpan{{ID: 0, Len: 4}}, 0), []byte("data"), rpc.BulkIn)
+		rpcCall(proto.OpWriteChunks, encWrite("/f", []proto.ChunkSpan{{ID: 0, Len: 4}}), []byte("data"), rpc.BulkIn)
 	}
 
 	before := statz()
@@ -333,7 +333,7 @@ func TestOpenChunkHandlesBoundedAndReleased(t *testing.T) {
 	const chunks = 600 // more than the cache holds
 	var peak int64
 	for id := 0; id < chunks; id++ {
-		req := encChunks("/data", []proto.ChunkSpan{{ID: meta.ChunkID(id), Len: 4}}, 0)
+		req := encWrite("/data", []proto.ChunkSpan{{ID: meta.ChunkID(id), Len: 4}})
 		if _, err := call(t, d, proto.OpWriteChunks, req, []byte("data")); err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +344,7 @@ func TestOpenChunkHandlesBoundedAndReleased(t *testing.T) {
 		t.Fatalf("after %d first touches: gauge peaked at %d, stats %+v; want the gauge at the bound and one eviction per miss past it", chunks, peak, st)
 	}
 	// A rewrite of a chunk still cached opens nothing.
-	req := encChunks("/data", []proto.ChunkSpan{{ID: chunks - 1, Len: 4}}, 0)
+	req := encWrite("/data", []proto.ChunkSpan{{ID: chunks - 1, Len: 4}})
 	if _, err := call(t, d, proto.OpWriteChunks, req, []byte("DATA")); err != nil {
 		t.Fatal(err)
 	}

@@ -16,25 +16,6 @@ import (
 	"repro/internal/meta"
 )
 
-// successors returns [primary, primary+1, ..., primary+r-1] mod n with r
-// clamped to [1, n]. Placing replicas on the ring successors of the
-// primary (Grid Datafarm's placement) keeps the chain a pure function of
-// the primary alone: every span that hashes to the same primary shares
-// one replica chain, so failover and hedging operate per target group.
-func successors(primary, n, r int) []int {
-	if r > n {
-		r = n
-	}
-	if r < 1 {
-		r = 1
-	}
-	out := make([]int, r)
-	for k := range out {
-		out[k] = (primary + k) % n
-	}
-	return out
-}
-
 // hashPath hashes a path with FNV-1a, the same family of cheap
 // non-cryptographic hash the released GekkoFS uses (std::hash).
 func hashPath(path string) uint64 {
@@ -79,13 +60,4 @@ func (d *SimpleHash) MetaTarget(path string) int {
 // ChunkTarget returns the daemon index owning chunk id of path.
 func (d *SimpleHash) ChunkTarget(path string, id meta.ChunkID) int {
 	return int(hashPathChunk(path, id) % uint64(d.n))
-}
-
-// ChunkReplicas returns the r daemon indexes holding chunk id of path:
-// the primary (identical to ChunkTarget) first, then r−1 distinct
-// successors. r is clamped to the daemon count; r ≤ 1 returns exactly
-// [ChunkTarget(path, id)], reproducing the unreplicated placement
-// bit-for-bit. The returned indexes are always pairwise distinct.
-func (d *SimpleHash) ChunkReplicas(path string, id meta.ChunkID, r int) []int {
-	return successors(d.ChunkTarget(path, id), d.n, r)
 }

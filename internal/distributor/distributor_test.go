@@ -84,90 +84,6 @@ func TestConstructorsPanicOnBadArgs(t *testing.T) {
 	mustPanic("NewSimpleHash(-1)", func() { NewSimpleHash(-1) })
 }
 
-func TestChunkReplicasDistinct(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 16} {
-		d := NewSimpleHash(n)
-		for r := 1; r <= n; r++ {
-			for c := meta.ChunkID(0); c < 64; c++ {
-				reps := d.ChunkReplicas("/data/f", c, r)
-				if len(reps) != r {
-					t.Fatalf("n=%d r=%d: got %d replicas", n, r, len(reps))
-				}
-				seen := make(map[int]bool, r)
-				for _, node := range reps {
-					if node < 0 || node >= n {
-						t.Fatalf("n=%d r=%d: replica %d out of range", n, r, node)
-					}
-					if seen[node] {
-						t.Fatalf("n=%d r=%d: duplicate replica %d in %v", n, r, node, reps)
-					}
-					seen[node] = true
-				}
-			}
-		}
-	}
-}
-
-// TestChunkReplicasR1Identity: r=1 must reproduce the unreplicated
-// placement bit-for-bit, so existing clusters are untouched by the knob.
-func TestChunkReplicasR1Identity(t *testing.T) {
-	d := NewSimpleHash(17)
-	f := func(path string, id uint16) bool {
-		reps := d.ChunkReplicas(path, meta.ChunkID(id), 1)
-		return len(reps) == 1 && reps[0] == d.ChunkTarget(path, meta.ChunkID(id))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestChunkReplicasDeterministic: two independently constructed
-// distributors (two clients) must agree on the full replica chain, and
-// the chain must lead with the primary.
-func TestChunkReplicasDeterministic(t *testing.T) {
-	d1, d2 := NewSimpleHash(11), NewSimpleHash(11)
-	f := func(path string, id uint16) bool {
-		a := d1.ChunkReplicas(path, meta.ChunkID(id), 3)
-		b := d2.ChunkReplicas(path, meta.ChunkID(id), 3)
-		if len(a) != 3 || len(b) != 3 || a[0] != d1.ChunkTarget(path, meta.ChunkID(id)) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestChunkReplicasClamped: asking for more replicas than daemons must
-// clamp to n (every daemon once), never duplicate or overflow.
-func TestChunkReplicasClamped(t *testing.T) {
-	const n = 4
-	d := NewSimpleHash(n)
-	for _, r := range []int{n + 1, 2 * n, 100} {
-		reps := d.ChunkReplicas("/x", 7, r)
-		if len(reps) != n {
-			t.Fatalf("r=%d: got %d replicas, want clamp to %d", r, len(reps), n)
-		}
-		seen := make(map[int]bool)
-		for _, node := range reps {
-			seen[node] = true
-		}
-		if len(seen) != n {
-			t.Fatalf("r=%d: clamped chain %v does not cover all %d daemons", r, reps, n)
-		}
-	}
-	// r ≤ 0 degrades to the primary alone rather than panicking.
-	if reps := d.ChunkReplicas("/x", 7, 0); len(reps) != 1 || reps[0] != d.ChunkTarget("/x", 7) {
-		t.Fatalf("r=0: got %v, want [primary]", reps)
-	}
-}
-
 func TestDifferentPathsSpread(t *testing.T) {
 	// Distinct paths should not all collapse to one node (sanity against a
 	// constant hash).

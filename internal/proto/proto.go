@@ -19,10 +19,10 @@ import (
 // and payloads carry no version tag of their own, so a deployment runs
 // one generation on every client and daemon — which a per-job file
 // system, shipping both ends from one build, always does. Daemons report
-// it in every OpPing reply, and client.ProbeDaemon checks it at mount and
-// at rejoin, refusing any other generation. Any change to a frame or
+// it in every OpPing reply, and client.ProbeDaemon checks it at mount,
+// refusing any other generation. Any change to a frame or
 // payload shape bumps it. CHANGES.md records what each generation changed.
-const ProtocolVersion uint16 = 13
+const ProtocolVersion uint16 = 14
 
 // RPC operations. Each corresponds to one registered Mercury RPC in the
 // released GekkoFS.
@@ -39,7 +39,8 @@ const (
 	// OpUpdateSize grows (merge) or sets (truncate) a file's size.
 	OpUpdateSize
 	// OpWriteChunks stores spans of one or more chunks held by the target
-	// daemon; data travels in the bulk region (daemon pulls).
+	// daemon; data travels in the bulk region (daemon pulls). The request
+	// is the path and the span vector, nothing after them.
 	OpWriteChunks
 	// OpReadChunks fetches spans of chunks; data returns through the bulk
 	// region (daemon pushes).
@@ -275,13 +276,6 @@ const (
 	ReadSizeFile uint8 = 1
 )
 
-// WriteReplica is the OpWriteChunks request flag bit (the u8 flags field
-// after the span vector) marking the write as a non-primary replica copy.
-// The daemon stores it exactly like a primary write — the bit only feeds
-// the ReplicaWrites counter, so replication overhead is observable per
-// daemon without changing the storage path.
-const WriteReplica uint8 = 1 << 0
-
 // RemoveFileOnly is the OpRemoveMeta flag bit asking the daemon to refuse
 // directories with ErrnoIsDir instead of deleting them. It lets a client
 // unlink a regular file in a single RPC — no leading stat to find out
@@ -389,11 +383,6 @@ type DaemonStats struct {
 	WireBytesOut   uint64 `metric:"gkfs_daemon_wire_bytes_out_total"`
 	VectoredWrites uint64 `metric:"gkfs_daemon_vectored_writes_total"`
 	ShmCalls       uint64 `metric:"gkfs_daemon_shm_calls_total"`
-	// ReplicaWrites counts OpWriteChunks calls carrying the WriteReplica
-	// flag — chunk copies stored on behalf of replication rather than
-	// primary placement. WriteOps counts primaries and replicas alike, so
-	// WriteOps−ReplicaWrites is the primary write load.
-	ReplicaWrites uint64 `metric:"gkfs_daemon_replica_writes_total"`
 	// SnapshotPins counts committed epoch pins (OpSnapshot commits) and
 	// SnapshotDrops dropped tags. SnapshotReads counts epoch-pinned
 	// reads served (stat/readdir/chunk reads carrying an epoch).

@@ -148,7 +148,7 @@ func TestSnapshotMerge(t *testing.T) {
 	var total Snapshot
 	total.Merge(mk(1))
 	total.Merge(mk(2))
-	total.Merge(Snapshot{}) // a condemned daemon's zero snapshot
+	total.Merge(Snapshot{}) // an empty snapshot
 	if total.Counters["c"] != 3 || total.Gauges["g"] != 3 || total.Hists["h"].Count != 2 || total.Hists["h"].Sum != 3000 {
 		t.Fatalf("Merge = %+v", total)
 	}

@@ -17,9 +17,9 @@ import (
 // from concurrent callers move in parallel — the per-node transport
 // parallelism wide striping needs (paper §III-B, Fig. 4).
 //
-// Requests are spread round-robin by request id. A connection condemned
-// by a transport failure is closed and lazily re-dialed on the next call
-// that lands on its slot; handler errors and call timeouts do not condemn
+// Requests are spread round-robin by request id. A connection broken by
+// a transport failure is closed and lazily re-dialed on the next call
+// that lands on its slot; handler errors and call timeouts do not drop
 // the connection.
 type Pool struct {
 	dial   func() (rpc.Conn, error)
@@ -105,7 +105,7 @@ func (p *Pool) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, e
 // Start implements rpc.Starter, forwarding the call to the slot selected
 // by the next request id (a slot's connection without the extension
 // stages the windows). The start is forwarded like any call; the reply
-// condemns the slot's connection when its wait sees a transport failure.
+// drops the slot's connection when its wait sees a transport failure.
 func (p *Pool) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) (rpc.Reply, error) {
 	var r *poolReply
 	err := p.forward(func(s *poolSlot, conn rpc.Conn) error {
@@ -123,7 +123,7 @@ func (p *Pool) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, 
 }
 
 // poolReply is the reply of a call the pool started: the connection's own,
-// and the slot to condemn if its wait fails at the transport level.
+// and the slot to drop if its wait fails at the transport level.
 // Recycled through poolReplies once waited on.
 type poolReply struct {
 	p     *Pool
@@ -137,7 +137,7 @@ var poolReplies = sync.Pool{New: func() any { return new(poolReply) }}
 // Wait implements rpc.Reply.
 func (r *poolReply) Wait() ([]byte, error) {
 	resp, err := r.inner.Wait()
-	if err != nil && condemns(err) {
+	if err != nil && connBroken(err) {
 		r.p.invalidate(r.s, r.conn)
 	}
 	*r = poolReply{}
@@ -146,7 +146,7 @@ func (r *poolReply) Wait() ([]byte, error) {
 }
 
 // forward runs one call, try, on the slot selected by the next request
-// id, condemning the slot's connection on a transport failure. A
+// id, dropping the slot's connection on a transport failure. A
 // connection that was already dead when the call reached it — its peer
 // went away while it sat idle in the slot — refused the call before
 // sending any of it (unsentError), so the call runs once more on a fresh
@@ -170,7 +170,7 @@ func (p *Pool) forward(try func(s *poolSlot, conn rpc.Conn) error) error {
 			return err
 		}
 		err = try(s, conn)
-		if err == nil || !condemns(err) {
+		if err == nil || !connBroken(err) {
 			return err
 		}
 		p.invalidate(s, conn)
@@ -182,7 +182,7 @@ func (p *Pool) forward(try func(s *poolSlot, conn rpc.Conn) error) error {
 }
 
 // acquire returns the slot's connection, dialing one if the slot is empty
-// (first use, or the previous connection was condemned).
+// (first use, or the previous connection was dropped).
 func (p *Pool) acquire(s *poolSlot) (rpc.Conn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -203,9 +203,10 @@ func (p *Pool) acquire(s *poolSlot) (rpc.Conn, error) {
 	return conn, nil
 }
 
-// condemns reports whether err means the connection itself is unusable.
-// Remote handler errors and call timeouts leave the socket healthy.
-func condemns(err error) bool {
+// connBroken reports whether err means the connection itself is
+// unusable. Remote handler errors and call timeouts leave the socket
+// healthy.
+func connBroken(err error) bool {
 	var re *rpc.RemoteError
 	return !errors.As(err, &re) && !errors.Is(err, ErrTimeout)
 }

@@ -1,6 +1,6 @@
 // Package vfs is a minimal virtual file system boundary between storage
-// engines (the KV store's WAL/SSTables, the chunk store's chunk files) and
-// the machine they run on.
+// engines (the KV store's WAL and checkpoint, the chunk store's chunk
+// files) and the machine they run on.
 //
 // Two implementations are provided: OS (real files, used by the daemons
 // when persisting to node-local storage, the paper's XFS-formatted SSD)

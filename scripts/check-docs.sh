@@ -11,8 +11,9 @@
 #     the suite, and its section must record "The defect it catches in
 #     the live tree" — an analyzer is kept on evidence.
 #  4. Every exported metric name (`gkfs-daemon -print-metrics`) must
-#     appear in docs/OBSERVABILITY.md, so the metric catalog cannot
-#     drift behind the telemetry tier.
+#     appear in docs/OBSERVABILITY.md, and every backticked `gkfs_*` name
+#     there must be exported, so the metric catalog can neither drift
+#     behind the telemetry tier nor keep a metric it no longer has.
 #  5. Every backticked repo-relative path the docs name (`internal/…`,
 #     `cmd/…`, `scripts/…`, `docs/…`, `bench/…`, `gekkofs/…`,
 #     `examples/…`) must exist: a `:line` suffix is stripped and a `<N>`
@@ -61,13 +62,25 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp" ./cmd/gkfs-bench ./cmd/gkfs-shell ./cmd/gkfs-vet ./cmd/gkfs-daemon
 
-# Every exported metric must appear in the observability catalog.
+# Every exported metric must appear in the observability catalog, and
+# every metric the catalog names must be exported.
+"$tmp/gkfs-daemon" -print-metrics > "$tmp/metrics"
+if [ ! -s "$tmp/metrics" ]; then
+  echo "gkfs-daemon -print-metrics printed nothing — extraction is broken"
+  fail=1
+fi
 while read -r metric; do
   if ! grep -q "\`$metric\`" docs/OBSERVABILITY.md; then
     echo "metric $metric is exported but not documented in docs/OBSERVABILITY.md"
     fail=1
   fi
-done < <("$tmp/gkfs-daemon" -print-metrics)
+done < "$tmp/metrics"
+while read -r metric; do
+  if ! grep -qxF "$metric" "$tmp/metrics"; then
+    echo "docs/OBSERVABILITY.md names metric $metric, which gkfs-daemon -print-metrics does not export"
+    fail=1
+  fi
+done < <(grep -ohE '`gkfs_[a-z0-9_]+`' docs/OBSERVABILITY.md | tr -d '`' | sort -u)
 
 # Every shipped analyzer must appear in the invariant catalog, and its
 # section must record the defect it catches in the live tree.
