@@ -16,11 +16,11 @@ import (
 	"repro/internal/workload"
 )
 
-// checkpointConfig shapes the checkpoint/restart workload: workers
-// repeatedly overwrite their checkpoint files (one epoch per round),
-// each round is pinned under a snapshot tag, and the previous round's
-// tag drains to the host concurrently with the next round's writes —
-// the burst-buffer shape where compute never waits for the PFS.
+// checkpointConfig shapes the checkpoint/restart workload: workers write
+// one checkpoint per round (an epoch), each into a directory of its own,
+// and the previous epoch's directory drains to the host concurrently with
+// the next epoch's writes — the burst-buffer shape where compute never
+// waits for the PFS.
 type checkpointConfig struct {
 	Workers   int
 	Files     int // files per worker
@@ -46,9 +46,16 @@ func ckFill(buf []byte, epoch, w, f int) {
 	rand.New(rand.NewSource(int64(epoch)<<40 | int64(w)<<20 | int64(f))).Read(buf)
 }
 
-func ckPath(w, f int) string { return fmt.Sprintf("%s/w%d/f%d.dat", ckDir, w, f) }
-func ckRel(w, f int) string  { return filepath.Join(fmt.Sprintf("w%d", w), fmt.Sprintf("f%d.dat", f)) }
+// ckTag names an epoch's checkpoint: its directory under ckDir and its
+// staged tree on the host.
 func ckTag(epoch int) string { return fmt.Sprintf("ck-%d", epoch) }
+
+func ckEpochDir(epoch int) string { return ckDir + "/" + ckTag(epoch) }
+func ckWorkerDir(epoch, w int) string {
+	return fmt.Sprintf("%s/w%d", ckEpochDir(epoch), w)
+}
+func ckPath(epoch, w, f int) string { return fmt.Sprintf("%s/f%d.dat", ckWorkerDir(epoch, w), f) }
+func ckRel(w, f int) string         { return filepath.Join(fmt.Sprintf("w%d", w), fmt.Sprintf("f%d.dat", f)) }
 
 // ckRetry runs op until it succeeds or the retry window closes.
 func ckRetry(op func() error) error {
@@ -80,34 +87,16 @@ func ckWriteFile(c *client.Client, path string, data []byte) error {
 	})
 }
 
-// ckSnapshot pins tag with retries. A retry that finds the tag already
-// committed (a previous attempt's commit fan-out half-landed, then
-// finished — or fully landed before the error surfaced) resolves it; a
-// partial commit is dropped and re-taken.
-func ckSnapshot(c *client.Client, tag string) (uint64, error) {
-	var epoch uint64
-	err := ckRetry(func() error {
-		var err error
-		epoch, err = c.Snapshot(tag)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, proto.ErrExist) {
-			if ep, rerr := c.SnapshotEpoch(tag); rerr == nil {
-				epoch = ep
-				return nil
-			}
-			c.SnapshotDrop(tag)
-		}
-		return err
-	})
-	return epoch, err
-}
-
-// writeCkEpoch overwrites every checkpoint file with the epoch's
-// content, all workers in parallel, and reports the wall-clock time.
+// writeCkEpoch writes every checkpoint file of the epoch into the
+// epoch's directory, all workers in parallel, and reports the wall-clock
+// time.
 func writeCkEpoch(c *client.Client, cfg checkpointConfig, epoch int) (time.Duration, error) {
 	begin := time.Now()
+	for w := 0; w < cfg.Workers; w++ {
+		if err := ckRetry(func() error { return c.MkdirAll(ckWorkerDir(epoch, w)) }); err != nil {
+			return 0, err
+		}
+	}
 	errs := make([]error, cfg.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -117,7 +106,7 @@ func writeCkEpoch(c *client.Client, cfg checkpointConfig, epoch int) (time.Durat
 			buf := make([]byte, cfg.FileBytes)
 			for f := 0; f < cfg.Files; f++ {
 				ckFill(buf, epoch, w, f)
-				if err := ckWriteFile(c, ckPath(w, f), buf); err != nil {
+				if err := ckWriteFile(c, ckPath(epoch, w, f), buf); err != nil {
 					errs[w] = fmt.Errorf("worker %d epoch %d: %w", w, epoch, err)
 					return
 				}
@@ -128,20 +117,53 @@ func writeCkEpoch(c *client.Client, cfg checkpointConfig, epoch int) (time.Durat
 	return time.Since(begin), errors.Join(errs...)
 }
 
-// ckStageOut drains one committed tag to dst with retries (a retry
-// restarts from a clean destination).
-func ckStageOut(c *client.Client, tag, dst string) (*staging.Report, error) {
+// ckStageOut drains one finished epoch's directory to dst with retries (a
+// retry restarts from a clean destination).
+func ckStageOut(c *client.Client, epoch int, dst string) (*staging.Report, error) {
 	var rep *staging.Report
 	err := ckRetry(func() error {
 		os.RemoveAll(dst)
 		var err error
-		rep, err = staging.StageOut(c, ckDir, dst, staging.Options{Snapshot: tag})
+		rep, err = staging.StageOut(c, ckEpochDir(epoch), dst, staging.Options{})
 		if err != nil {
 			return err
 		}
 		return rep.Err()
 	})
 	return rep, err
+}
+
+// ckRemoveEpoch removes a drained epoch's directory tree, giving its
+// space back to the node-local stores. A retry after a partial removal
+// finds some paths gone already, which is what it wants.
+func ckRemoveEpoch(c *client.Client, cfg checkpointConfig, epoch int) error {
+	gone := func(err error) error {
+		if errors.Is(err, proto.ErrNotExist) {
+			return nil
+		}
+		return err
+	}
+	files := make([]string, 0, cfg.Workers*cfg.Files)
+	for w := 0; w < cfg.Workers; w++ {
+		for f := 0; f < cfg.Files; f++ {
+			files = append(files, ckPath(epoch, w, f))
+		}
+	}
+	return ckRetry(func() error {
+		var errs []error
+		for _, err := range c.RemoveMany(files) {
+			errs = append(errs, gone(err))
+		}
+		if err := errors.Join(errs...); err != nil {
+			return err
+		}
+		for w := 0; w < cfg.Workers; w++ {
+			if err := gone(c.Remove(ckWorkerDir(epoch, w))); err != nil {
+				return err
+			}
+		}
+		return gone(c.Remove(ckEpochDir(epoch)))
+	})
 }
 
 // ckVerifyTree byte-compares one staged epoch tree against regenerated
@@ -170,7 +192,7 @@ func ckVerifyTree(cfg checkpointConfig, epoch int, stagedDir, truthDir string) (
 				return files, total, fmt.Errorf("epoch %d: %w", epoch, err)
 			}
 			if !bytes.Equal(got, buf) {
-				return files, total, fmt.Errorf("epoch %d: staged %s differs from its pre-image", epoch, ckRel(w, f))
+				return files, total, fmt.Errorf("epoch %d: staged %s differs from its ground truth", epoch, ckRel(w, f))
 			}
 			files++
 			total += int64(len(got))
@@ -181,11 +203,11 @@ func ckVerifyTree(cfg checkpointConfig, epoch int, stagedDir, truthDir string) (
 
 // runCheckpoint drives the overlapped checkpoint loop: epoch 0 writes
 // alone (the baseline), then every later epoch's writes run concurrently
-// with the previous epoch's snapshot stage-out. Snapshot isolation is
-// what makes the overlap safe — the drain reads the namespace as pinned
-// at its tag's epoch while the live writers overwrite the same files —
-// and the report quantifies it: overlapped write throughput over the
-// baseline is the overlap efficiency (1.0 = staging is free).
+// with the previous epoch's stage-out. The epochs' directories are what
+// makes the overlap safe — the drain reads a directory nothing writes any
+// more while the writers fill the next one — and the report quantifies
+// it: overlapped write throughput over the baseline is the overlap
+// efficiency (1.0 = staging is free).
 func runCheckpoint(factory workload.ClientFactory, cfg checkpointConfig) error {
 	if cfg.Epochs < 2 {
 		return fmt.Errorf("checkpoint: need at least 2 epochs (got %d)", cfg.Epochs)
@@ -205,11 +227,6 @@ func runCheckpoint(factory workload.ClientFactory, cfg checkpointConfig) error {
 	} else if err := os.MkdirAll(out, 0o777); err != nil {
 		return err
 	}
-	for w := 0; w < cfg.Workers; w++ {
-		if err := ckRetry(func() error { return c.MkdirAll(fmt.Sprintf("%s/w%d", ckDir, w)) }); err != nil {
-			return err
-		}
-	}
 	epochBytes := int64(cfg.Workers) * int64(cfg.Files) * cfg.FileBytes
 	mibps := func(d time.Duration) float64 { return float64(epochBytes) / (1 << 20) / d.Seconds() }
 	fmt.Printf("checkpoint: %d workers x %d files x %d bytes, %d epochs\n",
@@ -223,14 +240,11 @@ func runCheckpoint(factory workload.ClientFactory, cfg checkpointConfig) error {
 	baseline := mibps(d0)
 	fmt.Printf("  epoch 0 write: %10.1f MiB/s (baseline)\n", baseline)
 
-	// Every later epoch: stage out epoch e-1's tag while writing epoch e.
+	// Every later epoch: stage out epoch e-1's directory while writing
+	// epoch e.
 	var overlapped float64
 	for e := 1; e < cfg.Epochs; e++ {
 		tag := ckTag(e - 1)
-		epoch, err := ckSnapshot(c, tag)
-		if err != nil {
-			return fmt.Errorf("snapshot %s: %w", tag, err)
-		}
 		var (
 			wg       sync.WaitGroup
 			rep      *staging.Report
@@ -241,8 +255,11 @@ func runCheckpoint(factory workload.ClientFactory, cfg checkpointConfig) error {
 		go func() {
 			defer wg.Done()
 			begin := time.Now()
-			rep, stageErr = ckStageOut(c, tag, filepath.Join(out, tag))
+			rep, stageErr = ckStageOut(c, e-1, filepath.Join(out, tag))
 			stageDur = time.Since(begin)
+			if stageErr == nil {
+				stageErr = ckRemoveEpoch(c, cfg, e-1)
+			}
 		}()
 		dw, werr := writeCkEpoch(c, cfg, e)
 		wg.Wait()
@@ -252,25 +269,20 @@ func runCheckpoint(factory workload.ClientFactory, cfg checkpointConfig) error {
 		if stageErr != nil {
 			return fmt.Errorf("stage-out %s: %w", tag, stageErr)
 		}
-		if err := ckRetry(func() error { return c.SnapshotDrop(tag) }); err != nil {
-			return fmt.Errorf("drop %s: %w", tag, err)
-		}
 		overlapped += mibps(dw)
 		fmt.Printf("  epoch %d write: %10.1f MiB/s | stage-out %s (epoch %d): %d files, %10.1f MiB/s\n",
-			e, mibps(dw), tag, epoch, rep.Files, float64(rep.Bytes)/(1<<20)/stageDur.Seconds())
+			e, mibps(dw), tag, e-1, rep.Files, float64(rep.Bytes)/(1<<20)/stageDur.Seconds())
 	}
 
 	// The last epoch drains without competing writers, completing the set
 	// of staged trees (one per epoch) for external diff -r checks.
-	lastTag := ckTag(cfg.Epochs - 1)
-	if _, err := ckSnapshot(c, lastTag); err != nil {
-		return fmt.Errorf("snapshot %s: %w", lastTag, err)
-	}
-	if _, err := ckStageOut(c, lastTag, filepath.Join(out, lastTag)); err != nil {
+	last := cfg.Epochs - 1
+	lastTag := ckTag(last)
+	if _, err := ckStageOut(c, last, filepath.Join(out, lastTag)); err != nil {
 		return fmt.Errorf("stage-out %s: %w", lastTag, err)
 	}
-	if err := ckRetry(func() error { return c.SnapshotDrop(lastTag) }); err != nil {
-		return fmt.Errorf("drop %s: %w", lastTag, err)
+	if err := ckRemoveEpoch(c, cfg, last); err != nil {
+		return fmt.Errorf("remove %s: %w", lastTag, err)
 	}
 
 	eff := overlapped / float64(cfg.Epochs-1) / baseline

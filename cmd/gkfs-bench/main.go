@@ -52,7 +52,7 @@ func main() {
 	flag.Var(&stageSmall, "stage-small", "stage: generated small-file size (count = -files)")
 	ioPath := flag.String("io-path", "/io-bench/stream.dat", "io: file path inside the deployment")
 	ioDelay := flag.Duration("io-delay", 0, "io: pause between transfers, stretching the write phase so an external fault can land mid-stream")
-	ckEpochs := flag.Int("ck-epochs", 3, "checkpoint: rounds to run (each epoch's writes overlap the previous epoch's snapshot stage-out)")
+	ckEpochs := flag.Int("ck-epochs", 3, "checkpoint: rounds to run (each epoch's writes overlap the previous epoch's stage-out)")
 	ckBytes := cli.Size(1 << 20)
 	flag.Var(&ckBytes, "ck-bytes", "checkpoint: bytes per checkpoint file (count = -workers x -files)")
 	ckOut := flag.String("ck-out", "", "checkpoint: keep the staged trees and ground truth under this directory (empty = temp, removed)")

@@ -195,58 +195,6 @@ func main() {
 		if err := rep.Err(); err != nil {
 			fatal("%s: per-file failures:\n%v", cmd, err)
 		}
-	case "snapshot":
-		// Subcommands mirror the FS facade: create pins the namespace
-		// cluster-wide (two-phase, client-driven), list shows the tags
-		// every daemon agrees on, drop releases a tag's pinned history,
-		// stage-out copies a tree exactly as pinned at a tag's epoch.
-		need(rest, 1)
-		sub, sargs := rest[0], rest[1:]
-		switch sub {
-		case "create":
-			need(sargs, 1)
-			epoch, err := c.Snapshot(sargs[0])
-			if err != nil {
-				fatal("snapshot create: %v", err)
-			}
-			fmt.Printf("snapshot %s pinned at epoch %d\n", sargs[0], epoch)
-		case "list":
-			ents, err := c.Snapshots()
-			if err != nil {
-				fatal("snapshot list: %v", err)
-			}
-			for _, ent := range ents {
-				fmt.Printf("%-24s epoch %d\n", ent.Tag, ent.Epoch)
-			}
-		case "drop":
-			need(sargs, 1)
-			if err := c.SnapshotDrop(sargs[0]); err != nil {
-				fatal("snapshot drop: %v", err)
-			}
-			fmt.Printf("snapshot %s dropped\n", sargs[0])
-		case "stage-out":
-			need(sargs, 3)
-			opts := staging.Options{
-				Workers:  *stageWorkers,
-				Manifest: *manifest,
-				Snapshot: sargs[0],
-			}
-			rep, err := staging.StageOut(c, sargs[1], sargs[2], opts)
-			if rep != nil {
-				fmt.Printf("snapshot stage-out %s %s -> %s: %s\n", sargs[0], sargs[1], sargs[2], rep.Summary())
-				for _, note := range rep.Notes {
-					fmt.Fprintf(os.Stderr, "note: %s\n", note)
-				}
-			}
-			if err != nil {
-				fatal("snapshot stage-out: %v", err)
-			}
-			if err := rep.Err(); err != nil {
-				fatal("snapshot stage-out: per-file failures:\n%v", err)
-			}
-		default:
-			usage()
-		}
 	case "stats":
 		for {
 			runStats(c, *jsonOut)
@@ -334,8 +282,8 @@ func runStats(c *client.Client, jsonOut bool) {
 	// The open-chunk cache: a low hit share on a small-I/O workload means
 	// its hot chunk set outgrew the cache and every miss pays an open. The
 	// mapped share is the read-reply bytes sent from a chunk file's mapping
-	// rather than copied by a read; well below 1 on live reads means the
-	// copying fallback served them (pinned epochs, unmappable files). The
+	// rather than copied by a read; well below 1 means the copying
+	// fallback served them (shm/mem carriers, unmappable files). The
 	// write mapped share is the written bytes copied into a mapping rather
 	// than pwritten: small in-place rewrites; map faults are copies that
 	// faulted and were redone by pwrite.
@@ -367,10 +315,6 @@ commands:
   cat <remote>         print a file
   stage-in <localdir> <remotedir>   parallel-copy a directory tree in
   stage-out <remotedir> <localdir>  parallel-copy a directory tree out
-  snapshot create <tag>             pin the namespace cluster-wide
-  snapshot list                     list committed snapshots
-  snapshot drop <tag>               unpin a snapshot
-  snapshot stage-out <tag> <remotedir> <localdir>  copy a tree as pinned at <tag>
   stats                print per-daemon operation counters
 flags: see -h`)
 	os.Exit(2)

@@ -103,45 +103,6 @@ func (fs *FS) StageOut(fsDir, hostDir string, opts StageOptions) (*StageReport, 
 	return staging.StageOut(fs.c, fsDir, hostDir, opts)
 }
 
-// Snapshot pins the namespace under a tag, cluster-wide, and returns
-// the pinned epoch. The commit is client-driven and two-phase — reserve
-// an epoch at every daemon, commit the maximum everywhere — so daemons
-// never talk to each other (the paper's shared-nothing rule). After a
-// successful return, snapshot-aware reads at the tag (StatAt, ReadDirAt,
-// StageOut with StageOptions.Snapshot, gkfs-fsck -snapshot) observe the
-// namespace exactly as of the commit: later writes, truncates and
-// removes land in newer epochs and never disturb the pinned view.
-// Writes racing the commit may land inside the snapshot (each daemon
-// stamps operations with its epoch at arrival) — the snapshot is a
-// consistent cut, not a global write barrier. Tags are 1–255 bytes;
-// re-snapshotting a committed tag returns ErrExist.
-func (fs *FS) Snapshot(tag string) (uint64, error) { return fs.c.Snapshot(tag) }
-
-// Snapshots lists the committed snapshots every daemon agrees on,
-// sorted by tag. A tag whose commit was interrupted mid-fan-out (some
-// daemons hold it, some do not) is omitted — partially committed
-// snapshots are unusable, not torn; drop them with SnapshotDrop.
-func (fs *FS) Snapshots() ([]SnapshotInfo, error) { return fs.c.Snapshots() }
-
-// SnapshotDrop unpins tag cluster-wide, releasing the metadata version
-// history and chunk pre-images it retained. Dropping a partially
-// committed tag cleans up the daemons that hold it; ErrNotExist means
-// no daemon knew the tag.
-func (fs *FS) SnapshotDrop(tag string) error { return fs.c.SnapshotDrop(tag) }
-
-// StatAt stats path as pinned at a snapshot epoch (from Snapshot's
-// return or a SnapshotInfo). ErrNotExist covers both "never existed"
-// and "not yet created at that epoch".
-func (fs *FS) StatAt(path string, epoch uint64) (FileInfo, error) {
-	return fs.c.StatAt(path, epoch)
-}
-
-// ReadDirAt lists a directory as pinned at a snapshot epoch: entries
-// created later are absent, entries removed later are present.
-func (fs *FS) ReadDirAt(path string, epoch uint64) ([]DirEntry, error) {
-	return fs.c.ReadDirAt(path, epoch)
-}
-
 // WriteFile creates path and writes data in one call.
 func (fs *FS) WriteFile(path string, data []byte) error {
 	f, err := fs.Create(path)

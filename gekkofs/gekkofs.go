@@ -93,9 +93,6 @@ type DirEntry = client.DirEntry
 // DaemonStats exposes per-daemon operation counters.
 type DaemonStats = daemon.Stats
 
-// SnapshotInfo names one committed snapshot: its tag and pinned epoch.
-type SnapshotInfo = proto.SnapshotEntry
-
 // StageOptions tune a stage-in/stage-out transfer (see FS.StageIn).
 type StageOptions = staging.Options
 
@@ -209,11 +206,7 @@ func WithStageIn(hostDir, fsDir string, opts *StageOptions) Option {
 // hostDir during Close, before teardown — results reach the permanent
 // file system exactly when the temporary one dissolves. Failures surface
 // in Close's error and in Cluster.StageOutReport. opts may be nil for
-// defaults. With opts.Snapshot set to a committed tag, Close stages out
-// the namespace exactly as pinned when FS.Snapshot(tag) committed,
-// untorn by whatever the job wrote afterwards — the checkpoint/restart
-// shape where epoch N+1 computes while epoch N drains to the permanent
-// file system; an unknown tag fails the stage-out structurally.
+// defaults.
 func WithStageOutOnClose(fsDir, hostDir string, opts *StageOptions) Option {
 	return func(c *config) { c.stageOut = newStageSpec(hostDir, fsDir, opts) }
 }

@@ -292,6 +292,64 @@ type bufWalk struct {
 	c      *bufChecker
 	acq    acquisition
 	leaked string // first leaking exit found ("" if none)
+
+	// targets are the enclosing statements a break or continue can jump
+	// to, innermost last; label is the label of the statement about to be
+	// walked, taken by the loop, switch or select it names.
+	targets []*branchTarget
+	label   string
+}
+
+// branchTarget is a loop, switch or select being walked: the states its
+// break statements carry to the point after it and, for a loop, the
+// states its continue statements carry to its back edge.
+type branchTarget struct {
+	label  string
+	loop   bool
+	breaks []bufState
+	conts  []bufState
+}
+
+// enter pushes the statement being walked as a branch target, under the
+// label it was given.
+func (w *bufWalk) enter(loop bool) *branchTarget {
+	t := &branchTarget{label: w.label, loop: loop}
+	w.label = ""
+	w.targets = append(w.targets, t)
+	return t
+}
+
+// leave pops the innermost branch target.
+func (w *bufWalk) leave() { w.targets = w.targets[:len(w.targets)-1] }
+
+// target resolves the statement a break or continue jumps to: the one
+// its label names, else the innermost loop (continue) or the innermost
+// loop, switch or select (break).
+func (w *bufWalk) target(br *ast.BranchStmt) *branchTarget {
+	for i := len(w.targets) - 1; i >= 0; i-- {
+		t := w.targets[i]
+		switch {
+		case br.Label != nil:
+			if t.label == br.Label.Name {
+				return t
+			}
+		case br.Tok == token.BREAK || t.loop:
+			return t
+		}
+	}
+	return nil
+}
+
+// merged joins states; ok is false when there are none.
+func merged(states []bufState) (out bufState, ok bool) {
+	for i, s := range states {
+		if i == 0 {
+			out = s
+		} else {
+			out = mergeBuf(out, s)
+		}
+	}
+	return out, len(states) > 0
 }
 
 // note records the first leaking exit.
@@ -566,16 +624,11 @@ func (w *bufWalk) stmt(s ast.Stmt, st bufState) (bufState, bool) {
 			}
 		}
 		w.checkUse(s.Cond, st)
-		bodySt, _ := w.stmts(s.Body.List, st)
-		if s.Post != nil {
-			bodySt, _ = w.stmt(s.Post, bodySt)
-		}
-		return mergeBuf(st, bodySt), false
+		return w.loop(s.Body, s.Post, st, s.Cond != nil)
 
 	case *ast.RangeStmt:
 		w.checkUse(s.X, st)
-		bodySt, _ := w.stmts(s.Body.List, st)
-		return mergeBuf(st, bodySt), false
+		return w.loop(s.Body, nil, st, true)
 
 	case *ast.SwitchStmt:
 		if s.Init != nil {
@@ -586,7 +639,10 @@ func (w *bufWalk) stmt(s ast.Stmt, st bufState) (bufState, bool) {
 			}
 		}
 		w.checkUse(s.Tag, st)
-		return w.clauses(s.Body.List, st)
+		t := w.enter(false)
+		out, term := w.clauses(s.Body.List, st)
+		w.leave()
+		return w.after(t, out, term)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
@@ -597,11 +653,15 @@ func (w *bufWalk) stmt(s ast.Stmt, st bufState) (bufState, bool) {
 			}
 		}
 		w.checkUse(s.Assign, st)
-		return w.clauses(s.Body.List, st)
+		t := w.enter(false)
+		out, term := w.clauses(s.Body.List, st)
+		w.leave()
+		return w.after(t, out, term)
 
 	case *ast.SelectStmt:
+		t := w.enter(false)
+		defer w.leave()
 		var states []bufState
-		allTerm := true
 		for _, cl := range s.Body.List {
 			comm := cl.(*ast.CommClause)
 			clSt := st
@@ -615,28 +675,33 @@ func (w *bufWalk) stmt(s ast.Stmt, st bufState) (bufState, bool) {
 			clSt, term := w.stmts(comm.Body, clSt)
 			if !term {
 				states = append(states, clSt)
-				allTerm = false
 			}
 		}
-		if allTerm && len(s.Body.List) > 0 {
-			return bufSatisfied, true
+		if len(s.Body.List) == 0 {
+			return st, true // select {} blocks forever
 		}
-		out := st
-		for i, cs := range states {
-			if i == 0 {
-				out = cs
-			} else {
-				out = mergeBuf(out, cs)
-			}
-		}
-		return out, false
+		out, ok := merged(states)
+		return w.after(t, out, !ok)
 
 	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
+		w.label = s.Label.Name
+		st, term := w.stmt(s.Stmt, st)
+		w.label = ""
+		return st, term
 
 	case *ast.BranchStmt:
-		// break/continue leave the linear path; loop/switch merges are
-		// already conservative.
+		// break and continue hand their state to the statement they jump
+		// to (the merges in loop and after). Each, like fallthrough, ends
+		// this path; a fallthrough's state is not carried into the next
+		// clause.
+		if t := w.target(s); t != nil {
+			switch s.Tok {
+			case token.BREAK:
+				t.breaks = append(t.breaks, st)
+			case token.CONTINUE:
+				t.conts = append(t.conts, st)
+			}
+		}
 		return st, true
 
 	case *ast.IncDecStmt:
@@ -693,6 +758,44 @@ func (w *bufWalk) storesBuf(e ast.Expr) bool {
 	}
 }
 
+// loop walks a loop's body once: the state at the top of the body is the
+// entry state, the back edge merges the body's end with every continue,
+// and the loop is left where its condition fails (at entry or on the back
+// edge; never, for a loop without one) and at every break.
+func (w *bufWalk) loop(body *ast.BlockStmt, post ast.Stmt, st bufState, cond bool) (bufState, bool) {
+	t := w.enter(true)
+	bodySt, term := w.stmts(body.List, st)
+	w.leave()
+	back := t.conts
+	if !term {
+		back = append(back, bodySt)
+	}
+	var exits []bufState
+	if cond {
+		exits = append(exits, st)
+		if backSt, ok := merged(back); ok {
+			if post != nil {
+				backSt, _ = w.stmt(post, backSt)
+			}
+			exits = append(exits, backSt)
+		}
+	}
+	out, ok := merged(append(exits, t.breaks...))
+	return out, !ok
+}
+
+// after is the state after a switch or select: the state its clauses
+// leave (out, unless every clause ended its path) merged with every break
+// out of it.
+func (w *bufWalk) after(t *branchTarget, out bufState, term bool) (bufState, bool) {
+	exits := t.breaks
+	if !term {
+		exits = append(exits, out)
+	}
+	res, ok := merged(exits)
+	return res, !ok
+}
+
 // clauses merges the bodies of switch/type-switch case clauses, adding
 // the fall-past path when no default clause exists.
 func (w *bufWalk) clauses(list []ast.Stmt, st bufState) (bufState, bool) {
@@ -714,14 +817,8 @@ func (w *bufWalk) clauses(list []ast.Stmt, st bufState) (bufState, bool) {
 	if !hasDefault {
 		states = append(states, st)
 	}
-	if len(states) == 0 {
-		return bufSatisfied, true
-	}
-	out := states[0]
-	for _, cs := range states[1:] {
-		out = mergeBuf(out, cs)
-	}
-	return out, false
+	out, ok := merged(states)
+	return out, !ok
 }
 
 // isPanicCall reports whether call is the builtin panic or a

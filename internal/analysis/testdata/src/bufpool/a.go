@@ -1,7 +1,8 @@
 // Package bufpool is a gkfs-vet fixture exercising the bufpool
-// analyzer: leaks on early-return paths, double releases, use after
-// release, deferred and per-branch releases, discarded results, and
-// ownership transfer through a //gkfs:owns-buf callee.
+// analyzer: leaks on early-return paths and on break and continue out of
+// a loop, double releases, use after release, deferred and per-branch
+// releases, discarded results, and ownership transfer through a
+// //gkfs:owns-buf callee.
 package bufpool
 
 import "repro/internal/rpc"
@@ -83,5 +84,59 @@ func discard() {
 func fill(b []byte) {
 	for i := range b {
 		b[i] = 0
+	}
+}
+
+// leakByBreak leaves the loop with the buffer still held: the break
+// carries its state to the point after the loop.
+func leakByBreak(items []int) {
+	for range items {
+		buf := rpc.GetBuf(64) // want `rpc\.GetBuf result may not reach rpc\.PutBuf`
+		if len(buf) == 0 {
+			break
+		}
+		rpc.PutBuf(buf)
+	}
+}
+
+// leakByContinue skips the release: the continue carries the held
+// buffer to the loop's back edge, and from there out of the loop.
+func leakByContinue(items []int) {
+	for range items {
+		buf := rpc.GetBuf(64) // want `rpc\.GetBuf result may not reach rpc\.PutBuf`
+		if len(buf) == 0 {
+			continue
+		}
+		rpc.PutBuf(buf)
+	}
+}
+
+// leakByLabeledBreak leaves the outer loop from inside a switch with the
+// buffer still held.
+func leakByLabeledBreak(items []int) {
+outer:
+	for _, it := range items {
+		buf := rpc.GetBuf(64) // want `rpc\.GetBuf result may not reach rpc\.PutBuf`
+		switch it {
+		case 0:
+			break outer
+		}
+		rpc.PutBuf(buf)
+	}
+}
+
+// releaseThenBreak releases before every way out of the loop.
+func releaseThenBreak(items []int) {
+	for _, it := range items {
+		buf := rpc.GetBuf(64)
+		if it == 0 {
+			rpc.PutBuf(buf)
+			break
+		}
+		if it == 1 {
+			rpc.PutBuf(buf)
+			continue
+		}
+		rpc.PutBuf(buf)
 	}
 }

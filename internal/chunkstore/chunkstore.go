@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/meta"
 	"repro/internal/vfs"
@@ -28,20 +27,7 @@ type Store struct {
 	// path. Plain chunk writes to different chunks proceed concurrently.
 	pathLocks [64]sync.RWMutex
 
-	// cowMu guards the snapshot copy-on-write state below (cow.go): the
-	// pre-image index, the last-write-epoch map, and the first-touch pin
-	// decision itself.
-	cowMu sync.Mutex
-	// pre indexes pre-image files: chunkKey → sorted ascending supersede
-	// epochs. Rebuilt from the snap/ directory on open.
-	pre map[string][]uint64
-	// last tracks the newest write epoch seen per chunk this process
-	// lifetime. Absence means unknown history (pin conservatively).
-	last map[string]uint64
-
-	cowCopies, cowBytes atomic.Uint64
-
-	// open keeps recently used live chunk files open (opencache.go).
+	// open keeps recently used chunk files open (opencache.go).
 	open *openCache
 	// maps is whether fs's files map (vfs.CanMap); ViewChunk of a store
 	// whose files do not answers at once, before any lock or handle, and
@@ -52,21 +38,16 @@ type Store struct {
 	mapWriteMax int
 }
 
-// New returns a store backed by fs, rooted at "chunks/" with snapshot
-// pre-images under "snap/", for chunks of meta.DefaultChunkSize bytes.
+// New returns a store backed by fs, rooted at "chunks/", for chunks of
+// meta.DefaultChunkSize bytes.
 func New(fs vfs.FS) *Store { return NewWithChunkSize(fs, meta.DefaultChunkSize) }
 
 // NewWithChunkSize is New for chunks of chunkSize bytes: the length of
 // every chunk file's mapping.
 func NewWithChunkSize(fs vfs.FS, chunkSize int64) *Store {
-	s := &Store{
-		fs: fs, pre: make(map[string][]uint64), last: make(map[string]uint64),
-		open: newOpenCache(fs, chunkSize), maps: vfs.CanMap(fs), mapWriteMax: mapWriteMax,
+	return &Store{
+		fs: fs, open: newOpenCache(fs, chunkSize), maps: vfs.CanMap(fs), mapWriteMax: mapWriteMax,
 	}
-	// A listing failure leaves the index empty; reads then resolve to
-	// live chunks, the same behavior as a snapshot-free store.
-	_ = s.loadPreImages()
-	return s
 }
 
 // escapePath turns a GekkoFS path into a single directory name:
@@ -222,19 +203,18 @@ func (s *Store) ReadChunk(path string, id meta.ChunkID, offset int64, dst []byte
 	l := s.lockFor(path)
 	l.RLock()
 	defer l.RUnlock()
-	return s.readLive(path, id, offset, dst)
-}
-
-// readLive reads from the live chunk file through the open-chunk cache.
-// Caller holds path's read lock.
-func (s *Store) readLive(path string, id meta.ChunkID, offset int64, dst []byte) (int, error) {
 	h, err := s.open.acquire(chunkRef{path, id}, false)
 	if errors.Is(err, vfs.ErrNotExist) {
 		return 0, nil // never written: hole
 	}
 	var n int
 	if err == nil {
-		n, err = readFileAt(h.f, offset, dst)
+		// Clamped to the file's end by the read's own short count, so the
+		// size is never asked for.
+		n, err = h.f.ReadAt(dst, offset)
+		if err == io.EOF {
+			err = nil
+		}
 		s.open.release(h)
 	}
 	if err != nil {
@@ -244,22 +224,11 @@ func (s *Store) readLive(path string, id meta.ChunkID, offset int64, dst []byte)
 	return n, nil
 }
 
-// readFileAt reads up to len(dst) bytes of a chunk or pre-image file at
-// offset, clamped to the file's end: the read's own short count says
-// where that is, so the size is never asked for.
-func readFileAt(f vfs.File, offset int64, dst []byte) (int, error) {
-	n, err := f.ReadAt(dst, offset)
-	if err == io.EOF {
-		err = nil
-	}
-	return n, err
-}
-
-// View is a read reply's hold on bytes of one live chunk: B is a window
-// of the chunk file's mapping — the page cache itself, which a carrier
-// sends from with no copy of the store's own; nothing writes B. It holds the
-// chunk's open handle, never the path lock: a truncate, remove or
-// copy-on-write of the path goes ahead while a view is out, and the view
+// View is a read reply's hold on bytes of one chunk: B is a window of the
+// chunk file's mapping — the page cache itself, which a carrier sends
+// from with no copy of the store's own; nothing writes B. It holds the
+// chunk's open handle, never the path lock: a truncate or remove of the
+// path goes ahead while a view is out, and the view
 // keeps showing the inode it was taken from. An overwrite of that inode
 // shows through, as it would to a read racing it. Release it exactly
 // once, when nothing reads B any more.
@@ -287,10 +256,6 @@ func (v View) Release() {
 // before; a failed mmap says so after. The mapping covers the first
 // chunk-size bytes of the file; it is made at the handle's first view or
 // mapped write and kept while it is open.
-//
-// Only live content has views: a pinned-epoch read copies under the path
-// lock (ReadChunkAt), because the first overwrite after a pin changes the
-// live inode in place once it has copied the pre-image.
 func (s *Store) ViewChunk(path string, id meta.ChunkID, offset, n int64) (v View, ok bool, err error) {
 	if !s.maps {
 		return View{}, false, nil
@@ -403,8 +368,8 @@ func (s *Store) TruncateChunks(path string, chunkSize, newSize int64) error {
 }
 
 // replaceFile atomically replaces name with a file holding data: it is
-// written to the sibling name+".trim" (a foreign name to chunk and
-// pre-image listings, which skip it) and renamed over name. On failure
+// written to the sibling name+".trim" (a foreign name to chunk listings,
+// which skip it) and renamed over name. On failure
 // name is untouched and the sibling removed.
 func (s *Store) replaceFile(name string, data []byte) error {
 	tmp := name + ".trim"

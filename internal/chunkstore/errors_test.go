@@ -137,31 +137,3 @@ func TestTruncateKeepsChunkWholeWhenTrimFails(t *testing.T) {
 		t.Fatalf("chunk after the trim = %q, %v; want %q", dst[:n], err, "0123")
 	}
 }
-
-// TestFailedPinLeavesNoPreImageAfterRestart is the regression test for a
-// pre-image copied in place: the pin created snap/<key>.<epoch> and then
-// wrote it, so a failed write left an empty file that the running store
-// never indexed but a restarted one did, and a read at the pinned epoch
-// then returned it — wrong bytes, no error. The copy now goes to a
-// sibling renamed into place, so a failed pin leaves nothing to index.
-func TestFailedPinLeavesNoPreImageAfterRestart(t *testing.T) {
-	fs := &failWriteFS{FS: vfs.NewMem()}
-	s := New(fs)
-	if err := s.WriteChunkEpoch("/f", 0, 0, []byte("0123456789"), 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	fs.failWrites = true
-	if err := s.WriteChunkEpoch("/f", 0, 0, []byte("abcdefghij"), 2, []uint64{1}); err == nil {
-		t.Fatal("an overwrite after a pin succeeded with every pre-image write failing")
-	}
-	fs.failWrites = false
-	if names, err := fs.List(snapDir); err != nil || len(names) != 0 {
-		t.Fatalf("snap/ after a failed pin = %v, %v; want it empty", names, err)
-	}
-	restarted := New(fs)
-	dst := make([]byte, 16)
-	n, err := restarted.ReadChunkAt("/f", 0, 0, dst, 1)
-	if err != nil || string(dst[:n]) != "0123456789" {
-		t.Fatalf("read at the pinned epoch after a restart = %q, %v; want %q", dst[:n], err, "0123456789")
-	}
-}

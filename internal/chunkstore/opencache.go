@@ -13,28 +13,25 @@ import (
 
 // The open-chunk cache. A small synchronous chunk I/O used to be
 // open + fstat + pread/pwrite + close around one data syscall; the store
-// instead keeps the live chunk files it touched last open, so an I/O on a
+// instead keeps the chunk files it touched last open, so an I/O on a
 // cached chunk is the data syscall alone.
 //
 // What keeps a cached handle honest is the path lock: every chunk I/O
 // holds its path's read lock from acquire to release, and every operation
-// that unlinks, renames or replaces a chunk file (RemoveChunks*,
-// TruncateChunks*) holds the write lock and drops the path's handles
-// before it lets go. No write therefore reaches a handle past the name it
-// was opened under — in particular none can follow a chunk renamed into a
-// pre-image (cow.go) and write into a pinned epoch; that holds for a write
-// copied into the handle's mapping as for a pwrite. Lock order is
-// cowMu → path lock → openCache.mu; the cache calls nothing that locks.
+// that unlinks or replaces a chunk file (RemoveChunks, TruncateChunks)
+// holds the write lock and drops the path's handles before it lets go. No
+// write therefore reaches a handle past the name it was opened under; that
+// holds for a write copied into the handle's mapping as for a pwrite. Lock
+// order is path lock → openCache.mu; the cache calls nothing that locks.
 //
 // A read reply's view (View) is the one hold that outlives its lock: it
 // keeps its handle's refcount, never the path lock, so a client slow to
-// take its reply stalls no truncate, remove or copy-on-write of the
-// path's lock stripe. A dropped handle a view still holds reads the inode
-// it was opened on — unlinked, renamed into a pre-image or replaced —
-// until the view's release closes it. That is safe because no live chunk
-// inode ever shrinks in place: a truncate writes the kept prefix to a
-// sibling file and renames it over the chunk, so every byte below a
-// handle's size stays mapped while the handle is open.
+// take its reply stalls no truncate or remove of the path's lock stripe.
+// A dropped handle a view still holds reads the inode it was opened on —
+// unlinked or replaced — until the view's release closes it. That is safe
+// because no chunk inode ever shrinks in place: a truncate writes the
+// kept prefix to a sibling file and renames it over the chunk, so every
+// byte below a handle's size stays mapped while the handle is open.
 
 // maxOpenChunks bounds the chunk files one store keeps open. Measured on
 // small_random_rw (8 KiB random I/O over a 256 MiB shared file: a hot set
@@ -51,7 +48,7 @@ import (
 // handle and retries (acquire).
 const maxOpenChunks = 512
 
-// chunkRef names one live chunk file without building its file name: a
+// chunkRef names one chunk file without building its file name: a
 // hit allocates nothing.
 type chunkRef struct {
 	path string
@@ -327,8 +324,8 @@ func (c *openCache) closeAll() {
 // set outgrew the cache. Open is the level the bound applies to.
 // MappedBytes are read-reply bytes handed out as views of a chunk file's
 // mapping, CopiedBytes those a read copied into a caller's region — the
-// fallback of a pinned-epoch read, an unmappable file or a platform
-// without mmap. WriteMappedBytes are written bytes copied into a chunk
+// fallback of a carrier that cannot send views, an unmappable file or a
+// platform without mmap. WriteMappedBytes are written bytes copied into a chunk
 // file's mapping (small in-place rewrites), WritePwriteBytes those
 // pwritten (extending or large writes, unmappable files, and the redo of
 // a faulted copy); MapFaults counts mapped copies that faulted and were

@@ -291,51 +291,6 @@ func TestOpenCacheInvalidation(t *testing.T) {
 	})
 }
 
-// TestOpenCachePreImagesStayIntact is the bug to fear: a handle cached
-// before a snapshot must not follow its chunk into the pre-image when a
-// remove or truncate renames it there, nor tear the copy an overwrite
-// pins. Every mutation happens with the chunk's handle cached; the bytes
-// read at the pinned epoch must stay what they were.
-func TestOpenCachePreImagesStayIntact(t *testing.T) {
-	const cs, pinned, next = 32, uint64(1), uint64(2)
-	retained := []uint64{pinned}
-	for _, mutate := range []struct {
-		name string
-		do   func(s *Store) error
-	}{
-		{"overwrite", func(s *Store) error { return nil }},
-		{"remove", func(s *Store) error { return s.RemoveChunksEpoch("/f", next, retained) }},
-		{"truncate-away", func(s *Store) error { return s.TruncateChunksEpoch("/f", cs, 0, next, retained) }},
-		{"truncate-trim", func(s *Store) error { return s.TruncateChunksEpoch("/f", cs, 5, next, retained) }},
-	} {
-		t.Run(mutate.name, func(t *testing.T) {
-			eachBackend(t, 2, func(t *testing.T, s *Store, _ *handleFS) {
-				image := bytes.Repeat([]byte{7}, cs)
-				if err := s.WriteChunkEpoch("/f", 0, 0, image, pinned, nil); err != nil {
-					t.Fatal(err)
-				}
-				// The handle is cached now; epoch 1 is pinned from here on.
-				if err := mutate.do(s); err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 3; i++ {
-					if err := s.WriteChunkEpoch("/f", 0, int64(i), []byte{0xEE, 0xEE}, next, retained); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got := make([]byte, cs)
-				n, err := s.ReadChunkAt("/f", 0, 0, got, pinned)
-				if err != nil || !bytes.Equal(got[:n], image) {
-					t.Fatalf("pinned epoch reads %d bytes %v, err %v; want the pre-image intact", n, got[:n], err)
-				}
-				if live := readChunk(t, s, "/f", 0, cs); !bytes.HasPrefix(live, []byte{0xEE, 0xEE, 0xEE, 0xEE}) {
-					t.Fatalf("live chunk reads %v, want the new bytes", live)
-				}
-			})
-		})
-	}
-}
-
 // TestOpenCacheShedsOnEMFILE: a miss that meets a full descriptor table
 // closes one cached handle and retries once; when it has none to give,
 // or the retry fails too, the error reaches the caller.

@@ -342,25 +342,9 @@ func (c *Client) createPath(path string, mode meta.Mode) error {
 	return err
 }
 
-// pinFlag is the stat/readdir request flag for a read at epoch:
-// LiveEpoch needs none, a finite epoch is announced by StatAtEpoch.
-func pinFlag(epoch uint64) uint8 {
-	if epoch != LiveEpoch {
-		return proto.StatAtEpoch
-	}
-	return 0
-}
-
-// statOp builds the stat of path as of epoch — the one place a stat
-// request takes shape, for both framings.
-func statOp(path string, epoch uint64, flags uint8) proto.MetaOp {
-	return proto.MetaOp{Kind: proto.MetaOpStat, Path: path, Flags: flags | pinFlag(epoch), Epoch: epoch}
-}
-
-// statPath fetches a path's metadata as of epoch.
-func (c *Client) statPath(path string, epoch uint64) (meta.Metadata, error) {
-	op := statOp(path, epoch, 0)
-	r, err := c.metaOp(&op)
+// statPath fetches a path's metadata.
+func (c *Client) statPath(path string) (meta.Metadata, error) {
+	r, err := c.metaOp(&proto.MetaOp{Kind: proto.MetaOpStat, Path: path})
 	if err != nil {
 		return meta.Metadata{}, err
 	}
@@ -378,7 +362,7 @@ func (c *Client) Mkdir(path string) error {
 		return proto.ErrExist
 	}
 	if parent := meta.Parent(p); parent != meta.Root {
-		md, err := c.statPath(parent, LiveEpoch)
+		md, err := c.statPath(parent)
 		if err != nil {
 			return err
 		}
@@ -435,7 +419,7 @@ func (c *Client) Open(path string, flags int) (int, error) {
 		}
 	}
 	if exists {
-		md, err := c.statPath(p, LiveEpoch)
+		md, err := c.statPath(p)
 		if err != nil {
 			return -1, err
 		}
@@ -625,7 +609,7 @@ func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		base = of.pos
 	case io.SeekEnd:
-		md, err := c.statPath(of.path, LiveEpoch)
+		md, err := c.statPath(of.path)
 		if err != nil {
 			return 0, err
 		}
@@ -642,16 +626,12 @@ func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
 }
 
 // Stat returns a path's file information.
-func (c *Client) Stat(path string) (FileInfo, error) { return c.StatAt(path, LiveEpoch) }
-
-// StatAt is Stat against the namespace a snapshot epoch pinned; at
-// LiveEpoch it is Stat.
-func (c *Client) StatAt(path string, epoch uint64) (FileInfo, error) {
+func (c *Client) Stat(path string) (FileInfo, error) {
 	p, err := meta.Clean(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	md, err := c.statPath(p, epoch)
+	md, err := c.statPath(p)
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -708,18 +688,13 @@ type DirEntry struct {
 // consistent: concurrent creates and removes may or may not appear (paper
 // §III-A); entries that do appear are each reported by exactly one
 // daemon, so there are no duplicates.
-func (c *Client) ReadDir(path string) ([]DirEntry, error) { return c.ReadDirAt(path, LiveEpoch) }
-
-// ReadDirAt is ReadDir against the namespace a snapshot epoch pinned:
-// every daemon resolves its records at the epoch. At LiveEpoch it is
-// ReadDir.
-func (c *Client) ReadDirAt(path string, epoch uint64) ([]DirEntry, error) {
+func (c *Client) ReadDir(path string) ([]DirEntry, error) {
 	p, err := meta.Clean(path)
 	if err != nil {
 		return nil, err
 	}
 	if p != meta.Root {
-		md, err := c.statPath(p, epoch)
+		md, err := c.statPath(p)
 		if err != nil {
 			return nil, err
 		}
@@ -729,7 +704,7 @@ func (c *Client) ReadDirAt(path string, epoch uint64) ([]DirEntry, error) {
 	}
 	perNode := make([][]DirEntry, len(c.cfg.Conns))
 	err = c.fanOut(func(node int) error {
-		ents, err := c.readDirNode(node, p, epoch)
+		ents, err := c.readDirNode(node, p)
 		if err != nil {
 			return err
 		}
@@ -747,18 +722,16 @@ func (c *Client) ReadDirAt(path string, epoch uint64) ([]DirEntry, error) {
 	return all, nil
 }
 
-// readDirNode drains one daemon's directory scan as of epoch page by
-// page. Entry names are validated to be single path components: a hostile
+// readDirNode drains one daemon's directory scan page by page. Entry names are validated to be single path components: a hostile
 // or buggy daemon must not be able to plant "..", "", or slash-bearing
 // names that a consumer (stage-out's host-tree recreation, a recursive
 // walk) would resolve outside the directory it asked about.
-func (c *Client) readDirNode(node int, dir string, epoch uint64) ([]DirEntry, error) {
+func (c *Client) readDirNode(node int, dir string) ([]DirEntry, error) {
 	var ents []DirEntry
 	after := ""
 	for {
-		e := rpc.NewEnc(len(dir) + len(after) + 24)
+		e := rpc.NewEnc(len(dir) + len(after) + 16)
 		e.Str(dir).Str(after).U32(c.readDirPage)
-		proto.EncodeEpochTail(e, pinFlag(epoch), epoch)
 		d, err := c.call(node, proto.OpReadDir, e.Bytes(), rpc.BulkNone)
 		if err != nil {
 			return nil, lostErr("readdir", dir, node, err)

@@ -137,7 +137,7 @@ func TestDataPathErrorsNameOpPathDaemon(t *testing.T) {
 	owner := c.dist.MetaTarget("/dir")
 	// A daemon's own answer surfaces as itself, attributed on the data
 	// path and bare on the metadata plane.
-	_, err = c.ReadSnapshot("/dir", LiveEpoch, buf, 0)
+	_, err = c.ReadPath("/dir", buf, 0)
 	check("read of a directory", err, proto.ErrIsDir, "read /dir: ", daemonTag(owner))
 	if _, err := c.Stat("/missing"); err != proto.ErrNotExist {
 		t.Errorf("stat of a missing path = %v, want the bare ErrNotExist", err)

@@ -21,14 +21,8 @@ import (
 // paper's wide striping: a large I/O engages every node's SSD at once.
 // There is one executor per direction — readGroup and writeGroup — for
 // every caller: descriptor I/O, the read-ahead fetcher, write-behind,
-// WritePath and ReadSnapshot. A live read is a read at epoch ∞, with no
-// code path of its own. Every chunk has one copy: a group whose daemon
+// WritePath and ReadPath. Every chunk has one copy: a group whose daemon
 // does not answer fails its I/O (ErrDegraded), naming op, path and daemon.
-
-// LiveEpoch is the epoch of a read that is not pinned to a snapshot.
-// A finite epoch adds the ReadAtEpoch field to the request; everything
-// else is shared.
-const LiveEpoch = meta.LiveEpoch
 
 // targetGroup collects the spans of one I/O that one daemon holds.
 type targetGroup struct {
@@ -131,8 +125,8 @@ func runGroups(groups []*targetGroup, fn func(g *targetGroup) error) error {
 
 // chunkReq encodes the head OpReadChunks and OpWriteChunks share: path
 // and span vector. A write request is just that; a read appends its flags
-// byte and, when pinned, the epoch. The encoder is returned by value, so
-// only its buffer reaches the heap.
+// byte. The encoder is returned by value, so only its buffer reaches the
+// heap.
 func chunkReq(path string, spans []proto.ChunkSpan) rpc.Enc {
 	e := rpc.NewEnc(len(path) + 26 + 24*len(spans))
 	e.Str(path)
@@ -146,19 +140,13 @@ func chunkReq(path string, spans []proto.ChunkSpan) rpc.Enc {
 // the transport zeroes what the daemon did not send, so holes and reads
 // beyond EOF still read as zeros. wantSize asks node to piggyback its size
 // view of path, which is what keeps reads stat-free.
-func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.ChunkSpan, wantSize bool, dest ...[]byte) (sizeReply, error) {
+func (c *Client) readChunks(node int, path string, spans []proto.ChunkSpan, wantSize bool, dest ...[]byte) (sizeReply, error) {
 	var flags uint8
 	if wantSize {
 		flags |= proto.ReadWantSize
 	}
-	if epoch != LiveEpoch {
-		flags |= proto.ReadAtEpoch
-	}
 	e := chunkReq(path, spans)
 	e.U8(flags)
-	if epoch != LiveEpoch {
-		e.U64(epoch)
-	}
 	var reply sizeReply
 	d, err := c.call(node, proto.OpReadChunks, e.Bytes(), rpc.BulkOut, dest...)
 	if err != nil {
@@ -186,8 +174,8 @@ func (c *Client) readChunks(node int, path string, epoch uint64, spans []proto.C
 // readGroup reads one target group into its windows of p with one RPC on
 // the calling goroutine; wantSize asks the group's daemon, the path's
 // metadata owner, for its size view as well.
-func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, wantSize bool) error {
-	reply, err := c.readChunks(g.target, path, epoch, g.spans, wantSize, g.windows(p)...)
+func (c *Client) readGroup(path string, g *targetGroup, p []byte, wantSize bool) error {
+	reply, err := c.readChunks(g.target, path, g.spans, wantSize, g.windows(p)...)
 	if err != nil {
 		return opErr("read", path, g.target, err)
 	}
@@ -195,8 +183,8 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, 
 	return nil
 }
 
-// readRange gathers the chunk spans of [off, off+len(p)) of path as of
-// epoch from their daemons into p and returns the size to clamp EOF by.
+// readRange gathers the chunk spans of [off, off+len(p)) of path from
+// their daemons into p and returns the size to clamp EOF by.
 // floor is a size the caller already knows the metadata owner to hold (a
 // descriptor's floor; 0 when it knows nothing): a range that ends at or
 // below it is all file, so only the data RPCs go out and floor comes
@@ -206,7 +194,7 @@ func (c *Client) readGroup(path string, epoch uint64, g *targetGroup, p []byte, 
 // metadata owner (only the owner holds the record); when there is none, a
 // zero-span size probe joins the fan-out — still one round trip, all in
 // parallel. Regions never written inside the size read as zeros.
-func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64) (int64, error) {
+func (c *Client) readRange(path string, p []byte, off, floor int64) (int64, error) {
 	n := int64(len(p))
 	groups := c.groupByTarget(path, off, n)
 	wantSize := off+n > floor
@@ -226,7 +214,7 @@ func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64
 	// Each group's reply is written by its own goroutine; runGroups'
 	// WaitGroup orders the write before the read below.
 	err := runGroups(groups, func(g *targetGroup) error {
-		return c.readGroup(path, epoch, g, p, g == sized)
+		return c.readGroup(path, g, p, g == sized)
 	})
 	if err != nil {
 		return 0, err
@@ -239,9 +227,8 @@ func (c *Client) readRange(path string, epoch uint64, p []byte, off, floor int64
 	case proto.ReadSizeFile:
 		return sized.reply.size, nil
 	case proto.ReadSizeNone:
-		// The metadata owner has no record: the file was removed (or did
-		// not exist at the epoch). A descriptor's own unflushed writes
-		// cannot resurrect it.
+		// The metadata owner has no record: the file was removed. A
+		// descriptor's own unflushed writes cannot resurrect it.
 		return 0, fmt.Errorf("read %s: daemon %d: %w", path, owner, proto.ErrNotExist)
 	default:
 		return 0, fmt.Errorf("read %s: daemon %d: reply size state %d: %w", path, owner, sized.reply.state, proto.ErrInval)
@@ -260,7 +247,29 @@ func clampEOF(n int, off, size int64) (int, error) {
 	return n, nil
 }
 
-// readSpans is readRange for a descriptor's live file. A range below the
+// ReadPath reads [off, off+len(p)) of path without a descriptor: no
+// position, no write-behind and no size view to coordinate with, so the
+// size clamp comes from the metadata owner's answer on the same fan-out.
+// It is stage-out's read, the mirror of WritePath.
+func (c *Client) ReadPath(path string, p []byte, off int64) (int, error) {
+	cp, err := meta.Clean(path)
+	if err != nil {
+		return 0, err
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("gekkofs: negative offset %d: %w", off, proto.ErrInval)
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	size, err := c.readRange(cp, p, off, 0)
+	if err != nil {
+		return 0, err
+	}
+	return clampEOF(len(p), off, size)
+}
+
+// readSpans is readRange for a descriptor's file. A range below the
 // path's acknowledged size costs its data RPCs and nothing else; past it
 // the owner's answer comes back with the data into the size view (where
 // another client's truncate or remove is noticed) and, raised by the
@@ -273,13 +282,13 @@ func (c *Client) readSpans(of *openFile, p []byte, off int64) (int, error) {
 	v := of.view
 	floor := v.acked.Load()
 	if off+n <= floor {
-		if _, err := c.readRange(of.path, LiveEpoch, p, off, floor); err != nil {
+		if _, err := c.readRange(of.path, p, off, floor); err != nil {
 			return 0, err
 		}
 		return int(n), nil
 	}
 	gen := v.gen.Load()
-	size, err := c.readRange(of.path, LiveEpoch, p, off, floor)
+	size, err := c.readRange(of.path, p, off, floor)
 	if errors.Is(err, proto.ErrNotExist) {
 		v.owner(gen, 0)
 	}
@@ -378,7 +387,7 @@ func (c *Client) Write(fd int, p []byte) (int, error) {
 		// responsible for avoiding conflicts, paper §III-A). The stat is
 		// raised by the descriptor's candidate, or deferred appends would
 		// overwrite each other.
-		md, err := c.statPath(of.path, LiveEpoch)
+		md, err := c.statPath(of.path)
 		if err != nil {
 			return 0, err
 		}

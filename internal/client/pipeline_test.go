@@ -362,7 +362,7 @@ func TestAsyncErrorSurfacesOnWrite(t *testing.T) {
 
 // TestStatFreeReadRPCCount is the acceptance assertion for the stat-free
 // read protocol and the table test of the one read executor behind it:
-// {through the writing descriptor, live without one, at a pinned epoch} ×
+// {through the writing descriptor, without one (ReadPath)} ×
 // {single span on and off the metadata owner, multi-span, hole, across
 // and past EOF}; every chunk has one copy (R1 in the subtest names). Every
 // case checks the returned bytes against a model of the file and the
@@ -382,23 +382,19 @@ func TestStatFreeReadRPCCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pinned image: 6 data chunks, a 4-chunk hole, a 20-byte tail.
-	snap := make([]byte, 10*cs+20)
-	copy(snap, bytes.Repeat([]byte{3}, 6*cs))
-	copy(snap[10*cs:], bytes.Repeat([]byte{4}, 20))
+	// The first image: 6 data chunks, a 4-chunk hole, a 20-byte tail.
+	first := make([]byte, 10*cs+20)
+	copy(first, bytes.Repeat([]byte{3}, 6*cs))
+	copy(first[10*cs:], bytes.Repeat([]byte{4}, 20))
 	for _, off := range []int64{0, 10 * cs} {
-		end := min(off+6*cs, int64(len(snap)))
-		if _, err := c.WriteAt(fd, snap[off:end], off); err != nil {
+		end := min(off+6*cs, int64(len(first)))
+		if _, err := c.WriteAt(fd, first[off:end], off); err != nil {
 			t.Fatal(err)
 		}
 	}
-	epoch, err := c.Snapshot("pin")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The live image diverges: the head is overwritten, the file grows.
 	live := make([]byte, 12*cs)
-	copy(live, snap)
+	copy(live, first)
 	copy(live, bytes.Repeat([]byte{9}, 6*cs))
 	copy(live[11*cs:], bytes.Repeat([]byte{8}, cs))
 	for _, off := range []int64{0, 11 * cs} {
@@ -431,15 +427,11 @@ func TestStatFreeReadRPCCount(t *testing.T) {
 		{"across-eof", 10*cs + 4, 3 * cs},
 		{"past-eof", 20 * cs, 100},
 	}
-	for _, mode := range []string{"fd", "live", "epoch"} {
+	for _, mode := range []string{"fd", "live"} {
 		model := live
 		read := func(p []byte, off int64) (int, error) { return c.ReadAt(fd, p, off) }
-		switch mode {
-		case "live":
-			read = func(p []byte, off int64) (int, error) { return c.ReadSnapshot(path, LiveEpoch, p, off) }
-		case "epoch":
-			model = snap
-			read = func(p []byte, off int64) (int, error) { return c.ReadSnapshot(path, epoch, p, off) }
+		if mode == "live" {
+			read = func(p []byte, off int64) (int, error) { return c.ReadPath(path, p, off) }
 		}
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("R1/%s/%s", mode, tc.name), func(t *testing.T) {

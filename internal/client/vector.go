@@ -132,15 +132,9 @@ func (c *Client) CreateMany(paths []string) []error {
 // StatMany fetches file information for paths, one batch RPC per daemon.
 // infos[i] is valid exactly when errs[i] is nil.
 func (c *Client) StatMany(paths []string) ([]FileInfo, []error) {
-	return c.StatManyAt(paths, LiveEpoch)
-}
-
-// StatManyAt is StatMany against the namespace a snapshot epoch pinned;
-// at LiveEpoch it is StatMany.
-func (c *Client) StatManyAt(paths []string, epoch uint64) ([]FileInfo, []error) {
 	infos := make([]FileInfo, len(paths))
 	errs := c.vector(paths, func(_ int, p string) (proto.MetaOp, error) {
-		return statOp(p, epoch, 0), nil
+		return proto.MetaOp{Kind: proto.MetaOpStat, Path: p}, nil
 	}, func(i int, op *proto.MetaOp, r *proto.MetaResult) error {
 		if err := r.Errno.Err(); err != nil {
 			return err

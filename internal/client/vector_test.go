@@ -247,120 +247,6 @@ func TestReadDirDrainsMultiplePages(t *testing.T) {
 	}
 }
 
-// TestNamespaceReadsAtAnyEpoch pins "live is epoch ∞" for the namespace:
-// at every pinned epoch and at LiveEpoch, the batched StatManyAt agrees
-// entry for entry — info or error — with the single StatAt, ReadDirAt
-// lists exactly the paths that stat at the epoch, and the live-named
-// calls (Stat, StatMany, ReadDir) are the LiveEpoch ones.
-func TestNamespaceReadsAtAnyEpoch(t *testing.T) {
-	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64})
-	if err := c.Mkdir("/d"); err != nil {
-		t.Fatal(err)
-	}
-	paths := []string{"/d"}
-	for i := 0; i < 12; i++ {
-		paths = append(paths, fmt.Sprintf("/d/f%02d", i))
-	}
-	paths = append(paths, "/d/never")
-	files := paths[1:13]
-	grow := func(p string, size int64) {
-		t.Helper()
-		fd, err := c.Open(p, O_CREATE|O_WRONLY)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Close(fd); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.GrowMany([]string{p}, []int64{size})[0]; err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Three generations, a snapshot after the first two: files come into
-	// being, grow, shrink and go between them.
-	for i, p := range files[:8] {
-		grow(p, int64(10+i))
-	}
-	e1, err := c.Snapshot("one")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range files[4:] {
-		grow(p, int64(100+i))
-	}
-	if err := c.Remove(files[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Truncate(files[1], 3); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := c.Snapshot("two")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove(files[5]); err != nil {
-		t.Fatal(err)
-	}
-	grow(files[0], 7) // recreated after both pins
-
-	sameErr := func(a, b error) bool {
-		return (a == nil) == (b == nil) && errors.Is(a, proto.ErrNotExist) == errors.Is(b, proto.ErrNotExist)
-	}
-	for _, epoch := range []uint64{e1, e2, LiveEpoch} {
-		infos, errs := c.StatManyAt(paths, epoch)
-		var listed []string
-		for i, p := range paths {
-			fi, err := c.StatAt(p, epoch)
-			if !sameErr(err, errs[i]) || (err == nil && fi != infos[i]) {
-				t.Fatalf("epoch %d, %s: StatAt = %+v, %v but StatManyAt = %+v, %v", epoch, p, fi, err, infos[i], errs[i])
-			}
-			if err == nil && p != "/d" {
-				listed = append(listed, fi.Name())
-			}
-		}
-		ents, err := c.ReadDirAt("/d", epoch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, en := range ents {
-			names = append(names, en.Name)
-		}
-		if fmt.Sprint(names) != fmt.Sprint(listed) {
-			t.Fatalf("epoch %d: ReadDirAt lists %v, stat finds %v", epoch, names, listed)
-		}
-	}
-	// What each generation must look like, spot-checked so the three
-	// views cannot all agree on the same wrong answer.
-	for _, tc := range []struct {
-		epoch uint64
-		path  string
-		size  int64 // -1: absent
-	}{
-		{e1, files[0], 10}, {e2, files[0], -1}, {LiveEpoch, files[0], 7},
-		{e1, files[1], 11}, {e2, files[1], 3},
-		{e1, files[5], 15}, {e2, files[5], 101}, {LiveEpoch, files[5], -1},
-		{e1, files[9], -1}, {e2, files[9], 105},
-	} {
-		fi, err := c.StatAt(tc.path, tc.epoch)
-		if tc.size < 0 && !errors.Is(err, proto.ErrNotExist) || tc.size >= 0 && (err != nil || fi.Size() != tc.size) {
-			t.Fatalf("StatAt(%s, %d) = %+v, %v; want size %d", tc.path, tc.epoch, fi, err, tc.size)
-		}
-	}
-	liveInfos, liveErrs := c.StatMany(paths)
-	atInfos, atErrs := c.StatManyAt(paths, LiveEpoch)
-	for i, p := range paths {
-		fi, err := c.Stat(p)
-		if !sameErr(err, liveErrs[i]) || !sameErr(err, atErrs[i]) || (err == nil && (fi != liveInfos[i] || fi != atInfos[i])) {
-			t.Fatalf("%s: Stat, StatMany and StatManyAt(LiveEpoch) disagree", p)
-		}
-	}
-	vs, err := c.Versions(files[1])
-	if err != nil || len(vs) != 2 || vs[0].Meta.Size != 3 || vs[1].Meta.Size != 11 {
-		t.Fatalf("Versions(%s) = %+v, %v; want the truncated state over the pinned one", files[1], vs, err)
-	}
-}
-
 // TestRemoveCollectsUnpublishedWrites removes a file while this client's
 // writes to it are unpublished — still staged in a write-behind window,
 // or with their size held back by the size-update cache, so the metadata

@@ -49,8 +49,8 @@ type Stats = proto.DaemonStats
 // Daemon is one GekkoFS server.
 type Daemon struct {
 	// live holds the operation counters the handlers own, each bumped in
-	// place with one atomic.AddUint64; the fields other tiers own —
-	// wire, COW — stay zero here and are copied in by Stats. First in the
+	// place with one atomic.AddUint64; the wire counters the transports
+	// own stay zero here and are copied in by Stats. First in the
 	// struct so its words are 64-bit aligned on every platform.
 	live Stats
 
@@ -58,9 +58,8 @@ type Daemon struct {
 	srv    *rpc.Server
 	db     *kvstore.DB
 	chunks *chunkstore.Store
-
-	// snaps is the durable snapshot table's in-memory mirror (snapshot.go).
-	snaps snapState
+	// unlock releases the data directory's lock (vfs.Lock).
+	unlock func() error
 
 	reg       *telemetry.Registry
 	queueHist *telemetry.Histogram
@@ -84,10 +83,15 @@ func (s sub) List(d string) ([]string, error)         { return s.fs.List(s.prefi
 func (s sub) MkdirAll(d string) error                 { return s.fs.MkdirAll(s.prefix + d) }
 func (s sub) Exists(n string) bool                    { return s.fs.Exists(s.prefix + n) }
 
-// New starts a daemon: opens (or recovers) the metadata store, attaches
-// the chunk store, and registers every RPC handler. The measured startup
-// time is retained because the paper quantifies deployment speed
-// (< 20 s for 512 daemons).
+// ErrDirInUse reports a data directory another daemon holds, naming its
+// pid: two daemons never share one, since both would write the same log
+// and chunk files without a word.
+type ErrDirInUse = vfs.LockedError
+
+// New starts a daemon: locks its directory, opens (or recovers) the
+// metadata store, attaches the chunk store, and registers every RPC
+// handler. The measured startup time is retained because the paper
+// quantifies deployment speed (< 20 s for 512 daemons).
 func New(cfg Config) (*Daemon, error) {
 	begin := time.Now()
 	if cfg.FS == nil {
@@ -100,12 +104,17 @@ func New(cfg Config) (*Daemon, error) {
 		// A chunk travels in one RPC, whose transfer is capped.
 		return nil, fmt.Errorf("daemon: invalid chunk size %d (at most %d)", cfg.ChunkSize, rpc.MaxBulk)
 	}
+	unlock, err := vfs.Lock(cfg.FS)
+	if err != nil {
+		return nil, fmt.Errorf("daemon: data directory: %w", err)
+	}
 	db, err := kvstore.Open(kvstore.Options{
 		FS:      sub{fs: cfg.FS, prefix: "meta/"},
 		Merger:  sizeMerger,
 		SyncWAL: cfg.SyncWAL,
 	})
 	if err != nil {
+		unlock()
 		return nil, fmt.Errorf("daemon: metadata store: %w", err)
 	}
 	d := &Daemon{
@@ -113,10 +122,7 @@ func New(cfg Config) (*Daemon, error) {
 		srv:    rpc.NewServer(0), // rpc's default pool: 16 concurrent handlers
 		db:     db,
 		chunks: chunkstore.NewWithChunkSize(cfg.FS, cfg.ChunkSize),
-	}
-	if err := d.loadSnapshots(); err != nil {
-		db.Close()
-		return nil, fmt.Errorf("daemon: snapshot state: %w", err)
+		unlock: unlock,
 	}
 	d.register()
 	d.initTelemetry()
@@ -131,11 +137,10 @@ func (d *Daemon) Server() *rpc.Server { return d.srv }
 func (d *Daemon) StartupTime() time.Duration { return d.startup }
 
 // Stats snapshots the operation counters: the wire-tier counters the
-// transports maintain on the RPC server and the chunk store's COW totals,
-// plus everything the handlers counted.
+// transports maintain on the RPC server, plus everything the handlers
+// counted.
 func (d *Daemon) Stats() Stats {
 	w := d.srv.Wire()
-	copies, bytes := d.chunks.CowStats()
 	st := Stats{
 		FramesIn:       w.FramesIn.Load(),
 		FramesOut:      w.FramesOut.Load(),
@@ -143,47 +148,43 @@ func (d *Daemon) Stats() Stats {
 		WireBytesOut:   w.BytesOut.Load(),
 		VectoredWrites: w.VectoredWrites.Load(),
 		ShmCalls:       w.ShmCalls.Load(),
-		CowCopies:      copies,
-		CowBytes:       bytes,
 	}
 	telemetry.AddFields(&st, &d.live)
 	return st
 }
 
-// Close stops the RPC server, closes the metadata store and releases the
-// chunk files the chunk store keeps open.
+// Close stops the RPC server, closes the metadata store, releases the
+// chunk files the chunk store keeps open and, last, the directory's lock.
 func (d *Daemon) Close() error {
 	d.srv.Close()
-	return errors.Join(d.db.Close(), d.chunks.Close())
+	return errors.Join(d.db.Close(), d.chunks.Close(), d.unlock())
 }
 
-// sizeMerger folds size-update operands ([i64 size][i64 mtime][u64 epoch])
-// into a versioned metadata record, keeping the maximum size — the
-// KV-store merge GekkoFS performs for lock-free size growth. The
-// per-operand step is meta.VersionedMeta.Grow, the same rule the
-// metadata transaction ran when it queued the operand; it runs again here
-// because the record may have changed since (grows take no key lock). An
-// operand landing on a concurrently removed path recreates a bare
-// regular-file record; GekkoFS accepts this relaxed outcome rather than
-// serializing writers against removers (paper §III-A); a directory record
-// is never grown. The merger must stay pure — the store folds operands at
-// insert and WAL recovery replays them — so the epoch travels in the
-// operand (stamped by the transaction) and version GC happens only in the
-// transaction.
+// sizeMerger folds size-update operands ([i64 size][i64 mtime]) into a
+// metadata record, keeping the maximum size — the KV-store merge GekkoFS
+// performs for lock-free size growth. The per-operand step is
+// meta.Record.Grow, the same rule the metadata transaction ran when it
+// queued the operand; it runs again here because the record may have
+// changed since (grows take no key lock). An operand landing on a
+// concurrently removed path recreates a bare regular-file record; GekkoFS
+// accepts this relaxed outcome rather than serializing writers against
+// removers (paper §III-A); a directory record is never grown. The merger
+// must stay pure: the store folds operands at insert and WAL recovery
+// replays them.
 func sizeMerger(_ []byte, existing []byte, operands [][]byte) []byte {
-	var vm meta.VersionedMeta
+	var rec meta.Record
 	if existing != nil {
-		if v, err := meta.DecodeVersionedMeta(existing); err == nil {
-			vm = v
+		if md, err := meta.DecodeMetadata(existing); err == nil {
+			rec = meta.Record{Meta: md, Exists: true}
 		}
 	}
 	for _, op := range operands {
 		d := rpc.NewDec(op)
-		size, mtime, epoch := d.I64(), d.I64(), d.U64()
+		size, mtime := d.I64(), d.I64()
 		if d.Done() != nil {
 			continue
 		}
-		vm.Grow(epoch, size, mtime)
+		rec.Grow(size, mtime)
 	}
-	return vm.Encode()
+	return rec.Meta.Encode()
 }

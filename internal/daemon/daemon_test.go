@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"errors"
+	"os"
 	"testing"
 	"time"
 
@@ -42,7 +43,7 @@ func call(t *testing.T, d *Daemon, op rpc.Op, payload, bulk []byte) (*rpc.Dec, e
 
 func encPath(path string) []byte {
 	e := rpc.NewEnc(len(path) + 5)
-	e.Str(path).U8(0) // OpStat flags
+	e.Str(path)
 	return e.Bytes()
 }
 
@@ -60,14 +61,14 @@ func encRemove(path string, flags uint8) []byte {
 
 func encReadDir(dir, after string, limit uint32) []byte {
 	e := rpc.NewEnc(len(dir) + len(after) + 12)
-	e.Str(dir).Str(after).U32(limit).U8(0) // flags
+	e.Str(dir).Str(after).U32(limit)
 	return e.Bytes()
 }
 
-// TestStatAndReadDirRequireFlagsByte pins the one request shape: since
-// protocol v10 a stat or readdir request that stops before its flags
-// byte is malformed, not an "old-shape" request.
-func TestStatAndReadDirRequireFlagsByte(t *testing.T) {
+// TestStatAndReadDirRefuseTrailingBytes pins the one request shape: a
+// stat request ends with its path and a readdir request with its page
+// limit, so a request with a byte after that is malformed.
+func TestStatAndReadDirRefuseTrailingBytes(t *testing.T) {
 	d := newTestDaemon(t)
 	if _, err := call(t, d, proto.OpCreate, encCreate("/f", meta.ModeRegular), nil); err != nil {
 		t.Fatal(err)
@@ -79,8 +80,8 @@ func TestStatAndReadDirRequireFlagsByte(t *testing.T) {
 		if _, err := call(t, d, op, req, nil); err != nil {
 			t.Fatalf("op %d: well-formed request: %v", op, err)
 		}
-		if _, err := call(t, d, op, req[:len(req)-1], nil); err == nil {
-			t.Fatalf("op %d: request without a flags byte accepted", op)
+		if _, err := call(t, d, op, append(req, 0), nil); err == nil {
+			t.Fatalf("op %d: request with a trailing byte accepted", op)
 		}
 	}
 }
@@ -111,7 +112,7 @@ func TestPingReturnsIDAndVersion(t *testing.T) {
 	}
 }
 
-// encChunks builds an OpReadChunks request (live epoch).
+// encChunks builds an OpReadChunks request.
 func encChunks(path string, spans []proto.ChunkSpan, flags uint8) []byte {
 	return append(encWrite(path, spans), flags)
 }
@@ -383,19 +384,18 @@ func TestReadDirScopedToChildren(t *testing.T) {
 }
 
 func TestSizeMerger(t *testing.T) {
-	base := meta.VersionedMeta{V: []meta.Version{{Meta: meta.Metadata{Mode: meta.ModeRegular, Size: 100, CTimeNS: 5, MTimeNS: 5}}}}
+	base := meta.Metadata{Mode: meta.ModeRegular, Size: 100, CTimeNS: 5, MTimeNS: 5}
 	op := func(size, mtime int64) []byte {
-		e := rpc.NewEnc(24)
-		e.I64(size).I64(mtime).U64(0)
+		e := rpc.NewEnc(16)
+		e.I64(size).I64(mtime)
 		return e.Bytes()
 	}
 	live := func(rec []byte) meta.Metadata {
 		t.Helper()
-		vm, err := meta.DecodeVersionedMeta(rec)
+		md, err := meta.DecodeMetadata(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		md, _ := vm.Live()
 		return md
 	}
 	md := live(sizeMerger(nil, base.Encode(), [][]byte{op(50, 6), op(300, 7), op(200, 8)}))
@@ -408,7 +408,7 @@ func TestSizeMerger(t *testing.T) {
 		t.Fatalf("orphan merge = %+v", md)
 	}
 	// Malformed operands are skipped.
-	if md = live(sizeMerger(nil, base.Encode(), [][]byte{{1, 2, 3}, op(7, 7)[:16]})); md.Size != 100 {
+	if md = live(sizeMerger(nil, base.Encode(), [][]byte{{1, 2, 3}, op(7, 7)[:8]})); md.Size != 100 {
 		t.Fatalf("malformed operand changed size: %d", md.Size)
 	}
 }
@@ -450,5 +450,60 @@ func TestStartupTimeRecorded(t *testing.T) {
 	d := newTestDaemon(t)
 	if d.StartupTime() <= 0 {
 		t.Fatal("startup time not recorded")
+	}
+}
+
+// TestStoredRecordIsBareMetadata pins the stored shape: a created file's
+// record is the 25-byte Metadata, with nothing around it.
+func TestStoredRecordIsBareMetadata(t *testing.T) {
+	d := newTestDaemon(t)
+	if _, err := call(t, d, proto.OpCreate, encCreate("/f", meta.ModeRegular), nil); err != nil {
+		t.Fatal(err)
+	}
+	v, err := d.db.Get([]byte("/f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if md, err := meta.DecodeMetadata(v); len(v) != 25 || err != nil || md.Mode != meta.ModeRegular {
+		t.Fatalf("stored record %x (%d bytes) decodes to %+v, %v; want a 25-byte regular file", v, len(v), md, err)
+	}
+}
+
+// TestSecondDaemonOnDirFails: a daemon holds its data directory until
+// Close. A second one on the same directory fails with ErrDirInUse naming
+// the holder; one opened after Close serves the directory.
+func TestSecondDaemonOnDirFails(t *testing.T) {
+	fs, err := vfs.NewOS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := New(Config{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := call(t, first, proto.OpCreate, encCreate("/kept", meta.ModeRegular), nil); err != nil {
+		t.Fatal(err)
+	}
+	second, err := New(Config{FS: fs})
+	var inUse *ErrDirInUse
+	if !errors.As(err, &inUse) || inUse.PID != os.Getpid() {
+		if second != nil {
+			second.Close()
+		}
+		t.Fatalf("second daemon on an open directory: %v; want ErrDirInUse naming pid %d", err, os.Getpid())
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatalf("a second Close: %v", err)
+	}
+	reopened, err := New(Config{FS: fs})
+	if err != nil {
+		t.Fatalf("daemon after Close: %v", err)
+	}
+	defer reopened.Close()
+	if _, err := call(t, reopened, proto.OpStat, encPath("/kept"), nil); err != nil {
+		t.Fatalf("the reopened daemon lost /kept: %v", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/chunkstore"
-	"repro/internal/kvstore"
 	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/rpc"
@@ -36,13 +35,11 @@ func errResp(errno proto.Errno) []byte {
 // single-op metadata framings (one bounded key-value read-modify-write
 // each), and the chunk reads and writes (one pread or pwrite per span
 // the frame carries or asks for, each span inside one chunk — spanTotal).
-// Entering the epoch gate never blocks (only snapshot commit waits), and
-// a path lock a chunk I/O meets is held by a running handler for its own
+// A path lock a chunk I/O meets is held by a running handler for its own
 // bounded work. Everything else may scale beyond its frame — an unlink
 // per chunk file under the path's write lock, up to proto.MaxBatchOps
-// sub-ops, a directory page, the stats document — or wait on other
-// requests, as snapshot commit's drain does, and gets a goroutine of its
-// own.
+// sub-ops, a directory page, the stats document — and gets a goroutine of
+// its own.
 func (d *Daemon) register() {
 	d.srv.RegisterPoint(proto.OpPing, d.handlePing)
 	d.srv.RegisterPoint(proto.OpCreate, d.metaOpHandler(proto.MetaOpCreate))
@@ -56,9 +53,6 @@ func (d *Daemon) register() {
 	d.srv.Register(proto.OpReadDir, d.handleReadDir)
 	d.srv.Register(proto.OpStats, d.handleStats)
 	d.srv.Register(proto.OpBatchMeta, d.handleBatchMeta)
-	d.srv.Register(proto.OpSnapshot, d.handleSnapshot)
-	d.srv.Register(proto.OpSnapshotList, d.handleSnapshotList)
-	d.srv.Register(proto.OpSnapshotDrop, d.handleSnapshotDrop)
 }
 
 // metaOpHandler binds handleMetaOp to one of the four single-op codes.
@@ -82,28 +76,6 @@ func (d *Daemon) handlePing([]byte, rpc.Bulk) ([]byte, error) {
 	e.Str(d.cfg.ShmSocket)
 	e.I64(d.cfg.ChunkSize)
 	return e.Bytes(), nil
-}
-
-// metaAt reads path's metadata record as of epoch at (meta.LiveEpoch
-// for the live state) — the chunk handlers' view of the namespace. ok is
-// false when this daemon holds no such record: the path is absent,
-// removed, not yet born at the epoch, or owned by another daemon. A
-// present-but-corrupt record is an error, never "absent" — a client told
-// the file is gone could let the application overwrite it.
-func (d *Daemon) metaAt(path string, at uint64) (md meta.Metadata, ok bool, err error) {
-	cur, err := d.db.Get([]byte(path))
-	if errors.Is(err, kvstore.ErrNotFound) {
-		return meta.Metadata{}, false, nil
-	}
-	if err != nil {
-		return meta.Metadata{}, false, err
-	}
-	vm, err := meta.DecodeVersionedMeta(cur)
-	if err != nil {
-		return meta.Metadata{}, false, fmt.Errorf("corrupt metadata record: %w", err)
-	}
-	md, ok = vm.At(at)
-	return md, ok, nil
 }
 
 // maxSpanBytes bounds one chunk RPC's total span bytes: the one
@@ -199,11 +171,9 @@ func (d *Daemon) handleWriteChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	slot, retained := d.enter()
 	err = forEachSpan(spans, func(_ int, s proto.ChunkSpan, off int64) error {
-		return d.chunks.WriteChunkEpoch(path, s.ID, s.Off, data[off:off+s.Len], slot.epoch, retained)
+		return d.chunks.WriteChunk(path, s.ID, s.Off, data[off:off+s.Len])
 	})
-	slot.exit()
 	if err != nil {
 		return nil, err
 	}
@@ -225,10 +195,6 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	path := dec.Str()
 	spans := proto.DecodeSpans(dec)
 	flags := dec.U8()
-	at := meta.LiveEpoch
-	if flags&proto.ReadAtEpoch != 0 {
-		at = dec.U64()
-	}
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
@@ -242,15 +208,15 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	sizeState := proto.ReadSizeNone
 	var sizeView int64
 	if flags&proto.ReadWantSize != 0 {
-		m, ok, err := d.metaAt(path, at)
+		rec, err := d.record([]byte(path))
 		if err != nil {
 			return nil, fmt.Errorf("read %s: size view: %w", path, err)
 		}
-		if ok && m.IsDir() {
+		if rec.Exists && rec.Meta.IsDir() {
 			return errResp(proto.ErrnoIsDir), nil
 		}
-		if ok {
-			sizeState, sizeView = proto.ReadSizeFile, m.Size
+		if rec.Exists {
+			sizeState, sizeView = proto.ReadSizeFile, rec.Meta.Size
 		}
 	}
 	counts := make([]int64, len(spans))
@@ -262,10 +228,9 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 		// EFAULT there, never a signal). Any other carrier would copy them
 		// into its region in user space; it gets the read straight into
 		// that region instead, as before views.
-		_, gathers := bulk.(rpc.Gatherer)
-		r.lend = gathers && at == meta.LiveEpoch
+		_, r.lend = bulk.(rpc.Gatherer)
 		err = forEachSpan(spans, func(i int, s proto.ChunkSpan, off int64) error {
-			v, err := d.readSpan(r, bulk, total, path, s, off, at)
+			v, err := d.readSpan(r, bulk, total, path, s, off)
 			r.views[i], counts[i] = v, int64(len(v.B))
 			return err
 		})
@@ -293,9 +258,6 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	atomic.AddUint64(&d.live.ReadOps, 1)
 	atomic.AddUint64(&d.live.ReadBytes, uint64(total))
 	atomic.AddUint64(&d.live.ReadSpans, uint64(len(spans)))
-	if at != meta.LiveEpoch {
-		atomic.AddUint64(&d.live.SnapshotReads, 1)
-	}
 	e := okResp(4 + 8*len(counts) + 9)
 	e.U32(uint32(len(counts)))
 	for _, c := range counts {
@@ -308,13 +270,13 @@ func (d *Daemon) handleReadChunks(req []byte, bulk rpc.Bulk) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// readSpan reads one span of a chunk read: a live chunk lent to a
-// gathering carrier as a view of its mapping, which holds the chunk's
-// handle but not its path lock until the reply is written; any other
-// read — a pinned epoch, a carrier that cannot gather, a chunk the store
-// cannot map — by a copy under the path lock into the carrier's own
-// region at the span's place in the reply (drawn at the first such span).
-func (d *Daemon) readSpan(r *readReply, bulk rpc.Bulk, total int64, path string, s proto.ChunkSpan, off int64, at uint64) (chunkstore.View, error) {
+// readSpan reads one span of a chunk read: a chunk lent to a gathering
+// carrier as a view of its mapping, which holds the chunk's handle but not
+// its path lock until the reply is written; any other read — a carrier
+// that cannot gather, a chunk the store cannot map — by a copy under the
+// path lock into the carrier's own region at the span's place in the
+// reply (drawn at the first such span).
+func (d *Daemon) readSpan(r *readReply, bulk rpc.Bulk, total int64, path string, s proto.ChunkSpan, off int64) (chunkstore.View, error) {
 	if r.lend {
 		v, ok, err := d.chunks.ViewChunk(path, s.ID, s.Off, s.Len)
 		if ok || err != nil {
@@ -326,7 +288,7 @@ func (d *Daemon) readSpan(r *readReply, bulk rpc.Bulk, total int64, path string,
 		return chunkstore.View{}, err
 	}
 	dst := region[off : off+s.Len]
-	n, err := d.chunks.ReadChunkAt(path, s.ID, s.Off, dst, at)
+	n, err := d.chunks.ReadChunk(path, s.ID, s.Off, dst)
 	return chunkstore.View{B: dst[:n]}, err
 }
 
@@ -343,7 +305,7 @@ type readReply struct {
 	views   []chunkstore.View
 	list    [][]byte
 	release func()
-	lend    bool // live spans are read as views (readSpan)
+	lend    bool // spans are read as views (readSpan)
 
 	mu  sync.Mutex
 	dst []byte // guarded by mu; the carrier's Writable region, once a span needed it
@@ -426,9 +388,7 @@ func (d *Daemon) handleRemoveChunks(req []byte, _ rpc.Bulk) ([]byte, error) {
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
-	slot, retained := d.enter()
-	defer slot.exit()
-	if err := d.chunks.RemoveChunksEpoch(path, slot.epoch, retained); err != nil {
+	if err := d.chunks.RemoveChunks(path); err != nil {
 		return nil, err
 	}
 	return okResp(0).Bytes(), nil
@@ -447,14 +407,12 @@ func (d *Daemon) handleTruncateChunks(req []byte, _ rpc.Bulk) ([]byte, error) {
 	// Directories carry no chunks; truncating one is a caller error. The
 	// record lives only on the path's metadata owner, so the check bites
 	// there and is a no-op on the other daemons of the fan-out.
-	if m, ok, err := d.metaAt(path, meta.LiveEpoch); err != nil {
+	if rec, err := d.record([]byte(path)); err != nil {
 		return nil, fmt.Errorf("truncate %s: %w", path, err)
-	} else if ok && m.IsDir() {
+	} else if rec.Exists && rec.Meta.IsDir() {
 		return errResp(proto.ErrnoIsDir), nil
 	}
-	slot, retained := d.enter()
-	defer slot.exit()
-	if err := d.chunks.TruncateChunksEpoch(path, d.cfg.ChunkSize, newSize, slot.epoch, retained); err != nil {
+	if err := d.chunks.TruncateChunks(path, d.cfg.ChunkSize, newSize); err != nil {
 		return nil, err
 	}
 	return okResp(0).Bytes(), nil
@@ -474,9 +432,6 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 	dir := dec.Str()
 	after := dec.Str()
 	limit := dec.U32()
-	// The scan resolves each record at this epoch: a snapshot's, or
-	// LiveEpoch for the live namespace.
-	_, at := proto.DecodeEpochTail(dec)
 	if err := dec.Done(); err != nil {
 		return nil, err
 	}
@@ -487,9 +442,6 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 		limit = proto.MaxReadDirPage
 	}
 	atomic.AddUint64(&d.live.ReadDirs, 1)
-	if at != meta.LiveEpoch {
-		atomic.AddUint64(&d.live.SnapshotReads, 1)
-	}
 	prefix := dir
 	if prefix != meta.Root {
 		prefix += "/"
@@ -527,13 +479,9 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 			next = ents[len(ents)-1].name
 			break
 		}
-		vm, err := meta.DecodeVersionedMeta(it.Value())
+		m, err := meta.DecodeMetadata(it.Value())
 		if err != nil {
 			return nil, fmt.Errorf("readdir %s: corrupt record at %s: %w", dir, p, err)
-		}
-		m, ok := vm.At(at)
-		if !ok {
-			continue // tombstoned (or unborn at the requested epoch)
 		}
 		ents = append(ents, ent{name: meta.Base(p), isDir: m.IsDir(), size: m.Size})
 	}

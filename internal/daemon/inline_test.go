@@ -17,10 +17,9 @@ import (
 // connection A — point ops, served one after another on that
 // connection's reader — and, on connection B, the ops of the same path
 // that take its write lock (chunk truncation and removal, each on a
-// goroutine of its own) plus snapshot commits, which drain the mutations
-// of the old epoch. An inline chunk op may meet the path lock or the
-// epoch gate held by B's handlers, but never waits on a request, so
-// everything must finish well within the deadline.
+// goroutine of its own). An inline chunk op may meet the path lock held
+// by B's handlers, but never waits on a request, so everything must
+// finish well within the deadline.
 func TestInlineChunkOpsLiveness(t *testing.T) {
 	d := newTestDaemon(t) // 256-byte chunks
 	a, b := wiretest.Dial(t, d.Server(), wiretest.TCP, 1), wiretest.Dial(t, d.Server(), wiretest.TCP, 1)
@@ -44,7 +43,7 @@ func TestInlineChunkOpsLiveness(t *testing.T) {
 		chunks   = 8
 		ioLoops  = 4   // goroutines sharing connection A
 		ioRounds = 200 // write-then-read rounds of each
-		bRounds  = 50  // truncate, remove and snapshot rounds on connection B
+		bRounds  = 50  // truncate and remove rounds on connection B
 		deadline = 30 * time.Second
 	)
 	errs := make(chan error, ioLoops+1)
@@ -84,26 +83,6 @@ func TestInlineChunkOpsLiveness(t *testing.T) {
 				errs <- err
 				return
 			}
-			tag := fmt.Sprintf("pin%d", i)
-			reserve := rpc.NewEnc(len(tag) + 5)
-			reserve.U8(proto.SnapReserve).Str(tag)
-			dec, err := call(b, proto.OpSnapshot, reserve.Bytes(), nil, rpc.BulkNone)
-			if err != nil {
-				errs <- err
-				return
-			}
-			commit := rpc.NewEnc(len(tag) + 13)
-			commit.U8(proto.SnapCommit).Str(tag).U64(dec.U64())
-			if _, err := call(b, proto.OpSnapshot, commit.Bytes(), nil, rpc.BulkNone); err != nil {
-				errs <- err
-				return
-			}
-			drop := rpc.NewEnc(len(tag) + 4)
-			drop.Str(tag)
-			if _, err := call(b, proto.OpSnapshotDrop, drop.Bytes(), nil, rpc.BulkNone); err != nil {
-				errs <- err
-				return
-			}
 		}
 		errs <- nil
 	}()
@@ -113,7 +92,7 @@ func TestInlineChunkOpsLiveness(t *testing.T) {
 	select {
 	case <-finished:
 	case <-time.After(deadline):
-		t.Fatalf("inline chunk I/O on one connection and truncate/remove/snapshot commit on another did not finish within %v", deadline)
+		t.Fatalf("inline chunk I/O on one connection and truncate/remove on another did not finish within %v", deadline)
 	}
 	close(errs)
 	for err := range errs {

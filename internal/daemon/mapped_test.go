@@ -3,12 +3,10 @@ package daemon_test
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -156,12 +154,6 @@ func TestReadReplyInFlightOutlivesChunkMutation(t *testing.T) {
 		{"truncate", false, func(c *client.Client, path string) error { return c.Truncate(path, 5*chunkSize+1000) }},
 		{"remove", false, func(c *client.Client, path string) error { return c.Remove(path) }},
 		{"overwrite", true, func(c *client.Client, path string) error { return c.WritePath(path, blockFill(size, 1), 0) }},
-		{"overwrite-after-pin", true, func(c *client.Client, path string) error {
-			if _, err := c.Snapshot("pin"); err != nil {
-				return err
-			}
-			return c.WritePath(path, blockFill(size, 1), 0)
-		}},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
@@ -230,76 +222,9 @@ func TestReadReplyInFlightOutlivesChunkMutation(t *testing.T) {
 	}
 }
 
-// TestPinnedReadRacesFirstOverwrite reads a file at a just-pinned epoch
-// while the first overwrite after the pin — the one that copies the
-// pre-image and then rewrites the live chunk in place — runs beside it:
-// a whole-file overwrite, pwritten, and an 8 KiB one, which the daemon
-// copies into the chunk file's mapping. A pinned read copies under the
-// path lock instead of viewing the live mapping, and the overwrite's
-// copy into the mapping runs after its pre-image is indexed, so the read
-// returns the pre-pin bytes whichever side wins.
-func TestPinnedReadRacesFirstOverwrite(t *testing.T) {
-	const chunkSize = 64 << 10
-	const size = 4 * chunkSize
-	for _, w := range []struct {
-		name     string
-		off, len int
-	}{{"whole", 0, size}, {"8KiB", chunkSize + 4096, 8 << 10}} {
-		t.Run(w.name, func(t *testing.T) {
-			d, _, c := mappedDaemon(t, chunkSize)
-			old, fresh := blockFill(size, 0), blockFill(size, 1)
-			for i := 0; i < 20; i++ {
-				path := fmt.Sprintf("/ckpt%d", i)
-				fd, err := c.Create(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := c.WriteAt(fd, old, 0); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Close(fd); err != nil {
-					t.Fatal(err)
-				}
-				epoch, err := c.Snapshot(fmt.Sprintf("pin%d", i))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				var werr atomic.Value
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if err := c.WritePath(path, fresh[w.off:w.off+w.len], int64(w.off)); err != nil {
-						werr.Store(err)
-					}
-				}()
-				got := make([]byte, size)
-				n, err := c.ReadSnapshot(path, epoch, got, 0)
-				wg.Wait()
-				if err != nil || n != size {
-					t.Fatalf("pinned read %d: %d bytes, %v", i, n, err)
-				}
-				if e := werr.Load(); e != nil {
-					t.Fatal(e)
-				}
-				if !bytes.Equal(got, old) {
-					t.Fatalf("pinned read %d returned bytes written after the pin", i)
-				}
-			}
-			var oc chunkstore.OpenStats
-			d.Telemetry().Snapshot().View(&oc)
-			if mapped := oc.WriteMappedBytes > 0; mapped != (w.len <= 8<<10) {
-				t.Fatalf("%d bytes copied into mappings; want the 8 KiB overwrites mapped and no others", oc.WriteMappedBytes)
-			}
-		})
-	}
-}
-
-// TestLiveChunkReadDrawsNoReplyRegion: a live 1 MiB read over TCP sends
-// its reply from the chunk files' mappings, so the daemon draws no
-// reply-sized region from the pool and counts every byte as mapped; a
-// read at a pinned epoch is the copying fallback, which draws one and
-// counts its bytes as copied.
+// TestLiveChunkReadDrawsNoReplyRegion: a 1 MiB read over TCP sends its
+// reply from the chunk files' mappings, so the daemon draws no
+// reply-sized region from the pool and counts every byte as mapped.
 func TestLiveChunkReadDrawsNoReplyRegion(t *testing.T) {
 	const size = 1 << 20
 	d, _, c := mappedDaemon(t, meta.DefaultChunkSize)
@@ -344,36 +269,23 @@ func TestLiveChunkReadDrawsNoReplyRegion(t *testing.T) {
 		t.Fatalf("live read: %d bytes mapped, %d copied; want %d mapped", m, cp, size)
 	}
 
-	epoch, err := c.Snapshot("pin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before = stats()
-	read(func(p []byte) (int, error) { return c.ReadSnapshot("/f", epoch, p, 0) })
-	after = stats()
-	if n := regions.Load(); n != 1 {
-		t.Fatalf("a pinned 1 MiB read drew %d reply-sized regions; want the one it copies into", n)
-	}
-	if m, cp := after.MappedBytes-before.MappedBytes, after.CopiedBytes-before.CopiedBytes; m != 0 || cp != size {
-		t.Fatalf("pinned read: %d bytes mapped, %d copied; want %d copied", m, cp, size)
-	}
 }
 
 // TestChunkReadsAgreeOnEveryCarrier reads one file — full chunks, a hole
-// of never-written chunks, a short last chunk — live and at a pinned
-// epoch the live file has since moved past, from a daemon on the OS vfs
-// (live reads over TCP lend views of the mappings) and one on vfs.Mem
-// (every read copies), over every carrier: mem, tcp, tcp-pool and shm,
+// of never-written chunks, a short last chunk, a range rewritten across a
+// chunk boundary — from a daemon on the OS vfs (reads over TCP lend views
+// of the mappings) and one on vfs.Mem (every read copies), over every
+// carrier: mem, tcp, tcp-pool and shm,
 // whose segment and mem conn take every read into their own region.
 // Every read into a dirty buffer returns the same bytes.
 func TestChunkReadsAgreeOnEveryCarrier(t *testing.T) {
 	const chunkSize = 64 << 10
 	const size = 5*chunkSize + 1000
-	pinned := make([]byte, size)
-	copy(pinned, blockFill(2*chunkSize+100, 0))              // chunks 0-1, a sliver of 2
-	copy(pinned[4*chunkSize:], blockFill(chunkSize+1000, 1)) // chunk 4 and a short chunk 5
-	live := append([]byte(nil), pinned...)
-	copy(live[chunkSize/2:], blockFill(chunkSize, 1)) // overwrite across chunks 0-1 after the pin
+	first := make([]byte, size)
+	copy(first, blockFill(2*chunkSize+100, 0))              // chunks 0-1, a sliver of 2
+	copy(first[4*chunkSize:], blockFill(chunkSize+1000, 1)) // chunk 4 and a short chunk 5
+	live := append([]byte(nil), first...)
+	copy(live[chunkSize/2:], blockFill(chunkSize, 1)) // overwrite across chunks 0-1
 
 	for _, fsKind := range []string{"os", "mem"} {
 		t.Run(fsKind, func(t *testing.T) {
@@ -403,15 +315,11 @@ func TestChunkReadsAgreeOnEveryCarrier(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range [][2]int{{0, 2*chunkSize + 100}, {4 * chunkSize, size}} {
-				if _, err := w.WriteAt(fd, pinned[r[0]:r[1]], int64(r[0])); err != nil {
+				if _, err := w.WriteAt(fd, first[r[0]:r[1]], int64(r[0])); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if err := w.Close(fd); err != nil {
-				t.Fatal(err)
-			}
-			epoch, err := w.Snapshot("pin")
-			if err != nil {
 				t.Fatal(err)
 			}
 			if err := w.WritePath("/f", live[chunkSize/2:chunkSize/2+chunkSize], chunkSize/2); err != nil {
@@ -432,14 +340,14 @@ func TestChunkReadsAgreeOnEveryCarrier(t *testing.T) {
 				}
 				c.Close(fd)
 				got = bytes.Repeat([]byte{0xEE}, size)
-				if n, err := c.ReadSnapshot("/f", epoch, got, 0); err != nil || n != size || !bytes.Equal(got, pinned) {
-					t.Errorf("%s: pinned read: %d bytes, %v, equal %v", name, n, err, bytes.Equal(got, pinned))
+				if n, err := c.ReadPath("/f", got, 0); err != nil || n != size || !bytes.Equal(got, live) {
+					t.Errorf("%s: descriptor-free read: %d bytes, %v, equal %v", name, n, err, bytes.Equal(got, live))
 				}
 			}
 			var oc chunkstore.OpenStats
 			d.Telemetry().Snapshot().View(&oc)
 			if (oc.MappedBytes > 0) != (fsKind == "os") || oc.CopiedBytes == 0 {
-				t.Errorf("reply bytes %d mapped, %d copied; want mapped live reads only on the OS vfs, copied pinned ones", oc.MappedBytes, oc.CopiedBytes)
+				t.Errorf("reply bytes %d mapped, %d copied; want mapped reads only on the OS vfs, copied ones on the carriers that read into their own region", oc.MappedBytes, oc.CopiedBytes)
 			}
 		})
 	}

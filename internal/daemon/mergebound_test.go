@@ -32,8 +32,8 @@ var rewriteSeed = flag.Int64("rewrite.seed", 1, "seed of TestSharedFileRewritesS
 // operands the store left unfolded must fit in runs of fewer than
 // runBound — one run per resolve that closed one, per checkpoint that
 // began one, plus one still open. The grow's contract must be what it
-// was: the final size and mtime are right, a grow under a pinned snapshot
-// stamps a new version, a grow against a directory is refused.
+// was: the final size and mtime are right, and a grow against a
+// directory is refused.
 func TestSharedFileRewritesStayFlat(t *testing.T) {
 	d, err := daemon.New(daemon.Config{FS: vfs.NewMem()})
 	if err != nil {
@@ -109,22 +109,6 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 	}
 	if mt := fi.ModTime(); mt.Before(lastStart) || mt.After(time.Now()) {
 		t.Errorf("mtime %v is not the last write's (started %v)", mt, lastStart)
-	}
-
-	// A grow under a pinned snapshot stamps a new version: the snapshot
-	// keeps the size it pinned.
-	epoch, err := c.Snapshot("pin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.WriteAt(fd, buf, size); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := c.Stat(shared); err != nil || fi.Size() != size+block {
-		t.Errorf("live size after a grow under a pin = %v, %v; want %d", fi.Size(), err, size+block)
-	}
-	if fi, err := c.StatAt(shared, epoch); err != nil || fi.Size() != size {
-		t.Errorf("pinned size after a grow = %v, %v; want %d", fi.Size(), err, size)
 	}
 
 	// A grow against a directory is still refused.

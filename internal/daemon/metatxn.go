@@ -29,10 +29,9 @@ var outcomeErrno = [...]proto.Errno{
 // metaTxn runs ops in order as one transaction, filling results: lock
 // the keys of the read-validate-write ops, load each record (this
 // transaction's pending state first, then the store), apply the op's
-// rule under one (epoch, retained) stamp, and commit every change as a
-// single kvstore.Batch — one WAL append however many ops. A failed op
-// sets its errno and never disturbs its batchmates; an error return
-// means nothing was committed.
+// rule, and commit every change as a single kvstore.Batch — one WAL
+// append however many ops. A failed op sets its errno and never disturbs
+// its batchmates; an error return means nothing was committed.
 //
 // Stats take no lock (a point read is atomic) and neither do grows: a
 // grow commits as a merge operand, which the store folds under its own
@@ -51,31 +50,22 @@ var outcomeErrno = [...]proto.Errno{
 // goroutine of its own and pays for every frame of depth in stack
 // growth, while the single-op framings run on the connection reader's
 // warm stack (register).
-func (d *Daemon) metaTxn(ops []proto.MetaOp, results []proto.MetaResult, overlay map[string]meta.VersionedMeta) error {
+func (d *Daemon) metaTxn(ops []proto.MetaOp, results []proto.MetaResult, overlay map[string]meta.Record) error {
 	var key0, lock0 [1][]byte
 	keys, locks := key0[:0], lock0[:0]
 	if len(ops) > 1 {
 		keys = make([][]byte, 0, len(ops))
 		locks = make([][]byte, 0, len(ops))
 	}
-	mutates := false
 	for i := range ops {
 		op := &ops[i]
 		keys = append(keys, []byte(op.Path))
 		if op.Kind == proto.MetaOpStat || op.Inval {
 			continue
 		}
-		mutates = true
 		if op.Kind != proto.MetaOpUpdateSize || op.Truncate {
 			locks = append(locks, keys[i])
 		}
-	}
-	var epoch uint64
-	var retained []uint64
-	if mutates {
-		slot, r := d.enter()
-		defer slot.exit()
-		epoch, retained = slot.epoch, r
 	}
 	defer d.db.LockKeys(locks).Unlock()
 
@@ -88,12 +78,8 @@ func (d *Daemon) metaTxn(ops []proto.MetaOp, results []proto.MetaResult, overlay
 		}
 		rec, pending := overlay[op.Path]
 		if !pending {
-			switch v, err := d.db.Get(keys[i]); {
-			case err == nil:
-				if rec, err = meta.DecodeVersionedMeta(v); err != nil {
-					return opError(op, err)
-				}
-			case !errors.Is(err, kvstore.ErrNotFound):
+			var err error
+			if rec, err = d.record(keys[i]); err != nil {
 				return opError(op, err)
 			}
 		}
@@ -101,45 +87,35 @@ func (d *Daemon) metaTxn(ops []proto.MetaOp, results []proto.MetaResult, overlay
 		switch op.Kind {
 		case proto.MetaOpStat:
 			atomic.AddUint64(&d.live.StatOps, 1)
-			if op.Epoch != meta.LiveEpoch {
-				atomic.AddUint64(&d.live.SnapshotReads, 1)
-			}
-			md, ok := rec.At(op.Epoch)
-			if !ok {
+			if !rec.Exists {
 				res.Errno = proto.ErrnoNotExist
 				continue
 			}
-			res.Blob = md.Encode()
-			if op.Flags&proto.StatWantVersions != 0 {
-				res.Versions = rec.V
-			}
+			res.Blob = rec.Meta.Encode()
 			continue
 		case proto.MetaOpCreate:
 			atomic.AddUint64(&d.live.Creates, 1)
-			out = rec.Create(epoch, retained, op.Mode, op.TimeNS)
+			out = rec.Create(op.Mode, op.TimeNS)
 		case proto.MetaOpRemove:
 			atomic.AddUint64(&d.live.Removes, 1)
 			var was meta.Metadata
-			was, out = rec.Remove(epoch, retained, op.FileOnly)
+			was, out = rec.Remove(op.FileOnly)
 			res.Mode, res.Size = was.Mode, was.Size
 		case proto.MetaOpUpdateSize:
 			atomic.AddUint64(&d.live.SizeUpdates, 1)
 			if op.Truncate {
-				out = rec.Truncate(epoch, retained, op.Size, op.TimeNS)
+				out = rec.Truncate(op.Size, op.TimeNS)
 			} else {
-				out, grow = rec.Grow(epoch, op.Size, op.TimeNS), true
+				out, grow = rec.Grow(op.Size, op.TimeNS), true
 			}
 		}
 		switch {
 		case out == meta.Put && grow:
-			// The operand carries the stamp: the merger must stay
-			// deterministic for WAL replay, so it reads the epoch from
-			// here and never compacts.
-			operand := rpc.NewEnc(24)
-			operand.I64(op.Size).I64(op.TimeNS).U64(epoch)
+			operand := rpc.NewEnc(16)
+			operand.I64(op.Size).I64(op.TimeNS)
 			batch.MergeOwned(keys[i], operand.Bytes())
 		case out == meta.Put:
-			batch.PutOwned(keys[i], rec.Encode())
+			batch.PutOwned(keys[i], rec.Meta.Encode())
 		case out == meta.Delete:
 			batch.DeleteOwned(keys[i])
 		default:
@@ -154,6 +130,25 @@ func (d *Daemon) metaTxn(ops []proto.MetaOp, results []proto.MetaResult, overlay
 		return fmt.Errorf("meta commit: %w", err)
 	}
 	return nil
+}
+
+// record loads path's stored record; a key the store does not hold is
+// an absent record. A present record that does not decode is an error,
+// never "absent": a client told the file is gone could let the
+// application overwrite it.
+func (d *Daemon) record(key []byte) (meta.Record, error) {
+	v, err := d.db.Get(key)
+	if errors.Is(err, kvstore.ErrNotFound) {
+		return meta.Record{}, nil
+	}
+	if err != nil {
+		return meta.Record{}, err
+	}
+	md, err := meta.DecodeMetadata(v)
+	if err != nil {
+		return meta.Record{}, fmt.Errorf("corrupt metadata record: %w", err)
+	}
+	return meta.Record{Meta: md, Exists: true}, nil
 }
 
 // opError names the op and path a transaction failed on.
@@ -174,7 +169,7 @@ func (d *Daemon) handleMetaOp(kind proto.MetaOpKind, req []byte) ([]byte, error)
 	if err := d.metaTxn(op[:], res[:], nil); err != nil {
 		return nil, err
 	}
-	e := rpc.NewEnc(2 + 9 + len(res[0].Blob) + 36*len(res[0].Versions))
+	e := rpc.NewEnc(2 + 9 + len(res[0].Blob))
 	proto.EncodeMetaResult(e, &op[0], &res[0])
 	return e.Bytes(), nil
 }
@@ -188,7 +183,7 @@ func (d *Daemon) handleBatchMeta(req []byte, _ rpc.Bulk) ([]byte, error) {
 		return nil, err
 	}
 	results := make([]proto.MetaResult, len(ops))
-	if err := d.metaTxn(ops, results, make(map[string]meta.VersionedMeta, len(ops))); err != nil {
+	if err := d.metaTxn(ops, results, make(map[string]meta.Record, len(ops))); err != nil {
 		return nil, fmt.Errorf("batch meta: %w", err)
 	}
 	atomic.AddUint64(&d.live.BatchRPCs, 1)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/rpc"
+	"repro/internal/vfs"
 )
 
 // callSingle sends op alone under its kind's own op code and decodes the
@@ -36,23 +37,18 @@ func callSingle(t *testing.T, d *Daemon, op proto.MetaOp) proto.MetaResult {
 // either framing grows a private copy of a rule again. The expected
 // errno column keeps the pair from agreeing on a wrong answer.
 func TestSingleAndBatchFramingsAgree(t *testing.T) {
-	const (
-		path     = "/p"
-		epoch    = 5 // the daemons' current epoch
-		retained = 3 // a committed snapshot's epoch
-	)
+	const path = "/p"
 	file := meta.Metadata{Mode: meta.ModeRegular, Size: 50, CTimeNS: 1, MTimeNS: 2}
 	dir := meta.Metadata{Mode: meta.ModeDir, CTimeNS: 1, MTimeNS: 1}
 	states := []struct {
 		name string
-		rec  *meta.VersionedMeta // nil: absent
+		rec  *meta.Metadata // nil: absent
+		gone bool           // the record was stored, then removed
 	}{
-		{"absent", nil},
-		{"live file", &meta.VersionedMeta{V: []meta.Version{{Epoch: epoch, Meta: file}}}},
-		{"live dir", &meta.VersionedMeta{V: []meta.Version{{Epoch: epoch, Meta: dir}}}},
-		{"tombstoned", &meta.VersionedMeta{V: []meta.Version{{Epoch: 4, Tombstone: true}, {Epoch: 2, Meta: file}}}},
-		{"pinned file", &meta.VersionedMeta{V: []meta.Version{{Epoch: 2, Meta: file}}}},
-		{"pinned dir", &meta.VersionedMeta{V: []meta.Version{{Epoch: 2, Meta: dir}}}},
+		{"absent", nil, false},
+		{"live file", &file, false},
+		{"live dir", &dir, false},
+		{"tombstoned", &file, true},
 	}
 	ops := []struct {
 		name string
@@ -60,27 +56,27 @@ func TestSingleAndBatchFramingsAgree(t *testing.T) {
 		want map[string]proto.Errno // by state; absent means OK
 	}{
 		{"create", proto.MetaOp{Kind: proto.MetaOpCreate, Path: path, Mode: meta.ModeRegular, TimeNS: 9},
-			map[string]proto.Errno{"live file": proto.ErrnoExist, "live dir": proto.ErrnoExist, "pinned file": proto.ErrnoExist, "pinned dir": proto.ErrnoExist}},
+			map[string]proto.Errno{"live file": proto.ErrnoExist, "live dir": proto.ErrnoExist}},
 		{"remove file-only", proto.MetaOp{Kind: proto.MetaOpRemove, Path: path, FileOnly: true},
-			map[string]proto.Errno{"absent": proto.ErrnoNotExist, "tombstoned": proto.ErrnoNotExist, "live dir": proto.ErrnoIsDir, "pinned dir": proto.ErrnoIsDir}},
+			map[string]proto.Errno{"absent": proto.ErrnoNotExist, "tombstoned": proto.ErrnoNotExist, "live dir": proto.ErrnoIsDir}},
 		{"remove any", proto.MetaOp{Kind: proto.MetaOpRemove, Path: path},
 			map[string]proto.Errno{"absent": proto.ErrnoNotExist, "tombstoned": proto.ErrnoNotExist}},
 		{"truncate", proto.MetaOp{Kind: proto.MetaOpUpdateSize, Path: path, Size: 7, Truncate: true, TimeNS: 9},
-			map[string]proto.Errno{"absent": proto.ErrnoNotExist, "tombstoned": proto.ErrnoNotExist, "live dir": proto.ErrnoIsDir, "pinned dir": proto.ErrnoIsDir}},
+			map[string]proto.Errno{"absent": proto.ErrnoNotExist, "tombstoned": proto.ErrnoNotExist, "live dir": proto.ErrnoIsDir}},
 		{"grow", proto.MetaOp{Kind: proto.MetaOpUpdateSize, Path: path, Size: 70, TimeNS: 9},
-			map[string]proto.Errno{"live dir": proto.ErrnoIsDir, "pinned dir": proto.ErrnoIsDir}},
+			map[string]proto.Errno{"live dir": proto.ErrnoIsDir}},
 	}
-	// prepared returns a daemon at the table's epoch with one committed
-	// snapshot and the state's record stored.
-	prepared := func(t *testing.T, rec *meta.VersionedMeta) *Daemon {
+	// prepared returns a daemon with the state's record stored: for the
+	// tombstoned state the store holds a delete over an earlier record.
+	prepared := func(t *testing.T, rec *meta.Metadata, gone bool) *Daemon {
 		d := newTestDaemon(t)
-		d.snaps.mu.Lock()
-		d.snaps.committed["pin"] = retained
-		d.snaps.cur.Store(&epochSlot{epoch: epoch})
-		d.storeRetainedLocked()
-		d.snaps.mu.Unlock()
 		if rec != nil {
 			if err := d.db.Put([]byte(path), rec.Encode()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if gone {
+			if err := d.db.Delete([]byte(path)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -99,7 +95,7 @@ func TestSingleAndBatchFramingsAgree(t *testing.T) {
 	for _, st := range states {
 		for _, tc := range ops {
 			t.Run(st.name+"/"+tc.name, func(t *testing.T) {
-				single, batch := prepared(t, st.rec), prepared(t, st.rec)
+				single, batch := prepared(t, st.rec, st.gone), prepared(t, st.rec, st.gone)
 				before := stored(t, single)
 				rs := callSingle(t, single, tc.op)
 				rb := callBatch(t, batch, []proto.MetaOp{tc.op})[0]
@@ -116,21 +112,10 @@ func TestSingleAndBatchFramingsAgree(t *testing.T) {
 				if rs.Errno != proto.OK && !bytes.Equal(ss, before) {
 					t.Fatalf("refused op changed the record: %x -> %x", before, ss)
 				}
-				if rs.Errno != proto.OK || ss == nil {
-					return
-				}
-				// The snapshot pinned before the op still sees what it saw.
-				vm, err := meta.DecodeVersionedMeta(ss)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wasMD meta.Metadata
-				var wasOK bool
-				if st.rec != nil {
-					wasMD, wasOK = st.rec.At(retained)
-				}
-				if md, ok := vm.At(retained); md != wasMD || ok != wasOK {
-					t.Fatalf("pinned epoch %d saw %+v, %v before and %+v, %v after", retained, wasMD, wasOK, md, ok)
+				if ss != nil {
+					if _, err := meta.DecodeMetadata(ss); err != nil {
+						t.Fatalf("stored record %x does not decode: %v", ss, err)
+					}
 				}
 			})
 		}
@@ -138,58 +123,72 @@ func TestSingleAndBatchFramingsAgree(t *testing.T) {
 }
 
 // TestSizeGrowRule pins what the shared grow step does in each case the
-// relaxed-semantics table names, through the merge operator — the path a
-// grow actually commits by — and that folding is transparent: two
-// operands in one call, or one call each, leave the same record.
+// relaxed-semantics table names, through the store and its merge operator
+// — the path a grow actually commits by — and that folding is
+// transparent: two operands in one call, or one call each, leave the same
+// record.
 func TestSizeGrowRule(t *testing.T) {
 	file := func(size, mtime int64) meta.Metadata {
 		return meta.Metadata{Mode: meta.ModeRegular, Size: size, CTimeNS: 1, MTimeNS: mtime}
 	}
-	full := meta.VersionedMeta{}
-	for e := uint64(1); e <= meta.MaxVersions; e++ {
-		full.Stamp(e, file(int64(e), int64(e)))
-	}
-	operand := func(size, mtime int64, epoch uint64) []byte {
-		e := rpc.NewEnc(24)
-		e.I64(size).I64(mtime).U64(epoch)
+	dir := meta.Metadata{Mode: meta.ModeDir, CTimeNS: 1, MTimeNS: 2}
+	operand := func(size, mtime int64) []byte {
+		e := rpc.NewEnc(16)
+		e.I64(size).I64(mtime)
 		return e.Bytes()
 	}
 	for _, tc := range []struct {
 		name     string
-		existing *meta.VersionedMeta // nil: absent
-		epoch    uint64
+		existing *meta.Metadata // nil: absent
+		gone     bool           // the record was stored, then removed
 		size     int64
 		mtime    int64
-		versions int
-		want     meta.Metadata // newest version after the grow
+		want     meta.Metadata
 	}{
-		{"absent", nil, 4, 100, 9, 1, meta.Metadata{Mode: meta.ModeRegular, Size: 100, MTimeNS: 9}},
-		{"tombstoned", &meta.VersionedMeta{V: []meta.Version{{Epoch: 3, Tombstone: true}, {Epoch: 1, Meta: file(50, 2)}}},
-			3, 100, 9, 2, meta.Metadata{Mode: meta.ModeRegular, Size: 100, MTimeNS: 9}},
-		{"tombstoned, newer epoch", &meta.VersionedMeta{V: []meta.Version{{Epoch: 3, Tombstone: true}, {Epoch: 1, Meta: file(50, 2)}}},
-			5, 100, 9, 3, meta.Metadata{Mode: meta.ModeRegular, Size: 100, MTimeNS: 9}},
-		{"older epoch", &meta.VersionedMeta{V: []meta.Version{{Epoch: 5, Meta: file(50, 20)}}}, 2, 100, 9, 1, file(100, 20)},
-		{"same epoch, smaller", &meta.VersionedMeta{V: []meta.Version{{Epoch: 5, Meta: file(500, 2)}}}, 5, 100, 9, 1, file(500, 9)},
-		{"newer epoch", &meta.VersionedMeta{V: []meta.Version{{Epoch: 5, Meta: file(50, 2)}}}, 7, 100, 9, 2, file(100, 9)},
-		{"newer epoch, full history", &full, meta.MaxVersions + 1, 100, 9, meta.MaxVersions, file(100, 9)},
-		{"directory", &meta.VersionedMeta{V: []meta.Version{{Epoch: 5, Meta: meta.Metadata{Mode: meta.ModeDir, CTimeNS: 1, MTimeNS: 2}}}},
-			7, 100, 9, 1, meta.Metadata{Mode: meta.ModeDir, CTimeNS: 1, MTimeNS: 2}},
+		{"absent", nil, false, 100, 9, meta.Metadata{Mode: meta.ModeRegular, Size: 100, MTimeNS: 9}},
+		{"tombstoned", &meta.Metadata{Mode: meta.ModeRegular, Size: 50, CTimeNS: 1, MTimeNS: 2}, true,
+			100, 9, meta.Metadata{Mode: meta.ModeRegular, Size: 100, MTimeNS: 9}},
+		{"smaller", &meta.Metadata{Mode: meta.ModeRegular, Size: 500, CTimeNS: 1, MTimeNS: 2}, false, 100, 9, file(500, 9)},
+		{"larger, older mtime", &meta.Metadata{Mode: meta.ModeRegular, Size: 50, CTimeNS: 1, MTimeNS: 20}, false, 100, 9, file(100, 20)},
+		{"directory", &dir, false, 100, 9, dir},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var stored []byte
-			if tc.existing != nil {
-				stored = tc.existing.Encode()
-			}
-			first := operand(tc.size, tc.mtime, tc.epoch)
-			merged := sizeMerger(nil, stored, [][]byte{first})
-			got, err := meta.DecodeVersionedMeta(merged)
+			db, err := kvstore.Open(kvstore.Options{FS: vfs.NewMem(), Merger: sizeMerger})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.V) != tc.versions || got.V[0].Tombstone || got.V[0].Meta != tc.want {
-				t.Fatalf("grown record = %+v, want %d versions with newest %+v", got.V, tc.versions, tc.want)
+			defer db.Close()
+			key := []byte("/g")
+			if tc.existing != nil {
+				if err := db.Put(key, tc.existing.Encode()); err != nil {
+					t.Fatal(err)
+				}
 			}
-			second := operand(tc.size+1, tc.mtime-1, tc.epoch+1)
+			if tc.gone {
+				if err := db.Delete(key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first := operand(tc.size, tc.mtime)
+			if err := db.Merge(key, first); err != nil {
+				t.Fatal(err)
+			}
+			merged, err := db.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := meta.DecodeMetadata(merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(merged) != 25 || got != tc.want {
+				t.Fatalf("grown record = %+v (%d bytes), want %+v in 25", got, len(merged), tc.want)
+			}
+			var stored []byte
+			if tc.existing != nil && !tc.gone {
+				stored = tc.existing.Encode()
+			}
+			second := operand(tc.size+1, tc.mtime-1)
 			once := sizeMerger(nil, stored, [][]byte{first, second})
 			if steps := sizeMerger(nil, merged, [][]byte{second}); !bytes.Equal(once, steps) {
 				t.Fatalf("merging in steps differs from merging at once:\n once  %x\n steps %x", once, steps)

@@ -26,16 +26,13 @@ var opHistNames = [proto.OpEnd]string{
 	proto.OpReadDir:        telemetry.DaemonOpReadDirNS,
 	proto.OpStats:          telemetry.DaemonOpStatsNS,
 	proto.OpBatchMeta:      telemetry.DaemonOpBatchMetaNS,
-	proto.OpSnapshot:       telemetry.DaemonOpSnapshotNS,
-	proto.OpSnapshotList:   telemetry.DaemonOpSnapshotListNS,
-	proto.OpSnapshotDrop:   telemetry.DaemonOpSnapshotDropNS,
 }
 
 // initTelemetry builds the daemon's always-on metrics registry and
 // installs the dispatch observer. Histograms are pre-resolved into an
 // op-indexed array so the per-RPC record path is two atomic adds and
 // no map lookups. Every counter lives in the struct of the tier that
-// keeps it — the daemon's own, the wire's and COW's (Stats), the
+// keeps it — the daemon's own and the wire's (Stats), the
 // metadata store's, the open-chunk cache's — and joins the registry's
 // snapshot here, by the names its fields declare: that snapshot is what
 // /metrics, /statz and the OpStats reply all serve.

@@ -171,7 +171,7 @@ func TestStatsPlanesAgree(t *testing.T) {
 			t.Errorf("%s is served but not in the -print-metrics catalog", name)
 		}
 	}
-	if len(wc) < 30 || len(wg) < 1 || len(wh) < 16 {
+	if len(wc) < 30 || len(wg) < 1 || len(wh) < int(proto.OpEnd) { // a histogram per op, and queue wait
 		t.Fatalf("OpStats reply carries %d counters, %d gauges, %d histograms", len(wc), len(wg), len(wh))
 	}
 

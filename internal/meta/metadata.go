@@ -72,10 +72,15 @@ func (m *Metadata) appendTo(b []byte) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(m.MTimeNS))
 }
 
-// DecodeMetadata parses a record produced by Encode.
+// DecodeMetadata parses a record produced by Encode. It is the decoder
+// every stored record and every stat reply goes through, so a record of
+// the wrong length or with an unknown mode is refused.
 func DecodeMetadata(b []byte) (Metadata, error) {
 	if len(b) != metadataWireSize {
 		return Metadata{}, fmt.Errorf("%w: %d bytes", ErrBadMetadata, len(b))
+	}
+	if m := Mode(b[0]); !m.Valid() {
+		return Metadata{}, fmt.Errorf("%w: bad mode %d", ErrBadMetadata, m)
 	}
 	return Metadata{
 		Mode:    Mode(b[0]),

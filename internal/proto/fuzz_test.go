@@ -3,7 +3,6 @@ package proto
 import (
 	"testing"
 
-	"repro/internal/meta"
 	"repro/internal/rpc"
 )
 
@@ -93,19 +92,21 @@ func FuzzDecodeBatchMeta(f *testing.F) {
 	negSize.I64(-5).U8(1).I64(0)
 	f.Add(negSize.Bytes())
 
-	// The stat sub-op's [u8 flags][u64 epoch] tail: pinned, pinned with
-	// only half an epoch, and flag bits no generation defined.
-	pinned := rpc.NewEnc(32)
-	pinned.U32(1).U8(uint8(MetaOpStat))
-	pinned.Str("/x")
-	pinned.U8(StatAtEpoch | StatWantVersions).U64(7)
-	f.Add(pinned.Bytes())
-	f.Add(append([]byte(nil), pinned.Bytes()[:len(pinned.Bytes())-4]...))
-	unknownBits := rpc.NewEnc(32)
-	unknownBits.U32(1).U8(uint8(MetaOpStat))
-	unknownBits.Str("/x")
-	unknownBits.U8(0xF0 | StatAtEpoch).U64(7)
-	f.Add(unknownBits.Bytes())
+	// A stat is its path alone: a byte after it is not a flags field.
+	stat := rpc.NewEnc(32)
+	stat.U32(1).U8(uint8(MetaOpStat))
+	stat.Str("/x")
+	f.Add(stat.Bytes())
+	f.Add(append(append([]byte(nil), stat.Bytes()...), 0x01))
+	// A stat with a batchmate: the next sub-op starts right after the
+	// stat's path.
+	statThenCreate := rpc.NewEnc(32)
+	statThenCreate.U32(2).U8(uint8(MetaOpStat))
+	statThenCreate.Str("/x")
+	statThenCreate.U8(uint8(MetaOpCreate))
+	statThenCreate.Str("/y")
+	statThenCreate.U8(0).I64(1)
+	f.Add(statThenCreate.Bytes())
 	// Unknown bits in a flags byte the op does not keep (found by this
 	// target): the op is marked Inval and cannot be re-encoded as it was.
 	f.Add([]byte("\x01\x00\x00\x00\x05\x020000000000000000000"))
@@ -127,12 +128,8 @@ func FuzzDecodeBatchMeta(f *testing.F) {
 				t.Fatalf("unknown kind %d survived decode", op.Kind)
 			}
 			if !op.Inval && (op.Kind == MetaOpUpdateSize && op.Size < 0 ||
-				op.Kind == MetaOpCreate && !op.Mode.Valid() ||
-				op.Kind == MetaOpStat && op.Flags&^(StatAtEpoch|StatWantVersions) != 0) {
+				op.Kind == MetaOpCreate && !op.Mode.Valid()) {
 				t.Fatalf("out-of-domain op %+v not marked Inval", op)
-			}
-			if op.Kind == MetaOpStat && op.Flags&StatAtEpoch == 0 && op.Epoch != meta.LiveEpoch {
-				t.Fatalf("unpinned stat decoded to epoch %d, want LiveEpoch", op.Epoch)
 			}
 		}
 		// Canonicalization holds for every op the encoder can express: an

@@ -22,7 +22,7 @@ import (
 // it in every OpPing reply, and client.ProbeDaemon checks it at mount,
 // refusing any other generation. Any change to a frame or
 // payload shape bumps it. CHANGES.md records what each generation changed.
-const ProtocolVersion uint16 = 14
+const ProtocolVersion uint16 = 15
 
 // RPC operations. Each corresponds to one registered Mercury RPC in the
 // released GekkoFS.
@@ -61,18 +61,6 @@ const (
 	// errno vector. Mutating sub-ops commit through one KV batch (one WAL
 	// append per RPC instead of one per op).
 	OpBatchMeta
-	// OpSnapshot drives the two-phase epoch pin on one daemon: reserve
-	// proposes an epoch for a tag, commit durably records the
-	// cluster-agreed epoch and advances the daemon's write epoch, abort
-	// discards a reservation. The client fans the phases across every
-	// daemon — daemons never talk to each other.
-	OpSnapshot
-	// OpSnapshotList returns the daemon's committed tags with their
-	// pinned epochs.
-	OpSnapshotList
-	// OpSnapshotDrop deletes a committed or pending tag and garbage
-	// collects the versions and chunk pre-images only that tag retained.
-	OpSnapshotDrop
 
 	// OpEnd is one past the last op: the tables indexed by op are sized
 	// by it, and TestEveryOpRegistered dispatches every op below it.
@@ -94,9 +82,6 @@ var opNames = [OpEnd]string{
 	OpReadDir:        "readdir",
 	OpStats:          "stats",
 	OpBatchMeta:      "batch_meta",
-	OpSnapshot:       "snapshot",
-	OpSnapshotList:   "snapshot_list",
-	OpSnapshotDrop:   "snapshot_drop",
 }
 
 // OpName returns the human name of op, or "op<N>" for values this
@@ -257,14 +242,6 @@ func SpanBytes(spans []ChunkSpan) int64 {
 // sets this bit.
 const ReadWantSize uint8 = 1 << 0
 
-// ReadAtEpoch is the OpReadChunks request flag bit asking the daemon to
-// serve the spans as of a pinned snapshot epoch: a [u64 epoch] follows
-// the flags byte when set, and the daemon resolves each chunk through
-// its retained pre-images so bytes written after the pin are invisible.
-// The size view piggybacked by ReadWantSize is likewise resolved at the
-// epoch.
-const ReadAtEpoch uint8 = 1 << 1
-
 // OpReadChunks size-view states (the u8 preceding the piggybacked size).
 // A directory record produces no state: the daemon refuses the whole
 // call with ErrnoIsDir instead.
@@ -286,40 +263,6 @@ const RemoveFileOnly uint8 = 1 << 0
 // UpdateSizeTruncate is the OpUpdateSize flag bit selecting set-exactly
 // (truncate) over grow.
 const UpdateSizeTruncate uint8 = 1 << 0
-
-// OpStat and OpReadDir request flag bits (the u8 every such request
-// ends in, followed by the epoch when StatAtEpoch is set).
-const (
-	// StatAtEpoch: a [u64 epoch] follows the flags byte and the daemon
-	// resolves the record as of that snapshot epoch instead of live.
-	StatAtEpoch uint8 = 1 << 0
-	// StatWantVersions: the reply appends the record's full version
-	// history after the resolved metadata blob — [u32 n] then, newest
-	// first, [u64 epoch][u8 flags][25-byte payload when live]. The
-	// vkv-style Versions accessor rides on this bit.
-	StatWantVersions uint8 = 1 << 1
-)
-
-// OpSnapshot phases (the leading u8 of the request). The pin is
-// two-phase and client-driven: reserve at every metadata owner to learn
-// the cluster-maximum epoch, then commit that epoch everywhere. A
-// daemon that fails reserve aborts the tag on the daemons that already
-// took it.
-const (
-	// SnapReserve proposes tag; the reply carries the epoch this daemon
-	// would pin ([u64 epoch]).
-	SnapReserve uint8 = 1
-	// SnapCommit finalizes tag at the cluster-agreed epoch
-	// ([u64 epoch] follows the tag) and advances the daemon's write
-	// epoch past it; the reply echoes the pinned epoch.
-	SnapCommit uint8 = 2
-	// SnapAbort discards a reservation; committed tags are untouched.
-	SnapAbort uint8 = 3
-)
-
-// MaxSnapshotTag bounds a snapshot tag's length on the wire, keeping
-// tag state keys and reply frames small.
-const MaxSnapshotTag = 255
 
 // ReadDir pagination. Each OpReadDir call returns at most a page of
 // entries plus a continuation token (the last returned name; empty means
@@ -383,18 +326,6 @@ type DaemonStats struct {
 	WireBytesOut   uint64 `metric:"gkfs_daemon_wire_bytes_out_total"`
 	VectoredWrites uint64 `metric:"gkfs_daemon_vectored_writes_total"`
 	ShmCalls       uint64 `metric:"gkfs_daemon_shm_calls_total"`
-	// SnapshotPins counts committed epoch pins (OpSnapshot commits) and
-	// SnapshotDrops dropped tags. SnapshotReads counts epoch-pinned
-	// reads served (stat/readdir/chunk reads carrying an epoch).
-	// CowCopies and CowBytes count chunk pre-images preserved by
-	// copy-on-write before a post-pin overwrite, and the bytes they
-	// hold — the physical cost of keeping snapshots readable (kept by
-	// the chunk store; Daemon.Stats copies them in).
-	SnapshotPins  uint64 `metric:"gkfs_daemon_snapshot_pins_total"`
-	SnapshotDrops uint64 `metric:"gkfs_daemon_snapshot_drops_total"`
-	SnapshotReads uint64 `metric:"gkfs_daemon_snapshot_reads_total"`
-	CowCopies     uint64 `metric:"gkfs_daemon_snapshot_cow_copies_total"`
-	CowBytes      uint64 `metric:"gkfs_daemon_snapshot_cow_bytes_total"`
 }
 
 // Add accumulates other's counters into st (per-cluster totals).
@@ -536,7 +467,7 @@ type MetaOpKind uint8
 const (
 	// MetaOpCreate inserts a metadata record if absent.
 	MetaOpCreate = MetaOpKind(OpCreate)
-	// MetaOpStat fetches a record, live or at a pinned epoch.
+	// MetaOpStat fetches a record.
 	MetaOpStat = MetaOpKind(OpStat)
 	// MetaOpRemove deletes a record, reporting its mode and size.
 	MetaOpRemove = MetaOpKind(OpRemoveMeta)
@@ -562,14 +493,6 @@ type MetaOp struct {
 	FileOnly bool
 	// TimeNS is the ctime (create) or mtime (update-size) in UnixNano.
 	TimeNS int64
-	// Flags are MetaOpStat's request flags (StatAtEpoch,
-	// StatWantVersions); the zero value asks for the live record.
-	Flags uint8
-	// Epoch is the epoch MetaOpStat resolves the record at. On the wire
-	// it follows the flags when StatAtEpoch is set; a decoded op without
-	// the bit carries meta.LiveEpoch, so the daemon never asks which it
-	// was.
-	Epoch uint64
 	// Inval is set by the decoder when a field is outside the op's
 	// domain; the daemon answers such an op ErrnoInval without looking
 	// at the record.
@@ -583,9 +506,6 @@ type MetaResult struct {
 	Errno Errno
 	// Blob is the encoded metadata record (MetaOpStat only).
 	Blob []byte
-	// Versions is the record's stored history, newest first (MetaOpStat
-	// with StatWantVersions only).
-	Versions []meta.Version
 	// Mode and Size describe the removed record (MetaOpRemove only), so
 	// the client knows whether chunk collection is needed.
 	Mode meta.Mode
@@ -626,8 +546,6 @@ func EncodeMetaOpBody(e *rpc.Enc, op *MetaOp) {
 	switch op.Kind {
 	case MetaOpCreate:
 		e.U8(uint8(op.Mode)).I64(op.TimeNS)
-	case MetaOpStat:
-		EncodeEpochTail(e, op.Flags, op.Epoch)
 	case MetaOpRemove:
 		var flags uint8
 		if op.FileOnly {
@@ -643,25 +561,6 @@ func EncodeMetaOpBody(e *rpc.Enc, op *MetaOp) {
 	}
 }
 
-// EncodeEpochTail appends the [u8 flags][u64 epoch, with StatAtEpoch]
-// tail stat and readdir requests end in.
-func EncodeEpochTail(e *rpc.Enc, flags uint8, epoch uint64) {
-	e.U8(flags)
-	if flags&StatAtEpoch != 0 {
-		e.U64(epoch)
-	}
-}
-
-// DecodeEpochTail reads what EncodeEpochTail wrote; without StatAtEpoch
-// the epoch is meta.LiveEpoch.
-func DecodeEpochTail(d *rpc.Dec) (flags uint8, epoch uint64) {
-	flags, epoch = d.U8(), meta.LiveEpoch
-	if flags&StatAtEpoch != 0 {
-		epoch = d.U64()
-	}
-	return flags, epoch
-}
-
 // DecodeMetaOpBody reads the body of an op whose Kind is already set —
 // from the sub-op's kind byte or from the op code the request arrived
 // under. It is the one place wire values are checked against the op's
@@ -674,8 +573,6 @@ func DecodeMetaOpBody(d *rpc.Dec, op *MetaOp) {
 		op.TimeNS = d.I64()
 		op.Inval = !op.Mode.Valid()
 	case MetaOpStat:
-		op.Flags, op.Epoch = DecodeEpochTail(d)
-		op.Inval = op.Flags&^(StatAtEpoch|StatWantVersions) != 0
 	case MetaOpRemove:
 		flags := d.U8()
 		op.FileOnly = flags&RemoveFileOnly != 0
@@ -736,9 +633,6 @@ func EncodeMetaResult(e *rpc.Enc, op *MetaOp, r *MetaResult) {
 	switch op.Kind {
 	case MetaOpStat:
 		e.Blob(r.Blob)
-		if op.Flags&StatWantVersions != 0 {
-			EncodeVersions(e, r.Versions)
-		}
 	case MetaOpRemove:
 		e.U8(uint8(r.Mode)).I64(r.Size)
 	}
@@ -784,9 +678,6 @@ func DecodeMetaResultBody(d *rpc.Dec, op *MetaOp, r *MetaResult) {
 	switch op.Kind {
 	case MetaOpStat:
 		r.Blob = d.Blob()
-		if op.Flags&StatWantVersions != 0 {
-			r.Versions = DecodeVersions(d)
-		}
 	case MetaOpRemove:
 		r.Mode = meta.Mode(d.U8())
 		r.Size = d.I64()

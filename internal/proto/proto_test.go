@@ -3,7 +3,6 @@ package proto
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -94,8 +93,8 @@ func sampleMetaOps() []MetaOp {
 	return []MetaOp{
 		{Kind: MetaOpCreate, Path: "/a", Mode: meta.ModeRegular, TimeNS: 42},
 		{Kind: MetaOpCreate, Path: "/d", Mode: meta.ModeDir, TimeNS: 43},
-		{Kind: MetaOpStat, Path: "/a", Epoch: meta.LiveEpoch},
-		{Kind: MetaOpStat, Path: "/a", Flags: StatAtEpoch | StatWantVersions, Epoch: 7},
+		{Kind: MetaOpStat, Path: "/a"},
+		{Kind: MetaOpStat, Path: "/d"},
 		{Kind: MetaOpRemove, Path: "/a", FileOnly: true},
 		{Kind: MetaOpRemove, Path: "/d"},
 		{Kind: MetaOpUpdateSize, Path: "/a", Size: 1 << 30, TimeNS: 44},
@@ -153,11 +152,10 @@ func TestMetaOpsHostileFrames(t *testing.T) {
 	// batchmates are innocent — but mark the op for an ErrnoInval answer:
 	// a mode that is no object kind, a negative size, unknown flag bits.
 	for name, body := range map[string]func(e *rpc.Enc){
-		"create mode 0xF5":      func(e *rpc.Enc) { e.U8(uint8(MetaOpCreate)).Str("/x").U8(0xF5).I64(1) },
-		"update-size negative":  func(e *rpc.Enc) { e.U8(uint8(MetaOpUpdateSize)).Str("/x").I64(-5).U8(1).I64(0) },
-		"update-size flag 3":    func(e *rpc.Enc) { e.U8(uint8(MetaOpUpdateSize)).Str("/x").I64(5).U8(3).I64(0) },
-		"remove flag 2":         func(e *rpc.Enc) { e.U8(uint8(MetaOpRemove)).Str("/x").U8(2) },
-		"stat unknown flag bit": func(e *rpc.Enc) { e.U8(uint8(MetaOpStat)).Str("/x").U8(0x80) },
+		"create mode 0xF5":     func(e *rpc.Enc) { e.U8(uint8(MetaOpCreate)).Str("/x").U8(0xF5).I64(1) },
+		"update-size negative": func(e *rpc.Enc) { e.U8(uint8(MetaOpUpdateSize)).Str("/x").I64(-5).U8(1).I64(0) },
+		"update-size flag 3":   func(e *rpc.Enc) { e.U8(uint8(MetaOpUpdateSize)).Str("/x").I64(5).U8(3).I64(0) },
+		"remove flag 2":        func(e *rpc.Enc) { e.U8(uint8(MetaOpRemove)).Str("/x").U8(2) },
 	} {
 		e = rpc.NewEnc(32)
 		e.U32(1)
@@ -169,12 +167,12 @@ func TestMetaOpsHostileFrames(t *testing.T) {
 		}
 	}
 
-	// A stat that announces an epoch must carry all eight bytes of it.
+	// A stat is its path alone: a trailing byte is not a field of it.
 	e = rpc.NewEnc(16)
-	e.U32(1).U8(uint8(MetaOpStat)).Str("/x").U8(StatAtEpoch).U32(7)
+	e.U32(1).U8(uint8(MetaOpStat)).Str("/x").U8(0x80)
 	d = rpc.NewDec(e.Bytes())
-	if DecodeMetaOps(d); d.Err() == nil {
-		t.Fatal("stat with a truncated epoch decoded cleanly")
+	if DecodeMetaOps(d); d.Done() == nil {
+		t.Fatal("stat with a trailing byte decoded cleanly")
 	}
 
 	// Truncated mid-op frames error instead of fabricating ops.
@@ -196,7 +194,7 @@ func TestMetaResultsRoundTrip(t *testing.T) {
 		{Errno: ErrnoExist},
 		{},
 		{Blob: md.Encode()},
-		{Blob: md.Encode(), Versions: []meta.Version{{Epoch: 7, Meta: md}, {Epoch: 3, Tombstone: true}}},
+		{Errno: ErrnoNotExist},
 		{Mode: meta.ModeRegular, Size: 512},
 		{Errno: ErrnoIsDir},
 		{},
@@ -217,8 +215,8 @@ func TestMetaResultsRoundTrip(t *testing.T) {
 	if dec, err := meta.DecodeMetadata(got[2].Blob); err != nil || dec != md {
 		t.Errorf("stat blob = %+v, %v", dec, err)
 	}
-	if !reflect.DeepEqual(got[3].Versions, results[3].Versions) || got[2].Versions != nil {
-		t.Errorf("stat versions = %+v / %+v, want %+v / none", got[3].Versions, got[2].Versions, results[3].Versions)
+	if got[3].Blob != nil {
+		t.Errorf("refused stat carries a blob %x", got[3].Blob)
 	}
 
 	// A reply whose count disagrees with the request poisons the decoder.

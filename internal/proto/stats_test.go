@@ -62,7 +62,7 @@ func TestDaemonStatsViewRoundTrip(t *testing.T) {
 	var sum DaemonStats
 	sum.Add(st)
 	sum.Add(st)
-	if sum.Creates != 2*st.Creates || sum.CowBytes != 2*st.CowBytes {
+	if sum.Creates != 2*st.Creates || sum.ShmCalls != 2*st.ShmCalls {
 		t.Fatalf("Add = %+v", sum)
 	}
 }

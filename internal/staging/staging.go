@@ -14,10 +14,12 @@
 //     file's size once its last range has landed, through batched
 //     GrowMany updates — data always lands before the size.
 //   - Stage-out drains the cluster tree via paginated ReadDir, recreates
-//     it on the host file system, and reads every range with
-//     ReadSnapshot at the transfer's epoch: a committed snapshot's, or
-//     the live one. It can run incrementally against a staging manifest:
-//     files provably unmodified since stage-in move zero bytes.
+//     it on the host file system, and reads every range with ReadPath:
+//     the file as it is now. A checkpoint that must not change while it
+//     drains is written to a directory of its own, which the job leaves
+//     alone until the drain is done. Stage-out can run incrementally
+//     against a staging manifest: files provably unmodified since
+//     stage-in move zero bytes.
 //   - Neither direction opens a descriptor or touches the client's chunk
 //     cache, so a transfer never answers from bytes an earlier one read.
 //   - Both directions are sparse-aware: runs of zeros are never
@@ -54,7 +56,7 @@ const (
 	// DefaultWorkers is the transfer pool size when Options.Workers is 0.
 	DefaultWorkers = 8
 	// bufBytes is a copy region, in both directions: one WritePath or
-	// ReadSnapshot fan-out. Median MiB/s staging in / out through 4
+	// ReadPath fan-out. Median MiB/s staging in / out through 4
 	// gkfs-daemon processes on loopback TCP (512 KiB chunks, 8 workers,
 	// 2 vCPU), 1 / 2 / 4 MiB windows: one 64 MiB file 1250 / 1430,
 	// 1150 / 1570, 980 / 1670; 8 × 3 MiB files 830 / 1570, 840 / 1540,
@@ -95,12 +97,6 @@ type Options struct {
 	// the entry, and the host copy verifies against the recorded hash.
 	// Requires Manifest.
 	Incremental bool
-	// Snapshot, when non-empty, names a committed snapshot tag: stage-out
-	// reads the namespace and every byte as pinned at that tag's epoch,
-	// so concurrent writers never tear the staged tree. Incompatible with
-	// Incremental (a snapshot's frozen mtimes defeat the skip check) and
-	// ignored by stage-in.
-	Snapshot string
 }
 
 // Report is the structured outcome of one transfer. Partial failure is
@@ -154,11 +150,6 @@ type engine struct {
 	// op names the direction ("stage-in", "stage-out") in range failures.
 	op string
 
-	// epoch is what stage-out reads the namespace and every byte at: a
-	// committed snapshot tag's pinned epoch, or client.LiveEpoch.
-	// Immutable after StageOut resolves the tag.
-	epoch uint64
-
 	// mf is the manifest in play, nil when there is none. The pointer is
 	// fixed before any worker starts; the manifest's contents are only
 	// touched under mu.
@@ -172,7 +163,7 @@ func newEngine(c *client.Client, opts Options, op string) *engine {
 	if opts.Workers <= 0 {
 		opts.Workers = DefaultWorkers
 	}
-	return &engine{c: c, opts: opts, op: op, epoch: client.LiveEpoch}
+	return &engine{c: c, opts: opts, op: op}
 }
 
 func (e *engine) fail(op, path string, err error) {
@@ -751,8 +742,6 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 	switch {
 	case e.opts.Incremental && e.opts.Manifest == "":
 		return e.report(begin), errors.New("staging: incremental stage-out requires a manifest")
-	case e.opts.Incremental && e.opts.Snapshot != "":
-		return e.report(begin), errors.New("staging: incremental stage-out cannot read from a snapshot")
 	case e.opts.Incremental:
 		mf, err := LoadManifest(e.opts.Manifest)
 		if err != nil {
@@ -762,17 +751,7 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 	case e.opts.Manifest != "":
 		e.mf = NewManifest()
 	}
-	if e.opts.Snapshot != "" {
-		// Resolve the tag to its pinned epoch once, up front: a tag that
-		// is unknown or only partially committed fails the whole transfer
-		// structurally rather than staging a torn tree.
-		epoch, err := c.SnapshotEpoch(e.opts.Snapshot)
-		if err != nil {
-			return e.report(begin), fmt.Errorf("staging: snapshot %q: %w", e.opts.Snapshot, err)
-		}
-		e.epoch = epoch
-	}
-	if info, err := c.StatAt(fsRoot, e.epoch); err != nil {
+	if info, err := c.Stat(fsRoot); err != nil {
 		return e.report(begin), fmt.Errorf("staging: source %s: %w", fsRoot, err)
 	} else if !info.IsDir() {
 		return e.report(begin), fmt.Errorf("staging: source %s: %w", fsRoot, proto.ErrNotDir)
@@ -790,7 +769,7 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 	var walk func(rel string)
 	walk = func(rel string) {
 		fsPath := fsJoin(fsRoot, rel)
-		ents, err := c.ReadDirAt(fsPath, e.epoch)
+		ents, err := c.ReadDir(fsPath)
 		if err != nil {
 			e.fail("stage-out readdir", fsPath, err)
 			return
@@ -891,8 +870,8 @@ func unmodifiedSince(f *xfile, ent Entry) bool {
 }
 
 // copyOut moves one range of a cluster file onto the host. Every read is
-// a descriptor-free ReadSnapshot at the transfer's epoch — at LiveEpoch a
-// live read of the file as it is now, never a cached block. The range
+// a descriptor-free ReadPath: the file as it is now, never a cached
+// block. The range
 // finishing the file settles the host copy's length at the extent the
 // ranges observed: past a trailing hole, or short of a file that shrank.
 func (e *engine) copyOut(w stageWork) {
@@ -913,7 +892,7 @@ func (e *engine) copyOut(w stageWork) {
 		reached, err := w.off, f.prepErr
 		if err == nil {
 			reached, err = pump(w, h, func(p []byte, off int64) (int, error) {
-				return e.c.ReadSnapshot(f.fsPath, e.epoch, p, off)
+				return e.c.ReadPath(f.fsPath, p, off)
 			}, func(p []byte, off int64) error {
 				_, err := dst.WriteAt(p, off)
 				return err
@@ -933,7 +912,7 @@ func (e *engine) copyOut(w stageWork) {
 	// manifest pays one stat here.
 	mtime := f.mtimeNS
 	if e.mf != nil && !f.hasStat {
-		info, err := e.c.StatAt(f.fsPath, e.epoch)
+		info, err := e.c.Stat(f.fsPath)
 		if err != nil {
 			e.failFile(f, err)
 			return

@@ -27,9 +27,6 @@ const (
 	DaemonOpReadDirNS        = "gkfs_daemon_op_readdir_ns"
 	DaemonOpStatsNS          = "gkfs_daemon_op_stats_ns"
 	DaemonOpBatchMetaNS      = "gkfs_daemon_op_batch_meta_ns"
-	DaemonOpSnapshotNS       = "gkfs_daemon_op_snapshot_ns"
-	DaemonOpSnapshotListNS   = "gkfs_daemon_op_snapshot_list_ns"
-	DaemonOpSnapshotDropNS   = "gkfs_daemon_op_snapshot_drop_ns"
 )
 
 // Client-side registry metrics. The rpc histograms time the full call
@@ -65,7 +62,6 @@ func Catalog(tagged ...any) []string {
 		DaemonOpWriteChunksNS, DaemonOpReadChunksNS,
 		DaemonOpRemoveChunksNS, DaemonOpTruncateChunksNS,
 		DaemonOpReadDirNS, DaemonOpStatsNS, DaemonOpBatchMetaNS,
-		DaemonOpSnapshotNS, DaemonOpSnapshotListNS, DaemonOpSnapshotDropNS,
 
 		ClientRPCMetaNS, ClientRPCWriteNS, ClientRPCReadNS,
 		ClientRPCInflight,

@@ -12,11 +12,30 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"io"
 )
 
 // ErrNotExist reports an access to a file that does not exist.
 var ErrNotExist = errors.New("vfs: file does not exist")
+
+// lockFile is the file Lock takes its lock on, at the root of an OS
+// file system.
+const lockFile = "LOCK"
+
+// LockedError reports a file system another process holds the lock on
+// (Lock).
+type LockedError struct {
+	// Path is the lock file.
+	Path string
+	// PID is the holder's process id as it recorded it; 0 when it could
+	// not be read.
+	PID int
+}
+
+func (e *LockedError) Error() string {
+	return fmt.Sprintf("vfs: %s is held by pid %d", e.Path, e.PID)
+}
 
 // ErrNoMap reports a file that cannot be mapped into memory (Map): an
 // in-memory file, or any file on a platform without mmap.
