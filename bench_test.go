@@ -249,22 +249,9 @@ func stageSourceSmall(b *testing.B, n, size int) string {
 	return dir
 }
 
-// stageOneRange are the staging shapes whose every file moves as one
-// range — files no larger than a range, or any file staged with a
-// manifest — so a transfer overlaps its round trips only inside one
-// worker's copy loop. Each runs over real TCP sockets into a 4-daemon
-// cluster (64 KiB chunks) with four workers.
-var stageOneRange = []struct {
-	name     string
-	sizes    []int64 // one file per entry
-	manifest bool
-}{
-	{"midfiles", stageMidSizes, false},
-	{"manifest/midfiles", stageMidSizes, true},
-	{"manifest/large", []int64{32 << 20}, true},
-}
-
-// stageMidSizes is twelve files of 1 to 4 MiB.
+// stageMidSizes is twelve files of 1 to 4 MiB: none is larger than a
+// range, so every file moves as one and a transfer overlaps its round
+// trips only inside one worker's copy loop.
 var stageMidSizes = []int64{1 << 20, 2 << 20, 3 << 20, 4 << 20, 1 << 20, 2 << 20, 3 << 20, 4 << 20, 1 << 20, 2 << 20, 3 << 20, 4 << 20}
 
 // stageSourceFiles writes one random file per entry of sizes under a
@@ -285,17 +272,7 @@ func stageSourceFiles(b *testing.B, sizes []int64) (string, int64) {
 	return dir, total
 }
 
-// oneRangeOptions are a stageOneRange shape's transfer options.
-func oneRangeOptions(b *testing.B, manifest bool) staging.Options {
-	opts := staging.Options{Workers: 4}
-	if manifest {
-		opts.Manifest = filepath.Join(b.TempDir(), "manifest")
-	}
-	return opts
-}
-
-// BenchmarkStageIn measures the staging engine's two regimes against
-// their data-path baselines, plus the stageOneRange shapes:
+// BenchmarkStageIn measures the staging engine's regimes:
 //
 //   - large: one 16 MiB file — four of the engine's 4 MiB ranges, one
 //     per worker — over real TCP sockets into a 4-daemon cluster (64 KiB
@@ -306,6 +283,8 @@ func oneRangeOptions(b *testing.B, manifest bool) staging.Options {
 //     creation on the node-local FS each, which pure metadata creates
 //     never do; the empty variant isolates the engine's namespace
 //     ingest.
+//   - midfiles: the stageMidSizes files, one range each, into the
+//     cluster of large.
 func BenchmarkStageIn(b *testing.B) {
 	b.Run("large", func(b *testing.B) {
 		src, largeBytes := stageSourceFiles(b, []int64{16 << 20})
@@ -362,22 +341,19 @@ func BenchmarkStageIn(b *testing.B) {
 	}
 	b.Run("smallfiles", func(b *testing.B) { smallIngest(b, 1<<10) })
 	b.Run("empty", func(b *testing.B) { smallIngest(b, 0) })
-	for _, sh := range stageOneRange {
-		b.Run(sh.name, func(b *testing.B) {
-			src, total := stageSourceFiles(b, sh.sizes)
-			c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
-				ChunkSize: 64 << 10, AsyncWrites: true,
-			})
-			opts := oneRangeOptions(b, sh.manifest)
-			b.SetBytes(total)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if rep, err := staging.StageIn(c, src, "/in", opts); err != nil || rep.Err() != nil {
-					b.Fatal(err, rep.Err())
-				}
-			}
+	b.Run("midfiles", func(b *testing.B) {
+		src, total := stageSourceFiles(b, stageMidSizes)
+		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
+			ChunkSize: 64 << 10, AsyncWrites: true,
 		})
-	}
+		b.SetBytes(total)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rep, err := staging.StageIn(c, src, "/in", staging.Options{Workers: 4}); err != nil || rep.Err() != nil {
+				b.Fatal(err, rep.Err())
+			}
+		}
+	})
 }
 
 // BenchmarkStageOut is the reverse direction: the cluster tree drains to
@@ -388,7 +364,7 @@ func BenchmarkStageIn(b *testing.B) {
 //     (untimed) before every timed stage-out, so each iteration reads
 //     freshly written bytes off the wire as a job's teardown does — never
 //     a client-side cache's copy of the previous iteration's read.
-//   - the stageOneRange shapes, each staged in again the same way.
+//   - midfiles: the stageMidSizes files, staged in again the same way.
 func BenchmarkStageOut(b *testing.B) {
 	b.Run("large", func(b *testing.B) {
 		src, largeBytes := stageSourceFiles(b, []int64{16 << 20})
@@ -437,28 +413,26 @@ func BenchmarkStageOut(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.N*files)/b.Elapsed().Seconds(), "files/sec")
 	})
-	for _, sh := range stageOneRange {
-		b.Run(sh.name, func(b *testing.B) {
-			src, total := stageSourceFiles(b, sh.sizes)
-			out := b.TempDir()
-			c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
-				ChunkSize: 64 << 10, AsyncWrites: true,
-			})
-			opts := oneRangeOptions(b, sh.manifest)
-			b.SetBytes(total)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if rep, err := staging.StageIn(c, src, "/data", staging.Options{Workers: 4}); err != nil || rep.Err() != nil {
-					b.Fatal(err, rep.Err())
-				}
-				b.StartTimer()
-				if rep, err := staging.StageOut(c, "/data", out, opts); err != nil || rep.Err() != nil {
-					b.Fatal(err, rep.Err())
-				}
-			}
+	b.Run("midfiles", func(b *testing.B) {
+		src, total := stageSourceFiles(b, stageMidSizes)
+		out := b.TempDir()
+		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
+			ChunkSize: 64 << 10, AsyncWrites: true,
 		})
-	}
+		opts := staging.Options{Workers: 4}
+		b.SetBytes(total)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if rep, err := staging.StageIn(c, src, "/data", opts); err != nil || rep.Err() != nil {
+				b.Fatal(err, rep.Err())
+			}
+			b.StartTimer()
+			if rep, err := staging.StageOut(c, "/data", out, opts); err != nil || rep.Err() != nil {
+				b.Fatal(err, rep.Err())
+			}
+		}
+	})
 }
 
 // BenchmarkRealSharedFileWrite measures the size-update cache on the

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -57,6 +58,11 @@ func ckWorkerDir(epoch, w int) string {
 func ckPath(epoch, w, f int) string { return fmt.Sprintf("%s/f%d.dat", ckWorkerDir(epoch, w), f) }
 func ckRel(w, f int) string         { return filepath.Join(fmt.Sprintf("w%d", w), fmt.Sprintf("f%d.dat", f)) }
 
+// ckRetries counts the failed attempts of every ckRetry of the run: the
+// run prints it, so a smoke that kills a daemon mid-run can tell that the
+// outage landed while operations were in flight.
+var ckRetries atomic.Int64
+
 // ckRetry runs op until it succeeds or the retry window closes.
 func ckRetry(op func() error) error {
 	deadline := time.Now().Add(ckRetryWindow)
@@ -65,6 +71,7 @@ func ckRetry(op func() error) error {
 		if err == nil {
 			return nil
 		}
+		ckRetries.Add(1)
 		if time.Now().After(deadline) {
 			return err
 		}
@@ -287,6 +294,7 @@ func runCheckpoint(factory workload.ClientFactory, cfg checkpointConfig) error {
 
 	eff := overlapped / float64(cfg.Epochs-1) / baseline
 	fmt.Printf("  overlap efficiency: %.0f%% of baseline write throughput while staging out\n", eff*100)
+	fmt.Printf("  retries: %d\n", ckRetries.Load())
 
 	truthRoot := ""
 	if cfg.OutDir != "" {

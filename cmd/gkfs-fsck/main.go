@@ -7,16 +7,12 @@
 //   - every regular file's bytes are readable end-to-end (first, middle
 //     and last chunk-sized probes; -deep reads everything),
 //   - relaxed-POSIX expectations hold (no dangling descendants under
-//     removed directories observed during the walk),
-//   - with -manifest, a staging manifest cross-checks against live
-//     cluster metadata: every recorded entry must exist with the
-//     recorded kind and size (missing or mismatched entries are
-//     problems — staged input that silently vanished or shrank).
+//     removed directories observed during the walk).
 //
 // Inconsistencies are reported, not repaired — GekkoFS has no fsck in
 // the repair sense; a temporary file system is redeployed instead.
 //
-//	gkfs-fsck -daemons host1:7777,host2:7777 [-root /] [-deep] [-manifest m.txt]
+//	gkfs-fsck -daemons host1:7777,host2:7777 [-root /] [-deep]
 package main
 
 import (
@@ -27,7 +23,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/client"
-	"repro/internal/staging"
 )
 
 type checker struct {
@@ -114,45 +109,11 @@ func (ck *checker) checkData(path string, size int64) {
 	}
 }
 
-// checkManifest cross-checks a staging manifest against the live
-// namespace under root: every recorded directory and file must still
-// exist with the recorded kind, files with the recorded size. Stats
-// travel through the batched metadata plane — one RPC per daemon per
-// page, so a 100k-entry manifest doesn't pay 100k round trips. The data
-// probes of the main walk are not repeated here — the manifest check is
-// about metadata drift between what was staged and what the cluster now
-// claims to hold.
-func (ck *checker) checkManifest(mf *staging.Manifest, root string) {
-	ents := mf.Entries()
-	paths := make([]string, len(ents))
-	for i, ent := range ents {
-		paths[i] = root + "/" + ent.Rel
-		if root == "/" {
-			paths[i] = "/" + ent.Rel
-		}
-	}
-	infos, errs := ck.c.StatMany(paths)
-	for i, ent := range ents {
-		switch {
-		case errs[i] != nil:
-			ck.problem("manifest entry %s missing from cluster: %v", paths[i], errs[i])
-		case infos[i].IsDir() != ent.Dir:
-			ck.problem("manifest entry %s: recorded dir=%v, cluster says dir=%v",
-				paths[i], ent.Dir, infos[i].IsDir())
-		case !ent.Dir && infos[i].Size() != ent.Size:
-			ck.problem("manifest entry %s: recorded size %d, cluster size %d",
-				paths[i], ent.Size, infos[i].Size())
-		}
-	}
-	fmt.Printf("manifest: cross-checked %d entries\n", len(ents))
-}
-
 func main() {
 	var f cli.Flags
 	f.RegisterMount(flag.CommandLine)
 	root := flag.String("root", "/", "subtree to check")
 	deep := flag.Bool("deep", false, "read every byte instead of probing")
-	manifest := flag.String("manifest", "", "cross-check this staging manifest against live cluster metadata")
 	flag.Parse()
 
 	// Mounted like every other client: a daemon that does not answer
@@ -167,14 +128,6 @@ func main() {
 	ck := &checker{c: c, deep: *deep, chunk: c.ChunkSize()}
 	begin := time.Now()
 	ck.walk(*root)
-	if *manifest != "" {
-		mf, err := staging.LoadManifest(*manifest)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gkfs-fsck: %v\n", err)
-			os.Exit(1)
-		}
-		ck.checkManifest(mf, *root)
-	}
 	fmt.Printf("checked %d dirs, %d files, %d bytes in %v: %d problems\n",
 		ck.dirs, ck.files, ck.bytes, time.Since(begin).Round(time.Millisecond), ck.problems)
 	if ck.problems > 0 {

@@ -8,8 +8,8 @@
 //	gkfs-shell -daemons host1:7777,host2:7777 stat /results/run1.dat
 //	gkfs-shell -daemons host1:7777,host2:7777 get /results/run1.dat out.dat
 //	gkfs-shell -daemons host1:7777,host2:7777 rm /results/run1.dat
-//	gkfs-shell -daemons ... -manifest m.txt stage-in ./inputs /job
-//	gkfs-shell -daemons ... -manifest m.txt -incremental stage-out /job ./results
+//	gkfs-shell -daemons host1:7777,host2:7777 stage-in ./inputs /job
+//	gkfs-shell -daemons host1:7777,host2:7777 stage-out /job ./results
 //	gkfs-shell -daemons host1:7777,host2:7777 stats
 //
 // The daemon list must be identical (same order) for every client of the
@@ -41,8 +41,6 @@ func main() {
 	f.RegisterMount(flag.CommandLine)
 	f.RegisterTuning(flag.CommandLine)
 	stageWorkers := flag.Int("stage-workers", 0, "stage-in/stage-out: parallel file transfers (0 = default)")
-	manifest := flag.String("manifest", "", "stage-in/stage-out: staging manifest file on the local side")
-	incremental := flag.Bool("incremental", false, "stage-out: skip files unmodified since the manifest was recorded")
 	jsonOut := flag.Bool("json", false, "stats: emit machine-readable JSON (an array with each daemon's /statz document)")
 	watch := flag.Duration("watch", 0, "stats: re-poll and re-print at this interval until interrupted (e.g. -watch 2s)")
 	flag.Parse()
@@ -171,11 +169,7 @@ func main() {
 		c.Close(fd)
 	case "stage-in", "stage-out":
 		need(rest, 2)
-		opts := staging.Options{
-			Workers:     *stageWorkers,
-			Manifest:    *manifest,
-			Incremental: *incremental,
-		}
+		opts := staging.Options{Workers: *stageWorkers}
 		var rep *staging.Report
 		var err error
 		if cmd == "stage-in" {

@@ -96,9 +96,7 @@ func (fs *FS) StageIn(hostDir, fsDir string, opts StageOptions) (*StageReport, e
 }
 
 // StageOut copies the namespace tree under fsDir to the host directory
-// hostDir, preserving sparseness. With StageOptions.Incremental (and a
-// manifest recorded at stage-in) files provably unmodified move zero
-// bytes.
+// hostDir, preserving sparseness. Every read is the file as it is now.
 func (fs *FS) StageOut(fsDir, hostDir string, opts StageOptions) (*StageReport, error) {
 	return staging.StageOut(fs.c, fsDir, hostDir, opts)
 }

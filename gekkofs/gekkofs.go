@@ -97,7 +97,7 @@ type DaemonStats = daemon.Stats
 type StageOptions = staging.Options
 
 // StageReport is the structured outcome of one staging transfer:
-// files/bytes moved, skipped and failed, with per-file errors aggregated
+// files/bytes moved and failed, with per-file errors aggregated
 // (partial failure never aborts a transfer).
 type StageReport = staging.Report
 

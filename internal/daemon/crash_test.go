@@ -5,7 +5,9 @@ package daemon_test
 // its step directory is created and while it drains to the host — and
 // which restart on the same directories. What a crash may lose is the
 // operation in flight; what it must not lose is anything acknowledged,
-// and nothing it leaves behind may read as a damaged record.
+// and nothing it leaves behind may read as a damaged record. A severed
+// process keeps its page cache, so one more test restarts daemons from a
+// vfs.Mem crash clone instead, which holds only what was synced.
 
 import (
 	"bytes"
@@ -313,5 +315,117 @@ func TestCrashMidCreateMany(t *testing.T) {
 		case errs[i] != nil && !errors.Is(errs[i], proto.ErrNotExist):
 			t.Fatalf("%s: %v; want the record present or absent", p, errs[i])
 		}
+	}
+}
+
+// TestCrashLosesOnlyUnsyncedBytes acknowledges creates, removes and size
+// updates against daemons with a synchronous WAL, then takes a crash
+// clone of every daemon's store while the daemons still run: the clone
+// keeps only bytes that were synced, as a power loss would. Daemons
+// started on the clones must hold every acknowledged metadata operation.
+// Chunk files are never synced, so only metadata is checked.
+func TestCrashLosesOnlyUnsyncedBytes(t *testing.T) {
+	const nodes, files = 3, 48
+	mount := func(fss []*vfs.Mem) *client.Client {
+		t.Helper()
+		conns := make([]rpc.Conn, len(fss))
+		for i, fs := range fss {
+			d, err := daemon.New(daemon.Config{ID: i, FS: fs, ChunkSize: 1024, SyncWAL: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			conns[i] = wiretest.Dial(t, d.Server(), wiretest.Mem, 1)
+		}
+		c, err := client.New(client.Config{Conns: conns, ChunkSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	fss := make([]*vfs.Mem, nodes)
+	for i := range fss {
+		fss[i] = vfs.NewMem()
+	}
+	c := mount(fss)
+	if err := c.EnsureRoot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Mkdir("/step"); err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/step/f%02d", i)
+	}
+	for i, err := range c.CreateMany(paths[:files-1]) {
+		if err != nil {
+			t.Fatalf("create %s: %v", paths[i], err)
+		}
+	}
+	fd, err := c.Create(paths[files-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	// Every third file goes, every other one grows, and one shrinks.
+	want := map[string]int64{}
+	var removed, grown []string
+	var sizes []int64
+	for i, p := range paths {
+		switch {
+		case i%3 == 0:
+			removed = append(removed, p)
+		case i%2 == 0:
+			grown = append(grown, p)
+			sizes = append(sizes, int64(1000+i*517))
+			want[p] = int64(1000 + i*517)
+		default:
+			want[p] = 0
+		}
+	}
+	for i, err := range c.RemoveMany(removed[1:]) {
+		if err != nil {
+			t.Fatalf("remove %s: %v", removed[1+i], err)
+		}
+	}
+	if err := c.Remove(removed[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range c.GrowMany(grown, sizes) {
+		if err != nil {
+			t.Fatalf("grow %s: %v", grown[i], err)
+		}
+	}
+	if err := c.Truncate(grown[0], 77); err != nil {
+		t.Fatal(err)
+	}
+	want[grown[0]] = 77
+
+	crashed := make([]*vfs.Mem, nodes)
+	for i, fs := range fss {
+		crashed[i] = fs.CrashClone()
+	}
+	after := mount(crashed)
+	infos, errs := after.StatMany(paths)
+	for i, p := range paths {
+		size, kept := want[p]
+		switch {
+		case !kept && !errors.Is(errs[i], proto.ErrNotExist):
+			t.Fatalf("removed %s: stat after the crash = %v, want not-exist", p, errs[i])
+		case kept && errs[i] != nil:
+			t.Fatalf("acknowledged create %s is lost in the crash: %v", p, errs[i])
+		case kept && infos[i].Size() != size:
+			t.Fatalf("%s is %d bytes after the crash, want the acknowledged %d", p, infos[i].Size(), size)
+		}
+	}
+	ents, err := after.ReadDir("/step")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != len(want) {
+		t.Fatalf("the step lists %d entries after the crash, want %d", len(ents), len(want))
 	}
 }

@@ -2,7 +2,6 @@ package staging
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"io"
 	"math"
@@ -84,9 +83,8 @@ func pumpSource() []byte {
 
 // TestPumpKeepsStreamOrder runs a whole-file range through pump with
 // reads and writes completing out of order. The sink must hold exactly
-// the source, the hash must be the source's in stream order, no call may
-// outlive pump, and a file at its walk-time size is never read past the
-// byte after its EOF.
+// the source, no call may outlive pump, and a file at its walk-time size
+// is never read past the byte after its EOF.
 func TestPumpKeepsStreamOrder(t *testing.T) {
 	full := pumpSource()
 	for _, tc := range []struct {
@@ -102,9 +100,8 @@ func TestPumpKeepsStreamOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			src := tc.src
 			ends := newFakeEnds(src)
-			h := sha256.New()
 			w := stageWork{file: &xfile{size: tc.walk}, off: 0, end: math.MaxInt64}
-			reached, err := pump(w, h, ends.read, ends.write)
+			reached, err := pump(w, ends.read, ends.write)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,9 +114,6 @@ func TestPumpKeepsStreamOrder(t *testing.T) {
 			got := append(ends.dst, make([]byte, len(src)-len(ends.dst))...)
 			if !bytes.Equal(got, src) {
 				t.Fatal("sink differs from source")
-			}
-			if want := sha256.Sum256(src); !bytes.Equal(h.Sum(nil), want[:]) {
-				t.Fatal("hash is not the source's stream hash")
 			}
 			if tc.walk == int64(len(src)) && ends.maxRead > tc.walk {
 				t.Fatalf("read at %d, past the EOF of a file that did not grow", ends.maxRead)
@@ -134,7 +128,7 @@ func TestPumpBoundedRange(t *testing.T) {
 	src := pumpSource()
 	ends := newFakeEnds(src)
 	w := stageWork{file: &xfile{size: int64(len(src))}, off: bufBytes / 2, end: 3*bufBytes + 7}
-	reached, err := pump(w, nil, ends.read, ends.write)
+	reached, err := pump(w, ends.read, ends.write)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +159,7 @@ func TestPumpFailureDrains(t *testing.T) {
 			ends := newFakeEnds(src)
 			tc.setup(ends)
 			w := stageWork{file: &xfile{size: int64(len(src))}, off: 0, end: math.MaxInt64}
-			_, err := pump(w, nil, ends.read, ends.write)
+			_, err := pump(w, ends.read, ends.write)
 			if !errors.Is(err, errInjected) {
 				t.Fatalf("pump returned %v, want the injected failure", err)
 			}

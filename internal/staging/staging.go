@@ -17,9 +17,7 @@
 //     it on the host file system, and reads every range with ReadPath:
 //     the file as it is now. A checkpoint that must not change while it
 //     drains is written to a directory of its own, which the job leaves
-//     alone until the drain is done. Stage-out can run incrementally
-//     against a staging manifest: files provably unmodified since
-//     stage-in move zero bytes.
+//     alone until the drain is done.
 //   - Neither direction opens a descriptor or touches the client's chunk
 //     cache, so a transfer never answers from bytes an earlier one read.
 //   - Both directions are sparse-aware: runs of zeros are never
@@ -31,11 +29,8 @@ package staging
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	iofs "io/fs"
 	"math"
@@ -63,12 +58,14 @@ const (
 	// 720 / 1580. Bigger windows cost stage-in more than they give
 	// stage-out; 2 MiB is within the spread of 1 MiB at twice the memory.
 	bufBytes = 1 << 20
-	// pipeDepth is how many windows of one range pump keeps in flight:
-	// one being read, one being hashed, one being written. One 32 MiB
-	// file staged with a manifest through 4 in-process daemons on
-	// loopback TCP (64 KiB chunks, 2 vCPU), MB/s in / out: serial copy
-	// 490–550 / 375–410, depth 2 700–860 / 350–450, depth 3 740–880 /
-	// 575–700, depth 4 750–920 / 580–680.
+	// pipeDepth is how many windows of one range pump keeps in flight.
+	// Root BenchmarkStageIn / BenchmarkStageOut through 4 in-process
+	// daemons on loopback TCP (64 KiB chunks, 4 workers, 2 vCPU), median
+	// MB/s of 5 runs for large (one 16 MiB file) / midfiles (twelve of
+	// 1–4 MiB): depth 2 in 1100 / 1250, out 855 / 755; depth 3 in
+	// 1200 / 1265, out 855 / 706; depth 4 in 1110 / 1160, out 845 / 625.
+	// Depth 2 drains midfiles faster (depth 3's runs spread 571–785) and
+	// stages large in slower; depth 4 loses both midfiles; 3 is kept.
 	pipeDepth = 3
 	// rangeBytes is the striping granularity: a file larger than this is
 	// transferred as that many concurrent ranges, so one giant checkpoint
@@ -86,17 +83,6 @@ const (
 type Options struct {
 	// Workers bounds concurrent range transfers (default DefaultWorkers).
 	Workers int
-	// Manifest, when non-empty, names a host-side manifest file: stage-in
-	// records every transferred file (size, SHA-256, cluster mtime) and
-	// stage-out rewrites it to match what landed on the host. Content
-	// hashing needs a sequential stream, so with a manifest every file
-	// moves as a single range.
-	Manifest string
-	// Incremental makes stage-out skip files that are provably unmodified
-	// since the manifest was written: cluster size and mtime still match
-	// the entry, and the host copy verifies against the recorded hash.
-	// Requires Manifest.
-	Incremental bool
 }
 
 // Report is the structured outcome of one transfer. Partial failure is
@@ -109,10 +95,6 @@ type Report struct {
 	// (holes count at full extent — the wire moves far less for them).
 	Files int
 	Bytes int64
-	// Skipped counts files an incremental stage-out proved unmodified;
-	// SkippedBytes their logical sizes. Skipped files move zero bytes.
-	Skipped      int
-	SkippedBytes int64
 	// Failed counts files and directories that did not transfer.
 	Failed int
 	// Unsupported counts entries staging deliberately cannot move —
@@ -134,9 +116,8 @@ func (r *Report) Err() error { return errors.Join(r.Errs...) }
 
 // Summary renders the report as one stable, grep-friendly line.
 func (r *Report) Summary() string {
-	return fmt.Sprintf("moved=%d files (%d bytes), dirs=%d, skipped=%d (%d bytes), failed=%d, unsupported=%d, took=%v",
-		r.Files, r.Bytes, r.Dirs, r.Skipped, r.SkippedBytes, r.Failed, r.Unsupported,
-		r.Duration.Round(time.Millisecond))
+	return fmt.Sprintf("moved=%d files (%d bytes), dirs=%d, failed=%d, unsupported=%d, took=%v",
+		r.Files, r.Bytes, r.Dirs, r.Failed, r.Unsupported, r.Duration.Round(time.Millisecond))
 }
 
 // errUnsupportedType reports a walk entry staging cannot move (GekkoFS
@@ -149,11 +130,6 @@ type engine struct {
 	opts Options
 	// op names the direction ("stage-in", "stage-out") in range failures.
 	op string
-
-	// mf is the manifest in play, nil when there is none. The pointer is
-	// fixed before any worker starts; the manifest's contents are only
-	// touched under mu.
-	mf *Manifest
 
 	mu  sync.Mutex
 	rep Report // guarded by mu
@@ -182,27 +158,12 @@ func (e *engine) unsupported(path string) {
 	e.rep.Notes = append(e.rep.Notes, fmt.Sprintf("stage-in %s: %v", path, errUnsupportedType))
 }
 
-// done records one fully transferred file and, when a manifest is being
-// built, its entry.
-func (e *engine) done(rel string, size int64, h hash.Hash, mtimeNS int64) {
+// done records one fully transferred file.
+func (e *engine) done(size int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rep.Files++
 	e.rep.Bytes += size
-	if e.mf != nil {
-		ent := Entry{Rel: rel, Size: size, MTimeNS: mtimeNS}
-		if h != nil {
-			ent.Hash = hex.EncodeToString(h.Sum(nil))
-		}
-		e.mf.Put(ent)
-	}
-}
-
-func (e *engine) skip(size int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rep.Skipped++
-	e.rep.SkippedBytes += size
 }
 
 // report stamps the elapsed time and hands out the engine's report.
@@ -215,56 +176,11 @@ func (e *engine) report(begin time.Time) *Report {
 	return &e.rep
 }
 
-// dirDone counts one created directory and records it in the manifest
-// when one is in play.
-func (e *engine) dirDone(rel string) {
+// dirDone counts one created directory.
+func (e *engine) dirDone() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.rep.Dirs++
-	if e.mf != nil {
-		e.mf.Put(Entry{Rel: rel, Dir: true, MTimeNS: time.Now().UnixNano()})
-	}
-}
-
-// writeManifest persists the manifest when one is in play.
-func (e *engine) writeManifest() error {
-	if e.mf == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.mf.WriteFile(e.opts.Manifest)
-}
-
-// lookupEntry reads a manifest entry under the engine lock (workers
-// update the manifest concurrently).
-func (e *engine) lookupEntry(rel string) (Entry, bool) {
-	if e.mf == nil {
-		return Entry{}, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.mf.Get(rel)
-}
-
-// newHash returns a SHA-256 only when a manifest wants one — hashing is
-// pure overhead otherwise.
-func (e *engine) newHash() hash.Hash {
-	if e.mf == nil {
-		return nil
-	}
-	return sha256.New()
-}
-
-// manifestable reports whether rel can be recorded in the line-oriented
-// manifest. When a manifest is active, unrepresentable names (line
-// breaks, unclean forms) fail their file up front — transferring it and
-// then corrupting or forging manifest lines would be worse.
-func (e *engine) manifestable(rel string) error {
-	if e.mf == nil {
-		return nil
-	}
-	return checkRel(rel)
 }
 
 // --- zero-run detection ---
@@ -328,16 +244,11 @@ func fsJoin(root, rel string) string {
 // as moved only when every range landed, and the first failing range
 // reports for all of them.
 type xfile struct {
-	rel, fsPath, hostPath string
+	fsPath, hostPath string
 	// size is what the walk saw: the host file's size staging in, the
-	// listed (or, incrementally, stat'ed) cluster size staging out. It
-	// shapes the ranges and clamps their reads; the last range still
-	// reads to EOF.
+	// listed cluster size staging out. It shapes the ranges and clamps
+	// their reads; the last range still reads to EOF.
 	size int64
-	// mtimeNS is the stat'ed cluster mtime (hasStat: incremental
-	// stage-out, whose skip check needs both).
-	mtimeNS int64
-	hasStat bool
 	// existed marks a stage-in file whose cluster record pre-existed
 	// (restaging over an older version).
 	existed bool
@@ -363,13 +274,9 @@ type stageWork struct {
 }
 
 // split appends f's ranges to queue: one per rangeBytes of its walk-time
-// size. With a manifest every file stays one range — its hash needs one
-// sequential stream.
-func (e *engine) split(queue []stageWork, f *xfile) []stageWork {
-	n := int64(1)
-	if e.mf == nil {
-		n = max(1, (f.size+rangeBytes-1)/rangeBytes)
-	}
+// size.
+func split(queue []stageWork, f *xfile) []stageWork {
+	n := max(1, (f.size+rangeBytes-1)/rangeBytes)
 	f.remaining.Store(int32(n))
 	for i := range n - 1 {
 		queue = append(queue, stageWork{file: f, off: i * rangeBytes, end: (i + 1) * rangeBytes})
@@ -422,30 +329,23 @@ func (e *engine) move(w stageWork, body func() (int64, error)) (int64, bool) {
 	return f.maxEnd.Load(), true
 }
 
-// failFile records f's failure once and forgets its manifest entry, so a
-// later incremental pass cannot wrongly skip it.
+// failFile records f's failure once.
 func (e *engine) failFile(f *xfile, err error) {
-	if !f.failed.CompareAndSwap(false, true) {
-		return
-	}
-	e.fail(e.op, f.fsPath, err)
-	if e.mf != nil {
-		e.mu.Lock()
-		e.mf.Delete(f.rel)
-		e.mu.Unlock()
+	if f.failed.CompareAndSwap(false, true) {
+		e.fail(e.op, f.fsPath, err)
 	}
 }
 
-// pump copies the range w from read to write, skipping zero runs and
-// feeding h when non-nil, and returns the offset it reached: w's end, or
-// where read reported EOF. It is a read window feeding a write window
-// (client.Window) through the in-order hash: up to pipeDepth regions are
-// held, each read ahead, hashed in stream order, then written, and a
-// region returns to the pool when its write lands. Reads run ahead of the
-// hash and writes trail behind it, so the cluster side of a transfer —
-// either direction's — never waits on the host side or on the hash, even
-// for a file that is one range. Every read and write pump starts has
-// finished when it returns.
+// pump copies the range w from read to write, skipping zero runs, and
+// returns the offset it reached: w's end, or where read reported EOF. It
+// is a read window feeding a write window (client.Window): up to
+// pipeDepth regions are held, each read ahead, taken in stream order,
+// then written, and a region returns to the pool when its write lands.
+// Reads run ahead and writes trail behind, so the cluster side of a
+// transfer — either direction's — never waits on the host side, even for
+// a file that is one range. Taking reads in stream order is what finds
+// EOF: the first short read ends the range, and nothing past it is
+// written. Every read and write pump starts has finished when it returns.
 //
 // Each read is clamped to the walk-time size plus one byte: a file at
 // that size answers one right-sized read whose EOF arrives with the data,
@@ -453,13 +353,12 @@ func (e *engine) failFile(f *xfile, err error) {
 // extra byte keeps a file that grew since the walk reading. Past that
 // byte, reads go one region at a time, so a file that did not grow costs
 // no read beyond its EOF.
-func pump(w stageWork, h hash.Hash,
-	read func(p []byte, off int64) (int, error), write func(p []byte, off int64) error) (int64, error) {
+func pump(w stageWork, read func(p []byte, off int64) (int, error), write func(p []byte, off int64) error) (int64, error) {
 	rd, wr := client.NewWindow(pipeDepth), client.NewWindow(pipeDepth)
 	var (
-		queue   []*client.Slot // reads started and not yet hashed, in stream order
+		queue   []*client.Slot // reads started and not yet taken, in stream order
 		next    = w.off        // where the next read starts
-		reached = w.off        // end of the hashed bytes
+		reached = w.off        // end of the bytes taken
 		ended   bool           // a read reported EOF
 		err     error          // first read or write failure
 		size    = w.file.size
@@ -469,8 +368,8 @@ func pump(w stageWork, h hash.Hash,
 			err = wr.TakeErr()
 		}
 		// Read ahead while a region is free. A full window stops the
-		// read-ahead while a read waits to be hashed — the hash never
-		// waits on a write — and is waited for otherwise.
+		// read-ahead while a read waits to be taken — taking never waits
+		// on a write — and is waited for otherwise.
 		for err == nil && !ended && next < w.end && (next <= size || len(queue) == 0) && (len(queue) == 0 || !rd.Full()) {
 			want := min(int64(bufBytes), w.end-next)
 			if size >= next {
@@ -490,9 +389,6 @@ func pump(w stageWork, h hash.Hash,
 		if err != nil || ended {
 			rd.Drop(s.Off, s.End) // read ahead of a failure or of EOF
 			continue
-		}
-		if h != nil {
-			h.Write(data)
 		}
 		reached = s.Off + int64(len(data))
 		wr.Start(s.Off, s.End, nil, func() (int, error) {
@@ -525,13 +421,10 @@ func pump(w stageWork, h hash.Hash,
 // StageIn copies the directory tree under hostDir into the cluster at
 // fsDir (created if missing). The returned Report is never nil; the
 // error covers structural failures only (bad arguments, unreadable
-// source root, manifest write) — per-file failures land in the Report.
+// source root) — per-file failures land in the Report.
 func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, error) {
 	begin := time.Now()
 	e := newEngine(c, opts, "stage-in")
-	if e.opts.Manifest != "" {
-		e.mf = NewManifest()
-	}
 	fsRoot, err := meta.Clean(fsDir)
 	if err != nil {
 		return e.report(begin), fmt.Errorf("staging: destination %q: %w", fsDir, err)
@@ -566,22 +459,14 @@ func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, er
 		}
 		switch {
 		case d.IsDir():
-			if err := e.manifestable(rel); err != nil {
-				e.fail("stage-in", p, err)
-				return iofs.SkipDir
-			}
 			dirs = append(dirs, rel)
 		case d.Type().IsRegular():
-			if err := e.manifestable(rel); err != nil {
-				e.fail("stage-in", p, err)
-				return nil
-			}
 			fi, err := d.Info()
 			if err != nil {
 				e.fail("walk", p, err)
 				return nil
 			}
-			files = append(files, &xfile{rel: rel, fsPath: fsJoin(fsRoot, rel), hostPath: p, size: fi.Size()})
+			files = append(files, &xfile{fsPath: fsJoin(fsRoot, rel), hostPath: p, size: fi.Size()})
 		default:
 			e.unsupported(p)
 		}
@@ -600,7 +485,7 @@ func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, er
 			e.fail("mkdir", p, err)
 			continue
 		}
-		e.dirDone(rel)
+		e.dirDone()
 	}
 	paths := make([]string, len(files))
 	for i, f := range files {
@@ -619,7 +504,7 @@ func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, er
 			e.fail("create", paths[i], err)
 			continue
 		}
-		queue = e.split(queue, files[i])
+		queue = split(queue, files[i])
 	}
 
 	e.run(queue, func(work <-chan stageWork) {
@@ -629,9 +514,6 @@ func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, er
 		}
 		e.flushGrow(&gb)
 	})
-	if err := e.writeManifest(); err != nil {
-		return e.report(begin), fmt.Errorf("staging: manifest: %w", err)
-	}
 	return e.report(begin), nil
 }
 
@@ -643,7 +525,6 @@ func StageIn(c *client.Client, hostDir, fsDir string, opts Options) (*Report, er
 // only after every byte landed, and never for a file that failed.
 func (e *engine) copyIn(gb *growBatch, w stageWork) {
 	f := w.file
-	h := e.newHash()
 	size, last := e.move(w, func() (int64, error) {
 		f.prep.Do(func() {
 			if f.existed {
@@ -661,19 +542,18 @@ func (e *engine) copyIn(gb *growBatch, w stageWork) {
 			return w.off, err
 		}
 		defer src.Close()
-		return pump(w, h, src.ReadAt, func(p []byte, off int64) error {
+		return pump(w, src.ReadAt, func(p []byte, off int64) error {
 			return e.c.WritePath(f.fsPath, p, off)
 		})
 	})
 	switch {
 	case !last:
-	case size == 0 && e.mf == nil:
-		e.done(f.rel, 0, nil, 0) // created (or truncated) empty: nothing to publish
+	case size == 0:
+		e.done(0) // created (or truncated) empty: nothing to publish
 	default:
-		gb.files = append(gb.files, f)
+		gb.paths = append(gb.paths, f.fsPath)
 		gb.sizes = append(gb.sizes, size)
-		gb.hashes = append(gb.hashes, h)
-		if len(gb.files) >= growBatchSize {
+		if len(gb.paths) >= growBatchSize {
 			e.flushGrow(gb)
 		}
 	}
@@ -683,73 +563,35 @@ func (e *engine) copyIn(gb *growBatch, w stageWork) {
 // not yet published, flushed through the vector plane in one batched RPC
 // per daemon.
 type growBatch struct {
-	files  []*xfile
-	sizes  []int64
-	hashes []hash.Hash
+	paths []string
+	sizes []int64
 }
 
 func (e *engine) flushGrow(gb *growBatch) {
-	if len(gb.files) == 0 {
+	if len(gb.paths) == 0 {
 		return
 	}
-	paths := make([]string, len(gb.files))
-	for i, f := range gb.files {
-		paths[i] = f.fsPath
-	}
-	errs := e.c.GrowMany(paths, gb.sizes)
-	// Manifest entries carry each file's cluster mtime, not this client's
-	// wall clock — a wall-clock stamp is strictly later than the write
-	// stamps and would let a clock-lagging writer's later modification
-	// hide under it (unsound incremental skips). One batched StatMany per
-	// flush reads them all back.
-	var infos []client.FileInfo
-	var serrs []error
-	if e.mf != nil {
-		infos, serrs = e.c.StatMany(paths)
-	}
-	for i, f := range gb.files {
-		if errs[i] != nil {
-			e.fail("stage-in size", paths[i], errs[i])
+	for i, err := range e.c.GrowMany(gb.paths, gb.sizes) {
+		if err != nil {
+			e.fail("stage-in size", gb.paths[i], err)
 			continue
 		}
-		mtime := int64(0)
-		if e.mf != nil {
-			if serrs[i] != nil {
-				e.fail("stage-in stat", paths[i], serrs[i])
-				continue
-			}
-			mtime = infos[i].ModTime().UnixNano()
-		}
-		e.done(f.rel, gb.sizes[i], gb.hashes[i], mtime)
+		e.done(gb.sizes[i])
 	}
-	gb.files, gb.sizes, gb.hashes = gb.files[:0], gb.sizes[:0], gb.hashes[:0]
+	gb.paths, gb.sizes = gb.paths[:0], gb.sizes[:0]
 }
 
 // --- stage-out ---
 
 // StageOut copies the cluster tree under fsDir into hostDir (created if
-// missing). With Options.Incremental (requires Manifest) files provably
-// unmodified since stage-in are skipped without moving a byte. The
-// returned Report is never nil; the error covers structural failures
-// only.
+// missing). The returned Report is never nil; the error covers
+// structural failures only.
 func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, error) {
 	begin := time.Now()
 	e := newEngine(c, opts, "stage-out")
 	fsRoot, err := meta.Clean(fsDir)
 	if err != nil {
 		return e.report(begin), fmt.Errorf("staging: source %q: %w", fsDir, err)
-	}
-	switch {
-	case e.opts.Incremental && e.opts.Manifest == "":
-		return e.report(begin), errors.New("staging: incremental stage-out requires a manifest")
-	case e.opts.Incremental:
-		mf, err := LoadManifest(e.opts.Manifest)
-		if err != nil {
-			return e.report(begin), fmt.Errorf("staging: manifest: %w", err)
-		}
-		e.mf = mf
-	case e.opts.Manifest != "":
-		e.mf = NewManifest()
 	}
 	if info, err := c.Stat(fsRoot); err != nil {
 		return e.report(begin), fmt.Errorf("staging: source %s: %w", fsRoot, err)
@@ -762,9 +604,6 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 
 	// Walk the cluster tree (paginated ReadDir under the hood), creating
 	// host directories as encountered and queueing every file's ranges.
-	// In incremental mode each directory's files are stat'ed in one
-	// batched RPC per daemon — the skip check needs authoritative sizes
-	// and mtimes.
 	var queue []stageWork
 	var walk func(rel string)
 	walk = func(rel string) {
@@ -774,15 +613,10 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 			e.fail("stage-out readdir", fsPath, err)
 			return
 		}
-		var files []*xfile
 		for _, en := range ents {
 			childRel := en.Name
 			if rel != "" {
 				childRel = rel + "/" + en.Name
-			}
-			if err := e.manifestable(childRel); err != nil {
-				e.fail("stage-out", fsJoin(fsRoot, childRel), err)
-				continue
 			}
 			hostPath := filepath.Join(hostDir, filepath.FromSlash(childRel))
 			if en.IsDir {
@@ -790,40 +624,11 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 					e.fail("stage-out mkdir", hostPath, err)
 					continue
 				}
-				e.dirDone(childRel)
+				e.dirDone()
 				walk(childRel)
 				continue
 			}
-			files = append(files, &xfile{rel: childRel, fsPath: fsJoin(fsRoot, childRel), hostPath: hostPath, size: en.Size})
-		}
-		if e.opts.Incremental && len(files) > 0 {
-			paths := make([]string, len(files))
-			for i, f := range files {
-				paths[i] = f.fsPath
-			}
-			infos, errs := c.StatMany(paths)
-			kept := files[:0]
-			for i, f := range files {
-				if errors.Is(errs[i], proto.ErrNotExist) {
-					// Listed but gone by stat time: removed concurrently.
-					// Eventual consistency makes this expected; skip it.
-					continue
-				}
-				if errs[i] != nil {
-					// Anything else (an unreachable metadata daemon fails
-					// its whole shard) must be loud: silently skipping
-					// here would report a clean transfer while result
-					// data quietly misses the stage-out.
-					e.fail("stage-out stat", paths[i], errs[i])
-					continue
-				}
-				f.size, f.mtimeNS, f.hasStat = infos[i].Size(), infos[i].ModTime().UnixNano(), true
-				kept = append(kept, f)
-			}
-			files = kept
-		}
-		for _, f := range files {
-			queue = e.split(queue, f)
+			queue = split(queue, &xfile{fsPath: fsJoin(fsRoot, childRel), hostPath: hostPath, size: en.Size})
 		}
 	}
 	walk("")
@@ -833,56 +638,15 @@ func StageOut(c *client.Client, fsDir, hostDir string, opts Options) (*Report, e
 			e.copyOut(w)
 		}
 	})
-	if err := e.writeManifest(); err != nil {
-		return e.report(begin), fmt.Errorf("staging: manifest: %w", err)
-	}
 	return e.report(begin), nil
-}
-
-// unmodifiedSince reports whether the cluster file f is provably the
-// same content the manifest entry recorded: identical size and cluster
-// mtime (the entry stores the cluster's own stamp, so any later write —
-// whose stamp the size-merger only ever raises — breaks equality), and a
-// host copy that verifies against the recorded hash. Any doubt returns
-// false and the file transfers. Caveat shared with every mtime-based
-// synchronizer: detection trusts writers' clocks.
-func unmodifiedSince(f *xfile, ent Entry) bool {
-	if ent.Dir || !f.hasStat || ent.Hash == "" {
-		return false
-	}
-	if f.size != ent.Size || f.mtimeNS != ent.MTimeNS {
-		return false
-	}
-	fi, err := os.Stat(f.hostPath)
-	if err != nil || !fi.Mode().IsRegular() || fi.Size() != ent.Size {
-		return false
-	}
-	hf, err := os.Open(f.hostPath)
-	if err != nil {
-		return false
-	}
-	defer hf.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, hf); err != nil {
-		return false
-	}
-	return hex.EncodeToString(h.Sum(nil)) == ent.Hash
 }
 
 // copyOut moves one range of a cluster file onto the host. Every read is
 // a descriptor-free ReadPath: the file as it is now, never a cached
-// block. The range
-// finishing the file settles the host copy's length at the extent the
+// block. The range finishing the file settles the host copy's length at the extent the
 // ranges observed: past a trailing hole, or short of a file that shrank.
 func (e *engine) copyOut(w stageWork) {
 	f := w.file
-	if e.opts.Incremental { // a manifest: f is this one range
-		if ent, ok := e.lookupEntry(f.rel); ok && unmodifiedSince(f, ent) {
-			e.skip(ent.Size)
-			return
-		}
-	}
-	h := e.newHash()
 	size, last := e.move(w, func() (int64, error) {
 		dst, err := os.OpenFile(f.hostPath, os.O_WRONLY|os.O_CREATE, 0o666)
 		if err != nil {
@@ -891,7 +655,7 @@ func (e *engine) copyOut(w stageWork) {
 		f.prep.Do(func() { f.prepErr = dst.Truncate(0) })
 		reached, err := w.off, f.prepErr
 		if err == nil {
-			reached, err = pump(w, h, func(p []byte, off int64) (int, error) {
+			reached, err = pump(w, func(p []byte, off int64) (int, error) {
 				return e.c.ReadPath(f.fsPath, p, off)
 			}, func(p []byte, off int64) error {
 				_, err := dst.WriteAt(p, off)
@@ -907,17 +671,5 @@ func (e *engine) copyOut(w stageWork) {
 		e.failFile(f, err)
 		return
 	}
-	// Manifest entries carry the cluster's own mtime (see flushGrow's
-	// rationale): the incremental walk already stat'ed it; a fresh
-	// manifest pays one stat here.
-	mtime := f.mtimeNS
-	if e.mf != nil && !f.hasStat {
-		info, err := e.c.Stat(f.fsPath)
-		if err != nil {
-			e.failFile(f, err)
-			return
-		}
-		mtime = info.ModTime().UnixNano()
-	}
-	e.done(f.rel, size, h, mtime)
+	e.done(size)
 }

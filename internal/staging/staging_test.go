@@ -570,157 +570,18 @@ func TestStageOutPartialFailure(t *testing.T) {
 	}
 }
 
-// TestIncrementalStageOut verifies the manifest-driven skip: an
-// unmodified tree moves zero bytes, a modified file moves alone, and a
-// repeat pass skips everything again.
-func TestIncrementalStageOut(t *testing.T) {
-	c, daemons := newStageCluster(t, 4, client.Config{ChunkSize: 64 << 10})
-	src := t.TempDir()
-	manifest := filepath.Join(t.TempDir(), "manifest.txt")
-	writeHostFile(t, filepath.Join(src, "a.dat"), patterned(256<<10, 10))
-	writeHostFile(t, filepath.Join(src, "sub", "b.dat"), patterned(32<<10, 11))
-	writeHostFile(t, filepath.Join(src, "c.txt"), []byte("small and stable"))
-
-	opts := staging.Options{Manifest: manifest}
-	mustStageIn(t, c, src, "/job", opts)
-
-	// Pass 1: nothing changed — everything skips, zero bytes move.
-	inc := staging.Options{Manifest: manifest, Incremental: true}
-	before := sumStats(daemons)
-	rep := mustStageOut(t, c, "/job", src, inc)
-	if rep.Files != 0 || rep.Bytes != 0 {
-		t.Fatalf("unmodified tree moved %d files (%d bytes), want 0", rep.Files, rep.Bytes)
-	}
-	if rep.Skipped != 3 {
-		t.Fatalf("skipped = %d, want 3", rep.Skipped)
-	}
-	if st := sumStats(daemons); st.ReadBytes != before.ReadBytes {
-		t.Fatalf("incremental skip still read %d chunk bytes", st.ReadBytes-before.ReadBytes)
-	}
-
-	// Modify one file in the cluster; only it should move.
-	fd, err := c.Open("/job/sub/b.dat", client.O_WRONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	update := patterned(32<<10, 12)
-	if _, err := c.WriteAt(fd, update, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(fd); err != nil {
-		t.Fatal(err)
-	}
-	rep = mustStageOut(t, c, "/job", src, inc)
-	if rep.Files != 1 || rep.Skipped != 2 {
-		t.Fatalf("after modification: moved=%d skipped=%d, want 1 and 2", rep.Files, rep.Skipped)
-	}
-	if rep.Bytes != 32<<10 {
-		t.Fatalf("moved %d bytes, want %d", rep.Bytes, 32<<10)
-	}
-	got, err := os.ReadFile(filepath.Join(src, "sub", "b.dat"))
-	if err != nil || !bytes.Equal(got, update) {
-		t.Fatalf("modified file not refreshed on host: %v", err)
-	}
-
-	// Pass 3: the rewritten manifest covers the refreshed file too.
-	rep = mustStageOut(t, c, "/job", src, inc)
-	if rep.Files != 0 || rep.Skipped != 3 {
-		t.Fatalf("repeat pass: moved=%d skipped=%d, want 0 and 3", rep.Files, rep.Skipped)
-	}
-}
-
-// TestIncrementalNeedsManifest pins the structural error.
-func TestIncrementalNeedsManifest(t *testing.T) {
-	c, _ := newStageCluster(t, 1, client.Config{})
-	if _, err := staging.StageOut(c, "/", t.TempDir(), staging.Options{Incremental: true}); err == nil {
-		t.Fatal("incremental stage-out without a manifest accepted")
-	}
-}
-
-// TestManifestRoundTrip exercises the codec, including paths with
-// spaces, and rejects traversal and garbage.
-func TestManifestRoundTrip(t *testing.T) {
-	m := staging.NewManifest()
-	m.Put(staging.Entry{Rel: "sub dir/file with spaces.txt", Size: 42, Hash: "abcd", MTimeNS: 7})
-	m.Put(staging.Entry{Rel: "sub dir", Dir: true, MTimeNS: 6})
-	m.Put(staging.Entry{Rel: "plain", Size: 0, Hash: "ef01", MTimeNS: 9})
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := staging.DecodeManifest(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 3 {
-		t.Fatalf("decoded %d entries, want 3", got.Len())
-	}
-	e, ok := got.Get("sub dir/file with spaces.txt")
-	if !ok || e.Size != 42 || e.Hash != "abcd" || e.MTimeNS != 7 || e.Dir {
-		t.Fatalf("entry = %+v", e)
-	}
-	if e, ok := got.Get("sub dir"); !ok || !e.Dir {
-		t.Fatalf("dir entry = %+v, ok=%v", e, ok)
-	}
-
-	for _, bad := range []string{
-		"",
-		"not-a-manifest\n",
-		"gekkofs-stage-manifest v1\nf x abcd 0 p\n",
-		"gekkofs-stage-manifest v1\nf 1 abcd 0 ../escape\n",
-		"gekkofs-stage-manifest v1\nf 1 abcd 0 /abs\n",
-		"gekkofs-stage-manifest v1\nz 1 abcd 0 p\n",
-		"gekkofs-stage-manifest v1\nf 1 abcd\n",
-	} {
-		if _, err := staging.DecodeManifest(strings.NewReader(bad)); err == nil {
-			t.Fatalf("malformed manifest accepted: %q", bad)
-		}
-	}
-}
-
-// TestManifestRejectsLineBreaks covers both sides: Encode refuses an
-// injected entry, and a manifest-recording stage-in fails a
-// newline-bearing filename up front instead of corrupting the manifest.
-func TestManifestRejectsLineBreaks(t *testing.T) {
-	m := staging.NewManifest()
-	m.Put(staging.Entry{Rel: "a\nf 0 deadbeef 9 victim", Size: 1, Hash: "ab"})
-	if err := m.Encode(&bytes.Buffer{}); err == nil {
-		t.Fatal("newline-bearing rel encoded")
-	}
-
-	c, _ := newStageCluster(t, 2, client.Config{})
-	src := t.TempDir()
-	writeHostFile(t, filepath.Join(src, "ok.txt"), []byte("fine"))
-	if err := os.WriteFile(filepath.Join(src, "bad\nname"), []byte("x"), 0o666); err != nil {
-		t.Skipf("filesystem rejects newline names: %v", err)
-	}
-	manifest := filepath.Join(t.TempDir(), "m.txt")
-	rep, err := staging.StageIn(c, src, "/job", staging.Options{Manifest: manifest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 1 || rep.Files != 1 {
-		t.Fatalf("report = %d moved, %d failed; want 1 and 1", rep.Files, rep.Failed)
-	}
-	if _, err := staging.LoadManifest(manifest); err != nil {
-		t.Fatalf("manifest corrupted by newline name: %v", err)
-	}
-}
-
 // TestStageOutDaemonDownIsLoud kills a daemon between stage-in and
 // stage-out: teardown must report the failure, never a clean transfer
 // that quietly lost result data.
 func TestStageOutDaemonDownIsLoud(t *testing.T) {
 	c, daemons := newStageCluster(t, 4, client.Config{ChunkSize: 64 << 10})
 	src := t.TempDir()
-	manifest := filepath.Join(t.TempDir(), "m.txt")
 	for i := 0; i < 8; i++ {
 		writeHostFile(t, filepath.Join(src, fmt.Sprintf("f%d.dat", i)), patterned(8<<10, int64(i)))
 	}
-	mustStageIn(t, c, src, "/job", staging.Options{Manifest: manifest})
+	mustStageIn(t, c, src, "/job", staging.Options{})
 	daemons[2].Close()
-	rep, _ := staging.StageOut(c, "/job", t.TempDir(),
-		staging.Options{Manifest: manifest, Incremental: true})
+	rep, _ := staging.StageOut(c, "/job", t.TempDir(), staging.Options{})
 	if rep.Err() == nil {
 		t.Fatal("stage-out with a dead daemon reported a clean transfer")
 	}
