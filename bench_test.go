@@ -1,6 +1,6 @@
 // Functional benchmarks of the real file system (daemons, RPC, metadata
 // store, chunk store) on in-process daemons: large I/O over TCP and shm,
-// write-behind and read-ahead streams, shared-file writes, stage-in and
+// a single writer's stream and read-ahead, shared-file writes, stage-in and
 // stage-out. Per-op metadata and 1 MiB I/O are the benchmark's (bench/)
 // workloads. The paper's 1–512-node figures are not regenerated: no
 // probe on one host reaches their fabric, SSDs or process counts.
@@ -136,49 +136,38 @@ func BenchmarkShmLargeIO(b *testing.B) {
 	ioWorkload(b, benchCluster(b, wiretest.Shm, 2, 1, client.Config{}), 4<<20)
 }
 
-// BenchmarkAsyncWriteStream measures a single writer streaming over real
-// TCP sockets to a 4-daemon cluster: the synchronous protocol (each
-// Write blocks on its chunk round trips plus a size-update RPC) against
-// the write-behind pipeline. This is the latency-to-throughput
-// conversion the pipeline exists for — one stream saturating multiple
-// daemons instead of ping-ponging one RPC at a time. Fsync inside the
-// timed region keeps the pipelined numbers honest: the barrier's drain
-// is part of the cost.
-func BenchmarkAsyncWriteStream(b *testing.B) {
+// BenchmarkWriteStream measures a single writer streaming 256 KiB
+// writes over real TCP sockets to a 4-daemon cluster (64 KiB chunks):
+// each Write fans its chunks out to every daemon in parallel and returns
+// once they have stored them (and, while it extends the file, the owner
+// has its size update).
+func BenchmarkWriteStream(b *testing.B) {
 	const (
 		nodes   = 4
 		ioSize  = 256 << 10
 		chunkSz = 64 << 10
 	)
-	for _, async := range []bool{false, true} {
-		name := "sync"
-		if async {
-			name = "pipelined"
+	c := benchCluster(b, wiretest.TCPPool, nodes, 4, client.Config{ChunkSize: chunkSz})
+	fd, err := c.Create("/stream")
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, ioSize)
+	b.SetBytes(ioSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Bounded 16 MiB region: per-op cost independent of b.N.
+		if _, err := c.WriteAt(fd, buf, int64(i%64)*ioSize); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			c := benchCluster(b, wiretest.TCPPool, nodes, 4, client.Config{ChunkSize: chunkSz, AsyncWrites: async})
-			fd, err := c.Create("/stream")
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]byte, ioSize)
-			b.SetBytes(ioSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Bounded 16 MiB region: per-op cost independent of b.N.
-				if _, err := c.WriteAt(fd, buf, int64(i%64)*ioSize); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := c.Fsync(fd); err != nil {
-				b.Fatal(err)
-			}
-		})
+	}
+	if err := c.Fsync(fd); err != nil {
+		b.Fatal(err)
 	}
 }
 
-// BenchmarkAsyncReadStream is the read mirror of
-// BenchmarkAsyncWriteStream: a single reader streaming sequentially over
+// BenchmarkAsyncReadStream is the read mirror of BenchmarkWriteStream:
+// a single reader streaming sequentially over
 // real TCP sockets from a 4-daemon cluster, synchronous protocol versus
 // the read-ahead pipeline. Reads are 16 KiB against 64 KiB chunks — the
 // buffered-consumer shape (cp, grep, a parser) where the synchronous
@@ -276,7 +265,7 @@ func stageSourceFiles(b *testing.B, sizes []int64) (string, int64) {
 //
 //   - large: one 16 MiB file — four of the engine's 4 MiB ranges, one
 //     per worker — over real TCP sockets into a 4-daemon cluster (64 KiB
-//     chunks), the operating point of BenchmarkAsyncWriteStream/pipelined.
+//     chunks), the operating point of BenchmarkWriteStream.
 //   - smallfiles: 1000 × 1 KiB files into a durable on-disk cluster
 //     (SyncWAL) — the operating point of gkfs-bench's batched mdtest
 //     create phase. Data-carrying files additionally pay one chunk-file
@@ -288,9 +277,7 @@ func stageSourceFiles(b *testing.B, sizes []int64) (string, int64) {
 func BenchmarkStageIn(b *testing.B) {
 	b.Run("large", func(b *testing.B) {
 		src, largeBytes := stageSourceFiles(b, []int64{16 << 20})
-		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
-			ChunkSize: 64 << 10, AsyncWrites: true,
-		})
+		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{ChunkSize: 64 << 10})
 		b.SetBytes(largeBytes)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -343,9 +330,7 @@ func BenchmarkStageIn(b *testing.B) {
 	b.Run("empty", func(b *testing.B) { smallIngest(b, 0) })
 	b.Run("midfiles", func(b *testing.B) {
 		src, total := stageSourceFiles(b, stageMidSizes)
-		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
-			ChunkSize: 64 << 10, AsyncWrites: true,
-		})
+		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{ChunkSize: 64 << 10})
 		b.SetBytes(total)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -369,9 +354,7 @@ func BenchmarkStageOut(b *testing.B) {
 	b.Run("large", func(b *testing.B) {
 		src, largeBytes := stageSourceFiles(b, []int64{16 << 20})
 		out := b.TempDir()
-		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
-			ChunkSize: 64 << 10, AsyncWrites: true,
-		})
+		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{ChunkSize: 64 << 10})
 		b.SetBytes(largeBytes)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -416,9 +399,7 @@ func BenchmarkStageOut(b *testing.B) {
 	b.Run("midfiles", func(b *testing.B) {
 		src, total := stageSourceFiles(b, stageMidSizes)
 		out := b.TempDir()
-		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{
-			ChunkSize: 64 << 10, AsyncWrites: true,
-		})
+		c := benchCluster(b, wiretest.TCPPool, 4, 4, client.Config{ChunkSize: 64 << 10})
 		opts := staging.Options{Workers: 4}
 		b.SetBytes(total)
 		b.ResetTimer()

@@ -15,7 +15,9 @@ import (
 // client.Mount).
 var (
 	daemonWiring = map[string]bool{"ID": true, "FS": true, "ShmSocket": true}
-	clientWiring = map[string]bool{"Conns": true, "ChunkSize": true}
+	// AsyncWrites is listed with the wiring because no knob may set it:
+	// the client ignores it (client.Config).
+	clientWiring = map[string]bool{"Conns": true, "ChunkSize": true, "AsyncWrites": true}
 )
 
 // nonZeroFields names the fields of the struct v that differ from their
@@ -59,7 +61,7 @@ func TestEveryTunableIsReachable(t *testing.T) {
 	for _, opt := range []Option{
 		WithNodes(7), WithChunkSize(7), WithDataDir("d"), WithSyncWAL(),
 		WithSizeUpdateCache(7),
-		WithTransport("shm"), WithAsyncWrites(), WithReadAhead(),
+		WithTransport("shm"), WithReadAhead(),
 		WithStageIn("h", "f", nil), WithStageOutOnClose("f", "h", nil),
 		WithTelemetry(7),
 	} {

@@ -169,11 +169,9 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 // WithSizeUpdateCache flush on Sync/Close).
 func (f *File) Stat() (FileInfo, error) { return f.fs.c.Stat(f.name) }
 
-// Sync is the write barrier. In the default synchronous mode data is
-// already stored when writes return, so only cached size updates move.
-// Under WithAsyncWrites, Sync drains the descriptor's in-flight window,
-// flushes the size candidate, and surfaces any latched write error —
-// a nil return means everything written so far is stored and visible.
+// Sync is the write barrier. Data is already stored when writes return,
+// so only deferred size updates move; a nil return means everything
+// written so far is stored and its size visible.
 func (f *File) Sync() error { return f.fs.c.Fsync(f.fd) }
 
 // Close releases the descriptor with the same barrier semantics as Sync

@@ -163,28 +163,11 @@ func WithSizeUpdateCache(ops int) Option { return func(c *config) { c.client.Siz
 // without separate processes. "shm" requires a unix platform.
 func WithTransport(name string) Option { return func(c *config) { c.transport = name } }
 
-// WithAsyncWrites enables the write-behind data pipeline, the
-// relaxed-semantics fast path for streaming writers: File.Write/WriteAt
-// send their chunk RPCs into a bounded per-descriptor in-flight window
-// and return without waiting for the replies — once the bytes have left
-// the caller's buffer, so it may be reused at once — and a single writer
-// overlaps transfers to every daemon instead of blocking a round trip
-// per call. The contract moves to
-// the barriers: File.Sync and File.Close drain the window and flush the
-// file-size candidate, and a write failure latches on the descriptor and
-// surfaces exactly once — on the next Write, Sync or Close. Reads through
-// the same File drain its window first, so a process always reads its
-// own completed writes. Stay synchronous (the default) when every Write's
-// error must refer to that write, or when another process must observe
-// data without waiting for this one's Sync.
-func WithAsyncWrites() Option { return func(c *config) { c.client.AsyncWrites = true } }
-
-// WithReadAhead enables the sequential read-ahead pipeline, the read
-// mirror of WithAsyncWrites: once a File's reads are sequential (each
-// starting where the previous ended), the client fetches the spans just
-// past them into a bounded per-File window, so a single reader overlaps
-// transfers from every daemon instead of blocking a full RPC fan-out per
-// call. Random access never speculates, and nothing is kept once a read
+// WithReadAhead enables the sequential read-ahead pipeline: once a
+// File's reads are sequential (each starting where the previous ended),
+// the client fetches the spans just past them into a bounded per-File
+// window, so a single reader overlaps transfers from every daemon
+// instead of blocking a full RPC fan-out per call. Random access never speculates, and nothing is kept once a read
 // moves past it or the File closes. The relaxation is bounded to that
 // window: another mount's write to bytes this File already fetched ahead
 // of its position may stay unseen by the read that consumes them; every

@@ -9,14 +9,13 @@ import (
 )
 
 // TestReadAheadFacade exercises WithReadAhead end to end: a sequential
-// stream written through the write-behind pipeline reads back
+// stream written through the facade reads back
 // byte-identical through the read-ahead pipeline, twice, and a same-File
 // overwrite is never masked by a prefetched span.
 func TestReadAheadFacade(t *testing.T) {
 	cluster, err := gekkofs.New(
 		gekkofs.WithNodes(4),
 		gekkofs.WithChunkSize(1<<10),
-		gekkofs.WithAsyncWrites(),
 		gekkofs.WithReadAhead(),
 	)
 	if err != nil {

@@ -28,7 +28,6 @@ func TestStagingLifecycleHooks(t *testing.T) {
 
 	cl, err := gekkofs.New(
 		gekkofs.WithNodes(4),
-		gekkofs.WithAsyncWrites(),
 		gekkofs.WithStageIn(src, "/job", nil),
 		gekkofs.WithStageOutOnClose("/job", out, nil),
 	)

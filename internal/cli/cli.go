@@ -43,7 +43,6 @@ func (f *Flags) RegisterMount(fs *flag.FlagSet) {
 // behaves once mounted. Every client.Config tunable is reachable from
 // here or from a gekkofs.With* option (TestEveryTunableIsReachable).
 func (f *Flags) RegisterTuning(fs *flag.FlagSet) {
-	fs.BoolVar(&f.Client.AsyncWrites, "async", false, "write-behind pipeline: writes return immediately, Fsync/Close are the barriers")
 	fs.BoolVar(&f.Client.ReadAhead, "readahead", false, "sequential read-ahead: prefetch the next chunks into a bounded per-descriptor window")
 	fs.IntVar(&f.Client.SizeCacheOps, "size-cache", 0, "client size-update cache, the paper's shared-file fix: flush size updates every n writes (0 = off)")
 	fs.Func("trace-sample", "trace every Nth RPC: the call carries a trace ID and both ends log a gkfs.trace event (0 = off)", func(s string) error {

@@ -8,10 +8,11 @@
 //     (no central placement tables),
 //   - reads and writes are split into chunk spans and issued as parallel
 //     RPCs to the owning daemons, with data in bulk regions,
-//   - operations are synchronous and cache-less by default; the opt-in
+//   - operations are synchronous and cache-less by default: a write
+//     returns once its chunks' daemons have stored it; the opt-in
 //     exceptions are the paper's size-update cache for the shared-file
-//     bottleneck (§IV-B), write-behind and read-ahead — two policies
-//     over one in-flight window (window.go),
+//     bottleneck (§IV-B) and read-ahead over an in-flight window
+//     (window.go),
 //   - rename, links and permissions are unsupported (§III-A).
 package client
 
@@ -112,12 +113,10 @@ type Config struct {
 	// them every SizeCacheOps writes (and on close/sync) — the paper's
 	// shared-file fix. Zero keeps the strict synchronous protocol.
 	SizeCacheOps int
-	// AsyncWrites enables write-behind: Write/WriteAt send chunk RPCs
-	// through a bounded per-descriptor window and return without waiting
-	// for their replies; Fsync/Close drain the window and flush the size
-	// candidate; errors latch and surface on the next write, read or
-	// barrier (see enqueueSpansLocked). Size updates are always deferred
-	// to barriers in this mode — SizeCacheOps is subsumed and ignored.
+	// AsyncWrites is ignored: every write returns once its daemons have
+	// the bytes. Write-behind was deleted because it did not beat the
+	// synchronous path on a streaming checkpoint; the field stays until
+	// the benchmark module (bench/), which still sets it, drops it.
 	AsyncWrites bool
 	// ReadAhead enables sequential read-ahead on every
 	// read-capable descriptor: once a descriptor's reads are sequential,
@@ -183,10 +182,6 @@ type openFile struct {
 	home     sizeView
 	sameNext *openFile // guarded by Client.mu; the next descriptor of view.files
 
-	// wb is the descriptor's write-behind window (Config.AsyncWrites on
-	// and the descriptor can write).
-	wb *Window
-
 	// ra is the descriptor's read-ahead window (active when
 	// Config.ReadAhead is on and the descriptor can read).
 	ra *readahead
@@ -223,25 +218,21 @@ func (c *Client) ChunkSize() int64 { return c.cfg.ChunkSize }
 
 // call issues one RPC and peels the errno header off the response. Its
 // bulk region is the windows, in order, in direction dir (none for no
-// windows). This is the client's RPC chokepoint, together with its split
-// form (start, then wait): round-trip timing, the in-flight gauge and
-// trace sampling all live in begin and end, so every caller — metadata,
-// chunk I/O, write-behind — is covered.
+// windows). This is the client's RPC chokepoint: round-trip timing, the
+// in-flight gauge and trace sampling all live in begin and end, so every
+// caller — metadata, chunk I/O, read-ahead — is covered.
 func (c *Client) call(node int, op rpc.Op, payload []byte, dir rpc.BulkDir, windows ...[]byte) (*rpc.Dec, error) {
 	rc := c.begin(node, op)
 	resp, err := rpc.Call(c.cfg.Conns[node], op, payload, windows, dir, rc.tr)
 	return c.end(&rc, resp, err)
 }
 
-// clientCall is one RPC from begin to end. A started call carries its
-// outstanding reply, or the start's failure, in between.
+// clientCall is one RPC from begin to end.
 type clientCall struct {
-	node  int
-	op    rpc.Op
-	tr    rpc.Trace
-	t0    time.Time
-	reply rpc.Reply
-	err   error
+	node int
+	op   rpc.Op
+	tr   rpc.Trace
+	t0   time.Time
 }
 
 // begin opens the telemetry of one RPC: its trace, the in-flight gauge
@@ -274,25 +265,6 @@ func (c *Client) end(rc *clientCall, resp []byte, err error) (*rpc.Dec, error) {
 		return nil, errno.Err()
 	}
 	return d, nil
-}
-
-// start is call split at the send (rpc.Start): when it returns, the
-// request has left or failed and nothing references a BulkIn window.
-// wait takes the reply.
-func (c *Client) start(node int, op rpc.Op, payload []byte, dir rpc.BulkDir, windows ...[]byte) clientCall {
-	rc := c.begin(node, op)
-	rc.reply, rc.err = rpc.Start(c.cfg.Conns[node], op, payload, windows, dir, rc.tr)
-	return rc
-}
-
-// wait takes the reply of a call start started — once.
-func (c *Client) wait(rc *clientCall) (*rpc.Dec, error) {
-	var resp []byte
-	err := rc.err
-	if err == nil {
-		resp, err = rc.reply.Wait()
-	}
-	return c.end(rc, resp, err)
 }
 
 // fanOut runs fn for every daemon in parallel and returns the first error.
@@ -436,13 +408,6 @@ func (c *Client) Open(path string, flags int) (int, error) {
 	}
 
 	of := &openFile{path: p, flags: flags}
-	if c.cfg.AsyncWrites && accMode != O_RDONLY {
-		of.wb = NewWindow(writeWindow)
-		of.wb.admit = c.tel.stageWait
-		// A latched write failure leaves the failed byte ranges
-		// undefined; a prefetched pre-write image must not paper over that.
-		of.wb.onFail = func() { c.dropFetches(p, 0, math.MaxInt64) }
-	}
 	if c.cfg.ReadAhead && accMode != O_WRONLY {
 		of.ra = newReadahead(c.cfg.ChunkSize * prefetchSpanChunks)
 	}
@@ -486,11 +451,9 @@ func (c *Client) lookupIO(fd int, write bool) (*openFile, error) {
 	return of, nil
 }
 
-// Close releases a descriptor. It is a barrier: under AsyncWrites it
-// drains the descriptor's in-flight window and surfaces any latched
-// write error; in every mode it flushes cached size updates. The
-// descriptor is released even when the barrier reports an error, and its
-// read-ahead window with it.
+// Close releases a descriptor. It is a barrier: it flushes the
+// descriptor's deferred size update. The descriptor is released even
+// when the flush reports an error, and its read-ahead window with it.
 func (c *Client) Close(fd int) error {
 	c.mu.Lock()
 	of, ok := c.files[fd]
@@ -507,17 +470,14 @@ func (c *Client) Close(fd int) error {
 	}
 	of.mu.Lock()
 	defer of.mu.Unlock()
-	return c.barrierLocked(of)
+	return c.flushSizeLocked(of)
 }
 
-// Fsync is the write barrier. Under AsyncWrites it drains the
-// descriptor's in-flight window, surfaces any latched write error
-// (exactly once), and flushes the cached size candidate; a nil return
-// means every prior write on this descriptor is stored and its size is
-// visible cluster-wide. In the synchronous modes data needs no flushing —
-// every write RPC is acknowledged only after the daemon stored it — so
-// only deferred size updates move: the size cache's candidate, and the
-// one update that stands for every rewrite below the descriptor's floor
+// Fsync is the write barrier; a nil return means every prior write on
+// this descriptor is stored and its size is visible cluster-wide. Data
+// needs no flushing — every write RPC is acknowledged only after the
+// daemon stored it — so only deferred size updates move: the size
+// cache's candidate, and the one update that stands for every rewrite below the descriptor's floor
 // since the last barrier (it carries their largest end and the time, so
 // this is where such rewrites become visible in the file's mtime). A
 // descriptor that wrote nothing sends nothing.
@@ -528,20 +488,7 @@ func (c *Client) Fsync(fd int) error {
 	}
 	of.mu.Lock()
 	defer of.mu.Unlock()
-	return c.barrierLocked(of)
-}
-
-// barrierLocked drains the descriptor's write-behind window (when one
-// exists) and flushes its size state. Caller holds of.mu. Both the
-// latched write error and a size-flush failure are reported; the write
-// error is cleared (surfaced exactly once), and after a failed write the
-// affected byte ranges are undefined — temporary-FS semantics leave
-// recovery (rewrite or discard) to the application.
-func (c *Client) barrierLocked(of *openFile) error {
-	// Drained first, so the candidate only ever describes data the daemons
-	// acknowledged (or data whose failure is reported alongside).
-	werr := of.wb.drainErr()
-	return errors.Join(werr, c.flushSizeLocked(of))
+	return c.flushSizeLocked(of)
 }
 
 // VerifyProtocol pings every daemon (ProbeDaemon) and checks that it is
@@ -778,7 +725,7 @@ func (c *Client) Remove(path string) error {
 	if p == meta.Root {
 		return proto.ErrInval
 	}
-	unpublished := c.settlePath(p)
+	unpublished := c.unpublished(p)
 	_, size, err := c.removeMeta(p, true)
 	if errors.Is(err, proto.ErrIsDir) {
 		// Directory: verify it is empty, then remove without the flag.
@@ -806,32 +753,22 @@ func (c *Client) Remove(path string) error {
 	return nil
 }
 
-// settlePath waits until every write this client staged on p has landed
-// — a chunk write landing after a truncate or a remove would bring back
-// bytes they discarded — and reports whether a descriptor of p holds a
-// size the owner has not been told: write-behind and the size-update
-// cache defer it to the barrier, so the owner's size alone can miss data
-// this client wrote. (Another client's staged writes are its own: a
-// remove or truncate racing them leaves what they write undefined, as the
-// paper has it.)
-func (c *Client) settlePath(p string) (unpublished bool) {
+// unpublished reports whether a descriptor of p holds a size the owner
+// has not been told: the size-update cache and rewrites below the
+// acknowledged size defer it to the barrier, so the owner's size alone
+// can miss data this client wrote, and a remove must then collect chunks
+// anyway.
+func (c *Client) unpublished(p string) bool {
 	c.mu.Lock()
-	var staged []*openFile
+	defer c.mu.Unlock()
 	if v := c.views[p]; v != nil {
 		for of := v.files; of != nil; of = of.sameNext {
-			if of.wb != nil {
-				staged = append(staged, of)
+			if of.cand.n.Load() > 0 {
+				return true
 			}
-			unpublished = unpublished || of.cand.n.Load() > 0
 		}
 	}
-	c.mu.Unlock()
-	for _, of := range staged {
-		of.mu.Lock()
-		of.wb.Drain()
-		of.mu.Unlock()
-	}
-	return unpublished
+	return false
 }
 
 // forgetPath is what every successful remove of p owes this client's own
@@ -875,7 +812,6 @@ func (c *Client) Truncate(path string, size int64) error {
 	if size < 0 {
 		return proto.ErrInval
 	}
-	c.settlePath(p)
 	if err := c.updateSize(p, size, true); err != nil {
 		return err
 	}

@@ -173,13 +173,24 @@ func TestDataPathErrorsNameOpPathDaemon(t *testing.T) {
 	severed("readdir", err, "readdir /: ")
 }
 
-// TestAsyncWriteSurfacesLostDaemonOnce kills a chunk daemon in the middle
-// of a write-behind stream over TCP. Every chunk has one copy, so the
-// next write bound for it fails; its error surfaces exactly once — at a
-// later write or at the Close barrier — naming op, path and daemon, as
-// ErrDegraded. A read of a chunk the daemon took with it then fails the
-// same way: no hang, no zeros.
-func TestAsyncWriteSurfacesLostDaemonOnce(t *testing.T) {
+// TestWriteSurfacesLostDaemonOnce kills a chunk daemon in the middle of
+// a write stream over TCP. Every chunk has one copy, so the write bound
+// for it fails at once: that Write returns ErrDegraded naming op, path
+// and daemon, and nothing latches — the writes to live daemons after it
+// and the Close barrier succeed. A read of a chunk the daemon took with
+// it then fails the same way: no hang, no zeros. Config.AsyncWrites is
+// ignored, so the stream behaves the same with it set.
+func TestWriteSurfacesLostDaemonOnce(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("AsyncWrites=%v", async), func(t *testing.T) {
+			writeLosesDaemon(t, Config{AsyncWrites: async})
+		})
+	}
+}
+
+// writeLosesDaemon is TestWriteSurfacesLostDaemonOnce on a client built
+// from cfg.
+func writeLosesDaemon(t *testing.T, cfg Config) {
 	const nodes, chunk = 3, 1024
 	lns := make([]*wiretest.Listener, nodes)
 	conns := make([]rpc.Conn, nodes)
@@ -195,7 +206,8 @@ func TestAsyncWriteSurfacesLostDaemonOnce(t *testing.T) {
 		}
 		t.Cleanup(func() { conns[i].Close() })
 	}
-	c, err := New(Config{Conns: conns, ChunkSize: chunk, AsyncWrites: true})
+	cfg.Conns, cfg.ChunkSize = conns, chunk
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,17 +221,13 @@ func TestAsyncWriteSurfacesLostDaemonOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first half: chunks on every daemon, the write-behind window full.
+	// The first half: chunks on every daemon.
 	data := pattern(64 * chunk)
 	half := len(data) / 2
 	for off := 0; off < half; off += 4 * chunk {
 		if _, err := c.WriteAt(fd, data[off:off+4*chunk], int64(off)); err != nil {
 			t.Fatalf("write at %d: %v", off, err)
 		}
-	}
-	// Settled, so the one write that fails is the one after the kill.
-	if err := c.Fsync(fd); err != nil {
-		t.Fatal(err)
 	}
 	lost := -1 // a chunk of the first half the victim held
 	var onVictim, elsewhere []int
@@ -238,29 +246,25 @@ func TestAsyncWriteSurfacesLostDaemonOnce(t *testing.T) {
 	}
 	lns[victim].Kill()
 
-	// The rest of the stream: one chunk bound for the dead daemon, then
-	// only chunks of the live ones.
-	var surfaced []error
-	write := func(id int) {
-		if _, err := c.WriteAt(fd, data[id*chunk:(id+1)*chunk], int64(id*chunk)); err != nil {
-			surfaced = append(surfaced, err)
-		}
+	// The rest of the stream: one chunk bound for the dead daemon, which
+	// fails there and then, then only chunks of the live ones.
+	write := func(id int) error {
+		_, err := c.WriteAt(fd, data[id*chunk:(id+1)*chunk], int64(id*chunk))
+		return err
 	}
-	write(onVictim[0])
+	err = write(onVictim[0])
+	if !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "write "+path+": "+daemonTag(victim)) {
+		t.Fatalf("write to the lost daemon = %v, want ErrDegraded naming write %s and daemon %d", err, path, victim)
+	}
 	for _, id := range elsewhere {
 		if id*chunk >= half {
-			write(id)
+			if err := write(id); err != nil {
+				t.Fatalf("write of chunk %d on a live daemon after the loss: %v", id, err)
+			}
 		}
 	}
 	if err := c.Close(fd); err != nil {
-		surfaced = append(surfaced, err)
-	}
-	if len(surfaced) != 1 {
-		t.Fatalf("the lost write surfaced %d times (%v), want exactly once", len(surfaced), surfaced)
-	}
-	err = surfaced[0]
-	if !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "write "+path+": "+daemonTag(victim)) {
-		t.Fatalf("lost write = %v, want ErrDegraded naming write %s and daemon %d", err, path, victim)
+		t.Fatalf("Close re-surfaced the lost write: %v", err)
 	}
 
 	fd, err = c.Open(path, O_RDONLY)

@@ -20,9 +20,9 @@ import (
 // windows of the caller's buffer as the RPC's bulk region. This is the
 // paper's wide striping: a large I/O engages every node's SSD at once.
 // There is one executor per direction — readGroup and writeGroup — for
-// every caller: descriptor I/O, the read-ahead fetcher, write-behind,
-// WritePath and ReadPath. Every chunk has one copy: a group whose daemon
-// does not answer fails its I/O (ErrDegraded), naming op, path and daemon.
+// every caller: descriptor I/O, the read-ahead fetcher, WritePath and
+// ReadPath. Every chunk has one copy: a group whose daemon does not
+// answer fails its I/O (ErrDegraded), naming op, path and daemon.
 
 // targetGroup collects the spans of one I/O that one daemon holds.
 type targetGroup struct {
@@ -248,8 +248,9 @@ func clampEOF(n int, off, size int64) (int, error) {
 }
 
 // ReadPath reads [off, off+len(p)) of path without a descriptor: no
-// position, no write-behind and no size view to coordinate with, so the
-// size clamp comes from the metadata owner's answer on the same fan-out.
+// position, no read-ahead window and no size view to coordinate with, so
+// the size clamp comes from the metadata owner's answer on the same
+// fan-out.
 // It is stage-out's read, the mirror of WritePath.
 func (c *Client) ReadPath(path string, p []byte, off int64) (int, error) {
 	cp, err := meta.Clean(path)
@@ -315,20 +316,15 @@ func (g *targetGroup) wrote(d *rpc.Dec, err error) error {
 	return nil
 }
 
-// writeGroup is the one chunk write, for a synchronous write and for
-// write-behind's slot alike: it sends the group's spans from its windows
-// of p to the group's daemon on the calling goroutine, runs sent (when
-// set) once the send has returned — nothing references p from then on,
-// so write-behind's caller may reuse it — and then takes the reply.
-func (c *Client) writeGroup(path string, g *targetGroup, p []byte, sent func()) error {
+// writeGroup is the one chunk write: it sends the group's spans from its
+// windows of p to the group's daemon on the calling goroutine and takes
+// the reply, which comes once the daemon has stored them.
+func (c *Client) writeGroup(path string, g *targetGroup, p []byte) error {
 	wins := g.windows(p)
 	req := chunkReq(path, g.spans)
-	call := c.start(g.target, proto.OpWriteChunks, req.Bytes(), rpc.BulkIn, wins...)
+	d, err := c.call(g.target, proto.OpWriteChunks, req.Bytes(), rpc.BulkIn, wins...)
 	clear(wins)
-	if sent != nil {
-		sent()
-	}
-	if err := g.wrote(c.wait(&call)); err != nil {
+	if err := g.wrote(d, err); err != nil {
 		return opErr("write", path, g.target, err)
 	}
 	return nil
@@ -342,7 +338,7 @@ func (c *Client) writeGroup(path string, g *targetGroup, p []byte, sent func()) 
 // mask that).
 func (c *Client) writeRange(path string, p []byte, off int64) error {
 	groups := c.groupByTarget(path, off, int64(len(p)))
-	err := runGroups(groups, func(g *targetGroup) error { return c.writeGroup(path, g, p, nil) })
+	err := runGroups(groups, func(g *targetGroup) error { return c.writeGroup(path, g, p) })
 	c.dropFetches(path, off, off+int64(len(p)))
 	return err
 }
@@ -400,16 +396,13 @@ func (c *Client) Write(fd int, p []byte) (int, error) {
 	return len(p), nil
 }
 
-// writeSpansLocked sends the chunk writes and then the size update —
-// synchronously, or through the write-behind window when the descriptor
-// has one. A rewrite ending at or below the path's acknowledged size has
-// only a time to report: it joins the descriptor's candidate (announced
-// before the data goes out, as the size-update cache's writes are) and
-// the next barrier sends one update for all. Caller holds of.mu.
+// writeSpansLocked sends the chunk writes and then the size update, and
+// returns once the daemons have stored the bytes. A rewrite ending at or
+// below the path's acknowledged size has only a time to report: it joins
+// the descriptor's candidate (announced before the data goes out, as the
+// size-update cache's writes are) and the next barrier sends one update
+// for all. Caller holds of.mu.
 func (c *Client) writeSpansLocked(of *openFile, p []byte, off int64) error {
-	if of.wb != nil {
-		return c.enqueueSpansLocked(of, p, off)
-	}
 	end := off + int64(len(p))
 	below := end <= of.view.acked.Load()
 	if below || c.cfg.SizeCacheOps > 0 {
@@ -423,62 +416,6 @@ func (c *Client) writeSpansLocked(of *openFile, p []byte, off int64) error {
 		return nil
 	}
 	return c.growSizeLocked(of, end)
-}
-
-// writeWindow is the in-flight chunk-RPC window depth of every
-// write-behind descriptor. It was a knob until no setting beat its
-// default: three runs of BenchmarkAsyncWriteStream (64 KiB chunks,
-// 2 CPUs) gave 1 668–2 082 MB/s at 4 and 1 764–2 227 MB/s at 16.
-const writeWindow = 8
-
-// enqueueSpansLocked is write-behind — "send, then wait" over the
-// descriptor's window (window.go) — and returns without waiting for any
-// reply. Each target group is one slot of the window, so the window
-// bounds chunk writes: Start admits it, and its operation is the
-// synchronous write's own (writeGroup): it sends the group's spans
-// straight from p, then waits for the reply. The groups send in parallel, so a daemon slow
-// to read does not hold up the others, and this returns once every send
-// has: no byte of p is copied in user space, and none is referenced any
-// more (io.Writer lets the caller reuse p at once) — a send returns after
-// the socket write, after the copy into the shared segment, or in
-// process once the handler has run. Nothing reads a write back:
-// its slots leave the window's view at once. A rewrite of a region still
-// in flight drains the window first, so one descriptor's writes land in
-// program order (the paper leaves only *concurrent* overlapping I/O
-// undefined). The first failure latches and surfaces exactly once, on
-// the next write, read or barrier; the size waits for the barrier in the
-// descriptor's candidate. Operations never need of.mu, so waiting for
-// room or for the sends under it cannot deadlock. Caller holds of.mu.
-func (c *Client) enqueueSpansLocked(of *openFile, p []byte, off int64) error {
-	wb := of.wb
-	if err := wb.TakeErr(); err != nil {
-		return err
-	}
-	end := off + int64(len(p))
-	if wb.overlaps(off, end) {
-		wb.Drain()
-	}
-	of.cand.announce(end)
-	groups := c.groupByTarget(of.path, off, int64(len(p)))
-	var remaining atomic.Int32
-	remaining.Store(int32(len(groups)))
-	var sent sync.WaitGroup
-	for _, g := range groups {
-		sent.Add(1)
-		wb.Start(off, end, nil, func() (int, error) {
-			err := c.writeGroup(of.path, g, p, sent.Done)
-			// Drop once the whole write has settled on the daemons (last
-			// group to land): a span fetched — or still in flight — before
-			// this point may predate the write and must not serve.
-			if remaining.Add(-1) == 0 {
-				c.dropFetches(of.path, off, end)
-			}
-			return 0, err
-		})
-		wb.Drop(off, end)
-	}
-	sent.Wait()
-	return nil
 }
 
 // WritePath stores p at offset off of path without a descriptor: one
@@ -554,13 +491,8 @@ func (c *Client) sendGrow(of *openFile, n int64) error {
 
 // ReadAt reads into p from offset off without touching the descriptor
 // position. It returns io.EOF when fewer than len(p) bytes lie below the
-// file's current size, after the fashion of io.ReaderAt. Under
-// AsyncWrites the descriptor's in-flight window is drained first
-// (program-order read-after-write) and a latched write failure surfaces
-// here, exactly once — the bytes a failed write covered are undefined,
-// so handing them to a reader without the error would be silent
-// corruption. Concurrent ReadAts then proceed in parallel, off the
-// descriptor lock.
+// file's current size, after the fashion of io.ReaderAt. Concurrent
+// ReadAts proceed in parallel, off the descriptor lock.
 func (c *Client) ReadAt(fd int, p []byte, off int64) (int, error) {
 	of, err := c.lookupIO(fd, false)
 	if err != nil {
@@ -569,23 +501,10 @@ func (c *Client) ReadAt(fd int, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, proto.ErrInval
 	}
-	if of.wb != nil {
-		// The lock serializes the drain against in-progress enqueues; the
-		// read RPCs themselves run outside it, so concurrent ReadAts still
-		// overlap on the wire.
-		of.mu.Lock()
-		werr := of.wb.drainErr()
-		of.mu.Unlock()
-		if werr != nil {
-			return 0, werr
-		}
-	}
 	return c.readAhead(of, p, off)
 }
 
-// Read reads from the descriptor position and advances it. Like ReadAt
-// it drains the write-behind window and surfaces a latched write error
-// before touching the wire or the read-ahead window.
+// Read reads from the descriptor position and advances it.
 func (c *Client) Read(fd int, p []byte) (int, error) {
 	of, err := c.lookupIO(fd, false)
 	if err != nil {
@@ -593,9 +512,6 @@ func (c *Client) Read(fd int, p []byte) (int, error) {
 	}
 	of.mu.Lock()
 	defer of.mu.Unlock()
-	if werr := of.wb.drainErr(); werr != nil {
-		return 0, werr
-	}
 	n, err := c.readAhead(of, p, of.pos)
 	of.pos += int64(n)
 	return n, err

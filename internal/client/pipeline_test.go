@@ -14,19 +14,15 @@ import (
 	"repro/internal/transport/wiretest"
 )
 
-// narrowWindow caps fd's in-flight windows — write-behind's and
-// read-ahead's, whichever it has — at n regions: the white-box seam for
-// tests that need a shallower window than the default. A read-ahead
-// window of n regions reaches n-1 fetches past the reader. Call it before
-// the descriptor's first I/O.
+// narrowWindow caps fd's read-ahead window at n regions: the white-box
+// seam for tests that need a shallower window than the default. A window
+// of n regions reaches n-1 fetches past the reader. Call it before the
+// descriptor's first I/O.
 func narrowWindow(t *testing.T, c *Client, fd, n int) {
 	t.Helper()
 	of, err := c.lookupFD(fd)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if of.wb != nil {
-		of.wb.k = n
 	}
 	if of.ra != nil {
 		of.ra.w.k = n
@@ -43,321 +39,6 @@ func sumStats(daemons []*daemon.Daemon) daemon.Stats {
 		total.SizeUpdates += st.SizeUpdates
 	}
 	return total
-}
-
-// TestAsyncFsyncBarrier verifies the two halves of the Fsync contract
-// under write-behind: the in-flight window is drained (data readable by
-// another client) and the cached size candidate is flushed (no size
-// update RPC leaves the client before the barrier, exactly one does at
-// it).
-func TestAsyncFsyncBarrier(t *testing.T) {
-	c, daemons, mount := newCluster(t, "mem", 4, Config{ChunkSize: 64, AsyncWrites: true})
-	fd, err := c.Open("/a", O_CREATE|O_WRONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrowWindow(t, c, fd, 4)
-	payload := bytes.Repeat([]byte{0x5A}, 1000) // spans many chunks, all daemons
-	if _, err := c.WriteAt(fd, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	if n := sumStats(daemons).SizeUpdates; n != 0 {
-		t.Fatalf("size update RPC before the barrier (%d)", n)
-	}
-	other := mount()
-	if info, err := other.Stat("/a"); err != nil || info.Size() != 0 {
-		t.Fatalf("pre-barrier stat = %v, %v; want size 0 (candidate unflushed)", info.Size(), err)
-	}
-	if err := c.Fsync(fd); err != nil {
-		t.Fatal(err)
-	}
-	if n := sumStats(daemons).SizeUpdates; n != 1 {
-		t.Fatalf("size updates after barrier = %d, want 1", n)
-	}
-	if info, err := other.Stat("/a"); err != nil || info.Size() != int64(len(payload)) {
-		t.Fatalf("post-barrier stat = %v, %v; want %d", info.Size(), err, len(payload))
-	}
-	got := make([]byte, len(payload))
-	rfd, err := other.Open("/a", O_RDONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := other.ReadAt(rfd, got, 0); err != nil && err != io.EOF || n != len(payload) {
-		t.Fatalf("post-barrier read = %d, %v", n, err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("post-barrier read returned wrong bytes")
-	}
-	if err := c.Close(fd); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAsyncCloseBarrier verifies Close alone (no Fsync) drains the
-// window and flushes the size.
-func TestAsyncCloseBarrier(t *testing.T) {
-	c, _, mount := newCluster(t, "mem", 3, Config{ChunkSize: 32, AsyncWrites: true})
-	fd, err := c.Open("/b", O_CREATE|O_WRONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{7}, 500)
-	if _, err := c.WriteAt(fd, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(fd); err != nil {
-		t.Fatal(err)
-	}
-	other := mount()
-	got, n := make([]byte, 600), 0
-	rfd, err := other.Open("/b", O_RDONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err = other.ReadAt(rfd, got, 0); err != io.EOF {
-		t.Fatalf("read past EOF = %v, want io.EOF", err)
-	}
-	if n != len(payload) || !bytes.Equal(got[:n], payload) {
-		t.Fatalf("after Close: read %d bytes, want %d", n, len(payload))
-	}
-}
-
-// TestAsyncReadDrainsWindow verifies program-order read-after-write on
-// one descriptor: a read issued right after an asynchronous write must
-// observe it (the descriptor's window is drained before the read).
-func TestAsyncReadDrainsWindow(t *testing.T) {
-	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64, AsyncWrites: true})
-	fd, err := c.Open("/rw", O_CREATE|O_RDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrowWindow(t, c, fd, 2)
-	defer c.Close(fd)
-	for round := 0; round < 8; round++ {
-		payload := bytes.Repeat([]byte{byte(round + 1)}, 333)
-		off := int64(round) * 333
-		if _, err := c.WriteAt(fd, payload, off); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, len(payload))
-		if n, err := c.ReadAt(fd, got, off); (err != nil && err != io.EOF) || n != len(payload) {
-			t.Fatalf("round %d: read-after-write = %d, %v", round, n, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("round %d: read-after-write returned stale bytes", round)
-		}
-	}
-	// The positioned Read path drains too.
-	if _, err := c.Seek(fd, 0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	first := make([]byte, 333)
-	if _, err := c.Read(fd, first); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if first[0] != 1 {
-		t.Fatalf("positioned read = %d, want 1", first[0])
-	}
-}
-
-// TestAsyncOverlappingWritesOrdered verifies program order for
-// overlapping writes on one descriptor: a rewrite of a region still in
-// flight must not lose to the earlier write racing it. The pipeline
-// drains before enqueueing a conflicting extent.
-func TestAsyncOverlappingWritesOrdered(t *testing.T) {
-	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64, AsyncWrites: true})
-	fd, err := c.Open("/ow", O_CREATE|O_RDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close(fd)
-	region := bytes.Repeat([]byte{0}, 640) // 10 chunks, all daemons
-	for round := 0; round < 32; round++ {
-		for i := range region {
-			region[i] = byte(round + 1)
-		}
-		if _, err := c.WriteAt(fd, region, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Fsync(fd); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(region))
-	if n, err := c.ReadAt(fd, got, 0); (err != nil && err != io.EOF) || n != len(region) {
-		t.Fatalf("read = %d, %v", n, err)
-	}
-	for i, b := range got {
-		if b != 32 {
-			t.Fatalf("byte %d = %d after 32 overlapping rewrites, want 32 (earlier write won the race)", i, b)
-		}
-	}
-}
-
-// TestAsyncTruncateDrains verifies Truncate waits for the path's staged
-// writes before discarding: an in-flight chunk RPC landing after the
-// truncate would resurrect discarded bytes.
-func TestAsyncTruncateDrains(t *testing.T) {
-	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, AsyncWrites: true})
-	fd, err := c.Open("/tr", O_CREATE|O_RDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close(fd)
-	for round := 0; round < 16; round++ {
-		if _, err := c.WriteAt(fd, bytes.Repeat([]byte{0xEE}, 640), 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Truncate("/tr", 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.WriteAt(fd, []byte{1, 2, 3}, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Fsync(fd); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, 640)
-		n, err := c.ReadAt(fd, got, 0)
-		if err != io.EOF || n != 3 {
-			t.Fatalf("round %d: post-truncate read = %d, %v; want 3, io.EOF (stale bytes resurrected)", round, n, err)
-		}
-		if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-			t.Fatalf("round %d: post-truncate bytes = %v", round, got[:3])
-		}
-	}
-}
-
-// TestAsyncAppend verifies consecutive O_APPEND writes under write-behind
-// don't overwrite each other: EOF resolves against the descriptor's own
-// unflushed size candidate, which is raised at enqueue time.
-func TestAsyncAppend(t *testing.T) {
-	c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, AsyncWrites: true})
-	fd, err := c.Open("/log", O_CREATE|O_WRONLY|O_APPEND)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []byte
-	for i := 0; i < 5; i++ {
-		part := bytes.Repeat([]byte{'a' + byte(i)}, 33)
-		if _, err := c.Write(fd, part); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, part...)
-	}
-	if err := c.Close(fd); err != nil {
-		t.Fatal(err)
-	}
-	rfd, err := c.Open("/log", O_RDONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close(rfd)
-	got := make([]byte, len(want)+8)
-	n, err := c.ReadAt(rfd, got, 0)
-	if err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if n != len(want) || !bytes.Equal(got[:n], want) {
-		t.Fatalf("async appends interleaved wrong: got %d bytes, want %d", n, len(want))
-	}
-}
-
-// TestAsyncCrashMidWindowLatchesOnce crashes a daemon under a
-// write-behind window over real TCP. The write that hits the dead daemon
-// still returns nil (it is acknowledged locally); the failure must
-// surface at the next barrier — exactly once — and later barriers must
-// run clean.
-func TestAsyncCrashMidWindowLatchesOnce(t *testing.T) {
-	c, daemons, _ := newCluster(t, "tcp", 3, Config{ChunkSize: 64, AsyncWrites: true})
-
-	// A path whose metadata lives on a daemon that stays alive (node 0),
-	// so only chunk traffic hits the crashed node and the barrier's size
-	// flush itself succeeds.
-	path := ""
-	for _, cand := range []string{"/f0", "/f1", "/f2", "/f3", "/f4", "/f5"} {
-		if c.dist.MetaTarget(cand) == 0 {
-			path = cand
-			break
-		}
-	}
-	if path == "" {
-		t.Fatal("no candidate path with metadata on node 0")
-	}
-	fd, err := c.Open(path, O_CREATE|O_WRONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The write range must include chunks owned by the victim, node 2.
-	payload := make([]byte, 64*32) // chunks 0..31, hash-spread over 3 nodes
-	hits := 0
-	for id := int64(0); id < 32; id++ {
-		if c.dist.ChunkTarget(path, meta.ChunkID(id)) == 2 {
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Fatal("no chunk of the write range lands on node 2; widen the range")
-	}
-
-	daemons[2].Close() // crash: every RPC it receives now fails
-
-	// One call, so no earlier latch can surface here: it must return nil.
-	if _, err := c.WriteAt(fd, payload, 0); err != nil {
-		t.Fatalf("async write after crash returned synchronously: %v", err)
-	}
-	if err := c.Fsync(fd); err == nil {
-		t.Fatal("Fsync after crashed-daemon writes returned nil")
-	}
-	// Surfaced exactly once: the next barrier is clean.
-	if err := c.Fsync(fd); err != nil {
-		t.Fatalf("second Fsync re-surfaced the latched error: %v", err)
-	}
-	if err := c.Close(fd); err != nil {
-		t.Fatalf("Close after surfaced error: %v", err)
-	}
-}
-
-// TestAsyncErrorSurfacesOnWrite verifies the other surfacing path: when
-// the application keeps writing, the latched failure comes back from a
-// Write call instead, and once surfaced the descriptor quiesces.
-func TestAsyncErrorSurfacesOnWrite(t *testing.T) {
-	c, daemons, _ := newCluster(t, "tcp", 2, Config{ChunkSize: 64, AsyncWrites: true})
-	path := ""
-	for _, cand := range []string{"/g0", "/g1", "/g2", "/g3"} {
-		if c.dist.MetaTarget(cand) == 0 {
-			path = cand
-			break
-		}
-	}
-	if path == "" {
-		t.Fatal("no candidate path with metadata on node 0")
-	}
-	fd, err := c.Open(path, O_CREATE|O_WRONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrowWindow(t, c, fd, 2)
-	daemons[1].Close()
-	payload := make([]byte, 64*16)
-	surfaced := 0
-	for i := 0; i < 50 && surfaced == 0; i++ {
-		if _, err := c.WriteAt(fd, payload, int64(i)*int64(len(payload))); err != nil {
-			surfaced++
-		}
-	}
-	if surfaced == 0 {
-		t.Fatal("no write surfaced the latched error in 50 calls")
-	}
-	// Drain whatever is still in flight; the tail may latch one more
-	// failure, but barriers must eventually run clean.
-	_ = c.Fsync(fd)
-	if err := c.Fsync(fd); err != nil {
-		t.Fatalf("barrier did not quiesce after surfacing: %v", err)
-	}
-	if err := c.Close(fd); err != nil {
-		t.Fatalf("Close after quiesce: %v", err)
-	}
 }
 
 // TestStatFreeReadRPCCount is the acceptance assertion for the stat-free
@@ -622,59 +303,5 @@ func TestVerifyProtocolRejectsOldDaemon(t *testing.T) {
 	c, _, _ := newCluster(t, "mem", 2, Config{})
 	if err := c.VerifyProtocol(); err != nil {
 		t.Fatalf("current daemon refused: %v", err)
-	}
-}
-
-// TestAsyncWriteCallerReusesBuffer pins io.Writer's contract under
-// write-behind, whose chunk writes go out from the caller's own buffer:
-// a caller that scribbles over p the moment Write returns must still
-// read back what p held during the call. Writes are 300 KiB over 64 KiB
-// chunks on two daemons, so groups have several spans, adjacent or not.
-// The mem carrier runs each call in Start, staging a group whose spans
-// are not adjacent in one pooled region; TCP sends every group straight
-// from p.
-func TestAsyncWriteCallerReusesBuffer(t *testing.T) {
-	for _, carrier := range []string{"mem", "tcp"} {
-		t.Run(carrier, func(t *testing.T) {
-			c, _, _ := newCluster(t, carrier, 2, Config{ChunkSize: 64 << 10, AsyncWrites: true})
-			writeScribbleReadBack(t, c)
-		})
-	}
-}
-
-// writeScribbleReadBack streams writes through one write-behind
-// descriptor, overwriting the buffer as soon as each Write returns, then
-// checks after Fsync that the file holds the bytes as they were written.
-func writeScribbleReadBack(t *testing.T, c *Client) {
-	t.Helper()
-	fd, err := c.Open("/reuse", O_CREATE|O_RDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close(fd)
-	const writes, size = 12, 300 << 10
-	want := make([]byte, 0, writes*size)
-	p := make([]byte, size)
-	for i := 0; i < writes; i++ {
-		for j := range p {
-			p[j] = byte(i*31 + j*7)
-		}
-		want = append(want, p...)
-		if _, err := c.Write(fd, p); err != nil {
-			t.Fatal(err)
-		}
-		for j := range p {
-			p[j] = 0xFF
-		}
-	}
-	if err := c.Fsync(fd); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(want))
-	if n, err := c.ReadAt(fd, got, 0); err != nil || n != len(want) {
-		t.Fatalf("read back %d bytes, %v", n, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("the file holds bytes the caller wrote into p after Write returned")
 	}
 }

@@ -11,9 +11,8 @@ import (
 // Read-ahead: "send, then serve" over an in-flight window (window.go).
 // The paper's data path keeps every node's SSD busy with overlapping
 // chunk transfers (§III-A, §IV); a client that blocks each Read on a full
-// RPC fan-out is bounded by round-trip latency instead, exactly as writes
-// were before write-behind. With ReadAhead on, every read-capable
-// descriptor owns one window of span fetches:
+// RPC fan-out is bounded by round-trip latency instead. With ReadAhead
+// on, every read-capable descriptor owns one window of span fetches:
 //
 //   - a detector watches the descriptor's reads; once they are sequential
 //     (each starting where the previous ended), every read tops the window
@@ -31,9 +30,8 @@ import (
 //   - the window never answers EOF: past the bytes a fetch found, the read
 //     asks the daemons, so no later grow can outdate a fetch's end,
 //   - this client's own writes drop the fetches they overlap once the data
-//     has landed (synchronous writes, write-behind completions,
-//     WritePath); Truncate, Remove and a latched write-behind error drop
-//     the path's windows whole,
+//     has landed (descriptor writes and WritePath); Truncate and Remove
+//     drop the path's windows whole,
 //   - a failed fetch is never latched: it settles having found no bytes,
 //     and the read that needs them reads them itself and surfaces the
 //     error, if it persists, exactly once.

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/daemon"
-	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/rpc"
 	"repro/internal/transport/wiretest"
@@ -373,11 +372,11 @@ func TestReadAheadCrashMidPrefetchSurfacesOnce(t *testing.T) {
 }
 
 // TestReadAheadNeverServesStaleBytes is the -race workhorse: interleaved
-// write/read rounds on one descriptor (write-behind AND read-ahead both
-// on) must always read back the latest round's bytes, regardless of how
-// prefetches, invalidations and window drains interleave underneath.
+// write/read rounds on one read-ahead descriptor must always read back
+// the latest round's bytes, regardless of how prefetches and
+// invalidations interleave underneath.
 func TestReadAheadNeverServesStaleBytes(t *testing.T) {
-	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64, AsyncWrites: true, ReadAhead: true})
+	c, _, _ := newCluster(t, "mem", 4, Config{ChunkSize: 64, ReadAhead: true})
 	fd, err := c.Open("/stale", O_CREATE|O_RDWR)
 	if err != nil {
 		t.Fatal(err)
@@ -404,54 +403,6 @@ func TestReadAheadNeverServesStaleBytes(t *testing.T) {
 				t.Fatalf("round %d pass %d: stale prefetched bytes served", round, pass)
 			}
 		}
-	}
-}
-
-// TestReadSurfacesLatchedError pins the satellite fix: a read on a
-// descriptor whose write-behind window latched a failure returns that
-// failure (exactly once) instead of silently handing over bytes whose
-// producing writes already failed.
-func TestReadSurfacesLatchedError(t *testing.T) {
-	c, daemons, _ := newCluster(t, "tcp", 3, Config{ChunkSize: 64, AsyncWrites: true})
-	path := ""
-	for _, cand := range []string{"/r0", "/r1", "/r2", "/r3", "/r4"} {
-		if c.dist.MetaTarget(cand) == 0 {
-			path = cand
-			break
-		}
-	}
-	if path == "" {
-		t.Fatal("no candidate path with metadata on node 0")
-	}
-	fd, err := c.Open(path, O_CREATE|O_RDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 64*32) // spans all daemons
-	hits := 0
-	for id := int64(0); id < 32; id++ {
-		if c.dist.ChunkTarget(path, meta.ChunkID(id)) == 2 {
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Fatal("no chunk lands on node 2; widen the range")
-	}
-	daemons[2].Close()
-	if _, err := c.WriteAt(fd, payload, 0); err != nil {
-		t.Fatalf("async write returned synchronously: %v", err)
-	}
-	// The read drains the window and must surface the latched failure.
-	buf := make([]byte, 64)
-	if _, err := c.Read(fd, buf); err == nil {
-		t.Fatal("read after latched async-write failure returned nil")
-	}
-	// Exactly once: the barrier after the surfacing read is clean.
-	if err := c.Fsync(fd); err != nil {
-		t.Fatalf("Fsync re-surfaced the latched error: %v", err)
-	}
-	if err := c.Close(fd); err != nil {
-		t.Fatalf("Close after surfaced error: %v", err)
 	}
 }
 

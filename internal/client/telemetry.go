@@ -25,7 +25,6 @@ type clientTelemetry struct {
 	metaHist  *telemetry.Histogram // round-trip, metadata ops
 	writeHist *telemetry.Histogram // round-trip, OpWriteChunks
 	readHist  *telemetry.Histogram // round-trip, OpReadChunks
-	stageWait *telemetry.Histogram // write-behind window admission wait (Window.admit)
 	prefetch  *telemetry.Histogram // read-ahead span fetch duration
 	inflight  *telemetry.Gauge
 	traces    *telemetry.Counter
@@ -54,7 +53,6 @@ func (c *Client) initTelemetry(reg *telemetry.Registry, sample int) {
 		metaHist:  reg.Histogram(telemetry.ClientRPCMetaNS),
 		writeHist: reg.Histogram(telemetry.ClientRPCWriteNS),
 		readHist:  reg.Histogram(telemetry.ClientRPCReadNS),
-		stageWait: reg.Histogram(telemetry.ClientWriteStageWaitNS),
 		prefetch:  reg.Histogram(telemetry.ClientPrefetchFetchNS),
 		inflight:  reg.Gauge(telemetry.ClientRPCInflight),
 		traces:    reg.Counter(telemetry.ClientTracesTotal),

@@ -188,7 +188,7 @@ func (c *Client) RemoveMany(paths []string) []error {
 		if p == meta.Root {
 			return proto.MetaOp{}, proto.ErrInval
 		}
-		unpublished[i] = c.settlePath(p)
+		unpublished[i] = c.unpublished(p)
 		return proto.MetaOp{Kind: proto.MetaOpRemove, Path: p, FileOnly: true}, nil
 	}, func(i int, op *proto.MetaOp, r *proto.MetaResult) error {
 		if r.Errno == proto.ErrnoIsDir {

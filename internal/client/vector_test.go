@@ -248,64 +248,54 @@ func TestReadDirDrainsMultiplePages(t *testing.T) {
 }
 
 // TestRemoveCollectsUnpublishedWrites removes a file while this client's
-// writes to it are unpublished — still staged in a write-behind window,
-// or with their size held back by the size-update cache, so the metadata
-// owner records size 0 — then creates the path again and grows it over
+// writes to it are unpublished — their size held back by the size-update
+// cache, so the metadata owner records size 0 — then creates the path again and grows it over
 // the old extent: through Remove and RemoveMany alike, every byte must
 // read as a hole, not as the removed file's. The never-written arms pin
 // the cost side: a file this client never wrote, closed (as meta_churn's
-// are) or still open on a write-behind descriptor, is removed with one
-// RPC.
+// are) or still open on a writable descriptor, is removed with one RPC.
 func TestRemoveCollectsUnpublishedWrites(t *testing.T) {
 	const size = 640 // ten chunks over three daemons
 	removers := map[string]func(c *Client, p string) error{
 		"Remove":     func(c *Client, p string) error { return c.Remove(p) },
 		"RemoveMany": func(c *Client, p string) error { return c.RemoveMany([]string{p})[0] },
 	}
-	for _, mode := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"write-behind", Config{ChunkSize: 64, AsyncWrites: true}},
-		{"size-cache", Config{ChunkSize: 64, SizeCacheOps: 1000}},
-	} {
-		for _, rm := range []string{"Remove", "RemoveMany"} {
-			t.Run(mode.name+"/"+rm, func(t *testing.T) {
-				c, _, _ := newCluster(t, "mem", 3, mode.cfg)
-				fd, err := c.Open("/gone", O_CREATE|O_RDWR)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := c.WriteAt(fd, bytes.Repeat([]byte{0xA5}, size), 0); err != nil {
-					t.Fatal(err)
-				}
-				if err := removers[rm](c, "/gone"); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Close(fd); err != nil {
-					t.Fatal(err)
-				}
-				fd, err = c.Open("/gone", O_CREATE|O_RDWR)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close(fd)
-				if err := c.Truncate("/gone", size); err != nil {
-					t.Fatal(err)
-				}
-				got := make([]byte, size)
-				if n, err := c.ReadAt(fd, got, 0); n != size || err != nil {
-					t.Fatalf("read = %d, %v; want %d, nil", n, err, size)
-				}
-				if old := size - bytes.Count(got, []byte{0}); old != 0 {
-					t.Fatalf("read %d of %d bytes of the removed file", old, size)
-				}
-			})
-		}
+	for _, rm := range []string{"Remove", "RemoveMany"} {
+		t.Run("size-cache/"+rm, func(t *testing.T) {
+			c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, SizeCacheOps: 1000})
+			fd, err := c.Open("/gone", O_CREATE|O_RDWR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.WriteAt(fd, bytes.Repeat([]byte{0xA5}, size), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := removers[rm](c, "/gone"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(fd); err != nil {
+				t.Fatal(err)
+			}
+			fd, err = c.Open("/gone", O_CREATE|O_RDWR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close(fd)
+			if err := c.Truncate("/gone", size); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, size)
+			if n, err := c.ReadAt(fd, got, 0); n != size || err != nil {
+				t.Fatalf("read = %d, %v; want %d, nil", n, err, size)
+			}
+			if old := size - bytes.Count(got, []byte{0}); old != 0 {
+				t.Fatalf("read %d of %d bytes of the removed file", old, size)
+			}
+		})
 	}
 	for _, open := range []bool{false, true} {
 		t.Run(fmt.Sprintf("never-written/open=%v", open), func(t *testing.T) {
-			c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64, AsyncWrites: true})
+			c, _, _ := newCluster(t, "mem", 3, Config{ChunkSize: 64})
 			fd, err := c.Create("/idle")
 			if err != nil {
 				t.Fatal(err)

@@ -3,40 +3,28 @@ package client
 import (
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/rpc"
-	"repro/internal/telemetry"
 )
 
 // The in-flight window: up to k slots, each the byte range [off, end) of
 // a file with one asynchronous operation on it and, optionally, a pooled
-// region the operation fills, held in start order — the one place the
-// client overlaps chunk transfers, which is where the paper's data-path
-// numbers come from (§III-A, §IV). Write-behind's operations send from
-// the caller's buffer, then wait for the replies (io.go; its slots hold
-// no region); read-ahead sends, then serves (readahead.go); staging's
-// copy loop is a read window feeding a write window through its
-// in-order hash. What tells them apart lives with each caller, never
-// here. The rules:
+// region the operation fills, held in start order. It has two callers:
+// read-ahead fetches the spans past a sequential reader and serves its
+// next reads from them (readahead.go), and staging's copy loop is a read
+// window feeding a write window, so one side of a transfer never waits
+// on the other (internal/staging). What tells them apart lives with each
+// caller, never here. The rules:
 //
 //   - Start waits while k slots are held (backpressure);
 //   - a region returns to the pool exactly once, by whichever of drop and
 //     its operation's settle comes second;
-//   - the first failing operation latches; TakeErr surfaces it once, and
-//     onFail runs once per latched failure;
+//   - the first failing operation latches; TakeErr surfaces it once;
 //   - Drain returns once every started operation has settled.
 
 // Window is one in-flight window; NewWindow makes one.
 type Window struct {
 	k int
-	// admit, when set, times Start's wait for room (write-behind's
-	// backpressure, gkfs_client_write_stage_wait_ns).
-	admit *telemetry.Histogram
-	// onFail, when set, runs once per latched failure, off the lock — the
-	// hook that drops a failed write's prefetched pre-image. Set before
-	// the first Start.
-	onFail func()
 	// put returns a region to the pool: rpc.PutBuf, or a test's count of it.
 	put func([]byte)
 
@@ -73,17 +61,9 @@ func NewWindow(k int) *Window {
 //
 //gkfs:owns-buf
 func (w *Window) Start(off, end int64, buf []byte, op func() (int, error)) *Slot {
-	var t0 time.Time
-	if w.admit != nil {
-		t0 = time.Now()
-	}
 	w.mu.Lock()
-	s := w.startLocked(off, end, buf, op)
-	w.mu.Unlock()
-	if w.admit != nil {
-		w.admit.ObserveSince(t0)
-	}
-	return s
+	defer w.mu.Unlock()
+	return w.startLocked(off, end, buf, op)
 }
 
 // startLocked is Start inside the caller's critical section; waiting for
@@ -112,15 +92,11 @@ func (w *Window) run(s *Slot, op func() (int, error)) {
 		w.slots = slices.Delete(w.slots, i, i+1)
 		w.put(s.buf)
 	}
-	first := err != nil && w.err == nil
-	if first {
+	if err != nil && w.err == nil {
 		w.err = err
 	}
 	w.mu.Unlock()
 	w.changed.Broadcast()
-	if first && w.onFail != nil {
-		w.onFail()
-	}
 }
 
 // Wait blocks until s settles and returns the bytes its operation
@@ -167,18 +143,6 @@ func (w *Window) dropLocked(gone func(s *Slot) bool) {
 	w.changed.Broadcast()
 }
 
-// overlaps reports whether a held region's range overlaps [off, end).
-func (w *Window) overlaps(off, end int64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, s := range w.slots {
-		if s.Off < end && off < s.End {
-			return true
-		}
-	}
-	return false
-}
-
 // Full reports whether k slots are held: a Start now would wait.
 func (w *Window) Full() bool {
 	w.mu.Lock()
@@ -204,15 +168,4 @@ func (w *Window) TakeErr() error {
 	err := w.err
 	w.err = nil
 	return err
-}
-
-// drainErr drains the window and surfaces its latched failure — what a
-// read or a barrier does first on a write-behind descriptor. A nil
-// window (a descriptor without write-behind) has nothing to drain.
-func (w *Window) drainErr() error {
-	if w == nil {
-		return nil
-	}
-	w.Drain()
-	return w.TakeErr()
 }

@@ -158,22 +158,19 @@ func TestWindowRecyclesOnce(t *testing.T) {
 }
 
 // TestWindowLatchSurfacesOnce fails two of three operations: the first
-// failure latches, TakeErr surfaces it exactly once, and onFail runs once
-// for it; a failure after the latch was taken latches — and runs onFail —
-// anew.
+// failure latches and TakeErr surfaces it exactly once; a failure after
+// the latch was taken latches anew.
 func TestWindowLatchSurfacesOnce(t *testing.T) {
 	w := NewWindow(4)
-	var fails atomic.Int32
-	w.onFail = func() { fails.Add(1) }
 	first, second := errors.New("first"), errors.New("second")
 	gate := make(chan struct{})
-	w.Start(0, 1, nil, func() (int, error) { return 0, first })
+	s := w.Start(0, 1, nil, func() (int, error) { return 0, first })
 	w.Start(1, 2, nil, func() (int, error) { <-gate; return 0, second })
 	w.Start(2, 3, nil, func() (int, error) { return 0, nil })
-	w.Drop(0, 3)
-	for fails.Load() == 0 {
-		time.Sleep(time.Millisecond)
+	if _, err := w.Wait(s); err != first {
+		t.Fatalf("Wait = %v, want the first failure", err)
 	}
+	w.Drop(0, 3)
 	close(gate)
 	w.Drain()
 	if err := w.TakeErr(); err != first {
@@ -182,13 +179,11 @@ func TestWindowLatchSurfacesOnce(t *testing.T) {
 	if err := w.TakeErr(); err != nil {
 		t.Fatalf("second TakeErr = %v, want nil: surfaced twice", err)
 	}
-	if n := fails.Load(); n != 1 {
-		t.Fatalf("onFail ran %d times for one latched failure", n)
-	}
 	w.Start(3, 4, nil, func() (int, error) { return 0, second })
 	w.Drop(3, 4)
-	if err := w.drainErr(); err != second || fails.Load() != 2 {
-		t.Fatalf("after a taken latch: drainErr = %v, onFail ran %d times; want the new failure, twice", err, fails.Load())
+	w.Drain()
+	if err := w.TakeErr(); err != second {
+		t.Fatalf("after a taken latch: TakeErr = %v, want the new failure", err)
 	}
 }
 
@@ -221,37 +216,5 @@ func TestWindowDrainWaitsForEveryOperation(t *testing.T) {
 	w.Drop(0, 1<<30)
 	if p := puts.Load(); p != 8 {
 		t.Fatalf("%d regions recycled after dropping the rest, want 8", p)
-	}
-}
-
-// TestWindowOverlaps checks the range test write-behind orders rewrites
-// by: touching ranges do not overlap, and a region overlaps until it is
-// recycled — dropped in flight, it still counts until it lands.
-func TestWindowOverlaps(t *testing.T) {
-	w := NewWindow(2)
-	release := make(chan struct{})
-	w.Start(100, 200, nil, func() (int, error) { <-release; return 0, nil })
-	w.Drop(100, 200)
-	for _, tc := range []struct {
-		off, end int64
-		want     bool
-	}{
-		{0, 100, false},   // touching below
-		{200, 300, false}, // touching above
-		{0, 50, false},    // disjoint
-		{250, 300, false}, // disjoint
-		{99, 101, true},
-		{199, 200, true},
-		{150, 160, true}, // inside
-		{0, 1000, true},  // around
-	} {
-		if got := w.overlaps(tc.off, tc.end); got != tc.want {
-			t.Errorf("[%d, %d) overlaps the held [100, 200): %v, want %v", tc.off, tc.end, got, tc.want)
-		}
-	}
-	close(release)
-	w.Drain()
-	if w.overlaps(0, 1000) {
-		t.Fatal("a landed, dropped region still overlaps")
 	}
 }

@@ -176,65 +176,61 @@ func allocatedBytes(path string) int64 {
 // requires byte identity, including a sparse file whose holes must
 // survive the round trip.
 func TestStageRoundTripFidelity(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			c, _ := newStageCluster(t, 4, client.Config{ChunkSize: 64 << 10, AsyncWrites: async})
-			src, out := t.TempDir(), t.TempDir()
+	c, _ := newStageCluster(t, 4, client.Config{ChunkSize: 64 << 10})
+	src, out := t.TempDir(), t.TempDir()
 
-			writeHostFile(t, filepath.Join(src, "small.txt"), []byte("hello staging"))
-			writeHostFile(t, filepath.Join(src, "empty.dat"), nil)
-			writeHostFile(t, filepath.Join(src, "sub", "with space.txt"), []byte("spaced name"))
-			// Large: several chunks across every daemon.
-			writeHostFile(t, filepath.Join(src, "sub", "deep", "large.bin"), patterned(1<<20, 1))
-			// Sparse: data, a 2 MiB hole, data, then a 1 MiB trailing hole.
-			sp, err := os.Create(filepath.Join(src, "sparse.bin"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sp.WriteAt(patterned(8<<10, 2), 0); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sp.WriteAt(patterned(8<<10, 3), 2<<20); err != nil {
-				t.Fatal(err)
-			}
-			if err := sp.Truncate(3 << 20); err != nil {
-				t.Fatal(err)
-			}
-			if err := sp.Close(); err != nil {
-				t.Fatal(err)
-			}
+	writeHostFile(t, filepath.Join(src, "small.txt"), []byte("hello staging"))
+	writeHostFile(t, filepath.Join(src, "empty.dat"), nil)
+	writeHostFile(t, filepath.Join(src, "sub", "with space.txt"), []byte("spaced name"))
+	// Large: several chunks across every daemon.
+	writeHostFile(t, filepath.Join(src, "sub", "deep", "large.bin"), patterned(1<<20, 1))
+	// Sparse: data, a 2 MiB hole, data, then a 1 MiB trailing hole.
+	sp, err := os.Create(filepath.Join(src, "sparse.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.WriteAt(patterned(8<<10, 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.WriteAt(patterned(8<<10, 3), 2<<20); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Truncate(3 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-			rep := mustStageIn(t, c, src, "/job", staging.Options{Workers: 4})
-			if rep.Files != 5 {
-				t.Fatalf("stage-in moved %d files, want 5", rep.Files)
-			}
-			if rep.Dirs != 2 {
-				t.Fatalf("stage-in created %d dirs, want 2", rep.Dirs)
-			}
-			info, err := c.Stat("/job/sparse.bin")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Size() != 3<<20 {
-				t.Fatalf("sparse file staged to %d bytes, want %d", info.Size(), 3<<20)
-			}
+	rep := mustStageIn(t, c, src, "/job", staging.Options{Workers: 4})
+	if rep.Files != 5 {
+		t.Fatalf("stage-in moved %d files, want 5", rep.Files)
+	}
+	if rep.Dirs != 2 {
+		t.Fatalf("stage-in created %d dirs, want 2", rep.Dirs)
+	}
+	info, err := c.Stat("/job/sparse.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != 3<<20 {
+		t.Fatalf("sparse file staged to %d bytes, want %d", info.Size(), 3<<20)
+	}
 
-			rep = mustStageOut(t, c, "/job", out, staging.Options{Workers: 4})
-			if rep.Files != 5 {
-				t.Fatalf("stage-out moved %d files, want 5", rep.Files)
-			}
-			compareTrees(t, src, out)
+	rep = mustStageOut(t, c, "/job", out, staging.Options{Workers: 4})
+	if rep.Files != 5 {
+		t.Fatalf("stage-out moved %d files, want 5", rep.Files)
+	}
+	compareTrees(t, src, out)
 
-			// Holes must come back as holes when the host FS supports
-			// them (judged by whether the source file is itself sparse).
-			srcAlloc := allocatedBytes(filepath.Join(src, "sparse.bin"))
-			outAlloc := allocatedBytes(filepath.Join(out, "sparse.bin"))
-			if srcAlloc >= 0 && srcAlloc < 3<<20 {
-				if outAlloc < 0 || outAlloc >= 3<<20 {
-					t.Fatalf("sparseness lost: src allocates %d bytes, round-trip allocates %d", srcAlloc, outAlloc)
-				}
-			}
-		})
+	// Holes must come back as holes when the host FS supports
+	// them (judged by whether the source file is itself sparse).
+	srcAlloc := allocatedBytes(filepath.Join(src, "sparse.bin"))
+	outAlloc := allocatedBytes(filepath.Join(out, "sparse.bin"))
+	if srcAlloc >= 0 && srcAlloc < 3<<20 {
+		if outAlloc < 0 || outAlloc >= 3<<20 {
+			t.Fatalf("sparseness lost: src allocates %d bytes, round-trip allocates %d", srcAlloc, outAlloc)
+		}
 	}
 }
 
@@ -265,45 +261,41 @@ func writeSparse(t *testing.T, path string, size, seed int64, offs ...int64) {
 func TestStageSegmentedLargeFile(t *testing.T) {
 	const r = staging.RangeBytes
 	const size = 2*r + r/2
-	for _, async := range []bool{false, true} {
-		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-			c, _ := newStageCluster(t, 4, client.Config{ChunkSize: 16 << 10, AsyncWrites: async})
-			src, out := t.TempDir(), t.TempDir()
-			// Data blocks at irregular offsets, two of them across range
-			// boundaries; the rest is holes, including the last range's
-			// tail.
-			writeSparse(t, filepath.Join(src, "big.bin"), size, 1,
-				140<<10, r-12<<10, r+300<<10, 2*r-5<<10, 2*r+r/4)
+	c, _ := newStageCluster(t, 4, client.Config{ChunkSize: 16 << 10})
+	src, out := t.TempDir(), t.TempDir()
+	// Data blocks at irregular offsets, two of them across range
+	// boundaries; the rest is holes, including the last range's
+	// tail.
+	writeSparse(t, filepath.Join(src, "big.bin"), size, 1,
+		140<<10, r-12<<10, r+300<<10, 2*r-5<<10, 2*r+r/4)
 
-			opts := staging.Options{Workers: 4}
-			rep := mustStageIn(t, c, src, "/job", opts)
-			if rep.Files != 1 || rep.Bytes != size {
-				t.Fatalf("stage-in report: %s", rep.Summary())
-			}
-			info, err := c.Stat("/job/big.bin")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Size() != size {
-				t.Fatalf("staged size = %d, want %d", info.Size(), size)
-			}
-			rep = mustStageOut(t, c, "/job", out, opts)
-			if rep.Files != 1 || rep.Bytes != size {
-				t.Fatalf("stage-out report: %s", rep.Summary())
-			}
-			compareTrees(t, src, out)
-
-			// Restage over the existing tree (the truncate-once path) and
-			// verify again.
-			rep = mustStageIn(t, c, src, "/job", opts)
-			if rep.Files != 1 {
-				t.Fatalf("restage report: %s", rep.Summary())
-			}
-			out2 := t.TempDir()
-			mustStageOut(t, c, "/job", out2, opts)
-			compareTrees(t, src, out2)
-		})
+	opts := staging.Options{Workers: 4}
+	rep := mustStageIn(t, c, src, "/job", opts)
+	if rep.Files != 1 || rep.Bytes != size {
+		t.Fatalf("stage-in report: %s", rep.Summary())
 	}
+	info, err := c.Stat("/job/big.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != size {
+		t.Fatalf("staged size = %d, want %d", info.Size(), size)
+	}
+	rep = mustStageOut(t, c, "/job", out, opts)
+	if rep.Files != 1 || rep.Bytes != size {
+		t.Fatalf("stage-out report: %s", rep.Summary())
+	}
+	compareTrees(t, src, out)
+
+	// Restage over the existing tree (the truncate-once path) and
+	// verify again.
+	rep = mustStageIn(t, c, src, "/job", opts)
+	if rep.Files != 1 {
+		t.Fatalf("restage report: %s", rep.Summary())
+	}
+	out2 := t.TempDir()
+	mustStageOut(t, c, "/job", out2, opts)
+	compareTrees(t, src, out2)
 }
 
 // TestStageRestageOverOlderVersion restages a tree over an older version

@@ -33,7 +33,7 @@ const (
 // round trip by family (write = OpWriteChunks, read = OpReadChunks,
 // everything else meta); the wait histograms time the client-side
 // queues in front of the wire (striped-connection acquire, shm segment
-// allocation, async-write window admission, prefetch span fetches). The
+// allocation, prefetch span fetches). The
 // client's counters are the tagged fields of client.ClientStats.
 const (
 	ClientRPCMetaNS  = "gkfs_client_rpc_meta_ns"
@@ -44,7 +44,6 @@ const (
 
 	ClientPoolAcquireWaitNS = "gkfs_client_pool_acquire_wait_ns"
 	ClientShmSegWaitNS      = "gkfs_client_shm_seg_wait_ns"
-	ClientWriteStageWaitNS  = "gkfs_client_write_stage_wait_ns"
 	ClientPrefetchFetchNS   = "gkfs_client_prefetch_fetch_ns"
 
 	ClientTracesTotal = "gkfs_client_traces_total"
@@ -66,7 +65,7 @@ func Catalog(tagged ...any) []string {
 		ClientRPCMetaNS, ClientRPCWriteNS, ClientRPCReadNS,
 		ClientRPCInflight,
 		ClientPoolAcquireWaitNS, ClientShmSegWaitNS,
-		ClientWriteStageWaitNS, ClientPrefetchFetchNS,
+		ClientPrefetchFetchNS,
 		ClientTracesTotal,
 	}
 	for _, v := range tagged {

@@ -338,7 +338,7 @@ func rpcAllocs(t *testing.T, c rpc.Conn, op rpc.Op, bulk [][]byte, dir rpc.BulkD
 // either bulk direction over the same path as emptyRPCAllocPin, with
 // the handler a point op — the shape of the daemon's chunk writes and
 // reads — both ends counted, and of the same BulkIn call split at the
-// send (rpc.Start, then Wait), write-behind's shape: the pool's reply and
+// send (rpc.Start, then Wait), a chunk write's shape: the pool's reply and
 // the connection's pending call are both recycled, so the split costs
 // nothing either. It was 5 while chunk ops were served on a goroutine
 // of their own (request struct, goroutine, closure) and each end built a

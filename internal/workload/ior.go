@@ -135,10 +135,9 @@ func RunIOR(factory ClientFactory, cfg IORConfig) (IORResult, error) {
 					return
 				}
 				// Fsync and Close are the barriers that complete the phase:
-				// under the write-behind pipeline in-flight chunk RPCs drain
-				// and latched write errors surface here, so both results
-				// count — a phase that dropped them would report bandwidth
-				// for data that never landed.
+				// deferred size updates flush here, so both results count —
+				// a phase that dropped them would report bandwidth for a
+				// file whose size never reached its owner.
 				defer func() {
 					errs[w] = errors.Join(errs[w], c.Fsync(fd), c.Close(fd))
 				}()

@@ -31,6 +31,12 @@
 #     and every `BenchmarkX*` wildcard must match at least one, so a
 #     deleted benchmark cannot stay cited. docs/bench/ is not scanned:
 #     its ledgers are history, as are ROADMAP.md and CHANGES.md.
+#  9. Every `|`-alternative of every `-run` / `-fuzz` pattern in
+#     .github/workflows/ci.yml must match a Test, Fuzz or Benchmark
+#     function of the packages on its line (`go test` runs nothing, and
+#     says nothing, for a term that matches no test). The deliberate
+#     match-nothing patterns `^$` and `-` are skipped, and a term is
+#     checked up to its first `/` (the top-level test name).
 #
 # Flag extraction covers three shapes:
 #   - backticked `-flags` on lines naming the binary (prose, usage),
@@ -163,6 +169,50 @@ done < <(
   grep -ohE '`[^`]+`' "${docs[@]}" | grep -oE 'Benchmark[A-Z][A-Za-z0-9_]*\*?' | sort -u
 )
 
+# Every term of every CI -run/-fuzz pattern must match a test function.
+ci=.github/workflows/ci.yml
+while IFS= read -r line; do
+  dirs=()
+  read -ra toks <<< "$line"
+  for tok in "${toks[@]}"; do
+    case $tok in
+      .) dirs+=(.) ;;
+      ./...) dirs+=(./...) ;;
+      ./*) tok=${tok%/}; dirs+=("${tok%/...}") ;;
+    esac
+  done
+  if [ ${#dirs[@]} -eq 0 ]; then
+    echo "$ci: no package on: $line"
+    fail=1
+    continue
+  fi
+  tests=$(
+    for d in "${dirs[@]}"; do
+      if [ "$d" = ./... ]; then
+        find . -path ./bench -prune -o -path ./.bench_build -prune -o -name '*_test.go' -print
+      else
+        find "$d" -maxdepth 1 -name '*_test.go'
+      fi
+    done | xargs -r grep -hoE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' | sed 's/^func //' | sort -u
+  )
+  while read -r pat; do
+    pat=${pat#-run }; pat=${pat#-fuzz }; pat=${pat//\'/}
+    [ "$pat" = '^$' ] || [ "$pat" = - ] && continue
+    # Split at the top-level | (an alternation inside parentheses stays whole).
+    while read -r term; do
+      term=${term%%/*}
+      if [ -z "$term" ] || ! grep -qE -- "$term" <<< "$tests"; then
+        echo "$ci: -run/-fuzz term '$term' matches no test in ${dirs[*]}"
+        fail=1
+      fi
+    done < <(awk '{ d = 0; t = ""
+      for (i = 1; i <= length($0); i++) { c = substr($0, i, 1)
+        if (c == "(") d++; if (c == ")") d--
+        if (c == "|" && d == 0) { print t; t = "" } else t = t c }
+      print t }' <<< "$pat")
+  done < <(grep -oE -- "-(run|fuzz) ('[^']*'|[^ ]+)" <<< "$line")
+done < <(grep -E 'go test .*-(run|fuzz) ' "$ci")
+
 # Emit every table cell under a "CLI" column header, across all docs:
 # the shared flags (internal/cli), which every checked binary must have.
 cli_cells() {
@@ -208,4 +258,4 @@ if [ "$fail" -ne 0 ]; then
   echo "docs check failed"
   exit 1
 fi
-echo "docs check OK: package comments present, documented flags, options, paths and benchmarks exist, protocol generation current"
+echo "docs check OK: package comments present, documented flags, options, paths and benchmarks exist, protocol generation current, every CI test pattern term matches a test"
