@@ -219,42 +219,23 @@ func (c *Client) ChunkSize() int64 { return c.cfg.ChunkSize }
 // call issues one RPC and peels the errno header off the response. Its
 // bulk region is the windows, in order, in direction dir (none for no
 // windows). This is the client's RPC chokepoint: round-trip timing, the
-// in-flight gauge and trace sampling all live in begin and end, so every
-// caller — metadata, chunk I/O, read-ahead — is covered.
+// in-flight gauge and trace sampling all live here, so every caller —
+// metadata, chunk I/O, read-ahead — is covered.
 func (c *Client) call(node int, op rpc.Op, payload []byte, dir rpc.BulkDir, windows ...[]byte) (*rpc.Dec, error) {
-	rc := c.begin(node, op)
-	resp, err := rpc.Call(c.cfg.Conns[node], op, payload, windows, dir, rc.tr)
-	return c.end(&rc, resp, err)
-}
-
-// clientCall is one RPC from begin to end.
-type clientCall struct {
-	node int
-	op   rpc.Op
-	tr   rpc.Trace
-	t0   time.Time
-}
-
-// begin opens the telemetry of one RPC: its trace, the in-flight gauge
-// and the start of its round-trip time.
-func (c *Client) begin(node int, op rpc.Op) clientCall {
-	rc := clientCall{node: node, op: op}
+	var tr rpc.Trace
+	var t0 time.Time
 	if c.tel.reg != nil {
-		rc.tr = c.nextTrace()
+		tr = c.nextTrace()
 		c.tel.inflight.Add(1)
-		rc.t0 = time.Now()
+		t0 = time.Now()
 	}
-	return rc
-}
-
-// end closes what begin opened and peels the errno header off resp.
-func (c *Client) end(rc *clientCall, resp []byte, err error) (*rpc.Dec, error) {
+	resp, err := rpc.Call(c.cfg.Conns[node], op, payload, windows, dir, tr)
 	if c.tel.reg != nil {
-		elapsed := time.Since(rc.t0)
+		elapsed := time.Since(t0)
 		c.tel.inflight.Add(-1)
-		c.tel.rpcHist(rc.op).Observe(int64(elapsed))
-		if rc.tr.Sampled() {
-			c.emitTrace(rc.node, rc.op, rc.tr, elapsed, err)
+		c.tel.rpcHist(op).Observe(int64(elapsed))
+		if tr.Sampled() {
+			c.emitTrace(node, op, tr, elapsed, err)
 		}
 	}
 	if err != nil {

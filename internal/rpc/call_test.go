@@ -61,15 +61,14 @@ func (c *plainConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]by
 }
 
 // TestOneCallShape runs the one call shape — a window list with a
-// direction — both ways (rpc.Call, and rpc.Start then Wait) in every
-// direction over zero, one and two windows, against a Starter (the mem
-// conn) and a plain Conn, which gets the staging fallback. Every route
-// must move the exact bytes: a BulkIn handler sees the windows'
-// concatenation, even after the caller scribbled over them once Start
-// returned; a short BulkOut reply fills the windows in order and clears
-// every window's tail, whatever the caller left there, and nothing
-// outside them; no windows exposes no region. A split call on a plain
-// Conn runs nothing until Wait.
+// direction — through rpc.Call in every direction over zero, one and two
+// windows, against a conn with the Vectored extension (the mem conn,
+// route "starter") and a plain Conn, which gets the staging fallback.
+// Every route must move the exact bytes: a BulkIn handler sees the
+// windows' concatenation; a short BulkOut reply fills the windows in
+// order and clears every window's tail, whatever the caller left there,
+// and nothing outside them; no windows exposes no region. The subtest
+// names keep their "split=false" segment, the one call there is.
 func TestOneCallShape(t *testing.T) {
 	fabric := transport.NewMemNetwork()
 	fabric.Register(0, shapeServer())
@@ -83,80 +82,63 @@ func TestOneCallShape(t *testing.T) {
 		dir  rpc.BulkDir
 	}{{"none", opNone, rpc.BulkNone}, {"in", opIn, rpc.BulkIn}, {"out", opOut, rpc.BulkOut}}
 	for _, route := range []string{"starter", "plain"} {
-		for _, split := range []bool{false, true} {
-			for _, d := range dirs {
-				for nwin := 0; nwin <= 2; nwin++ {
-					name := fmt.Sprintf("%s/split=%v/%s/%d", route, split, d.name, nwin)
-					t.Run(name, func(t *testing.T) {
-						plain := &plainConn{Conn: mem}
-						var c rpc.Conn = plain
-						if route == "starter" {
-							c = mem
+		for _, d := range dirs {
+			for nwin := 0; nwin <= 2; nwin++ {
+				t.Run(fmt.Sprintf("%s/split=false/%s/%d", route, d.name, nwin), func(t *testing.T) {
+					plain := &plainConn{Conn: mem}
+					var c rpc.Conn = plain
+					if route == "starter" {
+						c = mem
+					}
+					wins, gaps := shapeWindows(nwin)
+					total := 0
+					for _, w := range wins {
+						total += len(w)
+					}
+					var want, req []byte
+					short := min(150, total) // the first window's tail and all of the second
+					switch d.dir {
+					case rpc.BulkIn:
+						for i, w := range wins {
+							for j := range w {
+								w[j] = byte(i*131 + j*7 + 1)
+							}
+							want = append(want, w...)
 						}
-						wins, gaps := shapeWindows(nwin)
-						total := 0
+					case rpc.BulkOut:
+						req = binary.LittleEndian.AppendUint32(nil, uint32(short))
+					}
+					resp, err := rpc.Call(c, d.op, req, wins, d.dir, rpc.Trace{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if route == "plain" && plain.calls != 1 {
+						t.Fatalf("the plain Conn saw %d calls, want 1", plain.calls)
+					}
+					switch d.dir {
+					case rpc.BulkNone:
+						if string(resp) != "none" {
+							t.Fatalf("reply %q, want none", resp)
+						}
+					case rpc.BulkIn:
+						if !bytes.Equal(resp, want) {
+							t.Fatal("the handler saw other bytes than the windows held")
+						}
+					case rpc.BulkOut:
+						var got []byte
 						for _, w := range wins {
-							total += len(w)
+							got = append(got, w...)
 						}
-						var want, req []byte
-						short := min(150, total) // the first window's tail and all of the second
-						switch d.dir {
-						case rpc.BulkIn:
-							for i, w := range wins {
-								for j := range w {
-									w[j] = byte(i*131 + j*7 + 1)
-								}
-								want = append(want, w...)
-							}
-						case rpc.BulkOut:
-							req = binary.LittleEndian.AppendUint32(nil, uint32(short))
+						if !bytes.Equal(got[:short], bytes.Repeat([]byte{0x5A}, short)) || !bytes.Equal(got[short:], make([]byte, total-short)) {
+							t.Fatalf("the windows are not %d server bytes then zeros", short)
 						}
-						var resp []byte
-						if split {
-							r, err := rpc.Start(c, d.op, req, wins, d.dir, rpc.Trace{})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if plain.calls != 0 {
-								t.Fatal("a split call on a plain Conn ran before Wait")
-							}
-							if d.dir == rpc.BulkIn {
-								for _, w := range wins {
-									clear(w)
-								}
-							}
-							resp, err = r.Wait()
-							if err != nil {
-								t.Fatal(err)
-							}
-						} else if resp, err = rpc.Call(c, d.op, req, wins, d.dir, rpc.Trace{}); err != nil {
-							t.Fatal(err)
+					}
+					for _, g := range gaps {
+						if !bytes.Equal(g, bytes.Repeat([]byte{0xEE}, len(g))) {
+							t.Fatal("the call wrote outside its windows")
 						}
-						switch d.dir {
-						case rpc.BulkNone:
-							if string(resp) != "none" {
-								t.Fatalf("reply %q, want none", resp)
-							}
-						case rpc.BulkIn:
-							if !bytes.Equal(resp, want) {
-								t.Fatal("the handler saw other bytes than the windows held")
-							}
-						case rpc.BulkOut:
-							var got []byte
-							for _, w := range wins {
-								got = append(got, w...)
-							}
-							if !bytes.Equal(got[:short], bytes.Repeat([]byte{0x5A}, short)) || !bytes.Equal(got[short:], make([]byte, total-short)) {
-								t.Fatalf("the windows are not %d server bytes then zeros", short)
-							}
-						}
-						for _, g := range gaps {
-							if !bytes.Equal(g, bytes.Repeat([]byte{0xEE}, len(g))) {
-								t.Fatal("the call wrote outside its windows")
-							}
-						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}

@@ -14,9 +14,16 @@
 // pool slot like any other, and the frames behind it on that connection
 // wait for it.
 //
+// A client makes every call through Call, which returns once the reply
+// has arrived, as a Margo forward does: the caller runs a goroutine per
+// daemon when it wants calls in flight at once. A call's bulk region is
+// a list of windows; a transport takes the list as it is (Vectored) or
+// gets it staged in one contiguous region (StagedCall).
+//
 // Transports live in internal/transport: an in-process one whose bulk
-// transfers are zero-copy (the "RDMA" of the in-process cluster) and a TCP
-// one that inlines bulk bytes into the frame.
+// transfers are zero-copy (the "RDMA" of the in-process cluster) and a
+// stream connection that inlines bulk bytes into the frame over TCP or
+// passes them by reference through a shared-memory segment.
 package rpc
 
 import (
@@ -188,60 +195,28 @@ func (t Trace) Sampled() bool { return t.ID != 0 }
 // most MaxBulk bytes.
 const MaxBulk = 64 << 20
 
-// Starter is the optional Conn extension of transports that run a call
-// in two halves, the one call shape of this package: Start sends op with
-// the windows of bulk, in order, as its region and returns the Reply to
-// wait on. No windows exposes no buffer, whatever dir says. A BulkIn
-// Start returns once the transport holds no reference to the windows —
-// inline, every byte has gone through the socket write; by reference,
-// every byte has been copied into the call's segment window; in process,
-// the handler has run — so the caller may reuse them at once. BulkOut
-// windows belong to the call until its Wait returns, and the server's
-// bytes land in them directly, under the claim and zero-tail rules of
-// the BulkOut contract, window by window. A sampled tr travels with the
-// call. A Start that fails leaves no reply to wait for.
-type Starter interface {
-	Start(op Op, payload []byte, bulk [][]byte, dir BulkDir, tr Trace) (Reply, error)
+// Vectored is the optional Conn extension of transports that take a
+// call's region as a list of windows, the one call shape of this
+// package: CallVector runs op with the windows of bulk, in order, as its
+// region and returns once the reply has arrived, the call failed or it
+// timed out. No windows exposes no buffer, whatever dir says. A returned
+// call holds no reference to its windows: the server read every BulkIn
+// byte, and its BulkOut bytes landed in the windows directly, under the
+// claim and zero-tail rules of the BulkOut contract, window by window. A
+// sampled tr travels with the call.
+type Vectored interface {
+	CallVector(op Op, payload []byte, bulk [][]byte, dir BulkDir, tr Trace) ([]byte, error)
 }
 
-// Reply is the outstanding half of a started call. Wait blocks until the
-// reply arrives, the call fails or it times out, and returns what the
-// call produced. It is called exactly once; the Reply is dead after it
-// returns.
-type Reply interface {
-	Wait() ([]byte, error)
-}
-
-// Start starts op over c with the windows of bulk as its region and
-// returns its reply; payload must stay unchanged until Wait returns. A
-// Conn without the Starter extension gets the staging fallback, run in
-// Wait: BulkIn windows are copied into one pooled region first, so they
-// are free for reuse once Start returns, and the trace is dropped — an
-// observability hint, never a correctness dependency.
-func Start(c Conn, op Op, payload []byte, bulk [][]byte, dir BulkDir, tr Trace) (Reply, error) {
-	if s, ok := c.(Starter); ok {
-		return s.Start(op, payload, bulk, dir, tr)
-	}
-	sc := &stagedCall{c: c, op: op, payload: payload, bulk: bulk, dir: dir}
-	if dir == BulkIn && len(bulk) > 0 {
-		sc.region, sc.bulk = stage(bulk, BulkIn), nil
-	}
-	return sc, nil
-}
-
-// Call is Start followed by Wait: one synchronous call. A Conn without
-// the Starter extension runs the staging fallback inline, lending a
-// single window as it is and allocating nothing.
+// Call runs op over c with the windows of bulk as its region: the one
+// entry point of every caller. A Conn without the Vectored extension
+// gets the staging fallback (StagedCall over its Call) and the trace is
+// dropped — an observability hint, never a correctness dependency.
 func Call(c Conn, op Op, payload []byte, bulk [][]byte, dir BulkDir, tr Trace) ([]byte, error) {
-	if s, ok := c.(Starter); ok {
-		r, err := s.Start(op, payload, bulk, dir, tr)
-		if err != nil {
-			return nil, err
-		}
-		return r.Wait()
+	if v, ok := c.(Vectored); ok {
+		return v.CallVector(op, payload, bulk, dir, tr)
 	}
-	sc := stagedCall{c: c, op: op, payload: payload, bulk: bulk, dir: dir}
-	return sc.Wait()
+	return StagedCall(c.Call, op, payload, bulk, dir)
 }
 
 // Region is the window list of one contiguous region: none for nil.
@@ -252,45 +227,21 @@ func Region(b []byte) [][]byte {
 	return [][]byte{b}
 }
 
-// stagedCall is the one staging fallback: a call over a Conn that can
-// expose only one contiguous region. region, when set, is the pooled
-// copy Start made of a BulkIn list.
-type stagedCall struct {
-	c       Conn
-	op      Op
-	payload []byte
-	bulk    [][]byte
-	dir     BulkDir
-	region  []byte
-}
-
-// Wait implements Reply: it runs the call. No window is a plain call and
-// one window is lent as it is; a list travels through one pooled region,
-// copied out to the windows, in order, after a BulkOut call — the
-// carrier cleared the region past what the server sent, so a short reply
-// clears each window's tail.
-func (s *stagedCall) Wait() ([]byte, error) {
-	region := s.region
+// StagedCall is the one staging fallback: it runs op with the windows of
+// bulk as its region over call, a carrier that can expose only one
+// contiguous region. No window is a plain call and one window is lent as
+// it is; a list travels through one pooled region — its bytes copied in,
+// in order, for BulkIn, and copied out to the windows, in order, after a
+// BulkOut call: the carrier cleared the region past what the server
+// sent, so a short reply clears each window's tail. It allocates
+// nothing of its own.
+func StagedCall(call func(op Op, payload, bulk []byte, dir BulkDir) ([]byte, error), op Op, payload []byte, bulk [][]byte, dir BulkDir) ([]byte, error) {
 	switch {
-	case region != nil:
-	case len(s.bulk) == 0 || s.dir == BulkNone:
-		return s.c.Call(s.op, s.payload, nil, BulkNone)
-	case len(s.bulk) == 1:
-		return s.c.Call(s.op, s.payload, s.bulk[0], s.dir)
-	default:
-		region = stage(s.bulk, s.dir)
+	case len(bulk) == 0 || dir == BulkNone:
+		return call(op, payload, nil, BulkNone)
+	case len(bulk) == 1:
+		return call(op, payload, bulk[0], dir)
 	}
-	resp, err := s.c.Call(s.op, s.payload, region, s.dir)
-	if err == nil && s.dir == BulkOut {
-		Scatter(s.bulk, region)
-	}
-	PutBuf(region)
-	return resp, err
-}
-
-// stage returns one pooled region the size of the windows of bulk,
-// holding their bytes, in order, for BulkIn.
-func stage(bulk [][]byte, dir BulkDir) []byte {
 	n := 0
 	for _, w := range bulk {
 		n += len(w)
@@ -302,7 +253,12 @@ func stage(bulk [][]byte, dir BulkDir) []byte {
 			region = append(region, w...)
 		}
 	}
-	return region
+	resp, err := call(op, payload, region, dir)
+	if err == nil && dir == BulkOut {
+		Scatter(bulk, region)
+	}
+	PutBuf(region)
+	return resp, err
 }
 
 // Scatter copies src out to the windows of dest, in order.

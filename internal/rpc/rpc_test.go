@@ -134,10 +134,10 @@ func (fillConn) Call(_ Op, _, bulk []byte, dir BulkDir) ([]byte, error) {
 
 func (fillConn) Close() error { return nil }
 
-// TestCallFallbackAllocatesNothing pins the synchronous half of the
-// staging fallback: over a Conn without the Starter extension, rpc.Call
-// lends one window as it is and runs a list through one pooled region,
-// scattered out in order, with no allocation of its own either way.
+// TestCallFallbackAllocatesNothing pins the staging fallback: over a
+// Conn without the Vectored extension, rpc.Call lends one window as it
+// is and runs a list through one pooled region, scattered out in order,
+// with no allocation of its own either way.
 func TestCallFallbackAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of its Puts")

@@ -298,25 +298,37 @@ func TestDispatchServeWaitsForSpawnedHandlers(t *testing.T) {
 	}
 }
 
-// emptyRPCAllocPin bounds the allocations of one empty round trip over
-// the client's path — the pool, one TCP conn, serve, a point op — both
-// ends counted. It was 13 while every request got a goroutine and a
-// closure, every pending call a fresh struct and channel, every
+// allocCarriers are the carriers the allocation pins run over, by the
+// matrix's names: shm-pool only where the platform has the doorbell.
+func allocCarriers(m matrix) []string {
+	names := []string{"mem", "tcp", "tcp-pool"}
+	if m.shm != "" {
+		names = append(names, "shm-pool")
+	}
+	return names
+}
+
+// emptyRPCAllocPins bound the allocations of one empty round trip to a
+// point op, both ends counted, per carrier. Over tcp-pool — the pool,
+// one TCP conn, serve — it was 13 while every request got a goroutine
+// and a closure, every pending call a fresh struct and channel, every
 // rpc.PutBuf a boxed slice header and every frame header array a trip
 // through io.ReadFull to the heap.
-const emptyRPCAllocPin = 0
+var emptyRPCAllocPins = map[string]float64{"mem": 0, "tcp": 0, "tcp-pool": 0, "shm-pool": 0}
 
-// TestEmptyRPCAllocs pins emptyRPCAllocPin.
+// TestEmptyRPCAllocs pins emptyRPCAllocPins.
 func TestEmptyRPCAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of its Puts")
 	}
-	c := newMatrix(t, newTestServer().Server, 0).mustDial(t, "tcp-pool", 1)
-	allocs := rpcAllocs(t, c, opPointEmpty, nil, rpc.BulkNone)
-	if allocs > emptyRPCAllocPin {
-		t.Fatalf("an empty RPC makes %v allocations, pin %d", allocs, emptyRPCAllocPin)
+	m := newMatrix(t, newTestServer().Server, 0)
+	for _, name := range allocCarriers(m) {
+		allocs := rpcAllocs(t, m.mustDial(t, name, 1), opPointEmpty, nil, rpc.BulkNone)
+		if pin := emptyRPCAllocPins[name]; allocs > pin {
+			t.Errorf("an empty RPC over %s makes %v allocations, pin %v", name, allocs, pin)
+		}
+		t.Logf("%v allocations per empty RPC over %s", allocs, name)
 	}
-	t.Logf("%v allocations per empty RPC", allocs)
 }
 
 // rpcAllocs measures the allocations of one call of op over c with the
@@ -334,55 +346,41 @@ func rpcAllocs(t *testing.T, c rpc.Conn, op rpc.Op, bulk [][]byte, dir rpc.BulkD
 	return testing.AllocsPerRun(2000, call)
 }
 
-// bulkRPCAllocPin bounds the allocations of one 8 KiB round trip in
-// either bulk direction over the same path as emptyRPCAllocPin, with
-// the handler a point op — the shape of the daemon's chunk writes and
-// reads — both ends counted, and of the same BulkIn call split at the
-// send (rpc.Start, then Wait), a chunk write's shape: the pool's reply and
-// the connection's pending call are both recycled, so the split costs
-// nothing either. It was 5 while chunk ops were served on a goroutine
-// of their own (request struct, goroutine, closure) and each end built a
+// bulkRPCAllocPins bound the allocations of one 8 KiB round trip in
+// either bulk direction, per carrier, with the handler a point op — the
+// shape of the daemon's chunk writes and reads — both ends counted. Over
+// tcp-pool it was 5 while chunk ops were served on a goroutine of their
+// own (request struct, goroutine, closure) and each end built a
 // net.Buffers per vectored write. A BulkOut reply the handler lends as
 // windows (rpc.Gather, the shape of a chunk read from the page cache)
-// costs nothing either: the windows and the release ride the request.
-const bulkRPCAllocPin = 0
+// costs the same as one it commits: on the stream carriers the windows
+// and the release ride the request. The mem carrier's one is the
+// handler's region boxed as an rpc.Bulk (dispatch); the doorbell's two
+// are the client's segment-window reservation arming its wait timer
+// (segAlloc.acquire), even when a window is free at once.
+var bulkRPCAllocPins = map[string]float64{"mem": 1, "tcp": 0, "tcp-pool": 0, "shm-pool": 2}
 
-// TestBulkRPCAllocs pins bulkRPCAllocPin.
+// TestBulkRPCAllocs pins bulkRPCAllocPins.
 func TestBulkRPCAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of its Puts")
 	}
-	c := newMatrix(t, newTestServer().Server, 0).mustDial(t, "tcp-pool", 1)
-	buf := make([]byte, 8<<10)
-	src := [][]byte{buf}
-	for _, tc := range []struct {
-		name string
-		op   rpc.Op
-		dir  rpc.BulkDir
-	}{{"BulkIn", opPointSink, rpc.BulkIn}, {"BulkOut", opPointFill, rpc.BulkOut}, {"gathered BulkOut", opPointLend, rpc.BulkOut}} {
-		allocs := rpcAllocs(t, c, tc.op, src, tc.dir)
-		if allocs > bulkRPCAllocPin {
-			t.Errorf("an 8 KiB %s RPC makes %v allocations, pin %d", tc.name, allocs, bulkRPCAllocPin)
-		}
-		t.Logf("%v allocations per 8 KiB %s RPC", allocs, tc.name)
-	}
-	split := func() {
-		r, err := rpc.Start(c, opPointSink, nil, src, rpc.BulkIn, rpc.Trace{})
-		if err == nil {
-			_, err = r.Wait()
-		}
-		if err != nil {
-			t.Fatal(err)
+	m := newMatrix(t, newTestServer().Server, 0)
+	src := [][]byte{make([]byte, 8<<10)}
+	for _, name := range allocCarriers(m) {
+		c := m.mustDial(t, name, 1)
+		for _, tc := range []struct {
+			name string
+			op   rpc.Op
+			dir  rpc.BulkDir
+		}{{"BulkIn", opPointSink, rpc.BulkIn}, {"BulkOut", opPointFill, rpc.BulkOut}, {"gathered BulkOut", opPointLend, rpc.BulkOut}} {
+			allocs := rpcAllocs(t, c, tc.op, src, tc.dir)
+			if pin := bulkRPCAllocPins[name]; allocs > pin {
+				t.Errorf("an 8 KiB %s RPC over %s makes %v allocations, pin %v", tc.name, name, allocs, pin)
+			}
+			t.Logf("%v allocations per 8 KiB %s RPC over %s", allocs, tc.name, name)
 		}
 	}
-	for i := 0; i < 100; i++ {
-		split() // fill the pools
-	}
-	allocs := testing.AllocsPerRun(2000, split)
-	if allocs > bulkRPCAllocPin {
-		t.Errorf("an 8 KiB BulkIn RPC split at the send makes %v allocations, pin %d", allocs, bulkRPCAllocPin)
-	}
-	t.Logf("%v allocations per 8 KiB BulkIn RPC split at the send", allocs)
 }
 
 // BenchmarkEmptyRPC is the per-call cost of the transport: an empty

@@ -73,33 +73,16 @@ func (c *memConn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte
 	return dispatch(c.srv, op, payload, bulk, dir, rpc.Trace{})
 }
 
-// Start implements rpc.Starter. In process there is no frame and no
-// wire: the whole call runs here, as the staging fallback over the
-// reply's memCall — one window is the handler's region as it is, a list
-// is staged in one pooled region — with the trace handed to the
-// dispatcher directly. The reply is complete, and the windows are free,
-// when Start returns.
-func (c *memConn) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) (rpc.Reply, error) {
-	r := memReplies.Get().(*memReply)
-	r.call = memCall{c.srv, tr}
-	r.resp, r.err = rpc.Call(&r.call, op, payload, bulk, dir, rpc.Trace{})
-	return r, nil
+// CallVector implements rpc.Vectored. In process there is no frame and
+// no wire: the whole call runs here, as the staging fallback over the
+// dispatcher — one window is the handler's region as it is, a list is
+// staged in one pooled region — with the trace handed to the dispatcher
+// directly.
+func (c *memConn) CallVector(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
+	return rpc.StagedCall(func(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
+		return dispatch(c.srv, op, payload, bulk, dir, tr)
+	}, op, payload, bulk, dir)
 }
-
-// memCall is one traced call's contiguous-region view of a memConn: the
-// plain rpc.Conn the staging fallback drives.
-type memCall struct {
-	srv *rpc.Server
-	tr  rpc.Trace
-}
-
-// Call implements rpc.Conn.
-func (m *memCall) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	return dispatch(m.srv, op, payload, bulk, dir, m.tr)
-}
-
-// Close implements rpc.Conn.
-func (m *memCall) Close() error { return nil }
 
 // dispatch runs one call on srv whose region is bulk. The direction only
 // decides who clears a BulkOut tail: the handler touches the client's
@@ -124,24 +107,6 @@ func dispatch(srv *rpc.Server, op rpc.Op, payload, bulk []byte, dir rpc.BulkDir,
 		clear(bulk[out.n:])
 	}
 	return resp, nil
-}
-
-// memReply is one in-process call — the view it ran through and its
-// result — recycled through memReplies once waited on.
-type memReply struct {
-	call memCall
-	resp []byte
-	err  error
-}
-
-var memReplies = sync.Pool{New: func() any { return new(memReply) }}
-
-// Wait implements rpc.Reply.
-func (r *memReply) Wait() ([]byte, error) {
-	resp, err := r.resp, r.err
-	*r = memReply{}
-	memReplies.Put(r)
-	return resp, err
 }
 
 // Close implements rpc.Conn.

@@ -97,51 +97,20 @@ func dialPool(n int, dial func() (rpc.Conn, error)) (rpc.Conn, error) {
 // Size returns the number of connection slots.
 func (p *Pool) Size() int { return len(p.slots) }
 
-// Call implements rpc.Conn: Start, then Wait.
+// Call implements rpc.Conn.
 func (p *Pool) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	return rpc.Call(p, op, payload, rpc.Region(bulk), dir, rpc.Trace{})
+	return p.CallVector(op, payload, rpc.Region(bulk), dir, rpc.Trace{})
 }
 
-// Start implements rpc.Starter, forwarding the call to the slot selected
-// by the next request id (a slot's connection without the extension
-// stages the windows). The start is forwarded like any call; the reply
-// drops the slot's connection when its wait sees a transport failure.
-func (p *Pool) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) (rpc.Reply, error) {
-	var r *poolReply
-	err := p.forward(func(s *poolSlot, conn rpc.Conn) error {
-		inner, err := rpc.Start(conn, op, payload, bulk, dir, tr)
-		if err == nil {
-			r = poolReplies.Get().(*poolReply)
-			r.p, r.s, r.conn, r.inner = p, s, conn, inner
-		}
+// CallVector implements rpc.Vectored, forwarding the call to the slot
+// selected by the next request id (a slot's connection without the
+// extension stages the windows).
+func (p *Pool) CallVector(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
+	var resp []byte
+	err := p.forward(func(conn rpc.Conn) (err error) {
+		resp, err = rpc.Call(conn, op, payload, bulk, dir, tr)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// poolReply is the reply of a call the pool started: the connection's own,
-// and the slot to drop if its wait fails at the transport level.
-// Recycled through poolReplies once waited on.
-type poolReply struct {
-	p     *Pool
-	s     *poolSlot
-	conn  rpc.Conn
-	inner rpc.Reply
-}
-
-var poolReplies = sync.Pool{New: func() any { return new(poolReply) }}
-
-// Wait implements rpc.Reply.
-func (r *poolReply) Wait() ([]byte, error) {
-	resp, err := r.inner.Wait()
-	if err != nil && connBroken(err) {
-		r.p.invalidate(r.s, r.conn)
-	}
-	*r = poolReply{}
-	poolReplies.Put(r)
 	return resp, err
 }
 
@@ -152,7 +121,7 @@ func (r *poolReply) Wait() ([]byte, error) {
 // sending any of it (unsentError), so the call runs once more on a fresh
 // dial instead of failing a caller whose request was never on the wire.
 // A call that may have been sent is never repeated.
-func (p *Pool) forward(try func(s *poolSlot, conn rpc.Conn) error) error {
+func (p *Pool) forward(try func(conn rpc.Conn) error) error {
 	if p.closed.Load() {
 		return ErrPoolClosed
 	}
@@ -169,7 +138,7 @@ func (p *Pool) forward(try func(s *poolSlot, conn rpc.Conn) error) error {
 		if err != nil {
 			return err
 		}
-		err = try(s, conn)
+		err = try(conn)
 		if err == nil || !connBroken(err) {
 			return err
 		}

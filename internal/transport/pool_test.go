@@ -152,12 +152,13 @@ func TestPoolClosed(t *testing.T) {
 // the connection's read loop has marked it dead, the next call is refused
 // before a byte of it is sent — so the pool re-dials and runs it on the
 // fresh connection, exactly once, instead of failing a caller whose
-// request was never on the wire. A split call's send (rpc.Start) follows
-// the same rule: one re-dial, and the daemon runs it once. A server that
-// is not back up still fails the call, with the dial error.
+// request was never on the wire. A vectored call with a BulkIn window
+// list follows the same rule: one re-dial, and the daemon runs it once.
+// A server that is not back up still fails the call, with the dial
+// error.
 func TestPoolRedialsConnectionFoundDead(t *testing.T) {
 	ts := newTestServer()
-	srv, sends := ts.Server, &ts.counted // sends counts the split calls the daemon runs
+	srv, sends := ts.Server, &ts.counted // sends counts the vectored calls the daemon runs
 	// start serves srv on a fresh port; the returned sever closes the
 	// listener and every accepted socket, as a dying daemon does.
 	start := func() (addr string, sever func()) {
@@ -240,23 +241,19 @@ func TestPoolRedialsConnectionFoundDead(t *testing.T) {
 		t.Fatalf("%d dials, want 2: first use and exactly one re-dial", n)
 	}
 
-	// The same for a split call: its send lands on the dead connection,
-	// is refused unsent, and goes out once on one re-dial.
+	// The same for a vectored call: it lands on the dead connection, is
+	// refused unsent, and goes out once on one re-dial.
 	severAndWait(sever)
 	a, sever = start()
 	addr.Store(a)
-	r, err := pool.Start(opCount, nil, [][]byte{make([]byte, 8<<10)}, rpc.BulkIn, rpc.Trace{})
-	if err == nil {
-		_, err = r.Wait()
-	}
-	if err != nil {
-		t.Fatalf("split call on a slot holding a dead connection: %v; want it re-dialed and served", err)
+	if _, err := pool.CallVector(opCount, nil, [][]byte{make([]byte, 4<<10), make([]byte, 4<<10)}, rpc.BulkIn, rpc.Trace{}); err != nil {
+		t.Fatalf("vectored call on a slot holding a dead connection: %v; want it re-dialed and served", err)
 	}
 	if n := dials.Load(); n != 3 {
-		t.Fatalf("%d dials, want 3: exactly one re-dial for the send", n)
+		t.Fatalf("%d dials, want 3: exactly one re-dial for the call", n)
 	}
 	if n := sends.Load(); n != 1 {
-		t.Fatalf("the daemon ran the split call %d times, want once", n)
+		t.Fatalf("the daemon ran the vectored call %d times, want once", n)
 	}
 
 	// Died and stayed down: the one re-dial fails and the call reports it.

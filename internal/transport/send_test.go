@@ -35,50 +35,12 @@ func gatherList(sizes ...int) (wins [][]byte, want []byte) {
 	return wins, want
 }
 
-// scribble overwrites every window, as a caller reusing its buffer does.
-func scribble(wins [][]byte) {
-	for _, w := range wins {
-		for i := range w {
-			w[i] = 0xFF
-		}
-	}
-}
-
-// TestSendReturnsWithGatherListFree pins rpc.Starter's BulkIn contract
-// on every carrier: once Start returns, the caller may overwrite its
-// windows at once and the handler still sees the original bytes. The
-// list is larger than a socket buffer, so a send that returned before its
-// writev finished would hand the daemon scribbled bytes. The mem conn
-// runs the whole call in Start, through the staging fallback's region.
-func TestSendReturnsWithGatherListFree(t *testing.T) {
-	for name, c := range conns(t, newTestServer().Server) {
-		t.Run(name, func(t *testing.T) {
-			if _, ok := c.(rpc.Starter); !ok {
-				t.Fatalf("%s cannot split a call at the send", name)
-			}
-			wins, want := gatherList(1<<20+7, 513<<10, 2<<20)
-			r, err := rpc.Start(c, opBulkEcho, nil, wins, rpc.BulkIn, rpc.Trace{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			scribble(wins)
-			got, err := r.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatal("the handler saw bytes the caller wrote after Send returned")
-			}
-		})
-	}
-}
-
 // TestSendWaitTimesOutAndDrainsLateReply is TestTCPTimeout's shape for a
-// split call, on both carriers: a wait that outlives the timeout fails
-// with ErrTimeout, the late reply is drained, and the connection carries
-// the next split call. On the doorbell the slow call's window is the
-// whole segment, so the next one can only be placed once the late reply
-// proved its window quiescent.
+// vectored call, on both carriers: a call that outlives the timeout
+// fails with ErrTimeout, the late reply is drained, and the connection
+// carries the next vectored call. On the doorbell the slow call's window
+// is the whole segment, so the next one can only be placed once the late
+// reply proved its window quiescent.
 func TestSendWaitTimesOutAndDrainsLateReply(t *testing.T) {
 	for _, tg := range wireTargets(t, newTestServer().Server) {
 		t.Run(tg.name, func(t *testing.T) {
@@ -92,39 +54,31 @@ func TestSendWaitTimesOutAndDrainsLateReply(t *testing.T) {
 				size = targetSeg
 			}
 			wins, _ := gatherList(size/2, size-size/2)
-			r, err := rpc.Start(c, opSlow, nil, wins, rpc.BulkIn, rpc.Trace{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := r.Wait(); !errors.Is(err, ErrTimeout) {
-				t.Fatalf("slow split call: err = %v, want ErrTimeout", err)
+			if _, err := rpc.Call(c, opSlow, nil, wins, rpc.BulkIn, rpc.Trace{}); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("slow vectored call: err = %v, want ErrTimeout", err)
 			}
 			wins, want := gatherList(size/2, size-size/2)
 			for deadline := time.Now().Add(10 * time.Second); ; {
-				r, err := rpc.Start(c, opBulkEcho, nil, wins, rpc.BulkIn, rpc.Trace{})
-				var got []byte
-				if err == nil {
-					got, err = r.Wait()
-				}
+				got, err := rpc.Call(c, opBulkEcho, nil, wins, rpc.BulkIn, rpc.Trace{})
 				if err == nil {
 					if !bytes.Equal(got, want) {
-						t.Fatal("post-timeout split call delivered the wrong bytes")
+						t.Fatal("post-timeout vectored call delivered the wrong bytes")
 					}
 					return
 				}
 				if !errors.Is(err, ErrTimeout) || time.Now().After(deadline) {
-					t.Fatalf("post-timeout split call: %v", err)
+					t.Fatalf("post-timeout vectored call: %v", err)
 				}
 			}
 		})
 	}
 }
 
-// TestSendConnectionDiesBetweenSendAndWait sends three split calls to a
-// daemon that reads them and dies before answering. Each wait gets its
-// call's one delivery — the connection's failure, not a timeout — and
-// the dead connection refuses the next send before a byte of it is
-// written, as a call it would never run again.
+// TestSendConnectionDiesBetweenSendAndWait makes three concurrent
+// vectored calls to a daemon that reads them and dies before answering.
+// Each call gets its one delivery — the connection's failure, not a
+// timeout — and the dead connection refuses the next call before a byte
+// of it is written, as a call it would never run again.
 func TestSendConnectionDiesBetweenSendAndWait(t *testing.T) {
 	const calls = 3
 	died := make(chan struct{}, 2) // one per carrier; each fake daemon runs once, when dialed
@@ -144,46 +98,40 @@ func TestSendConnectionDiesBetweenSendAndWait(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			var replies []rpc.Reply
+			done := make(chan error, calls)
 			for i := 0; i < calls; i++ {
-				wins, _ := gatherList(4<<10, 100)
-				r, err := rpc.Start(c, opWrite, nil, wins, rpc.BulkIn, rpc.Trace{})
-				if err != nil {
-					t.Fatalf("send %d: %v", i, err)
-				}
-				replies = append(replies, r)
+				go func() {
+					wins, _ := gatherList(4<<10, 100)
+					_, err := rpc.Call(c, opWrite, nil, wins, rpc.BulkIn, rpc.Trace{})
+					done <- err
+				}()
 			}
 			select {
 			case <-died:
 			case <-time.After(5 * time.Second):
-				t.Fatal("the fake daemon never read the sends")
+				t.Fatal("the fake daemon never read the calls")
 			}
-			for i, r := range replies {
-				done := make(chan error, 1)
-				go func() {
-					_, err := r.Wait()
-					done <- err
-				}()
+			for i := 0; i < calls; i++ {
 				select {
 				case err := <-done:
 					if err == nil || errors.Is(err, ErrTimeout) {
-						t.Fatalf("wait %d after the daemon died: %v, want the connection's failure", i, err)
+						t.Fatalf("call after the daemon died: %v, want the connection's failure", err)
 					}
 				case <-time.After(5 * time.Second):
-					t.Fatalf("wait %d hung after the daemon died", i)
+					t.Fatalf("call %d of %d hung after the daemon died", i+1, calls)
 				}
 			}
 			wins, _ := gatherList(100)
 			var unsent *unsentError
-			if _, err := rpc.Start(c, opWrite, nil, wins, rpc.BulkIn, rpc.Trace{}); !errors.As(err, &unsent) {
-				t.Fatalf("send on the dead connection: %v, want it refused unsent", err)
+			if _, err := rpc.Call(c, opWrite, nil, wins, rpc.BulkIn, rpc.Trace{}); !errors.As(err, &unsent) {
+				t.Fatalf("call on the dead connection: %v, want it refused unsent", err)
 			}
 		})
 	}
 }
 
-// TestHostileResponseFailsSplitCall answers a split call with corrupt
-// responses on every carrier: its wait must end in a connection error —
+// TestHostileResponseFailsSplitCall answers a vectored call with corrupt
+// responses on every carrier: the call must end in a connection error —
 // not a panic, a hang or a success — and the connection must be
 // condemned.
 func TestHostileResponseFailsSplitCall(t *testing.T) {
@@ -221,11 +169,7 @@ func TestHostileResponseFailsSplitCall(t *testing.T) {
 				}
 				defer c.Close()
 				wins, _ := gatherList(8<<10, 8<<10)
-				r, err := rpc.Start(c, opWrite, nil, wins, rpc.BulkIn, rpc.Trace{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := r.Wait(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				if _, err := rpc.Call(c, opWrite, nil, wins, rpc.BulkIn, rpc.Trace{}); err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("corrupt response: err = %v, want one containing %q", err, tc.want)
 				}
 				if _, err := c.Call(opEcho, []byte("y"), nil, rpc.BulkNone); err == nil {

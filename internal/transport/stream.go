@@ -684,18 +684,11 @@ type conn struct {
 // until the call's response arrives (or the connection dies), because
 // the daemon may be writing into it until then. The claim protocol (see
 // abandon) guarantees neither is touched after the call returns.
-//
-// A started call is also its own rpc.Reply: c, id and op are what await
-// needs to take its reply.
 type pendingCall struct {
 	ch    chan result
 	dest  [][]byte
 	destN int
 	win   segSpan
-
-	c  *conn
-	id uint64
-	op rpc.Op
 }
 
 // callPool recycles pending calls, each with the channel it was made
@@ -708,7 +701,6 @@ var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan res
 // caller's memory.
 func recycle(pc *pendingCall) {
 	pc.dest, pc.destN, pc.win = nil, 0, segSpan{}
-	pc.c, pc.id, pc.op = nil, 0, 0
 	callPool.Put(pc)
 }
 
@@ -723,19 +715,17 @@ type result struct {
 // timing disabled. It never fires on the inline carrier.
 func (c *conn) SetSegWaitHist(h *telemetry.Histogram) { c.segWaitHist = h }
 
-// Call implements rpc.Conn: Start, then Wait.
+// Call implements rpc.Conn.
 func (c *conn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	return rpc.Call(c, op, payload, rpc.Region(bulk), dir, rpc.Trace{})
+	return c.CallVector(op, payload, rpc.Region(bulk), dir, rpc.Trace{})
 }
 
-// Start implements rpc.Starter; it is the connection's one entry point.
-// It sets the call's region up once — BulkIn windows for start to send
-// inline from where they lie or copy into a segment window, BulkOut
+// CallVector implements rpc.Vectored; it is the connection's one entry
+// point. It sets the call's region up once — BulkIn windows for start to
+// send inline from where they lie or copy into a segment window, BulkOut
 // windows for the read loop (inline) or settle (by reference) to fill in
-// order — and runs start. It returns once start has written the frame,
-// so nothing of the transport references a BulkIn window any more. The
-// started call is its own reply; its Wait is await.
-func (c *conn) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) (rpc.Reply, error) {
+// order — then runs start and await.
+func (c *conn) CallVector(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
 	pc := callPool.Get().(*pendingCall)
 	n := 0
 	for _, w := range bulk {
@@ -750,23 +740,22 @@ func (c *conn) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, 
 	case dir == rpc.BulkOut:
 		pc.dest, pc.destN = bulk, n
 	}
-	if err := c.start(pc, op, payload, in, n, dir, tr); err != nil {
+	id, err := c.start(pc, op, payload, in, n, dir, tr)
+	if err != nil {
 		return nil, err
 	}
-	return pc, nil
+	return c.await(pc, id, op)
 }
-
-// Wait implements rpc.Reply for a call Start started.
-func (pc *pendingCall) Wait() ([]byte, error) { return pc.c.await(pc) }
 
 // start is the first half of every call: reserve a segment window and,
 // for BulkIn, copy the bytes into it (by reference) → register → write
 // the frame. in is the BulkIn windows (nil otherwise) and n the size of
-// the region the call exposes in either direction. A nil return means
-// the call is registered and on the wire, and await owes it its reply;
-// on error the call is over — delivered to or abandoned — and pc is
-// recycled. Either way nothing of the transport references in any more.
-func (c *conn) start(pc *pendingCall, op rpc.Op, payload []byte, in [][]byte, n int, dir rpc.BulkDir, tr rpc.Trace) error {
+// the region the call exposes in either direction. A nil error means the
+// call is registered under the returned id and on the wire, and await
+// owes it its reply; on error the call is over — delivered to or
+// abandoned — and pc is recycled. Either way nothing of the transport
+// references in any more.
+func (c *conn) start(pc *pendingCall, op rpc.Op, payload []byte, in [][]byte, n int, dir rpc.BulkDir, tr rpc.Trace) (uint64, error) {
 	if c.seg != nil && dir != rpc.BulkNone {
 		// By reference: reserve a window and, for BulkIn, stage the bytes
 		// in it — the one copy this direction costs.
@@ -780,7 +769,7 @@ func (c *conn) start(pc *pendingCall, op rpc.Op, payload []byte, in [][]byte, n 
 		}
 		if err != nil {
 			recycle(pc)
-			return err
+			return 0, err
 		}
 		pc.win = segSpan{off, n}
 		win := c.seg[off : off+n]
@@ -796,12 +785,11 @@ func (c *conn) start(pc *pendingCall, op rpc.Op, payload []byte, in [][]byte, n 
 			c.alloc.release(pc.win.off, pc.win.n)
 		}
 		recycle(pc)
-		return &unsentError{err}
+		return 0, &unsentError{err}
 	}
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = pc
-	pc.c, pc.id, pc.op = c, id, op
 	c.mu.Unlock()
 
 	// Gather on TX: everything but inline bulk goes out as one pooled
@@ -831,15 +819,15 @@ func (c *conn) start(pc *pendingCall, op rpc.Op, payload []byte, in [][]byte, n 
 			c.settle(pc, <-pc.ch)
 		}
 		recycle(pc)
-		return err
+		return 0, err
 	}
-	return nil
+	return id, nil
 }
 
-// await is the second half of every call: wait for the delivery or time
-// out → settle. Every return follows the call's delivery or its abandon,
-// so pc is recycled on the way out.
-func (c *conn) await(pc *pendingCall) ([]byte, error) {
+// await is the second half of every call: wait for the delivery of call
+// id (op) or time out → settle. Every return follows the call's delivery
+// or its abandon, so pc is recycled on the way out.
+func (c *conn) await(pc *pendingCall, id uint64, op rpc.Op) ([]byte, error) {
 	defer recycle(pc)
 	var timeoutCh <-chan time.Time
 	var timer *time.Timer
@@ -854,9 +842,9 @@ func (c *conn) await(pc *pendingCall) ([]byte, error) {
 		}
 		return c.settle(pc, res)
 	case <-timeoutCh:
-		if c.abandon(pc.id) {
+		if c.abandon(id) {
 			releaseTimer(timer)
-			return nil, fmt.Errorf("%w: call %d op %d after %v", ErrTimeout, pc.id, pc.op, c.timeout)
+			return nil, fmt.Errorf("%w: call %d op %d after %v", ErrTimeout, id, op, c.timeout)
 		}
 		// Too late to time out: the read loop already claimed this call
 		// and may be scattering bulk bytes into our dest buffer right

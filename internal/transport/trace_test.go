@@ -46,8 +46,8 @@ func TestTraceRoundTripAllTransports(t *testing.T) {
 	srv := newTestServer().Server
 	rec := newTraceRecorder(srv)
 	for name, c := range conns(t, srv) {
-		if _, ok := c.(rpc.Starter); !ok {
-			t.Errorf("%s: connection does not implement rpc.Starter", name)
+		if _, ok := c.(rpc.Vectored); !ok {
+			t.Errorf("%s: connection does not implement rpc.Vectored", name)
 			continue
 		}
 		t.Run(name, func(t *testing.T) {

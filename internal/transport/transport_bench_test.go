@@ -43,7 +43,7 @@ func benchRoundTrip(b *testing.B, c rpc.Conn) {
 
 // benchBulkOutScatter moves two 512 KiB spans — one prefetch group of
 // the client's read path — into two separate buffers, the way a
-// connection without the Starter extension does it (one pooled
+// connection without the Vectored extension does it (one pooled
 // contiguous region, then a copy per window: rpc.Call's staging
 // fallback, reached by hiding the extension) and as a scatter list. The difference
 // is the client-side pass over every byte the list removes.

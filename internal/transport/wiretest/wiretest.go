@@ -4,12 +4,12 @@
 // connections, and the carrier matrix that serves an rpc.Server over
 // every transport the platform has.
 //
-// The contract: Conn implements rpc.Starter by forwarding Start, so the
-// code under test runs the split call production runs — never rpc's
-// staging fallback, which only a Conn without Start gets. A hold stops a
-// reply in Wait, after the daemon has applied the call; a gate stops a
-// call before it is sent. Only tests import this package: no non-test
-// package may (CI's lint step fails on one).
+// The contract: Conn implements rpc.Vectored by forwarding CallVector,
+// so the code under test runs the vectored call production runs — never
+// rpc's staging fallback, which only a Conn without the extension gets.
+// A hold stops a call once it has returned, after the daemon has applied
+// it; a gate stops a call before it is sent. Only tests import this
+// package: no non-test package may (CI's lint step fails on one).
 package wiretest
 
 import (
@@ -66,7 +66,7 @@ func (s *Script) Wrap(conns []rpc.Conn) {
 	}
 }
 
-// Take returns the calls started since the last Take, in start order.
+// Take returns the calls made since the last Take, in the order they began.
 func (s *Script) Take() []Call {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -75,12 +75,12 @@ func (s *Script) Take() []Call {
 	return calls
 }
 
-// Hold holds the reply of the n-th call started from now on that match
-// accepts (nil accepts every call) until Release: the daemon has applied
-// the call, only its reply lands late.
+// Hold holds the n-th call made from now on that match accepts (nil
+// accepts every call) once it has returned, until Release: the daemon
+// has applied the call, only its reply lands late.
 func (s *Script) Hold(n int, match func(Call) bool) *Hold { return s.stop(n, match, false) }
 
-// Gate stops the n-th call started from now on that match accepts (nil
+// Gate stops the n-th call made from now on that match accepts (nil
 // accepts every call) before it is sent, until Release.
 func (s *Script) Gate(n int, match func(Call) bool) *Hold { return s.stop(n, match, true) }
 
@@ -95,7 +95,7 @@ func (s *Script) stop(n int, match func(Call) bool, gate bool) *Hold {
 	return h
 }
 
-// Sever fails every call started from now on with ErrSevered, unsent.
+// Sever fails every call made from now on with ErrSevered, unsent.
 func (s *Script) Sever() {
 	s.mu.Lock()
 	s.severed = true
@@ -172,10 +172,10 @@ type Conn struct {
 	s    *Script
 }
 
-// Start implements rpc.Starter: it forwards the call to the wrapped
-// connection's Start, after the script's gate and sever and with the
-// script's hold on its reply.
-func (c *Conn) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) (rpc.Reply, error) {
+// CallVector implements rpc.Vectored: it forwards the call to the
+// wrapped connection through rpc.Call, after the script's gate and sever,
+// and the script's hold stops it once it has returned.
+func (c *Conn) CallVector(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, tr rpc.Trace) ([]byte, error) {
 	gate, hold, severed := c.s.begin(Call{Node: c.node, Op: op, Dir: dir, Windows: append([][]byte(nil), bulk...)})
 	if severed {
 		return nil, ErrSevered
@@ -183,26 +183,14 @@ func (c *Conn) Start(op rpc.Op, payload []byte, bulk [][]byte, dir rpc.BulkDir, 
 	if gate != nil {
 		gate.wait()
 	}
-	r, err := rpc.Start(c.Conn, op, payload, bulk, dir, tr)
-	if err != nil || hold == nil {
-		return r, err
+	resp, err := rpc.Call(c.Conn, op, payload, bulk, dir, tr)
+	if hold != nil {
+		hold.wait()
 	}
-	return heldReply{r, hold}, nil
-}
-
-// Call implements rpc.Conn as Start followed by Wait.
-func (c *Conn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
-	return rpc.Call(c, op, payload, rpc.Region(bulk), dir, rpc.Trace{})
-}
-
-// heldReply is a reply a hold stops once it has arrived.
-type heldReply struct {
-	rpc.Reply
-	h *Hold
-}
-
-func (r heldReply) Wait() ([]byte, error) {
-	resp, err := r.Reply.Wait()
-	r.h.wait()
 	return resp, err
+}
+
+// Call implements rpc.Conn through CallVector.
+func (c *Conn) Call(op rpc.Op, payload, bulk []byte, dir rpc.BulkDir) ([]byte, error) {
+	return c.CallVector(op, payload, rpc.Region(bulk), dir, rpc.Trace{})
 }

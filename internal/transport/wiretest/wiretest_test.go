@@ -27,9 +27,10 @@ func echoServer() *rpc.Server {
 // a two-window BulkIn call through a Conn draws from the pool exactly
 // what the same call on the bare connection draws — no staging region —
 // and the handler sees the windows' bytes, concatenated. The control arm
-// shows the count would see a lost Start: through a Call-only wrapper the
-// call draws one region more on every carrier that splits a call, all
-// but mem, which stages every window list itself.
+// shows the count would see a lost CallVector: through a Call-only
+// wrapper the call draws one region more on every carrier that takes a
+// window list on the wire, all but mem, which stages every window list
+// itself.
 func TestConnForwardsStart(t *testing.T) {
 	wins := [][]byte{bytes.Repeat([]byte{1}, 96<<10), bytes.Repeat([]byte{2}, 32<<10)}
 	want := bytes.Join(wins, nil)
@@ -57,7 +58,7 @@ func TestConnForwardsStart(t *testing.T) {
 			if got := draws(conns[0]); got != base {
 				t.Fatalf("through the interposer the call drew %d regions of its size, on the bare connection %d", got, base)
 			}
-			// struct{ rpc.Conn } hides Start, as a Call-only wrapper does.
+			// struct{ rpc.Conn } hides CallVector, as a Call-only wrapper does.
 			if got := draws(struct{ rpc.Conn }{bare}); name != Mem && got != base+1 {
 				t.Fatalf("through a Call-only wrapper the call drew %d regions of its size, want %d", got, base+1)
 			}
@@ -112,7 +113,7 @@ func TestKilledListenerClosesLateAccept(t *testing.T) {
 
 // TestScriptStops drives one of each stop on the mem carrier: a gate
 // holds the n-th matching call before the handler runs, a hold returns
-// the n-th matching reply only on Release with the call already applied,
+// the n-th matching call only on Release with the call already applied,
 // and a severed script fails calls unsent.
 func TestScriptStops(t *testing.T) {
 	var applied atomic.Int64

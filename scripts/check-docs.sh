@@ -37,6 +37,14 @@
 #     says nothing, for a term that matches no test). The deliberate
 #     match-nothing patterns `^$` and `-` are skipped, and a term is
 #     checked up to its first `/` (the top-level test name).
+# 10. Every backticked exported `pkg.Name` (also `pkg.Type.Method`) whose
+#     pkg is an internal package (`rpc.`, `transport.`, `client.`,
+#     `chunkstore.`, …) must resolve to a declaration in that package
+#     (`go doc`), so a renamed or deleted API cannot stay cited — the
+#     code-symbol half of gates 5, 7 and 8. It scans README.md,
+#     docs/ARCHITECTURE.md, docs/INVARIANTS.md and docs/OBSERVABILITY.md
+#     and skips struck-through `~~…~~` text; BENCHMARKS.md, ROADMAP.md,
+#     CHANGES.md and docs/bench/ are history, as for gate 8.
 #
 # Flag extraction covers three shapes:
 #   - backticked `-flags` on lines naming the binary (prose, usage),
@@ -213,6 +221,28 @@ while IFS= read -r line; do
   done < <(grep -oE -- "-(run|fuzz) ('[^']*'|[^ ]+)" <<< "$line")
 done < <(grep -E 'go test .*-(run|fuzz) ' "$ci")
 
+# Every internal package's exported name the current docs cite must be
+# declared in that package.
+declare -A pkgdir
+while read -r name path; do
+  pkgdir[$name]=./${path#*/}
+done < <(go list -f '{{.Name}} {{.ImportPath}}' ./internal/...)
+if [ ${#pkgdir[@]} -eq 0 ]; then
+  echo "no internal packages listed — extraction is broken"
+  fail=1
+fi
+while read -r pkg name; do
+  [ -n "${pkgdir[$pkg]:-}" ] || continue
+  if ! go doc -c "${pkgdir[$pkg]}" "$name" > /dev/null 2>&1; then
+    echo "docs name $pkg.$name, which ${pkgdir[$pkg]} does not declare"
+    fail=1
+  fi
+done < <(
+  perl -ne 's/~~.*?~~//g; while (/`([^`]+)`/g) { my $s = $1;
+      print "$1 $2\n" while $s =~ /(?<![\w.])([a-z]+)\.([A-Z]\w*(?:\.[A-Z]\w*)?)/g }' \
+    README.md docs/ARCHITECTURE.md docs/INVARIANTS.md docs/OBSERVABILITY.md | sort -u
+)
+
 # Emit every table cell under a "CLI" column header, across all docs:
 # the shared flags (internal/cli), which every checked binary must have.
 cli_cells() {
@@ -258,4 +288,4 @@ if [ "$fail" -ne 0 ]; then
   echo "docs check failed"
   exit 1
 fi
-echo "docs check OK: package comments present, documented flags, options, paths and benchmarks exist, protocol generation current, every CI test pattern term matches a test"
+echo "docs check OK: package comments present, documented flags, options, paths and benchmarks exist, protocol generation current, every CI test pattern term matches a test, every cited internal API exists"
