@@ -267,12 +267,11 @@ func runStats(c *client.Client, jsonOut bool) {
 	cs := c.Stats()
 	fmt.Printf("size floor: size-updates-elided=%d size-probes-elided=%d\n",
 		cs.SizeUpdatesElided, cs.SizeProbesElided)
-	// The metadata engine: resolves near folds means hot size keys keep
-	// losing their base to checkpoints.
+	// The metadata engine: each checkpoint folded a full log into the
+	// base.
 	var kv kvstore.Stats
 	total.View(&kv)
-	fmt.Printf("metadata store: folds=%d resolves=%d checkpoints=%d\n",
-		kv.MergeFolds, kv.MergeResolves, kv.Checkpoints)
+	fmt.Printf("metadata store: checkpoints=%d\n", kv.Checkpoints)
 	// The open-chunk cache: a low hit share on a small-I/O workload means
 	// its hot chunk set outgrew the cache and every miss pays an open. The
 	// mapped share is the read-reply bytes sent from a chunk file's mapping

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -423,10 +424,14 @@ func (d *Daemon) handleTruncateChunks(req []byte, _ rpc.Bulk) ([]byte, error) {
 // continuation token, plus the token for the next page (empty when the
 // scan is exhausted). Paging bounds the response frame regardless of
 // directory size — a listing that once had to fit in a single frame now
-// streams. The scan runs against a point-in-time iterator locally, but
-// pages and the client's cross-daemon merge see no global lock — the
-// eventual consistency the paper accepts for indirect operations like
-// `ls -l` (§III-A).
+// streams. Each child is encoded into the reply as the scan finds it,
+// and the count is patched in once the page is full. The scan sees no
+// single point in time: a child live for the whole scan is listed once,
+// one absent for the whole scan never, and one created or removed
+// meanwhile may show or not (kvstore.Iterator). Pages and the client's
+// cross-daemon merge see no global lock either — the eventual
+// consistency the paper accepts for indirect operations like `ls -l`
+// (§III-A).
 func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 	dec := rpc.NewDec(req)
 	dir := dec.Str()
@@ -458,13 +463,10 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 		return nil, err
 	}
 	defer it.Close()
-	type ent struct {
-		name  string
-		isDir bool
-		size  int64
-	}
-	var ents []ent
-	next := ""
+	e := okResp(512)
+	e.U32(0) // the entry count, patched below
+	var n uint32
+	last, next := "", ""
 	for it.Seek(start); it.Valid(); it.Next() {
 		p := string(it.Key())
 		if len(p) < len(prefix) || p[:len(prefix)] != prefix {
@@ -473,31 +475,30 @@ func (d *Daemon) handleReadDir(req []byte, _ rpc.Bulk) ([]byte, error) {
 		if !meta.IsChildOf(p, dir) {
 			continue // deeper descendant hashed here
 		}
-		if uint32(len(ents)) == limit {
+		if n == limit {
 			// A further child exists: hand back a token so the client
 			// asks for the next page.
-			next = ents[len(ents)-1].name
+			next = last
 			break
 		}
 		m, err := meta.DecodeMetadata(it.Value())
 		if err != nil {
 			return nil, fmt.Errorf("readdir %s: corrupt record at %s: %w", dir, p, err)
 		}
-		ents = append(ents, ent{name: meta.Base(p), isDir: m.IsDir(), size: m.Size})
-	}
-	e := okResp(16*len(ents) + len(next) + 8)
-	e.U32(uint32(len(ents)))
-	for _, en := range ents {
-		e.Str(en.name)
-		if en.isDir {
+		last = meta.Base(p)
+		e.Str(last)
+		if m.IsDir() {
 			e.U8(1)
 		} else {
 			e.U8(0)
 		}
-		e.I64(en.size)
+		e.I64(m.Size)
+		n++
 	}
 	e.Str(next)
-	return e.Bytes(), nil
+	resp := e.Bytes()
+	binary.LittleEndian.PutUint32(resp[2:], n)
+	return resp, nil
 }
 
 // handleStats serves the daemon's telemetry snapshot — the document

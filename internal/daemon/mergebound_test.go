@@ -26,14 +26,13 @@ var rewriteSeed = flag.Int64("rewrite.seed", 1, "seed of TestSharedFileRewritesS
 // is what puts one size-grow merge per write on the key. The path is long
 // enough that the store's log passes its checkpoint trigger every few
 // thousand rewrites, and each checkpoint hands the key to a fresh
-// memtable where its run of bare merge operands starts over. A size
-// update costs the run it walks, so the cost stays flat only if every run
-// stays short: counted, not timed, in every window of 2 000 rewrites the
-// operands the store left unfolded must fit in runs of fewer than
-// runBound — one run per resolve that closed one, per checkpoint that
-// began one, plus one still open. The grow's contract must be what it
-// was: the final size and mtime are right, and a grow against a
-// directory is refused.
+// memtable. A size update costs what the key's entries cost, so the cost
+// stays flat only if the store folds every grow into the key's one entry:
+// counted, not timed, at the end of every window of 2 000 rewrites the
+// active memtable holds fewer bytes than two copies of the path — the
+// key once, beside at most the root's small record. The grow's contract
+// must be what it was: the final size and mtime are right, and a grow
+// against a directory is refused.
 func TestSharedFileRewritesStayFlat(t *testing.T) {
 	d, err := daemon.New(daemon.Config{FS: vfs.NewMem()})
 	if err != nil {
@@ -59,9 +58,6 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 		window = 2000
 		block  = 8 << 10
 		blocks = 512 // a 4 MiB file
-		// runBound is the store's cap on a key's run of bare merge
-		// operands (kvstore's mergeRunBound).
-		runBound = 8
 	)
 	rnd := rand.New(rand.NewSource(*rewriteSeed))
 	buf := make([]byte, block)
@@ -71,17 +67,11 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 	}
 	var size int64
 	var lastStart time.Time
-	prev := kvStats()
 	for i := 0; i < writes; i++ {
 		if i > 0 && i%window == 0 {
-			kv := kvStats()
-			unfolded := (kv.Merges - prev.Merges) - (kv.MergeFolds - prev.MergeFolds)
-			runs := (kv.MergeResolves - prev.MergeResolves) + (kv.Checkpoints - prev.Checkpoints) + 1
-			if unfolded > (runBound-1)*runs {
-				t.Errorf("rewrites %d-%d left %d merge operands unfolded in at most %d runs: a run outgrew %d",
-					i-window, i, unfolded, runs, runBound-1)
+			if mem := d.MemTableBytes(); mem >= 2*int64(len(shared)) {
+				t.Errorf("after %d rewrites the memtable holds %d bytes: more than one entry for the %d-byte path", i, mem, len(shared))
 			}
-			prev = kv
 		}
 		off := int64(rnd.Intn(blocks)) * block
 		lastStart = time.Now()

@@ -77,8 +77,8 @@ func BenchmarkMergeSizeUpdate(b *testing.B) {
 
 // BenchmarkGetAfterMerges reads a key that took 10, 10³ and 10⁵ merges
 // since its put. The three lines are flat — ns/op, B/op and allocs/op do
-// not depend on the merge count — because inserts keep a key's merge run
-// bounded (fold.go).
+// not depend on the merge count — because each merge is folded into the
+// key's one entry as it is inserted (fold.go).
 func BenchmarkGetAfterMerges(b *testing.B) {
 	for _, merges := range []int{10, 1000, 100000} {
 		b.Run(fmt.Sprintf("merges=%d", merges), func(b *testing.B) {

@@ -14,20 +14,20 @@ import (
 // The checkpoint holds the whole store below the memtables in one file.
 // CHECKPOINT's layout:
 //
-//	[magic u64][lastSeq u64][walNum u64][count u64]
+//	[magic u64][walNum u64][count u64]
 //	count × [klen uvarint][key][vlen uvarint][val], keys ascending
 //	[crc32c u32 over everything before it]
 //
-// lastSeq is the newest sequence number the checkpoint covers, walNum the
-// newest log; recovery replays only the logs numbered above it. A new
-// checkpoint is written to CHECKPOINT.tmp, synced and renamed over
-// CHECKPOINT, so the file is always whole: any damage to it is corruption,
-// never a crash-lost tail, and fails Open.
+// walNum is the newest log the checkpoint covers; recovery replays only
+// the logs numbered above it. A new checkpoint is written to
+// CHECKPOINT.tmp, synced and renamed over CHECKPOINT, so the file is
+// always whole: any damage to it is corruption, never a crash-lost tail,
+// and fails Open.
 const (
 	checkpointName  = "CHECKPOINT"
 	checkpointTmp   = "CHECKPOINT.tmp"
-	checkpointMagic = 0x67656b6b6f636b31 // "gekkock1"
-	checkpointHdr   = 32
+	checkpointMagic = 0x67656b6b6f636b32 // "gekkock2"
+	checkpointHdr   = 24
 )
 
 // checkpointLogBytes is the floor of the checkpoint trigger: the active
@@ -42,18 +42,15 @@ const checkpointLogBytes = 4 << 20
 // collector scans it in O(1), and it is never modified: a reader keeps the
 // base it started on for as long as it likes.
 type base struct {
-	seq  uint64 // every record's sequence number: the checkpoint's lastSeq
 	buf  []byte // the checkpoint file's bytes
 	offs []int  // record offsets into buf, in key order
 }
 
 // frozen is a memtable whose log is full, waiting for the background
-// goroutine to fold it into the base: the newest log and sequence number
-// it covers.
+// goroutine to fold it into the base, and the newest log it covers.
 type frozen struct {
 	mt     *memTable
 	walNum uint64
-	seq    uint64
 }
 
 // record decodes the i-th record. The slices alias the base, capped so an
@@ -74,16 +71,14 @@ func (b *base) search(key []byte) int {
 	})
 }
 
-// fold feeds f key's record, if the base holds one. Every chain ends
-// here. No snapshot check is needed: a base is installed only once the
-// sequence numbers it covers are below every snapshot that can see it.
-func (b *base) fold(key []byte, f *chainFold) {
+// get returns key's value, if the base holds the key.
+func (b *base) get(key []byte) ([]byte, bool) {
 	if i := b.search(key); i < len(b.offs) {
 		if k, v := b.record(i); bytes.Equal(k, key) {
-			f.seen++
-			f.base, f.closed = entry{key: k, val: v, seq: b.seq, kind: kindPut}, true
+			return v, true
 		}
 	}
+	return nil, false
 }
 
 func (b *base) iter() *baseIter { return &baseIter{b: b} }
@@ -97,17 +92,7 @@ type baseIter struct {
 
 func (it *baseIter) seekFirst() { it.set(0) }
 
-func (it *baseIter) seek(probe *entry) {
-	i := it.b.search(probe.key)
-	// A record of probe's key newer than probe.seq sorts before it; the
-	// iterator's skipKey seeks to {key, 0} to pass it (b.seq >= 1).
-	if i < len(it.b.offs) && it.b.seq > probe.seq {
-		if k, _ := it.b.record(i); bytes.Equal(k, probe.key) {
-			i++
-		}
-	}
-	it.set(i)
-}
+func (it *baseIter) seek(key []byte) { it.set(it.b.search(key)) }
 
 func (it *baseIter) valid() bool { return it.i < len(it.b.offs) }
 
@@ -118,42 +103,30 @@ func (it *baseIter) cur() *entry { return &it.e }
 func (it *baseIter) set(i int) {
 	if it.i = i; it.valid() {
 		k, v := it.b.record(i)
-		it.e = entry{key: k, val: v, seq: it.b.seq, kind: kindPut}
+		it.e = entry{key: k, val: v, kind: kindPut}
 	}
 }
 
 // foldBase returns the base that results from folding im into old, with
-// the checkpoint file's bytes already laid out in it. Tombstones and the
-// versions they shadow are dropped; a chain of bare merge operands is
-// folded into the put it resolves to.
-func (db *DB) foldBase(old *base, im *frozen) *base {
+// the checkpoint file's bytes already laid out in it. A key the memtable
+// holds takes its entry from there; tombstones are dropped.
+func foldBase(old *base, im *frozen) *base {
 	buf := make([]byte, checkpointHdr, checkpointHdr+len(old.buf)+int(im.mt.sizeBytes()))
 	offs := make([]int, 0, len(old.offs)+im.mt.entries())
 	it := newMergeIter([]internalIterator{im.mt.iter(), old.iter()})
-	var f chainFold
-	for it.seekFirst(); it.valid(); {
-		key := it.cur().key
-		f.reset()
-		for ; it.valid() && bytes.Equal(it.cur().key, key); it.next() {
-			if !f.closed {
-				f.add(it.cur())
-			}
-		}
-		val, live := f.base.val, f.base.kind == kindPut
-		if len(f.ops) > 0 {
-			val, live = db.foldValue(key, &f, nil)
-		}
-		if !live {
+	for it.seekFirst(); it.valid(); it.next() {
+		e := it.cur()
+		if e.kind != kindPut {
 			continue
 		}
 		offs = append(offs, len(buf))
-		buf = binary.AppendUvarint(buf, uint64(len(key)))
-		buf = append(buf, key...)
-		buf = binary.AppendUvarint(buf, uint64(len(val)))
-		buf = append(buf, val...)
+		buf = binary.AppendUvarint(buf, uint64(len(e.key)))
+		buf = append(buf, e.key...)
+		buf = binary.AppendUvarint(buf, uint64(len(e.val)))
+		buf = append(buf, e.val...)
 	}
-	// A memtable of overwrites folds to far less than it held: keep only
-	// what the base uses.
+	// Tombstones and overwrites of base keys fold to less than the
+	// estimate: keep only what the base uses.
 	if cap(buf) > len(buf)+len(buf)/8 {
 		buf = append(make([]byte, 0, len(buf)+4), buf...)
 	}
@@ -161,11 +134,10 @@ func (db *DB) foldBase(old *base, im *frozen) *base {
 		offs = append([]int(nil), offs...)
 	}
 	binary.LittleEndian.PutUint64(buf[0:], checkpointMagic)
-	binary.LittleEndian.PutUint64(buf[8:], im.seq)
-	binary.LittleEndian.PutUint64(buf[16:], im.walNum)
-	binary.LittleEndian.PutUint64(buf[24:], uint64(len(offs)))
+	binary.LittleEndian.PutUint64(buf[8:], im.walNum)
+	binary.LittleEndian.PutUint64(buf[16:], uint64(len(offs)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return &base{seq: im.seq, buf: buf, offs: offs}
+	return &base{buf: buf, offs: offs}
 }
 
 // writeCheckpoint makes buf the durable CHECKPOINT: written to the tmp
@@ -228,7 +200,7 @@ func decodeCheckpoint(buf []byte) (*base, uint64, error) {
 	if binary.LittleEndian.Uint64(body) != checkpointMagic {
 		return nil, 0, errors.New("bad magic")
 	}
-	count := binary.LittleEndian.Uint64(body[24:])
+	count := binary.LittleEndian.Uint64(body[16:])
 	if count > uint64(len(body)) {
 		return nil, 0, fmt.Errorf("record count %d exceeds the file", count)
 	}
@@ -247,8 +219,7 @@ func decodeCheckpoint(buf []byte) (*base, uint64, error) {
 	if uint64(len(offs)) != count {
 		return nil, 0, fmt.Errorf("%d records, header says %d", len(offs), count)
 	}
-	b := &base{seq: binary.LittleEndian.Uint64(body[8:]), buf: buf, offs: offs}
-	return b, binary.LittleEndian.Uint64(body[16:]), nil
+	return &base{buf: buf, offs: offs}, binary.LittleEndian.Uint64(body[8:]), nil
 }
 
 // backgroundWork is the one maintenance goroutine: it checkpoints each
@@ -280,7 +251,7 @@ func (db *DB) backgroundWork() {
 func (db *DB) runCheckpoint() error {
 	im, old := db.imm, db.base
 	db.mu.Unlock()
-	nb := db.foldBase(old, im)
+	nb := foldBase(old, im)
 	err := writeCheckpoint(db.fs, nb.buf)
 	db.mu.Lock()
 	if err != nil {

@@ -206,7 +206,7 @@ func TestCrashAtCheckpointSteps(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			if err := acked.checkAgainst(re, nil, keys); err != nil {
+			if err := acked.checkAgainst(re, keys); err != nil {
 				t.Fatalf("after recovery: %v", err)
 			}
 			if n := re.Stats().Checkpoints; n != tc.checkpoints {

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/vfs"
 )
@@ -15,10 +14,10 @@ import (
 // MergeOperator combines a key's existing value (nil if absent) with merge
 // operands, oldest first, producing the new value. GekkoFS daemons use it
 // for lock-free file-size updates, mirroring the released system's RocksDB
-// merge operands. The store folds operands whenever it likes — at insert,
-// on WAL replay, at a checkpoint — so the operator must be a pure
-// function of its arguments, must return a fresh buffer, and applying it
-// in steps must equal applying it once:
+// merge operands. The store folds each operand into the key's value as
+// it is inserted, and again on WAL replay, so the operator must be a pure
+// function of its arguments, must not modify existing, must return a
+// fresh buffer, and applying it in steps must equal applying it once:
 // m(k, m(k, v, a), b) == m(k, v, a++b).
 type MergeOperator func(key, existing []byte, operands [][]byte) []byte
 
@@ -50,13 +49,6 @@ type Stats struct {
 	Merges  uint64 `metric:"gkfs_kv_merges_total"`
 	// Checkpoints counts frozen memtables folded into the checkpoint.
 	Checkpoints uint64 `metric:"gkfs_kv_checkpoints_total"`
-	// MergeFolds counts merge operands stored as the folded put at insert;
-	// MergeResolves counts the folds among them that had to look the base
-	// up below the active memtable because a run reached its bound — a
-	// resolve rate near the fold rate means hot keys keep losing their
-	// base to checkpoints.
-	MergeFolds    uint64 `metric:"gkfs_kv_merge_folds_total"`
-	MergeResolves uint64 `metric:"gkfs_kv_merge_resolves_total"`
 	// MemBytes is the active memtable's approximate size.
 	MemBytes int64
 }
@@ -84,14 +76,10 @@ type DB struct {
 	base     *base
 	wal      *walWriter
 	walNum   uint64
-	seq      uint64
 	closed   bool
 	bgErr    error
 	workDone chan struct{}
 	stats    Stats
-	// visited counts the versions chain folds examined; tests pin read
-	// cost on it.
-	visited atomic.Uint64
 
 	keyLocks [64]sync.Mutex // striped locks backing PutIfAbsent
 }
@@ -116,8 +104,7 @@ func Open(opts Options) (*DB, error) {
 	if db.base, db.walNum, err = loadCheckpoint(db.fs); err != nil {
 		return nil, err
 	}
-	db.seq = db.base.seq
-	db.mem = newMemTable(int64(db.seq) + 1)
+	db.mem = newMemTable(int64(db.walNum))
 	if err := db.recoverWALs(); err != nil {
 		return nil, err
 	}
@@ -155,16 +142,16 @@ func (db *DB) recoverWALs() error {
 		if err != nil {
 			return err
 		}
-		maxSeq, err := replayWAL(f, db.insertLocked)
+		err = replayWAL(f, db.insertLocked)
 		f.Close()
 		if err != nil {
 			return err
 		}
-		db.seq, db.walNum = max(db.seq, maxSeq), num
+		db.walNum = num
 	}
 	if db.mem.entries() > 0 {
-		db.imm = &frozen{mt: db.mem, walNum: db.walNum, seq: db.seq}
-		db.mem = newMemTable(int64(db.seq) + 1)
+		db.imm = &frozen{mt: db.mem, walNum: db.walNum}
+		db.mem = newMemTable(int64(db.walNum))
 		db.mu.Lock()
 		err := db.runCheckpoint()
 		db.mu.Unlock()
@@ -204,12 +191,9 @@ func (db *DB) Delete(key []byte) error {
 	return db.apply([]entry{{key: key, kind: kindDelete}})
 }
 
-// Merge records a merge operand for key. The log keeps the operand. The
-// memtable keeps it too while the key has only a few bare operands there;
-// once the key's newest version is a put or a delete, or the operand would
-// be its mergeRunBound-th in a row, the memtable keeps the value
-// Options.Merger folds it into instead (insertLocked) — so resolving a key
-// never costs more than a bounded walk.
+// Merge records a merge operand for key. The log keeps the operand; the
+// memtable keeps the value Options.Merger folds it into (insertLocked), so
+// a key merged into 10⁵ times is one entry, read as cheaply as any other.
 func (db *DB) Merge(key, operand []byte) error {
 	if db.opts.Merger == nil {
 		return ErrNoMerger
@@ -281,9 +265,9 @@ func (db *DB) apply(ops []entry) error {
 	return db.applyEntries(ops, false)
 }
 
-// applyEntries assigns sequence numbers, logs, and inserts the
-// operations. owned declares that the entries' key/value buffers belong
-// to the store already and need no defensive copy.
+// applyEntries logs and inserts the operations. owned declares that the
+// entries' key/value buffers belong to the store already and need no
+// defensive copy.
 func (db *DB) applyEntries(ops []entry, owned bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -305,13 +289,7 @@ func (db *DB) applyEntries(ops []entry, owned bool) error {
 		return err
 	}
 
-	first := db.seq + 1
-	for i := range ops {
-		ops[i].seq = first + uint64(i)
-	}
-	db.seq += uint64(len(ops))
-
-	if err := db.wal.append(first, ops, db.opts.SyncWAL); err != nil {
+	if err := db.wal.append(ops, db.opts.SyncWAL); err != nil {
 		return err
 	}
 	for i := range ops {
@@ -338,11 +316,11 @@ func (db *DB) applyEntries(ops []entry, owned bool) error {
 // goroutine as the next checkpoint's input and starts a fresh pair.
 // Caller holds db.mu and has waited out the previous checkpoint.
 func (db *DB) freezeLocked() error {
-	im, old := &frozen{mt: db.mem, walNum: db.walNum, seq: db.seq}, db.wal
+	im, old := &frozen{mt: db.mem, walNum: db.walNum}, db.wal
 	if err := db.rotateWAL(); err != nil {
 		return err
 	}
-	db.imm, db.mem = im, newMemTable(int64(db.seq)+1)
+	db.imm, db.mem = im, newMemTable(int64(db.walNum))
 	db.cond.Broadcast()
 	return old.close()
 }
@@ -368,20 +346,17 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	db.stats.Gets++
-	// Memtables are append-only and the base immutable: the lookup needs
-	// nothing but the pointers, since nothing is closed under it.
-	mem, imm, b, snap := db.mem, db.imm, db.base, db.seq
+	// A memtable copies its entry out under its own lock and the base is
+	// immutable: the lookup needs nothing but the pointers, since nothing
+	// is closed under it.
+	mem, imm, b := db.mem, db.imm, db.base
 	db.mu.Unlock()
 
-	var f chainFold
-	if !mem.fold(key, snap, &f) {
-		foldBelow(key, snap, imm, b, &f)
-	}
-	val, live := db.foldValue(key, &f, nil)
+	val, live := lookup(key, mem, imm, b)
 	if !live {
 		return nil, ErrNotFound
 	}
-	return val, nil
+	return append([]byte(nil), val...), nil
 }
 
 // Has reports whether key exists.
@@ -473,8 +448,9 @@ func (held KeyLocks) Unlock() {
 	}
 }
 
-// NewIterator returns an ordered cursor over the store at the current
-// sequence snapshot. Callers must Close it.
+// NewIterator returns an ordered cursor over the store's live keys; what
+// it sees of concurrent writes is stated on Iterator. Callers must Close
+// it.
 func (db *DB) NewIterator() (*Iterator, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -486,7 +462,7 @@ func (db *DB) NewIterator() (*Iterator, error) {
 		srcs = append(srcs, db.imm.mt.iter())
 	}
 	srcs = append(srcs, db.base.iter())
-	return &Iterator{db: db, it: newMergeIter(srcs), snap: db.seq}, nil
+	return &Iterator{it: newMergeIter(srcs)}, nil
 }
 
 // Stats returns a snapshot of engine counters.

@@ -14,9 +14,9 @@ import (
 	"repro/internal/vfs"
 )
 
-// The bounded-merge-run invariant (fold.go): tests for its cost, its
-// equivalence to a plain left fold, and its behaviour under concurrency.
-// Everything random here is drawn from -fold.seed.
+// Merges folded at insert (fold.go): tests for their cost, their
+// equivalence to a plain left fold, and their behaviour under
+// concurrency. Everything random here is drawn from -fold.seed.
 var foldSeed = flag.Int64("fold.seed", 1, "base seed of the fold tests' random sequences")
 
 // appendMerger concatenates: unlike a max it is neither commutative nor
@@ -28,14 +28,6 @@ func appendMerger(_, existing []byte, operands [][]byte) []byte {
 		out = append(out, op...)
 	}
 	return out
-}
-
-// visitedBy returns how many versions chain folds examined while fn ran.
-// The store must be otherwise idle.
-func visitedBy(db *DB, fn func()) uint64 {
-	before := db.visited.Load()
-	fn()
-	return db.visited.Load() - before
 }
 
 // TestFoldAllocs pins what a point read allocates: the returned value and
@@ -82,7 +74,7 @@ func TestFoldAllocs(t *testing.T) {
 	}
 }
 
-// pointOps are the read paths whose cost the invariant bounds.
+// pointOps are the read paths whose cost must not grow with merges.
 var pointOps = []struct {
 	name string
 	run  func(t *testing.T, db *DB, key []byte)
@@ -115,10 +107,10 @@ var pointOps = []struct {
 	}},
 }
 
-// TestMergeRunCostPin is the cost pin for the bounded merge run: after
-// 10⁵ merges into one key every point operation examines at most
-// mergeRunBound+1 versions and allocates what it does after 10 merges —
-// in the memtable, after a reopen that replays the whole log, and after a
+// TestMergeRunCostPin is the cost pin for merges into one key: after 10⁵
+// of them the key is one memtable entry holding the folded value, and
+// every point operation allocates what it does after 10 merges — in the
+// memtable, after a reopen that replays the whole log, and after a
 // checkpoint. Counts, not wall time.
 func TestMergeRunCostPin(t *testing.T) {
 	key := []byte("/shared/file")
@@ -142,9 +134,6 @@ func TestMergeRunCostPin(t *testing.T) {
 			t.Fatalf("%s: value = %v, %v; want %d", phase, v, err, many)
 		}
 		for _, op := range pointOps {
-			if n := visitedBy(big, func() { op.run(t, big, key) }); n > mergeRunBound+1 {
-				t.Errorf("%s: %s examined %d versions after %d merges, want <= %d", phase, op.name, n, many, mergeRunBound+1)
-			}
 			if op.name == "Update" {
 				// It writes, so its allocations include amortised log
 				// growth; keep the two stores in step and move on.
@@ -158,12 +147,12 @@ func TestMergeRunCostPin(t *testing.T) {
 			}
 		}
 	}
+	if e, ok := big.mem.get(key); !ok || e.kind != kindPut || big.mem.entries() != 1 {
+		t.Fatalf("after %d merges the memtable holds %+v, %v in %d entries; want the key as one put", many, e, ok, big.mem.entries())
+	}
 	check("memtable")
-
-	st := big.Stats()
-	if st.Merges != many || st.MergeFolds != many-(mergeRunBound-1) || st.MergeResolves != 1 {
-		t.Errorf("stats after %d merges: %d merges, %d folds, %d resolves; want all but the first %d folded and one resolve",
-			many, st.Merges, st.MergeFolds, st.MergeResolves, mergeRunBound-1)
+	if st := big.Stats(); st.Merges != many {
+		t.Errorf("stats after %d merges: %d merges", many, st.Merges)
 	}
 
 	// Reopen first, while the log still holds every operand: replay goes
@@ -218,24 +207,22 @@ func (m foldModel) apply(kind kind, key string, val []byte) {
 	}
 }
 
-// checkAgainst compares every key through Get and one full scan of it
-// (nil: a fresh iterator) with the model.
-func (m foldModel) checkAgainst(db *DB, it *Iterator, keys []string) error {
-	if it == nil {
-		var err error
-		if it, err = db.NewIterator(); err != nil {
-			return err
-		}
-		defer it.Close()
-		for _, k := range keys {
-			v, err := db.Get([]byte(k))
-			want, live := m[k]
-			switch {
-			case live && (err != nil || !bytes.Equal(v, want)):
-				return fmt.Errorf("Get(%s) = %q, %v; want %q", k, v, err, want)
-			case !live && !errors.Is(err, ErrNotFound):
-				return fmt.Errorf("Get(%s) = %q, %v; want not found", k, v, err)
-			}
+// checkAgainst compares every key through Get and one full scan of a
+// fresh iterator with the model.
+func (m foldModel) checkAgainst(db *DB, keys []string) error {
+	it, err := db.NewIterator()
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for _, k := range keys {
+		v, err := db.Get([]byte(k))
+		want, live := m[k]
+		switch {
+		case live && (err != nil || !bytes.Equal(v, want)):
+			return fmt.Errorf("Get(%s) = %q, %v; want %q", k, v, err, want)
+		case !live && !errors.Is(err, ErrNotFound):
+			return fmt.Errorf("Get(%s) = %q, %v; want not found", k, v, err)
 		}
 	}
 	var live []string
@@ -256,11 +243,67 @@ func (m foldModel) checkAgainst(db *DB, it *Iterator, keys []string) error {
 	return nil
 }
 
+// pinView is what an iterator opened on a model may show while the model
+// moves on (Iterator's promise): every key live since the iterator opened,
+// exactly once; no key that has not been live since; and each key shown
+// with a value it held since.
+type pinView struct {
+	it     *Iterator
+	always map[string]bool            // live at every step since the pin
+	held   map[string]map[string]bool // values held since the pin
+}
+
+func newPinView(it *Iterator, m foldModel, keys []string) *pinView {
+	p := &pinView{it: it, always: map[string]bool{}, held: map[string]map[string]bool{}}
+	for k := range m {
+		p.always[k] = true
+	}
+	p.observe(m, keys)
+	return p
+}
+
+// observe records the model's state after one more operation.
+func (p *pinView) observe(m foldModel, keys []string) {
+	for _, k := range keys {
+		v, live := m[k]
+		if !live {
+			delete(p.always, k)
+			continue
+		}
+		if p.held[k] == nil {
+			p.held[k] = map[string]bool{}
+		}
+		p.held[k][string(v)] = true
+	}
+}
+
+// check scans the pinned iterator once against what it may show.
+func (p *pinView) check() error {
+	var last string
+	seen := 0
+	for p.it.SeekFirst(); p.it.Valid(); p.it.Next() {
+		k, v := string(p.it.Key()), string(p.it.Value())
+		switch {
+		case seen > 0 && k <= last:
+			return fmt.Errorf("scan returned %s after %s", k, last)
+		case !p.held[k][v]:
+			return fmt.Errorf("scan returned %s=%q, which it never held since the pin", k, v)
+		}
+		if p.always[k] {
+			seen++
+		}
+		last = k
+	}
+	if seen != len(p.always) {
+		return fmt.Errorf("scan returned %d of the %d keys live since the pin", seen, len(p.always))
+	}
+	return nil
+}
+
 // TestMergeRunIteratorSkipsHotKey is the listing side of the cost pin: a
-// file grown 10^5 times leaves 10^5 shadowed versions of its key in the
-// memtable, and Next past it — a readdir over its directory — takes a
-// constant number of steps, not one per version, while Next past a key
-// with one version costs the one step it always did.
+// file grown 10^5 times is one memtable entry beside its two siblings, and
+// a readdir-shaped scan over the directory returns the three keys once
+// each, the grown one with its folded value.
 func TestMergeRunIteratorSkipsHotKey(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax, logBytes: 1 << 30})
 	for _, k := range []string{"/d/a", "/d/c"} {
@@ -274,29 +317,23 @@ func TestMergeRunIteratorSkipsHotKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if n := db.mem.entries(); n != 3 {
+		t.Fatalf("memtable holds %d entries for 3 keys", n)
+	}
 	it, err := db.NewIterator()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
 	var keys []string
-	var steps []int
-	for it.SeekFirst(); it.Valid(); {
+	for it.SeekFirst(); it.Valid(); it.Next() {
 		keys = append(keys, string(it.Key()))
 		if string(it.Key()) == "/d/b" && !bytes.Equal(it.Value(), u64(many)) {
 			t.Fatalf("/d/b = %v, want %d", it.Value(), many)
 		}
-		before := it.it.steps
-		it.Next()
-		steps = append(steps, it.it.steps-before)
 	}
 	if fmt.Sprint(keys) != "[/d/a /d/b /d/c]" {
 		t.Fatalf("scan = %v", keys)
-	}
-	// Past /d/a: settle takes /d/b's newest version. Past /d/b: one step
-	// and one seek leave its shadowed versions, settle takes /d/c.
-	if steps[0] != 1 || steps[1] > 3 {
-		t.Fatalf("Next past a one-version key took %d steps, past a key with %d versions %d; want 1 and at most 3", steps[0], many, steps[1])
 	}
 }
 
@@ -305,8 +342,7 @@ func TestMergeRunIteratorSkipsHotKey(t *testing.T) {
 // log) and reopens,
 // against the reference left fold — with the non-commutative append
 // merger, so a fold that reorders, repeats or drops an operand shows.
-// Iterators opened along the way must keep scanning the state they were
-// opened on.
+// Iterators opened along the way must keep Iterator's promise (pinView).
 func TestModelEquivalence(t *testing.T) {
 	keys := []string{"a", "b", "c", "d", "e", "f"}
 	for s := int64(0); s < 8; s++ {
@@ -321,11 +357,13 @@ func TestModelEquivalence(t *testing.T) {
 			}
 			defer func() { db.Close() }()
 			model := foldModel{}
-			type pinned struct {
-				it    *Iterator
-				model foldModel
+			var pins []*pinView
+			apply := func(kind kind, key string, val []byte) {
+				model.apply(kind, key, val)
+				for _, p := range pins {
+					p.observe(model, keys)
+				}
 			}
-			var pins []pinned
 			closePins := func() {
 				for _, p := range pins {
 					p.it.Close()
@@ -354,7 +392,7 @@ func TestModelEquivalence(t *testing.T) {
 					case kindMerge:
 						err = db.Merge(e.key, e.val)
 					}
-					model.apply(e.kind, string(e.key), e.val)
+					apply(e.kind, string(e.key), e.val)
 				case r < 85:
 					// A batch; the first two ops are the put-then-merge on
 					// one key of TestBatchOwnedVariantsRoundTrip.
@@ -373,7 +411,7 @@ func TestModelEquivalence(t *testing.T) {
 						case kindMerge:
 							b.MergeOwned(append([]byte(nil), e.key...), e.val)
 						}
-						model.apply(e.kind, string(e.key), e.val)
+						apply(e.kind, string(e.key), e.val)
 					}
 					err = db.Apply(b)
 				case r < 94:
@@ -386,24 +424,24 @@ func TestModelEquivalence(t *testing.T) {
 				case len(pins) < 3:
 					var it *Iterator
 					if it, err = db.NewIterator(); err == nil {
-						pins = append(pins, pinned{it, model.clone()})
+						pins = append(pins, newPinView(it, model, keys))
 					}
 				}
 				if err != nil {
 					t.Fatalf("step %d (draw %d): %v", step, r, err)
 				}
 				if step%10 == 0 {
-					if err := model.checkAgainst(db, nil, keys); err != nil {
+					if err := model.checkAgainst(db, keys); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
 					for i, p := range pins {
-						if err := p.model.checkAgainst(db, p.it, keys); err != nil {
+						if err := p.check(); err != nil {
 							t.Fatalf("step %d: pinned iterator %d: %v", step, i, err)
 						}
 					}
 				}
 			}
-			if err := model.checkAgainst(db, nil, keys); err != nil {
+			if err := model.checkAgainst(db, keys); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -414,7 +452,8 @@ func TestModelEquivalence(t *testing.T) {
 // point readers, a PutIfAbsent/Update caller on the key's lock stripe and
 // a long-lived iterator run, across checkpoints.
 // No operand may be lost, repeated or reordered within its writer, and
-// the iterator's view never changes.
+// every scan of the iterator returns the two keys live throughout once
+// each, with values they held.
 func TestFoldConcurrency(t *testing.T) {
 	const writers, perWriter = 4, 300
 	db := openTestDB(t, Options{Merger: appendMerger, logBytes: 8 << 10})
@@ -436,14 +475,6 @@ func TestFoldConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pinned.Close()
-	scan := func() string {
-		var sb bytes.Buffer
-		for pinned.SeekFirst(); pinned.Valid(); pinned.Next() {
-			fmt.Fprintf(&sb, "%s=%x;", pinned.Key(), pinned.Value())
-		}
-		return sb.String()
-	}
-	want := scan()
 
 	// perWriterOrder checks v is 3-byte operands whose counters, taken per
 	// writer, run 1, 2, 3, ... without gap or repeat.
@@ -458,6 +489,34 @@ func TestFoldConcurrency(t *testing.T) {
 				return fmt.Errorf("operand %d of writer %d follows %d", n, w, last[w])
 			}
 			last[w] = n
+		}
+		return nil
+	}
+	// scan checks one pass of the pinned iterator: hot and zz-pinned
+	// exactly once, in order, with values they held; the stripe caller's
+	// keys, born during the run, may show or not.
+	scan := func() error {
+		var got []string
+		for pinned.SeekFirst(); pinned.Valid(); pinned.Next() {
+			k, v := string(pinned.Key()), pinned.Value()
+			switch {
+			case k == string(hot):
+				if err := perWriterOrder(v); err != nil {
+					return fmt.Errorf("hot: %v", err)
+				}
+			case k == "zz-pinned":
+				if string(v) != "before" {
+					return fmt.Errorf("zz-pinned = %q", v)
+				}
+			case bytes.HasPrefix(pinned.Key(), []byte("fresh-")), k == string(sibling):
+				continue
+			default:
+				return fmt.Errorf("scan returned %s, never written", k)
+			}
+			got = append(got, k)
+		}
+		if fmt.Sprint(got) != "[hot zz-pinned]" {
+			return fmt.Errorf("scan returned %v of the keys live throughout, want [hot zz-pinned]", got)
 		}
 		return nil
 	}
@@ -515,8 +574,8 @@ func TestFoldConcurrency(t *testing.T) {
 	go func() { // the long-lived iterator
 		defer aux.Done()
 		for !done.Load() {
-			if got := scan(); got != want {
-				t.Errorf("pinned iterator's view changed:\n got %s\nwant %s", got, want)
+			if err := scan(); err != nil {
+				t.Errorf("pinned iterator: %v", err)
 				return
 			}
 		}
@@ -538,7 +597,7 @@ func TestFoldConcurrency(t *testing.T) {
 	if v, err := db.Get(sibling); err != nil || len(v) != updates {
 		t.Fatalf("sibling holds %d updates (%v), want %d", len(v), err, updates)
 	}
-	if got := scan(); got != want {
-		t.Fatalf("pinned iterator's view changed after the run:\n got %s\nwant %s", got, want)
+	if err := scan(); err != nil {
+		t.Fatalf("pinned iterator after the run: %v", err)
 	}
 }

@@ -2,36 +2,34 @@ package kvstore
 
 import "bytes"
 
-// internalIterator walks entries in internal order (key asc, seq desc).
-// memIter and baseIter implement it; mergeIter combines them.
+// internalIterator walks one source's entries in key order. memIter and
+// baseIter implement it; mergeIter combines them.
 type internalIterator interface {
 	seekFirst()
-	seek(probe *entry)
+	seek(key []byte)
 	valid() bool
 	next()
 	cur() *entry
 }
 
-// mergeIter interleaves several internalIterators into one ordered stream.
-// The source count is small (memtable, frozen memtable, base), so a
-// linear minimum scan beats heap bookkeeping.
+// mergeIter interleaves its sources, newest first (the active memtable,
+// the frozen one, the base), into one ordered stream with one entry per
+// key: where several sources hold a key, the newest one's entry wins. The
+// source count is small, so a linear minimum scan beats heap bookkeeping.
 type mergeIter struct {
-	srcs  []internalIterator
-	min   int // index of current minimum, -1 when exhausted
-	steps int // source steps and skipKey's seeks; tests pin iteration cost on it
+	srcs []internalIterator
+	min  int // index of the current entry's source, -1 when exhausted
 }
 
 func newMergeIter(srcs []internalIterator) *mergeIter {
 	return &mergeIter{srcs: srcs, min: -1}
 }
 
+// findMin picks the source with the smallest key, the newest on a tie.
 func (m *mergeIter) findMin() {
 	m.min = -1
 	for i, s := range m.srcs {
-		if !s.valid() {
-			continue
-		}
-		if m.min < 0 || compareEntries(s.cur(), m.srcs[m.min].cur()) < 0 {
+		if s.valid() && (m.min < 0 || bytes.Compare(s.cur().key, m.srcs[m.min].cur().key) < 0) {
 			m.min = i
 		}
 	}
@@ -44,37 +42,21 @@ func (m *mergeIter) seekFirst() {
 	m.findMin()
 }
 
-func (m *mergeIter) seek(probe *entry) {
+func (m *mergeIter) seek(key []byte) {
 	for _, s := range m.srcs {
-		s.seek(probe)
+		s.seek(key)
 	}
 	m.findMin()
 }
 
 func (m *mergeIter) valid() bool { return m.min >= 0 }
 
+// next moves every source on the current key past it.
 func (m *mergeIter) next() {
-	m.srcs[m.min].next()
-	m.steps++
-	m.findMin()
-}
-
-// skipKey moves every source past key's versions: a source on key steps
-// once, as a merged walk would, and only one still on it seeks past the
-// oldest version key can have (sequence numbers start at 1, so {key, 0}
-// sorts after them all). A hot size key folded into the memtable n times
-// costs one seek, not n steps; a key with one version costs what it did.
-func (m *mergeIter) skipKey(key []byte) {
-	past := entry{key: key}
+	key := m.cur().key
 	for _, s := range m.srcs {
-		if !s.valid() || !bytes.Equal(s.cur().key, key) {
-			continue
-		}
-		s.next()
-		m.steps++
 		if s.valid() && bytes.Equal(s.cur().key, key) {
-			s.seek(&past)
-			m.steps++
+			s.next()
 		}
 	}
 	m.findMin()
@@ -82,16 +64,17 @@ func (m *mergeIter) skipKey(key []byte) {
 
 func (m *mergeIter) cur() *entry { return m.srcs[m.min].cur() }
 
-// Iterator is the user-facing ordered cursor over live keys. It resolves
-// versions, tombstones and merge chains against a snapshot sequence taken
-// at creation, so a scan observes a consistent point-in-time view even
-// while writes continue — the property the daemons' readdir scans rely on
-// locally (cross-daemon listings remain eventually consistent, paper
-// §III-A).
+// Iterator is the user-facing ordered cursor over live keys, used by the
+// daemons' readdir scans. It reads the memtables and base that were
+// current when it was created, stepping through the active memtable while
+// writes continue, so it sees no single point in time. What it promises,
+// from creation to its last positioning call (the scan): every key live
+// for the whole scan is returned exactly once, with a value the key held
+// during the scan; no key absent for the whole scan is returned; and keys
+// come in ascending order, each at most once. Listings are eventually
+// consistent in the paper too (§III-A).
 type Iterator struct {
-	db   *DB
-	it   *mergeIter
-	snap uint64
+	it *mergeIter
 
 	key []byte
 	val []byte
@@ -106,8 +89,7 @@ func (i *Iterator) SeekFirst() {
 
 // Seek positions the iterator at the first live key >= target.
 func (i *Iterator) Seek(target []byte) {
-	probe := entry{key: target, seq: i.snap}
-	i.it.seek(&probe)
+	i.it.seek(target)
 	i.settle()
 }
 
@@ -123,43 +105,24 @@ func (i *Iterator) Value() []byte { return i.val }
 
 // Next advances to the next live key.
 func (i *Iterator) Next() {
-	if !i.ok {
-		return
-	}
-	i.skipRestOfKey(i.key)
-	i.settle()
-}
-
-// skipRestOfKey consumes all remaining versions of key.
-func (i *Iterator) skipRestOfKey(key []byte) {
-	if i.it.valid() && bytes.Equal(i.it.cur().key, key) {
-		i.it.skipKey(key)
+	if i.ok {
+		i.it.next()
+		i.settle()
 	}
 }
 
-// settle advances the underlying merged stream to the next key whose
-// resolved state is a live value, loading Key/Value. It stops consuming a
-// key's versions once its chain closes; Next skips the rest.
+// settle advances the merged stream past tombstones to the next live
+// key, loading Key/Value.
 func (i *Iterator) settle() {
-	i.ok = false
-	var f chainFold
-	for i.it.valid() {
-		key := i.it.cur().key
-		f.reset()
-		for !f.closed && i.it.valid() && bytes.Equal(i.it.cur().key, key) {
-			// Versions newer than the snapshot are passed over.
-			if c := i.it.cur(); c.seq <= i.snap {
-				f.add(c)
-			}
-			i.it.next()
-		}
-		if val, live := i.db.foldValue(key, &f, nil); live {
-			i.key, i.val, i.ok = append([]byte(nil), key...), val, true
+	for i.ok = false; i.it.valid(); i.it.next() {
+		if e := i.it.cur(); e.kind == kindPut {
+			i.key = append(i.key[:0], e.key...)
+			i.val = append(i.val[:0], e.val...)
+			i.ok = true
 			return
 		}
-		i.skipRestOfKey(key)
 	}
 }
 
-// Close releases the iterator's references to the snapshot state.
+// Close releases the iterator's references to the store's tables.
 func (i *Iterator) Close() { i.it = nil }

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 )
@@ -10,10 +11,10 @@ const (
 	skiplistBranch    = 4 // promotion probability 1/4
 )
 
-// memTable is a skiplist-backed sorted buffer of entries. Writers insert;
-// nothing is ever removed or rewritten (newer sequence numbers shadow
-// older versions), which keeps iteration simple and lock scopes short and
-// lets readers hold entries by reference.
+// memTable is a skiplist-backed sorted buffer holding one entry per key:
+// its live value or a tombstone. An insert on a present key replaces the
+// entry in its node, and nodes are never removed, so a cursor stays valid
+// across inserts; readers copy an entry under the read lock.
 type memTable struct {
 	mu     sync.RWMutex
 	head   *skipNode
@@ -31,33 +32,24 @@ type skipNode struct {
 }
 
 // newSkipNode allocates a node of height h and its tower as one object,
-// the tower sized by height class: three in four nodes have height 1 and
-// take 96 B with the entry, three in sixteen have height 2 and take 112 B,
-// and only the rest carry all skiplistMaxHeight pointers (192 B).
+// the tower sized by height class: fifteen in sixteen nodes have height 1
+// or 2 and take 96 B with the entry, and only the rest carry all
+// skiplistMaxHeight pointers (176 B).
 func newSkipNode(e entry, h int) *skipNode {
-	switch h {
-	case 1:
-		n := &struct {
-			skipNode
-			tower [1]*skipNode
-		}{skipNode: skipNode{ent: e}}
-		n.next = n.tower[:]
-		return &n.skipNode
-	case 2:
+	if h <= 2 {
 		n := &struct {
 			skipNode
 			tower [2]*skipNode
 		}{skipNode: skipNode{ent: e}}
-		n.next = n.tower[:]
-		return &n.skipNode
-	default:
-		n := &struct {
-			skipNode
-			tower [skiplistMaxHeight]*skipNode
-		}{skipNode: skipNode{ent: e}}
 		n.next = n.tower[:h]
 		return &n.skipNode
 	}
+	n := &struct {
+		skipNode
+		tower [skiplistMaxHeight]*skipNode
+	}{skipNode: skipNode{ent: e}}
+	n.next = n.tower[:h]
+	return &n.skipNode
 }
 
 func newMemTable(seed int64) *memTable {
@@ -68,8 +60,8 @@ func newMemTable(seed int64) *memTable {
 	}
 }
 
-// add inserts e. Entries with identical (key, seq) must not be inserted
-// twice; the DB's monotonically increasing sequence numbers guarantee it.
+// add stores e as its key's entry: a new node for a new key, the
+// replacement of the node's entry for a present one.
 func (m *memTable) add(e entry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -77,10 +69,15 @@ func (m *memTable) add(e entry) {
 	var prev [skiplistMaxHeight]*skipNode
 	x := m.head
 	for lvl := m.height - 1; lvl >= 0; lvl-- {
-		for x.next[lvl] != nil && compareEntries(&x.next[lvl].ent, &e) < 0 {
+		for x.next[lvl] != nil && bytes.Compare(x.next[lvl].ent.key, e.key) < 0 {
 			x = x.next[lvl]
 		}
 		prev[lvl] = x
+	}
+	if n := x.next[0]; n != nil && bytes.Equal(n.ent.key, e.key) {
+		m.bytes += entrySize(&e) - entrySize(&n.ent)
+		n.ent = e
+		return
 	}
 
 	h := 1
@@ -103,32 +100,25 @@ func (m *memTable) add(e entry) {
 	m.count++
 }
 
-// seekGE returns the first node whose entry is >= probe in entry order.
-func (m *memTable) seekGE(probe *entry) *skipNode {
+// seekGE returns the first node whose key is >= key. Caller holds m.mu.
+func (m *memTable) seekGE(key []byte) *skipNode {
 	x := m.head
 	for lvl := m.height - 1; lvl >= 0; lvl-- {
-		for x.next[lvl] != nil && compareEntries(&x.next[lvl].ent, probe) < 0 {
+		for x.next[lvl] != nil && bytes.Compare(x.next[lvl].ent.key, key) < 0 {
 			x = x.next[lvl]
 		}
 	}
 	return x.next[0]
 }
 
-// fold feeds f the versions of key at or below maxSeq, newest first,
-// until one closes the chain, and reports whether one did. The walk under
-// the read lock is short by construction: DB.insertLocked keeps a key's
-// merge operands fewer than mergeRunBound and beneath its first put or
-// delete.
-func (m *memTable) fold(key []byte, maxSeq uint64, f *chainFold) (closed bool) {
+// get returns key's entry, if the memtable holds one.
+func (m *memTable) get(key []byte) (entry, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	probe := entry{key: key, seq: maxSeq}
-	for n := m.seekGE(&probe); n != nil && string(n.ent.key) == string(key); n = n.next[0] {
-		if f.add(&n.ent) {
-			return true
-		}
+	if n := m.seekGE(key); n != nil && bytes.Equal(n.ent.key, key) {
+		return n.ent, true
 	}
-	return false
+	return entry{}, false
 }
 
 // sizeBytes returns the approximate memory footprint.
@@ -146,26 +136,26 @@ func (m *memTable) entries() int {
 }
 
 // iter returns an iterator positioned before the first entry. The iterator
-// takes the read lock per step, so concurrent inserts are safe; entries
-// inserted during iteration may or may not be observed (the DB filters by
-// snapshot sequence anyway).
+// takes the read lock per step, so concurrent inserts are safe: a key
+// inserted behind the cursor is not seen, one ahead of it is.
 func (m *memTable) iter() *memIter { return &memIter{m: m} }
 
-// memIter walks a memtable in entry order. It satisfies internalIterator.
+// memIter walks a memtable in key order. It satisfies internalIterator.
 type memIter struct {
 	m *memTable
 	n *skipNode
+	e entry // n's entry, copied under the read lock
 }
 
 func (it *memIter) seekFirst() {
 	it.m.mu.RLock()
-	it.n = it.m.head.next[0]
+	it.set(it.m.head.next[0])
 	it.m.mu.RUnlock()
 }
 
-func (it *memIter) seek(probe *entry) {
+func (it *memIter) seek(key []byte) {
 	it.m.mu.RLock()
-	it.n = it.m.seekGE(probe)
+	it.set(it.m.seekGE(key))
 	it.m.mu.RUnlock()
 }
 
@@ -173,8 +163,15 @@ func (it *memIter) valid() bool { return it.n != nil }
 
 func (it *memIter) next() {
 	it.m.mu.RLock()
-	it.n = it.n.next[0]
+	it.set(it.n.next[0])
 	it.m.mu.RUnlock()
 }
 
-func (it *memIter) cur() *entry { return &it.n.ent }
+func (it *memIter) cur() *entry { return &it.e }
+
+// set moves the cursor to n. Caller holds the read lock.
+func (it *memIter) set(n *skipNode) {
+	if it.n = n; n != nil {
+		it.e = n.ent
+	}
+}

@@ -13,7 +13,7 @@ func TestMemTableOrdering(t *testing.T) {
 	mt := newMemTable(1)
 	keys := []string{"b", "a", "d", "c", "aa"}
 	for i, k := range keys {
-		mt.add(entry{key: []byte(k), val: []byte{byte(i)}, seq: uint64(i + 1), kind: kindPut})
+		mt.add(entry{key: []byte(k), val: []byte{byte(i)}, kind: kindPut})
 	}
 	var got []string
 	for it := mt.iter(); ; {
@@ -34,103 +34,110 @@ func TestMemTableOrdering(t *testing.T) {
 	}
 }
 
-func TestMemTableVersionsNewestFirst(t *testing.T) {
+// TestMemTableRePutReplaces checks that a memtable holds one entry per
+// key: a re-put replaces the entry, and the size follows the new value.
+func TestMemTableRePutReplaces(t *testing.T) {
 	mt := newMemTable(1)
-	mt.add(entry{key: []byte("k"), val: []byte("v1"), seq: 1, kind: kindPut})
-	mt.add(entry{key: []byte("k"), val: []byte("v2"), seq: 2, kind: kindPut})
-	mt.add(entry{key: []byte("k"), val: []byte("v3"), seq: 3, kind: kindPut})
-
-	var f chainFold
-	if !mt.fold([]byte("k"), 100, &f) || f.seen != 1 || string(f.base.val) != "v3" {
-		t.Fatalf("fold = %+v, want single newest v3", f)
+	mt.add(entry{key: []byte("k"), val: []byte("v1"), kind: kindPut})
+	mt.add(entry{key: []byte("k"), val: []byte("value2"), kind: kindPut})
+	mt.add(entry{key: []byte("k"), val: []byte("v3"), kind: kindPut})
+	e, ok := mt.get([]byte("k"))
+	if !ok || string(e.val) != "v3" {
+		t.Fatalf("get = %q, %v; want v3", e.val, ok)
 	}
-	// Snapshot below the newest version sees the older one.
-	f.reset()
-	if !mt.fold([]byte("k"), 2, &f) || f.seen != 1 || string(f.base.val) != "v2" {
-		t.Fatalf("snapshot fold = %+v, want v2", f)
+	if n, size := mt.entries(), mt.sizeBytes(); n != 1 || size != entrySize(&e) {
+		t.Fatalf("%d entries of %d bytes, want one of %d", n, size, entrySize(&e))
+	}
+	mt.add(entry{key: []byte("k"), kind: kindDelete})
+	if e, ok := mt.get([]byte("k")); !ok || e.kind != kindDelete || mt.entries() != 1 {
+		t.Fatalf("a delete left %+v, %v in %d entries; want the tombstone in one", e, ok, mt.entries())
 	}
 }
 
+// TestMemTableMergeChainCollection checks that merges collect into the
+// key's one entry as they land: a put and two operands in the active
+// memtable are one put holding the folded value.
 func TestMemTableMergeChainCollection(t *testing.T) {
-	mt := newMemTable(1)
-	mt.add(entry{key: []byte("k"), val: []byte("base"), seq: 1, kind: kindPut})
-	mt.add(entry{key: []byte("k"), val: []byte("m1"), seq: 2, kind: kindMerge})
-	mt.add(entry{key: []byte("k"), val: []byte("m2"), seq: 3, kind: kindMerge})
-
-	var f chainFold
-	if !mt.fold([]byte("k"), 100, &f) || f.seen != 3 {
-		t.Fatalf("chain length = %d, want 3 (m2, m1, base)", f.seen)
+	db := openTestDB(t, Options{Merger: appendMerger})
+	for _, op := range []func() error{
+		func() error { return db.Put([]byte("k"), []byte("base")) },
+		func() error { return db.Merge([]byte("k"), []byte("m1")) },
+		func() error { return db.Merge([]byte("k"), []byte("m2")) },
+	} {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if string(f.ops[0].val) != "m2" || string(f.ops[1].val) != "m1" || string(f.base.val) != "base" {
-		t.Fatalf("chain = %+v", f)
+	e, ok := db.mem.get([]byte("k"))
+	if !ok || e.kind != kindPut || string(e.val) != "basem1m2" || db.mem.entries() != 1 {
+		t.Fatalf("memtable holds %+v, %v in %d entries; want one put of basem1m2", e, ok, db.mem.entries())
 	}
 }
 
 func TestMemTableGetAbsent(t *testing.T) {
 	mt := newMemTable(1)
-	mt.add(entry{key: []byte("a"), seq: 1, kind: kindPut})
-	var f chainFold
-	if mt.fold([]byte("b"), 10, &f) || f.seen != 0 {
-		t.Fatalf("absent key returned %+v", f)
+	mt.add(entry{key: []byte("a"), kind: kindPut})
+	if e, ok := mt.get([]byte("b")); ok {
+		t.Fatalf("absent key returned %+v", e)
 	}
 }
 
 func TestMemTableRandomizedOrder(t *testing.T) {
 	mt := newMemTable(42)
 	rnd := rand.New(rand.NewSource(7))
-	n := 2000
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key-%06d", rnd.Intn(100000))
-		mt.add(entry{key: []byte(k), seq: uint64(i + 1), kind: kindPut})
+	distinct := map[string]bool{}
+	for i := 0; i < 2000; i++ {
+		k := fmt.Sprintf("key-%06d", rnd.Intn(10000))
+		mt.add(entry{key: []byte(k), kind: kindPut})
+		distinct[k] = true
 	}
 	it := mt.iter()
 	it.seekFirst()
-	var prev *entry
+	var prev []byte
 	count := 0
 	for ; it.valid(); it.next() {
 		cur := it.cur()
-		if prev != nil && compareEntries(prev, cur) >= 0 {
-			t.Fatalf("order violation: %q/%d then %q/%d", prev.key, prev.seq, cur.key, cur.seq)
+		if prev != nil && bytes.Compare(prev, cur.key) >= 0 {
+			t.Fatalf("order violation: %q then %q", prev, cur.key)
 		}
-		cp := *cur
-		prev = &cp
+		prev = cur.key
 		count++
 	}
-	if count != n {
-		t.Fatalf("iterated %d entries, want %d", count, n)
+	if count != len(distinct) || mt.entries() != count {
+		t.Fatalf("iterated %d entries of %d, want one per distinct key (%d)", count, mt.entries(), len(distinct))
 	}
 }
 
 func TestMemTableSeek(t *testing.T) {
 	mt := newMemTable(1)
 	for _, k := range []string{"a", "c", "e"} {
-		mt.add(entry{key: []byte(k), seq: 1, kind: kindPut})
+		mt.add(entry{key: []byte(k), kind: kindPut})
 	}
 	it := mt.iter()
-	it.seek(&entry{key: []byte("b"), seq: ^uint64(0)})
+	it.seek([]byte("b"))
 	if !it.valid() || !bytes.Equal(it.cur().key, []byte("c")) {
 		t.Fatalf("seek(b) landed on %v", it.n)
 	}
-	it.seek(&entry{key: []byte("z"), seq: ^uint64(0)})
+	it.seek([]byte("z"))
 	if it.valid() {
 		t.Fatal("seek past end still valid")
 	}
 }
 
 // TestMemTableNodeFootprint pins a node's tower to its height: one
-// allocation per add, and nodes averaging at most 112 bytes over 1e5
-// inserts (a fixed tower of skiplistMaxHeight pointers made every node
-// 160).
+// allocation per new key, none for a replacement, and nodes averaging at
+// most 112 bytes over 1e5 inserts (a fixed tower of skiplistMaxHeight
+// pointers made every node 160).
 func TestMemTableNodeFootprint(t *testing.T) {
 	const n = 100000
-	ents := make([]entry, n)
-	for i, k := range rand.New(rand.NewSource(1)).Perm(n) {
-		ents[i] = entry{key: []byte(fmt.Sprintf("/dir/file.%08d", k)), seq: uint64(i + 1), kind: kindPut}
+	ents := make([]entry, n+2000)
+	for i, k := range rand.New(rand.NewSource(1)).Perm(len(ents)) {
+		ents[i] = entry{key: []byte(fmt.Sprintf("/dir/file.%08d", k)), kind: kindPut}
 	}
 	mt := newMemTable(1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := range ents {
+	for i := range ents[:n] {
 		mt.add(ents[i])
 	}
 	runtime.ReadMemStats(&after)
@@ -139,12 +146,18 @@ func TestMemTableNodeFootprint(t *testing.T) {
 		t.Errorf("memtable nodes average %.1f bytes, want <= 112", avg)
 	}
 	t.Logf("memtable nodes average %.1f bytes", avg)
-	seq := uint64(n)
-	allocs := testing.AllocsPerRun(1000, func() {
-		seq++
-		mt.add(entry{key: ents[seq%n].key, seq: seq, kind: kindPut})
-	})
-	if allocs != 1 {
-		t.Errorf("memTable.add makes %v allocations, want 1", allocs)
+	next := n
+	if allocs := testing.AllocsPerRun(1000, func() {
+		mt.add(ents[next])
+		next++
+	}); allocs != 1 {
+		t.Errorf("memTable.add of a new key makes %v allocations, want 1", allocs)
+	}
+	v := []byte("v")
+	if allocs := testing.AllocsPerRun(1000, func() {
+		next--
+		mt.add(entry{key: ents[next].key, val: v, kind: kindPut})
+	}); allocs != 0 {
+		t.Errorf("memTable.add replacing a key's entry makes %v allocations, want 0", allocs)
 	}
 }

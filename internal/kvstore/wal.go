@@ -14,7 +14,7 @@ import (
 // reached the log).
 //
 // Record framing: [crc32c u32][len u32][payload]. Payload encodes one
-// batch: [seq u64][count u32] then per operation
+// batch: [count u32] then per operation
 // [kind u8][klen uvarint][key][vlen uvarint][val]. Replay stops at the
 // first torn or corrupt record, which after a crash is exactly the
 // unacknowledged tail.
@@ -31,8 +31,8 @@ type walWriter struct {
 func newWALWriter(f vfs.File) *walWriter { return &walWriter{f: f} }
 
 // append writes one batch record; sync forces durability before return.
-func (w *walWriter) append(seq uint64, ops []entry, sync bool) error {
-	payload := encodeBatch(seq, ops)
+func (w *walWriter) append(ops []entry, sync bool) error {
+	payload := encodeBatch(ops)
 	w.buf = w.buf[:0]
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], crc32.Checksum(payload, castagnoli))
@@ -54,14 +54,13 @@ func (w *walWriter) append(seq uint64, ops []entry, sync bool) error {
 func (w *walWriter) close() error { return w.f.Close() }
 
 // encodeBatch serializes a batch payload.
-func encodeBatch(seq uint64, ops []entry) []byte {
-	n := 12
+func encodeBatch(ops []entry) []byte {
+	n := 4
 	for i := range ops {
 		n += 1 + 2*binary.MaxVarintLen32 + len(ops[i].key) + len(ops[i].val)
 	}
-	out := make([]byte, 12, n)
-	binary.LittleEndian.PutUint64(out[0:], seq)
-	binary.LittleEndian.PutUint32(out[8:], uint32(len(ops)))
+	out := make([]byte, 4, n)
+	binary.LittleEndian.PutUint32(out, uint32(len(ops)))
 	var tmp [binary.MaxVarintLen32]byte
 	for i := range ops {
 		out = append(out, byte(ops[i].kind))
@@ -73,15 +72,13 @@ func encodeBatch(seq uint64, ops []entry) []byte {
 	return out
 }
 
-// decodeBatch parses a batch payload. The returned entries carry
-// sequence numbers seq, seq+1, ... in operation order.
+// decodeBatch parses a batch payload into its operations, in order.
 func decodeBatch(payload []byte) (ops []entry, err error) {
-	if len(payload) < 12 {
+	if len(payload) < 4 {
 		return nil, fmt.Errorf("kvstore: batch too short: %d", len(payload))
 	}
-	seq := binary.LittleEndian.Uint64(payload[0:])
-	count := binary.LittleEndian.Uint32(payload[8:])
-	p := payload[12:]
+	count := binary.LittleEndian.Uint32(payload)
+	p := payload[4:]
 	ops = make([]entry, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(p) < 1 {
@@ -101,7 +98,10 @@ func decodeBatch(payload []byte) (ops []entry, err error) {
 			return nil, err
 		}
 		p = rest
-		ops = append(ops, entry{key: key, val: val, seq: seq + uint64(i), kind: k})
+		ops = append(ops, entry{key: key, val: val, kind: k})
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("kvstore: %d bytes after the batch's %d ops", len(p), count)
 	}
 	return ops, nil
 }
@@ -115,42 +115,39 @@ func readLenPrefixed(p []byte) (data, rest []byte, err error) {
 }
 
 // replayWAL reads every intact batch from a log file, invoking fn per
-// entry, and returns the highest sequence number seen. A corrupt or torn
-// tail terminates replay without error (it is the crash-lost suffix).
-func replayWAL(f vfs.File, fn func(entry)) (maxSeq uint64, err error) {
+// entry in log order. A corrupt or torn tail terminates replay without
+// error (it is the crash-lost suffix).
+func replayWAL(f vfs.File, fn func(entry)) error {
 	size, err := f.Size()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	var off int64
 	hdr := make([]byte, 8)
 	for off+8 <= size {
 		if _, err := f.ReadAt(hdr, off); err != nil {
-			return maxSeq, nil // torn header
+			return nil // torn header
 		}
 		want := binary.LittleEndian.Uint32(hdr[0:])
 		l := int64(binary.LittleEndian.Uint32(hdr[4:]))
 		if off+8+l > size {
-			return maxSeq, nil // torn payload
+			return nil // torn payload
 		}
 		payload := make([]byte, l)
 		if _, err := f.ReadAt(payload, off+8); err != nil {
-			return maxSeq, nil
+			return nil
 		}
 		if crc32.Checksum(payload, castagnoli) != want {
-			return maxSeq, nil // corrupt tail
+			return nil // corrupt tail
 		}
 		ops, err := decodeBatch(payload)
 		if err != nil {
-			return maxSeq, nil
+			return nil
 		}
 		for i := range ops {
-			if ops[i].seq > maxSeq {
-				maxSeq = ops[i].seq
-			}
 			fn(ops[i])
 		}
 		off += 8 + l
 	}
-	return maxSeq, nil
+	return nil
 }

@@ -16,32 +16,26 @@ func TestWALRoundTrip(t *testing.T) {
 		{{key: []byte("a"), val: []byte("1"), kind: kindPut}},
 		{{key: []byte("b"), kind: kindDelete}, {key: []byte("c"), val: []byte("3"), kind: kindMerge}},
 	}
-	seq := uint64(1)
 	for _, b := range batches {
-		if err := w.append(seq, b, true); err != nil {
+		if err := w.append(b, true); err != nil {
 			t.Fatal(err)
 		}
-		seq += uint64(len(b))
 	}
 
 	var got []entry
-	maxSeq, err := replayWAL(f, func(e entry) { got = append(got, e) })
-	if err != nil {
+	if err := replayWAL(f, func(e entry) { got = append(got, e) }); err != nil {
 		t.Fatal(err)
-	}
-	if maxSeq != 3 {
-		t.Fatalf("maxSeq = %d, want 3", maxSeq)
 	}
 	if len(got) != 3 {
 		t.Fatalf("replayed %d entries, want 3", len(got))
 	}
-	if string(got[0].key) != "a" || got[0].kind != kindPut || got[0].seq != 1 {
+	if string(got[0].key) != "a" || got[0].kind != kindPut {
 		t.Fatalf("entry 0 = %+v", got[0])
 	}
-	if string(got[1].key) != "b" || got[1].kind != kindDelete || got[1].seq != 2 {
+	if string(got[1].key) != "b" || got[1].kind != kindDelete {
 		t.Fatalf("entry 1 = %+v", got[1])
 	}
-	if string(got[2].key) != "c" || got[2].kind != kindMerge || got[2].seq != 3 {
+	if string(got[2].key) != "c" || got[2].kind != kindMerge {
 		t.Fatalf("entry 2 = %+v", got[2])
 	}
 }
@@ -50,7 +44,7 @@ func TestWALTornTailIgnored(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("wal")
 	w := newWALWriter(f)
-	if err := w.append(1, []entry{{key: []byte("good"), val: []byte("v"), kind: kindPut}}, true); err != nil {
+	if err := w.append([]entry{{key: []byte("good"), val: []byte("v"), kind: kindPut}}, true); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a torn write: append garbage that looks like a header.
@@ -59,7 +53,7 @@ func TestWALTornTailIgnored(t *testing.T) {
 	}
 
 	var got []entry
-	if _, err := replayWAL(f, func(e entry) { got = append(got, e) }); err != nil {
+	if err := replayWAL(f, func(e entry) { got = append(got, e) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || string(got[0].key) != "good" {
@@ -71,8 +65,8 @@ func TestWALCorruptPayloadStopsReplay(t *testing.T) {
 	fs := vfs.NewMem()
 	f, _ := fs.Create("wal")
 	w := newWALWriter(f)
-	for i, k := range []string{"a", "b", "c"} {
-		if err := w.append(uint64(i+1), []entry{{key: []byte(k), kind: kindPut}}, true); err != nil {
+	for _, k := range []string{"a", "b", "c"} {
+		if err := w.append([]entry{{key: []byte(k), kind: kindPut}}, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +76,7 @@ func TestWALCorruptPayloadStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []entry
-	if _, err := replayWAL(f, func(e entry) { got = append(got, e) }); err != nil {
+	if err := replayWAL(f, func(e entry) { got = append(got, e) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) >= 3 {
@@ -91,7 +85,7 @@ func TestWALCorruptPayloadStopsReplay(t *testing.T) {
 }
 
 func TestBatchEncodeDecodeProperty(t *testing.T) {
-	f := func(keys [][]byte, vals [][]byte, kinds []uint8, seq uint64) bool {
+	f := func(keys [][]byte, vals [][]byte, kinds []uint8) bool {
 		n := len(keys)
 		if len(vals) < n {
 			n = len(vals)
@@ -103,7 +97,7 @@ func TestBatchEncodeDecodeProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			ops[i] = entry{key: keys[i], val: vals[i], kind: kind(kinds[i] % 3)}
 		}
-		dec, err := decodeBatch(encodeBatch(seq, ops))
+		dec, err := decodeBatch(encodeBatch(ops))
 		if err != nil || len(dec) != n {
 			return false
 		}
@@ -111,7 +105,7 @@ func TestBatchEncodeDecodeProperty(t *testing.T) {
 			if !bytes.Equal(dec[i].key, ops[i].key) || !bytes.Equal(dec[i].val, ops[i].val) {
 				return false
 			}
-			if dec[i].kind != ops[i].kind || dec[i].seq != seq+uint64(i) {
+			if dec[i].kind != ops[i].kind {
 				return false
 			}
 		}
@@ -129,8 +123,8 @@ func TestDecodeBatchRejectsGarbage(t *testing.T) {
 		}
 	}
 	// Count says 1 op but no payload follows.
-	bad := encodeBatch(1, nil)
-	bad[8] = 5
+	bad := encodeBatch(nil)
+	bad[0] = 5
 	if _, err := decodeBatch(bad); err == nil {
 		t.Error("decodeBatch accepted truncated op list")
 	}

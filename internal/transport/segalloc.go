@@ -33,26 +33,16 @@ func newSegAlloc(size int) *segAlloc {
 // with ErrTimeout after timeout (zero means wait without limit) — a
 // stalled daemon parks windows as zombies, and without a bound here the
 // exhausted segment would hang every later bulk call inside acquire
-// instead of letting it report the timeout.
+// instead of letting it report the timeout. The timer that bounds the
+// wait is armed only before the first wait, so a call that finds a free
+// window at once allocates nothing.
 func (a *segAlloc) acquire(n int, timeout time.Duration) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-		// The broadcast takes the lock so the fire cannot slip between a
-		// waiter's deadline check and its cond.Wait and be lost.
-		t := time.AfterFunc(timeout, func() {
-			a.mu.Lock()
-			//lint:ignore SA2001 empty critical section orders the broadcast after any in-progress deadline check
-			a.mu.Unlock()
-			a.cond.Broadcast()
-		})
-		defer t.Stop()
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	var deadline time.Time
 	for {
 		if a.dead != nil {
 			return 0, a.dead
@@ -71,8 +61,21 @@ func (a *segAlloc) acquire(n int, timeout time.Duration) (int, error) {
 				return off, nil
 			}
 		}
-		if timeout > 0 && !time.Now().Before(deadline) {
-			return 0, fmt.Errorf("%w: waited %v for a %d-byte shm window", ErrTimeout, timeout, n)
+		if timeout > 0 {
+			if deadline.IsZero() {
+				deadline = time.Now().Add(timeout)
+				// The fire takes the lock, so it cannot slip between this
+				// waiter's deadline check and its cond.Wait and be lost.
+				t := time.AfterFunc(timeout, func() {
+					a.mu.Lock()
+					//lint:ignore SA2001 empty critical section orders the broadcast after any in-progress deadline check
+					a.mu.Unlock()
+					a.cond.Broadcast()
+				})
+				defer t.Stop()
+			} else if !time.Now().Before(deadline) {
+				return 0, fmt.Errorf("%w: waited %v for a %d-byte shm window", ErrTimeout, timeout, n)
+			}
 		}
 		a.cond.Wait()
 	}
