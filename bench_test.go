@@ -174,7 +174,7 @@ func BenchmarkWriteStream(b *testing.B) {
 // protocol pays one full RPC round trip per small read and is
 // round-trip-bound, exactly the regime the pipeline exists for:
 // speculation aggregates the stream into chunk-span fetches (one RPC
-// wave per 4 chunks instead of one per 16 KiB) and keeps a window of
+// wave per 2-chunk span instead of one per 16 KiB) and keeps a window of
 // them moving while the consumer copies out of it. Every lap of the
 // 16 MiB extent refetches over the wire: nothing outlives the window.
 func BenchmarkAsyncReadStream(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/rpc"
+	"repro/internal/telemetry"
 )
 
 // Read-ahead: "send, then serve" over an in-flight window (window.go).
@@ -47,14 +48,23 @@ const (
 	// chunk by chunk would pay one RPC wave — and usually one size probe
 	// to the path's metadata owner — per chunk; grouping amortizes the
 	// probe and engages several daemons per wave exactly like a demand
-	// read's fan-out does.
-	prefetchSpanChunks = 4
+	// read's fan-out does. Two chunks is 1 MiB at the default chunk: one
+	// fetch per 1 MiB sequential read.
+	prefetchSpanChunks = 2
 	// prefetchBytes is how far a window reaches past the reader, in whole
-	// fetches: max(1, prefetchBytes/span), 4 at the 512 KiB default chunk.
-	// The depth was a knob whose default no other setting beat: three runs
-	// of BenchmarkAsyncReadStream (64 KiB chunks, 2 CPUs) gave
-	// 1 023–1 287 MB/s at 4 fetches and 974–1 261 MB/s at 16.
-	prefetchBytes = 8 << 20
+	// fetches: max(1, prefetchBytes/span), 4 at the 512 KiB default chunk,
+	// so a descriptor holds 5 MiB. A stream of 1 MiB reads is CPU-bound
+	// on 2 vCPUs: a deeper window buys no throughput, only a longer wait
+	// when the reader catches up with the head fetch and bytes that have
+	// left the cache before they are copied out. bench/run.sh's
+	// stream_read, 6 interleaved pairs against 4-chunk fetches 8 MiB deep,
+	// ratio of medians: op_p95_us 0.63 (6/6 pairs better), op_p50_us
+	// 1.08, cpu_us_per_op 0.93. The neighbours: 4-chunk fetches 4 MiB deep
+	// gave p95 0.69 and p50 0.88 (6/6 each) but hold 3 fetches of 2 MiB;
+	// 1-chunk fetches 4 MiB deep p95 0.57, p50 1.09 (3 pairs); 2 MiB deep
+	// raised p50 4.9-6.7x and read-ahead off 3.8-5.2x (3 pairs each).
+	// Every run is in docs/bench/BENCH_PR61.json.
+	prefetchBytes = 4 << 20
 	// seqThreshold is how many consecutive sequential reads arm
 	// speculation: the first read of a stream establishes the pattern, the
 	// second confirms it and starts prefetching.
@@ -79,8 +89,8 @@ func newReadahead(span int64) *readahead {
 // serve copies into p what the window holds of the file from off on when
 // the read is sequential, waiting for fetches still in flight, and
 // returns how much it copied: it stops at the first byte no landed fetch
-// has.
-func (ra *readahead) serve(p []byte, off int64) (n int, seq bool) {
+// has. Each wait on a fetch in flight is timed into wait (nil-safe).
+func (ra *readahead) serve(p []byte, off int64, wait *telemetry.Histogram) (n int, seq bool) {
 	w := ra.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -100,7 +110,9 @@ func (ra *readahead) serve(p []byte, off int64) (n int, seq bool) {
 		case f == nil:
 			return n, true
 		case !f.settled:
+			t0 := time.Now()
 			w.waitLocked(f) // then look pos up again: f may be gone
+			wait.ObserveSince(t0)
 		case pos >= f.Off+int64(f.n):
 			return n, true
 		default:
@@ -126,7 +138,7 @@ func (c *Client) readAhead(of *openFile, p []byte, off int64) (int, error) {
 	if ra == nil {
 		return c.readSpans(of, p, off)
 	}
-	n, seq := ra.serve(p, off)
+	n, seq := ra.serve(p, off, c.tel.fetchWait)
 	var err error
 	if n < len(p) {
 		var m int

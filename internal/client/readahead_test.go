@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/proto"
 	"repro/internal/rpc"
+	"repro/internal/telemetry"
 	"repro/internal/transport/wiretest"
 )
 
@@ -143,12 +145,22 @@ func TestReadAheadPrefetchAcrossEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close(fd)
+	// issued collects every fetch the stream starts: advance starts a
+	// fetch past the read it follows and drops only fetches read past, so
+	// the window holds each one when the read that started it returns.
+	issued := map[int64]bool{}
+	note := func() {
+		for _, off := range windowFetches(t, c, fd) {
+			issued[off] = true
+		}
+	}
 	var got []byte
 	buf := make([]byte, 64)
 	sawEOF := false
 	for i := 0; i < 64; i++ { // bounded: must EOF long before this
 		n, err := c.Read(fd, buf)
 		got = append(got, buf[:n]...)
+		note()
 		if err == io.EOF {
 			sawEOF = true
 			break
@@ -163,19 +175,24 @@ func TestReadAheadPrefetchAcrossEOF(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("read %d bytes across EOF, want %d identical", len(got), len(want))
 	}
-	// Armed at 128, one 4-chunk fetch covered the rest of the file, and
-	// none was read past: the window holds every fetch the stream issued.
-	raQuiesce(t, c, fd)
-	if offs := windowFetches(t, c, fd); fmt.Sprint(offs) != "[128]" {
-		t.Fatalf("the stream issued fetches at %v, want [128]: speculation ran past the end", offs)
+	if len(issued) == 0 {
+		t.Fatal("precondition: the sequential stream armed no fetch")
 	}
 	// Reads at and past EOF keep answering EOF and arm nothing.
+	armed := len(issued)
 	for i := 0; i < 5; i++ {
 		if n, err := c.ReadAt(fd, buf, size+int64(i)*64); err != io.EOF || n != 0 {
 			t.Fatalf("read past EOF = %d, %v; want 0, io.EOF", n, err)
 		}
-		if offs := windowFetches(t, c, fd); len(offs) > 0 && offs[len(offs)-1] >= size {
-			t.Fatalf("a read past EOF armed fetches at %v", offs)
+		note()
+	}
+	raQuiesce(t, c, fd)
+	if len(issued) != armed {
+		t.Fatalf("reads past EOF armed %d more fetches", len(issued)-armed)
+	}
+	for off := range issued {
+		if off >= size {
+			t.Fatalf("the stream issued a fetch at %d, at or past EOF %d: speculation ran past the end", off, size)
 		}
 	}
 }
@@ -666,17 +683,19 @@ func fetchOver(over int64) func(wiretest.Call) bool {
 	return func(c wiretest.Call) bool { return c.Dir == rpc.BulkOut && int64(c.Len()) > over }
 }
 
-// armPrefetch writes a 5-chunk file on a one-daemon cluster whose
-// connection runs through wire, and issues the two half-chunk reads that
-// arm speculation: both read their one window straight into the caller's
+// armPrefetch writes a file of one chunk plus one fetch span
+// (prefetchSpanChunks chunks) on a one-daemon cluster whose connection
+// runs through wire, and issues the two half-chunk reads that arm
+// speculation: both read their one window straight into the caller's
 // buffer — they draw nothing from the pool — and the second launches
-// exactly one span fetch, chunks 1-4 (the rest of the file), in one RPC.
-// It returns after the second read, with wire's log and drawn (when not
-// nil) counting from that read on; the fetch may still be in flight.
+// exactly one span fetch, the chunks from 1 on (the rest of the file),
+// in one RPC. It returns after the second read, with wire's log and
+// drawn (when not nil) counting from that read on; the fetch may still
+// be in flight.
 func armPrefetch(t *testing.T, cs int64, wire *wiretest.Script, drawn *atomic.Int64) (c *Client, fd int, want []byte) {
 	t.Helper()
 	c, _, _ = newCluster(t, "mem", 1, Config{ChunkSize: cs, ReadAhead: true})
-	want = patternedBytes(int(5*cs), 3)
+	want = patternedBytes(int(cs+prefetchSpanChunks*cs), 3)
 	writeFileVia(t, c, "/f", want)
 	wire.Wrap(c.cfg.Conns)
 	fd, err := c.Open("/f", O_RDONLY)
@@ -699,21 +718,22 @@ func armPrefetch(t *testing.T, cs int64, wire *wiretest.Script, drawn *atomic.In
 }
 
 // TestPrefetchLandsInWindowRegion is the cost pin of the read path's
-// landing: the one window the transport is handed for a 4-chunk fetch
-// is the region the fetch holds — its chunks are adjacent, so they are
-// one window, and nothing stands between the wire and the region — the
-// fetch is one RPC, and it draws exactly one 4-chunk region from the
+// landing: the one window the transport is handed for a span fetch is
+// the region the fetch holds — its chunks are adjacent, so they are one
+// window, and nothing stands between the wire and the region — the
+// fetch is one RPC, and it draws exactly one span-sized region from the
 // pool, no scratch.
 func TestPrefetchLandsInWindowRegion(t *testing.T) {
 	const cs = 8 << 10
+	const span = prefetchSpanChunks * cs
 	wire := new(wiretest.Script)
 	var drawn atomic.Int64
 	defer rpc.ObserveDraws(func(n int) { drawn.Add(int64(n)) })()
 	c, fd, want := armPrefetch(t, cs, wire, &drawn)
 	raQuiesce(t, c, fd)
 	// Armed by a read that drew nothing, the fetch is all that drew since.
-	if got := drawn.Load(); got != 4*cs {
-		t.Fatalf("fetch of 4 chunks drew %d pool bytes, want %d", got, 4*cs)
+	if got := drawn.Load(); got != span {
+		t.Fatalf("fetch of %d chunks drew %d pool bytes, want %d", prefetchSpanChunks, got, span)
 	}
 	var lists [][][]byte
 	for _, call := range wire.Take() {
@@ -729,10 +749,10 @@ func TestPrefetchLandsInWindowRegion(t *testing.T) {
 		t.Fatalf("the window holds %d fetches, want 1", len(live))
 	}
 	f := live[0]
-	if f.Off != cs || len(f.buf) != 4*cs || !bytes.Equal(f.buf, want[cs:]) {
-		t.Fatalf("the fetch holds [%d, %d), want [%d, %d) with the file's bytes", f.Off, f.End, cs, 5*cs)
+	if f.Off != cs || len(f.buf) != span || !bytes.Equal(f.buf, want[cs:]) {
+		t.Fatalf("the fetch holds [%d, %d), want [%d, %d) with the file's bytes", f.Off, f.End, cs, cs+span)
 	}
-	if w := lists[0][0]; len(w) != 4*cs || &f.buf[0] != &w[0] {
+	if w := lists[0][0]; len(w) != span || &f.buf[0] != &w[0] {
 		t.Fatalf("the region starts at %p, the transport filled %p (%d bytes)", &f.buf[0], w, len(w))
 	}
 }
@@ -744,13 +764,14 @@ func TestPrefetchLandsInWindowRegion(t *testing.T) {
 // must see the bytes written since.
 func TestPrefetchInvalidatedMidFlightRecyclesOnce(t *testing.T) {
 	const cs = 8 << 10
+	const span = prefetchSpanChunks * cs
 	wire := new(wiretest.Script)
 	gate := wire.Gate(1, fetchOver(cs))
 	defer gate.Release()
 	c, fd, want := armPrefetch(t, cs, wire, nil)
 	<-gate.Caught()
-	fresh := patternedBytes(4*cs, 9)
-	if err := c.WritePath("/f", fresh, cs); err != nil { // lands, then drops the fetch of chunks 1-4
+	fresh := patternedBytes(span, 9)
+	if err := c.WritePath("/f", fresh, cs); err != nil { // lands, then drops the in-flight fetch
 		t.Fatal(err)
 	}
 	copy(want[cs:], fresh)
@@ -759,17 +780,132 @@ func TestPrefetchInvalidatedMidFlightRecyclesOnce(t *testing.T) {
 
 	live := map[*byte]bool{}
 	for i := 0; i < 64; i++ {
-		b := rpc.GetBuf(4 * cs) // the fetch's region class
+		b := rpc.GetBuf(span) // the fetch's region class
 		if live[&b[0]] {
 			t.Fatal("the pool handed out one buffer twice: a dropped fetch's region was recycled more than once")
 		}
 		live[&b[0]] = true
 	}
-	got := make([]byte, 5*cs)
+	got := make([]byte, cs+span)
 	if n, err := c.ReadAt(fd, got, 0); n != len(got) || err != nil {
 		t.Fatalf("ReadAt = %d, %v", n, err)
 	}
-	if !bytes.Equal(got, want[:5*cs]) {
+	if !bytes.Equal(got, want) {
 		t.Fatal("read after a mid-flight invalidation returned stale or foreign bytes")
+	}
+}
+
+// TestReadAheadWindowReach pins how far the window reaches: under a
+// confirmed stream of sequential reads of a chunk, a span or a span and
+// a chunk — reads that end on fetch boundaries and reads that end inside
+// a fetch — every fetch starts less than prefetchBytes past the read it
+// follows, the regions held never exceed prefetchBytes plus one span,
+// and once the fetches have landed the next read is served whole from
+// the window.
+func TestReadAheadWindowReach(t *testing.T) {
+	const cs = 512 << 10
+	const span = prefetchSpanChunks * cs
+	const size = 3 * prefetchBytes
+	c, _, _ := newCluster(t, "mem", 2, Config{ChunkSize: cs, ReadAhead: true})
+	want := patternedBytes(size, 31)
+	writeFileVia(t, c, "/reach", want)
+	for _, r := range []int64{cs, span, span + cs} {
+		t.Run(fmt.Sprint(r/cs, "-chunk-reads"), func(t *testing.T) {
+			fd, err := c.Open("/reach", O_RDONLY)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close(fd)
+			of, err := c.lookupFD(fd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, r)
+			for off := int64(0); off+r <= size; off += r {
+				if i := off / r; i >= seqThreshold {
+					// Confirmed and landed: the window holds all of this read.
+					raQuiesce(t, c, fd)
+					if n, _ := of.ra.serve(buf, off, nil); n != len(buf) {
+						t.Fatalf("read %d at %d: the landed window served %d of %d bytes", i, off, n, len(buf))
+					}
+				}
+				if n, err := c.ReadAt(fd, buf, off); n != len(buf) || err != nil {
+					t.Fatalf("read at %d = %d, %v", off, n, err)
+				}
+				if !bytes.Equal(buf, want[off:off+r]) {
+					t.Fatalf("read at %d: wrong bytes", off)
+				}
+				end, held := off+r, int64(0)
+				for _, f := range liveFetches(t, c, fd) {
+					held += f.End - f.Off
+					if f.Off-end >= prefetchBytes {
+						t.Fatalf("after the read ending at %d a fetch starts at %d, %d past it (limit %d)", end, f.Off, f.Off-end, prefetchBytes)
+					}
+				}
+				if held > prefetchBytes+span {
+					t.Fatalf("after the read ending at %d the window holds %d bytes, over %d", end, held, prefetchBytes+span)
+				}
+			}
+		})
+	}
+}
+
+// TestReadAheadWaitHistogram pins gkfs_client_prefetch_wait_ns: a
+// sequential read that reaches a fetch still in flight records its wait
+// once, and a read served from fetches that have landed records nothing.
+func TestReadAheadWaitHistogram(t *testing.T) {
+	const cs = 8 << 10
+	reg := telemetry.NewRegistry()
+	c, _, _ := newCluster(t, "mem", 1, Config{ChunkSize: cs, ReadAhead: true, Telemetry: reg})
+	want := patternedBytes(int(cs+prefetchSpanChunks*cs), 5) // one fetch past the arming read
+	writeFileVia(t, c, "/wait", want)
+	wire := new(wiretest.Script)
+	wire.Wrap(c.cfg.Conns)
+	gate := wire.Gate(1, fetchOver(cs/2))
+	defer gate.Release()
+	fd, err := c.Open("/wait", O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close(fd)
+	waits := func() uint64 { return reg.Snapshot().Hists[telemetry.ClientPrefetchWaitNS].Count }
+	half := make([]byte, cs/2)
+	for i := 0; i < 2; i++ { // the second arms the window's one fetch, which is gated
+		if n, err := c.Read(fd, half); n != len(half) || err != nil {
+			t.Fatalf("read %d = %d, %v", i, n, err)
+		}
+	}
+	<-gate.Caught()
+	read := make(chan error, 1)
+	go func() {
+		n, err := c.Read(fd, half)
+		if err == nil && !bytes.Equal(half[:n], want[cs:cs+cs/2]) {
+			err = fmt.Errorf("read of the gated fetch: wrong bytes")
+		}
+		read <- err
+	}()
+	// Release the fetch only once the read is inside serve: it then has
+	// to wait for it.
+	for stack := make([]byte, 1<<20); !bytes.Contains(stack[:runtime.Stack(stack, true)], []byte("(*readahead).serve")); {
+		select {
+		case err := <-read:
+			t.Fatalf("the read returned before its fetch was released: %v", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	gate.Release()
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	if got := waits(); got != 1 {
+		t.Fatalf("a read that waited on a fetch in flight recorded %d waits, want 1", got)
+	}
+	raQuiesce(t, c, fd)
+	if n, err := c.Read(fd, half); n != len(half) || err != nil {
+		t.Fatalf("read from the landed window = %d, %v", n, err)
+	}
+	if got := waits(); got != 1 {
+		t.Fatalf("a read served from landed fetches recorded a wait: %d waits, want 1", got)
 	}
 }

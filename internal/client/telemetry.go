@@ -26,6 +26,7 @@ type clientTelemetry struct {
 	writeHist *telemetry.Histogram // round-trip, OpWriteChunks
 	readHist  *telemetry.Histogram // round-trip, OpReadChunks
 	prefetch  *telemetry.Histogram // read-ahead span fetch duration
+	fetchWait *telemetry.Histogram // a sequential read's wait on a fetch in flight
 	inflight  *telemetry.Gauge
 	traces    *telemetry.Counter
 
@@ -54,6 +55,7 @@ func (c *Client) initTelemetry(reg *telemetry.Registry, sample int) {
 		writeHist: reg.Histogram(telemetry.ClientRPCWriteNS),
 		readHist:  reg.Histogram(telemetry.ClientRPCReadNS),
 		prefetch:  reg.Histogram(telemetry.ClientPrefetchFetchNS),
+		fetchWait: reg.Histogram(telemetry.ClientPrefetchWaitNS),
 		inflight:  reg.Gauge(telemetry.ClientRPCInflight),
 		traces:    reg.Counter(telemetry.ClientTracesTotal),
 		sample:    uint64(sample),

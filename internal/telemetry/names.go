@@ -33,8 +33,9 @@ const (
 // round trip by family (write = OpWriteChunks, read = OpReadChunks,
 // everything else meta); the wait histograms time the client-side
 // queues in front of the wire (striped-connection acquire, shm segment
-// allocation, prefetch span fetches). The
-// client's counters are the tagged fields of client.ClientStats.
+// allocation, prefetch span fetches, a sequential read's wait on a
+// prefetch still in flight). The client's counters are the tagged
+// fields of client.ClientStats.
 const (
 	ClientRPCMetaNS  = "gkfs_client_rpc_meta_ns"
 	ClientRPCWriteNS = "gkfs_client_rpc_write_ns"
@@ -45,6 +46,7 @@ const (
 	ClientPoolAcquireWaitNS = "gkfs_client_pool_acquire_wait_ns"
 	ClientShmSegWaitNS      = "gkfs_client_shm_seg_wait_ns"
 	ClientPrefetchFetchNS   = "gkfs_client_prefetch_fetch_ns"
+	ClientPrefetchWaitNS    = "gkfs_client_prefetch_wait_ns"
 
 	ClientTracesTotal = "gkfs_client_traces_total"
 )
@@ -65,7 +67,7 @@ func Catalog(tagged ...any) []string {
 		ClientRPCMetaNS, ClientRPCWriteNS, ClientRPCReadNS,
 		ClientRPCInflight,
 		ClientPoolAcquireWaitNS, ClientShmSegWaitNS,
-		ClientPrefetchFetchNS,
+		ClientPrefetchFetchNS, ClientPrefetchWaitNS,
 		ClientTracesTotal,
 	}
 	for _, v := range tagged {
