@@ -168,9 +168,8 @@ func (d *Daemon) Close() error {
 // changed since (grows take no key lock). An operand landing on a
 // concurrently removed path recreates a bare regular-file record; GekkoFS
 // accepts this relaxed outcome rather than serializing writers against
-// removers (paper §III-A); a directory record is never grown. The merger
-// must stay pure: the store folds operands at insert and WAL recovery
-// replays them.
+// removers (paper §III-A); a directory record is never grown. The store
+// runs it once per operand, under its lock, and logs the grown record.
 func sizeMerger(_ []byte, existing []byte, operands [][]byte) []byte {
 	var rec meta.Record
 	if existing != nil {

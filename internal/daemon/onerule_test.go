@@ -70,15 +70,15 @@ func TestSingleAndBatchFramingsAgree(t *testing.T) {
 	// tombstoned state the store holds a delete over an earlier record.
 	prepared := func(t *testing.T, rec *meta.Metadata, gone bool) *Daemon {
 		d := newTestDaemon(t)
+		var b kvstore.Batch
 		if rec != nil {
-			if err := d.db.Put([]byte(path), rec.Encode()); err != nil {
-				t.Fatal(err)
-			}
+			b.PutOwned([]byte(path), rec.Encode())
 		}
 		if gone {
-			if err := d.db.Delete([]byte(path)); err != nil {
-				t.Fatal(err)
-			}
+			b.DeleteOwned([]byte(path))
+		}
+		if err := d.db.Apply(&b); err != nil {
+			t.Fatal(err)
 		}
 		return d
 	}
@@ -159,18 +159,20 @@ func TestSizeGrowRule(t *testing.T) {
 			}
 			defer db.Close()
 			key := []byte("/g")
+			var b kvstore.Batch
 			if tc.existing != nil {
-				if err := db.Put(key, tc.existing.Encode()); err != nil {
-					t.Fatal(err)
-				}
+				b.PutOwned(key, tc.existing.Encode())
 			}
 			if tc.gone {
-				if err := db.Delete(key); err != nil {
-					t.Fatal(err)
-				}
+				b.DeleteOwned(key)
+			}
+			if err := db.Apply(&b); err != nil {
+				t.Fatal(err)
 			}
 			first := operand(tc.size, tc.mtime)
-			if err := db.Merge(key, first); err != nil {
+			var grow kvstore.Batch
+			grow.MergeOwned(key, bytes.Clone(first))
+			if err := db.Apply(&grow); err != nil {
 				t.Fatal(err)
 			}
 			merged, err := db.Get(key)

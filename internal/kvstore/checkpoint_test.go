@@ -25,25 +25,11 @@ func TestPointReadSurvivesCheckpoint(t *testing.T) {
 	key, want := []byte("size"), []byte("put.merged.")
 	reads := map[string]func(*DB) ([]byte, error){
 		"Get": func(db *DB) ([]byte, error) { return db.Get(key) },
-		"Has": func(db *DB) ([]byte, error) {
-			if ok, err := db.Has(key); err != nil || !ok {
-				return nil, fmt.Errorf("Has = %v, %v", ok, err)
-			}
-			return want, nil
-		},
 		"PutIfAbsent": func(db *DB) ([]byte, error) {
 			if stored, err := db.PutIfAbsent(key, []byte("absent.")); err != nil || stored {
 				return nil, fmt.Errorf("PutIfAbsent stored = %v, %v", stored, err)
 			}
 			return db.Get(key)
-		},
-		"Update": func(db *DB) ([]byte, error) {
-			var seen []byte
-			err := db.Update(key, func(cur []byte, _ bool) ([]byte, bool, error) {
-				seen = cur
-				return cur, false, nil
-			})
-			return seen, err
 		},
 		"Iterator": func(db *DB) ([]byte, error) {
 			it, err := db.NewIterator()
@@ -60,13 +46,13 @@ func TestPointReadSurvivesCheckpoint(t *testing.T) {
 	for name, read := range reads {
 		t.Run(name, func(t *testing.T) {
 			db := openTestDB(t, Options{Merger: appendMerger, logBytes: 1 << 10})
-			if err := db.Put(key, []byte("put.")); err != nil {
+			if err := put(db, key, []byte("put.")); err != nil {
 				t.Fatal(err)
 			}
 			if err := db.checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Merge(key, []byte("merged.")); err != nil {
+			if err := merge(db, key, []byte("merged.")); err != nil {
 				t.Fatal(err)
 			}
 			pinned, err := db.NewIterator()
@@ -81,7 +67,7 @@ func TestPointReadSurvivesCheckpoint(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; !done.Load(); i++ {
-					if err := db.Put([]byte(fmt.Sprintf("churn-%03d", i%500)), val(i)); err != nil {
+					if err := put(db, []byte(fmt.Sprintf("churn-%03d", i%500)), val(i)); err != nil {
 						t.Error(err)
 						return
 					}

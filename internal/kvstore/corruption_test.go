@@ -25,7 +25,7 @@ func TestCheckpointCorruptionFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		if err := db.Put(key(i), val(i)); err != nil {
+		if err := put(db, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,9 +177,9 @@ func TestCrashAtCheckpointSteps(t *testing.T) {
 					var err error
 					op := []kind{kindPut, kindMerge, kindMerge, kindMerge}[rnd.Intn(4)]
 					if op == kindPut {
-						err = db.Put([]byte(k), v)
+						err = put(db, []byte(k), v)
 					} else {
-						err = db.Merge([]byte(k), v)
+						err = merge(db, []byte(k), v)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -234,7 +234,7 @@ func TestManyReopenCycles(t *testing.T) {
 		}
 		for i := 0; i < perCycle; i++ {
 			k := []byte(fmt.Sprintf("cycle-%d-key-%d", c, i))
-			if err := db.Put(k, val(i)); err != nil {
+			if err := put(db, k, val(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -265,7 +265,7 @@ func TestCrashDuringHeavyWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i <= crashAt; i++ {
-			if err := db.Put(key(i), val(i)); err != nil {
+			if err := put(db, key(i), val(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -293,14 +293,14 @@ func TestIteratorSeekPropertyAgainstModel(t *testing.T) {
 	model := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("k%04d", (i*7919)%1000)
-		if err := db.Put([]byte(k), []byte("v")); err != nil {
+		if err := put(db, []byte(k), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		model[k] = true
 	}
 	for i := 0; i < 1000; i += 3 {
 		k := fmt.Sprintf("k%04d", i)
-		if err := db.Delete([]byte(k)); err != nil {
+		if err := del(db, []byte(k)); err != nil {
 			t.Fatal(err)
 		}
 		delete(model, k)
@@ -310,7 +310,7 @@ func TestIteratorSeekPropertyAgainstModel(t *testing.T) {
 	}
 	for i := 1; i < 1000; i += 3 {
 		k := fmt.Sprintf("k%04d", i)
-		if err := db.Delete([]byte(k)); err != nil {
+		if err := del(db, []byte(k)); err != nil {
 			t.Fatal(err)
 		}
 		delete(model, k)

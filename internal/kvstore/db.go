@@ -14,11 +14,10 @@ import (
 // MergeOperator combines a key's existing value (nil if absent) with merge
 // operands, oldest first, producing the new value. GekkoFS daemons use it
 // for lock-free file-size updates, mirroring the released system's RocksDB
-// merge operands. The store folds each operand into the key's value as
-// it is inserted, and again on WAL replay, so the operator must be a pure
-// function of its arguments, must not modify existing, must return a
-// fresh buffer, and applying it in steps must equal applying it once:
-// m(k, m(k, v, a), b) == m(k, v, a++b).
+// merge operands. Apply runs it once per merge op, under the store's lock
+// and before the batch is logged, and the log keeps the value it returns:
+// recovery never runs it. It must not modify existing and must return a
+// fresh buffer.
 type MergeOperator func(key, existing []byte, operands [][]byte) []byte
 
 // Options configures a DB. The zero value plus an FS is usable.
@@ -26,7 +25,8 @@ type Options struct {
 	// FS is the backing file system; required. Use vfs.NewMem() for a
 	// purely in-memory store.
 	FS vfs.FS
-	// Merger resolves merge operands. Required before calling Merge.
+	// Merger folds merge operands; Apply refuses a batch holding a merge
+	// without one.
 	Merger MergeOperator
 	// SyncWAL forces an fsync per write batch. GekkoFS acknowledges
 	// operations synchronously; tests enable this together with crash
@@ -59,7 +59,11 @@ var (
 	ErrNotFound = errors.New("kvstore: key not found")
 	// ErrClosed reports use after Close.
 	ErrClosed = errors.New("kvstore: store is closed")
-	// ErrNoMerger reports a Merge call without Options.Merger.
+	// ErrFormat fails Open on a log that lacks this build's magic.
+	ErrFormat = errors.New("kvstore: log format not recognised")
+	// ErrLogDamaged fails Open on a checksummed batch that does not decode.
+	ErrLogDamaged = errors.New("kvstore: log damaged")
+	// ErrNoMerger reports a merge applied without Options.Merger.
 	ErrNoMerger = errors.New("kvstore: no merge operator configured")
 )
 
@@ -81,7 +85,7 @@ type DB struct {
 	workDone chan struct{}
 	stats    Stats
 
-	keyLocks [64]sync.Mutex // striped locks backing PutIfAbsent
+	keyLocks [64]sync.Mutex // striped locks backing LockKeys
 }
 
 // Open creates or recovers a store in opts.FS.
@@ -116,11 +120,12 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// recoverWALs replays every intact batch of the logs the checkpoint does
-// not cover into the fresh memtable and, if anything was recovered,
-// checkpoints it at once. Recovery therefore leaves CHECKPOINT and no log
-// behind: a log the checkpoint covers (a crash came between the rename
-// and its removal) is skipped, never replayed twice.
+// recoverWALs replays the logs the checkpoint does not cover into the
+// fresh memtable and, if anything was recovered, checkpoints it at once.
+// Recovery therefore leaves CHECKPOINT and no log behind: a log the
+// checkpoint covers (a crash came between the rename and its removal) is
+// skipped, never replayed twice. A log that fails replay (ErrFormat,
+// ErrLogDamaged) fails Open, and every log stays where it is.
 func (db *DB) recoverWALs() error {
 	names, err := db.fs.List("")
 	if err != nil {
@@ -134,7 +139,7 @@ func (db *DB) recoverWALs() error {
 		}
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	for _, num := range nums {
+	for i, num := range nums {
 		if num <= db.walNum {
 			continue
 		}
@@ -142,7 +147,7 @@ func (db *DB) recoverWALs() error {
 		if err != nil {
 			return err
 		}
-		err = replayWAL(f, db.insertLocked)
+		err = replayWAL(f, walName(num), i == len(nums)-1, db.mem.add)
 		f.Close()
 		if err != nil {
 			return err
@@ -176,71 +181,36 @@ func (db *DB) rotateWAL() error {
 	if err != nil {
 		return err
 	}
+	w, err := newWALWriter(f)
+	if err != nil {
+		f.Close()
+		return err
+	}
 	db.walNum++
-	db.wal = newWALWriter(f)
+	db.wal = w
 	return nil
 }
 
-// Put stores key=value.
-func (db *DB) Put(key, value []byte) error {
-	return db.apply([]entry{{key: key, val: value, kind: kindPut}})
-}
-
-// Delete removes key; deleting an absent key succeeds.
-func (db *DB) Delete(key []byte) error {
-	return db.apply([]entry{{key: key, kind: kindDelete}})
-}
-
-// Merge records a merge operand for key. The log keeps the operand; the
-// memtable keeps the value Options.Merger folds it into (insertLocked), so
-// a key merged into 10⁵ times is one entry, read as cheaply as any other.
-func (db *DB) Merge(key, operand []byte) error {
-	if db.opts.Merger == nil {
-		return ErrNoMerger
-	}
-	return db.apply([]entry{{key: key, val: operand, kind: kindMerge}})
-}
-
-// Batch applies several operations atomically with respect to recovery:
-// either the whole batch replays from the WAL or none of it. Batch
-// methods copy keys and values as they are queued, so Apply can hand the
-// entries to the memtable without a second copy.
+// Batch is a set of operations Apply commits atomically with respect to
+// recovery: either the whole batch replays from the WAL or none of it. It
+// takes ownership of every buffer queued into it, which the caller must
+// not touch afterwards, so Apply stores them without a copy.
 type Batch struct {
 	ops []entry
 }
 
-// Put adds a put to the batch.
-func (b *Batch) Put(key, value []byte) {
-	b.ops = append(b.ops, entry{key: append([]byte(nil), key...), val: append([]byte(nil), value...), kind: kindPut})
-}
-
-// Delete adds a delete to the batch.
-func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, entry{key: append([]byte(nil), key...), kind: kindDelete})
-}
-
-// Merge adds a merge operand to the batch.
-func (b *Batch) Merge(key, operand []byte) {
-	b.ops = append(b.ops, entry{key: append([]byte(nil), key...), val: append([]byte(nil), operand...), kind: kindMerge})
-}
-
-// PutOwned, DeleteOwned and MergeOwned are the zero-copy variants: the
-// batch takes ownership of the buffers, which the caller must not touch
-// afterwards. They exist for hot batch producers (the daemon's vectored
-// metadata handler) whose buffers are freshly built per op anyway.
-
-// PutOwned adds a put whose buffers the batch takes ownership of.
+// PutOwned adds a put.
 func (b *Batch) PutOwned(key, value []byte) {
 	b.ops = append(b.ops, entry{key: key, val: value, kind: kindPut})
 }
 
-// DeleteOwned adds a delete whose key buffer the batch takes ownership of.
+// DeleteOwned adds a delete; deleting an absent key succeeds.
 func (b *Batch) DeleteOwned(key []byte) {
 	b.ops = append(b.ops, entry{key: key, kind: kindDelete})
 }
 
-// MergeOwned adds a merge operand whose buffers the batch takes ownership
-// of.
+// MergeOwned adds a merge operand, which Apply folds into the key's value
+// through Options.Merger.
 func (b *Batch) MergeOwned(key, operand []byte) {
 	b.ops = append(b.ops, entry{key: key, val: operand, kind: kindMerge})
 }
@@ -248,27 +218,24 @@ func (b *Batch) MergeOwned(key, operand []byte) {
 // Len returns the number of queued operations.
 func (b *Batch) Len() int { return len(b.ops) }
 
-// Apply commits the batch. The batch owns its entry buffers (its methods
-// copied them at queue time), so they move into the memtable as-is; the
-// batch must not be reused after Apply.
+// Apply commits the batch and consumes it: a second Apply of it is a
+// no-op. Under db.mu it folds the batch's merges into puts (foldLocked),
+// logs the batch and inserts it into the active memtable; a failed append
+// leaves the memtable untouched. A batch holding a merge is refused with
+// ErrNoMerger, before anything is logged, when Options.Merger is nil.
 func (db *DB) Apply(b *Batch) error {
-	if len(b.ops) == 0 {
+	ops := b.ops
+	b.ops = nil
+	if len(ops) == 0 {
 		return nil
 	}
-	err := db.applyEntries(b.ops, true)
-	b.ops = nil
-	return err
-}
-
-// apply copies the callers' buffers and inserts the operations.
-func (db *DB) apply(ops []entry) error {
-	return db.applyEntries(ops, false)
-}
-
-// applyEntries logs and inserts the operations. owned declares that the
-// entries' key/value buffers belong to the store already and need no
-// defensive copy.
-func (db *DB) applyEntries(ops []entry, owned bool) error {
+	var n [kindMerge + 1]uint64 // ops per kind
+	for i := range ops {
+		n[ops[i].kind]++
+	}
+	if n[kindMerge] > 0 && db.opts.Merger == nil {
+		return ErrNoMerger
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	err := db.bgErr
@@ -289,26 +256,18 @@ func (db *DB) applyEntries(ops []entry, owned bool) error {
 		return err
 	}
 
+	if n[kindMerge] > 0 {
+		db.foldLocked(ops)
+	}
 	if err := db.wal.append(ops, db.opts.SyncWAL); err != nil {
 		return err
 	}
 	for i := range ops {
-		e := ops[i]
-		if !owned {
-			// Copy key/val so callers may reuse their buffers.
-			e.key = append([]byte(nil), ops[i].key...)
-			e.val = append([]byte(nil), ops[i].val...)
-		}
-		switch e.kind {
-		case kindPut:
-			db.stats.Puts++
-		case kindDelete:
-			db.stats.Deletes++
-		case kindMerge:
-			db.stats.Merges++
-		}
-		db.insertLocked(e)
+		db.mem.add(ops[i])
 	}
+	db.stats.Puts += n[kindPut]
+	db.stats.Deletes += n[kindDelete]
+	db.stats.Merges += n[kindMerge]
 	return nil
 }
 
@@ -359,58 +318,6 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	return append([]byte(nil), val...), nil
 }
 
-// Has reports whether key exists.
-func (db *DB) Has(key []byte) (bool, error) {
-	_, err := db.Get(key)
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, ErrNotFound) {
-		return false, nil
-	}
-	return false, err
-}
-
-// PutIfAbsent atomically stores key=value if the key has no live value,
-// returning whether it stored. The daemons build create-exclusive
-// semantics for paths on this.
-func (db *DB) PutIfAbsent(key, value []byte) (bool, error) {
-	l := &db.keyLocks[keyStripe(key)]
-	l.Lock()
-	defer l.Unlock()
-	switch _, err := db.Get(key); {
-	case err == nil:
-		return false, nil
-	case errors.Is(err, ErrNotFound):
-		return true, db.Put(key, value)
-	default:
-		return false, err
-	}
-}
-
-// Update atomically transforms the value of key under the key's stripe
-// lock: fn receives the current value (nil if absent) and returns the new
-// value, or delete=true to remove the key. fn must not call back into the
-// DB.
-func (db *DB) Update(key []byte, fn func(cur []byte, found bool) (next []byte, del bool, err error)) error {
-	l := &db.keyLocks[keyStripe(key)]
-	l.Lock()
-	defer l.Unlock()
-	cur, err := db.Get(key)
-	found := err == nil
-	if err != nil && !errors.Is(err, ErrNotFound) {
-		return err
-	}
-	next, del, err := fn(cur, found)
-	if err != nil {
-		return err
-	}
-	if del {
-		return db.Delete(key)
-	}
-	return db.Put(key, next)
-}
-
 func keyStripe(key []byte) int {
 	h := fnv.New32a()
 	h.Write(key)
@@ -425,11 +332,11 @@ type KeyLocks struct {
 
 // LockKeys takes the stripe locks covering every key, in stripe order so
 // concurrent multi-key holders cannot deadlock, and returns the held set
-// for the caller to Unlock. PutIfAbsent and Update take the same locks,
-// so until then the caller reads and mutates the covered keys atomically
-// with respect to them — the foundation for applying a
-// read-validate-write batch (e.g. a vector of create-exclusive inserts)
-// as one Apply. The holder must not call PutIfAbsent, Update or LockKeys.
+// for the caller to Unlock. Until then the caller reads and mutates the
+// covered keys atomically with respect to every other holder — the
+// foundation for applying a read-validate-write batch (e.g. a vector of
+// create-exclusive inserts) as one Apply. The holder must not call
+// PutIfAbsent or LockKeys.
 func (db *DB) LockKeys(keys [][]byte) KeyLocks {
 	held := KeyLocks{db: db}
 	for _, k := range keys {

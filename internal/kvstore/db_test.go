@@ -26,23 +26,56 @@ func openTestDB(t *testing.T, opts Options) *DB {
 	return db
 }
 
+// put, del and merge commit one op through Apply. Like every caller of
+// Batch they hand it buffers of their own: copies of the arguments.
+func put(db *DB, key, value []byte) error {
+	var b Batch
+	b.PutOwned(bytes.Clone(key), bytes.Clone(value))
+	return db.Apply(&b)
+}
+
+func del(db *DB, key []byte) error {
+	var b Batch
+	b.DeleteOwned(bytes.Clone(key))
+	return db.Apply(&b)
+}
+
+func merge(db *DB, key, operand []byte) error {
+	var b Batch
+	b.MergeOwned(bytes.Clone(key), bytes.Clone(operand))
+	return db.Apply(&b)
+}
+
+// update stores fn's rewrite of key's value (nil if absent) as the
+// daemon's metadata transaction does: LockKeys, Get, Apply.
+func update(db *DB, key []byte, fn func(cur []byte) []byte) error {
+	defer db.LockKeys([][]byte{key}).Unlock()
+	cur, err := db.Get(key)
+	if err != nil && !errors.Is(err, ErrNotFound) {
+		return err
+	}
+	var b Batch
+	b.PutOwned(bytes.Clone(key), fn(cur))
+	return db.Apply(&b)
+}
+
 func TestPutGetDelete(t *testing.T) {
 	db := openTestDB(t, Options{})
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+	if err := put(db, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	v, err := db.Get([]byte("k"))
 	if err != nil || string(v) != "v" {
 		t.Fatalf("Get = %q, %v", v, err)
 	}
-	if err := db.Delete([]byte("k")); err != nil {
+	if err := del(db, []byte("k")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("after delete err = %v", err)
 	}
 	// Deleting an absent key succeeds.
-	if err := db.Delete([]byte("never")); err != nil {
+	if err := del(db, []byte("never")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,7 +83,7 @@ func TestPutGetDelete(t *testing.T) {
 func TestOverwrite(t *testing.T) {
 	db := openTestDB(t, Options{})
 	for i := 0; i < 10; i++ {
-		if err := db.Put([]byte("k"), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := put(db, []byte("k"), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,10 +98,6 @@ func TestGetMissing(t *testing.T) {
 	if _, err := db.Get([]byte("missing")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
-	ok, err := db.Has([]byte("missing"))
-	if err != nil || ok {
-		t.Fatalf("Has = %v, %v", ok, err)
-	}
 }
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
@@ -81,7 +110,7 @@ func TestReadThroughCheckpoint(t *testing.T) {
 	db := openTestDB(t, Options{logBytes: 2048})
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if err := db.Put(key(i), val(i)); err != nil {
+		if err := put(db, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,18 +139,18 @@ func TestCheckpointPreservesData(t *testing.T) {
 	db := openTestDB(t, Options{logBytes: 2048})
 	const n = 3000
 	for i := 0; i < n; i++ {
-		if err := db.Put(key(i), val(i)); err != nil {
+		if err := put(db, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Overwrite a third, delete a third.
 	for i := 0; i < n; i += 3 {
-		if err := db.Put(key(i), []byte("overwritten")); err != nil {
+		if err := put(db, key(i), []byte("overwritten")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 1; i < n; i += 3 {
-		if err := db.Delete(key(i)); err != nil {
+		if err := del(db, key(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +224,7 @@ func TestCheckpointReclaimsSpace(t *testing.T) {
 		}
 	}
 	for i := 0; i < overwrites; i++ {
-		if err := db.Put(key(i%keys), value(i/keys)); err != nil {
+		if err := put(db, key(i%keys), value(i/keys)); err != nil {
 			t.Fatal(err)
 		}
 		if i%1000 == 0 {
@@ -255,11 +284,11 @@ func u64(v uint64) []byte {
 
 func TestMergeOperator(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax})
-	if err := db.Put([]byte("size"), u64(100)); err != nil {
+	if err := put(db, []byte("size"), u64(100)); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []uint64{50, 300, 200} {
-		if err := db.Merge([]byte("size"), u64(v)); err != nil {
+		if err := merge(db, []byte("size"), u64(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +300,7 @@ func TestMergeOperator(t *testing.T) {
 
 func TestMergeWithoutBase(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax})
-	if err := db.Merge([]byte("k"), u64(7)); err != nil {
+	if err := merge(db, []byte("k"), u64(7)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := db.Get([]byte("k"))
@@ -282,13 +311,13 @@ func TestMergeWithoutBase(t *testing.T) {
 
 func TestMergeAfterDelete(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax})
-	if err := db.Put([]byte("k"), u64(1000)); err != nil {
+	if err := put(db, []byte("k"), u64(1000)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete([]byte("k")); err != nil {
+	if err := del(db, []byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Merge([]byte("k"), u64(5)); err != nil {
+	if err := merge(db, []byte("k"), u64(5)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := db.Get([]byte("k"))
@@ -299,19 +328,19 @@ func TestMergeAfterDelete(t *testing.T) {
 
 func TestMergeSurvivesCompaction(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax, logBytes: 1024})
-	if err := db.Put([]byte("size"), u64(1)); err != nil {
+	if err := put(db, []byte("size"), u64(1)); err != nil {
 		t.Fatal(err)
 	}
 	var want uint64
 	for i := uint64(1); i <= 500; i++ {
-		if err := db.Merge([]byte("size"), u64(i)); err != nil {
+		if err := merge(db, []byte("size"), u64(i)); err != nil {
 			t.Fatal(err)
 		}
 		if i > want {
 			want = i
 		}
 		// Interleave unrelated churn to force checkpoints around the merges.
-		if err := db.Put(key(int(i)), val(int(i))); err != nil {
+		if err := put(db, key(int(i)), val(int(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,19 +353,50 @@ func TestMergeSurvivesCompaction(t *testing.T) {
 	}
 }
 
+// TestMergeRequiresOperator: without a merger a merge is refused, alone or
+// in a batch, before anything reaches the log or the memtable.
 func TestMergeRequiresOperator(t *testing.T) {
-	db := openTestDB(t, Options{})
+	fs := vfs.NewMem()
+	db := openTestDB(t, Options{FS: fs})
 	if err := db.Merge([]byte("k"), []byte("x")); !errors.Is(err, ErrNoMerger) {
-		t.Fatalf("err = %v, want ErrNoMerger", err)
+		t.Fatalf("Merge: err = %v, want ErrNoMerger", err)
 	}
+	var b Batch
+	b.PutOwned([]byte("p"), []byte("v"))
+	b.MergeOwned([]byte("k"), []byte("op"))
+	if err := db.Apply(&b); !errors.Is(err, ErrNoMerger) {
+		t.Fatalf("Apply of a batch with a merge: err = %v, want ErrNoMerger", err)
+	}
+	for _, k := range []string{"k", "p"} {
+		if v, err := db.Get([]byte(k)); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("after the refused batch Get(%s) = %q, %v; want not found", k, v, err)
+		}
+	}
+	if size := fileSize(t, fs, walName(db.walNum)); size != int64(len(walMagic)) {
+		t.Fatalf("log holds %d bytes after the refused batch, want only the %d-byte magic", size, len(walMagic))
+	}
+}
+
+func fileSize(t *testing.T, fs vfs.FS, name string) int64 {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return size
 }
 
 func TestBatchAtomicVisibility(t *testing.T) {
 	db := openTestDB(t, Options{})
 	var b Batch
-	b.Put([]byte("a"), []byte("1"))
-	b.Put([]byte("b"), []byte("2"))
-	b.Delete([]byte("a"))
+	b.PutOwned([]byte("a"), []byte("1"))
+	b.PutOwned([]byte("b"), []byte("2"))
+	b.DeleteOwned([]byte("a"))
 	if b.Len() != 3 {
 		t.Fatalf("batch len = %d", b.Len())
 	}
@@ -359,7 +419,7 @@ func TestIteratorOrderedScan(t *testing.T) {
 	db := openTestDB(t, Options{logBytes: 1024})
 	const n = 500
 	for i := n - 1; i >= 0; i-- {
-		if err := db.Put(key(i), val(i)); err != nil {
+		if err := put(db, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,7 +444,7 @@ func TestIteratorSeekAndPrefix(t *testing.T) {
 	db := openTestDB(t, Options{})
 	paths := []string{"/a/x", "/a/y", "/b/x", "/b/y", "/c/z"}
 	for _, p := range paths {
-		if err := db.Put([]byte(p), []byte("m")); err != nil {
+		if err := put(db, []byte(p), []byte("m")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -405,12 +465,12 @@ func TestIteratorSeekAndPrefix(t *testing.T) {
 func TestIteratorSkipsTombstones(t *testing.T) {
 	db := openTestDB(t, Options{logBytes: 512})
 	for i := 0; i < 100; i++ {
-		if err := db.Put(key(i), val(i)); err != nil {
+		if err := put(db, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 100; i += 2 {
-		if err := db.Delete(key(i)); err != nil {
+		if err := del(db, key(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,10 +495,10 @@ func TestIteratorSkipsTombstones(t *testing.T) {
 
 func TestIteratorResolvesMerges(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax})
-	if err := db.Put([]byte("f"), u64(10)); err != nil {
+	if err := put(db, []byte("f"), u64(10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Merge([]byte("f"), u64(99)); err != nil {
+	if err := merge(db, []byte("f"), u64(99)); err != nil {
 		t.Fatal(err)
 	}
 	it, err := db.NewIterator()
@@ -460,7 +520,7 @@ func TestWALRecovery(t *testing.T) {
 	}
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := db.Put(key(i), val(i)); err != nil {
+		if err := put(db, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -487,7 +547,7 @@ func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("lost"), []byte("x")); err != nil {
+	if err := put(db, []byte("lost"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	crashed := mem.CrashClone()
@@ -511,12 +571,12 @@ func TestReopenPersistence(t *testing.T) {
 	}
 	const n = 1000
 	for i := 0; i < n; i++ {
-		if err := db.Put(key(i), val(i)); err != nil {
+		if err := put(db, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i += 5 {
-		if err := db.Delete(key(i)); err != nil {
+		if err := del(db, key(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -544,7 +604,7 @@ func TestReopenPersistence(t *testing.T) {
 		}
 	}
 	// A write after the reopen must shadow the checkpoint's record.
-	if err := db2.Put(key(1), []byte("fresh")); err != nil {
+	if err := put(db2, key(1), []byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
 	v, err := db2.Get(key(1))
@@ -563,7 +623,7 @@ func TestOSBackendEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := db.Put(key(i), val(i)); err != nil {
+		if err := put(db, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -650,12 +710,12 @@ func TestUpdateAtomicCounter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				err := db.Update([]byte("ctr"), func(cur []byte, found bool) ([]byte, bool, error) {
+				err := update(db, []byte("ctr"), func(cur []byte) []byte {
 					var n uint64
-					if found {
+					if cur != nil {
 						n = binary.LittleEndian.Uint64(cur)
 					}
-					return u64(n + 1), false, nil
+					return u64(n + 1)
 				})
 				if err != nil {
 					t.Error(err)
@@ -680,7 +740,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				k := []byte(fmt.Sprintf("w%d-%d", id, i))
-				if err := db.Put(k, val(i)); err != nil {
+				if err := put(db, k, val(i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -699,7 +759,7 @@ func TestClosedErrors(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("k"), nil); !errors.Is(err, ErrClosed) {
+	if err := put(db, []byte("k"), nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put after close = %v", err)
 	}
 	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrClosed) {
@@ -732,13 +792,13 @@ func TestModelCheck(t *testing.T) {
 				k := fmt.Sprintf("k%03d", rnd.Intn(300))
 				switch rnd.Intn(10) {
 				case 0, 1, 2:
-					if err := db.Delete([]byte(k)); err != nil {
+					if err := del(db, []byte(k)); err != nil {
 						t.Fatal(err)
 					}
 					delete(model, k)
 				default:
 					v := fmt.Sprintf("v%d", i)
-					if err := db.Put([]byte(k), []byte(v)); err != nil {
+					if err := put(db, []byte(k), []byte(v)); err != nil {
 						t.Fatal(err)
 					}
 					model[k] = v
@@ -780,13 +840,13 @@ func TestModelCheck(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax})
-	if err := db.Put([]byte("a"), nil); err != nil {
+	if err := put(db, []byte("a"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Delete([]byte("a")); err != nil {
+	if err := del(db, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Merge([]byte("a"), u64(1)); err != nil {
+	if err := merge(db, []byte("a"), u64(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Get([]byte("a")); err != nil {
@@ -801,7 +861,7 @@ func TestStatsCounters(t *testing.T) {
 func TestLargeValues(t *testing.T) {
 	db := openTestDB(t, Options{logBytes: 64 << 10})
 	big := bytes.Repeat([]byte{0xAB}, 1<<20)
-	if err := db.Put([]byte("big"), big); err != nil {
+	if err := put(db, []byte("big"), big); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.checkpoint(); err != nil {
@@ -819,7 +879,7 @@ func TestLargeValues(t *testing.T) {
 func TestIteratorDuringCheckpoint(t *testing.T) {
 	db := openTestDB(t, Options{logBytes: 1024})
 	for i := 0; i < 500; i++ {
-		if err := db.Put(key(i), val(i)); err != nil {
+		if err := put(db, key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -828,7 +888,7 @@ func TestIteratorDuringCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := db.Put(key(i), []byte("new")); err != nil {
+		if err := put(db, key(i), []byte("new")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -873,7 +933,7 @@ func TestLockKeysAtomicVsPutIfAbsent(t *testing.T) {
 			held := db.LockKeys([][]byte{k})
 			if _, err := db.Get(k); errors.Is(err, ErrNotFound) {
 				b := &Batch{}
-				b.Put(k, []byte("batch"))
+				b.PutOwned(k, []byte("batch"))
 				batchWins[i] = true
 				if err := db.Apply(b); err != nil {
 					t.Error(err)
@@ -907,6 +967,40 @@ func TestLockKeysAtomicVsPutIfAbsent(t *testing.T) {
 	}
 }
 
+// TestReplayIndependentOfMerger: merges acknowledged under one merger
+// reopen with the values they were acknowledged with, under a different
+// merger and under none — the log holds values, and replay folds nothing.
+// A batch's merge folds against the batch's own earlier put.
+func TestReplayIndependentOfMerger(t *testing.T) {
+	fs := vfs.NewMem()
+	db := openTestDB(t, Options{FS: fs, Merger: appendMerger, SyncWAL: true})
+	for _, op := range []string{"a", "b", "c"} {
+		if err := merge(db, []byte("k"), []byte(op)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b Batch
+	b.PutOwned([]byte("j"), []byte("x"))
+	b.MergeOwned([]byte("j"), []byte("y"))
+	if err := db.Apply(&b); err != nil {
+		t.Fatal(err)
+	}
+	last := func(_, _ []byte, operands [][]byte) []byte { return operands[len(operands)-1] }
+	for _, tc := range []struct {
+		name   string
+		merger MergeOperator
+	}{{"same merger", appendMerger}, {"another merger", last}, {"no merger", nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			re := openTestDB(t, Options{FS: fs.CrashClone(), Merger: tc.merger})
+			for k, want := range map[string]string{"k": "abc", "j": "xy"} {
+				if v, err := re.Get([]byte(k)); err != nil || string(v) != want {
+					t.Fatalf("reopened %s = %q, %v; want %q as acknowledged", k, v, err, want)
+				}
+			}
+		})
+	}
+}
+
 func TestBatchOwnedVariantsRoundTrip(t *testing.T) {
 	db := openTestDB(t, Options{Merger: func(_, existing []byte, ops [][]byte) []byte {
 		out := append([]byte(nil), existing...)
@@ -915,7 +1009,7 @@ func TestBatchOwnedVariantsRoundTrip(t *testing.T) {
 		}
 		return out
 	}})
-	if err := db.Put([]byte("gone"), []byte("x")); err != nil {
+	if err := put(db, []byte("gone"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	b := &Batch{}

@@ -3,12 +3,13 @@
 // checkpoint, held in RAM, since a per-job daemon's metadata is bounded by
 // the job's files. It provides what GekkoFS metadata handling needs:
 //
-//   - point puts/gets/deletes with a write-ahead log and crash recovery,
-//   - an atomic logged batch,
+//   - one write entry, Apply: an atomic logged batch of puts, deletes and
+//     merges, with key-stripe locks (LockKeys) for read-validate-write
+//     batches, and point reads (Get);
 //   - a merge operator (GekkoFS updates file sizes with RocksDB merge
-//     operands; internal/daemon does the same here) that is folded into
-//     the key's value as the operand is inserted, so a point read costs
-//     the same however often the key was merged into,
+//     operands; internal/daemon does the same here) that Apply folds into
+//     the key's value before the batch is logged, so a point read costs
+//     the same however often the key was merged into;
 //   - ordered iteration for the daemons' readdir scans.
 //
 // The store keeps one version per key: each of the active memtable, the
@@ -20,7 +21,9 @@
 // background goroutine folds it into the base — an immutable sorted
 // buffer of records, one live put per key — and writes that to
 // CHECKPOINT (checkpoint.go). Recovery loads CHECKPOINT and replays the
-// logs it does not cover. The base costs 77 heap bytes per entry of the
+// logs it does not cover; a log begins with a format magic and holds
+// puts and deletes only, so replay runs no merge operator and is
+// idempotent (wal.go). The base costs 77 heap bytes per entry of the
 // daemon's shape (32-byte key, 35-byte record; TestBaseFootprint), about
 // 13.9 M files per GiB of daemon RAM at rest, and recovery loads it at
 // ~58 ns per entry (BenchmarkRecover: 1 Mi entries in ~61 ms). Entries not
@@ -32,8 +35,9 @@
 // The store is safe for concurrent use by multiple goroutines.
 package kvstore
 
-// kind tags the operation a log entry represents. Memtables hold puts
-// and deletes only: a merge is folded into a put as it is inserted.
+// kind tags the operation an entry represents. A merge lives only in a
+// Batch: Apply folds it into a put before the batch reaches the log or a
+// memtable, which hold puts and deletes only.
 type kind uint8
 
 const (
@@ -42,8 +46,8 @@ const (
 	kindMerge
 )
 
-// entry is one operation flowing through the log, and one key's state in
-// a memtable or the base.
+// entry is one operation of a batch or the log, and one key's state in a
+// memtable or the base.
 type entry struct {
 	key  []byte
 	val  []byte

@@ -15,20 +15,31 @@ func lookup(key []byte, mem *memTable, imm *frozen, b *base) (val []byte, live b
 	return e.val, e.kind == kindPut
 }
 
-// insertLocked adds e to the active memtable. A merge operand is folded
-// here, once: Options.Merger combines it with the key's current value
-// (lookup) and the result is stored as a put, so no memtable holds an
-// operand and a read never folds. Without a merger the operand itself is
-// the new value. WAL replay inserts through here as well, which is why
-// the log can keep the caller's operand and why Options.Merger must be
-// pure. Caller holds db.mu (or is single-threaded during Open).
-func (db *DB) insertLocked(e entry) {
-	if e.kind == kindMerge {
-		if db.opts.Merger != nil {
-			existing, _ := lookup(e.key, db.mem, db.imm, db.base)
-			e.val = db.opts.Merger(e.key, existing, [][]byte{e.val})
-		}
-		e.kind = kindPut
+// foldLocked turns each merge op into a put of the value Options.Merger
+// makes of the operand and the key's current value: as the batch's
+// earlier ops left it, else as the store holds it (lookup). No memtable
+// or log holds an operand, so neither a read nor recovery folds. Caller
+// holds db.mu.
+func (db *DB) foldLocked(ops []entry) {
+	var last map[string]int // key → its latest op so far; a batch of one has no earlier op
+	if len(ops) > 1 {
+		last = make(map[string]int, len(ops))
 	}
-	db.mem.add(e)
+	for i := range ops {
+		e := &ops[i]
+		if e.kind == kindMerge {
+			var existing []byte
+			if j, ok := last[string(e.key)]; ok {
+				if ops[j].kind == kindPut {
+					existing = ops[j].val
+				}
+			} else if v, live := lookup(e.key, db.mem, db.imm, db.base); live {
+				existing = v
+			}
+			e.val, e.kind = db.opts.Merger(e.key, existing, [][]byte{e.val}), kindPut
+		}
+		if last != nil {
+			last[string(e.key)] = i
+		}
+	}
 }

@@ -14,7 +14,7 @@ import (
 	"repro/internal/vfs"
 )
 
-// Merges folded at insert (fold.go): tests for their cost, their
+// Merges folded before they are logged (fold.go): tests for their cost, their
 // equivalence to a plain left fold, and their behaviour under
 // concurrency. Everything random here is drawn from -fold.seed.
 var foldSeed = flag.Int64("fold.seed", 1, "base seed of the fold tests' random sequences")
@@ -36,21 +36,21 @@ func appendMerger(_, existing []byte, operands [][]byte) []byte {
 func TestFoldAllocs(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax})
 	for i := 0; i < 100; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("base-%03d", i)), u64(uint64(i))); err != nil {
+		if err := put(db, []byte(fmt.Sprintf("base-%03d", i)), u64(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("put"), u64(1)); err != nil {
+	if err := put(db, []byte("put"), u64(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("merged"), u64(1)); err != nil {
+	if err := put(db, []byte("merged"), u64(1)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := db.Merge([]byte("merged"), u64(uint64(i))); err != nil {
+		if err := merge(db, []byte("merged"), u64(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,17 +84,6 @@ var pointOps = []struct {
 			t.Fatal(err)
 		}
 	}},
-	{"Has", func(t *testing.T, db *DB, key []byte) {
-		if ok, err := db.Has(key); err != nil || !ok {
-			t.Fatalf("Has = %v, %v", ok, err)
-		}
-	}},
-	{"Update", func(t *testing.T, db *DB, key []byte) {
-		err := db.Update(key, func(cur []byte, _ bool) ([]byte, bool, error) { return cur, false, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-	}},
 	{"Seek", func(t *testing.T, db *DB, key []byte) {
 		it, err := db.NewIterator()
 		if err != nil {
@@ -118,7 +107,7 @@ func TestMergeRunCostPin(t *testing.T) {
 		// One memtable holds everything, so close leaves it all in the log.
 		db := openTestDB(t, Options{FS: fs, Merger: sizeMax, logBytes: 1 << 30})
 		for i := 1; i <= n; i++ {
-			if err := db.Merge(key, u64(uint64(i))); err != nil {
+			if err := merge(db, key, u64(uint64(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -134,12 +123,6 @@ func TestMergeRunCostPin(t *testing.T) {
 			t.Fatalf("%s: value = %v, %v; want %d", phase, v, err, many)
 		}
 		for _, op := range pointOps {
-			if op.name == "Update" {
-				// It writes, so its allocations include amortised log
-				// growth; keep the two stores in step and move on.
-				op.run(t, small, key)
-				continue
-			}
 			want := testing.AllocsPerRun(50, func() { op.run(t, small, key) })
 			got := testing.AllocsPerRun(50, func() { op.run(t, big, key) })
 			if got != want {
@@ -155,9 +138,9 @@ func TestMergeRunCostPin(t *testing.T) {
 		t.Errorf("stats after %d merges: %d merges", many, st.Merges)
 	}
 
-	// Reopen first, while the log still holds every operand: replay goes
-	// through the same insert path, and the recovery checkpoint writes the
-	// hot key as one record.
+	// Reopen first, while the log still holds every grown value: replay
+	// puts them in turn into the key's one entry, and the recovery
+	// checkpoint writes the hot key as one record.
 	for _, db := range []*DB{small, big} {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
@@ -174,7 +157,7 @@ func TestMergeRunCostPin(t *testing.T) {
 	check("reopen")
 
 	for _, db := range []*DB{small, big} {
-		if err := db.Merge(key, u64(5)); err != nil {
+		if err := merge(db, key, u64(5)); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.checkpoint(); err != nil {
@@ -307,13 +290,13 @@ func (p *pinView) check() error {
 func TestMergeRunIteratorSkipsHotKey(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax, logBytes: 1 << 30})
 	for _, k := range []string{"/d/a", "/d/c"} {
-		if err := db.Put([]byte(k), u64(1)); err != nil {
+		if err := put(db, []byte(k), u64(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const many = 100_000
 	for i := 1; i <= many; i++ {
-		if err := db.Merge([]byte("/d/b"), u64(uint64(i))); err != nil {
+		if err := merge(db, []byte("/d/b"), u64(uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,11 +369,11 @@ func TestModelEquivalence(t *testing.T) {
 					e := randOp()
 					switch e.kind {
 					case kindPut:
-						err = db.Put(e.key, e.val)
+						err = put(db, e.key, e.val)
 					case kindDelete:
-						err = db.Delete(e.key)
+						err = del(db, e.key)
 					case kindMerge:
-						err = db.Merge(e.key, e.val)
+						err = merge(db, e.key, e.val)
 					}
 					apply(e.kind, string(e.key), e.val)
 				case r < 85:
@@ -407,7 +390,7 @@ func TestModelEquivalence(t *testing.T) {
 						case kindPut:
 							b.PutOwned(append([]byte(nil), e.key...), e.val)
 						case kindDelete:
-							b.Delete(e.key)
+							b.DeleteOwned(append([]byte(nil), e.key...))
 						case kindMerge:
 							b.MergeOwned(append([]byte(nil), e.key...), e.val)
 						}
@@ -449,7 +432,8 @@ func TestModelEquivalence(t *testing.T) {
 }
 
 // TestFoldConcurrency merges into one key from several writers while
-// point readers, a PutIfAbsent/Update caller on the key's lock stripe and
+// point readers, a PutIfAbsent and read-modify-write caller on the key's
+// lock stripe and
 // a long-lived iterator run, across checkpoints.
 // No operand may be lost, repeated or reordered within its writer, and
 // every scan of the iterator returns the two keys live throughout once
@@ -464,10 +448,10 @@ func TestFoldConcurrency(t *testing.T) {
 			sibling = k
 		}
 	}
-	if err := db.Put(hot, []byte{0xff, 0, 0}); err != nil {
+	if err := put(db, hot, []byte{0xff, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("zz-pinned"), []byte("before")); err != nil {
+	if err := put(db, []byte("zz-pinned"), []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	pinned, err := db.NewIterator()
@@ -528,7 +512,7 @@ func TestFoldConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for n := 1; n <= perWriter; n++ {
-				if err := db.Merge(hot, []byte{byte(w), byte(n >> 8), byte(n)}); err != nil {
+				if err := merge(db, hot, []byte{byte(w), byte(n >> 8), byte(n)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -557,8 +541,8 @@ func TestFoldConcurrency(t *testing.T) {
 	go func() { // the stripe's read-modify-write callers
 		defer aux.Done()
 		for i := 0; !done.Load(); i++ {
-			err := db.Update(sibling, func(cur []byte, _ bool) ([]byte, bool, error) {
-				return append(append([]byte(nil), cur...), 'u'), false, nil
+			err := update(db, sibling, func(cur []byte) []byte {
+				return append(append([]byte(nil), cur...), 'u')
 			})
 			if err == nil {
 				updates++

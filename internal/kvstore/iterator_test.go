@@ -24,11 +24,11 @@ func TestIteratorLiveThroughoutScan(t *testing.T) {
 	name := func(set string, i int) []byte { return []byte(fmt.Sprintf("%s-%03d", set, i)) }
 	tagged := func(k []byte, rest string) []byte { return append(append(bytes.Clone(k), ':'), rest...) }
 	for i := 0; i < n; i++ {
-		if err := db.Put(name("s", i), tagged(name("s", i), "0")); err != nil {
+		if err := put(db, name("s", i), tagged(name("s", i), "0")); err != nil {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
-			if err := db.Put(name("a", i), tagged(name("a", i), "0")); err != nil {
+			if err := put(db, name("a", i), tagged(name("a", i), "0")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -37,7 +37,7 @@ func TestIteratorLiveThroughoutScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i += 2 {
-		if err := db.Delete(name("a", i)); err != nil {
+		if err := del(db, name("a", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,16 +87,16 @@ func TestIteratorLiveThroughoutScan(t *testing.T) {
 				s, c := name("s", rnd.Intn(n)), name("c", rnd.Intn(n))
 				switch rnd.Intn(4) {
 				case 0:
-					err = db.Put(s, tagged(s, fmt.Sprint(r)))
+					err = put(db, s, tagged(s, fmt.Sprint(r)))
 				case 1:
-					err = db.Merge(s, []byte("+"))
+					err = merge(db, s, []byte("+"))
 				case 2:
 					b := &Batch{}
-					b.Put(c, tagged(c, fmt.Sprint(r)))
-					b.Merge(s, []byte("+"))
+					b.PutOwned(c, tagged(c, fmt.Sprint(r)))
+					b.MergeOwned(s, []byte("+"))
 					err = db.Apply(b)
 				case 3:
-					err = db.Delete(c)
+					err = del(db, c)
 				}
 				if err != nil {
 					t.Error(err)

@@ -60,9 +60,9 @@ func TestMemTableRePutReplaces(t *testing.T) {
 func TestMemTableMergeChainCollection(t *testing.T) {
 	db := openTestDB(t, Options{Merger: appendMerger})
 	for _, op := range []func() error{
-		func() error { return db.Put([]byte("k"), []byte("base")) },
-		func() error { return db.Merge([]byte("k"), []byte("m1")) },
-		func() error { return db.Merge([]byte("k"), []byte("m2")) },
+		func() error { return put(db, []byte("k"), []byte("base")) },
+		func() error { return merge(db, []byte("k"), []byte("m1")) },
+		func() error { return merge(db, []byte("k"), []byte("m2")) },
 	} {
 		if err := op(); err != nil {
 			t.Fatal(err)

@@ -2,8 +2,10 @@ package kvstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 
 	"repro/internal/vfs"
 )
@@ -13,11 +15,19 @@ import (
 // acknowledgement a client receives implies the metadata operation has
 // reached the log).
 //
-// Record framing: [crc32c u32][len u32][payload]. Payload encodes one
-// batch: [count u32] then per operation
-// [kind u8][klen uvarint][key][vlen uvarint][val]. Replay stops at the
-// first torn or corrupt record, which after a crash is exactly the
-// unacknowledged tail.
+// A log file is walMagic, then records [crc32c u32][len u32][payload].
+// A payload is one batch: [count u32] then per operation [kind u8]
+// [klen uvarint][key][vlen uvarint][val], the kind a put or a delete:
+// Apply folds every merge into a put before logging it, so replay runs no
+// merge operator and is idempotent. The magic is synced as the log is
+// created, so a log lacking it is another build's (ErrFormat), unless it
+// is the empty newest log of a crash right after creation. Replay stops at
+// the first torn or corrupt record, which after a crash is exactly the
+// unacknowledged tail, and fails on a checksummed batch that does not
+// decode (ErrLogDamaged).
+
+// walMagic begins every log; it names the format of what follows.
+const walMagic = "gekkowl1"
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -28,7 +38,18 @@ type walWriter struct {
 	size int64 // bytes appended: the checkpoint trigger
 }
 
-func newWALWriter(f vfs.File) *walWriter { return &walWriter{f: f} }
+// newWALWriter starts a log in the empty file f: it writes the magic and
+// syncs it.
+func newWALWriter(f vfs.File) (*walWriter, error) {
+	_, err := f.Append([]byte(walMagic))
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("kvstore: wal create: %w", err)
+	}
+	return &walWriter{f: f}, nil
+}
 
 // append writes one batch record; sync forces durability before return.
 func (w *walWriter) append(ops []entry, sync bool) error {
@@ -85,7 +106,7 @@ func decodeBatch(payload []byte) (ops []entry, err error) {
 			return nil, fmt.Errorf("kvstore: truncated batch op %d", i)
 		}
 		k := kind(p[0])
-		if k > kindMerge {
+		if k > kindDelete {
 			return nil, fmt.Errorf("kvstore: bad op kind %d", k)
 		}
 		p = p[1:]
@@ -114,15 +135,27 @@ func readLenPrefixed(p []byte) (data, rest []byte, err error) {
 	return p[n : n+int(l)], p[n+int(l):], nil
 }
 
-// replayWAL reads every intact batch from a log file, invoking fn per
-// entry in log order. A corrupt or torn tail terminates replay without
-// error (it is the crash-lost suffix).
-func replayWAL(f vfs.File, fn func(entry)) error {
+// replayWAL checks that the log begins with walMagic, then invokes fn per
+// entry of every intact batch, in log order. A torn or corrupt tail ends
+// replay without error (it is the crash-lost suffix). newest says no log
+// follows this one, which lets it be empty. name labels the errors.
+func replayWAL(f vfs.File, name string, newest bool, fn func(entry)) error {
 	size, err := f.Size()
 	if err != nil {
 		return err
 	}
-	var off int64
+	if size == 0 && newest {
+		return nil // a crash right after the log was created
+	}
+	magic := make([]byte, len(walMagic))
+	n, err := f.ReadAt(magic, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return err
+	}
+	if string(magic[:n]) != walMagic {
+		return fmt.Errorf("%w: %s begins %q, not %q", ErrFormat, name, magic[:n], walMagic)
+	}
+	off := int64(len(walMagic))
 	hdr := make([]byte, 8)
 	for off+8 <= size {
 		if _, err := f.ReadAt(hdr, off); err != nil {
@@ -142,7 +175,7 @@ func replayWAL(f vfs.File, fn func(entry)) error {
 		}
 		ops, err := decodeBatch(payload)
 		if err != nil {
-			return nil
+			return fmt.Errorf("%w: %s: record at offset %d: %v", ErrLogDamaged, name, off, err)
 		}
 		for i := range ops {
 			fn(ops[i])
