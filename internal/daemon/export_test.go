@@ -1,5 +1,18 @@
 package daemon
 
-// MemTableBytes reports the metadata store's active memtable size
-// (kvstore.Stats.MemBytes), which the telemetry tier does not export.
-func (d *Daemon) MemTableBytes() int64 { return d.db.Stats().MemBytes }
+import "testing"
+
+// StoreBytes sums the key and value bytes the metadata store holds, by
+// one scan of it: what the telemetry tier does not export.
+func (d *Daemon) StoreBytes(t testing.TB) int64 {
+	it, err := d.db.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	var n int64
+	for it.SeekFirst(); it.Valid(); it.Next() {
+		n += int64(len(it.Key()) + len(it.Value()))
+	}
+	return n
+}

@@ -25,14 +25,13 @@ var rewriteSeed = flag.Int64("rewrite.seed", 1, "seed of TestSharedFileRewritesS
 // descriptor's size floor sends no size update of its own, so the barrier
 // is what puts one size-grow merge per write on the key. The path is long
 // enough that the store's log passes its checkpoint trigger every few
-// thousand rewrites, and each checkpoint hands the key to a fresh
-// memtable. A size update costs what the key's entries cost, so the cost
-// stays flat only if the store folds every grow into the key's one entry:
-// counted, not timed, at the end of every window of 2 000 rewrites the
-// active memtable holds fewer bytes than two copies of the path — the
-// key once, beside at most the root's small record. The grow's contract
-// must be what it was: the final size and mtime are right, and a grow
-// against a directory is refused.
+// thousand rewrites. A size update costs what the key's entries cost, so
+// the cost stays flat only if the store folds every grow into the key's
+// one entry: counted, not timed, at the end of every window of 2 000
+// rewrites the store holds fewer key and value bytes than two copies of
+// the path — the key once, beside at most the root's small record. The
+// grow's contract must be what it was: the final size and mtime are
+// right, and a grow against a directory is refused.
 func TestSharedFileRewritesStayFlat(t *testing.T) {
 	d, err := daemon.New(daemon.Config{FS: vfs.NewMem()})
 	if err != nil {
@@ -69,8 +68,8 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 	var lastStart time.Time
 	for i := 0; i < writes; i++ {
 		if i > 0 && i%window == 0 {
-			if mem := d.MemTableBytes(); mem >= 2*int64(len(shared)) {
-				t.Errorf("after %d rewrites the memtable holds %d bytes: more than one entry for the %d-byte path", i, mem, len(shared))
+			if held := d.StoreBytes(t); held >= 2*int64(len(shared)) {
+				t.Errorf("after %d rewrites the store holds %d bytes: more than one entry for the %d-byte path", i, held, len(shared))
 			}
 		}
 		off := int64(rnd.Intn(blocks)) * block

@@ -147,8 +147,8 @@ func BenchmarkRecover(b *testing.B) {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		heap += ms.HeapAlloc - before
-		if len(db.base.offs) != n {
-			b.Fatalf("recovered %d entries, want %d", len(db.base.offs), n)
+		if db.t.count != n {
+			b.Fatalf("recovered %d entries, want %d", db.t.count, n)
 		}
 		db.Close()
 		b.StartTimer()

@@ -1,18 +1,15 @@
 package kvstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"repro/internal/vfs"
 )
 
-// The checkpoint holds the whole store below the memtables in one file.
-// CHECKPOINT's layout:
+// The checkpoint holds the whole table in one file. CHECKPOINT's layout:
 //
 //	[magic u64][walNum u64][count u64]
 //	count × [klen uvarint][key][vlen uvarint][val], keys ascending
@@ -31,113 +28,38 @@ const (
 )
 
 // checkpointLogBytes is the floor of the checkpoint trigger: the active
-// log is frozen once it passes max(checkpointLogBytes, the last
-// checkpoint's size), so the cost of rewriting the checkpoint stays
-// amortised O(1) per logged byte.
+// log is rotated out and checkpointed once it passes
+// max(checkpointLogBytes, the last checkpoint's size), so the cost of
+// rewriting the checkpoint stays amortised O(1) per logged byte.
 const checkpointLogBytes = 4 << 20
 
-// base is the table below the memtables, the image of CHECKPOINT: one
-// immutable buffer of records plus their offsets, one live put per key
-// and no tombstones. It holds no pointer per record, so the garbage
-// collector scans it in O(1), and it is never modified: a reader keeps the
-// base it started on for as long as it likes.
-type base struct {
-	buf  []byte // the checkpoint file's bytes
-	offs []int  // record offsets into buf, in key order
-}
-
-// frozen is a memtable whose log is full, waiting for the background
-// goroutine to fold it into the base, and the newest log it covers.
-type frozen struct {
-	mt     *memTable
-	walNum uint64
-}
-
-// record decodes the i-th record. The slices alias the base, capped so an
-// append through them cannot reach the next record.
-func (b *base) record(i int) (key, val []byte) {
-	p := b.buf[b.offs[i]:]
-	kl, n := binary.Uvarint(p)
-	key, p = p[n:n+int(kl):n+int(kl)], p[n+int(kl):]
-	vl, n := binary.Uvarint(p)
-	return key, p[n : n+int(vl) : n+int(vl)]
-}
-
-// search returns the index of the first record whose key is >= key.
-func (b *base) search(key []byte) int {
-	return sort.Search(len(b.offs), func(i int) bool {
-		k, _ := b.record(i)
-		return bytes.Compare(k, key) >= 0
-	})
-}
-
-// get returns key's value, if the base holds the key.
-func (b *base) get(key []byte) ([]byte, bool) {
-	if i := b.search(key); i < len(b.offs) {
-		if k, v := b.record(i); bytes.Equal(k, key) {
-			return v, true
+// encode lays out a checkpoint file covering log walNum from the live
+// table, copying it a leaf at a time under the read lock, so writers go
+// on between leaves: a fuzzy image, which only the logs after walNum make
+// whole again. afterLeaf, when set, runs after each leaf.
+func (t *table) encode(walNum uint64, afterLeaf func()) []byte {
+	t.mu.RLock()
+	buf := make([]byte, checkpointHdr, checkpointHdr+t.bytes+t.bytes/8+4)
+	var last []byte
+	var count uint64
+	for li, i := t.settle(0, 0); li < len(t.leaves); {
+		l := t.leaves[li]
+		buf = append(buf, l.buf[l.offs[i]:]...)
+		count += uint64(len(l.offs) - i)
+		end, writes := len(l.offs)-1, t.writes
+		last = append(last[:0], l.key(end)...)
+		t.mu.RUnlock()
+		if afterLeaf != nil {
+			afterLeaf()
 		}
+		t.mu.RLock()
+		li, i = t.after(last, writes, li, end)
 	}
-	return nil, false
-}
-
-func (b *base) iter() *baseIter { return &baseIter{b: b} }
-
-// baseIter walks a base in entry order. It satisfies internalIterator.
-type baseIter struct {
-	b *base
-	i int
-	e entry
-}
-
-func (it *baseIter) seekFirst() { it.set(0) }
-
-func (it *baseIter) seek(key []byte) { it.set(it.b.search(key)) }
-
-func (it *baseIter) valid() bool { return it.i < len(it.b.offs) }
-
-func (it *baseIter) next() { it.set(it.i + 1) }
-
-func (it *baseIter) cur() *entry { return &it.e }
-
-func (it *baseIter) set(i int) {
-	if it.i = i; it.valid() {
-		k, v := it.b.record(i)
-		it.e = entry{key: k, val: v, kind: kindPut}
-	}
-}
-
-// foldBase returns the base that results from folding im into old, with
-// the checkpoint file's bytes already laid out in it. A key the memtable
-// holds takes its entry from there; tombstones are dropped.
-func foldBase(old *base, im *frozen) *base {
-	buf := make([]byte, checkpointHdr, checkpointHdr+len(old.buf)+int(im.mt.sizeBytes()))
-	offs := make([]int, 0, len(old.offs)+im.mt.entries())
-	it := newMergeIter([]internalIterator{im.mt.iter(), old.iter()})
-	for it.seekFirst(); it.valid(); it.next() {
-		e := it.cur()
-		if e.kind != kindPut {
-			continue
-		}
-		offs = append(offs, len(buf))
-		buf = binary.AppendUvarint(buf, uint64(len(e.key)))
-		buf = append(buf, e.key...)
-		buf = binary.AppendUvarint(buf, uint64(len(e.val)))
-		buf = append(buf, e.val...)
-	}
-	// Tombstones and overwrites of base keys fold to less than the
-	// estimate: keep only what the base uses.
-	if cap(buf) > len(buf)+len(buf)/8 {
-		buf = append(make([]byte, 0, len(buf)+4), buf...)
-	}
-	if cap(offs) > len(offs)+len(offs)/8 {
-		offs = append([]int(nil), offs...)
-	}
+	t.mu.RUnlock()
 	binary.LittleEndian.PutUint64(buf[0:], checkpointMagic)
-	binary.LittleEndian.PutUint64(buf[8:], im.walNum)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(len(offs)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return &base{buf: buf, offs: offs}
+	binary.LittleEndian.PutUint64(buf[8:], walNum)
+	binary.LittleEndian.PutUint64(buf[16:], count)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
 // writeCheckpoint makes buf the durable CHECKPOINT: written to the tmp
@@ -161,75 +83,91 @@ func writeCheckpoint(fs vfs.FS, buf []byte) error {
 	return fs.Rename(checkpointTmp, checkpointName)
 }
 
-// loadCheckpoint reads CHECKPOINT into a base and returns the newest log
-// it covers. A store without one starts from an empty base.
-func loadCheckpoint(fs vfs.FS) (*base, uint64, error) {
-	if !fs.Exists(checkpointName) {
-		return &base{}, 0, nil
+// loadCheckpoint reads CHECKPOINT into the empty table and notes the
+// newest log it covers. A store without one starts empty.
+func (db *DB) loadCheckpoint() error {
+	if !db.fs.Exists(checkpointName) {
+		return nil
 	}
-	f, err := fs.Open(checkpointName)
+	f, err := db.fs.Open(checkpointName)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	defer f.Close()
 	size, err := f.Size()
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	buf := make([]byte, size)
 	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil, 0, fmt.Errorf("kvstore: %s: %w", checkpointName, err)
+		return fmt.Errorf("kvstore: %s: %w", checkpointName, err)
 	}
-	b, walNum, err := decodeCheckpoint(buf)
-	if err != nil {
-		return nil, 0, fmt.Errorf("kvstore: %s: %w", checkpointName, err)
+	if db.walNum, err = db.t.decode(buf); err != nil {
+		return fmt.Errorf("kvstore: %s: %w", checkpointName, err)
 	}
-	return b, walNum, nil
+	db.ckptBytes = size
+	return nil
 }
 
-// decodeCheckpoint checks a checkpoint file's bytes whole and indexes its
-// records.
-func decodeCheckpoint(buf []byte) (*base, uint64, error) {
+// decode checks a checkpoint file's bytes whole and cuts its records
+// into leaves of at most leafBytes that alias buf, returning the newest
+// log the file covers.
+func (t *table) decode(buf []byte) (uint64, error) {
 	if len(buf) < checkpointHdr+4 {
-		return nil, 0, fmt.Errorf("truncated at %d bytes", len(buf))
+		return 0, fmt.Errorf("truncated at %d bytes", len(buf))
 	}
 	body := buf[:len(buf)-4]
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(buf[len(body):]) {
-		return nil, 0, errors.New("checksum mismatch")
+		return 0, errors.New("checksum mismatch")
 	}
 	if binary.LittleEndian.Uint64(body) != checkpointMagic {
-		return nil, 0, errors.New("bad magic")
+		return 0, errors.New("bad magic")
 	}
 	count := binary.LittleEndian.Uint64(body[16:])
 	if count > uint64(len(body)) {
-		return nil, 0, fmt.Errorf("record count %d exceeds the file", count)
+		return 0, fmt.Errorf("record count %d exceeds the file", count)
 	}
-	offs := make([]int, 0, count)
+	offs := make([]uint32, 0, count) // one array, cut into the leaves' offsets
+	var leaves []leaf
+	start, first := checkpointHdr, 0 // the open leaf's first byte and record
 	for p := body[checkpointHdr:]; len(p) > 0; {
-		offs = append(offs, len(body)-len(p))
+		at := len(body) - len(p)
 		_, rest, err := readLenPrefixed(p)
 		if err == nil {
 			_, rest, err = readLenPrefixed(rest)
 		}
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
+		if len(offs) > first && len(body)-len(rest)-start > leafBytes {
+			leaves = append(leaves, leaf{buf: body[start:at:at], offs: offs[first:len(offs):len(offs)]})
+			start, first = at, len(offs)
+		}
+		offs = append(offs, uint32(at-start))
 		p = rest
 	}
 	if uint64(len(offs)) != count {
-		return nil, 0, fmt.Errorf("%d records, header says %d", len(offs), count)
+		return 0, fmt.Errorf("%d records, header says %d", len(offs), count)
 	}
-	return &base{buf: buf, offs: offs}, binary.LittleEndian.Uint64(body[8:]), nil
+	if len(offs) > first {
+		leaves = append(leaves, leaf{buf: body[start:len(body):len(body)], offs: offs[first:len(offs):len(offs)]})
+	}
+	t.leaves = make([]*leaf, len(leaves))
+	for i := range leaves {
+		t.leaves[i] = &leaves[i]
+	}
+	t.count, t.bytes = len(offs), int64(len(body)-checkpointHdr)
+	return binary.LittleEndian.Uint64(body[8:]), nil
 }
 
 // backgroundWork is the one maintenance goroutine: it checkpoints each
-// frozen memtable until the store closes.
+// rotated log until the store closes.
 func (db *DB) backgroundWork() {
 	defer close(db.workDone)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for {
-		for !db.closed && db.imm == nil {
+		for !db.closed && db.covered == nil {
 			db.cond.Wait()
 		}
 		if db.closed {
@@ -243,41 +181,54 @@ func (db *DB) backgroundWork() {
 	}
 }
 
-// runCheckpoint folds the frozen memtable into the base, makes the result
-// the durable CHECKPOINT, installs it, and only then removes the log it
-// covers. It is called with db.mu held and drops it while folding and
-// writing: nothing else changes db.imm or db.base meanwhile, because
-// writers wait while a frozen memtable is pending.
+// runCheckpoint makes CHECKPOINT cover the rotated log db.covered, and
+// only then removes that log. It is called with db.mu held and drops it
+// while it scans the table and writes, as writers go on into the active
+// log; nothing rotates the log meanwhile, since a writer that finds it
+// full waits. The scan may copy values of batches in the active log —
+// some of a batch's ops and not the others — which only replaying that
+// log makes whole. So both logs are synced before the rename, the covered
+// one first, whatever SyncWAL says: a crash then recovers a prefix of the
+// batches and no value whose batch is not durable.
 func (db *DB) runCheckpoint() error {
-	im, old := db.imm, db.base
+	old, active := db.covered, db.wal
 	db.mu.Unlock()
-	nb := foldBase(old, im)
-	err := writeCheckpoint(db.fs, nb.buf)
+	buf := db.t.encode(old.num, db.afterLeaf)
+	err := old.f.Sync()
+	if err == nil {
+		err = active.f.Sync()
+	}
+	if err == nil {
+		err = writeCheckpoint(db.fs, buf)
+	}
 	db.mu.Lock()
 	if err != nil {
 		return err
 	}
-	db.base, db.imm = nb, nil
+	db.covered, db.ckptBytes = nil, int64(len(buf))
 	db.stats.Checkpoints++
-	// Under db.mu, so no second log is frozen before this one is gone. A
-	// failed removal leaves a covered log, which Open skips and removes.
-	_ = db.fs.Remove(walName(im.walNum))
 	db.cond.Broadcast()
+	// Under db.mu, so no second log is rotated out before this one is
+	// gone. The log is synced and covered, so a failed close loses
+	// nothing, and a failed removal leaves a log that Open skips and
+	// removes.
+	_ = old.close()
+	_ = db.fs.Remove(walName(old.num))
 	return nil
 }
 
-// checkpoint freezes the active memtable, if it holds anything, and waits
+// checkpoint rotates the active log out, if it holds anything, and waits
 // until the background goroutine has checkpointed it. Tests force
 // checkpoints through it.
 func (db *DB) checkpoint() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	err := db.waitFrozenLocked()
-	if err == nil && db.mem.entries() > 0 {
-		err = db.freezeLocked()
+	err := db.waitCheckpointLocked()
+	if err == nil && db.wal.size > 0 {
+		err = db.rotateLocked()
 	}
 	if err == nil {
-		err = db.waitFrozenLocked()
+		err = db.waitCheckpointLocked()
 	}
 	return err
 }

@@ -32,8 +32,8 @@ func TestCheckpointCorruptionFailsOpen(t *testing.T) {
 	if err := db.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	good := db.base.buf // what CHECKPOINT holds
 	db.Close()
+	good := readFile(t, mem, checkpointName)
 
 	open := func(img []byte) (*DB, error) {
 		fs := mem.CrashClone()
@@ -75,6 +75,21 @@ func TestCheckpointCorruptionFailsOpen(t *testing.T) {
 			t.Fatalf("undamaged copy: Get(%d) = %q, %v", i, v, err)
 		}
 	}
+}
+
+// readFile returns the bytes of fs's file name.
+func readFile(t *testing.T, fs vfs.FS, name string) []byte {
+	t.Helper()
+	buf := make([]byte, fileSize(t, fs, name))
+	f, err := fs.Open(name)
+	if err == nil {
+		defer f.Close()
+		_, err = f.ReadAt(buf, 0)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 // crashFS is a vfs.Mem that takes its CrashClone at one chosen step:
@@ -287,7 +302,8 @@ func TestCrashDuringHeavyWrites(t *testing.T) {
 }
 
 // TestIteratorSeekPropertyAgainstModel cross-checks Seek against a sorted
-// model over a store whose keys span the memtable and the base.
+// model over a store whose keys were deleted both before and after a
+// checkpoint.
 func TestIteratorSeekPropertyAgainstModel(t *testing.T) {
 	db := openTestDB(t, Options{logBytes: 1024})
 	model := make(map[string]bool)

@@ -47,10 +47,8 @@ type Stats struct {
 	Gets    uint64 `metric:"gkfs_kv_gets_total"`
 	Deletes uint64 `metric:"gkfs_kv_deletes_total"`
 	Merges  uint64 `metric:"gkfs_kv_merges_total"`
-	// Checkpoints counts frozen memtables folded into the checkpoint.
+	// Checkpoints counts checkpoints written.
 	Checkpoints uint64 `metric:"gkfs_kv_checkpoints_total"`
-	// MemBytes is the active memtable's approximate size.
-	MemBytes int64
 }
 
 // Common errors.
@@ -73,17 +71,20 @@ type DB struct {
 	fs       vfs.FS
 	logBytes int64 // the checkpoint trigger's floor
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signals the background goroutine and the writers waiting on it
-	mem      *memTable
-	imm      *frozen // the memtable a checkpoint is folding; nil when none
-	base     *base
-	wal      *walWriter
-	walNum   uint64
-	closed   bool
-	bgErr    error
-	workDone chan struct{}
-	stats    Stats
+	t table
+
+	mu        sync.Mutex
+	cond      *sync.Cond // signals the background goroutine and the writers waiting on it
+	wal       *walWriter
+	walNum    uint64     // the active log's number
+	covered   *walWriter // the log the checkpoint in flight covers; nil when none
+	ckptBytes int64      // the last checkpoint's size: the trigger's other term
+	closed    bool
+	bgErr     error
+	workDone  chan struct{}
+	stats     Stats
+
+	afterLeaf func() // when set, runs between the leaves of a checkpoint's scan; tests set it
 
 	keyLocks [64]sync.Mutex // striped locks backing LockKeys
 }
@@ -104,15 +105,13 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.cond = sync.NewCond(&db.mu)
 
-	var err error
-	if db.base, db.walNum, err = loadCheckpoint(db.fs); err != nil {
+	if err := db.loadCheckpoint(); err != nil {
 		return nil, err
 	}
-	db.mem = newMemTable(int64(db.walNum))
 	if err := db.recoverWALs(); err != nil {
 		return nil, err
 	}
-	if err := db.rotateWAL(); err != nil {
+	if err := db.rotateLocked(); err != nil {
 		return nil, err
 	}
 
@@ -121,7 +120,7 @@ func Open(opts Options) (*DB, error) {
 }
 
 // recoverWALs replays the logs the checkpoint does not cover into the
-// fresh memtable and, if anything was recovered, checkpoints it at once.
+// table and, if anything was recovered, checkpoints it at once.
 // Recovery therefore leaves CHECKPOINT and no log behind: a log the
 // checkpoint covers (a crash came between the rename and its removal) is
 // skipped, never replayed twice. A log that fails replay (ErrFormat,
@@ -147,22 +146,20 @@ func (db *DB) recoverWALs() error {
 		if err != nil {
 			return err
 		}
-		err = replayWAL(f, walName(num), i == len(nums)-1, db.mem.add)
+		err = replayWAL(f, walName(num), i == len(nums)-1, func(e entry) { db.t.set(&e) })
 		f.Close()
 		if err != nil {
 			return err
 		}
 		db.walNum = num
 	}
-	if db.mem.entries() > 0 {
-		db.imm = &frozen{mt: db.mem, walNum: db.walNum}
-		db.mem = newMemTable(int64(db.walNum))
-		db.mu.Lock()
-		err := db.runCheckpoint()
-		db.mu.Unlock()
-		if err != nil {
+	if db.t.writes > 0 {
+		buf := db.t.encode(db.walNum, nil)
+		if err := writeCheckpoint(db.fs, buf); err != nil {
 			return err
 		}
+		db.ckptBytes = int64(len(buf))
+		db.stats.Checkpoints++
 	}
 	for _, num := range nums {
 		_ = db.fs.Remove(walName(num)) // the checkpoint's own may be gone already
@@ -175,26 +172,10 @@ func (db *DB) recoverWALs() error {
 
 func walName(num uint64) string { return fmt.Sprintf("wal-%06d.log", num) }
 
-// rotateWAL opens the next log for the active memtable.
-func (db *DB) rotateWAL() error {
-	f, err := db.fs.Create(walName(db.walNum + 1))
-	if err != nil {
-		return err
-	}
-	w, err := newWALWriter(f)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	db.walNum++
-	db.wal = w
-	return nil
-}
-
 // Batch is a set of operations Apply commits atomically with respect to
 // recovery: either the whole batch replays from the WAL or none of it. It
 // takes ownership of every buffer queued into it, which the caller must
-// not touch afterwards, so Apply stores them without a copy.
+// not touch afterwards.
 type Batch struct {
 	ops []entry
 }
@@ -220,8 +201,8 @@ func (b *Batch) Len() int { return len(b.ops) }
 
 // Apply commits the batch and consumes it: a second Apply of it is a
 // no-op. Under db.mu it folds the batch's merges into puts (foldLocked),
-// logs the batch and inserts it into the active memtable; a failed append
-// leaves the memtable untouched. A batch holding a merge is refused with
+// logs the batch and sets each op in the table; a failed append leaves
+// the table untouched. A batch holding a merge is refused with
 // ErrNoMerger, before anything is logged, when Options.Merger is nil.
 func (db *DB) Apply(b *Batch) error {
 	ops := b.ops
@@ -242,14 +223,14 @@ func (db *DB) Apply(b *Batch) error {
 	if db.closed {
 		err = ErrClosed
 	}
-	// A full log freezes its memtable. At most one is frozen at a time,
-	// so a writer that finds the log full while a checkpoint is in flight
-	// waits for it first.
-	for err == nil && db.wal.size >= max(db.logBytes, int64(len(db.base.buf))) {
-		if db.imm != nil {
-			err = db.waitFrozenLocked()
+	// A full log starts a checkpoint. One runs at a time, so a writer
+	// that finds the log full while one is in flight waits for it first:
+	// the bound on the logs, and on the work the next checkpoint finds.
+	for err == nil && db.wal.size >= max(db.logBytes, db.ckptBytes) {
+		if db.covered != nil {
+			err = db.waitCheckpointLocked()
 		} else {
-			err = db.freezeLocked()
+			err = db.rotateLocked()
 		}
 	}
 	if err != nil {
@@ -262,32 +243,41 @@ func (db *DB) Apply(b *Batch) error {
 	if err := db.wal.append(ops, db.opts.SyncWAL); err != nil {
 		return err
 	}
+	db.t.mu.Lock()
 	for i := range ops {
-		db.mem.add(ops[i])
+		db.t.set(&ops[i])
 	}
+	db.t.mu.Unlock()
 	db.stats.Puts += n[kindPut]
 	db.stats.Deletes += n[kindDelete]
 	db.stats.Merges += n[kindMerge]
 	return nil
 }
 
-// freezeLocked hands the active memtable and its log to the background
-// goroutine as the next checkpoint's input and starts a fresh pair.
-// Caller holds db.mu and has waited out the previous checkpoint.
-func (db *DB) freezeLocked() error {
-	im, old := &frozen{mt: db.mem, walNum: db.walNum}, db.wal
-	if err := db.rotateWAL(); err != nil {
+// rotateLocked starts the next log and hands the full one, if there is
+// one, to the background goroutine, whose next checkpoint covers it.
+// Caller holds db.mu and has waited out the previous checkpoint, or is
+// Open.
+func (db *DB) rotateLocked() error {
+	f, err := db.fs.Create(walName(db.walNum + 1))
+	if err != nil {
 		return err
 	}
-	db.imm, db.mem = im, newMemTable(int64(db.walNum))
+	w, err := newWALWriter(f, db.walNum+1)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	db.walNum++
+	db.wal, db.covered = w, db.wal
 	db.cond.Broadcast()
-	return old.close()
+	return nil
 }
 
-// waitFrozenLocked waits until no frozen memtable is pending. Caller
+// waitCheckpointLocked waits until no checkpoint is in flight. Caller
 // holds db.mu.
-func (db *DB) waitFrozenLocked() error {
-	for db.imm != nil && !db.closed && db.bgErr == nil {
+func (db *DB) waitCheckpointLocked() error {
+	for db.covered != nil && !db.closed && db.bgErr == nil {
 		db.cond.Wait()
 	}
 	if db.closed {
@@ -305,13 +295,11 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	db.stats.Gets++
-	// A memtable copies its entry out under its own lock and the base is
-	// immutable: the lookup needs nothing but the pointers, since nothing
-	// is closed under it.
-	mem, imm, b := db.mem, db.imm, db.base
 	db.mu.Unlock()
 
-	val, live := lookup(key, mem, imm, b)
+	db.t.mu.RLock()
+	defer db.t.mu.RUnlock()
+	val, live := db.t.get(key)
 	if !live {
 		return nil, ErrNotFound
 	}
@@ -364,21 +352,14 @@ func (db *DB) NewIterator() (*Iterator, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
-	srcs := []internalIterator{db.mem.iter()}
-	if db.imm != nil {
-		srcs = append(srcs, db.imm.mt.iter())
-	}
-	srcs = append(srcs, db.base.iter())
-	return &Iterator{it: newMergeIter(srcs)}, nil
+	return &Iterator{t: &db.t}, nil
 }
 
 // Stats returns a snapshot of engine counters.
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	st := db.stats
-	st.MemBytes = db.mem.sizeBytes()
-	return st
+	return db.stats
 }
 
 // Close stops background work and closes the log. Whatever no checkpoint
@@ -396,6 +377,9 @@ func (db *DB) Close() error {
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.covered != nil { // rotated out, not yet checkpointed
+		db.covered.close()
+	}
 	db.wal.close()
 	return db.bgErr
 }

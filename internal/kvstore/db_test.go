@@ -103,9 +103,9 @@ func TestGetMissing(t *testing.T) {
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value-%d-%d", i, i*7)) }
 
-// TestReadThroughCheckpoint checks that keys folded out of the memtable
-// stay readable: a tiny log forces checkpoints, so after a final one every
-// key is served from the checkpointed base, not from a memtable.
+// TestReadThroughCheckpoint checks that keys stay readable across
+// checkpoints: a tiny log forces them, and after a final one the table
+// holds one record per key and serves every key.
 func TestReadThroughCheckpoint(t *testing.T) {
 	db := openTestDB(t, Options{logBytes: 2048})
 	const n = 2000
@@ -120,8 +120,8 @@ func TestReadThroughCheckpoint(t *testing.T) {
 	if db.Stats().Checkpoints < 2 {
 		t.Fatal("no checkpoint happened despite a tiny log")
 	}
-	if len(db.base.offs) != n {
-		t.Fatalf("base holds %d records, want %d", len(db.base.offs), n)
+	if db.t.count != n {
+		t.Fatalf("table holds %d records, want %d", db.t.count, n)
 	}
 	for i := 0; i < n; i++ {
 		v, err := db.Get(key(i))
@@ -131,10 +131,10 @@ func TestReadThroughCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointPreservesData checks what a checkpoint folds: a tiny log
-// forces checkpoints, every overwrite and delete is folded into the base,
-// which keeps one record per live key and no tombstone, and every key
-// reads back through it.
+// TestCheckpointPreservesData checks what survives checkpoints: a tiny
+// log forces them, every overwrite and delete lands in the table, which
+// keeps one record per live key and no tombstone, and every key reads
+// back through it.
 func TestCheckpointPreservesData(t *testing.T) {
 	db := openTestDB(t, Options{logBytes: 2048})
 	const n = 3000
@@ -160,8 +160,8 @@ func TestCheckpointPreservesData(t *testing.T) {
 	if db.Stats().Checkpoints < 2 {
 		t.Fatal("no checkpoint happened despite a tiny log")
 	}
-	if live := n - (n+1)/3; len(db.base.offs) != live {
-		t.Fatalf("base holds %d records, want one per live key (%d)", len(db.base.offs), live)
+	if live := n - (n+1)/3; db.t.count != live {
+		t.Fatalf("table holds %d records, want one per live key (%d)", db.t.count, live)
 	}
 	for i := 0; i < n; i++ {
 		v, err := db.Get(key(i))
@@ -218,7 +218,7 @@ func TestCheckpointReclaimsSpace(t *testing.T) {
 		if !quiet {
 			return
 		}
-		trigger := max(opts.logBytes, int64(len(db.base.buf)))
+		trigger := max(opts.logBytes, db.ckptBytes)
 		if total := mem.TotalBytes(); total > 2*live+2*trigger {
 			t.Fatalf("%s: %d bytes on disk for %d live, trigger %d", phase, total, live, trigger)
 		}
@@ -232,7 +232,7 @@ func TestCheckpointReclaimsSpace(t *testing.T) {
 		}
 	}
 	db.mu.Lock()
-	err = db.waitFrozenLocked()
+	err = db.waitCheckpointLocked()
 	db.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestMergeSurvivesCompaction(t *testing.T) {
 }
 
 // TestMergeRequiresOperator: without a merger a merge is refused, alone or
-// in a batch, before anything reaches the log or the memtable.
+// in a batch, before anything reaches the log or the table.
 func TestMergeRequiresOperator(t *testing.T) {
 	fs := vfs.NewMem()
 	db := openTestDB(t, Options{FS: fs})
@@ -778,7 +778,7 @@ func TestClosedErrors(t *testing.T) {
 // scans. This is the store's main correctness net.
 func TestModelCheck(t *testing.T) {
 	configs := []Options{
-		{},                             // everything in the memtable
+		{},                             // no checkpoint until reopen
 		{logBytes: 512},                // constant checkpoints
 		{logBytes: 512, SyncWAL: true}, // constant checkpoints, synced log
 	}

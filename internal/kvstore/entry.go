@@ -1,7 +1,8 @@
 // Package kvstore is the metadata store each GekkoFS daemon runs in place
-// of the paper's RocksDB instance (§III-B): WAL → memtable → base +
-// checkpoint, held in RAM, since a per-job daemon's metadata is bounded by
-// the job's files. It provides what GekkoFS metadata handling needs:
+// of the paper's RocksDB instance (§III-B): a log and one ordered table,
+// held in RAM and checkpointed to a file, since a per-job daemon's
+// metadata is bounded by the job's files. It provides what GekkoFS
+// metadata handling needs:
 //
 //   - one write entry, Apply: an atomic logged batch of puts, deletes and
 //     merges, with key-stripe locks (LockKeys) for read-validate-write
@@ -12,32 +13,29 @@
 //     the same however often the key was merged into;
 //   - ordered iteration for the daemons' readdir scans.
 //
-// The store keeps one version per key: each of the active memtable, the
-// frozen memtable and the base holds at most one entry for a key — its
-// live value, or in a memtable a tombstone — and the newest of them is
-// the key's state. Writes go to the log and the skiplist memtable, where
-// an insert on a present key replaces its entry. When the log passes
-// max(4 MiB, the last checkpoint's size) the memtable is frozen, and one
-// background goroutine folds it into the base — an immutable sorted
-// buffer of records, one live put per key — and writes that to
-// CHECKPOINT (checkpoint.go). Recovery loads CHECKPOINT and replays the
-// logs it does not cover; a log begins with a format magic and holds
-// puts and deletes only, so replay runs no merge operator and is
-// idempotent (wal.go). The base costs 77 heap bytes per entry of the
-// daemon's shape (32-byte key, 35-byte record; TestBaseFootprint), about
-// 13.9 M files per GiB of daemon RAM at rest, and recovery loads it at
-// ~58 ns per entry (BenchmarkRecover: 1 Mi entries in ~61 ms). Entries not
-// yet checkpointed cost ~181 bytes each in the skiplist (a node averages
-// 101 B, TestMemTableNodeFootprint, plus the key's and the record's
-// buffers), so a create-only fill peaks near 258 heap bytes per entry
-// (~4.2 M files per GiB).
+// The store keeps one version per key in one table (table.go): a sorted
+// slice of leaves, each at most 4 KiB of records in the checkpoint file's
+// layout, changed in place under the table's lock. A delete removes the
+// key's record, so there are no tombstones. Apply logs a batch, then sets
+// its ops in the table. When the log passes max(4 MiB, the last
+// checkpoint's size) it is rotated out, and a background goroutine writes
+// CHECKPOINT, covering that log, from a scan of the live table a leaf at
+// a time while writers go on (checkpoint.go). Recovery loads CHECKPOINT
+// into leaves that alias the file's bytes and replays the logs it does
+// not cover over them. A log begins with a format magic and holds puts
+// and deletes of whole values only, so replay runs no merge operator and
+// is idempotent, which makes the scan's fuzzy image sound (wal.go). A
+// daemon-shaped entry (32-byte key, 35-byte record) costs 75 heap bytes
+// filled in key order, 87 in scrambled order, as written and once
+// checkpointed alike (TestBaseFootprint): 12–14 M files per GiB of daemon
+// RAM. Recovery loads ~37 ns per entry (BenchmarkRecover).
 //
 // The store is safe for concurrent use by multiple goroutines.
 package kvstore
 
 // kind tags the operation an entry represents. A merge lives only in a
-// Batch: Apply folds it into a put before the batch reaches the log or a
-// memtable, which hold puts and deletes only.
+// Batch: Apply folds it into a put before the batch reaches the log or
+// the table.
 type kind uint8
 
 const (
@@ -46,16 +44,9 @@ const (
 	kindMerge
 )
 
-// entry is one operation of a batch or the log, and one key's state in a
-// memtable or the base.
+// entry is one operation of a batch or the log.
 type entry struct {
 	key  []byte
 	val  []byte
 	kind kind
-}
-
-// entrySize approximates the in-memory footprint of an entry: Stats.MemBytes
-// and the checkpoint's buffer estimate.
-func entrySize(e *entry) int64 {
-	return int64(len(e.key)+len(e.val)) + 32
 }

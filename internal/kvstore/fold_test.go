@@ -31,8 +31,8 @@ func appendMerger(_, existing []byte, operands [][]byte) []byte {
 }
 
 // TestFoldAllocs pins what a point read allocates: the returned value and
-// nothing else, whether the key was put or merged onto a put in the active
-// memtable or lives in the base.
+// nothing else, whether the key was put or merged onto a put since the
+// last checkpoint or before it.
 func TestFoldAllocs(t *testing.T) {
 	db := openTestDB(t, Options{Merger: sizeMax})
 	for i := 0; i < 100; i++ {
@@ -59,9 +59,9 @@ func TestFoldAllocs(t *testing.T) {
 		key  []byte
 		max  float64
 	}{
-		{"memtable-put", []byte("put"), 1},
-		{"memtable-merge-on-put", []byte("merged"), 1},
-		{"base-put", []byte("base-050"), 1},
+		{"put", []byte("put"), 1},
+		{"merge-on-put", []byte("merged"), 1},
+		{"checkpointed-put", []byte("base-050"), 1},
 	} {
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := db.Get(tc.key); err != nil {
@@ -97,14 +97,14 @@ var pointOps = []struct {
 }
 
 // TestMergeRunCostPin is the cost pin for merges into one key: after 10⁵
-// of them the key is one memtable entry holding the folded value, and
-// every point operation allocates what it does after 10 merges — in the
-// memtable, after a reopen that replays the whole log, and after a
+// of them the key is one table record holding the folded value, and
+// every point operation allocates what it does after 10 merges — as
+// written, after a reopen that replays the whole log, and after a
 // checkpoint. Counts, not wall time.
 func TestMergeRunCostPin(t *testing.T) {
 	key := []byte("/shared/file")
 	load := func(t *testing.T, fs vfs.FS, n int) *DB {
-		// One memtable holds everything, so close leaves it all in the log.
+		// No checkpoint runs, so close leaves it all in the log.
 		db := openTestDB(t, Options{FS: fs, Merger: sizeMax, logBytes: 1 << 30})
 		for i := 1; i <= n; i++ {
 			if err := merge(db, key, u64(uint64(i))); err != nil {
@@ -130,10 +130,10 @@ func TestMergeRunCostPin(t *testing.T) {
 			}
 		}
 	}
-	if e, ok := big.mem.get(key); !ok || e.kind != kindPut || big.mem.entries() != 1 {
-		t.Fatalf("after %d merges the memtable holds %+v, %v in %d entries; want the key as one put", many, e, ok, big.mem.entries())
+	if v, ok := big.t.get(key); !ok || !bytes.Equal(v, u64(many)) || big.t.count != 1 {
+		t.Fatalf("after %d merges the table holds %v, %v in %d records; want the key's one record", many, v, ok, big.t.count)
 	}
-	check("memtable")
+	check("table")
 	if st := big.Stats(); st.Merges != many {
 		t.Errorf("stats after %d merges: %d merges", many, st.Merges)
 	}
@@ -151,7 +151,7 @@ func TestMergeRunCostPin(t *testing.T) {
 	if st := big.Stats(); st.Checkpoints != 1 {
 		t.Fatalf("%d checkpoints at recovery, want 1", st.Checkpoints)
 	}
-	if n := len(big.base.offs); n != 1 {
+	if n := big.t.count; n != 1 {
 		t.Errorf("recovery checkpoint wrote %d records for one key, want 1", n)
 	}
 	check("reopen")
@@ -284,7 +284,7 @@ func (p *pinView) check() error {
 }
 
 // TestMergeRunIteratorSkipsHotKey is the listing side of the cost pin: a
-// file grown 10^5 times is one memtable entry beside its two siblings, and
+// file grown 10^5 times is one table record beside its two siblings, and
 // a readdir-shaped scan over the directory returns the three keys once
 // each, the grown one with its folded value.
 func TestMergeRunIteratorSkipsHotKey(t *testing.T) {
@@ -300,8 +300,8 @@ func TestMergeRunIteratorSkipsHotKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := db.mem.entries(); n != 3 {
-		t.Fatalf("memtable holds %d entries for 3 keys", n)
+	if n := db.t.count; n != 3 {
+		t.Fatalf("table holds %d records for 3 keys", n)
 	}
 	it, err := db.NewIterator()
 	if err != nil {

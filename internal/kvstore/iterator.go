@@ -1,80 +1,19 @@
 package kvstore
 
-import "bytes"
-
-// internalIterator walks one source's entries in key order. memIter and
-// baseIter implement it; mergeIter combines them.
-type internalIterator interface {
-	seekFirst()
-	seek(key []byte)
-	valid() bool
-	next()
-	cur() *entry
-}
-
-// mergeIter interleaves its sources, newest first (the active memtable,
-// the frozen one, the base), into one ordered stream with one entry per
-// key: where several sources hold a key, the newest one's entry wins. The
-// source count is small, so a linear minimum scan beats heap bookkeeping.
-type mergeIter struct {
-	srcs []internalIterator
-	min  int // index of the current entry's source, -1 when exhausted
-}
-
-func newMergeIter(srcs []internalIterator) *mergeIter {
-	return &mergeIter{srcs: srcs, min: -1}
-}
-
-// findMin picks the source with the smallest key, the newest on a tie.
-func (m *mergeIter) findMin() {
-	m.min = -1
-	for i, s := range m.srcs {
-		if s.valid() && (m.min < 0 || bytes.Compare(s.cur().key, m.srcs[m.min].cur().key) < 0) {
-			m.min = i
-		}
-	}
-}
-
-func (m *mergeIter) seekFirst() {
-	for _, s := range m.srcs {
-		s.seekFirst()
-	}
-	m.findMin()
-}
-
-func (m *mergeIter) seek(key []byte) {
-	for _, s := range m.srcs {
-		s.seek(key)
-	}
-	m.findMin()
-}
-
-func (m *mergeIter) valid() bool { return m.min >= 0 }
-
-// next moves every source on the current key past it.
-func (m *mergeIter) next() {
-	key := m.cur().key
-	for _, s := range m.srcs {
-		if s.valid() && bytes.Equal(s.cur().key, key) {
-			s.next()
-		}
-	}
-	m.findMin()
-}
-
-func (m *mergeIter) cur() *entry { return m.srcs[m.min].cur() }
-
 // Iterator is the user-facing ordered cursor over live keys, used by the
-// daemons' readdir scans. It reads the memtables and base that were
-// current when it was created, stepping through the active memtable while
-// writes continue, so it sees no single point in time. What it promises,
-// from creation to its last positioning call (the scan): every key live
-// for the whole scan is returned exactly once, with a value the key held
-// during the scan; no key absent for the whole scan is returned; and keys
-// come in ascending order, each at most once. Listings are eventually
-// consistent in the paper too (§III-A).
+// daemons' readdir scans. It walks the live table one record at a time
+// under the read lock while writes continue, so it sees no single point
+// in time: it remembers the last key it returned and the table's write
+// count, and when that count has moved it re-seeks just past the key.
+// What it promises, from creation to its last positioning call (the
+// scan): every key live for the whole scan is returned exactly once, with
+// a value the key held during the scan; no key absent for the whole scan
+// is returned; and keys come in ascending order, each at most once.
+// Listings are eventually consistent in the paper too (§III-A).
 type Iterator struct {
-	it *mergeIter
+	t      *table
+	li, i  int    // the current record's leaf and index in it
+	writes uint64 // t.writes when it was loaded
 
 	key []byte
 	val []byte
@@ -82,47 +21,46 @@ type Iterator struct {
 }
 
 // SeekFirst positions the iterator at the smallest live key.
-func (i *Iterator) SeekFirst() {
-	i.it.seekFirst()
-	i.settle()
-}
+func (it *Iterator) SeekFirst() { it.Seek(nil) }
 
 // Seek positions the iterator at the first live key >= target.
-func (i *Iterator) Seek(target []byte) {
-	i.it.seek(target)
-	i.settle()
+func (it *Iterator) Seek(target []byte) {
+	it.t.mu.RLock()
+	defer it.t.mu.RUnlock()
+	li, i, _ := it.t.search(target)
+	it.load(it.t.settle(li, i))
 }
 
 // Valid reports whether the iterator is positioned at a live key.
-func (i *Iterator) Valid() bool { return i.ok }
+func (it *Iterator) Valid() bool { return it.ok }
 
 // Key returns the current key. The slice is owned by the iterator and
 // valid until the next positioning call.
-func (i *Iterator) Key() []byte { return i.key }
+func (it *Iterator) Key() []byte { return it.key }
 
 // Value returns the current value under the same ownership rules as Key.
-func (i *Iterator) Value() []byte { return i.val }
+func (it *Iterator) Value() []byte { return it.val }
 
 // Next advances to the next live key.
-func (i *Iterator) Next() {
-	if i.ok {
-		i.it.next()
-		i.settle()
+func (it *Iterator) Next() {
+	if !it.ok {
+		return
+	}
+	it.t.mu.RLock()
+	defer it.t.mu.RUnlock()
+	it.load(it.t.after(it.key, it.writes, it.li, it.i))
+}
+
+// load positions the iterator at record i of leaf li, a settled position,
+// and copies the record out. Caller holds the read lock.
+func (it *Iterator) load(li, i int) {
+	it.li, it.i, it.writes = li, i, it.t.writes
+	if it.ok = li < len(it.t.leaves); it.ok {
+		k, v := it.t.leaves[li].record(i)
+		it.key = append(it.key[:0], k...)
+		it.val = append(it.val[:0], v...)
 	}
 }
 
-// settle advances the merged stream past tombstones to the next live
-// key, loading Key/Value.
-func (i *Iterator) settle() {
-	for i.ok = false; i.it.valid(); i.it.next() {
-		if e := i.it.cur(); e.kind == kindPut {
-			i.key = append(i.key[:0], e.key...)
-			i.val = append(i.val[:0], e.val...)
-			i.ok = true
-			return
-		}
-	}
-}
-
-// Close releases the iterator's references to the store's tables.
-func (i *Iterator) Close() { i.it = nil }
+// Close releases the iterator's reference to the store's table.
+func (it *Iterator) Close() { it.t = nil }

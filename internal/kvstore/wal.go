@@ -34,13 +34,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // walWriter appends batches to a log file.
 type walWriter struct {
 	f    vfs.File
+	num  uint64 // the log's number: wal-NNNNNN.log
 	buf  []byte
 	size int64 // bytes appended: the checkpoint trigger
 }
 
-// newWALWriter starts a log in the empty file f: it writes the magic and
-// syncs it.
-func newWALWriter(f vfs.File) (*walWriter, error) {
+// newWALWriter starts log num in the empty file f: it writes the magic
+// and syncs it.
+func newWALWriter(f vfs.File, num uint64) (*walWriter, error) {
 	_, err := f.Append([]byte(walMagic))
 	if err == nil {
 		err = f.Sync()
@@ -48,7 +49,7 @@ func newWALWriter(f vfs.File) (*walWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: wal create: %w", err)
 	}
-	return &walWriter{f: f}, nil
+	return &walWriter{f: f, num: num}, nil
 }
 
 // append writes one batch record; sync forces durability before return.

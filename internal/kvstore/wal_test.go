@@ -18,7 +18,7 @@ func newTestWAL(t *testing.T, fs vfs.FS, name string) (vfs.File, *walWriter) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWALWriter(f)
+	w, err := newWALWriter(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
