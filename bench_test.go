@@ -266,12 +266,11 @@ func stageSourceFiles(b *testing.B, sizes []int64) (string, int64) {
 //   - large: one 16 MiB file — four of the engine's 4 MiB ranges, one
 //     per worker — over real TCP sockets into a 4-daemon cluster (64 KiB
 //     chunks), the operating point of BenchmarkWriteStream.
-//   - smallfiles: 1000 × 1 KiB files into a durable on-disk cluster
-//     (SyncWAL) — the operating point of gkfs-bench's batched mdtest
-//     create phase. Data-carrying files additionally pay one chunk-file
-//     creation on the node-local FS each, which pure metadata creates
-//     never do; the empty variant isolates the engine's namespace
-//     ingest.
+//   - smallfiles: 1000 × 1 KiB files into an on-disk cluster — the
+//     operating point of gkfs-bench's batched mdtest create phase.
+//     Data-carrying files additionally pay one chunk-file creation on
+//     the node-local FS each, which pure metadata creates never do; the
+//     empty variant isolates the engine's namespace ingest.
 //   - midfiles: the stageMidSizes files, one range each, into the
 //     cluster of large.
 func BenchmarkStageIn(b *testing.B) {
@@ -295,7 +294,7 @@ func BenchmarkStageIn(b *testing.B) {
 	smallIngest := func(b *testing.B, size int) {
 		const files = 1000
 		src := stageSourceSmall(b, files, size)
-		_, fs := realCluster(b, gekkofs.WithDataDir(b.TempDir()), gekkofs.WithSyncWAL())
+		_, fs := realCluster(b, gekkofs.WithDataDir(b.TempDir()))
 		paths := make([]string, files)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -54,7 +54,6 @@ func main() {
 	id := flag.Int("id", 0, "daemon index within the cluster host list")
 	chunk := cli.Size(meta.DefaultChunkSize)
 	flag.Var(&chunk, "chunk", "chunk size, cluster-wide: every daemon of a deployment must be started with the same value, and clients learn it from the daemons at mount")
-	syncWAL := flag.Bool("sync-wal", false, "fsync metadata WAL per operation")
 	shm := flag.String("shm", "", "serve the shared-memory transport on this Unix socket (advertised to co-located clients)")
 	shmSeg := flag.Int("shm-seg", transport.DefaultShmSegBytes, "shared-memory segment bytes per connection")
 	metrics := flag.String("metrics", "", "serve /metrics, /statz and /debug/pprof on this HTTP address (bind loopback unless the network is trusted)")
@@ -76,8 +75,7 @@ func main() {
 		log.Fatalf("gkfs-daemon: %v", err)
 	}
 	d, err := daemon.New(daemon.Config{
-		ID: *id, FS: fs, ChunkSize: int64(chunk), SyncWAL: *syncWAL,
-		ShmSocket: *shm,
+		ID: *id, FS: fs, ChunkSize: int64(chunk), ShmSocket: *shm,
 	})
 	if err != nil {
 		log.Fatalf("gkfs-daemon: %v", err)

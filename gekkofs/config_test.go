@@ -59,7 +59,7 @@ func TestEveryTunableIsReachable(t *testing.T) {
 	// Every option, set to a non-default value.
 	var cfg config
 	for _, opt := range []Option{
-		WithNodes(7), WithChunkSize(7), WithDataDir("d"), WithSyncWAL(),
+		WithNodes(7), WithChunkSize(7), WithDataDir("d"),
 		WithSizeUpdateCache(7),
 		WithTransport("shm"), WithReadAhead(),
 		WithStageIn("h", "f", nil), WithStageOutOnClose("f", "h", nil),

@@ -145,10 +145,6 @@ func WithChunkSize(bytes int64) Option { return func(c *config) { c.daemon.Chunk
 // namespace and its data.
 func WithDataDir(dir string) Option { return func(c *config) { c.dataDir = dir } }
 
-// WithSyncWAL makes metadata operations durable before they are
-// acknowledged.
-func WithSyncWAL() Option { return func(c *config) { c.daemon.SyncWAL = true } }
-
 // WithSizeUpdateCache enables the client-side size-update cache the paper
 // introduces for shared-file workloads (§IV-B): size updates are buffered
 // and flushed every ops writes (and on close/sync). Trade-off: another

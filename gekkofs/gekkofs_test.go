@@ -475,7 +475,7 @@ func TestConcurrentExclusiveCreate(t *testing.T) {
 	}
 }
 
-// TestSharedFileSizeConvergence checks the lock-free size merge: many
+// TestSharedFileSizeConvergence checks the size grow's maximum rule: many
 // clients writing disjoint regions of one shared file leave its size at
 // the maximum end offset, regardless of update interleaving.
 func TestSharedFileSizeConvergence(t *testing.T) {
@@ -597,7 +597,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	data := bytes.Repeat([]byte("persist!"), 2048) // 16 KiB
 
 	cl, err := gekkofs.New(gekkofs.WithNodes(3), gekkofs.WithChunkSize(4096),
-		gekkofs.WithDataDir(dir), gekkofs.WithSyncWAL())
+		gekkofs.WithDataDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +617,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 
 	// Restart on the same node-local directories (a campaign resuming).
 	cl2, err := gekkofs.New(gekkofs.WithNodes(3), gekkofs.WithChunkSize(4096),
-		gekkofs.WithDataDir(dir), gekkofs.WithSyncWAL())
+		gekkofs.WithDataDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestGrowManyErrorAlignment(t *testing.T) {
 	if !errors.Is(errs[1], proto.ErrInval) {
 		t.Fatalf("negative size = %v", errs[1])
 	}
-	// Size merges recreate missing records (relaxed semantics), so a
+	// Size grows recreate missing records (relaxed semantics), so a
 	// grow of an absent path succeeds — only shape errors fail.
 	if errs[2] != nil {
 		t.Fatalf("grow of fresh path = %v", errs[2])

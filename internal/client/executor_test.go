@@ -21,8 +21,7 @@ import (
 // TestSyncIOAllocPin pins the heap cost of the hot path — an 8 KiB
 // synchronous ReadAt and WriteAt against the metadata owner over the mem
 // transport, daemon side included (the size-update cache keeps the
-// metadata record's merge chain, and with it the daemon's share,
-// constant). The pins are the measured counts, 12 and 13. Under the race
+// daemon's share constant). The pins are the measured counts, 12 and 13. Under the race
 // detector sync.Pool drops a random share of its Puts, so there the bound
 // stays the one the span-group executor had to meet (31/18, the code path
 // it replaced).

@@ -147,7 +147,7 @@ func (c *Client) StatMany(paths []string) ([]FileInfo, []error) {
 }
 
 // GrowMany raises file sizes through the vector plane: sizes[i] becomes a
-// grow (merge) candidate for paths[i], sharded by metadata owner into one
+// grow (to the maximum) candidate for paths[i], sharded by metadata owner into one
 // OpBatchMeta per daemon — one RPC and one WAL append per batch instead
 // of one OpUpdateSize round trip per file. Stage-in pairs it with
 // WritePath: chunk data first, then the whole batch's sizes in one

@@ -6,8 +6,9 @@ package daemon_test
 // which restart on the same directories. What a crash may lose is the
 // operation in flight; what it must not lose is anything acknowledged,
 // and nothing it leaves behind may read as a damaged record. A severed
-// process keeps its page cache, so one more test restarts daemons from a
-// vfs.Mem crash clone instead, which holds only what was synced.
+// daemon still closes its store, so one more test restarts daemons from a
+// vfs.Mem process-crash clone taken while they run, which holds what they
+// had written and nothing a Close adds.
 
 import (
 	"bytes"
@@ -56,7 +57,7 @@ func (cc *crashCluster) serve(i int) {
 	if err != nil {
 		cc.t.Fatal(err)
 	}
-	d, err := daemon.New(daemon.Config{ID: i, FS: fs, ChunkSize: 1024, SyncWAL: true})
+	d, err := daemon.New(daemon.Config{ID: i, FS: fs, ChunkSize: 1024})
 	if err != nil {
 		cc.t.Fatal(err)
 	}
@@ -68,8 +69,8 @@ func (cc *crashCluster) serve(i int) {
 
 // kill severs daemon i's socket mid-conversation, then closes it, which
 // releases its directory's lock so restart can reopen the directory. Operations
-// acknowledged before the sever were made durable by SyncWAL; in-flight
-// ones die with the socket, exactly as a crash loses them.
+// acknowledged before the sever had reached the kernel; in-flight ones
+// die with the socket, exactly as a crash loses them.
 func (cc *crashCluster) kill(i int) {
 	cc.lns[i].Kill()
 	cc.ds[i].Close()
@@ -319,18 +320,18 @@ func TestCrashMidCreateMany(t *testing.T) {
 }
 
 // TestCrashLosesOnlyUnsyncedBytes acknowledges creates, removes and size
-// updates against daemons with a synchronous WAL, then takes a crash
-// clone of every daemon's store while the daemons still run: the clone
-// keeps only bytes that were synced, as a power loss would. Daemons
-// started on the clones must hold every acknowledged metadata operation.
-// Chunk files are never synced, so only metadata is checked.
+// updates, then takes a process-crash clone of every daemon's store while
+// the daemons still run: the clone keeps every byte written, as a kill -9
+// leaves them, and nothing a Close would add. Daemons started on the
+// clones must hold every acknowledged metadata operation, since an
+// acknowledged batch has reached the kernel.
 func TestCrashLosesOnlyUnsyncedBytes(t *testing.T) {
 	const nodes, files = 3, 48
 	mount := func(fss []*vfs.Mem) *client.Client {
 		t.Helper()
 		conns := make([]rpc.Conn, len(fss))
 		for i, fs := range fss {
-			d, err := daemon.New(daemon.Config{ID: i, FS: fs, ChunkSize: 1024, SyncWAL: true})
+			d, err := daemon.New(daemon.Config{ID: i, FS: fs, ChunkSize: 1024})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,7 +407,7 @@ func TestCrashLosesOnlyUnsyncedBytes(t *testing.T) {
 
 	crashed := make([]*vfs.Mem, nodes)
 	for i, fs := range fss {
-		crashed[i] = fs.CrashClone()
+		crashed[i] = fs.ProcessCrashClone()
 	}
 	after := mount(crashed)
 	infos, errs := after.StatMany(paths)

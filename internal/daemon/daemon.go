@@ -31,8 +31,6 @@ type Config struct {
 	// ChunkSize is the file system chunk size; must match the clients'.
 	// Zero selects meta.DefaultChunkSize (512 KiB, the paper's value).
 	ChunkSize int64
-	// SyncWAL makes metadata operations durable before acknowledgement.
-	SyncWAL bool
 	// ShmSocket, when non-empty, is the path of the Unix-domain doorbell
 	// socket this daemon serves the shared-memory transport on. The ping
 	// reply advertises it so co-located clients can switch to the
@@ -108,11 +106,7 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("daemon: data directory: %w", err)
 	}
-	db, err := kvstore.Open(kvstore.Options{
-		FS:      sub{fs: cfg.FS, prefix: "meta/"},
-		Merger:  sizeMerger,
-		SyncWAL: cfg.SyncWAL,
-	})
+	db, err := kvstore.Open(kvstore.Options{FS: sub{fs: cfg.FS, prefix: "meta/"}})
 	if err != nil {
 		unlock()
 		return nil, fmt.Errorf("daemon: metadata store: %w", err)
@@ -158,32 +152,4 @@ func (d *Daemon) Stats() Stats {
 func (d *Daemon) Close() error {
 	d.srv.Close()
 	return errors.Join(d.db.Close(), d.chunks.Close(), d.unlock())
-}
-
-// sizeMerger folds size-update operands ([i64 size][i64 mtime]) into a
-// metadata record, keeping the maximum size — the KV-store merge GekkoFS
-// performs for lock-free size growth. The per-operand step is
-// meta.Record.Grow, the same rule the metadata transaction ran when it
-// queued the operand; it runs again here because the record may have
-// changed since (grows take no key lock). An operand landing on a
-// concurrently removed path recreates a bare regular-file record; GekkoFS
-// accepts this relaxed outcome rather than serializing writers against
-// removers (paper §III-A); a directory record is never grown. The store
-// runs it once per operand, under its lock, and logs the grown record.
-func sizeMerger(_ []byte, existing []byte, operands [][]byte) []byte {
-	var rec meta.Record
-	if existing != nil {
-		if md, err := meta.DecodeMetadata(existing); err == nil {
-			rec = meta.Record{Meta: md, Exists: true}
-		}
-	}
-	for _, op := range operands {
-		d := rpc.NewDec(op)
-		size, mtime := d.I64(), d.I64()
-		if d.Done() != nil {
-			continue
-		}
-		rec.Grow(size, mtime)
-	}
-	return rec.Meta.Encode()
 }

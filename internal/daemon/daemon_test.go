@@ -383,36 +383,6 @@ func TestReadDirScopedToChildren(t *testing.T) {
 	}
 }
 
-func TestSizeMerger(t *testing.T) {
-	base := meta.Metadata{Mode: meta.ModeRegular, Size: 100, CTimeNS: 5, MTimeNS: 5}
-	op := func(size, mtime int64) []byte {
-		e := rpc.NewEnc(16)
-		e.I64(size).I64(mtime)
-		return e.Bytes()
-	}
-	live := func(rec []byte) meta.Metadata {
-		t.Helper()
-		md, err := meta.DecodeMetadata(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return md
-	}
-	md := live(sizeMerger(nil, base.Encode(), [][]byte{op(50, 6), op(300, 7), op(200, 8)}))
-	if md.Size != 300 || md.MTimeNS != 8 || md.CTimeNS != 5 {
-		t.Fatalf("merged = %+v", md)
-	}
-	// Merge onto a missing record resurrects a bare file (documented
-	// relaxed semantics).
-	if md = live(sizeMerger(nil, nil, [][]byte{op(42, 1)})); md.Size != 42 || md.IsDir() {
-		t.Fatalf("orphan merge = %+v", md)
-	}
-	// Malformed operands are skipped.
-	if md = live(sizeMerger(nil, base.Encode(), [][]byte{{1, 2, 3}, op(7, 7)[:8]})); md.Size != 100 {
-		t.Fatalf("malformed operand changed size: %d", md.Size)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	d := newTestDaemon(t)
 	if _, err := call(t, d, proto.OpCreate, encCreate("/f", meta.ModeRegular), nil); err != nil {

@@ -23,15 +23,15 @@ var rewriteSeed = flag.Int64("rewrite.seed", 1, "seed of TestSharedFileRewritesS
 // for the metadata key, against a real daemon: 20 000 synchronous 8 KiB
 // rewrites of one file, each followed by an Fsync — a rewrite below the
 // descriptor's size floor sends no size update of its own, so the barrier
-// is what puts one size-grow merge per write on the key. The path is long
-// enough that the store's log passes its checkpoint trigger every few
-// thousand rewrites. A size update costs what the key's entries cost, so
-// the cost stays flat only if the store folds every grow into the key's
-// one entry: counted, not timed, at the end of every window of 2 000
-// rewrites the store holds fewer key and value bytes than two copies of
-// the path — the key once, beside at most the root's small record. The
-// grow's contract must be what it was: the final size and mtime are
-// right, and a grow against a directory is refused.
+// is what commits one size grow per write on the key, each a put of the
+// grown record. The path is long enough that the store's log passes its
+// checkpoint trigger every few thousand rewrites. A size update costs
+// what the key's entries cost, so the cost stays flat only if every grow
+// replaces the key's one entry: counted, not timed, at the end of every
+// window of 2 000 rewrites the store holds fewer key and value bytes than
+// two copies of the path — the key once, beside at most the root's small
+// record. The grow's contract must be what it was: the final size and
+// mtime are right, and a grow against a directory is refused.
 func TestSharedFileRewritesStayFlat(t *testing.T) {
 	d, err := daemon.New(daemon.Config{FS: vfs.NewMem()})
 	if err != nil {
@@ -85,8 +85,8 @@ func TestSharedFileRewritesStayFlat(t *testing.T) {
 		}
 		size = max(size, off+block)
 	}
-	if kv := kvStats(); kv.Merges < writes || kv.Checkpoints < 2 {
-		t.Fatalf("%d merges across %d checkpoints, want %d across at least 2", kv.Merges, kv.Checkpoints, writes)
+	if kv := kvStats(); kv.Puts < writes || kv.Checkpoints < 2 {
+		t.Fatalf("%d puts across %d checkpoints, want %d across at least 2", kv.Puts, kv.Checkpoints, writes)
 	}
 
 	fi, err := c.Stat(shared)

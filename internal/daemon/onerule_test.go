@@ -9,7 +9,6 @@ import (
 	"repro/internal/meta"
 	"repro/internal/proto"
 	"repro/internal/rpc"
-	"repro/internal/vfs"
 )
 
 // callSingle sends op alone under its kind's own op code and decodes the
@@ -122,21 +121,14 @@ func TestSingleAndBatchFramingsAgree(t *testing.T) {
 	}
 }
 
-// TestSizeGrowRule pins what the shared grow step does in each case the
-// relaxed-semantics table names, through the store and its merge operator
-// — the path a grow actually commits by — and that folding is
-// transparent: two operands in one call, or one call each, leave the same
-// record.
+// TestSizeGrowRule pins what a grow does in each case the
+// relaxed-semantics table names, through both framings of the commit
+// path: the record it leaves in the store, and its answer.
 func TestSizeGrowRule(t *testing.T) {
 	file := func(size, mtime int64) meta.Metadata {
 		return meta.Metadata{Mode: meta.ModeRegular, Size: size, CTimeNS: 1, MTimeNS: mtime}
 	}
 	dir := meta.Metadata{Mode: meta.ModeDir, CTimeNS: 1, MTimeNS: 2}
-	operand := func(size, mtime int64) []byte {
-		e := rpc.NewEnc(16)
-		e.I64(size).I64(mtime)
-		return e.Bytes()
-	}
 	for _, tc := range []struct {
 		name     string
 		existing *meta.Metadata // nil: absent
@@ -153,47 +145,44 @@ func TestSizeGrowRule(t *testing.T) {
 		{"directory", &dir, false, 100, 9, dir},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db, err := kvstore.Open(kvstore.Options{FS: vfs.NewMem(), Merger: sizeMerger})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
 			key := []byte("/g")
-			var b kvstore.Batch
-			if tc.existing != nil {
-				b.PutOwned(key, tc.existing.Encode())
+			grow := proto.MetaOp{Kind: proto.MetaOpUpdateSize, Path: string(key), Size: tc.size, TimeNS: tc.mtime}
+			wantErrno := proto.OK
+			if tc.existing != nil && tc.existing.IsDir() {
+				wantErrno = proto.ErrnoIsDir
 			}
-			if tc.gone {
-				b.DeleteOwned(key)
-			}
-			if err := db.Apply(&b); err != nil {
-				t.Fatal(err)
-			}
-			first := operand(tc.size, tc.mtime)
-			var grow kvstore.Batch
-			grow.MergeOwned(key, bytes.Clone(first))
-			if err := db.Apply(&grow); err != nil {
-				t.Fatal(err)
-			}
-			merged, err := db.Get(key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := meta.DecodeMetadata(merged)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(merged) != 25 || got != tc.want {
-				t.Fatalf("grown record = %+v (%d bytes), want %+v in 25", got, len(merged), tc.want)
-			}
-			var stored []byte
-			if tc.existing != nil && !tc.gone {
-				stored = tc.existing.Encode()
-			}
-			second := operand(tc.size+1, tc.mtime-1)
-			once := sizeMerger(nil, stored, [][]byte{first, second})
-			if steps := sizeMerger(nil, merged, [][]byte{second}); !bytes.Equal(once, steps) {
-				t.Fatalf("merging in steps differs from merging at once:\n once  %x\n steps %x", once, steps)
+			for _, framing := range []struct {
+				name string
+				call func(*Daemon) proto.MetaResult
+			}{
+				{"single", func(d *Daemon) proto.MetaResult { return callSingle(t, d, grow) }},
+				{"batch", func(d *Daemon) proto.MetaResult { return callBatch(t, d, []proto.MetaOp{grow})[0] }},
+			} {
+				d := newTestDaemon(t)
+				var b kvstore.Batch
+				if tc.existing != nil {
+					b.PutOwned(key, tc.existing.Encode())
+				}
+				if tc.gone {
+					b.DeleteOwned(key)
+				}
+				if err := d.db.Apply(&b); err != nil {
+					t.Fatal(err)
+				}
+				if res := framing.call(d); res.Errno != wantErrno {
+					t.Fatalf("%s: errno %d, want %d", framing.name, res.Errno, wantErrno)
+				}
+				stored, err := d.db.Get(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := meta.DecodeMetadata(stored)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(stored) != 25 || got != tc.want {
+					t.Fatalf("%s: grown record = %+v (%d bytes), want %+v in 25", framing.name, got, len(stored), tc.want)
+				}
 			}
 		})
 	}

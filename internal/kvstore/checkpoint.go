@@ -188,8 +188,8 @@ func (db *DB) backgroundWork() {
 // full waits. The scan may copy values of batches in the active log —
 // some of a batch's ops and not the others — which only replaying that
 // log makes whole. So both logs are synced before the rename, the covered
-// one first, whatever SyncWAL says: a crash then recovers a prefix of the
-// batches and no value whose batch is not durable.
+// one first: a machine crash then recovers a prefix of the batches and no
+// value whose batch is not durable.
 func (db *DB) runCheckpoint() error {
 	old, active := db.covered, db.wal
 	db.mu.Unlock()

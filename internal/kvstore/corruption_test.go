@@ -92,10 +92,10 @@ func readFile(t *testing.T, fs vfs.FS, name string) []byte {
 	return buf
 }
 
-// crashFS is a vfs.Mem that takes its CrashClone at one chosen step:
-// crashAt sees each rename, removal and log append before it happens, and
-// the first call it accepts is where the node dies. An append chosen so is
-// torn: half of it is made durable before the clone.
+// crashFS is a vfs.Mem that takes its ProcessCrashClone at one chosen
+// step: crashAt sees each rename, removal and log append before it
+// happens, and the first call it accepts is where the process dies. An
+// append chosen so is torn: half of it is written before the clone.
 type crashFS struct {
 	*vfs.Mem
 	crashAt func(op, name string) bool
@@ -108,7 +108,7 @@ func (c *crashFS) step(op, name string, partial func()) {
 		if partial != nil {
 			partial()
 		}
-		c.onCrash(c.Mem.CrashClone())
+		c.onCrash(c.Mem.ProcessCrashClone())
 	}
 }
 
@@ -136,24 +136,25 @@ type crashLog struct {
 	name string
 }
 
-func (l *crashLog) Append(p []byte) (int64, error) {
+func (l *crashLog) WriteAt(p []byte, off int64) (int, error) {
+	half := len(p) / 2
 	torn := false
 	l.fs.step("append", l.name, func() {
 		torn = true
-		l.File.Append(p[:len(p)/2])
-		l.File.Sync()
+		l.File.WriteAt(p[:half], off)
 	})
 	if torn {
-		return l.File.Append(p[len(p)/2:])
+		n, err := l.File.WriteAt(p[half:], off+int64(half))
+		return half + n, err
 	}
-	return l.File.Append(p)
+	return l.File.WriteAt(p, off)
 }
 
-// TestCrashAtCheckpointSteps crashes a store with a synced log at each
-// step of its second checkpoint: after CHECKPOINT.tmp is synced but before
-// the rename, after the rename but before the covered log is removed; and
-// mid-append to the log after the first. Recovery must hold exactly what was
-// acknowledged. The merge operator appends, so a log replayed on top of
+// TestCrashAtCheckpointSteps kills a store's process at each step of its
+// second checkpoint: after CHECKPOINT.tmp is synced but before the
+// rename, after the rename but before the covered log is removed; and
+// mid-append to the log after the first. Recovery must hold exactly what
+// was acknowledged. The merge operator appends, so a log replayed on top of
 // the checkpoint that covers it would show as doubled operands; a covered
 // log is not replayed at all, so recovery then has nothing to checkpoint.
 func TestCrashAtCheckpointSteps(t *testing.T) {
@@ -183,7 +184,7 @@ func TestCrashAtCheckpointSteps(t *testing.T) {
 			fs := &crashFS{Mem: vfs.NewMem(), crashAt: never, onCrash: func(m *vfs.Mem) {
 				clone, acked = m, model.clone()
 			}}
-			db := openTestDB(t, Options{FS: fs, Merger: appendMerger, SyncWAL: true, logBytes: 1 << 30})
+			db := openTestDB(t, Options{FS: fs, Merger: appendMerger, logBytes: 1 << 30})
 			rnd := rand.New(rand.NewSource(*foldSeed))
 			keys := []string{"a", "b", "c", "d"}
 			write := func(n int) {
@@ -216,7 +217,7 @@ func TestCrashAtCheckpointSteps(t *testing.T) {
 				t.Fatal("the crash step was never reached")
 			}
 
-			re, err := Open(Options{FS: clone, Merger: appendMerger, SyncWAL: true})
+			re, err := Open(Options{FS: clone, Merger: appendMerger})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,13 +270,13 @@ func TestManyReopenCycles(t *testing.T) {
 	}
 }
 
-// TestCrashDuringHeavyWrites crashes mid-stream at several points and
-// verifies the store always reopens cleanly with a prefix of the
-// acknowledged synced state.
+// TestCrashDuringHeavyWrites kills the store's process mid-stream at
+// several points and verifies the store always reopens cleanly with every
+// acknowledged write.
 func TestCrashDuringHeavyWrites(t *testing.T) {
 	for _, crashAt := range []int{10, 100, 500, 999} {
 		mem := vfs.NewMem()
-		db, err := Open(Options{FS: mem, SyncWAL: true, logBytes: 4096})
+		db, err := Open(Options{FS: mem, logBytes: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,10 +285,10 @@ func TestCrashDuringHeavyWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		crashed := mem.CrashClone()
+		crashed := mem.ProcessCrashClone()
 		db.Close()
 
-		db2, err := Open(Options{FS: crashed, SyncWAL: true})
+		db2, err := Open(Options{FS: crashed})
 		if err != nil {
 			t.Fatalf("crashAt=%d reopen: %v", crashAt, err)
 		}

@@ -12,15 +12,17 @@ import (
 )
 
 // MergeOperator combines a key's existing value (nil if absent) with merge
-// operands, oldest first, producing the new value. GekkoFS daemons use it
-// for lock-free file-size updates, mirroring the released system's RocksDB
-// merge operands. Apply runs it once per merge op, under the store's lock
-// and before the batch is logged, and the log keeps the value it returns:
-// recovery never runs it. It must not modify existing and must return a
-// fresh buffer.
+// operands, oldest first, producing the new value: the released system's
+// RocksDB merge operands, which its daemons use for lock-free file-size
+// updates (this daemon grows a size under the key lock instead). Apply
+// runs it once per merge op, under the store's lock and before the batch
+// is logged, and the log keeps the value it returns: recovery never runs
+// it. It must not modify existing and must return a fresh buffer.
 type MergeOperator func(key, existing []byte, operands [][]byte) []byte
 
-// Options configures a DB. The zero value plus an FS is usable.
+// Options configures a DB. The zero value plus an FS is usable. No
+// option syncs a batch before Apply returns; the log's header (wal.go)
+// says what a crash keeps.
 type Options struct {
 	// FS is the backing file system; required. Use vfs.NewMem() for a
 	// purely in-memory store.
@@ -28,10 +30,6 @@ type Options struct {
 	// Merger folds merge operands; Apply refuses a batch holding a merge
 	// without one.
 	Merger MergeOperator
-	// SyncWAL forces an fsync per write batch. GekkoFS acknowledges
-	// operations synchronously; tests enable this together with crash
-	// injection.
-	SyncWAL bool
 
 	// logBytes overrides the checkpoint trigger's floor
 	// (checkpointLogBytes) when positive. Only this package's tests set
@@ -240,7 +238,7 @@ func (db *DB) Apply(b *Batch) error {
 	if n[kindMerge] > 0 {
 		db.foldLocked(ops)
 	}
-	if err := db.wal.append(ops, db.opts.SyncWAL); err != nil {
+	if err := db.wal.append(ops); err != nil {
 		return err
 	}
 	db.t.mu.Lock()

@@ -514,7 +514,7 @@ func TestIteratorResolvesMerges(t *testing.T) {
 
 func TestWALRecovery(t *testing.T) {
 	mem := vfs.NewMem()
-	db, err := Open(Options{FS: mem, SyncWAL: true})
+	db, err := Open(Options{FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,11 +524,11 @@ func TestWALRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Crash: drop everything unsynced, reopen from the clone.
-	crashed := mem.CrashClone()
+	// Kill the process: keep every written byte, reopen from the clone.
+	crashed := mem.ProcessCrashClone()
 	db.Close()
 
-	db2, err := Open(Options{FS: crashed, SyncWAL: true})
+	db2, err := Open(Options{FS: crashed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +543,7 @@ func TestWALRecovery(t *testing.T) {
 
 func TestCrashLosesOnlyUnsyncedTail(t *testing.T) {
 	mem := vfs.NewMem()
-	db, err := Open(Options{FS: mem}) // SyncWAL off: appended but not synced
+	db, err := Open(Options{FS: mem}) // appended but not synced
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,14 +777,24 @@ func TestClosedErrors(t *testing.T) {
 // operation stream across several configurations, then compares full
 // scans. This is the store's main correctness net.
 func TestModelCheck(t *testing.T) {
-	configs := []Options{
-		{},                             // no checkpoint until reopen
-		{logBytes: 512},                // constant checkpoints
-		{logBytes: 512, SyncWAL: true}, // constant checkpoints, synced log
+	configs := []struct {
+		opts Options
+		host bool // on the host file system rather than a vfs.Mem
+	}{
+		{Options{}, false},              // no checkpoint until reopen
+		{Options{logBytes: 512}, false}, // constant checkpoints
+		{Options{logBytes: 512}, true},  // constant checkpoints, host files
 	}
-	for ci, opts := range configs {
+	for ci, cfg := range configs {
 		t.Run(fmt.Sprintf("config%d", ci), func(t *testing.T) {
-			db := openTestDB(t, opts)
+			if cfg.host {
+				fs, err := vfs.NewOS(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.opts.FS = fs
+			}
+			db := openTestDB(t, cfg.opts)
 			model := make(map[string]string)
 			rnd := rand.New(rand.NewSource(int64(ci) + 99))
 			const ops = 4000
@@ -973,7 +983,7 @@ func TestLockKeysAtomicVsPutIfAbsent(t *testing.T) {
 // A batch's merge folds against the batch's own earlier put.
 func TestReplayIndependentOfMerger(t *testing.T) {
 	fs := vfs.NewMem()
-	db := openTestDB(t, Options{FS: fs, Merger: appendMerger, SyncWAL: true})
+	db := openTestDB(t, Options{FS: fs, Merger: appendMerger})
 	for _, op := range []string{"a", "b", "c"} {
 		if err := merge(db, []byte("k"), []byte(op)); err != nil {
 			t.Fatal(err)
@@ -991,7 +1001,7 @@ func TestReplayIndependentOfMerger(t *testing.T) {
 		merger MergeOperator
 	}{{"same merger", appendMerger}, {"another merger", last}, {"no merger", nil}} {
 		t.Run(tc.name, func(t *testing.T) {
-			re := openTestDB(t, Options{FS: fs.CrashClone(), Merger: tc.merger})
+			re := openTestDB(t, Options{FS: fs.ProcessCrashClone(), Merger: tc.merger})
 			for k, want := range map[string]string{"k": "abc", "j": "xy"} {
 				if v, err := re.Get([]byte(k)); err != nil || string(v) != want {
 					t.Fatalf("reopened %s = %q, %v; want %q as acknowledged", k, v, err, want)

@@ -125,12 +125,13 @@ func fuzzyBatches(db *DB, w int) (int, error) {
 // The scan waits after its first leaf until each writer has applied two
 // more batches, so the checkpoint holds values of batches logged after
 // the rotation, and leaves of one batch beside leaves of an older one.
-// With SyncWAL the recovered store holds, per writer, the batches it had
-// acknowledged at the crash, and at most those in flight beside them.
-// Without SyncWAL it holds a prefix of each writer's batches no shorter
-// than the first checkpoint's, never half a batch nor one past a gap:
-// that arm fails if the active log is not synced before CHECKPOINT is
-// renamed (half batches), or the covered log before the active one (a
+// After a process crash, which keeps every written byte, the recovered
+// store holds, per writer, the batches it had acknowledged at the crash,
+// and at most those in flight beside them. After a machine crash, which
+// keeps only synced bytes, it holds a prefix of each writer's batches no
+// shorter than the first checkpoint's, never half a batch nor one past a
+// gap: that arm fails if the active log is not synced before CHECKPOINT
+// is renamed (half batches), or the covered log before the active one (a
 // gap).
 func TestCrashDuringFuzzyCheckpoint(t *testing.T) {
 	const first = 5 // batches per writer under the first checkpoint
@@ -149,9 +150,10 @@ func TestCrashDuringFuzzyCheckpoint(t *testing.T) {
 			return op == "remove" && name == walName(covered)
 		}},
 	}
-	for _, syncWAL := range []bool{true, false} {
+	for _, crashed := range []string{"process", "machine"} {
+		machine := crashed == "machine"
 		for _, step := range steps {
-			t.Run(fmt.Sprintf("SyncWAL=%v/%s", syncWAL, step.name), func(t *testing.T) {
+			t.Run(crashed+" crash/"+step.name, func(t *testing.T) {
 				var (
 					acked       [2]atomic.Int64
 					armed       atomic.Bool
@@ -167,7 +169,11 @@ func TestCrashDuringFuzzyCheckpoint(t *testing.T) {
 					defer mu.Unlock()
 					if clone == nil {
 						ackedBefore = [2]int64{acked[0].Load(), acked[1].Load()}
-						clone = fs.CrashClone()
+						if machine {
+							clone = fs.CrashClone()
+						} else {
+							clone = fs.ProcessCrashClone()
+						}
 						ackedAfter = [2]int64{acked[0].Load(), acked[1].Load()}
 					}
 				}
@@ -176,7 +182,7 @@ func TestCrashDuringFuzzyCheckpoint(t *testing.T) {
 						crash()
 					}
 				}
-				db := openTestDB(t, Options{FS: fs, Merger: appendMerger, SyncWAL: syncWAL, logBytes: 1 << 30})
+				db := openTestDB(t, Options{FS: fs, Merger: appendMerger, logBytes: 1 << 30})
 				for w := range 2 {
 					for j := 1; j <= first; j++ {
 						if err := db.Apply(fuzzyBatch(w, j)); err != nil {
@@ -254,7 +260,7 @@ func TestCrashDuringFuzzyCheckpoint(t *testing.T) {
 						t.Fatalf("after recovery: %v", err)
 					}
 					lo, hi := int64(first), ackedAfter[w]+1 // a batch in flight may be durable
-					if syncWAL {
+					if !machine {
 						lo = ackedBefore[w]
 					}
 					if int64(j) < lo || int64(j) > hi {

@@ -10,10 +10,13 @@ import (
 	"repro/internal/vfs"
 )
 
-// The write-ahead log makes every batch durable before it is acknowledged
-// (when Options.SyncWAL is set; GekkoFS daemons run synchronously, so the
-// acknowledgement a client receives implies the metadata operation has
-// reached the log).
+// The write-ahead log holds every batch Apply acknowledges, handed to
+// the kernel in one write before Apply returns, with no sync: a process
+// crash keeps the page cache and so loses no acknowledged batch.
+// A machine crash loses what the kernel had not written back; the syncs
+// around a checkpoint (runCheckpoint) keep that to a suffix of whole
+// batches. GekkoFS data lives for the job, and stage-out, not this log,
+// makes results outlive it.
 //
 // A log file is walMagic, then records [crc32c u32][len u32][payload].
 // A payload is one batch: [count u32] then per operation [kind u8]
@@ -36,7 +39,7 @@ type walWriter struct {
 	f    vfs.File
 	num  uint64 // the log's number: wal-NNNNNN.log
 	buf  []byte
-	size int64 // bytes appended: the checkpoint trigger
+	size int64 // record bytes written: where the next goes, and the checkpoint trigger
 }
 
 // newWALWriter starts log num in the empty file f: it writes the magic
@@ -52,8 +55,11 @@ func newWALWriter(f vfs.File, num uint64) (*walWriter, error) {
 	return &walWriter{f: f, num: num}, nil
 }
 
-// append writes one batch record; sync forces durability before return.
-func (w *walWriter) append(ops []entry, sync bool) error {
+// append writes one batch record in one WriteAt at the end of the
+// records acknowledged so far. A record a failed write cut short is
+// overwritten by the next one rather than left in front of it, where
+// replay would stop.
+func (w *walWriter) append(ops []entry) error {
 	payload := encodeBatch(ops)
 	w.buf = w.buf[:0]
 	var hdr [8]byte
@@ -61,15 +67,10 @@ func (w *walWriter) append(ops []entry, sync bool) error {
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
 	w.buf = append(w.buf, hdr[:]...)
 	w.buf = append(w.buf, payload...)
-	if _, err := w.f.Append(w.buf); err != nil {
+	if _, err := w.f.WriteAt(w.buf, int64(len(walMagic))+w.size); err != nil {
 		return fmt.Errorf("kvstore: wal append: %w", err)
 	}
 	w.size += int64(len(w.buf))
-	if sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("kvstore: wal sync: %w", err)
-		}
-	}
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -32,7 +33,7 @@ func TestWALRoundTrip(t *testing.T) {
 		{{key: []byte("b"), kind: kindDelete}, {key: []byte("c"), val: []byte("3"), kind: kindPut}},
 	}
 	for _, b := range batches {
-		if err := w.append(b, true); err != nil {
+		if err := w.append(b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,7 +58,7 @@ func TestWALRoundTrip(t *testing.T) {
 
 func TestWALTornTailIgnored(t *testing.T) {
 	f, w := newTestWAL(t, vfs.NewMem(), "wal")
-	if err := w.append([]entry{{key: []byte("good"), val: []byte("v"), kind: kindPut}}, true); err != nil {
+	if err := w.append([]entry{{key: []byte("good"), val: []byte("v"), kind: kindPut}}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a torn write: append garbage that looks like a header.
@@ -77,7 +78,7 @@ func TestWALTornTailIgnored(t *testing.T) {
 func TestWALCorruptPayloadStopsReplay(t *testing.T) {
 	f, w := newTestWAL(t, vfs.NewMem(), "wal")
 	for _, k := range []string{"a", "b", "c"} {
-		if err := w.append([]entry{{key: []byte(k), kind: kindPut}}, true); err != nil {
+		if err := w.append([]entry{{key: []byte(k), kind: kindPut}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +113,7 @@ func TestWALFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := (&walWriter{f: f}).append(rec, true); err != nil {
+			if err := (&walWriter{f: f}).append(rec); err != nil {
 				t.Fatal(err)
 			}
 		}, walName(1)},
@@ -120,12 +121,12 @@ func TestWALFormat(t *testing.T) {
 			if _, err := fs.Create(walName(1)); err != nil {
 				t.Fatal(err)
 			}
-			if _, w := newTestWAL(t, fs, walName(2)); w.append(rec, true) != nil {
+			if _, w := newTestWAL(t, fs, walName(2)); w.append(rec) != nil {
 				t.Fatal("append failed")
 			}
 		}, walName(1)},
 		{"empty newest log", func(t *testing.T, fs vfs.FS) {
-			if _, w := newTestWAL(t, fs, walName(1)); w.append(rec, true) != nil {
+			if _, w := newTestWAL(t, fs, walName(1)); w.append(rec) != nil {
 				t.Fatal("append failed")
 			}
 			if _, err := fs.Create(walName(2)); err != nil {
@@ -168,14 +169,14 @@ func TestWALFormat(t *testing.T) {
 func TestWALUndecodableBatchIsDamage(t *testing.T) {
 	fs := vfs.NewMem()
 	_, w := newTestWAL(t, fs, walName(1))
-	if err := w.append([]entry{{key: []byte("k"), val: []byte("v"), kind: kindPut}}, true); err != nil {
+	if err := w.append([]entry{{key: []byte("k"), val: []byte("v"), kind: kindPut}}); err != nil {
 		t.Fatal(err)
 	}
 	off := int64(len(walMagic)) + w.size
-	if err := w.append([]entry{{key: []byte("k"), val: u64(7), kind: kindMerge}}, true); err != nil {
+	if err := w.append([]entry{{key: []byte("k"), val: u64(7), kind: kindMerge}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append([]entry{{key: []byte("j"), val: []byte("v"), kind: kindPut}}, true); err != nil {
+	if err := w.append([]entry{{key: []byte("j"), val: []byte("v"), kind: kindPut}}); err != nil {
 		t.Fatal(err)
 	}
 	before := logSizes(t, fs)
@@ -190,6 +191,65 @@ func TestWALUndecodableBatchIsDamage(t *testing.T) {
 	if after := logSizes(t, fs); after != before {
 		t.Fatalf("logs after the refused Open: %s; before: %s", after, before)
 	}
+}
+
+// TestFailedAppendIsOverwritten: a log write that fails after writing
+// part of its record leaves the batch unacknowledged and out of the
+// table, and the next append overwrites the partial record instead of
+// landing behind it, so the log replays every acknowledged batch.
+func TestFailedAppendIsOverwritten(t *testing.T) {
+	fs := &shortWriteFS{Mem: vfs.NewMem()}
+	db := openTestDB(t, Options{FS: fs})
+	if err := put(db, []byte("a"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	fs.fail.Store(true)
+	if err := put(db, []byte("b"), bytes.Repeat([]byte("x"), 200)); err == nil {
+		t.Fatal("a failed log write was acknowledged")
+	}
+	if _, err := db.Get([]byte("b")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(b) after its failed append = %v; want ErrNotFound", err)
+	}
+	if err := put(db, []byte("c"), []byte("3")); err != nil {
+		t.Fatal(err)
+	}
+	re := openTestDB(t, Options{FS: fs.ProcessCrashClone()})
+	for k, want := range map[string]string{"a": "1", "c": "3"} {
+		if v, err := re.Get([]byte(k)); err != nil || string(v) != want {
+			t.Fatalf("reopened %s = %q, %v; want %q as acknowledged", k, v, err, want)
+		}
+	}
+	if _, err := re.Get([]byte("b")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("reopened b = %v; want ErrNotFound", err)
+	}
+}
+
+// shortWriteFS is a vfs.Mem whose logs, once fail is set, write half of
+// the next record and fail, as a full disk does.
+type shortWriteFS struct {
+	*vfs.Mem
+	fail atomic.Bool
+}
+
+func (fs *shortWriteFS) Create(name string) (vfs.File, error) {
+	f, err := fs.Mem.Create(name)
+	if err != nil || !strings.HasPrefix(name, "wal-") {
+		return f, err
+	}
+	return &shortWriteLog{File: f, fs: fs}, nil
+}
+
+type shortWriteLog struct {
+	vfs.File
+	fs *shortWriteFS
+}
+
+func (l *shortWriteLog) WriteAt(p []byte, off int64) (int, error) {
+	if l.fs.fail.CompareAndSwap(true, false) {
+		n, _ := l.File.WriteAt(p[:len(p)/2], off)
+		return n, errors.New("no space left on device")
+	}
+	return l.File.WriteAt(p, off)
 }
 
 // logSizes lists fs's files with their sizes.

@@ -71,11 +71,9 @@ func (r *Record) Truncate(size, mtimeNS int64) Outcome {
 
 // Grow applies one size-grow step: size and mtime become the maximum of
 // what they were and the candidate. An absent path is recreated as a bare
-// regular file; a directory has no size to grow and is refused. The store
-// applies a grow as a merge operand, so this is the step the daemon's
-// merge operator runs (once, as the store applies the grow) as well as
-// the one the transaction runs to answer the caller and to let later
-// sub-ops see the grown state.
+// regular file; a directory has no size to grow and is refused. The
+// daemon's metadata transaction runs it once, under the key's lock, and
+// commits the grown record as a put.
 func (r *Record) Grow(size, mtimeNS int64) Outcome {
 	if !r.Exists {
 		*r = Record{Meta: Metadata{Mode: ModeRegular}, Exists: true}

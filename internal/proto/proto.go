@@ -36,7 +36,7 @@ const (
 	// OpRemoveMeta deletes a path's metadata record, returning the size
 	// it had so the client knows whether chunks must be collected.
 	OpRemoveMeta
-	// OpUpdateSize grows (merge) or sets (truncate) a file's size.
+	// OpUpdateSize grows (to the maximum) or sets (truncate) a file's size.
 	OpUpdateSize
 	// OpWriteChunks stores spans of one or more chunks held by the target
 	// daemon; data travels in the bulk region (daemon pulls). The request
@@ -287,7 +287,7 @@ type DaemonStats struct {
 	Creates uint64 `metric:"gkfs_daemon_creates_total"`
 	StatOps uint64 `metric:"gkfs_daemon_stat_ops_total"`
 	Removes uint64 `metric:"gkfs_daemon_removes_total"`
-	// SizeUpdates counts size merge/truncate operations.
+	// SizeUpdates counts size grow/truncate operations.
 	SizeUpdates uint64 `metric:"gkfs_daemon_size_updates_total"`
 	// WriteOps and ReadOps count chunk RPCs; WriteBytes and ReadBytes the
 	// logical payloads they addressed.

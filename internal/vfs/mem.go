@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -12,7 +13,8 @@ import (
 // Mem is an in-memory FS. It is safe for concurrent use. Mem tracks, per
 // file, how many bytes have been made durable by Sync; CrashClone builds a
 // new Mem holding only the durable prefix of every file, simulating a node
-// crash between write and fsync.
+// crash between write and fsync, and ProcessCrashClone one holding every
+// written byte, as a killed process leaves them.
 type Mem struct {
 	mu    sync.RWMutex
 	files map[string]*memFile
@@ -128,17 +130,27 @@ func (m *Mem) Exists(name string) bool {
 }
 
 // CrashClone returns a new Mem containing, for every file, only the bytes
-// that had been Synced when the clone was taken. It models a hard crash:
-// everything after the last fsync is lost.
-func (m *Mem) CrashClone() *Mem {
+// that had been Synced when the clone was taken. It models a machine
+// crash: everything after the last fsync is lost.
+func (m *Mem) CrashClone() *Mem { return m.clone(true) }
+
+// ProcessCrashClone returns a new Mem containing every byte written when
+// the clone was taken, synced or not. It models a killed process: the
+// kernel keeps what the process wrote.
+func (m *Mem) ProcessCrashClone() *Mem { return m.clone(false) }
+
+func (m *Mem) clone(syncedOnly bool) *Mem {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	c := NewMem()
 	for name, f := range m.files {
 		f.mu.RLock()
-		nf := &memFile{name: name, data: append([]byte(nil), f.data[:f.synced]...), synced: f.synced}
+		data := f.data
+		if syncedOnly {
+			data = data[:f.synced]
+		}
+		c.files[name] = &memFile{name: name, data: bytes.Clone(data), synced: f.synced}
 		f.mu.RUnlock()
-		c.files[name] = nf
 	}
 	for d := range m.dirs {
 		c.dirs[d] = true

@@ -180,6 +180,16 @@ func TestMemCrashCloneDropsUnsynced(t *testing.T) {
 	if osz != int64(len("durable-lost")) {
 		t.Fatalf("original size changed: %d", osz)
 	}
+
+	// A killed process loses nothing it wrote.
+	pf, err := m.ProcessCrashClone().Open("wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf = make([]byte, osz)
+	if _, err := pf.ReadAt(buf, 0); err != nil || string(buf) != "durable-lost" {
+		t.Fatalf("process-crash content = %q, %v", buf, err)
+	}
 }
 
 func TestMemCrashCloneNeverSynced(t *testing.T) {
